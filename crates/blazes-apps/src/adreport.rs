@@ -29,13 +29,15 @@ use blazes_bloom::interp::ModuleInstance;
 use blazes_coord::registry::ProducerRegistry;
 use blazes_coord::seal::{SealManager, SealOutcome};
 use blazes_coord::sequencer::Sequencer;
-use blazes_dataflow::backend::{ExecutorBuilder, PortId};
+use blazes_dataflow::backend::{
+    build_local, BackendRunStats, BackendSpec, ExecutorBuilder, PortId,
+};
 use blazes_dataflow::channel::ChannelConfig;
 use blazes_dataflow::component::{Component, Context};
+use blazes_dataflow::dist::{run_dist, ProbeBuilder, SinkSet};
 use blazes_dataflow::message::{Message, SealKey};
-use blazes_dataflow::metrics::{RunStats, TimeSeries};
-use blazes_dataflow::par::{ParBuilder, ParStats, ParTuning};
-use blazes_dataflow::sim::{InstanceId, SimBuilder, Time};
+use blazes_dataflow::metrics::TimeSeries;
+use blazes_dataflow::sim::{InstanceId, Time};
 use blazes_dataflow::sinks::CollectorSink;
 use blazes_dataflow::value::{Tuple, Value};
 use std::collections::BTreeMap;
@@ -51,7 +53,7 @@ pub enum StrategyKind {
     Sealed,
     /// No hand-wired coordination, but the ad servers' campaign
     /// punctuations still flow: the bare topology `blazes-autocoord`
-    /// rewrites (see [`crate::autocoord::run_scenario_auto`]). Running it
+    /// rewrites (see [`crate::autocoord::run_ad_auto`]). Running it
     /// *without* the rewrite behaves like [`StrategyKind::Uncoordinated`]
     /// plus ignored punctuations.
     Bare,
@@ -135,22 +137,29 @@ impl Default for AdScenario {
     }
 }
 
-/// Result of one scenario run.
+/// Result of one scenario run on any backend.
+///
+/// Series *totals* are meaningful everywhere they exist (records
+/// processed); series *times* are virtual microseconds on the simulator
+/// and per-instance event ordinals on the parallel executor. On
+/// [`BackendSpec::Dist`] `series` is empty: those counters live inside the
+/// worker processes and only the response sinks are streamed back.
 #[derive(Debug)]
 pub struct AdRunResult {
-    /// Per-replica cumulative processed-records series.
+    /// Per-replica cumulative processed-records series (empty on dist).
     pub series: Vec<TimeSeries>,
     /// Per-replica response collections.
     pub responses: Vec<CollectorSink>,
-    /// Simulator statistics.
-    pub stats: RunStats,
+    /// Backend-tagged run statistics.
+    pub stats: BackendRunStats,
     /// Records each replica was expected to process.
     pub expected_records: u64,
 }
 
 impl AdRunResult {
     /// Virtual time at which the slowest replica finished processing every
-    /// record (`None` if some replica never did).
+    /// record (`None` if some replica never did). Meaningful on the
+    /// simulator, where series times are virtual microseconds.
     #[must_use]
     pub fn completion_time(&self) -> Option<Time> {
         self.series
@@ -158,6 +167,20 @@ impl AdRunResult {
             .map(|s| s.time_to_reach(self.expected_records))
             .collect::<Option<Vec<_>>>()
             .map(|v| v.into_iter().max().unwrap_or(0))
+    }
+
+    /// Did every replica process every record? `None` on the distributed
+    /// backend, whose series never leave the workers.
+    #[must_use]
+    pub fn processed_everything(&self) -> Option<bool> {
+        if matches!(self.stats, BackendRunStats::Dist(_)) {
+            return None;
+        }
+        Some(
+            self.series
+                .iter()
+                .all(|s| s.total() == self.expected_records),
+        )
     }
 
     /// Do all replicas report identical response sets?
@@ -399,7 +422,7 @@ pub fn seal_registry_for(workload: &ClickWorkload) -> ProducerRegistry {
 /// per-replica processed-records series and response sinks, the latter
 /// paired with their backend instance ids so a distributed run can tell
 /// which process owns (and must stream back) which sink.
-pub fn assemble_scenario<B: ExecutorBuilder>(
+pub fn assemble_scenario<B: ExecutorBuilder + ?Sized>(
     sc: &AdScenario,
     b: &mut B,
 ) -> (Vec<TimeSeries>, Vec<(InstanceId, CollectorSink)>) {
@@ -514,78 +537,64 @@ pub fn assemble_scenario<B: ExecutorBuilder>(
     (series, responses)
 }
 
-/// Run one scenario to quiescence on the discrete-event simulator.
-#[must_use]
-pub fn run_scenario(sc: &AdScenario) -> AdRunResult {
-    let mut b = SimBuilder::new(sc.seed);
-    let (series, responses) = assemble_scenario(sc, &mut b);
-    let mut sim = b.build();
-    let stats = sim.run(None);
-    AdRunResult {
-        series,
-        responses: responses.into_iter().map(|(_, s)| s).collect(),
-        stats,
-        expected_records: sc.workload.total_entries() as u64,
-    }
-}
-
-/// Result of one scenario run on the parallel executor. Series totals are
-/// meaningful (records processed); series *times* are per-instance event
-/// ordinals, not virtual microseconds.
-#[derive(Debug)]
-pub struct AdParResult {
-    /// Per-replica cumulative processed-records series.
-    pub series: Vec<TimeSeries>,
-    /// Per-replica response collections.
-    pub responses: Vec<CollectorSink>,
-    /// Parallel-executor statistics.
-    pub stats: ParStats,
-    /// Records each replica was expected to process.
-    pub expected_records: u64,
-}
-
-impl AdParResult {
-    /// Did every replica process every record?
-    #[must_use]
-    pub fn processed_everything(&self) -> bool {
-        self.series
-            .iter()
-            .all(|s| s.total() == self.expected_records)
-    }
-
-    /// Do all replicas report identical response sets?
-    #[must_use]
-    pub fn responses_consistent(&self) -> bool {
-        let sets: Vec<_> = self
-            .responses
-            .iter()
-            .map(CollectorSink::message_set)
-            .collect();
-        sets.windows(2).all(|w| w[0] == w[1])
-    }
-}
-
-/// Run one scenario to quiescence on the multi-worker parallel executor.
-/// The sequencer (ordered strategy) and seal managers are ordinary
-/// components, so every strategy runs threaded; service times do not apply.
+/// Run one hand-wired scenario to quiescence on the backend selected by
+/// `backend`. The sequencer (ordered strategy) and seal managers are
+/// ordinary components, so every strategy runs on every backend; modeled
+/// service times apply on the simulator only.
+///
+/// On [`BackendSpec::Dist`] the spec's `topology`/`params` fields are
+/// overwritten with the ad-report registry entry for `sc`; everything
+/// else (process count, wire faults, worker command) is honored as given.
 ///
 /// # Panics
-/// Panics when `tuning` is invalid (zero batch size, capacity or spill
-/// threshold).
+/// Panics when a `Par` spec is invalid, and on any distributed transport
+/// failure.
 #[must_use]
-pub fn run_scenario_parallel(sc: &AdScenario, workers: usize, tuning: ParTuning) -> AdParResult {
-    let mut b = ParBuilder::new(sc.seed)
-        .with_workers(workers)
-        .with_tuning(tuning)
-        .expect("valid parallel tuning");
-    let (series, responses) = assemble_scenario(sc, &mut b);
-    let stats = b.build().run();
-    AdParResult {
+pub fn run_scenario(sc: &AdScenario, backend: &BackendSpec) -> AdRunResult {
+    run_on(sc, backend, false, |b| {
+        let (series, responses) = assemble_scenario(sc, b);
+        (series, responses, ())
+    })
+    .0
+}
+
+/// Shared body of [`run_scenario`] and [`crate::autocoord::run_ad_auto`]:
+/// run `assemble` on `backend` and collect the result, plus whatever else
+/// the assembly reported. `auto` says which variant of the
+/// [`crate::dist::AD_TOPOLOGY`] registry entry re-creates `assemble`
+/// inside the worker processes of a distributed run; the parent then only
+/// probes the assembly for its report.
+pub(crate) fn run_on<R>(
+    sc: &AdScenario,
+    backend: &BackendSpec,
+    auto: bool,
+    assemble: impl FnOnce(&mut dyn ExecutorBuilder) -> (Vec<TimeSeries>, SinkSet, R),
+) -> (AdRunResult, R) {
+    let (series, responses, stats, report) = if let BackendSpec::Dist(d) = backend {
+        let (_, _, report) = assemble(&mut ProbeBuilder::new());
+        let mut spec = d.clone();
+        spec.topology = crate::dist::AD_TOPOLOGY.to_string();
+        spec.params = crate::dist::encode_ad_params(sc, auto, backend.speculation());
+        let run =
+            run_dist(&spec, &crate::dist::dist_registry()).expect("distributed ad-report run");
+        (
+            Vec::new(),
+            run.sinks,
+            BackendRunStats::Dist(run.stats),
+            report,
+        )
+    } else {
+        let (exec, (series, responses, report)) =
+            build_local(backend, sc.seed, assemble).unwrap_or_else(|e| panic!("{e}"));
+        (series, responses, exec.run(), report)
+    };
+    let result = AdRunResult {
         series,
         responses: responses.into_iter().map(|(_, s)| s).collect(),
         stats,
         expected_records: sc.workload.total_entries() as u64,
-    }
+    };
+    (result, report)
 }
 
 #[cfg(test)]
@@ -625,10 +634,10 @@ mod tests {
 
     #[test]
     fn uncoordinated_processes_everything() {
-        let res = run_scenario(&scenario(
-            StrategyKind::Uncoordinated,
-            CampaignPlacement::Spread,
-        ));
+        let res = run_scenario(
+            &scenario(StrategyKind::Uncoordinated, CampaignPlacement::Spread),
+            &BackendSpec::Sim,
+        );
         assert_eq!(res.expected_records, 180);
         for s in &res.series {
             assert_eq!(s.total(), 180, "every replica sees every record");
@@ -638,7 +647,10 @@ mod tests {
 
     #[test]
     fn sealed_spread_processes_everything() {
-        let res = run_scenario(&scenario(StrategyKind::Sealed, CampaignPlacement::Spread));
+        let res = run_scenario(
+            &scenario(StrategyKind::Sealed, CampaignPlacement::Spread),
+            &BackendSpec::Sim,
+        );
         for s in &res.series {
             assert_eq!(s.total(), 180, "all partitions released");
         }
@@ -646,10 +658,10 @@ mod tests {
 
     #[test]
     fn sealed_independent_processes_everything() {
-        let res = run_scenario(&scenario(
-            StrategyKind::Sealed,
-            CampaignPlacement::Independent,
-        ));
+        let res = run_scenario(
+            &scenario(StrategyKind::Sealed, CampaignPlacement::Independent),
+            &BackendSpec::Sim,
+        );
         for s in &res.series {
             assert_eq!(s.total(), 180);
         }
@@ -657,7 +669,10 @@ mod tests {
 
     #[test]
     fn ordered_processes_everything_and_is_consistent() {
-        let res = run_scenario(&scenario(StrategyKind::Ordered, CampaignPlacement::Spread));
+        let res = run_scenario(
+            &scenario(StrategyKind::Ordered, CampaignPlacement::Spread),
+            &BackendSpec::Sim,
+        );
         for s in &res.series {
             assert_eq!(s.total(), 180);
         }
@@ -670,35 +685,32 @@ mod tests {
         // Requests race with ongoing partitions in general, but with the
         // CAMPAIGN query a replica only answers from *released* partitions,
         // which every replica releases with identical contents.
-        let res = run_scenario(&scenario(StrategyKind::Sealed, CampaignPlacement::Spread));
+        let res = run_scenario(
+            &scenario(StrategyKind::Sealed, CampaignPlacement::Spread),
+            &BackendSpec::Sim,
+        );
         assert!(res.responses_consistent());
     }
 
     #[test]
     fn parallel_backend_processes_everything_under_every_strategy() {
         // Figures 12–14's scenarios, threaded: every strategy must still
-        // deliver all records to all replicas, under both schedulers.
+        // deliver all records to all replicas.
         for strategy in [
             StrategyKind::Uncoordinated,
             StrategyKind::Ordered,
             StrategyKind::Sealed,
         ] {
-            for stealing in [true, false] {
-                let tuning = ParTuning {
-                    stealing,
-                    ..ParTuning::default()
-                };
-                let res = run_scenario_parallel(
-                    &scenario(strategy, CampaignPlacement::Spread),
-                    3,
-                    tuning,
-                );
-                assert!(
-                    res.processed_everything(),
-                    "{strategy:?} stealing={stealing}: {:?}",
-                    res.series.iter().map(TimeSeries::total).collect::<Vec<_>>()
-                );
-            }
+            let res = run_scenario(
+                &scenario(strategy, CampaignPlacement::Spread),
+                &BackendSpec::par(3),
+            );
+            assert_eq!(
+                res.processed_everything(),
+                Some(true),
+                "{strategy:?}: {:?}",
+                res.series.iter().map(TimeSeries::total).collect::<Vec<_>>()
+            );
         }
     }
 
@@ -706,22 +718,24 @@ mod tests {
     fn parallel_sealed_responses_are_consistent() {
         // Replicas only answer from released (seal-complete) partitions,
         // so agreement must survive real thread nondeterminism.
-        let res = run_scenario_parallel(
+        let res = run_scenario(
             &scenario(StrategyKind::Sealed, CampaignPlacement::Spread),
-            4,
-            ParTuning::default(),
+            &BackendSpec::par(4),
         );
-        assert!(res.processed_everything());
+        assert_eq!(res.processed_everything(), Some(true));
         assert!(res.responses_consistent());
     }
 
     #[test]
     fn ordered_is_slower_than_uncoordinated() {
-        let fast = run_scenario(&scenario(
-            StrategyKind::Uncoordinated,
-            CampaignPlacement::Spread,
-        ));
-        let slow = run_scenario(&scenario(StrategyKind::Ordered, CampaignPlacement::Spread));
+        let fast = run_scenario(
+            &scenario(StrategyKind::Uncoordinated, CampaignPlacement::Spread),
+            &BackendSpec::Sim,
+        );
+        let slow = run_scenario(
+            &scenario(StrategyKind::Ordered, CampaignPlacement::Spread),
+            &BackendSpec::Sim,
+        );
         assert!(
             slow.completion_time().unwrap() > fast.completion_time().unwrap(),
             "ordering must cost time: {:?} vs {:?}",
@@ -732,11 +746,14 @@ mod tests {
 
     #[test]
     fn independent_seals_release_earlier_than_spread() {
-        let ind = run_scenario(&scenario(
-            StrategyKind::Sealed,
-            CampaignPlacement::Independent,
-        ));
-        let spread = run_scenario(&scenario(StrategyKind::Sealed, CampaignPlacement::Spread));
+        let ind = run_scenario(
+            &scenario(StrategyKind::Sealed, CampaignPlacement::Independent),
+            &BackendSpec::Sim,
+        );
+        let spread = run_scenario(
+            &scenario(StrategyKind::Sealed, CampaignPlacement::Spread),
+            &BackendSpec::Sim,
+        );
         // Under spread placement, each campaign waits for *every* server's
         // seal, which only happens at end-of-log: releases cluster late.
         // Independent campaigns release as soon as their one master seals.

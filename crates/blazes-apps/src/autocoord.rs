@@ -19,29 +19,22 @@
 //!
 //! Both runners take a [`BackendSpec`], so one call site covers the
 //! simulator, the parallel executor and the distributed multi-process
-//! backend; the former per-backend entry points survive as deprecated
-//! wrappers.
+//! backend, and share their bodies with the hand-wired runners
+//! ([`crate::adreport::run_scenario`], [`crate::wordcount::run_wordcount`]).
 
-use crate::adreport::{seal_registry_for, AdParResult, AdRunResult, AdScenario, StrategyKind};
+use crate::adreport::{seal_registry_for, AdRunResult, AdScenario, StrategyKind};
 use crate::casestudy::{ad_network_graph, wordcount_graph};
 use crate::queries::ReportQuery;
-use crate::wordcount::{
-    counts_of, wordcount_topology, WordcountParResult, WordcountResult, WordcountScenario,
-};
+use crate::wordcount::{WordcountResult, WordcountScenario};
 use blazes_autocoord::{AutoCoordRules, InjectionSummary, SealBinding};
 use blazes_core::placement::{CoordDirective, CoordinationSpec};
-use blazes_dataflow::backend::{
-    BackendRunStats, BackendSpec, ExecutorBuilder, NoopPass, RewriteStats, RewritingBuilder,
-};
-use blazes_dataflow::dist::{run_dist, ProbeBuilder};
+use blazes_dataflow::backend::{BackendSpec, ExecutorBuilder, RewriteStats, RewritingBuilder};
 use blazes_dataflow::message::Message;
 use blazes_dataflow::metrics::TimeSeries;
-use blazes_dataflow::par::{ParBuilder, ParTuning};
-use blazes_dataflow::sim::{InstanceId, SimBuilder};
+use blazes_dataflow::sim::InstanceId;
 use blazes_dataflow::sinks::CollectorSink;
 use blazes_dataflow::value::Value;
 use blazes_storm::topology::{CoordinationOutcome, TransactionalConfig};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What the injection pass did to an auto-coordinated ad-report run.
@@ -122,7 +115,7 @@ pub struct AdAutoAssembly {
 /// run share; `speculation` selects the speculative seal-gate variant
 /// (meaningful on the parallel substrate only, but it must be part of the
 /// assembly so all processes agree on the rewritten graph).
-pub fn assemble_ad_auto<B: ExecutorBuilder>(
+pub fn assemble_ad_auto<B: ExecutorBuilder + ?Sized>(
     sc: &AdScenario,
     speculation: bool,
     b: &mut B,
@@ -144,59 +137,13 @@ pub fn assemble_ad_auto<B: ExecutorBuilder>(
     }
 }
 
-/// Result of an auto-coordinated ad-network run on any backend.
-///
-/// On [`BackendSpec::Dist`] the per-replica `series` is empty: those
-/// counters live inside the worker processes and only the response sinks
-/// are streamed back over the wire.
-pub struct AdAutoRun {
-    /// Per-replica cumulative processed-records series (empty on dist).
-    pub series: Vec<TimeSeries>,
-    /// Per-replica response collections.
-    pub responses: Vec<CollectorSink>,
-    /// Backend-tagged run statistics.
-    pub stats: BackendRunStats,
-    /// Records each replica was expected to process.
-    pub expected_records: u64,
-}
-
-impl AdAutoRun {
-    /// Did every replica process every record? Always `false` on the
-    /// distributed backend, whose series stay in the workers.
-    #[must_use]
-    pub fn processed_everything(&self) -> bool {
-        !self.series.is_empty()
-            && self
-                .series
-                .iter()
-                .all(|s| s.total() == self.expected_records)
-    }
-
-    /// Do all replicas report identical response sets?
-    #[must_use]
-    pub fn responses_consistent(&self) -> bool {
-        let sets: Vec<_> = self
-            .responses
-            .iter()
-            .map(CollectorSink::message_set)
-            .collect();
-        sets.windows(2).all(|w| w[0] == w[1])
-    }
-
-    /// Total responses across all replicas.
-    #[must_use]
-    pub fn total_responses(&self) -> usize {
-        self.responses.iter().map(CollectorSink::len).sum()
-    }
-}
-
 /// Run `sc` with analysis-driven coordination on the backend selected by
-/// `backend` — the single entry point that replaced the
-/// `run_scenario_auto` / `run_scenario_auto_parallel` pair. The bare
-/// topology is assembled through the rewrite pass, which injects exactly
-/// what [`ad_network_spec`] demands for `sc.query`, then runs on the
-/// simulator, the parallel executor, or (via
-/// [`crate::dist::dist_registry`]) a fleet of worker processes.
+/// `backend`. The bare topology is assembled through the rewrite pass,
+/// which injects exactly what [`ad_network_spec`] demands for `sc.query`,
+/// then runs on the simulator, the parallel executor, or (via
+/// [`crate::dist::dist_registry`]) a fleet of worker processes. When the
+/// backend enables time-warp speculation, the injected seal gates are the
+/// speculative variant.
 ///
 /// On [`BackendSpec::Dist`] the spec's `topology`/`params` fields are
 /// overwritten with the ad-report registry entry for `sc`; everything
@@ -205,114 +152,15 @@ impl AdAutoRun {
 /// assembly.
 ///
 /// # Panics
-/// Panics when a `Par` tuning is invalid, and on any distributed
-/// transport failure.
+/// Panics when a `Par` spec is invalid, and on any distributed transport
+/// failure.
 #[must_use]
-pub fn run_ad_auto(sc: &AdScenario, backend: &BackendSpec) -> (AdAutoRun, AutoCoordReport) {
-    let expected_records = sc.workload.total_entries() as u64;
-    match backend {
-        BackendSpec::Sim => {
-            let mut b = SimBuilder::new(sc.seed);
-            let asm = assemble_ad_auto(sc, false, &mut b);
-            let stats = b.build().run(None);
-            (
-                AdAutoRun {
-                    series: asm.series,
-                    responses: asm.responses.into_iter().map(|(_, s)| s).collect(),
-                    stats: BackendRunStats::Sim(stats),
-                    expected_records,
-                },
-                asm.report,
-            )
-        }
-        BackendSpec::Par { workers, tuning } => {
-            let mut b = ParBuilder::new(sc.seed)
-                .with_workers(*workers)
-                .with_tuning(*tuning)
-                .expect("valid parallel tuning");
-            let asm = assemble_ad_auto(sc, tuning.speculation, &mut b);
-            let stats = b.build().run();
-            (
-                AdAutoRun {
-                    series: asm.series,
-                    responses: asm.responses.into_iter().map(|(_, s)| s).collect(),
-                    stats: BackendRunStats::Par(stats),
-                    expected_records,
-                },
-                asm.report,
-            )
-        }
-        BackendSpec::Dist(d) => {
-            // The report comes from probing the identical assembly
-            // parent-side; the run itself re-assembles in every process
-            // through the registry.
-            let mut probe = ProbeBuilder::new();
-            let asm = assemble_ad_auto(sc, d.speculation, &mut probe);
-            let mut spec = d.clone();
-            spec.topology = crate::dist::AD_TOPOLOGY.to_string();
-            spec.params = crate::dist::encode_ad_params(sc, true, d.speculation);
-            let run =
-                run_dist(&spec, &crate::dist::dist_registry()).expect("distributed ad-report run");
-            (
-                AdAutoRun {
-                    series: Vec::new(),
-                    responses: run.sinks.into_iter().map(|(_, s)| s).collect(),
-                    stats: BackendRunStats::Dist(run.stats),
-                    expected_records,
-                },
-                asm.report,
-            )
-        }
-    }
-}
-
-/// Run `sc` on the simulator with analysis-driven coordination.
-#[deprecated(note = "use run_ad_auto with BackendSpec::Sim")]
-#[must_use]
-pub fn run_scenario_auto(sc: &AdScenario) -> (AdRunResult, AutoCoordReport) {
-    let (run, report) = run_ad_auto(sc, &BackendSpec::Sim);
-    let BackendRunStats::Sim(stats) = run.stats else {
-        unreachable!("Sim spec produces Sim stats")
-    };
-    (
-        AdRunResult {
-            series: run.series,
-            responses: run.responses,
-            stats,
-            expected_records: run.expected_records,
-        },
-        report,
-    )
-}
-
-/// Run `sc` on the multi-worker parallel executor with analysis-driven
-/// coordination — the same rewritten graph the simulator runs. When
-/// `tuning` enables time-warp speculation, the injected seal gates are the
-/// speculative variant, so flagged consumers run ahead of missing
-/// punctuations and roll back on violations.
-///
-/// # Panics
-/// Panics when `tuning` is invalid.
-#[deprecated(note = "use run_ad_auto with BackendSpec::Par")]
-#[must_use]
-pub fn run_scenario_auto_parallel(
-    sc: &AdScenario,
-    workers: usize,
-    tuning: ParTuning,
-) -> (AdParResult, AutoCoordReport) {
-    let (run, report) = run_ad_auto(sc, &BackendSpec::Par { workers, tuning });
-    let BackendRunStats::Par(stats) = run.stats else {
-        unreachable!("Par spec produces Par stats")
-    };
-    (
-        AdParResult {
-            series: run.series,
-            responses: run.responses,
-            stats,
-            expected_records: run.expected_records,
-        },
-        report,
-    )
+pub fn run_ad_auto(sc: &AdScenario, backend: &BackendSpec) -> (AdRunResult, AutoCoordReport) {
+    let speculation = backend.speculation();
+    crate::adreport::run_on(sc, backend, true, |b| {
+        let asm = assemble_ad_auto(sc, speculation, b);
+        (asm.series, asm.responses, asm.report)
+    })
 }
 
 /// The per-replica output digest used by the differential proof: each
@@ -357,54 +205,11 @@ pub fn wordcount_ordering_config(sc: &WordcountScenario) -> TransactionalConfig 
     }
 }
 
-/// Result of an auto-coordinated wordcount run on any backend.
-pub struct WordcountAutoRun {
-    /// The committed `(word, batch, count)` records.
-    pub committed: CollectorSink,
-    /// Backend-tagged run statistics.
-    pub stats: BackendRunStats,
-    /// Tweets the spouts emitted.
-    pub tweets: u64,
-}
-
-impl WordcountAutoRun {
-    /// Final `(word, batch) -> count` table.
-    #[must_use]
-    pub fn counts(&self) -> BTreeMap<(String, i64), i64> {
-        counts_of(&self.committed)
-    }
-}
-
-/// Shared Sim/Par body of the coordinated wordcount runners: build the
-/// plain topology, apply `spec`, assemble on `backend`, run.
-fn wordcount_on(
-    sc: &WordcountScenario,
-    spec: &CoordinationSpec,
-    backend: &BackendSpec,
-) -> (WordcountAutoRun, CoordinationOutcome) {
-    assert!(
-        !sc.transactional,
-        "auto-coordination replaces the hand-wired transactional flag"
-    );
-    let (t, committed) = wordcount_topology(sc);
-    let (mut exec, outcome) = t
-        .build_coordinated_on(spec, &wordcount_ordering_config(sc), backend)
-        .expect("spec fits the wordcount topology");
-    let stats = exec.run();
-    (
-        WordcountAutoRun {
-            committed,
-            stats,
-            tweets: (sc.spouts * sc.workload.tweets_per_instance()) as u64,
-        },
-        outcome,
-    )
-}
-
 /// Run the wordcount with analysis-driven coordination on the backend
-/// selected by `backend` — the single entry point that replaced the
-/// `run_wordcount_coordinated` / `run_wordcount_coordinated_parallel`
-/// pair. The spec is derived from `sealed` (whether the tweet stream's
+/// selected by `backend`: the topology is built plain (no hand-picked
+/// transactional flag) and
+/// [`blazes_storm::topology::TopologyBuilder::build_coordinated_on`]
+/// applies the spec derived from `sealed` (whether the tweet stream's
 /// batch punctuations are declared to the analysis) via
 /// [`wordcount_spec`], so every process of a distributed run can
 /// re-derive the identical spec from one bit.
@@ -416,108 +221,19 @@ fn wordcount_on(
 /// # Panics
 /// Panics when `sc.transactional` is set (coordination comes from the
 /// analysis here), when the spec does not fit the topology, when a `Par`
-/// tuning is invalid, and on any distributed transport failure.
+/// spec is invalid, and on any distributed transport failure.
 #[must_use]
 pub fn run_wordcount_auto(
     sc: &WordcountScenario,
     sealed: bool,
     backend: &BackendSpec,
-) -> (WordcountAutoRun, CoordinationOutcome) {
-    let spec = wordcount_spec(sealed);
-    match backend {
-        BackendSpec::Sim | BackendSpec::Par { .. } => wordcount_on(sc, &spec, backend),
-        BackendSpec::Dist(d) => {
-            assert!(
-                !sc.transactional,
-                "auto-coordination replaces the hand-wired transactional flag"
-            );
-            // Parent-side outcome from probing the coordinated assembly.
-            let (mut t, _local_sink) = wordcount_topology(sc);
-            let mut outcome = t
-                .apply_coordination(&spec, &wordcount_ordering_config(sc))
-                .expect("spec fits the wordcount topology");
-            let mut probe = ProbeBuilder::new();
-            let mut rb = RewritingBuilder::new(&mut probe, NoopPass);
-            let _ = t.assemble(&mut rb);
-            outcome.rewrite = rb.finish().1;
-            let mut spec_d = d.clone();
-            spec_d.topology = crate::dist::WORDCOUNT_TOPOLOGY.to_string();
-            spec_d.params = crate::dist::encode_wordcount_params(sc, sealed);
-            let mut run = run_dist(&spec_d, &crate::dist::dist_registry())
-                .expect("distributed wordcount run");
-            let committed = match run.sinks.pop() {
-                Some((_, sink)) => sink,
-                None => CollectorSink::new(),
-            };
-            (
-                WordcountAutoRun {
-                    committed,
-                    stats: BackendRunStats::Dist(run.stats),
-                    tweets: (sc.spouts * sc.workload.tweets_per_instance()) as u64,
-                },
-                outcome,
-            )
-        }
-    }
-}
-
-/// Run the wordcount with analysis-driven coordination on the simulator:
-/// the topology is built plain (no hand-picked transactional flag) and
-/// [`TopologyBuilder::build_coordinated`] applies `spec`.
-///
-/// # Panics
-/// Panics when `sc.transactional` is set (coordination comes from the
-/// spec here) or when the spec does not fit the topology.
-#[deprecated(note = "use run_wordcount_auto with BackendSpec::Sim")]
-#[must_use]
-pub fn run_wordcount_coordinated(
-    sc: &WordcountScenario,
-    spec: &CoordinationSpec,
 ) -> (WordcountResult, CoordinationOutcome) {
-    let (run, outcome) = wordcount_on(sc, spec, &BackendSpec::Sim);
-    let BackendRunStats::Sim(stats) = run.stats else {
-        unreachable!("Sim spec produces Sim stats")
-    };
-    (
-        WordcountResult {
-            stats,
-            committed: run.committed,
-            tweets: run.tweets,
-        },
-        outcome,
-    )
+    assert!(
+        !sc.transactional,
+        "auto-coordination replaces the hand-wired transactional flag"
+    );
+    crate::wordcount::run_coordinated(sc, &wordcount_spec(sealed), sealed, backend)
 }
-
-/// Run the wordcount with analysis-driven coordination on the parallel
-/// executor — the same rewritten graph, on `workers` OS threads.
-///
-/// # Panics
-/// As [`run_wordcount_coordinated`], plus invalid `tuning`.
-#[deprecated(note = "use run_wordcount_auto with BackendSpec::Par")]
-#[must_use]
-pub fn run_wordcount_coordinated_parallel(
-    sc: &WordcountScenario,
-    spec: &CoordinationSpec,
-    workers: usize,
-    tuning: ParTuning,
-) -> (WordcountParResult, CoordinationOutcome) {
-    let (run, outcome) = wordcount_on(sc, spec, &BackendSpec::Par { workers, tuning });
-    let BackendRunStats::Par(stats) = run.stats else {
-        unreachable!("Par spec produces Par stats")
-    };
-    (
-        WordcountParResult {
-            stats,
-            committed: run.committed,
-            tweets: run.tweets,
-        },
-        outcome,
-    )
-}
-
-// `TopologyBuilder` appears in doc links above.
-#[allow(unused_imports)]
-use blazes_storm::topology::TopologyBuilder;
 
 #[cfg(test)]
 mod tests {
@@ -607,7 +323,7 @@ mod tests {
         let mut digests = Vec::new();
         for workers in [1usize, 3] {
             let (res, _) = run_ad_auto(&sc, &BackendSpec::par(workers));
-            assert!(res.processed_everything());
+            assert_eq!(res.processed_everything(), Some(true));
             digests.push(response_digests(&res.responses));
         }
         assert_eq!(digests[0], digests[1], "digests differ across workers");
@@ -631,7 +347,7 @@ mod tests {
     #[test]
     fn coordinated_wordcount_sealed_is_rewrite_free_and_exact() {
         let sc = wc_scenario();
-        let baseline = crate::wordcount::run_wordcount(&sc);
+        let baseline = crate::wordcount::run_wordcount(&sc, &BackendSpec::Sim);
         let (auto, outcome) = run_wordcount_auto(&sc, true, &BackendSpec::Sim);
         assert!(outcome.is_rewrite_free(), "{outcome:?}");
         assert_eq!(outcome.seal_native.len(), 1, "{outcome:?}");
@@ -641,12 +357,13 @@ mod tests {
     #[test]
     fn coordinated_wordcount_unsealed_orders_the_count_bolt() {
         let sc = wc_scenario();
-        let baseline = crate::wordcount::run_wordcount(&sc);
+        let baseline = crate::wordcount::run_wordcount(&sc, &BackendSpec::Sim);
         let (auto, outcome) = run_wordcount_auto(&sc, false, &BackendSpec::Sim);
         assert_eq!(outcome.ordered, vec!["Count".to_string()]);
         assert_eq!(auto.counts(), baseline.counts());
         assert!(
-            auto.stats.as_sim().expect("sim run").end_time > baseline.stats.end_time,
+            auto.stats.as_sim().expect("sim run").end_time
+                > baseline.stats.as_sim().expect("sim run").end_time,
             "ordering costs virtual time"
         );
     }
@@ -658,30 +375,5 @@ mod tests {
         let (par, outcome) = run_wordcount_auto(&sc, true, &BackendSpec::par(4));
         assert!(outcome.is_rewrite_free());
         assert_eq!(par.counts(), sim.counts());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_match_the_unified_runner() {
-        let sc = small_scenario(ReportQuery::Campaign);
-        let (new_run, _) = run_ad_auto(&sc, &BackendSpec::Sim);
-        let (old_run, _) = run_scenario_auto(&sc);
-        assert_eq!(
-            response_digests(&old_run.responses),
-            response_digests(&new_run.responses)
-        );
-        let (old_par, _) = run_scenario_auto_parallel(&sc, 2, ParTuning::default());
-        assert_eq!(
-            response_digests(&old_par.responses),
-            response_digests(&new_run.responses)
-        );
-        let wc = wc_scenario();
-        let spec = wordcount_spec(true);
-        let (new_wc, _) = run_wordcount_auto(&wc, true, &BackendSpec::Sim);
-        let (old_wc, _) = run_wordcount_coordinated(&wc, &spec);
-        assert_eq!(old_wc.counts(), new_wc.counts());
-        let (old_wc_par, _) =
-            run_wordcount_coordinated_parallel(&wc, &spec, 3, ParTuning::default());
-        assert_eq!(old_wc_par.counts(), new_wc.counts());
     }
 }

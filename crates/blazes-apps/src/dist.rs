@@ -20,7 +20,8 @@ use blazes_dataflow::dist::{Registry, SinkSet};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Registry name of the auto-coordinated ad-report topology.
+/// Registry name of the ad-report topology (auto-coordinated or
+/// hand-wired, per the `auto` parameter).
 pub const AD_TOPOLOGY: &str = "ad-report";
 
 /// Registry name of the coordinated Storm wordcount topology.
@@ -248,10 +249,9 @@ pub fn dist_registry() -> Registry {
     reg.register(AD_TOPOLOGY, |b, params| -> SinkSet {
         let (sc, auto, speculation) = parse_ad_params(params);
         if auto {
-            assemble_ad_auto(&sc, speculation, &mut &mut *b).responses
+            assemble_ad_auto(&sc, speculation, b).responses
         } else {
-            let (_series, responses) = crate::adreport::assemble_scenario(&sc, &mut &mut *b);
-            responses
+            crate::adreport::assemble_scenario(&sc, b).1
         }
     });
     reg.register(WORDCOUNT_TOPOLOGY, |b, params| -> SinkSet {
@@ -266,7 +266,7 @@ pub fn dist_registry() -> Registry {
             .iter()
             .position(|n| n.name == "store")
             .expect("wordcount has a store sink");
-        let (instances, _) = t.assemble(&mut &mut *b);
+        let (instances, _) = t.assemble(b);
         vec![(instances[store][0], committed)]
     });
     reg

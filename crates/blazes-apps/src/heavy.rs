@@ -15,17 +15,16 @@
 //! The key distribution is the load-skew knob: with
 //! [`HeavyConfig::zipf_exponent`]` = 0.0` mapper partitions are uniform
 //! (the scaling benchmark); with an exponent ≥ 1 one mapper partition
-//! dominates (the ad-report-join-like skew where static round-robin
-//! sharding pins the hot partition to one worker and work stealing wins).
+//! dominates (the ad-report-join-like skew that only dynamic load
+//! balancing — work stealing — spreads across workers).
 
 use crate::workload::Zipf;
-use blazes_dataflow::backend::{ExecutorBuilder, PortId};
+use blazes_dataflow::backend::{
+    build_local, BackendRunStats, BackendSpec, ExecutorBuilder, PortId,
+};
 use blazes_dataflow::channel::ChannelConfig;
 use blazes_dataflow::component::{Component, Context};
 use blazes_dataflow::message::Message;
-use blazes_dataflow::metrics::RunStats;
-use blazes_dataflow::par::{ParBuilder, ParStats, ParTuning};
-use blazes_dataflow::sim::SimBuilder;
 use blazes_dataflow::sinks::CollectorSink;
 use blazes_dataflow::value::{Tuple, Value};
 use rand::rngs::StdRng;
@@ -82,8 +81,8 @@ impl HeavyConfig {
     }
 
     /// The skewed-key workload: keys equal mapper count and follow a steep
-    /// Zipf, so one mapper partition dominates (work stealing wins over
-    /// static sharding).
+    /// Zipf, so one mapper partition dominates (the load work stealing
+    /// has to rebalance).
     #[must_use]
     pub fn skewed(records: usize, hash_rounds: u32) -> Self {
         HeavyConfig {
@@ -250,7 +249,7 @@ impl Component for HeavyProducer {
 /// route records by key to `mappers` hashing mappers, which partition
 /// digests to `reducers` folding reducers, which publish per-key summaries
 /// into `sink`.
-pub fn build_heavy<B: ExecutorBuilder>(b: &mut B, cfg: &HeavyConfig, sink: CollectorSink) {
+pub fn build_heavy<B: ExecutorBuilder + ?Sized>(b: &mut B, cfg: &HeavyConfig, sink: CollectorSink) {
     let channel = ChannelConfig::instant();
     let mapper_ids: Vec<_> = (0..cfg.mappers)
         .map(|m| {
@@ -404,7 +403,7 @@ impl Component for FaninConsumer {
 /// Assemble the fan-in topology on any backend: `producers` light
 /// forwarders all wired into one folding consumer, which publishes its
 /// summary into `sink`.
-pub fn build_fanin<B: ExecutorBuilder>(b: &mut B, cfg: &FaninConfig, sink: CollectorSink) {
+pub fn build_fanin<B: ExecutorBuilder + ?Sized>(b: &mut B, cfg: &FaninConfig, sink: CollectorSink) {
     let channel = ChannelConfig::instant();
     let consumer = b.add_instance(Box::new(FaninConsumer {
         expected_eos: cfg.producers,
@@ -441,35 +440,28 @@ pub fn expected_fanin_digest(cfg: &FaninConfig) -> BTreeSet<Message> {
     std::iter::once(Message::data([count, checksum])).collect()
 }
 
-/// Run the fan-in workload on the discrete-event simulator.
-#[must_use]
-pub fn run_fanin_sim(cfg: &FaninConfig) -> (BTreeSet<Message>, RunStats) {
+/// Assemble a single-sink topology on `backend`, run it, and return the
+/// sink's message set with the backend-tagged statistics.
+fn run_to_digest(
+    backend: &BackendSpec,
+    seed: u64,
+    assemble: impl FnOnce(&mut dyn ExecutorBuilder, CollectorSink),
+) -> (BTreeSet<Message>, BackendRunStats) {
     let sink = CollectorSink::new();
-    let mut b = SimBuilder::new(cfg.seed);
-    build_fanin(&mut b, cfg, sink.clone());
-    let stats = b.build().run(None);
+    let (exec, ()) =
+        build_local(backend, seed, |b| assemble(b, sink.clone())).unwrap_or_else(|e| panic!("{e}"));
+    let stats = exec.run();
     (sink.message_set(), stats)
 }
 
-/// Run the fan-in workload on the parallel executor.
+/// Run the fan-in workload on an in-process backend.
 ///
 /// # Panics
-/// Panics when `tuning` is invalid (zero batch size, capacity or spill
-/// threshold).
+/// Panics when `backend` is an invalid `Par` spec or a `Dist` spec (the
+/// workload has no registry entry).
 #[must_use]
-pub fn run_fanin_par(
-    cfg: &FaninConfig,
-    workers: usize,
-    tuning: ParTuning,
-) -> (BTreeSet<Message>, ParStats) {
-    let sink = CollectorSink::new();
-    let mut b = ParBuilder::new(cfg.seed)
-        .with_workers(workers)
-        .with_tuning(tuning)
-        .expect("valid parallel tuning");
-    build_fanin(&mut b, cfg, sink.clone());
-    let stats = b.build().run();
-    (sink.message_set(), stats)
+pub fn run_fanin(cfg: &FaninConfig, backend: &BackendSpec) -> (BTreeSet<Message>, BackendRunStats) {
+    run_to_digest(backend, cfg.seed, |b, sink| build_fanin(b, cfg, sink))
 }
 
 /// The digest a run must produce: one `(key, count, checksum)` tuple per
@@ -496,41 +488,20 @@ pub fn expected_digest(cfg: &HeavyConfig) -> BTreeSet<Message> {
         .collect()
 }
 
-/// Run the workload on the discrete-event simulator.
-#[must_use]
-pub fn run_heavy_sim(cfg: &HeavyConfig) -> (BTreeSet<Message>, RunStats) {
-    let sink = CollectorSink::new();
-    let mut b = SimBuilder::new(cfg.seed);
-    build_heavy(&mut b, cfg, sink.clone());
-    let stats = b.build().run(None);
-    (sink.message_set(), stats)
-}
-
-/// Run the workload on the parallel executor with the given worker count
-/// and scheduler tuning.
+/// Run the heavy-compute workload on an in-process backend.
 ///
 /// # Panics
-/// Panics when `tuning` is invalid (zero batch size, capacity or spill
-/// threshold).
+/// Panics when `backend` is an invalid `Par` spec or a `Dist` spec (the
+/// workload has no registry entry).
 #[must_use]
-pub fn run_heavy_par(
-    cfg: &HeavyConfig,
-    workers: usize,
-    tuning: ParTuning,
-) -> (BTreeSet<Message>, ParStats) {
-    let sink = CollectorSink::new();
-    let mut b = ParBuilder::new(cfg.seed)
-        .with_workers(workers)
-        .with_tuning(tuning)
-        .expect("valid parallel tuning");
-    build_heavy(&mut b, cfg, sink.clone());
-    let stats = b.build().run();
-    (sink.message_set(), stats)
+pub fn run_heavy(cfg: &HeavyConfig, backend: &BackendSpec) -> (BTreeSet<Message>, BackendRunStats) {
+    run_to_digest(backend, cfg.seed, |b, sink| build_heavy(b, cfg, sink))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blazes_dataflow::par::ParTuning;
 
     fn tiny(zipf: f64) -> HeavyConfig {
         HeavyConfig {
@@ -584,9 +555,9 @@ mod tests {
     #[test]
     fn simulator_matches_expected_digest() {
         let cfg = tiny(0.0);
-        let (digest, stats) = run_heavy_sim(&cfg);
+        let (digest, stats) = run_heavy(&cfg, &BackendSpec::Sim);
         assert_eq!(digest, expected_digest(&cfg));
-        assert!(stats.messages_delivered > cfg.records as u64 * 2);
+        assert!(stats.messages_delivered() > cfg.records as u64 * 2);
     }
 
     #[test]
@@ -598,39 +569,27 @@ mod tests {
         };
         let expected = expected_fanin_digest(&cfg);
         assert_eq!(expected.len(), 1);
-        let (sim_digest, _) = run_fanin_sim(&cfg);
-        assert_eq!(sim_digest, expected);
-        for stealing in [true, false] {
-            let tuning = ParTuning {
-                stealing,
-                ..ParTuning::default()
-            };
-            let (digest, stats) = run_fanin_par(&cfg, 4, tuning);
-            assert_eq!(digest, expected, "stealing={stealing}");
+        for backend in [BackendSpec::Sim, BackendSpec::par(4)] {
+            let (digest, stats) = run_fanin(&cfg, &backend);
+            assert_eq!(digest, expected, "{}", backend.name());
             // records at producers + records at consumer + EOS traffic + summary
-            assert!(stats.messages_delivered >= cfg.records as u64 * 2);
+            assert!(stats.messages_delivered() >= cfg.records as u64 * 2);
         }
     }
 
     #[test]
-    fn parallel_matches_expected_digest_under_all_schedulers() {
+    fn parallel_matches_expected_digest_bounded_and_unbounded() {
         for zipf in [0.0, 1.4] {
             let cfg = tiny(zipf);
             let expected = expected_digest(&cfg);
-            for stealing in [true, false] {
-                for capacity in [None, Some(4)] {
-                    let tuning = ParTuning {
-                        stealing,
-                        channel_capacity: capacity,
-                        batch_size: 8,
-                        ..ParTuning::default()
-                    };
-                    let (digest, _) = run_heavy_par(&cfg, 4, tuning);
-                    assert_eq!(
-                        digest, expected,
-                        "zipf={zipf} stealing={stealing} capacity={capacity:?}"
-                    );
-                }
+            for capacity in [None, Some(4)] {
+                let tuning = ParTuning {
+                    channel_capacity: capacity,
+                    batch_size: 8,
+                    ..ParTuning::default()
+                };
+                let (digest, _) = run_heavy(&cfg, &BackendSpec::Par { workers: 4, tuning });
+                assert_eq!(digest, expected, "zipf={zipf} capacity={capacity:?}");
             }
         }
     }

@@ -12,19 +12,20 @@
 //!
 //! Figure 11 plots the throughput of both as the cluster grows.
 
+use crate::autocoord::wordcount_ordering_config;
 use crate::workload::TweetWorkload;
-use blazes_dataflow::backend::BackendSpec;
+use blazes_core::placement::CoordinationSpec;
+use blazes_dataflow::backend::{BackendRunStats, BackendSpec, NoopPass, RewritingBuilder};
 use blazes_dataflow::channel::ChannelConfig;
+use blazes_dataflow::dist::{run_dist, ProbeBuilder};
 use blazes_dataflow::message::Message;
-use blazes_dataflow::metrics::RunStats;
-use blazes_dataflow::par::{ParStats, ParTuning};
 use blazes_dataflow::sim::Time;
 use blazes_dataflow::sinks::CollectorSink;
 use blazes_dataflow::value::{Tuple, Value};
 use blazes_storm::bolt::{Bolt, BoltContext};
 use blazes_storm::grouping::Grouping;
 use blazes_storm::runtime::batch_seal;
-use blazes_storm::topology::{StormExecution, TopologyBuilder, TransactionalConfig};
+use blazes_storm::topology::{CoordinationOutcome, TopologyBuilder};
 use std::collections::BTreeMap;
 
 /// Splits tweet text into `(word, batch)` tuples.
@@ -163,11 +164,11 @@ impl Default for WordcountScenario {
     }
 }
 
-/// Result of a wordcount run.
+/// Result of a wordcount run on any backend.
 #[derive(Debug)]
 pub struct WordcountResult {
-    /// Simulator statistics.
-    pub stats: RunStats,
+    /// Backend-tagged run statistics.
+    pub stats: BackendRunStats,
     /// Committed `(word, batch, count)` tuples.
     pub committed: CollectorSink,
     /// Total tweets injected.
@@ -181,38 +182,17 @@ impl WordcountResult {
         counts_of(&self.committed)
     }
 
-    /// End-to-end throughput in tweets per virtual second.
+    /// End-to-end throughput in tweets per second: *virtual* seconds on
+    /// the simulator, wall-clock seconds on the parallel executor (so the
+    /// two are comparable in shape, not magnitude), and `0.0` on the
+    /// distributed backend, which reports no run duration.
     #[must_use]
     pub fn throughput(&self) -> f64 {
-        if self.stats.end_time == 0 {
-            return 0.0;
-        }
-        self.tweets as f64 / (self.stats.end_time as f64 / 1_000_000.0)
-    }
-}
-
-/// Result of a wordcount run on the parallel executor.
-#[derive(Debug)]
-pub struct WordcountParResult {
-    /// Parallel-executor statistics (wall clock, per-worker skew).
-    pub stats: ParStats,
-    /// Committed `(word, batch, count)` tuples.
-    pub committed: CollectorSink,
-    /// Total tweets injected.
-    pub tweets: u64,
-}
-
-impl WordcountParResult {
-    /// Committed counts keyed by `(word, batch)`.
-    #[must_use]
-    pub fn counts(&self) -> BTreeMap<(String, i64), i64> {
-        counts_of(&self.committed)
-    }
-
-    /// End-to-end throughput in tweets per wall-clock second.
-    #[must_use]
-    pub fn throughput(&self) -> f64 {
-        let secs = self.stats.wall_time.as_secs_f64();
+        let secs = match &self.stats {
+            BackendRunStats::Sim(s) => s.end_time as f64 / 1_000_000.0,
+            BackendRunStats::Par(s) => s.wall_time.as_secs_f64(),
+            BackendRunStats::Dist(_) => 0.0,
+        };
         if secs <= 0.0 {
             return 0.0;
         }
@@ -236,7 +216,7 @@ pub(crate) fn counts_of(sink: &CollectorSink) -> BTreeMap<(String, i64), i64> {
         .collect()
 }
 
-/// Assemble the wordcount topology (shared by both backends). Returns the
+/// Assemble the wordcount topology (shared by every backend). Returns the
 /// builder plus the committed-tuples sink.
 #[must_use]
 pub fn wordcount_topology(sc: &WordcountScenario) -> (TopologyBuilder, CollectorSink) {
@@ -287,15 +267,7 @@ pub fn wordcount_topology(sc: &WordcountScenario) -> (TopologyBuilder, Collector
         vec![(count, Grouping::Shuffle)],
     );
     if sc.transactional {
-        t.make_transactional(
-            commit,
-            TransactionalConfig {
-                service_time: sc.coordinator_service,
-                channel: ChannelConfig::lan().with_latency(sc.coordinator_latency),
-                first_batch: 0,
-                max_pending: sc.max_pending,
-            },
-        );
+        t.make_transactional(commit, wordcount_ordering_config(sc));
     }
 
     let committed = CollectorSink::new();
@@ -303,45 +275,80 @@ pub fn wordcount_topology(sc: &WordcountScenario) -> (TopologyBuilder, Collector
     (t, committed)
 }
 
-/// Build and run the wordcount topology on the discrete-event simulator.
+/// Build and run the hand-wired wordcount topology (coordinated iff
+/// `sc.transactional`) on the backend selected by `backend`. Modeled
+/// service times apply on the simulator only — elsewhere real processing
+/// costs are paid for real.
+///
+/// # Panics
+/// Panics when a `Par` spec is invalid, and on any distributed transport
+/// failure.
 #[must_use]
-pub fn run_wordcount(sc: &WordcountScenario) -> WordcountResult {
-    let (t, committed) = wordcount_topology(sc);
-    let mut run = t.build();
-    let stats = run.run(None);
-    WordcountResult {
-        stats,
-        committed,
-        tweets: (sc.spouts * sc.workload.tweets_per_instance()) as u64,
-    }
+pub fn run_wordcount(sc: &WordcountScenario, backend: &BackendSpec) -> WordcountResult {
+    // On dist the registry entry re-derives its spec from one `sealed`
+    // bit. The sealed spec's only directive is satisfied by the engine's
+    // native punctuation protocol and changes nothing, so it is the wire
+    // spelling of "no analysis-derived coordination".
+    run_coordinated(sc, &CoordinationSpec::default(), true, backend).0
 }
 
-/// Build and run the wordcount topology on the multi-worker parallel
-/// executor: the same components and wiring, on `workers` OS threads.
-/// Modeled service times do not apply (real processing costs are paid for
-/// real), so throughput here is wall-clock, not virtual.
-#[must_use]
-pub fn run_wordcount_parallel(
+/// Shared body of [`run_wordcount`] and
+/// [`crate::autocoord::run_wordcount_auto`]: build the topology, apply
+/// `spec`, assemble on `backend`, run. `sealed` is what the
+/// [`crate::dist::WORDCOUNT_TOPOLOGY`] registry entry re-derives `spec`
+/// from inside the worker processes of a distributed run; the parent then
+/// only probes the coordinated assembly for its outcome.
+pub(crate) fn run_coordinated(
     sc: &WordcountScenario,
-    workers: usize,
-    tuning: ParTuning,
-) -> WordcountParResult {
-    let (t, committed) = wordcount_topology(sc);
-    let mut run = match t.build_on(&BackendSpec::Par { workers, tuning }) {
-        StormExecution::Par(run) => run,
-        StormExecution::Sim(_) => unreachable!("Par spec builds a Par execution"),
+    spec: &CoordinationSpec,
+    sealed: bool,
+    backend: &BackendSpec,
+) -> (WordcountResult, CoordinationOutcome) {
+    let (mut t, mut committed) = wordcount_topology(sc);
+    let ordering = wordcount_ordering_config(sc);
+    let (stats, outcome) = if let BackendSpec::Dist(d) = backend {
+        let mut outcome = t
+            .apply_coordination(spec, &ordering)
+            .expect("spec fits the wordcount topology");
+        let mut probe = ProbeBuilder::new();
+        let mut rb = RewritingBuilder::new(&mut probe, NoopPass);
+        let _ = t.assemble(&mut rb);
+        outcome.rewrite = rb.finish().1;
+        let mut dist = d.clone();
+        dist.topology = crate::dist::WORDCOUNT_TOPOLOGY.to_string();
+        dist.params = crate::dist::encode_wordcount_params(sc, sealed);
+        let mut run =
+            run_dist(&dist, &crate::dist::dist_registry()).expect("distributed wordcount run");
+        committed = run
+            .sinks
+            .pop()
+            .map_or_else(CollectorSink::new, |(_, sink)| sink);
+        (BackendRunStats::Dist(run.stats), outcome)
+    } else {
+        let (mut exec, outcome) = t
+            .build_coordinated_on(spec, &ordering, backend)
+            .unwrap_or_else(|e| panic!("{e}"));
+        (exec.run(), outcome)
     };
-    let stats = run.run();
-    WordcountParResult {
+    let result = WordcountResult {
         stats,
         committed,
         tweets: (sc.spouts * sc.workload.tweets_per_instance()) as u64,
-    }
+    };
+    (result, outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sim(sc: &WordcountScenario) -> WordcountResult {
+        run_wordcount(sc, &BackendSpec::Sim)
+    }
+
+    fn end_time(res: &WordcountResult) -> Time {
+        res.stats.as_sim().expect("sim run").end_time
+    }
 
     fn scenario(workers: usize, transactional: bool, seed: u64) -> WordcountScenario {
         WordcountScenario {
@@ -360,7 +367,7 @@ mod tests {
 
     #[test]
     fn counts_are_complete_and_positive() {
-        let res = run_wordcount(&scenario(3, false, 1));
+        let res = sim(&scenario(3, false, 1));
         let counts = res.counts();
         assert!(!counts.is_empty());
         // Total committed count equals total words emitted.
@@ -372,27 +379,27 @@ mod tests {
     fn sealed_topology_is_deterministic_across_seeds() {
         // The Blazes guarantee: sealed on batch => same committed counts
         // for every delivery interleaving.
-        let a = run_wordcount(&scenario(3, false, 1));
-        let b = run_wordcount(&scenario(3, false, 99));
+        let a = sim(&scenario(3, false, 1));
+        let b = sim(&scenario(3, false, 99));
         assert_eq!(a.counts(), b.counts());
     }
 
     #[test]
     fn transactional_and_sealed_agree_on_outputs() {
-        let plain = run_wordcount(&scenario(3, false, 7));
-        let tx = run_wordcount(&scenario(3, true, 7));
+        let plain = sim(&scenario(3, false, 7));
+        let tx = sim(&scenario(3, true, 7));
         assert_eq!(plain.counts(), tx.counts());
     }
 
     #[test]
     fn transactional_topology_is_slower() {
-        let plain = run_wordcount(&scenario(5, false, 7));
-        let tx = run_wordcount(&scenario(5, true, 7));
+        let plain = sim(&scenario(5, false, 7));
+        let tx = sim(&scenario(5, true, 7));
         assert!(
-            tx.stats.end_time > plain.stats.end_time,
+            end_time(&tx) > end_time(&plain),
             "coordination must cost virtual time: tx={} plain={}",
-            tx.stats.end_time,
-            plain.stats.end_time
+            end_time(&tx),
+            end_time(&plain)
         );
         assert!(plain.throughput() > tx.throughput());
     }
@@ -401,31 +408,23 @@ mod tests {
     fn parallel_backend_commits_the_same_counts() {
         // Figure 11's scenario on both backends: the sealed topology is
         // confluent, so the threaded executor must commit exactly the
-        // simulator's counts, whatever the scheduler.
+        // simulator's counts.
         let sc = scenario(3, false, 13);
-        let sim = run_wordcount(&sc);
-        for tuning in [
-            ParTuning::default(),
-            ParTuning {
-                stealing: false,
-                ..ParTuning::default()
-            },
-        ] {
-            let par = run_wordcount_parallel(&sc, 4, tuning);
-            assert_eq!(par.counts(), sim.counts(), "{tuning:?}");
-            assert_eq!(par.tweets, sim.tweets);
-            assert!(par.throughput() > 0.0);
-        }
+        let sim = sim(&sc);
+        let par = run_wordcount(&sc, &BackendSpec::par(4));
+        assert_eq!(par.counts(), sim.counts());
+        assert_eq!(par.tweets, sim.tweets);
+        assert!(par.throughput() > 0.0);
     }
 
     #[test]
     fn throughput_grows_with_cluster_size() {
-        let small = run_wordcount(&WordcountScenario {
+        let small = sim(&WordcountScenario {
             count_service: 2_000,
             splitter_service: 500,
             ..scenario(2, false, 3)
         });
-        let large = run_wordcount(&WordcountScenario {
+        let large = sim(&WordcountScenario {
             count_service: 2_000,
             splitter_service: 500,
             ..scenario(8, false, 3)
@@ -440,7 +439,7 @@ mod tests {
 
     #[test]
     fn commits_in_batch_order_when_transactional() {
-        let res = run_wordcount(&scenario(3, true, 5));
+        let res = sim(&scenario(3, true, 5));
         let mut max_batch = i64::MIN;
         for m in res.committed.messages() {
             let Some(t) = m.as_data() else { continue };

@@ -599,28 +599,22 @@ mod tests {
                 .collect()
         }
 
-        // Parallel, both schedulers.
-        for stealing in [true, false] {
-            let par_sink = CollectorSink::new();
-            let mut par = ParBuilder::new(4).with_workers(3).with_stealing(stealing);
-            let mut rb = RewritingBuilder::new(&mut par, seal_rules());
-            seal_topology(&mut rb, par_sink.clone());
-            let (_, stats) = rb.finish();
-            assert_eq!(stats.injected_operators, 1);
-            let _ = par.build().run();
-            assert_eq!(
-                data_set(&par_sink),
-                data_set(&sim_sink),
-                "stealing={stealing}"
-            );
-            // Release discipline: all 10 records precede the punctuation.
-            let msgs = par_sink.messages();
-            let seal_pos = msgs
-                .iter()
-                .position(|m| matches!(m, Message::Seal(_)))
-                .expect("punctuation forwarded");
-            assert_eq!(seal_pos, 10, "seal after every covered record");
-        }
+        // Parallel: the same rewritten graph on worker threads.
+        let par_sink = CollectorSink::new();
+        let mut par = ParBuilder::new(4).with_workers(3);
+        let mut rb = RewritingBuilder::new(&mut par, seal_rules());
+        seal_topology(&mut rb, par_sink.clone());
+        let (_, stats) = rb.finish();
+        assert_eq!(stats.injected_operators, 1);
+        let _ = par.build().run();
+        assert_eq!(data_set(&par_sink), data_set(&sim_sink));
+        // Release discipline: all 10 records precede the punctuation.
+        let msgs = par_sink.messages();
+        let seal_pos = msgs
+            .iter()
+            .position(|m| matches!(m, Message::Seal(_)))
+            .expect("punctuation forwarded");
+        assert_eq!(seal_pos, 10, "seal after every covered record");
     }
 
     #[test]

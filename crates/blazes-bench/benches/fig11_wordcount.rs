@@ -5,6 +5,7 @@
 
 use blazes_apps::wordcount::run_wordcount;
 use blazes_bench::fig11_scenario;
+use blazes_dataflow::backend::BackendSpec;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -17,7 +18,11 @@ fn bench_fig11(c: &mut Criterion) {
                 b.iter(|| {
                     let mut sc = fig11_scenario(w, transactional, 0);
                     sc.workload.batches = 10;
-                    black_box(run_wordcount(&sc).stats.end_time)
+                    black_box(
+                        run_wordcount(&sc, &BackendSpec::Sim)
+                            .stats
+                            .messages_delivered(),
+                    )
                 });
             });
         }

@@ -5,6 +5,7 @@
 use blazes_apps::adreport::{run_scenario, StrategyKind};
 use blazes_apps::workload::CampaignPlacement;
 use blazes_bench::adreport_scenario;
+use blazes_dataflow::backend::BackendSpec;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -25,7 +26,11 @@ fn bench_adreport(c: &mut Criterion) {
                 b.iter(|| {
                     let mut sc = adreport_scenario(n, strategy, placement, 0);
                     sc.workload.entries_per_server = 200;
-                    black_box(run_scenario(&sc).stats.end_time)
+                    black_box(
+                        run_scenario(&sc, &BackendSpec::Sim)
+                            .stats
+                            .messages_delivered(),
+                    )
                 });
             });
         }

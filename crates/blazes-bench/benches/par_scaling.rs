@@ -1,10 +1,10 @@
 //! Criterion bench: the heavy-compute hashing wordcount swept over worker
-//! counts and schedulers, against the simulator baseline. The `par_scaling`
-//! bin is the JSON-emitting CI variant of the same sweep; this harness
-//! integrates with criterion's timing for local comparisons.
+//! counts, against the simulator baseline. The `par_scaling` bin is the
+//! JSON-emitting CI variant of the same sweep; this harness integrates
+//! with criterion's timing for local comparisons.
 
-use blazes_apps::heavy::{run_heavy_par, run_heavy_sim, HeavyConfig};
-use blazes_dataflow::par::ParTuning;
+use blazes_apps::heavy::{run_heavy, HeavyConfig};
+use blazes_dataflow::backend::BackendSpec;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -22,32 +22,26 @@ fn bench_scaling(c: &mut Criterion) {
 
     group.bench_function("sim/uniform", |b| {
         let cfg = small_uniform();
-        b.iter(|| black_box(run_heavy_sim(&cfg).0.len()));
+        b.iter(|| black_box(run_heavy(&cfg, &BackendSpec::Sim).0.len()));
     });
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(
-            BenchmarkId::new("par-stealing/uniform", workers),
+            BenchmarkId::new("par/uniform", workers),
             &workers,
             |b, &workers| {
                 let cfg = small_uniform();
-                b.iter(|| black_box(run_heavy_par(&cfg, workers, ParTuning::default()).0.len()));
+                b.iter(|| black_box(run_heavy(&cfg, &BackendSpec::par(workers)).0.len()));
             },
         );
     }
-    for (mode, stealing) in [("stealing", true), ("static", false)] {
-        group.bench_with_input(
-            BenchmarkId::new(format!("par-{mode}/skewed"), 4usize),
-            &4usize,
-            |b, &workers| {
-                let cfg = small_skewed();
-                let tuning = ParTuning {
-                    stealing,
-                    ..ParTuning::default()
-                };
-                b.iter(|| black_box(run_heavy_par(&cfg, workers, tuning).0.len()));
-            },
-        );
-    }
+    group.bench_with_input(
+        BenchmarkId::new("par/skewed", 4usize),
+        &4usize,
+        |b, &workers| {
+            let cfg = small_skewed();
+            b.iter(|| black_box(run_heavy(&cfg, &BackendSpec::par(workers)).0.len()));
+        },
+    );
     group.finish();
 }
 

@@ -6,8 +6,8 @@
 //!    diverge under injected wire faults across process counts (or
 //!    between replicas of one run).
 //! 2. **Determinism, distributed.** The auto-coordinated run's digests
-//!    must be bit-identical across `{1,2,4}` processes × `{stealing,
-//!    static}` schedulers, and equal to the discrete-event simulator's.
+//!    must be bit-identical across `{1,2,4}` processes and equal to the
+//!    discrete-event simulator's.
 //! 3. **Minimality, distributed.** The confluent wordcount must cross
 //!    the wire with zero injected coordination operators and commit the
 //!    simulator baseline's exact counts.
@@ -34,16 +34,14 @@
 //! worker as its own pid lane plus the coordinator's respawn/replay
 //! marks.
 
-use blazes_apps::adreport::{AdScenario, StrategyKind};
+use blazes_apps::adreport::{run_scenario, AdScenario, StrategyKind};
 use blazes_apps::autocoord::{response_digests, run_ad_auto, run_wordcount_auto};
-use blazes_apps::dist::{dist_registry, encode_ad_params, AD_TOPOLOGY};
+use blazes_apps::dist::dist_registry;
 use blazes_apps::queries::ReportQuery;
 use blazes_apps::wordcount::{run_wordcount, WordcountScenario};
 use blazes_apps::workload::{CampaignPlacement, ClickWorkload, TweetWorkload};
 use blazes_dataflow::backend::BackendSpec;
-use blazes_dataflow::dist::{
-    run_dist, worker_main, ChaosSpec, DistSpec, DistTuning, Kill, KillPoint,
-};
+use blazes_dataflow::dist::{worker_main, ChaosSpec, DistSpec, DistTuning, Kill, KillPoint};
 use blazes_dataflow::message::Message;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -72,7 +70,7 @@ fn ad_scenario(seed: u64) -> AdScenario {
     }
 }
 
-fn dist_spec(processes: usize, stealing: bool, seed: u64) -> DistSpec {
+fn dist_spec(processes: usize, seed: u64) -> DistSpec {
     let exe = std::env::current_exe()
         .expect("current_exe for dist worker spawn")
         .to_string_lossy()
@@ -80,7 +78,6 @@ fn dist_spec(processes: usize, stealing: bool, seed: u64) -> DistSpec {
     let mut spec = DistSpec::new("", "", vec![exe]);
     spec.processes = processes;
     spec.workers_per_process = 2;
-    spec.stealing = stealing;
     spec.seed = seed;
     spec.reorder_prob = 0.1;
     spec.partition = Some((40, 6));
@@ -102,7 +99,6 @@ fn fingerprint(digests: &[Vec<Message>]) -> u64 {
 }
 
 fn anomaly_repro() -> Result<(), String> {
-    let reg = dist_registry();
     let mut diverged = false;
     'seeds: for seed in 0..5u64 {
         let sc = AdScenario {
@@ -111,14 +107,9 @@ fn anomaly_repro() -> Result<(), String> {
         };
         let mut digests = Vec::new();
         for processes in [1usize, 2, 4] {
-            let mut spec = dist_spec(processes, true, seed);
-            spec.topology = AD_TOPOLOGY.to_string();
-            spec.params = encode_ad_params(&sc, false, false);
-            let run = run_dist(&spec, &reg)
-                .map_err(|e| format!("uncoordinated dist run failed: {e:?}"))?;
-            let sinks: Vec<_> = run.sinks.into_iter().map(|(_, s)| s).collect();
-            let d = response_digests(&sinks);
-            if d.iter().any(|x| x != &d[0]) {
+            let res = run_scenario(&sc, &BackendSpec::Dist(dist_spec(processes, seed)));
+            let d = response_digests(&res.responses);
+            if !res.responses_consistent() {
                 println!(
                     "  uncoordinated seed {seed}: replicas DISAGREE within one \
                      {processes}-process run"
@@ -147,33 +138,30 @@ fn coordinated_identity() -> Result<(), String> {
     if reference.iter().all(Vec::is_empty) {
         return Err("coordinated simulator run produced no answers".into());
     }
-    let mut runs = 0usize;
-    for processes in [1usize, 2, 4] {
-        for stealing in [true, false] {
-            let spec = dist_spec(processes, stealing, sc.seed);
-            let (res, report) = run_ad_auto(&sc, &BackendSpec::Dist(spec));
-            if report.stats.injected_operators != sc.replicas {
-                return Err(format!(
-                    "expected one seal gate per replica, injected {}",
-                    report.stats.injected_operators
-                ));
-            }
-            let digest = response_digests(&res.responses);
-            if digest != reference {
-                return Err(format!(
-                    "coordinated digest diverged at {processes} processes \
-                     stealing={stealing}: {:#018x} vs reference {:#018x}",
-                    fingerprint(&digest),
-                    fingerprint(&reference)
-                ));
-            }
-            runs += 1;
+    let process_counts = [1usize, 2, 4];
+    for processes in process_counts {
+        let spec = dist_spec(processes, sc.seed);
+        let (res, report) = run_ad_auto(&sc, &BackendSpec::Dist(spec));
+        if report.stats.injected_operators != sc.replicas {
+            return Err(format!(
+                "expected one seal gate per replica, injected {}",
+                report.stats.injected_operators
+            ));
+        }
+        let digest = response_digests(&res.responses);
+        if digest != reference {
+            return Err(format!(
+                "coordinated digest diverged at {processes} processes: \
+                 {:#018x} vs reference {:#018x}",
+                fingerprint(&digest),
+                fingerprint(&reference)
+            ));
         }
     }
     println!(
-        "  coordinated: digest {:#018x} identical across {runs} process/scheduler \
-         configurations + simulator",
-        fingerprint(&reference)
+        "  coordinated: digest {:#018x} identical across {} process counts + simulator",
+        fingerprint(&reference),
+        process_counts.len()
     );
     Ok(())
 }
@@ -190,9 +178,9 @@ fn confluent_minimality() -> Result<(), String> {
         seed: 29,
         ..WordcountScenario::default()
     };
-    let baseline = run_wordcount(&sc);
+    let baseline = run_wordcount(&sc, &BackendSpec::Sim);
     for processes in [2usize, 4] {
-        let spec = dist_spec(processes, true, sc.seed);
+        let spec = dist_spec(processes, sc.seed);
         let (run, outcome) = run_wordcount_auto(&sc, true, &BackendSpec::Dist(spec));
         if !outcome.is_rewrite_free() {
             return Err(format!("confluent wordcount was rewritten: {outcome:?}"));
@@ -233,7 +221,7 @@ fn chaos_matrix(trace: Option<&str>) -> Result<(), String> {
     let tuning = DistTuning::default().with_heartbeat_every(Duration::from_millis(5));
     for processes in [1usize, 2, 4] {
         for crashes in [0u32, 1, 2] {
-            let mut spec = dist_spec(processes, true, sc.seed);
+            let mut spec = dist_spec(processes, sc.seed);
             spec.tuning = tuning.clone();
             spec.chaos = ChaosSpec::seeded(
                 sc.seed ^ (u64::from(crashes) << 32),
@@ -265,7 +253,7 @@ fn chaos_matrix(trace: Option<&str>) -> Result<(), String> {
     if let Some(path) = trace {
         let obs = blazes_obs::global();
         obs.set_enabled(true);
-        let mut spec = dist_spec(2, true, sc.seed);
+        let mut spec = dist_spec(2, sc.seed);
         spec.tuning = tuning;
         spec.chaos = ChaosSpec {
             kills: vec![Kill {
@@ -300,7 +288,7 @@ fn traced_smoke(path: &str) -> Result<(), String> {
     let obs = blazes_obs::global();
     obs.set_enabled(true);
     let sc = ad_scenario(3);
-    let mut spec = dist_spec(2, true, sc.seed);
+    let mut spec = dist_spec(2, sc.seed);
     spec.speculation = true;
     let (res, _) = run_ad_auto(&sc, &BackendSpec::Dist(spec));
     if response_digests(&res.responses).iter().all(Vec::is_empty) {

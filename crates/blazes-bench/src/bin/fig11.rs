@@ -18,9 +18,8 @@
 //! clock (`FIG11_VIRTUAL_NS`): the par curves then land on the
 //! simulator's axis and the magnitudes are directly comparable.
 
-use blazes_bench::{
-    fig11_point, fig11_point_par, fig11_point_par_tuned, Fig11Point, FIG11_VIRTUAL_NS,
-};
+use blazes_bench::{fig11_point, FIG11_VIRTUAL_NS};
+use blazes_dataflow::backend::BackendSpec;
 use blazes_dataflow::par::ParTuning;
 
 fn main() {
@@ -51,13 +50,14 @@ fn main() {
         eprintln!("--virtual-time only applies to --backend par");
         std::process::exit(2);
     }
-    let point: Box<dyn Fn(usize, bool, u64) -> Fig11Point> = match backend {
-        "sim" => Box::new(fig11_point),
-        "par" if virtual_time => Box::new(|w, tx, r| {
-            let tuning = ParTuning::default().with_virtual_service_ns(Some(FIG11_VIRTUAL_NS));
-            fig11_point_par_tuned(w, tx, r, &tuning)
-        }),
-        "par" => Box::new(fig11_point_par),
+    // On par the cluster size also picks the thread count, capped at 8.
+    let spec_for = |cluster: usize| match backend {
+        "sim" => BackendSpec::Sim,
+        "par" => BackendSpec::Par {
+            workers: cluster.clamp(1, 8),
+            tuning: ParTuning::default()
+                .with_virtual_service_ns(virtual_time.then_some(FIG11_VIRTUAL_NS)),
+        },
         other => {
             eprintln!("unknown backend {other:?}: expected sim or par");
             std::process::exit(2);
@@ -74,8 +74,9 @@ fn main() {
     println!("# Figure 11: wordcount throughput ({unit}, backend={backend})");
     println!("# cluster  transactional  sealed  ratio  (±stddev over {runs} runs)");
     for workers in [5, 10, 15, 20] {
-        let tx = point(workers, true, runs);
-        let sealed = point(workers, false, runs);
+        let spec = spec_for(workers);
+        let tx = fig11_point(workers, true, runs, &spec);
+        let sealed = fig11_point(workers, false, runs, &spec);
         let ratio = sealed.mean_throughput / tx.mean_throughput;
         println!(
             "{workers:7}  {tx:13.0}  {sealed:6.0}  {ratio:5.2}  (tx ±{txs:.0}, sealed ±{ss:.0})",

@@ -19,7 +19,7 @@
 //!
 //! `--out` writes the results as JSON (default `BENCH_par_scaling.json`
 //! when `--out` is given without a value via CI). `--check FLOOR` exits
-//! nonzero when the 4-worker work-stealing speedup over the simulator on
+//! nonzero when the 4-worker speedup over the simulator on
 //! the uniform workload falls below `effective_floor(FLOOR, cores)` — the
 //! floor is scaled by core count, since parallel speedup is bounded by the
 //! hardware (see `blazes_bench::scaling::effective_floor`). `--check` also
@@ -104,9 +104,8 @@ fn main() {
     }
     print!("{}", report.render_table());
     println!(
-        "# headline: {:.2}x vs sim at 4 workers (uniform); stealing/static on skewed: {:.2}x",
-        report.headline_speedup(),
-        report.stealing_over_static_skewed()
+        "# headline: {:.2}x vs sim at 4 workers (uniform)",
+        report.headline_speedup()
     );
 
     if let Some(path) = out {
@@ -167,23 +166,11 @@ fn main() {
                 report.cores
             );
         }
-        // The skew gate needs >= 2 cores: with a single core there is no
-        // wall-clock win to be had from balancing, only parity.
+        // The contention gate needs >= 2 cores: producers time-sliced onto
+        // one core never collide on the mailbox tail CAS, so push_retries
+        // is legitimately 0 there and the microbench carries no signal.
         if report.cores >= 2 {
-            let skew = report.stealing_over_static_skewed();
-            if skew < 1.0 {
-                eprintln!(
-                    "FAIL: work stealing lost to static sharding on the skewed \
-                     workload ({skew:.2}x)"
-                );
-                failed = true;
-            }
-            // The contention gate likewise: producers time-sliced onto one
-            // core never collide on the mailbox tail CAS, so push_retries
-            // is legitimately 0 there and the microbench carries no signal.
-            let retries = report
-                .point("fanin", 4, "stealing")
-                .map_or(0, |p| p.push_retries);
+            let retries = report.point("fanin", 4).map_or(0, |p| p.push_retries);
             if retries == 0 {
                 eprintln!(
                     "FAIL: the 4-worker fan-in run recorded zero mailbox push \
@@ -192,10 +179,7 @@ fn main() {
                 failed = true;
             }
         } else {
-            println!(
-                "# contention + skew assertions skipped: 1 core \
-                 (producers cannot collide, balancing cannot win wall clock)"
-            );
+            println!("# contention assertion skipped: 1 core (producers cannot collide)");
         }
         if failed {
             std::process::exit(1);

@@ -17,12 +17,10 @@
 
 use blazes_apps::adreport::{run_scenario, AdRunResult, AdScenario, StrategyKind};
 use blazes_apps::queries::ReportQuery;
-use blazes_apps::wordcount::{
-    run_wordcount, run_wordcount_parallel, WordcountResult, WordcountScenario,
-};
+use blazes_apps::wordcount::{run_wordcount, WordcountResult, WordcountScenario};
 use blazes_apps::workload::{CampaignPlacement, ClickWorkload, TweetWorkload};
+use blazes_dataflow::backend::BackendSpec;
 use blazes_dataflow::metrics::TimeSeries;
-use blazes_dataflow::par::ParTuning;
 use blazes_dataflow::sim::Time;
 
 pub mod bloom_scaling;
@@ -58,59 +56,31 @@ pub fn fig11_scenario(workers: usize, transactional: bool, seed: u64) -> Wordcou
     }
 }
 
-/// One Fig. 11 data point, averaged over `runs` seeds (the paper averages
-/// over three runs).
-#[must_use]
-pub fn fig11_point(workers: usize, transactional: bool, runs: u64) -> Fig11Point {
-    let mut throughputs = Vec::with_capacity(runs as usize);
-    for seed in 0..runs {
-        let res = run_wordcount(&fig11_scenario(workers, transactional, seed));
-        throughputs.push(res.throughput());
-    }
-    Fig11Point {
-        workers,
-        transactional,
-        mean_throughput: mean(&throughputs),
-        stddev_throughput: stddev(&throughputs),
-    }
-}
-
-/// One Fig. 11 data point on the multi-worker parallel executor: the same
-/// scenario, executed on OS threads (capped at 8), with throughput in
-/// tweets per *wall-clock* second — comparable in shape, not in magnitude,
-/// to the simulator's virtual-time points.
-#[must_use]
-pub fn fig11_point_par(workers: usize, transactional: bool, runs: u64) -> Fig11Point {
-    fig11_point_par_tuned(workers, transactional, runs, &ParTuning::default())
-}
-
 /// Nanoseconds of real spin per modeled service unit that make the
 /// parallel backend's Fig. 11 magnitudes comparable to the simulator's:
 /// the simulator's `Time` unit is one virtual microsecond, so realizing
-/// each unit as 1000 ns of wall clock puts both backends on the same axis.
+/// each unit as 1000 ns of wall clock
+/// (`ParTuning::with_virtual_service_ns(Some(FIG11_VIRTUAL_NS))`) puts
+/// both backends on the same axis.
 pub const FIG11_VIRTUAL_NS: u64 = 1_000;
 
-/// [`fig11_point_par`] with explicit tuning. With
-/// `ParTuning::with_virtual_service_ns(Some(FIG11_VIRTUAL_NS))` the
-/// modeled service times are burned as wall-clock spin, so the par curves
-/// are magnitude-comparable (not just shape-comparable) to the simulator.
+/// One Fig. 11 data point on `backend`, averaged over `runs` seeds (the
+/// paper averages over three runs). On the simulator throughput is tweets
+/// per *virtual* second; on the parallel executor it is tweets per
+/// *wall-clock* second — comparable in shape, not in magnitude, unless
+/// the tuning burns modeled service times ([`FIG11_VIRTUAL_NS`]).
 #[must_use]
-pub fn fig11_point_par_tuned(
+pub fn fig11_point(
     workers: usize,
     transactional: bool,
     runs: u64,
-    tuning: &ParTuning,
+    backend: &BackendSpec,
 ) -> Fig11Point {
-    let threads = workers.clamp(1, 8);
-    let mut throughputs = Vec::with_capacity(runs as usize);
-    for seed in 0..runs {
-        let res = run_wordcount_parallel(
-            &fig11_scenario(workers, transactional, seed),
-            threads,
-            *tuning,
-        );
-        throughputs.push(res.throughput());
-    }
+    let throughputs: Vec<f64> = (0..runs)
+        .map(|seed| {
+            run_wordcount(&fig11_scenario(workers, transactional, seed), backend).throughput()
+        })
+        .collect();
     Fig11Point {
         workers,
         transactional,
@@ -126,7 +96,7 @@ pub struct Fig11Point {
     pub workers: usize,
     /// Transactional or sealed topology.
     pub transactional: bool,
-    /// Mean throughput (tweets per virtual second).
+    /// Mean throughput (tweets per second; see [`fig11_point`]).
     pub mean_throughput: f64,
     /// Standard deviation across runs (the paper's error bars).
     pub stddev_throughput: f64,
@@ -189,7 +159,7 @@ pub fn adreport_line(
     buckets: usize,
 ) -> AdLine {
     let sc = adreport_scenario(ad_servers, strategy, placement, seed);
-    let res = run_scenario(&sc);
+    let res = run_scenario(&sc, &BackendSpec::Sim);
     AdLine {
         label: strategy.label(placement),
         points: downsample_secs(&res.series[0], buckets),
@@ -225,7 +195,10 @@ pub fn adreport_run(
     placement: CampaignPlacement,
     seed: u64,
 ) -> AdRunResult {
-    run_scenario(&adreport_scenario(ad_servers, strategy, placement, seed))
+    run_scenario(
+        &adreport_scenario(ad_servers, strategy, placement, seed),
+        &BackendSpec::Sim,
+    )
 }
 
 /// Convert virtual microseconds to seconds.
@@ -267,7 +240,7 @@ pub fn fig11_result_small(workers: usize, transactional: bool) -> WordcountResul
     let mut sc = fig11_scenario(workers, transactional, 0);
     sc.workload.batches = 8;
     sc.workload.tweets_per_batch = 20;
-    run_wordcount(&sc)
+    run_wordcount(&sc, &BackendSpec::Sim)
 }
 
 #[cfg(test)]

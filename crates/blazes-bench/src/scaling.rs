@@ -1,16 +1,18 @@
 //! The `par_scaling` benchmark harness: heavy-compute workloads swept over
-//! worker counts and scheduler modes, with the seeded simulator as the
-//! single-threaded baseline.
+//! worker counts, with the seeded simulator as the single-threaded
+//! baseline.
 //!
-//! Two workloads from [`blazes_apps::heavy`]:
+//! Three workloads from [`blazes_apps::heavy`]:
 //!
 //! * **uniform** — evenly distributed keys; measures how the parallel
 //!   executor scales with workers against the simulator.
-//! * **skewed** — one Zipf-dominated key partition; measures what dynamic
-//!   load balancing (work stealing) buys over static round-robin sharding.
+//! * **skewed** — one Zipf-dominated key partition; measures how well work
+//!   stealing rebalances it (steals, per-worker event balance).
+//! * **fanin** — many light producers into one consumer; measures the
+//!   mailbox hot path rather than compute.
 //!
 //! Results render as `BENCH_par_scaling.json` and gate CI: the speedup of
-//! the 4-worker work-stealing run over the simulator must not drop below a
+//! the 4-worker run over the simulator must not drop below a
 //! recorded floor. The floor is scaled by the machine's core count
 //! ([`effective_floor`]): parallel speedup is physics-bound by available
 //! cores, so a 1-core runner only checks for parity with the simulator
@@ -19,14 +21,13 @@
 use blazes_apps::adreport::AdScenario;
 use blazes_apps::autocoord::{response_digests, run_ad_auto};
 use blazes_apps::heavy::{
-    expected_digest, expected_fanin_digest, run_fanin_par, run_fanin_sim, run_heavy_par,
-    run_heavy_sim, FaninConfig, HeavyConfig,
+    expected_digest, expected_fanin_digest, run_fanin, run_heavy, FaninConfig, HeavyConfig,
 };
 use blazes_apps::queries::ReportQuery;
 use blazes_apps::workload::{CampaignPlacement, ClickWorkload};
-use blazes_dataflow::backend::BackendSpec;
+use blazes_dataflow::backend::{BackendRunStats, BackendSpec};
 use blazes_dataflow::message::Message;
-use blazes_dataflow::par::{ParStats, ParTuning};
+use blazes_dataflow::par::ParTuning;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -65,7 +66,7 @@ impl Default for ScalingConfig {
 /// One measured point of the sweep.
 #[derive(Debug, Clone)]
 pub struct ScalingPoint {
-    /// `"uniform"` or `"skewed"`.
+    /// `"uniform"`, `"skewed"` or `"fanin"`.
     pub workload: &'static str,
     /// Cores the machine that measured this point reported. Stamped into
     /// every record so mixed-provenance files are self-describing and the
@@ -73,8 +74,6 @@ pub struct ScalingPoint {
     pub cores: usize,
     /// Worker threads.
     pub workers: usize,
-    /// `"stealing"` or `"static"`.
-    pub mode: &'static str,
     /// Best wall-clock milliseconds over the configured repetitions.
     pub millis: f64,
     /// Simulator wall time of the same workload over this point's time.
@@ -124,7 +123,7 @@ static OBS_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// trace rings are left alone so a `--trace` export still sees the whole
 /// bench run. The previous enablement state is restored afterwards, so
 /// the timed repetitions stay untraced unless the caller opted in.
-fn probe_latency(run: impl FnOnce() -> (BTreeSet<Message>, ParStats)) -> LatencyProbe {
+fn probe_latency(run: impl FnOnce() -> (BTreeSet<Message>, BackendRunStats)) -> LatencyProbe {
     let _gate = OBS_GATE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -213,39 +212,24 @@ pub struct SpeculationRace {
 impl ScalingReport {
     /// Look up a point.
     #[must_use]
-    pub fn point(&self, workload: &str, workers: usize, mode: &str) -> Option<&ScalingPoint> {
+    pub fn point(&self, workload: &str, workers: usize) -> Option<&ScalingPoint> {
         self.points
             .iter()
-            .find(|p| p.workload == workload && p.workers == workers && p.mode == mode)
+            .find(|p| p.workload == workload && p.workers == workers)
     }
 
-    /// The headline metric: work-stealing speedup over the simulator on
-    /// the uniform heavy-compute workload at 4 workers.
+    /// The headline metric: speedup over the simulator on the uniform
+    /// heavy-compute workload at 4 workers.
     #[must_use]
     pub fn headline_speedup(&self) -> f64 {
-        self.point("uniform", 4, "stealing")
-            .map_or(0.0, |p| p.speedup_vs_sim)
+        self.point("uniform", 4).map_or(0.0, |p| p.speedup_vs_sim)
     }
 
-    /// The mailbox-contention metric: fan-in wall time at 4 workers under
-    /// work stealing (lower = the consumer mailbox absorbs concurrent
-    /// producers better).
+    /// The mailbox-contention metric: fan-in wall time at 4 workers
+    /// (lower = the consumer mailbox absorbs concurrent producers better).
     #[must_use]
     pub fn fanin_contention_ms(&self) -> f64 {
-        self.point("fanin", 4, "stealing").map_or(0.0, |p| p.millis)
-    }
-
-    /// Work-stealing wall time over static-sharding wall time on the
-    /// skewed workload at 4 workers (>1.0 = stealing wins).
-    #[must_use]
-    pub fn stealing_over_static_skewed(&self) -> f64 {
-        match (
-            self.point("skewed", 4, "static"),
-            self.point("skewed", 4, "stealing"),
-        ) {
-            (Some(st), Some(ws)) if ws.millis > 0.0 => st.millis / ws.millis,
-            _ => 0.0,
-        }
+        self.point("fanin", 4).map_or(0.0, |p| p.millis)
     }
 
     /// Did every measured point reproduce the expected digest?
@@ -276,11 +260,6 @@ impl ScalingReport {
             s,
             "  \"headline_speedup_vs_sim_4w\": {:.3},",
             self.headline_speedup()
-        );
-        let _ = writeln!(
-            s,
-            "  \"stealing_over_static_skewed_4w\": {:.3},",
-            self.stealing_over_static_skewed()
         );
         let _ = writeln!(s, "  \"all_correct\": {},", self.all_correct());
         match &self.speculation {
@@ -314,7 +293,7 @@ impl ScalingReport {
             let comma = if i + 1 == self.points.len() { "" } else { "," };
             let _ = writeln!(
                 s,
-                "    {{\"workload\": \"{}\", \"cores\": {}, \"workers\": {}, \"mode\": \"{}\", \
+                "    {{\"workload\": \"{}\", \"cores\": {}, \"workers\": {}, \
                  \"millis\": {:.3}, \"speedup_vs_sim\": {:.3}, \"balance\": {:.3}, \
                  \"steals\": {}, \"parks\": {}, \"wakeups\": {}, \
                  \"push_retries\": {}, \"lat_p50_us\": {:.1}, \"lat_p99_us\": {:.1}, \
@@ -322,7 +301,6 @@ impl ScalingReport {
                 p.workload,
                 p.cores,
                 p.workers,
-                p.mode,
                 p.millis,
                 p.speedup_vs_sim,
                 p.balance,
@@ -358,15 +336,14 @@ impl ScalingReport {
         );
         let _ = writeln!(
             s,
-            "# workload  workers  mode      ms        vs-sim  balance  steals   parks  wakeups  push-retries  p50us    p99us   p999us"
+            "# workload  workers  ms        vs-sim  balance  steals   parks  wakeups  push-retries  p50us    p99us   p999us"
         );
         for p in &self.points {
             let _ = writeln!(
                 s,
-                "{:9} {:8} {:9} {:9.1} {:7.2}x {:8.2} {:7} {:7} {:8} {:13} {:8.1} {:8.1} {:8.1}{}",
+                "{:9} {:8} {:9.1} {:7.2}x {:8.2} {:7} {:7} {:8} {:13} {:8.1} {:8.1} {:8.1}{}",
                 p.workload,
                 p.workers,
-                p.mode,
                 p.millis,
                 p.speedup_vs_sim,
                 p.balance,
@@ -431,16 +408,14 @@ fn timed_sim(
 
 /// Time one parallel point: best-of-`reps` wall clock, stats from the best
 /// repetition, digest checked on every repetition.
-#[allow(clippy::too_many_arguments)] // internal helper mirroring ScalingPoint's shape
 fn timed_par(
     workload: &'static str,
     cores: usize,
     workers: usize,
-    mode: &'static str,
     sim_ms: f64,
     expected: &BTreeSet<Message>,
     reps: u32,
-    run: impl Fn() -> (BTreeSet<Message>, ParStats),
+    run: impl Fn() -> (BTreeSet<Message>, BackendRunStats),
 ) -> ScalingPoint {
     let mut best = f64::INFINITY;
     let mut balance = 0.0;
@@ -453,6 +428,7 @@ fn timed_par(
         let started = Instant::now();
         let (digest, stats) = run();
         let elapsed = started.elapsed().as_secs_f64() * 1e3;
+        let stats = stats.as_par().expect("parallel run");
         if elapsed < best {
             best = elapsed;
             balance = stats.balance();
@@ -468,7 +444,6 @@ fn timed_par(
         workload,
         cores,
         workers,
-        mode,
         millis: best,
         speedup_vs_sim: if best > 0.0 { sim_ms / best } else { 0.0 },
         balance,
@@ -481,6 +456,17 @@ fn timed_par(
         lat_p999_us: lat.p999_us,
         lat_samples: lat.samples,
         correct,
+    }
+}
+
+/// The parallel backend every sweep point runs on.
+fn par_spec(workers: usize) -> BackendSpec {
+    BackendSpec::Par {
+        workers,
+        tuning: ParTuning {
+            batch_size: 32,
+            ..ParTuning::default()
+        },
     }
 }
 
@@ -502,27 +488,22 @@ pub fn run_scaling(cfg: &ScalingConfig) -> ScalingReport {
         // One sequential reference fold per workload, shared by the sim
         // check and every parallel point.
         let expected = expected_digest(heavy);
-        let (ms, sim_ok) = timed_sim(&expected, cfg.reps, || run_heavy_sim(heavy).0);
+        let (ms, sim_ok) = timed_sim(&expected, cfg.reps, || {
+            run_heavy(heavy, &BackendSpec::Sim).0
+        });
         assert!(sim_ok, "simulator digest mismatch on {name}");
         sim_ms[wi] = ms;
         for &workers in &cfg.worker_counts {
-            for (mode, stealing) in [("stealing", true), ("static", false)] {
-                let tuning = ParTuning {
-                    stealing,
-                    batch_size: 32,
-                    ..ParTuning::default()
-                };
-                points.push(timed_par(
-                    name,
-                    cores,
-                    workers,
-                    mode,
-                    ms,
-                    &expected,
-                    cfg.reps,
-                    || run_heavy_par(heavy, workers, tuning),
-                ));
-            }
+            let backend = par_spec(workers);
+            points.push(timed_par(
+                name,
+                cores,
+                workers,
+                ms,
+                &expected,
+                cfg.reps,
+                || run_heavy(heavy, &backend),
+            ));
         }
     }
 
@@ -534,27 +515,21 @@ pub fn run_scaling(cfg: &ScalingConfig) -> ScalingReport {
         ..FaninConfig::default()
     };
     let fanin_expected = expected_fanin_digest(&fanin);
-    let (sim_fanin_ms, fanin_sim_ok) =
-        timed_sim(&fanin_expected, cfg.reps, || run_fanin_sim(&fanin).0);
+    let (sim_fanin_ms, fanin_sim_ok) = timed_sim(&fanin_expected, cfg.reps, || {
+        run_fanin(&fanin, &BackendSpec::Sim).0
+    });
     assert!(fanin_sim_ok, "simulator digest mismatch on fanin");
     for &workers in &cfg.worker_counts {
-        for (mode, stealing) in [("stealing", true), ("static", false)] {
-            let tuning = ParTuning {
-                stealing,
-                batch_size: 32,
-                ..ParTuning::default()
-            };
-            points.push(timed_par(
-                "fanin",
-                cores,
-                workers,
-                mode,
-                sim_fanin_ms,
-                &fanin_expected,
-                cfg.reps,
-                || run_fanin_par(&fanin, workers, tuning),
-            ));
-        }
+        let backend = par_spec(workers);
+        points.push(timed_par(
+            "fanin",
+            cores,
+            workers,
+            sim_fanin_ms,
+            &fanin_expected,
+            cfg.reps,
+            || run_fanin(&fanin, &backend),
+        ));
     }
 
     ScalingReport {
@@ -713,10 +688,9 @@ mod tests {
             fanin_records: 3_000,
             fanin_producers: 4,
         });
-        assert_eq!(report.points.len(), 3 * 2 * 2); // workloads x workers x modes
+        assert_eq!(report.points.len(), 3 * 2); // workloads x workers
         assert!(report.all_correct());
         assert!(report.headline_speedup() > 0.0);
-        assert!(report.stealing_over_static_skewed() > 0.0);
         assert!(report.fanin_contention_ms() > 0.0);
         assert!(
             report.points.iter().all(|p| p.cores == report.cores),

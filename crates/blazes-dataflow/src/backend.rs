@@ -8,6 +8,14 @@
 //! deterministic discrete-event simulator ([`crate::sim::SimBuilder`]) or
 //! on the multi-worker parallel executor ([`crate::par::ParBuilder`]).
 //!
+//! # One dispatcher
+//!
+//! How a [`BackendSpec`] becomes a runnable executor is decided in exactly
+//! one place: [`build_local`]. Every runner above this crate — the Storm
+//! topology builder, the case studies, the benches — hands it an assembly
+//! closure instead of matching on the spec itself, so all backends run the
+//! same program through the same path.
+//!
 //! # The graph-rewrite pass
 //!
 //! [`RewritingBuilder`] wraps any backend builder and threads every
@@ -25,8 +33,10 @@
 use crate::channel::ChannelConfig;
 use crate::component::Component;
 use crate::message::Message;
-use crate::sim::{InstanceId, SimBuilder, Time};
+use crate::par::{ParBuilder, ParConfigError, ParExecutor};
+use crate::sim::{InstanceId, SimBuilder, Simulator, Time};
 use std::collections::BTreeSet;
+use std::fmt;
 
 /// Typed handle to a channel configuration registered with a backend
 /// builder. Distinct from [`PortId`] so a channel handle can no longer be
@@ -419,13 +429,13 @@ impl ExecutorBuilder for SimBuilder {
 }
 
 /// Selects the execution substrate a topology should run on, with the
-/// per-backend knobs that used to be spread across `run_*`, `run_*_parallel`
-/// and `*_tuned` function families.
+/// per-backend knobs.
 ///
 /// One value of this enum is the single argument that picks between the
 /// deterministic simulator, the in-process parallel executor and the
-/// multi-process distributed executor; generic runners accept
-/// `&BackendSpec` instead of growing a third copy of every entry point.
+/// multi-process distributed executor; every runner accepts a
+/// `&BackendSpec` and resolves it through [`build_local`] (or, for `Dist`,
+/// [`crate::dist::run_dist`]).
 #[derive(Debug, Clone)]
 pub enum BackendSpec {
     /// The deterministic discrete-event simulator ([`crate::sim::SimBuilder`]).
@@ -435,7 +445,7 @@ pub enum BackendSpec {
     Par {
         /// Number of OS worker threads.
         workers: usize,
-        /// Scheduling/fault/speculation knobs for the run.
+        /// Batching/backpressure/speculation knobs for the run.
         tuning: crate::par::ParTuning,
     },
     /// The distributed multi-process executor ([`crate::dist::run_dist`]).
@@ -455,6 +465,17 @@ impl BackendSpec {
         }
     }
 
+    /// Does the backend run time-warp speculation? Assemblies that inject
+    /// seal gates pick the speculative variant from this.
+    #[must_use]
+    pub fn speculation(&self) -> bool {
+        match self {
+            BackendSpec::Sim => false,
+            BackendSpec::Par { tuning, .. } => tuning.speculation,
+            BackendSpec::Dist(d) => d.speculation,
+        }
+    }
+
     /// Short human-readable backend name (`sim` / `par` / `dist`).
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -463,6 +484,87 @@ impl BackendSpec {
             BackendSpec::Par { .. } => "par",
             BackendSpec::Dist(_) => "dist",
         }
+    }
+}
+
+/// Why [`build_local`] could not turn a [`BackendSpec`] into an in-process
+/// executor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BackendError {
+    /// The `Par` spec is invalid (zero workers, batch size or capacity).
+    Par(ParConfigError),
+    /// A `Dist` spec has no in-process executor: assembly closures cannot
+    /// cross a process boundary, so distributed runs name a deterministic
+    /// assembly function in a [`crate::dist::Registry`] and go through
+    /// [`crate::dist::run_dist`].
+    Dist,
+}
+
+impl fmt::Display for BackendError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BackendError::Par(e) => write!(f, "invalid parallel configuration: {e}"),
+            BackendError::Dist => f.write_str(
+                "a dist backend cannot run an in-process assembly; register it in \
+                 blazes_dataflow::dist::Registry and run it with blazes_dataflow::dist::run_dist",
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BackendError {}
+
+/// An in-process executor built by [`build_local`], ready to run once.
+pub enum LocalExecutor {
+    /// The discrete-event simulator.
+    Sim(Simulator),
+    /// The multi-worker parallel executor.
+    Par(ParExecutor),
+}
+
+impl LocalExecutor {
+    /// Execute to quiescence and return the backend-tagged statistics.
+    ///
+    /// # Panics
+    /// Re-raises component panics.
+    #[must_use]
+    pub fn run(self) -> BackendRunStats {
+        match self {
+            LocalExecutor::Sim(mut sim) => BackendRunStats::Sim(sim.run(None)),
+            LocalExecutor::Par(par) => BackendRunStats::Par(par.run()),
+        }
+    }
+}
+
+/// Build the in-process executor `backend` selects, seeded with `seed`,
+/// and run `assemble` against its builder. This is the one place a
+/// [`BackendSpec`] is turned into a [`SimBuilder`] or [`ParBuilder`];
+/// returns the executor plus whatever the assembly produced (sinks,
+/// instance ids, rewrite accounting).
+///
+/// # Errors
+/// [`BackendError::Par`] for an invalid parallel configuration,
+/// [`BackendError::Dist`] for a distributed spec.
+pub fn build_local<T>(
+    backend: &BackendSpec,
+    seed: u64,
+    assemble: impl FnOnce(&mut dyn ExecutorBuilder) -> T,
+) -> Result<(LocalExecutor, T), BackendError> {
+    match backend {
+        BackendSpec::Sim => {
+            let mut b = SimBuilder::new(seed);
+            let out = assemble(&mut b);
+            Ok((LocalExecutor::Sim(b.build()), out))
+        }
+        BackendSpec::Par { workers, tuning } => {
+            let mut b = ParBuilder::new(seed)
+                .with_workers(*workers)
+                .with_tuning(*tuning)
+                .map_err(BackendError::Par)?;
+            let out = assemble(&mut b);
+            Ok((LocalExecutor::Par(b.build()), out))
+        }
+        BackendSpec::Dist(_) => Err(BackendError::Dist),
     }
 }
 
@@ -600,7 +702,7 @@ mod tests {
         }
     }
 
-    fn assemble<B: ExecutorBuilder>(b: &mut B, sink: CollectorSink) {
+    fn assemble<B: ExecutorBuilder + ?Sized>(b: &mut B, sink: CollectorSink) {
         let src = b.add_instance(Box::new(FnComponent::new(
             "src",
             |_, msg, ctx: &mut Context| ctx.emit(0, msg),
@@ -634,6 +736,25 @@ mod tests {
             .filter_map(|m| m.as_data().and_then(|t| t.get(0)).and_then(Value::as_int))
             .collect();
         assert_eq!(vals, [1_001i64, 1_002].into_iter().collect());
+    }
+
+    #[test]
+    fn build_local_runs_one_assembly_on_either_backend_and_types_its_errors() {
+        let run = |backend: &BackendSpec| {
+            let sink = CollectorSink::new();
+            let (exec, ()) =
+                build_local(backend, 3, |b| assemble(b, sink.clone())).expect("local backend");
+            let stats = exec.run();
+            (stats.messages_delivered(), sink.message_set())
+        };
+        assert_eq!(run(&BackendSpec::Sim), run(&BackendSpec::par(2)));
+        let err = |backend: &BackendSpec| build_local(backend, 0, |_| ()).err();
+        assert_eq!(
+            err(&BackendSpec::par(0)),
+            Some(BackendError::Par(ParConfigError::ZeroWorkers))
+        );
+        let dist = crate::dist::DistSpec::new("none", "", Vec::new());
+        assert_eq!(err(&BackendSpec::Dist(dist)), Some(BackendError::Dist));
     }
 
     #[test]

@@ -116,7 +116,7 @@ use crate::backend::{ChannelId, ExecutorBuilder, PortId};
 use crate::channel::ChannelConfig;
 use crate::component::{Component, Context};
 use crate::message::Message;
-use crate::par::ParBuilder;
+use crate::par::{ParBuilder, ParTuning};
 use crate::sim::{InstanceId, Time};
 use crate::sinks::CollectorSink;
 use rand::rngs::StdRng;
@@ -233,8 +233,6 @@ pub struct DistSpec {
     pub processes: usize,
     /// Par-runtime worker threads per process.
     pub workers_per_process: usize,
-    /// Scheduler of the in-process runtime (`false` = static sharding).
-    pub stealing: bool,
     /// Enable time-warp speculation inside each process.
     pub speculation: bool,
     /// Per cross-wire probability that a frame is held and delivered
@@ -256,8 +254,8 @@ pub struct DistSpec {
 }
 
 impl DistSpec {
-    /// A spec with library defaults: 2 processes × 2 workers, stealing
-    /// scheduler, no speculation, no frame-level faults.
+    /// A spec with library defaults: 2 processes × 2 workers, no
+    /// speculation, no frame-level faults.
     #[must_use]
     pub fn new(
         topology: impl Into<String>,
@@ -270,7 +268,6 @@ impl DistSpec {
             seed: 0,
             processes: 2,
             workers_per_process: 2,
-            stealing: true,
             speculation: false,
             reorder_prob: 0.0,
             partition: None,
@@ -1457,7 +1454,6 @@ impl Coordinator<'_> {
                     processes: self.processes as u32,
                     index: index as u32,
                     workers: self.spec.workers_per_process as u32,
-                    stealing: self.spec.stealing,
                     speculation: self.spec.speculation,
                     trace: self.trace,
                     epoch,
@@ -2260,7 +2256,6 @@ fn worker_run(
         processes,
         index: plan_index,
         workers,
-        stealing,
         speculation,
         trace,
         epoch: plan_epoch,
@@ -2292,8 +2287,8 @@ fn worker_run(
     // SPMD assembly of this partition.
     let mut pb = ParBuilder::new(seed)
         .with_workers(workers as usize)
-        .with_stealing(stealing)
-        .with_speculation(speculation);
+        .with_tuning(ParTuning::default().with_speculation(speculation))
+        .map_err(|e| DistError::Protocol(format!("plan carries an invalid par config: {e}")))?;
     let (mut builder, egress_rx, egress_queued) =
         DistWorkerBuilder::new(&mut pb, index, processes as usize);
     let sinks = registry.assemble(&topology, &params, &mut builder)?;

@@ -54,8 +54,6 @@ pub enum Frame {
         index: u32,
         /// Par-runtime threads this worker should run.
         workers: u32,
-        /// Work-stealing scheduler?
-        stealing: bool,
         /// Time-warp speculation?
         speculation: bool,
         /// Should the worker record trace events and ship them back?
@@ -304,7 +302,6 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             processes,
             index,
             workers,
-            stealing,
             speculation,
             trace,
             epoch,
@@ -316,7 +313,6 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             put_u32(&mut payload, *processes);
             put_u32(&mut payload, *index);
             put_u32(&mut payload, *workers);
-            put_bool(&mut payload, *stealing);
             put_bool(&mut payload, *speculation);
             put_bool(&mut payload, *trace);
             put_u32(&mut payload, *epoch);
@@ -547,7 +543,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
             processes: c.u32()?,
             index: c.u32()?,
             workers: c.u32()?,
-            stealing: c.boolean()?,
             speculation: c.boolean()?,
             trace: c.boolean()?,
             epoch: c.u32()?,
@@ -735,7 +730,6 @@ mod tests {
                 processes: 4,
                 index: 2,
                 workers: 2,
-                stealing: true,
                 speculation: false,
                 trace: true,
                 epoch: 1,

@@ -23,7 +23,7 @@ pub struct InstanceStats {
 /// Per-worker scheduling statistics of one parallel run. These expose the
 /// skew-awareness of the work-stealing scheduler: differential tests can
 /// assert not only that backends agree on outputs, but that load actually
-/// balanced (and that static sharding did not).
+/// balanced.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Worker index.
@@ -36,9 +36,6 @@ pub struct WorkerStats {
     pub steals: u64,
     /// Tasks obtained from the global injector.
     pub injector_pops: u64,
-    /// Tasks this worker spilled from its local deque to the injector
-    /// because the local queue exceeded the spill threshold.
-    pub spills: u64,
     /// Times this worker parked idle on the eventcount (announce →
     /// re-check → park all passed; excludes cancelled announcements).
     pub parks: u64,
@@ -59,8 +56,6 @@ pub struct WorkerStats {
     pub backpressure_park_time: Duration,
     /// Total time parked idle, waiting for runnable instances.
     pub idle_park_time: Duration,
-    /// High-water mark of this worker's local run-queue length.
-    pub max_local_queue: usize,
     /// Time-warp speculation sessions entered by instances this worker
     /// activated (one state snapshot each).
     pub speculations: u64,

@@ -11,23 +11,16 @@
 //!
 //! # Scheduling
 //!
-//! The runtime is an actor-style scheduler with two modes, selected by
-//! [`ParBuilder::with_stealing`]:
-//!
-//! * **Work stealing** (default). Every instance has a mailbox and an
-//!   atomic *scheduled* flag. A sender that transitions the flag makes the
-//!   instance runnable by pushing its id onto the sending worker's local
-//!   deque (or the global injector, for external injections). Workers pop
-//!   their own deque first, then the injector, then steal from siblings
-//!   (Chase-Lev-style deques via the `crossbeam-deque` shim). A runnable
-//!   instance is drained up to [`ParBuilder::with_batch_size`] messages per
-//!   activation, then rescheduled if work remains — so a hot instance's
-//!   activations migrate to whichever worker is free, and skewed workloads
-//!   balance dynamically. [`ParBuilder::with_spill_threshold`] bounds the
-//!   local deque: beyond it, half spills to the injector for idle workers.
-//! * **Static sharding** (the pre-stealing scheduler, kept as a baseline).
-//!   Instance `i` is only ever run by worker `i % workers`; runnable ids go
-//!   to the owner's dedicated queue and are never stolen.
+//! The runtime is an actor-style work-stealing scheduler. Every instance
+//! has a mailbox and an atomic *scheduled* flag. A sender that transitions
+//! the flag makes the instance runnable by pushing its id onto the sending
+//! worker's local deque (or the global injector, for external injections).
+//! Workers pop their own deque first, then the injector, then steal from
+//! siblings (Chase-Lev-style deques via the `crossbeam-deque` shim). A
+//! runnable instance is drained up to [`ParTuning::batch_size`] messages
+//! per activation, then rescheduled if work remains — so a hot instance's
+//! activations migrate to whichever worker is free, and skewed workloads
+//! balance dynamically.
 //!
 //! # The lock-free hot path
 //!
@@ -36,7 +29,7 @@
 //! * **Mailboxes** are Vyukov-style MPSC queues ([`mpsc_queue`]): a send
 //!   is one node allocation plus one CAS on the queue tail (retries under
 //!   producer contention are counted in [`WorkerStats::push_retries`]);
-//!   a drain moves up to [`ParBuilder::with_batch_size`] messages into a
+//!   a drain moves up to [`ParTuning::batch_size`] messages into a
 //!   worker-local buffer with plain loads/stores and settles the shared
 //!   length counter with a single RMW for the whole batch. The mailbox's
 //!   single-consumer contract is exactly the *scheduled flag* exclusivity
@@ -70,7 +63,7 @@
 //!
 //! # Backpressure
 //!
-//! [`ParBuilder::with_channel_capacity`] bounds every mailbox. A sender
+//! [`ParTuning::channel_capacity`] bounds every mailbox. A sender
 //! whose destination is full *parks* until the destination drains, instead
 //! of growing the queue without bound. The capacity check reads the
 //! mailbox's atomic length counter — no lock on the send path; the parked
@@ -82,7 +75,7 @@
 //! race. Two rules keep parking deadlock-free:
 //!
 //! 1. a worker never parks on a mailbox only it can drain (its own current
-//!    instance, or — under static sharding — any instance of its shard);
+//!    instance);
 //! 2. a worker never parks if it would be the last runnable worker: it
 //!    overshoots the capacity instead (counted in
 //!    [`WorkerStats::overflow_sends`]).
@@ -265,54 +258,43 @@ pub const DEFAULT_BATCH_SIZE: usize = 64;
 /// Parks are also woken eagerly; the timeout only bounds lost-wakeup races.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
-/// Error returned by [`ParBuilder`] setters on invalid configuration.
+/// Error returned by [`ParBuilder::with_tuning`] on invalid configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParConfigError {
+    /// Worker count must be at least 1.
+    ZeroWorkers,
     /// Batch size must be at least 1.
     ZeroBatchSize,
     /// Channel capacity must be at least 1.
     ZeroChannelCapacity,
-    /// Spill threshold must be at least 1.
-    ZeroSpillThreshold,
 }
 
 impl fmt::Display for ParConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParConfigError::ZeroBatchSize => f.write_str("batch size must be at least 1"),
-            ParConfigError::ZeroChannelCapacity => {
-                f.write_str("channel capacity must be at least 1")
-            }
-            ParConfigError::ZeroSpillThreshold => f.write_str("spill threshold must be at least 1"),
-        }
+        f.write_str(match self {
+            ParConfigError::ZeroWorkers => "need at least one worker",
+            ParConfigError::ZeroBatchSize => "batch size must be at least 1",
+            ParConfigError::ZeroChannelCapacity => "channel capacity must be at least 1",
+        })
     }
 }
 
 impl Error for ParConfigError {}
 
-/// Scheduler selection for a parallel run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerMode {
-    /// Instance `i` is pinned to worker `i % workers` (the pre-stealing
-    /// scheduler, kept as a measurable baseline).
-    StaticShard,
-    /// Dynamic load balancing: runnable instances migrate to idle workers.
-    WorkStealing,
-}
-
-/// Tuning knobs for the parallel executor, bundled so higher layers (the
-/// Storm topology builder, benches) can thread them through without
-/// depending on every individual setter.
+/// Tuning knobs for the parallel executor — the one bundle every layer
+/// (the backend dispatcher, the Storm topology builder, benches, the dist
+/// worker) threads through [`ParBuilder::with_tuning`], which validates it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParTuning {
-    /// Use the work-stealing scheduler (`false` = static sharding).
-    pub stealing: bool,
-    /// Messages drained per instance activation.
+    /// Messages drained per instance activation. Larger batches amortize
+    /// scheduling; smaller ones migrate hot instances between workers more
+    /// eagerly.
     pub batch_size: usize,
-    /// Mailbox capacity; `None` = unbounded.
+    /// Mailbox capacity; `None` = unbounded. A full destination parks the
+    /// sender (backpressure) instead of queueing without limit; see the
+    /// module docs for the no-deadlock escape that makes the bound soft in
+    /// pathological cases.
     pub channel_capacity: Option<usize>,
-    /// Local-deque spill threshold; `None` = never spill.
-    pub spill_threshold: Option<usize>,
     /// Time-warp mode: speculative gates forward past missing
     /// punctuations, consumers checkpoint and roll back on violation
     /// (see the module docs' speculation section).
@@ -346,10 +328,8 @@ impl ParTuning {
 impl Default for ParTuning {
     fn default() -> Self {
         ParTuning {
-            stealing: true,
             batch_size: DEFAULT_BATCH_SIZE,
             channel_capacity: None,
-            spill_threshold: None,
             speculation: false,
             virtual_service_ns: None,
         }
@@ -687,16 +667,12 @@ struct Counters {
 /// State shared by all workers and the coordinating thread.
 struct Shared {
     slots: Vec<Slot>,
-    mode: SchedulerMode,
     workers: usize,
     batch_size: usize,
     capacity: Option<usize>,
-    spill_threshold: usize,
-    /// Global run queue (work-stealing mode; also external injections).
+    /// Global run queue (external injections land here).
     injector: Injector<usize>,
-    /// Per-worker run queues (static mode).
-    static_queues: Vec<Injector<usize>>,
-    /// Steal handles to every worker's local deque (work-stealing mode).
+    /// Steal handles to every worker's local deque.
     stealers: Vec<Stealer<usize>>,
     counters: Counters,
     /// Speculation registry; `Some` only in time-warp mode.
@@ -733,16 +709,8 @@ impl Shared {
 
     /// Wake a parked worker if any announced intent to sleep. Returns
     /// whether a waiter was actually signaled.
-    ///
-    /// The eventcount notifies *all* parked workers, not one: under
-    /// static sharding the task is only runnable by its owner, which may
-    /// not be the thread a single wake would pick.
     fn wake(&self) -> bool {
         self.idle.notify()
-    }
-
-    fn owner_of(&self, inst: usize) -> usize {
-        inst % self.workers
     }
 
     /// Push a mailbox item from the coordinating (non-worker) thread,
@@ -761,10 +729,7 @@ impl Shared {
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
         {
-            match self.mode {
-                SchedulerMode::StaticShard => self.static_queues[self.owner_of(dst)].push(dst),
-                SchedulerMode::WorkStealing => self.injector.push(dst),
-            }
+            self.injector.push(dst);
             self.wake();
         }
     }
@@ -822,92 +787,37 @@ impl ParBuilder {
     }
 
     /// Pin the worker-thread count (default: available parallelism, capped
-    /// at 8, never more than the instance count).
-    ///
-    /// # Panics
-    /// Panics when `workers` is zero.
+    /// at 8, never more than the instance count). Zero is rejected by
+    /// [`ParBuilder::with_tuning`] (typed) and [`ParBuilder::build`].
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
         self.workers = Some(workers);
         self
     }
 
-    /// Set the per-activation drain batch size (default
-    /// [`DEFAULT_BATCH_SIZE`]). Larger batches amortize scheduling; smaller
-    /// ones migrate hot instances between workers more eagerly.
+    /// Apply a [`ParTuning`] bundle — the single validated construction
+    /// point of a parallel run's configuration.
     ///
     /// # Errors
-    /// [`ParConfigError::ZeroBatchSize`] when `batch_size` is zero.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Result<Self, ParConfigError> {
-        if batch_size == 0 {
-            return Err(ParConfigError::ZeroBatchSize);
-        }
-        self.tuning.batch_size = batch_size;
-        Ok(self)
-    }
-
-    /// Select the scheduler: `true` (default) for work stealing, `false`
-    /// for the static `id % workers` sharding baseline.
-    #[must_use]
-    pub fn with_stealing(mut self, stealing: bool) -> Self {
-        self.tuning.stealing = stealing;
-        self
-    }
-
-    /// Enable (or disable) time-warp speculation for this run. See the
-    /// module docs' speculation section.
-    #[must_use]
-    pub fn with_speculation(mut self, on: bool) -> Self {
-        self.tuning.speculation = on;
-        self
-    }
-
-    /// Bound every mailbox to `capacity` messages; a full destination parks
-    /// the sender (backpressure) instead of queueing without limit. See the
-    /// module docs for the no-deadlock escape that makes the bound soft in
-    /// pathological cases.
-    ///
-    /// # Errors
-    /// [`ParConfigError::ZeroChannelCapacity`] when `capacity` is zero.
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Result<Self, ParConfigError> {
-        if capacity == 0 {
-            return Err(ParConfigError::ZeroChannelCapacity);
-        }
-        self.tuning.channel_capacity = Some(capacity);
-        Ok(self)
-    }
-
-    /// Spill half of a worker's local run queue to the global injector when
-    /// it grows beyond `threshold`, so idle workers can pick the work up
-    /// without stealing (work-stealing mode only).
-    ///
-    /// # Errors
-    /// [`ParConfigError::ZeroSpillThreshold`] when `threshold` is zero.
-    pub fn with_spill_threshold(mut self, threshold: usize) -> Result<Self, ParConfigError> {
-        if threshold == 0 {
-            return Err(ParConfigError::ZeroSpillThreshold);
-        }
-        self.tuning.spill_threshold = Some(threshold);
-        Ok(self)
-    }
-
-    /// Apply a [`ParTuning`] bundle.
-    ///
-    /// # Errors
-    /// The same validation errors as the individual setters.
+    /// [`ParConfigError`] when the worker count, batch size or channel
+    /// capacity is zero.
     pub fn with_tuning(mut self, tuning: ParTuning) -> Result<Self, ParConfigError> {
-        if tuning.batch_size == 0 {
+        self.tuning = tuning;
+        self.validate()?;
+        Ok(self)
+    }
+
+    fn validate(&self) -> Result<(), ParConfigError> {
+        if self.workers == Some(0) {
+            return Err(ParConfigError::ZeroWorkers);
+        }
+        if self.tuning.batch_size == 0 {
             return Err(ParConfigError::ZeroBatchSize);
         }
-        if tuning.channel_capacity == Some(0) {
+        if self.tuning.channel_capacity == Some(0) {
             return Err(ParConfigError::ZeroChannelCapacity);
         }
-        if tuning.spill_threshold == Some(0) {
-            return Err(ParConfigError::ZeroSpillThreshold);
-        }
-        self.tuning = tuning;
-        Ok(self)
+        Ok(())
     }
 
     /// Add a component instance.
@@ -994,8 +904,15 @@ impl ParBuilder {
     }
 
     /// Finalize into a runnable [`ParExecutor`].
+    ///
+    /// # Panics
+    /// Panics on a configuration [`ParBuilder::with_tuning`] would reject
+    /// (reachable only by pinning zero workers after, or without, it).
     #[must_use]
     pub fn build(mut self) -> ParExecutor {
+        if let Err(e) = self.validate() {
+            panic!("invalid parallel configuration: {e}");
+        }
         // An explicitly pinned count is honored as-is; only the derived
         // default is capped and clamped to the instance count.
         let workers = self
@@ -1104,13 +1021,11 @@ pub struct ParStats {
     pub retransmits: u64,
     /// Worker threads used.
     pub workers: usize,
-    /// Scheduler the run used.
-    pub mode: SchedulerMode,
     /// Wall-clock duration of the run.
     pub wall_time: Duration,
     /// Per-instance breakdown (`busy_until` is 0: no virtual clock).
     pub per_instance: Vec<InstanceStats>,
-    /// Per-worker scheduling breakdown (steals, parks, spills, skew).
+    /// Per-worker scheduling breakdown (steals, parks, skew).
     pub per_worker: Vec<WorkerStats>,
     /// High-water mark over all mailbox depths.
     pub max_mailbox_depth: usize,
@@ -1260,24 +1175,16 @@ impl ParExecutor {
     pub fn start(self) -> RunningPar {
         let started = Instant::now();
         let workers = self.workers;
-        let mode = if self.tuning.stealing {
-            SchedulerMode::WorkStealing
-        } else {
-            SchedulerMode::StaticShard
-        };
 
         let locals: Vec<TaskQueue<usize>> = (0..workers).map(|_| TaskQueue::new_fifo()).collect();
         let stealers = locals.iter().map(TaskQueue::stealer).collect();
 
         let shared = Arc::new(Shared {
             slots: self.slots,
-            mode,
             workers,
             batch_size: self.tuning.batch_size,
             capacity: self.tuning.channel_capacity,
-            spill_threshold: self.tuning.spill_threshold.unwrap_or(usize::MAX),
             injector: Injector::new(),
-            static_queues: (0..workers).map(|_| Injector::new()).collect(),
             stealers,
             counters: Counters {
                 // One shard per worker plus one for the injecting
@@ -1307,7 +1214,6 @@ impl ParExecutor {
                 shared: Arc::clone(&shared),
                 idx: w,
                 local,
-                local_len: 0,
                 scratch: Vec::new(),
                 drain_buf: Vec::new(),
                 latency: None,
@@ -1413,7 +1319,6 @@ impl RunningPar {
             started,
         } = self;
         let workers = shared.workers;
-        let mode = shared.mode;
         // Release the source token: the in-flight sum can now reach
         // zero, and a parked worker's next scan (bounded by
         // PARK_TIMEOUT) detects quiescence. Deliberately no notify here:
@@ -1472,7 +1377,6 @@ impl RunningPar {
             duplicates: shared.counters.duplicates.load(Ordering::SeqCst),
             retransmits: shared.counters.retransmits.load(Ordering::SeqCst),
             workers,
-            mode,
             wall_time: started.elapsed(),
             per_instance,
             per_worker,
@@ -1522,9 +1426,6 @@ struct WorkerCtx {
     shared: Arc<Shared>,
     idx: usize,
     local: TaskQueue<usize>,
-    /// Approximate local queue length (stealers may shrink it unseen;
-    /// batch steals into the deque resync it in `find_task`).
-    local_len: usize,
     /// Reusable staging buffer for one event's outbound sends, so they
     /// can be charged to the in-flight shard in one RMW before any
     /// becomes visible.
@@ -1567,49 +1468,26 @@ impl WorkerCtx {
 
     fn find_task(&mut self, shared: &Shared) -> Option<usize> {
         if let Some(inst) = self.local.pop() {
-            self.local_len = self.local_len.saturating_sub(1);
             return Some(inst);
         }
-        self.local_len = 0;
-        match shared.mode {
-            SchedulerMode::StaticShard => {
-                match Self::steal_until_settled(|| {
-                    shared.static_queues[self.idx].steal_batch_and_pop(&self.local)
-                }) {
-                    Some(inst) => {
-                        // Batch steals moved extra tasks into the local
-                        // deque; resync the length estimate.
-                        self.local_len = self.local.len();
-                        self.ws.injector_pops += 1;
-                        Some(inst)
-                    }
-                    None => None,
-                }
-            }
-            SchedulerMode::WorkStealing => {
-                if let Some(inst) =
-                    Self::steal_until_settled(|| shared.injector.steal_batch_and_pop(&self.local))
-                {
-                    self.local_len = self.local.len();
-                    self.ws.injector_pops += 1;
-                    blazes_obs::record(EventKind::InjectorPop, inst as u64, 0);
-                    return Some(inst);
-                }
-                // Steal from siblings, starting just past ourselves so the
-                // pressure spreads instead of converging on worker 0.
-                for i in 1..shared.workers {
-                    let victim = (self.idx + i) % shared.workers;
-                    if let Some(inst) =
-                        Self::steal_until_settled(|| shared.stealers[victim].steal())
-                    {
-                        self.ws.steals += 1;
-                        blazes_obs::record(EventKind::Steal, victim as u64, inst as u64);
-                        return Some(inst);
-                    }
-                }
-                None
+        if let Some(inst) =
+            Self::steal_until_settled(|| shared.injector.steal_batch_and_pop(&self.local))
+        {
+            self.ws.injector_pops += 1;
+            blazes_obs::record(EventKind::InjectorPop, inst as u64, 0);
+            return Some(inst);
+        }
+        // Steal from siblings, starting just past ourselves so the
+        // pressure spreads instead of converging on worker 0.
+        for i in 1..shared.workers {
+            let victim = (self.idx + i) % shared.workers;
+            if let Some(inst) = Self::steal_until_settled(|| shared.stealers[victim].steal()) {
+                self.ws.steals += 1;
+                blazes_obs::record(EventKind::Steal, victim as u64, inst as u64);
+                return Some(inst);
             }
         }
+        None
     }
 
     /// Retry a steal operation until it yields success or empty. `Retry`
@@ -2169,11 +2047,8 @@ impl WorkerCtx {
         let mb = &shared.slots[dst].mailbox;
         if let Some(cap) = shared.capacity {
             // Never park on a mailbox only this worker can drain: the
-            // current instance's own (self-loop), or — under static
-            // sharding — any instance of this worker's shard.
-            let self_drained = dst == src
-                || (shared.mode == SchedulerMode::StaticShard && shared.owner_of(dst) == self.idx);
-            if !self_drained {
+            // current instance's own (self-loop).
+            if dst != src {
                 while mb.queue.len() >= cap && !shared.done.load(Ordering::SeqCst) {
                     // Refuse to be the last runnable worker (the
                     // no-deadlock escape): overshoot instead.
@@ -2201,38 +2076,10 @@ impl WorkerCtx {
         }
     }
 
-    /// Put a runnable instance where a worker will find it.
+    /// Put a runnable instance where a worker will find it: this worker's
+    /// own deque, from which idle siblings steal.
     fn enqueue_ready(&mut self, shared: &Shared, inst: usize) {
-        match shared.mode {
-            SchedulerMode::StaticShard => {
-                shared.static_queues[shared.owner_of(inst)].push(inst);
-            }
-            SchedulerMode::WorkStealing => {
-                self.local.push(inst);
-                self.local_len += 1;
-                if self.local_len > self.ws.max_local_queue {
-                    self.ws.max_local_queue = self.local_len;
-                }
-                if self.local_len > shared.spill_threshold {
-                    // Shed half the local queue to the injector so idle
-                    // workers can pick it up without stealing.
-                    let target = shared.spill_threshold / 2;
-                    while self.local_len > target {
-                        match self.local.pop() {
-                            Some(t) => {
-                                shared.injector.push(t);
-                                self.local_len -= 1;
-                                self.ws.spills += 1;
-                            }
-                            None => {
-                                self.local_len = 0;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.local.push(inst);
         if shared.wake() {
             self.ws.wakeups += 1;
             blazes_obs::record(EventKind::Wakeup, self.idx as u64, inst as u64);
@@ -2320,21 +2167,15 @@ impl WorkerCtx {
             return false;
         }
         // Phase two: re-check the run queues. The no-stranded-work
-        // argument only needs the queues whose work nobody else will
-        // drain: the injector and the static queues, both checked through
-        // `SeqCst` loads that pair with the `SeqCst` announce above. A
+        // argument only needs the queue whose work nobody else will
+        // drain: the injector, checked through `SeqCst` loads that pair
+        // with the `SeqCst` announce above. A
         // sibling's local deque is different — its owner pops it before
         // ever idling, so work parked past here is at worst *processed by
         // the owner* instead of stolen, a bounded parallelism loss, never
         // a liveness one (the stealer re-checks are `SeqCst` too, making
         // even that window as small as the hardware allows).
-        let maybe_work = match shared.mode {
-            SchedulerMode::StaticShard => !shared.static_queues[self.idx].is_empty(),
-            SchedulerMode::WorkStealing => {
-                !shared.injector.is_empty() || shared.stealers.iter().any(|s| !s.is_empty())
-            }
-        };
-        if maybe_work {
+        if !shared.injector.is_empty() || shared.stealers.iter().any(|s| !s.is_empty()) {
             shared.idle.cancel();
             return true;
         }
@@ -2387,19 +2228,12 @@ mod tests {
         }))
     }
 
-    /// Run the same assembly under every scheduler variant worth covering.
+    /// Run the same assembly under every tuning variant worth covering.
     fn variants() -> Vec<(&'static str, ParTuning)> {
         vec![
-            ("stealing", ParTuning::default()),
+            ("default", ParTuning::default()),
             (
-                "static",
-                ParTuning {
-                    stealing: false,
-                    ..ParTuning::default()
-                },
-            ),
-            (
-                "stealing-bounded",
+                "bounded",
                 ParTuning {
                     channel_capacity: Some(4),
                     batch_size: 3,
@@ -2407,18 +2241,8 @@ mod tests {
                 },
             ),
             (
-                "static-bounded",
+                "batch-1",
                 ParTuning {
-                    stealing: false,
-                    channel_capacity: Some(4),
-                    batch_size: 3,
-                    ..ParTuning::default()
-                },
-            ),
-            (
-                "stealing-spill",
-                ParTuning {
-                    spill_threshold: Some(2),
                     batch_size: 1,
                     ..ParTuning::default()
                 },
@@ -2457,9 +2281,10 @@ mod tests {
         for (name, tuning) in variants() {
             let mut b = ParBuilder::new(3)
                 .with_workers(2)
-                .with_tuning(tuning)
-                .unwrap()
-                .with_batch_size(7)
+                .with_tuning(ParTuning {
+                    batch_size: 7,
+                    ..tuning
+                })
                 .unwrap();
             let e = b.add_instance(echo());
             let sink = CollectorSink::new();
@@ -2497,9 +2322,10 @@ mod tests {
         for (name, tuning) in variants() {
             let mut b = ParBuilder::new(5)
                 .with_workers(4)
-                .with_tuning(tuning)
-                .unwrap()
-                .with_batch_size(3)
+                .with_tuning(ParTuning {
+                    batch_size: 3,
+                    ..tuning
+                })
                 .unwrap();
             let sink = CollectorSink::new();
             let mut prev = b.add_instance(echo());
@@ -2567,10 +2393,8 @@ mod tests {
         // Per-wire RNG streams: the k-th message on a wire sees the same
         // fault draws whatever the worker count, so aggregate fault counts
         // (and per-wire schedules) reproduce exactly.
-        let run = |workers: usize, stealing: bool| {
-            let mut b = ParBuilder::new(99)
-                .with_workers(workers)
-                .with_stealing(stealing);
+        let run = |workers: usize| {
+            let mut b = ParBuilder::new(99).with_workers(workers);
             let e = b.add_instance(echo());
             let mid = b.add_instance(echo());
             let sink = CollectorSink::new();
@@ -2595,16 +2419,14 @@ mod tests {
             let stats = b.build().run();
             (stats.duplicates, stats.retransmits, sink.messages())
         };
-        let baseline = run(1, true);
+        let baseline = run(1);
         assert!(baseline.0 > 0 && baseline.1 > 0, "faults must fire");
         for workers in [2usize, 4] {
-            for stealing in [true, false] {
-                assert_eq!(
-                    run(workers, stealing),
-                    baseline,
-                    "fault schedule diverged at {workers} workers (stealing={stealing})"
-                );
-            }
+            assert_eq!(
+                run(workers),
+                baseline,
+                "fault schedule diverged at {workers} workers"
+            );
         }
     }
 
@@ -2665,28 +2487,37 @@ mod tests {
 
     #[test]
     fn builder_validation_returns_typed_errors() {
-        assert_eq!(
-            ParBuilder::new(0).with_batch_size(0).err(),
-            Some(ParConfigError::ZeroBatchSize)
-        );
-        assert_eq!(
-            ParBuilder::new(0).with_channel_capacity(0).err(),
-            Some(ParConfigError::ZeroChannelCapacity)
-        );
-        assert_eq!(
-            ParBuilder::new(0).with_spill_threshold(0).err(),
-            Some(ParConfigError::ZeroSpillThreshold)
-        );
-        assert_eq!(
+        let rejected = |workers: usize, tuning: ParTuning| {
             ParBuilder::new(0)
-                .with_tuning(ParTuning {
+                .with_workers(workers)
+                .with_tuning(tuning)
+                .err()
+        };
+        assert_eq!(
+            rejected(0, ParTuning::default()),
+            Some(ParConfigError::ZeroWorkers)
+        );
+        assert_eq!(
+            rejected(
+                1,
+                ParTuning {
                     batch_size: 0,
                     ..ParTuning::default()
-                })
-                .err(),
+                }
+            ),
             Some(ParConfigError::ZeroBatchSize)
         );
-        assert!(ParBuilder::new(0).with_batch_size(1).is_ok());
+        assert_eq!(
+            rejected(
+                1,
+                ParTuning {
+                    channel_capacity: Some(0),
+                    ..ParTuning::default()
+                }
+            ),
+            Some(ParConfigError::ZeroChannelCapacity)
+        );
+        assert_eq!(rejected(1, ParTuning::default()), None);
         assert_eq!(
             ParConfigError::ZeroBatchSize.to_string(),
             "batch size must be at least 1"
@@ -2700,9 +2531,11 @@ mod tests {
         // must still quiesce with nothing lost.
         let mut b = ParBuilder::new(8)
             .with_workers(4)
-            .with_channel_capacity(2)
-            .unwrap()
-            .with_batch_size(1)
+            .with_tuning(ParTuning {
+                channel_capacity: Some(2),
+                batch_size: 1,
+                ..ParTuning::default()
+            })
             .unwrap();
         let sink = CollectorSink::new();
         let s = b.add_instance(Box::new(sink.clone()));
@@ -2825,7 +2658,10 @@ mod tests {
         // mailbox (only it can drain it): the escape must kick in.
         let mut b = ParBuilder::new(4)
             .with_workers(1)
-            .with_channel_capacity(1)
+            .with_tuning(ParTuning {
+                channel_capacity: Some(1),
+                ..ParTuning::default()
+            })
             .unwrap();
         let counter = Arc::new(AtomicU64::new(0));
         let c2 = Arc::clone(&counter);
@@ -2873,41 +2709,37 @@ mod tests {
     #[test]
     fn stealing_balances_a_skewed_workload() {
         // 8 instances with wildly uneven message counts on 4 workers:
-        // static sharding leaves whole shards idle while the hot shard
-        // grinds; stealing spreads activations across workers.
-        let run = |stealing: bool| {
-            let mut b = ParBuilder::new(17)
-                .with_workers(4)
-                .with_stealing(stealing)
-                .with_batch_size(4)
-                .unwrap();
-            let sink = CollectorSink::new();
-            let s = b.add_instance(Box::new(sink.clone()));
-            for m in 0..8usize {
-                let e = b.add_instance(heavy_echo());
-                b.connect_with(e, PortId(0), s, PortId(0), ChannelConfig::lan());
-                // Instance 0 gets the lion's share.
-                let n = if m == 0 { 600 } else { 25 };
-                for i in 0..n {
-                    b.inject(0, e, PortId(0), Message::data([i as i64]));
-                }
+        // stealing spreads the hot instance's activations, so no worker
+        // sits the run out.
+        let mut b = ParBuilder::new(17)
+            .with_workers(4)
+            .with_tuning(ParTuning {
+                batch_size: 4,
+                ..ParTuning::default()
+            })
+            .unwrap();
+        let sink = CollectorSink::new();
+        let s = b.add_instance(Box::new(sink.clone()));
+        for m in 0..8usize {
+            let e = b.add_instance(heavy_echo());
+            b.connect_with(e, PortId(0), s, PortId(0), ChannelConfig::lan());
+            // Instance 0 gets the lion's share.
+            let n = if m == 0 { 600 } else { 25 };
+            for i in 0..n {
+                b.inject(0, e, PortId(0), Message::data([i as i64]));
             }
-            let stats = b.build().run();
-            assert_eq!(sink.len(), 600 + 7 * 25);
-            stats
-        };
-        let stealing = run(true);
-        let static_ = run(false);
+        }
+        let stats = b.build().run();
+        assert_eq!(sink.len(), 600 + 7 * 25);
         assert!(
-            stealing.total_steals() > 0,
+            stats.total_steals() > 0,
             "skew must trigger steals: {:?}",
-            stealing.per_worker
+            stats.per_worker
         );
         assert!(
-            stealing.balance() < static_.balance(),
-            "stealing balance {:.2} must beat static {:.2}",
-            stealing.balance(),
-            static_.balance()
+            stats.per_worker.iter().all(|w| w.events > 0),
+            "every worker must have processed events: {:?}",
+            stats.per_worker
         );
     }
 }

@@ -37,6 +37,4 @@ pub use bolt::{Bolt, BoltContext};
 pub use grouping::Grouping;
 pub use runtime::{BatchHandling, BoltAdapter};
 pub use topology::prelude_for_tests;
-pub use topology::{
-    NodeHandle, ParStormRun, StormExecution, StormRun, TopologyBuilder, TransactionalConfig,
-};
+pub use topology::{NodeHandle, StormExecution, TopologyBuilder, TransactionalConfig};

@@ -15,8 +15,8 @@
 //! let sink = CollectorSink::new();
 //! let bolt = t.add_bolt("echo", 1, || Box::new(IdentityBolt), vec![(spout, Grouping::Shuffle)]);
 //! t.add_collector_sink("out", sink.clone(), bolt);
-//! let mut run = t.build();
-//! run.run(None);
+//! let mut run = t.build_on(&BackendSpec::Sim);
+//! run.run();
 //! assert_eq!(sink.messages().iter().filter(|m| m.as_data().is_some()).count(), 1);
 //! ```
 
@@ -28,14 +28,13 @@ use crate::runtime::{
 use blazes_coord::CommitCoordinator;
 use blazes_core::placement::{CoordDirective, CoordinationSpec};
 use blazes_dataflow::backend::{
-    BackendRunStats, BackendSpec, ExecutorBuilder, NoopPass, PortId, RewriteStats, RewritingBuilder,
+    build_local, BackendError, BackendRunStats, BackendSpec, ExecutorBuilder, LocalExecutor,
+    NoopPass, PortId, RewriteStats, RewritingBuilder,
 };
 use blazes_dataflow::channel::ChannelConfig;
 use blazes_dataflow::component::Component;
 use blazes_dataflow::message::Message;
-use blazes_dataflow::metrics::RunStats;
-use blazes_dataflow::par::{ParBuilder, ParExecutor, ParStats, ParTuning};
-use blazes_dataflow::sim::{InstanceId, SimBuilder, Simulator, Time};
+use blazes_dataflow::sim::{InstanceId, Time};
 use std::error::Error;
 use std::fmt;
 
@@ -128,6 +127,12 @@ pub enum CoordinationError {
         /// The rejected key, rendered.
         key: String,
     },
+    /// The spec applied, but the backend could not be built: an invalid
+    /// `Par` configuration, or a `Dist` spec (a `TopologyBuilder` holds
+    /// component closures that cannot cross a process boundary, so
+    /// distributed runs name a registry entry that calls
+    /// [`TopologyBuilder::assemble`] in every process instead).
+    Backend(BackendError),
 }
 
 impl fmt::Display for CoordinationError {
@@ -144,6 +149,7 @@ impl fmt::Display for CoordinationError {
                 "seal directive at {component:?} keyed {{{key}}} — engine punctuations seal on \
                  `{BATCH_ATTR}`"
             ),
+            CoordinationError::Backend(e) => write!(f, "{e}"),
         }
     }
 }
@@ -332,8 +338,7 @@ impl TopologyBuilder {
     ///   so nothing is injected (the directive's key must be the engine's
     ///   `batch` attribute).
     ///
-    /// Use [`TopologyBuilder::build_coordinated`] /
-    /// [`TopologyBuilder::build_coordinated_parallel`] to also run the
+    /// Use [`TopologyBuilder::build_coordinated_on`] to also run the
     /// assembly through the graph-rewrite pass and obtain the full
     /// [`CoordinationOutcome`].
     ///
@@ -391,66 +396,20 @@ impl TopologyBuilder {
         Ok(outcome)
     }
 
-    /// Apply `spec` and instantiate onto the discrete-event simulator,
-    /// assembling through the graph-rewrite pass so the outcome carries
-    /// the pass accounting (zero injected operators for engine-native
-    /// coordination — the proof obligation of the "minimal" claim).
-    ///
-    /// # Errors
-    /// See [`TopologyBuilder::apply_coordination`].
-    pub fn build_coordinated(
-        self,
-        spec: &CoordinationSpec,
-        ordering: &TransactionalConfig,
-    ) -> Result<(StormRun, CoordinationOutcome), CoordinationError> {
-        let (exec, outcome) = self.build_coordinated_on(spec, ordering, &BackendSpec::Sim)?;
-        match exec {
-            StormExecution::Sim(run) => Ok((run, outcome)),
-            StormExecution::Par(_) => unreachable!("Sim spec builds a Sim execution"),
-        }
-    }
-
-    /// Like [`TopologyBuilder::build_coordinated`], onto the multi-worker
-    /// parallel executor: the *same* rewritten graph, on `workers` OS
-    /// threads.
-    ///
-    /// # Errors
-    /// See [`TopologyBuilder::apply_coordination`].
-    ///
-    /// # Panics
-    /// Panics when `workers` is zero or `tuning` is invalid.
-    pub fn build_coordinated_parallel(
-        self,
-        spec: &CoordinationSpec,
-        ordering: &TransactionalConfig,
-        workers: usize,
-        tuning: ParTuning,
-    ) -> Result<(ParStormRun, CoordinationOutcome), CoordinationError> {
-        let (exec, outcome) =
-            self.build_coordinated_on(spec, ordering, &BackendSpec::Par { workers, tuning })?;
-        match exec {
-            StormExecution::Par(run) => Ok((run, outcome)),
-            StormExecution::Sim(_) => unreachable!("Par spec builds a Par execution"),
-        }
-    }
-
     /// Apply `spec` and instantiate onto the backend selected by
     /// `backend`, assembling through the graph-rewrite pass so the
     /// outcome carries the pass accounting (zero injected operators for
-    /// engine-native coordination). This is the single coordinated entry
-    /// point behind [`TopologyBuilder::build_coordinated`] and
-    /// [`TopologyBuilder::build_coordinated_parallel`].
+    /// engine-native coordination — the proof obligation of the "minimal"
+    /// claim). On the parallel executor spout schedule times become
+    /// dispatch ordering keys and modeled service times do not apply
+    /// (real processing costs are paid for real); only confluent or
+    /// coordinated topologies are guaranteed to reproduce the simulator's
+    /// final state there.
     ///
     /// # Errors
-    /// See [`TopologyBuilder::apply_coordination`].
-    ///
-    /// # Panics
-    /// Panics on [`BackendSpec::Dist`]: a `TopologyBuilder` holds
-    /// component closures that cannot cross a process boundary, so
-    /// distributed runs instead name a deterministic assembly function in
-    /// a [`blazes_dataflow::dist::Registry`] (which may call
-    /// [`TopologyBuilder::assemble`] internally). Also panics when a
-    /// `Par` spec has zero workers or invalid tuning.
+    /// See [`TopologyBuilder::apply_coordination`]; additionally
+    /// [`CoordinationError::Backend`] when `backend` is an invalid `Par`
+    /// spec or a `Dist` spec.
     pub fn build_coordinated_on(
         mut self,
         spec: &CoordinationSpec,
@@ -458,43 +417,35 @@ impl TopologyBuilder {
         backend: &BackendSpec,
     ) -> Result<(StormExecution, CoordinationOutcome), CoordinationError> {
         let mut outcome = self.apply_coordination(spec, ordering)?;
-        let seed = self.seed;
-        let exec = match backend {
-            BackendSpec::Sim => {
-                let mut sim = SimBuilder::new(seed);
-                let mut rb = RewritingBuilder::new(&mut sim, NoopPass);
-                let (instances, name) = self.assemble(&mut rb);
-                let (_, stats) = rb.finish();
-                outcome.rewrite = stats;
-                StormExecution::Sim(StormRun {
-                    sim: sim.build(),
-                    instances,
-                    name,
-                })
-            }
-            BackendSpec::Par { workers, tuning } => {
-                assert!(*workers > 0, "need at least one worker");
-                let mut par = ParBuilder::new(seed)
-                    .with_workers(*workers)
-                    .with_tuning(*tuning)
-                    .expect("valid parallel tuning");
-                let mut rb = RewritingBuilder::new(&mut par, NoopPass);
-                let (instances, name) = self.assemble(&mut rb);
-                let (_, stats) = rb.finish();
-                outcome.rewrite = stats;
-                StormExecution::Par(ParStormRun {
-                    exec: Some(par.build()),
-                    instances,
-                    name,
-                })
-            }
-            BackendSpec::Dist(_) => panic!(
-                "TopologyBuilder cannot ship closures across processes; \
-                 register an assembly function in blazes_dataflow::dist::Registry \
-                 and run it with blazes_dataflow::dist::run_dist"
-            ),
+        let (exec, ((instances, name), rewrite)) = build_local(backend, self.seed, |b| {
+            let mut rb = RewritingBuilder::new(b, NoopPass);
+            let built = self.assemble(&mut rb);
+            (built, rb.finish().1)
+        })
+        .map_err(CoordinationError::Backend)?;
+        outcome.rewrite = rewrite;
+        let exec = StormExecution {
+            exec: Some(exec),
+            instances,
+            name,
         };
         Ok((exec, outcome))
+    }
+
+    /// Instantiate the topology as wired, with no analysis-derived
+    /// coordination: [`TopologyBuilder::build_coordinated_on`] with the
+    /// empty spec.
+    ///
+    /// # Panics
+    /// Panics when `backend` is an invalid `Par` spec or a `Dist` spec
+    /// (see [`CoordinationError::Backend`]).
+    #[must_use]
+    pub fn build_on(self, backend: &BackendSpec) -> StormExecution {
+        let uncoordinated = CoordinationSpec::default();
+        match self.build_coordinated_on(&uncoordinated, &TransactionalConfig::default(), backend) {
+            Ok((exec, _)) => exec,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Structure description for the grey-box Blazes adapter.
@@ -519,88 +470,6 @@ impl TopologyBuilder {
         }
     }
 
-    /// Instantiate the topology into a runnable discrete-event simulation.
-    #[must_use]
-    pub fn build(self) -> StormRun {
-        match self.build_on(&BackendSpec::Sim) {
-            StormExecution::Sim(run) => run,
-            StormExecution::Par(_) => unreachable!("Sim spec builds a Sim execution"),
-        }
-    }
-
-    /// Instantiate the topology onto the multi-worker parallel executor:
-    /// the same components and wiring, executed on `workers` OS threads
-    /// instead of in virtual time. Spout schedule times become dispatch
-    /// ordering keys; modeled service times do not apply (real processing
-    /// costs are paid for real). Only confluent (order-insensitive)
-    /// topologies are guaranteed to reproduce the simulator's final state.
-    #[must_use]
-    pub fn build_parallel(self, workers: usize) -> ParStormRun {
-        match self.build_on(&BackendSpec::par(workers)) {
-            StormExecution::Par(run) => run,
-            StormExecution::Sim(_) => unreachable!("Par spec builds a Par execution"),
-        }
-    }
-
-    /// Like [`TopologyBuilder::build_parallel`], with explicit scheduler
-    /// tuning: work stealing vs static sharding, drain batch size, bounded
-    /// mailbox capacity and spill threshold.
-    ///
-    /// # Panics
-    /// Panics when `workers` is zero or `tuning` is invalid (zero batch
-    /// size, capacity or spill threshold).
-    #[deprecated(note = "use TopologyBuilder::build_on with BackendSpec::Par")]
-    #[must_use]
-    pub fn build_parallel_tuned(self, workers: usize, tuning: ParTuning) -> ParStormRun {
-        match self.build_on(&BackendSpec::Par { workers, tuning }) {
-            StormExecution::Par(run) => run,
-            StormExecution::Sim(_) => unreachable!("Par spec builds a Par execution"),
-        }
-    }
-
-    /// Instantiate the topology onto the backend selected by `backend`.
-    /// This is the single uncoordinated entry point behind
-    /// [`TopologyBuilder::build`] and [`TopologyBuilder::build_parallel`].
-    ///
-    /// # Panics
-    /// Panics on [`BackendSpec::Dist`] (see
-    /// [`TopologyBuilder::build_coordinated_on`] for why distributed runs
-    /// go through a named assembly registry instead), and when a `Par`
-    /// spec has zero workers or invalid tuning.
-    #[must_use]
-    pub fn build_on(self, backend: &BackendSpec) -> StormExecution {
-        let seed = self.seed;
-        match backend {
-            BackendSpec::Sim => {
-                let mut sim = SimBuilder::new(seed);
-                let (instances, name) = self.assemble(&mut sim);
-                StormExecution::Sim(StormRun {
-                    sim: sim.build(),
-                    instances,
-                    name,
-                })
-            }
-            BackendSpec::Par { workers, tuning } => {
-                assert!(*workers > 0, "need at least one worker");
-                let mut par = ParBuilder::new(seed)
-                    .with_workers(*workers)
-                    .with_tuning(*tuning)
-                    .expect("valid parallel tuning");
-                let (instances, name) = self.assemble(&mut par);
-                StormExecution::Par(ParStormRun {
-                    exec: Some(par.build()),
-                    instances,
-                    name,
-                })
-            }
-            BackendSpec::Dist(_) => panic!(
-                "TopologyBuilder cannot ship closures across processes; \
-                 register an assembly function in blazes_dataflow::dist::Registry \
-                 and run it with blazes_dataflow::dist::run_dist"
-            ),
-        }
-    }
-
     /// Compile the node specs onto an execution backend, returning the
     /// backend instance ids per topology node plus the topology name.
     ///
@@ -609,7 +478,7 @@ impl TopologyBuilder {
     /// distributed run (the builder itself cannot cross the byte
     /// boundary; re-running this deterministic assembly is what keeps the
     /// global instance numbering identical everywhere).
-    pub fn assemble<B: ExecutorBuilder>(
+    pub fn assemble<B: ExecutorBuilder + ?Sized>(
         mut self,
         backend: &mut B,
     ) -> (Vec<Vec<InstanceId>>, String) {
@@ -815,101 +684,38 @@ impl TopologyBuilder {
     }
 }
 
-/// A built topology ready to run.
-pub struct StormRun {
-    sim: Simulator,
-    instances: Vec<Vec<InstanceId>>,
-    /// Topology name.
-    pub name: String,
-}
-
-impl StormRun {
-    /// Run the simulation to quiescence (or until the given virtual time).
-    pub fn run(&mut self, until: Option<Time>) -> RunStats {
-        self.sim.run(until)
-    }
-
-    /// Simulator instance ids per node.
-    #[must_use]
-    pub fn instances(&self) -> &[Vec<InstanceId>] {
-        &self.instances
-    }
-
-    /// Current virtual time.
-    #[must_use]
-    pub fn now(&self) -> Time {
-        self.sim.now()
-    }
-}
-
-/// A topology instantiated onto the multi-worker parallel executor.
-pub struct ParStormRun {
-    exec: Option<ParExecutor>,
-    instances: Vec<Vec<InstanceId>>,
-    /// Topology name.
-    pub name: String,
-}
-
-impl ParStormRun {
-    /// Execute to quiescence on the worker threads. May only run once.
-    ///
-    /// # Panics
-    /// Panics when called a second time, and re-raises component panics.
-    pub fn run(&mut self) -> ParStats {
-        self.exec
-            .take()
-            .expect("ParStormRun::run may only be called once")
-            .run()
-    }
-
-    /// Executor instance ids per node.
-    #[must_use]
-    pub fn instances(&self) -> &[Vec<InstanceId>] {
-        &self.instances
-    }
-}
-
 /// A topology instantiated onto one of the in-process backends by
-/// [`TopologyBuilder::build_on`], ready to run. The variant mirrors the
-/// [`BackendSpec`] it was built from.
-pub enum StormExecution {
-    /// Built for the discrete-event simulator.
-    Sim(StormRun),
-    /// Built for the multi-worker parallel executor.
-    Par(ParStormRun),
+/// [`TopologyBuilder::build_on`] / [`TopologyBuilder::build_coordinated_on`],
+/// ready to run once.
+pub struct StormExecution {
+    exec: Option<LocalExecutor>,
+    instances: Vec<Vec<InstanceId>>,
+    name: String,
 }
 
 impl StormExecution {
     /// Execute to quiescence on whichever backend this was built for and
-    /// return the backend-tagged statistics. For the parallel variant
-    /// this may only be called once (see [`ParStormRun::run`]).
+    /// return the backend-tagged statistics.
     ///
     /// # Panics
-    /// Re-raises component panics; the parallel variant panics when run
-    /// a second time.
+    /// Panics when called a second time, and re-raises component panics.
     pub fn run(&mut self) -> BackendRunStats {
-        match self {
-            StormExecution::Sim(run) => BackendRunStats::Sim(run.run(None)),
-            StormExecution::Par(run) => BackendRunStats::Par(run.run()),
-        }
+        self.exec
+            .take()
+            .expect("StormExecution::run may only be called once")
+            .run()
     }
 
     /// Backend instance ids per topology node.
     #[must_use]
     pub fn instances(&self) -> &[Vec<InstanceId>] {
-        match self {
-            StormExecution::Sim(run) => run.instances(),
-            StormExecution::Par(run) => run.instances(),
-        }
+        &self.instances
     }
 
     /// Topology name.
     #[must_use]
     pub fn name(&self) -> &str {
-        match self {
-            StormExecution::Sim(run) => &run.name,
-            StormExecution::Par(run) => &run.name,
-        }
+        &self.name
     }
 }
 
@@ -919,6 +725,7 @@ pub mod prelude_for_tests {
     pub use crate::grouping::Grouping;
     pub use crate::runtime::batch_seal;
     pub use crate::topology::TopologyBuilder;
+    pub use blazes_dataflow::backend::BackendSpec;
     pub use blazes_dataflow::message::Message;
     pub use blazes_dataflow::sinks::CollectorSink;
 }
@@ -928,6 +735,8 @@ mod tests {
     use super::*;
     use crate::bolt::{BoltContext, FnBolt};
     use crate::runtime::batch_seal;
+    use blazes_dataflow::metrics::RunStats;
+    use blazes_dataflow::par::ParTuning;
     use blazes_dataflow::sinks::CollectorSink;
     use blazes_dataflow::value::{Tuple, Value};
 
@@ -983,8 +792,7 @@ mod tests {
     }
 
     /// Describe a tiny wordcount: 2 spout instances -> 2 counters (fields
-    /// grouping on word) -> collector. Build with `.build()` (simulator)
-    /// or `.build_parallel(n)` (threads).
+    /// grouping on word) -> collector. Build with `.build_on(&backend)`.
     fn wordcount_topology(seed: u64, transactional: bool) -> (TopologyBuilder, CollectorSink) {
         let mut t = TopologyBuilder::new("wc", seed);
         let spout = t.add_spout("tweets", 2);
@@ -1012,9 +820,15 @@ mod tests {
         (t, sink)
     }
 
-    fn wordcount_run(seed: u64, transactional: bool) -> (StormRun, CollectorSink) {
+    /// Run the tiny wordcount on the simulator; returns its statistics
+    /// and the collected outputs.
+    fn wordcount_run(seed: u64, transactional: bool) -> (RunStats, CollectorSink) {
         let (t, sink) = wordcount_topology(seed, transactional);
-        (t.build(), sink)
+        (sim_stats(&mut t.build_on(&BackendSpec::Sim)), sink)
+    }
+
+    fn sim_stats(run: &mut StormExecution) -> RunStats {
+        run.run().as_sim().expect("sim run").clone()
     }
 
     fn counts_from(sink: &CollectorSink) -> std::collections::BTreeMap<(String, i64), i64> {
@@ -1035,8 +849,7 @@ mod tests {
 
     #[test]
     fn wordcount_produces_correct_counts() {
-        let (mut run, sink) = wordcount_run(11, false);
-        run.run(None);
+        let (_, sink) = wordcount_run(11, false);
         let counts = counts_from(&sink);
         // 2 spout instances × 1 occurrence per word per batch = count 2.
         assert_eq!(counts.len(), 9, "3 words × 3 batches");
@@ -1047,28 +860,22 @@ mod tests {
     fn counts_identical_across_seeds() {
         // Confluent outcome: the sealed topology produces the same count
         // sets regardless of delivery interleaving.
-        let (mut r1, s1) = wordcount_run(1, false);
-        let (mut r2, s2) = wordcount_run(2, false);
-        r1.run(None);
-        r2.run(None);
+        let (_, s1) = wordcount_run(1, false);
+        let (_, s2) = wordcount_run(2, false);
         assert_eq!(counts_from(&s1), counts_from(&s2));
     }
 
     #[test]
     fn transactional_produces_same_outputs() {
-        let (mut plain, s1) = wordcount_run(5, false);
-        let (mut tx, s2) = wordcount_run(5, true);
-        plain.run(None);
-        tx.run(None);
+        let (_, s1) = wordcount_run(5, false);
+        let (_, s2) = wordcount_run(5, true);
         assert_eq!(counts_from(&s1), counts_from(&s2));
     }
 
     #[test]
     fn transactional_is_slower() {
-        let (mut plain, _s1) = wordcount_run(5, false);
-        let (mut tx, _s2) = wordcount_run(5, true);
-        let p = plain.run(None);
-        let t = tx.run(None);
+        let (p, _s1) = wordcount_run(5, false);
+        let (t, _s2) = wordcount_run(5, true);
         assert!(
             t.end_time > p.end_time,
             "transactional {} must exceed sealed {}",
@@ -1079,8 +886,7 @@ mod tests {
 
     #[test]
     fn transactional_commits_in_batch_order() {
-        let (mut run, sink) = wordcount_run(13, true);
-        run.run(None);
+        let (_, sink) = wordcount_run(13, true);
         let batches: Vec<i64> = sink
             .messages()
             .iter()
@@ -1120,7 +926,7 @@ mod tests {
         );
         let sink = CollectorSink::new();
         t.add_collector_sink("out", sink.clone(), double);
-        t.build().run(None);
+        t.build_on(&BackendSpec::Sim).run();
         let vals: std::collections::BTreeSet<i64> = sink
             .messages()
             .iter()
@@ -1135,12 +941,10 @@ mod tests {
         // The sealed wordcount is confluent: whatever interleaving the OS
         // scheduler produces, the released per-batch counts must equal the
         // simulator's.
-        let (mut sim_run, sim_sink) = wordcount_run(21, false);
-        sim_run.run(None);
+        let (_, sim_sink) = wordcount_run(21, false);
         let (t, par_sink) = wordcount_topology(21, false);
-        let mut par_run = t.build_parallel(3);
-        let stats = par_run.run();
-        assert!(stats.messages_delivered > 0);
+        let stats = t.build_on(&BackendSpec::par(3)).run();
+        assert!(stats.messages_delivered() > 0);
         assert_eq!(counts_from(&par_sink), counts_from(&sim_sink));
     }
 
@@ -1149,8 +953,7 @@ mod tests {
         // Every batch's seal must release exactly the words of that batch,
         // under the threaded executor as in the simulator.
         let (t, sink) = wordcount_topology(33, false);
-        let mut run = t.build_parallel(4);
-        run.run();
+        t.build_on(&BackendSpec::par(4)).run();
         let counts = counts_from(&sink);
         assert_eq!(
             counts.len(),
@@ -1161,24 +964,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_backend_matches_under_every_scheduler() {
-        // The scheduler (stealing vs static, bounded vs unbounded) must be
+    fn parallel_backend_matches_under_every_tuning() {
+        // The tuning (bounded vs unbounded mailboxes, batch size) must be
         // invisible in the final counts of a confluent topology.
-        let (mut sim_run, sim_sink) = wordcount_run(44, false);
-        sim_run.run(None);
+        let (_, sim_sink) = wordcount_run(44, false);
         let tunings = [
-            ParTuning {
-                stealing: false,
-                ..ParTuning::default()
-            },
+            ParTuning::default(),
             ParTuning {
                 channel_capacity: Some(4),
                 batch_size: 2,
-                ..ParTuning::default()
-            },
-            ParTuning {
-                stealing: false,
-                channel_capacity: Some(4),
                 ..ParTuning::default()
             },
         ];
@@ -1214,16 +1008,15 @@ mod tests {
     fn sealed_spec_builds_rewrite_free_and_matches_baseline() {
         let spec = wordcount_spec(true);
         assert_eq!(spec.len(), 1, "one seal directive: {spec:?}");
-        let (mut baseline, base_sink) = wordcount_run(31, false);
-        baseline.run(None);
+        let (_, base_sink) = wordcount_run(31, false);
         let (t, sink) = wordcount_topology(31, false);
         let (mut run, outcome) = t
-            .build_coordinated(&spec, &TransactionalConfig::default())
+            .build_coordinated_on(&spec, &TransactionalConfig::default(), &BackendSpec::Sim)
             .expect("spec applies");
         assert!(outcome.is_rewrite_free(), "{outcome:?}");
         assert_eq!(outcome.seal_native.len(), 1);
         assert_eq!(outcome.rewrite.injected_operators, 0);
-        run.run(None);
+        run.run();
         assert_eq!(counts_from(&sink), counts_from(&base_sink));
     }
 
@@ -1231,16 +1024,15 @@ mod tests {
     fn order_spec_makes_the_bolt_transactional() {
         let spec = wordcount_spec(false);
         assert_eq!(spec.len(), 1, "one order directive: {spec:?}");
-        let (mut plain, plain_sink) = wordcount_run(13, false);
-        let p = plain.run(None);
+        let (p, plain_sink) = wordcount_run(13, false);
 
         let (t, sink) = wordcount_topology(13, false);
         let (mut run, outcome) = t
-            .build_coordinated(&spec, &TransactionalConfig::default())
+            .build_coordinated_on(&spec, &TransactionalConfig::default(), &BackendSpec::Sim)
             .expect("spec applies");
         assert_eq!(outcome.ordered, vec!["count".to_string()]);
         assert!(!outcome.is_rewrite_free());
-        let stats = run.run(None);
+        let stats = sim_stats(&mut run);
         // Same answers, paid for with coordination latency.
         assert_eq!(counts_from(&sink), counts_from(&plain_sink));
         assert!(
@@ -1256,17 +1048,16 @@ mod tests {
         let spec = wordcount_spec(false);
         let (t, sim_sink) = wordcount_topology(23, false);
         let (mut sim_run, _) = t
-            .build_coordinated(&spec, &TransactionalConfig::default())
+            .build_coordinated_on(&spec, &TransactionalConfig::default(), &BackendSpec::Sim)
             .unwrap();
-        sim_run.run(None);
+        sim_run.run();
         for workers in [1usize, 4] {
             let (t, par_sink) = wordcount_topology(23, false);
             let (mut par_run, outcome) = t
-                .build_coordinated_parallel(
+                .build_coordinated_on(
                     &spec,
                     &TransactionalConfig::default(),
-                    workers,
-                    ParTuning::default(),
+                    &BackendSpec::par(workers),
                 )
                 .unwrap();
             assert_eq!(outcome.ordered, vec!["count".to_string()]);
@@ -1320,6 +1111,18 @@ mod tests {
         assert_eq!(
             t.apply_coordination(&not_bolt, &TransactionalConfig::default()),
             Err(CoordinationError::NotABolt("tweets".to_string()))
+        );
+
+        let no_workers = t.build_coordinated_on(
+            &CoordinationSpec::default(),
+            &TransactionalConfig::default(),
+            &BackendSpec::par(0),
+        );
+        assert_eq!(
+            no_workers.err(),
+            Some(CoordinationError::Backend(BackendError::Par(
+                blazes_dataflow::par::ParConfigError::ZeroWorkers
+            )))
         );
     }
 

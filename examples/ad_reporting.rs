@@ -11,6 +11,7 @@ use blazes::apps::casestudy::ad_network_graph;
 use blazes::apps::queries::ReportQuery;
 use blazes::apps::workload::{CampaignPlacement, ClickWorkload};
 use blazes::core::analysis::Analyzer;
+use blazes::dataflow::backend::BackendSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // White-box analysis: labels for each query, unsealed and sealed.
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             requests: 10,
             ..AdScenario::default()
         };
-        let res = run_scenario(&sc);
+        let res = run_scenario(&sc, &BackendSpec::Sim);
         println!(
             "{:<18} {:>7.2}s     {}",
             strategy.label(placement),

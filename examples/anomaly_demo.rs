@@ -41,11 +41,14 @@ fn main() {
     // nondeterminism (most seeds do, with racing clicks and queries).
     let mut inconsistent_seed = None;
     for seed in 0..20 {
-        let res = run_scenario(&AdScenario {
-            strategy: StrategyKind::Uncoordinated,
-            seed,
-            ..base.clone()
-        });
+        let res = run_scenario(
+            &AdScenario {
+                strategy: StrategyKind::Uncoordinated,
+                seed,
+                ..base.clone()
+            },
+            &BackendSpec::Sim,
+        );
         if !res.responses_consistent() {
             inconsistent_seed = Some(seed);
             println!(

@@ -11,6 +11,7 @@ use blazes::apps::wordcount::{run_wordcount, WordcountScenario};
 use blazes::apps::workload::TweetWorkload;
 use blazes::core::analysis::Analyzer;
 use blazes::core::derivation::render_summary;
+use blazes::dataflow::backend::BackendSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Analysis: the sealed topology needs no global coordination.
@@ -35,14 +36,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..WordcountScenario::default()
     };
 
-    let sealed = run_wordcount(&WordcountScenario {
-        transactional: false,
-        ..base.clone()
-    });
-    let tx = run_wordcount(&WordcountScenario {
-        transactional: true,
-        ..base
-    });
+    let sealed = run_wordcount(
+        &WordcountScenario {
+            transactional: false,
+            ..base.clone()
+        },
+        &BackendSpec::Sim,
+    );
+    let tx = run_wordcount(
+        &WordcountScenario {
+            transactional: true,
+            ..base
+        },
+        &BackendSpec::Sim,
+    );
 
     println!(
         "\nsealed topology:        {:>8.0} tweets/s (virtual)",

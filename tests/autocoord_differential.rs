@@ -3,41 +3,27 @@
 //!
 //! * the **uncoordinated** ad-report run exhibits the paper's
 //!   replica-divergence / cross-run nondeterminism anomaly under the
-//!   fault-injection RNG — different worker counts and schedulers produce
-//!   different answers to the same queries;
+//!   fault-injection RNG — different worker counts produce different
+//!   answers to the same queries;
 //! * the **auto-coordinated** run (analysis → spec → injected seal gates)
-//!   is bit-identical across `{1,2,4,8}` workers × `{stealing, static}`
-//!   schedulers *and* matches the discrete-event simulator;
+//!   is bit-identical across `{1,2,4,8}` workers *and* matches the
+//!   discrete-event simulator;
 //! * the **confluent** wordcount comes through the pass rewrite-free —
 //!   zero injected operators, identical outputs — the "minimal" in
 //!   minimal coordination.
 
-use blazes::apps::adreport::{run_scenario_parallel, AdScenario, StrategyKind};
+use blazes::apps::adreport::{run_scenario, AdScenario, StrategyKind};
 use blazes::apps::autocoord::{response_digests, run_ad_auto, run_wordcount_auto, wordcount_spec};
 use blazes::apps::queries::ReportQuery;
-use blazes::apps::wordcount::{run_wordcount, run_wordcount_parallel, WordcountScenario};
+use blazes::apps::wordcount::{run_wordcount, WordcountScenario};
 use blazes::apps::workload::{CampaignPlacement, ClickWorkload, TweetWorkload};
 use blazes::core::placement::CoordDirective;
 use blazes::dataflow::backend::BackendSpec;
 use blazes::dataflow::message::Message;
 use blazes::dataflow::par::ParTuning;
 
-/// Every configuration the determinism claim must hold across.
-fn configs() -> Vec<(usize, ParTuning)> {
-    let mut out = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        for stealing in [true, false] {
-            out.push((
-                workers,
-                ParTuning {
-                    stealing,
-                    ..ParTuning::default()
-                },
-            ));
-        }
-    }
-    out
-}
+/// Every worker count the determinism claim must hold across.
+const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn scenario(seed: u64) -> AdScenario {
     AdScenario {
@@ -69,20 +55,26 @@ fn scenario(seed: u64) -> AdScenario {
 
 /// The paper's anomaly, live: without coordination, the same scenario
 /// under the same fault seed answers queries differently depending on the
-/// scheduler — across configurations, or even between replicas of one run.
+/// schedule — across worker counts, or even between replicas of one run.
+/// Ad server 0 is a wall-clock straggler (its modeled service burned as
+/// real spin), so analyst requests genuinely race its lagging clicks and
+/// the anomaly does not hinge on scheduler luck.
 #[test]
 fn uncoordinated_adreport_diverges_across_schedulers() {
     let mut diverged = false;
     'seeds: for seed in 0..5u64 {
         let mut digests = Vec::new();
-        for (workers, tuning) in configs() {
-            let res = run_scenario_parallel(
+        for workers in WORKER_COUNTS {
+            let res = run_scenario(
                 &AdScenario {
                     strategy: StrategyKind::Uncoordinated,
+                    straggler_service: 2_500,
                     ..scenario(seed)
                 },
-                workers,
-                tuning,
+                &BackendSpec::Par {
+                    workers,
+                    tuning: ParTuning::default().with_virtual_service_ns(Some(300)),
+                },
             );
             if !res.responses_consistent() {
                 diverged = true; // replicas disagree within one run
@@ -97,7 +89,7 @@ fn uncoordinated_adreport_diverges_across_schedulers() {
     }
     assert!(
         diverged,
-        "uncoordinated runs stayed consistent across every seed and scheduler — \
+        "uncoordinated runs stayed consistent across every seed and worker count — \
          the anomaly the coordination exists to repair did not manifest"
     );
 }
@@ -122,22 +114,22 @@ fn autocoord_adreport_is_deterministic_across_schedulers_and_backends() {
         "queries must produce answers"
     );
 
-    for (workers, tuning) in configs() {
-        let (res, report) = run_ad_auto(&sc, &BackendSpec::Par { workers, tuning });
+    for workers in WORKER_COUNTS {
+        let (res, report) = run_ad_auto(&sc, &BackendSpec::par(workers));
         assert_eq!(
             report.stats.injected_operators, sc.replicas,
-            "one seal gate per replica ({workers} workers, {tuning:?})"
+            "one seal gate per replica ({workers} workers)"
         );
         for s in &res.series {
             assert!(
                 s.total() >= res.expected_records,
-                "all partitions released ({workers} workers, {tuning:?})"
+                "all partitions released ({workers} workers)"
             );
         }
         assert_eq!(
             response_digests(&res.responses),
             reference,
-            "auto-coordinated digest diverged at {workers} workers, {tuning:?}"
+            "auto-coordinated digest diverged at {workers} workers"
         );
     }
 }
@@ -186,13 +178,13 @@ fn confluent_wordcount_is_left_rewrite_free_on_both_backends() {
         "batch punctuations satisfy the analysis: {spec:?}"
     );
 
-    let baseline = run_wordcount(&sc);
+    let baseline = run_wordcount(&sc, &BackendSpec::Sim);
     let (sim, outcome) = run_wordcount_auto(&sc, true, &BackendSpec::Sim);
     assert!(outcome.is_rewrite_free(), "{outcome:?}");
     assert_eq!(outcome.rewrite.injected_operators, 0);
     assert_eq!(sim.counts(), baseline.counts());
 
-    let par_baseline = run_wordcount_parallel(&sc, 4, ParTuning::default());
+    let par_baseline = run_wordcount(&sc, &BackendSpec::par(4));
     let (par, outcome) = run_wordcount_auto(&sc, true, &BackendSpec::par(4));
     assert!(outcome.is_rewrite_free(), "{outcome:?}");
     assert_eq!(par.counts(), par_baseline.counts());
@@ -213,7 +205,7 @@ fn unsealed_wordcount_gets_ordered_and_stays_exact() {
         ),
         "{spec:?}"
     );
-    let baseline = run_wordcount(&sc);
+    let baseline = run_wordcount(&sc, &BackendSpec::Sim);
     let (sim, outcome) = run_wordcount_auto(&sc, false, &BackendSpec::Sim);
     assert_eq!(outcome.ordered, vec!["Count".to_string()]);
     assert_eq!(sim.counts(), baseline.counts());

@@ -2,12 +2,17 @@
 //! VIII-B) — the white-box Bloom pipeline, the Section VI label table, and
 //! the runtime behavior of all four strategies.
 
-use blazes::apps::adreport::{run_scenario, AdScenario, StrategyKind};
+use blazes::apps::adreport::{AdRunResult, AdScenario, StrategyKind};
 use blazes::apps::casestudy::ad_network_graph;
 use blazes::apps::queries::ReportQuery;
 use blazes::apps::workload::{CampaignPlacement, ClickWorkload};
 use blazes::core::analysis::Analyzer;
 use blazes::core::label::Label;
+use blazes::dataflow::backend::BackendSpec;
+
+fn run_scenario(sc: &AdScenario) -> AdRunResult {
+    blazes::apps::adreport::run_scenario(sc, &BackendSpec::Sim)
+}
 
 /// The Section VI-B2 derivation table, via the full white-box pipeline
 /// (Bloom source → static analysis → dataflow graph → Blazes analyzer).
@@ -132,7 +137,7 @@ fn ordering_is_the_slowest_strategy() {
         CampaignPlacement::Spread,
         5,
     ));
-    let t = |r: &blazes::apps::adreport::AdRunResult| r.completion_time().unwrap();
+    let t = |r: &AdRunResult| r.completion_time().unwrap();
     assert!(t(&ord) > t(&unc), "ordering must cost time");
     // Sealing stays close to uncoordinated (within 2x here; the paper's
     // runs "closely track" it).

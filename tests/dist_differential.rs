@@ -6,13 +6,15 @@
 //!   faults (duplicates, reorder, partition windows) — different process
 //!   counts answer the same queries differently;
 //! * the **auto-coordinated** run is bit-identical across `{1,2,4}`
-//!   processes × `{stealing, static}` in-process schedulers *and* matches
-//!   the discrete-event simulator — seal votes genuinely cross processes;
+//!   processes *and* matches the discrete-event simulator — seal votes
+//!   genuinely cross processes;
 //! * the **confluent** wordcount crosses the wire rewrite-free: zero
 //!   injected coordination operators, counts equal to the single-process
-//!   baseline.
+//!   baseline;
+//! * the **hand-wired** runners answer the same on sim, par and dist from
+//!   one call site.
 
-use blazes::apps::adreport::{AdScenario, StrategyKind};
+use blazes::apps::adreport::{run_scenario, AdScenario, StrategyKind};
 use blazes::apps::autocoord::{response_digests, run_ad_auto, run_wordcount_auto};
 use blazes::apps::dist::{dist_registry, encode_ad_params, AD_TOPOLOGY};
 use blazes::apps::queries::ReportQuery;
@@ -60,13 +62,26 @@ fn scenario(seed: u64) -> AdScenario {
     }
 }
 
+fn wordcount_scenario() -> WordcountScenario {
+    WordcountScenario {
+        workers: 3,
+        workload: TweetWorkload {
+            vocabulary: 60,
+            batches: 5,
+            tweets_per_batch: 12,
+            ..TweetWorkload::default()
+        },
+        seed: 29,
+        ..WordcountScenario::default()
+    }
+}
+
 /// A dist spec with frame-level faults on: reorder across wires and a
 /// periodic partition window, on top of the per-wire loss/duplicate RNG.
-fn dist_spec(processes: usize, stealing: bool, seed: u64) -> DistSpec {
+fn dist_spec(processes: usize, seed: u64) -> DistSpec {
     let mut spec = DistSpec::new("", "", libtest_worker_command("dist_worker_entry"));
     spec.processes = processes;
     spec.workers_per_process = 2;
-    spec.stealing = stealing;
     spec.seed = seed;
     spec.reorder_prob = 0.1;
     spec.partition = Some((40, 6));
@@ -79,7 +94,6 @@ fn dist_spec(processes: usize, stealing: bool, seed: u64) -> DistSpec {
 /// disagree within a single run.
 #[test]
 fn uncoordinated_adreport_diverges_over_the_wire() {
-    let reg = dist_registry();
     let mut diverged = false;
     'seeds: for seed in 0..5u64 {
         let sc = AdScenario {
@@ -88,12 +102,8 @@ fn uncoordinated_adreport_diverges_over_the_wire() {
         };
         let mut digests = Vec::new();
         for processes in [1usize, 2, 4] {
-            let mut spec = dist_spec(processes, true, seed);
-            spec.topology = AD_TOPOLOGY.to_string();
-            spec.params = encode_ad_params(&sc, false, false);
-            let run = run_dist(&spec, &reg).expect("distributed uncoordinated run");
-            let sinks: Vec<_> = run.sinks.into_iter().map(|(_, s)| s).collect();
-            let d = response_digests(&sinks);
+            let res = run_scenario(&sc, &BackendSpec::Dist(dist_spec(processes, seed)));
+            let d = response_digests(&res.responses);
             if d.iter().any(|x| x != &d[0]) {
                 diverged = true; // replicas disagree within one run
                 break 'seeds;
@@ -113,8 +123,8 @@ fn uncoordinated_adreport_diverges_over_the_wire() {
 }
 
 /// The repaired run, over the wire: analysis-injected seal gates make
-/// every process count and scheduler produce digests bit-identical to the
-/// simulator, with votes and releases crossing real process boundaries.
+/// every process count produce digests bit-identical to the simulator,
+/// with votes and releases crossing real process boundaries.
 #[test]
 fn autocoord_adreport_is_bit_identical_across_process_counts() {
     let sc = scenario(3);
@@ -126,26 +136,66 @@ fn autocoord_adreport_is_bit_identical_across_process_counts() {
     );
 
     for processes in [1usize, 2, 4] {
-        for stealing in [true, false] {
-            let spec = dist_spec(processes, stealing, sc.seed);
-            let (res, report) = run_ad_auto(&sc, &BackendSpec::Dist(spec));
-            assert_eq!(
-                report.stats.injected_operators, sc.replicas,
-                "one seal gate per replica ({processes} processes, stealing={stealing})"
+        let spec = dist_spec(processes, sc.seed);
+        let (res, report) = run_ad_auto(&sc, &BackendSpec::Dist(spec));
+        assert_eq!(
+            report.stats.injected_operators, sc.replicas,
+            "one seal gate per replica ({processes} processes)"
+        );
+        let stats = res.stats.as_dist().expect("dist stats");
+        assert_eq!(stats.processes, processes);
+        if processes > 1 {
+            assert!(
+                stats.frames_routed > 0,
+                "a partitioned run must route frames over the wire"
             );
-            let stats = res.stats.as_dist().expect("dist stats");
-            assert_eq!(stats.processes, processes);
-            if processes > 1 {
-                assert!(
-                    stats.frames_routed > 0,
-                    "a partitioned run must route frames over the wire"
-                );
-            }
-            assert_eq!(
-                response_digests(&res.responses),
-                reference,
-                "digest diverged at {processes} processes, stealing={stealing}"
-            );
+        }
+        assert_eq!(
+            response_digests(&res.responses),
+            reference,
+            "digest diverged at {processes} processes"
+        );
+    }
+}
+
+/// One call site, three backends: the hand-wired runners take the same
+/// `BackendSpec` as the auto-coordinated ones, so the sealed ad report
+/// (per-replica answer sets — re-posed requests make the multiset
+/// schedule-dependent) and the wordcount (committed counts) must match the
+/// simulator on the parallel executor and across processes alike.
+#[test]
+fn hand_wired_runners_match_the_simulator_on_every_backend() {
+    let ad = AdScenario {
+        strategy: StrategyKind::Sealed,
+        click_duplicates: 0.0,
+        ..scenario(3)
+    };
+    let wc = wordcount_scenario();
+    let answers = |backend: &BackendSpec| {
+        let res = run_scenario(&ad, backend);
+        let sets: Vec<_> = res.responses.iter().map(|r| r.message_set()).collect();
+        (sets, res.processed_everything())
+    };
+    let (ad_reference, sim_processed) = answers(&BackendSpec::Sim);
+    assert_eq!(sim_processed, Some(true));
+    assert!(ad_reference.iter().any(|s| !s.is_empty()), "answers exist");
+    let wc_reference = run_wordcount(&wc, &BackendSpec::Sim).counts();
+
+    let rows = [
+        (BackendSpec::par(3), Some(true)),
+        (BackendSpec::Dist(dist_spec(2, ad.seed)), None),
+    ];
+    for (backend, processed) in rows {
+        let name = backend.name();
+        assert_eq!(
+            answers(&backend),
+            (ad_reference.clone(), processed),
+            "{name}"
+        );
+        let run = run_wordcount(&wc, &backend);
+        assert_eq!(run.counts(), wc_reference, "{name}");
+        if let Some(stats) = run.stats.as_dist() {
+            assert!(stats.frames_routed > 0, "the wordcount crossed the wire");
         }
     }
 }
@@ -162,7 +212,7 @@ fn chaos_kill_of_any_worker_keeps_coordinated_digests_bit_identical() {
 
     for processes in [2usize, 4] {
         for victim in 0..processes {
-            let mut spec = dist_spec(processes, true, sc.seed);
+            let mut spec = dist_spec(processes, sc.seed);
             // Fire once real traffic has reached the victim, so the
             // respawned incarnation must be rehydrated by log replay.
             spec.chaos = ChaosSpec {
@@ -195,7 +245,7 @@ fn tcp_transport_carries_the_coordinated_differential() {
     let (sim_res, _) = run_ad_auto(&sc, &BackendSpec::Sim);
     let reference = response_digests(&sim_res.responses);
 
-    let mut spec = dist_spec(2, true, sc.seed);
+    let mut spec = dist_spec(2, sc.seed);
     spec.tuning = DistTuning::default().with_transport(Transport::Tcp);
     let (res, _) = run_ad_auto(&sc, &BackendSpec::Dist(spec));
     let stats = res.stats.as_dist().expect("dist stats");
@@ -216,7 +266,7 @@ fn exhausted_respawn_budget_fails_with_a_worker_verdict() {
         strategy: StrategyKind::Uncoordinated,
         ..scenario(1)
     };
-    let mut spec = dist_spec(2, true, sc.seed);
+    let mut spec = dist_spec(2, sc.seed);
     spec.topology = AD_TOPOLOGY.to_string();
     spec.params = encode_ad_params(&sc, false, false);
     spec.tuning = DistTuning::default().with_respawn_budget(0);
@@ -243,21 +293,11 @@ fn exhausted_respawn_budget_fails_with_a_worker_verdict() {
 /// exactly the simulator baseline's counts.
 #[test]
 fn confluent_wordcount_crosses_the_wire_rewrite_free() {
-    let sc = WordcountScenario {
-        workers: 3,
-        workload: TweetWorkload {
-            vocabulary: 60,
-            batches: 5,
-            tweets_per_batch: 12,
-            ..TweetWorkload::default()
-        },
-        seed: 29,
-        ..WordcountScenario::default()
-    };
-    let baseline = run_wordcount(&sc);
+    let sc = wordcount_scenario();
+    let baseline = run_wordcount(&sc, &BackendSpec::Sim);
 
     for processes in [2usize, 4] {
-        let spec = dist_spec(processes, true, sc.seed);
+        let spec = dist_spec(processes, sc.seed);
         let (run, outcome) = run_wordcount_auto(&sc, true, &BackendSpec::Dist(spec));
         assert!(outcome.is_rewrite_free(), "{outcome:?}");
         assert_eq!(outcome.rewrite.injected_operators, 0);

@@ -3,7 +3,7 @@
 
 use blazes::apps::wordcount::{run_wordcount, WordcountScenario};
 use blazes::apps::workload::TweetWorkload;
-use blazes::dataflow::backend::PortId;
+use blazes::dataflow::backend::{BackendSpec, PortId};
 use blazes::dataflow::channel::ChannelConfig;
 use blazes::dataflow::component::{Component, Context, FnComponent};
 use blazes::dataflow::message::Message;
@@ -94,7 +94,7 @@ fn batch_completion_survives_duplication() {
     };
     sc.transactional = false;
     // Run a clean reference first.
-    let clean = run_wordcount(&sc);
+    let clean = run_wordcount(&sc, &BackendSpec::Sim);
     let clean_counts = clean.counts();
 
     // Now the same scenario over duplicating channels. (We rebuild the
@@ -148,7 +148,8 @@ fn batch_completion_survives_duplication() {
     );
     let committed = CollectorSink::new();
     t.add_collector_sink("store", committed.clone(), commit);
-    let stats = t.build().run(None);
+    let stats = t.build_on(&BackendSpec::Sim).run();
+    let stats = stats.as_sim().expect("sim run");
 
     assert!(stats.duplicates > 0, "duplication occurred");
     // Every (word, batch) key from the clean run still commits...
@@ -231,10 +232,6 @@ fn parallel_fault_schedules_are_reproducible_across_schedulers() {
         for tuning in [
             ParTuning::default(),
             ParTuning {
-                stealing: false,
-                ..ParTuning::default()
-            },
-            ParTuning {
                 channel_capacity: Some(4),
                 batch_size: 2,
                 ..ParTuning::default()
@@ -302,48 +299,39 @@ fn sequencer_total_order_survives_faulty_inputs() {
 }
 
 /// The same property on the threaded backend, where duplicates come from
-/// the per-wire seeded fault RNG: whatever the scheduler, both replicas
+/// the per-wire seeded fault RNG: whatever the schedule, both replicas
 /// see one total order.
 #[test]
 fn parallel_sequencer_replicas_agree_under_duplicates() {
     use blazes::coord::Sequencer;
     use blazes::dataflow::par::ParBuilder;
 
-    for stealing in [true, false] {
-        let mut b = ParBuilder::new(37).with_workers(4).with_stealing(stealing);
-        let seq = b.add_instance(Box::new(Sequencer::new()));
-        let r1 = CollectorSink::new();
-        let r2 = CollectorSink::new();
-        let i1 = b.add_instance(Box::new(r1.clone()));
-        let i2 = b.add_instance(Box::new(r2.clone()));
-        let ordered = b.add_channel(ChannelConfig::ordered(0));
-        b.connect(seq, PortId(0), i1, PortId(0), ordered);
-        b.connect(seq, PortId(0), i2, PortId(0), ordered);
-        for k in 0..3 {
-            let client = b.add_instance(echo());
-            b.connect_with(
-                client,
-                PortId(0),
-                seq,
-                PortId(0),
-                ChannelConfig::lan().with_duplicates(0.35).with_loss(0.2),
-            );
-            for i in 0..80i64 {
-                b.inject(0, client, PortId(0), Message::data([k * 1_000 + i]));
-            }
+    let mut b = ParBuilder::new(37).with_workers(4);
+    let seq = b.add_instance(Box::new(Sequencer::new()));
+    let r1 = CollectorSink::new();
+    let r2 = CollectorSink::new();
+    let i1 = b.add_instance(Box::new(r1.clone()));
+    let i2 = b.add_instance(Box::new(r2.clone()));
+    let ordered = b.add_channel(ChannelConfig::ordered(0));
+    b.connect(seq, PortId(0), i1, PortId(0), ordered);
+    b.connect(seq, PortId(0), i2, PortId(0), ordered);
+    for k in 0..3 {
+        let client = b.add_instance(echo());
+        b.connect_with(
+            client,
+            PortId(0),
+            seq,
+            PortId(0),
+            ChannelConfig::lan().with_duplicates(0.35).with_loss(0.2),
+        );
+        for i in 0..80i64 {
+            b.inject(0, client, PortId(0), Message::data([k * 1_000 + i]));
         }
-        let stats = b.build().run();
-        assert!(
-            stats.duplicates > 0,
-            "duplicates fired (stealing={stealing})"
-        );
-        assert_eq!(
-            r1.messages(),
-            r2.messages(),
-            "replicas diverged under stealing={stealing}"
-        );
-        assert_eq!(r1.message_set().len(), 240, "every distinct input arrived");
     }
+    let stats = b.build().run();
+    assert!(stats.duplicates > 0, "duplicates fired");
+    assert_eq!(r1.messages(), r2.messages(), "replicas diverged");
+    assert_eq!(r1.message_set().len(), 240, "every distinct input arrived");
 }
 
 /// The commit barrier under faulty control channels: readiness
@@ -446,7 +434,7 @@ fn transactional_wordcount_survives_duplicating_channels() {
         seed: 15,
         ..WordcountScenario::default()
     };
-    let clean = run_wordcount(&sc);
+    let clean = run_wordcount(&sc, &BackendSpec::Sim);
 
     // The same transactional topology, with the committer→coordinator
     // control wiring (readiness announcements) over a duplicating AND
@@ -467,7 +455,8 @@ fn transactional_wordcount_survives_duplicating_channels() {
             ..TransactionalConfig::default()
         },
     );
-    let stats = t.build().run(None);
+    let stats = t.build_on(&BackendSpec::Sim).run();
+    let stats = stats.as_sim().expect("sim run");
     assert!(stats.duplicates > 0, "duplicates fired");
 
     let mut max_batch = i64::MIN;

@@ -3,8 +3,8 @@
 //! (order-insensitive) topology — the paper's CALM argument made
 //! executable. Each topology is assembled once, generically over
 //! [`ExecutorBuilder`], and run on both backends — and on the parallel
-//! backend under every scheduler variant: work stealing and static
-//! sharding, unbounded and bounded (backpressured) mailboxes.
+//! backend under every tuning variant: unbounded and bounded
+//! (backpressured) mailboxes, default and small drain batches.
 
 use blazes::coord::registry::ProducerRegistry;
 use blazes::coord::seal::{SealManager, SealOutcome};
@@ -24,19 +24,12 @@ fn echo() -> Box<dyn Component> {
     }))
 }
 
-/// Every scheduler variant a topology must agree under.
+/// Every tuning variant a topology must agree under.
 fn scheduler_variants() -> Vec<(&'static str, ParTuning)> {
     vec![
-        ("stealing", ParTuning::default()),
+        ("default", ParTuning::default()),
         (
-            "static",
-            ParTuning {
-                stealing: false,
-                ..ParTuning::default()
-            },
-        ),
-        (
-            "stealing+bounded",
+            "bounded",
             ParTuning {
                 channel_capacity: Some(4),
                 batch_size: 3,
@@ -44,18 +37,8 @@ fn scheduler_variants() -> Vec<(&'static str, ParTuning)> {
             },
         ),
         (
-            "static+bounded",
+            "batch-8",
             ParTuning {
-                stealing: false,
-                channel_capacity: Some(4),
-                batch_size: 3,
-                ..ParTuning::default()
-            },
-        ),
-        (
-            "stealing+spill",
-            ParTuning {
-                spill_threshold: Some(2),
                 batch_size: 8,
                 ..ParTuning::default()
             },

@@ -3,8 +3,8 @@
 //! active. These are the proof obligations of the lock-free rework —
 //! per-wire FIFO survives, nothing is lost or duplicated beyond what the
 //! fault channels injected, cyclic topologies still quiesce under
-//! backpressure, and digests stay identical across
-//! `{1,2,4,8} x {stealing,static}` and (as sets — the simulator draws
+//! backpressure, and digests stay identical across `{1,2,4,8}` workers
+//! and (as sets — the simulator draws
 //! faults from one global stream, the parallel backend from per-wire
 //! streams) against the simulator.
 //!
@@ -27,6 +27,17 @@ use std::collections::BTreeSet;
 /// time-warp machinery must cost nothing but its branch when idle.
 fn speculation() -> bool {
     std::env::var("BLAZES_SPECULATION").is_ok_and(|v| v == "1")
+}
+
+/// A tiny bounded-mailbox tuning: maximum backpressure and scheduler
+/// churn.
+fn bounded(capacity: usize, batch_size: usize) -> ParTuning {
+    ParTuning {
+        channel_capacity: Some(capacity),
+        batch_size,
+        ..ParTuning::default()
+    }
+    .with_speculation(speculation())
 }
 
 fn echo() -> Box<dyn Component> {
@@ -54,10 +65,7 @@ fn producers_hammer_one_bounded_consumer_without_loss_or_reorder() {
     let per = 300i64;
     let mut b = ParBuilder::new(0xB10C)
         .with_workers(4)
-        .with_speculation(speculation())
-        .with_channel_capacity(4)
-        .unwrap()
-        .with_batch_size(3)
+        .with_tuning(bounded(4, 3))
         .unwrap();
     let sink = CollectorSink::new();
     let s = b.add_instance(Box::new(sink.clone()));
@@ -104,8 +112,8 @@ fn producers_hammer_one_bounded_consumer_without_loss_or_reorder() {
     }
 }
 
-/// One fan-in topology under faults, swept over
-/// `{1,2,4,8} x {stealing,static}` (plus a bounded variant): the
+/// One fan-in topology under faults, swept over `{1,2,4,8}` workers
+/// (unbounded and bounded): the
 /// delivered multiset and the fault counts must be bit-identical across
 /// every parallel configuration (per-wire RNG streams), and the delivered
 /// *set* must match the seeded simulator (at-least-once collapses to the
@@ -154,48 +162,40 @@ fn digest_identity_across_worker_counts_schedulers_and_sim() {
     let (baseline_msgs, baseline_stats) = run_par(1, ParTuning::default());
     assert!(baseline_stats.duplicates > 0 && baseline_stats.retransmits > 0);
     for workers in [1usize, 2, 4, 8] {
-        for stealing in [true, false] {
-            for capacity in [None, Some(3)] {
-                let tuning = ParTuning {
-                    stealing,
-                    channel_capacity: capacity,
-                    batch_size: 5,
-                    ..ParTuning::default()
-                };
-                let (msgs, stats) = run_par(workers, tuning);
-                let set: BTreeSet<Message> = msgs.iter().cloned().collect();
-                assert_eq!(
-                    set, sim_set,
-                    "par set diverged from sim at {workers}w stealing={stealing} cap={capacity:?}"
-                );
-                assert_eq!(
-                    msgs, baseline_msgs,
-                    "multiset diverged at {workers}w stealing={stealing} cap={capacity:?}"
-                );
-                assert_eq!(
-                    (stats.duplicates, stats.retransmits),
-                    (baseline_stats.duplicates, baseline_stats.retransmits),
-                    "fault schedule diverged at {workers}w stealing={stealing} cap={capacity:?}"
-                );
-            }
+        for capacity in [None, Some(3)] {
+            let tuning = ParTuning {
+                channel_capacity: capacity,
+                batch_size: 5,
+                ..ParTuning::default()
+            };
+            let (msgs, stats) = run_par(workers, tuning);
+            let set: BTreeSet<Message> = msgs.iter().cloned().collect();
+            assert_eq!(
+                set, sim_set,
+                "par set diverged from sim at {workers}w cap={capacity:?}"
+            );
+            assert_eq!(
+                msgs, baseline_msgs,
+                "multiset diverged at {workers}w cap={capacity:?}"
+            );
+            assert_eq!(
+                (stats.duplicates, stats.retransmits),
+                (baseline_stats.duplicates, baseline_stats.retransmits),
+                "fault schedule diverged at {workers}w cap={capacity:?}"
+            );
         }
     }
 }
 
 /// The backpressure regression test for the lock-free send path: a cyclic
 /// topology under a tiny capacity with the fault RNG active must still
-/// quiesce (never park the last runnable worker), across schedulers and
-/// worker counts.
+/// quiesce (never park the last runnable worker), across worker counts.
 #[test]
 fn bounded_cycles_quiesce_under_faults() {
-    let run = |workers: usize, stealing: bool| {
+    for workers in [1usize, 2, 4, 8] {
         let mut b = ParBuilder::new(7)
             .with_workers(workers)
-            .with_stealing(stealing)
-            .with_speculation(speculation())
-            .with_channel_capacity(2)
-            .unwrap()
-            .with_batch_size(1)
+            .with_tuning(bounded(2, 1))
             .unwrap();
         // A ring of decrementers: a token circulates until it hits zero.
         // Duplicated control-channel deliveries multiply tokens; each
@@ -232,13 +232,8 @@ fn bounded_cycles_quiesce_under_faults() {
         // takes at least `value` hops.
         assert!(
             stats.messages_delivered >= 4 * 30,
-            "ring quiesced too early at {workers}w stealing={stealing}"
+            "ring quiesced too early at {workers}w"
         );
-    };
-    for workers in [1usize, 2, 4, 8] {
-        for stealing in [true, false] {
-            run(workers, stealing);
-        }
     }
 }
 
@@ -251,10 +246,7 @@ fn contended_fanin_with_tiny_capacity_holds_the_bound() {
     let workers = 8usize;
     let mut b = ParBuilder::new(0xFEED)
         .with_workers(workers)
-        .with_speculation(speculation())
-        .with_channel_capacity(2)
-        .unwrap()
-        .with_batch_size(1)
+        .with_tuning(bounded(2, 1))
         .unwrap();
     let sink = CollectorSink::new();
     let s = b.add_instance(Box::new(sink.clone()));

@@ -47,6 +47,35 @@ fn message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// Any partition plan.
+fn plan() -> impl Strategy<Value = Frame> {
+    (
+        (small_string(), small_string(), any::<u64>(), any::<u32>()),
+        (any::<u32>(), any::<u32>(), any::<bool>()),
+        (any::<bool>(), any::<u32>(), any::<u32>()),
+    )
+        .prop_map(
+            |(
+                (topology, params, seed, processes),
+                (index, workers, speculation),
+                (trace, epoch, heartbeat_ms),
+            )| {
+                Frame::Plan {
+                    topology,
+                    params,
+                    seed,
+                    processes,
+                    index,
+                    workers,
+                    speculation,
+                    trace,
+                    epoch,
+                    heartbeat_ms,
+                }
+            },
+        )
+}
+
 /// Any frame the protocol can carry, including deeply structured payloads.
 fn frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
@@ -57,32 +86,7 @@ fn frame() -> impl Strategy<Value = Frame> {
                 resume_recv,
             }
         }),
-        (
-            (small_string(), small_string(), any::<u64>(), any::<u32>()),
-            (any::<u32>(), any::<u32>(), any::<bool>(), any::<bool>()),
-            (any::<bool>(), any::<u32>(), any::<u32>()),
-        )
-            .prop_map(
-                |(
-                    (topology, params, seed, processes),
-                    (index, workers, stealing, speculation),
-                    (trace, epoch, heartbeat_ms),
-                )| {
-                    Frame::Plan {
-                        topology,
-                        params,
-                        seed,
-                        processes,
-                        index,
-                        workers,
-                        stealing,
-                        speculation,
-                        trace,
-                        epoch,
-                        heartbeat_ms,
-                    }
-                }
-            ),
+        plan(),
         (any::<u64>(), any::<u64>(), message()).prop_map(|(wire, seq, msg)| Frame::Data {
             wire,
             seq,
@@ -209,6 +213,23 @@ proptest! {
         }
         prop_assert_eq!(got, frames);
         prop_assert_eq!(dec.buffered(), 0);
+    }
+
+    /// A plan round-trips and its payload is exactly its fields: two
+    /// length-prefixed strings, the seed, three u32 counts, the two flag
+    /// bytes (speculation, trace), epoch and heartbeat — no scheduler byte.
+    #[test]
+    fn a_plan_round_trips_with_no_scheduler_byte(plan in plan()) {
+        let Frame::Plan { topology, params, .. } = &plan else {
+            unreachable!("plan() only generates plans")
+        };
+        let envelope = encode(&Frame::Shutdown).len();
+        let fixed = (4 + 4) + 8 + 3 * 4 + 2 + 2 * 4;
+        let bytes = encode(&plan);
+        prop_assert_eq!(bytes.len(), envelope + fixed + topology.len() + params.len());
+        let mut dec = FrameDecoder::new();
+        dec.push(&bytes);
+        prop_assert_eq!(dec.next_frame().expect("decodes"), Some(plan.clone()));
     }
 
     /// A garbage prefix that cannot contain the magic is skipped without

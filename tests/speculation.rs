@@ -3,9 +3,9 @@
 //!
 //! * **Digest identity** — the speculative auto-coordinated ad-report run
 //!   is bit-identical to the blocking auto-coordinated run *and* to the
-//!   discrete-event simulator, across `{1,2,4,8}` workers × `{stealing,
-//!   static}` schedulers, under the at-least-once fault RNG. Optimism
-//!   changes when answers are computed, never what they are.
+//!   discrete-event simulator, across `{1,2,4,8}` workers, under the
+//!   at-least-once fault RNG. Optimism changes when answers are computed,
+//!   never what they are.
 //! * **Rollback reality** — a forced straggler violation actually rolls a
 //!   consumer back (counters move) and the replayed output equals the
 //!   blocking gate's.
@@ -33,22 +33,8 @@ use blazes::dataflow::sinks::CollectorSink;
 use blazes::dataflow::value::{Tuple, Value};
 use std::sync::Arc;
 
-/// Every configuration the determinism claim must hold across.
-fn configs() -> Vec<(usize, ParTuning)> {
-    let mut out = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        for stealing in [true, false] {
-            out.push((
-                workers,
-                ParTuning {
-                    stealing,
-                    ..ParTuning::default()
-                },
-            ));
-        }
-    }
-    out
-}
+/// Every worker count the determinism claim must hold across.
+const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn scenario(seed: u64) -> AdScenario {
     AdScenario {
@@ -90,38 +76,38 @@ fn speculative_adreport_matches_blocking_and_simulator() {
     assert!(reference.iter().any(|d| !d.is_empty()));
 
     let mut speculated_anywhere = false;
-    for (workers, tuning) in configs() {
-        let (blocking, _) = run_ad_auto(&sc, &BackendSpec::Par { workers, tuning });
+    for workers in WORKER_COUNTS {
+        let (blocking, _) = run_ad_auto(&sc, &BackendSpec::par(workers));
         assert_eq!(
             response_digests(&blocking.responses),
             reference,
-            "blocking digest diverged at {workers} workers, {tuning:?}"
+            "blocking digest diverged at {workers} workers"
         );
 
         let (spec_res, _) = run_ad_auto(
             &sc,
             &BackendSpec::Par {
                 workers,
-                tuning: tuning.with_speculation(true),
+                tuning: ParTuning::default().with_speculation(true),
             },
         );
         for s in &spec_res.series {
             assert!(
                 s.total() >= spec_res.expected_records,
-                "all records processed ({workers} workers, {tuning:?})"
+                "all records processed ({workers} workers)"
             );
         }
         assert_eq!(
             response_digests(&spec_res.responses),
             reference,
-            "speculative digest diverged at {workers} workers, {tuning:?}"
+            "speculative digest diverged at {workers} workers"
         );
         let par_stats = spec_res.stats.as_par().expect("parallel run");
         speculated_anywhere |= par_stats.total_speculations() > 0;
         assert_eq!(
             par_stats.epochs_committed + par_stats.epochs_aborted,
             par_stats.epochs_opened,
-            "every epoch resolves ({workers} workers, {tuning:?})"
+            "every epoch resolves ({workers} workers)"
         );
     }
     assert!(
@@ -195,7 +181,8 @@ fn violation_run(speculation: bool) -> (CollectorSink, ParStats) {
         .with_speculation(speculation);
     let mut par = ParBuilder::new(7)
         .with_workers(1)
-        .with_speculation(speculation);
+        .with_tuning(ParTuning::default().with_speculation(speculation))
+        .unwrap();
     let mut rb = RewritingBuilder::new(&mut par, rules);
     let sink = CollectorSink::new();
     let consumer = rb.add_instance(Box::new(NamedSink {
@@ -290,7 +277,8 @@ fn never_sealed_run(speculation: bool, checkpointable: bool) -> (CollectorSink, 
         .with_speculation(speculation);
     let mut par = ParBuilder::new(13)
         .with_workers(2)
-        .with_speculation(speculation);
+        .with_tuning(ParTuning::default().with_speculation(speculation))
+        .unwrap();
     let mut rb = RewritingBuilder::new(&mut par, rules);
     let sink = CollectorSink::new();
     let consumer: Box<dyn Component> = if checkpointable {
