@@ -54,7 +54,9 @@ impl Bolt for SplitterBolt {
 /// batch completes at this instance.
 #[derive(Debug, Default)]
 pub struct CountBolt {
-    counts: BTreeMap<(String, i64), i64>,
+    /// Keyed by batch first: finishing a batch takes its words out in one
+    /// `remove`, word-sorted, without walking the batches still in flight.
+    counts: BTreeMap<i64, BTreeMap<String, i64>>,
 }
 
 impl Bolt for CountBolt {
@@ -65,21 +67,19 @@ impl Bolt for CountBolt {
         ) else {
             return;
         };
-        *self.counts.entry((word, batch)).or_insert(0) += 1;
+        *self
+            .counts
+            .entry(batch)
+            .or_default()
+            .entry(word)
+            .or_insert(0) += 1;
     }
 
     fn finish_batch(&mut self, batch: i64, ctx: &mut BoltContext) {
-        let keys: Vec<(String, i64)> = self
-            .counts
-            .keys()
-            .filter(|(_, b)| *b == batch)
-            .cloned()
-            .collect();
-        for key in keys {
-            let n = self.counts.remove(&key).expect("key just listed");
+        for (word, n) in self.counts.remove(&batch).unwrap_or_default() {
             ctx.emit(Tuple(vec![
-                Value::Str(key.0),
-                Value::Int(key.1),
+                Value::Str(word),
+                Value::Int(batch),
                 Value::Int(n),
             ]));
         }
@@ -363,6 +363,57 @@ mod tests {
             },
             ..WordcountScenario::default()
         }
+    }
+
+    /// `finish_batch(b)` emits exactly batch `b`'s words, word-sorted,
+    /// and leaves every other in-flight batch as it was.
+    #[test]
+    fn count_bolt_finishes_one_batch_and_leaves_the_rest() {
+        let mut bolt = CountBolt::default();
+        let mut ctx = BoltContext::default();
+        let word = |w: &str, batch: i64| Tuple(vec![Value::str(w), Value::Int(batch)]);
+        for (w, batch) in [
+            ("pear", 1),
+            ("apple", 2),
+            ("fig", 1),
+            ("pear", 3),
+            ("apple", 1),
+            ("pear", 1),
+            ("fig", 2),
+        ] {
+            bolt.execute(word(w, batch), &mut ctx);
+        }
+        assert!(ctx.emitted().is_empty(), "counting emits nothing");
+
+        let counted = |w: &str, batch: i64, n: i64| {
+            Tuple(vec![Value::str(w), Value::Int(batch), Value::Int(n)])
+        };
+        bolt.finish_batch(1, &mut ctx);
+        assert_eq!(
+            ctx.emitted(),
+            [
+                counted("apple", 1, 1),
+                counted("fig", 1, 1),
+                counted("pear", 1, 2)
+            ]
+        );
+        // Finishing it again, or a batch never seen, emits nothing more.
+        bolt.finish_batch(1, &mut ctx);
+        bolt.finish_batch(7, &mut ctx);
+        assert_eq!(ctx.emitted().len(), 3);
+
+        // Batches 2 and 3 were interleaved with 1 and are still whole.
+        let mut ctx = BoltContext::default();
+        bolt.finish_batch(3, &mut ctx);
+        bolt.finish_batch(2, &mut ctx);
+        assert_eq!(
+            ctx.emitted(),
+            [
+                counted("pear", 3, 1),
+                counted("apple", 2, 1),
+                counted("fig", 2, 1)
+            ]
+        );
     }
 
     #[test]

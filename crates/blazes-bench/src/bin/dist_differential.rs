@@ -29,7 +29,11 @@
 //! `--chaos` runs the crash-tolerance gate instead: the coordinated
 //! ad-report digests must stay bit-identical to the simulator across
 //! `{1,2,4}` processes × `{0,1,2}` seeded SIGKILLs, with the wire fault
-//! schedule still on. Combined with `--trace FILE` it adds one traced
+//! schedule still on, plus one *large-replay* row — 4 × 5 000 clicks on
+//! 2 single-threaded processes, killed 30 000 routed frames in, so the
+//! respawn is rehydrated by megabytes of replay (this size used to
+//! deadlock; CI runs the gate under a hard `timeout`). Combined with
+//! `--trace FILE` it adds one traced
 //! 2-process single-crash run whose Chrome export shows the respawned
 //! worker as its own pid lane plus the coordinator's respawn/replay
 //! marks.
@@ -250,6 +254,7 @@ fn chaos_matrix(trace: Option<&str>) -> Result<(), String> {
             );
         }
     }
+    large_replay_row()?;
     if let Some(path) = trace {
         let obs = blazes_obs::global();
         obs.set_enabled(true);
@@ -277,6 +282,66 @@ fn chaos_matrix(trace: Option<&str>) -> Result<(), String> {
             .map_err(|e| format!("chaos trace export failed for {path}: {e}"))?;
         println!("  traced chaos run: {respawns} respawn(s), {remote} remote lanes, wrote {path}");
     }
+    Ok(())
+}
+
+/// The large-replay chaos row: the benchmark's ad report at half size
+/// (4 × 5 000 clicks) on 2 single-threaded processes, worker 1 killed once
+/// 30 000 frames have been routed to it. The replay no longer fits any
+/// socket buffer, so this only terminates while the coordinator reads a
+/// rehydrating worker's egress during the replay.
+fn large_replay_row() -> Result<(), String> {
+    let sc = AdScenario {
+        workload: ClickWorkload {
+            ad_servers: 4,
+            entries_per_server: 5_000,
+            campaigns: 40,
+            ads_per_campaign: 10,
+            placement: CampaignPlacement::Spread,
+            seed: 11,
+            ..ClickWorkload::default()
+        },
+        query: ReportQuery::Campaign,
+        replicas: 3,
+        requests: 20,
+        tick_every: 50,
+        click_duplicates: 0.1,
+        requests_via_analyst: true,
+        seed: 3,
+        ..AdScenario::default()
+    };
+    let (sim_res, _) = run_ad_auto(&sc, &BackendSpec::Sim);
+    let reference = response_digests(&sim_res.responses);
+    let mut spec = dist_spec(2, sc.seed);
+    spec.workers_per_process = 1;
+    spec.reorder_prob = 0.0;
+    spec.partition = None;
+    spec.chaos = ChaosSpec {
+        kills: vec![Kill {
+            worker: 1,
+            point: KillPoint::RoutedFrames(30_000),
+        }],
+    };
+    let started = std::time::Instant::now();
+    let (res, _) = run_ad_auto(&sc, &BackendSpec::Dist(spec));
+    let stats = res.stats.as_dist().ok_or("dist stats missing")?;
+    if response_digests(&res.responses) != reference {
+        return Err("large-replay digest diverged from the simulator".into());
+    }
+    if stats.respawns != 1 || stats.replayed_frames < 30_000 {
+        return Err(format!(
+            "large-replay row did not replay at size: {} respawns, {} replayed",
+            stats.respawns, stats.replayed_frames
+        ));
+    }
+    println!(
+        "  chaos: large replay, 2 procs, kill at 30000 routed → {} respawns, \
+         {} replayed, {} deduped in {:.1} s, digest exact",
+        stats.respawns,
+        stats.replayed_frames,
+        stats.deduped_frames,
+        started.elapsed().as_secs_f64()
+    );
     Ok(())
 }
 

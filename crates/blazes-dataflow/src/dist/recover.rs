@@ -1,7 +1,9 @@
 //! Pure data structures for the dist backend's crash-recovery protocol.
 //!
-//! Everything here is deliberately free of I/O so the protocol invariants
-//! can be property-tested in isolation (see `tests/prop_recovery.rs`):
+//! Everything here is deliberately free of sockets and processes (the one
+//! type that writes, [`Outbox`], is generic over [`std::io::Write`]) so the
+//! protocol invariants can be property-tested in isolation (see
+//! `tests/prop_recovery.rs`):
 //!
 //! * [`EgressLog`] — a sender-side log of encoded frames, trimmed by acks.
 //!   Invariant: trimming never drops a frame the receiver has not
@@ -14,6 +16,10 @@
 //!   multiset, but interleaving across wires can permute).
 //! * [`ReplayLog`] — the coordinator's post-fault frame history for one
 //!   worker, replayed verbatim into a respawned process.
+//! * [`Outbox`] — a [`ReplayLog`] plus the coalescing buffer in front of
+//!   one worker's socket. Invariant: the log is the truth and the buffer a
+//!   cache of its tail, so whatever a crash or reconnect discards from the
+//!   buffer is re-shipped by replay — exactly once, in order.
 //! * [`ChaosSpec`] — seeded fail-stop (SIGKILL) crash schedules for the
 //!   chaos differential.
 //! * [`DistTuning`] / [`FailureCause`] — supervision knobs and forensic
@@ -21,6 +27,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::io::Write;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -472,6 +479,148 @@ impl ReplayLog {
     }
 }
 
+/// Bytes a sender coalesces before it writes without being asked, and the
+/// chunk size of a log replay: one socket write then carries on the order
+/// of a thousand tuple-sized frames instead of one.
+pub const FLUSH_BYTES: usize = 64 * 1024;
+
+/// Write already-encoded `frames` back to back, coalesced into chunks of
+/// about [`FLUSH_BYTES`] — how a log is replayed into a fresh connection.
+/// Returns the number of frames written.
+///
+/// # Errors
+/// The first write error; frames of earlier chunks have been written.
+pub fn write_coalesced<'a, W: Write>(
+    writer: &mut W,
+    frames: impl Iterator<Item = &'a [u8]>,
+) -> std::io::Result<u64> {
+    let mut chunk = Vec::new();
+    let mut written = 0u64;
+    for frame in frames {
+        chunk.extend_from_slice(frame);
+        written += 1;
+        if chunk.len() >= FLUSH_BYTES {
+            writer.write_all(&chunk)?;
+            chunk.clear();
+        }
+    }
+    writer.write_all(&chunk)?;
+    Ok(written)
+}
+
+/// The coordinator's send side toward one worker: the [`ReplayLog`] of
+/// every post-fault data frame, and a coalescing buffer of bytes logged
+/// but not yet written to the live connection.
+///
+/// The log is the truth, the buffer is a cache of its tail. A frame is
+/// logged before it can reach the writer; the buffer only ever holds bytes
+/// meant for the *current* connection, so [`Outbox::disconnect`], a failed
+/// write and [`Outbox::connect`] all discard it — those frames are in the
+/// log, and the replay that opens the next connection re-ships them. A
+/// reconnect therefore never delivers a frame twice or out of order.
+#[derive(Debug)]
+pub struct Outbox<W> {
+    log: ReplayLog,
+    pending: Vec<u8>,
+    writer: Option<W>,
+    failed: bool,
+}
+
+impl<W> Default for Outbox<W> {
+    fn default() -> Self {
+        Outbox {
+            log: ReplayLog::new(),
+            pending: Vec::new(),
+            writer: None,
+            failed: false,
+        }
+    }
+}
+
+impl<W: Write> Outbox<W> {
+    /// An empty, disconnected outbox.
+    #[must_use]
+    pub fn new() -> Self {
+        Outbox::default()
+    }
+
+    /// Everything ever pushed, in push order.
+    #[must_use]
+    pub fn log(&self) -> &ReplayLog {
+        &self.log
+    }
+
+    /// Bytes logged (or sent unlogged) but not yet written.
+    #[must_use]
+    pub fn pending_bytes(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Log one encoded data frame and queue it for the live connection,
+    /// if any. A buffer that reaches [`FLUSH_BYTES`] flushes itself.
+    pub fn push(&mut self, frame: Vec<u8>) {
+        if self.writer.is_some() {
+            self.pending.extend_from_slice(&frame);
+        }
+        self.log.append(frame);
+        if self.pending.len() >= FLUSH_BYTES {
+            self.flush();
+        }
+    }
+
+    /// Write `bytes` — a control frame: never logged, never replayed —
+    /// behind everything pending, now. Skipped while disconnected.
+    pub fn send_unlogged(&mut self, bytes: &[u8]) {
+        if self.writer.is_some() {
+            self.pending.extend_from_slice(bytes);
+            self.flush();
+        }
+    }
+
+    /// Hand everything pending to the connection in one write. A failed
+    /// write drops the connection and raises the flag
+    /// [`Outbox::take_failed`] reports; the bytes stay safe in the log.
+    pub fn flush(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        if let Some(writer) = self.writer.as_mut() {
+            if writer.write_all(&self.pending).is_err() {
+                self.writer = None;
+                self.failed = true;
+            }
+        }
+        self.pending.clear();
+    }
+
+    /// Did a write fail since the last call? (Clears the flag.)
+    pub fn take_failed(&mut self) -> bool {
+        std::mem::take(&mut self.failed)
+    }
+
+    /// Drop the connection, returning its writer. Pending bytes are
+    /// discarded (the log still has them) and the failure flag cleared.
+    pub fn disconnect(&mut self) -> Option<W> {
+        self.pending.clear();
+        self.failed = false;
+        self.writer.take()
+    }
+
+    /// Open a connection to a worker that has consumed the first `from`
+    /// logged frames: replay the rest of the log into `writer`
+    /// ([`write_coalesced`]), then adopt it as the live connection.
+    /// Returns the number of frames replayed.
+    ///
+    /// # Errors
+    /// The replay's write error; the outbox is then left disconnected.
+    pub fn connect(&mut self, mut writer: W, from: u64) -> std::io::Result<u64> {
+        self.disconnect();
+        let replayed = write_coalesced(&mut writer, self.log.tail(from))?;
+        self.writer = Some(writer);
+        Ok(replayed)
+    }
+}
+
 /// FNV-1a over `bytes` — the content hash used by [`ReplayDedup`].
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -571,6 +720,60 @@ mod tests {
         assert_eq!(tail, vec![&[2][..], &[3][..]]);
         assert_eq!(log.tail(3).count(), 0);
         assert_eq!(log.tail(99).count(), 0);
+    }
+
+    #[test]
+    fn outbox_buffer_is_a_cache_of_the_log_tail() {
+        let mut out: Outbox<Vec<u8>> = Outbox::new();
+        // Disconnected: frames are logged, nothing is buffered.
+        out.push(vec![1]);
+        out.send_unlogged(&[99]);
+        assert_eq!((out.log().len(), out.pending_bytes()), (1, 0));
+        // Connecting replays the log tail, then buffers until flushed.
+        assert_eq!(out.connect(Vec::new(), 0).unwrap(), 1);
+        out.push(vec![2]);
+        out.push(vec![3]);
+        assert_eq!(out.pending_bytes(), 2);
+        // A control frame goes out behind the pending data, at once.
+        out.send_unlogged(&[99]);
+        assert_eq!(out.pending_bytes(), 0);
+        out.push(vec![4]);
+        // Losing the connection discards the buffer, never the log.
+        assert_eq!(out.disconnect(), Some(vec![1, 2, 3, 99]));
+        assert_eq!((out.log().len(), out.pending_bytes()), (4, 0));
+        // The next incarnation is told what it missed — exactly that.
+        assert_eq!(out.connect(Vec::new(), 3).unwrap(), 1);
+        assert_eq!(out.disconnect(), Some(vec![4]));
+        // A full buffer flushes itself.
+        out.connect(Vec::new(), 4).unwrap();
+        out.push(vec![0; FLUSH_BYTES - 1]);
+        assert_eq!(out.pending_bytes(), FLUSH_BYTES - 1);
+        out.push(vec![0]);
+        assert_eq!(out.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn outbox_failed_write_drops_the_connection_and_flags_it() {
+        struct Broken;
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Outbox::new();
+        out.connect(Broken, 0).unwrap(); // empty replay writes nothing
+        out.push(vec![7]);
+        assert!(!out.take_failed());
+        out.flush();
+        assert!(out.take_failed() && !out.take_failed());
+        assert!(out.disconnect().is_none(), "the connection is gone");
+        assert_eq!((out.log().len(), out.pending_bytes()), (1, 0));
+        out.push(vec![8]);
+        assert!(out.connect(Broken, 0).is_err());
+        assert!(out.disconnect().is_none(), "a failed replay adopts nothing");
     }
 
     #[test]

@@ -266,6 +266,18 @@ pub fn message_bytes(m: &Message) -> Vec<u8> {
     out
 }
 
+/// Frame already-encoded message bytes (see [`message_bytes`]) as a
+/// [`Frame::Data`] — byte-identical to [`encode`] on the decoded frame,
+/// so a router that hashed the message bytes need not encode them again.
+#[must_use]
+pub fn data_frame(wire: u64, seq: u64, message: &[u8]) -> Vec<u8> {
+    let mut out = envelope(TAG_DATA, 16 + message.len());
+    put_u64(&mut out, wire);
+    put_u64(&mut out, seq);
+    out.extend_from_slice(message);
+    out
+}
+
 fn put_message(out: &mut Vec<u8>, m: &Message) {
     match m {
         Message::Data(t) => {
@@ -278,6 +290,16 @@ fn put_message(out: &mut Vec<u8>, m: &Message) {
         }
         Message::Eos => out.push(2),
     }
+}
+
+/// A frame's 9-byte envelope — magic, tag, payload length — in a buffer
+/// sized to take the payload.
+fn envelope(tag: u8, payload_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(9 + payload_len);
+    out.extend_from_slice(&MAGIC);
+    out.push(tag);
+    put_u32(&mut out, payload_len as u32);
+    out
 }
 
 /// Encode one frame, magic and length prefix included.
@@ -409,10 +431,7 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             TAG_ACK
         }
     };
-    let mut out = Vec::with_capacity(9 + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(tag);
-    put_u32(&mut out, payload.len() as u32);
+    let mut out = envelope(tag, payload.len());
     out.extend_from_slice(&payload);
     out
 }
@@ -634,6 +653,11 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
+    /// Read cursor: `buf[..pos]` is consumed. Consuming a frame only
+    /// advances it; the consumed prefix is reclaimed by [`Self::push`]
+    /// once it is at least half the buffer, so decoding a chunk of many
+    /// small frames is linear in the chunk, not quadratic.
+    pos: usize,
 }
 
 impl FrameDecoder {
@@ -645,13 +669,17 @@ impl FrameDecoder {
 
     /// Append raw bytes from the stream.
     pub fn push(&mut self, bytes: &[u8]) {
+        if self.pos >= self.buf.len() - self.pos {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes currently buffered (test hook).
+    /// Undecoded bytes currently buffered (test hook).
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 
     /// Take the undecoded residue, leaving the decoder empty. Used to
@@ -659,27 +687,26 @@ impl FrameDecoder {
     /// past the handshake frame) without losing what follows.
     #[must_use]
     pub fn take_buffered(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
+        let residue = self.buf.split_off(self.pos);
+        self.buf.clear();
+        self.pos = 0;
+        residue
     }
 
-    /// Scan to the next magic, dropping garbage. Keeps the last 3 bytes
+    /// Scan to the next magic, skipping garbage. Keeps the last 3 bytes
     /// when no magic is found — they may be a magic prefix split across
     /// chunks.
     fn sync(&mut self) -> bool {
-        if let Some(pos) = self
-            .buf
-            .windows(MAGIC.len())
-            .position(|window| window == MAGIC)
-        {
-            if pos > 0 {
+        let rest = &self.buf[self.pos..];
+        if let Some(skip) = rest.windows(MAGIC.len()).position(|window| window == MAGIC) {
+            if skip > 0 {
                 // `a` = bytes of garbage skipped to reach the next magic.
-                blazes_obs::record(blazes_obs::EventKind::Resync, pos as u64, 0);
+                blazes_obs::record(blazes_obs::EventKind::Resync, skip as u64, 0);
             }
-            self.buf.drain(..pos);
+            self.pos += skip;
             true
         } else {
-            let keep = self.buf.len().min(MAGIC.len() - 1);
-            self.buf.drain(..self.buf.len() - keep);
+            self.pos = self.buf.len() - rest.len().min(MAGIC.len() - 1);
             false
         }
     }
@@ -693,22 +720,24 @@ impl FrameDecoder {
         if !self.sync() {
             return Ok(None);
         }
-        if self.buf.len() < 9 {
+        let rest = &self.buf[self.pos..];
+        if rest.len() < 9 {
             return Ok(None);
         }
-        let tag = self.buf[4];
-        let len = u32::from_le_bytes(self.buf[5..9].try_into().unwrap()) as usize;
+        let tag = rest[4];
+        let len = u32::from_le_bytes(rest[5..9].try_into().unwrap()) as usize;
         if len > MAX_FRAME {
             // Drop just the magic: the "length" is untrustworthy, so
             // resync from whatever follows it.
-            self.buf.drain(..MAGIC.len());
+            self.pos += MAGIC.len();
             return Err(WireError::Oversized(len));
         }
-        if self.buf.len() < 9 + len {
+        if rest.len() < 9 + len {
             return Ok(None);
         }
-        let payload: Vec<u8> = self.buf.drain(..9 + len).skip(9).collect();
-        decode_payload(tag, &payload).map(Some)
+        let frame = decode_payload(tag, &rest[9..9 + len]);
+        self.pos += 9 + len;
+        frame.map(Some)
     }
 }
 
@@ -931,6 +960,26 @@ mod tests {
             msg: msg.clone(),
         });
         assert_eq!(&framed[9 + 16..], &message_bytes(&msg)[..]);
+        // ... and framing those bytes directly is the same frame.
+        assert_eq!(data_frame(1, 2, &message_bytes(&msg)), framed);
+    }
+
+    #[test]
+    fn consumed_frames_are_reclaimed_not_rescanned() {
+        // Many small frames in one chunk: the cursor walks them without
+        // moving the buffer, and the next push reclaims the prefix.
+        let one = encode(&Frame::Probe { nonce: 1 });
+        let mut dec = FrameDecoder::new();
+        dec.push(&one.repeat(100));
+        for left in (0..100).rev() {
+            assert_eq!(dec.next_frame().unwrap(), Some(Frame::Probe { nonce: 1 }));
+            assert_eq!(dec.buffered(), left * one.len());
+        }
+        dec.push(&one[..5]);
+        assert_eq!(dec.buffered(), 5);
+        assert_eq!(dec.take_buffered(), &one[..5]);
+        assert_eq!(dec.buffered(), 0);
+        assert_eq!(dec.next_frame().unwrap(), None);
     }
 
     #[test]

@@ -31,6 +31,14 @@ impl BoltContext {
         self.emitted.push(tuple);
     }
 
+    /// Tuples emitted so far, in emission order — what the engine routes
+    /// downstream once the callback returns. Lets a bolt be unit-tested
+    /// without a topology around it.
+    #[must_use]
+    pub fn emitted(&self) -> &[Tuple] {
+        &self.emitted
+    }
+
     /// Emit an extra seal punctuation downstream (rarely needed: the engine
     /// emits batch seals automatically after `finish_batch`).
     pub fn emit_seal(&mut self, key: SealKey) {

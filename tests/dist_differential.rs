@@ -236,6 +236,64 @@ fn chaos_kill_of_any_worker_keeps_coordinated_digests_bit_identical() {
     }
 }
 
+/// Recovery at a size where the replay is megabytes, not a socket
+/// buffer's worth: 4 × 5 000 clicks on 2 single-threaded processes,
+/// worker 1 SIGKILLed once 30 000 frames have been routed to it. The
+/// respawned worker emits while it is still being fed its replay, so the
+/// coordinator must already be draining its socket — this run used to
+/// deadlock (coordinator blocked replaying, worker blocked sending) and
+/// now has to finish with the simulator's digests. CI runs it under a
+/// hard `timeout`.
+#[test]
+fn large_replay_recovers_to_the_simulator_digest() {
+    let sc = AdScenario {
+        workload: ClickWorkload {
+            ad_servers: 4,
+            entries_per_server: 5_000,
+            campaigns: 40,
+            ads_per_campaign: 10,
+            placement: CampaignPlacement::Spread,
+            seed: 11,
+            ..ClickWorkload::default()
+        },
+        query: ReportQuery::Campaign,
+        replicas: 3,
+        requests: 20,
+        tick_every: 50,
+        click_duplicates: 0.1,
+        requests_via_analyst: true,
+        seed: 3,
+        ..AdScenario::default()
+    };
+    let (sim_res, _) = run_ad_auto(&sc, &BackendSpec::Sim);
+    let reference = response_digests(&sim_res.responses);
+    assert!(reference.iter().any(|d| !d.is_empty()), "answers exist");
+
+    let mut spec = DistSpec::new("", "", libtest_worker_command("dist_worker_entry"));
+    spec.processes = 2;
+    spec.workers_per_process = 1;
+    spec.seed = sc.seed;
+    spec.chaos = ChaosSpec {
+        kills: vec![Kill {
+            worker: 1,
+            point: KillPoint::RoutedFrames(30_000),
+        }],
+    };
+    let (res, _) = run_ad_auto(&sc, &BackendSpec::Dist(spec));
+    let stats = res.stats.as_dist().expect("dist stats");
+    assert_eq!(stats.respawns, 1, "the kill fired once");
+    assert!(
+        stats.replayed_frames >= 30_000,
+        "the respawn was rehydrated by a large replay, not {} frames",
+        stats.replayed_frames
+    );
+    assert_eq!(
+        response_digests(&res.responses),
+        reference,
+        "digest diverged after a large replay"
+    );
+}
+
 /// The same differential over loopback TCP instead of Unix sockets: the
 /// transport is interchangeable, so the coordinated digests still match
 /// the simulator bit for bit.
@@ -286,6 +344,37 @@ fn exhausted_respawn_budget_fails_with_a_worker_verdict() {
         }
         other => panic!("expected a budget-exhausted worker verdict, got {other:?}"),
     }
+}
+
+/// A sink bigger than one `SinkResult` slice (4 096 entries) comes home
+/// in several frames and reassembles into exactly the simulator's
+/// committed counts — a sink's size is no longer capped by the frame cap.
+#[test]
+fn a_sink_larger_than_one_slice_reassembles_exactly() {
+    let sc = WordcountScenario {
+        workers: 2,
+        workload: TweetWorkload {
+            vocabulary: 5_000,
+            zipf_exponent: 0.5,
+            batches: 30,
+            tweets_per_batch: 40,
+            ..TweetWorkload::default()
+        },
+        seed: 31,
+        ..WordcountScenario::default()
+    };
+    let baseline = run_wordcount(&sc, &BackendSpec::Sim);
+    assert!(
+        baseline.committed.len() > 2 * 4096,
+        "the scenario must commit several slices' worth, not {}",
+        baseline.committed.len()
+    );
+    let mut spec = dist_spec(2, sc.seed);
+    spec.reorder_prob = 0.0;
+    spec.partition = None;
+    let run = run_wordcount(&sc, &BackendSpec::Dist(spec));
+    assert_eq!(run.committed.len(), baseline.committed.len());
+    assert_eq!(run.counts(), baseline.counts());
 }
 
 /// The minimality half, over the wire: the sealed wordcount is CALM-safe,

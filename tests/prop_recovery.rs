@@ -3,11 +3,14 @@
 //! however the respawned producer permutes its re-emissions, the
 //! two-layer ingest filter delivers every tuple exactly once; and the
 //! ack/trim discipline on egress logs never drops a frame that has not
-//! been acknowledged.
+//! been acknowledged; and the coordinator's coalescing write buffer is
+//! only ever a cache of its replay log.
 
 use blazes::dataflow::dist::recover::{
-    fnv1a, EgressLog, ReplayDedup, ReplayLog, SeqLedger, SeqVerdict,
+    fnv1a, EgressLog, Outbox, ReplayDedup, ReplayLog, SeqLedger, SeqVerdict,
 };
+use blazes::dataflow::dist::wire::{encode, Frame, FrameDecoder};
+use blazes::dataflow::message::Message;
 use proptest::collection;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -167,6 +170,71 @@ proptest! {
             ledger.accept(wire, len + 1),
             SeqVerdict::Gap { expected: len }
         );
+    }
+
+    /// The coordinator's send side toward one worker, under crashes that
+    /// land anywhere — in particular between "logged" and "flushed".
+    /// Frames are pushed (logged, then buffered), the buffer is flushed
+    /// at arbitrary points, and the worker is killed and respawned (a
+    /// fresh incarnation resumes from frame 0) or loses its socket and
+    /// reattaches (the same incarnation resumes from what it consumed).
+    /// Whatever the interleaving, the live incarnation ends up having
+    /// received every pushed frame exactly once, in push order.
+    #[test]
+    fn a_kill_between_logged_and_flushed_is_exactly_once_after_replay(
+        ops in collection::vec(0u8..8, 1..80),
+    ) {
+        /// Everything a connection's byte stream decodes to.
+        fn decode(bytes: &[u8]) -> Vec<Frame> {
+            let mut dec = FrameDecoder::new();
+            dec.push(bytes);
+            let mut frames = Vec::new();
+            while let Some(f) = dec.next_frame().expect("whole frames only") {
+                frames.push(f);
+            }
+            assert_eq!(dec.buffered(), 0, "a write tore a frame");
+            frames
+        }
+
+        let mut out: Outbox<Vec<u8>> = Outbox::new();
+        out.connect(Vec::new(), 0).expect("a Vec never fails");
+        let mut pushed: Vec<Frame> = Vec::new();
+        // What the live incarnation has consumed over its connections.
+        let mut received: Vec<Frame> = Vec::new();
+
+        for op in ops {
+            match op {
+                0..=4 => {
+                    let frame = Frame::Data {
+                        wire: u64::from(op),
+                        seq: pushed.len() as u64,
+                        msg: Message::data([pushed.len() as i64]),
+                    };
+                    out.push(encode(&frame));
+                    pushed.push(frame);
+                }
+                5 => out.flush(),
+                6 => {
+                    // SIGKILL + respawn: the buffer (flushed or not) dies
+                    // with the connection; a fresh incarnation replays.
+                    let _ = out.disconnect();
+                    received.clear();
+                    out.connect(Vec::new(), 0).expect("a Vec never fails");
+                }
+                _ => {
+                    // Socket loss + reattach of the same incarnation.
+                    let seen = out.disconnect().expect("always connected here");
+                    received.extend(decode(&seen));
+                    out.connect(Vec::new(), received.len() as u64)
+                        .expect("a Vec never fails");
+                }
+            }
+            prop_assert_eq!(out.log().len(), pushed.len() as u64, "the log lost a frame");
+        }
+        out.flush();
+        prop_assert_eq!(out.pending_bytes(), 0);
+        received.extend(decode(&out.disconnect().expect("connected")));
+        prop_assert_eq!(received, pushed);
     }
 
     /// `ReplayLog::tail(k)` replays exactly the suffix from frame `k`, in

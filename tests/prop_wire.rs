@@ -283,6 +283,53 @@ proptest! {
         prop_assert_eq!(dec.buffered(), 0);
     }
 
+    /// The decoder's read cursor is invisible from outside: after exactly
+    /// `k` frames have been consumed, under any chunking and with any
+    /// amount of the stream fed, `buffered()` counts only undecoded bytes
+    /// and `take_buffered()` hands over exactly that residue — enough for
+    /// a second decoder to finish the stream.
+    #[test]
+    fn residue_after_k_consumed_frames_is_exactly_the_undecoded_bytes(
+        frames in collection::vec(frame(), 1..8),
+        chunk in 1usize..40,
+        k_seed in any::<u64>(),
+        fed_seed in any::<u64>(),
+    ) {
+        let bytes = concat(&frames);
+        let ends = frame_ends(&frames);
+        #[allow(clippy::cast_possible_truncation)]
+        let k = (k_seed % (frames.len() as u64 + 1)) as usize;
+        let consumed = if k == 0 { 0 } else { ends[k - 1] };
+        #[allow(clippy::cast_possible_truncation)]
+        let fed = consumed + (fed_seed % (bytes.len() - consumed + 1) as u64) as usize;
+
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        for piece in bytes[..fed].chunks(chunk) {
+            dec.push(piece);
+            while got.len() < k {
+                match dec.next_frame().expect("clean stream decodes cleanly") {
+                    Some(f) => got.push(f),
+                    None => break,
+                }
+            }
+        }
+        prop_assert_eq!(&got[..], &frames[..k]);
+        prop_assert_eq!(dec.buffered(), fed - consumed);
+        let residue = dec.take_buffered();
+        prop_assert_eq!(&residue[..], &bytes[consumed..fed]);
+        prop_assert_eq!(dec.buffered(), 0);
+        prop_assert_eq!(dec.next_frame(), Ok(None));
+
+        let mut heir = FrameDecoder::new();
+        heir.push(&residue);
+        heir.push(&bytes[fed..]);
+        while let Some(f) = heir.next_frame().expect("handed-over stream decodes cleanly") {
+            got.push(f);
+        }
+        prop_assert_eq!(got, frames);
+    }
+
     /// Flipping one bit anywhere never panics the decoder, and every frame
     /// that lies entirely before the damaged byte still decodes exactly.
     #[test]
