@@ -1,26 +1,30 @@
-//! Auto-coordinated variants of the case studies: the full
-//! annotate→analyze→inject pipeline, end to end.
-//!
-//! The hand-wired deployments in [`crate::adreport`] and
-//! [`crate::wordcount`] pick their coordination manually. Here the
-//! *analysis* picks it:
+//! The case studies, coordinated by the full annotate→analyze→inject
+//! pipeline, end to end. For the ad report this is the only way it is
+//! coordinated at all.
 //!
 //! * [`ad_network_spec`] derives the coordination spec for the ad network
-//!   running a given query (white-box Bloom annotations, campaign
-//!   punctuations available). [`run_ad_auto`] then assembles the **bare**
-//!   topology — no seal managers, no sequencer — and lets
-//!   [`blazes_autocoord::AutoCoordRules`] rewrite it: CAMPAIGN gets seal
-//!   gates, POOR gets an ordering service, THRESH gets nothing.
+//!   from the query's white-box Bloom annotations and from what the
+//!   scenario's [`StrategyKind`] tells the analysis: nothing
+//!   (`Uncoordinated`: empty spec), the dataflow with the campaign
+//!   punctuations withheld (`Ordered`), or with them declared (`Sealed`).
+//!   [`assemble_ad_auto`] then threads the uncoordinated wiring of
+//!   [`crate::adreport`] through [`blazes_autocoord::AutoCoordRules`]:
+//!   sealed CAMPAIGN gets seal gates, POOR and unsealed CAMPAIGN get an
+//!   ordering service, THRESH gets nothing. It is the one ad-report
+//!   assembly and [`run_ad_auto`] the one runner, on every backend.
 //! * [`wordcount_spec`] does the same for the Storm wordcount through the
 //!   grey-box adapter; [`run_wordcount_auto`] threads it through
 //!   [`TopologyBuilder::build_coordinated_on`], where sealing maps onto
 //!   the engine-native punctuation protocol (zero injected operators —
-//!   the minimality proof) and ordering onto transactional commits.
+//!   the minimality proof) and ordering onto transactional commits. It
+//!   shares its body with [`crate::wordcount::run_wordcount`], whose
+//!   hand-picked transactional flag is the paper's Storm baseline.
 //!
 //! Both runners take a [`BackendSpec`], so one call site covers the
 //! simulator, the parallel executor and the distributed multi-process
-//! backend, and share their bodies with the hand-wired runners
-//! ([`crate::adreport::run_scenario`], [`crate::wordcount::run_wordcount`]).
+//! backend.
+//!
+//! [`TopologyBuilder::build_coordinated_on`]: blazes_storm::topology::TopologyBuilder::build_coordinated_on
 
 use crate::adreport::{seal_registry_for, AdRunResult, AdScenario, StrategyKind};
 use crate::casestudy::{ad_network_graph, wordcount_graph};
@@ -28,7 +32,10 @@ use crate::queries::ReportQuery;
 use crate::wordcount::{WordcountResult, WordcountScenario};
 use blazes_autocoord::{AutoCoordRules, InjectionSummary, SealBinding};
 use blazes_core::placement::{CoordDirective, CoordinationSpec};
-use blazes_dataflow::backend::{BackendSpec, ExecutorBuilder, RewriteStats, RewritingBuilder};
+use blazes_dataflow::backend::{
+    build_local, BackendRunStats, BackendSpec, ExecutorBuilder, RewriteStats, RewritingBuilder,
+};
+use blazes_dataflow::dist::{run_dist, ProbeBuilder};
 use blazes_dataflow::message::Message;
 use blazes_dataflow::metrics::TimeSeries;
 use blazes_dataflow::sim::InstanceId;
@@ -37,7 +44,8 @@ use blazes_dataflow::value::Value;
 use blazes_storm::topology::{CoordinationOutcome, TransactionalConfig};
 use std::sync::Arc;
 
-/// What the injection pass did to an auto-coordinated ad-report run.
+/// What the analysis demanded of an ad-report run and what the injection
+/// pass did about it.
 #[derive(Debug, Clone)]
 pub struct AutoCoordReport {
     /// The analysis-derived spec that drove the rewrite.
@@ -48,15 +56,21 @@ pub struct AutoCoordReport {
     pub summary: InjectionSummary,
 }
 
-/// Derive the coordination spec for the ad network running `query`, with
-/// the ad servers' campaign punctuations available (the workload always
-/// emits them; whether they *suffice* is the analysis's call).
+/// Derive the coordination spec for the ad network running `query` under
+/// `strategy`: empty when uncoordinated, otherwise the analysis's verdict
+/// with the ad servers' campaign punctuations withheld (`Ordered`) or
+/// declared (`Sealed` — whether they *suffice* is the analysis's call).
 ///
 /// # Panics
 /// Panics only if the bundled query modules stop analyzing — a bug.
 #[must_use]
-pub fn ad_network_spec(query: ReportQuery) -> CoordinationSpec {
-    let (graph, _) = ad_network_graph(query, Some(&["campaign"]));
+pub fn ad_network_spec(query: ReportQuery, strategy: StrategyKind) -> CoordinationSpec {
+    let seal_key: Option<&[&str]> = match strategy {
+        StrategyKind::Uncoordinated => return CoordinationSpec::default(),
+        StrategyKind::Ordered => None,
+        StrategyKind::Sealed => Some(&["campaign"]),
+    };
+    let (graph, _) = ad_network_graph(query, seal_key);
     CoordinationSpec::derive(&graph, true).expect("ad network graph analyzes")
 }
 
@@ -90,16 +104,8 @@ pub fn ad_network_rules(sc: &AdScenario, spec: &CoordinationSpec) -> AutoCoordRu
     rules
 }
 
-fn bare(sc: &AdScenario) -> AdScenario {
-    AdScenario {
-        strategy: StrategyKind::Bare,
-        ..sc.clone()
-    }
-}
-
-/// Everything one auto-coordinated assembly of the ad network produced:
-/// the per-replica series and id-tagged response sinks straight from
-/// [`crate::adreport::assemble_scenario`], plus the rewrite accounting.
+/// Everything one assembly of the ad network produced: the per-replica
+/// series and id-tagged response sinks, plus the rewrite accounting.
 pub struct AdAutoAssembly {
     /// Per-replica cumulative processed-records series.
     pub series: Vec<TimeSeries>,
@@ -109,8 +115,10 @@ pub struct AdAutoAssembly {
     pub report: AutoCoordReport,
 }
 
-/// Assemble the **bare** ad-network scenario through the auto-coordination
-/// rewrite pass onto any backend builder. This is the one assembly the
+/// Assemble the ad-network scenario onto any backend builder: wire it
+/// uncoordinated through the rewrite pass, which injects exactly what
+/// [`ad_network_spec`] demands for `sc.query` under `sc.strategy` (nothing
+/// at all when that spec is empty). This is the one assembly the
 /// simulator, the parallel executor and every process of a distributed
 /// run share; `speculation` selects the speculative seal-gate variant
 /// (meaningful on the parallel substrate only, but it must be part of the
@@ -120,11 +128,10 @@ pub fn assemble_ad_auto<B: ExecutorBuilder + ?Sized>(
     speculation: bool,
     b: &mut B,
 ) -> AdAutoAssembly {
-    let spec = ad_network_spec(sc.query);
-    let sc = bare(sc);
-    let rules = ad_network_rules(&sc, &spec).with_speculation(speculation);
+    let spec = ad_network_spec(sc.query, sc.strategy);
+    let rules = ad_network_rules(sc, &spec).with_speculation(speculation);
     let mut rb = RewritingBuilder::new(b, rules);
-    let (series, responses) = crate::adreport::assemble_scenario(&sc, &mut rb);
+    let (series, responses) = crate::adreport::assemble_scenario(sc, &mut rb);
     let (rules, stats) = rb.finish();
     AdAutoAssembly {
         series,
@@ -137,13 +144,13 @@ pub fn assemble_ad_auto<B: ExecutorBuilder + ?Sized>(
     }
 }
 
-/// Run `sc` with analysis-driven coordination on the backend selected by
-/// `backend`. The bare topology is assembled through the rewrite pass,
-/// which injects exactly what [`ad_network_spec`] demands for `sc.query`,
-/// then runs on the simulator, the parallel executor, or (via
-/// [`crate::dist::dist_registry`]) a fleet of worker processes. When the
-/// backend enables time-warp speculation, the injected seal gates are the
-/// speculative variant.
+/// Run `sc` to quiescence on the backend selected by `backend`, coordinated
+/// as the analysis decides ([`assemble_ad_auto`]). Injected gates and
+/// sequencers are ordinary components, so every strategy runs on the
+/// simulator, the parallel executor, or (via [`crate::dist::dist_registry`])
+/// a fleet of worker processes; modeled service times apply on the
+/// simulator only. When the backend enables time-warp speculation, the
+/// injected seal gates are the speculative variant.
 ///
 /// On [`BackendSpec::Dist`] the spec's `topology`/`params` fields are
 /// overwritten with the ad-report registry entry for `sc`; everything
@@ -157,10 +164,31 @@ pub fn assemble_ad_auto<B: ExecutorBuilder + ?Sized>(
 #[must_use]
 pub fn run_ad_auto(sc: &AdScenario, backend: &BackendSpec) -> (AdRunResult, AutoCoordReport) {
     let speculation = backend.speculation();
-    crate::adreport::run_on(sc, backend, true, |b| {
-        let asm = assemble_ad_auto(sc, speculation, b);
-        (asm.series, asm.responses, asm.report)
-    })
+    let (series, responses, stats, report) = if let BackendSpec::Dist(d) = backend {
+        let report = assemble_ad_auto(sc, speculation, &mut ProbeBuilder::new()).report;
+        let mut spec = d.clone();
+        spec.topology = crate::dist::AD_TOPOLOGY.to_string();
+        spec.params = crate::dist::encode_ad_params(sc, speculation);
+        let run =
+            run_dist(&spec, &crate::dist::dist_registry()).expect("distributed ad-report run");
+        (
+            Vec::new(),
+            run.sinks,
+            BackendRunStats::Dist(run.stats),
+            report,
+        )
+    } else {
+        let (exec, asm) = build_local(backend, sc.seed, |b| assemble_ad_auto(sc, speculation, b))
+            .unwrap_or_else(|e| panic!("{e}"));
+        (asm.series, asm.responses, exec.run(), asm.report)
+    };
+    let result = AdRunResult {
+        series,
+        responses: responses.into_iter().map(|(_, s)| s).collect(),
+        stats,
+        expected_records: sc.workload.total_entries() as u64,
+    };
+    (result, report)
 }
 
 /// The per-replica output digest used by the differential proof: each
@@ -238,92 +266,74 @@ pub fn run_wordcount_auto(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{CampaignPlacement, ClickWorkload, TweetWorkload};
+    use crate::adreport::tests::{checked_run, scenario};
+    use crate::workload::{CampaignPlacement, TweetWorkload};
 
-    fn small_scenario(query: ReportQuery) -> AdScenario {
-        AdScenario {
-            workload: ClickWorkload {
-                ad_servers: 3,
-                entries_per_server: 60,
-                batch_size: 20,
-                sleep_between_batches: 50_000,
-                entry_interval: 200,
-                campaigns: 6,
-                ads_per_campaign: 4,
-                placement: CampaignPlacement::Spread,
-                seed: 5,
-            },
-            query,
-            replicas: 3,
-            requests: 6,
-            tick_every: 10,
-            seed: 21,
-            ..AdScenario::default()
-        }
+    fn sealed(query: ReportQuery) -> AdScenario {
+        scenario(query, StrategyKind::Sealed, CampaignPlacement::Spread)
     }
 
     #[test]
     fn analysis_picks_the_mechanism_per_query() {
-        // CAMPAIGN: campaign seals are compatible -> seal protocol.
-        let campaign = ad_network_spec(ReportQuery::Campaign);
-        assert!(matches!(
-            campaign.directive_for("Report"),
-            Some(CoordDirective::Seal { .. })
-        ));
-        // POOR: seals incompatible with the id partition -> ordering.
-        let poor = ad_network_spec(ReportQuery::Poor);
-        assert!(matches!(
-            poor.directive_for("Report"),
-            Some(CoordDirective::Order { .. })
-        ));
-        // THRESH: confluent -> nothing at all.
-        assert!(ad_network_spec(ReportQuery::Thresh).is_empty());
+        use StrategyKind::{Ordered, Sealed, Uncoordinated};
+        let seals = |q, s| {
+            matches!(
+                ad_network_spec(q, s).directive_for("Report"),
+                Some(CoordDirective::Seal { .. })
+            )
+        };
+        let orders = |q, s| {
+            matches!(
+                ad_network_spec(q, s).directive_for("Report"),
+                Some(CoordDirective::Order { .. })
+            )
+        };
+        // CAMPAIGN: campaign seals are compatible -> seal protocol; with
+        // the punctuations withheld the same analysis demands ordering.
+        assert!(seals(ReportQuery::Campaign, Sealed));
+        assert!(orders(ReportQuery::Campaign, Ordered));
+        // POOR: seals incompatible with the id partition -> ordering,
+        // whether or not they are declared.
+        assert!(orders(ReportQuery::Poor, Sealed));
+        assert!(orders(ReportQuery::Poor, Ordered));
+        // THRESH: confluent -> nothing at all, either way.
+        assert!(ad_network_spec(ReportQuery::Thresh, Sealed).is_empty());
+        assert!(ad_network_spec(ReportQuery::Thresh, Ordered).is_empty());
+        // Uncoordinated: the analysis is not consulted.
+        assert!(ad_network_spec(ReportQuery::Campaign, Uncoordinated).is_empty());
     }
 
     #[test]
     fn auto_sealed_campaign_processes_everything_and_agrees() {
-        let (res, report) = run_ad_auto(&small_scenario(ReportQuery::Campaign), &BackendSpec::Sim);
-        assert!(report.stats.injected_operators > 0, "gates were injected");
-        assert_eq!(
-            report.stats.injected_operators, 3,
-            "one seal gate per replica: {report:?}"
-        );
-        for s in &res.series {
-            assert_eq!(s.total(), 180, "all partitions released");
-        }
-        assert!(res.responses_consistent(), "replicas agree");
+        // One seal gate per replica, all partitions released.
+        let sc = sealed(ReportQuery::Campaign);
+        let (res, _) = checked_run(&sc, &BackendSpec::Sim, 3);
         assert!(res.total_responses() > 0, "queries were answered");
+        for sink in &res.responses {
+            assert!(sink.len() <= sc.requests, "one request, one answer");
+        }
     }
 
     #[test]
     fn auto_ordered_poor_processes_everything_and_agrees() {
-        let (res, report) = run_ad_auto(&small_scenario(ReportQuery::Poor), &BackendSpec::Sim);
-        assert_eq!(
-            report.stats.injected_operators, 1,
-            "one shared sequencer: {report:?}"
-        );
-        for s in &res.series {
-            assert_eq!(s.total(), 180);
-        }
-        assert!(res.responses_consistent(), "total order implies agreement");
+        // Declared punctuations do not help POOR: one shared sequencer.
+        let _ = checked_run(&sealed(ReportQuery::Poor), &BackendSpec::Sim, 1);
     }
 
     #[test]
     fn auto_thresh_is_rewrite_free() {
-        let (res, report) = run_ad_auto(&small_scenario(ReportQuery::Thresh), &BackendSpec::Sim);
-        assert!(report.stats.is_untouched(), "{report:?}");
-        for s in &res.series {
-            assert_eq!(s.total(), 180);
+        for strategy in [StrategyKind::Ordered, StrategyKind::Sealed] {
+            let sc = scenario(ReportQuery::Thresh, strategy, CampaignPlacement::Spread);
+            let _ = checked_run(&sc, &BackendSpec::Sim, 0);
         }
     }
 
     #[test]
     fn auto_parallel_campaign_is_deterministic_across_workers() {
-        let sc = small_scenario(ReportQuery::Campaign);
+        let sc = sealed(ReportQuery::Campaign);
         let mut digests = Vec::new();
         for workers in [1usize, 3] {
-            let (res, _) = run_ad_auto(&sc, &BackendSpec::par(workers));
-            assert_eq!(res.processed_everything(), Some(true));
+            let (res, _) = checked_run(&sc, &BackendSpec::par(workers), 3);
             digests.push(response_digests(&res.responses));
         }
         assert_eq!(digests[0], digests[1], "digests differ across workers");

@@ -4,12 +4,16 @@
 //! process boundary, so every process re-assembles the topology from a
 //! *name* plus a *parameter string* (see
 //! [`blazes_dataflow::dist::Registry`]). This module provides that
-//! registry for the bundled case studies — the auto-coordinated ad
-//! network and the Storm wordcount — together with the exact, line-based
+//! registry for the bundled case studies — the ad network and the Storm
+//! wordcount, each re-assembled through the same analysis-driven path the
+//! in-process backends use — together with the exact, line-based
 //! `key=value` codecs that round-trip their scenario structs through the
-//! plan frame. Floating-point fields travel as IEEE-754 bit patterns
-//! (`f64::to_bits`), so a parsed scenario is bit-identical to the one the
-//! parent encoded and the SPMD assembly stays deterministic everywhere.
+//! plan frame. The ad-report plan is the scenario, whose `strategy` says
+//! what the analysis is told, plus one flag (`speculation`); there is no
+//! second, hand-wired plan to select. Floating-point fields travel as
+//! IEEE-754 bit patterns (`f64::to_bits`), so a parsed scenario is
+//! bit-identical to the one the parent encoded and the SPMD assembly stays
+//! deterministic everywhere.
 
 use crate::adreport::{AdScenario, StrategyKind};
 use crate::autocoord::{assemble_ad_auto, wordcount_ordering_config, wordcount_spec};
@@ -20,8 +24,7 @@ use blazes_dataflow::dist::{Registry, SinkSet};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Registry name of the ad-report topology (auto-coordinated or
-/// hand-wired, per the `auto` parameter).
+/// Registry name of the ad-report topology.
 pub const AD_TOPOLOGY: &str = "ad-report";
 
 /// Registry name of the coordinated Storm wordcount topology.
@@ -64,13 +67,11 @@ fn get_f64_bits(map: &BTreeMap<&str, &str>, key: &str) -> f64 {
     f64::from_bits(get_u64(map, key))
 }
 
-/// Encode an ad-report scenario (plus the auto-coordination and
-/// speculation flags) into the plan parameter string parsed by
-/// [`parse_ad_params`].
+/// Encode an ad-report scenario (plus the speculation flag) into the plan
+/// parameter string parsed by [`parse_ad_params`].
 #[must_use]
-pub fn encode_ad_params(sc: &AdScenario, auto: bool, speculation: bool) -> String {
+pub fn encode_ad_params(sc: &AdScenario, speculation: bool) -> String {
     let mut out = String::new();
-    put(&mut out, "auto", u8::from(auto));
     put(&mut out, "speculation", u8::from(speculation));
     put(
         &mut out,
@@ -79,7 +80,6 @@ pub fn encode_ad_params(sc: &AdScenario, auto: bool, speculation: bool) -> Strin
             StrategyKind::Uncoordinated => "uncoordinated",
             StrategyKind::Ordered => "ordered",
             StrategyKind::Sealed => "sealed",
-            StrategyKind::Bare => "bare",
         },
     );
     put(
@@ -126,13 +126,13 @@ pub fn encode_ad_params(sc: &AdScenario, auto: bool, speculation: bool) -> Strin
 }
 
 /// Parse the parameter string produced by [`encode_ad_params`] back into
-/// the scenario plus the `(auto, speculation)` flags.
+/// the scenario plus the `speculation` flag.
 ///
 /// # Panics
-/// Panics on any missing or malformed field — the string comes from the
-/// parent's deterministic encoder, so damage means a protocol bug.
+/// Panics on any missing, malformed or unknown field — the string comes
+/// from the parent's deterministic encoder, so damage means a protocol bug.
 #[must_use]
-pub fn parse_ad_params(params: &str) -> (AdScenario, bool, bool) {
+pub fn parse_ad_params(params: &str) -> (AdScenario, bool) {
     let m = kv(params);
     let sc = AdScenario {
         workload: ClickWorkload {
@@ -154,7 +154,6 @@ pub fn parse_ad_params(params: &str) -> (AdScenario, bool, bool) {
             "uncoordinated" => StrategyKind::Uncoordinated,
             "ordered" => StrategyKind::Ordered,
             "sealed" => StrategyKind::Sealed,
-            "bare" => StrategyKind::Bare,
             other => panic!("unknown strategy `{other}`"),
         },
         replicas: get_usize(&m, "replicas"),
@@ -174,7 +173,15 @@ pub fn parse_ad_params(params: &str) -> (AdScenario, bool, bool) {
         requests_via_analyst: get_bool(&m, "requests_via_analyst"),
         seed: get_u64(&m, "seed"),
     };
-    (sc, get_bool(&m, "auto"), get_bool(&m, "speculation"))
+    let speculation = get_bool(&m, "speculation");
+    // The codec is exact both ways: a key it does not know is damage too,
+    // not something to skip over.
+    assert_eq!(
+        encode_ad_params(&sc, speculation),
+        params,
+        "ad-report plan is not what the encoder writes"
+    );
+    (sc, speculation)
 }
 
 /// Encode a wordcount scenario (plus the `sealed` analysis flag) into the
@@ -237,8 +244,8 @@ pub fn parse_wordcount_params(params: &str) -> (WordcountScenario, bool) {
 }
 
 /// The case-study registry for distributed runs: [`AD_TOPOLOGY`] is the
-/// ad network assembled through the auto-coordination rewrite pass when
-/// the params say `auto=1` (bare otherwise, for divergence baselines),
+/// ad network assembled by [`assemble_ad_auto`] (an `Uncoordinated`
+/// scenario, the divergence baseline, comes through it rewrite-free),
 /// [`WORDCOUNT_TOPOLOGY`] is the Storm wordcount with its
 /// analysis-derived coordination applied before assembly. Both assemblies
 /// are pure functions of the parameter string, which is what keeps every
@@ -247,12 +254,8 @@ pub fn parse_wordcount_params(params: &str) -> (WordcountScenario, bool) {
 pub fn dist_registry() -> Registry {
     let mut reg = Registry::new();
     reg.register(AD_TOPOLOGY, |b, params| -> SinkSet {
-        let (sc, auto, speculation) = parse_ad_params(params);
-        if auto {
-            assemble_ad_auto(&sc, speculation, b).responses
-        } else {
-            crate::adreport::assemble_scenario(&sc, b).1
-        }
+        let (sc, speculation) = parse_ad_params(params);
+        assemble_ad_auto(&sc, speculation, b).responses
     });
     reg.register(WORDCOUNT_TOPOLOGY, |b, params| -> SinkSet {
         let (sc, sealed) = parse_wordcount_params(params);
@@ -282,17 +285,34 @@ mod tests {
             click_duplicates: 0.2,
             requests_via_analyst: true,
             query: ReportQuery::Poor,
-            strategy: StrategyKind::Bare,
             ..AdScenario::default()
         };
-        let enc = encode_ad_params(&sc, true, true);
-        let (back, auto, speculation) = parse_ad_params(&enc);
-        assert!(auto && speculation);
-        assert_eq!(format!("{back:?}"), format!("{sc:?}"));
-        assert_eq!(
-            back.click_duplicates.to_bits(),
-            sc.click_duplicates.to_bits()
-        );
+        for strategy in [
+            StrategyKind::Uncoordinated,
+            StrategyKind::Ordered,
+            StrategyKind::Sealed,
+        ] {
+            let sc = AdScenario {
+                strategy,
+                ..sc.clone()
+            };
+            let enc = encode_ad_params(&sc, true);
+            assert!(!enc.contains("auto"), "one assembly, no flag to pick it");
+            let (back, speculation) = parse_ad_params(&enc);
+            assert!(speculation);
+            assert_eq!(format!("{back:?}"), format!("{sc:?}"));
+            assert_eq!(
+                back.click_duplicates.to_bits(),
+                sc.click_duplicates.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not what the encoder writes")]
+    fn a_plan_with_an_unknown_key_is_rejected() {
+        let enc = encode_ad_params(&AdScenario::default(), false);
+        let _ = parse_ad_params(&format!("auto=1\n{enc}"));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! coordination strategy at 5 and 10 ad servers (scaled-down entry counts;
 //! the figure-shape runs live in the `fig12`/`fig13` binaries).
 
-use blazes_apps::adreport::{run_scenario, StrategyKind};
+use blazes_apps::adreport::StrategyKind;
+use blazes_apps::autocoord::run_ad_auto;
 use blazes_apps::workload::CampaignPlacement;
 use blazes_bench::adreport_scenario;
 use blazes_dataflow::backend::BackendSpec;
@@ -27,7 +28,8 @@ fn bench_adreport(c: &mut Criterion) {
                     let mut sc = adreport_scenario(n, strategy, placement, 0);
                     sc.workload.entries_per_server = 200;
                     black_box(
-                        run_scenario(&sc, &BackendSpec::Sim)
+                        run_ad_auto(&sc, &BackendSpec::Sim)
+                            .0
                             .stats
                             .messages_delivered(),
                     )

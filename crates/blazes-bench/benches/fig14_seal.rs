@@ -1,7 +1,8 @@
 //! Criterion bench for the Figure 14 comparison: independent vs unanimous
 //! seal protocols at 10 ad servers.
 
-use blazes_apps::adreport::{run_scenario, StrategyKind};
+use blazes_apps::adreport::StrategyKind;
+use blazes_apps::autocoord::run_ad_auto;
 use blazes_apps::workload::CampaignPlacement;
 use blazes_bench::adreport_scenario;
 use blazes_dataflow::backend::BackendSpec;
@@ -20,7 +21,8 @@ fn bench_seals(c: &mut Criterion) {
                 let mut sc = adreport_scenario(n, StrategyKind::Sealed, placement, 0);
                 sc.workload.entries_per_server = 200;
                 black_box(
-                    run_scenario(&sc, &BackendSpec::Sim)
+                    run_ad_auto(&sc, &BackendSpec::Sim)
+                        .0
                         .stats
                         .messages_delivered(),
                 )

@@ -17,7 +17,7 @@
 //! cargo run -p blazes-bench --release --bin autocoord_differential
 //! ```
 
-use blazes_apps::adreport::{run_scenario, AdScenario, StrategyKind};
+use blazes_apps::adreport::{AdScenario, StrategyKind};
 use blazes_apps::autocoord::{response_digests, run_ad_auto, run_wordcount_auto};
 use blazes_apps::queries::ReportQuery;
 use blazes_apps::wordcount::{run_wordcount, WordcountScenario};
@@ -76,7 +76,7 @@ fn anomaly_repro() -> Result<(), String> {
     'seeds: for seed in 0..5u64 {
         let mut digests = Vec::new();
         for workers in WORKER_COUNTS {
-            let res = run_scenario(
+            let (res, _) = run_ad_auto(
                 &AdScenario {
                     strategy: StrategyKind::Uncoordinated,
                     straggler_service: 2_500,

@@ -38,7 +38,7 @@
 //! worker as its own pid lane plus the coordinator's respawn/replay
 //! marks.
 
-use blazes_apps::adreport::{run_scenario, AdScenario, StrategyKind};
+use blazes_apps::adreport::{AdScenario, StrategyKind};
 use blazes_apps::autocoord::{response_digests, run_ad_auto, run_wordcount_auto};
 use blazes_apps::dist::dist_registry;
 use blazes_apps::queries::ReportQuery;
@@ -111,7 +111,7 @@ fn anomaly_repro() -> Result<(), String> {
         };
         let mut digests = Vec::new();
         for processes in [1usize, 2, 4] {
-            let res = run_scenario(&sc, &BackendSpec::Dist(dist_spec(processes, seed)));
+            let (res, _) = run_ad_auto(&sc, &BackendSpec::Dist(dist_spec(processes, seed)));
             let d = response_digests(&res.responses);
             if !res.responses_consistent() {
                 println!(

@@ -12,10 +12,16 @@
 //! | `cargo run -p blazes-bench --release --bin fig14` | Fig. 14: seal vs independent seal, 10 ad servers |
 //! | `cargo run -p blazes-bench --release --bin case-studies` | Section VI: the label derivations for both case studies |
 //!
+//! Figures 12–14 measure the coordination Blazes *synthesizes*: each legend
+//! entry is one [`StrategyKind`] — what the analysis is told — run through
+//! the one analysis-driven runner, [`run_ad_auto`], and every line reports
+//! how many operators the injection pass added.
+//!
 //! Criterion micro-benchmarks cover the analysis itself
 //! (`analysis_overhead`) and per-figure workloads.
 
-use blazes_apps::adreport::{run_scenario, AdRunResult, AdScenario, StrategyKind};
+use blazes_apps::adreport::{AdScenario, StrategyKind};
+use blazes_apps::autocoord::run_ad_auto;
 use blazes_apps::queries::ReportQuery;
 use blazes_apps::wordcount::{run_wordcount, WordcountResult, WordcountScenario};
 use blazes_apps::workload::{CampaignPlacement, ClickWorkload, TweetWorkload};
@@ -147,6 +153,8 @@ pub struct AdLine {
     pub completion_secs: Option<f64>,
     /// Whether replicas answered queries consistently.
     pub consistent: bool,
+    /// Coordination operators the injection pass added for this line.
+    pub injected_operators: usize,
 }
 
 /// Run one ad-reporting configuration and extract its figure line.
@@ -159,12 +167,13 @@ pub fn adreport_line(
     buckets: usize,
 ) -> AdLine {
     let sc = adreport_scenario(ad_servers, strategy, placement, seed);
-    let res = run_scenario(&sc, &BackendSpec::Sim);
+    let (res, report) = run_ad_auto(&sc, &BackendSpec::Sim);
     AdLine {
         label: strategy.label(placement),
         points: downsample_secs(&res.series[0], buckets),
         completion_secs: res.completion_time().map(secs),
         consistent: res.responses_consistent(),
+        injected_operators: report.stats.injected_operators,
     }
 }
 
@@ -180,25 +189,11 @@ pub fn render_line(line: &AdLine) -> String {
     if let Some(done) = line.completion_secs {
         let _ = writeln!(
             s,
-            "# completed at {done:.2}s, consistent={}",
-            line.consistent
+            "# {}: completed at {done:.2}s, consistent={}, injected operators={}",
+            line.label, line.consistent, line.injected_operators
         );
     }
     s
-}
-
-/// The full result of an ad run, for tests that need more detail.
-#[must_use]
-pub fn adreport_run(
-    ad_servers: usize,
-    strategy: StrategyKind,
-    placement: CampaignPlacement,
-    seed: u64,
-) -> AdRunResult {
-    run_scenario(
-        &adreport_scenario(ad_servers, strategy, placement, seed),
-        &BackendSpec::Sim,
-    )
 }
 
 /// Convert virtual microseconds to seconds.

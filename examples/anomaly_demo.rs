@@ -3,18 +3,19 @@
 //!
 //! Replicated reporting servers running the nonmonotonic POOR query
 //! return *different answers to the same query* when uncoordinated. The
-//! demo then hands the same topology to `blazes-autocoord`: the analysis
-//! derives a [`CoordinationSpec`] (ordering for POOR, whose `id` gate is
-//! incompatible with the campaign punctuations; seal gates for CAMPAIGN,
-//! whose gate is compatible), the rewrite pass injects exactly that, and
-//! the replicas agree again.
+//! demo then reruns the same scenario with the ad servers' campaign
+//! punctuations declared (the default [`StrategyKind::Sealed`]): the
+//! analysis derives a [`CoordinationSpec`] (ordering for POOR, whose `id`
+//! gate is incompatible with the campaign punctuations; seal gates for
+//! CAMPAIGN, whose gate is compatible), the rewrite pass injects exactly
+//! that, and the replicas agree again.
 //!
 //! ```text
 //! cargo run --release --example anomaly_demo
 //! ```
 
-use blazes::apps::adreport::{run_scenario, AdScenario, StrategyKind};
-use blazes::apps::autocoord::{ad_network_spec, run_ad_auto};
+use blazes::apps::adreport::{AdScenario, StrategyKind};
+use blazes::apps::autocoord::run_ad_auto;
 use blazes::apps::queries::ReportQuery;
 use blazes::apps::workload::{CampaignPlacement, ClickWorkload};
 use blazes::dataflow::backend::BackendSpec;
@@ -41,7 +42,7 @@ fn main() {
     // nondeterminism (most seeds do, with racing clicks and queries).
     let mut inconsistent_seed = None;
     for seed in 0..20 {
-        let res = run_scenario(
+        let (res, _) = run_ad_auto(
             &AdScenario {
                 strategy: StrategyKind::Uncoordinated,
                 seed,
@@ -66,17 +67,19 @@ fn main() {
         return;
     };
 
-    // The repair is no longer hand-wired: the analysis decides. POOR's
+    // The repair is not hand-wired: the analysis decides. POOR's
     // id-partitioned gate is incompatible with campaign seals, so the
     // spec falls back to an ordering service...
-    let poor_spec = ad_network_spec(ReportQuery::Poor);
-    println!("\nanalysis for POOR:\n  {}", poor_spec.render().trim_end());
     let (auto, report) = run_ad_auto(
         &AdScenario {
             seed,
             ..base.clone()
         },
         &BackendSpec::Sim,
+    );
+    println!(
+        "\nanalysis for POOR:\n  {}",
+        report.spec.render().trim_end()
     );
     println!(
         "seed {seed}: AUTO-COORDINATED replicas agree: {} (injected: {})",
@@ -87,11 +90,6 @@ fn main() {
 
     // ...while CAMPAIGN's gate is compatible with the punctuations, so
     // the same pipeline injects only cheap seal gates.
-    let campaign_spec = ad_network_spec(ReportQuery::Campaign);
-    println!(
-        "\nanalysis for CAMPAIGN:\n  {}",
-        campaign_spec.render().trim_end()
-    );
     let (auto, report) = run_ad_auto(
         &AdScenario {
             query: ReportQuery::Campaign,
@@ -99,6 +97,10 @@ fn main() {
             ..base
         },
         &BackendSpec::Sim,
+    );
+    println!(
+        "\nanalysis for CAMPAIGN:\n  {}",
+        report.spec.render().trim_end()
     );
     println!(
         "CAMPAIGN auto-coordinated replicas agree: {} (injected: {})",

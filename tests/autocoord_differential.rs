@@ -12,7 +12,7 @@
 //!   zero injected operators, identical outputs — the "minimal" in
 //!   minimal coordination.
 
-use blazes::apps::adreport::{run_scenario, AdScenario, StrategyKind};
+use blazes::apps::adreport::{AdScenario, StrategyKind};
 use blazes::apps::autocoord::{response_digests, run_ad_auto, run_wordcount_auto, wordcount_spec};
 use blazes::apps::queries::ReportQuery;
 use blazes::apps::wordcount::{run_wordcount, WordcountScenario};
@@ -65,7 +65,7 @@ fn uncoordinated_adreport_diverges_across_schedulers() {
     'seeds: for seed in 0..5u64 {
         let mut digests = Vec::new();
         for workers in WORKER_COUNTS {
-            let res = run_scenario(
+            let (res, _) = run_ad_auto(
                 &AdScenario {
                     strategy: StrategyKind::Uncoordinated,
                     straggler_service: 2_500,

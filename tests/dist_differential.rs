@@ -7,14 +7,16 @@
 //!   counts answer the same queries differently;
 //! * the **auto-coordinated** run is bit-identical across `{1,2,4}`
 //!   processes *and* matches the discrete-event simulator — seal votes
-//!   genuinely cross processes;
+//!   genuinely cross processes; with the punctuations withheld the same
+//!   plan carries one injected sequencer instead, and replicas agree;
 //! * the **confluent** wordcount crosses the wire rewrite-free: zero
 //!   injected coordination operators, counts equal to the single-process
 //!   baseline;
-//! * the **hand-wired** runners answer the same on sim, par and dist from
-//!   one call site.
+//! * the plain `run_wordcount` runner (coordination hand-picked by the
+//!   scenario's `transactional` flag, the paper's Storm baseline) commits
+//!   the same counts on sim, par and dist from one call site.
 
-use blazes::apps::adreport::{run_scenario, AdScenario, StrategyKind};
+use blazes::apps::adreport::{AdScenario, StrategyKind};
 use blazes::apps::autocoord::{response_digests, run_ad_auto, run_wordcount_auto};
 use blazes::apps::dist::{dist_registry, encode_ad_params, AD_TOPOLOGY};
 use blazes::apps::queries::ReportQuery;
@@ -102,7 +104,7 @@ fn uncoordinated_adreport_diverges_over_the_wire() {
         };
         let mut digests = Vec::new();
         for processes in [1usize, 2, 4] {
-            let res = run_scenario(&sc, &BackendSpec::Dist(dist_spec(processes, seed)));
+            let (res, _) = run_ad_auto(&sc, &BackendSpec::Dist(dist_spec(processes, seed)));
             let d = response_digests(&res.responses);
             if d.iter().any(|x| x != &d[0]) {
                 diverged = true; // replicas disagree within one run
@@ -158,42 +160,56 @@ fn autocoord_adreport_is_bit_identical_across_process_counts() {
     }
 }
 
-/// One call site, three backends: the hand-wired runners take the same
-/// `BackendSpec` as the auto-coordinated ones, so the sealed ad report
-/// (per-replica answer sets — re-posed requests make the multiset
-/// schedule-dependent) and the wordcount (committed counts) must match the
-/// simulator on the parallel executor and across processes alike.
+/// CAMPAIGN with the punctuations withheld: the plan that crosses the wire
+/// carries one injected sequencer instead of seal gates. A runtime total
+/// order legitimately differs between substrates, so the oracle is the
+/// ordered one — all records processed where observable, replicas agree —
+/// not simulator equality.
 #[test]
-fn hand_wired_runners_match_the_simulator_on_every_backend() {
-    let ad = AdScenario {
-        strategy: StrategyKind::Sealed,
-        click_duplicates: 0.0,
+fn ordered_adreport_agrees_on_every_backend() {
+    let sc = AdScenario {
+        strategy: StrategyKind::Ordered,
         ..scenario(3)
     };
-    let wc = wordcount_scenario();
-    let answers = |backend: &BackendSpec| {
-        let res = run_scenario(&ad, backend);
-        let sets: Vec<_> = res.responses.iter().map(|r| r.message_set()).collect();
-        (sets, res.processed_everything())
-    };
-    let (ad_reference, sim_processed) = answers(&BackendSpec::Sim);
-    assert_eq!(sim_processed, Some(true));
-    assert!(ad_reference.iter().any(|s| !s.is_empty()), "answers exist");
-    let wc_reference = run_wordcount(&wc, &BackendSpec::Sim).counts();
-
-    let rows = [
-        (BackendSpec::par(3), Some(true)),
-        (BackendSpec::Dist(dist_spec(2, ad.seed)), None),
-    ];
-    for (backend, processed) in rows {
+    for backend in [
+        BackendSpec::Sim,
+        BackendSpec::par(3),
+        BackendSpec::Dist(dist_spec(2, sc.seed)),
+    ] {
         let name = backend.name();
-        assert_eq!(
-            answers(&backend),
-            (ad_reference.clone(), processed),
-            "{name}"
+        let (res, report) = run_ad_auto(&sc, &backend);
+        assert_eq!(report.stats.injected_operators, 1, "{name}: {report:?}");
+        // The series stay inside the workers on dist. Elsewhere the
+        // at-least-once click wires feed the sequencer, so replays count:
+        // every replica processes at least the whole log.
+        for s in &res.series {
+            assert!(s.total() >= res.expected_records, "{name}");
+        }
+        let digests = response_digests(&res.responses);
+        assert!(!digests[0].is_empty(), "{name}: answers exist");
+        assert!(
+            digests.iter().all(|d| d == &digests[0]),
+            "{name}: replicas disagree under one total order"
         );
+    }
+}
+
+/// One call site, three backends: `run_wordcount` — the runner whose
+/// coordination is hand-picked by the scenario, as in the paper's Storm
+/// baseline — takes the same `BackendSpec` as the analysis-driven runners,
+/// and its committed counts must match the simulator on the parallel
+/// executor and across processes.
+#[test]
+fn wordcount_runner_matches_the_simulator_on_every_backend() {
+    let wc = wordcount_scenario();
+    let reference = run_wordcount(&wc, &BackendSpec::Sim).counts();
+    for backend in [
+        BackendSpec::par(3),
+        BackendSpec::Dist(dist_spec(2, wc.seed)),
+    ] {
+        let name = backend.name();
         let run = run_wordcount(&wc, &backend);
-        assert_eq!(run.counts(), wc_reference, "{name}");
+        assert_eq!(run.counts(), reference, "{name}");
         if let Some(stats) = run.stats.as_dist() {
             assert!(stats.frames_routed > 0, "the wordcount crossed the wire");
         }
@@ -326,7 +342,7 @@ fn exhausted_respawn_budget_fails_with_a_worker_verdict() {
     };
     let mut spec = dist_spec(2, sc.seed);
     spec.topology = AD_TOPOLOGY.to_string();
-    spec.params = encode_ad_params(&sc, false, false);
+    spec.params = encode_ad_params(&sc, false);
     spec.tuning = DistTuning::default().with_respawn_budget(0);
     spec.chaos = ChaosSpec {
         kills: vec![Kill {
