@@ -1,24 +1,32 @@
 //! # blazes-bench
 //!
-//! The benchmark harness regenerating the Blazes evaluation (paper Section
-//! VIII). Each figure has a binary that prints the same rows/series the
-//! paper plots:
+//! The harness regenerating the Blazes evaluation (paper Section VIII).
+//! One rule: **`tests/` prove, the targets here only emit artifacts** —
+//! figure tables, `BENCH_*.json` records, Chrome traces. A digest or
+//! determinism obligation lives once, in the workspace's `tests/`; a
+//! binary here never re-asserts it.
 //!
-//! | target | reproduces |
+//! | target | emits |
 //! |---|---|
 //! | `cargo run -p blazes-bench --release --bin fig11` | Fig. 11: Storm wordcount throughput vs cluster size, transactional vs sealed |
 //! | `cargo run -p blazes-bench --release --bin fig12` | Fig. 12: ad reporting, records processed over time, 5 ad servers |
 //! | `cargo run -p blazes-bench --release --bin fig13` | Fig. 13: same, 10 ad servers |
 //! | `cargo run -p blazes-bench --release --bin fig14` | Fig. 14: seal vs independent seal, 10 ad servers |
 //! | `cargo run -p blazes-bench --release --bin case-studies` | Section VI: the label derivations for both case studies |
+//! | `… --bin par_scaling -- --out BENCH_par_scaling.json` | sim vs par sweep + the blocking-vs-speculative race ([`scaling`]) |
+//! | `… --bin bloom_scaling -- --out BENCH_bloom_scaling.json` | naive vs semi-naive vs sharded Bloom sweep ([`bloom_scaling`]) |
+//! | `… --bin dist_trace -- [--chaos] FILE` | Chrome trace of one real 2-process run, optionally with a mid-run SIGKILL |
+//! | `cargo bench -p blazes-bench` | `analysis_overhead`: cost of the analysis itself as the dataflow grows |
 //!
 //! Figures 12–14 measure the coordination Blazes *synthesizes*: each legend
 //! entry is one [`StrategyKind`] — what the analysis is told — run through
 //! the one analysis-driven runner, [`run_ad_auto`], and every line reports
 //! how many operators the injection pass added.
 //!
-//! Criterion micro-benchmarks cover the analysis itself
-//! (`analysis_overhead`) and per-figure workloads.
+//! The library half holds what the targets and the workspace's tests
+//! share: the calibrated figure scenarios ([`fig11_scenario`],
+//! [`adreport_scenario`]) and the one small scenario every digest
+//! differential runs ([`differential_scenario`]).
 
 use blazes_apps::adreport::{AdScenario, StrategyKind};
 use blazes_apps::autocoord::run_ad_auto;
@@ -139,6 +147,42 @@ pub fn adreport_scenario(
         straggler_service: 0,
         requests_via_analyst: false,
         seed,
+    }
+}
+
+/// The small ad-report scenario the digest differentials share —
+/// `tests/{autocoord_differential,dist_differential,speculation}.rs`, a
+/// cut-down variant in `tests/trace_differential.rs`, and the `dist_trace`
+/// binary: 3 ad servers × 60 clicks, 8 CAMPAIGN requests, 3 replicas, the
+/// default `Sealed` strategy. `seed` drives the fault RNG only; the click
+/// log is fixed.
+#[must_use]
+pub fn differential_scenario(seed: u64) -> AdScenario {
+    AdScenario {
+        workload: ClickWorkload {
+            ad_servers: 3,
+            entries_per_server: 60,
+            batch_size: 20,
+            sleep_between_batches: 50_000,
+            entry_interval: 200,
+            campaigns: 6,
+            ads_per_campaign: 4,
+            placement: CampaignPlacement::Spread,
+            seed: 5,
+        },
+        query: ReportQuery::Campaign,
+        replicas: 3,
+        requests: 8,
+        // Answer every query against the instantaneous state, so an
+        // uncoordinated run's race is maximally visible.
+        tick_every: 1,
+        // The at-least-once fault model: clicks replay on their wires,
+        // driven by the per-wire fault RNG.
+        click_duplicates: 0.2,
+        // The analyst races with click ingestion on the workers.
+        requests_via_analyst: true,
+        seed,
+        ..AdScenario::default()
     }
 }
 

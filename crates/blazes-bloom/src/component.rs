@@ -11,7 +11,7 @@
 
 use crate::ast::Module;
 use crate::error::Result;
-use crate::interp::{EvalMode, ModuleInstance};
+use crate::interp::ModuleInstance;
 use blazes_dataflow::component::{Component, Context};
 use blazes_dataflow::message::Message;
 use std::collections::BTreeMap;
@@ -27,17 +27,11 @@ pub struct BloomComponent {
 impl BloomComponent {
     /// Wrap a module with the default (semi-naive) engine.
     pub fn new(module: Module) -> Result<Self> {
-        Self::with_mode(module, EvalMode::default())
-    }
-
-    /// Wrap a module with an explicit evaluation mode. All modes produce
-    /// bit-identical tick outputs, so this only changes evaluation cost.
-    pub fn with_mode(module: Module, mode: EvalMode) -> Result<Self> {
         let inputs = module.inputs().iter().map(|s| s.to_string()).collect();
         let outputs = module.outputs().iter().map(|s| s.to_string()).collect();
         let name = module.name.clone();
         Ok(BloomComponent {
-            instance: ModuleInstance::with_mode(module, mode)?,
+            instance: ModuleInstance::new(module)?,
             inputs,
             outputs,
             name,

@@ -202,18 +202,6 @@ impl ModuleInstance {
         &self.module
     }
 
-    /// The active evaluation mode.
-    #[must_use]
-    pub fn mode(&self) -> EvalMode {
-        self.mode
-    }
-
-    /// Switch evaluation modes between ticks. All modes produce
-    /// bit-identical [`TickOutput`]s, so this is always safe.
-    pub fn set_mode(&mut self, mode: EvalMode) {
-        self.mode = mode;
-    }
-
     /// Number of timesteps executed.
     #[must_use]
     pub fn ticks(&self) -> u64 {

@@ -14,44 +14,16 @@
 
 use blazes::apps::adreport::{AdScenario, StrategyKind};
 use blazes::apps::autocoord::{response_digests, run_ad_auto, run_wordcount_auto, wordcount_spec};
-use blazes::apps::queries::ReportQuery;
 use blazes::apps::wordcount::{run_wordcount, WordcountScenario};
-use blazes::apps::workload::{CampaignPlacement, ClickWorkload, TweetWorkload};
+use blazes::apps::workload::TweetWorkload;
 use blazes::core::placement::CoordDirective;
 use blazes::dataflow::backend::BackendSpec;
 use blazes::dataflow::message::Message;
 use blazes::dataflow::par::ParTuning;
+use blazes_bench::differential_scenario;
 
 /// Every worker count the determinism claim must hold across.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-fn scenario(seed: u64) -> AdScenario {
-    AdScenario {
-        workload: ClickWorkload {
-            ad_servers: 3,
-            entries_per_server: 60,
-            batch_size: 20,
-            sleep_between_batches: 50_000,
-            entry_interval: 200,
-            campaigns: 6,
-            ads_per_campaign: 4,
-            placement: CampaignPlacement::Spread,
-            seed: 5,
-        },
-        query: ReportQuery::Campaign,
-        replicas: 3,
-        requests: 8,
-        // Answer every query against the instantaneous state, so the
-        // uncoordinated run's race is maximally visible.
-        tick_every: 1,
-        // The at-least-once fault model: clicks replay on the wire.
-        click_duplicates: 0.2,
-        // The analyst races with click ingestion on the workers.
-        requests_via_analyst: true,
-        seed,
-        ..AdScenario::default()
-    }
-}
 
 /// The paper's anomaly, live: without coordination, the same scenario
 /// under the same fault seed answers queries differently depending on the
@@ -69,7 +41,7 @@ fn uncoordinated_adreport_diverges_across_schedulers() {
                 &AdScenario {
                     strategy: StrategyKind::Uncoordinated,
                     straggler_service: 2_500,
-                    ..scenario(seed)
+                    ..differential_scenario(seed)
                 },
                 &BackendSpec::Par {
                     workers,
@@ -99,7 +71,7 @@ fn uncoordinated_adreport_diverges_across_schedulers() {
 /// — which also equal the simulator's.
 #[test]
 fn autocoord_adreport_is_deterministic_across_schedulers_and_backends() {
-    let sc = scenario(3);
+    let sc = differential_scenario(3);
     let (sim_res, sim_report) = run_ad_auto(&sc, &BackendSpec::Sim);
     assert!(
         matches!(
@@ -138,7 +110,7 @@ fn autocoord_adreport_is_deterministic_across_schedulers_and_backends() {
 /// real responses, computed from *final* partition contents only.
 #[test]
 fn autocoord_adreport_answers_from_sealed_partitions() {
-    let (res, _) = run_ad_auto(&scenario(3), &BackendSpec::Sim);
+    let (res, _) = run_ad_auto(&differential_scenario(3), &BackendSpec::Sim);
     assert!(res.responses_consistent(), "replicas agree");
     let any_response = res
         .responses

@@ -14,7 +14,15 @@
 //!   baseline;
 //! * the plain `run_wordcount` runner (coordination hand-picked by the
 //!   scenario's `transactional` flag, the paper's Storm baseline) commits
-//!   the same counts on sim, par and dist from one call site.
+//!   the same counts on sim, par and dist from one call site;
+//! * **crashes** change nothing: a SIGKILL of any single worker, the
+//!   `{1,2,4}` processes × `{0,1,2}` seeded-crash matrix and a kill deep
+//!   enough that the replay is megabytes all end on the simulator's
+//!   digests (CI runs this file under a hard `timeout`).
+//!
+//! This file is the only home of these obligations; the `dist_trace`
+//! binary in `blazes-bench` exports traces of the same scenario and
+//! asserts none of them.
 
 use blazes::apps::adreport::{AdScenario, StrategyKind};
 use blazes::apps::autocoord::{response_digests, run_ad_auto, run_wordcount_auto};
@@ -27,6 +35,8 @@ use blazes::dataflow::dist::{
     libtest_worker_command, run_dist, worker_main, ChaosSpec, DistError, DistSpec, DistTuning,
     FailureCause, Kill, KillPoint, Transport,
 };
+use blazes_bench::differential_scenario;
+use std::time::Duration;
 
 /// Worker-process entry point. `run_dist` re-executes this test binary
 /// selecting exactly this test; without [`blazes::dataflow::dist::ENV_PARENT`]
@@ -36,32 +46,6 @@ use blazes::dataflow::dist::{
 #[ignore = "dist worker entry: only runs when spawned by a dist parent"]
 fn dist_worker_entry() {
     let _ = worker_main(&dist_registry());
-}
-
-fn scenario(seed: u64) -> AdScenario {
-    AdScenario {
-        workload: ClickWorkload {
-            ad_servers: 3,
-            entries_per_server: 60,
-            batch_size: 20,
-            sleep_between_batches: 50_000,
-            entry_interval: 200,
-            campaigns: 6,
-            ads_per_campaign: 4,
-            placement: CampaignPlacement::Spread,
-            seed: 5,
-        },
-        query: ReportQuery::Campaign,
-        replicas: 3,
-        requests: 8,
-        tick_every: 1,
-        // At-least-once wire: clicks replay on their (now inter-process)
-        // wires, driven by the shared per-wire fault RNG.
-        click_duplicates: 0.2,
-        requests_via_analyst: true,
-        seed,
-        ..AdScenario::default()
-    }
 }
 
 fn wordcount_scenario() -> WordcountScenario {
@@ -100,7 +84,7 @@ fn uncoordinated_adreport_diverges_over_the_wire() {
     'seeds: for seed in 0..5u64 {
         let sc = AdScenario {
             strategy: StrategyKind::Uncoordinated,
-            ..scenario(seed)
+            ..differential_scenario(seed)
         };
         let mut digests = Vec::new();
         for processes in [1usize, 2, 4] {
@@ -129,7 +113,7 @@ fn uncoordinated_adreport_diverges_over_the_wire() {
 /// with votes and releases crossing real process boundaries.
 #[test]
 fn autocoord_adreport_is_bit_identical_across_process_counts() {
-    let sc = scenario(3);
+    let sc = differential_scenario(3);
     let (sim_res, _) = run_ad_auto(&sc, &BackendSpec::Sim);
     let reference = response_digests(&sim_res.responses);
     assert!(
@@ -169,7 +153,7 @@ fn autocoord_adreport_is_bit_identical_across_process_counts() {
 fn ordered_adreport_agrees_on_every_backend() {
     let sc = AdScenario {
         strategy: StrategyKind::Ordered,
-        ..scenario(3)
+        ..differential_scenario(3)
     };
     for backend in [
         BackendSpec::Sim,
@@ -222,7 +206,7 @@ fn wordcount_runner_matches_the_simulator_on_every_backend() {
 /// seal revotes absorb the loss completely.
 #[test]
 fn chaos_kill_of_any_worker_keeps_coordinated_digests_bit_identical() {
-    let sc = scenario(3);
+    let sc = differential_scenario(3);
     let (sim_res, _) = run_ad_auto(&sc, &BackendSpec::Sim);
     let reference = response_digests(&sim_res.responses);
 
@@ -247,6 +231,48 @@ fn chaos_kill_of_any_worker_keeps_coordinated_digests_bit_identical() {
                 response_digests(&res.responses),
                 reference,
                 "digest diverged after killing worker {victim} of {processes}"
+            );
+        }
+    }
+}
+
+/// The seeded crash matrix: `{1,2,4}` processes × `{0,1,2}` SIGKILLs drawn
+/// by [`ChaosSpec::seeded`] (victims and kill points chosen by the seed,
+/// so two-crash schedules and heartbeat-triggered kills are covered), the
+/// wire fault schedule still on. Every leg's digests must equal the
+/// simulator's, and a multi-process crashed leg must actually observe a
+/// respawn — a schedule that never fires proves nothing.
+#[test]
+fn seeded_crash_matrix_keeps_coordinated_digests_bit_identical() {
+    let sc = differential_scenario(3);
+    let (sim_res, _) = run_ad_auto(&sc, &BackendSpec::Sim);
+    let reference = response_digests(&sim_res.responses);
+    assert!(reference.iter().any(|d| !d.is_empty()), "answers exist");
+
+    for processes in [1usize, 2, 4] {
+        for crashes in [0u32, 1, 2] {
+            let mut spec = dist_spec(processes, sc.seed);
+            // Heartbeat fast enough that heartbeat-triggered kills land
+            // inside phase 1 even on the shortest legs.
+            spec.tuning = DistTuning::default().with_heartbeat_every(Duration::from_millis(5));
+            spec.chaos = ChaosSpec::seeded(
+                sc.seed ^ (u64::from(crashes) << 32),
+                crashes,
+                processes as u32,
+                8,
+            );
+            let (res, _) = run_ad_auto(&sc, &BackendSpec::Dist(spec));
+            let stats = res.stats.as_dist().expect("dist stats");
+            if crashes > 0 && processes > 1 {
+                assert!(
+                    stats.respawns > 0,
+                    "{crashes} scheduled kill(s) at {processes} processes never fired"
+                );
+            }
+            assert_eq!(
+                response_digests(&res.responses),
+                reference,
+                "digest diverged at {processes} processes × {crashes} crashes"
             );
         }
     }
@@ -315,7 +341,7 @@ fn large_replay_recovers_to_the_simulator_digest() {
 /// the simulator bit for bit.
 #[test]
 fn tcp_transport_carries_the_coordinated_differential() {
-    let sc = scenario(3);
+    let sc = differential_scenario(3);
     let (sim_res, _) = run_ad_auto(&sc, &BackendSpec::Sim);
     let reference = response_digests(&sim_res.responses);
 
@@ -338,7 +364,7 @@ fn tcp_transport_carries_the_coordinated_differential() {
 fn exhausted_respawn_budget_fails_with_a_worker_verdict() {
     let sc = AdScenario {
         strategy: StrategyKind::Uncoordinated,
-        ..scenario(1)
+        ..differential_scenario(1)
     };
     let mut spec = dist_spec(2, sc.seed);
     spec.topology = AD_TOPOLOGY.to_string();

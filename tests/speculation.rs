@@ -18,8 +18,8 @@
 //!   through the full rewrite pass.
 
 use blazes::apps::autocoord::{response_digests, run_ad_auto, run_wordcount_auto};
-use blazes::apps::workload::{CampaignPlacement, ClickWorkload, TweetWorkload};
-use blazes::apps::{adreport::AdScenario, queries::ReportQuery, wordcount::WordcountScenario};
+use blazes::apps::wordcount::WordcountScenario;
+use blazes::apps::workload::TweetWorkload;
 use blazes::autocoord::{AutoCoordRules, SealBinding};
 use blazes::coord::registry::ProducerRegistry;
 use blazes::core::keys::KeySet;
@@ -31,42 +31,18 @@ use blazes::dataflow::message::{Message, SealKey};
 use blazes::dataflow::par::{ParBuilder, ParStats, ParTuning};
 use blazes::dataflow::sinks::CollectorSink;
 use blazes::dataflow::value::{Tuple, Value};
+use blazes_bench::differential_scenario;
 use std::sync::Arc;
 
 /// Every worker count the determinism claim must hold across.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-fn scenario(seed: u64) -> AdScenario {
-    AdScenario {
-        workload: ClickWorkload {
-            ad_servers: 3,
-            entries_per_server: 60,
-            batch_size: 20,
-            sleep_between_batches: 50_000,
-            entry_interval: 200,
-            campaigns: 6,
-            ads_per_campaign: 4,
-            placement: CampaignPlacement::Spread,
-            seed: 5,
-        },
-        query: ReportQuery::Campaign,
-        replicas: 3,
-        requests: 8,
-        tick_every: 1,
-        // The at-least-once fault model: clicks replay on the wire.
-        click_duplicates: 0.2,
-        requests_via_analyst: true,
-        seed,
-        ..AdScenario::default()
-    }
-}
 
 /// The acceptance bar: speculative digests bit-identical to blocking
 /// autocoord and to the simulator, across every worker count × scheduler,
 /// under the seeded fault RNG.
 #[test]
 fn speculative_adreport_matches_blocking_and_simulator() {
-    let sc = scenario(3);
+    let sc = differential_scenario(3);
     let (sim_res, sim_report) = run_ad_auto(&sc, &BackendSpec::Sim);
     assert!(matches!(
         sim_report.spec.directive_for("Report"),

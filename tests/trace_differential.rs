@@ -18,11 +18,11 @@
 use blazes::apps::adreport::AdScenario;
 use blazes::apps::autocoord::{response_digests, run_ad_auto};
 use blazes::apps::dist::dist_registry;
-use blazes::apps::queries::ReportQuery;
-use blazes::apps::workload::{CampaignPlacement, ClickWorkload};
+use blazes::apps::workload::ClickWorkload;
 use blazes::dataflow::backend::BackendSpec;
 use blazes::dataflow::dist::{libtest_worker_command, worker_main, DistSpec};
 use blazes::dataflow::par::ParTuning;
+use blazes_bench::differential_scenario;
 
 /// Worker-process entry point: `run_dist` re-executes this test binary
 /// selecting exactly this test. Inert in normal sweeps (no parent env).
@@ -32,27 +32,17 @@ fn trace_worker_entry() {
     let _ = worker_main(&dist_registry());
 }
 
+/// The shared differential scenario cut to 40 clicks per server and 6
+/// requests: this binary runs it five times.
 fn scenario() -> AdScenario {
+    let base = differential_scenario(3);
     AdScenario {
         workload: ClickWorkload {
-            ad_servers: 3,
             entries_per_server: 40,
-            batch_size: 20,
-            sleep_between_batches: 50_000,
-            entry_interval: 200,
-            campaigns: 6,
-            ads_per_campaign: 4,
-            placement: CampaignPlacement::Spread,
-            seed: 5,
+            ..base.workload
         },
-        query: ReportQuery::Campaign,
-        replicas: 3,
         requests: 6,
-        tick_every: 1,
-        click_duplicates: 0.2,
-        requests_via_analyst: true,
-        seed: 3,
-        ..AdScenario::default()
+        ..base
     }
 }
 
