@@ -33,6 +33,9 @@ use blazes_dataflow::message::{Message, SealKey};
 use blazes_dataflow::value::{Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Seal-key attribute carrying the voting producer's id.
+const PRODUCER_ATTR: &str = "producer";
+
 /// Join key values into one partition identity. A single value stays
 /// itself, so single-attribute seals keep their raw [`Value`] identity in
 /// the producer registry; composites join the values' display forms with
@@ -213,7 +216,7 @@ impl Component for SealGate {
                     return;
                 };
                 let producer = key
-                    .value_of(&self.binding.producer_attr)
+                    .value_of(PRODUCER_ATTR)
                     .and_then(Value::as_int)
                     .unwrap_or(0) as usize;
                 // `a` = voting producer, `b` = gate instance.
@@ -631,7 +634,7 @@ impl Component for SpeculativeSealGate {
                     return;
                 };
                 let producer = key
-                    .value_of(&self.binding.producer_attr)
+                    .value_of(PRODUCER_ATTR)
                     .and_then(Value::as_int)
                     .unwrap_or(0) as usize;
                 // `a` = voting producer, `b` = gate instance.

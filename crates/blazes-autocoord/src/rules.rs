@@ -48,21 +48,18 @@ pub struct SealBinding {
     pub key_columns: Vec<usize>,
     /// Arity distinguishing covered records from queries.
     pub covered_arity: usize,
-    /// Seal-key attribute carrying the producer id (default `"producer"`).
-    pub producer_attr: String,
     /// Optional query → partition mapping enabling read delay.
     pub query_partition: Option<QueryPartition>,
 }
 
 impl SealBinding {
-    /// Binding with the default producer attribute and no query delay.
+    /// Binding with no query delay.
     #[must_use]
     pub fn new(registry: ProducerRegistry, key_column: usize, covered_arity: usize) -> Self {
         SealBinding {
             registry,
             key_columns: vec![key_column],
             covered_arity,
-            producer_attr: "producer".to_string(),
             query_partition: None,
         }
     }
@@ -73,13 +70,6 @@ impl SealBinding {
     #[must_use]
     pub fn with_key_columns(mut self, columns: Vec<usize>) -> Self {
         self.key_columns = columns;
-        self
-    }
-
-    /// Override the seal-key attribute naming the producer.
-    #[must_use]
-    pub fn with_producer_attr(mut self, attr: impl Into<String>) -> Self {
-        self.producer_attr = attr.into();
         self
     }
 
@@ -96,7 +86,6 @@ impl std::fmt::Debug for SealBinding {
         f.debug_struct("SealBinding")
             .field("key_columns", &self.key_columns)
             .field("covered_arity", &self.covered_arity)
-            .field("producer_attr", &self.producer_attr)
             .field("query_partition", &self.query_partition.is_some())
             .finish_non_exhaustive()
     }
@@ -187,10 +176,11 @@ pub struct AutoCoordRules {
     /// Flagged instance → rule index.
     flagged: BTreeMap<usize, usize>,
     sequencer_service: Time,
-    ordered_latency: Time,
-    seal_delivery: ChannelConfig,
     speculation: bool,
 }
+
+/// Latency of the ordered channels out of injected sequencers.
+const ORDERED_LATENCY: Time = 1_000;
 
 impl AutoCoordRules {
     /// Build the pass for `spec`. Seal directives with multi-attribute
@@ -226,8 +216,6 @@ impl AutoCoordRules {
             rules,
             flagged: BTreeMap::new(),
             sequencer_service: 0,
-            ordered_latency: 1_000,
-            seal_delivery: ChannelConfig::instant(),
             speculation: false,
         }
     }
@@ -257,20 +245,6 @@ impl AutoCoordRules {
     #[must_use]
     pub fn with_sequencer_service(mut self, service: Time) -> Self {
         self.sequencer_service = service;
-        self
-    }
-
-    /// Latency of the ordered channels out of injected sequencers.
-    #[must_use]
-    pub fn with_ordered_latency(mut self, latency: Time) -> Self {
-        self.ordered_latency = latency;
-        self
-    }
-
-    /// Channel used from injected seal gates to their consumers.
-    #[must_use]
-    pub fn with_seal_delivery(mut self, cfg: ChannelConfig) -> Self {
-        self.seal_delivery = cfg;
         self
     }
 
@@ -357,7 +331,7 @@ impl RewritePass for AutoCoordRules {
                     alloc,
                 ),
                 gate_in_port: PortId(0),
-                delivery: self.seal_delivery.clone(),
+                delivery: ChannelConfig::instant(),
             },
             RuleKind::Order {
                 sequencer,
@@ -369,7 +343,7 @@ impl RewritePass for AutoCoordRules {
                 let gate = *sequencer.get_or_insert_with(|| {
                     alloc(Box::new(Sequencer::new()), self.sequencer_service)
                 });
-                let delivery = ChannelConfig::ordered(self.ordered_latency);
+                let delivery = ChannelConfig::ordered(ORDERED_LATENCY);
                 if routed_ports.insert((from.0, out_port)) {
                     WireAction::Via {
                         gate,
@@ -415,7 +389,7 @@ impl RewritePass for AutoCoordRules {
                     alloc,
                 ),
                 gate_in_port: PortId(0),
-                delivery: self.seal_delivery.clone(),
+                delivery: ChannelConfig::instant(),
             },
             RuleKind::Order {
                 sequencer,
@@ -427,7 +401,7 @@ impl RewritePass for AutoCoordRules {
                 let gate = *sequencer.get_or_insert_with(|| {
                     alloc(Box::new(Sequencer::new()), self.sequencer_service)
                 });
-                let delivery = ChannelConfig::ordered(self.ordered_latency);
+                let delivery = ChannelConfig::ordered(ORDERED_LATENCY);
                 let covered = routed.entry((at, port, msg.clone())).or_default();
                 if covered.insert(to.0) {
                     if covered.len() == 1 {

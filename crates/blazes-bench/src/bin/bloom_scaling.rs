@@ -1,6 +1,6 @@
 //! `bloom_scaling`: the Bloom evaluation-engine sweep — naive vs
-//! semi-naive vs worker-sharded — over recursive, join-heavy and
-//! aggregation workloads, with CI-gateable correctness and counter checks.
+//! semi-naive — over recursive, join-heavy and aggregation workloads,
+//! with CI-gateable correctness and counter checks.
 //!
 //! ```text
 //! cargo run -p blazes-bench --release --bin bloom_scaling -- \

@@ -80,8 +80,6 @@ pub struct BloomScalingConfig {
     pub triangle_scales: Vec<usize>,
     /// Click counts for the ad-report workload.
     pub adreport_scales: Vec<usize>,
-    /// Worker counts for the sharded mode.
-    pub sharded_workers: Vec<usize>,
     /// Timed repetitions per point (best-of).
     pub reps: u32,
 }
@@ -92,7 +90,6 @@ impl Default for BloomScalingConfig {
             tc_scales: vec![32, 64, 128],
             triangle_scales: vec![50, 100, 200],
             adreport_scales: vec![500, 1_000, 2_000],
-            sharded_workers: vec![1, 2, 4],
             reps: 2,
         }
     }
@@ -108,7 +105,6 @@ impl BloomScalingConfig {
             tc_scales: vec![24, 48],
             triangle_scales: vec![40],
             adreport_scales: vec![300],
-            sharded_workers: vec![1, 2],
             reps: 1,
         }
     }
@@ -125,7 +121,7 @@ pub struct BloomPoint {
     pub cores: usize,
     /// Workload scale (chain length, vertices, or clicks).
     pub scale: usize,
-    /// `"naive"`, `"semi-naive"` or `"sharded-N"`.
+    /// `"naive"` or `"semi-naive"`.
     pub mode: String,
     /// Best wall-clock milliseconds over the configured repetitions.
     pub millis: f64,
@@ -348,7 +344,6 @@ fn mode_label(mode: EvalMode) -> String {
     match mode {
         EvalMode::Naive => "naive".to_string(),
         EvalMode::SemiNaive => "semi-naive".to_string(),
-        EvalMode::Sharded { workers } => format!("sharded-{workers}"),
     }
 }
 
@@ -394,8 +389,8 @@ fn timed_point(
     }
 }
 
-/// Run the full sweep: every workload at every scale under naive,
-/// semi-naive and each sharded width, digest-checked against naive.
+/// Run the full sweep: every workload at every scale under naive and
+/// semi-naive, digest-checked against naive.
 #[must_use]
 pub fn run_bloom_scaling(cfg: &BloomScalingConfig) -> BloomScalingReport {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -416,15 +411,6 @@ pub fn run_bloom_scaling(cfg: &BloomScalingConfig) -> BloomScalingReport {
             cfg.reps,
             cores,
         ));
-        for &workers in &cfg.sharded_workers {
-            points.push(timed_point(
-                w,
-                EvalMode::Sharded { workers },
-                &expected,
-                cfg.reps,
-                cores,
-            ));
-        }
     }
 
     BloomScalingReport {
@@ -434,8 +420,7 @@ pub fn run_bloom_scaling(cfg: &BloomScalingConfig) -> BloomScalingReport {
         notes: vec![
             "wall-clock speedups are engine-algorithmic (semi-naive deltas + hash \
              indexes beat per-iteration re-derivation with nested loops), so they \
-             hold on a single core; the sharded mode additionally needs spare \
-             cores to beat semi-naive on wall clock"
+             hold on a single core"
                 .to_string(),
             "derivation/probe counters come from the engine itself and are \
              machine-independent; CI gates on those rather than wall clock"
@@ -454,7 +439,7 @@ mod tests {
         let report = run_bloom_scaling(&cfg);
         let workload_count =
             cfg.tc_scales.len() + cfg.triangle_scales.len() + cfg.adreport_scales.len();
-        let modes = 2 + cfg.sharded_workers.len();
+        let modes = 2;
         assert_eq!(report.points.len(), workload_count * modes);
         assert!(report.all_correct(), "an optimized engine diverged");
         assert!(
@@ -478,7 +463,6 @@ mod tests {
         assert!(json.contains("\"counters_confirm_no_rederivation\": true"));
         let table = report.render_table();
         assert!(table.contains("semi-naive"));
-        assert!(table.contains("sharded-2"));
     }
 
     #[test]
@@ -487,7 +471,6 @@ mod tests {
             tc_scales: vec![48],
             triangle_scales: vec![],
             adreport_scales: vec![],
-            sharded_workers: vec![],
             reps: 1,
         });
         let naive = report.point("tc", 48, "naive").unwrap();

@@ -14,7 +14,7 @@
 //! | `cargo run -p blazes-bench --release --bin fig14` | Fig. 14: seal vs independent seal, 10 ad servers |
 //! | `cargo run -p blazes-bench --release --bin case-studies` | Section VI: the label derivations for both case studies |
 //! | `… --bin par_scaling -- --out BENCH_par_scaling.json` | sim vs par sweep + the blocking-vs-speculative race ([`scaling`]) |
-//! | `… --bin bloom_scaling -- --out BENCH_bloom_scaling.json` | naive vs semi-naive vs sharded Bloom sweep ([`bloom_scaling`]) |
+//! | `… --bin bloom_scaling -- --out BENCH_bloom_scaling.json` | naive vs semi-naive Bloom sweep ([`bloom_scaling`]) |
 //! | `… --bin dist_trace -- [--chaos] FILE` | Chrome trace of one real 2-process run, optionally with a mid-run SIGKILL |
 //! | `cargo bench -p blazes-bench` | `analysis_overhead`: cost of the analysis itself as the dataflow grows |
 //!

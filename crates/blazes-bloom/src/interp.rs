@@ -17,11 +17,11 @@
 //!
 //! ## Evaluation engine
 //!
-//! The fixpoint of step 3 runs in one of three [`EvalMode`]s:
+//! The fixpoint of step 3 runs in one of two [`EvalMode`]s:
 //!
 //! * [`EvalMode::Naive`] — the reference stratified fixpoint: every rule
 //!   re-derives from scratch every iteration with nested-loop joins. Kept
-//!   as the oracle the optimized modes are differentially tested against.
+//!   as the oracle the optimized mode is differentially tested against.
 //! * [`EvalMode::SemiNaive`] (default) — per-collection **delta
 //!   relations**: after a first full pass, each iteration only feeds the
 //!   tuples that were new in the previous iteration back through the
@@ -32,13 +32,6 @@
 //!   once per stratum. Persistent tables enter the timestep as
 //!   copy-on-write snapshots and are only cloned if a rule actually
 //!   derives into them.
-//! * [`EvalMode::Sharded`] — semi-naive, plus the probe work of monotonic
-//!   joins is partitioned by join key across scoped worker threads
-//!   ([`blazes_dataflow::pool`]). Per-shard derivations are unioned into
-//!   ordered sets at every merge, so results are bit-identical to
-//!   single-threaded evaluation — the CALM argument made concrete: no
-//!   coordination is needed inside a monotonic stratum, only the ordered
-//!   merge at its boundary.
 //!
 //! Every tick records [`TickStats`] (derivations, join probes, fixpoint
 //! iterations, wall time) per stratum, so the cost of re-derivation is a
@@ -47,7 +40,6 @@
 use crate::ast::*;
 use crate::catalog::{self, Schedule};
 use crate::error::{BloomError, Result};
-use blazes_dataflow::pool;
 use blazes_dataflow::value::{Tuple, Value};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -63,10 +55,6 @@ type State<'a> = BTreeMap<String, Cow<'a, Rel>>;
 /// A hash index over one collection: join-key values → matching tuples.
 type Index = HashMap<Vec<Value>, Vec<Tuple>>;
 
-/// Below this many probe tuples a sharded join runs inline: scoped-thread
-/// fan-out costs more than it saves on tiny deltas.
-const SHARD_MIN_TUPLES: usize = 256;
-
 /// How the instantaneous-rule fixpoint evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
@@ -77,30 +65,6 @@ pub enum EvalMode {
     /// Semi-naive deltas + hash-join indexes + copy-on-write snapshots.
     #[default]
     SemiNaive,
-    /// [`EvalMode::SemiNaive`] with monotonic join probes sharded across
-    /// scoped worker threads by join key.
-    Sharded {
-        /// Worker threads to shard across (0 is treated as 1).
-        workers: usize,
-    },
-}
-
-impl EvalMode {
-    /// Sharded evaluation sized like the parallel backend's default
-    /// worker count ([`pool::default_workers`]).
-    #[must_use]
-    pub fn sharded_auto() -> Self {
-        EvalMode::Sharded {
-            workers: pool::default_workers(),
-        }
-    }
-
-    fn workers(self) -> usize {
-        match self {
-            EvalMode::Sharded { workers } => workers.max(1),
-            _ => 1,
-        }
-    }
 }
 
 /// Work counters for one timestep (or one stratum of one timestep).
@@ -354,15 +318,9 @@ fn run_tick(
     let mut cache = IndexCache::default();
     match mode {
         EvalMode::Naive => naive_fixpoint(m, sched, &mut state, &mut stratum_stats)?,
-        _ => semi_naive_fixpoint(
-            m,
-            sched,
-            plans,
-            mode,
-            &mut state,
-            &mut cache,
-            &mut stratum_stats,
-        )?,
+        EvalMode::SemiNaive => {
+            semi_naive_fixpoint(m, sched, plans, &mut state, &mut cache, &mut stratum_stats)?;
+        }
     }
 
     // 4. Deferred / deletion / async rules against the final state.
@@ -384,7 +342,6 @@ fn run_tick(
                 ri,
                 &state,
                 &mut cache,
-                mode.workers(),
                 &mut post_stats.join_probes,
             )?
         };
@@ -515,12 +472,10 @@ fn semi_naive_fixpoint(
     m: &Module,
     sched: &Schedule,
     plans: &[Plan],
-    mode: EvalMode,
     state: &mut State<'_>,
     cache: &mut IndexCache,
     stats: &mut [TickStats],
 ) -> Result<()> {
-    let workers = mode.workers();
     for (stratum, st) in stats.iter_mut().enumerate().take(sched.max_stratum + 1) {
         let rules = &sched.instant_by_stratum[stratum];
         if rules.is_empty() {
@@ -531,7 +486,7 @@ fn semi_naive_fixpoint(
         st.fixpoint_iters += 1;
         let mut delta: BTreeMap<String, Rel> = BTreeMap::new();
         for &ri in rules {
-            let derived = eval_rule_once(m, plans, ri, state, cache, workers, &mut st.join_probes)?;
+            let derived = eval_rule_once(m, plans, ri, state, cache, &mut st.join_probes)?;
             st.derivations += derived.len() as u64;
             insert_new(state, cache, &m.rules[ri].head, derived, &mut delta);
         }
@@ -556,16 +511,8 @@ fn semi_naive_fixpoint(
                 if !sched.reads[ri].iter().any(|s| cur.contains_key(s)) {
                     continue;
                 }
-                let derived = eval_rule_delta(
-                    m,
-                    plans,
-                    ri,
-                    state,
-                    cache,
-                    &cur,
-                    workers,
-                    &mut st.join_probes,
-                )?;
+                let derived =
+                    eval_rule_delta(m, plans, ri, state, cache, &cur, &mut st.join_probes)?;
                 st.derivations += derived.len() as u64;
                 insert_new(state, cache, &rule.head, derived, &mut delta);
             }
@@ -705,17 +652,6 @@ fn passes_filter(t: &Tuple, eqs: &[(usize, usize)]) -> bool {
         .all(|&(i, j)| t.get(i).expect("schema arity") == t.get(j).expect("schema arity"))
 }
 
-/// Shard assignment by join-key hash: tuples with equal keys land on the
-/// same shard, so per-shard probe work is disjoint.
-fn shard_of(t: &Tuple, cols: &[usize], workers: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &i in cols {
-        t.get(i).expect("schema arity").hash(&mut h);
-    }
-    (h.finish() as usize) % workers
-}
-
 /// Hash indexes built once per tick and kept fresh incrementally as the
 /// fixpoint inserts new tuples.
 #[derive(Default)]
@@ -768,7 +704,6 @@ fn eval_rule_once(
     ri: usize,
     state: &State<'_>,
     cache: &mut IndexCache,
-    workers: usize,
     probes: &mut u64,
 ) -> Result<Rel> {
     let rule = &m.rules[ri];
@@ -806,14 +741,7 @@ fn eval_rule_once(
             };
             cache.ensure(state, right, &plan.rkey);
             let probe: Vec<&Tuple> = state[left].iter().collect();
-            probe_join(
-                &args,
-                &probe,
-                true,
-                cache.get(right, &plan.rkey),
-                workers,
-                probes,
-            )
+            probe_join(&args, &probe, true, cache.get(right, &plan.rkey), probes)
         }
         (
             RuleBody::AntiJoin {
@@ -834,7 +762,7 @@ fn eval_rule_once(
             };
             cache.ensure(state, neg, &plan.rkey);
             let probe: Vec<&Tuple> = state[source].iter().collect();
-            probe_anti(&args, &probe, cache.get(neg, &plan.rkey), workers, probes)
+            probe_anti(&args, &probe, cache.get(neg, &plan.rkey), probes)
         }
         (RuleBody::GroupBy { .. }, _) => eval_body(m, state, &rule.body, probes),
         // Unresolvable on-clause: reference nested-loop path.
@@ -845,7 +773,6 @@ fn eval_rule_once(
 /// Evaluate a monotonic rule against the previous iteration's deltas:
 /// delta ⋈ full on each side, probing the incrementally maintained
 /// indexes.
-#[allow(clippy::too_many_arguments)] // internal fixpoint plumbing
 fn eval_rule_delta(
     m: &Module,
     plans: &[Plan],
@@ -853,7 +780,6 @@ fn eval_rule_delta(
     state: &State<'_>,
     cache: &mut IndexCache,
     cur: &BTreeMap<String, Rel>,
-    workers: usize,
     probes: &mut u64,
 ) -> Result<Rel> {
     let rule = &m.rules[ri];
@@ -907,7 +833,6 @@ fn eval_rule_delta(
                     &probe,
                     true,
                     cache.get(right, &plan.rkey),
-                    workers,
                     probes,
                 )?);
             }
@@ -919,7 +844,6 @@ fn eval_rule_delta(
                     &probe,
                     false,
                     cache.get(left, &plan.lkey),
-                    workers,
                     probes,
                 )?);
             }
@@ -971,14 +895,12 @@ struct JoinArgs<'a> {
     plan: &'a JoinPlan,
 }
 
-/// Probe one side's tuples against a hash index over the other side,
-/// sharding across scoped workers when the probe set is large enough.
+/// Probe one side's tuples against a hash index over the other side.
 fn probe_join(
     args: &JoinArgs<'_>,
     probe: &[&Tuple],
     probe_is_left: bool,
     index: &Index,
-    workers: usize,
     probes: &mut u64,
 ) -> Result<Rel> {
     let (pkey, pfilter, ofilter) = if probe_is_left {
@@ -986,36 +908,32 @@ fn probe_join(
     } else {
         (&args.plan.rkey, &args.plan.rfilter, &args.plan.lfilter)
     };
-    let run = |chunk: &[&Tuple]| -> Result<(Rel, u64)> {
-        let mut out = Rel::new();
-        let mut p = 0u64;
-        for &t in chunk {
-            p += 1;
-            if !passes_filter(t, pfilter) {
-                continue;
-            }
-            let Some(bucket) = index.get(&key_of(t, pkey)) else {
-                continue;
-            };
-            for o in bucket {
-                p += 1;
-                if !passes_filter(o, ofilter) {
-                    continue;
-                }
-                let (lt, rt) = if probe_is_left { (t, o) } else { (o, t) };
-                let env = Env {
-                    bindings: vec![(args.left, args.ldecl, lt), (args.right, args.rdecl, rt)],
-                    alias: None,
-                };
-                if !env.check_all(args.predicates)? {
-                    continue;
-                }
-                out.insert(env.project(args.projection)?);
-            }
+    let mut out = Rel::new();
+    for &t in probe {
+        *probes += 1;
+        if !passes_filter(t, pfilter) {
+            continue;
         }
-        Ok((out, p))
-    };
-    run_maybe_sharded(probe, pkey, workers, &run, probes)
+        let Some(bucket) = index.get(&key_of(t, pkey)) else {
+            continue;
+        };
+        for o in bucket {
+            *probes += 1;
+            if !passes_filter(o, ofilter) {
+                continue;
+            }
+            let (lt, rt) = if probe_is_left { (t, o) } else { (o, t) };
+            let env = Env {
+                bindings: vec![(args.left, args.ldecl, lt), (args.right, args.rdecl, rt)],
+                alias: None,
+            };
+            if !env.check_all(args.predicates)? {
+                continue;
+            }
+            out.insert(env.project(args.projection)?);
+        }
+    }
+    Ok(out)
 }
 
 struct AntiArgs<'a> {
@@ -1031,76 +949,35 @@ fn probe_anti(
     args: &AntiArgs<'_>,
     probe: &[&Tuple],
     index: &Index,
-    workers: usize,
     probes: &mut u64,
 ) -> Result<Rel> {
     let plan = args.plan;
-    let run = |chunk: &[&Tuple]| -> Result<(Rel, u64)> {
-        let mut out = Rel::new();
-        let mut p = 0u64;
-        for &t in chunk {
-            p += 1;
-            let matched = passes_filter(t, &plan.lfilter)
-                && match index.get(&key_of(t, &plan.lkey)) {
-                    Some(bucket) if plan.rfilter.is_empty() => !bucket.is_empty(),
-                    Some(bucket) => bucket.iter().any(|nt| {
-                        p += 1;
-                        passes_filter(nt, &plan.rfilter)
-                    }),
-                    None => false,
-                };
-            if matched {
-                continue;
-            }
-            let env = Env {
-                bindings: vec![(args.source, args.sdecl, t)],
-                alias: None,
-            };
-            if !env.check_all(args.predicates)? {
-                continue;
-            }
-            out.insert(match args.projection {
-                Some(items) => env.project(items)?,
-                None => t.clone(),
-            });
-        }
-        Ok((out, p))
-    };
-    run_maybe_sharded(probe, &plan.lkey, workers, &run, probes)
-}
-
-/// Run a probe closure inline, or partitioned by join-key hash across
-/// scoped worker threads when the probe set is large enough to amortize
-/// the fan-out. Per-shard results are unioned into one ordered set, so
-/// the merge is deterministic regardless of worker count.
-fn run_maybe_sharded<F>(
-    probe: &[&Tuple],
-    key_cols: &[usize],
-    workers: usize,
-    run: &F,
-    probes: &mut u64,
-) -> Result<Rel>
-where
-    F: Fn(&[&Tuple]) -> Result<(Rel, u64)> + Sync,
-{
-    if workers <= 1 || probe.len() < SHARD_MIN_TUPLES {
-        let (out, p) = run(probe)?;
-        *probes += p;
-        return Ok(out);
-    }
-    let mut shards: Vec<Vec<&Tuple>> = vec![Vec::new(); workers];
-    for &t in probe {
-        shards[shard_of(t, key_cols, workers)].push(t);
-    }
-    let jobs: Vec<_> = shards
-        .iter()
-        .map(|shard| move || run(shard.as_slice()))
-        .collect();
     let mut out = Rel::new();
-    for res in pool::fork_join(jobs) {
-        let (part, p) = res?;
-        *probes += p;
-        out.extend(part);
+    for &t in probe {
+        *probes += 1;
+        let matched = passes_filter(t, &plan.lfilter)
+            && match index.get(&key_of(t, &plan.lkey)) {
+                Some(bucket) if plan.rfilter.is_empty() => !bucket.is_empty(),
+                Some(bucket) => bucket.iter().any(|nt| {
+                    *probes += 1;
+                    passes_filter(nt, &plan.rfilter)
+                }),
+                None => false,
+            };
+        if matched {
+            continue;
+        }
+        let env = Env {
+            bindings: vec![(args.source, args.sdecl, t)],
+            alias: None,
+        };
+        if !env.check_all(args.predicates)? {
+            continue;
+        }
+        out.insert(match args.projection {
+            Some(items) => env.project(items)?,
+            None => t.clone(),
+        });
     }
     Ok(out)
 }
@@ -1400,11 +1277,7 @@ mod tests {
 
     /// Every mode a behavior test should hold under.
     fn all_modes() -> Vec<EvalMode> {
-        vec![
-            EvalMode::Naive,
-            EvalMode::SemiNaive,
-            EvalMode::Sharded { workers: 2 },
-        ]
+        vec![EvalMode::Naive, EvalMode::SemiNaive]
     }
 
     #[test]
@@ -1546,25 +1419,6 @@ module TC {
         // Both need the same number of iterations to reach the fixpoint on
         // a chain (diameter-bound), give or take the final empty check.
         assert!(s.fixpoint_iters > 1);
-    }
-
-    #[test]
-    fn sharded_matches_semi_naive_tables_and_outputs() {
-        // Large enough to cross the sharding threshold.
-        let edges: Vec<Tuple> = (0..600)
-            .map(|i| t2(i as i64 % 300, (i as i64 * 7 + 1) % 300))
-            .collect();
-        let mut reference =
-            ModuleInstance::with_mode(parse_module(TC).unwrap(), EvalMode::SemiNaive).unwrap();
-        let out_ref = reference.tick(inputs(&[("edge", edges.clone())])).unwrap();
-        for workers in [1usize, 2, 4] {
-            let mut sharded =
-                ModuleInstance::with_mode(parse_module(TC).unwrap(), EvalMode::Sharded { workers })
-                    .unwrap();
-            let out = sharded.tick(inputs(&[("edge", edges.clone())])).unwrap();
-            assert_eq!(out_ref, out, "sharded x{workers} diverged");
-            assert_eq!(reference.table("e"), sharded.table("e"));
-        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * a **timestep interpreter** ([`interp`]) with Bloom's merge operators —
 //!   instantaneous (`<=`), deferred (`<+`), deletion (`<-`) and
 //!   asynchronous (`<~`) — and stratified evaluation of nonmonotonic rules.
-//!   The fixpoint engine is semi-naive with hash-join indexes and optional
-//!   worker sharding ([`interp::EvalMode`]), with per-tick work counters
-//!   ([`interp::TickStats`]);
+//!   The fixpoint engine is semi-naive with hash-join indexes, checked
+//!   against a retained naive oracle ([`interp::EvalMode`]), with per-tick
+//!   work counters ([`interp::TickStats`]);
 //! * the **white-box static analyses** ([`analyze`]) the paper describes:
 //!   syntactic nonmonotonicity detection, persistent-state flow analysis,
 //!   partition-subscript inference from `group by` / `not in` clauses, and

@@ -1472,8 +1472,7 @@ impl<'a> Coordinator<'a> {
         self.awaiting_probe = false;
         self.last_progress = Instant::now();
         self.router.stats.worker_failures += 1;
-        let recoverable = self.spec.tuning.recovery
-            && !matches!(cause, FailureCause::Reported(_) | FailureCause::Corrupt(_));
+        let recoverable = !matches!(cause, FailureCause::Reported(_) | FailureCause::Corrupt(_));
         if !recoverable {
             return Err(DistError::WorkerFailed { worker: i, cause });
         }

@@ -62,9 +62,6 @@ pub struct DistTuning {
     pub respawn_budget: u32,
     /// Base of the exponential respawn backoff (doubles per respawn).
     pub respawn_backoff: Duration,
-    /// Master switch: when false, any worker failure is immediately fatal
-    /// (the pre-recovery behaviour, minus the better forensics).
-    pub recovery: bool,
 }
 
 impl Default for DistTuning {
@@ -75,7 +72,6 @@ impl Default for DistTuning {
             worker_deadline: Duration::from_secs(30),
             respawn_budget: 3,
             respawn_backoff: Duration::from_millis(40),
-            recovery: true,
         }
     }
 }
@@ -113,13 +109,6 @@ impl DistTuning {
     #[must_use]
     pub fn with_respawn_backoff(mut self, backoff: Duration) -> Self {
         self.respawn_backoff = backoff;
-        self
-    }
-
-    /// Enable or disable crash recovery entirely.
-    #[must_use]
-    pub fn with_recovery(mut self, recovery: bool) -> Self {
-        self.recovery = recovery;
         self
     }
 

@@ -1828,6 +1828,10 @@ impl WorkerCtx {
     /// registered participant so commits drain deferred mail and aborts
     /// roll back promptly. Participants are taken under the same lock
     /// the join registers under — no registration can fall between.
+    /// Only the OPEN → resolved transition counts: the first verdict
+    /// stands and a later one (the rescue ladder's hard abort racing a
+    /// gate's own `on_drain` abort) is a no-op, so consumers that already
+    /// acted on COMMITTED never see it flip.
     fn resolve_epoch(&mut self, shared: &Shared, epoch: u64, commit: bool) {
         let spec = shared
             .spec
@@ -1844,14 +1848,18 @@ impl WorkerCtx {
                 blazes_obs::record(EventKind::EpochOpen, epoch, 0);
                 EpochEntry::default()
             });
-            entry.status.store(
-                if commit {
-                    EPOCH_COMMITTED
-                } else {
-                    EPOCH_ABORTED
-                },
-                Ordering::SeqCst,
-            );
+            let verdict = if commit {
+                EPOCH_COMMITTED
+            } else {
+                EPOCH_ABORTED
+            };
+            if entry
+                .status
+                .compare_exchange(EPOCH_OPEN, verdict, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+            {
+                return;
+            }
             std::mem::take(&mut entry.participants)
         };
         if commit {

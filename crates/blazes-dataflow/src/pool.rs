@@ -1,17 +1,8 @@
-//! A tiny scoped fork-join worker pool, shared by the parallel executor's
-//! sizing heuristics and the Bloom engine's sharded rule evaluation.
+//! The worker-sizing heuristic of the parallel executor.
 //!
-//! The pool is deliberately structural rather than persistent: callers
-//! hand over a set of independent shard closures, [`fork_join`] runs them
-//! on scoped OS threads and returns the results in shard order. Results
-//! are position-stable, so a deterministic merge (e.g. unioning
-//! `BTreeSet`s at a stratum boundary) produces bit-identical output
-//! regardless of which worker ran which shard — the property the Bloom
-//! engine's differential tests pin.
-//!
-//! Worker counts default to the same heuristic the parallel executor
-//! uses: [`default_workers`] reads `available_parallelism`, capped at
-//! [`MAX_POOL_WORKERS`].
+//! [`default_workers`] reads `available_parallelism`, capped at
+//! [`MAX_POOL_WORKERS`]; it is what `par` uses when the caller does not
+//! pin a worker count.
 
 /// Cap on derived worker counts (mirrors the par backend's default cap).
 pub const MAX_POOL_WORKERS: usize = 8;
@@ -25,36 +16,6 @@ pub fn default_workers() -> usize {
         .clamp(1, MAX_POOL_WORKERS)
 }
 
-/// Run one closure per shard on scoped threads and collect the results in
-/// shard order.
-///
-/// Shard 0 runs inline on the calling thread (so a single-shard call never
-/// pays a spawn), the rest run on scoped threads. Panics in any shard
-/// propagate to the caller.
-pub fn fork_join<R, F>(mut jobs: Vec<F>) -> Vec<R>
-where
-    R: Send,
-    F: FnOnce() -> R + Send,
-{
-    match jobs.len() {
-        0 => return Vec::new(),
-        1 => return vec![jobs.pop().expect("len checked")()],
-        _ => {}
-    }
-    let first = jobs.remove(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|job| scope.spawn(job))
-            .collect::<Vec<_>>();
-        let mut results = vec![first()];
-        for h in handles {
-            results.push(h.join().expect("pool shard panicked"));
-        }
-        results
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,29 +25,5 @@ mod tests {
         let w = default_workers();
         assert!(w >= 1);
         assert!(w <= MAX_POOL_WORKERS);
-    }
-
-    #[test]
-    fn fork_join_preserves_shard_order() {
-        let jobs: Vec<_> = (0..6).map(|i| move || i * 10).collect();
-        assert_eq!(fork_join(jobs), vec![0, 10, 20, 30, 40, 50]);
-    }
-
-    #[test]
-    fn fork_join_handles_empty_and_single() {
-        assert_eq!(fork_join(Vec::<fn() -> u32>::new()), Vec::<u32>::new());
-        assert_eq!(fork_join(vec![|| 7]), vec![7]);
-    }
-
-    #[test]
-    fn fork_join_shares_borrowed_state() {
-        let data: Vec<u64> = (0..100).collect();
-        let shards: Vec<_> = data.chunks(30).collect();
-        let jobs: Vec<_> = shards
-            .iter()
-            .map(|chunk| move || chunk.iter().sum::<u64>())
-            .collect();
-        let total: u64 = fork_join(jobs).into_iter().sum();
-        assert_eq!(total, data.iter().sum::<u64>());
     }
 }

@@ -14,7 +14,7 @@
 //! cargo run --bin blazes -- path/to/topology.blz [--static-order]
 //! cargo run --bin blazes -- --demo            # built-in wordcount demo
 //! cargo run --bin blazes -- module.blz --tick-stats [--ticks N] \
-//!     [--rows N] [--mode naive|semi|sharded[:W]]
+//!     [--rows N] [--mode naive|semi]
 //! ```
 //!
 //! Every form accepts `--trace FILE`: the observability layer records the
@@ -68,19 +68,7 @@ fn parse_mode(s: &str) -> Result<EvalMode, String> {
     match s {
         "naive" => Ok(EvalMode::Naive),
         "semi" | "semi-naive" => Ok(EvalMode::SemiNaive),
-        "sharded" => Ok(EvalMode::sharded_auto()),
-        _ => {
-            if let Some(w) = s.strip_prefix("sharded:") {
-                let workers: usize = w
-                    .parse()
-                    .map_err(|_| format!("bad worker count in --mode {s:?}"))?;
-                Ok(EvalMode::Sharded { workers })
-            } else {
-                Err(format!(
-                    "unknown mode {s:?} (expected naive|semi|sharded[:W])"
-                ))
-            }
-        }
+        _ => Err(format!("unknown mode {s:?} (expected naive|semi)")),
     }
 }
 
@@ -232,7 +220,7 @@ fn main() {
             eprintln!(
                 "usage: blazes <spec-file> [--static-order] | blazes --demo\n       \
                  blazes <module.blz> [--tick-stats] [--ticks N] [--rows N] \
-                 [--mode naive|semi|sharded[:W]]"
+                 [--mode naive|semi]"
             );
             std::process::exit(2);
         }
@@ -300,4 +288,20 @@ fn main() {
         }
     }
     export_trace(trace.as_ref());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_mode_accepts_exactly_the_two_evaluators() {
+        assert_eq!(parse_mode("naive"), Ok(EvalMode::Naive));
+        assert_eq!(parse_mode("semi"), Ok(EvalMode::SemiNaive));
+        assert_eq!(parse_mode("semi-naive"), Ok(EvalMode::SemiNaive));
+        for bad in ["sharded", "sharded:2", "bogus"] {
+            let err = parse_mode(bad).unwrap_err();
+            assert!(err.ends_with("(expected naive|semi)"), "{err}");
+        }
+    }
 }

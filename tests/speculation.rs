@@ -321,6 +321,31 @@ fn never_sealed_session_resolves_at_run_end_to_blocking_output() {
     }
 }
 
+/// An epoch resolves once: only the OPEN → resolved transition counts, so
+/// a repeated abort (the rescue ladder's hard abort racing a gate's own
+/// `on_drain` abort) is not counted twice and a late commit cannot flip
+/// an abort consumers have already acted on.
+#[test]
+fn repeated_verdicts_resolve_an_epoch_once() {
+    let mut par = ParBuilder::new(5)
+        .with_workers(1)
+        .with_tuning(ParTuning::default().with_speculation(true))
+        .unwrap();
+    let resolver = par.add_instance(Box::new(FnComponent::new(
+        "resolver",
+        |_, _, ctx: &mut Context| {
+            ctx.resolve_speculation(9, false);
+            ctx.resolve_speculation(9, false);
+            ctx.resolve_speculation(9, true);
+        },
+    )));
+    par.inject(0, resolver, PortId(0), Message::data([1i64]));
+    let stats = par.build().run();
+    assert_eq!(stats.epochs_opened, 1, "{stats:?}");
+    assert_eq!(stats.epochs_aborted, 1, "{stats:?}");
+    assert_eq!(stats.epochs_committed, 0, "{stats:?}");
+}
+
 /// The CALM property test: confluent components never speculate, never
 /// roll back — under any seed or worker count. Coordination (and therefore
 /// speculation) is priced per component by the analysis, and confluent
