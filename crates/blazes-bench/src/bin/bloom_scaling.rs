@@ -1,6 +1,6 @@
 //! `bloom_scaling`: the Bloom evaluation-engine sweep — naive vs
-//! semi-naive — over recursive, join-heavy and aggregation workloads,
-//! with CI-gateable correctness and counter checks.
+//! semi-naive — over recursive, join-heavy, aggregation and multi-tick
+//! workloads, with CI-gateable correctness and counter checks.
 //!
 //! ```text
 //! cargo run -p blazes-bench --release --bin bloom_scaling -- \
@@ -9,9 +9,12 @@
 //!
 //! `--out` writes the results as JSON (default `BENCH_bloom_scaling.json`
 //! when given without a value). `--check` exits nonzero when any
-//! optimized run's output diverges from the naive oracle, or when the
+//! optimized run's output diverges from the naive oracle, when the
 //! engine's own counters show semi-naive re-deriving on the recursive
-//! workload — both machine-independent gates. With an explicit `FLOOR`
+//! workload, or when a late tick of the multi-tick ad report does more
+//! than 1.5x the work of an early one (per-tick work must track the
+//! tick's delta, not the table) — all machine-independent gates. With an
+//! explicit `FLOOR`
 //! it additionally requires the naive/semi-naive wall-clock ratio on
 //! transitive closure at the largest scale to reach `FLOOR`x; wall time
 //! here is algorithmic (not parallel) speedup, so the floor holds on any
@@ -80,6 +83,12 @@ fn main() {
             println!("# counter gate passed: semi-naive derivations <= naive on every tc point");
         } else {
             eprintln!("FAIL: semi-naive derivation counters exceed naive on transitive closure");
+            failed = true;
+        }
+        if report.per_tick_work_tracks_delta() {
+            println!("# counter gate passed: per-tick work tracks the delta on adreport-ticks");
+        } else {
+            eprintln!("FAIL: per-tick work on adreport-ticks grows with the table (last tenth > 1.5x first)");
             failed = true;
         }
         if let Some(floor) = floor {

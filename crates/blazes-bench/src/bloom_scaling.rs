@@ -1,7 +1,7 @@
 //! The `bloom_scaling` benchmark harness: the Bloom evaluation engine
 //! swept over workloads, scales and evaluation modes.
 //!
-//! Three workloads cover the engine's cost regimes:
+//! Four workloads cover the engine's cost regimes:
 //!
 //! * **tc** — transitive closure over a chain: deep recursion, where
 //!   naive evaluation re-derives every shorter path on every iteration
@@ -13,14 +13,20 @@
 //! * **adreport** — the paper's ad-report query (aggregation + join
 //!   across strata): bounded fixpoints, measuring that the optimized
 //!   engine does not regress the common non-recursive case.
+//! * **adreport-ticks** — the same module fed its clicks 50 per tick, one
+//!   request tick at the end: the only multi-tick workload, recording the
+//!   per-tick work (`derivations + join_probes`) of the first and last
+//!   tenth of ticks. A tick must cost what it changed, not what the log
+//!   holds ([`BloomScalingReport::per_tick_work_tracks_delta`]).
 //!
 //! Every point records wall time **and** the engine's own work counters
 //! ([`blazes_bloom::interp::TickStats`]); each optimized run is digest-
 //! checked against the naive oracle's output. Results render as
 //! `BENCH_bloom_scaling.json` and gate CI on the *counters* (semi-naive
-//! derivations must not exceed naive's on the recursive workload), which
-//! are machine-independent, plus an optional wall-clock speedup floor
-//! for recorded runs.
+//! derivations must not exceed naive's on the recursive workload, and its
+//! per-tick work must not grow with the table), which are
+//! machine-independent, plus an optional wall-clock speedup floor for
+//! recorded runs.
 
 use blazes_bloom::interp::{EvalMode, ModuleInstance, TickOutput, TickStats};
 use blazes_bloom::parse_module;
@@ -80,6 +86,9 @@ pub struct BloomScalingConfig {
     pub triangle_scales: Vec<usize>,
     /// Click counts for the ad-report workload.
     pub adreport_scales: Vec<usize>,
+    /// Click counts for the multi-tick ad-report workload (naive runs, as
+    /// the per-tick oracle, at the smallest only).
+    pub adreport_tick_scales: Vec<usize>,
     /// Timed repetitions per point (best-of).
     pub reps: u32,
 }
@@ -90,6 +99,7 @@ impl Default for BloomScalingConfig {
             tc_scales: vec![32, 64, 128],
             triangle_scales: vec![50, 100, 200],
             adreport_scales: vec![500, 1_000, 2_000],
+            adreport_tick_scales: vec![2_000, 8_000, 32_000],
             reps: 2,
         }
     }
@@ -105,15 +115,28 @@ impl BloomScalingConfig {
             tc_scales: vec![24, 48],
             triangle_scales: vec![40],
             adreport_scales: vec![300],
+            adreport_tick_scales: vec![1_000, 4_000],
             reps: 1,
         }
     }
 }
 
+/// Per-tick work of a multi-tick point: mean `derivations + join_probes`
+/// of a click tick over the first and the last tenth of the click ticks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TickWork {
+    /// Ticks executed (click ticks plus the final request tick).
+    pub ticks: usize,
+    /// Mean work per tick over the first tenth.
+    pub first_tenth: f64,
+    /// Mean work per tick over the last tenth.
+    pub last_tenth: f64,
+}
+
 /// One measured point of the sweep.
 #[derive(Debug, Clone)]
 pub struct BloomPoint {
-    /// `"tc"`, `"triangle"` or `"adreport"`.
+    /// `"tc"`, `"triangle"`, `"adreport"` or `"adreport-ticks"`.
     pub workload: &'static str,
     /// Cores the machine that measured this point reported. Stamped into
     /// every record so mixed-provenance files stay self-describing even
@@ -125,8 +148,11 @@ pub struct BloomPoint {
     pub mode: String,
     /// Best wall-clock milliseconds over the configured repetitions.
     pub millis: f64,
-    /// Engine work counters of the best repetition.
+    /// Engine work counters of the best repetition (summed over the ticks
+    /// of a multi-tick point).
     pub stats: TickStats,
+    /// Per-tick work, on multi-tick points.
+    pub tick_work: Option<TickWork>,
     /// Did every repetition produce the naive oracle's exact output?
     pub correct: bool,
 }
@@ -205,6 +231,21 @@ impl BloomScalingReport {
             })
     }
 
+    /// The machine-independent incrementality claim: on every semi-naive
+    /// multi-tick point (and there is one), a tick late in the run does at
+    /// most 1.5x the work of an early one — the ticks all carry the same
+    /// 50 clicks, so anything more is work proportional to the table.
+    #[must_use]
+    pub fn per_tick_work_tracks_delta(&self) -> bool {
+        let mut semi = self
+            .points
+            .iter()
+            .filter(|p| p.mode == "semi-naive")
+            .filter_map(|p| p.tick_work)
+            .peekable();
+        semi.peek().is_some() && semi.all(|w| w.last_tenth <= 1.5 * w.first_tenth)
+    }
+
     /// Render as pretty-printed JSON (hand-rolled; the vendored serde
     /// shim has no serializer).
     #[must_use]
@@ -224,6 +265,11 @@ impl BloomScalingReport {
             "  \"counters_confirm_no_rederivation\": {},",
             self.counters_confirm_no_rederivation()
         );
+        let _ = writeln!(
+            s,
+            "  \"per_tick_work_tracks_delta\": {},",
+            self.per_tick_work_tracks_delta()
+        );
         let _ = writeln!(s, "  \"all_correct\": {},", self.all_correct());
         let _ = writeln!(s, "  \"notes\": [");
         for (i, note) in self.notes.iter().enumerate() {
@@ -235,11 +281,17 @@ impl BloomScalingReport {
         let _ = writeln!(s, "  \"points\": [");
         for (i, p) in self.points.iter().enumerate() {
             let comma = if i + 1 == self.points.len() { "" } else { "," };
+            let tick_work = p.tick_work.map_or_else(String::new, |w| {
+                format!(
+                    "\"ticks\": {}, \"work_first_tenth\": {:.1}, \"work_last_tenth\": {:.1}, ",
+                    w.ticks, w.first_tenth, w.last_tenth
+                )
+            });
             let _ = writeln!(
                 s,
                 "    {{\"workload\": \"{}\", \"cores\": {}, \"scale\": {}, \"mode\": \"{}\", \
                  \"millis\": {:.3}, \"derivations\": {}, \"join_probes\": {}, \
-                 \"fixpoint_iters\": {}, \"correct\": {}}}{comma}",
+                 \"fixpoint_iters\": {}, {tick_work}\"correct\": {}}}{comma}",
                 p.workload,
                 p.cores,
                 p.scale,
@@ -267,12 +319,12 @@ impl BloomScalingReport {
         );
         let _ = writeln!(
             s,
-            "# workload  scale   mode         ms      derivations   join-probes  iters"
+            "# workload       scale   mode         ms      derivations   join-probes  iters"
         );
         for p in &self.points {
             let _ = writeln!(
                 s,
-                "{:9} {:6} {:11} {:9.2} {:13} {:13} {:6}{}",
+                "{:14} {:6} {:11} {:9.2} {:13} {:13} {:6}{}{}",
                 p.workload,
                 p.scale,
                 p.mode,
@@ -280,6 +332,10 @@ impl BloomScalingReport {
                 p.stats.derivations,
                 p.stats.join_probes,
                 p.stats.fixpoint_iters,
+                p.tick_work.map_or_else(String::new, |w| format!(
+                    "  work/tick {:.1} -> {:.1} over {} ticks",
+                    w.first_tenth, w.last_tenth, w.ticks
+                )),
                 if p.correct { "" } else { "  DIGEST MISMATCH" },
             );
         }
@@ -385,12 +441,115 @@ fn timed_point(
         mode: mode_label(mode),
         millis: best,
         stats,
+        tick_work: None,
         correct,
     }
 }
 
-/// Run the full sweep: every workload at every scale under naive and
-/// semi-naive, digest-checked against naive.
+/// Clicks per tick of the multi-tick workload (the ad report's batch).
+const TICK_CLICKS: usize = 50;
+
+/// `adreport-ticks`: the ad-report module over a whole run — the clicks
+/// arrive [`TICK_CLICKS`] per tick, one request tick for every id closes.
+struct TickWorkload {
+    scale: usize,
+    ticks: Vec<BTreeMap<String, Vec<Tuple>>>,
+    /// The final tick's `response`, in closed form (no engine involved).
+    response: Vec<Tuple>,
+}
+
+fn adreport_ticks_workload(clicks: usize) -> TickWorkload {
+    let ids = (clicks / 8).max(1);
+    // Distinct by construction: click `i` is the `i / ids`-th of its id.
+    let tuples: Vec<Tuple> = (0..clicks)
+        .map(|i| pair((i % ids) as i64, (i / ids) as i64))
+        .collect();
+    let mut ticks: Vec<_> = tuples
+        .chunks(TICK_CLICKS)
+        .map(|chunk| BTreeMap::from([("click".to_string(), chunk.to_vec())]))
+        .collect();
+    let requests = (0..ids)
+        .map(|k| Tuple(vec![Value::Int(k as i64)]))
+        .collect();
+    ticks.push(BTreeMap::from([("request".to_string(), requests)]));
+    TickWorkload {
+        scale: clicks,
+        ticks,
+        // Id `k` is clicked by every i < clicks with i % ids == k.
+        response: (0..ids)
+            .map(|k| pair(k as i64, (clicks - k).div_ceil(ids) as i64))
+            .collect(),
+    }
+}
+
+/// Run the multi-tick workload once: every tick's output, every tick's
+/// work, the cumulative counters.
+fn run_ticks(w: &TickWorkload, mode: EvalMode) -> (Vec<TickOutput>, Vec<u64>, TickStats) {
+    let m = parse_module(ADREPORT_MODULE).expect("bench module must parse");
+    let mut inst = ModuleInstance::with_mode(m, mode).expect("bench module must stratify");
+    let mut work = Vec::with_capacity(w.ticks.len());
+    let outs = w
+        .ticks
+        .iter()
+        .map(|inputs| {
+            let out = inst.tick(inputs.clone()).expect("bench tick must succeed");
+            let s = inst.last_tick_stats();
+            work.push(s.derivations + s.join_probes);
+            out
+        })
+        .collect();
+    (outs, work, inst.cumulative_stats())
+}
+
+/// Time one multi-tick point. Every repetition's final response is checked
+/// against the closed form, and against `oracle` (the naive run's per-tick
+/// outputs) where one is given.
+fn timed_ticks_point(
+    w: &TickWorkload,
+    mode: EvalMode,
+    oracle: Option<&[TickOutput]>,
+    reps: u32,
+    cores: usize,
+) -> BloomPoint {
+    let mut best = f64::INFINITY;
+    let mut stats = TickStats::default();
+    let mut tick_work = None;
+    let mut correct = true;
+    for _ in 0..reps.max(1) {
+        let started = Instant::now();
+        let (outs, work, s) = run_ticks(w, mode);
+        let elapsed = started.elapsed().as_secs_f64() * 1e3;
+        if elapsed < best {
+            best = elapsed;
+            stats = s;
+        }
+        correct &= outs.last().is_some_and(|o| o.on("response") == w.response)
+            && oracle.is_none_or(|expected| outs == expected);
+        // The closing request tick is not a click tick.
+        let clicks = &work[..work.len() - 1];
+        let tenth = (clicks.len() / 10).max(1);
+        let mean = |ticks: &[u64]| ticks.iter().sum::<u64>() as f64 / ticks.len() as f64;
+        tick_work = Some(TickWork {
+            ticks: work.len(),
+            first_tenth: mean(&clicks[..tenth]),
+            last_tenth: mean(&clicks[clicks.len() - tenth..]),
+        });
+    }
+    BloomPoint {
+        workload: "adreport-ticks",
+        cores,
+        scale: w.scale,
+        mode: mode_label(mode),
+        millis: best,
+        stats,
+        tick_work,
+        correct,
+    }
+}
+
+/// Run the full sweep: every single-tick workload at every scale under
+/// naive and semi-naive, digest-checked against naive; the multi-tick
+/// workload under semi-naive, with naive beside it at the smallest scale.
 #[must_use]
 pub fn run_bloom_scaling(cfg: &BloomScalingConfig) -> BloomScalingReport {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -408,6 +567,30 @@ pub fn run_bloom_scaling(cfg: &BloomScalingConfig) -> BloomScalingReport {
             w,
             EvalMode::SemiNaive,
             &expected,
+            cfg.reps,
+            cores,
+        ));
+    }
+    let smallest = cfg.adreport_tick_scales.iter().copied().min();
+    for &clicks in &cfg.adreport_tick_scales {
+        let w = adreport_ticks_workload(clicks);
+        // Naive re-scans the log every tick: affordable, and worth a row to
+        // show what per-tick work looks like when it tracks the table,
+        // at the smallest scale only.
+        let oracle = (Some(clicks) == smallest).then(|| run_ticks(&w, EvalMode::Naive).0);
+        if let Some(expected) = &oracle {
+            points.push(timed_ticks_point(
+                &w,
+                EvalMode::Naive,
+                Some(expected),
+                cfg.reps,
+                cores,
+            ));
+        }
+        points.push(timed_ticks_point(
+            &w,
+            EvalMode::SemiNaive,
+            oracle.as_deref(),
             cfg.reps,
             cores,
         ));
@@ -440,8 +623,15 @@ mod tests {
         let workload_count =
             cfg.tc_scales.len() + cfg.triangle_scales.len() + cfg.adreport_scales.len();
         let modes = 2;
-        assert_eq!(report.points.len(), workload_count * modes);
+        // Multi-tick: semi-naive at every scale, naive at the smallest.
+        let tick_points = cfg.adreport_tick_scales.len() + 1;
+        assert_eq!(report.points.len(), workload_count * modes + tick_points);
         assert!(report.all_correct(), "an optimized engine diverged");
+        assert!(
+            report.per_tick_work_tracks_delta(),
+            "a late tick did more work than an early one:\n{}",
+            report.render_table()
+        );
         assert!(
             report.counters_confirm_no_rederivation(),
             "semi-naive re-derived on transitive closure"
@@ -461,6 +651,8 @@ mod tests {
         assert!(json.contains("\"workload\": \"triangle\""));
         assert!(json.contains("\"workload\": \"adreport\""));
         assert!(json.contains("\"counters_confirm_no_rederivation\": true"));
+        assert!(json.contains("\"workload\": \"adreport-ticks\""));
+        assert!(json.contains("\"per_tick_work_tracks_delta\": true"));
         let table = report.render_table();
         assert!(table.contains("semi-naive"));
     }
@@ -471,11 +663,40 @@ mod tests {
             tc_scales: vec![48],
             triangle_scales: vec![],
             adreport_scales: vec![],
+            adreport_tick_scales: vec![],
             reps: 1,
         });
         let naive = report.point("tc", 48, "naive").unwrap();
         let semi = report.point("tc", 48, "semi-naive").unwrap();
         assert!(semi.stats.derivations * 2 < naive.stats.derivations);
         assert!(semi.stats.join_probes * 10 < naive.stats.join_probes);
+    }
+
+    #[test]
+    fn per_tick_work_gate_separates_incremental_from_whole_state() {
+        let report = run_bloom_scaling(&BloomScalingConfig {
+            tc_scales: vec![],
+            triangle_scales: vec![],
+            adreport_scales: vec![],
+            adreport_tick_scales: vec![1_000],
+            reps: 1,
+        });
+        let naive = report.point("adreport-ticks", 1_000, "naive").unwrap();
+        let semi = report.point("adreport-ticks", 1_000, "semi-naive").unwrap();
+        assert!(naive.correct && semi.correct);
+        let (n, s) = (naive.tick_work.unwrap(), semi.tick_work.unwrap());
+        assert_eq!((n.ticks, s.ticks), (21, 21), "20 click ticks + 1 request");
+        // Every click tick is 50 derivations (`log <= click`) plus 50 select
+        // probes and 50 aggregate-delta probes, whatever the log holds.
+        assert_eq!((s.first_tenth, s.last_tenth), (150.0, 150.0));
+        assert!(report.per_tick_work_tracks_delta());
+        // The whole-state oracle is what the gate exists to reject.
+        assert!(n.last_tenth > 1.5 * n.first_tenth);
+        // Without a multi-tick point the claim is not made.
+        let empty = BloomScalingReport {
+            points: Vec::new(),
+            ..report
+        };
+        assert!(!empty.per_tick_work_tracks_delta());
     }
 }

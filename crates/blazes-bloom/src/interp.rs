@@ -2,8 +2,8 @@
 //!
 //! Bloom evaluates in discrete timesteps. Within a timestep:
 //!
-//! 1. pending deferred merges (`<+`) and deletions (`<-`) from the previous
-//!    timestep are applied to persistent tables;
+//! 1. pending deletions (`<-`) and then pending deferred merges (`<+`) from
+//!    the previous timestep are applied to persistent tables;
 //! 2. the timestep's external inputs populate the input interfaces;
 //! 3. the **instantaneous** rules (`<=`) run to fixpoint, stratum by
 //!    stratum (nonmonotonic operators — aggregation, negation — only read
@@ -20,18 +20,55 @@
 //! The fixpoint of step 3 runs in one of two [`EvalMode`]s:
 //!
 //! * [`EvalMode::Naive`] — the reference stratified fixpoint: every rule
-//!   re-derives from scratch every iteration with nested-loop joins. Kept
-//!   as the oracle the optimized mode is differentially tested against.
-//! * [`EvalMode::SemiNaive`] (default) — per-collection **delta
-//!   relations**: after a first full pass, each iteration only feeds the
-//!   tuples that were new in the previous iteration back through the
-//!   rules, joining them against **hash indexes** over the accumulated
-//!   full sets. Rules whose read-set (from [`catalog::Schedule`]) gained
-//!   no tuples are skipped outright. Nonmonotonic bodies (aggregation,
-//!   negation) read only strictly-lower strata, so they evaluate exactly
-//!   once per stratum. Persistent tables enter the timestep as
-//!   copy-on-write snapshots and are only cloned if a rule actually
-//!   derives into them.
+//!   re-derives from the whole state every iteration with nested-loop
+//!   joins and one-pass aggregation. Kept as the oracle the optimized
+//!   mode is differentially tested against.
+//! * [`EvalMode::SemiNaive`] (default) — incremental **within and across**
+//!   ticks: a tick costs what the tick changed, not what the tables hold.
+//!
+//! **What persists across ticks.** Tables live in the instance and are
+//! mutated in place; each carries a *tick delta* — the tuples this tick
+//! inserted so far (pending `<+`/async merges, lower strata, earlier
+//! rules) and the tuples `<-` removed at this tick's start. Hash indexes
+//! over tables are built on first use, addressed by a slot resolved at
+//! instantiation, and maintained on every insert *and* remove; indexes
+//! over inputs, scratches and outputs are dropped at the end of the tick.
+//! A `group by` over a table keeps per-group aggregate state (count, sum,
+//! and a value multiset so `min`/`max` survive deletions), brought up to
+//! date from the source's tick delta and emitted from the groups — O(|Δ| +
+//! groups), not O(|table|).
+//!
+//! **What is delta-seeded.** The first pass of a stratum evaluates a
+//! monotone rule (`Select`/`Join`) whose head is a table as Δleft ⋈ right ∪
+//! left ⋈ Δright, where Δ of a table is its tick delta and Δ of any other
+//! collection is its whole content: everything old × old could derive is
+//! already in the head. Later iterations feed only the previous
+//! iteration's new tuples back through the rules, as before, and skip
+//! rules whose read-set (from [`catalog::Schedule`]) gained nothing. A
+//! join or antijoin with an empty side returns without probing.
+//!
+//! **What is left out.** A rule into a scratch that nothing can observe
+//! this tick — every consumer is gated shut by an empty input interface,
+//! like the ad report's standing query on a tick that carries clicks but
+//! no request — is not evaluated at all (a running aggregate still folds
+//! its delta in), provided its columns resolve statically so that skipping
+//! it cannot hide a reference error.
+//!
+//! **What is re-derived in full, and why.** Rules into scratches and
+//! outputs (the head starts empty every tick); antijoins and aggregations
+//! that are not over a table (nonmonotonic: they read strictly lower,
+//! complete strata exactly once); joins whose `on` clause does not resolve
+//! statically (the nested-loop fallback reproduces the reference error);
+//! the once-per-tick deferred/deletion/async rules; and — the
+//! delete-then-re-derive rule — **every rule into a table that lost a
+//! tuple to `<-` at this tick's start**: the sources may still derive the
+//! removed tuple from entirely old state, which no delta would revisit.
+//!
+//! **The tick contract.** [`ModuleInstance::tick`] is all-or-nothing. Input
+//! names, kinds and arities are validated before anything is touched, and
+//! an evaluation error in mid-fixpoint is undone from the tick's own
+//! insert/delete deltas, so tables, indexes, aggregate state, pending
+//! merges, the tick count and the statistics equal their pre-call values.
 //!
 //! Every tick records [`TickStats`] (derivations, join probes, fixpoint
 //! iterations, wall time) per stratum, so the cost of re-derivation is a
@@ -41,16 +78,11 @@ use crate::ast::*;
 use crate::catalog::{self, Schedule};
 use crate::error::{BloomError, Result};
 use blazes_dataflow::value::{Tuple, Value};
-use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
 type Rel = BTreeSet<Tuple>;
-
-/// The per-timestep view of every collection. Persistent tables start as
-/// copy-on-write borrows of the instance's stored state; a table is only
-/// cloned when a rule actually derives a new tuple into it.
-type State<'a> = BTreeMap<String, Cow<'a, Rel>>;
 
 /// A hash index over one collection: join-key values → matching tuples.
 type Index = HashMap<Vec<Value>, Vec<Tuple>>;
@@ -58,11 +90,11 @@ type Index = HashMap<Vec<Value>, Vec<Tuple>>;
 /// How the instantaneous-rule fixpoint evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// Reference evaluation: full re-derivation every iteration,
-    /// nested-loop joins, whole-table snapshots. The oracle for
-    /// differential tests.
+    /// Reference evaluation: full re-derivation from the whole state every
+    /// iteration, nested-loop joins. The oracle for differential tests.
     Naive,
-    /// Semi-naive deltas + hash-join indexes + copy-on-write snapshots.
+    /// Semi-naive deltas within a tick, tick deltas across ticks, hash-join
+    /// indexes and aggregate state that persist with the tables.
     #[default]
     SemiNaive,
 }
@@ -111,17 +143,19 @@ impl TickOutput {
     }
 }
 
-/// A running instance of a module: persistent tables plus pending deferred
-/// work.
+/// A running instance of a module: persistent tables (with their indexes
+/// and aggregate state) plus pending deferred work.
 #[derive(Debug, Clone)]
 pub struct ModuleInstance {
     module: Module,
     schedule: Schedule,
     plans: Vec<Plan>,
     mode: EvalMode,
-    tables: BTreeMap<String, Rel>,
-    pending_insert: BTreeMap<String, Rel>,
-    pending_delete: BTreeMap<String, Rel>,
+    store: Store,
+    /// Deferred merges / deletions due at the next tick's start, keyed by
+    /// collection id.
+    pending_insert: BTreeMap<usize, Rel>,
+    pending_delete: BTreeMap<usize, Rel>,
     ticks: u64,
     last_stats: TickStats,
     last_stratum_stats: Vec<TickStats>,
@@ -138,19 +172,13 @@ impl ModuleInstance {
     /// Instantiate with an explicit evaluation mode.
     pub fn with_mode(module: Module, mode: EvalMode) -> Result<Self> {
         let schedule = catalog::schedule(&module)?;
-        let plans = plan_rules(&module);
-        let tables = module
-            .collections
-            .iter()
-            .filter(|c| c.kind.is_persistent())
-            .map(|c| (c.name.clone(), Rel::new()))
-            .collect();
+        let (plans, store) = plan_rules(&module, &schedule)?;
         Ok(ModuleInstance {
             module,
             schedule,
             plans,
             mode,
-            tables,
+            store,
             pending_insert: BTreeMap::new(),
             pending_delete: BTreeMap::new(),
             ticks: 0,
@@ -194,41 +222,27 @@ impl ModuleInstance {
     /// Contents of a persistent table (empty for unknown names).
     #[must_use]
     pub fn table(&self, name: &str) -> Vec<Tuple> {
-        self.tables
-            .get(name)
-            .map(|r| r.iter().cloned().collect())
-            .unwrap_or_default()
+        match coll_id(&self.module, name) {
+            Ok(c) if self.store.persistent[c] => self.store.rels[c].iter().cloned().collect(),
+            _ => Vec::new(),
+        }
     }
 
     /// Execute one timestep with the given input-interface tuples.
+    ///
+    /// All-or-nothing: on `Err` the instance is exactly as it was before
+    /// the call (no tick counted, no deferred work consumed).
     pub fn tick(&mut self, inputs: BTreeMap<String, Vec<Tuple>>) -> Result<TickOutput> {
-        self.ticks += 1;
-
-        // 1. Apply pending deferred work to tables.
-        for (name, rel) in std::mem::take(&mut self.pending_delete) {
-            if let Some(t) = self.tables.get_mut(&name) {
-                for tuple in rel {
-                    t.remove(&tuple);
-                }
+        let inputs = check_inputs(&self.module, inputs)?;
+        let done = match self.run_tick(&inputs) {
+            Ok(done) => done,
+            Err(e) => {
+                self.store.rollback();
+                return Err(e);
             }
-        }
-        let pending = std::mem::take(&mut self.pending_insert);
-
-        let old_tables = std::mem::take(&mut self.tables);
-        let res = run_tick(
-            &self.module,
-            &self.schedule,
-            &self.plans,
-            self.mode,
-            &old_tables,
-            &pending,
-            inputs,
-        );
-        self.tables = old_tables;
-        let done = res?;
-        for (name, rel) in done.new_tables {
-            self.tables.insert(name, rel);
-        }
+        };
+        self.store.end_tick();
+        self.ticks += 1;
         self.pending_insert = done.pending_insert;
         self.pending_delete = done.pending_delete;
         let mut total = done.post_stats;
@@ -248,6 +262,411 @@ impl ModuleInstance {
         }
         Ok(done.output)
     }
+
+    /// Steps 1–4 of the timestep against the in-place store. On `Err` the
+    /// store holds a half-evaluated tick; the caller rolls it back.
+    fn run_tick(&mut self, inputs: &[(usize, Vec<Tuple>)]) -> Result<TickDone> {
+        let (m, sched, plans, mode) = (&self.module, &self.schedule, &self.plans[..], self.mode);
+        let store = &mut self.store;
+
+        // 1. Pending deletions, then pending merges (a tuple both deleted
+        // and merged survives), each recorded in the table's tick delta.
+        for (&c, rel) in &self.pending_delete {
+            if store.persistent[c] {
+                for t in rel {
+                    store.delete(c, t);
+                }
+            }
+        }
+        for (&c, rel) in &self.pending_insert {
+            for t in rel {
+                store.insert(c, t);
+            }
+        }
+        // 2. The timestep's inputs.
+        for (c, tuples) in inputs {
+            for t in tuples {
+                store.insert(*c, t);
+            }
+        }
+
+        // 3. Stratified fixpoint of instantaneous rules.
+        let mut stratum_stats = vec![TickStats::default(); sched.max_stratum + 1];
+        match mode {
+            EvalMode::Naive => naive_fixpoint(m, sched, plans, store, &mut stratum_stats)?,
+            EvalMode::SemiNaive => {
+                semi_naive_fixpoint(m, sched, plans, store, &mut stratum_stats)?;
+            }
+        }
+
+        // 4. Deferred / deletion / async rules against the final state.
+        let mut out_sets: BTreeMap<usize, Rel> = BTreeMap::new();
+        let mut pending_insert: BTreeMap<usize, Rel> = BTreeMap::new();
+        let mut pending_delete: BTreeMap<usize, Rel> = BTreeMap::new();
+        let mut post_stats = TickStats::default();
+        let post_started = Instant::now();
+        for (ri, rule) in m.rules.iter().enumerate() {
+            if rule.op == MergeOp::Instant {
+                continue;
+            }
+            let derived = if mode == EvalMode::Naive {
+                eval_body(m, &store.rels, &rule.body, &mut post_stats.join_probes)?
+            } else {
+                eval_rule_once(m, plans, ri, store, &mut post_stats.join_probes)?
+            };
+            post_stats.derivations += derived.len() as u64;
+            let head = plans[ri].head;
+            let sink = match rule.op {
+                MergeOp::Instant => unreachable!("filtered above"),
+                MergeOp::Delete => &mut pending_delete,
+                MergeOp::Async if m.collections[head].kind == CollectionKind::Output => {
+                    &mut out_sets
+                }
+                // Async into internal state lands next timestep.
+                MergeOp::Deferred | MergeOp::Async => &mut pending_insert,
+            };
+            sink.entry(head).or_default().extend(derived);
+        }
+        post_stats.wall_ns = post_started.elapsed().as_nanos() as u64;
+
+        // Instantly derived output contents are also visible externally.
+        for (c, decl) in m.collections.iter().enumerate() {
+            if decl.kind == CollectionKind::Output && !store.rels[c].is_empty() {
+                out_sets
+                    .entry(c)
+                    .or_default()
+                    .extend(store.rels[c].iter().cloned());
+            }
+        }
+        let output = TickOutput {
+            outputs: out_sets
+                .into_iter()
+                .map(|(c, s)| (m.collections[c].name.clone(), s.into_iter().collect()))
+                .collect(),
+        };
+        Ok(TickDone {
+            output,
+            pending_insert,
+            pending_delete,
+            stratum_stats,
+            post_stats,
+        })
+    }
+}
+
+/// Validate a tick's inputs — interface names, kinds and tuple arities —
+/// and resolve the names to collection ids, before any state is touched.
+fn check_inputs(
+    m: &Module,
+    inputs: BTreeMap<String, Vec<Tuple>>,
+) -> Result<Vec<(usize, Vec<Tuple>)>> {
+    let mut resolved = Vec::with_capacity(inputs.len());
+    for (iface, tuples) in inputs {
+        let c = coll_id(m, &iface)
+            .map_err(|_| BloomError::Eval(format!("unknown input interface {iface:?}")))?;
+        let decl = &m.collections[c];
+        if decl.kind != CollectionKind::Input {
+            return Err(BloomError::Eval(format!(
+                "{iface:?} is not an input interface"
+            )));
+        }
+        if let Some(t) = tuples.iter().find(|t| t.arity() != decl.arity()) {
+            return Err(BloomError::Eval(format!(
+                "arity mismatch on {iface:?}: got {}, expected {}",
+                t.arity(),
+                decl.arity()
+            )));
+        }
+        resolved.push((c, tuples));
+    }
+    Ok(resolved)
+}
+
+// ---------------------------------------------------------------------
+// The store: relations, tick deltas, indexes, aggregate state
+// ---------------------------------------------------------------------
+
+/// Everything a tick reads and writes, index-aligned with
+/// `module.collections`. Tables (and the indexes and aggregate state
+/// derived from them) persist; everything else is emptied by
+/// [`Store::end_tick`].
+#[derive(Debug, Clone)]
+struct Store {
+    rels: Vec<Rel>,
+    persistent: Vec<bool>,
+    /// Per table: tuples this tick genuinely added, in insertion order.
+    inserted: Vec<Vec<Tuple>>,
+    /// Per table: tuples `<-` genuinely removed at this tick's start.
+    deleted: Vec<Vec<Tuple>>,
+    /// `(collection, key columns)` of every index slot a plan refers to.
+    index_specs: Vec<(usize, Vec<usize>)>,
+    /// The indexes themselves; `None` until first used. Slots over tables
+    /// stay built across ticks, the rest are reset every tick.
+    indexes: Vec<Option<Index>>,
+    /// Index slots over each collection.
+    indexes_of: Vec<Vec<usize>>,
+    /// Incremental `group by` state, one per eligible rule.
+    aggs: Vec<AggState>,
+}
+
+impl Store {
+    fn new(m: &Module) -> Self {
+        let n = m.collections.len();
+        Store {
+            rels: vec![Rel::new(); n],
+            persistent: m
+                .collections
+                .iter()
+                .map(|c| c.kind.is_persistent())
+                .collect(),
+            inserted: vec![Vec::new(); n],
+            deleted: vec![Vec::new(); n],
+            index_specs: Vec::new(),
+            indexes: Vec::new(),
+            indexes_of: vec![Vec::new(); n],
+            aggs: Vec::new(),
+        }
+    }
+
+    /// The slot of the `(collection, key columns)` index, allocated on
+    /// first request (instantiation time only).
+    fn index_slot(&mut self, coll: usize, cols: &[usize]) -> usize {
+        if let Some(slot) = self
+            .index_specs
+            .iter()
+            .position(|(c, k)| *c == coll && k == cols)
+        {
+            return slot;
+        }
+        self.index_specs.push((coll, cols.to_vec()));
+        self.indexes.push(None);
+        self.indexes_of[coll].push(self.indexes.len() - 1);
+        self.indexes.len() - 1
+    }
+
+    /// Build an index from the collection's current content if it is not
+    /// live yet; from then on [`Store::add`]/[`Store::remove`] maintain it.
+    fn ensure_index(&mut self, slot: usize) {
+        if self.indexes[slot].is_some() {
+            return;
+        }
+        let (coll, cols) = &self.index_specs[slot];
+        let mut idx = Index::default();
+        for t in &self.rels[*coll] {
+            idx.entry(key_of(t, cols)).or_default().push(t.clone());
+        }
+        self.indexes[slot] = Some(idx);
+    }
+
+    fn index(&self, slot: usize) -> &Index {
+        self.indexes[slot]
+            .as_ref()
+            .expect("index ensured before use")
+    }
+
+    /// Put a tuple into a collection and its live indexes; `false` (and no
+    /// clone made) if it was already there.
+    fn add(&mut self, c: usize, t: &Tuple) -> bool {
+        if self.rels[c].contains(t) {
+            return false;
+        }
+        for &slot in &self.indexes_of[c] {
+            if let Some(idx) = &mut self.indexes[slot] {
+                let key = key_of(t, &self.index_specs[slot].1);
+                idx.entry(key).or_default().push(t.clone());
+            }
+        }
+        self.rels[c].insert(t.clone());
+        true
+    }
+
+    /// Take a tuple out of a collection and its live indexes; `false` if
+    /// it was not there.
+    fn remove(&mut self, c: usize, t: &Tuple) -> bool {
+        if !self.rels[c].remove(t) {
+            return false;
+        }
+        for &slot in &self.indexes_of[c] {
+            if let Some(idx) = &mut self.indexes[slot] {
+                let key = key_of(t, &self.index_specs[slot].1);
+                if let Some(bucket) = idx.get_mut(&key) {
+                    if let Some(i) = bucket.iter().position(|b| b == t) {
+                        bucket.swap_remove(i);
+                    }
+                    if bucket.is_empty() {
+                        idx.remove(&key);
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// [`Store::add`], recording a genuinely new table tuple in the tick
+    /// delta.
+    fn insert(&mut self, c: usize, t: &Tuple) -> bool {
+        let added = self.add(c, t);
+        if added && self.persistent[c] {
+            self.inserted[c].push(t.clone());
+        }
+        added
+    }
+
+    /// [`Store::remove`] at tick start, recording a genuine removal in the
+    /// tick delta.
+    fn delete(&mut self, c: usize, t: &Tuple) {
+        if self.remove(c, t) {
+            self.deleted[c].push(t.clone());
+        }
+    }
+
+    /// Commit the tick: forget the deltas and everything transient.
+    fn end_tick(&mut self) {
+        for agg in &mut self.aggs {
+            agg.synced = false;
+        }
+        for c in 0..self.rels.len() {
+            if self.persistent[c] {
+                self.inserted[c].clear();
+                self.deleted[c].clear();
+            } else {
+                self.rels[c].clear();
+                for &slot in &self.indexes_of[c] {
+                    self.indexes[slot] = None;
+                }
+            }
+        }
+    }
+
+    /// Undo a half-evaluated tick from its own deltas: aggregate state
+    /// first (it reads the deltas), then the tables and their indexes.
+    fn rollback(&mut self) {
+        for agg in &mut self.aggs {
+            if agg.synced {
+                let src = agg.source;
+                agg.unsync(&self.deleted[src], &self.inserted[src]);
+            }
+        }
+        for c in 0..self.rels.len() {
+            for t in std::mem::take(&mut self.inserted[c]) {
+                self.remove(c, &t);
+            }
+            for t in std::mem::take(&mut self.deleted[c]) {
+                self.add(c, &t);
+            }
+        }
+        self.end_tick();
+    }
+}
+
+/// Running aggregate state of one `group by` over a table.
+#[derive(Debug, Clone)]
+struct AggState {
+    source: usize,
+    key_cols: Vec<usize>,
+    agg: AggFun,
+    /// Aggregated column (`None` for `count`).
+    agg_col: Option<usize>,
+    groups: BTreeMap<Vec<Value>, Group>,
+    /// Has this tick's source delta been applied (so a rollback must
+    /// un-apply it)?
+    synced: bool,
+}
+
+#[derive(Debug, Clone)]
+struct Group {
+    /// Some row of the group, for resolving group-by columns in `having`
+    /// and projections (the plan guarantees they read nothing else).
+    rep: Tuple,
+    count: i64,
+    sum: i64,
+    /// Multiset of the aggregated column, kept for `min`/`max` only.
+    values: BTreeMap<Value, usize>,
+}
+
+impl AggState {
+    /// Bring the groups up to date with the source's tick delta. Fails
+    /// (before changing anything) on a non-integer `sum` operand.
+    fn sync(&mut self, deleted: &[Tuple], inserted: &[Tuple]) -> Result<()> {
+        if let (AggFun::Sum, Some(i)) = (self.agg, self.agg_col) {
+            if inserted
+                .iter()
+                .any(|t| t.get(i).and_then(Value::as_int).is_none())
+            {
+                return Err(BloomError::Eval("sum over non-integer".to_string()));
+            }
+        }
+        deleted.iter().for_each(|t| self.apply(t, false));
+        inserted.iter().for_each(|t| self.apply(t, true));
+        self.synced = true;
+        Ok(())
+    }
+
+    /// The exact inverse of a successful [`AggState::sync`].
+    fn unsync(&mut self, deleted: &[Tuple], inserted: &[Tuple]) {
+        inserted.iter().for_each(|t| self.apply(t, false));
+        deleted.iter().for_each(|t| self.apply(t, true));
+        self.synced = false;
+    }
+
+    fn apply(&mut self, t: &Tuple, add: bool) {
+        let operand = self.agg_col.map(|i| t.get(i).expect("schema arity"));
+        let int = operand.and_then(Value::as_int).unwrap_or(0);
+        let track = matches!(self.agg, AggFun::Min | AggFun::Max);
+        match self.groups.entry(key_of(t, &self.key_cols)) {
+            Entry::Vacant(e) if add => {
+                let mut values = BTreeMap::new();
+                if let (true, Some(v)) = (track, operand) {
+                    values.insert(v.clone(), 1);
+                }
+                e.insert(Group {
+                    rep: t.clone(),
+                    count: 1,
+                    sum: int,
+                    values,
+                });
+            }
+            Entry::Vacant(_) => debug_assert!(false, "removal from an unknown group"),
+            Entry::Occupied(mut e) if add => {
+                let g = e.get_mut();
+                g.count += 1;
+                g.sum += int;
+                if let (true, Some(v)) = (track, operand) {
+                    *g.values.entry(v.clone()).or_default() += 1;
+                }
+            }
+            Entry::Occupied(mut e) => {
+                let g = e.get_mut();
+                g.count -= 1;
+                g.sum -= int;
+                if let (true, Some(v)) = (track, operand) {
+                    if let Some(n) = g.values.get_mut(v) {
+                        *n -= 1;
+                        if *n == 0 {
+                            g.values.remove(v);
+                        }
+                    }
+                }
+                if g.count == 0 {
+                    e.remove();
+                }
+            }
+        }
+    }
+
+    fn value_of(&self, g: &Group) -> Value {
+        match self.agg {
+            AggFun::Count => Value::Int(g.count),
+            AggFun::Sum => Value::Int(g.sum),
+            AggFun::Min => g.values.keys().next().expect("non-empty group").clone(),
+            AggFun::Max => g
+                .values
+                .keys()
+                .next_back()
+                .expect("non-empty group")
+                .clone(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -256,164 +675,10 @@ impl ModuleInstance {
 
 struct TickDone {
     output: TickOutput,
-    /// Persistent tables that changed this tick (copy-on-write slots that
-    /// went owned). Unchanged tables are never cloned.
-    new_tables: Vec<(String, Rel)>,
-    pending_insert: BTreeMap<String, Rel>,
-    pending_delete: BTreeMap<String, Rel>,
+    pending_insert: BTreeMap<usize, Rel>,
+    pending_delete: BTreeMap<usize, Rel>,
     stratum_stats: Vec<TickStats>,
     post_stats: TickStats,
-}
-
-fn run_tick(
-    m: &Module,
-    sched: &Schedule,
-    plans: &[Plan],
-    mode: EvalMode,
-    tables: &BTreeMap<String, Rel>,
-    pending: &BTreeMap<String, Rel>,
-    inputs: BTreeMap<String, Vec<Tuple>>,
-) -> Result<TickDone> {
-    // 2. Initialize the timestep state: persistent tables as CoW borrows,
-    // everything else empty.
-    let mut state: State<'_> = BTreeMap::new();
-    for c in &m.collections {
-        let mut slot: Cow<'_, Rel> = if c.kind.is_persistent() {
-            tables
-                .get(&c.name)
-                .map_or_else(|| Cow::Owned(Rel::new()), Cow::Borrowed)
-        } else {
-            Cow::Owned(Rel::new())
-        };
-        if let Some(p) = pending.get(&c.name) {
-            if p.iter().any(|t| !slot.contains(t)) {
-                slot.to_mut().extend(p.iter().cloned());
-            }
-        }
-        state.insert(c.name.clone(), slot);
-    }
-    for (iface, tuples) in inputs {
-        let decl = m
-            .collection(&iface)
-            .ok_or_else(|| BloomError::Eval(format!("unknown input interface {iface:?}")))?;
-        if decl.kind != CollectionKind::Input {
-            return Err(BloomError::Eval(format!(
-                "{iface:?} is not an input interface"
-            )));
-        }
-        for t in tuples {
-            if t.arity() != decl.arity() {
-                return Err(BloomError::Eval(format!(
-                    "arity mismatch on {iface:?}: got {}, expected {}",
-                    t.arity(),
-                    decl.arity()
-                )));
-            }
-            state.get_mut(&iface).expect("declared").to_mut().insert(t);
-        }
-    }
-
-    // 3. Stratified fixpoint of instantaneous rules.
-    let mut stratum_stats = vec![TickStats::default(); sched.max_stratum + 1];
-    let mut cache = IndexCache::default();
-    match mode {
-        EvalMode::Naive => naive_fixpoint(m, sched, &mut state, &mut stratum_stats)?,
-        EvalMode::SemiNaive => {
-            semi_naive_fixpoint(m, sched, plans, &mut state, &mut cache, &mut stratum_stats)?;
-        }
-    }
-
-    // 4. Deferred / deletion / async rules against the final state.
-    let mut out_sets: BTreeMap<String, Rel> = BTreeMap::new();
-    let mut pending_insert: BTreeMap<String, Rel> = BTreeMap::new();
-    let mut pending_delete: BTreeMap<String, Rel> = BTreeMap::new();
-    let mut post_stats = TickStats::default();
-    let post_started = Instant::now();
-    for (ri, rule) in m.rules.iter().enumerate() {
-        if rule.op == MergeOp::Instant {
-            continue;
-        }
-        let derived = if mode == EvalMode::Naive {
-            eval_body(m, &state, &rule.body, &mut post_stats.join_probes)?
-        } else {
-            eval_rule_once(
-                m,
-                plans,
-                ri,
-                &state,
-                &mut cache,
-                &mut post_stats.join_probes,
-            )?
-        };
-        post_stats.derivations += derived.len() as u64;
-        match rule.op {
-            MergeOp::Instant => unreachable!("filtered above"),
-            MergeOp::Deferred => {
-                pending_insert
-                    .entry(rule.head.clone())
-                    .or_default()
-                    .extend(derived);
-            }
-            MergeOp::Delete => {
-                pending_delete
-                    .entry(rule.head.clone())
-                    .or_default()
-                    .extend(derived);
-            }
-            MergeOp::Async => {
-                let kind = m.collection(&rule.head).map(|c| c.kind);
-                if kind == Some(CollectionKind::Output) {
-                    out_sets
-                        .entry(rule.head.clone())
-                        .or_default()
-                        .extend(derived);
-                } else {
-                    // Async into internal state lands next timestep.
-                    pending_insert
-                        .entry(rule.head.clone())
-                        .or_default()
-                        .extend(derived);
-                }
-            }
-        }
-    }
-    post_stats.wall_ns = post_started.elapsed().as_nanos() as u64;
-
-    // Instantly derived output contents are also visible externally.
-    for out_name in m.outputs() {
-        let rel: &Rel = &state[out_name];
-        if !rel.is_empty() {
-            out_sets
-                .entry(out_name.to_string())
-                .or_default()
-                .extend(rel.iter().cloned());
-        }
-    }
-    let output = TickOutput {
-        outputs: out_sets
-            .into_iter()
-            .map(|(k, s)| (k, s.into_iter().collect()))
-            .collect(),
-    };
-
-    // Persist table contents: only copy-on-write slots that actually went
-    // owned carry changes; borrowed slots mean the table is untouched.
-    let mut new_tables = Vec::new();
-    for c in &m.collections {
-        if c.kind.is_persistent() {
-            if let Some(Cow::Owned(rel)) = state.remove(&c.name) {
-                new_tables.push((c.name.clone(), rel));
-            }
-        }
-    }
-    Ok(TickDone {
-        output,
-        new_tables,
-        pending_insert,
-        pending_delete,
-        stratum_stats,
-        post_stats,
-    })
 }
 
 /// The original reference fixpoint: every rule re-derives from scratch
@@ -421,7 +686,8 @@ fn run_tick(
 fn naive_fixpoint(
     m: &Module,
     sched: &Schedule,
-    state: &mut State<'_>,
+    plans: &[Plan],
+    store: &mut Store,
     stats: &mut [TickStats],
 ) -> Result<()> {
     for (stratum, st) in stats.iter_mut().enumerate().take(sched.max_stratum + 1) {
@@ -430,21 +696,11 @@ fn naive_fixpoint(
         loop {
             st.fixpoint_iters += 1;
             let mut changed = false;
-            for rule in &m.rules {
-                if rule.op != MergeOp::Instant || sched.strata[&rule.head] != stratum {
-                    continue;
-                }
-                let derived = eval_body(m, state, &rule.body, &mut st.join_probes)?;
+            for &ri in &sched.instant_by_stratum[stratum] {
+                let derived = eval_body(m, &store.rels, &m.rules[ri].body, &mut st.join_probes)?;
                 st.derivations += derived.len() as u64;
-                for t in derived {
-                    if !state[&rule.head].contains(&t) {
-                        state
-                            .get_mut(&rule.head)
-                            .expect("declared")
-                            .to_mut()
-                            .insert(t);
-                        changed = true;
-                    }
+                for t in &derived {
+                    changed |= store.insert(plans[ri].head, t);
                 }
             }
             if !changed {
@@ -463,19 +719,25 @@ fn naive_fixpoint(
     Ok(())
 }
 
-/// Semi-naive fixpoint: one full pass seeds per-collection deltas, then
-/// each iteration only joins the previous iteration's new tuples against
-/// hash indexes over the accumulated sets. Rules whose read-set gained
-/// nothing are skipped. Nonmonotonic bodies run exactly once per stratum
-/// (their sources live strictly below and are complete).
+/// Semi-naive fixpoint: the first pass seeds per-collection deltas —
+/// from the tick deltas alone where the head is a table that kept all its
+/// tuples, from the whole state otherwise — then each iteration only joins
+/// the previous iteration's new tuples against hash indexes over the
+/// accumulated sets. Rules whose read-set gained nothing are skipped, and
+/// so are rules whose head nothing can observe this tick (see
+/// [`observed_collections`]). Nonmonotonic bodies run exactly once per
+/// stratum (their sources live strictly below and are complete).
 fn semi_naive_fixpoint(
     m: &Module,
     sched: &Schedule,
     plans: &[Plan],
-    state: &mut State<'_>,
-    cache: &mut IndexCache,
+    store: &mut Store,
     stats: &mut [TickStats],
 ) -> Result<()> {
+    let observed = observed_collections(m, plans, store);
+    // Nobody can see this rule's head this tick, and evaluating it could
+    // not fail: leave it out.
+    let idle = |plan: &Plan| !observed[plan.head] && plan.infallible;
     for (stratum, st) in stats.iter_mut().enumerate().take(sched.max_stratum + 1) {
         let rules = &sched.instant_by_stratum[stratum];
         if rules.is_empty() {
@@ -484,11 +746,27 @@ fn semi_naive_fixpoint(
         let started = Instant::now();
         let span = blazes_obs::start();
         st.fixpoint_iters += 1;
-        let mut delta: BTreeMap<String, Rel> = BTreeMap::new();
+        let mut delta: BTreeMap<usize, Rel> = BTreeMap::new();
         for &ri in rules {
-            let derived = eval_rule_once(m, plans, ri, state, cache, &mut st.join_probes)?;
+            let plan = &plans[ri];
+            if idle(plan) {
+                // Running aggregates still have to follow their source.
+                if let PlanKind::Incremental(slot) = plan.kind {
+                    sync_aggregate(store, slot, &mut st.join_probes)?;
+                }
+                continue;
+            }
+            // Old × old is already in a table head — unless `<-` just took
+            // tuples out of it that the old state still derives.
+            let seeded =
+                plan.monotone && store.persistent[plan.head] && store.deleted[plan.head].is_empty();
+            let derived = if seeded {
+                eval_rule_delta(m, plans, ri, store, None, &mut st.join_probes)?
+            } else {
+                eval_rule_once(m, plans, ri, store, &mut st.join_probes)?
+            };
             st.derivations += derived.len() as u64;
-            insert_new(state, cache, &m.rules[ri].head, derived, &mut delta);
+            insert_new(store, plan.head, derived, &mut delta);
         }
         loop {
             delta.retain(|_, r| !r.is_empty());
@@ -498,23 +776,17 @@ fn semi_naive_fixpoint(
             st.fixpoint_iters += 1;
             let cur = std::mem::take(&mut delta);
             for &ri in rules {
-                let rule = &m.rules[ri];
+                let plan = &plans[ri];
                 // Aggregations and antijoins saw their (complete, lower-
-                // stratum) sources in the first pass.
-                if matches!(
-                    rule.body,
-                    RuleBody::GroupBy { .. } | RuleBody::AntiJoin { .. }
-                ) {
-                    continue;
-                }
-                // Read-set skip: nothing new to feed this rule.
-                if !sched.reads[ri].iter().any(|s| cur.contains_key(s)) {
+                // stratum) sources in the first pass. Read-set skip:
+                // nothing new to feed this rule.
+                if !plan.monotone || idle(plan) || !plan.reads.iter().any(|c| cur.contains_key(c)) {
                     continue;
                 }
                 let derived =
-                    eval_rule_delta(m, plans, ri, state, cache, &cur, &mut st.join_probes)?;
+                    eval_rule_delta(m, plans, ri, store, Some(&cur), &mut st.join_probes)?;
                 st.derivations += derived.len() as u64;
-                insert_new(state, cache, &rule.head, derived, &mut delta);
+                insert_new(store, plan.head, derived, &mut delta);
             }
         }
         st.wall_ns += started.elapsed().as_nanos() as u64;
@@ -529,34 +801,58 @@ fn semi_naive_fixpoint(
     Ok(())
 }
 
-/// Merge freshly derived tuples into the head collection, recording the
-/// genuinely new ones in the delta map and keeping live indexes fresh.
-fn insert_new(
-    state: &mut State<'_>,
-    cache: &mut IndexCache,
-    head: &str,
-    derived: Rel,
-    delta: &mut BTreeMap<String, Rel>,
-) {
-    let slot = state.get_mut(head).expect("declared");
-    for t in derived {
-        if slot.contains(&t) {
-            continue;
+/// Which collections can anything observe this tick? Tables and output
+/// interfaces always; a scratch or input only through a rule that has an
+/// effect — it is deferred/deletion/async, its own head is observed, or
+/// evaluating it might fail — and is not gated shut by an empty input
+/// interface (`plan.gates`). A click tick of the ad report, say, never
+/// reads the standing query: its one consumer joins it with the empty
+/// `request` interface.
+fn observed_collections(m: &Module, plans: &[Plan], store: &Store) -> Vec<bool> {
+    let mut observed: Vec<bool> = m
+        .collections
+        .iter()
+        .map(|c| c.kind.is_persistent() || c.kind == CollectionKind::Output)
+        .collect();
+    loop {
+        let mut changed = false;
+        for (rule, plan) in m.rules.iter().zip(plans) {
+            let effective = rule.op != MergeOp::Instant || observed[plan.head] || !plan.infallible;
+            if !effective || plan.gates.iter().any(|&c| store.rels[c].is_empty()) {
+                continue;
+            }
+            for &c in &plan.reads {
+                changed |= !std::mem::replace(&mut observed[c], true);
+            }
         }
-        slot.to_mut().insert(t.clone());
-        cache.note_insert(head, &t);
-        delta.entry(head.to_string()).or_default().insert(t);
+        if !changed {
+            return observed;
+        }
+    }
+}
+
+/// Merge freshly derived tuples into the head collection, recording the
+/// genuinely new ones in the iteration delta.
+fn insert_new(store: &mut Store, head: usize, derived: Rel, delta: &mut BTreeMap<usize, Rel>) {
+    for t in derived {
+        if store.insert(head, &t) {
+            delta.entry(head).or_default().insert(t);
+        }
     }
 }
 
 // ---------------------------------------------------------------------
-// Rule plans and hash indexes
+// Rule plans
 // ---------------------------------------------------------------------
 
 /// The cross- and same-side structure of a join/antijoin `on` clause,
-/// resolved to column positions at instantiation time.
+/// resolved to collection ids, column positions and index slots at
+/// instantiation time.
 #[derive(Debug, Clone, Default)]
 struct JoinPlan {
+    /// Left/positive and right/negated collection.
+    left: usize,
+    right: usize,
     /// Key columns on the left/positive side (cross-side equalities).
     lkey: Vec<usize>,
     /// Key columns on the right/negated side, aligned with `lkey`.
@@ -565,45 +861,117 @@ struct JoinPlan {
     lfilter: Vec<(usize, usize)>,
     /// Same-side equalities on the right tuple.
     rfilter: Vec<(usize, usize)>,
+    /// Slot of the index over `right` on `rkey`.
+    rindex: usize,
 }
 
 /// Precomputed evaluation strategy per rule.
 #[derive(Debug, Clone)]
-enum Plan {
+struct Plan {
+    head: usize,
+    /// Collections the body reads.
+    reads: Vec<usize>,
+    /// `Select`/`Join` body: iterates on deltas, and may be delta-seeded.
+    monotone: bool,
+    /// Input interfaces among the positive (non-negated) sources: while
+    /// one of them is empty the rule derives nothing, whatever the rest of
+    /// the state holds.
+    gates: Vec<usize>,
+    /// Every column the body reads resolves statically, so evaluating the
+    /// rule can only fail inside [`AggState::sync`] — skipping an
+    /// evaluation nobody observes cannot hide a reference error.
+    infallible: bool,
+    kind: PlanKind,
+}
+
+#[derive(Debug, Clone)]
+enum PlanKind {
     /// Stream the source through predicates.
-    Select,
-    /// Probe a hash index over the opposite side.
-    HashJoin(JoinPlan),
+    Select { source: usize },
+    /// Probe a hash index over the opposite side (`lindex`: the slot of
+    /// the index over `left` on `lkey`, probed by right-side deltas).
+    HashJoin { join: JoinPlan, lindex: usize },
     /// Probe a hash index over the negated side for existence.
     HashAnti(JoinPlan),
-    /// One-pass aggregation.
-    Aggregate,
-    /// On-clause could not be resolved statically — evaluate with the
-    /// naive nested loop (which reproduces the reference error behavior).
+    /// Aggregation over a table, from the running state in that slot of
+    /// `Store::aggs`.
+    Incremental(usize),
+    /// Evaluate with the reference path: one-pass aggregation over a
+    /// non-table (or with columns the running state cannot serve), or an
+    /// on-clause that could not be resolved statically (the nested loop
+    /// reproduces the reference error behavior).
     Fallback,
 }
 
-fn plan_rules(m: &Module) -> Vec<Plan> {
-    m.rules
-        .iter()
-        .map(|r| match &r.body {
-            RuleBody::Select { .. } => Plan::Select,
-            RuleBody::GroupBy { .. } => Plan::Aggregate,
+/// Plan every rule and lay out the store the plans address.
+fn plan_rules(m: &Module, sched: &Schedule) -> Result<(Vec<Plan>, Store)> {
+    let mut store = Store::new(m);
+    let mut plans = Vec::with_capacity(m.rules.len());
+    for (r, reads) in m.rules.iter().zip(&sched.reads) {
+        let kind = match &r.body {
+            RuleBody::Select { source, .. } => PlanKind::Select {
+                source: coll_id(m, source)?,
+            },
             RuleBody::Join {
                 left, right, on, ..
-            } => plan_pairs(m, left, right, on).map_or(Plan::Fallback, Plan::HashJoin),
+            } => match plan_pairs(m, &mut store, left, right, on) {
+                Some(join) => PlanKind::HashJoin {
+                    lindex: store.index_slot(join.left, &join.lkey),
+                    join,
+                },
+                None => PlanKind::Fallback,
+            },
             RuleBody::AntiJoin {
                 source, neg, on, ..
-            } => plan_pairs(m, source, neg, on).map_or(Plan::Fallback, Plan::HashAnti),
-        })
-        .collect()
+            } => plan_pairs(m, &mut store, source, neg, on)
+                .map_or(PlanKind::Fallback, PlanKind::HashAnti),
+            RuleBody::GroupBy { .. } => match plan_aggregate(m, &r.body) {
+                Some(agg) => {
+                    store.aggs.push(agg);
+                    PlanKind::Incremental(store.aggs.len() - 1)
+                }
+                None => PlanKind::Fallback,
+            },
+        };
+        let reads: Vec<usize> = reads.iter().map(|s| coll_id(m, s)).collect::<Result<_>>()?;
+        let negated = r.body.negated_sources();
+        plans.push(Plan {
+            head: coll_id(m, &r.head)?,
+            monotone: matches!(r.body, RuleBody::Select { .. } | RuleBody::Join { .. }),
+            gates: reads
+                .iter()
+                .copied()
+                .filter(|&c| {
+                    let decl = &m.collections[c];
+                    decl.kind == CollectionKind::Input && !negated.contains(&decl.name.as_str())
+                })
+                .collect(),
+            infallible: !matches!(kind, PlanKind::Fallback) && body_resolves(m, &r.body),
+            reads,
+            kind,
+        });
+    }
+    Ok((plans, store))
 }
 
-fn plan_pairs(m: &Module, first: &str, second: &str, on: &[(ColRef, ColRef)]) -> Option<JoinPlan> {
-    let d1 = m.collection(first)?;
-    let d2 = m.collection(second)?;
-    let sides = [(first, d1), (second, d2)];
-    let mut plan = JoinPlan::default();
+fn plan_pairs(
+    m: &Module,
+    store: &mut Store,
+    first: &str,
+    second: &str,
+    on: &[(ColRef, ColRef)],
+) -> Option<JoinPlan> {
+    let left = coll_id(m, first).ok()?;
+    let right = coll_id(m, second).ok()?;
+    let sides = [
+        (first, &m.collections[left]),
+        (second, &m.collections[right]),
+    ];
+    let mut plan = JoinPlan {
+        left,
+        right,
+        ..JoinPlan::default()
+    };
     for (a, b) in on {
         match (resolve_side(a, &sides)?, resolve_side(b, &sides)?) {
             ((0, i), (1, j)) => {
@@ -619,6 +987,7 @@ fn plan_pairs(m: &Module, first: &str, second: &str, on: &[(ColRef, ColRef)]) ->
             _ => return None,
         }
     }
+    plan.rindex = store.index_slot(right, &plan.rkey);
     Some(plan)
 }
 
@@ -626,7 +995,7 @@ fn plan_pairs(m: &Module, first: &str, second: &str, on: &[(ColRef, ColRef)]) ->
 /// name matches (or any binding, for bare refs) and whose schema has the
 /// column. `None` means runtime resolution would error — the caller falls
 /// back to naive evaluation so the error surfaces identically.
-fn resolve_side(col: &ColRef, sides: &[(&str, &CollectionDecl); 2]) -> Option<(usize, usize)> {
+fn resolve_side(col: &ColRef, sides: &[(&str, &CollectionDecl)]) -> Option<(usize, usize)> {
     for (si, (name, decl)) in sides.iter().enumerate() {
         if !col.collection.is_empty() && col.collection != *name {
             continue;
@@ -641,6 +1010,122 @@ fn resolve_side(col: &ColRef, sides: &[(&str, &CollectionDecl); 2]) -> Option<(u
     None
 }
 
+/// Do the predicates and projection of a `Select`/`Join`/`AntiJoin` body
+/// resolve against the rows they are evaluated over? (`group by` bodies
+/// are vetted by [`plan_aggregate`].)
+fn body_resolves(m: &Module, body: &RuleBody) -> bool {
+    let (names, predicates, projection): (Vec<&String>, _, &[ProjItem]) = match body {
+        RuleBody::Select {
+            source,
+            projection,
+            predicates,
+        }
+        | RuleBody::AntiJoin {
+            source,
+            projection,
+            predicates,
+            ..
+        } => (
+            vec![source],
+            predicates,
+            projection.as_deref().unwrap_or(&[]),
+        ),
+        RuleBody::Join {
+            left,
+            right,
+            projection,
+            predicates,
+            ..
+        } => (vec![left, right], predicates, projection),
+        RuleBody::GroupBy { .. } => return true,
+    };
+    let Some(sides) = names
+        .iter()
+        .map(|n| m.collection(n).map(|d| (n.as_str(), d)))
+        .collect::<Option<Vec<_>>>()
+    else {
+        return false;
+    };
+    let col_ok = |col: &ColRef| resolve_side(col, &sides).is_some();
+    let operand_ok = |op: &Operand| match op {
+        Operand::Col(col) => col_ok(col),
+        Operand::Lit(_) => true,
+    };
+    predicates
+        .iter()
+        .all(|p| operand_ok(&p.lhs) && operand_ok(&p.rhs))
+        && projection.iter().all(|item| match item {
+            ProjItem::Col(col) => col_ok(col),
+            ProjItem::Lit(_) => true,
+        })
+}
+
+/// Running aggregate state for a `group by` — if its source is a table
+/// and every column the rule reads resolves statically to a group-by
+/// column (or the aggregate alias), so any row of a group can stand in
+/// for the reference evaluator's representative row. Anything else
+/// (including every shape the reference path would reject at run time)
+/// keeps the one-pass reference evaluation.
+fn plan_aggregate(m: &Module, body: &RuleBody) -> Option<AggState> {
+    let RuleBody::GroupBy {
+        source,
+        group_by,
+        agg,
+        agg_col,
+        alias,
+        having,
+        projection,
+    } = body
+    else {
+        return None;
+    };
+    let c = coll_id(m, source).ok()?;
+    let decl = &m.collections[c];
+    if !decl.kind.is_persistent() {
+        return None;
+    }
+    let column = |col: &ColRef| resolve_side(col, &[(source.as_str(), decl)]).map(|(_, i)| i);
+    let key_cols: Vec<usize> = group_by.iter().map(column).collect::<Option<_>>()?;
+    // `having` and projections see the alias first, then the row.
+    let is_alias = |col: &ColRef| col.collection.is_empty() && col.column == *alias;
+    let served = |col: &ColRef| is_alias(col) || column(col).is_some_and(|i| key_cols.contains(&i));
+    let operand_served = |op: &Operand| match op {
+        Operand::Col(col) => served(col),
+        Operand::Lit(_) => true,
+    };
+    let having_ok = having
+        .as_ref()
+        .is_none_or(|h| operand_served(&h.lhs) && operand_served(&h.rhs));
+    let projection_ok = projection.as_ref().is_none_or(|items| {
+        items.iter().all(|item| match item {
+            ProjItem::Col(col) => served(col),
+            ProjItem::Lit(_) => true,
+        })
+    });
+    if !having_ok || !projection_ok {
+        return None;
+    }
+    let agg_col = match agg {
+        AggFun::Count => None,
+        AggFun::Sum | AggFun::Min | AggFun::Max => Some(column(agg_col.as_ref()?)?),
+    };
+    Some(AggState {
+        source: c,
+        key_cols,
+        agg: *agg,
+        agg_col,
+        groups: BTreeMap::new(),
+        synced: false,
+    })
+}
+
+fn coll_id(m: &Module, name: &str) -> Result<usize> {
+    m.collections
+        .iter()
+        .position(|c| c.name == name)
+        .ok_or_else(|| BloomError::Eval(format!("unknown collection {name:?}")))
+}
+
 fn key_of(t: &Tuple, cols: &[usize]) -> Vec<Value> {
     cols.iter()
         .map(|&i| t.get(i).expect("schema arity").clone())
@@ -652,73 +1137,39 @@ fn passes_filter(t: &Tuple, eqs: &[(usize, usize)]) -> bool {
         .all(|&(i, j)| t.get(i).expect("schema arity") == t.get(j).expect("schema arity"))
 }
 
-/// Hash indexes built once per tick and kept fresh incrementally as the
-/// fixpoint inserts new tuples.
-#[derive(Default)]
-struct IndexCache {
-    map: HashMap<(String, Vec<usize>), Index>,
-}
-
-impl IndexCache {
-    /// Build the `(collection, key-columns)` index from the current state
-    /// if it does not exist yet.
-    fn ensure(&mut self, state: &State<'_>, coll: &str, cols: &[usize]) {
-        let key = (coll.to_string(), cols.to_vec());
-        if self.map.contains_key(&key) {
-            return;
-        }
-        let mut idx = Index::default();
-        if let Some(rel) = state.get(coll) {
-            for t in rel.iter() {
-                idx.entry(key_of(t, cols)).or_default().push(t.clone());
-            }
-        }
-        self.map.insert(key, idx);
-    }
-
-    fn get(&self, coll: &str, cols: &[usize]) -> &Index {
-        self.map
-            .get(&(coll.to_string(), cols.to_vec()))
-            .expect("index ensured before use")
-    }
-
-    /// Keep live indexes over `coll` consistent with a fixpoint insert.
-    fn note_insert(&mut self, coll: &str, t: &Tuple) {
-        for ((c, cols), idx) in &mut self.map {
-            if c == coll {
-                idx.entry(key_of(t, cols)).or_default().push(t.clone());
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Planned (semi-naive) rule evaluation
 // ---------------------------------------------------------------------
 
 /// Evaluate a rule body over the full current state (the first pass of a
-/// stratum, and the post-fixpoint deferred/async pass).
+/// stratum where the head needs everything, and the post-fixpoint
+/// deferred/async pass).
 fn eval_rule_once(
     m: &Module,
     plans: &[Plan],
     ri: usize,
-    state: &State<'_>,
-    cache: &mut IndexCache,
+    store: &mut Store,
     probes: &mut u64,
 ) -> Result<Rel> {
     let rule = &m.rules[ri];
-    match (&rule.body, &plans[ri]) {
+    match (&rule.body, &plans[ri].kind) {
         (
             RuleBody::Select {
                 source,
                 projection,
                 predicates,
             },
-            _,
+            PlanKind::Select { source: s },
         ) => {
-            let d = decl(m, source)?;
-            let tuples: Vec<&Tuple> = state[source].iter().collect();
-            eval_select(source, d, projection.as_ref(), predicates, &tuples, probes)
+            let tuples: Vec<&Tuple> = store.rels[*s].iter().collect();
+            eval_select(
+                source,
+                &m.collections[*s],
+                projection.as_ref(),
+                predicates,
+                &tuples,
+                probes,
+            )
         }
         (
             RuleBody::Join {
@@ -728,83 +1179,112 @@ fn eval_rule_once(
                 predicates,
                 ..
             },
-            Plan::HashJoin(plan),
+            PlanKind::HashJoin { join, .. },
         ) => {
+            // An empty side joins to nothing: no index, no probes.
+            if store.rels[join.left].is_empty() || store.rels[join.right].is_empty() {
+                return Ok(Rel::new());
+            }
+            store.ensure_index(join.rindex);
             let args = JoinArgs {
                 left,
-                ldecl: decl(m, left)?,
+                ldecl: &m.collections[join.left],
                 right,
-                rdecl: decl(m, right)?,
+                rdecl: &m.collections[join.right],
                 projection,
                 predicates,
-                plan,
+                plan: join,
             };
-            cache.ensure(state, right, &plan.rkey);
-            let probe: Vec<&Tuple> = state[left].iter().collect();
-            probe_join(&args, &probe, true, cache.get(right, &plan.rkey), probes)
+            let probe: Vec<&Tuple> = store.rels[join.left].iter().collect();
+            probe_join(&args, &probe, true, store.index(join.rindex), probes)
         }
         (
             RuleBody::AntiJoin {
                 source,
-                neg,
                 projection,
                 predicates,
                 ..
             },
-            Plan::HashAnti(plan),
+            PlanKind::HashAnti(plan),
         ) => {
+            if store.rels[plan.left].is_empty() {
+                return Ok(Rel::new());
+            }
+            // Nothing negated: every source row survives, unprobed.
+            let index = if store.rels[plan.right].is_empty() {
+                None
+            } else {
+                store.ensure_index(plan.rindex);
+                Some(store.index(plan.rindex))
+            };
             let args = AntiArgs {
                 source,
-                sdecl: decl(m, source)?,
+                sdecl: &m.collections[plan.left],
                 projection: projection.as_ref(),
                 predicates,
                 plan,
             };
-            cache.ensure(state, neg, &plan.rkey);
-            let probe: Vec<&Tuple> = state[source].iter().collect();
-            probe_anti(&args, &probe, cache.get(neg, &plan.rkey), probes)
+            let probe: Vec<&Tuple> = store.rels[plan.left].iter().collect();
+            probe_anti(&args, &probe, index, probes)
         }
-        (RuleBody::GroupBy { .. }, _) => eval_body(m, state, &rule.body, probes),
-        // Unresolvable on-clause: reference nested-loop path.
-        (_, _) => eval_body(m, state, &rule.body, probes),
+        (RuleBody::GroupBy { .. }, PlanKind::Incremental(slot)) => {
+            eval_incremental(m, &rule.body, store, *slot, probes)
+        }
+        (_, _) => eval_body(m, &store.rels, &rule.body, probes),
     }
 }
 
-/// Evaluate a monotonic rule against the previous iteration's deltas:
-/// delta ⋈ full on each side, probing the incrementally maintained
-/// indexes.
+/// The delta a monotone rule reads from collection `c`: the previous
+/// iteration's new tuples, or — seeding a stratum's first pass (`cur` is
+/// `None`) — what this tick added to a table so far, and the whole of
+/// anything else.
+fn delta_of<'a>(
+    store: &'a Store,
+    cur: Option<&'a BTreeMap<usize, Rel>>,
+    c: usize,
+) -> Vec<&'a Tuple> {
+    match cur {
+        Some(cur) => cur.get(&c).map_or_else(Vec::new, |d| d.iter().collect()),
+        None if store.persistent[c] => store.inserted[c].iter().collect(),
+        None => store.rels[c].iter().collect(),
+    }
+}
+
+fn has_delta(store: &Store, cur: Option<&BTreeMap<usize, Rel>>, c: usize) -> bool {
+    match cur {
+        Some(cur) => cur.get(&c).is_some_and(|d| !d.is_empty()),
+        None if store.persistent[c] => !store.inserted[c].is_empty(),
+        None => !store.rels[c].is_empty(),
+    }
+}
+
+/// Evaluate a monotone rule against deltas (see [`delta_of`]): Δleft ⋈
+/// right ∪ left ⋈ Δright, probing the maintained indexes.
 fn eval_rule_delta(
     m: &Module,
     plans: &[Plan],
     ri: usize,
-    state: &State<'_>,
-    cache: &mut IndexCache,
-    cur: &BTreeMap<String, Rel>,
+    store: &mut Store,
+    cur: Option<&BTreeMap<usize, Rel>>,
     probes: &mut u64,
 ) -> Result<Rel> {
     let rule = &m.rules[ri];
-    match (&rule.body, &plans[ri]) {
+    match (&rule.body, &plans[ri].kind) {
         (
             RuleBody::Select {
                 source,
                 projection,
                 predicates,
             },
-            _,
-        ) => match cur.get(source) {
-            Some(d) if !d.is_empty() => {
-                let tuples: Vec<&Tuple> = d.iter().collect();
-                eval_select(
-                    source,
-                    decl(m, source)?,
-                    projection.as_ref(),
-                    predicates,
-                    &tuples,
-                    probes,
-                )
-            }
-            _ => Ok(Rel::new()),
-        },
+            PlanKind::Select { source: s },
+        ) => eval_select(
+            source,
+            &m.collections[*s],
+            projection.as_ref(),
+            predicates,
+            &delta_of(store, cur, *s),
+            probes,
+        ),
         (
             RuleBody::Join {
                 left,
@@ -813,50 +1293,100 @@ fn eval_rule_delta(
                 predicates,
                 ..
             },
-            Plan::HashJoin(plan),
+            PlanKind::HashJoin { join, lindex },
         ) => {
             let args = JoinArgs {
                 left,
-                ldecl: decl(m, left)?,
+                ldecl: &m.collections[join.left],
                 right,
-                rdecl: decl(m, right)?,
+                rdecl: &m.collections[join.right],
                 projection,
                 predicates,
-                plan,
+                plan: join,
+            };
+            // A seed that is a side's whole content already joins to the
+            // complete answer; the other term would only repeat it.
+            let whole = |c: usize| cur.is_none() && !store.persistent[c];
+            let (from_left, from_right) = match (whole(join.left), whole(join.right)) {
+                (true, _) => (true, false),
+                (false, true) => (false, true),
+                (false, false) => (true, true),
             };
             let mut out = Rel::new();
-            if let Some(dl) = cur.get(left).filter(|d| !d.is_empty()) {
-                cache.ensure(state, right, &plan.rkey);
-                let probe: Vec<&Tuple> = dl.iter().collect();
+            for (go, probe_is_left, probed, opposite, slot) in [
+                (from_left, true, join.left, join.right, join.rindex),
+                (from_right, false, join.right, join.left, *lindex),
+            ] {
+                // An empty side joins to nothing: no index, no probes.
+                if !go || store.rels[opposite].is_empty() || !has_delta(store, cur, probed) {
+                    continue;
+                }
+                store.ensure_index(slot);
+                let probe = delta_of(store, cur, probed);
                 out.extend(probe_join(
                     &args,
                     &probe,
-                    true,
-                    cache.get(right, &plan.rkey),
-                    probes,
-                )?);
-            }
-            if let Some(dr) = cur.get(right).filter(|d| !d.is_empty()) {
-                cache.ensure(state, left, &plan.lkey);
-                let probe: Vec<&Tuple> = dr.iter().collect();
-                out.extend(probe_join(
-                    &args,
-                    &probe,
-                    false,
-                    cache.get(left, &plan.lkey),
+                    probe_is_left,
+                    store.index(slot),
                     probes,
                 )?);
             }
             Ok(out)
         }
         // Unresolvable join: re-derive fully (correct, rare).
-        (RuleBody::Join { .. }, _) => eval_body(m, state, &rule.body, probes),
-        // Nonmonotonic bodies never run in delta iterations.
-        (RuleBody::AntiJoin { .. } | RuleBody::GroupBy { .. }, _) => {
-            debug_assert!(false, "nonmonotonic body in delta iteration");
+        (RuleBody::Join { .. }, _) => eval_body(m, &store.rels, &rule.body, probes),
+        // Nonmonotonic bodies never run on deltas.
+        (_, _) => {
+            debug_assert!(false, "nonmonotonic body in delta evaluation");
             Ok(Rel::new())
         }
     }
+}
+
+/// Fold the source table's tick delta into a running aggregate (one probe
+/// per delta row). Runs exactly once per tick, when the rule's stratum
+/// (or the post-fixpoint pass) comes up and the source is complete.
+fn sync_aggregate(store: &mut Store, slot: usize, probes: &mut u64) -> Result<()> {
+    let agg = &mut store.aggs[slot];
+    let (deleted, inserted) = (&store.deleted[agg.source], &store.inserted[agg.source]);
+    *probes += (deleted.len() + inserted.len()) as u64;
+    agg.sync(deleted, inserted)
+}
+
+/// Aggregate over a table from its running per-group state: bring it up to
+/// date, then emit every group.
+fn eval_incremental(
+    m: &Module,
+    body: &RuleBody,
+    store: &mut Store,
+    slot: usize,
+    probes: &mut u64,
+) -> Result<Rel> {
+    let RuleBody::GroupBy {
+        source,
+        alias,
+        having,
+        projection,
+        ..
+    } = body
+    else {
+        unreachable!("incremental plans are built for group-by bodies only");
+    };
+    sync_aggregate(store, slot, probes)?;
+    let agg = &store.aggs[slot];
+    let d = &m.collections[agg.source];
+    let mut out = Rel::new();
+    for (key, g) in &agg.groups {
+        let group = GroupRow {
+            source,
+            d,
+            rep: &g.rep,
+            key,
+            value: agg.value_of(g),
+        };
+        out.extend(group.emit(alias, having.as_ref(), projection.as_ref())?);
+    }
+    Ok(out)
 }
 
 fn eval_select(
@@ -944,11 +1474,12 @@ struct AntiArgs<'a> {
     plan: &'a JoinPlan,
 }
 
-/// Antijoin via existence probes against an index over the negated side.
+/// Antijoin via existence probes against an index over the negated side
+/// (`None`: the negated side is empty, nothing matches).
 fn probe_anti(
     args: &AntiArgs<'_>,
     probe: &[&Tuple],
-    index: &Index,
+    index: Option<&Index>,
     probes: &mut u64,
 ) -> Result<Rel> {
     let plan = args.plan;
@@ -956,7 +1487,7 @@ fn probe_anti(
     for &t in probe {
         *probes += 1;
         let matched = passes_filter(t, &plan.lfilter)
-            && match index.get(&key_of(t, &plan.lkey)) {
+            && match index.and_then(|idx| idx.get(&key_of(t, &plan.lkey))) {
                 Some(bucket) if plan.rfilter.is_empty() => !bucket.is_empty(),
                 Some(bucket) => bucket.iter().any(|nt| {
                     *probes += 1;
@@ -1061,20 +1592,23 @@ impl<'a> Env<'a> {
     }
 }
 
-fn decl<'m>(m: &'m Module, name: &str) -> Result<&'m CollectionDecl> {
-    m.collection(name)
-        .ok_or_else(|| BloomError::Eval(format!("unknown collection {name:?}")))
+/// A collection's declaration and current content, by name.
+fn named<'a>(m: &'a Module, rels: &'a [Rel], name: &str) -> Result<(&'a CollectionDecl, &'a Rel)> {
+    let c = coll_id(m, name)?;
+    Ok((&m.collections[c], &rels[c]))
 }
 
-fn eval_body(m: &Module, state: &State<'_>, body: &RuleBody, probes: &mut u64) -> Result<Rel> {
+/// Evaluate a rule body over the whole state, by nested loops and one-pass
+/// aggregation: the reference semantics.
+fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Result<Rel> {
     match body {
         RuleBody::Select {
             source,
             projection,
             predicates,
         } => {
-            let d = decl(m, source)?;
-            let tuples: Vec<&Tuple> = state[source].iter().collect();
+            let (d, rel) = named(m, rels, source)?;
+            let tuples: Vec<&Tuple> = rel.iter().collect();
             eval_select(source, d, projection.as_ref(), predicates, &tuples, probes)
         }
         RuleBody::Join {
@@ -1084,11 +1618,11 @@ fn eval_body(m: &Module, state: &State<'_>, body: &RuleBody, probes: &mut u64) -
             projection,
             predicates,
         } => {
-            let dl = decl(m, left)?;
-            let dr = decl(m, right)?;
+            let (dl, lrel) = named(m, rels, left)?;
+            let (dr, rrel) = named(m, rels, right)?;
             let mut out = Rel::new();
-            for lt in state[left].iter() {
-                for rt in state[right].iter() {
+            for lt in lrel {
+                for rt in rrel {
                     *probes += 1;
                     let env = Env {
                         bindings: vec![(left, dl, lt), (right, dr, rt)],
@@ -1115,12 +1649,12 @@ fn eval_body(m: &Module, state: &State<'_>, body: &RuleBody, probes: &mut u64) -
             projection,
             predicates,
         } => {
-            let ds = decl(m, source)?;
-            let dn = decl(m, neg)?;
+            let (ds, srel) = named(m, rels, source)?;
+            let (dn, nrel) = named(m, rels, neg)?;
             let mut out = Rel::new();
-            for t in state[source].iter() {
+            for t in srel {
                 let mut matched = false;
-                for nt in state[neg].iter() {
+                for nt in nrel {
                     *probes += 1;
                     let env = Env {
                         bindings: vec![(source, ds, t), (neg, dn, nt)],
@@ -1164,10 +1698,10 @@ fn eval_body(m: &Module, state: &State<'_>, body: &RuleBody, probes: &mut u64) -
             having,
             projection,
         } => {
-            let d = decl(m, source)?;
+            let (d, rel) = named(m, rels, source)?;
             // Group rows by the grouping key.
             let mut groups: BTreeMap<Vec<Value>, Vec<&Tuple>> = BTreeMap::new();
-            for t in state[source].iter() {
+            for t in rel {
                 *probes += 1;
                 let env = Env {
                     bindings: vec![(source, d, t)],
@@ -1181,35 +1715,61 @@ fn eval_body(m: &Module, state: &State<'_>, body: &RuleBody, probes: &mut u64) -
             }
             let mut out = Rel::new();
             for (key, rows) in groups {
-                let value = aggregate(m, source, d, *agg, agg_col.as_ref(), &rows)?;
-                // Representative row for column resolution.
-                let rep = rows[0];
-                let env = Env {
-                    bindings: vec![(source, d, rep)],
-                    alias: Some((alias.as_str(), value.clone())),
+                let group = GroupRow {
+                    source,
+                    d,
+                    // Representative row for column resolution.
+                    rep: rows[0],
+                    key: &key,
+                    value: aggregate(source, d, *agg, agg_col.as_ref(), &rows)?,
                 };
-                if let Some(h) = having {
-                    if !env.check(h)? {
-                        continue;
-                    }
-                }
-                let tuple = match projection {
-                    Some(items) => env.project(items)?,
-                    None => {
-                        let mut values = key.clone();
-                        values.push(value.clone());
-                        Tuple(values)
-                    }
-                };
-                out.insert(tuple);
+                out.extend(group.emit(alias, having.as_ref(), projection.as_ref())?);
             }
             Ok(out)
         }
     }
 }
 
+/// One aggregated group on its way to the head: shared by the reference
+/// and the incremental aggregation so `having` and projections cannot
+/// drift apart.
+struct GroupRow<'a> {
+    source: &'a str,
+    d: &'a CollectionDecl,
+    rep: &'a Tuple,
+    key: &'a [Value],
+    value: Value,
+}
+
+impl GroupRow<'_> {
+    /// The head tuple of this group, unless `having` rejects it.
+    fn emit(
+        &self,
+        alias: &str,
+        having: Option<&Predicate>,
+        projection: Option<&Vec<ProjItem>>,
+    ) -> Result<Option<Tuple>> {
+        let env = Env {
+            bindings: vec![(self.source, self.d, self.rep)],
+            alias: Some((alias, self.value.clone())),
+        };
+        if let Some(h) = having {
+            if !env.check(h)? {
+                return Ok(None);
+            }
+        }
+        Ok(Some(match projection {
+            Some(items) => env.project(items)?,
+            None => {
+                let mut values = self.key.to_vec();
+                values.push(self.value.clone());
+                Tuple(values)
+            }
+        }))
+    }
+}
+
 fn aggregate(
-    _m: &Module,
     source: &str,
     d: &CollectionDecl,
     agg: AggFun,
@@ -1626,6 +2186,170 @@ module S {
         let mut inst = ModuleInstance::new(m).unwrap();
         let err = inst.tick(inputs(&[("ghost", vec![t1(1i64)])])).unwrap_err();
         assert!(matches!(err, BloomError::Eval(_)));
+    }
+
+    /// Counters only: wall time differs run to run.
+    fn work(s: TickStats) -> (u64, u64, u64) {
+        (s.derivations, s.join_probes, s.fixpoint_iters)
+    }
+
+    #[test]
+    fn rejected_tick_leaves_instance_untouched() {
+        for mode in all_modes() {
+            let m = parse_module(
+                "module M { input a(x) input b(x, y) output o(x) table t(x) t <+ a o <= t }",
+            )
+            .unwrap();
+            let mut inst = ModuleInstance::with_mode(m, mode).unwrap();
+            inst.tick(inputs(&[("a", vec![t1(1i64)])])).unwrap();
+            let before = work(inst.cumulative_stats());
+            // Wrong arity, unknown interface, not an input: all rejected
+            // before the deferred merge is consumed or a tick is counted.
+            for bad in [
+                inputs(&[("b", vec![t1(9i64)])]),
+                inputs(&[("ghost", vec![t1(9i64)])]),
+                inputs(&[("t", vec![t1(9i64)])]),
+            ] {
+                assert!(matches!(inst.tick(bad), Err(BloomError::Eval(_))));
+                assert_eq!(inst.ticks(), 1, "{mode:?}: a rejected tick is not a tick");
+                assert_eq!(work(inst.cumulative_stats()), before);
+                assert!(inst.table("t").is_empty());
+            }
+            let out = inst.tick(inputs(&[])).unwrap();
+            assert_eq!(out.on("o"), &[t1(1i64)], "{mode:?}: deferred tuple lost");
+            assert_eq!(inst.ticks(), 2);
+        }
+    }
+
+    #[test]
+    fn mid_fixpoint_error_rolls_the_tick_back() {
+        // Stratum 0 fills `t`, `u` and the join table `j` (whose persistent
+        // indexes follow every insert); in stratum 1 `lo` folds the delta
+        // into its running state and then `total` fails on a non-integer
+        // `sum` operand. The failing tick also starts by applying a
+        // pending `<-` and a pending `<+`.
+        const SRC: &str = r#"
+module M {
+  input a(k, v)
+  input del(k, v)
+  input later(k, v)
+  output total(k, n)
+  output lo(k, v)
+  output jview(a, b)
+  table t(k, v)
+  table u(k, v)
+  table j(a, b)
+  t <= a
+  t <+ later
+  t <- del
+  u <= t
+  j <= (t * u) on (t.k = u.k) -> (t.v, u.v)
+  lo <= t group by (t.k) agg min(t.v) as v
+  total <= t group by (t.k) agg sum(t.v) as n
+  jview <= j
+}
+"#;
+        let first = inputs(&[
+            ("a", vec![t2(1i64, 10i64), t2(1i64, 20i64), t2(3i64, 3i64)]),
+            ("del", vec![t2(3i64, 3i64), t2(1i64, 10i64)]),
+            ("later", vec![t2(4i64, 4i64)]),
+        ]);
+        let poison = inputs(&[("a", vec![t2(1i64, "x"), t2(2i64, 5i64)])]);
+        let next = inputs(&[("a", vec![t2(2i64, 6i64), t2(1i64, 1i64)])]);
+        for mode in all_modes() {
+            let mut hit = ModuleInstance::with_mode(parse_module(SRC).unwrap(), mode).unwrap();
+            let mut twin = ModuleInstance::with_mode(parse_module(SRC).unwrap(), mode).unwrap();
+            hit.tick(first.clone()).unwrap();
+            twin.tick(first.clone()).unwrap();
+
+            let err = hit.tick(poison.clone()).unwrap_err();
+            assert_eq!(err, BloomError::Eval("sum over non-integer".to_string()));
+            assert_eq!(hit.ticks(), twin.ticks());
+            assert_eq!(
+                work(hit.cumulative_stats()),
+                work(twin.cumulative_stats()),
+                "{mode:?}"
+            );
+            assert_eq!(work(hit.last_tick_stats()), work(twin.last_tick_stats()));
+            for table in ["t", "u", "j"] {
+                assert_eq!(hit.table(table), twin.table(table), "{mode:?} {table}");
+            }
+
+            // Indexes, aggregate state and pending merges are as they were:
+            // the same follow-up ticks do the same work to the same result.
+            for _ in 0..2 {
+                let (a, b) = (
+                    hit.tick(next.clone()).unwrap(),
+                    twin.tick(next.clone()).unwrap(),
+                );
+                assert_eq!(a, b, "{mode:?}");
+                assert_eq!(work(hit.last_tick_stats()), work(twin.last_tick_stats()));
+                for table in ["t", "u", "j"] {
+                    assert_eq!(hit.table(table), twin.table(table), "{mode:?} {table}");
+                }
+            }
+            assert!(hit.table("t").contains(&t2(4i64, 4i64)), "pending <+ kept");
+            assert!(!hit.table("t").contains(&t2(3i64, 3i64)), "pending <- kept");
+        }
+    }
+
+    #[test]
+    fn unobserved_scratch_is_left_out_until_something_reads_it() {
+        const SRC: &str = r#"
+module R {
+  input click(id)
+  input request(id)
+  output response(id, n)
+  table log(id, k)
+  scratch q(k, n)
+  log <= click -> (click.id, 0)
+  q <= log group by (log.k) agg count(*) as n
+  response <~ (q * request) on (q.k = request.id) -> (q.k, q.n)
+}
+"#;
+        let mut semi = ModuleInstance::new(parse_module(SRC).unwrap()).unwrap();
+        let mut naive =
+            ModuleInstance::with_mode(parse_module(SRC).unwrap(), EvalMode::Naive).unwrap();
+        // Click ticks: `q`'s one consumer joins the empty `request`.
+        for base in [0i64, 10, 20] {
+            let clicks = inputs(&[("click", (base..base + 10).map(t1).collect())]);
+            assert_eq!(
+                semi.tick(clicks.clone()).unwrap(),
+                naive.tick(clicks).unwrap()
+            );
+            assert_eq!(semi.last_tick_stats().derivations, 10, "only log <= click");
+        }
+        // A request opens the gate: the running count was kept current.
+        let ask = inputs(&[("request", vec![t1(0i64)])]);
+        let out = semi.tick(ask.clone()).unwrap();
+        assert_eq!(out, naive.tick(ask).unwrap());
+        assert_eq!(out.on("response"), &[t2(0i64, 30i64)]);
+    }
+
+    #[test]
+    fn a_rule_that_would_fail_is_never_left_out() {
+        // `s` is unobserved on this tick (its consumer is gated by the
+        // empty `request`), but its predicate cannot resolve: the
+        // reference error must surface all the same.
+        for mode in all_modes() {
+            let m = parse_module(
+                r#"
+module F {
+  input click(id)
+  input request(id)
+  output o(id)
+  scratch s(id)
+  s <= click where ghost.id > 1
+  o <= (s * request) on (s.id = request.id) -> (s.id)
+}
+"#,
+            )
+            .unwrap();
+            let mut inst = ModuleInstance::with_mode(m, mode).unwrap();
+            let err = inst.tick(inputs(&[("click", vec![t1(1i64)])])).unwrap_err();
+            assert!(matches!(err, BloomError::Eval(_)), "{mode:?}");
+            assert_eq!(inst.ticks(), 0);
+        }
     }
 
     #[test]

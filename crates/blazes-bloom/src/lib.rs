@@ -11,9 +11,14 @@
 //! * a **timestep interpreter** ([`interp`]) with Bloom's merge operators —
 //!   instantaneous (`<=`), deferred (`<+`), deletion (`<-`) and
 //!   asynchronous (`<~`) — and stratified evaluation of nonmonotonic rules.
-//!   The fixpoint engine is semi-naive with hash-join indexes, checked
-//!   against a retained naive oracle ([`interp::EvalMode`]), with per-tick
-//!   work counters ([`interp::TickStats`]);
+//!   The fixpoint engine is semi-naive within a tick and incremental
+//!   across ticks — tables are mutated in place, their hash-join indexes
+//!   and `group by` state persist with them, and a tick is seeded from
+//!   what it inserted and deleted, so it costs what it changed rather than
+//!   what the tables hold — checked against a retained whole-state naive
+//!   oracle ([`interp::EvalMode`]), with per-tick work counters
+//!   ([`interp::TickStats`]). A tick is all-or-nothing: an `Err` leaves
+//!   the instance as it was;
 //! * the **white-box static analyses** ([`analyze`]) the paper describes:
 //!   syntactic nonmonotonicity detection, persistent-state flow analysis,
 //!   partition-subscript inference from `group by` / `not in` clauses, and

@@ -177,3 +177,202 @@ fn semi_naive_counters_beat_naive_on_recursion() {
         s.join_probes
     );
 }
+
+// ---------------------------------------------------------------------
+// Multi-tick schedules: state the engine carries *across* ticks (tables
+// mutated in place, persistent indexes, running aggregates, tick deltas)
+// must stay oracle-identical on every tick, not just the first.
+// ---------------------------------------------------------------------
+
+fn tick_of(inputs: &[(&str, Vec<Tuple>)]) -> BTreeMap<String, Vec<Tuple>> {
+    inputs
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.clone()))
+        .collect()
+}
+
+#[test]
+fn ad_report_fed_over_many_ticks_matches_oracle() {
+    // 2 000 distinct clicks, 50 per tick, over 16 ids: every id crosses the
+    // `having n < 100` bound part-way, so groups leave `poor` while the log
+    // keeps growing. A request tick is interleaved every 7th tick.
+    let text = example("ad_report.blz");
+    let clicks: Vec<(i64, i64)> = (0..2_000).map(|i| (i % 16, i / 16)).collect();
+    let mut ticks = Vec::new();
+    for (n, chunk) in clicks.chunks(50).enumerate() {
+        ticks.push(tick_of(&[("click", pairs(chunk))]));
+        if n % 7 == 6 {
+            let ids: Vec<i64> = (0..16).filter(|id| (id + n as i64) % 3 != 0).collect();
+            ticks.push(tick_of(&[("request", singles(&ids))]));
+        }
+    }
+    ticks.push(tick_of(&[("request", singles(&[0, 5, 15, 99]))]));
+    assert!(ticks.len() > 40);
+    assert_all_modes_agree("ad_report over ticks", &text, &ticks);
+}
+
+#[test]
+fn deletion_schedule_matches_oracle() {
+    // `s` feeds four running aggregates, a derived table `h` (select) and
+    // a derived table `j` (join of two tables, so both of its indexes
+    // persist and must follow removals).
+    let text = r#"
+module Del {
+  input add(k, v)
+  input later(k, v)
+  input del_s(k, v)
+  input del_h(k, v)
+  input del_j(k, v)
+  output cnt(k, n)
+  output total(k, n)
+  output lo(k, v)
+  output hi(k, v)
+  output hview(k, v)
+  output jview(k, v)
+  table s(k, v)
+  table h(k, v)
+  table j(k, v)
+  s <= add
+  s <+ later
+  h <= s
+  j <= (s * h) on (s.k = h.k) -> (s.v, h.v)
+  s <- (s * del_s) on (s.k = del_s.k, s.v = del_s.v) -> (s.k, s.v)
+  s <- del_s
+  h <- del_h
+  j <- del_j
+  cnt <= s group by (s.k) agg count(*) as n
+  total <= s group by (s.k) agg sum(s.v) as n
+  lo <= s group by (s.k) agg min(s.v) as v
+  hi <= s group by (s.k) agg max(s.v) as v
+  hview <= h
+  jview <= j
+}
+"#;
+    let none = || tick_of(&[]);
+    let ticks = vec![
+        tick_of(&[(
+            "add",
+            pairs(&[(1, 10), (1, 20), (1, 30), (2, 5), (2, 7), (3, 1)]),
+        )]),
+        // Delete from the source: count/sum drop, and (1, 10) / (1, 30)
+        // were the group's min / max.
+        tick_of(&[("del_s", pairs(&[(1, 10), (1, 30)]))]),
+        none(),
+        // Delete from derived heads whose sources still hold: the tick
+        // after the removal must re-derive (2, 5) into `h` and (5, 7)
+        // into `j` from entirely old state.
+        tick_of(&[
+            ("del_h", pairs(&[(2, 5)])),
+            ("del_j", pairs(&[(5, 7), (1, 1)])),
+        ]),
+        none(),
+        none(),
+        // A tuple inserted and deleted by the same tick's rules, and the
+        // last tuple of a group going away (group 3 must vanish).
+        tick_of(&[
+            ("add", pairs(&[(4, 4)])),
+            ("del_s", pairs(&[(4, 4), (3, 1)])),
+        ]),
+        none(),
+        // `<+` landing beside a `<-` of the same tuple — one that is in the
+        // table and one that is not: deletions apply first, both survive.
+        tick_of(&[
+            ("later", pairs(&[(1, 20), (6, 6)])),
+            ("del_s", pairs(&[(1, 20), (6, 6)])),
+        ]),
+        none(),
+        tick_of(&[("add", pairs(&[(2, 9), (3, 3)]))]),
+        tick_of(&[
+            ("del_h", pairs(&[(2, 9), (2, 7)])),
+            ("add", pairs(&[(7, 7)])),
+        ]),
+        none(),
+        none(),
+    ];
+    assert_all_modes_agree("deletion schedule", text, &ticks);
+
+    // The schedule really exercises what it claims (checked on the oracle
+    // so the assertions are about the workload, not the engine under test).
+    let (outs, finals) = digest(text, EvalMode::Naive, &ticks);
+    let int = |a: i64, b: i64| Tuple(vec![Value::Int(a), Value::Int(b)]);
+    assert!(outs[0].on("cnt").contains(&int(1, 3)));
+    assert!(outs[2].on("cnt").contains(&int(1, 1)), "count dropped");
+    assert!(outs[2].on("total").contains(&int(1, 20)), "sum dropped");
+    assert!(outs[2].on("lo").contains(&int(1, 20)), "min moved up");
+    assert!(outs[2].on("hi").contains(&int(1, 20)), "max moved down");
+    assert!(outs[4].on("hview").contains(&int(2, 5)), "re-derived");
+    assert!(outs[4].on("jview").contains(&int(5, 7)), "re-derived");
+    assert!(outs[6].on("cnt").contains(&int(4, 1)));
+    assert!(!outs[7].on("cnt").iter().any(|t| t.0[0] == Value::Int(3)));
+    assert!(!outs[7].on("cnt").iter().any(|t| t.0[0] == Value::Int(4)));
+    assert!(finals["s"].contains(&int(1, 20)) && finals["s"].contains(&int(6, 6)));
+}
+
+#[test]
+fn transitive_closure_with_edges_arriving_over_eight_ticks_matches_oracle() {
+    let text = example("transitive_closure.blz");
+    // A 40-chain delivered out of order in 8 slices, plus a back edge
+    // that closes a cycle in tick 6 and an empty tick at the end.
+    let mut ticks: Vec<BTreeMap<String, Vec<Tuple>>> = (0..8)
+        .map(|k| {
+            let mut edges: Vec<(i64, i64)> = (0..40)
+                .filter(|i| (i * 5 + 3) % 8 == k)
+                .map(|i| (i, i + 1))
+                .collect();
+            if k == 5 {
+                edges.push((20, 4));
+            }
+            tick_of(&[("edge", pairs(&edges))])
+        })
+        .collect();
+    ticks.push(tick_of(&[]));
+    assert_all_modes_agree("transitive_closure over ticks", &text, &ticks);
+}
+
+#[test]
+fn negation_over_a_table_that_grows_and_shrinks_matches_oracle() {
+    // `c` is negated, persistent (so its index persists and must follow
+    // `<-`), and feeds both a per-tick view and an accumulating table.
+    let text = r#"
+module Neg {
+  input orders(id)
+  input cancel(id)
+  input restore(id)
+  output live(id)
+  output ever(id)
+  output per_bucket(b, n)
+  table o(id, b)
+  table c(id)
+  table seen(id)
+  o <= orders -> (orders.id, 0)
+  c <= cancel
+  c <- restore
+  live <= o not in c on (o.id = c.id) -> (o.id)
+  seen <= o not in c on (o.id = c.id) -> (o.id)
+  ever <= seen
+  per_bucket <= seen group by (seen.id) agg count(*) as n
+}
+"#;
+    let ticks = vec![
+        tick_of(&[
+            ("orders", singles(&[1, 2, 3, 4])),
+            ("cancel", singles(&[2])),
+        ]),
+        tick_of(&[("cancel", singles(&[3, 9]))]),
+        tick_of(&[("restore", singles(&[2]))]),
+        tick_of(&[("orders", singles(&[5, 9]))]),
+        tick_of(&[("restore", singles(&[3, 9])), ("cancel", singles(&[1]))]),
+        tick_of(&[]),
+        tick_of(&[
+            ("restore", singles(&[1, 2, 3, 9])),
+            ("cancel", singles(&[5])),
+        ]),
+        tick_of(&[]),
+    ];
+    assert_all_modes_agree("negation over ticks", text, &ticks);
+    let (outs, _) = digest(text, EvalMode::Naive, &ticks);
+    let one = |a: i64| Tuple(vec![Value::Int(a)]);
+    assert!(!outs[1].on("live").contains(&one(3)), "negated table grew");
+    assert!(outs[3].on("live").contains(&one(2)), "negated table shrank");
+    assert!(outs[7].on("live").contains(&one(9)));
+}

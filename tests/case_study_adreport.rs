@@ -39,22 +39,6 @@ fn section_vi_label_table() {
     }
 }
 
-/// The calibrated scenario of Figures 12/13 with the log cut to 2/5 of its
-/// 1 000 entries per server. The shapes asserted below are ratios between
-/// legend entries, which the log length does not move, while an unoptimized
-/// Bloom tick grows superlinearly with it; `fig12`–`fig14` print the
-/// full-length numbers.
-fn figure_scenario(
-    servers: usize,
-    strategy: StrategyKind,
-    placement: CampaignPlacement,
-    seed: u64,
-) -> AdScenario {
-    let mut sc = adreport_scenario(servers, strategy, placement, seed);
-    sc.workload.entries_per_server = 400;
-    sc
-}
-
 /// The four legend entries of Figures 12–14 at `servers` ad servers, in
 /// legend order (Uncoordinated, Ordered, Independent Seal, Seal). Every
 /// entry must process the whole log through exactly what the pass injects
@@ -68,7 +52,7 @@ fn legend_runs(servers: usize) -> [AdRunResult; 4] {
         (StrategyKind::Sealed, CampaignPlacement::Spread, 3),
     ]
     .map(|(strategy, placement, injected)| {
-        let sc = figure_scenario(servers, strategy, placement, 1);
+        let sc = adreport_scenario(servers, strategy, placement, 1);
         let (res, report) = run_ad_auto(&sc, &BackendSpec::Sim);
         let at = format!("{} at {servers} ad servers", strategy.label(placement));
         assert_eq!(res.processed_everything(), Some(true), "{at}");
@@ -161,7 +145,7 @@ fn sealed_campaign_is_deterministic_across_interleavings() {
 #[test]
 fn ordered_replicas_always_agree() {
     for seed in 0..3 {
-        let sc = figure_scenario(5, StrategyKind::Ordered, CampaignPlacement::Spread, seed);
+        let sc = adreport_scenario(5, StrategyKind::Ordered, CampaignPlacement::Spread, seed);
         assert!(run_ad_auto(&sc, &BackendSpec::Sim).0.responses_consistent());
     }
 }

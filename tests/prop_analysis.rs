@@ -196,9 +196,18 @@ mod bloom_engine {
     /// bodies (group-by, antijoin) only ever read strictly lower layers.
     /// Group values are clamped by a `having n < 3` bound so the value
     /// domain stays small under recursion.
-    fn module_text(layers: &[(u8, u8, u8)]) -> String {
-        let mut s =
-            String::from("module P {\n  input inp(x, y)\n  output out(x, y)\n  table t(x, y)\n");
+    ///
+    /// Three tables carry state across ticks: `t` (fed by the input and,
+    /// deferred, by the last layer), `v` (accumulates layer `side.0`) and
+    /// `u` (their join — a table derived from two tables, so both of its
+    /// indexes persist). With `side.1` set, deletion rules drawn from that
+    /// layer remove tuples from all three, so heads lose tuples their
+    /// sources still derive and running aggregates over `t` count down.
+    fn module_text(layers: &[(u8, u8, u8)], side: (u8, Option<u8>)) -> String {
+        let mut s = String::from(
+            "module P {\n  input inp(x, y)\n  output out(x, y)\n  output uview(x, y)\n  \
+             table t(x, y)\n  table v(x, y)\n  table u(x, y)\n",
+        );
         for i in 0..layers.len() {
             let _ = writeln!(s, "  scratch c{i}(x, y)");
         }
@@ -247,6 +256,14 @@ mod bloom_engine {
         // Feed one derived layer back into the table next tick, so the
         // ticks exercise cross-timestep state too.
         let _ = writeln!(s, "  t <+ c{last}");
+        let _ = writeln!(s, "  v <= c{}", side.0 as usize % layers.len());
+        s.push_str("  u <= (t * v) on (t.y = v.x) -> (t.x, v.y)\n  uview <= u\n");
+        if let Some(d) = side.1 {
+            let d = d as usize % layers.len();
+            let _ = writeln!(s, "  t <- c{d} where c{d}.x > 2");
+            let _ = writeln!(s, "  v <- c{d} where c{d}.y < 3");
+            let _ = writeln!(s, "  u <- c{d}");
+        }
         s.push_str("}\n");
         s
     }
@@ -254,15 +271,18 @@ mod bloom_engine {
     fn arb_module() -> impl Strategy<Value = RandomModule> {
         (
             proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..5),
-            proptest::collection::vec(proptest::collection::vec((0i64..6, 0i64..6), 0..6), 1..4),
+            (any::<u8>(), proptest::option::of(any::<u8>())),
+            proptest::collection::vec(proptest::collection::vec((0i64..6, 0i64..6), 0..6), 6..10),
         )
-            .prop_map(|(layers, ticks)| RandomModule {
-                text: module_text(&layers),
+            .prop_map(|(layers, side, ticks)| RandomModule {
+                text: module_text(&layers, side),
                 ticks,
             })
     }
 
-    fn run(rm: &RandomModule, mode: EvalMode) -> (Vec<BTreeMap<String, Vec<Tuple>>>, Vec<Tuple>) {
+    type Digest = (Vec<BTreeMap<String, Vec<Tuple>>>, [Vec<Tuple>; 3]);
+
+    fn run(rm: &RandomModule, mode: EvalMode) -> Digest {
         let m = parse_module(&rm.text).expect("generated module must parse");
         let mut inst = ModuleInstance::with_mode(m, mode).expect("stratifiable by construction");
         let mut outs = Vec::new();
@@ -275,7 +295,7 @@ mod bloom_engine {
             inputs.insert("inp".to_string(), tuples);
             outs.push(inst.tick(inputs).expect("tick must succeed").outputs);
         }
-        (outs, inst.table("t"))
+        (outs, ["t", "v", "u"].map(|name| inst.table(name)))
     }
 
     proptest! {
@@ -286,10 +306,10 @@ mod bloom_engine {
         /// state on arbitrary stratifiable modules.
         #[test]
         fn optimized_modes_match_naive_oracle(rm in arb_module()) {
-            let (naive_outs, naive_table) = run(&rm, EvalMode::Naive);
-            let (outs, table) = run(&rm, EvalMode::SemiNaive);
+            let (naive_outs, naive_tables) = run(&rm, EvalMode::Naive);
+            let (outs, tables) = run(&rm, EvalMode::SemiNaive);
             prop_assert_eq!(&naive_outs, &outs, "outputs diverged\n{}", rm.text);
-            prop_assert_eq!(&naive_table, &table, "table diverged\n{}", rm.text);
+            prop_assert_eq!(&naive_tables, &tables, "tables diverged\n{}", rm.text);
         }
 
         /// Semi-naive evaluation never performs more derivations than the
