@@ -21,43 +21,29 @@
 //! machine, but CI smoke runs keep to the counter gates.
 
 use blazes_bench::bloom_scaling::{run_bloom_scaling, BloomScalingConfig};
+use blazes_bench::cli;
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-/// `--out [FILE]`: present with a value uses it; present with the next
-/// token being another flag (or nothing) falls back to the default path.
-fn parse_out(args: &[String], default: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == "--out")?;
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Some(v.clone()),
-        _ => Some(default.to_string()),
-    }
-}
+const USAGE: &str = "usage: bloom_scaling [--smoke] [--reps N] [--out [FILE]] \
+                     [--check [FLOOR]] [--note TEXT]...";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = if args.iter().any(|a| a == "--smoke") {
-        BloomScalingConfig::smoke()
-    } else {
-        BloomScalingConfig::default()
-    };
-    if let Some(reps) = parse_flag(&args, "--reps") {
-        cfg.reps = reps;
-    }
-    let out = parse_out(&args, "BENCH_bloom_scaling.json");
-    let check = args.iter().any(|a| a == "--check");
-    let floor: Option<f64> = parse_flag(&args, "--check");
-    let notes: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--note")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect();
+    // `check` is `Some` when `--check` was given, `Some(Some(floor))` when
+    // it carried a wall-clock floor.
+    let (cfg, out, check, notes) = cli::parse_or_exit(USAGE, |mut a| {
+        let mut cfg = if a.switch("--smoke") {
+            BloomScalingConfig::smoke()
+        } else {
+            BloomScalingConfig::default()
+        };
+        if let Some(reps) = a.value("--reps")? {
+            cfg.reps = reps;
+        }
+        let out = a.optional_or("--out", "BENCH_bloom_scaling.json".to_string())?;
+        let check: Option<Option<f64>> = a.optional("--check")?;
+        let notes = a.repeated("--note")?;
+        a.done()?;
+        Ok((cfg, out, check, notes))
+    });
 
     let mut report = run_bloom_scaling(&cfg);
     report.notes.extend(notes);
@@ -73,7 +59,7 @@ fn main() {
         println!("# wrote {path}");
     }
 
-    if check {
+    if let Some(floor) = check {
         let mut failed = false;
         if !report.all_correct() {
             eprintln!("FAIL: an optimized engine diverged from the naive oracle");

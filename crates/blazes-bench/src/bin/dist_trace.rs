@@ -31,7 +31,7 @@
 
 use blazes_apps::autocoord::{response_digests, run_ad_auto};
 use blazes_apps::dist::dist_registry;
-use blazes_bench::differential_scenario;
+use blazes_bench::{cli, differential_scenario};
 use blazes_dataflow::backend::BackendSpec;
 use blazes_dataflow::dist::recover::fnv1a;
 use blazes_dataflow::dist::{worker_main, ChaosSpec, DistSpec, Kill, KillPoint};
@@ -91,16 +91,14 @@ fn main() -> ExitCode {
     if worker_main(&dist_registry()) {
         return ExitCode::SUCCESS;
     }
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (chaos, path) = match args.as_slice() {
-        [path] if path != "--chaos" => (false, path),
-        [flag, path] if flag == "--chaos" => (true, path),
-        _ => {
-            eprintln!("usage: dist_trace [--chaos] FILE");
-            return ExitCode::from(2);
+    let (chaos, path) = cli::parse_or_exit("usage: dist_trace [--chaos] FILE", |mut a| {
+        let chaos = a.switch("--chaos");
+        match <[String; 1]>::try_from(a.positionals()?) {
+            Ok([path]) => Ok((chaos, path)),
+            Err(_) => Err("expected exactly one FILE".to_string()),
         }
-    };
-    match traced_run(chaos, path) {
+    });
+    match traced_run(chaos, &path) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("FAIL: {e}");

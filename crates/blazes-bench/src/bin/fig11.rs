@@ -18,55 +18,53 @@
 //! clock (`FIG11_VIRTUAL_NS`): the par curves then land on the
 //! simulator's axis and the magnitudes are directly comparable.
 
-use blazes_bench::{fig11_point, FIG11_VIRTUAL_NS};
+use blazes_bench::{cli, fig11_point, FIG11_VIRTUAL_NS};
 use blazes_dataflow::backend::BackendSpec;
 use blazes_dataflow::par::ParTuning;
 
+const USAGE: &str = "usage: fig11 [runs] [--backend sim|par] [--virtual-time] [--trace FILE]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // The positional runs argument is any token that is neither a flag nor
-    // a flag's value, whatever the ordering.
-    let backend_pos = args.iter().position(|a| a == "--backend");
-    let trace_pos = args.iter().position(|a| a == "--trace");
-    let runs: u64 = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| {
-            !a.starts_with("--")
-                && backend_pos != Some(i.wrapping_sub(1))
-                && trace_pos != Some(i.wrapping_sub(1))
-        })
-        .find_map(|(_, s)| s.parse().ok())
-        .unwrap_or(3);
-    let trace = trace_pos.and_then(|i| args.get(i + 1)).cloned();
+    let (runs, par, virtual_time, trace) = cli::parse_or_exit(USAGE, |mut a| {
+        let par = match a.value::<String>("--backend")?.as_deref() {
+            None | Some("sim") => false,
+            Some("par") => true,
+            Some(other) => return Err(format!("unknown backend {other:?}: expected sim or par")),
+        };
+        let virtual_time = a.switch("--virtual-time");
+        if virtual_time && !par {
+            return Err("--virtual-time only applies to --backend par".to_string());
+        }
+        let trace: Option<String> = a.value("--trace")?;
+        let runs: u64 = match a.positionals()?.as_slice() {
+            [] => 3,
+            [runs] => runs
+                .parse()
+                .map_err(|_| format!("invalid run count {runs:?}"))?,
+            [_, extra, ..] => return Err(format!("unexpected argument {extra:?}")),
+        };
+        Ok((runs, par, virtual_time, trace))
+    });
     if trace.is_some() {
         blazes_obs::global().set_enabled(true);
     }
-    let backend = backend_pos
-        .and_then(|i| args.get(i + 1))
-        .map_or("sim", String::as_str);
-    let virtual_time = args.iter().any(|a| a == "--virtual-time");
-    if virtual_time && backend != "par" {
-        eprintln!("--virtual-time only applies to --backend par");
-        std::process::exit(2);
-    }
     // On par the cluster size also picks the thread count, capped at 8.
-    let spec_for = |cluster: usize| match backend {
-        "sim" => BackendSpec::Sim,
-        "par" => BackendSpec::Par {
-            workers: cluster.clamp(1, 8),
-            tuning: ParTuning::default()
-                .with_virtual_service_ns(virtual_time.then_some(FIG11_VIRTUAL_NS)),
-        },
-        other => {
-            eprintln!("unknown backend {other:?}: expected sim or par");
-            std::process::exit(2);
+    let spec_for = |cluster: usize| {
+        if par {
+            BackendSpec::Par {
+                workers: cluster.clamp(1, 8),
+                tuning: ParTuning::default()
+                    .with_virtual_service_ns(virtual_time.then_some(FIG11_VIRTUAL_NS)),
+            }
+        } else {
+            BackendSpec::Sim
         }
     };
 
-    let unit = if backend == "par" && virtual_time {
+    let backend = if par { "par" } else { "sim" };
+    let unit = if virtual_time {
         "tweets/virtualized-wall-second"
-    } else if backend == "par" {
+    } else if par {
         "tweets/wall-second"
     } else {
         "tweets/virtual-second"

@@ -37,23 +37,45 @@
 //! recorded multi-core run would silently weaken the CI floor). Pass
 //! `--force` to overwrite anyway.
 
+use blazes_bench::cli;
 use blazes_bench::scaling::{effective_floor, run_scaling, run_speculation_race, ScalingConfig};
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+const USAGE: &str = "usage: par_scaling [--records N] [--rounds N] [--reps N] [--out [FILE]] \
+                     [--check FLOOR] [--no-race] [--force] [--note TEXT]... [--trace FILE]";
+
+/// The command line, parsed in full before any work starts.
+struct Opts {
+    cfg: ScalingConfig,
+    out: Option<String>,
+    check: Option<f64>,
+    trace: Option<String>,
+    notes: Vec<String>,
+    race: bool,
+    force: bool,
 }
 
-/// `--out [FILE]`: present with a value uses it; present with the next
-/// token being another flag (or nothing) falls back to the default path.
-fn parse_out(args: &[String], default: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == "--out")?;
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Some(v.clone()),
-        _ => Some(default.to_string()),
+fn parse_opts(mut a: cli::Args) -> Result<Opts, String> {
+    let mut cfg = ScalingConfig::default();
+    if let Some(records) = a.value("--records")? {
+        cfg.records = records;
     }
+    if let Some(rounds) = a.value("--rounds")? {
+        cfg.hash_rounds = rounds;
+    }
+    if let Some(reps) = a.value("--reps")? {
+        cfg.reps = reps;
+    }
+    let opts = Opts {
+        cfg,
+        out: a.optional_or("--out", "BENCH_par_scaling.json".to_string())?,
+        check: a.value("--check")?,
+        trace: a.value("--trace")?,
+        notes: a.repeated("--note")?,
+        race: !a.switch("--no-race"),
+        force: a.switch("--force"),
+    };
+    a.done()?;
+    Ok(opts)
 }
 
 /// The `"cores"` recorded in an existing bench JSON, if the file exists
@@ -72,35 +94,16 @@ fn recorded_cores(path: &str) -> Option<usize> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ScalingConfig::default();
-    if let Some(records) = parse_flag(&args, "--records") {
-        cfg.records = records;
-    }
-    if let Some(rounds) = parse_flag(&args, "--rounds") {
-        cfg.hash_rounds = rounds;
-    }
-    if let Some(reps) = parse_flag(&args, "--reps") {
-        cfg.reps = reps;
-    }
-    let out = parse_out(&args, "BENCH_par_scaling.json");
-    let check: Option<f64> = parse_flag(&args, "--check");
-    let trace: Option<String> = parse_flag(&args, "--trace");
-    if trace.is_some() {
+    let opts = cli::parse_or_exit(USAGE, parse_opts);
+    if opts.trace.is_some() {
         blazes_obs::global().set_enabled(true);
     }
-    let notes: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--note")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect();
 
-    let mut report = run_scaling(&cfg);
-    report.notes.extend(notes);
-    if !args.iter().any(|a| a == "--no-race") {
+    let mut report = run_scaling(&opts.cfg);
+    report.notes.extend(opts.notes);
+    if opts.race {
         let race_workers = report.cores.clamp(2, 4);
-        report.speculation = Some(run_speculation_race(race_workers, cfg.reps));
+        report.speculation = Some(run_speculation_race(race_workers, opts.cfg.reps));
     }
     print!("{}", report.render_table());
     println!(
@@ -108,11 +111,8 @@ fn main() {
         report.headline_speedup()
     );
 
-    if let Some(path) = out {
-        if report.cores == 1
-            && recorded_cores(&path).is_some_and(|prev| prev > 1)
-            && !args.iter().any(|a| a == "--force")
-        {
+    if let Some(path) = opts.out {
+        if report.cores == 1 && recorded_cores(&path).is_some_and(|prev| prev > 1) && !opts.force {
             eprintln!(
                 "REFUSED: {path} holds a multi-core sweep; not overwriting it with \
                  1-core numbers (no scaling signal). Pass --force to overwrite."
@@ -125,14 +125,14 @@ fn main() {
 
     // Export before the check gate: a failing gated run is exactly when
     // the trace is worth having.
-    if let Some(path) = trace {
+    if let Some(path) = opts.trace {
         match blazes_obs::global().export_chrome(&path) {
             Ok(()) => println!("# trace written to {path}"),
             Err(e) => eprintln!("trace export failed for {path}: {e}"),
         }
     }
 
-    if let Some(floor) = check {
+    if let Some(floor) = opts.check {
         let mut failed = false;
         if !report.all_correct() {
             eprintln!("FAIL: a parallel run diverged from the expected digest");

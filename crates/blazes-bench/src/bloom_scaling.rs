@@ -28,6 +28,7 @@
 //! machine-independent, plus an optional wall-clock speedup floor for
 //! recorded runs.
 
+use crate::json;
 use blazes_bloom::interp::{EvalMode, ModuleInstance, TickOutput, TickStats};
 use blazes_bloom::parse_module;
 use blazes_dataflow::value::{Tuple, Value};
@@ -246,8 +247,7 @@ impl BloomScalingReport {
         semi.peek().is_some() && semi.all(|w| w.last_tenth <= 1.5 * w.first_tenth)
     }
 
-    /// Render as pretty-printed JSON (hand-rolled; the vendored serde
-    /// shim has no serializer).
+    /// Render as pretty-printed JSON (hand-rolled).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::new();
@@ -271,27 +271,19 @@ impl BloomScalingReport {
             self.per_tick_work_tracks_delta()
         );
         let _ = writeln!(s, "  \"all_correct\": {},", self.all_correct());
-        let _ = writeln!(s, "  \"notes\": [");
-        for (i, note) in self.notes.iter().enumerate() {
-            let comma = if i + 1 == self.notes.len() { "" } else { "," };
-            let escaped = note.replace('\\', "\\\\").replace('"', "\\\"");
-            let _ = writeln!(s, "    \"{escaped}\"{comma}");
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"points\": [");
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 == self.points.len() { "" } else { "," };
+        let notes = self.notes.iter().map(|n| json::quoted(n));
+        json::array(&mut s, "notes", notes, false);
+        let points = self.points.iter().map(|p| {
             let tick_work = p.tick_work.map_or_else(String::new, |w| {
                 format!(
                     "\"ticks\": {}, \"work_first_tenth\": {:.1}, \"work_last_tenth\": {:.1}, ",
                     w.ticks, w.first_tenth, w.last_tenth
                 )
             });
-            let _ = writeln!(
-                s,
-                "    {{\"workload\": \"{}\", \"cores\": {}, \"scale\": {}, \"mode\": \"{}\", \
+            format!(
+                "{{\"workload\": \"{}\", \"cores\": {}, \"scale\": {}, \"mode\": \"{}\", \
                  \"millis\": {:.3}, \"derivations\": {}, \"join_probes\": {}, \
-                 \"fixpoint_iters\": {}, {tick_work}\"correct\": {}}}{comma}",
+                 \"fixpoint_iters\": {}, {tick_work}\"correct\": {}}}",
                 p.workload,
                 p.cores,
                 p.scale,
@@ -301,9 +293,9 @@ impl BloomScalingReport {
                 p.stats.join_probes,
                 p.stats.fixpoint_iters,
                 p.correct
-            );
-        }
-        let _ = writeln!(s, "  ]");
+            )
+        });
+        json::array(&mut s, "points", points, true);
         let _ = writeln!(s, "}}");
         s
     }

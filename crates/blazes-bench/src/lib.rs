@@ -16,7 +16,7 @@
 //! | `… --bin par_scaling -- --out BENCH_par_scaling.json` | sim vs par sweep + the blocking-vs-speculative race ([`scaling`]) |
 //! | `… --bin bloom_scaling -- --out BENCH_bloom_scaling.json` | naive vs semi-naive Bloom sweep ([`bloom_scaling`]) |
 //! | `… --bin dist_trace -- [--chaos] FILE` | Chrome trace of one real 2-process run, optionally with a mid-run SIGKILL |
-//! | `cargo bench -p blazes-bench` | `analysis_overhead`: cost of the analysis itself as the dataflow grows |
+//! | `… --bin analysis_scaling -- --out BENCH_analysis.json` | cost of the analysis itself as the dataflow grows |
 //!
 //! Figures 12–14 measure the coordination Blazes *synthesizes*: each legend
 //! entry is one [`StrategyKind`] — what the analysis is told — run through
@@ -38,6 +38,8 @@ use blazes_dataflow::metrics::TimeSeries;
 use blazes_dataflow::sim::Time;
 
 pub mod bloom_scaling;
+pub mod cli;
+pub mod json;
 pub mod scaling;
 
 /// Calibrated wordcount scenario for one Fig. 11 data point.

@@ -18,6 +18,7 @@
 //! cores, so a 1-core runner only checks for parity with the simulator
 //! while a 4-core runner enforces the real multiple.
 
+use crate::json;
 use blazes_apps::adreport::AdScenario;
 use blazes_apps::autocoord::{response_digests, run_ad_auto};
 use blazes_apps::heavy::{
@@ -238,8 +239,7 @@ impl ScalingReport {
         self.points.iter().all(|p| p.correct)
     }
 
-    /// Render as pretty-printed JSON (hand-rolled; the vendored serde shim
-    /// has no serializer).
+    /// Render as pretty-printed JSON (hand-rolled).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::new();
@@ -281,23 +281,15 @@ impl ScalingReport {
                 let _ = writeln!(s, "  \"speculation\": null,");
             }
         }
-        let _ = writeln!(s, "  \"notes\": [");
-        for (i, note) in self.notes.iter().enumerate() {
-            let comma = if i + 1 == self.notes.len() { "" } else { "," };
-            let escaped = note.replace('\\', "\\\\").replace('"', "\\\"");
-            let _ = writeln!(s, "    \"{escaped}\"{comma}");
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"points\": [");
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 == self.points.len() { "" } else { "," };
-            let _ = writeln!(
-                s,
-                "    {{\"workload\": \"{}\", \"cores\": {}, \"workers\": {}, \
+        let notes = self.notes.iter().map(|n| json::quoted(n));
+        json::array(&mut s, "notes", notes, false);
+        let points = self.points.iter().map(|p| {
+            format!(
+                "{{\"workload\": \"{}\", \"cores\": {}, \"workers\": {}, \
                  \"millis\": {:.3}, \"speedup_vs_sim\": {:.3}, \"balance\": {:.3}, \
                  \"steals\": {}, \"parks\": {}, \"wakeups\": {}, \
                  \"push_retries\": {}, \"lat_p50_us\": {:.1}, \"lat_p99_us\": {:.1}, \
-                 \"lat_p999_us\": {:.1}, \"lat_samples\": {}, \"correct\": {}}}{comma}",
+                 \"lat_p999_us\": {:.1}, \"lat_samples\": {}, \"correct\": {}}}",
                 p.workload,
                 p.cores,
                 p.workers,
@@ -313,9 +305,9 @@ impl ScalingReport {
                 p.lat_p999_us,
                 p.lat_samples,
                 p.correct
-            );
-        }
-        let _ = writeln!(s, "  ]");
+            )
+        });
+        json::array(&mut s, "points", points, true);
         let _ = writeln!(s, "}}");
         s
     }

@@ -15,11 +15,10 @@
 
 use crate::keys::KeySet;
 use crate::severity::Severity;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The partition subscript of an order-sensitive annotation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Gate {
     /// `OR_gate` / `OW_gate` with an explicit attribute set.
     Keys(KeySet),
@@ -59,7 +58,7 @@ impl fmt::Display for Gate {
 }
 
 /// A C.O.W.R. component-path annotation (paper Fig. 7).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ComponentAnnotation {
     /// Confluent, read-only (severity 1). Example: the wordcount `Splitter`.
     CR,
@@ -165,7 +164,7 @@ impl fmt::Display for ComponentAnnotation {
 }
 
 /// Annotations attached to a stream (paper Section IV-A2).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamAnnotation {
     /// `Seal_key`: the stream is punctuated on `key`, with at least one
     /// punctuation covering every record.

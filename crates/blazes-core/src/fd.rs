@@ -20,11 +20,10 @@
 
 use crate::annotation::Gate;
 use crate::keys::KeySet;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One declared injective functional dependency `lhs ↦ rhs`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InjectiveFd {
     /// Determinant attribute set.
     pub lhs: KeySet,
@@ -36,7 +35,7 @@ pub struct InjectiveFd {
 ///
 /// The identity dependency `A ↦ A` is implicit for every attribute set `A`
 /// and never needs declaring.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FdStore {
     fds: BTreeSet<InjectiveFd>,
 }

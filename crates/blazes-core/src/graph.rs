@@ -14,28 +14,27 @@ use crate::annotation::{ComponentAnnotation, StreamAnnotation};
 use crate::error::{BlazesError, Result};
 use crate::fd::FdStore;
 use crate::keys::KeySet;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a component in a [`DataflowGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ComponentId(pub usize);
 
 /// Identifier of an external stream source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SourceId(pub usize);
 
 /// Identifier of an external sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SinkId(pub usize);
 
 /// Identifier of a stream (edge).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StreamId(pub usize);
 
 /// One annotated path through a component, from input interface `from` to
 /// output interface `to`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathSpec {
     /// Input interface name.
     pub from: String,
@@ -64,7 +63,7 @@ impl PathSpec {
 
 /// A logical component (paper Section II-A): a unit of computation and
 /// storage with named input/output interfaces and annotated internal paths.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
     /// Human-readable name (unique within the graph).
     pub name: String,
@@ -108,7 +107,7 @@ impl Component {
 }
 
 /// An external stream source.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Source {
     /// Name (unique within the graph).
     pub name: String,
@@ -119,14 +118,14 @@ pub struct Source {
 }
 
 /// An external sink.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sink {
     /// Name (unique within the graph).
     pub name: String,
 }
 
 /// One end of a stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Endpoint {
     /// An external source (producing end only).
     Source(SourceId),
@@ -137,7 +136,7 @@ pub enum Endpoint {
 }
 
 /// A stream: an edge between a producing endpoint and a consuming endpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stream {
     /// Producing end.
     pub from: Endpoint,
@@ -151,7 +150,7 @@ pub struct Stream {
 }
 
 /// A logical dataflow graph plus its functional-dependency store.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataflowGraph {
     /// Graph name, used in reports.
     pub name: String,

@@ -23,12 +23,11 @@ use crate::annotation::ComponentAnnotation;
 use crate::fd::FdStore;
 use crate::graph::PathSpec;
 use crate::label::Label;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which rule produced a derived label — used to render the derivation trees
 /// of the paper's Section V-A4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
     /// Fig. 9 rule 1: unordered input into an order-sensitive read path.
     R1,

@@ -6,12 +6,11 @@
 //! sets have a canonical order, which keeps analysis output and error
 //! messages deterministic.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// An ordered set of attribute names.
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KeySet(BTreeSet<String>);
 
 impl KeySet {

@@ -9,11 +9,10 @@
 use crate::annotation::Gate;
 use crate::keys::KeySet;
 use crate::severity::Severity;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A stream label (paper Fig. 8).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Label {
     /// Internal (severity 0): the output may have *transient*
     /// nondeterministic contents from reads racing ahead of inputs, over
@@ -161,7 +160,7 @@ impl fmt::Display for Label {
 }
 
 /// Which anomaly columns of the paper's Fig. 8 a label admits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnomalySet {
     /// Nondeterministic delivery order.
     pub nd_order: bool,

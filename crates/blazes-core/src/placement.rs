@@ -14,11 +14,10 @@ use crate::error::Result;
 use crate::graph::DataflowGraph;
 use crate::keys::KeySet;
 use crate::strategy::{plan_for, CoordinationPlan, Strategy};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One coordination requirement, resolved to component/interface names.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CoordDirective {
     /// Run the seal protocol on `component`'s `input`: buffer each
     /// partition keyed by `key`, release on seal plus a unanimous producer
@@ -59,7 +58,7 @@ impl CoordDirective {
 /// A complete, name-resolved coordination spec for one dataflow: what the
 /// injection pass must add, per component. An empty spec certifies the
 /// dataflow confluent — the pass must leave it untouched.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoordinationSpec {
     /// One directive per coordinated component, sorted by component name.
     pub directives: Vec<CoordDirective>,

@@ -28,7 +28,6 @@
 use crate::fd::FdStore;
 use crate::keys::KeySet;
 use crate::label::Label;
-use serde::{Deserialize, Serialize};
 
 /// One inference result feeding reconciliation: the derived label plus the
 /// seal key of the path's *input* stream (if it was sealed).
@@ -37,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// stream is sealed protects reads even when the seal key does not survive
 /// the path's projection (the consumer delays reads per *input* partition,
 /// regardless of what the path emits).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Derived {
     /// The label derived by inference.
     pub label: Label,
@@ -56,7 +55,7 @@ impl From<Label> for Derived {
 }
 
 /// The outcome of reconciling one output interface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reconciliation {
     /// The labels derived by inference for this interface.
     pub derived: Vec<Label>,

@@ -6,14 +6,12 @@
 //! Internal labels (`NDRead`, `Taint`) share the lowest rank: they are
 //! bookkeeping for the analysis and are never emitted as a stream label.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the severity order of the paper's Fig. 8.
 ///
 /// `Severity` is deliberately a plain integer newtype rather than an enum so
 /// that future label families (e.g. user-defined lattice extensions) can slot
 /// in between existing ranks without renumbering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Severity(pub u8);
 
 impl Severity {

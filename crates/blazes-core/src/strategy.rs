@@ -25,11 +25,10 @@ use crate::graph::{ComponentId, DataflowGraph, Endpoint};
 use crate::inference::Rule;
 use crate::keys::KeySet;
 use crate::label::Label;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One synthesized coordination mechanism.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Strategy {
     /// Delay processing of each partition of `input` until its seal is
     /// known: the consumer buffers per-partition input, collects the
@@ -61,7 +60,7 @@ pub enum Strategy {
 }
 
 /// A full coordination plan for a dataflow.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoordinationPlan {
     /// The synthesized strategies, deduplicated and sorted.
     pub strategies: Vec<Strategy>,

@@ -7,11 +7,10 @@
 //! balloon memory. All integers are little-endian; strings are
 //! `u32 length + UTF-8 bytes`; booleans are a single `0`/`1` byte.
 //!
-//! The codec is hand-rolled on purpose: the workspace's `serde` is a
-//! no-op shim, and the frame set is small and closed. Decoding is total —
-//! any input either yields a frame, asks for more bytes, or returns a
-//! typed [`WireError`] after consuming the offending region; it never
-//! panics and never desynchronizes the stream.
+//! The codec is hand-rolled: the frame set is small and closed. Decoding
+//! is total — any input either yields a frame, asks for more bytes, or
+//! returns a typed [`WireError`] after consuming the offending region; it
+//! never panics and never desynchronizes the stream.
 
 use crate::message::{Message, SealKey};
 use crate::sim::Time;

@@ -5,12 +5,11 @@
 //! Section II-A), and end-of-stream markers used by finite runs.
 
 use crate::value::{Tuple, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The key of a sealed partition: attribute names with the partition's
 /// values, e.g. `campaign = "shoes"`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SealKey {
     /// `(attribute, value)` pairs identifying the partition, sorted by
     /// attribute name.
@@ -59,7 +58,7 @@ impl fmt::Display for SealKey {
 }
 
 /// A message on a stream instance.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Message {
     /// A data tuple.
     Data(Tuple),

@@ -5,8 +5,7 @@
 //! components.
 
 use crate::sim::Time;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Statistics for one instance after a run.
@@ -132,6 +131,14 @@ impl RunStats {
     }
 }
 
+/// Lock a sink buffer, poisoned or not: a lock is never a `Result`, and a
+/// panic on some other thread must not take a sink handle down with it.
+/// Every writer here is a single `Vec` call, so the buffer is valid at
+/// whatever point a holder unwound.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A shared, thread-safe `(time, cumulative count)` recorder.
 ///
 /// Cloning shares the underlying buffer, so a sink component can hold one
@@ -150,12 +157,12 @@ impl TimeSeries {
 
     /// Record that the cumulative count reached `count` at time `t`.
     pub fn record(&self, t: Time, count: u64) {
-        self.points.lock().push((t, count));
+        lock(&self.points).push((t, count));
     }
 
     /// Record a single increment: count = previous + 1.
     pub fn increment(&self, t: Time) {
-        let mut points = self.points.lock();
+        let mut points = lock(&self.points);
         let next = points.last().map_or(1, |&(_, c)| c + 1);
         points.push((t, next));
     }
@@ -163,38 +170,37 @@ impl TimeSeries {
     /// Snapshot of all points.
     #[must_use]
     pub fn points(&self) -> Vec<(Time, u64)> {
-        self.points.lock().clone()
+        lock(&self.points).clone()
     }
 
     /// Number of points recorded.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.points.lock().len()
+        lock(&self.points).len()
     }
 
     /// Is the series empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.points.lock().is_empty()
+        lock(&self.points).is_empty()
     }
 
     /// The final cumulative count.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.points.lock().last().map_or(0, |&(_, c)| c)
+        lock(&self.points).last().map_or(0, |&(_, c)| c)
     }
 
     /// Drop every point after the first `len` (time-warp rollback: a
     /// speculative consumer truncates back to its checkpoint length).
     pub fn truncate(&self, len: usize) {
-        self.points.lock().truncate(len);
+        lock(&self.points).truncate(len);
     }
 
     /// Time at which the cumulative count first reached `target`, if ever.
     #[must_use]
     pub fn time_to_reach(&self, target: u64) -> Option<Time> {
-        self.points
-            .lock()
+        lock(&self.points)
             .iter()
             .find(|&&(_, c)| c >= target)
             .map(|&(t, _)| t)
@@ -204,7 +210,7 @@ impl TimeSeries {
     /// plotting; always keeps the last point.
     #[must_use]
     pub fn downsample(&self, buckets: usize) -> Vec<(Time, u64)> {
-        let points = self.points.lock();
+        let points = lock(&self.points);
         if points.len() <= buckets || buckets == 0 {
             return points.clone();
         }
@@ -258,6 +264,39 @@ mod tests {
         a.increment(1);
         b.increment(2);
         assert_eq!(a.total(), 2);
+    }
+
+    #[test]
+    fn handles_survive_panic_in_critical_section() {
+        use crate::sinks::CollectorSink;
+
+        let ts = TimeSeries::new();
+        ts.increment(1);
+        let held = ts.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = lock(&held.points);
+            panic!("poison attempt");
+        })
+        .join();
+        assert!(ts.points.is_poisoned());
+        assert_eq!(ts.total(), 1, "series readable after a panicking holder");
+        ts.increment(2);
+        assert_eq!(ts.points(), vec![(1, 1), (2, 2)]);
+
+        // `extend` pulls from the caller's iterator under the lock, so an
+        // iterator that panics does so inside the critical section.
+        let sink = CollectorSink::new();
+        let held = sink.clone();
+        let _ = std::thread::spawn(move || {
+            held.extend((0..2).map(|i| match i {
+                0 => (7, crate::message::Message::Eos),
+                _ => panic!("poison attempt"),
+            }));
+        })
+        .join();
+        assert_eq!(sink.len(), 1, "collector readable after a panicking holder");
+        sink.clear();
+        assert!(sink.is_empty());
     }
 
     #[test]

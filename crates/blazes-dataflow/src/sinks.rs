@@ -2,10 +2,9 @@
 
 use crate::component::{Component, Context};
 use crate::message::Message;
-use crate::metrics::TimeSeries;
+use crate::metrics::{lock, TimeSeries};
 use crate::sim::Time;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A sink that stores every received message with its arrival time.
 /// Cloning shares the buffer.
@@ -24,60 +23,60 @@ impl CollectorSink {
     /// Number of messages received.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        lock(&self.entries).len()
     }
 
     /// Is the collector empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        lock(&self.entries).is_empty()
     }
 
     /// Snapshot of `(time, message)` entries in arrival order.
     #[must_use]
     pub fn entries(&self) -> Vec<(Time, Message)> {
-        self.entries.lock().clone()
+        lock(&self.entries).clone()
     }
 
     /// Snapshot of the messages only.
     #[must_use]
     pub fn messages(&self) -> Vec<Message> {
-        self.entries.lock().iter().map(|(_, m)| m.clone()).collect()
+        lock(&self.entries).iter().map(|(_, m)| m.clone()).collect()
     }
 
     /// Messages as a sorted set (for order-insensitive comparisons, the
     /// confluence criterion of the paper's Section III-B).
     #[must_use]
     pub fn message_set(&self) -> std::collections::BTreeSet<Message> {
-        self.entries.lock().iter().map(|(_, m)| m.clone()).collect()
+        lock(&self.entries).iter().map(|(_, m)| m.clone()).collect()
     }
 
     /// Drop every entry after the first `len` (time-warp rollback: a
     /// speculative sink truncates back to its checkpoint length).
     pub fn truncate(&self, len: usize) {
-        self.entries.lock().truncate(len);
+        lock(&self.entries).truncate(len);
     }
 
     /// Append externally collected entries (the distributed backend
     /// streams a remote worker's sink contents back into the parent's
     /// handle this way).
     pub fn extend(&self, entries: impl IntoIterator<Item = (Time, Message)>) {
-        self.entries.lock().extend(entries);
+        lock(&self.entries).extend(entries);
     }
 
     /// Clear the buffer.
     pub fn clear(&self) {
-        self.entries.lock().clear();
+        lock(&self.entries).clear();
     }
 }
 
 impl Component for CollectorSink {
     fn on_message(&mut self, _port: usize, msg: Message, ctx: &mut Context) {
-        self.entries.lock().push((ctx.now, msg));
+        lock(&self.entries).push((ctx.now, msg));
     }
 
     fn snapshot(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        Some(Box::new(self.entries.lock().len()))
+        Some(Box::new(lock(&self.entries).len()))
     }
 
     fn restore(&mut self, snapshot: Box<dyn std::any::Any + Send>) {

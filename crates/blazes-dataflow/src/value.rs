@@ -4,11 +4,10 @@
 //! [`Value`]s; components that need named access keep their own schema
 //! (attribute name → position) as configuration.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single attribute value.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),
@@ -87,7 +86,7 @@ impl From<bool> for Value {
 }
 
 /// A positional record.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple(pub Vec<Value>);
 
 impl Tuple {

@@ -1,6 +1,6 @@
-//! Stand-in for `crossbeam-deque`, vendored so the workspace builds
-//! offline. Implements the work-stealing deque API surface the parallel
-//! executor uses:
+//! The work-stealing deque the parallel executor runs on: code this
+//! repository owns, under the `crossbeam-deque` name because it implements
+//! that crate's API surface:
 //!
 //! * [`Worker`] — a per-thread deque (FIFO or LIFO flavor) with `push` /
 //!   `pop` for the owner;
@@ -10,16 +10,15 @@
 //! * [`Steal`] — the three-valued steal result (`Empty` / `Success` /
 //!   `Retry`).
 //!
-//! Unlike the first-generation shim (a `Mutex<VecDeque>`), this is the
-//! real thing: [`Worker`]/[`Stealer`] are a Chase–Lev deque with atomic
+//! [`Worker`]/[`Stealer`] are a Chase–Lev deque with atomic
 //! `top`/`bottom` indices and a growable ring buffer, and [`Injector`] is
 //! a linked list of fixed-size slot blocks in the style of the crossbeam
 //! injector — every push, pop and steal is lock-free.
 //!
 //! # Memory reclamation
 //!
-//! The real crate reclaims memory with epoch GC (`crossbeam-epoch`),
-//! which the offline image does not have. Two simpler schemes stand in:
+//! The published crate reclaims memory with epoch GC (`crossbeam-epoch`),
+//! which this repository does not have. Two simpler schemes do the job:
 //!
 //! * **Deque buffers** grown out of are *retired, not freed*: a stealer
 //!   holding a stale buffer pointer only ever dereferences indices that
@@ -32,9 +31,6 @@
 //! * **Injector blocks** reclaim themselves through per-slot state bits
 //!   (`WRITE`/`READ`/`DESTROY`): the last reader out of a block frees it,
 //!   with a hand-off baton for readers still mid-slot. No locks at all.
-//!
-//! Pointing the workspace dependency at crates.io swaps the epoch-based
-//! implementation back in without code changes.
 
 use std::cell::UnsafeCell;
 use std::fmt;

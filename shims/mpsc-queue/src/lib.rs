@@ -1,9 +1,6 @@
 //! A lock-free multi-producer single-consumer queue in the style of
-//! Dmitry Vyukov's intrusive MPSC queue, vendored so the workspace builds
-//! offline (the build container has no registry access). Pointing the
-//! workspace dependency at a crates.io implementation with the same
-//! `push` / `pop` / `pop_batch` surface swaps the real thing back in
-//! without code changes.
+//! Dmitry Vyukov's intrusive MPSC queue: the parallel executor's mailbox,
+//! code this repository owns.
 //!
 //! # Algorithm
 //!

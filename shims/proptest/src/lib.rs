@@ -1,11 +1,12 @@
-//! Minimal stand-in for `proptest`, vendored so the workspace builds
-//! offline. Implements the subset the test suite uses: the [`Strategy`]
+//! The property-test harness of the `prop_*` suites: code this repository
+//! owns, under the `proptest` name because it implements the subset of
+//! that crate the test suite uses: the [`Strategy`]
 //! trait with `prop_map`/`boxed`, `any`, `Just`, range and tuple
 //! strategies, `sample::subsequence`, `collection::vec`, `option::of`, and
 //! the `proptest!` / `prop_assert!` / `prop_assert_eq!` / `prop_oneof!`
 //! macros.
 //!
-//! Differences from the real crate, deliberately accepted:
+//! Differences from the published crate, deliberately accepted:
 //!
 //! * no shrinking — a failing case panics with its values via the assert
 //!   message;

@@ -1,5 +1,6 @@
-//! Minimal stand-in for `rand` 0.9, vendored so the workspace builds
-//! offline. Provides the surface the workspace uses — `rngs::StdRng`,
+//! The seeded RNG behind every workload and fault schedule: code this
+//! repository owns, under the `rand` name because it implements the
+//! subset of `rand` 0.9 the workspace uses — `rngs::StdRng`,
 //! [`SeedableRng::seed_from_u64`], and [`Rng::random`] /
 //! [`Rng::random_range`] — backed by xoshiro256++ seeded through
 //! SplitMix64. Deterministic for a given seed, which is all the simulator

@@ -57,11 +57,24 @@ fn is_bloom_module(text: &str) -> bool {
         .is_some_and(|l| l.starts_with("module"))
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// `--flag VALUE`: the value, `None` when the flag is absent. A flag with
+/// nothing after it is an error.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) => Ok(Some(v)),
+        None => Err(format!("{flag} expects a value")),
+    }
+}
+
+/// [`flag_value`] parsed as a non-negative integer, `default` when absent.
+fn int_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    flag_value(args, flag)?.map_or(Ok(default), |v| {
+        v.parse()
+            .map_err(|_| format!("{flag} expects a non-negative integer, got {v:?}"))
+    })
 }
 
 fn parse_mode(s: &str) -> Result<EvalMode, String> {
@@ -70,6 +83,23 @@ fn parse_mode(s: &str) -> Result<EvalMode, String> {
         "semi" | "semi-naive" => Ok(EvalMode::SemiNaive),
         _ => Err(format!("unknown mode {s:?} (expected naive|semi)")),
     }
+}
+
+/// The four value flags, checked before anything is read or run.
+struct Flags {
+    trace: Option<String>,
+    mode: EvalMode,
+    ticks: u64,
+    rows: usize,
+}
+
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
+    Ok(Flags {
+        trace: flag_value(args, "--trace")?.map(String::from),
+        mode: flag_value(args, "--mode")?.map_or(Ok(EvalMode::SemiNaive), parse_mode)?,
+        ticks: int_flag(args, "--ticks", 1)?,
+        rows: int_flag(args, "--rows", 32)?,
+    })
 }
 
 /// Deterministic synthetic workload: each input interface of arity `k`
@@ -90,7 +120,7 @@ fn synthetic_inputs(m: &blazes_bloom::Module, rows: usize) -> BTreeMap<String, V
         .collect()
 }
 
-fn run_bloom_module(name: &str, text: &str, args: &[String]) {
+fn run_bloom_module(name: &str, text: &str, tick_stats: bool, flags: &Flags) {
     let module = match parse_module(text) {
         Ok(m) => m,
         Err(e) => {
@@ -111,22 +141,13 @@ fn run_bloom_module(name: &str, text: &str, args: &[String]) {
         Err(e) => eprintln!("  analysis error: {e}"),
     }
 
-    if !args.iter().any(|a| a == "--tick-stats") {
+    if !tick_stats {
         return;
     }
 
-    let mode = match parse_mode(&flag_value(args, "--mode").unwrap_or_else(|| "semi".into())) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let ticks: u64 =
-        flag_value(args, "--ticks").map_or(1, |v| v.parse().expect("--ticks expects an integer"));
-    let rows: usize =
-        flag_value(args, "--rows").map_or(32, |v| v.parse().expect("--rows expects an integer"));
-
+    let &Flags {
+        mode, ticks, rows, ..
+    } = flags;
     let mut inst = match ModuleInstance::with_mode(module, mode) {
         Ok(i) => i,
         Err(e) => {
@@ -191,8 +212,14 @@ fn export_trace(path: Option<&String>) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let dynamic = !args.iter().any(|a| a == "--static-order");
-    let trace = flag_value(&args, "--trace");
-    if trace.is_some() {
+    let flags = match parse_flags(&args) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    };
+    if flags.trace.is_some() {
         blazes::obs::global().set_enabled(true);
     }
     let value_flags = ["--mode", "--ticks", "--rows", "--trace"];
@@ -227,8 +254,9 @@ fn main() {
     };
 
     if is_bloom_module(&text) {
-        run_bloom_module(&name, &text, &args);
-        export_trace(trace.as_ref());
+        let tick_stats = args.iter().any(|a| a == "--tick-stats");
+        run_bloom_module(&name, &text, tick_stats, &flags);
+        export_trace(flags.trace.as_ref());
         return;
     }
 
@@ -287,7 +315,7 @@ fn main() {
             println!("  {}", a.render(&graph));
         }
     }
-    export_trace(trace.as_ref());
+    export_trace(flags.trace.as_ref());
 }
 
 #[cfg(test)]
