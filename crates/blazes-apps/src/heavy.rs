@@ -582,14 +582,13 @@ mod tests {
         for zipf in [0.0, 1.4] {
             let cfg = tiny(zipf);
             let expected = expected_digest(&cfg);
-            for capacity in [None, Some(4)] {
+            for batch_size in [1, 8] {
                 let tuning = ParTuning {
-                    channel_capacity: capacity,
-                    batch_size: 8,
+                    batch_size,
                     ..ParTuning::default()
                 };
                 let (digest, _) = run_heavy(&cfg, &BackendSpec::Par { workers: 4, tuning });
-                assert_eq!(digest, expected, "zipf={zipf} capacity={capacity:?}");
+                assert_eq!(digest, expected, "zipf={zipf} batch_size={batch_size}");
             }
         }
     }

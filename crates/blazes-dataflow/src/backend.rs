@@ -445,7 +445,7 @@ pub enum BackendSpec {
     Par {
         /// Number of OS worker threads.
         workers: usize,
-        /// Batching/backpressure/speculation knobs for the run.
+        /// Batch-size/speculation/service-time knobs for the run.
         tuning: crate::par::ParTuning,
     },
     /// The distributed multi-process executor ([`crate::dist::run_dist`]).
@@ -491,7 +491,7 @@ impl BackendSpec {
 /// executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendError {
-    /// The `Par` spec is invalid (zero workers, batch size or capacity).
+    /// The `Par` spec is invalid (zero workers or batch size).
     Par(ParConfigError),
     /// A `Dist` spec has no in-process executor: assembly closures cannot
     /// cross a process boundary, so distributed runs name a deterministic

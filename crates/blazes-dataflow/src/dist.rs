@@ -1205,6 +1205,12 @@ const STALL_TIMEOUT: Duration = Duration::from_secs(120);
 /// How long a (re)spawned worker may take to complete its hello.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// How long the coordinator tolerates silence from a worker before
+/// declaring it dead ([`FailureCause::HeartbeatTimeout`]). Generous: on a
+/// loaded 1-core box heartbeat threads can starve for whole seconds, and
+/// crash detection is near-instant anyway via reader EOF + child reaping.
+const WORKER_DEADLINE: Duration = Duration::from_secs(30);
+
 /// Minimum interval between supervision liveness sweeps (child reaping,
 /// deadlines, pending respawns). Chaos triggers are checked every loop
 /// iteration regardless.
@@ -1416,9 +1422,7 @@ impl<'a> Coordinator<'a> {
                 self.worker_down(i, FailureCause::HelloTimeout)?;
                 continue;
             }
-            if self.slots[i].up
-                && self.slots[i].last_heard.elapsed() > self.spec.tuning.worker_deadline
-            {
+            if self.slots[i].up && self.slots[i].last_heard.elapsed() > WORKER_DEADLINE {
                 let ms = self.slots[i].last_heard.elapsed().as_millis() as u64;
                 self.worker_down(i, FailureCause::HeartbeatTimeout(ms))?;
                 continue;
@@ -1487,7 +1491,7 @@ impl<'a> Coordinator<'a> {
                 },
             });
         }
-        slot.backoff_until = Some(Instant::now() + self.spec.tuning.backoff_for(slot.respawns));
+        slot.backoff_until = Some(Instant::now() + recover::backoff_for(slot.respawns));
         slot.respawns += 1;
         slot.epoch += 1;
         Ok(())

@@ -51,17 +51,9 @@ pub struct DistTuning {
     pub transport: Transport,
     /// How often workers emit [`Frame::Heartbeat`](super::wire::Frame).
     pub heartbeat_every: Duration,
-    /// How long the coordinator tolerates silence from a worker before
-    /// declaring it dead ([`FailureCause::HeartbeatTimeout`]). Generous by
-    /// default: on a loaded 1-core box heartbeat threads can starve for
-    /// whole seconds, and crash detection is near-instant anyway via
-    /// reader EOF + child reaping.
-    pub worker_deadline: Duration,
     /// Maximum respawns per worker before the run fails with
     /// [`FailureCause::BudgetExhausted`].
     pub respawn_budget: u32,
-    /// Base of the exponential respawn backoff (doubles per respawn).
-    pub respawn_backoff: Duration,
 }
 
 impl Default for DistTuning {
@@ -69,9 +61,7 @@ impl Default for DistTuning {
         DistTuning {
             transport: Transport::Unix,
             heartbeat_every: Duration::from_millis(25),
-            worker_deadline: Duration::from_secs(30),
             respawn_budget: 3,
-            respawn_backoff: Duration::from_millis(40),
         }
     }
 }
@@ -91,37 +81,25 @@ impl DistTuning {
         self
     }
 
-    /// Set the per-worker silence deadline.
-    #[must_use]
-    pub fn with_worker_deadline(mut self, deadline: Duration) -> Self {
-        self.worker_deadline = deadline;
-        self
-    }
-
     /// Set the per-worker respawn budget.
     #[must_use]
     pub fn with_respawn_budget(mut self, budget: u32) -> Self {
         self.respawn_budget = budget;
         self
     }
+}
 
-    /// Set the base respawn backoff.
-    #[must_use]
-    pub fn with_respawn_backoff(mut self, backoff: Duration) -> Self {
-        self.respawn_backoff = backoff;
-        self
-    }
+/// Base of the exponential respawn backoff (doubles per respawn).
+const RESPAWN_BACKOFF: Duration = Duration::from_millis(40);
 
-    /// Exponential backoff before the `used + 1`-th respawn of a worker:
-    /// `respawn_backoff · 2^used`, capped at 2 s.
-    #[must_use]
-    pub fn backoff_for(&self, used: u32) -> Duration {
-        let cap = Duration::from_secs(2);
-        let mult = 1u32 << used.min(16);
-        self.respawn_backoff
-            .checked_mul(mult)
-            .map_or(cap, |d| d.min(cap))
-    }
+/// Exponential backoff before the `used + 1`-th respawn of a worker:
+/// `RESPAWN_BACKOFF · 2^used`, capped at 2 s.
+pub(crate) fn backoff_for(used: u32) -> Duration {
+    let cap = Duration::from_secs(2);
+    let mult = 1u32 << used.min(16);
+    RESPAWN_BACKOFF
+        .checked_mul(mult)
+        .map_or(cap, |d| d.min(cap))
 }
 
 /// Why a worker was declared dead — carried in
@@ -627,11 +605,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let t = DistTuning::default().with_respawn_backoff(Duration::from_millis(40));
-        assert_eq!(t.backoff_for(0), Duration::from_millis(40));
-        assert_eq!(t.backoff_for(1), Duration::from_millis(80));
-        assert_eq!(t.backoff_for(2), Duration::from_millis(160));
-        assert_eq!(t.backoff_for(20), Duration::from_secs(2));
+        assert_eq!(backoff_for(0), Duration::from_millis(40));
+        assert_eq!(backoff_for(1), Duration::from_millis(80));
+        assert_eq!(backoff_for(2), Duration::from_millis(160));
+        assert_eq!(backoff_for(20), Duration::from_secs(2));
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod dist;
 pub mod message;
 pub mod metrics;
 pub mod par;
-pub mod pool;
 pub mod sim;
 pub mod sinks;
 pub mod value;

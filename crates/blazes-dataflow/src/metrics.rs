@@ -46,13 +46,6 @@ pub struct WorkerStats {
     /// an uncontended wire; grows as concurrent producers collide on one
     /// destination).
     pub push_retries: u64,
-    /// Times a bounded send parked waiting for mailbox space.
-    pub backpressure_parks: u64,
-    /// Bounded sends that overshot the capacity rather than park, because
-    /// parking would have left no runnable worker (the no-deadlock escape).
-    pub overflow_sends: u64,
-    /// Total time parked waiting for mailbox space.
-    pub backpressure_park_time: Duration,
     /// Total time parked idle, waiting for runnable instances.
     pub idle_park_time: Duration,
     /// Time-warp speculation sessions entered by instances this worker

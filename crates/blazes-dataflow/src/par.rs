@@ -35,11 +35,10 @@
 //!   single-consumer contract is exactly the *scheduled flag* exclusivity
 //!   the runtime already maintains — whichever worker owns the flag is
 //!   the one consumer.
-//! * **Instance state** is an `UnsafeCell` guarded by that same flag (the
-//!   previous `Mutex<Cell>` was uncontended by protocol; now the protocol
-//!   is the whole story, checked by a debug-build owner assert). The flag
-//!   handoff is `SeqCst`, and task transfer through the deques carries
-//!   the release/acquire edge, so cell writes publish to the next owner.
+//! * **Instance state** is an `UnsafeCell` guarded by that same flag,
+//!   checked by a debug-build owner assert. The flag handoff is `SeqCst`,
+//!   and task transfer through the deques carries the release/acquire
+//!   edge, so cell writes publish to the next owner.
 //! * **Run queues** are real Chase–Lev deques and a block-based lock-free
 //!   injector (see the rewritten `crossbeam-deque` shim) — push, pop and
 //!   steal are all atomic-only.
@@ -54,35 +53,16 @@
 //!   against a sibling's deque costs at most one `PARK_TIMEOUT`, since
 //!   the sibling drains its own deque anyway).
 //!
-//! Every remaining `Mutex` acquisition (idle parks, full-mailbox parks)
-//! is counted per run in [`ParStats::slow_path_locks`]; tests assert the
+//! Every remaining `Mutex` acquisition (idle parks and their wakeups) is
+//! counted per run in [`ParStats::slow_path_locks`]; tests assert the
 //! count is fully accounted for by parking events, not by messages.
 //! Deque-side cold-path locks (buffer retirement on growth) are counted
 //! by [`crossbeam_deque::lock_acquisitions`] and pinned by that crate's
 //! own tests.
 //!
-//! # Backpressure
-//!
-//! [`ParTuning::channel_capacity`] bounds every mailbox. A sender
-//! whose destination is full *parks* until the destination drains, instead
-//! of growing the queue without bound. The capacity check reads the
-//! mailbox's atomic length counter — no lock on the send path; the parked
-//! wait itself is the slow path and uses a per-mailbox Condvar that
-//! drains only notify when someone is registered as waiting. Because
-//! check and push are no longer one critical section, concurrent senders
-//! can transiently overshoot the bound by at most one message each — the
-//! bound is exact in steady state, soft by `senders` under a photo-finish
-//! race. Two rules keep parking deadlock-free:
-//!
-//! 1. a worker never parks on a mailbox only it can drain (its own current
-//!    instance);
-//! 2. a worker never parks if it would be the last runnable worker: it
-//!    overshoots the capacity instead (counted in
-//!    [`WorkerStats::overflow_sends`]).
-//!
-//! So at least one worker is always runnable and quiescence is reached even
-//! for cyclic topologies; the bound is strict in steady state and soft only
-//! in the escape cases.
+//! Mailboxes are unbounded, so a send — and with it
+//! [`RunningPar::inject`] — never blocks; [`ParStats::max_mailbox_depth`]
+//! reports how far queues grew.
 //!
 //! # Guarantees
 //!
@@ -91,11 +71,10 @@
 //!   producer's emissions are routed into destination mailboxes *before*
 //!   the producer can be re-activated elsewhere, and mailboxes are FIFO.
 //!   Seal and EOS punctuations therefore never overtake the records they
-//!   cover — the invariant the sealing protocol needs (paper Section V-B1)
-//!   — including under bounded channels, where a parked send completes
-//!   before the producer proceeds. Note this is *stronger* than the
-//!   simulator for channels configured with [`ChannelConfig::with_fifo`]
-//!   `(false)`: single-wire reordering is not reproduced here.
+//!   cover — the invariant the sealing protocol needs (paper Section V-B1).
+//!   Note this is *stronger* than the simulator for channels configured
+//!   with [`ChannelConfig::with_fifo`]`(false)`: single-wire reordering is
+//!   not reproduced here.
 //! * **At-least-once faults, with reproducible schedules.** Channel
 //!   `duplicate_prob` injects duplicate deliveries and `loss_prob` counts
 //!   a retransmission (the message is still delivered — losses are
@@ -258,6 +237,17 @@ pub const DEFAULT_BATCH_SIZE: usize = 64;
 /// Parks are also woken eagerly; the timeout only bounds lost-wakeup races.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
+/// Cap on the derived (unpinned) worker count.
+const MAX_POOL_WORKERS: usize = 8;
+
+/// The worker count used when the caller does not pin one: the machine's
+/// available parallelism, capped at [`MAX_POOL_WORKERS`] and floored at 1.
+fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map_or(2, std::num::NonZeroUsize::get)
+        .clamp(1, MAX_POOL_WORKERS)
+}
+
 /// Error returned by [`ParBuilder::with_tuning`] on invalid configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParConfigError {
@@ -265,8 +255,6 @@ pub enum ParConfigError {
     ZeroWorkers,
     /// Batch size must be at least 1.
     ZeroBatchSize,
-    /// Channel capacity must be at least 1.
-    ZeroChannelCapacity,
 }
 
 impl fmt::Display for ParConfigError {
@@ -274,7 +262,6 @@ impl fmt::Display for ParConfigError {
         f.write_str(match self {
             ParConfigError::ZeroWorkers => "need at least one worker",
             ParConfigError::ZeroBatchSize => "batch size must be at least 1",
-            ParConfigError::ZeroChannelCapacity => "channel capacity must be at least 1",
         })
     }
 }
@@ -290,11 +277,6 @@ pub struct ParTuning {
     /// scheduling; smaller ones migrate hot instances between workers more
     /// eagerly.
     pub batch_size: usize,
-    /// Mailbox capacity; `None` = unbounded. A full destination parks the
-    /// sender (backpressure) instead of queueing without limit; see the
-    /// module docs for the no-deadlock escape that makes the bound soft in
-    /// pathological cases.
-    pub channel_capacity: Option<usize>,
     /// Time-warp mode: speculative gates forward past missing
     /// punctuations, consumers checkpoint and roll back on violation
     /// (see the module docs' speculation section).
@@ -329,7 +311,6 @@ impl Default for ParTuning {
     fn default() -> Self {
         ParTuning {
             batch_size: DEFAULT_BATCH_SIZE,
-            channel_capacity: None,
             speculation: false,
             virtual_service_ns: None,
         }
@@ -449,13 +430,12 @@ struct Cell {
     epoch_cache: HashMap<u64, Arc<AtomicU8>>,
 }
 
-/// The `UnsafeCell` wrapper that replaces the old `Mutex<Cell>`: the
-/// scheduled-flag protocol already makes instance execution exclusive
-/// (exactly one worker holds the flag, and the `SeqCst` flag handoff plus
-/// the release/acquire task transfer through the deques publish cell
-/// writes to the next owner), so the per-activation lock bought nothing
-/// but a hot-path atomic RMW pair. Debug builds keep an owner flag that
-/// panics if the protocol is ever violated.
+/// The instance state behind an `UnsafeCell`: the scheduled-flag protocol
+/// makes instance execution exclusive (exactly one worker holds the flag,
+/// and the `SeqCst` flag handoff plus the release/acquire task transfer
+/// through the deques publish cell writes to the next owner), so no lock
+/// is needed. Debug builds keep an owner flag that panics if the protocol
+/// is ever violated.
 struct InstanceCell {
     cell: UnsafeCell<Cell>,
     #[cfg(debug_assertions)]
@@ -497,18 +477,12 @@ impl InstanceCell {
     }
 }
 
-/// A lock-free mailbox: the MPSC queue plus the scheduling and
-/// backpressure state around it. Steady-state sends and drains touch only
-/// atomics; the `space` eventcount exists solely for senders parked on a
-/// full bounded mailbox — it reuses the exact announce → re-check → park
-/// protocol the idle layer uses, so there is one parking implementation
-/// to audit, and its Condvar is touched only when a sender is registered.
+/// A lock-free, unbounded mailbox: the MPSC queue plus the scheduling
+/// state around it. Sends and drains touch only atomics.
 struct Mailbox {
     queue: MpscQueue<MailItem>,
     /// True while the instance is in a run queue or being executed.
     scheduled: AtomicBool,
-    /// Parking lot for senders waiting on a full mailbox.
-    space: EventCount,
     /// High-water mark of the queue length (stats).
     depth_max: AtomicUsize,
     /// Time-warp wake hint: an epoch this instance participates in has
@@ -524,7 +498,6 @@ impl Mailbox {
         Mailbox {
             queue: MpscQueue::new(),
             scheduled: AtomicBool::new(false),
-            space: EventCount::new(),
             depth_max: AtomicUsize::new(0),
             spec_dirty: AtomicBool::new(false),
         }
@@ -545,24 +518,6 @@ impl Mailbox {
     fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
-
-    /// Park the calling thread until the queue may have space again (or
-    /// `timeout`). The eventcount's announce → re-check sequence means a
-    /// drain landing between our fullness check and the park either sees
-    /// our registration (and notifies) or is seen by the re-check.
-    fn park_for_space(&self, cap: usize, timeout: Duration) {
-        let ticket = self.space.prepare();
-        if self.queue.len() >= cap {
-            self.space.wait(ticket, timeout);
-        } else {
-            self.space.cancel();
-        }
-    }
-
-    /// Wake parked senders if any are registered (slow path only).
-    fn notify_space(&self) {
-        let _ = self.space.notify();
-    }
 }
 
 struct Slot {
@@ -579,13 +534,10 @@ struct PaddedI64(AtomicI64);
 #[derive(Default)]
 struct PaddedU64(AtomicU64);
 
-/// Sharded in-flight accounting.
-///
-/// The predecessor was a single `AtomicI64` touched with a SeqCst RMW per
-/// send *and* per processed message — a contended-line hotspot at high
-/// worker counts (the ROADMAP item this replaces). Now each worker owns
-/// one padded cell (cell `workers` belongs to the injecting coordinator
-/// thread) and a monotone *send epoch*:
+/// Sharded in-flight accounting, so no cache line is shared by every send
+/// and every processed message. Each worker owns one padded cell (cell
+/// `workers` belongs to the injecting coordinator thread) and a monotone
+/// *send epoch*:
 ///
 /// * before any of an event's emissions become visible, the processing
 ///   worker adds their count to **its own** cell and bumps its epoch —
@@ -669,7 +621,6 @@ struct Shared {
     slots: Vec<Slot>,
     workers: usize,
     batch_size: usize,
-    capacity: Option<usize>,
     /// Global run queue (external injections land here).
     injector: Injector<usize>,
     /// Steal handles to every worker's local deque.
@@ -690,9 +641,6 @@ struct Shared {
     /// Wall-clock scale for modeled service times, if realized.
     virtual_ns: Option<u64>,
     done: AtomicBool,
-    /// Workers currently runnable (not parked). A sender refuses to park
-    /// when it would drop this to zero — the no-deadlock escape.
-    active: AtomicUsize,
     /// Idle-worker parking: eventcount keeps the Condvar slow-path only.
     idle: EventCount,
 }
@@ -702,9 +650,6 @@ impl Shared {
     fn finish(&self) {
         self.done.store(true, Ordering::SeqCst);
         let _ = self.idle.notify();
-        for slot in &self.slots {
-            slot.mailbox.notify_space();
-        }
     }
 
     /// Wake a parked worker if any announced intent to sleep. Returns
@@ -713,16 +658,9 @@ impl Shared {
         self.idle.notify()
     }
 
-    /// Push a mailbox item from the coordinating (non-worker) thread,
-    /// honoring capacity by waiting — workers guarantee progress, so the
-    /// wait always ends.
+    /// Push a mailbox item from the coordinating (non-worker) thread.
     fn external_push(&self, dst: usize, item: MailItem) {
         let mb = &self.slots[dst].mailbox;
-        if let Some(cap) = self.capacity {
-            while mb.queue.len() >= cap && !self.done.load(Ordering::SeqCst) {
-                mb.park_for_space(cap, PARK_TIMEOUT);
-            }
-        }
         let _ = mb.push(item);
         if mb
             .scheduled
@@ -799,8 +737,7 @@ impl ParBuilder {
     /// point of a parallel run's configuration.
     ///
     /// # Errors
-    /// [`ParConfigError`] when the worker count, batch size or channel
-    /// capacity is zero.
+    /// [`ParConfigError`] when the worker count or batch size is zero.
     pub fn with_tuning(mut self, tuning: ParTuning) -> Result<Self, ParConfigError> {
         self.tuning = tuning;
         self.validate()?;
@@ -813,9 +750,6 @@ impl ParBuilder {
         }
         if self.tuning.batch_size == 0 {
             return Err(ParConfigError::ZeroBatchSize);
-        }
-        if self.tuning.channel_capacity == Some(0) {
-            return Err(ParConfigError::ZeroChannelCapacity);
         }
         Ok(())
     }
@@ -917,7 +851,7 @@ impl ParBuilder {
         // default is capped and clamped to the instance count.
         let workers = self
             .workers
-            .unwrap_or_else(|| crate::pool::default_workers().min(self.components.len().max(1)));
+            .unwrap_or_else(|| default_workers().min(self.components.len().max(1)));
         // Dispatch order: ascending injection time, insertion order on ties
         // (stable sort), mirroring the simulator's opening event order.
         self.injected.sort_by_key(|&(at, _, _, _)| at);
@@ -1030,9 +964,9 @@ pub struct ParStats {
     /// High-water mark over all mailbox depths.
     pub max_mailbox_depth: usize,
     /// Slow-path `Mutex` acquisitions this run performed — idle
-    /// eventcount waits/notifies plus full-mailbox sender parks and their
-    /// wakeups. The steady-state message path contributes zero; tests pin
-    /// this to parking activity, not message volume.
+    /// eventcount waits and notifies. The steady-state message path
+    /// contributes zero; tests pin this to parking activity, not message
+    /// volume.
     pub slow_path_locks: u64,
     /// Time-warp speculation epochs opened (0 unless speculation is on).
     pub epochs_opened: u64,
@@ -1183,7 +1117,6 @@ impl ParExecutor {
             slots: self.slots,
             workers,
             batch_size: self.tuning.batch_size,
-            capacity: self.tuning.channel_capacity,
             injector: Injector::new(),
             stealers,
             counters: Counters {
@@ -1204,7 +1137,6 @@ impl ParExecutor {
             rescue_passes: AtomicU64::new(0),
             virtual_ns: self.tuning.virtual_service_ns,
             done: AtomicBool::new(false),
-            active: AtomicUsize::new(workers),
             idle: EventCount::new(),
         });
 
@@ -1265,8 +1197,8 @@ pub struct RunningPar {
 }
 
 impl RunningPar {
-    /// Deliver one external (committed) message to `port` of `to`,
-    /// honoring backpressure. Callable from any thread; concurrent calls
+    /// Deliver one external (committed) message to `port` of `to`; never
+    /// blocks. Callable from any thread; concurrent calls
     /// race only in arrival order, exactly like concurrent producers.
     pub fn inject(&self, to: InstanceId, port: PortId, msg: Message) {
         // Charge the coordinator's shard before the push becomes
@@ -1348,10 +1280,8 @@ impl RunningPar {
         let shared = Arc::into_inner(shared).expect("workers joined, no other holders");
         let mut per_instance = Vec::with_capacity(shared.slots.len());
         let mut max_mailbox_depth = 0;
-        let mut slow_path_locks = shared.idle.locks.into_inner();
         for slot in shared.slots {
             max_mailbox_depth = max_mailbox_depth.max(slot.mailbox.depth_max.into_inner());
-            slow_path_locks += slot.mailbox.space.locks.into_inner();
             let cell = slot.cell.into_inner();
             per_instance.push(InstanceStats {
                 name: cell.component.name().to_string(),
@@ -1381,7 +1311,7 @@ impl RunningPar {
             per_instance,
             per_worker,
             max_mailbox_depth,
-            slow_path_locks,
+            slow_path_locks: shared.idle.locks.into_inner(),
             epochs_opened,
             epochs_committed,
             epochs_aborted,
@@ -1536,9 +1466,6 @@ impl WorkerCtx {
             // over-approximates); quiescence is detected by the idle-scan
             // in `idle_park`.
             shared.counters.in_flight.settle(self.idx, drained as i64);
-            // The drain freed mailbox space: wake senders parked on it
-            // (no-op unless someone is registered waiting).
-            slot.mailbox.notify_space();
         }
 
         // Release protocol: keep the scheduled flag while work remains;
@@ -1595,7 +1522,6 @@ impl WorkerCtx {
         blazes_obs::span(span, EventKind::Activation, inst as u64, drained as u64);
         if drained > 0 {
             shared.counters.in_flight.settle(self.idx, drained as i64);
-            slot.mailbox.notify_space();
         }
 
         if !slot.mailbox.is_empty() {
@@ -1988,7 +1914,7 @@ impl WorkerCtx {
                 .in_flight
                 .charge(self.idx, staged.len() as i64);
             for (dst, item) in staged.drain(..) {
-                self.send(shared, inst, dst, item);
+                self.send(shared, dst, item);
             }
         }
         self.scratch = staged;
@@ -2045,35 +1971,11 @@ impl WorkerCtx {
         }
     }
 
-    /// Push one (already charged) item into the destination mailbox
-    /// (parking on a bounded full mailbox when it is safe to do so), and
-    /// make the destination runnable. Steady state is lock-free: the
-    /// capacity check reads the queue's atomic length, the push is one
-    /// tail CAS, and the scheduled handoff is one more CAS — the Condvar
-    /// below is reachable only when the mailbox is actually full.
-    fn send(&mut self, shared: &Shared, src: usize, dst: usize, item: MailItem) {
+    /// Push one (already charged) item into the destination mailbox and
+    /// make the destination runnable — lock-free: the push is one tail
+    /// CAS and the scheduled handoff is one more.
+    fn send(&mut self, shared: &Shared, dst: usize, item: MailItem) {
         let mb = &shared.slots[dst].mailbox;
-        if let Some(cap) = shared.capacity {
-            // Never park on a mailbox only this worker can drain: the
-            // current instance's own (self-loop).
-            if dst != src {
-                while mb.queue.len() >= cap && !shared.done.load(Ordering::SeqCst) {
-                    // Refuse to be the last runnable worker (the
-                    // no-deadlock escape): overshoot instead.
-                    let prev = shared.active.fetch_sub(1, Ordering::SeqCst);
-                    if prev <= 1 {
-                        shared.active.fetch_add(1, Ordering::SeqCst);
-                        self.ws.overflow_sends += 1;
-                        break;
-                    }
-                    self.ws.backpressure_parks += 1;
-                    let parked = Instant::now();
-                    mb.park_for_space(cap, PARK_TIMEOUT);
-                    shared.active.fetch_add(1, Ordering::SeqCst);
-                    self.ws.backpressure_park_time += parked.elapsed();
-                }
-            }
-        }
         self.ws.push_retries += mb.push(item);
         if mb
             .scheduled
@@ -2145,12 +2047,11 @@ impl WorkerCtx {
         if stage == 0 {
             // Drain pass. The sends are charged like any other emission
             // so the settled scan stays honest while the pass is in
-            // flight; src = dst skips the backpressure park (every
-            // mailbox is empty — the scan just proved it).
+            // flight.
             let n = shared.slots.len();
             shared.counters.in_flight.charge(self.idx, n as i64);
             for inst in 0..n {
-                self.send(shared, inst, inst, MailItem::Drain);
+                self.send(shared, inst, MailItem::Drain);
             }
         } else {
             for epoch in open {
@@ -2212,12 +2113,10 @@ impl WorkerCtx {
         }
         // Phase three: park (the ticket catches a notify that raced in
         // after the re-checks).
-        shared.active.fetch_sub(1, Ordering::SeqCst);
         self.ws.parks += 1;
         let span = blazes_obs::start();
         let parked = Instant::now();
         shared.idle.wait(ticket, PARK_TIMEOUT);
-        shared.active.fetch_add(1, Ordering::SeqCst);
         self.ws.idle_park_time += parked.elapsed();
         blazes_obs::span(span, EventKind::Park, self.idx as u64, 0);
         !shared.done.load(Ordering::SeqCst)
@@ -2241,9 +2140,8 @@ mod tests {
         vec![
             ("default", ParTuning::default()),
             (
-                "bounded",
+                "batch-3",
                 ParTuning {
-                    channel_capacity: Some(4),
                     batch_size: 3,
                     ..ParTuning::default()
                 },
@@ -2284,8 +2182,7 @@ mod tests {
     #[test]
     fn single_wire_preserves_send_order() {
         // One producer, one sink, activations migrating between workers:
-        // per-wire FIFO must hold whatever the thread interleaving — also
-        // under bounded channels, where senders park mid-stream.
+        // per-wire FIFO must hold whatever the thread interleaving.
         for (name, tuning) in variants() {
             let mut b = ParBuilder::new(3)
                 .with_workers(2)
@@ -2515,16 +2412,6 @@ mod tests {
             ),
             Some(ParConfigError::ZeroBatchSize)
         );
-        assert_eq!(
-            rejected(
-                1,
-                ParTuning {
-                    channel_capacity: Some(0),
-                    ..ParTuning::default()
-                }
-            ),
-            Some(ParConfigError::ZeroChannelCapacity)
-        );
         assert_eq!(rejected(1, ParTuning::default()), None);
         assert_eq!(
             ParConfigError::ZeroBatchSize.to_string(),
@@ -2533,53 +2420,11 @@ mod tests {
     }
 
     #[test]
-    fn bounded_channels_backpressure_without_deadlock() {
-        // A fast fan-in into one slow-ish consumer with a tiny capacity:
-        // the bound must hold (up to the documented escape) and the run
-        // must still quiesce with nothing lost.
-        let mut b = ParBuilder::new(8)
-            .with_workers(4)
-            .with_tuning(ParTuning {
-                channel_capacity: Some(2),
-                batch_size: 1,
-                ..ParTuning::default()
-            })
-            .unwrap();
-        let sink = CollectorSink::new();
-        let s = b.add_instance(Box::new(sink.clone()));
-        for p in 0..3 {
-            let e = b.add_instance(echo());
-            b.connect_with(e, PortId(0), s, PortId(0), ChannelConfig::lan());
-            for i in 0..100i64 {
-                b.inject(0, e, PortId(0), Message::data([p * 1_000 + i]));
-            }
-        }
-        let stats = b.build().run();
-        assert_eq!(sink.len(), 300);
-        // The lock-free capacity check and push are separate atomics, so
-        // every concurrent sender (4 workers + the injecting coordinator)
-        // can overshoot by one in a photo-finish race — plus the
-        // documented last-runnable-worker escapes. It must stay far below
-        // the unbounded case (300).
-        assert!(
-            stats.max_mailbox_depth
-                <= 2 + 5
-                    + stats
-                        .per_worker
-                        .iter()
-                        .map(|w| w.overflow_sends)
-                        .sum::<u64>() as usize,
-            "mailbox depth {} exceeds the bound plus the accounted escapes",
-            stats.max_mailbox_depth
-        );
-    }
-
-    #[test]
     fn steady_state_hot_path_acquires_no_locks() {
         // A long single-worker pipeline run: with one worker there is
-        // always local work, so the worker never idle-parks mid-run and
-        // no mailbox is ever full (unbounded). Every message therefore
-        // crosses the send/receive path without any slow-path event — and
+        // always local work, so the worker never idle-parks mid-run.
+        // Every message therefore crosses the send/receive path without
+        // any slow-path event — and
         // the run's own lock counter (per-run state, immune to whatever
         // concurrent tests do) must not scale with the 40k messages: a
         // reintroduced hot-path lock would show up as 2+ acquisitions
@@ -2661,13 +2506,14 @@ mod tests {
     }
 
     #[test]
-    fn self_loop_with_bounded_capacity_terminates() {
-        // An instance that forwards to itself can never park on its own
-        // mailbox (only it can drain it): the escape must kick in.
+    fn self_loop_terminates() {
+        // An instance that forwards to itself, drained one message per
+        // activation: every activation refills the mailbox it just
+        // emptied, and the run must still quiesce.
         let mut b = ParBuilder::new(4)
             .with_workers(1)
             .with_tuning(ParTuning {
-                channel_capacity: Some(1),
+                batch_size: 1,
                 ..ParTuning::default()
             })
             .unwrap();
@@ -2695,6 +2541,47 @@ mod tests {
         b.inject(0, looper, PortId(0), Message::data([50i64]));
         let _ = b.build().run();
         assert_eq!(counter.load(Ordering::SeqCst), 51);
+    }
+
+    #[test]
+    fn inject_never_waits_on_a_stalled_consumer() {
+        // The consumer wedges one worker until the gate opens, so nothing
+        // drains its mailbox while the caller injects: every `inject`
+        // must still return, and every message must arrive once the
+        // consumer resumes.
+        let gate = Arc::new(AtomicBool::new(false));
+        let seen = Arc::new(AtomicU64::new(0));
+        let mut b = ParBuilder::new(0).with_workers(2);
+        let (g, s) = (Arc::clone(&gate), Arc::clone(&seen));
+        let consumer = b.add_instance(Box::new(FnComponent::new(
+            "gated",
+            move |_, _, _: &mut Context| {
+                while !g.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                s.fetch_add(1, Ordering::SeqCst);
+            },
+        )));
+        let run = b.build().start();
+        for i in 0..10_000i64 {
+            run.inject(consumer, PortId(0), Message::data([i]));
+        }
+        assert_eq!(seen.load(Ordering::SeqCst), 0, "the gate was open");
+        gate.store(true, Ordering::Release);
+        let stats = run.finish();
+        assert_eq!(seen.load(Ordering::SeqCst), 10_000);
+        assert!(
+            stats.max_mailbox_depth >= 10_000 - DEFAULT_BATCH_SIZE,
+            "the stalled mailbox absorbed the injections: depth {}",
+            stats.max_mailbox_depth
+        );
+    }
+
+    #[test]
+    fn default_workers_is_positive_and_capped() {
+        let w = default_workers();
+        assert!(w >= 1);
+        assert!(w <= MAX_POOL_WORKERS);
     }
 
     /// A deliberately CPU-expensive echo, so runs last long enough for

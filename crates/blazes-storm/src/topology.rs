@@ -965,13 +965,12 @@ mod tests {
 
     #[test]
     fn parallel_backend_matches_under_every_tuning() {
-        // The tuning (bounded vs unbounded mailboxes, batch size) must be
-        // invisible in the final counts of a confluent topology.
+        // The drain batch size must be invisible in the final counts of a
+        // confluent topology.
         let (_, sim_sink) = wordcount_run(44, false);
         let tunings = [
             ParTuning::default(),
             ParTuning {
-                channel_capacity: Some(4),
                 batch_size: 2,
                 ..ParTuning::default()
             },

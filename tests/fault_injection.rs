@@ -186,7 +186,7 @@ fn batch_completion_survives_duplication() {
 /// Fault injection on the *parallel* backend has reproducible schedules:
 /// fault draws come from per-wire seeded RNG streams, so the k-th send on
 /// a wire sees the same loss/duplicate decisions whatever the worker
-/// count, the scheduler, or the thread interleaving. In this single-input
+/// count, the drain batch size, or the thread interleaving. In this single-input
 /// chain the producer's emission order is deterministic too, so entire
 /// runs (delivered sequences included) reproduce exactly; at fan-in
 /// components only the per-wire decision sequence — not the record each
@@ -232,7 +232,6 @@ fn parallel_fault_schedules_are_reproducible_across_schedulers() {
         for tuning in [
             ParTuning::default(),
             ParTuning {
-                channel_capacity: Some(4),
                 batch_size: 2,
                 ..ParTuning::default()
             },

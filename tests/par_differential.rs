@@ -3,8 +3,7 @@
 //! (order-insensitive) topology — the paper's CALM argument made
 //! executable. Each topology is assembled once, generically over
 //! [`ExecutorBuilder`], and run on both backends — and on the parallel
-//! backend under every tuning variant: unbounded and bounded
-//! (backpressured) mailboxes, default and small drain batches.
+//! backend under every tuning variant: default and small drain batches.
 
 use blazes::coord::registry::ProducerRegistry;
 use blazes::coord::seal::{SealManager, SealOutcome};
@@ -25,13 +24,12 @@ fn echo() -> Box<dyn Component> {
 }
 
 /// Every tuning variant a topology must agree under.
-fn scheduler_variants() -> Vec<(&'static str, ParTuning)> {
+fn tuning_variants() -> Vec<(&'static str, ParTuning)> {
     vec![
         ("default", ParTuning::default()),
         (
-            "bounded",
+            "batch-3",
             ParTuning {
-                channel_capacity: Some(4),
                 batch_size: 3,
                 ..ParTuning::default()
             },
@@ -185,9 +183,8 @@ fn looper(name: &str) -> Box<dyn Component> {
 }
 
 /// Topology 4: a cycle — A -> B -> A, with both hops exiting drained
-/// messages to the sink. Cycles are where naive backpressure deadlocks and
-/// naive termination detection never quiesces; the executor must handle
-/// both.
+/// messages to the sink. Cycles are where naive termination detection
+/// never quiesces.
 fn cyclic<B: ExecutorBuilder>(b: &mut B, sink: CollectorSink) {
     let a = b.add_instance(looper("loop-a"));
     let bb = b.add_instance(looper("loop-b"));
@@ -239,7 +236,7 @@ fn replicated_sinks<B: ExecutorBuilder>(b: &mut B, sinks: &[CollectorSink]) {
 }
 
 /// Assemble on the simulator and the parallel executor, run both under
-/// every scheduler variant, compare final sink sets.
+/// every tuning variant, compare final sink sets.
 fn assert_backends_agree(name: &str, assemble: impl Fn(&mut dyn ExecutorBuilder, CollectorSink)) {
     let sim_sink = CollectorSink::new();
     let mut sim = SimBuilder::new(42);
@@ -247,7 +244,7 @@ fn assert_backends_agree(name: &str, assemble: impl Fn(&mut dyn ExecutorBuilder,
     sim.build().run(None);
     assert!(!sim_sink.is_empty(), "{name}: simulator produced no output");
 
-    for (variant, tuning) in scheduler_variants() {
+    for (variant, tuning) in tuning_variants() {
         for workers in [1usize, 2, 4] {
             let par_sink = CollectorSink::new();
             let mut par = ParBuilder::new(42)
@@ -307,7 +304,7 @@ fn replicated_sinks_match_simulator_on_every_replica() {
         assert_eq!(sink.message_set().len(), 80, "simulator replica complete");
     }
 
-    for (variant, tuning) in scheduler_variants() {
+    for (variant, tuning) in tuning_variants() {
         for workers in [2usize, 4] {
             let par_sinks: Vec<CollectorSink> =
                 (0..REPLICAS).map(|_| CollectorSink::new()).collect();
@@ -333,8 +330,8 @@ fn replicated_sinks_match_simulator_on_every_replica() {
 /// A sealing consumer: buffers per-campaign tuples in a [`SealManager`]
 /// and, when a partition's seal votes complete, emits one summary tuple
 /// `(campaign, buffered_count)`. Panics on data arriving after its
-/// partition released — the ordering violation bounded channels must not
-/// introduce.
+/// partition released — the ordering violation per-wire FIFO must rule
+/// out.
 struct SealingConsumer {
     mgr: SealManager,
 }
@@ -445,7 +442,7 @@ fn assert_sealing_agrees(
         "{name}: released exactly once (sim)"
     );
 
-    for (variant, tuning) in scheduler_variants() {
+    for (variant, tuning) in tuning_variants() {
         for workers in [2usize, 4] {
             let par_sink = CollectorSink::new();
             let mut par = ParBuilder::new(7)
@@ -470,8 +467,9 @@ fn assert_sealing_agrees(
 
 /// Sealing under the threaded executor: every partition is released
 /// exactly once, only after unanimous votes, with its full buffer — the
-/// same outcome the simulator produces. Runs under bounded channels too:
-/// backpressure parks must not let a seal overtake covered records.
+/// same outcome the simulator produces. Small drain batches reschedule
+/// the consumer mid-stream; a seal must still never overtake covered
+/// records.
 #[test]
 fn sealing_punctuations_complete_batches_under_threads() {
     assert_sealing_agrees("uniform-seal", 3, 5, |_| 8);
@@ -479,7 +477,7 @@ fn sealing_punctuations_complete_batches_under_threads() {
 
 /// The skewed-key variant: one hot campaign carries most of the records
 /// (the ad-report join skew). Load imbalance must not change seal
-/// outcomes, under either scheduler, bounded or not.
+/// outcomes under any tuning.
 #[test]
 fn skewed_key_sealing_matches_simulator() {
     // Campaign 0 is ~20x hotter than the tail.
@@ -489,11 +487,11 @@ fn skewed_key_sealing_matches_simulator() {
 // ---------------------------------------------------------------------
 // Adversarial punctuation orderings (ROADMAP "scenario breadth"): seals
 // arriving before, interleaved with, and duplicated around the records
-// they cover — asserted across both schedulers and the simulator.
+// they cover — asserted across every tuning and the simulator.
 // ---------------------------------------------------------------------
 
 /// Run one sealed assembly on the simulator and on the parallel executor
-/// under every scheduler variant, asserting identical release outcomes.
+/// under every tuning variant, asserting identical release outcomes.
 fn assert_adversarial_sealing(
     name: &str,
     expected: &BTreeSet<Message>,
@@ -507,7 +505,7 @@ fn assert_adversarial_sealing(
     assert_eq!(&sim_sink.message_set(), expected, "{name}: simulator");
     assert_eq!(sim_sink.len(), campaigns, "{name}: released once (sim)");
 
-    for (variant, tuning) in scheduler_variants() {
+    for (variant, tuning) in tuning_variants() {
         for workers in [2usize, 4] {
             let par_sink = CollectorSink::new();
             let mut par = ParBuilder::new(17)
@@ -652,7 +650,7 @@ fn seals_interleaved_across_producers_release_exactly_once() {
 /// Seals (and records) duplicated around the covered records by the
 /// at-least-once channel fault RNG: duplicate votes must stay idempotent
 /// and every partition still releases exactly once. Outcomes are compared
-/// across worker counts and schedulers — the per-wire fault schedule
+/// across worker counts and tunings — the per-wire fault schedule
 /// makes them reproducible.
 #[test]
 fn duplicated_seals_and_records_release_exactly_once() {
@@ -713,8 +711,8 @@ fn duplicated_seals_and_records_release_exactly_once() {
     );
     // Release sizes include duplicated records (at-least-once is visible
     // to a non-idempotent consumer), but the per-wire fault schedule
-    // makes the outcome identical across worker counts and schedulers.
-    for (variant, tuning) in scheduler_variants() {
+    // makes the outcome identical across worker counts and tunings.
+    for (variant, tuning) in tuning_variants() {
         for workers in [2usize, 4] {
             assert_eq!(
                 run(workers, tuning),
