@@ -34,6 +34,7 @@ use crate::queries::ReportQuery;
 use crate::workload::{CampaignPlacement, ClickWorkload};
 use blazes_bloom::interp::ModuleInstance;
 use blazes_coord::registry::ProducerRegistry;
+use blazes_coord::seal::PRODUCER_ATTR;
 use blazes_dataflow::backend::{BackendRunStats, ExecutorBuilder, PortId};
 use blazes_dataflow::channel::ChannelConfig;
 use blazes_dataflow::component::{Component, Context};
@@ -406,7 +407,7 @@ pub(crate) fn assemble_scenario<B: ExecutorBuilder + ?Sized>(
                     PortId(0),
                     Message::Seal(SealKey::new([
                         ("campaign", Value::Int(*c)),
-                        ("producer", Value::Int(s as i64)),
+                        (PRODUCER_ATTR, Value::Int(s as i64)),
                     ])),
                 );
             }

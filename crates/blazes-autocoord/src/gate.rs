@@ -27,14 +27,11 @@
 //! proves a speculative answer saw an incomplete partition.
 
 use crate::rules::SealBinding;
-use blazes_coord::seal::{SealManager, SealOutcome};
+use blazes_coord::seal::{SealManager, SealOutcome, PRODUCER_ATTR};
 use blazes_dataflow::component::{Component, Context};
 use blazes_dataflow::message::{Message, SealKey};
 use blazes_dataflow::value::{Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Seal-key attribute carrying the voting producer's id.
-const PRODUCER_ATTR: &str = "producer";
 
 /// Join key values into one partition identity. A single value stays
 /// itself, so single-attribute seals keep their raw [`Value`] identity in

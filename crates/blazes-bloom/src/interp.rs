@@ -13,7 +13,13 @@
 //!    against the final state; deferred/deleted tuples take effect next
 //!    timestep, async tuples are handed to the network.
 //!
-//! Collections hold *sets* of tuples (Bloom's set semantics).
+//! Collections hold *sets* of tuples (Bloom's set semantics): hash sets
+//! under one fixed, seedless in-crate hasher (a small multiplicative
+//! hash), so their iteration order — and with it every derivation order
+//! and the error a failing tick raises — is the same on every run. Order
+//! is imposed only where tuples leave the engine: every [`TickOutput`]
+//! vector and every [`ModuleInstance::table`] result is sorted once, on
+//! the way out.
 //!
 //! ## Evaluation engine
 //!
@@ -54,13 +60,26 @@
 //! its delta in), provided its columns resolve statically so that skipping
 //! it cannot hide a reference error.
 //!
+//! **What is compiled.** A select, join or antijoin body whose every
+//! column resolves statically is compiled at instantiation: predicates,
+//! projection items and join keys become `(side, column)` positions or
+//! literals, so a derivation reads its values in place and builds the head
+//! tuple directly — no row environment, no lookup by name. A one-column
+//! join key probes its index in place, allocating nothing. A derived tuple
+//! moves into its head; it is copied into the iteration delta only when a
+//! rule of the same stratum reads the head, and output collections move
+//! into the [`TickOutput`] rather than being cloned. Bodies that do not
+//! resolve statically, and aggregations the running state cannot serve,
+//! keep the naive oracle's evaluator, which raises its errors exactly as
+//! the oracle does.
+//!
 //! **What is re-derived in full, and why.** Rules into scratches and
 //! outputs (the head starts empty every tick); antijoins and aggregations
 //! that are not over a table (nonmonotonic: they read strictly lower,
-//! complete strata exactly once); joins whose `on` clause does not resolve
-//! statically (the nested-loop fallback reproduces the reference error);
-//! the once-per-tick deferred/deletion/async rules; and — the
-//! delete-then-re-derive rule — **every rule into a table that lost a
+//! complete strata exactly once); bodies with a column that does not
+//! resolve statically (the nested-loop reference path reproduces the
+//! reference error); the once-per-tick deferred/deletion/async rules; and
+//! — the delete-then-re-derive rule — **every rule into a table that lost a
 //! tuple to `<-` at this tick's start**: the sources may still derive the
 //! removed tuple from entirely old state, which no delta would revisit.
 //!
@@ -79,13 +98,79 @@ use crate::catalog::{self, Schedule};
 use crate::error::{BloomError, Result};
 use blazes_dataflow::value::{Tuple, Value};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
-type Rel = BTreeSet<Tuple>;
+/// A collection's content.
+type Rel = HashSet<Tuple, FixedHash>;
 
 /// A hash index over one collection: join-key values → matching tuples.
-type Index = HashMap<Vec<Value>, Vec<Tuple>>;
+type Index = HashMap<Vec<Value>, Vec<Tuple>, FixedHash>;
+
+/// One fixpoint iteration's genuinely new tuples, per collection.
+type Delta = BTreeMap<usize, Vec<Tuple>>;
+
+/// The engine's one hasher, for relations and index keys alike: no seed,
+/// so nothing the engine does depends on the run.
+///
+/// Not collision-hardened: whoever knows the hasher can pick tuples that
+/// share bucket bits and drive joins and inserts toward quadratic time.
+/// Meant for trusted and benchmark input only.
+type FixedHash = BuildHasherDefault<MulHasher>;
+
+/// A small multiplicative hasher (rustc's add-multiply "Fx" step with a
+/// final rotation that brings the well-mixed high bits down to where a
+/// hash table takes its bucket index): a tuple of integers hashes in a
+/// handful of instructions. The std `DefaultHasher` (SipHash) in its
+/// place costs the `bloom-tc` benchmark 28 % of its throughput (median of
+/// 10 runs on a 2-core VM).
+#[derive(Debug, Default, Clone, Copy)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.mix(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// How the instantaneous-rule fixpoint evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -219,11 +304,12 @@ impl ModuleInstance {
         self.total_stats
     }
 
-    /// Contents of a persistent table (empty for unknown names).
+    /// Contents of a persistent table, in sorted order (empty for unknown
+    /// names).
     #[must_use]
     pub fn table(&self, name: &str) -> Vec<Tuple> {
         match coll_id(&self.module, name) {
-            Ok(c) if self.store.persistent[c] => self.store.rels[c].iter().cloned().collect(),
+            Ok(c) if self.store.persistent[c] => sorted(self.store.rels[c].iter().cloned()),
             _ => Vec::new(),
         }
     }
@@ -234,7 +320,7 @@ impl ModuleInstance {
     /// the call (no tick counted, no deferred work consumed).
     pub fn tick(&mut self, inputs: BTreeMap<String, Vec<Tuple>>) -> Result<TickOutput> {
         let inputs = check_inputs(&self.module, inputs)?;
-        let done = match self.run_tick(&inputs) {
+        let done = match self.run_tick(inputs) {
             Ok(done) => done,
             Err(e) => {
                 self.store.rollback();
@@ -265,12 +351,13 @@ impl ModuleInstance {
 
     /// Steps 1–4 of the timestep against the in-place store. On `Err` the
     /// store holds a half-evaluated tick; the caller rolls it back.
-    fn run_tick(&mut self, inputs: &[(usize, Vec<Tuple>)]) -> Result<TickDone> {
+    fn run_tick(&mut self, inputs: Vec<(usize, Vec<Tuple>)>) -> Result<TickDone> {
         let (m, sched, plans, mode) = (&self.module, &self.schedule, &self.plans[..], self.mode);
         let store = &mut self.store;
 
         // 1. Pending deletions, then pending merges (a tuple both deleted
         // and merged survives), each recorded in the table's tick delta.
+        // Both stay pending until the tick succeeds.
         for (&c, rel) in &self.pending_delete {
             if store.persistent[c] {
                 for t in rel {
@@ -280,13 +367,13 @@ impl ModuleInstance {
         }
         for (&c, rel) in &self.pending_insert {
             for t in rel {
-                store.insert(c, t);
+                store.insert(c, t.clone(), None);
             }
         }
         // 2. The timestep's inputs.
         for (c, tuples) in inputs {
             for t in tuples {
-                store.insert(*c, t);
+                store.insert(c, t, None);
             }
         }
 
@@ -329,19 +416,23 @@ impl ModuleInstance {
         }
         post_stats.wall_ns = post_started.elapsed().as_nanos() as u64;
 
-        // Instantly derived output contents are also visible externally.
+        // Instantly derived output contents are also visible externally;
+        // they move out, since the tick's end empties them anyway.
         for (c, decl) in m.collections.iter().enumerate() {
             if decl.kind == CollectionKind::Output && !store.rels[c].is_empty() {
-                out_sets
-                    .entry(c)
-                    .or_default()
-                    .extend(store.rels[c].iter().cloned());
+                let rel = std::mem::take(&mut store.rels[c]);
+                match out_sets.entry(c) {
+                    Entry::Vacant(e) => {
+                        e.insert(rel);
+                    }
+                    Entry::Occupied(mut e) => e.get_mut().extend(rel),
+                }
             }
         }
         let output = TickOutput {
             outputs: out_sets
                 .into_iter()
-                .map(|(c, s)| (m.collections[c].name.clone(), s.into_iter().collect()))
+                .map(|(c, s)| (m.collections[c].name.clone(), sorted(s)))
                 .collect(),
         };
         Ok(TickDone {
@@ -413,7 +504,7 @@ impl Store {
     fn new(m: &Module) -> Self {
         let n = m.collections.len();
         Store {
-            rels: vec![Rel::new(); n],
+            rels: vec![Rel::default(); n],
             persistent: m
                 .collections
                 .iter()
@@ -453,7 +544,7 @@ impl Store {
         let (coll, cols) = &self.index_specs[slot];
         let mut idx = Index::default();
         for t in &self.rels[*coll] {
-            idx.entry(key_of(t, cols)).or_default().push(t.clone());
+            index_add(&mut idx, cols, t);
         }
         self.indexes[slot] = Some(idx);
     }
@@ -464,59 +555,61 @@ impl Store {
             .expect("index ensured before use")
     }
 
-    /// Put a tuple into a collection and its live indexes; `false` (and no
-    /// clone made) if it was already there.
-    fn add(&mut self, c: usize, t: &Tuple) -> bool {
-        if self.rels[c].contains(t) {
-            return false;
-        }
+    /// Put a tuple that is not in collection `c` into it and its live
+    /// indexes.
+    fn put(&mut self, c: usize, t: Tuple) {
         for &slot in &self.indexes_of[c] {
             if let Some(idx) = &mut self.indexes[slot] {
-                let key = key_of(t, &self.index_specs[slot].1);
-                idx.entry(key).or_default().push(t.clone());
+                index_add(idx, &self.index_specs[slot].1, &t);
             }
         }
-        self.rels[c].insert(t.clone());
-        true
+        let added = self.rels[c].insert(t);
+        debug_assert!(added, "put of a tuple already present");
     }
 
-    /// Take a tuple out of a collection and its live indexes; `false` if
-    /// it was not there.
-    fn remove(&mut self, c: usize, t: &Tuple) -> bool {
-        if !self.rels[c].remove(t) {
-            return false;
-        }
+    /// Take a tuple out of a collection and its live indexes; `None` if it
+    /// was not there.
+    fn remove(&mut self, c: usize, t: &Tuple) -> Option<Tuple> {
+        let t = self.rels[c].take(t)?;
         for &slot in &self.indexes_of[c] {
             if let Some(idx) = &mut self.indexes[slot] {
-                let key = key_of(t, &self.index_specs[slot].1);
-                if let Some(bucket) = idx.get_mut(&key) {
-                    if let Some(i) = bucket.iter().position(|b| b == t) {
-                        bucket.swap_remove(i);
+                with_key(&t, &self.index_specs[slot].1, |key| {
+                    if let Some(bucket) = idx.get_mut(key) {
+                        if let Some(i) = bucket.iter().position(|b| *b == t) {
+                            bucket.swap_remove(i);
+                        }
+                        if bucket.is_empty() {
+                            idx.remove(key);
+                        }
                     }
-                    if bucket.is_empty() {
-                        idx.remove(&key);
-                    }
-                }
+                });
             }
         }
-        true
+        Some(t)
     }
 
-    /// [`Store::add`], recording a genuinely new table tuple in the tick
-    /// delta.
-    fn insert(&mut self, c: usize, t: &Tuple) -> bool {
-        let added = self.add(c, t);
-        if added && self.persistent[c] {
+    /// Put a tuple into a collection and its live indexes, recording a
+    /// genuinely new table tuple in the tick delta and copying it into
+    /// `fresh` if given; `false` (and `t` dropped) if it was already there.
+    fn insert(&mut self, c: usize, t: Tuple, fresh: Option<&mut Vec<Tuple>>) -> bool {
+        if self.rels[c].contains(&t) {
+            return false;
+        }
+        if self.persistent[c] {
             self.inserted[c].push(t.clone());
         }
-        added
+        if let Some(fresh) = fresh {
+            fresh.push(t.clone());
+        }
+        self.put(c, t);
+        true
     }
 
     /// [`Store::remove`] at tick start, recording a genuine removal in the
     /// tick delta.
     fn delete(&mut self, c: usize, t: &Tuple) {
-        if self.remove(c, t) {
-            self.deleted[c].push(t.clone());
+        if let Some(t) = self.remove(c, t) {
+            self.deleted[c].push(t);
         }
     }
 
@@ -551,8 +644,9 @@ impl Store {
             for t in std::mem::take(&mut self.inserted[c]) {
                 self.remove(c, &t);
             }
+            // Removed at tick start, so absent once this tick's inserts are.
             for t in std::mem::take(&mut self.deleted[c]) {
-                self.add(c, &t);
+                self.put(c, t);
             }
         }
         self.end_tick();
@@ -699,8 +793,8 @@ fn naive_fixpoint(
             for &ri in &sched.instant_by_stratum[stratum] {
                 let derived = eval_body(m, &store.rels, &m.rules[ri].body, &mut st.join_probes)?;
                 st.derivations += derived.len() as u64;
-                for t in &derived {
-                    changed |= store.insert(plans[ri].head, t);
+                for t in derived {
+                    changed |= store.insert(plans[ri].head, t, None);
                 }
             }
             if !changed {
@@ -737,7 +831,7 @@ fn semi_naive_fixpoint(
     let observed = observed_collections(m, plans, store);
     // Nobody can see this rule's head this tick, and evaluating it could
     // not fail: leave it out.
-    let idle = |plan: &Plan| !observed[plan.head] && plan.infallible;
+    let idle = |plan: &Plan| !observed[plan.head] && plan.infallible();
     for (stratum, st) in stats.iter_mut().enumerate().take(sched.max_stratum + 1) {
         let rules = &sched.instant_by_stratum[stratum];
         if rules.is_empty() {
@@ -746,7 +840,7 @@ fn semi_naive_fixpoint(
         let started = Instant::now();
         let span = blazes_obs::start();
         st.fixpoint_iters += 1;
-        let mut delta: BTreeMap<usize, Rel> = BTreeMap::new();
+        let mut delta = Delta::new();
         for &ri in rules {
             let plan = &plans[ri];
             if idle(plan) {
@@ -766,7 +860,7 @@ fn semi_naive_fixpoint(
                 eval_rule_once(m, plans, ri, store, &mut st.join_probes)?
             };
             st.derivations += derived.len() as u64;
-            insert_new(store, plan.head, derived, &mut delta);
+            insert_new(store, plan, derived, &mut delta);
         }
         loop {
             delta.retain(|_, r| !r.is_empty());
@@ -786,7 +880,7 @@ fn semi_naive_fixpoint(
                 let derived =
                     eval_rule_delta(m, plans, ri, store, Some(&cur), &mut st.join_probes)?;
                 st.derivations += derived.len() as u64;
-                insert_new(store, plan.head, derived, &mut delta);
+                insert_new(store, plan, derived, &mut delta);
             }
         }
         st.wall_ns += started.elapsed().as_nanos() as u64;
@@ -817,7 +911,8 @@ fn observed_collections(m: &Module, plans: &[Plan], store: &Store) -> Vec<bool> 
     loop {
         let mut changed = false;
         for (rule, plan) in m.rules.iter().zip(plans) {
-            let effective = rule.op != MergeOp::Instant || observed[plan.head] || !plan.infallible;
+            let effective =
+                rule.op != MergeOp::Instant || observed[plan.head] || !plan.infallible();
             if !effective || plan.gates.iter().any(|&c| store.rels[c].is_empty()) {
                 continue;
             }
@@ -831,13 +926,13 @@ fn observed_collections(m: &Module, plans: &[Plan], store: &Store) -> Vec<bool> 
     }
 }
 
-/// Merge freshly derived tuples into the head collection, recording the
-/// genuinely new ones in the iteration delta.
-fn insert_new(store: &mut Store, head: usize, derived: Rel, delta: &mut BTreeMap<usize, Rel>) {
+/// Move freshly derived tuples into the rule's head, copying the genuinely
+/// new ones into the iteration delta only if a rule of this stratum reads
+/// the head.
+fn insert_new(store: &mut Store, plan: &Plan, derived: Rel, delta: &mut Delta) {
+    let mut fresh = plan.reread.then(|| delta.entry(plan.head).or_default());
     for t in derived {
-        if store.insert(head, &t) {
-            delta.entry(head).or_default().insert(t);
-        }
+        store.insert(plan.head, t, fresh.as_deref_mut());
     }
 }
 
@@ -865,6 +960,47 @@ struct JoinPlan {
     rindex: usize,
 }
 
+/// A head column or predicate operand, resolved at instantiation: column
+/// `i` of the row on `side` (0: left/source, 1: right/negated), or a
+/// literal.
+#[derive(Debug, Clone)]
+enum Term {
+    Col(usize, usize),
+    Lit(Value),
+}
+
+impl Term {
+    fn value<'a>(&'a self, rows: &[&'a Tuple]) -> &'a Value {
+        match self {
+            Term::Col(side, i) => &rows[*side].0[*i],
+            Term::Lit(v) => v,
+        }
+    }
+}
+
+/// A compiled `Select`/`Join`/`AntiJoin` body: it reads its operands in
+/// place and builds the head tuple directly.
+#[derive(Debug, Clone)]
+struct Body {
+    predicates: Vec<(Term, CmpOp, Term)>,
+    /// Head columns; `None` passes the source row through.
+    projection: Option<Vec<Term>>,
+}
+
+impl Body {
+    /// The head tuple `rows` derive, unless a predicate rejects them.
+    fn derive(&self, rows: &[&Tuple]) -> Option<Tuple> {
+        let admitted = self
+            .predicates
+            .iter()
+            .all(|(l, op, r)| op.eval(l.value(rows).cmp(r.value(rows))));
+        admitted.then(|| match &self.projection {
+            Some(items) => Tuple(items.iter().map(|t| t.value(rows).clone()).collect()),
+            None => rows[0].clone(),
+        })
+    }
+}
+
 /// Precomputed evaluation strategy per rule.
 #[derive(Debug, Clone)]
 struct Plan {
@@ -877,54 +1013,89 @@ struct Plan {
     /// one of them is empty the rule derives nothing, whatever the rest of
     /// the state holds.
     gates: Vec<usize>,
-    /// Every column the body reads resolves statically, so evaluating the
+    /// Some instantaneous rule of the head's stratum reads the head, so
+    /// the head's new tuples must feed the next fixpoint iteration.
+    reread: bool,
+    kind: PlanKind,
+}
+
+impl Plan {
+    /// Every column the body reads resolved statically, so evaluating the
     /// rule can only fail inside [`AggState::sync`] — skipping an
     /// evaluation nobody observes cannot hide a reference error.
-    infallible: bool,
-    kind: PlanKind,
+    fn infallible(&self) -> bool {
+        !matches!(self.kind, PlanKind::Fallback)
+    }
 }
 
 #[derive(Debug, Clone)]
 enum PlanKind {
-    /// Stream the source through predicates.
-    Select { source: usize },
+    /// Stream the source through the compiled body.
+    Select { source: usize, body: Body },
     /// Probe a hash index over the opposite side (`lindex`: the slot of
     /// the index over `left` on `lkey`, probed by right-side deltas).
-    HashJoin { join: JoinPlan, lindex: usize },
+    HashJoin {
+        join: JoinPlan,
+        lindex: usize,
+        body: Body,
+    },
     /// Probe a hash index over the negated side for existence.
-    HashAnti(JoinPlan),
+    HashAnti { join: JoinPlan, body: Body },
     /// Aggregation over a table, from the running state in that slot of
     /// `Store::aggs`.
     Incremental(usize),
-    /// Evaluate with the reference path: one-pass aggregation over a
-    /// non-table (or with columns the running state cannot serve), or an
-    /// on-clause that could not be resolved statically (the nested loop
-    /// reproduces the reference error behavior).
+    /// Evaluate with the reference path: a body or `on` clause with a
+    /// column that does not resolve statically (the reference evaluation
+    /// raises its error exactly as naive does), or a one-pass aggregation
+    /// over a non-table (or with columns the running state cannot serve).
     Fallback,
 }
 
 /// Plan every rule and lay out the store the plans address.
 fn plan_rules(m: &Module, sched: &Schedule) -> Result<(Vec<Plan>, Store)> {
     let mut store = Store::new(m);
-    let mut plans = Vec::with_capacity(m.rules.len());
+    let mut plans: Vec<Plan> = Vec::with_capacity(m.rules.len());
     for (r, reads) in m.rules.iter().zip(&sched.reads) {
         let kind = match &r.body {
-            RuleBody::Select { source, .. } => PlanKind::Select {
-                source: coll_id(m, source)?,
+            RuleBody::Select {
+                source,
+                projection,
+                predicates,
+            } => match compile(m, &[source], predicates, projection.as_deref()) {
+                Some(body) => PlanKind::Select {
+                    source: coll_id(m, source)?,
+                    body,
+                },
+                None => PlanKind::Fallback,
             },
             RuleBody::Join {
-                left, right, on, ..
-            } => match plan_pairs(m, &mut store, left, right, on) {
-                Some(join) => PlanKind::HashJoin {
+                left,
+                right,
+                on,
+                projection,
+                predicates,
+            } => match compile(m, &[left, right], predicates, Some(projection))
+                .and_then(|body| Some((plan_pairs(m, &mut store, left, right, on)?, body)))
+            {
+                Some((join, body)) => PlanKind::HashJoin {
                     lindex: store.index_slot(join.left, &join.lkey),
                     join,
+                    body,
                 },
                 None => PlanKind::Fallback,
             },
             RuleBody::AntiJoin {
-                source, neg, on, ..
-            } => plan_pairs(m, &mut store, source, neg, on)
-                .map_or(PlanKind::Fallback, PlanKind::HashAnti),
+                source,
+                neg,
+                on,
+                projection,
+                predicates,
+            } => match compile(m, &[source], predicates, projection.as_deref())
+                .and_then(|body| Some((plan_pairs(m, &mut store, source, neg, on)?, body)))
+            {
+                Some((join, body)) => PlanKind::HashAnti { join, body },
+                None => PlanKind::Fallback,
+            },
             RuleBody::GroupBy { .. } => match plan_aggregate(m, &r.body) {
                 Some(agg) => {
                     store.aggs.push(agg);
@@ -946,10 +1117,16 @@ fn plan_rules(m: &Module, sched: &Schedule) -> Result<(Vec<Plan>, Store)> {
                     decl.kind == CollectionKind::Input && !negated.contains(&decl.name.as_str())
                 })
                 .collect(),
-            infallible: !matches!(kind, PlanKind::Fallback) && body_resolves(m, &r.body),
+            reread: false,
             reads,
             kind,
         });
+    }
+    for rules in &sched.instant_by_stratum {
+        for &ri in rules {
+            let head = plans[ri].head;
+            plans[ri].reread = rules.iter().any(|&rj| plans[rj].reads.contains(&head));
+        }
     }
     Ok((plans, store))
 }
@@ -994,7 +1171,7 @@ fn plan_pairs(
 /// Mirror [`Env::lookup`]'s resolution order exactly: first binding whose
 /// name matches (or any binding, for bare refs) and whose schema has the
 /// column. `None` means runtime resolution would error — the caller falls
-/// back to naive evaluation so the error surfaces identically.
+/// back to the reference evaluation so the error surfaces identically.
 fn resolve_side(col: &ColRef, sides: &[(&str, &CollectionDecl)]) -> Option<(usize, usize)> {
     for (si, (name, decl)) in sides.iter().enumerate() {
         if !col.collection.is_empty() && col.collection != *name {
@@ -1010,54 +1187,45 @@ fn resolve_side(col: &ColRef, sides: &[(&str, &CollectionDecl)]) -> Option<(usiz
     None
 }
 
-/// Do the predicates and projection of a `Select`/`Join`/`AntiJoin` body
-/// resolve against the rows they are evaluated over? (`group by` bodies
-/// are vetted by [`plan_aggregate`].)
-fn body_resolves(m: &Module, body: &RuleBody) -> bool {
-    let (names, predicates, projection): (Vec<&String>, _, &[ProjItem]) = match body {
-        RuleBody::Select {
-            source,
-            projection,
-            predicates,
-        }
-        | RuleBody::AntiJoin {
-            source,
-            projection,
-            predicates,
-            ..
-        } => (
-            vec![source],
-            predicates,
-            projection.as_deref().unwrap_or(&[]),
-        ),
-        RuleBody::Join {
-            left,
-            right,
-            projection,
-            predicates,
-            ..
-        } => (vec![left, right], predicates, projection),
-        RuleBody::GroupBy { .. } => return true,
-    };
-    let Some(sides) = names
+/// Compile the predicates and projection of a `Select`/`Join`/`AntiJoin`
+/// body against the rows it is evaluated over (`sources`: side 0, then
+/// side 1) — `None` if a collection or column does not resolve
+/// statically. (`group by` bodies are vetted by [`plan_aggregate`].)
+fn compile(
+    m: &Module,
+    sources: &[&String],
+    predicates: &[Predicate],
+    projection: Option<&[ProjItem]>,
+) -> Option<Body> {
+    let sides = sources
         .iter()
         .map(|n| m.collection(n).map(|d| (n.as_str(), d)))
-        .collect::<Option<Vec<_>>>()
-    else {
-        return false;
+        .collect::<Option<Vec<_>>>()?;
+    let col = |col: &ColRef| resolve_side(col, &sides).map(|(side, i)| Term::Col(side, i));
+    let operand = |op: &Operand| match op {
+        Operand::Col(c) => col(c),
+        Operand::Lit(l) => Some(Term::Lit(lit_value(l))),
     };
-    let col_ok = |col: &ColRef| resolve_side(col, &sides).is_some();
-    let operand_ok = |op: &Operand| match op {
-        Operand::Col(col) => col_ok(col),
-        Operand::Lit(_) => true,
-    };
-    predicates
+    let predicates = predicates
         .iter()
-        .all(|p| operand_ok(&p.lhs) && operand_ok(&p.rhs))
-        && projection.iter().all(|item| match item {
-            ProjItem::Col(col) => col_ok(col),
-            ProjItem::Lit(_) => true,
-        })
+        .map(|p| Some((operand(&p.lhs)?, p.op, operand(&p.rhs)?)))
+        .collect::<Option<_>>()?;
+    let projection = match projection {
+        Some(items) => Some(
+            items
+                .iter()
+                .map(|item| match item {
+                    ProjItem::Col(c) => col(c),
+                    ProjItem::Lit(l) => Some(Term::Lit(lit_value(l))),
+                })
+                .collect::<Option<_>>()?,
+        ),
+        None => None,
+    };
+    Some(Body {
+        predicates,
+        projection,
+    })
 }
 
 /// Running aggregate state for a `group by` — if its source is a table
@@ -1132,9 +1300,36 @@ fn key_of(t: &Tuple, cols: &[usize]) -> Vec<Value> {
         .collect()
 }
 
+/// Run `f` on `t`'s key over `cols`; a one-column key is borrowed in
+/// place through `slice::from_ref`, allocating nothing.
+fn with_key<R>(t: &Tuple, cols: &[usize], f: impl FnOnce(&[Value]) -> R) -> R {
+    match cols {
+        [i] => f(std::slice::from_ref(t.get(*i).expect("schema arity"))),
+        _ => f(&key_of(t, cols)),
+    }
+}
+
+/// File a copy of `t` in an index over `cols`.
+fn index_add(idx: &mut Index, cols: &[usize], t: &Tuple) {
+    with_key(t, cols, |key| match idx.get_mut(key) {
+        Some(bucket) => bucket.push(t.clone()),
+        None => {
+            idx.insert(key.to_vec(), vec![t.clone()]);
+        }
+    });
+}
+
 fn passes_filter(t: &Tuple, eqs: &[(usize, usize)]) -> bool {
     eqs.iter()
         .all(|&(i, j)| t.get(i).expect("schema arity") == t.get(j).expect("schema arity"))
+}
+
+/// Tuples in sorted order: the one place order is imposed, where tuples
+/// leave the engine.
+fn sorted(tuples: impl IntoIterator<Item = Tuple>) -> Vec<Tuple> {
+    let mut v: Vec<Tuple> = tuples.into_iter().collect();
+    v.sort_unstable();
+    v
 }
 
 // ---------------------------------------------------------------------
@@ -1151,98 +1346,44 @@ fn eval_rule_once(
     store: &mut Store,
     probes: &mut u64,
 ) -> Result<Rel> {
-    let rule = &m.rules[ri];
-    match (&rule.body, &plans[ri].kind) {
-        (
-            RuleBody::Select {
-                source,
-                projection,
-                predicates,
-            },
-            PlanKind::Select { source: s },
-        ) => {
-            let tuples: Vec<&Tuple> = store.rels[*s].iter().collect();
-            eval_select(
-                source,
-                &m.collections[*s],
-                projection.as_ref(),
-                predicates,
-                &tuples,
-                probes,
-            )
+    let mut out = Rel::default();
+    match &plans[ri].kind {
+        PlanKind::Select { source, body } => {
+            eval_select(body, &store.rels[*source], probes, &mut out);
         }
-        (
-            RuleBody::Join {
-                left,
-                right,
-                projection,
-                predicates,
-                ..
-            },
-            PlanKind::HashJoin { join, .. },
-        ) => {
+        PlanKind::HashJoin { join, body, .. } => {
             // An empty side joins to nothing: no index, no probes.
-            if store.rels[join.left].is_empty() || store.rels[join.right].is_empty() {
-                return Ok(Rel::new());
+            if !store.rels[join.left].is_empty() && !store.rels[join.right].is_empty() {
+                store.ensure_index(join.rindex);
+                let (probe, index) = (&store.rels[join.left], store.index(join.rindex));
+                probe_join(join, body, probe, true, index, probes, &mut out);
             }
-            store.ensure_index(join.rindex);
-            let args = JoinArgs {
-                left,
-                ldecl: &m.collections[join.left],
-                right,
-                rdecl: &m.collections[join.right],
-                projection,
-                predicates,
-                plan: join,
-            };
-            let probe: Vec<&Tuple> = store.rels[join.left].iter().collect();
-            probe_join(&args, &probe, true, store.index(join.rindex), probes)
         }
-        (
-            RuleBody::AntiJoin {
-                source,
-                projection,
-                predicates,
-                ..
-            },
-            PlanKind::HashAnti(plan),
-        ) => {
-            if store.rels[plan.left].is_empty() {
-                return Ok(Rel::new());
+        PlanKind::HashAnti { join, body } => {
+            if !store.rels[join.left].is_empty() {
+                // Nothing negated: every source row survives, unprobed.
+                let index = if store.rels[join.right].is_empty() {
+                    None
+                } else {
+                    store.ensure_index(join.rindex);
+                    Some(store.index(join.rindex))
+                };
+                probe_anti(join, body, &store.rels[join.left], index, probes, &mut out);
             }
-            // Nothing negated: every source row survives, unprobed.
-            let index = if store.rels[plan.right].is_empty() {
-                None
-            } else {
-                store.ensure_index(plan.rindex);
-                Some(store.index(plan.rindex))
-            };
-            let args = AntiArgs {
-                source,
-                sdecl: &m.collections[plan.left],
-                projection: projection.as_ref(),
-                predicates,
-                plan,
-            };
-            let probe: Vec<&Tuple> = store.rels[plan.left].iter().collect();
-            probe_anti(&args, &probe, index, probes)
         }
-        (RuleBody::GroupBy { .. }, PlanKind::Incremental(slot)) => {
-            eval_incremental(m, &rule.body, store, *slot, probes)
+        PlanKind::Incremental(slot) => {
+            return eval_incremental(m, &m.rules[ri].body, store, *slot, probes);
         }
-        (_, _) => eval_body(m, &store.rels, &rule.body, probes),
+        PlanKind::Fallback => return eval_body(m, &store.rels, &m.rules[ri].body, probes),
     }
+    Ok(out)
 }
 
 /// The delta a monotone rule reads from collection `c`: the previous
 /// iteration's new tuples, or — seeding a stratum's first pass (`cur` is
 /// `None`) — what this tick added to a table so far, and the whole of
 /// anything else.
-fn delta_of<'a>(
-    store: &'a Store,
-    cur: Option<&'a BTreeMap<usize, Rel>>,
-    c: usize,
-) -> Vec<&'a Tuple> {
+fn delta_of<'a>(store: &'a Store, cur: Option<&'a Delta>, c: usize) -> Vec<&'a Tuple> {
     match cur {
         Some(cur) => cur.get(&c).map_or_else(Vec::new, |d| d.iter().collect()),
         None if store.persistent[c] => store.inserted[c].iter().collect(),
@@ -1250,7 +1391,7 @@ fn delta_of<'a>(
     }
 }
 
-fn has_delta(store: &Store, cur: Option<&BTreeMap<usize, Rel>>, c: usize) -> bool {
+fn has_delta(store: &Store, cur: Option<&Delta>, c: usize) -> bool {
     match cur {
         Some(cur) => cur.get(&c).is_some_and(|d| !d.is_empty()),
         None if store.persistent[c] => !store.inserted[c].is_empty(),
@@ -1265,45 +1406,15 @@ fn eval_rule_delta(
     plans: &[Plan],
     ri: usize,
     store: &mut Store,
-    cur: Option<&BTreeMap<usize, Rel>>,
+    cur: Option<&Delta>,
     probes: &mut u64,
 ) -> Result<Rel> {
-    let rule = &m.rules[ri];
-    match (&rule.body, &plans[ri].kind) {
-        (
-            RuleBody::Select {
-                source,
-                projection,
-                predicates,
-            },
-            PlanKind::Select { source: s },
-        ) => eval_select(
-            source,
-            &m.collections[*s],
-            projection.as_ref(),
-            predicates,
-            &delta_of(store, cur, *s),
-            probes,
-        ),
-        (
-            RuleBody::Join {
-                left,
-                right,
-                projection,
-                predicates,
-                ..
-            },
-            PlanKind::HashJoin { join, lindex },
-        ) => {
-            let args = JoinArgs {
-                left,
-                ldecl: &m.collections[join.left],
-                right,
-                rdecl: &m.collections[join.right],
-                projection,
-                predicates,
-                plan: join,
-            };
+    let mut out = Rel::default();
+    match &plans[ri].kind {
+        PlanKind::Select { source, body } => {
+            eval_select(body, delta_of(store, cur, *source), probes, &mut out);
+        }
+        PlanKind::HashJoin { join, lindex, body } => {
             // A seed that is a side's whole content already joins to the
             // complete answer; the other term would only repeat it.
             let whole = |c: usize| cur.is_none() && !store.persistent[c];
@@ -1312,7 +1423,6 @@ fn eval_rule_delta(
                 (false, true) => (false, true),
                 (false, false) => (true, true),
             };
-            let mut out = Rel::new();
             for (go, probe_is_left, probed, opposite, slot) in [
                 (from_left, true, join.left, join.right, join.rindex),
                 (from_right, false, join.right, join.left, *lindex),
@@ -1322,25 +1432,19 @@ fn eval_rule_delta(
                     continue;
                 }
                 store.ensure_index(slot);
-                let probe = delta_of(store, cur, probed);
-                out.extend(probe_join(
-                    &args,
-                    &probe,
-                    probe_is_left,
-                    store.index(slot),
-                    probes,
-                )?);
+                let (probe, index) = (delta_of(store, cur, probed), store.index(slot));
+                probe_join(join, body, probe, probe_is_left, index, probes, &mut out);
             }
-            Ok(out)
         }
-        // Unresolvable join: re-derive fully (correct, rare).
-        (RuleBody::Join { .. }, _) => eval_body(m, &store.rels, &rule.body, probes),
+        // A body that does not resolve statically: re-derive fully
+        // (correct, rare).
+        PlanKind::Fallback => return eval_body(m, &store.rels, &m.rules[ri].body, probes),
         // Nonmonotonic bodies never run on deltas.
-        (_, _) => {
+        PlanKind::HashAnti { .. } | PlanKind::Incremental(_) => {
             debug_assert!(false, "nonmonotonic body in delta evaluation");
-            Ok(Rel::new())
         }
     }
+    Ok(out)
 }
 
 /// Fold the source table's tick delta into a running aggregate (one probe
@@ -1375,7 +1479,7 @@ fn eval_incremental(
     sync_aggregate(store, slot, probes)?;
     let agg = &store.aggs[slot];
     let d = &m.collections[agg.source];
-    let mut out = Rel::new();
+    let mut out = Rel::default();
     for (key, g) in &agg.groups {
         let group = GroupRow {
             source,
@@ -1389,62 +1493,40 @@ fn eval_incremental(
     Ok(out)
 }
 
-fn eval_select(
-    source: &str,
-    d: &CollectionDecl,
-    projection: Option<&Vec<ProjItem>>,
-    predicates: &[Predicate],
-    tuples: &[&Tuple],
+/// Stream rows through a compiled select body.
+fn eval_select<'a>(
+    body: &Body,
+    tuples: impl IntoIterator<Item = &'a Tuple>,
     probes: &mut u64,
-) -> Result<Rel> {
-    let mut out = Rel::new();
-    for &t in tuples {
+    out: &mut Rel,
+) {
+    for t in tuples {
         *probes += 1;
-        let env = Env {
-            bindings: vec![(source, d, t)],
-            alias: None,
-        };
-        if !env.check_all(predicates)? {
-            continue;
-        }
-        out.insert(match projection {
-            Some(items) => env.project(items)?,
-            None => t.clone(),
-        });
+        out.extend(body.derive(&[t]));
     }
-    Ok(out)
-}
-
-struct JoinArgs<'a> {
-    left: &'a str,
-    ldecl: &'a CollectionDecl,
-    right: &'a str,
-    rdecl: &'a CollectionDecl,
-    projection: &'a [ProjItem],
-    predicates: &'a [Predicate],
-    plan: &'a JoinPlan,
 }
 
 /// Probe one side's tuples against a hash index over the other side.
-fn probe_join(
-    args: &JoinArgs<'_>,
-    probe: &[&Tuple],
+fn probe_join<'a>(
+    join: &JoinPlan,
+    body: &Body,
+    probe: impl IntoIterator<Item = &'a Tuple>,
     probe_is_left: bool,
     index: &Index,
     probes: &mut u64,
-) -> Result<Rel> {
+    out: &mut Rel,
+) {
     let (pkey, pfilter, ofilter) = if probe_is_left {
-        (&args.plan.lkey, &args.plan.lfilter, &args.plan.rfilter)
+        (&join.lkey, &join.lfilter, &join.rfilter)
     } else {
-        (&args.plan.rkey, &args.plan.rfilter, &args.plan.lfilter)
+        (&join.rkey, &join.rfilter, &join.lfilter)
     };
-    let mut out = Rel::new();
-    for &t in probe {
+    for t in probe {
         *probes += 1;
         if !passes_filter(t, pfilter) {
             continue;
         }
-        let Some(bucket) = index.get(&key_of(t, pkey)) else {
+        let Some(bucket) = with_key(t, pkey, |key| index.get(key)) else {
             continue;
         };
         for o in bucket {
@@ -1452,65 +1534,37 @@ fn probe_join(
             if !passes_filter(o, ofilter) {
                 continue;
             }
-            let (lt, rt) = if probe_is_left { (t, o) } else { (o, t) };
-            let env = Env {
-                bindings: vec![(args.left, args.ldecl, lt), (args.right, args.rdecl, rt)],
-                alias: None,
-            };
-            if !env.check_all(args.predicates)? {
-                continue;
-            }
-            out.insert(env.project(args.projection)?);
+            let rows = if probe_is_left { [t, o] } else { [o, t] };
+            out.extend(body.derive(&rows));
         }
     }
-    Ok(out)
-}
-
-struct AntiArgs<'a> {
-    source: &'a str,
-    sdecl: &'a CollectionDecl,
-    projection: Option<&'a Vec<ProjItem>>,
-    predicates: &'a [Predicate],
-    plan: &'a JoinPlan,
 }
 
 /// Antijoin via existence probes against an index over the negated side
 /// (`None`: the negated side is empty, nothing matches).
-fn probe_anti(
-    args: &AntiArgs<'_>,
-    probe: &[&Tuple],
+fn probe_anti<'a>(
+    join: &JoinPlan,
+    body: &Body,
+    probe: impl IntoIterator<Item = &'a Tuple>,
     index: Option<&Index>,
     probes: &mut u64,
-) -> Result<Rel> {
-    let plan = args.plan;
-    let mut out = Rel::new();
-    for &t in probe {
+    out: &mut Rel,
+) {
+    for t in probe {
         *probes += 1;
-        let matched = passes_filter(t, &plan.lfilter)
-            && match index.and_then(|idx| idx.get(&key_of(t, &plan.lkey))) {
-                Some(bucket) if plan.rfilter.is_empty() => !bucket.is_empty(),
+        let matched = passes_filter(t, &join.lfilter)
+            && match index.and_then(|idx| with_key(t, &join.lkey, |key| idx.get(key))) {
+                Some(bucket) if join.rfilter.is_empty() => !bucket.is_empty(),
                 Some(bucket) => bucket.iter().any(|nt| {
                     *probes += 1;
-                    passes_filter(nt, &plan.rfilter)
+                    passes_filter(nt, &join.rfilter)
                 }),
                 None => false,
             };
-        if matched {
-            continue;
+        if !matched {
+            out.extend(body.derive(&[t]));
         }
-        let env = Env {
-            bindings: vec![(args.source, args.sdecl, t)],
-            alias: None,
-        };
-        if !env.check_all(args.predicates)? {
-            continue;
-        }
-        out.insert(match args.projection {
-            Some(items) => env.project(items)?,
-            None => t.clone(),
-        });
     }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -1580,6 +1634,23 @@ impl<'a> Env<'a> {
         Ok(true)
     }
 
+    /// The head tuple a single-row environment derives, unless a
+    /// predicate rejects it; no projection passes `row` through.
+    fn derive(
+        &self,
+        predicates: &[Predicate],
+        projection: Option<&Vec<ProjItem>>,
+        row: &Tuple,
+    ) -> Result<Option<Tuple>> {
+        if !self.check_all(predicates)? {
+            return Ok(None);
+        }
+        Ok(Some(match projection {
+            Some(items) => self.project(items)?,
+            None => row.clone(),
+        }))
+    }
+
     fn project(&self, items: &[ProjItem]) -> Result<Tuple> {
         let mut values = Vec::with_capacity(items.len());
         for item in items {
@@ -1608,8 +1679,16 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
             predicates,
         } => {
             let (d, rel) = named(m, rels, source)?;
-            let tuples: Vec<&Tuple> = rel.iter().collect();
-            eval_select(source, d, projection.as_ref(), predicates, &tuples, probes)
+            let mut out = Rel::default();
+            for t in rel {
+                *probes += 1;
+                let env = Env {
+                    bindings: vec![(source, d, t)],
+                    alias: None,
+                };
+                out.extend(env.derive(predicates, projection.as_ref(), t)?);
+            }
+            Ok(out)
         }
         RuleBody::Join {
             left,
@@ -1620,7 +1699,7 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
         } => {
             let (dl, lrel) = named(m, rels, left)?;
             let (dr, rrel) = named(m, rels, right)?;
-            let mut out = Rel::new();
+            let mut out = Rel::default();
             for lt in lrel {
                 for rt in rrel {
                     *probes += 1;
@@ -1651,7 +1730,7 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
         } => {
             let (ds, srel) = named(m, rels, source)?;
             let (dn, nrel) = named(m, rels, neg)?;
-            let mut out = Rel::new();
+            let mut out = Rel::default();
             for t in srel {
                 let mut matched = false;
                 for nt in nrel {
@@ -1679,13 +1758,7 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
                     bindings: vec![(source, ds, t)],
                     alias: None,
                 };
-                if !env.check_all(predicates)? {
-                    continue;
-                }
-                out.insert(match projection {
-                    Some(items) => env.project(items)?,
-                    None => t.clone(),
-                });
+                out.extend(env.derive(predicates, projection.as_ref(), t)?);
             }
             Ok(out)
         }
@@ -1713,13 +1786,14 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
                 }
                 groups.entry(key).or_default().push(t);
             }
-            let mut out = Rel::new();
+            let mut out = Rel::default();
             for (key, rows) in groups {
                 let group = GroupRow {
                     source,
                     d,
-                    // Representative row for column resolution.
-                    rep: rows[0],
+                    // Representative row for column resolution: the
+                    // least, so it never depends on iteration order.
+                    rep: rows.iter().min().expect("non-empty group"),
                     key: &key,
                     value: aggregate(source, d, *agg, agg_col.as_ref(), &rows)?,
                 };
@@ -2359,5 +2433,16 @@ module F {
         let mut inst = ModuleInstance::new(m).unwrap();
         let out = inst.tick(inputs(&[("a", vec![t1(7i64)])])).unwrap();
         assert_eq!(out.on("o"), &[t2(7i64, "hit")]);
+    }
+
+    #[test]
+    fn relations_and_indexes_iterate_in_one_order_every_time() {
+        // Iteration order is derivation order; a seeded hasher would give
+        // two collections holding the same tuples two different orders.
+        let rows = || (0..256i64).map(|i| t2(i, i * 7));
+        let (a, b): (Rel, Rel) = (rows().collect(), rows().collect());
+        assert!(a.iter().eq(b.iter()));
+        let index = || -> Index { rows().map(|t| (t.0.clone(), vec![t])).collect() };
+        assert!(index().keys().eq(index().keys()));
     }
 }

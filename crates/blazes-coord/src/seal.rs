@@ -18,6 +18,9 @@ use crate::registry::{ProducerId, ProducerRegistry};
 use blazes_dataflow::value::{Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Reserved seal-key attribute carrying the voting producer's id.
+pub const PRODUCER_ATTR: &str = "producer";
+
 /// Outcome of feeding the seal manager one event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SealOutcome {

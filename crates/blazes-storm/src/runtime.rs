@@ -20,6 +20,7 @@
 
 use crate::bolt::{Bolt, BoltContext};
 use crate::grouping::Grouping;
+use blazes_coord::seal::PRODUCER_ATTR;
 use blazes_dataflow::component::{Component, Context};
 use blazes_dataflow::message::{Message, SealKey};
 use blazes_dataflow::value::{Tuple, Value};
@@ -27,8 +28,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Reserved seal-key attribute naming the batch.
 pub const BATCH_ATTR: &str = "batch";
-/// Reserved seal-key attribute carrying the emitting producer id.
-pub const PRODUCER_ATTR: &str = "producer";
 /// Producer id used for seals injected from outside the topology (spout
 /// schedules).
 pub const INJECTED_PRODUCER: i64 = -1;

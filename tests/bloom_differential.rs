@@ -3,11 +3,11 @@
 //! state to the naive oracle, on every example module shipped with the
 //! repo. This is the Bloom-engine analogue of `par_differential`: the
 //! optimizations exploit monotonicity (CALM) inside a stratum, and
-//! collections are ordered sets, so digests must never depend on the
-//! engine.
+//! outputs and tables leave the engine sorted, so digests must never
+//! depend on the engine or on the order it derived tuples in.
 
 use blazes::bloom::interp::{EvalMode, ModuleInstance, TickOutput};
-use blazes::bloom::parse_module;
+use blazes::bloom::{parse_module, BloomError};
 use blazes::dataflow::value::{Tuple, Value};
 use std::collections::BTreeMap;
 
@@ -36,14 +36,13 @@ fn singles(values: &[i64]) -> Vec<Tuple> {
     values.iter().map(|&a| Tuple(vec![Value::Int(a)])).collect()
 }
 
+/// Every tick's full output map plus the final contents of every
+/// persistent table.
+type Digest = (Vec<TickOutput>, BTreeMap<String, Vec<Tuple>>);
+
 /// Run a module under one mode over a scripted sequence of ticks; return
-/// the digest: every tick's full output map plus the final contents of
-/// every persistent table.
-fn digest(
-    text: &str,
-    mode: EvalMode,
-    ticks: &[BTreeMap<String, Vec<Tuple>>],
-) -> (Vec<TickOutput>, BTreeMap<String, Vec<Tuple>>) {
+/// its [`Digest`].
+fn digest(text: &str, mode: EvalMode, ticks: &[BTreeMap<String, Vec<Tuple>>]) -> Digest {
     let m = parse_module(text).expect("example must parse");
     let tables: Vec<String> = m
         .collections
@@ -66,19 +65,29 @@ fn digest(
     (outs, finals)
 }
 
-/// Assert all engine variants agree on a module/workload, and that the
-/// optimized modes do not derive more than the oracle.
-fn assert_all_modes_agree(label: &str, text: &str, ticks: &[BTreeMap<String, Vec<Tuple>>]) {
+/// Assert all engine variants agree with the naive oracle on a
+/// module/workload; return every variant's digest.
+fn assert_all_modes_agree(
+    label: &str,
+    text: &str,
+    ticks: &[BTreeMap<String, Vec<Tuple>>],
+) -> Vec<(&'static str, Digest)> {
     // A new evaluation mode joins the differential on purpose, not by accident.
     assert_eq!(engine_variants().map(|v| v.0), ["naive", "semi-naive"]);
+    // The reference is its own run, so the `naive` variant also checks
+    // that the oracle repeats itself.
     let reference = digest(text, EvalMode::Naive, ticks);
-    for (name, mode) in engine_variants() {
-        let got = digest(text, mode, ticks);
+    let digests: Vec<(&'static str, Digest)> = engine_variants()
+        .into_iter()
+        .map(|(name, mode)| (name, digest(text, mode, ticks)))
+        .collect();
+    for (name, got) in &digests {
         assert_eq!(
-            reference, got,
+            &reference, got,
             "{label}: engine {name} diverged from the naive oracle"
         );
     }
+    digests
 }
 
 #[test]
@@ -375,4 +384,178 @@ module Neg {
     assert!(!outs[1].on("live").contains(&one(3)), "negated table grew");
     assert!(outs[3].on("live").contains(&one(2)), "negated table shrank");
     assert!(outs[7].on("live").contains(&one(9)));
+}
+
+// ---------------------------------------------------------------------
+// Compiled rule bodies: the semi-naive engine resolves predicates,
+// projections and join keys to column positions at instantiation; the
+// oracle looks every column up by name. Outputs leave both engines
+// sorted.
+// ---------------------------------------------------------------------
+
+fn strs(values: &[(i64, &str, i64)]) -> Vec<Tuple> {
+    values
+        .iter()
+        .map(|&(a, b, c)| Tuple(vec![Value::Int(a), Value::str(b), Value::Int(c)]))
+        .collect()
+}
+
+fn assert_strictly_sorted(label: &str, rows: &[Tuple]) {
+    assert!(
+        rows.windows(2).all(|w| w[0] < w[1]),
+        "{label}: not strictly sorted: {rows:?}"
+    );
+}
+
+#[test]
+fn compiled_bodies_match_oracle_beside_a_transitive_closure_over_ticks() {
+    // Literal projection items (`tagged`, `matched`, `allowed`), predicates
+    // over both join sides and bare column references (`matched`),
+    // same-side `on` equalities on either side (`matched`: rules.grp =
+    // rules.lo; `hits`: items.id = items.w), a two-column join key
+    // (`matched`), an antijoin (`allowed`), and output heads no rule reads
+    // (every output; `path` sits in the recursive stratum).
+    let text = r#"
+module Compiled {
+  input edge(src, dst)
+  input item(id, grp, w)
+  input rule_in(grp, w, lo)
+  input ban(id, grp, w)
+  output path(src, dst)
+  output tagged(id, tag, w)
+  output matched(id, grp, flag)
+  output loops(id)
+  output allowed(id, grp, flag)
+  table e(src, dst)
+  scratch p(src, dst)
+  table items(id, grp, w)
+  table rules(grp, w, lo)
+  table hits(id, grp)
+  e <= edge
+  p <= e
+  p <= (p * e) on (p.dst = e.src) -> (p.src, e.dst)
+  path <= p
+  items <= item
+  rules <= rule_in
+  tagged <= items -> (items.id, 'heavy', w) where items.w > 2 and 'x' != 'y'
+  matched <= (items * rules) on (items.grp = rules.grp, items.w = rules.w, rules.grp = rules.lo) -> (id, rules.grp, true) where id > 1 and rules.w < 9 and items.id != rules.w
+  hits <= (items * rules) on (items.grp = rules.grp, items.id = items.w) -> (items.id, items.grp)
+  loops <= hits -> (hits.id) where hits.id >= 0
+  allowed <= items not in ban on (items.id = ban.id, items.grp = ban.grp) -> (items.id, items.grp, false) where items.w < 5
+}
+"#;
+    // 512 edges: 128 four-edge chains, one chain position per tick, so
+    // every chain grows at both ends across ticks; every 16th chain closes
+    // into a cycle on the last tick.
+    let mut ticks: Vec<BTreeMap<String, Vec<Tuple>>> = [2i64, 0, 3, 1]
+        .into_iter()
+        .map(|pos| {
+            let mut edges: Vec<(i64, i64)> =
+                (0..128).map(|c| (c * 10 + pos, c * 10 + pos + 1)).collect();
+            if pos == 1 {
+                edges.extend((0..128).step_by(16).map(|c| (c * 10 + 4, c * 10)));
+            }
+            tick_of(&[("edge", pairs(&edges))])
+        })
+        .collect();
+    let grp = ["g0", "g1", "g2"];
+    for (k, tick) in ticks.iter_mut().enumerate() {
+        let k = k as i64;
+        let items: Vec<(i64, &str, i64)> = (0..24)
+            .map(|i| (i + 24 * k, grp[(i % 3) as usize], (i * 5 + k) % 8))
+            .chain([(3 + k, "g1", 3 + k)])
+            .collect();
+        let rules: Vec<(&str, i64, &str)> = (0..8)
+            .map(|w| (grp[((w + k) % 3) as usize], w, grp[((w * 2) % 3) as usize]))
+            .collect();
+        let bans: Vec<(i64, &str, i64)> = items.iter().step_by(3).copied().collect();
+        tick.insert("item".to_string(), strs(&items));
+        tick.insert(
+            "rule_in".to_string(),
+            rules
+                .iter()
+                .map(|&(g, w, lo)| Tuple(vec![Value::str(g), Value::Int(w), Value::str(lo)]))
+                .collect(),
+        );
+        tick.insert("ban".to_string(), strs(&bans));
+    }
+    ticks.push(tick_of(&[]));
+    for (name, (outs, finals)) in assert_all_modes_agree("compiled bodies beside TC", text, &ticks)
+    {
+        for (n, out) in outs.iter().enumerate() {
+            for (iface, rows) in &out.outputs {
+                assert_strictly_sorted(&format!("{name} tick {n} {iface}"), rows);
+            }
+        }
+        for (table, rows) in &finals {
+            assert_strictly_sorted(&format!("{name} table {table}"), rows);
+        }
+        // The workload reaches every rule shape it claims to.
+        let last = &outs[3];
+        assert_eq!(last.on("path").len(), 120 * 10 + 8 * 25, "{name}");
+        for iface in ["tagged", "matched", "loops", "allowed"] {
+            assert!(
+                outs.iter().any(|o| !o.on(iface).is_empty()),
+                "{name}: {iface}"
+            );
+        }
+    }
+}
+
+#[test]
+fn reference_errors_are_identical_across_modes_and_runs() {
+    // A missing column in a select predicate, a join projection and an
+    // antijoin predicate, plus a module with two failing rules: each must
+    // fail with the oracle's message, whichever engine runs it, every run.
+    let cases = [
+        (
+            "select predicate",
+            "module M { input a(x) input b(x) output o(x) o <= a where a.ghost > 1 }",
+            "ghost",
+        ),
+        (
+            "join projection",
+            "module M { input a(x) input b(x) output o(x, y) \
+             o <= (a * b) on (a.x = b.x) -> (a.x, b.nope) }",
+            "nope",
+        ),
+        (
+            "antijoin predicate",
+            "module M { input a(x) input b(x) output o(x) \
+             o <= a not in b on (a.x = b.x) where a.missing == 1 }",
+            "missing",
+        ),
+        (
+            "two failing rules",
+            "module M { input a(x) input b(x) output o(x) output q(x) scratch s(x) \
+             s <= a \
+             q <= s where zz > 0 \
+             o <= (s * b) on (s.x = b.x) -> (b.yy) }",
+            // `q` comes first in the stratum.
+            "zz",
+        ),
+    ];
+    let inputs = tick_of(&[("a", singles(&[1, 2, 3])), ("b", singles(&[2, 5]))]);
+    for (label, text, column) in cases {
+        // Each mode twice: two runs must agree as well as two engines.
+        let errors: Vec<String> = engine_variants()
+            .into_iter()
+            .chain(engine_variants())
+            .map(|(_, mode)| {
+                let mut inst =
+                    ModuleInstance::with_mode(parse_module(text).unwrap(), mode).unwrap();
+                let err = inst.tick(inputs.clone()).expect_err(label);
+                assert_eq!(inst.ticks(), 0, "{label}: a failed tick is not a tick");
+                match err {
+                    BloomError::Eval(msg) => msg,
+                    other => panic!("{label}: expected an Eval error, got {other:?}"),
+                }
+            })
+            .collect();
+        assert!(
+            errors.iter().all(|e| *e == errors[0]),
+            "{label}: {errors:?}"
+        );
+        assert!(errors[0].contains(column), "{label}: {}", errors[0]);
+    }
 }
