@@ -578,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_expected_digest_bounded_and_unbounded() {
+    fn parallel_matches_expected_digest_across_batch_sizes() {
         for zipf in [0.0, 1.4] {
             let cfg = tiny(zipf);
             let expected = expected_digest(&cfg);

@@ -55,6 +55,10 @@ pub fn composite_partition(values: Vec<Value>) -> Value {
 /// columns; `None` when the tuple is too short.
 #[must_use]
 pub fn covered_partition(key_columns: &[usize], t: &Tuple) -> Option<Value> {
+    if let &[column] = key_columns {
+        // The common single-attribute seal: no intermediate `Vec`.
+        return t.get(column).cloned();
+    }
     key_columns
         .iter()
         .map(|&c| t.get(c).cloned())
@@ -171,12 +175,9 @@ impl SealGate {
     }
 
     fn on_covered(&mut self, partition: Value, tuple: Tuple, ctx: &mut Context) {
-        match self.mgr.on_data(partition, tuple.clone()) {
-            SealOutcome::Buffered | SealOutcome::Released(_) => {}
-            SealOutcome::LateArrival => {
-                self.stats.late_forwards += 1;
-                ctx.emit(0, Message::Data(tuple));
-            }
+        if let Some(late) = self.mgr.on_data(partition, tuple) {
+            self.stats.late_forwards += 1;
+            ctx.emit(0, Message::Data(late));
         }
     }
 
@@ -386,40 +387,37 @@ impl SpeculativeSealGate {
     }
 
     fn on_covered(&mut self, partition: Value, tuple: Tuple, ctx: &mut Context) {
-        match self.mgr.on_data(partition.clone(), tuple.clone()) {
-            SealOutcome::LateArrival => {
-                // After release the partition's contents are final on
-                // both gates; forward committed exactly like blocking.
-                self.stats.late_forwards += 1;
-                ctx.emit(0, Message::Data(tuple));
-            }
-            SealOutcome::Buffered | SealOutcome::Released(_) => {
-                if self.burned.contains(&partition) {
-                    // Burned partitions run the blocking protocol: the
-                    // manager buffers, the unanimous vote releases.
-                    return;
-                }
-                if self
-                    .retained
-                    .get(&partition)
-                    .is_some_and(|r| !r.queries.is_empty())
-                {
-                    // A straggler behind a speculatively answered query
-                    // of the same partition: that answer saw an
-                    // incomplete partition. Abort the session.
-                    self.violation(partition, ctx);
-                    return;
-                }
-                let epoch = self.session_epoch(ctx);
-                self.stats.speculative_forwards += 1;
-                ctx.emit_speculative(0, Message::Data(tuple.clone()), epoch);
-                self.retained
-                    .entry(partition)
-                    .or_default()
-                    .records
-                    .push(tuple);
-            }
+        if let Some(late) = self.mgr.on_data(partition.clone(), tuple.clone()) {
+            // After release the partition's contents are final on both
+            // gates; forward committed exactly like blocking.
+            self.stats.late_forwards += 1;
+            ctx.emit(0, Message::Data(late));
+            return;
         }
+        if self.burned.contains(&partition) {
+            // Burned partitions run the blocking protocol: the manager
+            // buffers, the unanimous vote releases.
+            return;
+        }
+        if self
+            .retained
+            .get(&partition)
+            .is_some_and(|r| !r.queries.is_empty())
+        {
+            // A straggler behind a speculatively answered query of the
+            // same partition: that answer saw an incomplete partition.
+            // Abort the session.
+            self.violation(partition, ctx);
+            return;
+        }
+        let epoch = self.session_epoch(ctx);
+        self.stats.speculative_forwards += 1;
+        ctx.emit_speculative(0, Message::Data(tuple.clone()), epoch);
+        self.retained
+            .entry(partition)
+            .or_default()
+            .records
+            .push(tuple);
     }
 
     fn on_query(&mut self, tuple: Tuple, ctx: &mut Context) {
@@ -747,6 +745,7 @@ mod tests {
         // A straggler after release is forwarded, not lost.
         g.on_message(0, Message::Data(click(5, 9)), &mut c);
         assert_eq!(c.emitted().len(), 2);
+        assert_eq!(c.emitted()[1].1, Message::Data(click(5, 9)));
         assert_eq!(g.stats().late_forwards, 1);
     }
 
@@ -793,10 +792,10 @@ mod tests {
         for (_, msg) in c.emitted() {
             match msg {
                 Message::Data(t) => {
-                    assert!(matches!(
+                    assert_eq!(
                         downstream.on_data(t.get(1).cloned().unwrap(), t.clone()),
-                        SealOutcome::Buffered
-                    ));
+                        None
+                    );
                 }
                 Message::Seal(key) => {
                     let campaign = key.value_of("campaign").cloned().unwrap();
@@ -855,6 +854,8 @@ mod tests {
             Some(ab)
         );
         assert_eq!(covered_partition(&[1, 9], &t), None, "short tuple");
+        assert_eq!(covered_partition(&[1], &t), Some(Value::Int(1)));
+        assert_eq!(covered_partition(&[9], &t), None, "short tuple, one column");
         assert_eq!(
             seal_partition(&["campaign".to_string(), "missing".to_string()], &key),
             None,

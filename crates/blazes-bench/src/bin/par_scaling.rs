@@ -24,7 +24,9 @@
 //! floor is scaled by core count, since parallel speedup is bounded by the
 //! hardware (see `blazes_bench::scaling::effective_floor`). `--check` also
 //! fails on any digest mismatch, making the bench double as a correctness
-//! gate.
+//! gate, and when a fan-in point makes more than 0.25 mailbox pushes per
+//! event — the machine-independent check that activations send one run
+//! per destination instead of one push per message.
 //!
 //! Alongside the heavy-compute sweep the bin races **time-warp
 //! speculation** against blocking seal coordination on the straggler
@@ -39,6 +41,9 @@
 
 use blazes_bench::cli;
 use blazes_bench::scaling::{effective_floor, run_scaling, run_speculation_race, ScalingConfig};
+
+/// `--check` ceiling on fan-in mailbox pushes per processed event.
+const FANIN_MAX_PUSHES_PER_EVENT: f64 = 0.25;
 
 const USAGE: &str = "usage: par_scaling [--records N] [--rounds N] [--reps N] [--out [FILE]] \
                      [--check FLOOR] [--no-race] [--force] [--note TEXT]... [--trace FILE]";
@@ -166,20 +171,20 @@ fn main() {
                 report.cores
             );
         }
-        // The contention gate needs >= 2 cores: producers time-sliced onto
-        // one core never collide on the mailbox tail CAS, so push_retries
-        // is legitimately 0 there and the microbench carries no signal.
-        if report.cores >= 2 {
-            let retries = report.point("fanin", 4).map_or(0, |p| p.push_retries);
-            if retries == 0 {
+        // The batching gate, machine-independent: half of fan-in's events
+        // are producer deliveries that each emit one message, so a push
+        // per message reads ~0.5 pushes per event; one run per destination
+        // per activation reads an order of magnitude less.
+        for p in report.points.iter().filter(|p| p.workload == "fanin") {
+            if p.pushes_per_event > FANIN_MAX_PUSHES_PER_EVENT {
                 eprintln!(
-                    "FAIL: the 4-worker fan-in run recorded zero mailbox push \
-                     retries — the contention microbench measured nothing"
+                    "FAIL: fan-in at {} workers made {:.4} mailbox pushes per event \
+                     (> {FANIN_MAX_PUSHES_PER_EVENT}) — activations are not batching \
+                     their sends",
+                    p.workers, p.pushes_per_event
                 );
                 failed = true;
             }
-        } else {
-            println!("# contention assertion skipped: 1 core (producers cannot collide)");
         }
         if failed {
             std::process::exit(1);

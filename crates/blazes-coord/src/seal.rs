@@ -21,16 +21,17 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Reserved seal-key attribute carrying the voting producer's id.
 pub const PRODUCER_ATTR: &str = "producer";
 
-/// Outcome of feeding the seal manager one event.
+/// Outcome of feeding the seal manager one seal punctuation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SealOutcome {
-    /// The event was buffered; the partition is still open.
+    /// The vote was recorded; the partition is still open.
     Buffered,
     /// The partition is now complete: process these tuples (in buffer
     /// order; the set is what matters — the partition is immutable now).
     Released(Vec<Tuple>),
-    /// A record or seal arrived for a partition that was already released —
-    /// a protocol violation (e.g. a producer emitting after sealing).
+    /// A seal arrived for a partition that was already released (a
+    /// repeated vote after release). Late *records* are handed back by
+    /// [`SealManager::on_data`] instead.
     LateArrival,
 }
 
@@ -75,14 +76,18 @@ impl SealManager {
         }
     }
 
-    /// Feed one data record belonging to `partition`.
-    pub fn on_data(&mut self, partition: Value, tuple: Tuple) -> SealOutcome {
+    /// Feed one data record belonging to `partition`. Returns `None` when
+    /// it was buffered, and hands the record back as `Some(tuple)` when
+    /// the partition was already released (a late arrival), so the caller
+    /// can forward it without having kept a copy. Data never releases a
+    /// partition; only [`SealManager::on_seal`] does.
+    pub fn on_data(&mut self, partition: Value, tuple: Tuple) -> Option<Tuple> {
         let state = self.partitions.entry(partition).or_default();
         if state.released {
-            return SealOutcome::LateArrival;
+            return Some(tuple);
         }
         state.buffered.push(tuple);
-        SealOutcome::Buffered
+        None
     }
 
     /// Feed one seal punctuation from `producer` for `partition`. Releases
@@ -180,8 +185,8 @@ mod tests {
         let mut reg = ProducerRegistry::new();
         reg.register(Value::str("c1"), [0]);
         let mut mgr = SealManager::new(reg);
-        assert_eq!(mgr.on_data(Value::str("c1"), t(1)), SealOutcome::Buffered);
-        assert_eq!(mgr.on_data(Value::str("c1"), t(2)), SealOutcome::Buffered);
+        assert_eq!(mgr.on_data(Value::str("c1"), t(1)), None);
+        assert_eq!(mgr.on_data(Value::str("c1"), t(2)), None);
         assert_eq!(
             mgr.on_seal(Value::str("c1"), 0),
             SealOutcome::Released(vec![t(1), t(2)])
@@ -193,11 +198,11 @@ mod tests {
     fn unanimous_vote_required_with_multiple_producers() {
         let reg = ProducerRegistry::all_produce(0..3);
         let mut mgr = SealManager::new(reg);
-        mgr.on_data(Value::str("c1"), t(10));
+        assert_eq!(mgr.on_data(Value::str("c1"), t(10)), None);
         assert_eq!(mgr.on_seal(Value::str("c1"), 0), SealOutcome::Buffered);
         assert_eq!(mgr.on_seal(Value::str("c1"), 1), SealOutcome::Buffered);
         // Data can still arrive between votes.
-        assert_eq!(mgr.on_data(Value::str("c1"), t(11)), SealOutcome::Buffered);
+        assert_eq!(mgr.on_data(Value::str("c1"), t(11)), None);
         match mgr.on_seal(Value::str("c1"), 2) {
             SealOutcome::Released(tuples) => assert_eq!(tuples, vec![t(10), t(11)]),
             other => panic!("expected release, got {other:?}"),
@@ -208,8 +213,8 @@ mod tests {
     fn partitions_are_independent() {
         let reg = ProducerRegistry::all_produce(0..2);
         let mut mgr = SealManager::new(reg);
-        mgr.on_data(Value::str("a"), t(1));
-        mgr.on_data(Value::str("b"), t(2));
+        assert_eq!(mgr.on_data(Value::str("a"), t(1)), None);
+        assert_eq!(mgr.on_data(Value::str("b"), t(2)), None);
         mgr.on_seal(Value::str("a"), 0);
         mgr.on_seal(Value::str("a"), 1);
         assert_eq!(mgr.open_count(), 1);
@@ -222,7 +227,12 @@ mod tests {
         reg.register(Value::Int(1), [0]);
         let mut mgr = SealManager::new(reg);
         mgr.on_seal(Value::Int(1), 0);
-        assert_eq!(mgr.on_data(Value::Int(1), t(9)), SealOutcome::LateArrival);
+        assert_eq!(
+            mgr.on_data(Value::Int(1), t(9)),
+            Some(t(9)),
+            "the late record is handed back"
+        );
+        assert_eq!(mgr.buffered_records(), 0);
         assert_eq!(mgr.on_seal(Value::Int(1), 0), SealOutcome::LateArrival);
     }
 

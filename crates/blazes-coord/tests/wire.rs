@@ -62,11 +62,15 @@ impl SealEvent {
         }
     }
 
-    /// Apply to a seal manager, returning the outcome.
+    /// Apply to a seal manager, returning the outcome (a late record
+    /// handed back by `on_data` reads as `LateArrival`).
     fn apply(&self, mgr: &mut SealManager) -> SealOutcome {
         match self {
             SealEvent::Data { campaign, tuple } => {
-                mgr.on_data(Value::Int(*campaign), tuple.clone())
+                match mgr.on_data(Value::Int(*campaign), tuple.clone()) {
+                    None => SealOutcome::Buffered,
+                    Some(_) => SealOutcome::LateArrival,
+                }
             }
             SealEvent::Vote { campaign, producer } => mgr.on_seal(Value::Int(*campaign), *producer),
         }

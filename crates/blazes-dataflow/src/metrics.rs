@@ -46,6 +46,11 @@ pub struct WorkerStats {
     /// an uncontended wire; grows as concurrent producers collide on one
     /// destination).
     pub push_retries: u64,
+    /// Mailbox pushes this worker made: one per destination per
+    /// activation (each carries that destination's whole run of staged
+    /// mail). Pushes per event is a machine-independent measure of how
+    /// much cross-thread traffic the activations batched away.
+    pub mailbox_pushes: u64,
     /// Total time parked idle, waiting for runnable instances.
     pub idle_park_time: Duration,
     /// Time-warp speculation sessions entered by instances this worker

@@ -24,17 +24,30 @@
 //!
 //! # The lock-free hot path
 //!
-//! The steady-state message path acquires **zero mutexes**:
+//! The unit of cross-thread traffic is an *activation*, not a message.
+//! While an instance's handlers run, everything they emit is staged in
+//! the worker's outbox, grouped by destination and kept in emission
+//! order. When the batch is done, the worker *flushes*: one in-flight
+//! charge for the whole outbox, then per destination one mailbox push of
+//! that destination's run and one scheduled-flag handoff. The flush comes
+//! after the handlers and before the batch settles and the flag is
+//! released, so quiescence cannot be declared while the emissions are
+//! uncharged, and the instance's next activation cannot overtake them.
+//! Event and delivery totals are summed from per-worker and per-instance
+//! stats when the run finishes; no counter every worker bumps is touched
+//! per message. The steady-state path acquires **zero mutexes**:
 //!
-//! * **Mailboxes** are Vyukov-style MPSC queues ([`mpsc_queue`]): a send
-//!   is one node allocation plus one CAS on the queue tail (retries under
-//!   producer contention are counted in [`WorkerStats::push_retries`]);
-//!   a drain moves up to [`ParTuning::batch_size`] messages into a
-//!   worker-local buffer with plain loads/stores and settles the shared
-//!   length counter with a single RMW for the whole batch. The mailbox's
-//!   single-consumer contract is exactly the *scheduled flag* exclusivity
-//!   the runtime already maintains — whichever worker owns the flag is
-//!   the one consumer.
+//! * **Mailboxes** are Vyukov-style MPSC queues ([`mpsc_queue`]): a run
+//!   of any length is linked privately and published with one length add
+//!   and one CAS on the queue tail (retries under producer contention are
+//!   counted in [`WorkerStats::push_retries`], runs in
+//!   [`WorkerStats::mailbox_pushes`]); a drain moves up to
+//!   [`ParTuning::batch_size`] messages into a worker-local buffer with
+//!   plain loads/stores and settles the shared length counter with a
+//!   single RMW for the whole batch. The mailbox's single-consumer
+//!   contract is exactly the *scheduled flag* exclusivity the runtime
+//!   already maintains — whichever worker owns the flag is the one
+//!   consumer.
 //! * **Instance state** is an `UnsafeCell` guarded by that same flag,
 //!   checked by a debug-build owner assert. The flag handoff is `SeqCst`,
 //!   and task transfer through the deques carries the release/acquire
@@ -68,8 +81,9 @@
 //!
 //! * **Per-wire FIFO — always.** The scheduled flag makes instance
 //!   execution exclusive: however activations migrate between workers, a
-//!   producer's emissions are routed into destination mailboxes *before*
-//!   the producer can be re-activated elsewhere, and mailboxes are FIFO.
+//!   producer's emissions are pushed into destination mailboxes *before*
+//!   the producer can be re-activated elsewhere, each destination's run
+//!   keeps emission order, and mailboxes are FIFO.
 //!   Seal and EOS punctuations therefore never overtake the records they
 //!   cover — the invariant the sealing protocol needs (paper Section V-B1).
 //!   Note this is *stronger* than the simulator for channels configured
@@ -478,7 +492,9 @@ impl InstanceCell {
 }
 
 /// A lock-free, unbounded mailbox: the MPSC queue plus the scheduling
-/// state around it. Sends and drains touch only atomics.
+/// state around it. Sends and drains touch only atomics: a sending
+/// activation pushes its whole run for this mailbox with one tail CAS,
+/// and the owner drains a batch with one length settle.
 struct Mailbox {
     queue: MpscQueue<MailItem>,
     /// True while the instance is in a run queue or being executed.
@@ -503,10 +519,11 @@ impl Mailbox {
         }
     }
 
-    /// Lock-free push. Returns the tail-CAS retry count (contention
-    /// signal).
-    fn push(&self, item: MailItem) -> u64 {
-        let retries = self.queue.push(item);
+    /// Lock-free push of one run of items, which the consumer will pop
+    /// contiguously and in order: one tail CAS and one length add for the
+    /// whole run. Returns the tail-CAS retry count (contention signal).
+    fn push_run(&self, items: impl IntoIterator<Item = MailItem>) -> u64 {
+        let retries = self.queue.push_batch(items);
         // Racy max update: stats only.
         let len = self.queue.len();
         if len > self.depth_max.load(Ordering::Relaxed) {
@@ -539,9 +556,9 @@ struct PaddedU64(AtomicU64);
 /// `workers` belongs to the injecting coordinator thread) and a monotone
 /// *send epoch*:
 ///
-/// * before any of an event's emissions become visible, the processing
-///   worker adds their count to **its own** cell and bumps its epoch —
-///   uncontended RMWs on a private line;
+/// * before any of an activation's emissions become visible, the
+///   processing worker adds their count to **its own** cell and bumps its
+///   epoch — two uncontended RMWs on a private line per activation;
 /// * after draining a batch, it subtracts the number of messages it
 ///   consumed from its own cell, once per activation instead of once per
 ///   message.
@@ -608,10 +625,13 @@ impl InFlight {
     }
 }
 
+/// Run-wide shared counters. Event and delivery totals are not among
+/// them: they are summed from [`WorkerStats::events`] and
+/// [`InstanceStats::processed`] when the run finishes, so no counter every
+/// worker bumps sits on the message hot path. Faults are rare enough to
+/// count here.
 struct Counters {
     in_flight: InFlight,
-    events: AtomicU64,
-    deliveries: AtomicU64,
     duplicates: AtomicU64,
     retransmits: AtomicU64,
 }
@@ -661,7 +681,7 @@ impl Shared {
     /// Push a mailbox item from the coordinating (non-worker) thread.
     fn external_push(&self, dst: usize, item: MailItem) {
         let mb = &self.slots[dst].mailbox;
-        let _ = mb.push(item);
+        let _ = mb.push_run([item]);
         if mb
             .scheduled
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
@@ -1026,6 +1046,13 @@ impl ParStats {
         self.per_worker.iter().map(|w| w.push_retries).sum()
     }
 
+    /// Total mailbox pushes across workers: one per destination per
+    /// activation, however many items the run carried.
+    #[must_use]
+    pub fn total_mailbox_pushes(&self) -> u64 {
+        self.per_worker.iter().map(|w| w.mailbox_pushes).sum()
+    }
+
     /// Total speculation sessions entered (state snapshots taken).
     #[must_use]
     pub fn total_speculations(&self) -> u64 {
@@ -1062,6 +1089,8 @@ impl ParStats {
         reg.counter("par.wakeups").add(self.total_wakeups());
         reg.counter("par.push_retries")
             .add(self.total_push_retries());
+        reg.counter("par.mailbox_pushes")
+            .add(self.total_mailbox_pushes());
         reg.counter("par.slow_path_locks").add(self.slow_path_locks);
         reg.counter("par.speculations")
             .add(self.total_speculations());
@@ -1126,8 +1155,6 @@ impl ParExecutor {
                 // handle holds until `finish` — which is also why an
                 // empty injection list no longer needs a special case.
                 in_flight: InFlight::new(workers + 1, self.injected.len() as i64 + 1),
-                events: AtomicU64::new(0),
-                deliveries: AtomicU64::new(0),
                 duplicates: AtomicU64::new(0),
                 retransmits: AtomicU64::new(0),
             },
@@ -1143,10 +1170,10 @@ impl ParExecutor {
         let mut handles = Vec::with_capacity(workers);
         for (w, local) in locals.into_iter().enumerate() {
             let ctx = WorkerCtx {
+                outbox: Outbox::new(shared.slots.len()),
                 shared: Arc::clone(&shared),
                 idx: w,
                 local,
-                scratch: Vec::new(),
                 drain_buf: Vec::new(),
                 latency: None,
                 ws: WorkerStats {
@@ -1302,8 +1329,8 @@ impl RunningPar {
             });
 
         let stats = ParStats {
-            events_processed: shared.counters.events.load(Ordering::SeqCst),
-            messages_delivered: shared.counters.deliveries.load(Ordering::SeqCst),
+            events_processed: per_worker.iter().map(|w| w.events).sum(),
+            messages_delivered: per_instance.iter().map(|i| i.processed).sum(),
             duplicates: shared.counters.duplicates.load(Ordering::SeqCst),
             retransmits: shared.counters.retransmits.load(Ordering::SeqCst),
             workers,
@@ -1352,14 +1379,44 @@ enum Admit {
     Drop,
 }
 
+/// One activation's outbound mail, grouped by destination. `process`
+/// stages every emission here instead of sending it; the buffers are
+/// per worker and keep their capacity, so steady-state staging allocates
+/// nothing.
+struct Outbox {
+    /// Staged items per destination instance, each in emission order.
+    runs: Vec<Vec<MailItem>>,
+    /// Destinations with a non-empty run, in first-staged order.
+    dsts: Vec<usize>,
+    /// Items staged across all runs.
+    len: usize,
+}
+
+impl Outbox {
+    fn new(instances: usize) -> Self {
+        Outbox {
+            runs: (0..instances).map(|_| Vec::new()).collect(),
+            dsts: Vec::new(),
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, dst: usize, item: MailItem) {
+        let run = &mut self.runs[dst];
+        if run.is_empty() {
+            self.dsts.push(dst);
+        }
+        run.push(item);
+        self.len += 1;
+    }
+}
+
 struct WorkerCtx {
     shared: Arc<Shared>,
     idx: usize,
     local: TaskQueue<usize>,
-    /// Reusable staging buffer for one event's outbound sends, so they
-    /// can be charged to the in-flight shard in one RMW before any
-    /// becomes visible.
-    scratch: Vec<(usize, MailItem)>,
+    /// The current activation's outbound mail, sent by [`WorkerCtx::flush`].
+    outbox: Outbox,
     /// Reusable drain buffer: one activation's mailbox batch, so the
     /// queue's length counter settles once per batch.
     drain_buf: Vec<MailItem>,
@@ -1435,7 +1492,8 @@ impl WorkerCtx {
     }
 
     /// Drain up to `batch_size` messages from one instance in one batched
-    /// queue operation, then release or reschedule it.
+    /// queue operation, send what the handlers emitted, then release or
+    /// reschedule it.
     fn run_instance(&mut self, shared: &Shared, inst: usize) {
         if shared.spec.is_some() {
             // Time-warp mode takes a separate activation path so the
@@ -1458,6 +1516,11 @@ impl WorkerCtx {
             self.process(shared, inst, item, cell, 0);
         }
         self.drain_buf = batch;
+        // Send before settling and before releasing the flag: the
+        // unsettled batch keeps the in-flight sum above zero until the
+        // emissions are charged, and the next activation of this
+        // instance cannot start until they are in their mailboxes.
+        self.flush(shared);
         slot.cell.release();
         blazes_obs::span(span, EventKind::Activation, inst as u64, drained as u64);
         if drained > 0 {
@@ -1518,6 +1581,11 @@ impl WorkerCtx {
         // could not reschedule us); act on it before releasing.
         self.spec_maintain(shared, inst, cell);
         self.drain_deferred(shared, inst, cell);
+        // Same send point as the committed path. Epoch resolutions were
+        // applied while staging, so a tagged item staged before an abort
+        // reaches its consumer already aborted and is dropped there — the
+        // outcome the consumer would also reach had it arrived first.
+        self.flush(shared);
         slot.cell.release();
         blazes_obs::span(span, EventKind::Activation, inst as u64, drained as u64);
         if drained > 0 {
@@ -1822,7 +1890,6 @@ impl WorkerCtx {
         cell: &mut Cell,
         taint: u64,
     ) {
-        shared.counters.events.fetch_add(1, Ordering::Relaxed);
         self.ws.events += 1;
         cell.now += 1;
         let mut ctx = Context::new(cell.now, InstanceId(inst));
@@ -1834,7 +1901,6 @@ impl WorkerCtx {
                 born: stamp,
                 ..
             } => {
-                shared.counters.deliveries.fetch_add(1, Ordering::Relaxed);
                 born = stamp;
                 if stamp != 0 {
                     // Tracing was on at injection: this delivery carries a
@@ -1864,7 +1930,6 @@ impl WorkerCtx {
             "{} used speculative emissions without ParTuning::with_speculation",
             cell.component.name()
         );
-        let mut staged = std::mem::take(&mut self.scratch);
         // Resolutions interleave with emissions at their recorded
         // positions: applying them during staging (before any send is
         // visible) keeps "abort, then re-emit corrected" well-ordered —
@@ -1892,7 +1957,7 @@ impl WorkerCtx {
                 epoch,
                 born,
                 &mut cell.wires,
-                &mut staged,
+                &mut self.outbox,
             );
         }
         while next_resolve < resolves.len() {
@@ -1903,26 +1968,13 @@ impl WorkerCtx {
         for _delay in ticks {
             // No virtual clock: a tick fires as the instance's next
             // self-event, preserving order relative to its own emissions.
-            staged.push((inst, MailItem::Tick { epoch: taint }));
+            self.outbox.push(inst, MailItem::Tick { epoch: taint });
         }
-        if !staged.is_empty() {
-            // Charge every outbound message to this worker's shard BEFORE
-            // any of them becomes visible — the invariant that keeps the
-            // sharded quiescence scan from under-counting.
-            shared
-                .counters
-                .in_flight
-                .charge(self.idx, staged.len() as i64);
-            for (dst, item) in staged.drain(..) {
-                self.send(shared, dst, item);
-            }
-        }
-        self.scratch = staged;
     }
 
     /// Resolve one emission along every wire of `(instance, out_port)`
-    /// into staged mail items, drawing faults from each wire's private
-    /// RNG stream.
+    /// into staged mail items. Every wire but the last gets a clone; the
+    /// last takes the message itself.
     fn stage(
         shared: &Shared,
         out_port: usize,
@@ -1930,60 +1982,79 @@ impl WorkerCtx {
         epoch: u64,
         born: u64,
         wires: &mut [Vec<WireRt>],
-        staged: &mut Vec<(usize, MailItem)>,
+        outbox: &mut Outbox,
     ) {
-        let Some(port_wires) = wires.get_mut(out_port) else {
+        let Some((last, rest)) = wires.get_mut(out_port).and_then(|w| w.split_last_mut()) else {
             return;
         };
-        for wire in port_wires {
-            let mut duplicate = false;
-            if let Some(rng) = wire.rng.as_mut() {
-                if wire.loss_prob > 0.0 && rng.random::<f64>() < wire.loss_prob {
-                    // The first transmission is lost and retried; delivery
-                    // still happens (at-least-once), just counted.
-                    shared.counters.retransmits.fetch_add(1, Ordering::Relaxed);
-                }
-                duplicate = wire.duplicate_prob > 0.0 && rng.random::<f64>() < wire.duplicate_prob;
-            }
-            let dst = wire.dst;
-            let dst_port = wire.dst_port;
-            staged.push((
-                dst,
-                MailItem::Deliver {
-                    port: dst_port,
-                    msg: msg.clone(),
-                    epoch,
-                    born,
-                },
-            ));
-            if duplicate {
-                shared.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-                staged.push((
-                    dst,
-                    MailItem::Deliver {
-                        port: dst_port,
-                        msg: msg.clone(),
-                        epoch,
-                        born,
-                    },
-                ));
-            }
+        for wire in rest {
+            Self::stage_on(shared, wire, msg.clone(), epoch, born, outbox);
         }
+        Self::stage_on(shared, last, msg, epoch, born, outbox);
     }
 
-    /// Push one (already charged) item into the destination mailbox and
-    /// make the destination runnable — lock-free: the push is one tail
-    /// CAS and the scheduled handoff is one more.
-    fn send(&mut self, shared: &Shared, dst: usize, item: MailItem) {
-        let mb = &shared.slots[dst].mailbox;
-        self.ws.push_retries += mb.push(item);
-        if mb
-            .scheduled
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            self.enqueue_ready(shared, dst);
+    /// Stage one copy of a message on one wire, drawing the wire's faults
+    /// from its private RNG stream: a lost first transmission is counted
+    /// and retried, a duplicate stages a second copy.
+    fn stage_on(
+        shared: &Shared,
+        wire: &mut WireRt,
+        msg: Message,
+        epoch: u64,
+        born: u64,
+        outbox: &mut Outbox,
+    ) {
+        let mut duplicate = false;
+        if let Some(rng) = wire.rng.as_mut() {
+            if wire.loss_prob > 0.0 && rng.random::<f64>() < wire.loss_prob {
+                // The first transmission is lost and retried; delivery
+                // still happens (at-least-once), just counted.
+                shared.counters.retransmits.fetch_add(1, Ordering::Relaxed);
+            }
+            duplicate = wire.duplicate_prob > 0.0 && rng.random::<f64>() < wire.duplicate_prob;
         }
+        let deliver = |msg| MailItem::Deliver {
+            port: wire.dst_port,
+            msg,
+            epoch,
+            born,
+        };
+        if duplicate {
+            shared.counters.duplicates.fetch_add(1, Ordering::Relaxed);
+            outbox.push(wire.dst, deliver(msg.clone()));
+        }
+        outbox.push(wire.dst, deliver(msg));
+    }
+
+    /// Send everything the activation staged. The whole outbox is charged
+    /// to this worker's in-flight shard in one RMW *before* any item
+    /// becomes visible — the invariant that keeps the sharded quiescence
+    /// scan from under-counting. Then each destination gets its run in one
+    /// lock-free mailbox push (one tail CAS) and one scheduled-flag
+    /// handoff.
+    fn flush(&mut self, shared: &Shared) {
+        if self.outbox.len == 0 {
+            return;
+        }
+        shared
+            .counters
+            .in_flight
+            .charge(self.idx, self.outbox.len as i64);
+        self.outbox.len = 0;
+        let mut dsts = std::mem::take(&mut self.outbox.dsts);
+        for dst in dsts.drain(..) {
+            let mb = &shared.slots[dst].mailbox;
+            self.ws.push_retries += mb.push_run(self.outbox.runs[dst].drain(..));
+            self.ws.mailbox_pushes += 1;
+            if mb
+                .scheduled
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                self.enqueue_ready(shared, dst);
+            }
+        }
+        self.outbox.dsts = dsts;
     }
 
     /// Put a runnable instance where a worker will find it: this worker's
@@ -2045,14 +2116,12 @@ impl WorkerCtx {
         shared.rescue_passes.fetch_add(1, Ordering::Relaxed);
         blazes_obs::record(EventKind::Rescue, u64::from(stage), open.len() as u64);
         if stage == 0 {
-            // Drain pass. The sends are charged like any other emission
-            // so the settled scan stays honest while the pass is in
-            // flight.
-            let n = shared.slots.len();
-            shared.counters.in_flight.charge(self.idx, n as i64);
-            for inst in 0..n {
-                self.send(shared, inst, MailItem::Drain);
+            // Drain pass, sent like any activation's emissions, so the
+            // settled scan stays honest while the pass is in flight.
+            for inst in 0..shared.slots.len() {
+                self.outbox.push(inst, MailItem::Drain);
             }
+            self.flush(shared);
         } else {
             for epoch in open {
                 self.resolve_epoch(shared, epoch, false);
@@ -2219,6 +2288,119 @@ mod tests {
         let _ = b.build().run();
         assert_eq!(s1.len(), 1);
         assert_eq!(s2.len(), 1);
+    }
+
+    #[test]
+    fn fan_out_keeps_per_wire_fifo_across_batch_sizes_and_workers() {
+        // 4 forwarders x 3 consumers: each input goes to one consumer
+        // directly (port i % 3) and to all three over a broadcast port
+        // (port 3), so every activation stages interleaved runs for
+        // several destinations. Each consumer must see every producer's
+        // emissions to it in emission order.
+        const PRODUCERS: i64 = 4;
+        const PER: i64 = 300;
+        for batch_size in [1, 3, 64] {
+            for workers in [1, 3] {
+                let mut b = ParBuilder::new(21)
+                    .with_workers(workers)
+                    .with_tuning(ParTuning {
+                        batch_size,
+                        ..ParTuning::default()
+                    })
+                    .unwrap();
+                let sinks: Vec<CollectorSink> = (0..3).map(|_| CollectorSink::new()).collect();
+                let consumers: Vec<InstanceId> = sinks
+                    .iter()
+                    .map(|s| b.add_instance(Box::new(s.clone())))
+                    .collect();
+                for p in 0..PRODUCERS {
+                    let fwd = b.add_instance(Box::new(FnComponent::new(
+                        "fwd",
+                        move |_, msg: Message, ctx: &mut Context| {
+                            let i = msg.as_data().and_then(|t| t.get(0)?.as_int()).unwrap();
+                            ctx.emit((i % 3) as usize, Message::data([p, i, 0]));
+                            ctx.emit(3, Message::data([p, i, 1]));
+                        },
+                    )));
+                    for (c, &consumer) in consumers.iter().enumerate() {
+                        let lan = ChannelConfig::lan();
+                        b.connect_with(fwd, PortId(c), consumer, PortId(0), lan.clone());
+                        b.connect_with(fwd, PortId(3), consumer, PortId(0), lan);
+                    }
+                    for i in 0..PER {
+                        b.inject(0, fwd, PortId(0), Message::data([i]));
+                    }
+                }
+                let _ = b.build().run();
+                for (c, sink) in sinks.iter().enumerate() {
+                    let arrived: Vec<Vec<i64>> = sink
+                        .messages()
+                        .iter()
+                        .map(|m| {
+                            let t = m.as_data().unwrap();
+                            (0..3)
+                                .map(|k| t.get(k).unwrap().as_int().unwrap())
+                                .collect()
+                        })
+                        .collect();
+                    for p in 0..PRODUCERS {
+                        let got: Vec<(i64, i64)> = arrived
+                            .iter()
+                            .filter(|t| t[0] == p)
+                            .map(|t| (t[1], t[2]))
+                            .collect();
+                        let expected: Vec<(i64, i64)> = (0..PER)
+                            .flat_map(|i| {
+                                let direct = (i % 3 == c as i64).then_some((i, 0));
+                                direct.into_iter().chain([(i, 1)])
+                            })
+                            .collect();
+                        assert_eq!(
+                            got, expected,
+                            "batch {batch_size}, {workers} workers: producer {p} -> consumer {c}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_activation_pushes_once_per_destination() {
+        // One worker, so the activation sequence is fixed: the source's
+        // single activation stages 100 emissions for 3 forwarders and
+        // pushes 3 runs; each forwarder then drains its full mailbox in
+        // batches of 8 and pushes one run to the sink per activation
+        // (ceil(34/8) + 2 * ceil(33/8) = 15). The sink emits nothing.
+        // One push per message would be 200.
+        let mut b = ParBuilder::new(8)
+            .with_workers(1)
+            .with_tuning(ParTuning {
+                batch_size: 8,
+                ..ParTuning::default()
+            })
+            .unwrap();
+        let source = b.add_instance(Box::new(FnComponent::new(
+            "source",
+            |_, _, ctx: &mut Context| {
+                for k in 0..100i64 {
+                    ctx.emit((k % 3) as usize, Message::data([k]));
+                }
+            },
+        )));
+        let sink = CollectorSink::new();
+        let s = b.add_instance(Box::new(sink.clone()));
+        for port in 0..3 {
+            let fwd = b.add_instance(echo());
+            b.connect_with(source, PortId(port), fwd, PortId(0), ChannelConfig::lan());
+            b.connect_with(fwd, PortId(0), s, PortId(0), ChannelConfig::lan());
+        }
+        b.inject(0, source, PortId(0), Message::Eos);
+        let stats = b.build().run();
+        assert_eq!(sink.len(), 100);
+        assert_eq!(stats.events_processed, 201);
+        assert_eq!(stats.messages_delivered, 201);
+        assert_eq!(stats.total_mailbox_pushes(), 3 + 15);
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn tag(msg: &Message) -> (i64, i64) {
 /// (losses are retried), and nothing may arrive beyond the sends plus the
 /// duplicates the fault RNG injected.
 #[test]
-fn producers_hammer_one_bounded_consumer_without_loss_or_reorder() {
+fn producers_hammer_one_consumer_without_loss_or_reorder() {
     let producers = 8i64;
     let per = 300i64;
     let mut b = ParBuilder::new(0xB10C)
