@@ -178,20 +178,6 @@ impl AdRunResult {
             .map(|v| v.into_iter().max().unwrap_or(0))
     }
 
-    /// Did every replica process every record? `None` on the distributed
-    /// backend, whose series never leave the workers.
-    #[must_use]
-    pub fn processed_everything(&self) -> Option<bool> {
-        if matches!(self.stats, BackendRunStats::Dist(_)) {
-            return None;
-        }
-        Some(
-            self.series
-                .iter()
-                .all(|s| s.total() == self.expected_records),
-        )
-    }
-
     /// Do all replicas report identical response sets?
     #[must_use]
     pub fn responses_consistent(&self) -> bool {
@@ -201,12 +187,6 @@ impl AdRunResult {
             .map(CollectorSink::message_set)
             .collect();
         sets.windows(2).all(|w| w[0] == w[1])
-    }
-
-    /// Total responses seen across replicas.
-    #[must_use]
-    pub fn total_responses(&self) -> usize {
-        self.responses.iter().map(CollectorSink::len).sum()
     }
 }
 
@@ -499,7 +479,10 @@ pub(crate) mod tests {
         let row = format!("{:?}/{:?} on {}", sc.query, sc.strategy, backend.name());
         let totals: Vec<_> = res.series.iter().map(TimeSeries::total).collect();
         assert_eq!(res.expected_records, 180, "{row}");
-        assert_eq!(res.processed_everything(), Some(true), "{row}: {totals:?}");
+        assert!(
+            totals.iter().all(|&t| t == res.expected_records),
+            "{row}: {totals:?}"
+        );
         assert_eq!(report.stats.injected_operators, injected, "{row}");
         assert_eq!(report.stats.is_untouched(), injected == 0, "{row}");
         assert!(injected == 0 || res.responses_consistent(), "{row}");

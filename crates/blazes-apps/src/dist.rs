@@ -132,7 +132,7 @@ pub fn encode_ad_params(sc: &AdScenario, speculation: bool) -> String {
 /// Panics on any missing, malformed or unknown field — the string comes
 /// from the parent's deterministic encoder, so damage means a protocol bug.
 #[must_use]
-pub fn parse_ad_params(params: &str) -> (AdScenario, bool) {
+fn parse_ad_params(params: &str) -> (AdScenario, bool) {
     let m = kv(params);
     let sc = AdScenario {
         workload: ClickWorkload {
@@ -217,7 +217,7 @@ pub fn encode_wordcount_params(sc: &WordcountScenario, sealed: bool) -> String {
 /// # Panics
 /// Panics on any missing or malformed field, as [`parse_ad_params`].
 #[must_use]
-pub fn parse_wordcount_params(params: &str) -> (WordcountScenario, bool) {
+fn parse_wordcount_params(params: &str) -> (WordcountScenario, bool) {
     let m = kv(params);
     let sc = WordcountScenario {
         workers: get_usize(&m, "workers"),

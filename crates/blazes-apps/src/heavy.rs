@@ -129,10 +129,9 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Burn `rounds` hash rounds over `payload` and return the digest. Public
-/// so benches can calibrate the per-record cost.
+/// Burn `rounds` hash rounds over `payload` and return the digest.
 #[must_use]
-pub fn heavy_hash(payload: i64, rounds: u32) -> i64 {
+fn heavy_hash(payload: i64, rounds: u32) -> i64 {
     let mut x = payload as u64 ^ 0x9e37_79b9_7f4a_7c15;
     for _ in 0..rounds {
         x = mix(std::hint::black_box(x));
@@ -249,7 +248,7 @@ impl Component for HeavyProducer {
 /// route records by key to `mappers` hashing mappers, which partition
 /// digests to `reducers` folding reducers, which publish per-key summaries
 /// into `sink`.
-pub fn build_heavy<B: ExecutorBuilder + ?Sized>(b: &mut B, cfg: &HeavyConfig, sink: CollectorSink) {
+fn build_heavy<B: ExecutorBuilder + ?Sized>(b: &mut B, cfg: &HeavyConfig, sink: CollectorSink) {
     let channel = ChannelConfig::instant();
     let mapper_ids: Vec<_> = (0..cfg.mappers)
         .map(|m| {
@@ -403,7 +402,7 @@ impl Component for FaninConsumer {
 /// Assemble the fan-in topology on any backend: `producers` light
 /// forwarders all wired into one folding consumer, which publishes its
 /// summary into `sink`.
-pub fn build_fanin<B: ExecutorBuilder + ?Sized>(b: &mut B, cfg: &FaninConfig, sink: CollectorSink) {
+fn build_fanin<B: ExecutorBuilder + ?Sized>(b: &mut B, cfg: &FaninConfig, sink: CollectorSink) {
     let channel = ChannelConfig::instant();
     let consumer = b.add_instance(Box::new(FaninConsumer {
         expected_eos: cfg.producers,

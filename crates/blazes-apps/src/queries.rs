@@ -48,15 +48,6 @@ impl ReportQuery {
         }
     }
 
-    /// The threshold used by the query (1000 for THRESH, 100 otherwise).
-    #[must_use]
-    pub fn threshold(self) -> i64 {
-        match self {
-            ReportQuery::Thresh => 1_000,
-            _ => 100,
-        }
-    }
-
     /// The mini-Bloom source of the Report module running this query.
     #[must_use]
     pub fn module_source(self) -> String {
@@ -229,8 +220,16 @@ mod tests {
 
     #[test]
     fn thresholds_match_figure_6() {
-        assert_eq!(ReportQuery::Thresh.threshold(), 1000);
-        assert_eq!(ReportQuery::Poor.threshold(), 100);
+        assert!(ReportQuery::Thresh
+            .module_source()
+            .contains("having n > 1000"));
+        for q in [
+            ReportQuery::Poor,
+            ReportQuery::Window,
+            ReportQuery::Campaign,
+        ] {
+            assert!(q.module_source().contains("having n < 100"), "{}", q.name());
+        }
         assert_eq!(ReportQuery::ALL.len(), 4);
     }
 }

@@ -191,7 +191,7 @@ impl ClickWorkload {
     /// campaign's unanimous seal completes only when the *last* producer
     /// finishes its segment, which is what produces Figure 14's step shape.
     #[must_use]
-    pub fn campaigns_of(&self, server: usize) -> Vec<i64> {
+    fn campaigns_of(&self, server: usize) -> Vec<i64> {
         match self.placement {
             CampaignPlacement::Independent => (0..self.campaigns)
                 .filter(|c| c % self.ad_servers == server)

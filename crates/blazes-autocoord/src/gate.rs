@@ -18,7 +18,7 @@
 //!   counted in [`SealGateStats::late_forwards`].
 //!
 //! Seal keys may span several attributes: the gate then partitions on the
-//! composite of all key values (see [`composite_partition`]).
+//! composite of all key values.
 //!
 //! [`SpeculativeSealGate`] is the time-warp variant for the parallel
 //! backend's speculation mode: instead of buffering, it forwards covered
@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// the ASCII unit separator, which cannot occur in integer or boolean
 /// renderings.
 #[must_use]
-pub fn composite_partition(values: Vec<Value>) -> Value {
+fn composite_partition(values: Vec<Value>) -> Value {
     if values.len() == 1 {
         return values.into_iter().next().expect("one value");
     }
@@ -54,7 +54,7 @@ pub fn composite_partition(values: Vec<Value>) -> Value {
 /// Partition identity of a covered tuple under (possibly composite) key
 /// columns; `None` when the tuple is too short.
 #[must_use]
-pub fn covered_partition(key_columns: &[usize], t: &Tuple) -> Option<Value> {
+fn covered_partition(key_columns: &[usize], t: &Tuple) -> Option<Value> {
     if let &[column] = key_columns {
         // The common single-attribute seal: no intermediate `Vec`.
         return t.get(column).cloned();
@@ -70,7 +70,7 @@ pub fn covered_partition(key_columns: &[usize], t: &Tuple) -> Option<Value> {
 /// key attributes; `None` when any attribute is missing — a seal for some
 /// other key, not ours to gate.
 #[must_use]
-pub fn seal_partition(key_attrs: &[String], key: &SealKey) -> Option<Value> {
+fn seal_partition(key_attrs: &[String], key: &SealKey) -> Option<Value> {
     key_attrs
         .iter()
         .map(|a| key.value_of(a).cloned())
@@ -114,23 +114,13 @@ pub struct SealGate {
 
 impl SealGate {
     /// Build a gate enforcing `binding` for seal punctuations keyed by
-    /// the single attribute `key_attr`.
-    #[must_use]
-    pub fn new(key_attr: impl Into<String>, binding: SealBinding, name: impl Into<String>) -> Self {
-        SealGate::new_multi(vec![key_attr.into()], binding, name)
-    }
-
-    /// Build a gate sealing on a composite key: `key_attrs` in canonical
-    /// (sorted) order, paired positionally with the binding's key columns.
+    /// `key_attrs` in canonical (sorted) order, paired positionally with
+    /// the binding's key columns.
     ///
     /// # Panics
     /// Panics when the attribute and column lists disagree in length.
     #[must_use]
-    pub fn new_multi(
-        key_attrs: Vec<String>,
-        binding: SealBinding,
-        name: impl Into<String>,
-    ) -> Self {
+    pub fn new(key_attrs: Vec<String>, binding: SealBinding, name: impl Into<String>) -> Self {
         assert_eq!(
             key_attrs.len(),
             binding.key_columns.len(),
@@ -690,11 +680,11 @@ mod tests {
     }
 
     fn gate(producers: usize, with_query_map: bool) -> SealGate {
-        let mut binding = SealBinding::new(ProducerRegistry::all_produce(0..producers), 1, 3);
+        let mut binding = SealBinding::new(ProducerRegistry::all_produce(0..producers), vec![1], 3);
         if with_query_map {
             binding = binding.with_query_partition(Arc::new(|t: &Tuple| t.get(0).cloned()));
         }
-        SealGate::new("campaign", binding, "gate")
+        SealGate::new(vec!["campaign".to_string()], binding, "gate")
     }
 
     fn ctx() -> Context {
@@ -867,9 +857,8 @@ mod tests {
     /// Sealing one window of a campaign must not release the other.
     #[test]
     fn multi_attribute_keys_seal_independent_composites() {
-        let binding = SealBinding::new(ProducerRegistry::all_produce(0..1), 1, 3)
-            .with_key_columns(vec![1, 2]);
-        let mut g = SealGate::new_multi(
+        let binding = SealBinding::new(ProducerRegistry::all_produce(0..1), vec![1, 2], 3);
+        let mut g = SealGate::new(
             vec!["campaign".to_string(), "window".to_string()],
             binding,
             "gate",
@@ -904,8 +893,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "must pair up")]
     fn mismatched_key_columns_are_rejected() {
-        let binding = SealBinding::new(ProducerRegistry::all_produce(0..1), 1, 3);
-        let _ = SealGate::new_multi(
+        let binding = SealBinding::new(ProducerRegistry::all_produce(0..1), vec![1], 3);
+        let _ = SealGate::new(
             vec!["campaign".to_string(), "window".to_string()],
             binding,
             "gate",
@@ -913,7 +902,7 @@ mod tests {
     }
 
     fn spec_gate(producers: usize) -> SpeculativeSealGate {
-        let binding = SealBinding::new(ProducerRegistry::all_produce(0..producers), 1, 3)
+        let binding = SealBinding::new(ProducerRegistry::all_produce(0..producers), vec![1], 3)
             .with_query_partition(Arc::new(|t: &Tuple| t.get(0).cloned()));
         SpeculativeSealGate::new(vec!["campaign".to_string()], binding, "spec-gate")
     }

@@ -50,7 +50,7 @@
 //!
 //! // 2. Inject: assemble the bare topology through the rewrite pass.
 //! let rules = AutoCoordRules::new(&spec)
-//!     .bind_seal("Report", SealBinding::new(ProducerRegistry::all_produce([0]), 1, 2));
+//!     .bind_seal("Report", SealBinding::new(ProducerRegistry::all_produce([0]), vec![1], 2));
 //! let mut sim = SimBuilder::new(0);
 //! let mut b = RewritingBuilder::new(&mut sim, rules);
 //! // ... add instances / connect / inject as if uncoordinated ...

@@ -53,24 +53,16 @@ pub struct SealBinding {
 }
 
 impl SealBinding {
-    /// Binding with no query delay.
+    /// Binding with no query delay, gating on the covered tuple's
+    /// `key_columns` (see [`SealBinding::key_columns`]).
     #[must_use]
-    pub fn new(registry: ProducerRegistry, key_column: usize, covered_arity: usize) -> Self {
+    pub fn new(registry: ProducerRegistry, key_columns: Vec<usize>, covered_arity: usize) -> Self {
         SealBinding {
             registry,
-            key_columns: vec![key_column],
+            key_columns,
             covered_arity,
             query_partition: None,
         }
-    }
-
-    /// Gate on a composite key: `columns` hold the covered tuple's key
-    /// values, paired positionally with the seal key's attributes in
-    /// canonical (sorted) order.
-    #[must_use]
-    pub fn with_key_columns(mut self, columns: Vec<usize>) -> Self {
-        self.key_columns = columns;
-        self
     }
 
     /// Enable read delay: queries wait for the partition `f` maps them to.
@@ -186,7 +178,7 @@ impl AutoCoordRules {
     /// Build the pass for `spec`. Seal directives with multi-attribute
     /// keys gate on the composite of all attributes in canonical order;
     /// the registered [`SealBinding`] pairs tuple columns with them via
-    /// [`SealBinding::with_key_columns`].
+    /// [`SealBinding::key_columns`].
     #[must_use]
     pub fn new(spec: &CoordinationSpec) -> Self {
         let rules = spec
@@ -459,7 +451,7 @@ fn seal_gate(
         let gate: Box<dyn Component> = if speculative {
             Box::new(SpeculativeSealGate::new(key_attrs.to_vec(), binding, name))
         } else {
-            Box::new(SealGate::new_multi(key_attrs.to_vec(), binding, name))
+            Box::new(SealGate::new(key_attrs.to_vec(), binding, name))
         };
         alloc(gate, 0)
     })
@@ -546,7 +538,7 @@ mod tests {
     fn seal_rules() -> AutoCoordRules {
         AutoCoordRules::new(&spec_seal("Report")).bind_seal(
             "Report",
-            SealBinding::new(ProducerRegistry::all_produce(0..2), 1, 3),
+            SealBinding::new(ProducerRegistry::all_produce(0..2), vec![1], 3),
         )
     }
 

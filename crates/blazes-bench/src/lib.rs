@@ -31,7 +31,7 @@
 use blazes_apps::adreport::{AdScenario, StrategyKind};
 use blazes_apps::autocoord::run_ad_auto;
 use blazes_apps::queries::ReportQuery;
-use blazes_apps::wordcount::{run_wordcount, WordcountResult, WordcountScenario};
+use blazes_apps::wordcount::{run_wordcount, WordcountScenario};
 use blazes_apps::workload::{CampaignPlacement, ClickWorkload, TweetWorkload};
 use blazes_dataflow::backend::BackendSpec;
 use blazes_dataflow::metrics::TimeSeries;
@@ -48,7 +48,7 @@ pub mod scaling;
 /// a cluster of `workers` nodes; the transactional variant pays a
 /// coordination round-trip per batch, serialized in batch order.
 #[must_use]
-pub fn fig11_scenario(workers: usize, transactional: bool, seed: u64) -> WordcountScenario {
+fn fig11_scenario(workers: usize, transactional: bool, seed: u64) -> WordcountScenario {
     WordcountScenario {
         workers,
         spouts: 4,
@@ -275,18 +275,18 @@ pub fn stddev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
-/// A quick low-volume variant of [`fig11_point`] for tests.
-#[must_use]
-pub fn fig11_result_small(workers: usize, transactional: bool) -> WordcountResult {
-    let mut sc = fig11_scenario(workers, transactional, 0);
-    sc.workload.batches = 8;
-    sc.workload.tweets_per_batch = 20;
-    run_wordcount(&sc, &BackendSpec::Sim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blazes_apps::wordcount::WordcountResult;
+
+    /// A quick low-volume variant of [`fig11_point`].
+    fn fig11_result_small(workers: usize, transactional: bool) -> WordcountResult {
+        let mut sc = fig11_scenario(workers, transactional, 0);
+        sc.workload.batches = 8;
+        sc.workload.tweets_per_batch = 20;
+        run_wordcount(&sc, &BackendSpec::Sim)
+    }
 
     #[test]
     fn mean_and_stddev() {

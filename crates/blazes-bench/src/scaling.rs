@@ -234,7 +234,7 @@ impl ScalingReport {
     /// The mailbox-contention metric: fan-in wall time at 4 workers
     /// (lower = the consumer mailbox absorbs concurrent producers better).
     #[must_use]
-    pub fn fanin_contention_ms(&self) -> f64 {
+    fn fanin_contention_ms(&self) -> f64 {
         self.point("fanin", 4).map_or(0.0, |p| p.millis)
     }
 

@@ -72,7 +72,7 @@ fn is_monotone_threshold(
 /// Collection-level dependency edges derived from the rules: `(source,
 /// head, nonmonotonic)`.
 #[must_use]
-pub fn dependency_edges(m: &Module) -> Vec<(String, String, bool)> {
+fn dependency_edges(m: &Module) -> Vec<(String, String, bool)> {
     let mut edges = Vec::new();
     for r in &m.rules {
         let nonmono = is_nonmonotonic(r);

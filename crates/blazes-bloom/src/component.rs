@@ -38,18 +38,6 @@ impl BloomComponent {
         })
     }
 
-    /// Port index of an input interface.
-    #[must_use]
-    pub fn input_port(&self, iface: &str) -> Option<usize> {
-        self.inputs.iter().position(|i| i == iface)
-    }
-
-    /// Port index of an output interface.
-    #[must_use]
-    pub fn output_port(&self, iface: &str) -> Option<usize> {
-        self.outputs.iter().position(|o| o == iface)
-    }
-
     /// The wrapped instance (e.g. to inspect tables in tests).
     #[must_use]
     pub fn instance(&self) -> &ModuleInstance {
@@ -123,9 +111,9 @@ module Counter {
     #[test]
     fn port_mapping() {
         let c = BloomComponent::new(counter_module()).unwrap();
-        assert_eq!(c.input_port("click"), Some(0));
-        assert_eq!(c.output_port("counts"), Some(0));
-        assert_eq!(c.input_port("nope"), None);
+        // Ports follow declaration order: port i is interface i.
+        assert_eq!(c.inputs, ["click"]);
+        assert_eq!(c.outputs, ["counts"]);
     }
 
     #[test]

@@ -204,7 +204,7 @@ pub struct TickStats {
 
 impl TickStats {
     /// Accumulate another stats record into this one.
-    pub fn absorb(&mut self, other: TickStats) {
+    fn absorb(&mut self, other: TickStats) {
         self.derivations += other.derivations;
         self.join_probes += other.join_probes;
         self.fixpoint_iters += other.fixpoint_iters;

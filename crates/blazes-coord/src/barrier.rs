@@ -24,7 +24,6 @@ pub struct CommitCoordinator {
     committers: usize,
     next_batch: i64,
     ready: BTreeMap<i64, BTreeSet<i64>>,
-    granted: u64,
 }
 
 impl CommitCoordinator {
@@ -37,14 +36,7 @@ impl CommitCoordinator {
             committers,
             next_batch: first_batch,
             ready: BTreeMap::new(),
-            granted: 0,
         }
-    }
-
-    /// Batches granted so far.
-    #[must_use]
-    pub fn granted(&self) -> u64 {
-        self.granted
     }
 
     fn try_grant(&mut self, ctx: &mut Context) {
@@ -54,7 +46,6 @@ impl CommitCoordinator {
             }
             self.ready.remove(&self.next_batch);
             ctx.emit(0, Message::data([self.next_batch]));
-            self.granted += 1;
             self.next_batch += 1;
         }
     }

@@ -57,19 +57,6 @@ impl ProducerRegistry {
             .map_or(&self.default_producers, Vec::as_slice)
     }
 
-    /// Number of producers of `partition`.
-    #[must_use]
-    pub fn producer_count(&self, partition: &Value) -> usize {
-        self.producers_of(partition).len()
-    }
-
-    /// Is the partition single-producer? (If so, the seal protocol can skip
-    /// the unanimous vote — paper Section V-B1.)
-    #[must_use]
-    pub fn is_independent(&self, partition: &Value) -> bool {
-        self.producer_count(partition) == 1
-    }
-
     /// Partitions explicitly registered.
     pub fn partitions(&self) -> impl Iterator<Item = &Value> {
         self.by_partition.keys()
@@ -85,7 +72,7 @@ mod tests {
         let r = ProducerRegistry::all_produce(0..3);
         let p = Value::str("campaign-1");
         assert_eq!(r.producers_of(&p), &[0, 1, 2]);
-        assert!(!r.is_independent(&p));
+        assert_eq!(r.producers_of(&p).len(), 3);
     }
 
     #[test]
@@ -93,15 +80,14 @@ mod tests {
         let mut r = ProducerRegistry::all_produce(0..3);
         r.register(Value::str("campaign-1"), [2]);
         assert_eq!(r.producers_of(&Value::str("campaign-1")), &[2]);
-        assert!(r.is_independent(&Value::str("campaign-1")));
         // Others keep the default.
-        assert_eq!(r.producer_count(&Value::str("campaign-2")), 3);
+        assert_eq!(r.producers_of(&Value::str("campaign-2")), &[0, 1, 2]);
     }
 
     #[test]
     fn empty_registry_has_no_producers() {
         let r = ProducerRegistry::new();
-        assert_eq!(r.producer_count(&Value::Int(1)), 0);
+        assert!(r.producers_of(&Value::Int(1)).is_empty());
     }
 
     #[test]

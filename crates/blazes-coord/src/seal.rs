@@ -47,7 +47,6 @@ struct PartitionState {
 pub struct SealManager {
     registry: ProducerRegistry,
     partitions: BTreeMap<Value, PartitionState>,
-    released_count: u64,
     /// Votes that repeated an already-recorded (partition, producer)
     /// pair. Benign by idempotence — and exactly what a crash-recovered
     /// producer re-running its seal vote produces, so the dist chaos
@@ -68,7 +67,6 @@ impl SealManager {
         SealManager {
             registry,
             partitions: BTreeMap::new(),
-            released_count: 0,
             revotes: 0,
             votes_metric: None,
             releases_metric: None,
@@ -93,12 +91,7 @@ impl SealManager {
     /// Feed one seal punctuation from `producer` for `partition`. Releases
     /// the partition when every registered producer has sealed it.
     pub fn on_seal(&mut self, partition: Value, producer: ProducerId) -> SealOutcome {
-        let required: BTreeSet<ProducerId> = self
-            .registry
-            .producers_of(&partition)
-            .iter()
-            .copied()
-            .collect();
+        let required = self.registry.producers_of(&partition);
         let state = self.partitions.entry(partition).or_default();
         if state.released {
             return SealOutcome::LateArrival;
@@ -116,9 +109,8 @@ impl SealManager {
                 .get_or_insert_with(|| blazes_obs::global().registry().counter("seal.votes"))
                 .inc();
         }
-        if !required.is_empty() && required.is_subset(&state.sealed_by) {
+        if !required.is_empty() && required.iter().all(|p| state.sealed_by.contains(p)) {
             state.released = true;
-            self.released_count += 1;
             if blazes_obs::enabled() {
                 blazes_obs::record(
                     blazes_obs::EventKind::SealRelease,
@@ -135,40 +127,12 @@ impl SealManager {
         }
     }
 
-    /// Number of partitions released so far.
-    #[must_use]
-    pub fn released_count(&self) -> u64 {
-        self.released_count
-    }
-
     /// Number of duplicate seal votes absorbed so far. Idempotence makes
     /// them harmless; a crash-recovered producer re-running its vote is
     /// the expected source.
     #[must_use]
     pub fn revotes(&self) -> u64 {
         self.revotes
-    }
-
-    /// Number of partitions currently open (buffering).
-    #[must_use]
-    pub fn open_count(&self) -> usize {
-        self.partitions.values().filter(|p| !p.released).count()
-    }
-
-    /// Total records currently buffered across open partitions.
-    #[must_use]
-    pub fn buffered_records(&self) -> usize {
-        self.partitions
-            .values()
-            .filter(|p| !p.released)
-            .map(|p| p.buffered.len())
-            .sum()
-    }
-
-    /// Shared view of the registry.
-    #[must_use]
-    pub fn registry(&self) -> &ProducerRegistry {
-        &self.registry
     }
 }
 
@@ -191,7 +155,7 @@ mod tests {
             mgr.on_seal(Value::str("c1"), 0),
             SealOutcome::Released(vec![t(1), t(2)])
         );
-        assert_eq!(mgr.released_count(), 1);
+        assert_eq!(mgr.on_seal(Value::str("c1"), 0), SealOutcome::LateArrival);
     }
 
     #[test]
@@ -216,9 +180,16 @@ mod tests {
         assert_eq!(mgr.on_data(Value::str("a"), t(1)), None);
         assert_eq!(mgr.on_data(Value::str("b"), t(2)), None);
         mgr.on_seal(Value::str("a"), 0);
-        mgr.on_seal(Value::str("a"), 1);
-        assert_eq!(mgr.open_count(), 1);
-        assert_eq!(mgr.buffered_records(), 1);
+        assert_eq!(
+            mgr.on_seal(Value::str("a"), 1),
+            SealOutcome::Released(vec![t(1)])
+        );
+        // `b` is still open, holding its own record.
+        assert_eq!(mgr.on_seal(Value::str("b"), 0), SealOutcome::Buffered);
+        assert_eq!(
+            mgr.on_seal(Value::str("b"), 1),
+            SealOutcome::Released(vec![t(2)])
+        );
     }
 
     #[test]
@@ -232,7 +203,6 @@ mod tests {
             Some(t(9)),
             "the late record is handed back"
         );
-        assert_eq!(mgr.buffered_records(), 0);
         assert_eq!(mgr.on_seal(Value::Int(1), 0), SealOutcome::LateArrival);
     }
 
@@ -257,7 +227,7 @@ mod tests {
         // complete; the manager conservatively holds it.
         let mut mgr = SealManager::new(ProducerRegistry::new());
         assert_eq!(mgr.on_seal(Value::Int(1), 0), SealOutcome::Buffered);
-        assert_eq!(mgr.released_count(), 0);
+        assert_eq!(mgr.on_seal(Value::Int(1), 0), SealOutcome::Buffered);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use blazes_dataflow::prelude::*;
 pub struct Sequencer {
     next_seq: i64,
     stamp: bool,
-    forwarded: u64,
 }
 
 impl Sequencer {
@@ -41,17 +40,10 @@ impl Sequencer {
             ..Sequencer::default()
         }
     }
-
-    /// Messages forwarded so far.
-    #[must_use]
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
 }
 
 impl Component for Sequencer {
     fn on_message(&mut self, _port: usize, msg: Message, ctx: &mut Context) {
-        self.forwarded += 1;
         let out = match (&msg, self.stamp) {
             (Message::Data(t), true) => {
                 let mut values = Vec::with_capacity(t.arity() + 1);

@@ -160,8 +160,11 @@ fn seal_votes_release_identically_across_the_wire() {
     let wired_outcomes: Vec<SealOutcome> = received.iter().map(|e| e.apply(&mut wired)).collect();
 
     assert_eq!(wired_outcomes, direct_outcomes);
-    assert_eq!(direct.released_count(), 2);
-    assert_eq!(wired.released_count(), 2);
+    let releases = direct_outcomes
+        .iter()
+        .filter(|o| matches!(o, SealOutcome::Released(_)))
+        .count();
+    assert_eq!(releases, 2);
     // The late arrival was flagged on both sides.
     assert_eq!(direct_outcomes.last(), Some(&SealOutcome::LateArrival));
 }

@@ -16,7 +16,7 @@
 //! the paper-style proof trees ([`crate::derivation`]).
 
 use crate::error::{BlazesError, Result};
-use crate::graph::{ComponentId, DataflowGraph, Endpoint, PathSpec, SinkId, StreamId};
+use crate::graph::{DataflowGraph, Endpoint, PathSpec, SinkId, StreamId};
 use crate::inference::{infer_path, Rule};
 use crate::label::Label;
 use crate::paths::{condense, Condensation, IfaceNode, InterfaceRef};
@@ -80,15 +80,6 @@ impl AnalysisOutcome {
         &self.stream_labels[id.0]
     }
 
-    /// Label of a component output interface, if it was derived.
-    #[must_use]
-    pub fn interface_label(&self, component: ComponentId, iface: &str) -> Option<&Label> {
-        self.interface_labels.get(&InterfaceRef {
-            component,
-            iface: iface.to_string(),
-        })
-    }
-
     /// Merged label of all streams arriving at a sink.
     #[must_use]
     pub fn sink_label(&self, sink: SinkId) -> Option<&Label> {
@@ -99,12 +90,6 @@ impl AnalysisOutcome {
     #[must_use]
     pub fn sink_labels(&self) -> &BTreeMap<SinkId, Label> {
         &self.sink_labels
-    }
-
-    /// All interface labels.
-    #[must_use]
-    pub fn interface_labels(&self) -> &BTreeMap<InterfaceRef, Label> {
-        &self.interface_labels
     }
 
     /// Every inference step, in processing order.
@@ -131,26 +116,6 @@ impl AnalysisOutcome {
         self.sink_labels
             .values()
             .fold(Label::Async, |acc, l| acc.join(l.clone()))
-    }
-
-    /// Does any sink exhibit an anomaly (`Run` or worse), i.e. does the
-    /// program require coordination for consistent outcomes?
-    #[must_use]
-    pub fn requires_coordination(&self) -> bool {
-        self.program_label().is_anomalous()
-    }
-
-    /// Interfaces whose merged label is anomalous, most severe first — the
-    /// candidate locations for coordination placement.
-    #[must_use]
-    pub fn anomalous_interfaces(&self) -> Vec<(&InterfaceRef, &Label)> {
-        let mut v: Vec<_> = self
-            .interface_labels
-            .iter()
-            .filter(|(_, l)| l.is_anomalous())
-            .collect();
-        v.sort_by(|a, b| b.1.severity().cmp(&a.1.severity()).then(a.0.cmp(b.0)));
-        v
     }
 }
 
@@ -526,7 +491,7 @@ mod tests {
         let (g, sink) = wordcount(false);
         let out = Analyzer::new(&g).run().unwrap();
         assert_eq!(out.sink_label(sink), Some(&Label::Run));
-        assert!(out.requires_coordination());
+        assert!(out.program_label().is_anomalous());
     }
 
     #[test]
@@ -535,14 +500,15 @@ mod tests {
         let (g, sink) = wordcount(true);
         let out = Analyzer::new(&g).run().unwrap();
         assert_eq!(out.sink_label(sink), Some(&Label::Async));
-        assert!(!out.requires_coordination());
+        assert!(!out.program_label().is_anomalous());
     }
 
     #[test]
     fn wordcount_sealed_on_word_also_async() {
         // Count is OW_{word,batch}: a seal on `word` is compatible too.
         let (mut g, sink) = wordcount(false);
-        let tweets = g.source_by_name("tweets").unwrap();
+        let tweets = SourceId(0);
+        assert_eq!(g.source(tweets).name, "tweets");
         g.seal_source(tweets, ["word"]);
         let out = Analyzer::new(&g).run().unwrap();
         assert_eq!(out.sink_label(sink), Some(&Label::Async));
@@ -554,7 +520,7 @@ mod tests {
         let (g, sink, _) = ad_network(CA::cr(), None);
         let out = Analyzer::new(&g).run().unwrap();
         assert_eq!(out.sink_label(sink), Some(&Label::Async));
-        assert!(!out.requires_coordination());
+        assert!(!out.program_label().is_anomalous());
     }
 
     #[test]
@@ -579,7 +545,7 @@ mod tests {
         let (g, sink, _) = ad_network(CA::or(["id", "campaign"]), Some(&["campaign"]));
         let out = Analyzer::new(&g).run().unwrap();
         assert_eq!(out.sink_label(sink), Some(&Label::Async));
-        assert!(!out.requires_coordination());
+        assert!(!out.program_label().is_anomalous());
     }
 
     #[test]
@@ -603,7 +569,13 @@ mod tests {
         let (g, _, _) = ad_network(CA::or(["id"]), None);
         let report = g.component_by_name("Report").unwrap();
         let out = Analyzer::new(&g).run().unwrap();
-        assert_eq!(out.interface_label(report, "response"), Some(&Label::Inst));
+        assert_eq!(
+            out.interface_labels.get(&InterfaceRef {
+                component: report,
+                iface: "response".into()
+            }),
+            Some(&Label::Inst)
+        );
     }
 
     #[test]
@@ -612,7 +584,13 @@ mod tests {
         let report = g.component_by_name("Report").unwrap();
         g.set_rep(report, false);
         let out = Analyzer::new(&g).run().unwrap();
-        assert_eq!(out.interface_label(report, "response"), Some(&Label::Run));
+        assert_eq!(
+            out.interface_labels.get(&InterfaceRef {
+                component: report,
+                iface: "response".into()
+            }),
+            Some(&Label::Run)
+        );
     }
 
     #[test]
@@ -644,17 +622,6 @@ mod tests {
         let (g, _) = wordcount(false);
         let out = Analyzer::new(&g).run().unwrap();
         assert_eq!(out.program_label(), Label::Run);
-    }
-
-    #[test]
-    fn anomalous_interfaces_sorted_by_severity() {
-        let (g, _, _) = ad_network(CA::or(["id"]), None);
-        let out = Analyzer::new(&g).run().unwrap();
-        let anomalous = out.anomalous_interfaces();
-        assert!(!anomalous.is_empty());
-        for w in anomalous.windows(2) {
-            assert!(w[0].1.severity() >= w[1].1.severity());
-        }
     }
 
     #[test]

@@ -104,12 +104,6 @@ impl ComponentAnnotation {
         ComponentAnnotation::OW(Gate::keys(gate))
     }
 
-    /// `OR_*`: order-sensitive read path, unknown partitions.
-    #[must_use]
-    pub fn or_star() -> Self {
-        ComponentAnnotation::OR(Gate::Wildcard)
-    }
-
     /// `OW_*`: order-sensitive write path, unknown partitions.
     #[must_use]
     pub fn ow_star() -> Self {
@@ -246,7 +240,10 @@ mod tests {
             ComponentAnnotation::ow(["word", "batch"]).to_string(),
             "OW_{batch,word}"
         );
-        assert_eq!(ComponentAnnotation::or_star().to_string(), "OR_{*}");
+        assert_eq!(
+            ComponentAnnotation::OR(Gate::Wildcard).to_string(),
+            "OR_{*}"
+        );
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl FdStore {
     /// we recognize the identity (`rhs == lhs`), declared dependencies, and
     /// their compositions — not arbitrary implied dependencies.
     #[must_use]
-    pub fn injectivefd(&self, lhs: &KeySet, rhs: &KeySet) -> bool {
+    fn injectivefd(&self, lhs: &KeySet, rhs: &KeySet) -> bool {
         if rhs == lhs {
             return true; // identity function
         }

@@ -252,11 +252,6 @@ impl DataflowGraph {
         self.sources[source.0].annotation.seal = Some(KeySet::from_attrs(key));
     }
 
-    /// Remove any seal annotation from `source`.
-    pub fn unseal_source(&mut self, source: SourceId) {
-        self.sources[source.0].annotation.seal = None;
-    }
-
     /// Mark a source stream as replicated.
     pub fn set_source_rep(&mut self, source: SourceId, rep: bool) {
         self.sources[source.0].annotation.rep = rep;
@@ -395,18 +390,6 @@ impl DataflowGraph {
             .map(ComponentId)
             .ok_or_else(|| BlazesError::UnknownEntity {
                 kind: "component",
-                name: name.to_string(),
-            })
-    }
-
-    /// Find a source by name.
-    pub fn source_by_name(&self, name: &str) -> Result<SourceId> {
-        self.sources
-            .iter()
-            .position(|s| s.name == name)
-            .map(SourceId)
-            .ok_or_else(|| BlazesError::UnknownEntity {
-                kind: "source",
                 name: name.to_string(),
             })
     }
@@ -640,7 +623,6 @@ mod tests {
         let (g, ..) = wordcount();
         assert!(g.component_by_name("Count").is_ok());
         assert!(g.component_by_name("Missing").is_err());
-        assert!(g.source_by_name("tweets").is_ok());
         assert!(g.sink_by_name("store").is_ok());
     }
 

@@ -71,12 +71,6 @@ impl KeySet {
         KeySet(self.0.intersection(&other.0).cloned().collect())
     }
 
-    /// Set union.
-    #[must_use]
-    pub fn union(&self, other: &KeySet) -> KeySet {
-        KeySet(self.0.union(&other.0).cloned().collect())
-    }
-
     /// Iterate attributes in canonical (lexicographic) order.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
         self.0.iter().map(String::as_str)
@@ -147,7 +141,6 @@ mod tests {
         assert!(a.is_subset(&b));
         assert!(!b.is_subset(&a));
         assert_eq!(a.intersection(&b), a);
-        assert_eq!(b.union(&a), b);
     }
 
     #[test]

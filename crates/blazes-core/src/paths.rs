@@ -56,14 +56,6 @@ impl IfaceNode {
             IfaceNode::In(r) | IfaceNode::Out(r) => r.component,
         }
     }
-
-    /// The interface reference.
-    #[must_use]
-    pub fn iface_ref(&self) -> &InterfaceRef {
-        match self {
-            IfaceNode::In(r) | IfaceNode::Out(r) => r,
-        }
-    }
 }
 
 /// One strongly connected component of the interface graph.
@@ -94,16 +86,6 @@ pub struct Condensation {
     pub scc_of: BTreeMap<IfaceNode, usize>,
     /// SCC indices in topological order (producers before consumers).
     pub topo: Vec<usize>,
-}
-
-impl Condensation {
-    /// The SCC containing a given output interface, if known.
-    #[must_use]
-    pub fn scc_of_output(&self, iface: &InterfaceRef) -> Option<&IfaceScc> {
-        self.scc_of
-            .get(&IfaceNode::Out(iface.clone()))
-            .map(|&i| &self.sccs[i])
-    }
 }
 
 /// Build the interface-level condensation of `graph`.
@@ -363,98 +345,100 @@ fn tarjan(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     sccs
 }
 
-/// Enumerate up to `limit` source→sink interface-SCC paths through the
-/// condensation, for reporting and complexity benchmarks.
-#[must_use]
-pub fn enumerate_paths(
-    graph: &DataflowGraph,
-    cond: &Condensation,
-    limit: usize,
-) -> Vec<Vec<usize>> {
-    let mut starts: Vec<usize> = Vec::new();
-    let mut ends: Vec<usize> = Vec::new();
-    for stream in graph.streams() {
-        if let (Endpoint::Source(_), Endpoint::Component(c, iface)) = (&stream.from, &stream.to) {
-            let n = cond.scc_of[&IfaceNode::In(InterfaceRef {
-                component: *c,
-                iface: iface.clone(),
-            })];
-            if !starts.contains(&n) {
-                starts.push(n);
-            }
-        }
-        if let (Endpoint::Component(c, iface), Endpoint::Sink(_)) = (&stream.from, &stream.to) {
-            let n = cond.scc_of[&IfaceNode::Out(InterfaceRef {
-                component: *c,
-                iface: iface.clone(),
-            })];
-            if !ends.contains(&n) {
-                ends.push(n);
-            }
-        }
-    }
-
-    // SCC-level adjacency: path edges + stream edges.
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); cond.sccs.len()];
-    let mut add_edge = |from: usize, to: usize| {
-        if from != to && !out[from].contains(&to) {
-            out[from].push(to);
-        }
-    };
-    for (ci, comp) in graph.components().iter().enumerate() {
-        let cid = ComponentId(ci);
-        for p in &comp.paths {
-            let a = cond.scc_of[&IfaceNode::In(InterfaceRef {
-                component: cid,
-                iface: p.from.clone(),
-            })];
-            let b = cond.scc_of[&IfaceNode::Out(InterfaceRef {
-                component: cid,
-                iface: p.to.clone(),
-            })];
-            add_edge(a, b);
-        }
-    }
-    for stream in graph.streams() {
-        if let (Endpoint::Component(a, o), Endpoint::Component(b, i)) = (&stream.from, &stream.to) {
-            let na = cond.scc_of[&IfaceNode::Out(InterfaceRef {
-                component: *a,
-                iface: o.clone(),
-            })];
-            let nb = cond.scc_of[&IfaceNode::In(InterfaceRef {
-                component: *b,
-                iface: i.clone(),
-            })];
-            add_edge(na, nb);
-        }
-    }
-
-    let mut results = Vec::new();
-    for &s in &starts {
-        let mut stack = vec![(s, vec![s])];
-        while let Some((v, path)) = stack.pop() {
-            if results.len() >= limit {
-                return results;
-            }
-            if ends.contains(&v) {
-                results.push(path.clone());
-            }
-            for &w in &out[v] {
-                if !path.contains(&w) {
-                    let mut p = path.clone();
-                    p.push(w);
-                    stack.push((w, p));
-                }
-            }
-        }
-    }
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::annotation::ComponentAnnotation as CA;
+
+    /// Enumerate up to `limit` source→sink interface-SCC paths through the
+    /// condensation.
+    fn enumerate_paths(
+        graph: &DataflowGraph,
+        cond: &Condensation,
+        limit: usize,
+    ) -> Vec<Vec<usize>> {
+        let mut starts: Vec<usize> = Vec::new();
+        let mut ends: Vec<usize> = Vec::new();
+        for stream in graph.streams() {
+            if let (Endpoint::Source(_), Endpoint::Component(c, iface)) = (&stream.from, &stream.to)
+            {
+                let n = cond.scc_of[&IfaceNode::In(InterfaceRef {
+                    component: *c,
+                    iface: iface.clone(),
+                })];
+                if !starts.contains(&n) {
+                    starts.push(n);
+                }
+            }
+            if let (Endpoint::Component(c, iface), Endpoint::Sink(_)) = (&stream.from, &stream.to) {
+                let n = cond.scc_of[&IfaceNode::Out(InterfaceRef {
+                    component: *c,
+                    iface: iface.clone(),
+                })];
+                if !ends.contains(&n) {
+                    ends.push(n);
+                }
+            }
+        }
+
+        // SCC-level adjacency: path edges + stream edges.
+        let mut out: Vec<Vec<usize>> = vec![Vec::new(); cond.sccs.len()];
+        let mut add_edge = |from: usize, to: usize| {
+            if from != to && !out[from].contains(&to) {
+                out[from].push(to);
+            }
+        };
+        for (ci, comp) in graph.components().iter().enumerate() {
+            let cid = ComponentId(ci);
+            for p in &comp.paths {
+                let a = cond.scc_of[&IfaceNode::In(InterfaceRef {
+                    component: cid,
+                    iface: p.from.clone(),
+                })];
+                let b = cond.scc_of[&IfaceNode::Out(InterfaceRef {
+                    component: cid,
+                    iface: p.to.clone(),
+                })];
+                add_edge(a, b);
+            }
+        }
+        for stream in graph.streams() {
+            if let (Endpoint::Component(a, o), Endpoint::Component(b, i)) =
+                (&stream.from, &stream.to)
+            {
+                let na = cond.scc_of[&IfaceNode::Out(InterfaceRef {
+                    component: *a,
+                    iface: o.clone(),
+                })];
+                let nb = cond.scc_of[&IfaceNode::In(InterfaceRef {
+                    component: *b,
+                    iface: i.clone(),
+                })];
+                add_edge(na, nb);
+            }
+        }
+
+        let mut results = Vec::new();
+        for &s in &starts {
+            let mut stack = vec![(s, vec![s])];
+            while let Some((v, path)) = stack.pop() {
+                if results.len() >= limit {
+                    return results;
+                }
+                if ends.contains(&v) {
+                    results.push(path.clone());
+                }
+                for &w in &out[v] {
+                    if !path.contains(&w) {
+                        let mut p = path.clone();
+                        p.push(w);
+                        stack.push((w, p));
+                    }
+                }
+            }
+        }
+        results
+    }
 
     fn linear_graph() -> DataflowGraph {
         let mut g = DataflowGraph::new("linear");

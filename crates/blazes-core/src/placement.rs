@@ -70,7 +70,7 @@ impl CoordinationSpec {
     /// ordering subsumes sealing (the total order already serializes the
     /// sealed input), so only the `Order` directive is kept.
     #[must_use]
-    pub fn from_plan(graph: &DataflowGraph, plan: &CoordinationPlan) -> Self {
+    fn from_plan(graph: &DataflowGraph, plan: &CoordinationPlan) -> Self {
         let mut by_component: BTreeMap<String, CoordDirective> = BTreeMap::new();
         // Seals first so a later Order directive overwrites them.
         for strat in &plan.strategies {

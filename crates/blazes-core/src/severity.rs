@@ -34,12 +34,6 @@ impl Severity {
         self.max(other)
     }
 
-    /// Greatest lower bound: the less severe of the two.
-    #[must_use]
-    pub fn meet(self, other: Severity) -> Severity {
-        self.min(other)
-    }
-
     /// Whether the severity corresponds to an anomaly the paper's Section
     /// III-A enumerates (`Run`, `Inst` or `Diverge`): coordination is
     /// required to remove it.
@@ -80,8 +74,9 @@ mod tests {
 
     #[test]
     fn meet_is_min() {
-        assert_eq!(Severity::ASYNC.meet(Severity::RUN), Severity::ASYNC);
-        assert_eq!(Severity::SEAL.meet(Severity::SEAL), Severity::SEAL);
+        // The lattice order is `Ord`: the meet of two severities is `min`.
+        assert_eq!(Severity::ASYNC.min(Severity::RUN), Severity::ASYNC);
+        assert_eq!(Severity::SEAL.min(Severity::SEAL), Severity::SEAL);
     }
 
     #[test]

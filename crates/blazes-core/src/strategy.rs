@@ -83,18 +83,6 @@ impl CoordinationPlan {
             .any(|s| matches!(s, Strategy::SealProtocol { .. }))
     }
 
-    /// Components subject to ordering.
-    #[must_use]
-    pub fn ordered_components(&self) -> Vec<ComponentId> {
-        self.strategies
-            .iter()
-            .filter_map(|s| match s {
-                Strategy::Ordering { component, .. } => Some(*component),
-                Strategy::SealProtocol { .. } => None,
-            })
-            .collect()
-    }
-
     /// Render the plan as human-readable text.
     #[must_use]
     pub fn render(&self, graph: &DataflowGraph) -> String {
@@ -142,7 +130,7 @@ impl CoordinationPlan {
 /// `dynamic_ordering` selects the flavor of ordering service to synthesize
 /// where sealing is unavailable (see [`Strategy::Ordering::dynamic`]).
 #[must_use]
-pub fn synthesize(
+fn synthesize(
     graph: &DataflowGraph,
     outcome: &AnalysisOutcome,
     dynamic_ordering: bool,
@@ -248,7 +236,7 @@ pub fn plan_for(graph: &DataflowGraph, dynamic_ordering: bool) -> Result<Coordin
 /// post-plan sink labels (which accounts for the `Run` floor of *dynamic*
 /// ordering).
 #[must_use]
-pub fn apply_plan(graph: &DataflowGraph, plan: &CoordinationPlan) -> DataflowGraph {
+fn apply_plan(graph: &DataflowGraph, plan: &CoordinationPlan) -> DataflowGraph {
     let mut g = graph.clone();
     for strat in &plan.strategies {
         if let Strategy::Ordering { component, .. } = strat {
@@ -378,7 +366,10 @@ mod tests {
         assert!(plan.needs_ordering());
         assert!(!plan.needs_sealing());
         let count = g.component_by_name("Count").unwrap();
-        assert!(plan.ordered_components().contains(&count));
+        assert!(plan
+            .strategies
+            .iter()
+            .any(|s| matches!(s, Strategy::Ordering { component, .. } if *component == count)));
     }
 
     #[test]

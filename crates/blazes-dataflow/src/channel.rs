@@ -6,6 +6,8 @@
 //! delivery and message loss with retransmission (at-least-once semantics).
 
 use crate::sim::Time;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Per-channel delivery behavior. All times are virtual microseconds.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,13 +76,6 @@ impl ChannelConfig {
         }
     }
 
-    /// Builder-style: set FIFO behavior.
-    #[must_use]
-    pub fn with_fifo(mut self, fifo: bool) -> Self {
-        self.fifo = fifo;
-        self
-    }
-
     /// Builder-style: set base latency.
     #[must_use]
     pub fn with_latency(mut self, base: Time) -> Self {
@@ -118,6 +113,39 @@ impl Default for ChannelConfig {
     }
 }
 
+/// One wire's loss/duplication schedule, the one definition the par
+/// executor's send path and the dist router share: a wire's faults are a
+/// function of `(seed, wire id)` and the send count, whichever process
+/// draws them.
+pub(crate) struct WireFaults {
+    loss_prob: f64,
+    duplicate_prob: f64,
+    rng: StdRng,
+}
+
+impl WireFaults {
+    /// The schedule of wire `wire` under run seed `seed`, or `None` when
+    /// `cfg` injects no faults (no RNG, no draws).
+    pub(crate) fn new(cfg: &ChannelConfig, seed: u64, wire: u64) -> Option<Self> {
+        (cfg.loss_prob > 0.0 || cfg.duplicate_prob > 0.0).then(|| WireFaults {
+            loss_prob: cfg.loss_prob,
+            duplicate_prob: cfg.duplicate_prob,
+            rng: StdRng::seed_from_u64(seed ^ (wire + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+        })
+    }
+
+    /// Draw one send's faults as `(retransmitted, duplicated)`. Loss comes
+    /// first: a lost first transmission is retried and still delivered
+    /// (at-least-once), only counted. Each draw is taken only when its
+    /// probability is nonzero.
+    pub(crate) fn draw(&mut self) -> (bool, bool) {
+        let retransmitted = self.loss_prob > 0.0 && self.rng.random::<f64>() < self.loss_prob;
+        let duplicated =
+            self.duplicate_prob > 0.0 && self.rng.random::<f64>() < self.duplicate_prob;
+        (retransmitted, duplicated)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,6 +164,22 @@ mod tests {
         assert_eq!(c.base_latency, 5);
         assert_eq!(c.jitter, 7);
         assert!((c.duplicate_prob - 0.1).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn wire_faults_are_a_function_of_seed_and_wire() {
+        let cfg = ChannelConfig::lan().with_loss(0.3).with_duplicates(0.2);
+        let draws = |seed, wire| {
+            let mut faults = WireFaults::new(&cfg, seed, wire).expect("faulty config");
+            (0..64).map(|_| faults.draw()).collect::<Vec<_>>()
+        };
+        let schedule = draws(7, 3);
+        assert_eq!(schedule, draws(7, 3));
+        assert!(schedule.iter().any(|&(lost, _)| lost));
+        assert!(schedule.iter().any(|&(_, dup)| dup));
+        assert_ne!(schedule, draws(7, 4), "wires draw independent streams");
+        assert_ne!(schedule, draws(8, 3), "the seed moves every wire");
+        assert!(WireFaults::new(&ChannelConfig::lan(), 7, 3).is_none());
     }
 
     #[test]

@@ -140,7 +140,7 @@ pub mod recover;
 pub mod wire;
 
 use crate::backend::{ChannelId, ExecutorBuilder, PortId};
-use crate::channel::ChannelConfig;
+use crate::channel::{ChannelConfig, WireFaults};
 use crate::component::{Component, Context};
 use crate::message::Message;
 use crate::par::{ParBuilder, ParTuning};
@@ -162,7 +162,7 @@ use wire::{Frame, FrameDecoder};
 
 /// Environment variable carrying the parent's endpoint to a worker: a
 /// Unix socket path, or `tcp:ADDR` for the TCP transport.
-pub const ENV_PARENT: &str = "BLAZES_DIST_PARENT";
+const ENV_PARENT: &str = "BLAZES_DIST_PARENT";
 /// Environment variable carrying a worker's process index.
 pub const ENV_INDEX: &str = "BLAZES_DIST_INDEX";
 /// Environment variable carrying a worker's incarnation epoch (0 for the
@@ -182,7 +182,7 @@ const REORDER_MIX: u64 = 0xd1b5_4a32_d192_ed03;
 /// Which process owns global instance `instance` in an
 /// `processes`-process run.
 #[must_use]
-pub fn owner(instance: usize, processes: usize) -> usize {
+fn owner(instance: usize, processes: usize) -> usize {
     instance % processes
 }
 
@@ -308,7 +308,7 @@ impl DistSpec {
 /// Worker argv for a libtest binary: re-run the current executable,
 /// selecting exactly the (`#[ignore]`d) test named `entry_test`, whose
 /// body calls [`worker_main`]. The test returns immediately when
-/// [`ENV_PARENT`] is unset, so the entry is inert in normal test runs.
+/// `ENV_PARENT` is unset, so the entry is inert in normal test runs.
 ///
 /// # Panics
 /// If the current executable path cannot be determined.
@@ -675,12 +675,6 @@ impl<'a> DistWorkerBuilder<'a> {
         )
     }
 
-    /// Local par id of global instance `id`, if owned here.
-    #[must_use]
-    pub fn local_of(&self, id: InstanceId) -> Option<InstanceId> {
-        self.local_of.get(id.0).copied().flatten()
-    }
-
     /// Consume the builder, returning the accumulated cross wiring.
     #[must_use]
     pub fn finish(self) -> DistWiring {
@@ -777,11 +771,9 @@ impl ExecutorBuilder for DistWorkerBuilder<'_> {
 struct WireRoute {
     /// Owner of the consumer — where frames of this wire go.
     dest: usize,
-    loss_prob: f64,
-    duplicate_prob: f64,
-    /// Loss/duplication stream — the exact RNG a local [`ParBuilder`]
-    /// wire would own, same seed formula, same per-send draw order.
-    rng: Option<StdRng>,
+    /// Loss/duplication schedule — the one a local [`ParBuilder`] wire
+    /// would draw.
+    faults: Option<WireFaults>,
     /// Independent stream for the reorder fault.
     reorder_rng: Option<StdRng>,
 }
@@ -865,16 +857,12 @@ impl Router {
             *s += 1;
             seq
         };
-        let mut duplicate = false;
-        if let Some(rng) = route.rng.as_mut() {
-            // Mirror of the par backend's send path: loss first (counted
-            // as a retransmit, still delivered — at-least-once), then
-            // duplication, each draw taken only when its probability is
-            // nonzero.
-            if route.loss_prob > 0.0 && rng.random::<f64>() < route.loss_prob {
-                self.stats.wire_retransmits += 1;
-            }
-            duplicate = route.duplicate_prob > 0.0 && rng.random::<f64>() < route.duplicate_prob;
+        let (retransmitted, duplicate) = route
+            .faults
+            .as_mut()
+            .map_or((false, false), WireFaults::draw);
+        if retransmitted {
+            self.stats.wire_retransmits += 1;
         }
         let reorder = self.reorder_prob > 0.0
             && route
@@ -1095,7 +1083,7 @@ impl Write for Conn {
     }
 }
 
-/// Dial a coordinator endpoint as formatted for [`ENV_PARENT`]: a Unix
+/// Dial a coordinator endpoint as formatted for `ENV_PARENT`: a Unix
 /// socket path, or `tcp:ADDR`.
 fn connect_parent(endpoint: &str) -> std::io::Result<Conn> {
     if let Some(addr) = endpoint.strip_prefix("tcp:") {
@@ -1828,7 +1816,7 @@ impl<'a> Coordinator<'a> {
 /// The parent probes the assembly for structure, binds a listening
 /// socket (Unix by default, loopback TCP via
 /// [`DistTuning::with_transport`]), spawns `spec.processes` workers with
-/// [`ENV_PARENT`]/[`ENV_INDEX`]/[`ENV_EPOCH`] set, ships each its plan,
+/// `ENV_PARENT`/[`ENV_INDEX`]/[`ENV_EPOCH`] set, ships each its plan,
 /// routes every cross-partition frame (applying the wire fault
 /// schedule), and — once the stability protocol holds — collects sink
 /// contents and statistics. Workers that die during routing are
@@ -1861,18 +1849,11 @@ pub fn run_dist(spec: &DistSpec, registry: &Registry) -> Result<DistRun, DistErr
         let cfg = &probe.channels()[w.channel];
         let wire_id = wire_id as u64;
         origin_wires[owner(w.from, processes)].push(wire_id);
-        let faulty = cfg.loss_prob > 0.0 || cfg.duplicate_prob > 0.0;
         routes.insert(
             wire_id,
             WireRoute {
                 dest: owner(w.to, processes),
-                loss_prob: cfg.loss_prob,
-                duplicate_prob: cfg.duplicate_prob,
-                rng: faulty.then(|| {
-                    StdRng::seed_from_u64(
-                        spec.seed ^ (wire_id + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                    )
-                }),
+                faults: WireFaults::new(cfg, spec.seed, wire_id),
                 reorder_rng: (spec.reorder_prob > 0.0).then(|| {
                     StdRng::seed_from_u64(spec.seed ^ (wire_id + 1).wrapping_mul(REORDER_MIX))
                 }),
@@ -2184,7 +2165,7 @@ fn reader_loop(
 // Worker side
 // ---------------------------------------------------------------------
 
-/// Worker entry point. Returns `false` immediately when [`ENV_PARENT`]
+/// Worker entry point. Returns `false` immediately when `ENV_PARENT`
 /// is not set (the process is not a dist worker — e.g. the `#[ignore]`d
 /// libtest entry ran in a normal test sweep); otherwise connects to the
 /// parent, executes its partition to completion and returns `true`.
@@ -2790,9 +2771,7 @@ mod tests {
     fn plain_route(dest: usize) -> WireRoute {
         WireRoute {
             dest,
-            loss_prob: 0.0,
-            duplicate_prob: 0.0,
-            rng: None,
+            faults: None,
             reorder_rng: None,
         }
     }
@@ -2977,34 +2956,26 @@ mod tests {
     fn router_fault_draws_match_par_wire_schedule() {
         let seed = 77u64;
         let sends = 400i64;
+        let cfg = ChannelConfig::lan().with_loss(0.2).with_duplicates(0.15);
         // Local par reference: one faulty wire, count faults.
         let mut pb = ParBuilder::new(seed).with_workers(1);
         let sink = CollectorSink::new();
         let src = pb.add_instance(echo());
         let dst = pb.add_instance(Box::new(sink.clone()));
-        pb.connect_with(
-            src,
-            PortId(0),
-            dst,
-            PortId(0),
-            ChannelConfig::lan().with_loss(0.2).with_duplicates(0.15),
-        );
+        pb.connect_with(src, PortId(0), dst, PortId(0), cfg.clone());
         for i in 0..sends {
             pb.inject(0, src, PortId(0), Message::data([i]));
         }
         let stats = pb.build().run();
 
-        // Router-style draws over the same wire id 0, same seed, same
+        // The router's draws over the same wire id 0, same seed, same
         // send count: the schedule must agree exactly.
-        let mut rng = StdRng::seed_from_u64(seed ^ 1u64.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut faults = WireFaults::new(&cfg, seed, 0).expect("faulty wire");
         let (mut retransmits, mut duplicates) = (0u64, 0u64);
         for _ in 0..sends {
-            if rng.random::<f64>() < 0.2 {
-                retransmits += 1;
-            }
-            if rng.random::<f64>() < 0.15 {
-                duplicates += 1;
-            }
+            let (lost, duplicated) = faults.draw();
+            retransmits += u64::from(lost);
+            duplicates += u64::from(duplicated);
         }
         assert_eq!(retransmits, stats.retransmits, "loss schedule identical");
         assert_eq!(duplicates, stats.duplicates, "dup schedule identical");

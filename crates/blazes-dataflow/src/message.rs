@@ -86,12 +86,6 @@ impl Message {
             _ => None,
         }
     }
-
-    /// Is this a punctuation or end-of-stream control message?
-    #[must_use]
-    pub fn is_control(&self) -> bool {
-        !matches!(self, Message::Data(_))
-    }
 }
 
 impl fmt::Display for Message {
@@ -127,10 +121,11 @@ mod tests {
     #[test]
     fn message_kinds() {
         let d = Message::data([1i64, 2]);
-        assert!(!d.is_control());
         assert_eq!(d.as_data().unwrap().arity(), 2);
-        assert!(Message::Eos.is_control());
-        assert!(Message::Seal(SealKey::new([("k", 1i64)])).is_control());
+        assert!(Message::Eos.as_data().is_none());
+        assert!(Message::Seal(SealKey::new([("k", 1i64)]))
+            .as_data()
+            .is_none());
     }
 
     #[test]

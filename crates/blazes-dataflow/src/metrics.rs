@@ -61,9 +61,6 @@ pub struct WorkerStats {
     /// Committed events re-processed after a rollback — the deterministic
     /// replay half of time-warp.
     pub replayed_events: u64,
-    /// Speculative deliveries deferred instead of processed (component
-    /// not checkpointable, or already tainted by a different epoch).
-    pub deferred_deliveries: u64,
     /// Speculative deliveries dropped because their epoch aborted before
     /// they were processed.
     pub discarded_deliveries: u64,

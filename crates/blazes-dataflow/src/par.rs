@@ -70,8 +70,7 @@
 //! counted per run in [`ParStats::slow_path_locks`]; tests assert the
 //! count is fully accounted for by parking events, not by messages.
 //! Deque-side cold-path locks (buffer retirement on growth) are counted
-//! by [`crossbeam_deque::lock_acquisitions`] and pinned by that crate's
-//! own tests.
+//! and pinned by that crate's own tests.
 //!
 //! Mailboxes are unbounded, so a send — and with it
 //! [`RunningPar::inject`] — never blocks; [`ParStats::max_mailbox_depth`]
@@ -87,7 +86,7 @@
 //!   Seal and EOS punctuations therefore never overtake the records they
 //!   cover — the invariant the sealing protocol needs (paper Section V-B1).
 //!   Note this is *stronger* than the simulator for channels configured
-//!   with [`ChannelConfig::with_fifo`]`(false)`: single-wire reordering is
+//!   with `fifo: false` ([`ChannelConfig::fifo`]): single-wire reordering is
 //!   not reproduced here.
 //! * **At-least-once faults, with reproducible schedules.** Channel
 //!   `duplicate_prob` injects duplicate deliveries and `loss_prob` counts
@@ -133,7 +132,7 @@
 //! not comparable across instances.
 
 use crate::backend::{ChannelId, ExecutorBuilder, PortId};
-use crate::channel::ChannelConfig;
+use crate::channel::{ChannelConfig, WireFaults};
 use crate::component::{Component, Context};
 use crate::message::Message;
 use crate::metrics::{event_balance, InstanceStats, WorkerStats};
@@ -141,8 +140,6 @@ use crate::sim::{InstanceId, Time};
 use blazes_obs::{EventKind, Histogram};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker as TaskQueue};
 use mpsc_queue::MpscQueue;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::collections::{HashMap, VecDeque};
@@ -245,7 +242,7 @@ impl EventCount {
 }
 
 /// Default number of messages drained per instance activation.
-pub const DEFAULT_BATCH_SIZE: usize = 64;
+const DEFAULT_BATCH_SIZE: usize = 64;
 
 /// How long a parked thread sleeps before re-checking its wake condition.
 /// Parks are also woken eagerly; the timeout only bounds lost-wakeup races.
@@ -415,14 +412,12 @@ impl SpecShared {
     }
 }
 
-/// A wire resolved for execution: destination plus the fault behavior and
-/// the wire's private RNG stream (present only when faults are configured).
+/// A wire resolved for execution: destination plus the wire's fault
+/// schedule (present only when faults are configured).
 struct WireRt {
     dst: usize,
     dst_port: usize,
-    loss_prob: f64,
-    duplicate_prob: f64,
-    rng: Option<StdRng>,
+    faults: Option<WireFaults>,
 }
 
 /// Mutable per-instance state, owned by whichever worker holds the
@@ -889,21 +884,10 @@ impl ParBuilder {
                     .map(|port_wires| {
                         port_wires
                             .into_iter()
-                            .map(|(dst, dst_port, channel, wire_id)| {
-                                let cfg = &channels[channel];
-                                let faulty = cfg.loss_prob > 0.0 || cfg.duplicate_prob > 0.0;
-                                WireRt {
-                                    dst,
-                                    dst_port,
-                                    loss_prob: cfg.loss_prob,
-                                    duplicate_prob: cfg.duplicate_prob,
-                                    rng: faulty.then(|| {
-                                        StdRng::seed_from_u64(
-                                            seed ^ (wire_id + 1)
-                                                .wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                                        )
-                                    }),
-                                }
+                            .map(|(dst, dst_port, channel, wire_id)| WireRt {
+                                dst,
+                                dst_port,
+                                faults: WireFaults::new(&channels[channel], seed, wire_id),
                             })
                             .collect()
                     })
@@ -1069,12 +1053,6 @@ impl ParStats {
     #[must_use]
     pub fn total_replayed_events(&self) -> u64 {
         self.per_worker.iter().map(|w| w.replayed_events).sum()
-    }
-
-    /// Total speculative deliveries deferred to blocking.
-    #[must_use]
-    pub fn total_deferred_deliveries(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.deferred_deliveries).sum()
     }
 
     /// Publish this run's totals into a metrics registry under the `par.`
@@ -1769,7 +1747,6 @@ impl WorkerCtx {
         shared.counters.in_flight.charge(self.idx, 1);
         shared.deferred.fetch_add(1, Ordering::SeqCst);
         cell.deferred.push_back(item);
-        self.ws.deferred_deliveries += 1;
     }
 
     /// Status handle for `epoch`, from the cell's cache or (once) the
@@ -1994,8 +1971,8 @@ impl WorkerCtx {
     }
 
     /// Stage one copy of a message on one wire, drawing the wire's faults
-    /// from its private RNG stream: a lost first transmission is counted
-    /// and retried, a duplicate stages a second copy.
+    /// from its schedule: a lost first transmission is counted and
+    /// retried, a duplicate stages a second copy.
     fn stage_on(
         shared: &Shared,
         wire: &mut WireRt,
@@ -2004,14 +1981,12 @@ impl WorkerCtx {
         born: u64,
         outbox: &mut Outbox,
     ) {
-        let mut duplicate = false;
-        if let Some(rng) = wire.rng.as_mut() {
-            if wire.loss_prob > 0.0 && rng.random::<f64>() < wire.loss_prob {
-                // The first transmission is lost and retried; delivery
-                // still happens (at-least-once), just counted.
-                shared.counters.retransmits.fetch_add(1, Ordering::Relaxed);
-            }
-            duplicate = wire.duplicate_prob > 0.0 && rng.random::<f64>() < wire.duplicate_prob;
+        let (retransmitted, duplicate) = wire
+            .faults
+            .as_mut()
+            .map_or((false, false), WireFaults::draw);
+        if retransmitted {
+            shared.counters.retransmits.fetch_add(1, Ordering::Relaxed);
         }
         let deliver = |msg| MailItem::Deliver {
             port: wire.dst_port,

@@ -493,7 +493,10 @@ mod tests {
                 PortId(0),
                 s,
                 PortId(0),
-                ChannelConfig::lan().with_jitter(50_000).with_fifo(false),
+                ChannelConfig {
+                    fifo: false,
+                    ..ChannelConfig::lan().with_jitter(50_000)
+                },
             );
             for i in 0..50i64 {
                 b.inject(0, e, PortId(0), Message::data([i]));

@@ -40,15 +40,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The boolean payload, if this is a `Bool`.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -153,7 +144,6 @@ mod tests {
         assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::str("a").as_str(), Some("a"));
-        assert_eq!(Value::Bool(false).as_bool(), Some(false));
         assert_eq!(Value::Int(7).as_str(), None);
     }
 

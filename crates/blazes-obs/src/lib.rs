@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default capacity (slots, power of two) of each per-thread trace ring.
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// Events recorded by one remote thread, as shipped across the wire.
 #[derive(Debug, Clone)]

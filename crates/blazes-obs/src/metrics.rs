@@ -141,7 +141,7 @@ impl Histogram {
     /// The value at quantile `q` in `[0, 1]` (bucket midpoint; 0 when
     /// empty).
     #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
+    fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;

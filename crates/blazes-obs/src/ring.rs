@@ -110,7 +110,7 @@ impl EventKind {
 
     /// Decode a wire discriminant.
     #[must_use]
-    pub fn from_u16(v: u16) -> Option<Self> {
+    fn from_u16(v: u16) -> Option<Self> {
         Some(match v {
             0 => EventKind::Delivery,
             1 => EventKind::Activation,
@@ -225,12 +225,6 @@ impl TraceRing {
     #[must_use]
     pub fn tid(&self) -> u32 {
         self.tid
-    }
-
-    /// Slot count.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Total pushes attempted.

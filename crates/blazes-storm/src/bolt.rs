@@ -1,6 +1,5 @@
 //! The bolt abstraction: user processing logic hosted by the engine.
 
-use blazes_dataflow::message::SealKey;
 use blazes_dataflow::sim::Time;
 use blazes_dataflow::value::Tuple;
 
@@ -14,7 +13,6 @@ pub struct BoltContext {
     /// Index of this bolt instance within its parallelism group.
     pub instance_index: usize,
     pub(crate) emitted: Vec<Tuple>,
-    pub(crate) emitted_seals: Vec<SealKey>,
 }
 
 impl BoltContext {
@@ -37,12 +35,6 @@ impl BoltContext {
     #[must_use]
     pub fn emitted(&self) -> &[Tuple] {
         &self.emitted
-    }
-
-    /// Emit an extra seal punctuation downstream (rarely needed: the engine
-    /// emits batch seals automatically after `finish_batch`).
-    pub fn emit_seal(&mut self, key: SealKey) {
-        self.emitted_seals.push(key);
     }
 }
 
@@ -135,10 +127,9 @@ mod tests {
     }
 
     #[test]
-    fn context_collects_seals() {
-        let mut ctx = BoltContext::new(9, 2);
-        ctx.emit_seal(SealKey::new([("batch", 1i64)]));
-        assert_eq!(ctx.emitted_seals.len(), 1);
+    fn context_carries_event_time_and_instance() {
+        let ctx = BoltContext::new(9, 2);
+        assert!(ctx.emitted().is_empty());
         assert_eq!(ctx.instance_index, 2);
         assert_eq!(ctx.now, 9);
     }

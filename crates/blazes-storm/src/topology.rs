@@ -23,8 +23,10 @@
 use crate::bolt::{Bolt, IdentityBolt};
 use crate::grouping::Grouping;
 use crate::runtime::{
-    BatchHandling, BoltAdapter, Downstream, GatedSpout, BATCH_ATTR, PORT_GRANT, PORT_UPSTREAM,
+    BatchHandling, BoltAdapter, Downstream, GatedSpout, BATCH_ATTR, INJECTED_PRODUCER, PORT_GRANT,
+    PORT_UPSTREAM,
 };
+use blazes_coord::registry::ProducerId;
 use blazes_coord::CommitCoordinator;
 use blazes_core::placement::{CoordDirective, CoordinationSpec};
 use blazes_dataflow::backend::{
@@ -306,15 +308,6 @@ impl TopologyBuilder {
         self.nodes[node.0].service_time = service;
     }
 
-    /// Override the channel of a node's subscription to `source`.
-    pub fn set_channel(&mut self, node: NodeHandle, source: NodeHandle, cfg: ChannelConfig) {
-        for (src, _, ch) in &mut self.nodes[node.0].subs {
-            if *src == source.0 {
-                *ch = cfg.clone();
-            }
-        }
-    }
-
     /// Make `node` a transactional committer: its batches commit in strict
     /// batch order through a simulated coordination service.
     pub fn make_transactional(&mut self, node: NodeHandle, cfg: TransactionalConfig) {
@@ -491,34 +484,39 @@ impl TopologyBuilder {
                 downstreams[*src].push((j, grouping.clone(), channel.clone()));
             }
         }
-        // Expected distinct upstream producers per node: spouts have the
-        // injector; others sum their sources' parallelism.
-        let expected: Vec<usize> = self
+        let parallelism: Vec<usize> = self.nodes.iter().map(|x| x.parallelism).collect();
+        // Producer ids are global: node i's k-th instance is
+        // `producer_base[i] + k`.
+        let producer_base: Vec<ProducerId> = parallelism
+            .iter()
+            .scan(0, |next, p| {
+                let base = *next;
+                *next += p;
+                Some(base)
+            })
+            .collect();
+        // The producers whose seals complete a batch at each node: a
+        // spout's injector, otherwise every instance of every source.
+        let upstream: Vec<Vec<ProducerId>> = self
             .nodes
             .iter()
             .map(|node| match node.kind {
-                NodeKind::Spout { .. } => 1,
+                NodeKind::Spout { .. } => vec![INJECTED_PRODUCER],
                 _ => node
                     .subs
                     .iter()
-                    .map(|(src, _, _)| self.nodes[*src].parallelism)
-                    .sum::<usize>()
-                    .max(1),
+                    .flat_map(|&(src, _, _)| {
+                        producer_base[src]..producer_base[src] + parallelism[src]
+                    })
+                    .collect(),
             })
             .collect();
-
-        let parallelism: Vec<usize> = self.nodes.iter().map(|x| x.parallelism).collect();
         let mut instances: Vec<Vec<InstanceId>> = Vec::with_capacity(n);
-        let mut producer_base: Vec<i64> = Vec::with_capacity(n);
-        let mut next_producer: i64 = 0;
         let mut injections: Vec<(Time, usize, usize, Message)> = Vec::new();
         let mut committers: Vec<(usize, usize)> = Vec::new(); // (node, coord_port)
         let mut gated_spouts: Vec<InstanceId> = Vec::new();
 
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            producer_base.push(next_producer);
-            next_producer += node.parallelism as i64;
-
             // Output port layout: one block per downstream subscription.
             let mut ds: Vec<Downstream> = Vec::new();
             let mut next_port = 0usize;
@@ -549,7 +547,7 @@ impl TopologyBuilder {
                     for (k, schedule) in schedules.iter().enumerate() {
                         let spout = GatedSpout::new(
                             format!("{}[{k}]", node.name),
-                            producer_base[i] + k as i64,
+                            producer_base[i] + k,
                             ds.clone(),
                             GatedSpout::group_schedule(schedule),
                             max_pending,
@@ -567,9 +565,9 @@ impl TopologyBuilder {
                         let adapter = BoltAdapter::new(
                             Box::new(IdentityBolt),
                             format!("{}[{k}]", node.name),
-                            producer_base[i] + k as i64,
+                            producer_base[i] + k,
                             k,
-                            1,
+                            upstream[i].clone(),
                             BatchHandling::Streaming,
                             ds.clone(),
                             None,
@@ -603,9 +601,9 @@ impl TopologyBuilder {
                         let adapter = BoltAdapter::new(
                             factory(k),
                             format!("{}[{k}]", node.name),
-                            producer_base[i] + k as i64,
+                            producer_base[i] + k,
                             k,
-                            expected[i],
+                            upstream[i].clone(),
                             mode,
                             ds.clone(),
                             coord_port,

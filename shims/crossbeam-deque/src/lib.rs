@@ -2,8 +2,8 @@
 //! repository owns, under the `crossbeam-deque` name because it implements
 //! that crate's API surface:
 //!
-//! * [`Worker`] — a per-thread deque (FIFO or LIFO flavor) with `push` /
-//!   `pop` for the owner;
+//! * [`Worker`] — a per-thread FIFO deque with `push` / `pop` for the
+//!   owner;
 //! * [`Stealer`] — a cloneable handle through which other threads steal
 //!   from the opposite end;
 //! * [`Injector`] — a shared MPMC FIFO queue for tasks with no owner;
@@ -26,8 +26,7 @@
 //!   until the deque drops makes those reads safe. The retire list is
 //!   behind a `Mutex`, but it is touched only on the (amortized-rare)
 //!   grow path and at drop — never on push/pop/steal. Those acquisitions
-//!   are counted in [`lock_acquisitions`] so tests can assert the hot
-//!   path stays lock-free.
+//!   are counted so tests can assert the hot path stays lock-free.
 //! * **Injector blocks** reclaim themselves through per-slot state bits
 //!   (`WRITE`/`READ`/`DESTROY`): the last reader out of a block frees it,
 //!   with a hand-off baton for readers still mid-slot. No locks at all.
@@ -44,17 +43,9 @@ use std::sync::{Arc, Mutex};
 const MAX_BATCH: usize = 32;
 
 /// Cold-path `Mutex` acquisitions (deque-buffer retire list) since process
-/// start. The parallel executor's lock-audit tests assert this stays
-/// proportional to buffer growths, not to messages.
+/// start. The lock-audit test asserts this stays proportional to buffer
+/// growths, not to operations.
 static LOCK_ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of cold-path lock acquisitions this crate has performed (buffer
-/// retirement on deque growth and teardown). Diagnostics for lock-freedom
-/// audits; the steady-state push/pop/steal paths never contribute.
-#[must_use]
-pub fn lock_acquisitions() -> u64 {
-    LOCK_ACQUISITIONS.load(Ordering::SeqCst)
-}
 
 fn count_lock() {
     LOCK_ACQUISITIONS.fetch_add(1, Ordering::SeqCst);
@@ -78,18 +69,6 @@ impl<T> Steal<T> {
         matches!(self, Steal::Empty)
     }
 
-    /// Did the steal succeed?
-    #[must_use]
-    pub fn is_success(&self) -> bool {
-        matches!(self, Steal::Success(_))
-    }
-
-    /// Should the steal be retried?
-    #[must_use]
-    pub fn is_retry(&self) -> bool {
-        matches!(self, Steal::Retry)
-    }
-
     /// The stolen task, if any.
     #[must_use]
     pub fn success(self) -> Option<T> {
@@ -98,25 +77,6 @@ impl<T> Steal<T> {
             _ => None,
         }
     }
-
-    /// Chain steal sources: keep `self` unless it is `Empty`, in which case
-    /// evaluate `f`. `Retry` from either side is preserved.
-    #[must_use]
-    pub fn or_else<F>(self, f: F) -> Steal<T>
-    where
-        F: FnOnce() -> Steal<T>,
-    {
-        match self {
-            Steal::Empty => f(),
-            s => s,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flavor {
-    Fifo,
-    Lifo,
 }
 
 // ---------------------------------------------------------------------------
@@ -168,7 +128,7 @@ impl<T> RingBuf<T> {
 struct DequeInner<T> {
     /// Steal end. Claimed (only ever incremented) by CAS.
     top: AtomicIsize,
-    /// Owner end. Only the owner writes it (LIFO pop decrements).
+    /// Owner end. Only the owner writes it (push increments).
     bottom: AtomicIsize,
     /// Current ring; replaced on growth, old rings retired below.
     buf: AtomicPtr<RingBuf<T>>,
@@ -212,13 +172,14 @@ impl<T> Drop for DequeInner<T> {
 /// time (it can move between threads freely).
 pub struct Worker<T> {
     inner: Arc<DequeInner<T>>,
-    flavor: Flavor,
     /// Suppresses the auto `Sync` impl without affecting `Send`.
     _not_sync: std::marker::PhantomData<std::cell::Cell<()>>,
 }
 
 impl<T> Worker<T> {
-    fn with_flavor(flavor: Flavor) -> Self {
+    /// A deque whose owner pops in push order (queue-like).
+    #[must_use]
+    pub fn new_fifo() -> Self {
         Worker {
             inner: Arc::new(DequeInner {
                 top: AtomicIsize::new(0),
@@ -226,21 +187,8 @@ impl<T> Worker<T> {
                 buf: AtomicPtr::new(RingBuf::alloc(MIN_CAP)),
                 retired: Mutex::new(Vec::new()),
             }),
-            flavor,
             _not_sync: std::marker::PhantomData,
         }
-    }
-
-    /// A deque whose owner pops in push order (queue-like).
-    #[must_use]
-    pub fn new_fifo() -> Self {
-        Worker::with_flavor(Flavor::Fifo)
-    }
-
-    /// A deque whose owner pops the most recent push (stack-like).
-    #[must_use]
-    pub fn new_lifo() -> Self {
-        Worker::with_flavor(Flavor::Lifo)
     }
 
     /// Double the ring, copying live indices `t..b`. Owner-only; the old
@@ -280,49 +228,18 @@ impl<T> Worker<T> {
         inner.bottom.store(b + 1, Ordering::Release);
     }
 
-    /// Pop a task from the owner's end.
+    /// Pop a task from the owner's end — the oldest one: the owner takes
+    /// from the steal end and so competes on the same CAS as stealers (as
+    /// the real crate's FIFO flavor does).
     #[must_use]
     pub fn pop(&self) -> Option<T> {
-        match self.flavor {
-            Flavor::Fifo => loop {
-                // FIFO owners take from the steal end and thus compete on
-                // the same CAS as stealers (as in the real crate).
-                match steal_one(&self.inner) {
-                    Steal::Success(t) => return Some(t),
-                    Steal::Empty => return None,
-                    Steal::Retry => {}
-                }
-            },
-            Flavor::Lifo => self.pop_lifo(),
+        loop {
+            match steal_one(&self.inner) {
+                Steal::Success(t) => return Some(t),
+                Steal::Empty => return None,
+                Steal::Retry => {}
+            }
         }
-    }
-
-    fn pop_lifo(&self) -> Option<T> {
-        let inner = &*self.inner;
-        let b = inner.bottom.load(Ordering::Relaxed) - 1;
-        inner.bottom.store(b, Ordering::Relaxed);
-        // The bottom store must be visible to stealers before we read top
-        // (the classic Chase–Lev SC fence).
-        fence(Ordering::SeqCst);
-        let t = inner.top.load(Ordering::Relaxed);
-        if t > b {
-            // Empty: restore bottom.
-            inner.bottom.store(b + 1, Ordering::Relaxed);
-            return None;
-        }
-        let buf = inner.buf.load(Ordering::Relaxed);
-        if t < b {
-            // More than one task: ours uncontended (the owner's slot is
-            // live and no stealer can claim past `b - 1`).
-            return Some(unsafe { (*buf).read(b).assume_init() });
-        }
-        // Last task: race stealers for it via the top CAS.
-        let won = inner
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok();
-        inner.bottom.store(b + 1, Ordering::Relaxed);
-        won.then(|| unsafe { (*buf).read(b).assume_init() })
     }
 
     /// Is the deque empty (racy snapshot)?
@@ -344,7 +261,6 @@ impl<T> Worker<T> {
     pub fn stealer(&self) -> Stealer<T> {
         Stealer {
             inner: Arc::clone(&self.inner),
-            flavor: self.flavor,
         }
     }
 }
@@ -386,13 +302,9 @@ fn steal_one<T>(inner: &DequeInner<T>) -> Steal<T> {
 /// Steal up to `max` tasks starting at `top` with one claiming CAS,
 /// delivering the first to the caller and the rest into `dest`.
 ///
-/// Only safe for FIFO victims: a LIFO owner pops from `bottom` *without*
-/// a top CAS, so a batch read could overlap an owner pop. LIFO victims
-/// fall back to single-task steals.
-fn steal_batch<T>(inner: &DequeInner<T>, flavor: Flavor, dest: &Worker<T>, max: usize) -> Steal<T> {
-    if flavor == Flavor::Lifo {
-        return steal_one(inner);
-    }
+/// Sound because the owner pops through the same top CAS: no pop can
+/// take a task the batch read without the claim failing.
+fn steal_batch<T>(inner: &DequeInner<T>, dest: &Worker<T>, max: usize) -> Steal<T> {
     let t = inner.top.load(Ordering::Acquire);
     fence(Ordering::SeqCst);
     let b = inner.bottom.load(Ordering::Acquire);
@@ -432,11 +344,10 @@ fn steal_batch<T>(inner: &DequeInner<T>, flavor: Flavor, dest: &Worker<T>, max: 
 /// The stealing end of a [`Worker`]'s deque.
 pub struct Stealer<T> {
     inner: Arc<DequeInner<T>>,
-    flavor: Flavor,
 }
 
 impl<T> Stealer<T> {
-    /// Steal one task from the top (the end opposite a LIFO owner).
+    /// Steal one task from the top.
     #[must_use]
     pub fn steal(&self) -> Steal<T> {
         steal_one(&self.inner)
@@ -445,7 +356,7 @@ impl<T> Stealer<T> {
     /// Steal up to half the tasks (capped) into `dest`, returning one.
     #[must_use]
     pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-        steal_batch(&self.inner, self.flavor, dest, MAX_BATCH)
+        steal_batch(&self.inner, dest, MAX_BATCH)
     }
 
     /// Is the source deque empty (racy snapshot)? `SeqCst` loads so
@@ -463,7 +374,6 @@ impl<T> Clone for Stealer<T> {
     fn clone(&self) -> Self {
         Stealer {
             inner: Arc::clone(&self.inner),
-            flavor: self.flavor,
         }
     }
 }
@@ -813,18 +723,8 @@ mod tests {
     }
 
     #[test]
-    fn lifo_owner_pops_most_recent() {
-        let w = Worker::new_lifo();
-        w.push(1);
-        w.push(2);
-        assert_eq!(w.pop(), Some(2));
-        assert_eq!(w.pop(), Some(1));
-        assert_eq!(w.pop(), None);
-    }
-
-    #[test]
     fn stealer_takes_from_the_front() {
-        let w = Worker::new_lifo();
+        let w = Worker::new_fifo();
         let s = w.stealer();
         w.push(1);
         w.push(2);
@@ -861,12 +761,12 @@ mod tests {
     }
 
     #[test]
-    fn lifo_grows_and_drops_unconsumed() {
-        let w = Worker::new_lifo();
+    fn grows_and_drops_unconsumed() {
+        let w = Worker::new_fifo();
         for i in 0..MIN_CAP * 3 {
             w.push(i);
         }
-        assert_eq!(w.pop(), Some(MIN_CAP * 3 - 1));
+        assert_eq!(w.pop(), Some(0));
         // The rest dropped with the deque.
     }
 
@@ -877,7 +777,8 @@ mod tests {
         inj.push("b");
         let w = Worker::new_fifo();
         assert_eq!(inj.steal_batch_and_pop(&w), Steal::Success("a"));
-        assert!(inj.steal().or_else(|| Steal::Success("z")).is_success());
+        // "b" either came along in the batch or is still queued.
+        assert_eq!(w.pop().or_else(|| inj.steal().success()), Some("b"));
     }
 
     #[test]
@@ -1032,6 +933,7 @@ mod tests {
         // acquisitions), so assert a bound a per-operation lock would
         // blow through by orders of magnitude, not strict equality.
         let ops = 30_000usize;
+        let lock_acquisitions = || LOCK_ACQUISITIONS.load(Ordering::SeqCst);
         let before = lock_acquisitions();
         let w = Worker::new_fifo();
         let s = w.stealer();

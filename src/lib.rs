@@ -11,15 +11,19 @@
 //! * [`autocoord`] — analysis-driven coordination injection: rewrites
 //!   topologies so every flagged edge gets exactly the coordination the
 //!   analysis demands.
-//! * [`dataflow`] — the discrete-event simulated dataflow runtime.
+//! * [`dataflow`] — the dataflow runtime and its three executors: the
+//!   discrete-event simulator, the work-stealing parallel executor and the
+//!   multi-process distributed backend.
 //! * [`coord`] — coordination substrates (sequencer, seal manager,
 //!   barriers).
 //! * [`storm`] — the mini Storm engine and its grey-box adapter.
 //! * [`bloom`] — the mini Bloom language and its white-box analysis.
 //! * [`apps`] — the paper's two case-study applications.
+//! * [`obs`] — observability: trace rings, Chrome trace export and the
+//!   metrics registry.
 //!
-//! See `examples/` for runnable walkthroughs and `DESIGN.md` for the system
-//! inventory.
+//! See `examples/` for runnable walkthroughs and `README.md` for the
+//! system inventory, the test suites and the benchmark.
 
 pub use blazes_apps as apps;
 pub use blazes_autocoord as autocoord;

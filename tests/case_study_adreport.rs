@@ -55,7 +55,10 @@ fn legend_runs(servers: usize) -> [AdRunResult; 4] {
         let sc = adreport_scenario(servers, strategy, placement, 1);
         let (res, report) = run_ad_auto(&sc, &BackendSpec::Sim);
         let at = format!("{} at {servers} ad servers", strategy.label(placement));
-        assert_eq!(res.processed_everything(), Some(true), "{at}");
+        assert!(
+            res.series.iter().all(|s| s.total() == res.expected_records),
+            "{at}"
+        );
         assert_eq!(report.stats.injected_operators, injected, "{at}");
         assert!(
             injected == 0 || res.responses_consistent(),
@@ -126,7 +129,10 @@ fn sealed_campaign_is_deterministic_across_interleavings() {
             ..fig12.clone()
         };
         let (res, _) = run_ad_auto(&sc, &backend);
-        assert_eq!(res.processed_everything(), Some(true), "{at}");
+        assert!(
+            res.series.iter().all(|s| s.total() == res.expected_records),
+            "{at}"
+        );
         let digests = response_digests(&res.responses);
         for d in &digests {
             assert!(

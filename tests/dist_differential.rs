@@ -39,9 +39,9 @@ use blazes_bench::differential_scenario;
 use std::time::Duration;
 
 /// Worker-process entry point. `run_dist` re-executes this test binary
-/// selecting exactly this test; without [`blazes::dataflow::dist::ENV_PARENT`]
-/// in the environment it is inert, so normal test sweeps skip straight
-/// through it.
+/// selecting exactly this test; without the parent's endpoint in the
+/// environment (`BLAZES_DIST_PARENT`) it is inert, so normal test sweeps
+/// skip straight through it.
 #[test]
 #[ignore = "dist worker entry: only runs when spawned by a dist parent"]
 fn dist_worker_entry() {
@@ -148,7 +148,10 @@ fn autocoord_adreport_is_bit_identical_across_process_counts() {
 /// carries one injected sequencer instead of seal gates. A runtime total
 /// order legitimately differs between substrates, so the oracle is the
 /// ordered one — all records processed where observable, replicas agree —
-/// not simulator equality.
+/// not simulator equality. Only the deterministic simulator must answer
+/// something: on par and dist the sequencer may order every request
+/// before the clicks it reads, and then every replica agrees on no
+/// answers at all (seen on dist as `[0, 0, 0]` under load).
 #[test]
 fn ordered_adreport_agrees_on_every_backend() {
     let sc = AdScenario {
@@ -170,7 +173,9 @@ fn ordered_adreport_agrees_on_every_backend() {
             assert!(s.total() >= res.expected_records, "{name}");
         }
         let digests = response_digests(&res.responses);
-        assert!(!digests[0].is_empty(), "{name}: answers exist");
+        if matches!(backend, BackendSpec::Sim) {
+            assert!(!digests[0].is_empty(), "{name}: answers exist");
+        }
         assert!(
             digests.iter().all(|d| d == &digests[0]),
             "{name}: replicas disagree under one total order"

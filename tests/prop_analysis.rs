@@ -2,7 +2,7 @@
 //! on *arbitrary* annotated dataflows, checked with proptest.
 
 use blazes::core::analysis::Analyzer;
-use blazes::core::annotation::ComponentAnnotation;
+use blazes::core::annotation::{ComponentAnnotation, Gate};
 use blazes::core::graph::DataflowGraph;
 use blazes::core::label::Label;
 use blazes::core::severity::Severity;
@@ -24,7 +24,7 @@ fn arb_annotation() -> impl Strategy<Value = ComponentAnnotation> {
         Just(ComponentAnnotation::cw()),
         proptest::sample::subsequence(ATTRS.to_vec(), 1..=3).prop_map(ComponentAnnotation::or),
         proptest::sample::subsequence(ATTRS.to_vec(), 1..=3).prop_map(ComponentAnnotation::ow),
-        Just(ComponentAnnotation::or_star()),
+        Just(ComponentAnnotation::OR(Gate::Wildcard)),
         Just(ComponentAnnotation::ow_star()),
     ]
 }
@@ -127,7 +127,7 @@ proptest! {
         };
         let g = build(&chain, false);
         let out = Analyzer::new(&g).run().unwrap();
-        prop_assert!(!out.requires_coordination());
+        prop_assert!(!out.program_label().is_anomalous());
         prop_assert!(out.program_label().severity() <= Severity::ASYNC);
     }
 
@@ -149,7 +149,7 @@ proptest! {
         let g = build(&chain, true);
         let out = Analyzer::new(&g).run().unwrap();
         let plan = plan_for(&g, false).unwrap();
-        if !out.requires_coordination() {
+        if !out.program_label().is_anomalous() {
             prop_assert!(
                 !plan.needs_ordering(),
                 "consistent graph must not be ordered"

@@ -58,7 +58,7 @@ proptest! {
         let total = writers as u64 * per_writer;
         prop_assert_eq!(ring.pushed(), total);
         let snap = ring.snapshot();
-        prop_assert!(snap.len() <= ring.capacity());
+        prop_assert!(snap.len() <= 1 << cap_bits);
         prop_assert_eq!(snap.len() as u64 + ring.overwritten(), total);
         prop_assert!(snap.iter().all(is_consistent));
     }

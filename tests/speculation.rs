@@ -150,7 +150,7 @@ fn seal(campaign: i64, producer: i64) -> Message {
 /// sink checkpoints and applies it, and only then does the straggler
 /// arrive and force the rollback.
 fn violation_run(speculation: bool) -> (CollectorSink, ParStats) {
-    let binding = SealBinding::new(ProducerRegistry::all_produce(0..1), 1, 3)
+    let binding = SealBinding::new(ProducerRegistry::all_produce(0..1), vec![1], 3)
         .with_query_partition(Arc::new(|t: &Tuple| t.get(0).cloned()));
     let rules = AutoCoordRules::new(&spec_seal("Report", KeySet::single("campaign")))
         .bind_seal("Report", binding)
@@ -246,7 +246,7 @@ impl Component for NoSnapSink {
 /// Assemble producer → [gate] → sink where campaign 1 seals but campaign
 /// 2 never does, leaving the speculative gate's session open forever.
 fn never_sealed_run(speculation: bool, checkpointable: bool) -> (CollectorSink, ParStats) {
-    let binding = SealBinding::new(ProducerRegistry::all_produce(0..1), 1, 3)
+    let binding = SealBinding::new(ProducerRegistry::all_produce(0..1), vec![1], 3)
         .with_query_partition(Arc::new(|t: &Tuple| t.get(0).cloned()));
     let rules = AutoCoordRules::new(&spec_seal("Report", KeySet::single("campaign")))
         .bind_seal("Report", binding)
@@ -417,8 +417,7 @@ fn adreport_seals_on_campaign_and_window_composite() {
     };
     // Columns pair with the key's canonical attribute order: (campaign,
     // window) live in click columns 1 and 2.
-    let binding =
-        SealBinding::new(ProducerRegistry::all_produce(0..1), 1, 3).with_key_columns(vec![1, 2]);
+    let binding = SealBinding::new(ProducerRegistry::all_produce(0..1), vec![1, 2], 3);
     let rules = AutoCoordRules::new(&spec_seal(
         "Report",
         KeySet::from_attrs(["campaign", "window"]),
