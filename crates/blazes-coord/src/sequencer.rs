@@ -14,52 +14,22 @@
 
 use blazes_dataflow::prelude::*;
 
-/// The total-order forwarding component.
-///
-/// Optionally stamps a sequence number: with `stamp: true`, a data tuple
-/// `(a, b, ...)` is forwarded as `(seq, a, b, ...)` so consumers can verify
-/// or deduplicate. Control messages are forwarded unstamped.
+/// The total-order forwarding component: a stateless relay whose one
+/// output carries every message untouched, in arrival order.
 #[derive(Debug, Default)]
-pub struct Sequencer {
-    next_seq: i64,
-    stamp: bool,
-}
+pub struct Sequencer;
 
 impl Sequencer {
-    /// A sequencer that forwards messages untouched.
+    /// A sequencer.
     #[must_use]
     pub fn new() -> Self {
-        Sequencer::default()
-    }
-
-    /// A sequencer that prepends a global sequence number to data tuples.
-    #[must_use]
-    pub fn stamping() -> Self {
-        Sequencer {
-            stamp: true,
-            ..Sequencer::default()
-        }
+        Sequencer
     }
 }
 
 impl Component for Sequencer {
     fn on_message(&mut self, _port: usize, msg: Message, ctx: &mut Context) {
-        let out = match (&msg, self.stamp) {
-            (Message::Data(t), true) => {
-                let mut values = Vec::with_capacity(t.arity() + 1);
-                values.push(Value::Int(self.next_seq));
-                values.extend(t.0.iter().cloned());
-                self.next_seq += 1;
-                Message::Data(Tuple(values))
-            }
-            _ => {
-                if matches!(msg, Message::Data(_)) {
-                    self.next_seq += 1;
-                }
-                msg
-            }
-        };
-        ctx.emit(0, out);
+        ctx.emit(0, msg);
     }
 
     fn name(&self) -> &str {
@@ -97,24 +67,9 @@ mod tests {
     }
 
     #[test]
-    fn stamping_prepends_sequence_numbers() {
-        let mut b = SimBuilder::new(0);
-        let seq = b.add_instance(Box::new(Sequencer::stamping()));
-        let sink = CollectorSink::new();
-        let s = b.add_instance(Box::new(sink.clone()));
-        b.connect_with(seq, PortId(0), s, PortId(0), ChannelConfig::ordered(0));
-        b.inject(0, seq, PortId(0), Message::data(["a"]));
-        b.inject(1, seq, PortId(0), Message::data(["b"]));
-        b.build().run(None);
-        let msgs = sink.messages();
-        assert_eq!(msgs[0].as_data().unwrap().get(0), Some(&Value::Int(0)));
-        assert_eq!(msgs[1].as_data().unwrap().get(0), Some(&Value::Int(1)));
-    }
-
-    #[test]
     fn control_messages_pass_through() {
         let mut b = SimBuilder::new(0);
-        let seq = b.add_instance(Box::new(Sequencer::stamping()));
+        let seq = b.add_instance(Box::new(Sequencer::new()));
         let sink = CollectorSink::new();
         let s = b.add_instance(Box::new(sink.clone()));
         b.connect_with(seq, PortId(0), s, PortId(0), ChannelConfig::ordered(0));

@@ -169,20 +169,20 @@ fn seal_votes_release_identically_across_the_wire() {
     assert_eq!(direct_outcomes.last(), Some(&SealOutcome::LateArrival));
 }
 
-/// Sequencer ticks (globally stamped tuples) keep their total order and
-/// stamps through the wire codec, so replicas on the far side of a byte
-/// boundary can still verify the order.
+/// Sequencer ticks keep their total order through the wire codec, so
+/// replicas on the far side of a byte boundary can still verify it.
 #[test]
 fn sequencer_ticks_keep_their_order_across_the_wire() {
-    // Run a stamping sequencer over jittered input in the simulator.
+    // Run a sequencer over jittered input in the simulator; each tuple
+    // leads with its injection index.
     let mut b = SimBuilder::new(17);
-    let seq = b.add_instance(Box::new(Sequencer::stamping()));
+    let seq = b.add_instance(Box::new(Sequencer::new()));
     let sink = CollectorSink::new();
     let replica = b.add_instance(Box::new(sink.clone()));
     let ordered = b.add_channel(ChannelConfig::ordered(1_000));
     b.connect(seq, PortId(0), replica, PortId(0), ordered);
     for i in 0..50i64 {
-        b.inject(i as u64 * 3, seq, PortId(0), Message::data([i * i]));
+        b.inject(i as u64 * 3, seq, PortId(0), Message::data([i, i * i]));
     }
     b.build().run(None);
     let ticks = sink.entries();
@@ -205,9 +205,9 @@ fn sequencer_ticks_keep_their_order_across_the_wire() {
     };
     assert_eq!(entries, ticks);
 
-    // The stamps decode to exactly 0..50 in order: a total order a remote
-    // replica can verify.
-    let stamps: Vec<i64> = entries
+    // The indices decode to exactly 0..50 in order: a total order a
+    // remote replica can verify.
+    let indices: Vec<i64> = entries
         .iter()
         .map(|(_, msg)| {
             let Message::Data(t) = msg else {
@@ -215,8 +215,8 @@ fn sequencer_ticks_keep_their_order_across_the_wire() {
             };
             t.0.first()
                 .and_then(|v| v.as_int())
-                .expect("stamped tick leads with its sequence number")
+                .expect("tick leads with its injection index")
         })
         .collect();
-    assert_eq!(stamps, (0..50).collect::<Vec<i64>>());
+    assert_eq!(indices, (0..50).collect::<Vec<i64>>());
 }

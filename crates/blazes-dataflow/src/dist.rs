@@ -54,21 +54,21 @@
 //!
 //! The cost of moving a tuple between processes is paid per *chunk*, not
 //! per tuple. A worker's egress pump blocks for one frame, then drains
-//! whatever else is queued (up to [`recover::FLUSH_BYTES`]), logs every
-//! frame and issues one socket write. The parent's reader threads hand
-//! the main loop one event per socket read, carrying every frame decoded
-//! from it. The router encodes a routed message once — the bytes hashed
-//! for replay dedup are the bytes framed, logged and shipped — and logs
-//! each post-fault frame into the destination's [`recover::Outbox`],
-//! which coalesces them into chunk-sized writes. Everything that counts
-//! frames (`sent_to`, `frames_routed`, kill points, delivery ordinals,
-//! fault draws) counts at *log* time, so batching moves no schedule. The
-//! rule that keeps it live is **flush before block**: the main loop takes
-//! queued events without blocking and flushes every outbox before it
-//! waits; a control frame (`Probe`, `Ack`, `Collect`, `Shutdown`) goes
-//! out behind whatever is pending for its worker, never ahead; and an
-//! outbox that reaches a chunk's worth flushes itself. Nothing waits in a
-//! buffer while anyone waits on it.
+//! whatever else is queued (up to [`recover::FLUSH_BYTES`]) and issues one
+//! socket write. The parent's reader threads hand the main loop one event
+//! per socket read, carrying every frame decoded from it. The router
+//! encodes a routed message once — the bytes hashed for replay dedup are
+//! the bytes framed, logged and shipped — and logs each post-fault frame
+//! into the destination's [`recover::Outbox`], which coalesces them into
+//! chunk-sized writes. Everything that counts frames (`sent_to`,
+//! `frames_routed`, kill points, delivery ordinals, fault draws) counts
+//! at *log* time, so batching moves no schedule. The rule that keeps it
+//! live is **flush before block**: the main loop takes queued events
+//! without blocking and flushes every outbox before it waits; a control
+//! frame (`Probe`, `Collect`, `Shutdown`) goes out behind whatever is
+//! pending for its worker, never ahead; and an outbox that reaches a
+//! chunk's worth flushes itself. Nothing waits in a buffer while anyone
+//! waits on it.
 //!
 //! # Termination and collection
 //!
@@ -105,24 +105,27 @@
 //!   old global stall timeout. Heartbeats also double as idle
 //!   keepalives, so a lost `Idle` frame self-heals on the next beat —
 //!   which is what fixed the historical 1-core "run stalled" flake.
-//! * **Recovery.** The coordinator logs the exact post-fault byte stream
-//!   it ships to each worker ([`recover::ReplayLog`]) and, on death,
-//!   respawns the worker (bounded exponential backoff, respawn budget)
-//!   with a bumped *epoch*; the fresh incarnation re-runs the identical
-//!   SPMD assembly and is rehydrated by replaying the log verbatim, in
-//!   the same chunk-sized writes. The new connection's reader thread
-//!   starts *before* the replay: a rehydrating worker emits while it is
-//!   being fed, and a replay larger than the socket buffers deadlocks
-//!   unless someone is already draining that egress. The outbox's write
-//!   buffer is only a cache of the log's tail — a death, a failed flush
-//!   and a (re)connect all discard it, and the replay re-ships it — so a
-//!   kill between "logged" and "flushed" loses and doubles nothing.
-//!   Output the dead incarnation had already delivered is suppressed on
-//!   its way back: per-wire sequence numbers catch reconnect resends,
-//!   and a content-multiset filter ([`recover::ReplayDedup`]) catches
-//!   recomputed frames whose interleaving permuted. Workers dually keep
-//!   an egress log trimmed by coordinator [`wire::Frame::Ack`]s, so
-//!   replay is exactly-once at the tuple level in both directions.
+//! * **Recovery.** There is one way back: respawn and replay. Any
+//!   connection loss is the end of an incarnation — the coordinator
+//!   SIGKILLs a worker whose socket reads EOF, fails to decode or fails a
+//!   write, and a worker whose connection reads EOF or fails a read or
+//!   write exits. The coordinator logs the exact post-fault byte stream
+//!   it ships to each worker ([`recover::ReplayLog`]) and respawns a dead
+//!   worker (bounded exponential backoff, respawn budget) with a bumped
+//!   *epoch*; the fresh incarnation re-runs the identical SPMD assembly
+//!   and is rehydrated by replaying the whole log verbatim, in the same
+//!   chunk-sized writes. The new connection's reader thread starts
+//!   *before* the replay: a rehydrating worker emits while it is being
+//!   fed, and a replay larger than the socket buffers deadlocks unless
+//!   someone is already draining that egress. The outbox's write buffer
+//!   is only a cache of the log's tail — a death, a failed flush and a
+//!   connect all discard it, and the replay re-ships it — so a kill
+//!   between "logged" and "flushed" loses and doubles nothing. The
+//!   respawned producer restarts its egress sequences from zero, so the
+//!   coordinator resets its per-wire gap check ([`recover::SeqLedger`])
+//!   for that producer's wires, and a content-multiset filter
+//!   ([`recover::ReplayDedup`]) suppresses the recomputed output the dead
+//!   incarnation had already delivered, whatever its interleaving.
 //! * **Chaos.** [`ChaosSpec`] schedules seeded SIGKILLs (after N
 //!   heartbeats or N routed frames) so the differential suite can prove
 //!   digests bit-identical with and without crashes.
@@ -149,7 +152,7 @@ use crate::sinks::CollectorSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 pub use recover::{ChaosSpec, DistTuning, FailureCause, Kill, KillPoint, Transport};
-use recover::{EgressLog, Outbox, ReplayDedup, SeqLedger, SeqVerdict, FLUSH_BYTES};
+use recover::{Outbox, ReplayDedup, SeqLedger, SeqVerdict, FLUSH_BYTES};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -414,10 +417,11 @@ pub struct DistStats {
     pub worker_failures: u64,
     /// Worker processes respawned after a failure.
     pub respawns: u64,
-    /// Frames replayed from coordinator logs into (re)connected workers.
+    /// Frames replayed from coordinator logs into respawned workers.
     pub replayed_frames: u64,
-    /// Worker→coordinator frames suppressed as replay duplicates (by
-    /// sequence or by content).
+    /// Worker→coordinator frames suppressed as recomputations, by a
+    /// respawned producer, of output already delivered (matched by
+    /// content).
     pub deduped_frames: u64,
 }
 
@@ -793,11 +797,11 @@ struct WireRoute {
 struct Router {
     routes: HashMap<u64, WireRoute>,
     /// Per worker: the log of everything ever routed toward it, in route
-    /// order — the exact post-fault stream, re-shipped verbatim on
-    /// (re)connect — and the write buffer in front of its socket. A
-    /// failed socket write is flagged there; the coordinator turns the
-    /// flag into a failure verdict (the frames themselves are safe in
-    /// the log).
+    /// order — the exact post-fault stream, re-shipped verbatim into each
+    /// respawned incarnation — and the write buffer in front of its
+    /// socket. A failed socket write is flagged there; the coordinator
+    /// turns the flag into a failure verdict (the frames themselves are
+    /// safe in the log).
     outboxes: Vec<Outbox<Conn>>,
     /// Data frames logged toward each worker. Counts at log time, like
     /// everything that keys on it (stability, chaos kill points): a frame
@@ -928,9 +932,10 @@ impl Router {
     /// Log one post-fault frame for `dest` and queue it for the socket;
     /// the bytes leave with the next [`Self::flush_sockets`] (or sooner,
     /// once a chunk's worth is pending). A failed (or absent) socket never
-    /// loses the frame: it is in the log, and the (re)connect path
-    /// replays the log tail. The failure is flagged for the supervisor
-    /// instead of erroring, because a dead worker mid-run is recoverable.
+    /// loses the frame: it is in the log, and the respawned worker's
+    /// connection replays the log. The failure is flagged for the
+    /// supervisor instead of erroring, because a dead worker mid-run is
+    /// recoverable.
     fn write(&mut self, dest: usize, bytes: Vec<u8>) {
         self.sent_to[dest] += 1;
         self.stats.frames_routed += 1;
@@ -1056,6 +1061,15 @@ impl Conn {
             Conn::Tcp(s) => s.set_nonblocking(nb),
         }
     }
+
+    /// Close both directions of the socket under every handle to it, so
+    /// a read blocked on another clone returns.
+    fn shutdown(&self) -> std::io::Result<()> {
+        match self {
+            Conn::Unix(s) => s.shutdown(std::net::Shutdown::Both),
+            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
+        }
+    }
 }
 
 impl Read for Conn {
@@ -1170,11 +1184,8 @@ enum Event {
     Hello {
         index: usize,
         epoch: u32,
-        resume_recv: u64,
         conn_id: u64,
         conn: Conn,
-        /// Bytes the hello reader slurped past the handshake frame.
-        leftover: Vec<u8>,
     },
     Frames(usize, u64, Vec<Frame>),
     Decode(usize, u64, wire::WireError),
@@ -1204,8 +1215,9 @@ const WORKER_DEADLINE: Duration = Duration::from_secs(30);
 /// iteration regardless.
 const SUPERVISE_EVERY: Duration = Duration::from_millis(5);
 
-/// Sets the shared stop flag on drop, so the accept thread winds down on
-/// every exit path from [`run_dist`], including errors.
+/// Sets the shared stop flag on drop, so a helper thread — the
+/// coordinator's accept thread, a worker's egress pump — winds down on
+/// every exit path, including errors.
 struct StopFlag(Arc<AtomicBool>);
 
 impl Drop for StopFlag {
@@ -1235,15 +1247,13 @@ fn accept_loop(
                     {
                         return;
                     }
-                    if let Ok((index, epoch, resume_recv, leftover)) = read_hello(&mut conn) {
+                    if let Ok((index, epoch)) = read_hello(&mut conn) {
                         let _ = conn.set_read_timeout(None);
                         let _ = tx.send(Event::Hello {
                             index: index as usize,
                             epoch,
-                            resume_recv,
                             conn_id,
                             conn,
-                            leftover,
                         });
                     }
                 });
@@ -1266,11 +1276,11 @@ struct Coordinator<'a> {
     /// egress that worker produces, and whose ingest filters must reset
     /// when it respawns.
     origin_wires: Vec<Vec<u64>>,
-    /// Ingest dedup, layer 1: per-wire producer egress sequencing.
-    /// Catches byte-identical reconnect resends.
+    /// Per-wire gap check on producer egress sequencing, reset for a
+    /// producer's wires when it respawns.
     seq: SeqLedger,
-    /// Ingest dedup, layer 2: content multisets armed at respawn.
-    /// Catches recomputed frames whose emission order permuted.
+    /// Content multisets armed at respawn: swallows recomputed frames
+    /// the dead incarnation already delivered, in any emission order.
     dedup: ReplayDedup,
     /// Content hashes admitted per wire, in admission order — the data
     /// that arms `dedup` when the wire's producer respawns.
@@ -1289,7 +1299,6 @@ struct Coordinator<'a> {
     /// the worker alive?", not "is the run advancing?".
     last_progress: Instant,
     last_sweep: Instant,
-    phase_start: Instant,
 }
 
 impl<'a> Coordinator<'a> {
@@ -1321,7 +1330,6 @@ impl<'a> Coordinator<'a> {
             awaiting_probe: false,
             last_progress: Instant::now(),
             last_sweep: Instant::now(),
-            phase_start: Instant::now(),
         }
     }
 
@@ -1373,9 +1381,6 @@ impl<'a> Coordinator<'a> {
             let due = match kill.point {
                 KillPoint::RoutedFrames(n) => self.router.sent_to[kill.worker] >= n,
                 KillPoint::Heartbeats(n) => self.slots[kill.worker].heartbeats >= n,
-                KillPoint::AfterMillis(ms) => {
-                    self.phase_start.elapsed() >= Duration::from_millis(ms)
-                }
             };
             if !due {
                 continue;
@@ -1485,9 +1490,10 @@ impl<'a> Coordinator<'a> {
         Ok(())
     }
 
-    /// Admit a completed hello: start a conn-tagged reader, ship the plan
-    /// (fresh incarnations only), replay the log tail, and re-arm the
-    /// ingest filters.
+    /// Admit a completed hello from the incarnation a slot awaits: start a
+    /// conn-tagged reader, ship the plan, replay the log, and re-arm the
+    /// ingest filters. Any other hello — a stale epoch, or a slot that is
+    /// already up — is dropped: an incarnation connects once.
     ///
     /// The reader starts *before* the replay. A rehydrating worker emits
     /// while it is still being fed; with nobody draining its socket its
@@ -1499,68 +1505,57 @@ impl<'a> Coordinator<'a> {
         &mut self,
         index: usize,
         epoch: u32,
-        resume_recv: u64,
         conn_id: u64,
         conn: Conn,
-        leftover: Vec<u8>,
     ) -> Result<(), DistError> {
         if index >= self.processes {
             return Err(DistError::Protocol(format!("bad hello index {index}")));
         }
-        let (slot_epoch, awaiting, up) = {
-            let s = &self.slots[index];
-            (s.epoch, s.awaiting_hello, s.up)
-        };
-        if epoch != slot_epoch || (!awaiting && !up) {
-            // A stale incarnation (or an unsolicited dialer): drop it.
+        if epoch != self.slots[index].epoch || !self.slots[index].awaiting_hello {
             return Ok(());
         }
-        let reconnect = up;
         let Ok(mut writer) = conn.try_clone() else {
             return Ok(());
         };
         let tx = self.tx.clone();
         self.readers.push(std::thread::spawn(move || {
-            reader_loop(index, conn_id, conn, leftover, &tx);
+            reader_loop(index, conn_id, conn, &tx);
         }));
         // The incarnation may die during its own handshake (a write below
         // fails); the supervisor then reaps the corpse and schedules the
         // next try, and the reader above ends on the dead socket's EOF,
         // its events ignored: the slot never adopted this connection id.
-        if !reconnect
-            && writer
-                .write_all(&wire::encode(&Frame::Plan {
-                    topology: self.spec.topology.clone(),
-                    params: self.spec.params.clone(),
-                    seed: self.spec.seed,
-                    processes: self.processes as u32,
-                    index: index as u32,
-                    workers: self.spec.workers_per_process as u32,
-                    speculation: self.spec.speculation,
-                    trace: self.trace,
-                    epoch,
-                    heartbeat_ms: u32::try_from(self.spec.tuning.heartbeat_every.as_millis())
-                        .unwrap_or(u32::MAX),
-                }))
-                .is_err()
+        if writer
+            .write_all(&wire::encode(&Frame::Plan {
+                topology: self.spec.topology.clone(),
+                params: self.spec.params.clone(),
+                seed: self.spec.seed,
+                processes: self.processes as u32,
+                index: index as u32,
+                workers: self.spec.workers_per_process as u32,
+                speculation: self.spec.speculation,
+                trace: self.trace,
+                epoch,
+                heartbeat_ms: u32::try_from(self.spec.tuning.heartbeat_every.as_millis())
+                    .unwrap_or(u32::MAX),
+            }))
+            .is_err()
         {
             return Ok(());
         }
-        let Ok(replayed) = self.router.outboxes[index].connect(writer, resume_recv) else {
+        let Ok(replayed) = self.router.outboxes[index].connect(writer) else {
             return Ok(());
         };
-        if !reconnect {
-            // A fresh incarnation restarts its egress from zero and will
-            // re-emit everything it computes. Reset the sequence ledger
-            // for its wires and arm the content filter with what those
-            // wires already delivered, so re-emissions are swallowed.
-            self.recv_from[index] = 0;
-            for &w in &self.origin_wires[index] {
-                self.dedup
-                    .arm(w, self.routed_hashes.get(&w).map_or(&[][..], Vec::as_slice));
-            }
-            self.seq.reset_wires(&self.origin_wires[index]);
+        // The incarnation restarts its egress from zero and will re-emit
+        // everything it computes. Reset the sequence ledger for its wires
+        // and arm the content filter with what those wires already
+        // delivered, so re-emissions are swallowed.
+        self.recv_from[index] = 0;
+        for &w in &self.origin_wires[index] {
+            self.dedup
+                .arm(w, self.routed_hashes.get(&w).map_or(&[][..], Vec::as_slice));
         }
+        self.seq.reset_wires(&self.origin_wires[index]);
         if replayed > 0 {
             self.router.stats.replayed_frames += replayed;
             blazes_obs::record(blazes_obs::EventKind::Replay, index as u64, replayed);
@@ -1582,12 +1577,10 @@ impl<'a> Coordinator<'a> {
             Event::Hello {
                 index,
                 epoch,
-                resume_recv,
                 conn_id,
                 conn,
-                leftover,
             } => {
-                self.on_hello(index, epoch, resume_recv, conn_id, conn, leftover)?;
+                self.on_hello(index, epoch, conn_id, conn)?;
                 Ok(false)
             }
             Event::Frames(i, conn_id, frames) => {
@@ -1630,31 +1623,28 @@ impl<'a> Coordinator<'a> {
         match frame {
             Frame::Data { wire, seq, msg } => {
                 blazes_obs::record(blazes_obs::EventKind::FrameRecv, wire, seq);
-                match self.seq.accept(wire, seq) {
-                    SeqVerdict::Duplicate => {
-                        self.router.stats.deduped_frames += 1;
-                    }
-                    SeqVerdict::Gap { expected } => {
-                        return Err(DistError::Protocol(format!(
-                            "wire {wire} skipped from seq {expected} to {seq} at the coordinator"
-                        )));
-                    }
-                    SeqVerdict::Fresh => {
-                        self.recv_from[i] += 1;
-                        self.slots[i].idle = None;
-                        self.awaiting_probe = false;
-                        self.last_progress = Instant::now();
-                        // Encoded once: these bytes are hashed here, then
-                        // framed and logged by the router as they are.
-                        let message = wire::message_bytes(&msg);
-                        let hash = recover::fnv1a(&message);
-                        if self.dedup.admit(wire, hash) {
-                            self.routed_hashes.entry(wire).or_default().push(hash);
-                            self.router.route(wire, &message)?;
-                        } else {
-                            self.router.stats.deduped_frames += 1;
-                        }
-                    }
+                // An incarnation sends each egress sequence number once,
+                // in order: anything but the next one is a protocol
+                // violation, not something to filter.
+                let verdict = self.seq.accept(wire, seq);
+                if verdict != SeqVerdict::Fresh {
+                    return Err(DistError::Protocol(format!(
+                        "wire {wire}: seq {seq} is {verdict:?} at the coordinator"
+                    )));
+                }
+                self.recv_from[i] += 1;
+                self.slots[i].idle = None;
+                self.awaiting_probe = false;
+                self.last_progress = Instant::now();
+                // Encoded once: these bytes are hashed here, then framed
+                // and logged by the router as they are.
+                let message = wire::message_bytes(&msg);
+                let hash = recover::fnv1a(&message);
+                if self.dedup.admit(wire, hash) {
+                    self.routed_hashes.entry(wire).or_default().push(hash);
+                    self.router.route(wire, &message)?;
+                } else {
+                    self.router.stats.deduped_frames += 1;
                 }
                 Ok(false)
             }
@@ -1670,10 +1660,6 @@ impl<'a> Coordinator<'a> {
                 }
                 self.slots[i].heartbeats += 1;
                 self.router.stats.heartbeats += 1;
-                let acks = self.acks_for(i);
-                if !acks.is_empty() {
-                    self.router.control(i, &Frame::Ack { acks });
-                }
                 if idle {
                     // Idle keepalive: a re-announcement of quiescence,
                     // healing a lost or raced `Idle` frame.
@@ -1742,17 +1728,6 @@ impl<'a> Coordinator<'a> {
             }
         }
         Ok(false)
-    }
-
-    /// Cumulative ack vector for worker `i`'s origin wires: the highest
-    /// egress sequence number the coordinator has accepted per wire.
-    fn acks_for(&self, i: usize) -> Vec<(u64, u64)> {
-        let mut acks: Vec<(u64, u64)> = self.origin_wires[i]
-            .iter()
-            .filter_map(|&w| self.seq.high(w).map(|h| (w, h)))
-            .collect();
-        acks.sort_unstable();
-        acks
     }
 
     /// One-line diagnosis of a stalled run: dead/silent workers are a
@@ -1967,8 +1942,8 @@ pub fn run_dist(spec: &DistSpec, registry: &Registry) -> Result<DistRun, DistErr
             }
         };
         match event {
-            // A straggler connection (e.g. a worker-side reconnect that
-            // lost its race): nothing to collect from it.
+            // Every slot is up and nothing respawns in phase 2, so no
+            // hello is awaited: an unsolicited dialer gets nothing.
             Event::Hello { .. } => {}
             Event::Frames(i, conn_id, frames) => {
                 if coord.slots[i].conn != conn_id {
@@ -2088,28 +2063,21 @@ fn frame_name(frame: &Frame) -> &'static str {
         Frame::Error { .. } => "error",
         Frame::Trace { .. } => "trace",
         Frame::Heartbeat { .. } => "heartbeat",
-        Frame::Ack { .. } => "ack",
     }
 }
 
-/// Read the `Hello` frame a freshly connected worker must send first.
-fn read_hello(conn: &mut Conn) -> Result<(u32, u32, u64, Vec<u8>), DistError> {
+/// Read the `Hello` frame a freshly connected worker must send first,
+/// returning its index and epoch. The worker then waits for its plan, so
+/// any byte past the hello is a protocol error.
+fn read_hello(conn: &mut Conn) -> Result<(u32, u32), DistError> {
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 256];
     loop {
         if let Some(frame) = decoder.next_frame()? {
             return match frame {
-                // The residue matters: a reattaching worker sends its
-                // hello and unacked resends back-to-back, so the chunked
-                // read can slurp frames past the handshake. They belong
-                // to the reader that takes over this connection.
-                Frame::Hello {
-                    index,
-                    epoch,
-                    resume_recv,
-                } => Ok((index, epoch, resume_recv, decoder.take_buffered())),
+                Frame::Hello { index, epoch } if decoder.buffered() == 0 => Ok((index, epoch)),
                 other => Err(DistError::Protocol(format!(
-                    "expected hello, got {other:?}"
+                    "expected a lone hello, got {other:?}"
                 ))),
             };
         }
@@ -2123,19 +2091,17 @@ fn read_hello(conn: &mut Conn) -> Result<(u32, u32, u64, Vec<u8>), DistError> {
 
 /// Coordinator-side reader thread: decode one connection's stream into
 /// conn-tagged events, one per socket read.
-fn reader_loop(
-    index: usize,
-    conn_id: u64,
-    mut conn: Conn,
-    leftover: Vec<u8>,
-    tx: &mpsc::Sender<Event>,
-) {
+fn reader_loop(index: usize, conn_id: u64, mut conn: Conn, tx: &mpsc::Sender<Event>) {
     let mut decoder = FrameDecoder::new();
-    decoder.push(&leftover);
     let mut buf = [0u8; 64 * 1024];
     loop {
-        // Drain before reading: the hello residue may already hold
-        // complete frames that no further bytes will ever flush out.
+        match conn.read(&mut buf) {
+            Ok(0) | Err(_) => {
+                let _ = tx.send(Event::Eof(index, conn_id));
+                return;
+            }
+            Ok(n) => decoder.push(&buf[..n]),
+        }
         let mut frames = Vec::new();
         let corrupt = loop {
             match decoder.next_frame() {
@@ -2150,13 +2116,6 @@ fn reader_loop(
         if let Some(e) = corrupt {
             let _ = tx.send(Event::Decode(index, conn_id, e));
             return;
-        }
-        match conn.read(&mut buf) {
-            Ok(0) | Err(_) => {
-                let _ = tx.send(Event::Eof(index, conn_id));
-                return;
-            }
-            Ok(n) => decoder.push(&buf[..n]),
         }
     }
 }
@@ -2228,61 +2187,6 @@ fn dial_parent(endpoint: &str) -> Result<Conn, DistError> {
     }
 }
 
-/// Re-dial the parent after losing the control socket mid-run: send a
-/// resume hello, resend every unacked egress frame, and swap the shared
-/// writer onto the fresh socket. Gives up after a few attempts — by then
-/// the parent has almost certainly declared this incarnation dead and a
-/// replacement is coming.
-fn reattach(
-    endpoint: &str,
-    index: usize,
-    epoch: u32,
-    recv: u64,
-    writer: &Arc<Mutex<Conn>>,
-    elog: &Arc<Mutex<EgressLog>>,
-) -> Result<Conn, DistError> {
-    for attempt in 1..=3u32 {
-        std::thread::sleep(Duration::from_millis(25 * u64::from(attempt)));
-        let Ok(mut fresh) = connect_parent(endpoint) else {
-            continue;
-        };
-        if fresh
-            .write_all(&wire::encode(&Frame::Hello {
-                index: index as u32,
-                epoch,
-                resume_recv: recv,
-            }))
-            .is_err()
-        {
-            continue;
-        }
-        let Ok(reader) = fresh.try_clone() else {
-            continue;
-        };
-        if reader.set_read_timeout(Some(WORKER_POLL)).is_err() {
-            continue;
-        }
-        // Lock order: writer, then log — same as the pump. Holding the
-        // writer lock freezes the pump, so no frame can be appended (or
-        // sent) while the unacked backlog is resent.
-        let mut w = writer
-            .lock()
-            .map_err(|_| DistError::Protocol("writer poisoned".to_string()))?;
-        let log = elog
-            .lock()
-            .map_err(|_| DistError::Protocol("egress log poisoned".to_string()))?;
-        let unacked = log.unacked().map(|f| f.bytes.as_slice());
-        if recover::write_coalesced(&mut fresh, unacked).is_err() {
-            continue;
-        }
-        *w = fresh;
-        return Ok(reader);
-    }
-    Err(DistError::Protocol(
-        "lost the coordinator and could not reconnect".to_string(),
-    ))
-}
-
 fn worker_run(
     registry: &Registry,
     endpoint: &str,
@@ -2293,7 +2197,6 @@ fn worker_run(
     stream.write_all(&wire::encode(&Frame::Hello {
         index: index as u32,
         epoch,
-        resume_recv: 0,
     }))?;
 
     // Wait for the plan.
@@ -2360,58 +2263,46 @@ fn worker_run(
 
     let running = pb.build().start();
 
-    // Egress pump: encode, log and write cross-partition frames, a
-    // queue's worth per socket write. Shares the socket with the control
-    // loop's replies through a mutex; the pump is the only high-volume
-    // writer.
+    // Egress pump: encode and write cross-partition frames, a queue's
+    // worth per socket write. Shares the socket with the control loop's
+    // replies through a mutex; the pump is the only high-volume writer.
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let elog = Arc::new(Mutex::new(EgressLog::new()));
     let written = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
+    let _stop_guard = StopFlag(Arc::clone(&stop));
     let pump = {
         let writer = Arc::clone(&writer);
-        let elog = Arc::clone(&elog);
         let written = Arc::clone(&written);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || -> Result<(), DistError> {
-            let mut batch: Vec<(u64, u64, Vec<u8>)> = Vec::new();
             let mut chunk: Vec<u8> = Vec::new();
             loop {
                 match egress_rx.recv_timeout(WORKER_POLL) {
                     Ok(first) => {
                         // Block for one frame, then take what else is
                         // already queued, up to a chunk's worth.
+                        let mut frames = 0u64;
                         let mut next = Some(first);
                         while let Some((wire, seq, msg)) = next {
-                            let bytes = wire::encode(&Frame::Data { wire, seq, msg });
-                            chunk.extend_from_slice(&bytes);
-                            batch.push((wire, seq, bytes));
+                            blazes_obs::record(blazes_obs::EventKind::FrameSend, wire, seq);
+                            chunk.extend_from_slice(&wire::encode(&Frame::Data { wire, seq, msg }));
+                            frames += 1;
                             next = (chunk.len() < FLUSH_BYTES)
                                 .then(|| egress_rx.try_recv().ok())
                                 .flatten();
                         }
-                        let frames = batch.len() as u64;
-                        {
-                            // Lock order everywhere: writer, then log.
-                            // Every frame is logged before the write is
-                            // attempted, and a failed write is
-                            // survivable — the frames sit in the log for
-                            // the reconnect resend, and the parent's
-                            // dedup swallows any torn duplicate.
-                            let mut w = writer
-                                .lock()
-                                .map_err(|_| DistError::Protocol("pump writer poisoned".into()))?;
-                            {
-                                let mut log = elog.lock().map_err(|_| {
-                                    DistError::Protocol("egress log poisoned".into())
-                                })?;
-                                for (wire, seq, bytes) in batch.drain(..) {
-                                    blazes_obs::record(blazes_obs::EventKind::FrameSend, wire, seq);
-                                    log.append(wire, seq, bytes);
-                                }
-                            }
-                            let _ = w.write_all(&chunk);
+                        let mut w = writer
+                            .lock()
+                            .map_err(|_| DistError::Protocol("pump writer poisoned".into()))?;
+                        if let Err(e) = w.write_all(&chunk) {
+                            // Fail-stop: a lost write ends this
+                            // incarnation. The shutdown makes the control
+                            // loop's next read fail too; the coordinator
+                            // respawns the worker and replays its log.
+                            let _ = w.shutdown();
+                            return Err(e.into());
                         }
+                        drop(w);
                         chunk.clear();
                         written.fetch_add(frames, Ordering::SeqCst);
                     }
@@ -2427,8 +2318,9 @@ fn worker_run(
     };
 
     // Control loop: deliver ingress frames, answer probes, report
-    // idleness, heartbeat. Phase-1 control sends are best-effort: a dead
-    // socket is detected by the read path and reattached.
+    // idleness, heartbeat. Losing the connection — EOF, or a read or
+    // write that fails — ends this incarnation with an error; the
+    // coordinator respawns a fresh one.
     stream.set_read_timeout(Some(WORKER_POLL))?;
     let mut recv = 0u64;
     let mut last_seq: HashMap<u64, u64> = HashMap::new();
@@ -2438,7 +2330,7 @@ fn worker_run(
         if last_hb.is_none_or(|t| t.elapsed() >= heartbeat_every) {
             let sent = written.load(Ordering::SeqCst);
             let idle = running.settled() && egress_queued.load(Ordering::SeqCst) == sent;
-            let _ = send_control(
+            send_control(
                 &writer,
                 &Frame::Heartbeat {
                     epoch,
@@ -2446,7 +2338,7 @@ fn worker_run(
                     recv,
                     idle,
                 },
-            );
+            )?;
             last_hb = Some(Instant::now());
         }
         // Drain frames already buffered *before* blocking on the socket:
@@ -2476,7 +2368,7 @@ fn worker_run(
                 Frame::Probe { nonce } => {
                     let sent = written.load(Ordering::SeqCst);
                     let idle = running.settled() && egress_queued.load(Ordering::SeqCst) == sent;
-                    let _ = send_control(
+                    send_control(
                         &writer,
                         &Frame::ProbeAck {
                             nonce,
@@ -2484,15 +2376,7 @@ fn worker_run(
                             recv,
                             idle,
                         },
-                    );
-                }
-                Frame::Ack { acks } => {
-                    let mut log = elog
-                        .lock()
-                        .map_err(|_| DistError::Protocol("egress log poisoned".into()))?;
-                    for (wire, upto) in acks {
-                        log.ack(wire, upto);
-                    }
+                    )?;
                 }
                 Frame::Collect => break 'control true,
                 Frame::Shutdown => break 'control false,
@@ -2505,8 +2389,9 @@ fn worker_run(
         }
         match stream.read(&mut buf) {
             Ok(0) => {
-                stream = reattach(endpoint, index, epoch, recv, &writer, &elog)?;
-                decoder = FrameDecoder::new();
+                return Err(DistError::Protocol(
+                    "the coordinator closed the connection".to_string(),
+                ))
             }
             Ok(n) => decoder.push(&buf[..n]),
             Err(e)
@@ -2520,14 +2405,11 @@ fn worker_run(
                     && egress_queued.load(Ordering::SeqCst) == sent
                     && last_idle != Some((sent, recv))
                 {
-                    let _ = send_control(&writer, &Frame::Idle { sent, recv });
+                    send_control(&writer, &Frame::Idle { sent, recv })?;
                     last_idle = Some((sent, recv));
                 }
             }
-            Err(_) => {
-                stream = reattach(endpoint, index, epoch, recv, &writer, &elog)?;
-                decoder = FrameDecoder::new();
-            }
+            Err(e) => return Err(e.into()),
         }
     };
 
@@ -2792,7 +2674,7 @@ mod tests {
     fn router_socket_stream_is_the_log_and_control_follows_data() {
         let (ours, mut theirs) = UnixStream::pair().unwrap();
         let mut router = Router::new(HashMap::from([(4, plain_route(0))]), 1, 0.0, None);
-        router.outboxes[0].connect(Conn::Unix(ours), 0).unwrap();
+        router.outboxes[0].connect(Conn::Unix(ours)).unwrap();
         for i in 0..300i64 {
             let message = wire::message_bytes(&Message::data([i]));
             router.route(4, &message).unwrap();
@@ -2867,9 +2749,7 @@ mod tests {
         };
         let mut coord = test_coordinator(&spec);
         let (ours, mut theirs) = UnixStream::pair().unwrap();
-        coord.router.outboxes[0]
-            .connect(Conn::Unix(ours), 0)
-            .unwrap();
+        coord.router.outboxes[0].connect(Conn::Unix(ours)).unwrap();
 
         let batch = (0..5).map(|seq| data(0, seq)).collect();
         assert!(!coord.handle_event(Event::Frames(1, 1, batch)).unwrap());
@@ -2918,6 +2798,104 @@ mod tests {
         coord.handle_event(Event::Frames(1, 1, batch)).unwrap();
         assert!(!coord.slots[1].up, "killed on its first heartbeat");
         assert_eq!((coord.recv_from[1], coord.router.sent_to[0]), (0, 0));
+    }
+
+    /// An incarnation connects once. A same-epoch hello for a slot that is
+    /// already up is dropped: the slot keeps its connection, and nothing —
+    /// no plan, no replay — is written to the newcomer.
+    #[test]
+    fn a_second_hello_from_a_live_incarnation_is_ignored() {
+        let spec = DistSpec::new("", "", vec![String::new()]);
+        let mut coord = test_coordinator(&spec);
+        coord
+            .handle_event(Event::Frames(1, 1, vec![data(0, 0), data(0, 1)]))
+            .unwrap();
+        assert_eq!(coord.router.outboxes[0].log().len(), 2);
+
+        let (ours, mut theirs) = UnixStream::pair().unwrap();
+        coord
+            .handle_event(Event::Hello {
+                index: 0,
+                epoch: 0,
+                conn_id: 2,
+                conn: Conn::Unix(ours),
+            })
+            .unwrap();
+        assert_eq!(coord.slots[0].conn, 1, "the live connection is kept");
+        assert_eq!(coord.router.stats.replayed_frames, 0);
+        let mut got = Vec::new();
+        theirs.read_to_end(&mut got).unwrap();
+        assert!(got.is_empty(), "the newcomer was sent {} bytes", got.len());
+    }
+
+    /// An incarnation sends each egress sequence number once: a repeat is
+    /// a protocol violation, not a duplicate to filter.
+    #[test]
+    fn a_repeated_sequence_number_is_a_protocol_error() {
+        let spec = DistSpec::new("", "", vec![String::new()]);
+        let mut coord = test_coordinator(&spec);
+        let batch = vec![data(0, 0), data(0, 0)];
+        assert!(matches!(
+            coord.handle_event(Event::Frames(1, 1, batch)),
+            Err(DistError::Protocol(_))
+        ));
+        assert_eq!(coord.router.stats.deduped_frames, 0);
+    }
+
+    /// Fail-stop on the worker side: a worker whose coordinator sends the
+    /// plan and then hangs up returns an error, and never dials again.
+    #[test]
+    fn a_worker_that_loses_its_coordinator_exits_without_redialing() {
+        let dir = std::env::temp_dir().join(format!(
+            "blazes-dist-test-{}-{}",
+            std::process::id(),
+            DIR_SEQ.fetch_add(1, Ordering::SeqCst)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let _dir_guard = TempDir(dir.clone());
+        let sock = dir.join("coord.sock");
+        let listener = UnixListener::bind(&sock).unwrap();
+        let endpoint = sock.to_string_lossy().into_owned();
+
+        let worker = std::thread::spawn(move || {
+            let mut registry = Registry::new();
+            registry.register("chain", |b, _| chain(b));
+            worker_run(&registry, &endpoint, 0, 0)
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = Conn::Unix(stream);
+        assert_eq!(read_hello(&mut conn).unwrap(), (0, 0));
+        conn.write_all(&wire::encode(&Frame::Plan {
+            topology: "chain".to_string(),
+            params: String::new(),
+            seed: 1,
+            processes: 2,
+            index: 0,
+            workers: 1,
+            speculation: false,
+            trace: false,
+            epoch: 0,
+            heartbeat_ms: 25,
+        }))
+        .unwrap();
+        drop(conn);
+
+        listener.set_nonblocking(true).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !worker.is_finished() {
+            assert!(
+                listener.accept().is_err(),
+                "the worker dialed a second connection"
+            );
+            assert!(Instant::now() < deadline, "the worker never gave up");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let result = worker.join().expect("the worker thread panicked");
+        assert!(result.is_err(), "a lost coordinator must end the worker");
+        assert!(
+            listener.accept().is_err(),
+            "the worker dialed a second connection"
+        );
     }
 
     /// A sink travels as slices the receiver appends in order, and a

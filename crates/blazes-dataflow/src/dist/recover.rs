@@ -1,15 +1,16 @@
 //! Pure data structures for the dist backend's crash-recovery protocol.
 //!
-//! Everything here is deliberately free of sockets and processes (the one
-//! type that writes, [`Outbox`], is generic over [`std::io::Write`]) so the
+//! There is one recovery path: a worker that dies, or merely loses its
+//! connection, is respawned as a fresh incarnation, and the coordinator
+//! replays everything it ever routed to that worker into it. Everything
+//! here is deliberately free of sockets and processes (the one type that
+//! writes, [`Outbox`], is generic over [`std::io::Write`]) so the
 //! protocol invariants can be property-tested in isolation (see
 //! `tests/prop_recovery.rs`):
 //!
-//! * [`EgressLog`] — a sender-side log of encoded frames, trimmed by acks.
-//!   Invariant: trimming never drops a frame the receiver has not
-//!   acknowledged.
-//! * [`SeqLedger`] — receiver-side per-wire sequence tracking. Each
-//!   sequence number is accepted as [`SeqVerdict::Fresh`] exactly once.
+//! * [`SeqLedger`] — the coordinator's per-wire gap check. Each sequence
+//!   number is accepted as [`SeqVerdict::Fresh`] exactly once, in order;
+//!   a respawn resets the wires its producer restarts.
 //! * [`ReplayDedup`] — content-level duplicate suppression for replayed
 //!   streams whose re-emission *order* may differ from the original run
 //!   (a respawned worker recomputes its outputs deterministically as a
@@ -18,12 +19,15 @@
 //!   worker, replayed verbatim into a respawned process.
 //! * [`Outbox`] — a [`ReplayLog`] plus the coalescing buffer in front of
 //!   one worker's socket. Invariant: the log is the truth and the buffer a
-//!   cache of its tail, so whatever a crash or reconnect discards from the
-//!   buffer is re-shipped by replay — exactly once, in order.
+//!   cache of its tail, so whatever a crash discards from the buffer is
+//!   re-shipped by replay — exactly once, in order.
 //! * [`ChaosSpec`] — seeded fail-stop (SIGKILL) crash schedules for the
 //!   chaos differential.
 //! * [`DistTuning`] / [`FailureCause`] — supervision knobs and forensic
 //!   failure verdicts.
+//!
+//! [`EgressLog`] has no caller in the backend; it stays only because the
+//! benchmark's `recover.egress_log_ns_per_frame` layer measures it.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -39,8 +43,8 @@ pub enum Transport {
     /// Unix domain sockets under a per-run temp directory (default).
     #[default]
     Unix,
-    /// Loopback TCP — an addressable endpoint, so reconnect-with-backoff
-    /// works and workers could in principle span machines.
+    /// Loopback TCP — an addressable endpoint, so workers could in
+    /// principle span machines.
     Tcp,
 }
 
@@ -163,9 +167,6 @@ pub enum KillPoint {
     /// worker. Guaranteed to fire: the first heartbeat is sent
     /// immediately after the Plan handshake.
     Heartbeats(u64),
-    /// This long after the run's routing phase started. Not used by
-    /// [`ChaosSpec::seeded`] — firing is not guaranteed on a fast run.
-    AfterMillis(u64),
 }
 
 /// One scheduled SIGKILL.
@@ -178,7 +179,7 @@ pub struct Kill {
 }
 
 /// A seeded fail-stop crash schedule. Kills are SIGKILL — the victim
-/// gets no chance to flush, ack, or clean up.
+/// gets no chance to flush or clean up.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosSpec {
     /// The scheduled kills. Each fires at most once.
@@ -196,9 +197,7 @@ impl ChaosSpec {
     ///
     /// Kill points alternate between early heartbeats (guaranteed to
     /// fire even on a run that routes few frames) and routed-frame
-    /// counts within `frame_span` (mid-stream kills). Wall-clock points
-    /// are never chosen — they might not fire before the run finishes,
-    /// which would make "the respawn actually happened" assertions flaky.
+    /// counts within `frame_span` (mid-stream kills).
     #[must_use]
     pub fn seeded(seed: u64, crashes: u32, processes: u32, frame_span: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc4a5_0000_0000_0000);
@@ -223,19 +222,21 @@ impl ChaosSpec {
 }
 
 /// One logged egress frame awaiting acknowledgement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoggedFrame {
-    /// Wire the frame was sent on.
-    pub wire: u64,
-    /// Per-wire sequence number.
-    pub seq: u64,
-    /// The full encoded frame bytes, resent verbatim on reconnect.
-    pub bytes: Vec<u8>,
+#[derive(Debug)]
+struct LoggedFrame {
+    wire: u64,
+    seq: u64,
+    /// The encoded bytes, kept as a sender would to resend them.
+    _bytes: Vec<u8>,
 }
 
 /// Sender-side output log: every unacknowledged frame sent on any wire,
-/// in send order. Trimmed by [`Frame::Ack`](super::wire::Frame) so memory
-/// stays bounded; on reconnect the whole log is resent.
+/// in send order, trimmed by per-wire acknowledgements.
+///
+/// No part of the dist backend uses it: a worker that loses its
+/// connection is respawned and replayed, never resent from a log of its
+/// own. It stays only because the benchmark's
+/// `recover.egress_log_ns_per_frame` layer measures it.
 #[derive(Debug, Default)]
 pub struct EgressLog {
     frames: VecDeque<LoggedFrame>,
@@ -250,18 +251,17 @@ impl EgressLog {
 
     /// Record one sent frame.
     pub fn append(&mut self, wire: u64, seq: u64, bytes: Vec<u8>) {
-        self.frames.push_back(LoggedFrame { wire, seq, bytes });
+        self.frames.push_back(LoggedFrame {
+            wire,
+            seq,
+            _bytes: bytes,
+        });
     }
 
     /// The receiver has acknowledged everything on `wire` up to and
     /// including `upto`; drop those entries.
     pub fn ack(&mut self, wire: u64, upto: u64) {
         self.frames.retain(|f| f.wire != wire || f.seq > upto);
-    }
-
-    /// Frames not yet acknowledged, oldest first.
-    pub fn unacked(&self) -> impl Iterator<Item = &LoggedFrame> {
-        self.frames.iter()
     }
 
     /// Number of unacknowledged frames.
@@ -282,7 +282,7 @@ impl EgressLog {
 pub enum SeqVerdict {
     /// First sighting — deliver it.
     Fresh,
-    /// Already delivered (a replay or wire-level duplicate) — drop it.
+    /// Already accepted: a repeat of an earlier sequence number.
     Duplicate,
     /// Skipped ahead: `expected` is the sequence number we were owed.
     Gap {
@@ -293,8 +293,8 @@ pub enum SeqVerdict {
 
 /// Per-wire expected-sequence tracking on the receiving side. FIFO
 /// transports plus replay-from-zero semantics mean a simple "next
-/// expected" counter per wire suffices: anything below is a duplicate,
-/// anything above is a protocol violation.
+/// expected" counter per wire suffices: anything below is a repeat,
+/// anything above is a gap.
 #[derive(Debug, Default)]
 pub struct SeqLedger {
     next: HashMap<u64, u64>,
@@ -319,18 +319,6 @@ impl SeqLedger {
         } else {
             SeqVerdict::Gap { expected: *next }
         }
-    }
-
-    /// Highest sequence accepted on `wire` (i.e. acknowledgeable
-    /// watermark), or `None` when nothing has arrived yet.
-    #[must_use]
-    pub fn high(&self, wire: u64) -> Option<u64> {
-        self.next.get(&wire).and_then(|n| n.checked_sub(1))
-    }
-
-    /// Wires with at least one accepted frame.
-    pub fn wires(&self) -> impl Iterator<Item = u64> + '_ {
-        self.next.iter().filter(|(_, n)| **n > 0).map(|(w, _)| *w)
     }
 
     /// Forget the listed wires: a respawned producer restarts its
@@ -404,8 +392,8 @@ impl ReplayDedup {
 }
 
 /// Coordinator-side history of every encoded frame shipped to one worker
-/// after fault injection, in ship order. Replayed from an arbitrary
-/// offset to rehydrate a reconnecting or respawned worker.
+/// after fault injection, in ship order. Replayed whole to rehydrate a
+/// respawned worker.
 #[derive(Debug, Default)]
 pub struct ReplayLog {
     frames: Vec<Vec<u8>>,
@@ -453,11 +441,8 @@ pub const FLUSH_BYTES: usize = 64 * 1024;
 
 /// Write already-encoded `frames` back to back, coalesced into chunks of
 /// about [`FLUSH_BYTES`] — how a log is replayed into a fresh connection.
-/// Returns the number of frames written.
-///
-/// # Errors
-/// The first write error; frames of earlier chunks have been written.
-pub fn write_coalesced<'a, W: Write>(
+/// Returns the number of frames written, or the first write error.
+fn write_coalesced<'a, W: Write>(
     writer: &mut W,
     frames: impl Iterator<Item = &'a [u8]>,
 ) -> std::io::Result<u64> {
@@ -483,8 +468,8 @@ pub fn write_coalesced<'a, W: Write>(
 /// logged before it can reach the writer; the buffer only ever holds bytes
 /// meant for the *current* connection, so [`Outbox::disconnect`], a failed
 /// write and [`Outbox::connect`] all discard it — those frames are in the
-/// log, and the replay that opens the next connection re-ships them. A
-/// reconnect therefore never delivers a frame twice or out of order.
+/// log, and the replay that opens the next connection re-ships them. Each
+/// connection therefore receives every frame once, in push order.
 #[derive(Debug)]
 pub struct Outbox<W> {
     log: ReplayLog,
@@ -573,16 +558,15 @@ impl<W: Write> Outbox<W> {
         self.writer.take()
     }
 
-    /// Open a connection to a worker that has consumed the first `from`
-    /// logged frames: replay the rest of the log into `writer`
-    /// ([`write_coalesced`]), then adopt it as the live connection.
-    /// Returns the number of frames replayed.
+    /// Open a connection to a fresh worker incarnation: replay the whole
+    /// log into `writer` in chunks of about [`FLUSH_BYTES`], then adopt it
+    /// as the live connection. Returns the number of frames replayed.
     ///
     /// # Errors
     /// The replay's write error; the outbox is then left disconnected.
-    pub fn connect(&mut self, mut writer: W, from: u64) -> std::io::Result<u64> {
+    pub fn connect(&mut self, mut writer: W) -> std::io::Result<u64> {
         self.disconnect();
-        let replayed = write_coalesced(&mut writer, self.log.tail(from))?;
+        let replayed = write_coalesced(&mut writer, self.log.tail(0))?;
         self.writer = Some(writer);
         Ok(replayed)
     }
@@ -622,7 +606,6 @@ mod tests {
             match kill.point {
                 KillPoint::Heartbeats(n) => assert!((1..=3).contains(&n)),
                 KillPoint::RoutedFrames(n) => assert!((1..=100).contains(&n)),
-                KillPoint::AfterMillis(_) => panic!("seeded schedules never use wall-clock"),
             }
         }
         // Zero frame span forces heartbeat points only.
@@ -639,7 +622,7 @@ mod tests {
         log.append(1, 1, vec![2]);
         log.append(1, 2, vec![3]);
         log.ack(1, 1);
-        let left: Vec<(u64, u64)> = log.unacked().map(|f| (f.wire, f.seq)).collect();
+        let left: Vec<(u64, u64)> = log.frames.iter().map(|f| (f.wire, f.seq)).collect();
         assert_eq!(left, vec![(2, 0), (1, 2)]);
         log.ack(2, 0);
         log.ack(1, 2);
@@ -653,8 +636,6 @@ mod tests {
         assert_eq!(led.accept(5, 0), SeqVerdict::Duplicate);
         assert_eq!(led.accept(5, 1), SeqVerdict::Fresh);
         assert_eq!(led.accept(5, 3), SeqVerdict::Gap { expected: 2 });
-        assert_eq!(led.high(5), Some(1));
-        assert_eq!(led.high(6), None);
         led.reset_wires(&[5]);
         assert_eq!(led.accept(5, 0), SeqVerdict::Fresh);
     }
@@ -695,8 +676,8 @@ mod tests {
         out.push(vec![1]);
         out.send_unlogged(&[99]);
         assert_eq!((out.log().len(), out.pending_bytes()), (1, 0));
-        // Connecting replays the log tail, then buffers until flushed.
-        assert_eq!(out.connect(Vec::new(), 0).unwrap(), 1);
+        // Connecting replays the log, then buffers until flushed.
+        assert_eq!(out.connect(Vec::new()).unwrap(), 1);
         out.push(vec![2]);
         out.push(vec![3]);
         assert_eq!(out.pending_bytes(), 2);
@@ -707,11 +688,11 @@ mod tests {
         // Losing the connection discards the buffer, never the log.
         assert_eq!(out.disconnect(), Some(vec![1, 2, 3, 99]));
         assert_eq!((out.log().len(), out.pending_bytes()), (4, 0));
-        // The next incarnation is told what it missed — exactly that.
-        assert_eq!(out.connect(Vec::new(), 3).unwrap(), 1);
-        assert_eq!(out.disconnect(), Some(vec![4]));
+        // The next incarnation gets the whole log, once, in order.
+        assert_eq!(out.connect(Vec::new()).unwrap(), 4);
+        assert_eq!(out.disconnect(), Some(vec![1, 2, 3, 4]));
         // A full buffer flushes itself.
-        out.connect(Vec::new(), 4).unwrap();
+        out.connect(Vec::new()).unwrap();
         out.push(vec![0; FLUSH_BYTES - 1]);
         assert_eq!(out.pending_bytes(), FLUSH_BYTES - 1);
         out.push(vec![0]);
@@ -730,7 +711,7 @@ mod tests {
             }
         }
         let mut out = Outbox::new();
-        out.connect(Broken, 0).unwrap(); // empty replay writes nothing
+        out.connect(Broken).unwrap(); // empty replay writes nothing
         out.push(vec![7]);
         assert!(!out.take_failed());
         out.flush();
@@ -738,7 +719,7 @@ mod tests {
         assert!(out.disconnect().is_none(), "the connection is gone");
         assert_eq!((out.log().len(), out.pending_bytes()), (1, 0));
         out.push(vec![8]);
-        assert!(out.connect(Broken, 0).is_err());
+        assert!(out.connect(Broken).is_err());
         assert!(out.disconnect().is_none(), "a failed replay adopts nothing");
     }
 

@@ -26,7 +26,9 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// Everything that crosses the parent↔worker boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Worker → parent, first frame on a fresh connection.
+    /// Worker → parent, the one frame a worker writes before its `Plan`.
+    /// Each incarnation dials and says hello exactly once: a worker that
+    /// loses its connection exits, and the coordinator respawns it.
     Hello {
         /// The worker's process index.
         index: u32,
@@ -34,10 +36,6 @@ pub enum Frame {
         /// the coordinator on every respawn. Lets the coordinator drop
         /// hellos from stale incarnations.
         epoch: u32,
-        /// Frames from the coordinator this incarnation has already
-        /// consumed — nonzero only on a same-incarnation reconnect, where
-        /// it trims the coordinator's replay.
-        resume_recv: u64,
     },
     /// Parent → worker: the partition plan (SPMD assembly inputs).
     Plan {
@@ -58,7 +56,7 @@ pub enum Frame {
         /// Should the worker record trace events and ship them back?
         trace: bool,
         /// The incarnation this plan is addressed to (echo of the
-        /// worker's hello epoch; a respawned worker resumes here).
+        /// worker's hello epoch).
         epoch: u32,
         /// Heartbeat interval the worker should honor, in milliseconds.
         heartbeat_ms: u32,
@@ -154,13 +152,6 @@ pub enum Frame {
         /// queue?
         idle: bool,
     },
-    /// Parent → worker: cumulative delivery acknowledgements, one
-    /// `(wire, highest_seq_delivered)` pair per wire, letting the worker
-    /// trim its egress log.
-    Ack {
-        /// Acknowledged watermarks, sorted by wire for determinism.
-        acks: Vec<(u64, u64)>,
-    },
 }
 
 /// Decode-side failures. Each error consumes the offending bytes, so the
@@ -200,7 +191,6 @@ const TAG_SHUTDOWN: u8 = 10;
 const TAG_ERROR: u8 = 11;
 const TAG_TRACE: u8 = 12;
 const TAG_HEARTBEAT: u8 = 13;
-const TAG_ACK: u8 = 14;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -306,14 +296,9 @@ fn envelope(tag: u8, payload_len: usize) -> Vec<u8> {
 pub fn encode(frame: &Frame) -> Vec<u8> {
     let mut payload = Vec::new();
     let tag = match frame {
-        Frame::Hello {
-            index,
-            epoch,
-            resume_recv,
-        } => {
+        Frame::Hello { index, epoch } => {
             put_u32(&mut payload, *index);
             put_u32(&mut payload, *epoch);
-            put_u64(&mut payload, *resume_recv);
             TAG_HELLO
         }
         Frame::Plan {
@@ -420,14 +405,6 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             put_u64(&mut payload, *recv);
             put_bool(&mut payload, *idle);
             TAG_HEARTBEAT
-        }
-        Frame::Ack { acks } => {
-            put_u32(&mut payload, acks.len() as u32);
-            for (wire, upto) in acks {
-                put_u64(&mut payload, *wire);
-                put_u64(&mut payload, *upto);
-            }
-            TAG_ACK
         }
     };
     let mut out = envelope(tag, payload.len());
@@ -552,7 +529,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
         TAG_HELLO => Frame::Hello {
             index: c.u32()?,
             epoch: c.u32()?,
-            resume_recv: c.u64()?,
         },
         TAG_PLAN => Frame::Plan {
             topology: c.string()?,
@@ -626,16 +602,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
             recv: c.u64()?,
             idle: c.boolean()?,
         },
-        TAG_ACK => {
-            let n = c.count()?;
-            let mut acks = Vec::with_capacity(n);
-            for _ in 0..n {
-                let wire = c.u64()?;
-                let upto = c.u64()?;
-                acks.push((wire, upto));
-            }
-            Frame::Ack { acks }
-        }
         other => return Err(WireError::BadTag(other)),
     };
     c.finish()?;
@@ -675,21 +641,10 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Undecoded bytes currently buffered (test hook).
+    /// Undecoded bytes currently buffered.
     #[must_use]
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    /// Take the undecoded residue, leaving the decoder empty. Used to
-    /// hand off a stream mid-decode (e.g. bytes a hello reader slurped
-    /// past the handshake frame) without losing what follows.
-    #[must_use]
-    pub fn take_buffered(&mut self) -> Vec<u8> {
-        let residue = self.buf.split_off(self.pos);
-        self.buf.clear();
-        self.pos = 0;
-        residue
     }
 
     /// Scan to the next magic, skipping garbage. Keeps the last 3 bytes
@@ -746,11 +701,7 @@ mod tests {
 
     fn sample_frames() -> Vec<Frame> {
         vec![
-            Frame::Hello {
-                index: 3,
-                epoch: 2,
-                resume_recv: 17,
-            },
+            Frame::Hello { index: 3, epoch: 2 },
             Frame::Plan {
                 topology: "ad-report".to_string(),
                 params: "seed=5\nreplicas=4".to_string(),
@@ -843,10 +794,6 @@ mod tests {
                 recv: 0,
                 idle: true,
             },
-            Frame::Ack { acks: vec![] },
-            Frame::Ack {
-                acks: vec![(3, 0), (u64::MAX, 41)],
-            },
         ]
     }
 
@@ -918,11 +865,7 @@ mod tests {
 
     #[test]
     fn garbage_prefix_is_skipped_to_the_next_magic() {
-        let hello = Frame::Hello {
-            index: 1,
-            epoch: 0,
-            resume_recv: 0,
-        };
+        let hello = Frame::Hello { index: 1, epoch: 0 };
         let mut bytes = vec![0xde, 0xad, 0xbe, 0xef, b'B', b'L'];
         bytes.extend_from_slice(&encode(&hello));
         let mut dec = FrameDecoder::new();
@@ -976,8 +919,6 @@ mod tests {
         }
         dec.push(&one[..5]);
         assert_eq!(dec.buffered(), 5);
-        assert_eq!(dec.take_buffered(), &one[..5]);
-        assert_eq!(dec.buffered(), 0);
         assert_eq!(dec.next_frame().unwrap(), None);
     }
 

@@ -73,7 +73,7 @@ pub enum EventKind {
     /// The dist coordinator respawned a dead worker (`a` = worker index,
     /// `b` = new incarnation epoch).
     Respawn = 20,
-    /// The dist coordinator replayed logged frames into a (re)connected
+    /// The dist coordinator replayed logged frames into a respawned
     /// worker (`a` = worker index, `b` = frames replayed).
     Replay = 21,
 }

@@ -79,13 +79,7 @@ fn plan() -> impl Strategy<Value = Frame> {
 /// Any frame the protocol can carry, including deeply structured payloads.
 fn frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
-        (any::<u32>(), any::<u32>(), any::<u64>()).prop_map(|(index, epoch, resume_recv)| {
-            Frame::Hello {
-                index,
-                epoch,
-                resume_recv,
-            }
-        }),
+        (any::<u32>(), any::<u32>()).prop_map(|(index, epoch)| Frame::Hello { index, epoch }),
         plan(),
         (any::<u64>(), any::<u64>(), message()).prop_map(|(wire, seq, msg)| Frame::Data {
             wire,
@@ -134,7 +128,6 @@ fn frame() -> impl Strategy<Value = Frame> {
                 idle,
             }
         ),
-        collection::vec((any::<u64>(), any::<u64>()), 0..5).prop_map(|acks| Frame::Ack { acks }),
         (
             any::<u32>(),
             any::<u32>(),
@@ -285,9 +278,7 @@ proptest! {
 
     /// The decoder's read cursor is invisible from outside: after exactly
     /// `k` frames have been consumed, under any chunking and with any
-    /// amount of the stream fed, `buffered()` counts only undecoded bytes
-    /// and `take_buffered()` hands over exactly that residue — enough for
-    /// a second decoder to finish the stream.
+    /// amount of the stream fed, `buffered()` counts only undecoded bytes.
     #[test]
     fn residue_after_k_consumed_frames_is_exactly_the_undecoded_bytes(
         frames in collection::vec(frame(), 1..8),
@@ -316,18 +307,6 @@ proptest! {
         }
         prop_assert_eq!(&got[..], &frames[..k]);
         prop_assert_eq!(dec.buffered(), fed - consumed);
-        let residue = dec.take_buffered();
-        prop_assert_eq!(&residue[..], &bytes[consumed..fed]);
-        prop_assert_eq!(dec.buffered(), 0);
-        prop_assert_eq!(dec.next_frame(), Ok(None));
-
-        let mut heir = FrameDecoder::new();
-        heir.push(&residue);
-        heir.push(&bytes[fed..]);
-        while let Some(f) = heir.next_frame().expect("handed-over stream decodes cleanly") {
-            got.push(f);
-        }
-        prop_assert_eq!(got, frames);
     }
 
     /// Flipping one bit anywhere never panics the decoder, and every frame

@@ -42,11 +42,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "Figures 12-14 fixture; case_study_adreport pins the calibrated completions on it",
     ),
     (
-        "crates/blazes-coord/src/sequencer.rs",
-        "stamping",
-        "sequence-stamped total order replicas can verify; the coord wire test pins it",
-    ),
-    (
         "crates/blazes-core/src/fd.rs",
         "declare",
         "paper V-A1 injective FDs; the inference and reconcile tests declare them",
