@@ -120,9 +120,9 @@ pub struct AdAutoAssembly {
 /// [`ad_network_spec`] demands for `sc.query` under `sc.strategy` (nothing
 /// at all when that spec is empty). This is the one assembly the
 /// simulator, the parallel executor and every process of a distributed
-/// run share; `speculation` selects the speculative seal-gate variant
-/// (meaningful on the parallel substrate only, but it must be part of the
-/// assembly so all processes agree on the rewritten graph).
+/// run share; `speculation` selects the speculative seal-gate variant,
+/// meaningful on the parallel executor only (dist workers never speculate,
+/// so the dist registry always assembles with `false`).
 pub fn assemble_ad_auto<B: ExecutorBuilder + ?Sized>(
     sc: &AdScenario,
     speculation: bool,
@@ -149,8 +149,8 @@ pub fn assemble_ad_auto<B: ExecutorBuilder + ?Sized>(
 /// sequencers are ordinary components, so every strategy runs on the
 /// simulator, the parallel executor, or (via [`crate::dist::dist_registry`])
 /// a fleet of worker processes; modeled service times apply on the
-/// simulator only. When the backend enables time-warp speculation, the
-/// injected seal gates are the speculative variant.
+/// simulator only. When the backend enables time-warp speculation (par
+/// only), the injected seal gates are the speculative variant.
 ///
 /// On [`BackendSpec::Dist`] the spec's `topology`/`params` fields are
 /// overwritten with the ad-report registry entry for `sc`; everything
@@ -163,12 +163,11 @@ pub fn assemble_ad_auto<B: ExecutorBuilder + ?Sized>(
 /// failure.
 #[must_use]
 pub fn run_ad_auto(sc: &AdScenario, backend: &BackendSpec) -> (AdRunResult, AutoCoordReport) {
-    let speculation = backend.speculation();
     let (series, responses, stats, report) = if let BackendSpec::Dist(d) = backend {
-        let report = assemble_ad_auto(sc, speculation, &mut ProbeBuilder::new()).report;
+        let report = assemble_ad_auto(sc, false, &mut ProbeBuilder::new()).report;
         let mut spec = d.clone();
         spec.topology = crate::dist::AD_TOPOLOGY.to_string();
-        spec.params = crate::dist::encode_ad_params(sc, speculation);
+        spec.params = crate::dist::encode_ad_params(sc);
         let run =
             run_dist(&spec, &crate::dist::dist_registry()).expect("distributed ad-report run");
         (
@@ -178,6 +177,7 @@ pub fn run_ad_auto(sc: &AdScenario, backend: &BackendSpec) -> (AdRunResult, Auto
             report,
         )
     } else {
+        let speculation = backend.speculation();
         let (exec, asm) = build_local(backend, sc.seed, |b| assemble_ad_auto(sc, speculation, b))
             .unwrap_or_else(|e| panic!("{e}"));
         (asm.series, asm.responses, exec.run(), asm.report)

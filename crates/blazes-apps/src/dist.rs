@@ -8,12 +8,12 @@
 //! wordcount, each re-assembled through the same analysis-driven path the
 //! in-process backends use — together with the exact, line-based
 //! `key=value` codecs that round-trip their scenario structs through the
-//! plan frame. The ad-report plan is the scenario, whose `strategy` says
-//! what the analysis is told, plus one flag (`speculation`); there is no
-//! second, hand-wired plan to select. Floating-point fields travel as
-//! IEEE-754 bit patterns (`f64::to_bits`), so a parsed scenario is
-//! bit-identical to the one the parent encoded and the SPMD assembly stays
-//! deterministic everywhere.
+//! plan frame. The ad-report plan is the scenario alone, whose `strategy`
+//! says what the analysis is told; there is no second, hand-wired plan to
+//! select, and no speculation flag: dist workers never speculate.
+//! Floating-point fields travel as IEEE-754 bit patterns (`f64::to_bits`),
+//! so a parsed scenario is bit-identical to the one the parent encoded and
+//! the SPMD assembly stays deterministic everywhere.
 
 use crate::adreport::{AdScenario, StrategyKind};
 use crate::autocoord::{assemble_ad_auto, wordcount_ordering_config, wordcount_spec};
@@ -67,12 +67,11 @@ fn get_f64_bits(map: &BTreeMap<&str, &str>, key: &str) -> f64 {
     f64::from_bits(get_u64(map, key))
 }
 
-/// Encode an ad-report scenario (plus the speculation flag) into the plan
-/// parameter string parsed by [`parse_ad_params`].
+/// Encode an ad-report scenario into the plan parameter string parsed by
+/// [`parse_ad_params`].
 #[must_use]
-pub fn encode_ad_params(sc: &AdScenario, speculation: bool) -> String {
+pub fn encode_ad_params(sc: &AdScenario) -> String {
     let mut out = String::new();
-    put(&mut out, "speculation", u8::from(speculation));
     put(
         &mut out,
         "strategy",
@@ -126,13 +125,13 @@ pub fn encode_ad_params(sc: &AdScenario, speculation: bool) -> String {
 }
 
 /// Parse the parameter string produced by [`encode_ad_params`] back into
-/// the scenario plus the `speculation` flag.
+/// the scenario.
 ///
 /// # Panics
 /// Panics on any missing, malformed or unknown field — the string comes
 /// from the parent's deterministic encoder, so damage means a protocol bug.
 #[must_use]
-fn parse_ad_params(params: &str) -> (AdScenario, bool) {
+fn parse_ad_params(params: &str) -> AdScenario {
     let m = kv(params);
     let sc = AdScenario {
         workload: ClickWorkload {
@@ -173,15 +172,14 @@ fn parse_ad_params(params: &str) -> (AdScenario, bool) {
         requests_via_analyst: get_bool(&m, "requests_via_analyst"),
         seed: get_u64(&m, "seed"),
     };
-    let speculation = get_bool(&m, "speculation");
     // The codec is exact both ways: a key it does not know is damage too,
     // not something to skip over.
     assert_eq!(
-        encode_ad_params(&sc, speculation),
+        encode_ad_params(&sc),
         params,
         "ad-report plan is not what the encoder writes"
     );
-    (sc, speculation)
+    sc
 }
 
 /// Encode a wordcount scenario (plus the `sealed` analysis flag) into the
@@ -254,8 +252,7 @@ fn parse_wordcount_params(params: &str) -> (WordcountScenario, bool) {
 pub fn dist_registry() -> Registry {
     let mut reg = Registry::new();
     reg.register(AD_TOPOLOGY, |b, params| -> SinkSet {
-        let (sc, speculation) = parse_ad_params(params);
-        assemble_ad_auto(&sc, speculation, b).responses
+        assemble_ad_auto(&parse_ad_params(params), false, b).responses
     });
     reg.register(WORDCOUNT_TOPOLOGY, |b, params| -> SinkSet {
         let (sc, sealed) = parse_wordcount_params(params);
@@ -296,10 +293,9 @@ mod tests {
                 strategy,
                 ..sc.clone()
             };
-            let enc = encode_ad_params(&sc, true);
+            let enc = encode_ad_params(&sc);
             assert!(!enc.contains("auto"), "one assembly, no flag to pick it");
-            let (back, speculation) = parse_ad_params(&enc);
-            assert!(speculation);
+            let back = parse_ad_params(&enc);
             assert_eq!(format!("{back:?}"), format!("{sc:?}"));
             assert_eq!(
                 back.click_duplicates.to_bits(),
@@ -311,7 +307,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not what the encoder writes")]
     fn a_plan_with_an_unknown_key_is_rejected() {
-        let enc = encode_ad_params(&AdScenario::default(), false);
+        let enc = encode_ad_params(&AdScenario::default());
         let _ = parse_ad_params(&format!("auto=1\n{enc}"));
     }
 

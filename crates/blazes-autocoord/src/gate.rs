@@ -13,9 +13,12 @@
 //!   read has been released — the read-delay half of the protocol that
 //!   makes answers functions of final partition contents only;
 //! * duplicate seals after release are absorbed (idempotent votes);
-//!   covered records arriving after their partition released — possible
-//!   only on non-FIFO channels — are forwarded rather than lost, and
-//!   counted in [`SealGateStats::late_forwards`].
+//!   covered records arriving after their partition released are
+//!   forwarded rather than lost, and counted in
+//!   [`SealGateStats::late_forwards`]. Wires are FIFO, so only
+//!   at-least-once duplication produces them: a duplicate does not hold
+//!   its original's place on the wire and may trail the seal sent after
+//!   it.
 //!
 //! Seal keys may span several attributes: the gate then partitions on the
 //! composite of all key values.

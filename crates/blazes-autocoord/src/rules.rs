@@ -553,7 +553,7 @@ mod tests {
         assert_eq!(stats.injected_operators, 1, "one gate for one consumer");
         assert_eq!(stats.rewritten_wires, 2, "both producer wires rerouted");
         assert_eq!(rules.summary().operators(), 1);
-        sim.build().run(None);
+        sim.build().run();
         assert_eq!(sim_sink.len(), 12, "10 records + both producer votes");
 
         // Only the data payload is schedule-independent: the forwarded

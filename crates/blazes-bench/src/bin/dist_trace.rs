@@ -14,9 +14,8 @@
 //! cargo run -p blazes-bench --release --bin dist_trace -- [--chaos] FILE
 //! ```
 //!
-//! * `dist_trace FILE` — time-warp speculation on: lanes for pids
-//!   `{0,1,2}` with `seal_vote`, `epoch_open`, `frame_send` and
-//!   `frame_recv` spans.
+//! * `dist_trace FILE` — lanes for pids `{0,1,2}` with `seal_vote`,
+//!   `frame_send` and `frame_recv` spans.
 //! * `dist_trace --chaos FILE` — worker 1 is SIGKILLed three routed frames
 //!   in: the respawned worker shows as its own pid lane
 //!   (`index+1 + 1000·epoch`, so ≥ 1001) next to the coordinator's
@@ -58,8 +57,6 @@ fn traced_run(chaos: bool, path: &str) -> Result<(), String> {
                 point: KillPoint::RoutedFrames(3),
             }],
         };
-    } else {
-        spec.speculation = true;
     }
     let (res, _) = run_ad_auto(&sc, &BackendSpec::Dist(spec));
     let digests = response_digests(&res.responses);

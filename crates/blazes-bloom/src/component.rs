@@ -132,7 +132,7 @@ module Counter {
                 Message::Data(Tuple(vec![Value::str(id)])),
             );
         }
-        b.build().run(None);
+        b.build().run();
         // Each tick emits the current counts; the final count for 'a' is 1
         // (set semantics collapse duplicate ('a',) tuples in the log).
         let last = sink.messages();
@@ -157,7 +157,7 @@ module Counter {
             PortId(0),
             Message::Seal(blazes_dataflow::message::SealKey::new([("campaign", 1i64)])),
         );
-        b.build().run(None);
+        b.build().run();
         assert!(matches!(sink.messages()[0], Message::Seal(_)));
     }
 }

@@ -87,7 +87,7 @@ mod tests {
         for (at, batch, committer) in readiness {
             b.inject(at, coord, PortId(0), Message::data([batch, committer]));
         }
-        b.build().run(None);
+        b.build().run();
         sink.messages()
             .iter()
             .filter_map(|m| m.as_data().and_then(|t| t.get(0)).and_then(Value::as_int))

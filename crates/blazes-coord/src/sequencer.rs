@@ -61,7 +61,7 @@ mod tests {
         for i in 0..100i64 {
             b.inject(i as u64 * 3, seq, PortId(0), Message::data([i]));
         }
-        b.build().run(None);
+        b.build().run();
         assert_eq!(r1.messages(), r2.messages());
         assert_eq!(r1.len(), 100);
     }
@@ -74,7 +74,7 @@ mod tests {
         let s = b.add_instance(Box::new(sink.clone()));
         b.connect_with(seq, PortId(0), s, PortId(0), ChannelConfig::ordered(0));
         b.inject(0, seq, PortId(0), Message::Eos);
-        b.build().run(None);
+        b.build().run();
         assert_eq!(sink.messages(), vec![Message::Eos]);
     }
 
@@ -94,7 +94,7 @@ mod tests {
             b.inject(0, seq, PortId(0), Message::data([i as i64]));
         }
         let mut sim = b.build();
-        let stats = sim.run(None);
+        let stats = sim.run();
         assert!(
             stats.end_time >= n * service,
             "end={} < {}",

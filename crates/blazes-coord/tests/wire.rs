@@ -184,7 +184,7 @@ fn sequencer_ticks_keep_their_order_across_the_wire() {
     for i in 0..50i64 {
         b.inject(i as u64 * 3, seq, PortId(0), Message::data([i, i * i]));
     }
-    b.build().run(None);
+    b.build().run();
     let ticks = sink.entries();
     assert_eq!(ticks.len(), 50);
 

@@ -466,13 +466,12 @@ impl BackendSpec {
     }
 
     /// Does the backend run time-warp speculation? Assemblies that inject
-    /// seal gates pick the speculative variant from this.
+    /// seal gates pick the speculative variant from this. Only par can.
     #[must_use]
     pub fn speculation(&self) -> bool {
         match self {
-            BackendSpec::Sim => false,
             BackendSpec::Par { tuning, .. } => tuning.speculation,
-            BackendSpec::Dist(d) => d.speculation,
+            BackendSpec::Sim | BackendSpec::Dist(_) => false,
         }
     }
 
@@ -530,7 +529,7 @@ impl LocalExecutor {
     #[must_use]
     pub fn run(self) -> BackendRunStats {
         match self {
-            LocalExecutor::Sim(mut sim) => BackendRunStats::Sim(sim.run(None)),
+            LocalExecutor::Sim(mut sim) => BackendRunStats::Sim(sim.run()),
             LocalExecutor::Par(par) => BackendRunStats::Par(par.run()),
         }
     }
@@ -728,7 +727,7 @@ mod tests {
         assert_eq!(stats.injected_operators, 1, "one shared gate");
         assert_eq!(stats.rewritten_wires, 1, "src->target rerouted");
         assert_eq!(stats.redirected_injections, 1, "direct injection rerouted");
-        sim.build().run(None);
+        sim.build().run();
         // Both paths into `target` went through the +1000 tagger.
         let vals: std::collections::BTreeSet<i64> = sink
             .messages()
@@ -762,7 +761,7 @@ mod tests {
         let direct = CollectorSink::new();
         let mut sim = SimBuilder::new(3);
         assemble(&mut sim, direct.clone());
-        sim.build().run(None);
+        sim.build().run();
 
         let wrapped = CollectorSink::new();
         let mut sim2 = SimBuilder::new(3);
@@ -770,7 +769,7 @@ mod tests {
         assemble(&mut rb, wrapped.clone());
         let (_, stats) = rb.finish();
         assert!(stats.is_untouched());
-        sim2.build().run(None);
+        sim2.build().run();
         assert_eq!(direct.messages(), wrapped.messages());
     }
 
@@ -832,7 +831,7 @@ mod tests {
         let (_, stats) = rb.finish();
         assert_eq!(stats.redirected_injections, 1);
         assert_eq!(stats.absorbed_injections, 2);
-        sim.build().run(None);
+        sim.build().run();
         assert_eq!(sink.len(), 1, "duplicates collapsed to one delivery");
     }
 }

@@ -10,6 +10,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Per-channel delivery behavior. All times are virtual microseconds.
+///
+/// Every wire delivers in send order (TCP-like) on every backend:
+/// punctuation semantics assume a seal cannot overtake the records it
+/// covers. Nondeterminism arises from interleaving *across* producers, and
+/// a duplicate may still trail later sends on its wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelConfig {
     /// Fixed propagation delay added to every delivery.
@@ -26,11 +31,6 @@ pub struct ChannelConfig {
     pub loss_prob: f64,
     /// Delay before a lost message is retransmitted.
     pub retransmit_delay: Time,
-    /// Deliver in send order per wire (TCP-like). Punctuation semantics
-    /// assume the seal cannot overtake the records it covers, so this
-    /// defaults to `true`; nondeterminism still arises from interleaving
-    /// *across* producers. Set `false` for datagram-like channels.
-    pub fifo: bool,
 }
 
 impl ChannelConfig {
@@ -43,7 +43,6 @@ impl ChannelConfig {
             duplicate_prob: 0.0,
             loss_prob: 0.0,
             retransmit_delay: 10_000,
-            fifo: true,
         }
     }
 
@@ -59,7 +58,6 @@ impl ChannelConfig {
             duplicate_prob: 0.0,
             loss_prob: 0.0,
             retransmit_delay: 0,
-            fifo: true,
         }
     }
 
@@ -72,7 +70,6 @@ impl ChannelConfig {
             duplicate_prob: 0.0,
             loss_prob: 0.0,
             retransmit_delay: 0,
-            fifo: true,
         }
     }
 

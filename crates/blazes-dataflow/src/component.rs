@@ -27,7 +27,6 @@ pub struct Context {
     /// is the emission index the resolution precedes — so an abort can be
     /// ordered before the corrected re-emissions of the same activation.
     pub(crate) resolves: Vec<(u64, bool, usize)>,
-    pub(crate) ticks: Vec<Time>,
 }
 
 impl Context {
@@ -41,7 +40,6 @@ impl Context {
             emitted: Vec::new(),
             epochs: Vec::new(),
             resolves: Vec::new(),
-            ticks: Vec::new(),
         }
     }
 
@@ -96,11 +94,6 @@ impl Context {
     pub(crate) fn has_speculative_ops(&self) -> bool {
         !self.resolves.is_empty() || self.epochs.iter().any(|&e| e != 0)
     }
-
-    /// Request a timer callback (`on_tick`) after `delay` virtual time.
-    pub fn schedule_tick(&mut self, delay: Time) {
-        self.ticks.push(delay);
-    }
 }
 
 /// A deterministic dataflow component.
@@ -108,7 +101,10 @@ pub trait Component: Send {
     /// Handle one message arriving on input port `port`.
     fn on_message(&mut self, port: usize, msg: Message, ctx: &mut Context);
 
-    /// Handle a timer scheduled via [`Context::schedule_tick`].
+    /// Timer callback that no executor calls: no backend offers a timer,
+    /// because sim, par and dist could not give one the same meaning. The
+    /// method stays only because the benchmark's tracing decorator
+    /// overrides it; it goes once that decorator no longer does.
     fn on_tick(&mut self, _ctx: &mut Context) {}
 
     /// Capture a state checkpoint for time-warp speculation. Return
@@ -179,9 +175,7 @@ mod tests {
         let mut ctx = Context::new(5, InstanceId(0));
         ctx.emit(0, Message::data([1i64]));
         ctx.emit(1, Message::Eos);
-        ctx.schedule_tick(100);
         assert_eq!(ctx.emitted.len(), 2);
-        assert_eq!(ctx.ticks, vec![100]);
         assert_eq!(ctx.now, 5);
     }
 

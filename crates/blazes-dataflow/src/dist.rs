@@ -79,18 +79,13 @@
 //! frames are held in the reorder/partition buffers — any frame still in
 //! flight in either direction makes some counter pair disagree. A
 //! `Probe`/`ProbeAck` confirmation round then re-validates before the
-//! parent collects: `Collect` makes each worker finish its run (running
-//! the end-of-run speculation rescue, if any) and stream back the
-//! contents of every sink it owns — in `SinkResult` slices of a few
-//! thousand entries the parent appends in order, so a sink's size is not
-//! bounded by [`wire::MAX_FRAME`] — plus its run statistics.
-//!
-//! One documented divergence from the single-process backends: egress
-//! traffic produced *by* the end-of-run rescue drain (a never-sealed
-//! speculative session re-emitting blocking output after `Collect`) can
-//! no longer cross the wire; such frames are dropped and counted in
-//! [`DistStats::late_egress_frames`]. Coordinated topologies whose seals
-//! all arrive — everything the differential suite runs — never hit this.
+//! parent collects: `Collect` makes each worker finish its run and
+//! stream back the contents of every sink it owns — in `SinkResult`
+//! slices of a few thousand entries the parent appends in order, so a
+//! sink's size is not bounded by [`wire::MAX_FRAME`] — plus its run
+//! statistics. Workers run their par runtime without time-warp
+//! speculation, so a stable run has nothing left to do after `Collect`:
+//! no frame is produced once the wire has closed for data.
 //!
 //! # Fault tolerance
 //!
@@ -263,8 +258,6 @@ pub struct DistSpec {
     pub processes: usize,
     /// Par-runtime worker threads per process.
     pub workers_per_process: usize,
-    /// Enable time-warp speculation inside each process.
-    pub speculation: bool,
     /// Per cross-wire probability that a frame is held and delivered
     /// after the next frame bound for the same process (frames of the
     /// *same* wire are never swapped — per-wire FIFO is load-bearing).
@@ -285,7 +278,7 @@ pub struct DistSpec {
 
 impl DistSpec {
     /// A spec with library defaults: 2 processes × 2 workers, no
-    /// speculation, no frame-level faults.
+    /// frame-level faults.
     #[must_use]
     pub fn new(
         topology: impl Into<String>,
@@ -298,7 +291,6 @@ impl DistSpec {
             seed: 0,
             processes: 2,
             workers_per_process: 2,
-            speculation: false,
             reorder_prob: 0.0,
             partition: None,
             worker_command,
@@ -406,11 +398,6 @@ pub struct DistStats {
     pub duplicates: u64,
     /// Retransmits drawn on local wires, summed over workers.
     pub retransmits: u64,
-    /// End-of-run rescue passes, summed over workers.
-    pub rescue_passes: u64,
-    /// Egress frames produced after `Collect` (rescue-drain output that
-    /// could no longer cross the wire) — see the module docs.
-    pub late_egress_frames: u64,
     /// Heartbeat frames the coordinator received.
     pub heartbeats: u64,
     /// Worker failures the coordinator detected (recovered or not).
@@ -449,8 +436,6 @@ impl DistStats {
         reg.counter("dist.deduped_frames").add(self.deduped_frames);
         reg.counter("dist.events").add(self.events_processed);
         reg.counter("dist.deliveries").add(self.messages_delivered);
-        reg.counter("dist.late_egress_frames")
-            .add(self.late_egress_frames);
     }
 }
 
@@ -576,11 +561,7 @@ impl ExecutorBuilder for ProbeBuilder {
 
 /// The egress shim interposed on a cross wire's producer side: forwards
 /// every delivery to the worker's socket pump as `(wire, seq, message)`.
-///
-/// Deliberately offers no snapshot: in time-warp mode the runtime then
-/// *defers* speculative deliveries to the egress until their epoch
-/// resolves, so only committed traffic ever crosses a process boundary —
-/// speculation stays process-local by construction.
+/// Workers never speculate, so every frame it forwards is committed.
 struct Egress {
     wire: u64,
     seq: u64,
@@ -1533,7 +1514,6 @@ impl<'a> Coordinator<'a> {
                 processes: self.processes as u32,
                 index: index as u32,
                 workers: self.spec.workers_per_process as u32,
-                speculation: self.spec.speculation,
                 trace: self.trace,
                 epoch,
                 heartbeat_ms: u32::try_from(self.spec.tuning.heartbeat_every.as_millis())
@@ -1964,15 +1944,11 @@ pub fn run_dist(spec: &DistSpec, registry: &Registry) -> Result<DistRun, DistErr
                             delivered,
                             duplicates,
                             retransmits,
-                            rescue_passes,
-                            late,
                         } => {
                             coord.router.stats.events_processed += events;
                             coord.router.stats.messages_delivered += delivered;
                             coord.router.stats.duplicates += duplicates;
                             coord.router.stats.retransmits += retransmits;
-                            coord.router.stats.rescue_passes += rescue_passes;
-                            coord.router.stats.late_egress_frames += late;
                             done[i] = true;
                         }
                         Frame::Trace { pid, tid, events } => {
@@ -2223,7 +2199,6 @@ fn worker_run(
         processes,
         index: plan_index,
         workers,
-        speculation,
         trace,
         epoch: plan_epoch,
         heartbeat_ms,
@@ -2254,7 +2229,7 @@ fn worker_run(
     // SPMD assembly of this partition.
     let mut pb = ParBuilder::new(seed)
         .with_workers(workers as usize)
-        .with_tuning(ParTuning::default().with_speculation(speculation))
+        .with_tuning(ParTuning::default())
         .map_err(|e| DistError::Protocol(format!("plan carries an invalid par config: {e}")))?;
     let (mut builder, egress_rx, egress_queued) =
         DistWorkerBuilder::new(&mut pb, index, processes as usize);
@@ -2413,14 +2388,11 @@ fn worker_run(
         }
     };
 
-    // Finish the local run (end-of-run rescue happens inside), then stop
-    // the pump and account anything the rescue tried to send after the
-    // wire closed for data.
+    // Finish the local run, then stop the pump.
     let stats = running.finish();
     stop.store(true, Ordering::SeqCst);
     pump.join()
         .map_err(|_| DistError::Protocol("egress pump panicked".to_string()))??;
-    let late = egress_queued.load(Ordering::SeqCst) - written.load(Ordering::SeqCst);
 
     if collect {
         for (pos, (id, sink)) in sinks.iter().enumerate() {
@@ -2453,8 +2425,6 @@ fn worker_run(
                 delivered: stats.messages_delivered,
                 duplicates: stats.duplicates,
                 retransmits: stats.retransmits,
-                rescue_passes: stats.rescue_passes,
-                late,
             },
         )?;
         // Wait for the shutdown order (keeps the socket open until the
@@ -2872,7 +2842,6 @@ mod tests {
             processes: 2,
             index: 0,
             workers: 1,
-            speculation: false,
             trace: false,
             epoch: 0,
             heartbeat_ms: 25,

@@ -51,8 +51,6 @@ pub enum Frame {
         index: u32,
         /// Par-runtime threads this worker should run.
         workers: u32,
-        /// Time-warp speculation?
-        speculation: bool,
         /// Should the worker record trace events and ship them back?
         trace: bool,
         /// The incarnation this plan is addressed to (echo of the
@@ -112,10 +110,6 @@ pub enum Frame {
         duplicates: u64,
         /// Retransmits drawn on local wires.
         retransmits: u64,
-        /// End-of-run rescue passes.
-        rescue_passes: u64,
-        /// Egress frames produced after `Collect` (dropped).
-        late: u64,
     },
     /// Parent → worker: exit now.
     Shutdown,
@@ -308,7 +302,6 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             processes,
             index,
             workers,
-            speculation,
             trace,
             epoch,
             heartbeat_ms,
@@ -319,7 +312,6 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             put_u32(&mut payload, *processes);
             put_u32(&mut payload, *index);
             put_u32(&mut payload, *workers);
-            put_bool(&mut payload, *speculation);
             put_bool(&mut payload, *trace);
             put_u32(&mut payload, *epoch);
             put_u32(&mut payload, *heartbeat_ms);
@@ -367,15 +359,11 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             delivered,
             duplicates,
             retransmits,
-            rescue_passes,
-            late,
         } => {
             put_u64(&mut payload, *events);
             put_u64(&mut payload, *delivered);
             put_u64(&mut payload, *duplicates);
             put_u64(&mut payload, *retransmits);
-            put_u64(&mut payload, *rescue_passes);
-            put_u64(&mut payload, *late);
             TAG_DONE
         }
         Frame::Shutdown => TAG_SHUTDOWN,
@@ -537,7 +525,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
             processes: c.u32()?,
             index: c.u32()?,
             workers: c.u32()?,
-            speculation: c.boolean()?,
             trace: c.boolean()?,
             epoch: c.u32()?,
             heartbeat_ms: c.u32()?,
@@ -575,8 +562,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
             delivered: c.u64()?,
             duplicates: c.u64()?,
             retransmits: c.u64()?,
-            rescue_passes: c.u64()?,
-            late: c.u64()?,
         },
         TAG_SHUTDOWN => Frame::Shutdown,
         TAG_ERROR => Frame::Error {
@@ -709,7 +694,6 @@ mod tests {
                 processes: 4,
                 index: 2,
                 workers: 2,
-                speculation: false,
                 trace: true,
                 epoch: 1,
                 heartbeat_ms: 25,
@@ -765,8 +749,6 @@ mod tests {
                 delivered: 2,
                 duplicates: 3,
                 retransmits: 4,
-                rescue_passes: 5,
-                late: 6,
             },
             Frame::Shutdown,
             Frame::Error {

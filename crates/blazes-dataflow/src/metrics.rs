@@ -27,7 +27,7 @@ pub struct InstanceStats {
 pub struct WorkerStats {
     /// Worker index.
     pub worker: usize,
-    /// Events (deliveries + ticks) this worker processed.
+    /// Events (deliveries and drain signals) this worker processed.
     pub events: u64,
     /// Instance activations (mailbox drain sessions) this worker ran.
     pub activations: u64,
@@ -87,7 +87,7 @@ pub fn event_balance(workers: &[WorkerStats]) -> f64 {
 pub struct RunStats {
     /// Virtual time of the last processed event.
     pub end_time: Time,
-    /// Total events processed (deliveries + ticks).
+    /// Total events processed (message deliveries).
     pub events_processed: u64,
     /// Messages delivered to instances.
     pub messages_delivered: u64,
@@ -102,9 +102,8 @@ pub struct RunStats {
 impl RunStats {
     /// Publish this snapshot into a metrics registry under `sim.*` names.
     ///
-    /// Everything is exported as gauges (levels, not increments), so a
-    /// paused-and-resumed simulation that exports after each `run()` call
-    /// stays idempotent: the registry always holds the latest totals.
+    /// Everything is exported as gauges (levels, not increments): the
+    /// registry holds the levels of the latest run, not a sum over runs.
     pub fn export_metrics(&self, reg: &blazes_obs::Registry) {
         reg.gauge("sim.end_time_us").set(self.end_time as i64);
         reg.gauge("sim.events").set(self.events_processed as i64);

@@ -85,9 +85,7 @@
 //!   keeps emission order, and mailboxes are FIFO.
 //!   Seal and EOS punctuations therefore never overtake the records they
 //!   cover — the invariant the sealing protocol needs (paper Section V-B1).
-//!   Note this is *stronger* than the simulator for channels configured
-//!   with `fifo: false` ([`ChannelConfig::fifo`]): single-wire reordering is
-//!   not reproduced here.
+//!   The simulator and the dist backend give every wire the same guarantee.
 //! * **At-least-once faults, with reproducible schedules.** Channel
 //!   `duplicate_prob` injects duplicate deliveries and `loss_prob` counts
 //!   a retransmission (the message is still delivered — losses are
@@ -343,9 +341,6 @@ enum MailItem {
         /// stamp, so the histogram sees the full pipeline latency.
         born: u64,
     },
-    Tick {
-        epoch: u64,
-    },
     /// End-of-run drain signal ([`Component::on_drain`]): sent to every
     /// instance by the never-sealed-session rescue when the run has
     /// wedged on speculation that can no longer resolve on its own.
@@ -355,7 +350,7 @@ enum MailItem {
 impl MailItem {
     fn epoch(&self) -> u64 {
         match self {
-            MailItem::Deliver { epoch, .. } | MailItem::Tick { epoch } => *epoch,
+            MailItem::Deliver { epoch, .. } => *epoch,
             MailItem::Drain => 0,
         }
     }
@@ -949,7 +944,7 @@ impl ExecutorBuilder for ParBuilder {
 /// Aggregate statistics of one parallel run.
 #[derive(Debug, Clone)]
 pub struct ParStats {
-    /// Total events processed (deliveries + ticks).
+    /// Total events processed (deliveries and drain signals).
     pub events_processed: u64,
     /// Messages delivered to instances.
     pub messages_delivered: u64,
@@ -1890,7 +1885,6 @@ impl WorkerCtx {
                 cell.component.on_message(port, msg, &mut ctx);
                 cell.processed += 1;
             }
-            MailItem::Tick { .. } => cell.component.on_tick(&mut ctx),
             MailItem::Drain => cell.component.on_drain(&mut ctx),
         }
         shared.burn_service(cell.service);
@@ -1899,7 +1893,6 @@ impl WorkerCtx {
             emitted,
             epochs,
             resolves,
-            ticks,
             ..
         } = ctx;
         assert!(
@@ -1941,11 +1934,6 @@ impl WorkerCtx {
             let (epoch, commit, _) = resolves[next_resolve];
             self.resolve_epoch(shared, epoch, commit);
             next_resolve += 1;
-        }
-        for _delay in ticks {
-            // No virtual clock: a tick fires as the instance's next
-            // self-event, preserving order relative to its own emissions.
-            self.outbox.push(inst, MailItem::Tick { epoch: taint });
         }
     }
 
@@ -2490,33 +2478,6 @@ mod tests {
                 "fault schedule diverged at {workers} workers"
             );
         }
-    }
-
-    #[test]
-    fn ticks_fire_and_terminate() {
-        struct Ticker {
-            fired: Arc<AtomicU64>,
-        }
-        impl Component for Ticker {
-            fn on_message(&mut self, _: usize, _: Message, ctx: &mut Context) {
-                ctx.schedule_tick(5_000);
-            }
-            fn on_tick(&mut self, _ctx: &mut Context) {
-                self.fired.fetch_add(1, Ordering::SeqCst);
-            }
-            fn name(&self) -> &str {
-                "ticker"
-            }
-        }
-        let fired = Arc::new(AtomicU64::new(0));
-        let mut b = ParBuilder::new(0).with_workers(2);
-        let t = b.add_instance(Box::new(Ticker {
-            fired: fired.clone(),
-        }));
-        b.inject(0, t, PortId(0), Message::Eos);
-        let stats = b.build().run();
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert_eq!(stats.events_processed, 2); // delivery + tick
     }
 
     #[test]

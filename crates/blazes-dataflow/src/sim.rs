@@ -1,9 +1,9 @@
 //! The discrete-event simulator.
 //!
-//! Events (message deliveries and timer ticks) are processed in virtual-time
-//! order with a deterministic tiebreak (insertion sequence). All randomness
-//! — delivery jitter, duplication, loss — comes from a single seeded RNG, so
-//! a `(topology, workload, seed)` triple fully determines a run. Varying the
+//! Message deliveries are processed in virtual-time order with a
+//! deterministic tiebreak (insertion sequence). All randomness — delivery
+//! jitter, duplication, loss — comes from a single seeded RNG, so a
+//! `(topology, workload, seed)` triple fully determines a run. Varying the
 //! seed varies delivery interleavings, which is exactly the nondeterminism
 //! the Blazes analysis reasons about.
 //!
@@ -29,23 +29,14 @@ pub type Time = u64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceId(pub usize);
 
-#[derive(Debug)]
-enum EventKind {
-    Deliver {
-        instance: InstanceId,
-        port: usize,
-        msg: Message,
-    },
-    Tick {
-        instance: InstanceId,
-    },
-}
-
+/// A scheduled delivery of `msg` to input `port` of `instance`.
 #[derive(Debug)]
 struct Event {
     time: Time,
     seq: u64,
-    kind: EventKind,
+    instance: InstanceId,
+    port: usize,
+    msg: Message,
 }
 
 impl PartialEq for Event {
@@ -69,7 +60,7 @@ struct Wire {
     dst: InstanceId,
     dst_port: usize,
     channel: usize,
-    /// Latest delivery time scheduled on this wire, for FIFO channels.
+    /// Latest delivery time scheduled on this wire (the FIFO watermark).
     last_delivery: Time,
 }
 
@@ -183,14 +174,7 @@ impl SimBuilder {
             retransmits: 0,
         };
         for (at, to, port, msg) in self.injected {
-            sim.push_event(
-                at,
-                EventKind::Deliver {
-                    instance: to,
-                    port: port.0,
-                    msg,
-                },
-            );
+            sim.push_event(at, to, port.0, msg);
         }
         sim
     }
@@ -211,59 +195,24 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    fn push_event(&mut self, time: Time, kind: EventKind) {
+    fn push_event(&mut self, time: Time, instance: InstanceId, port: usize, msg: Message) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Reverse(Event { time, seq, kind }));
+        self.queue.push(Reverse(Event {
+            time,
+            seq,
+            instance,
+            port,
+            msg,
+        }));
     }
 
-    /// Current virtual time.
-    #[must_use]
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Inject a message while running (e.g. from an external driver).
-    pub fn inject(&mut self, at: Time, to: InstanceId, port: PortId, msg: Message) {
-        let at = at.max(self.now);
-        self.push_event(
-            at,
-            EventKind::Deliver {
-                instance: to,
-                port: port.0,
-                msg,
-            },
-        );
-    }
-
-    /// Run until the event queue drains or virtual time exceeds `until`
-    /// (if given). Returns run statistics.
-    pub fn run(&mut self, until: Option<Time>) -> RunStats {
+    /// Run until the event queue drains. Returns run statistics.
+    pub fn run(&mut self) -> RunStats {
         while let Some(Reverse(ev)) = self.queue.pop() {
-            if let Some(limit) = until {
-                if ev.time > limit {
-                    // Leave the event for a later resume.
-                    self.queue.push(Reverse(ev));
-                    break;
-                }
-            }
             self.now = ev.time;
             self.events_processed += 1;
-            match ev.kind {
-                EventKind::Deliver {
-                    instance,
-                    port,
-                    msg,
-                } => {
-                    self.deliver(instance, port, msg, ev.time);
-                }
-                EventKind::Tick { instance } => {
-                    let start = self.instances[instance.0].busy_until.max(ev.time);
-                    let mut ctx = Context::new(start, instance);
-                    self.instances[instance.0].component.on_tick(&mut ctx);
-                    self.finish_processing(instance, start, ctx);
-                }
-            }
+            self.deliver(ev.instance, ev.port, ev.msg, ev.time);
         }
         let stats = self.stats();
         if blazes_obs::enabled() {
@@ -286,7 +235,7 @@ impl Simulator {
         self.finish_processing(instance, start, ctx);
     }
 
-    /// Account service time, then dispatch buffered emissions and ticks.
+    /// Account service time, then dispatch buffered emissions.
     fn finish_processing(&mut self, instance: InstanceId, start: Time, ctx: Context) {
         let service = self.instances[instance.0].service_time;
         let completion = start + service;
@@ -299,12 +248,8 @@ impl Simulator {
              models blocking coordination only",
             self.instances[instance.0].component.name()
         );
-        let Context { emitted, ticks, .. } = ctx;
-        for (out_port, msg) in emitted {
+        for (out_port, msg) in ctx.emitted {
             self.send(instance, out_port, msg, completion);
-        }
-        for delay in ticks {
-            self.push_event(completion + delay, EventKind::Tick { instance });
         }
     }
 
@@ -329,39 +274,21 @@ impl Simulator {
                 self.retransmits += 1;
                 deliver_at += cfg.retransmit_delay + self.sample_jitter(cfg.jitter);
             }
-            if cfg.fifo {
-                // TCP-like head-of-line ordering: never deliver before an
-                // earlier message on the same wire (ties break by send
-                // order via the event sequence number).
-                let wm = &mut self.instances[from.0].wires[out_port][w].last_delivery;
-                deliver_at = deliver_at.max(*wm);
-                *wm = deliver_at;
-            }
-            self.push_event(
-                deliver_at,
-                EventKind::Deliver {
-                    instance: dst,
-                    port: dst_port,
-                    msg: msg.clone(),
-                },
-            );
+            // TCP-like head-of-line ordering: never deliver before an
+            // earlier message on the same wire (ties break by send order via
+            // the event sequence number).
+            let wm = &mut self.instances[from.0].wires[out_port][w].last_delivery;
+            deliver_at = deliver_at.max(*wm);
+            *wm = deliver_at;
+            self.push_event(deliver_at, dst, dst_port, msg.clone());
             if cfg.duplicate_prob > 0.0 && self.rng.random::<f64>() < cfg.duplicate_prob {
                 self.duplicates += 1;
-                let mut dup_at = at + cfg.base_latency + self.sample_jitter(cfg.jitter.max(1));
-                if cfg.fifo {
-                    // A duplicate (retransmitted copy) cannot overtake the
-                    // stream position either; it does not advance the
-                    // watermark.
-                    dup_at = dup_at.max(self.instances[from.0].wires[out_port][w].last_delivery);
-                }
-                self.push_event(
-                    dup_at,
-                    EventKind::Deliver {
-                        instance: dst,
-                        port: dst_port,
-                        msg: msg.clone(),
-                    },
-                );
+                // A duplicate (retransmitted copy) cannot overtake the stream
+                // position either, but it does not advance the watermark, so
+                // it may trail later sends on the wire.
+                let dup_at = (at + cfg.base_latency + self.sample_jitter(cfg.jitter.max(1)))
+                    .max(self.instances[from.0].wires[out_port][w].last_delivery);
+                self.push_event(dup_at, dst, dst_port, msg.clone());
             }
         }
     }
@@ -419,7 +346,7 @@ mod tests {
         b.inject(0, e, PortId(0), Message::data([1i64]));
         b.inject(0, e, PortId(0), Message::data([2i64]));
         let mut sim = b.build();
-        let stats = sim.run(None);
+        let stats = sim.run();
         assert_eq!(sink.len(), 2);
         assert_eq!(stats.messages_delivered, 4); // 2 at echo + 2 at sink
     }
@@ -441,7 +368,7 @@ mod tests {
             for i in 0..50i64 {
                 b.inject(0, e, PortId(0), Message::data([i]));
             }
-            b.build().run(None);
+            b.build().run();
             sink.messages()
         };
         assert_eq!(run(7), run(7));
@@ -475,57 +402,80 @@ mod tests {
                 b.inject(0, e1, PortId(0), Message::data([i]));
                 b.inject(0, e2, PortId(0), Message::data([100 + i]));
             }
-            b.build().run(None);
+            b.build().run();
             sink.messages()
         };
         assert_ne!(run(1), run(2));
     }
 
+    /// Per-wire send order survives jitter, and retransmission delays too.
     #[test]
-    fn non_fifo_channel_reorders_single_wire() {
-        let run = |seed: u64| -> Vec<Message> {
+    fn fifo_channel_preserves_send_order() {
+        let lossless = [(ChannelConfig::lan().with_jitter(50_000), 12)];
+        let lossy = (0..4).map(|seed| {
+            (
+                ChannelConfig::lan().with_jitter(50_000).with_loss(0.5),
+                seed,
+            )
+        });
+        for (cfg, seed) in lossless.into_iter().chain(lossy) {
             let mut b = SimBuilder::new(seed);
             let e = b.add_instance(echo());
             let sink = CollectorSink::new();
             let s = b.add_instance(Box::new(sink.clone()));
-            b.connect_with(
-                e,
-                PortId(0),
-                s,
-                PortId(0),
-                ChannelConfig {
-                    fifo: false,
-                    ..ChannelConfig::lan().with_jitter(50_000)
-                },
-            );
+            b.connect_with(e, PortId(0), s, PortId(0), cfg.clone());
             for i in 0..50i64 {
                 b.inject(0, e, PortId(0), Message::data([i]));
             }
-            b.build().run(None);
-            sink.messages()
-        };
-        assert_ne!(run(1), run(2));
+            let stats = b.build().run();
+            assert_eq!(stats.retransmits > 0, cfg.loss_prob > 0.0, "seed {seed}");
+            let expected: Vec<Message> = (0..50i64).map(|i| Message::data([i])).collect();
+            assert_eq!(sink.messages(), expected, "seed {seed}");
+        }
     }
 
+    /// A duplicate does not advance its wire's watermark, so it can arrive
+    /// after messages sent later on the same wire. This is why a seal gate
+    /// can see a record after its partition sealed (`late_forwards`) even
+    /// though every wire is FIFO.
     #[test]
-    fn fifo_channel_preserves_send_order() {
-        let mut b = SimBuilder::new(12);
-        let e = b.add_instance(echo());
-        let sink = CollectorSink::new();
-        let s = b.add_instance(Box::new(sink.clone()));
-        b.connect_with(
-            e,
-            PortId(0),
-            s,
-            PortId(0),
-            ChannelConfig::lan().with_jitter(50_000),
+    fn a_duplicate_may_trail_later_sends_on_its_wire() {
+        let trailing = (0..8u64).any(|seed| {
+            let mut b = SimBuilder::new(seed);
+            let e = b.add_instance(echo());
+            let sink = CollectorSink::new();
+            let s = b.add_instance(Box::new(sink.clone()));
+            let cfg = ChannelConfig::lan()
+                .with_jitter(50_000)
+                .with_duplicates(0.5);
+            b.connect_with(e, PortId(0), s, PortId(0), cfg);
+            for i in 0..20i64 {
+                b.inject(0, e, PortId(0), Message::data([i]));
+            }
+            b.build().run();
+            let sent: Vec<Message> = (0..20i64).map(|i| Message::data([i])).collect();
+            let rank = |m: &Message| sent.iter().position(|x| x == m).expect("sent");
+            let got: Vec<usize> = sink.messages().iter().map(rank).collect();
+            let mut firsts = Vec::new();
+            for &r in &got {
+                if !firsts.contains(&r) {
+                    firsts.push(r);
+                }
+            }
+            assert_eq!(
+                firsts,
+                (0..20).collect::<Vec<_>>(),
+                "seed {seed}: first copies keep send order"
+            );
+            // Some copy arrives after a message sent later than it.
+            got.iter()
+                .enumerate()
+                .any(|(i, &r)| got[..i].iter().any(|&earlier| earlier > r))
+        });
+        assert!(
+            trailing,
+            "no seed delivered a duplicate behind a later send"
         );
-        for i in 0..50i64 {
-            b.inject(0, e, PortId(0), Message::data([i]));
-        }
-        b.build().run(None);
-        let expected: Vec<Message> = (0..50i64).map(|i| Message::data([i])).collect();
-        assert_eq!(sink.messages(), expected);
     }
 
     #[test]
@@ -542,7 +492,7 @@ mod tests {
             b.inject(0, e, PortId(0), Message::data([i]));
         }
         let mut sim = b.build();
-        let stats = sim.run(None);
+        let stats = sim.run();
         assert!(stats.end_time >= 10_000, "end={}", stats.end_time);
     }
 
@@ -561,7 +511,7 @@ mod tests {
         );
         b.inject(0, e, PortId(0), Message::data([1i64]));
         let mut sim = b.build();
-        let stats = sim.run(None);
+        let stats = sim.run();
         assert_eq!(stats.duplicates, 1);
         assert_eq!(sink.len(), 2);
     }
@@ -581,55 +531,12 @@ mod tests {
         );
         b.inject(0, e, PortId(0), Message::data([1i64]));
         let mut sim = b.build();
-        let stats = sim.run(None);
+        let stats = sim.run();
         assert_eq!(stats.retransmits, 1);
         // Still delivered exactly once, just late.
         assert_eq!(sink.len(), 1);
         let (t, _) = sink.entries()[0];
         assert!(t >= 10_000, "retransmit delay applied: {t}");
-    }
-
-    #[test]
-    fn run_until_pauses_and_resumes() {
-        let mut b = SimBuilder::new(0);
-        let e = b.add_instance(echo());
-        let sink = CollectorSink::new();
-        let s = b.add_instance(Box::new(sink.clone()));
-        b.connect_with(e, PortId(0), s, PortId(0), ChannelConfig::instant());
-        b.inject(0, e, PortId(0), Message::data([1i64]));
-        b.inject(1_000_000, e, PortId(0), Message::data([2i64]));
-        let mut sim = b.build();
-        sim.run(Some(500_000));
-        assert_eq!(sink.len(), 1);
-        sim.run(None);
-        assert_eq!(sink.len(), 2);
-    }
-
-    #[test]
-    fn ticks_fire_after_delay() {
-        struct Ticker {
-            fired: std::sync::Arc<std::sync::atomic::AtomicU64>,
-        }
-        impl Component for Ticker {
-            fn on_message(&mut self, _: usize, _: Message, ctx: &mut Context) {
-                ctx.schedule_tick(5_000);
-            }
-            fn on_tick(&mut self, ctx: &mut Context) {
-                assert!(ctx.now >= 5_000);
-                self.fired.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            }
-            fn name(&self) -> &str {
-                "ticker"
-            }
-        }
-        let fired = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut b = SimBuilder::new(0);
-        let t = b.add_instance(Box::new(Ticker {
-            fired: fired.clone(),
-        }));
-        b.inject(0, t, PortId(0), Message::Eos);
-        b.build().run(None);
-        assert_eq!(fired.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -649,7 +556,7 @@ mod tests {
             PortId(0),
             Message::Data(crate::value::Tuple::new([Value::Int(9)])),
         );
-        b.build().run(None);
+        b.build().run();
         assert_eq!(s1.len(), 1);
         assert_eq!(s2.len(), 1);
     }

@@ -373,7 +373,7 @@ fn exhausted_respawn_budget_fails_with_a_worker_verdict() {
     };
     let mut spec = dist_spec(2, sc.seed);
     spec.topology = AD_TOPOLOGY.to_string();
-    spec.params = encode_ad_params(&sc, false);
+    spec.params = encode_ad_params(&sc);
     spec.tuning = DistTuning::default().with_respawn_budget(0);
     spec.chaos = ChaosSpec {
         kills: vec![Kill {

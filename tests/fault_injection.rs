@@ -38,7 +38,7 @@ fn duplication_overcounts_without_coordination() {
     for i in 0..n {
         b.inject(0, e, PortId(0), Message::data([i as i64]));
     }
-    let stats = b.build().run(None);
+    let stats = b.build().run();
     assert!(stats.duplicates > 0, "duplication must have occurred");
     assert!(
         sink.len() > n,
@@ -68,7 +68,7 @@ fn loss_is_masked_by_retransmission() {
     for i in 0..n {
         b.inject(0, e, PortId(0), Message::data([i as i64]));
     }
-    let stats = b.build().run(None);
+    let stats = b.build().run();
     assert!(stats.retransmits > 0);
     assert_eq!(sink.len(), n, "every message eventually delivered");
     // FIFO holds even across retransmissions (head-of-line blocking).
@@ -286,7 +286,7 @@ fn sequencer_total_order_survives_faulty_inputs() {
     for i in 0..n {
         b.inject(i as u64 * 100, client, PortId(0), Message::data([i as i64]));
     }
-    let stats = b.build().run(None);
+    let stats = b.build().run();
     assert!(
         stats.duplicates > 0 && stats.retransmits > 0,
         "faults fired"
@@ -380,7 +380,7 @@ fn commit_coordinator_survives_faulty_control_messages() {
             );
         }
     }
-    let stats = b.build().run(None);
+    let stats = b.build().run();
     assert!(
         stats.duplicates > 0 && stats.retransmits > 0,
         "faults fired"

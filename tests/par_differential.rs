@@ -241,7 +241,7 @@ fn assert_backends_agree(name: &str, assemble: impl Fn(&mut dyn ExecutorBuilder,
     let sim_sink = CollectorSink::new();
     let mut sim = SimBuilder::new(42);
     assemble(&mut sim, sim_sink.clone());
-    sim.build().run(None);
+    sim.build().run();
     assert!(!sim_sink.is_empty(), "{name}: simulator produced no output");
 
     for (variant, tuning) in tuning_variants() {
@@ -298,7 +298,7 @@ fn replicated_sinks_match_simulator_on_every_replica() {
     let sim_sinks: Vec<CollectorSink> = (0..REPLICAS).map(|_| CollectorSink::new()).collect();
     let mut sim = SimBuilder::new(42);
     replicated_sinks(&mut sim, &sim_sinks);
-    sim.build().run(None);
+    sim.build().run();
     let expected: Vec<Message> = (0..80i64).map(|i| Message::data([i])).collect();
     for sink in &sim_sinks {
         assert_eq!(sink.message_set().len(), 80, "simulator replica complete");
@@ -427,7 +427,7 @@ fn assert_sealing_agrees(
     let sim_sink = CollectorSink::new();
     let mut sim = SimBuilder::new(7);
     sealed_topology(&mut sim, sim_sink.clone(), producers, campaigns, records);
-    sim.build().run(None);
+    sim.build().run();
     assert_eq!(
         sim_sink.message_set(),
         expected,
@@ -498,7 +498,7 @@ fn assert_adversarial_sealing(
     let sim_sink = CollectorSink::new();
     let mut sim = SimBuilder::new(17);
     assemble(&mut sim, sim_sink.clone());
-    sim.build().run(None);
+    sim.build().run();
     assert_eq!(&sim_sink.message_set(), expected, "{name}: simulator");
     assert_eq!(sim_sink.len(), campaigns, "{name}: released once (sim)");
 

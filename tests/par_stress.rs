@@ -137,7 +137,7 @@ fn digest_identity_across_worker_counts_schedulers_and_sim() {
 
     let mut sim = SimBuilder::new(42);
     let sim_sink = assemble(&mut sim);
-    let _ = sim.build().run(None);
+    let _ = sim.build().run();
     let sim_set = sim_sink.message_set();
     let expected: BTreeSet<Message> = (0..3i64)
         .flat_map(|p| (0..200i64).map(move |i| Message::data([p, i])))

@@ -41,7 +41,7 @@ proptest! {
         for i in 0..n {
             b.inject(0, e, PortId(0), Message::data([i as i64]));
         }
-        b.build().run(None);
+        b.build().run();
         prop_assert_eq!(sink.len(), n);
         // Order-insensitive contents match exactly.
         let expected: std::collections::BTreeSet<Message> =
@@ -65,7 +65,7 @@ proptest! {
                 b.inject(0, e1, PortId(0), Message::data([i as i64]));
                 b.inject(0, e2, PortId(0), Message::data([1_000 + i as i64]));
             }
-            b.build().run(None);
+            b.build().run();
             sink.messages()
         };
         prop_assert_eq!(run(seed), run(seed));

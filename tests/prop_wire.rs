@@ -51,13 +51,13 @@ fn message() -> impl Strategy<Value = Message> {
 fn plan() -> impl Strategy<Value = Frame> {
     (
         (small_string(), small_string(), any::<u64>(), any::<u32>()),
-        (any::<u32>(), any::<u32>(), any::<bool>()),
+        (any::<u32>(), any::<u32>()),
         (any::<bool>(), any::<u32>(), any::<u32>()),
     )
         .prop_map(
             |(
                 (topology, params, seed, processes),
-                (index, workers, speculation),
+                (index, workers),
                 (trace, epoch, heartbeat_ms),
             )| {
                 Frame::Plan {
@@ -67,7 +67,6 @@ fn plan() -> impl Strategy<Value = Frame> {
                     processes,
                     index,
                     workers,
-                    speculation,
                     trace,
                     epoch,
                     heartbeat_ms,
@@ -102,22 +101,14 @@ fn frame() -> impl Strategy<Value = Frame> {
             collection::vec((any::<u64>(), message()), 0..5)
         )
             .prop_map(|(sink, entries)| Frame::SinkResult { sink, entries }),
-        (
-            (any::<u64>(), any::<u64>(), any::<u64>()),
-            (any::<u64>(), any::<u64>(), any::<u64>()),
-        )
-            .prop_map(
-                |((events, delivered, duplicates), (retransmits, rescue_passes, late))| {
-                    Frame::Done {
-                        events,
-                        delivered,
-                        duplicates,
-                        retransmits,
-                        rescue_passes,
-                        late,
-                    }
-                }
-            ),
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+            |(events, delivered, duplicates, retransmits)| Frame::Done {
+                events,
+                delivered,
+                duplicates,
+                retransmits,
+            }
+        ),
         Just(Frame::Shutdown),
         small_string().prop_map(|m| Frame::Error { message: m }),
         (any::<u32>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
@@ -209,15 +200,15 @@ proptest! {
     }
 
     /// A plan round-trips and its payload is exactly its fields: two
-    /// length-prefixed strings, the seed, three u32 counts, the two flag
-    /// bytes (speculation, trace), epoch and heartbeat — no scheduler byte.
+    /// length-prefixed strings, the seed, three u32 counts, the trace flag
+    /// byte, epoch and heartbeat — no scheduler byte.
     #[test]
     fn a_plan_round_trips_with_no_scheduler_byte(plan in plan()) {
         let Frame::Plan { topology, params, .. } = &plan else {
             unreachable!("plan() only generates plans")
         };
         let envelope = encode(&Frame::Shutdown).len();
-        let fixed = (4 + 4) + 8 + 3 * 4 + 2 + 2 * 4;
+        let fixed = (4 + 4) + 8 + 3 * 4 + 1 + 2 * 4;
         let bytes = encode(&plan);
         prop_assert_eq!(bytes.len(), envelope + fixed + topology.len() + params.len());
         let mut dec = FrameDecoder::new();

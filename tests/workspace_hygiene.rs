@@ -77,11 +77,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "speculation test hook: SpeculativeSealGate's unit tests read epoch verdicts",
     ),
     (
-        "crates/blazes-dataflow/src/component.rs",
-        "schedule_tick",
-        "component timer API; both executors fire on_tick, no shipped component sets one",
-    ),
-    (
         "crates/blazes-dataflow/src/dist/recover.rs",
         "with_transport",
         "selects loopback TCP for dist_differential's TCP leg; Unix sockets are the default",
