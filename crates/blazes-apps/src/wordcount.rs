@@ -35,7 +35,7 @@ pub struct SplitterBolt;
 impl Bolt for SplitterBolt {
     fn execute(&mut self, tuple: Tuple, ctx: &mut BoltContext) {
         let (Some(text), Some(batch)) = (
-            tuple.get(0).and_then(Value::as_str).map(str::to_string),
+            tuple.get(0).and_then(Value::as_str),
             tuple.get(1).and_then(Value::as_int),
         ) else {
             return;
@@ -61,10 +61,12 @@ pub struct CountBolt {
 
 impl Bolt for CountBolt {
     fn execute(&mut self, tuple: Tuple, _ctx: &mut BoltContext) {
-        let (Some(word), Some(batch)) = (
-            tuple.get(0).and_then(Value::as_str).map(str::to_string),
-            tuple.get(1).and_then(Value::as_int),
-        ) else {
+        // The tuple is ours: its word moves in as the key the first time
+        // the `(batch, word)` pair is seen and is dropped after that, so
+        // counting copies no strings.
+        let mut fields = tuple.0.into_iter();
+        let (Some(Value::Str(word)), Some(Value::Int(batch))) = (fields.next(), fields.next())
+        else {
             return;
         };
         *self

@@ -1148,6 +1148,7 @@ impl ParExecutor {
                 idx: w,
                 local,
                 drain_buf: Vec::new(),
+                emit_buf: Vec::new(),
                 latency: None,
                 ws: WorkerStats {
                     worker: w,
@@ -1393,6 +1394,9 @@ struct WorkerCtx {
     /// Reusable drain buffer: one activation's mailbox batch, so the
     /// queue's length counter settles once per batch.
     drain_buf: Vec<MailItem>,
+    /// Reusable emission buffer: lent to each handler's [`Context`],
+    /// drained while staging, then put back.
+    emit_buf: Vec<(usize, Message)>,
     /// Cached handle to the global `latency.tuple_ns` histogram, resolved
     /// through the registry mutex at most once per worker — and only ever
     /// when a latency-stamped delivery reaches a sink, which requires
@@ -1865,6 +1869,7 @@ impl WorkerCtx {
         self.ws.events += 1;
         cell.now += 1;
         let mut ctx = Context::new(cell.now, InstanceId(inst));
+        ctx.emitted = std::mem::take(&mut self.emit_buf);
         let mut born = 0;
         match item {
             MailItem::Deliver {
@@ -1890,7 +1895,7 @@ impl WorkerCtx {
         shared.burn_service(cell.service);
 
         let Context {
-            emitted,
+            mut emitted,
             epochs,
             resolves,
             ..
@@ -1906,7 +1911,7 @@ impl WorkerCtx {
         // a pre-abort tagged send that later reaches a consumer is
         // simply dropped as aborted.
         let mut next_resolve = 0usize;
-        for (i, (out_port, msg)) in emitted.into_iter().enumerate() {
+        for (i, (out_port, msg)) in emitted.drain(..).enumerate() {
             while next_resolve < resolves.len() && resolves[next_resolve].2 <= i {
                 let (epoch, commit, _) = resolves[next_resolve];
                 self.resolve_epoch(shared, epoch, commit);
@@ -1930,6 +1935,7 @@ impl WorkerCtx {
                 &mut self.outbox,
             );
         }
+        self.emit_buf = emitted;
         while next_resolve < resolves.len() {
             let (epoch, commit, _) = resolves[next_resolve];
             self.resolve_epoch(shared, epoch, commit);

@@ -5,7 +5,9 @@ use blazes_dataflow::value::Tuple;
 
 /// Emission buffer handed to bolts. The hosting [`crate::BoltAdapter`]
 /// routes emitted tuples to downstream instances per the topology's
-/// groupings.
+/// groupings. Each adapter keeps one context for its bolt's whole life:
+/// the buffer is drained after every callback and reused by the next, so
+/// emitting allocates nothing once it has grown to a callback's output.
 #[derive(Debug, Default)]
 pub struct BoltContext {
     /// Virtual time of the current event.
@@ -40,7 +42,9 @@ impl BoltContext {
 
 /// A Storm-style bolt.
 pub trait Bolt: Send {
-    /// Process one tuple.
+    /// Process one tuple. The tuple is owned: the adapter hands over the
+    /// delivered message's own tuple and makes no copy for this call, so
+    /// a bolt may take its fields apart instead of cloning them.
     fn execute(&mut self, tuple: Tuple, ctx: &mut BoltContext);
 
     /// Called when a batch is complete at this instance (all upstream seals
