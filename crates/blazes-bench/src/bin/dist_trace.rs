@@ -48,8 +48,6 @@ fn traced_run(chaos: bool, path: &str) -> Result<(), String> {
     spec.processes = 2;
     spec.workers_per_process = 2;
     spec.seed = sc.seed;
-    spec.reorder_prob = 0.1;
-    spec.partition = Some((40, 6));
     if chaos {
         spec.chaos = ChaosSpec {
             kills: vec![Kill {

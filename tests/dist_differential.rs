@@ -3,8 +3,8 @@
 //! cross-partition message through the framed Unix-socket wire, so
 //!
 //! * the **uncoordinated** ad-report run diverges under injected wire
-//!   faults (duplicates, reorder, partition windows) — different process
-//!   counts answer the same queries differently;
+//!   faults (loss and duplicates) — different process counts answer the
+//!   same queries differently;
 //! * the **auto-coordinated** run is bit-identical across `{1,2,4}`
 //!   processes *and* matches the discrete-event simulator — seal votes
 //!   genuinely cross processes; with the punctuations withheld the same
@@ -62,15 +62,13 @@ fn wordcount_scenario() -> WordcountScenario {
     }
 }
 
-/// A dist spec with frame-level faults on: reorder across wires and a
-/// periodic partition window, on top of the per-wire loss/duplicate RNG.
+/// A dist spec over the libtest worker entry; the scenario's channels
+/// carry the per-wire loss/duplicate schedule.
 fn dist_spec(processes: usize, seed: u64) -> DistSpec {
     let mut spec = DistSpec::new("", "", libtest_worker_command("dist_worker_entry"));
     spec.processes = processes;
     spec.workers_per_process = 2;
     spec.seed = seed;
-    spec.reorder_prob = 0.1;
-    spec.partition = Some((40, 6));
     spec
 }
 
@@ -416,9 +414,7 @@ fn a_sink_larger_than_one_slice_reassembles_exactly() {
         "the scenario must commit several slices' worth, not {}",
         baseline.committed.len()
     );
-    let mut spec = dist_spec(2, sc.seed);
-    spec.reorder_prob = 0.0;
-    spec.partition = None;
+    let spec = dist_spec(2, sc.seed);
     let run = run_wordcount(&sc, &BackendSpec::Dist(spec));
     assert_eq!(run.committed.len(), baseline.committed.len());
     assert_eq!(run.counts(), baseline.counts());

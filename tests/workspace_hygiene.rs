@@ -21,6 +21,11 @@
 //! its first `#[cfg(test)]`. Benchmark pins thus count as callers. An
 //! item only tests use stays public only with an [`ALLOWED`] entry giving
 //! the reason, and an entry whose item is gone or has a caller fails too.
+//!
+//! Last, it guards the dist backend's IO seam: the coordinator core
+//! (`dist/coord.rs`) is a pure state machine the socket shell and the
+//! in-memory crash sweep both drive, so its non-test code may name no
+//! socket, process, thread, channel or clock.
 
 use std::collections::HashSet;
 use std::fs;
@@ -102,7 +107,7 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "frame magic of the wire format; prop_wire builds garbage prefixes around it",
     ),
     (
-        "crates/blazes-dataflow/src/dist.rs",
+        "crates/blazes-dataflow/src/dist/shell.rs",
         "libtest_worker_command",
         "re-execs a test binary as a dist worker for the dist and trace differentials",
     ),
@@ -242,8 +247,38 @@ fn packages() -> Vec<PathBuf> {
 }
 
 /// `source` up to its first `#[cfg(test)]`: the code a build ships.
+/// Nothing, for a file that is `#![cfg(test)]` as a whole.
 fn non_test(source: &str) -> &str {
+    if source.lines().any(|l| l.trim() == "#![cfg(test)]") {
+        return "";
+    }
     source.split("#[cfg(test)]").next().expect("split yields")
+}
+
+/// What the dist coordinator core may not name: sockets, processes,
+/// threads, channels and the clock.
+const IO_NAMES: &[&str] = &[
+    "std::net",
+    "std::os::unix",
+    "std::process",
+    "std::thread",
+    "mpsc",
+    "Instant::now",
+    "SystemTime",
+];
+
+/// The [`IO_NAMES`] that occur on non-comment lines of `source`'s non-test
+/// code.
+fn io_names(source: &str) -> Vec<&'static str> {
+    let code: Vec<&str> = non_test(source)
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .collect();
+    IO_NAMES
+        .iter()
+        .copied()
+        .filter(|name| code.iter().any(|line| line.contains(name)))
+        .collect()
 }
 
 /// Names of the `pub fn`s (free or method) and `pub const`/`pub static`
@@ -479,5 +514,28 @@ fn every_public_item_has_a_caller_or_an_allowlist_reason() {
          private, or add an ALLOWED entry with a reason):\n{}",
         findings.len(),
         findings.join("\n")
+    );
+}
+
+#[test]
+fn the_io_scan_finds_io_in_code_but_not_in_comments_or_tests() {
+    let source = "\
+//! Never calls std::thread::spawn.
+use std::sync::mpsc;
+fn now() -> std::time::Instant { std::time::Instant::now() }
+#[cfg(test)]
+mod tests { use std::net::TcpStream; }
+";
+    assert_eq!(io_names(source), ["mpsc", "Instant::now"]);
+    assert!(io_names(&format!("#![cfg(test)]\n{source}")).is_empty());
+}
+
+#[test]
+fn the_dist_coordinator_core_names_no_io() {
+    let path = "crates/blazes-dataflow/src/dist/coord.rs";
+    let found = io_names(&read(&Path::new(ROOT).join(path)));
+    assert!(
+        found.is_empty(),
+        "{path} must stay a pure state machine; its non-test code names {found:?}"
     );
 }
