@@ -54,7 +54,21 @@
 //! producer is wired to an egress shim that forwards
 //! `(wire, seq, message)` to the parent, the parent applies the wire's
 //! fault schedule and routes the frame to the consumer's owner, and the
-//! consumer's owner injects it through [`crate::par::RunningPar::inject`].
+//! consumer's owner injects it through [`crate::par::RunningPar::inject`]
+//! — each socket read's data frames as one batch, flushed before the
+//! worker answers any control frame read behind them.
+//!
+//! The parent is a byte switch. Its reader threads check every frame
+//! exactly as [`wire::FrameDecoder::next_frame`] would — tags, UTF-8,
+//! element counts, trailing bytes — but through
+//! [`wire::FrameDecoder::next_routed`], which leaves a data frame's
+//! message as the bytes it arrived as. The coordinator hashes those bytes
+//! for the replay filter and frames them straight into the destination's
+//! replay log; it never builds a [`Message`]. This is sound because the
+//! codec is canonical: for any message bytes the decoder accepts,
+//! [`wire::message_bytes`] of the decoded message gives the same bytes
+//! back, so hashes and the routed stream are what a decode-and-re-encode
+//! router would produce, byte for byte.
 //!
 //! There is one fault model, the same on every backend: the per-wire
 //! loss/duplication schedule of `WireFaults` (the channel layer), plus
@@ -89,9 +103,11 @@
 //! any frame still in flight in either direction makes some counter pair
 //! disagree. A `Probe`/`ProbeAck` confirmation round then re-validates
 //! before the parent collects: `Collect` makes each worker finish its run
-//! and stream back the contents of every sink it owns — in `SinkResult`
-//! slices of a few thousand entries the parent appends in order, so a
-//! sink's size is not bounded by [`wire::MAX_FRAME`] — plus its run
+//! and stream back the contents of every sink it owns — moved out of the
+//! sink, not copied, in `SinkResult` slices of at most 1 MiB of payload
+//! the parent appends in order, so a sink's size is not bounded by
+//! [`wire::MAX_FRAME`]; only an entry too large for a frame of its own
+//! fails the run, with [`wire::WireError::Oversized`] — plus its run
 //! statistics. Workers run their par runtime without time-warp
 //! speculation, so a stable run has nothing left to do after `Collect`:
 //! no frame is produced once the wire has closed for data.
@@ -116,9 +132,9 @@
 //!   it ships to each worker ([`recover::ReplayLog`]) and respawns a dead
 //!   worker (bounded exponential backoff, respawn budget) with a bumped
 //!   *epoch*; the fresh incarnation re-runs the identical SPMD assembly
-//!   and is rehydrated by replaying the whole log verbatim, in the same
-//!   chunk-sized writes, so a kill between "logged" and "flushed" loses
-//!   and doubles nothing ([`recover::Outbox`]). The respawned producer restarts
+//!   and is rehydrated by replaying the whole log verbatim — one
+//!   contiguous buffer, in one write — so a kill between "logged" and
+//!   "flushed" loses and doubles nothing ([`recover::Outbox`]). The respawned producer restarts
 //!   its egress sequences from zero, so the coordinator resets its
 //!   per-wire gap check ([`recover::SeqLedger`]) for that producer's
 //!   wires, and a content-multiset filter ([`recover::ReplayDedup`])
@@ -502,10 +518,12 @@ impl ExecutorBuilder for ProbeBuilder {
 
 #[cfg(test)]
 mod tests {
-    use super::coord::{Coord, Effect, Input, Life, Router};
+    use super::coord::{Coord, Effect, Input, Life, Received, Router};
     use super::harness::Pipe;
     use super::shell::{read_hello, worker_run, Conn, TempDir, DIR_SEQ};
-    use super::worker::{sink_result_frames, DistWorkerBuilder, SINK_SLICE};
+    use super::worker::{
+        sink_result_frames, Control, DistWorkerBuilder, WorkerCore, SINK_SLICE_BYTES,
+    };
     use super::*;
     use crate::channel::WireFaults;
     use crate::component::{Context, FnComponent};
@@ -513,7 +531,8 @@ mod tests {
     use crate::value::{Tuple, Value};
     use std::io::Write;
     use std::os::unix::net::UnixListener;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
     use wire::{Frame, FrameDecoder};
 
@@ -605,13 +624,13 @@ mod tests {
             let mut progress = false;
             while let Ok((wire, _seq, msg)) = rx0.try_recv() {
                 let (inst, port) = in1[&wire];
-                r1.inject(inst, port, msg);
+                r1.inject([(inst, port, msg)]);
                 moved.0 += 1;
                 progress = true;
             }
             while let Ok((wire, _seq, msg)) = rx1.try_recv() {
                 let (inst, port) = in0[&wire];
-                r0.inject(inst, port, msg);
+                r0.inject([(inst, port, msg)]);
                 moved.1 += 1;
                 progress = true;
             }
@@ -764,11 +783,22 @@ mod tests {
         (coord, pipes)
     }
 
+    /// `frames` as the coordinator receives them in one read.
+    fn received(frames: &[Frame]) -> Received {
+        let mut decoder = FrameDecoder::new();
+        for frame in frames {
+            decoder.push(&wire::encode(frame));
+        }
+        let (received, corrupt) = Received::decode(&mut decoder);
+        assert!(corrupt.is_none());
+        received
+    }
+
     fn frames(worker: usize, frames: Vec<Frame>) -> Input<Pipe> {
         Input::Frames {
             worker,
             conn: worker as u64 + 1,
-            frames,
+            frames: received(&frames),
         }
     }
 
@@ -827,7 +857,7 @@ mod tests {
         let stale = Input::Frames {
             worker: 1,
             conn: 7,
-            frames: vec![data(0, 2)],
+            frames: received(&[data(0, 2)]),
         };
         coord.step(Duration::ZERO, stale).unwrap();
         assert_eq!(coord.recv_from[1], 2);
@@ -979,6 +1009,101 @@ mod tests {
         );
     }
 
+    /// A worker stages a read's data frames and injects them as one
+    /// batch, but never answers ahead of them: a `Probe` read behind three
+    /// data frames counts all three and cannot report idle while its
+    /// consumer has not processed them.
+    #[test]
+    fn a_probe_behind_data_in_one_read_counts_it_and_waits_for_it() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let seen = Arc::new(AtomicU64::new(0));
+        let mut registry = Registry::new();
+        let (g, s) = (Arc::clone(&gate), Arc::clone(&seen));
+        registry.register("gated", move |b, _| {
+            let (g, s) = (Arc::clone(&g), Arc::clone(&s));
+            let src = b.add_instance(echo());
+            let consumer = FnComponent::new("gated", move |_, _, _: &mut Context| {
+                while !g.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                s.fetch_add(1, Ordering::SeqCst);
+            });
+            let dst = b.add_instance(Box::new(consumer));
+            let ch = b.add_channel(ChannelConfig::instant());
+            b.connect(src, PortId(0), dst, PortId(0), ch);
+            Vec::new()
+        });
+        // Worker 1 of 2 owns the consumer; wire 0 enters it.
+        let plan = Frame::Plan {
+            topology: "gated".to_string(),
+            params: String::new(),
+            seed: 1,
+            processes: 2,
+            index: 1,
+            workers: 1,
+            trace: false,
+            epoch: 0,
+            heartbeat_ms: 25,
+        };
+        let (mut core, _egress) = WorkerCore::start(&registry, plan, 1, 0).unwrap();
+        let ack = |nonce, recv, idle| Frame::ProbeAck {
+            nonce,
+            sent: 0,
+            recv,
+            idle,
+        };
+        let read = [
+            data(0, 0),
+            data(0, 1),
+            data(0, 2),
+            Frame::Probe { nonce: 7 },
+            data(0, 3),
+        ];
+        let mut replies = Vec::new();
+        for frame in read {
+            if let Some(Control::Reply(reply)) = core.on_frame(frame, 0).unwrap() {
+                replies.push(reply);
+            }
+        }
+        assert_eq!(replies, [ack(7, 3, false)]);
+        assert!(!core.idle(0), "the fourth frame is staged");
+        core.inject_staged();
+        assert!(!core.idle(0), "the consumer has processed nothing");
+
+        gate.store(true, Ordering::Release);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !core.idle(0) {
+            assert!(Instant::now() < deadline, "the worker never settled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(seen.load(Ordering::SeqCst), 4);
+        let Ok(Some(Control::Reply(reply))) = core.on_frame(Frame::Probe { nonce: 8 }, 0) else {
+            panic!("a probe is answered");
+        };
+        assert_eq!(reply, ack(8, 4, true));
+        assert!(core.finish().is_ok());
+    }
+
+    /// A sink's `SinkResult` frames, each checked to stay under the frame
+    /// cap and to carry sink `sink`, reassembled. Returns the entries and
+    /// the number of frames.
+    fn reassemble(sink: u32, entries: Vec<(Time, Message)>) -> (Vec<(Time, Message)>, usize) {
+        let mut reassembled = Vec::new();
+        let mut frames = 0;
+        for frame in sink_result_frames(sink, entries).expect("every entry fits a frame") {
+            let len = wire::encode(&frame).len() - 9;
+            assert!(len <= wire::MAX_FRAME, "a {len}-byte slice");
+            let Frame::SinkResult { sink: s, entries } = frame else {
+                panic!("not a sink slice: {frame:?}");
+            };
+            assert!(s == sink && !entries.is_empty());
+            assert!(len <= SINK_SLICE_BYTES || entries.len() == 1, "{len} bytes");
+            reassembled.extend(entries);
+            frames += 1;
+        }
+        (reassembled, frames)
+    }
+
     /// A sink travels as slices the receiver appends in order, and a
     /// wordcount-shaped sink (the 30 000-tweet benchmark run commits about
     /// 70 000 `(word, batch, count)` entries) stays far below the frame
@@ -992,20 +1117,37 @@ mod tests {
                 (i as Time, Message::Data(tuple))
             })
             .collect();
-        let mut reassembled = Vec::new();
-        let mut frames = 0;
-        for frame in sink_result_frames(3, entries.clone()) {
-            assert!(wire::encode(&frame).len() <= 1 << 20, "slice over 1 MiB");
-            let Frame::SinkResult { sink: 3, entries } = frame else {
-                panic!("not a slice of sink 3: {frame:?}");
-            };
-            assert!(!entries.is_empty() && entries.len() <= SINK_SLICE);
-            reassembled.extend(entries);
-            frames += 1;
-        }
-        assert_eq!(frames, 70_000usize.div_ceil(SINK_SLICE));
+        let bytes: usize = entries
+            .iter()
+            .map(|(_, m)| 8 + wire::message_bytes(m).len())
+            .sum();
+        let (reassembled, frames) = reassemble(3, entries.clone());
         assert_eq!(reassembled, entries);
-        assert_eq!(sink_result_frames(0, Vec::new()).count(), 0);
+        // Every slice but the last is full, to within one entry.
+        assert!(frames >= bytes.div_ceil(SINK_SLICE_BYTES));
+        assert!(frames <= bytes.div_ceil(SINK_SLICE_BYTES - 100));
+        assert_eq!(reassemble(0, Vec::new()).1, 0);
+    }
+
+    /// Slices are cut by size, not by entry count: 4 096 entries of 8 KiB
+    /// strings are 32 MiB, twice the frame cap, and still travel — in
+    /// frames the coordinator accepts.
+    #[test]
+    fn a_wide_sink_travels_in_frames_under_the_cap() {
+        let entries: Vec<(Time, Message)> = (0..4096i64)
+            .map(|i| (i as Time, Message::data([format!("{i:08}").repeat(1024)])))
+            .collect();
+        let (reassembled, frames) = reassemble(1, entries.clone());
+        assert_eq!(reassembled, entries);
+        assert!(frames >= 32, "{frames} frames");
+        // One entry larger than a slice travels alone; one larger than a
+        // frame is refused by name.
+        let big = |len: usize| vec![(0, Message::data(["x".repeat(len)]))];
+        assert_eq!(reassemble(2, big(2 * SINK_SLICE_BYTES)).1, 1);
+        assert!(matches!(
+            sink_result_frames(2, big(wire::MAX_FRAME)).err(),
+            Some(DistError::Wire(wire::WireError::Oversized(len))) if len > wire::MAX_FRAME
+        ));
     }
 
     /// The router's fault draws replicate the par wire schedule: same

@@ -8,11 +8,12 @@
 use super::recover::{
     backoff_for, FailureCause, KillPoint, Outbox, ReplayDedup, SeqLedger, SeqVerdict,
 };
-use super::wire::{self, Frame};
+use super::wire::{self, Frame, FrameDecoder, Routed, WireError};
 use super::{owner, DistError, DistRun, DistSpec, DistStats, ProbeBuilder, SinkSet};
 use crate::channel::WireFaults;
 use std::collections::HashMap;
 use std::io::Write;
+use std::ops::Range;
 use std::time::Duration;
 
 /// How long the coordinator tolerates zero protocol *progress* (see
@@ -28,6 +29,58 @@ pub(super) const HELLO_TIMEOUT: Duration = Duration::from_secs(30);
 /// loaded 1-core box heartbeat threads can starve for whole seconds, and
 /// crash detection is near-instant anyway via EOF and process exits.
 const WORKER_DEADLINE: Duration = Duration::from_secs(30);
+
+/// The frames decoded from one read of a worker's connection, as its
+/// reader hands them over. A data frame's message stays the bytes the
+/// decoder checked ([`FrameDecoder::next_routed`]), back to back with the
+/// read's other messages in one buffer: the coordinator hashes and
+/// forwards those bytes and never builds a [`crate::message::Message`].
+#[derive(Debug, Default)]
+pub(super) struct Received {
+    /// Every data frame's message, back to back.
+    messages: Vec<u8>,
+    frames: Vec<Inbound>,
+}
+
+/// One frame of a [`Received`].
+#[derive(Debug)]
+enum Inbound {
+    /// A data frame whose message is `messages[message]`.
+    Data {
+        wire: u64,
+        seq: u64,
+        message: Range<usize>,
+    },
+    /// Any other frame.
+    Frame(Frame),
+}
+
+impl Received {
+    /// Take every complete frame out of `decoder`, up to the first
+    /// corrupt one, whose error comes back alongside.
+    pub(super) fn decode(decoder: &mut FrameDecoder) -> (Received, Option<WireError>) {
+        let mut received = Received::default();
+        loop {
+            let frame = match decoder.next_routed() {
+                Ok(Some(Routed::Data { wire, seq, message })) => {
+                    let start = received.messages.len();
+                    received.messages.extend_from_slice(message);
+                    let message = start..received.messages.len();
+                    Inbound::Data { wire, seq, message }
+                }
+                Ok(Some(Routed::Frame(frame))) => Inbound::Frame(frame),
+                Ok(None) => return (received, None),
+                Err(e) => return (received, Some(e)),
+            };
+            received.frames.push(frame);
+        }
+    }
+
+    /// Did the read complete no frame?
+    pub(super) fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+}
 
 /// What the caller tells the coordinator. Connection ids are the
 /// caller's; every input tagged with one is ignored unless it names the
@@ -46,7 +99,7 @@ pub(super) enum Input<W> {
     Frames {
         worker: usize,
         conn: u64,
-        frames: Vec<Frame>,
+        frames: Received,
     },
     /// `worker` was lost: connection `conn` ended (EOF or a failed read
     /// is [`FailureCause::Eof`], a stream that stopped decoding
@@ -160,12 +213,11 @@ impl<W: Write> Router<W> {
         if retransmitted {
             self.stats.wire_retransmits += 1;
         }
-        let bytes = wire::data_frame(wire, seq, message);
         if duplicate {
             self.stats.wire_duplicates += 1;
-            self.write(dest, bytes.clone());
+            self.write(dest, wire, seq, message);
         }
-        self.write(dest, bytes);
+        self.write(dest, wire, seq, message);
         Ok(())
     }
 
@@ -174,7 +226,7 @@ impl<W: Write> Router<W> {
     /// sooner, once a chunk's worth is pending). A failed (or absent)
     /// connection never loses the frame: it is in the log, and the
     /// respawned worker's connection replays the log.
-    fn write(&mut self, dest: usize, bytes: Vec<u8>) {
+    fn write(&mut self, dest: usize, wire: u64, seq: u64, message: &[u8]) {
         self.sent_to[dest] += 1;
         self.stats.frames_routed += 1;
         blazes_obs::record(
@@ -182,7 +234,7 @@ impl<W: Write> Router<W> {
             dest as u64,
             self.sent_to[dest],
         );
-        self.outboxes[dest].push(bytes);
+        self.outboxes[dest].push(wire, seq, message);
     }
 
     /// Hand every worker's pending bytes to its connection.
@@ -578,19 +630,27 @@ impl<'a, W: Write> Coord<'a, W> {
         now: Duration,
         i: usize,
         conn: u64,
-        frames: Vec<Frame>,
+        received: Received,
     ) -> Result<(), DistError> {
         let mut stable = false;
-        for frame in frames {
+        for frame in received.frames {
             // Checked per frame, not per read: a chaos kill due mid-read
             // (kill points count at log time) makes the rest of the read
             // a dead incarnation's bytes.
             if self.slots[i].life != (Life::Up { conn }) {
                 break;
             }
-            self.slots[i].last_frame = frame_name(&frame);
             self.slots[i].last_heard = now;
-            stable |= self.on_frame(now, i, frame)?;
+            match frame {
+                Inbound::Data { wire, seq, message } => {
+                    self.slots[i].last_frame = "data";
+                    self.on_data(now, i, wire, seq, &received.messages[message])?;
+                }
+                Inbound::Frame(frame) => {
+                    self.slots[i].last_frame = frame_name(&frame);
+                    stable |= self.on_frame(now, i, frame)?;
+                }
+            }
             self.fire_chaos(now)?;
         }
         // Only leave phase 1 with every worker alive — phase-2 deaths
@@ -610,37 +670,45 @@ impl<'a, W: Write> Coord<'a, W> {
         Ok(())
     }
 
-    /// Handle one phase-1 frame from live worker `i`. Returns `true` once
-    /// the probe round confirms global quiescence.
+    /// Handle one data frame from live worker `i`: its message arrives as
+    /// the canonical bytes the reader checked, which are hashed for the
+    /// replay filter and routed as they are.
+    fn on_data(
+        &mut self,
+        now: Duration,
+        i: usize,
+        wire: u64,
+        seq: u64,
+        message: &[u8],
+    ) -> Result<(), DistError> {
+        blazes_obs::record(blazes_obs::EventKind::FrameRecv, wire, seq);
+        // An incarnation sends each egress sequence number once, in
+        // order: anything but the next one is a protocol violation, not
+        // something to filter.
+        let verdict = self.seq.accept(wire, seq);
+        if verdict != SeqVerdict::Fresh {
+            return Err(DistError::Protocol(format!(
+                "wire {wire}: seq {seq} is {verdict:?} at the coordinator"
+            )));
+        }
+        self.recv_from[i] += 1;
+        self.slots[i].idle = None;
+        self.awaiting_probe = false;
+        self.last_progress = now;
+        let hash = super::recover::fnv1a(message);
+        if self.dedup.admit(wire, hash) {
+            self.routed_hashes.entry(wire).or_default().push(hash);
+            self.router.route(wire, message)?;
+        } else {
+            self.router.stats.deduped_frames += 1;
+        }
+        Ok(())
+    }
+
+    /// Handle one other phase-1 frame from live worker `i`. Returns
+    /// `true` once the probe round confirms global quiescence.
     fn on_frame(&mut self, now: Duration, i: usize, frame: Frame) -> Result<bool, DistError> {
         match frame {
-            Frame::Data { wire, seq, msg } => {
-                blazes_obs::record(blazes_obs::EventKind::FrameRecv, wire, seq);
-                // An incarnation sends each egress sequence number once,
-                // in order: anything but the next one is a protocol
-                // violation, not something to filter.
-                let verdict = self.seq.accept(wire, seq);
-                if verdict != SeqVerdict::Fresh {
-                    return Err(DistError::Protocol(format!(
-                        "wire {wire}: seq {seq} is {verdict:?} at the coordinator"
-                    )));
-                }
-                self.recv_from[i] += 1;
-                self.slots[i].idle = None;
-                self.awaiting_probe = false;
-                self.last_progress = now;
-                // Encoded once: these bytes are hashed here, then framed
-                // and logged by the router as they are.
-                let message = wire::message_bytes(&msg);
-                let hash = super::recover::fnv1a(&message);
-                if self.dedup.admit(wire, hash) {
-                    self.routed_hashes.entry(wire).or_default().push(hash);
-                    self.router.route(wire, &message)?;
-                } else {
-                    self.router.stats.deduped_frames += 1;
-                }
-                Ok(false)
-            }
             Frame::Idle { sent, recv } => {
                 self.on_idle(now, i, sent, recv);
                 Ok(false)
@@ -724,11 +792,14 @@ impl<'a, W: Write> Coord<'a, W> {
 
     /// Phase 2: append sink slices, sum statistics, ingest trace lanes;
     /// once every worker is done, shut the fleet down and finish.
-    fn on_results(&mut self, i: usize, frames: Vec<Frame>) -> Result<(), DistError> {
+    fn on_results(&mut self, i: usize, received: Received) -> Result<(), DistError> {
         let Phase::Collecting { done, .. } = &mut self.phase else {
             return Ok(());
         };
-        for frame in frames {
+        for frame in received.frames {
+            let Inbound::Frame(frame) = frame else {
+                continue;
+            };
             match frame {
                 // A sink arrives as one frame per slice of its entries,
                 // in order.

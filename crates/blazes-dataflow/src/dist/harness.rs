@@ -6,7 +6,7 @@
 //! kill a worker at every routed-frame boundary of a run.
 #![cfg(test)]
 
-use super::coord::{Coord, Effect, Input};
+use super::coord::{Coord, Effect, Input, Received};
 use super::wire::{self, Frame, FrameDecoder};
 use super::worker::{Control, EgressFrame, WorkerCore};
 use super::{ChaosSpec, DistRun, DistSpec, Kill, KillPoint, ProbeBuilder, Registry, SinkSet};
@@ -75,12 +75,13 @@ struct Incarnation {
 impl Incarnation {
     /// One control-loop pass: write out the egress queue, take in what
     /// the coordinator sent, heartbeat when due, report idleness. Returns
-    /// the frames for the coordinator, in send order.
-    fn poll(&mut self, registry: &Registry, now: Duration) -> Vec<Frame> {
+    /// the bytes for the coordinator, in send order.
+    fn poll(&mut self, registry: &Registry, now: Duration) -> Vec<u8> {
         let mut out = Vec::new();
+        let mut send = |frame: &Frame| wire::encode_into(frame, &mut out);
         if let Stage::Running(_, egress) = &self.stage {
             while let Ok((wire, seq, msg)) = egress.try_recv() {
-                out.push(Frame::Data { wire, seq, msg });
+                send(&Frame::Data { wire, seq, msg });
                 self.written += 1;
             }
         }
@@ -95,14 +96,16 @@ impl Incarnation {
                 }
                 Stage::Running(core, _) => match core.on_frame(frame, self.written) {
                     Ok(None) => {}
-                    Ok(Some(Control::Reply(reply))) => out.push(reply),
+                    Ok(Some(Control::Reply(reply))) => send(&reply),
                     Ok(Some(Control::Collect)) => {
                         let Stage::Running(core, _) =
                             std::mem::replace(&mut self.stage, Stage::Finished)
                         else {
                             unreachable!("matched above");
                         };
-                        out.extend(core.finish());
+                        for frame in core.finish().expect("the sinks fit in frames") {
+                            send(&frame);
+                        }
                     }
                     Ok(Some(Control::Shutdown)) => self.stage = Stage::Finished,
                     Err(e) => panic!("worker {} violated the protocol: {e}", self.worker),
@@ -111,14 +114,17 @@ impl Incarnation {
             }
         }
         if let Stage::Running(core, _) = &mut self.stage {
+            core.inject_staged();
             if self
                 .last_beat
                 .is_none_or(|t| now.saturating_sub(t) >= core.heartbeat_every)
             {
-                out.push(core.heartbeat(self.written));
+                send(&core.heartbeat(self.written));
                 self.last_beat = Some(now);
             }
-            out.extend(core.idle_report(self.written));
+            if let Some(idle) = core.idle_report(self.written) {
+                send(&idle);
+            }
         }
         out
     }
@@ -136,7 +142,7 @@ impl Incarnation {
     /// The process dies: its runtime is stopped and discarded.
     fn kill(self) {
         if let Stage::Running(core, _) = self.stage {
-            drop(core.finish());
+            let _ = core.finish();
         }
     }
 }
@@ -203,13 +209,14 @@ pub(super) fn run(spec: &DistSpec, registry: &Registry) -> DistRun {
                 continue;
             }
             moved = true;
-            // Through the codec, as over a socket.
+            // Decoded as the shell's reader decodes a socket read.
             let mut decoder = FrameDecoder::new();
-            for frame in &sent {
-                decoder.push(&wire::encode(frame));
-            }
-            let frames =
-                std::iter::from_fn(|| decoder.next_frame().expect("worker bytes decode")).collect();
+            decoder.push(&sent);
+            let (frames, corrupt) = Received::decode(&mut decoder);
+            assert!(
+                corrupt.is_none() && decoder.buffered() == 0,
+                "worker bytes decode"
+            );
             let input = Input::Frames {
                 worker,
                 conn: incarnation.conn,

@@ -17,10 +17,10 @@
 //!   multiset, but interleaving across wires can permute).
 //! * [`ReplayLog`] — the coordinator's post-fault frame history for one
 //!   worker, replayed verbatim into a respawned process.
-//! * [`Outbox`] — a [`ReplayLog`] plus the coalescing buffer in front of
-//!   one worker's socket. Invariant: the log is the truth and the buffer a
-//!   cache of its tail, so whatever a crash discards from the buffer is
-//!   re-shipped by replay — exactly once, in order.
+//! * [`Outbox`] — a [`ReplayLog`] plus the count of its bytes written to
+//!   one worker's socket. Invariant: the log is the truth and the
+//!   unwritten tail a cache of it, so whatever a crash discards from the
+//!   tail is re-shipped by replay — exactly once, in order.
 //! * [`ChaosSpec`] — seeded fail-stop (SIGKILL) crash schedules for the
 //!   chaos differential.
 //! * [`DistTuning`] / [`FailureCause`] — supervision knobs and forensic
@@ -36,6 +36,8 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+
+use super::wire;
 
 /// Byte transport used between the coordinator and its workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -391,89 +393,71 @@ impl ReplayDedup {
     }
 }
 
-/// Coordinator-side history of every encoded frame shipped to one worker
-/// after fault injection, in ship order. Replayed whole to rehydrate a
-/// respawned worker.
+/// Coordinator-side history of every data frame shipped to one worker
+/// after fault injection, in ship order: one byte buffer holding the
+/// frames back to back. Replayed whole to rehydrate a respawned worker.
 #[derive(Debug, Default)]
 pub struct ReplayLog {
-    frames: Vec<Vec<u8>>,
+    bytes: Vec<u8>,
+    /// Where each frame ends in `bytes`.
+    ends: Vec<usize>,
 }
 
 impl ReplayLog {
-    /// Empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        ReplayLog::default()
-    }
-
-    /// Record one shipped frame.
-    pub fn append(&mut self, bytes: Vec<u8>) {
-        self.frames.push(bytes);
+    /// Frame and record one shipped data frame whose message is already
+    /// encoded ([`wire::message_bytes`]).
+    fn push(&mut self, wire: u64, seq: u64, message: &[u8]) {
+        wire::put_data_frame(&mut self.bytes, wire, seq, message);
+        self.ends.push(self.bytes.len());
     }
 
     /// Frames from position `from` onward (what a worker that confirmed
     /// delivery of `from` frames still needs).
     pub fn tail(&self, from: u64) -> impl Iterator<Item = &[u8]> {
-        let from = usize::try_from(from).unwrap_or(usize::MAX);
-        self.frames
-            .iter()
-            .skip(from.min(self.frames.len()))
-            .map(Vec::as_slice)
+        let from = usize::try_from(from)
+            .unwrap_or(usize::MAX)
+            .min(self.ends.len());
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .skip(from)
+            .map(|(start, &end)| &self.bytes[start..end])
     }
 
     /// Total frames logged.
     #[must_use]
     pub fn len(&self) -> u64 {
-        self.frames.len() as u64
+        self.ends.len() as u64
     }
 
     /// True when nothing has been logged.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.ends.is_empty()
     }
 }
 
-/// Bytes a sender coalesces before it writes without being asked, and the
-/// chunk size of a log replay: one socket write then carries on the order
-/// of a thousand tuple-sized frames instead of one.
+/// Bytes a sender coalesces before it writes without being asked: one
+/// socket write then carries on the order of a thousand tuple-sized
+/// frames instead of one.
 pub const FLUSH_BYTES: usize = 64 * 1024;
 
-/// Write already-encoded `frames` back to back, coalesced into chunks of
-/// about [`FLUSH_BYTES`] — how a log is replayed into a fresh connection.
-/// Returns the number of frames written, or the first write error.
-fn write_coalesced<'a, W: Write>(
-    writer: &mut W,
-    frames: impl Iterator<Item = &'a [u8]>,
-) -> std::io::Result<u64> {
-    let mut chunk = Vec::new();
-    let mut written = 0u64;
-    for frame in frames {
-        chunk.extend_from_slice(frame);
-        written += 1;
-        if chunk.len() >= FLUSH_BYTES {
-            writer.write_all(&chunk)?;
-            chunk.clear();
-        }
-    }
-    writer.write_all(&chunk)?;
-    Ok(written)
-}
-
 /// The coordinator's send side toward one worker: the [`ReplayLog`] of
-/// every post-fault data frame, and a coalescing buffer of bytes logged
-/// but not yet written to the live connection.
+/// every post-fault data frame, and how far into it the live connection
+/// has been written.
 ///
-/// The log is the truth, the buffer is a cache of its tail. A frame is
-/// logged before it can reach the writer; the buffer only ever holds bytes
-/// meant for the *current* connection, so [`Outbox::disconnect`], a failed
-/// write and [`Outbox::connect`] all discard it — those frames are in the
-/// log, and the replay that opens the next connection re-ships them. Each
-/// connection therefore receives every frame once, in push order.
+/// The log is the truth, the unwritten tail a cache of it. A frame is
+/// logged before it can reach the writer; only bytes meant for the
+/// *current* connection are pending, so [`Outbox::disconnect`], a failed
+/// write and [`Outbox::connect`] all discard them — those frames are in
+/// the log, and the replay that opens the next connection re-ships them.
+/// Each connection therefore receives every frame once, in push order.
 #[derive(Debug)]
 pub struct Outbox<W> {
     log: ReplayLog,
-    pending: Vec<u8>,
+    /// Log bytes before this offset are written (or were discarded with
+    /// a connection); the rest are pending for the live connection.
+    written: usize,
     writer: Option<W>,
     failed: bool,
 }
@@ -481,8 +465,8 @@ pub struct Outbox<W> {
 impl<W> Default for Outbox<W> {
     fn default() -> Self {
         Outbox {
-            log: ReplayLog::new(),
-            pending: Vec::new(),
+            log: ReplayLog::default(),
+            written: 0,
             writer: None,
             failed: false,
         }
@@ -502,20 +486,20 @@ impl<W: Write> Outbox<W> {
         &self.log
     }
 
-    /// Bytes logged (or sent unlogged) but not yet written.
+    /// Bytes logged but not yet written to the live connection.
     #[must_use]
     pub fn pending_bytes(&self) -> usize {
-        self.pending.len()
+        self.log.bytes.len() - self.written
     }
 
-    /// Log one encoded data frame and queue it for the live connection,
-    /// if any. A buffer that reaches [`FLUSH_BYTES`] flushes itself.
-    pub fn push(&mut self, frame: Vec<u8>) {
-        if self.writer.is_some() {
-            self.pending.extend_from_slice(&frame);
-        }
-        self.log.append(frame);
-        if self.pending.len() >= FLUSH_BYTES {
+    /// Log one data frame — `wire`, `seq` and the message's canonical
+    /// bytes — and queue it for the live connection, if any. Pending
+    /// bytes that reach [`FLUSH_BYTES`] flush themselves.
+    pub fn push(&mut self, wire: u64, seq: u64, message: &[u8]) {
+        self.log.push(wire, seq, message);
+        if self.writer.is_none() {
+            self.written = self.log.bytes.len();
+        } else if self.pending_bytes() >= FLUSH_BYTES {
             self.flush();
         }
     }
@@ -523,9 +507,12 @@ impl<W: Write> Outbox<W> {
     /// Write `bytes` — a control frame: never logged, never replayed —
     /// behind everything pending, now. Skipped while disconnected.
     pub fn send_unlogged(&mut self, bytes: &[u8]) {
-        if self.writer.is_some() {
-            self.pending.extend_from_slice(bytes);
-            self.flush();
+        self.flush();
+        if let Some(writer) = self.writer.as_mut() {
+            if writer.write_all(bytes).is_err() {
+                self.writer = None;
+                self.failed = true;
+            }
         }
     }
 
@@ -533,16 +520,17 @@ impl<W: Write> Outbox<W> {
     /// write drops the connection and raises the flag
     /// [`Outbox::take_failed`] reports; the bytes stay safe in the log.
     pub fn flush(&mut self) {
-        if self.pending.is_empty() {
+        let pending = &self.log.bytes[self.written..];
+        if pending.is_empty() {
             return;
         }
         if let Some(writer) = self.writer.as_mut() {
-            if writer.write_all(&self.pending).is_err() {
+            if writer.write_all(pending).is_err() {
                 self.writer = None;
                 self.failed = true;
             }
         }
-        self.pending.clear();
+        self.written = self.log.bytes.len();
     }
 
     /// Did a write fail since the last call? (Clears the flag.)
@@ -553,22 +541,22 @@ impl<W: Write> Outbox<W> {
     /// Drop the connection, returning its writer. Pending bytes are
     /// discarded (the log still has them) and the failure flag cleared.
     pub fn disconnect(&mut self) -> Option<W> {
-        self.pending.clear();
+        self.written = self.log.bytes.len();
         self.failed = false;
         self.writer.take()
     }
 
     /// Open a connection to a fresh worker incarnation: replay the whole
-    /// log into `writer` in chunks of about [`FLUSH_BYTES`], then adopt it
-    /// as the live connection. Returns the number of frames replayed.
+    /// log into `writer`, then adopt it as the live connection. Returns
+    /// the number of frames replayed.
     ///
     /// # Errors
     /// The replay's write error; the outbox is then left disconnected.
     pub fn connect(&mut self, mut writer: W) -> std::io::Result<u64> {
         self.disconnect();
-        let replayed = write_coalesced(&mut writer, self.log.tail(0))?;
+        writer.write_all(&self.log.bytes)?;
         self.writer = Some(writer);
-        Ok(replayed)
+        Ok(self.log.len())
     }
 }
 
@@ -656,47 +644,76 @@ mod tests {
         assert_eq!(dd.pending(), 0);
     }
 
+    /// `(wire, seq, message bytes)` of a small data frame, and the frame
+    /// as [`wire::encode`] writes it.
+    fn frame(n: u8) -> ((u64, u64, Vec<u8>), Vec<u8>) {
+        let msg = crate::message::Message::data([i64::from(n)]);
+        let bytes = wire::encode(&wire::Frame::Data {
+            wire: 1,
+            seq: n.into(),
+            msg: msg.clone(),
+        });
+        ((1, n.into(), wire::message_bytes(&msg)), bytes)
+    }
+
+    fn push(out: &mut Outbox<Vec<u8>>, n: u8) -> Vec<u8> {
+        let ((wire, seq, message), bytes) = frame(n);
+        out.push(wire, seq, &message);
+        bytes
+    }
+
     #[test]
     fn replay_log_tail_is_exact() {
-        let mut log = ReplayLog::new();
-        log.append(vec![1]);
-        log.append(vec![2]);
-        log.append(vec![3]);
+        let mut log = ReplayLog::default();
+        let mut frames = Vec::new();
+        for n in 1..=3 {
+            let ((wire, seq, message), bytes) = frame(n);
+            log.push(wire, seq, &message);
+            frames.push(bytes);
+        }
         assert_eq!(log.len(), 3);
         let tail: Vec<&[u8]> = log.tail(1).collect();
-        assert_eq!(tail, vec![&[2][..], &[3][..]]);
+        assert_eq!(tail, vec![&frames[1][..], &frames[2][..]]);
         assert_eq!(log.tail(3).count(), 0);
         assert_eq!(log.tail(99).count(), 0);
     }
 
     #[test]
     fn outbox_buffer_is_a_cache_of_the_log_tail() {
+        let control = wire::encode(&wire::Frame::Probe { nonce: 9 });
         let mut out: Outbox<Vec<u8>> = Outbox::new();
-        // Disconnected: frames are logged, nothing is buffered.
-        out.push(vec![1]);
-        out.send_unlogged(&[99]);
+        // Disconnected: frames are logged, nothing is pending.
+        let f1 = push(&mut out, 1);
+        out.send_unlogged(&control);
         assert_eq!((out.log().len(), out.pending_bytes()), (1, 0));
-        // Connecting replays the log, then buffers until flushed.
+        // Connecting replays the log, then holds frames until flushed.
         assert_eq!(out.connect(Vec::new()).unwrap(), 1);
-        out.push(vec![2]);
-        out.push(vec![3]);
-        assert_eq!(out.pending_bytes(), 2);
+        let f2 = push(&mut out, 2);
+        let f3 = push(&mut out, 3);
+        assert_eq!(out.pending_bytes(), f2.len() + f3.len());
         // A control frame goes out behind the pending data, at once.
-        out.send_unlogged(&[99]);
+        out.send_unlogged(&control);
         assert_eq!(out.pending_bytes(), 0);
-        out.push(vec![4]);
-        // Losing the connection discards the buffer, never the log.
-        assert_eq!(out.disconnect(), Some(vec![1, 2, 3, 99]));
+        let f4 = push(&mut out, 4);
+        // Losing the connection discards the pending tail, never the log.
+        assert_eq!(
+            out.disconnect(),
+            Some([&f1[..], &f2, &f3, &control].concat())
+        );
         assert_eq!((out.log().len(), out.pending_bytes()), (4, 0));
         // The next incarnation gets the whole log, once, in order.
         assert_eq!(out.connect(Vec::new()).unwrap(), 4);
-        assert_eq!(out.disconnect(), Some(vec![1, 2, 3, 4]));
-        // A full buffer flushes itself.
+        assert_eq!(out.disconnect(), Some([&f1[..], &f2, &f3, &f4].concat()));
+        // A chunk's worth of pending bytes flushes itself.
         out.connect(Vec::new()).unwrap();
-        out.push(vec![0; FLUSH_BYTES - 1]);
-        assert_eq!(out.pending_bytes(), FLUSH_BYTES - 1);
-        out.push(vec![0]);
+        while out.pending_bytes() + f1.len() < FLUSH_BYTES {
+            push(&mut out, 5);
+        }
+        assert!(out.pending_bytes() > 0);
+        push(&mut out, 5);
         assert_eq!(out.pending_bytes(), 0);
+        let log: Vec<u8> = out.log().tail(0).flatten().copied().collect();
+        assert_eq!(out.disconnect(), Some(log));
     }
 
     #[test]
@@ -712,13 +729,14 @@ mod tests {
         }
         let mut out = Outbox::new();
         out.connect(Broken).unwrap(); // empty replay writes nothing
-        out.push(vec![7]);
+        let ((wire, seq, message), _) = frame(7);
+        out.push(wire, seq, &message);
         assert!(!out.take_failed());
         out.flush();
         assert!(out.take_failed() && !out.take_failed());
         assert!(out.disconnect().is_none(), "the connection is gone");
         assert_eq!((out.log().len(), out.pending_bytes()), (1, 0));
-        out.push(vec![8]);
+        out.push(wire, seq + 1, &message);
         assert!(out.connect(Broken).is_err());
         assert!(out.disconnect().is_none(), "a failed replay adopts nothing");
     }

@@ -4,7 +4,7 @@
 //! the worker's dial, heartbeat timer, egress pump and control loop around
 //! its [`WorkerCore`].
 
-use super::coord::{Coord, Effect, Input, HELLO_TIMEOUT};
+use super::coord::{Coord, Effect, Input, Received, HELLO_TIMEOUT};
 use super::recover::{FailureCause, Transport, FLUSH_BYTES};
 use super::wire::{self, Frame, FrameDecoder};
 use super::worker::{Control, WorkerCore};
@@ -244,7 +244,8 @@ pub(super) fn read_hello(conn: &mut Conn) -> Result<(u32, u32), DistError> {
 
 /// Coordinator-side reader thread: decode one connection's stream into
 /// conn-tagged inputs, one per socket read, so the channel and the event
-/// loop's wake-ups are paid per chunk, not per tuple.
+/// loop's wake-ups are paid per chunk, not per tuple. Every frame is
+/// checked here; data messages travel on as their checked bytes.
 fn reader_loop(worker: usize, conn_id: u64, mut conn: Conn, tx: &mpsc::Sender<Input<Conn>>) {
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 64 * 1024];
@@ -260,14 +261,7 @@ fn reader_loop(worker: usize, conn_id: u64, mut conn: Conn, tx: &mpsc::Sender<In
             }
             Ok(n) => decoder.push(&buf[..n]),
         }
-        let mut frames = Vec::new();
-        let corrupt = loop {
-            match decoder.next_frame() {
-                Ok(Some(frame)) => frames.push(frame),
-                Ok(None) => break None,
-                Err(e) => break Some(e),
-            }
-        };
+        let (frames, corrupt) = Received::decode(&mut decoder);
         if !frames.is_empty()
             && tx
                 .send(Input::Frames {
@@ -543,7 +537,7 @@ pub(super) fn worker_run(
                         let mut next = Some(first);
                         while let Some((wire, seq, msg)) = next {
                             blazes_obs::record(blazes_obs::EventKind::FrameSend, wire, seq);
-                            chunk.extend_from_slice(&wire::encode(&Frame::Data { wire, seq, msg }));
+                            wire::encode_into(&Frame::Data { wire, seq, msg }, &mut chunk);
                             frames += 1;
                             next = (chunk.len() < FLUSH_BYTES)
                                 .then(|| egress_rx.try_recv().ok())
@@ -589,20 +583,18 @@ pub(super) fn worker_run(
         // Drain frames already buffered *before* blocking on the socket:
         // the plan read slurps whole chunks, so replayed frames can sit
         // fully decoded in the buffer with no further bytes ever arriving
-        // to trigger a read-path drain.
+        // to trigger a read-path drain. The core stages a read's data
+        // frames and injects them as one batch, at the latest here.
         while let Some(frame) = decoder.next_frame()? {
             match core.on_frame(frame, written.load(Ordering::SeqCst)) {
                 Ok(None) => {}
                 Ok(Some(Control::Reply(reply))) => send_control(&writer, &reply)?,
                 Ok(Some(Control::Collect)) => break 'control true,
                 Ok(Some(Control::Shutdown)) => break 'control false,
-                Err(e) => {
-                    let message = e.to_string();
-                    let _ = send_control(&writer, &Frame::Error { message });
-                    return Err(e);
-                }
+                Err(e) => return Err(report(&writer, e)),
             }
         }
+        core.inject_staged();
         match stream.read(&mut buf) {
             Ok(0) => {
                 return Err(DistError::Protocol(
@@ -630,9 +622,19 @@ pub(super) fn worker_run(
         .map_err(|_| DistError::Protocol("egress pump panicked".to_string()))??;
     let results = core.finish();
     if collect {
+        let results = results.map_err(|e| report(&writer, e))?;
+        // One buffer carries every result frame: each is encoded into it
+        // and written out in turn.
+        let mut out = Vec::new();
+        let mut w = writer
+            .lock()
+            .map_err(|_| DistError::Protocol("writer poisoned".to_string()))?;
         for frame in results {
-            send_control(&writer, &frame)?;
+            out.clear();
+            wire::encode_into(&frame, &mut out);
+            w.write_all(&out)?;
         }
+        drop(w);
         // Wait for the shutdown order (keeps the socket open until the
         // parent has drained our results).
         stream.set_read_timeout(None)?;
@@ -650,6 +652,14 @@ pub(super) fn worker_run(
         }
     }
     Ok(())
+}
+
+/// Tell the coordinator about the worker's fatal error `e` (best effort)
+/// and hand `e` back.
+fn report(writer: &Arc<Mutex<Conn>>, e: DistError) -> DistError {
+    let message = e.to_string();
+    let _ = send_control(writer, &Frame::Error { message });
+    e
 }
 
 /// Serialize one control frame onto the shared worker socket.

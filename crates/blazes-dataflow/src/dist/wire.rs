@@ -241,24 +241,49 @@ fn put_seal_key(out: &mut Vec<u8>, k: &SealKey) {
 
 /// The canonical encoded form of one message — the byte string hashed by
 /// the recovery layer's content dedup ([`super::recover::fnv1a`]), kept
-/// here so it is the codec (not the caller) that defines equality.
+/// here so it is the codec (not the caller) that defines equality. The
+/// codec is canonical: for any message bytes the decoder accepts,
+/// re-encoding the decoded message gives the same bytes back, which is
+/// why the coordinator can hash and forward what it received.
 #[must_use]
 pub fn message_bytes(m: &Message) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(message_len(m));
     put_message(&mut out, m);
+    debug_assert_eq!(out.len(), message_len(m));
     out
 }
 
-/// Frame already-encoded message bytes (see [`message_bytes`]) as a
-/// [`Frame::Data`] — byte-identical to [`encode`] on the decoded frame,
-/// so a router that hashed the message bytes need not encode them again.
-#[must_use]
-pub fn data_frame(wire: u64, seq: u64, message: &[u8]) -> Vec<u8> {
-    let mut out = envelope(TAG_DATA, 16 + message.len());
-    put_u64(&mut out, wire);
-    put_u64(&mut out, seq);
+/// `message_bytes(m).len()`, without encoding.
+pub(crate) fn message_len(m: &Message) -> usize {
+    fn value_len(v: &Value) -> usize {
+        match v {
+            Value::Int(_) => 1 + 8,
+            Value::Str(s) => 1 + 4 + s.len(),
+            Value::Bool(_) => 1 + 1,
+        }
+    }
+    1 + match m {
+        Message::Data(t) => 4 + t.0.iter().map(value_len).sum::<usize>(),
+        Message::Seal(k) => {
+            4 + k
+                .parts
+                .iter()
+                .map(|(name, v)| 4 + name.len() + value_len(v))
+                .sum::<usize>()
+        }
+        Message::Eos => 0,
+    }
+}
+
+/// Append a [`Frame::Data`] whose message is already encoded (see
+/// [`message_bytes`]) to `out` — byte-identical to [`encode`] on the
+/// decoded frame, so a router that hashed the message bytes need not
+/// encode them again.
+pub(crate) fn put_data_frame(out: &mut Vec<u8>, wire: u64, seq: u64, message: &[u8]) {
+    put_envelope(out, TAG_DATA, 16 + message.len());
+    put_u64(out, wire);
+    put_u64(out, seq);
     out.extend_from_slice(message);
-    out
 }
 
 fn put_message(out: &mut Vec<u8>, m: &Message) {
@@ -275,24 +300,30 @@ fn put_message(out: &mut Vec<u8>, m: &Message) {
     }
 }
 
-/// A frame's 9-byte envelope — magic, tag, payload length — in a buffer
-/// sized to take the payload.
-fn envelope(tag: u8, payload_len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9 + payload_len);
+/// Append a frame's 9-byte envelope — magic, tag, payload length.
+fn put_envelope(out: &mut Vec<u8>, tag: u8, payload_len: usize) {
     out.extend_from_slice(&MAGIC);
     out.push(tag);
-    put_u32(&mut out, payload_len as u32);
-    out
+    put_u32(out, payload_len as u32);
 }
 
 /// Encode one frame, magic and length prefix included.
 #[must_use]
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    let mut payload = Vec::new();
+    let mut out = Vec::new();
+    encode_into(frame, &mut out);
+    out
+}
+
+/// Append one encoded frame to `out`: the payload is written in place
+/// behind its envelope, whose length field is filled in last.
+pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
+    let start = out.len();
+    put_envelope(out, 0, 0); // tag and length are patched in below
     let tag = match frame {
         Frame::Hello { index, epoch } => {
-            put_u32(&mut payload, *index);
-            put_u32(&mut payload, *epoch);
+            put_u32(out, *index);
+            put_u32(out, *epoch);
             TAG_HELLO
         }
         Frame::Plan {
@@ -306,30 +337,30 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             epoch,
             heartbeat_ms,
         } => {
-            put_str(&mut payload, topology);
-            put_str(&mut payload, params);
-            put_u64(&mut payload, *seed);
-            put_u32(&mut payload, *processes);
-            put_u32(&mut payload, *index);
-            put_u32(&mut payload, *workers);
-            put_bool(&mut payload, *trace);
-            put_u32(&mut payload, *epoch);
-            put_u32(&mut payload, *heartbeat_ms);
+            put_str(out, topology);
+            put_str(out, params);
+            put_u64(out, *seed);
+            put_u32(out, *processes);
+            put_u32(out, *index);
+            put_u32(out, *workers);
+            put_bool(out, *trace);
+            put_u32(out, *epoch);
+            put_u32(out, *heartbeat_ms);
             TAG_PLAN
         }
         Frame::Data { wire, seq, msg } => {
-            put_u64(&mut payload, *wire);
-            put_u64(&mut payload, *seq);
-            put_message(&mut payload, msg);
+            put_u64(out, *wire);
+            put_u64(out, *seq);
+            put_message(out, msg);
             TAG_DATA
         }
         Frame::Idle { sent, recv } => {
-            put_u64(&mut payload, *sent);
-            put_u64(&mut payload, *recv);
+            put_u64(out, *sent);
+            put_u64(out, *recv);
             TAG_IDLE
         }
         Frame::Probe { nonce } => {
-            put_u64(&mut payload, *nonce);
+            put_u64(out, *nonce);
             TAG_PROBE
         }
         Frame::ProbeAck {
@@ -338,19 +369,19 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             recv,
             idle,
         } => {
-            put_u64(&mut payload, *nonce);
-            put_u64(&mut payload, *sent);
-            put_u64(&mut payload, *recv);
-            put_bool(&mut payload, *idle);
+            put_u64(out, *nonce);
+            put_u64(out, *sent);
+            put_u64(out, *recv);
+            put_bool(out, *idle);
             TAG_PROBE_ACK
         }
         Frame::Collect => TAG_COLLECT,
         Frame::SinkResult { sink, entries } => {
-            put_u32(&mut payload, *sink);
-            put_u32(&mut payload, entries.len() as u32);
+            put_u32(out, *sink);
+            put_u32(out, entries.len() as u32);
             for (time, msg) in entries {
-                put_u64(&mut payload, *time);
-                put_message(&mut payload, msg);
+                put_u64(out, *time);
+                put_message(out, msg);
             }
             TAG_SINK_RESULT
         }
@@ -360,24 +391,24 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             duplicates,
             retransmits,
         } => {
-            put_u64(&mut payload, *events);
-            put_u64(&mut payload, *delivered);
-            put_u64(&mut payload, *duplicates);
-            put_u64(&mut payload, *retransmits);
+            put_u64(out, *events);
+            put_u64(out, *delivered);
+            put_u64(out, *duplicates);
+            put_u64(out, *retransmits);
             TAG_DONE
         }
         Frame::Shutdown => TAG_SHUTDOWN,
         Frame::Error { message } => {
-            put_str(&mut payload, message);
+            put_str(out, message);
             TAG_ERROR
         }
         Frame::Trace { pid, tid, events } => {
-            put_u32(&mut payload, *pid);
-            put_u32(&mut payload, *tid);
-            put_u32(&mut payload, events.len() as u32);
+            put_u32(out, *pid);
+            put_u32(out, *tid);
+            put_u32(out, events.len() as u32);
             for words in events {
                 for w in words {
-                    put_u64(&mut payload, *w);
+                    put_u64(out, *w);
                 }
             }
             TAG_TRACE
@@ -388,16 +419,16 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             recv,
             idle,
         } => {
-            put_u32(&mut payload, *epoch);
-            put_u64(&mut payload, *sent);
-            put_u64(&mut payload, *recv);
-            put_bool(&mut payload, *idle);
+            put_u32(out, *epoch);
+            put_u64(out, *sent);
+            put_u64(out, *recv);
+            put_bool(out, *idle);
             TAG_HEARTBEAT
         }
     };
-    let mut out = envelope(tag, payload.len());
-    out.extend_from_slice(&payload);
-    out
+    let len = (out.len() - start - 9) as u32;
+    out[start + 4] = tag;
+    out[start + 5..start + 9].copy_from_slice(&len.to_le_bytes());
 }
 
 // ---------------------------------------------------------------------
@@ -444,10 +475,14 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, WireError> {
+    fn str(&mut self) -> Result<&'a str, WireError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("non-utf8 string"))
+        std::str::from_utf8(bytes).map_err(|_| WireError::Malformed("non-utf8 string"))
+    }
+
+    fn string(&mut self) -> Result<String, WireError> {
+        self.str().map(str::to_owned)
     }
 
     /// Sanity-bound a declared element count: every element occupies at
@@ -499,6 +534,37 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Check one encoded message the way [`Self::message`] decodes it —
+    /// the same checks in the same order, so the same [`WireError`] —
+    /// without building it, and return its bytes.
+    fn message_slice(&mut self) -> Result<&'a [u8], WireError> {
+        fn value(c: &mut Cursor<'_>) -> Result<(), WireError> {
+            match c.u8()? {
+                0 => c.i64().map(drop),
+                1 => c.str().map(drop),
+                2 => c.boolean().map(drop),
+                _ => Err(WireError::Malformed("bad value tag")),
+            }
+        }
+        let start = self.pos;
+        match self.u8()? {
+            0 => {
+                for _ in 0..self.count()? {
+                    value(self)?;
+                }
+            }
+            1 => {
+                for _ in 0..self.count()? {
+                    self.str()?;
+                    value(self)?;
+                }
+            }
+            2 => {}
+            _ => return Err(WireError::Malformed("bad message tag")),
+        }
+        Ok(&self.buf[start..self.pos])
+    }
+
     fn finish(self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -508,11 +574,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_payload(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
+fn decode_payload(tag: u8, mut c: Cursor<'_>) -> Result<Frame, WireError> {
     let frame = match tag {
         TAG_HELLO => Frame::Hello {
             index: c.u32()?,
@@ -593,10 +655,31 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
     Ok(frame)
 }
 
+/// A frame as the coordinator's router takes it from
+/// [`FrameDecoder::next_routed`]: a data frame's message stays the bytes
+/// the decoder checked, every other frame is decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Routed<'a> {
+    /// A [`Frame::Data`] whose message is left encoded: exactly
+    /// [`message_bytes`] of the message [`FrameDecoder::next_frame`]
+    /// would have decoded.
+    Data {
+        /// Global wire number.
+        wire: u64,
+        /// Egress sequence number on that wire.
+        seq: u64,
+        /// The message's canonical encoding.
+        message: &'a [u8],
+    },
+    /// Any other frame.
+    Frame(Frame),
+}
+
 /// Incremental frame decoder over an unreliable byte stream.
 ///
 /// Feed arbitrary chunks through [`FrameDecoder::push`], then drain with
-/// [`FrameDecoder::next_frame`]: `Ok(Some(frame))` per complete frame,
+/// [`FrameDecoder::next_frame`] (or the router's
+/// [`FrameDecoder::next_routed`]): `Ok(Some(frame))` per complete frame,
 /// `Ok(None)` when more bytes are needed, `Err` for a corrupt region —
 /// after which the decoder has consumed the bad bytes and keeps working
 /// on whatever follows.
@@ -650,12 +733,9 @@ impl FrameDecoder {
         }
     }
 
-    /// Try to decode the next complete frame.
-    ///
-    /// # Errors
-    /// [`WireError`] for oversized, unknown-tag or malformed frames; the
-    /// offending region is consumed either way.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+    /// The envelope parse both entry points share: consume the next
+    /// complete frame and return its tag and a cursor over its payload.
+    fn next_payload(&mut self) -> Result<Option<(u8, Cursor<'_>)>, WireError> {
         if !self.sync() {
             return Ok(None);
         }
@@ -674,9 +754,43 @@ impl FrameDecoder {
         if rest.len() < 9 + len {
             return Ok(None);
         }
-        let frame = decode_payload(tag, &rest[9..9 + len]);
-        self.pos += 9 + len;
-        frame.map(Some)
+        let start = self.pos + 9;
+        self.pos = start + len;
+        let payload = Cursor {
+            buf: &self.buf[start..self.pos],
+            pos: 0,
+        };
+        Ok(Some((tag, payload)))
+    }
+
+    /// Try to decode the next complete frame.
+    ///
+    /// # Errors
+    /// [`WireError`] for oversized, unknown-tag or malformed frames; the
+    /// offending region is consumed either way.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        match self.next_payload()? {
+            Some((tag, payload)) => decode_payload(tag, payload).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// [`Self::next_frame`] for the coordinator's router: the same frames
+    /// and the same errors, checked alike, but a data frame's message is
+    /// returned as its bytes instead of being built.
+    ///
+    /// # Errors
+    /// Exactly where [`Self::next_frame`] fails on the same stream.
+    pub fn next_routed(&mut self) -> Result<Option<Routed<'_>>, WireError> {
+        let Some((tag, mut c)) = self.next_payload()? else {
+            return Ok(None);
+        };
+        if tag != TAG_DATA {
+            return decode_payload(tag, c).map(|frame| Some(Routed::Frame(frame)));
+        }
+        let (wire, seq, message) = (c.u64()?, c.u64()?, c.message_slice()?);
+        c.finish()?;
+        Ok(Some(Routed::Data { wire, seq, message }))
     }
 }
 
@@ -884,8 +998,56 @@ mod tests {
             msg: msg.clone(),
         });
         assert_eq!(&framed[9 + 16..], &message_bytes(&msg)[..]);
+        assert_eq!(message_len(&msg), framed.len() - 9 - 16);
         // ... and framing those bytes directly is the same frame.
-        assert_eq!(data_frame(1, 2, &message_bytes(&msg)), framed);
+        let mut out = vec![7];
+        put_data_frame(&mut out, 1, 2, &message_bytes(&msg));
+        assert_eq!(out[1..], framed[..]);
+    }
+
+    #[test]
+    fn encoding_appends_behind_what_the_buffer_holds() {
+        let mut out = b"xyz".to_vec();
+        for frame in sample_frames() {
+            let start = out.len();
+            encode_into(&frame, &mut out);
+            assert_eq!(out[start..], encode(&frame)[..]);
+            if let Frame::SinkResult { entries, .. } = &frame {
+                let len: usize = entries.iter().map(|(_, m)| 8 + message_len(m)).sum();
+                assert_eq!(out.len() - start, 9 + 8 + len);
+            }
+        }
+        assert_eq!(&out[..3], b"xyz");
+    }
+
+    #[test]
+    fn the_router_reads_the_frames_the_decoder_reads() {
+        let mut bytes = Vec::new();
+        for frame in sample_frames() {
+            encode_into(&frame, &mut bytes);
+        }
+        let (mut routed, mut full) = (FrameDecoder::new(), FrameDecoder::new());
+        routed.push(&bytes);
+        full.push(&bytes);
+        for frame in sample_frames() {
+            let expected = full.next_frame().unwrap().unwrap();
+            assert_eq!(expected, frame);
+            match (routed.next_routed().unwrap().unwrap(), frame) {
+                (
+                    Routed::Data { wire, seq, message },
+                    Frame::Data {
+                        wire: w,
+                        seq: s,
+                        msg,
+                    },
+                ) => {
+                    assert_eq!((wire, seq, message), (w, s, &message_bytes(&msg)[..]));
+                }
+                (Routed::Frame(got), frame) => assert_eq!(got, frame),
+                (got, frame) => panic!("routed {got:?} for {frame:?}"),
+            }
+        }
+        assert_eq!(routed.next_routed(), Ok(None));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! shell's control loop and the in-memory harness drive it alike, feeding
 //! it frames and the count of egress frames written so far.
 
-use super::wire::Frame;
+use super::wire::{self, Frame, WireError, MAX_FRAME};
 use super::{owner, DistError, Registry, SinkSet};
 use crate::backend::{ChannelId, ExecutorBuilder, PortId};
 use crate::channel::ChannelConfig;
@@ -21,10 +21,10 @@ use std::time::Duration;
 /// RNG), so the offset only keeps diagnostics unambiguous.
 const EGRESS_WIRE_BASE: u64 = 1 << 48;
 
-/// Entries per [`Frame::SinkResult`]: a sink travels as a run of slices
-/// the coordinator appends in order, so its size is not capped by
-/// [`super::wire::MAX_FRAME`].
-pub(super) const SINK_SLICE: usize = 4096;
+/// Payload bytes a [`Frame::SinkResult`] slice stays within: a sink
+/// travels as a run of slices the coordinator appends in order, so its
+/// size is not capped by [`MAX_FRAME`] — only a single entry's is.
+pub(super) const SINK_SLICE_BYTES: usize = 1 << 20;
 
 /// One cross-partition emission leaving a worker: `(wire, seq, message)`.
 pub(crate) type EgressFrame = (u64, u64, Message);
@@ -223,6 +223,9 @@ pub(super) struct WorkerCore {
     queued: Arc<AtomicU64>,
     /// Data frames received.
     recv: u64,
+    /// Data frames received but not yet injected: a read's worth goes
+    /// into the runtime as one batch ([`Self::inject_staged`]).
+    staged: Vec<(InstanceId, PortId, Message)>,
     /// Last sequence number seen per ingress wire (FIFO check).
     last_seq: HashMap<u64, u64>,
     /// Counters of the last `Idle` report, so a quiet tick repeats none.
@@ -293,15 +296,29 @@ impl WorkerCore {
             sinks,
             queued,
             recv: 0,
+            staged: Vec::new(),
             last_seq: HashMap::new(),
             last_idle: None,
         };
         Ok((core, egress))
     }
 
-    /// Settled, with every enqueued egress frame among the `sent` written?
+    /// Nothing staged, the runtime settled, and every enqueued egress
+    /// frame among the `sent` written?
     pub(super) fn idle(&self, sent: u64) -> bool {
-        self.running.settled() && self.queued.load(Ordering::SeqCst) == sent
+        self.staged.is_empty()
+            && self.running.settled()
+            && self.queued.load(Ordering::SeqCst) == sent
+    }
+
+    /// Inject every staged data frame into the runtime as one batch. The
+    /// caller calls this once it has handed over a read's frames; any
+    /// other frame injects what is staged before it is handled, so no
+    /// answer outruns the data that arrived ahead of it.
+    pub(super) fn inject_staged(&mut self) {
+        if !self.staged.is_empty() {
+            self.running.inject(self.staged.drain(..));
+        }
     }
 
     /// The periodic heartbeat, carrying the idle keepalive that heals a
@@ -331,7 +348,8 @@ impl WorkerCore {
     }
 
     /// Handle one run-phase frame from the coordinator, `sent` egress
-    /// frames having been written so far.
+    /// frames having been written so far. A data frame is checked,
+    /// counted and staged; see [`Self::inject_staged`].
     ///
     /// # Errors
     /// [`DistError::Protocol`] when a wire breaks FIFO, a frame names a
@@ -343,6 +361,9 @@ impl WorkerCore {
         frame: Frame,
         sent: u64,
     ) -> Result<Option<Control>, DistError> {
+        if !matches!(frame, Frame::Data { .. }) {
+            self.inject_staged();
+        }
         match frame {
             Frame::Data { wire, seq, msg } => {
                 // Per-wire FIFO assertion: sequence numbers are
@@ -360,7 +381,7 @@ impl WorkerCore {
                     .ingress
                     .get(&wire)
                     .ok_or_else(|| DistError::Protocol(format!("no ingress for wire {wire}")))?;
-                self.running.inject(inst, port, msg);
+                self.staged.push((inst, port, msg));
                 self.recv += 1;
                 self.last_idle = None;
                 Ok(None)
@@ -381,9 +402,14 @@ impl WorkerCore {
 
     /// Finish the local run and return the frames that report it: each
     /// owned sink in slices, the trace lanes when tracing, then `Done`.
-    /// Call once the egress queue has nothing left to write. The slices
-    /// are built as the caller takes them, one sink's copy at a time.
-    pub(super) fn finish(self) -> impl Iterator<Item = Frame> {
+    /// Call once the egress queue has nothing left to write. The sinks'
+    /// entries are moved out, not copied, and each slice is built as the
+    /// caller takes it.
+    ///
+    /// # Errors
+    /// [`WireError::Oversized`] when a sink entry alone is too large for
+    /// a frame.
+    pub(super) fn finish(self) -> Result<impl Iterator<Item = Frame>, DistError> {
         let stats = self.running.finish();
         let (index, processes) = (self.index, self.processes);
         let lanes = if self.trace {
@@ -391,12 +417,12 @@ impl WorkerCore {
         } else {
             Vec::new()
         };
-        let sinks = self
-            .sinks
-            .into_iter()
-            .enumerate()
-            .filter(move |(_, (id, _))| owner(id.0, processes) == index)
-            .flat_map(|(pos, (_, sink))| sink_result_frames(pos as u32, sink.entries()));
+        let mut sinks = Vec::new();
+        for (pos, (id, sink)) in self.sinks.into_iter().enumerate() {
+            if owner(id.0, processes) == index {
+                sinks.push(sink_result_frames(pos as u32, sink.take_entries())?);
+            }
+        }
         let traces = lanes.into_iter().map(|lane| Frame::Trace {
             pid: lane.pid,
             tid: lane.tid,
@@ -406,26 +432,52 @@ impl WorkerCore {
                 .map(blazes_obs::Event::to_words)
                 .collect(),
         });
-        sinks.chain(traces).chain(std::iter::once(Frame::Done {
+        let done = Frame::Done {
             events: stats.events_processed,
             delivered: stats.messages_delivered,
             duplicates: stats.duplicates,
             retransmits: stats.retransmits,
-        }))
+        };
+        Ok(sinks
+            .into_iter()
+            .flatten()
+            .chain(traces)
+            .chain(std::iter::once(done)))
     }
 }
 
-/// One sink's contents as the `SinkResult` frames that carry it.
+/// One sink's contents as the `SinkResult` frames that carry it, cut so
+/// that each payload stays within [`SINK_SLICE_BYTES`] unless a single
+/// entry is larger.
+///
+/// # Errors
+/// [`WireError::Oversized`] for an entry whose slice alone would exceed
+/// [`MAX_FRAME`]; the coordinator would reject that frame.
 pub(super) fn sink_result_frames(
     sink: u32,
     entries: Vec<(Time, Message)>,
-) -> impl Iterator<Item = Frame> {
-    let mut rest = entries.into_iter().peekable();
-    std::iter::from_fn(move || {
-        rest.peek()?;
-        Some(Frame::SinkResult {
-            sink,
-            entries: rest.by_ref().take(SINK_SLICE).collect(),
-        })
-    })
+) -> Result<impl Iterator<Item = Frame>, DistError> {
+    const HEADER: usize = 4 + 4; // sink index, entry count
+    let mut slices = Vec::new();
+    let (mut len, mut bytes) = (0, HEADER);
+    for (_, msg) in &entries {
+        let size = 8 + wire::message_len(msg);
+        if HEADER + size > MAX_FRAME {
+            return Err(WireError::Oversized(HEADER + size).into());
+        }
+        if len > 0 && bytes + size > SINK_SLICE_BYTES {
+            slices.push(len);
+            (len, bytes) = (0, HEADER);
+        }
+        len += 1;
+        bytes += size;
+    }
+    if len > 0 {
+        slices.push(len);
+    }
+    let mut rest = entries.into_iter();
+    Ok(slices.into_iter().map(move |len| Frame::SinkResult {
+        sink,
+        entries: rest.by_ref().take(len).collect(),
+    }))
 }

@@ -668,16 +668,27 @@ impl Shared {
         self.idle.notify()
     }
 
-    /// Push a mailbox item from the coordinating (non-worker) thread.
-    fn external_push(&self, dst: usize, item: MailItem) {
-        let mb = &self.slots[dst].mailbox;
-        let _ = mb.push_run([item]);
-        if mb
-            .scheduled
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            self.injector.push(dst);
+    /// Push `(destination, item)`s from a coordinating (non-worker)
+    /// thread, in order: each stretch of items for one destination lands
+    /// as one mailbox run, and the pool is woken at most once, after the
+    /// last push. The caller has charged them already.
+    fn external_push(&self, items: impl Iterator<Item = (usize, MailItem)>) {
+        let mut items = items.peekable();
+        let mut scheduled = false;
+        while let Some(&(dst, _)) = items.peek() {
+            let mb = &self.slots[dst].mailbox;
+            let run = std::iter::from_fn(|| items.next_if(|(d, _)| *d == dst).map(|(_, i)| i));
+            let _ = mb.push_run(run);
+            if mb
+                .scheduled
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                self.injector.push(dst);
+                scheduled = true;
+            }
+        }
+        if scheduled {
             self.wake();
         }
     }
@@ -1164,19 +1175,11 @@ impl ParExecutor {
         }
 
         // Dispatch injections (workers are already listening). Pushing in
-        // the sorted order preserves each instance's injection sequence.
+        // the sorted order preserves each instance's injection sequence;
+        // pushing them one at a time lets the workers start on the first
+        // while the rest are still being dispatched.
         for (_, to, port, msg) in self.injected {
-            let born = blazes_obs::start();
-            blazes_obs::record(EventKind::Inject, to.0 as u64, 0);
-            shared.external_push(
-                to.0,
-                MailItem::Deliver {
-                    port,
-                    msg,
-                    epoch: 0,
-                    born,
-                },
-            );
+            shared.external_push(std::iter::once(external_delivery(to, port, msg)));
         }
 
         RunningPar {
@@ -1185,6 +1188,20 @@ impl ParExecutor {
             started,
         }
     }
+}
+
+/// An external message for `port` of `to`, as the mailbox item that
+/// delivers it.
+fn external_delivery(to: InstanceId, port: usize, msg: Message) -> (usize, MailItem) {
+    let born = blazes_obs::start();
+    blazes_obs::record(EventKind::Inject, to.0 as u64, 0);
+    let item = MailItem::Deliver {
+        port,
+        msg,
+        epoch: 0,
+        born,
+    };
+    (to.0, item)
 }
 
 /// A live parallel run: workers are executing, and the holder may still
@@ -1198,27 +1215,26 @@ pub struct RunningPar {
 }
 
 impl RunningPar {
-    /// Deliver one external (committed) message to `port` of `to`; never
-    /// blocks. Callable from any thread; concurrent calls
-    /// race only in arrival order, exactly like concurrent producers.
-    pub fn inject(&self, to: InstanceId, port: PortId, msg: Message) {
-        // Charge the coordinator's shard before the push becomes
+    /// Deliver a run of external (committed) messages, each to its
+    /// `(instance, port)`, in order; never blocks. The run is charged to
+    /// the in-flight accounting once, each stretch of messages for one
+    /// instance lands in its mailbox as one push, and the pool is woken
+    /// at most once. Callable from any thread; concurrent calls race only
+    /// in arrival order, exactly like concurrent producers.
+    pub fn inject<I>(&self, run: I)
+    where
+        I: IntoIterator<Item = (InstanceId, PortId, Message)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let run = run.into_iter();
+        // Charge the coordinator's shard before any push becomes
         // visible — the same invariant every worker send upholds.
         self.shared
             .counters
             .in_flight
-            .charge(self.shared.workers, 1);
-        let born = blazes_obs::start();
-        blazes_obs::record(EventKind::Inject, to.0 as u64, 0);
-        self.shared.external_push(
-            to.0,
-            MailItem::Deliver {
-                port: port.0,
-                msg,
-                epoch: 0,
-                born,
-            },
-        );
+            .charge(self.shared.workers, run.len() as i64);
+        self.shared
+            .external_push(run.map(|(to, port, msg)| external_delivery(to, port.0, msg)));
     }
 
     /// Advisory quiescence probe: has every delivery — injected or
@@ -2688,7 +2704,7 @@ mod tests {
         )));
         let run = b.build().start();
         for i in 0..10_000i64 {
-            run.inject(consumer, PortId(0), Message::data([i]));
+            run.inject([(consumer, PortId(0), Message::data([i]))]);
         }
         assert_eq!(seen.load(Ordering::SeqCst), 0, "the gate was open");
         gate.store(true, Ordering::Release);

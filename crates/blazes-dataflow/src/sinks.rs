@@ -38,6 +38,14 @@ impl CollectorSink {
         lock(&self.entries).clone()
     }
 
+    /// Move every entry out, in arrival order, leaving the collector
+    /// empty — how a finished dist worker ships its sinks without copying
+    /// them.
+    #[must_use]
+    pub fn take_entries(&self) -> Vec<(Time, Message)> {
+        std::mem::take(&mut *lock(&self.entries))
+    }
+
     /// Snapshot of the messages only.
     #[must_use]
     pub fn messages(&self) -> Vec<Message> {

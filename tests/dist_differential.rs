@@ -31,6 +31,7 @@ use blazes::apps::queries::ReportQuery;
 use blazes::apps::wordcount::{run_wordcount, WordcountScenario};
 use blazes::apps::workload::{CampaignPlacement, ClickWorkload, TweetWorkload};
 use blazes::dataflow::backend::BackendSpec;
+use blazes::dataflow::dist::wire::message_bytes;
 use blazes::dataflow::dist::{
     libtest_worker_command, run_dist, worker_main, ChaosSpec, DistError, DistSpec, DistTuning,
     FailureCause, Kill, KillPoint, Transport,
@@ -391,8 +392,8 @@ fn exhausted_respawn_budget_fails_with_a_worker_verdict() {
     }
 }
 
-/// A sink bigger than one `SinkResult` slice (4 096 entries) comes home
-/// in several frames and reassembles into exactly the simulator's
+/// A sink bigger than one `SinkResult` slice (1 MiB of payload) comes
+/// home in several frames and reassembles into exactly the simulator's
 /// committed counts — a sink's size is no longer capped by the frame cap.
 #[test]
 fn a_sink_larger_than_one_slice_reassembles_exactly() {
@@ -401,7 +402,7 @@ fn a_sink_larger_than_one_slice_reassembles_exactly() {
         workload: TweetWorkload {
             vocabulary: 5_000,
             zipf_exponent: 0.5,
-            batches: 30,
+            batches: 160,
             tweets_per_batch: 40,
             ..TweetWorkload::default()
         },
@@ -409,10 +410,15 @@ fn a_sink_larger_than_one_slice_reassembles_exactly() {
         ..WordcountScenario::default()
     };
     let baseline = run_wordcount(&sc, &BackendSpec::Sim);
+    let bytes: usize = baseline
+        .committed
+        .messages()
+        .iter()
+        .map(|m| 8 + message_bytes(m).len())
+        .sum();
     assert!(
-        baseline.committed.len() > 2 * 4096,
-        "the scenario must commit several slices' worth, not {}",
-        baseline.committed.len()
+        bytes > 2 << 20,
+        "the scenario must commit several slices' worth, not {bytes} bytes"
     );
     let spec = dist_spec(2, sc.seed);
     let run = run_wordcount(&sc, &BackendSpec::Dist(spec));

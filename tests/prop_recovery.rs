@@ -5,11 +5,10 @@
 //! sequence ledger flags every repeat and every gap; and the coordinator's
 //! coalescing write buffer is only ever a cache of its replay log.
 
-use blazes::dataflow::dist::recover::{
-    fnv1a, Outbox, ReplayDedup, ReplayLog, SeqLedger, SeqVerdict,
-};
-use blazes::dataflow::dist::wire::{encode, Frame, FrameDecoder};
+use blazes::dataflow::dist::recover::{fnv1a, Outbox, ReplayDedup, SeqLedger, SeqVerdict};
+use blazes::dataflow::dist::wire::{encode, message_bytes, Frame, FrameDecoder};
 use blazes::dataflow::message::Message;
+use blazes::dataflow::value::{Tuple, Value};
 use proptest::collection;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -162,13 +161,10 @@ proptest! {
         for op in ops {
             match op {
                 0..=4 => {
-                    let frame = Frame::Data {
-                        wire: u64::from(op),
-                        seq: pushed.len() as u64,
-                        msg: Message::data([pushed.len() as i64]),
-                    };
-                    out.push(encode(&frame));
-                    pushed.push(frame);
+                    let (wire, seq) = (u64::from(op), pushed.len() as u64);
+                    let msg = Message::data([pushed.len() as i64]);
+                    out.push(wire, seq, &message_bytes(&msg));
+                    pushed.push(Frame::Data { wire, seq, msg });
                 }
                 5 => out.flush(),
                 _ => {
@@ -187,19 +183,24 @@ proptest! {
     }
 
     /// `ReplayLog::tail(k)` replays exactly the suffix from frame `k`, in
-    /// the original order, byte for byte.
+    /// the original order, byte for byte — each frame as [`encode`]
+    /// writes the data frame the outbox was handed.
     #[test]
     fn replay_log_tail_replays_the_exact_suffix(
-        frames in collection::vec(collection::vec(any::<u8>(), 0..6), 0..16),
+        frames in collection::vec((any::<u64>(), any::<u64>(), collection::vec(any::<i64>(), 0..4)), 0..16),
         from_seed in any::<u64>(),
     ) {
-        let mut log = ReplayLog::new();
-        for f in &frames {
-            log.append(f.clone());
+        let mut out: Outbox<Vec<u8>> = Outbox::new();
+        let mut encoded = Vec::new();
+        for (wire, seq, values) in frames {
+            let msg = Message::Data(Tuple(values.into_iter().map(Value::Int).collect()));
+            out.push(wire, seq, &message_bytes(&msg));
+            encoded.push(encode(&Frame::Data { wire, seq, msg }));
         }
-        let from = from_seed % (frames.len() as u64 + 1);
+        let log = out.log();
+        let from = from_seed % (encoded.len() as u64 + 1);
         let got: Vec<Vec<u8>> = log.tail(from).map(<[u8]>::to_vec).collect();
-        prop_assert_eq!(&got[..], &frames[from as usize..]);
-        prop_assert_eq!(log.len(), frames.len() as u64);
+        prop_assert_eq!(&got[..], &encoded[from as usize..]);
+        prop_assert_eq!(log.len(), encoded.len() as u64);
     }
 }

@@ -2,9 +2,15 @@
 //! frame round-trips byte-exactly through [`encode`] → [`FrameDecoder`]
 //! regardless of how the stream is chunked, and corruption (garbage
 //! prefixes, flipped bytes, oversized lengths, truncation) never panics
-//! the decoder or desynchronizes it past the damaged region.
+//! the decoder or desynchronizes it past the damaged region. The
+//! coordinator's router reads the same streams through
+//! [`FrameDecoder::next_routed`], which keeps data messages as bytes: it
+//! must accept and reject exactly what the full decode does, and forward
+//! exactly the canonical bytes of what the full decode builds.
 
-use blazes::dataflow::dist::wire::{encode, Frame, FrameDecoder, WireError, MAGIC, MAX_FRAME};
+use blazes::dataflow::dist::wire::{
+    encode, message_bytes, Frame, FrameDecoder, Routed, WireError, MAGIC, MAX_FRAME,
+};
 use blazes::dataflow::message::{Message, SealKey};
 use blazes::dataflow::value::{Tuple, Value};
 use proptest::collection;
@@ -142,6 +148,86 @@ fn frame() -> impl Strategy<Value = Frame> {
                     .collect(),
             }),
     ]
+}
+
+/// A data frame: the frame the router forwards without decoding.
+fn data_frame() -> impl Strategy<Value = Frame> {
+    (any::<u64>(), any::<u64>(), message()).prop_map(|(wire, seq, msg)| Frame::Data {
+        wire,
+        seq,
+        msg,
+    })
+}
+
+/// A frame stream two thirds data frames, as the router sees it.
+fn routed_stream() -> impl Strategy<Value = Vec<Frame>> {
+    collection::vec(prop_oneof![data_frame(), data_frame(), frame()], 1..8)
+}
+
+/// Damage one stream: cut it short, flip a bit, splice in a header with
+/// an oversized length at a byte offset, or overwrite a byte — each
+/// placed by `seed`.
+fn damage(bytes: &mut Vec<u8>, kind: u8, seed: u64) {
+    if bytes.is_empty() {
+        return;
+    }
+    #[allow(clippy::cast_possible_truncation)]
+    let pos = (seed % bytes.len() as u64) as usize;
+    match kind {
+        0 => bytes.truncate(pos),
+        1 => bytes[pos] ^= 1 << (seed % 8),
+        2 => {
+            #[allow(clippy::cast_possible_truncation)]
+            let len = (MAX_FRAME as u64 + 1 + seed % 1000) as u32;
+            let mut header = MAGIC.to_vec();
+            header.push(3);
+            header.extend_from_slice(&len.to_le_bytes());
+            bytes.splice(pos..pos, header);
+        }
+        _ => bytes[pos] = (seed >> 8) as u8,
+    }
+}
+
+/// Feed `bytes` in `chunk`-sized pieces to a full decoder and a routing
+/// decoder side by side, and check that they agree step for step: the
+/// same `Ok`/`Err` sequence, the same frames, a data frame's routed bytes
+/// equal to the canonical encoding of the fully decoded message, and the
+/// same bytes left buffered. Returns the data frames routed.
+fn routed_agrees_with_full(bytes: &[u8], chunk: usize) -> usize {
+    let (mut full, mut routed) = (FrameDecoder::new(), FrameDecoder::new());
+    let mut data = 0;
+    for piece in bytes.chunks(chunk) {
+        full.push(piece);
+        routed.push(piece);
+        loop {
+            match (full.next_frame(), routed.next_routed()) {
+                (Ok(None), Ok(None)) => break,
+                (
+                    Ok(Some(Frame::Data { wire, seq, msg })),
+                    Ok(Some(Routed::Data {
+                        wire: w,
+                        seq: s,
+                        message,
+                    })),
+                ) => {
+                    assert_eq!((w, s), (wire, seq));
+                    assert_eq!(message, &message_bytes(&msg)[..]);
+                    data += 1;
+                }
+                (Ok(Some(frame)), Ok(Some(Routed::Frame(got)))) => {
+                    assert!(
+                        !matches!(frame, Frame::Data { .. }),
+                        "a data frame routed whole"
+                    );
+                    assert_eq!(got, frame);
+                }
+                (Err(e), Err(got)) => assert_eq!(got, e),
+                (expected, got) => panic!("full decode {expected:?}, routed decode {got:?}"),
+            }
+            assert_eq!(routed.buffered(), full.buffered());
+        }
+    }
+    data
 }
 
 fn concat(frames: &[Frame]) -> Vec<u8> {
@@ -348,5 +434,44 @@ proptest! {
         let (got, errors) = drain_lossy(&mut dec);
         prop_assert_eq!(errors, 0);
         prop_assert_eq!(got, frames);
+    }
+
+    /// The router's decode keeps every check of the full decode: on clean
+    /// streams and on streams cut short, bit-flipped, overwritten or
+    /// spliced with oversized lengths — under any chunking — it returns
+    /// the same `Ok`/`Err` sequence, and every data frame it accepts
+    /// forwards exactly `message_bytes` of the message the full decode
+    /// builds.
+    #[test]
+    fn the_router_decode_accepts_and_rejects_what_the_full_decode_does(
+        frames in routed_stream(),
+        damages in collection::vec((0u8..4, any::<u64>()), 0..3),
+        chunk in 1usize..64,
+    ) {
+        let clean = concat(&frames);
+        let data = frames.iter().filter(|f| matches!(f, Frame::Data { .. })).count();
+        prop_assert_eq!(routed_agrees_with_full(&clean, chunk), data);
+        let mut bytes = clean;
+        for (kind, seed) in damages {
+            damage(&mut bytes, kind, seed);
+        }
+        routed_agrees_with_full(&bytes, chunk);
+    }
+
+    /// Every bit of a data frame matters to the router as it does to the
+    /// full decode: flipping any one of them — in the envelope, the wire
+    /// and sequence numbers or the message — gives the same verdict
+    /// through both, and an accepted flip forwards the flipped message's
+    /// canonical bytes.
+    #[test]
+    fn every_bit_of_a_data_frame_gets_the_same_verdict(frame in data_frame()) {
+        let bytes = encode(&frame);
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= 1 << bit;
+                routed_agrees_with_full(&flipped, flipped.len());
+            }
+        }
     }
 }
