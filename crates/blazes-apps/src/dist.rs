@@ -213,7 +213,8 @@ pub fn encode_wordcount_params(sc: &WordcountScenario, sealed: bool) -> String {
 /// back into the scenario plus the `sealed` flag.
 ///
 /// # Panics
-/// Panics on any missing or malformed field, as [`parse_ad_params`].
+/// Panics on any missing, malformed, unknown or repeated field, as
+/// [`parse_ad_params`].
 #[must_use]
 fn parse_wordcount_params(params: &str) -> (WordcountScenario, bool) {
     let m = kv(params);
@@ -238,7 +239,13 @@ fn parse_wordcount_params(params: &str) -> (WordcountScenario, bool) {
         max_pending: get_usize(&m, "max_pending"),
         seed: get_u64(&m, "seed"),
     };
-    (sc, get_bool(&m, "sealed"))
+    let sealed = get_bool(&m, "sealed");
+    assert_eq!(
+        encode_wordcount_params(&sc, sealed),
+        params,
+        "wordcount plan is not what the encoder writes"
+    );
+    (sc, sealed)
 }
 
 /// The case-study registry for distributed runs: [`AD_TOPOLOGY`] is the
@@ -275,6 +282,7 @@ pub fn dist_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blazes_dataflow::dist::ProbeBuilder;
 
     #[test]
     fn ad_params_round_trip_exactly() {
@@ -325,8 +333,33 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "not what the encoder writes")]
+    fn a_wordcount_plan_with_an_unknown_key_is_rejected() {
+        let enc = encode_wordcount_params(&WordcountScenario::default(), true);
+        let _ = parse_wordcount_params(&format!("auto=1\n{enc}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "not what the encoder writes")]
+    fn a_wordcount_plan_with_a_repeated_key_is_rejected() {
+        let enc = encode_wordcount_params(&WordcountScenario::default(), true);
+        let _ = parse_wordcount_params(&format!("{enc}workers=9\n"));
+    }
+
+    #[test]
     fn registry_knows_both_case_studies() {
         let reg = dist_registry();
-        assert_eq!(reg.names(), vec![AD_TOPOLOGY, WORDCOUNT_TOPOLOGY]);
+        let plans = [
+            (AD_TOPOLOGY, encode_ad_params(&AdScenario::default())),
+            (
+                WORDCOUNT_TOPOLOGY,
+                encode_wordcount_params(&WordcountScenario::default(), true),
+            ),
+        ];
+        for (name, params) in plans {
+            let mut probe = ProbeBuilder::new();
+            let sinks = reg.assemble(name, &params, &mut probe).unwrap();
+            assert!(probe.instances() > 0 && !sinks.is_empty(), "{name}");
+        }
     }
 }

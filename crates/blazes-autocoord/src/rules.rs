@@ -139,12 +139,6 @@ pub struct InjectionSummary {
 }
 
 impl InjectionSummary {
-    /// Total operators injected.
-    #[must_use]
-    pub fn operators(&self) -> usize {
-        self.per_directive.iter().map(|(_, _, n)| n).sum()
-    }
-
     /// Render for logs.
     #[must_use]
     pub fn render(&self) -> String {
@@ -473,7 +467,7 @@ mod tests {
             directives: vec![CoordDirective::Seal {
                 component: component.to_string(),
                 input: "click".to_string(),
-                key: KeySet::single("campaign"),
+                key: KeySet::from_attrs(["campaign"]),
             }],
         }
     }
@@ -552,7 +546,7 @@ mod tests {
         let (rules, stats) = rb.finish();
         assert_eq!(stats.injected_operators, 1, "one gate for one consumer");
         assert_eq!(stats.rewritten_wires, 2, "both producer wires rerouted");
-        assert_eq!(rules.summary().operators(), 1);
+        assert_eq!(rules.summary().per_directive.len(), 1);
         sim.build().run();
         assert_eq!(sim_sink.len(), 12, "10 records + both producer votes");
 
@@ -682,7 +676,7 @@ mod tests {
         seal_topology(&mut rb, sink.clone());
         let (rules, stats) = rb.finish();
         assert!(stats.is_untouched());
-        assert_eq!(rules.summary().operators(), 0);
+        assert!(rules.summary().per_directive.is_empty());
         assert!(rules.summary().render().contains("confluent"));
     }
 

@@ -244,7 +244,7 @@ pub fn render_line(line: &AdLine) -> String {
 
 /// Convert virtual microseconds to seconds.
 #[must_use]
-pub fn secs(t: Time) -> f64 {
+fn secs(t: Time) -> f64 {
     t as f64 / 1_000_000.0
 }
 
@@ -267,7 +267,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Sample standard deviation.
 #[must_use]
-pub fn stddev(xs: &[f64]) -> f64 {
+fn stddev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }

@@ -11,9 +11,9 @@
 //!   columns of antijoins on the path, chased back to input-interface
 //!   attribute names through identity-projection lineage
 //!   ([`crate::catalog::trace_to_inputs`]);
-//! * **path lineage** — the injective (identity) attribute mapping from the
-//!   input interface to the output interface, which blazes-core uses to
-//!   chase seal keys through the component.
+//! * **path lineage** — the identity lineage from the input interface to the
+//!   output interface (which input column each output column copies), which
+//!   blazes-core uses to chase seal keys through the component.
 
 use crate::ast::*;
 use crate::catalog;

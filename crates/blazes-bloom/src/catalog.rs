@@ -9,8 +9,8 @@
 //! * whether the program stratifies (no cycle through a nonmonotonic
 //!   operator) and in what order strata evaluate;
 //! * how attribute values flow from input interfaces to other collections
-//!   through **identity projections** — the sound-but-incomplete injective
-//!   functional dependency detector used to chase seal keys.
+//!   through **identity projections** — the sound-but-incomplete identity
+//!   lineage used to chase seal keys and to name gates.
 
 use crate::ast::*;
 use crate::error::{BloomError, Result};

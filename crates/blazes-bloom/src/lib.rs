@@ -22,8 +22,8 @@
 //! * the **white-box static analyses** ([`analyze`]) the paper describes:
 //!   syntactic nonmonotonicity detection, persistent-state flow analysis,
 //!   partition-subscript inference from `group by` / `not in` clauses, and
-//!   injective-functional-dependency lineage through identity projections —
-//!   together these derive C.O.W.R. annotations automatically;
+//!   identity lineage through identity projections — together these derive
+//!   C.O.W.R. annotations automatically;
 //! * a dataflow adapter ([`component`]) so Bloom modules run as components
 //!   on the `blazes-dataflow` simulator.
 //!

@@ -233,7 +233,7 @@ impl<'g> Analyzer<'g> {
                     )));
                 }
                 let input = out.stream_labels[stream_id.0].clone();
-                let (derived, rule) = infer_path(&input, path, self.graph.fd_store());
+                let (derived, rule) = infer_path(&input, path);
                 let input_seal = match &input {
                     Label::Seal(k) => Some(k.clone()),
                     _ => None,
@@ -341,8 +341,7 @@ impl<'g> Analyzer<'g> {
                         )));
                     }
                     let input = out.stream_labels[stream_id.0].clone();
-                    let (derived, rule) =
-                        infer_path(&input, &collapsed_spec, self.graph.fd_store());
+                    let (derived, rule) = infer_path(&input, &collapsed_spec);
                     let input_seal = match &input {
                         Label::Seal(k) => Some(k.clone()),
                         _ => None,
@@ -370,7 +369,7 @@ impl<'g> Analyzer<'g> {
             }
         }
 
-        let rec = reconcile(derived_labels, scc.rep, self.graph.fd_store());
+        let rec = reconcile(derived_labels, scc.rep);
         let merged = rec.merged.clone();
         for oref in &out_refs {
             out.reports.push(InterfaceReport {
@@ -405,7 +404,7 @@ impl<'g> Analyzer<'g> {
         out: &mut AnalysisOutcome,
         labeled: &mut [bool],
     ) {
-        let rec = reconcile(derived_labels, rep, self.graph.fd_store());
+        let rec = reconcile(derived_labels, rep);
         let merged = rec.merged.clone();
         out.reports.push(InterfaceReport {
             node: node_name,
@@ -432,6 +431,7 @@ mod tests {
     use super::*;
     use crate::annotation::{ComponentAnnotation as CA, StreamAnnotation};
     use crate::graph::SourceId;
+    use crate::keys::KeySet;
 
     /// Build the Storm wordcount dataflow of Section VI-A.
     fn wordcount(sealed: bool) -> (DataflowGraph, SinkId) {
@@ -612,7 +612,11 @@ mod tests {
         let splitter = g.component_by_name("Splitter").unwrap();
         let count = g.component_by_name("Count").unwrap();
         let sid = g.connect(splitter, "words", count, "words");
-        g.annotate_stream(sid, StreamAnnotation::sealed(["batch"]));
+        let sealed = StreamAnnotation {
+            seal: Some(KeySet::from_attrs(["batch"])),
+            rep: false,
+        };
+        g.annotate_stream(sid, sealed);
         let out = Analyzer::new(&g).run().unwrap();
         assert_eq!(out.stream_label(sid), &Label::seal(["batch"]));
     }

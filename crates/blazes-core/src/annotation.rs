@@ -10,6 +10,14 @@
 //! on a key compatible with the gate lets Blazes replace global ordering with
 //! per-partition sealing.
 //!
+//! Compatibility is the paper's `compatible(partition, seal)` (Section V-A1):
+//! some attributes of the partition are an injective function of the seal
+//! key. With identity as the only injective function this is a subset test:
+//! [`Gate::admits`] holds when the seal key lies inside the gate. Renames,
+//! the one other injective function an annotation can express, never reach
+//! the test: a path's attribute lineage renames the seal key before the next
+//! component sees it ([`crate::graph::PathSpec::map_seal_key`]).
+//!
 //! A *stream annotation* describes an input stream: `Seal_key` promises
 //! punctuations on `key`, and `Rep` marks a replicated stream.
 
@@ -45,6 +53,21 @@ impl Gate {
             Gate::Keys(k) => Some(k),
             Gate::Wildcard => None,
         }
+    }
+
+    /// The paper's `compatible(partition, seal)`: does a stream sealed on
+    /// `seal` close whole partitions of this gate? It does when the seal key
+    /// is a non-empty subset of the gate; a seal that also carries
+    /// attributes outside the gate never completes one gate partition. A
+    /// [`Gate::Wildcard`] (every record its own partition) admits any
+    /// non-empty seal.
+    #[must_use]
+    pub fn admits(&self, seal: &KeySet) -> bool {
+        !seal.is_empty()
+            && match self {
+                Gate::Wildcard => true,
+                Gate::Keys(partition) => seal.is_subset(partition),
+            }
     }
 }
 
@@ -174,25 +197,6 @@ impl StreamAnnotation {
     pub fn none() -> Self {
         StreamAnnotation::default()
     }
-
-    /// A stream sealed on `key`.
-    pub fn sealed<I, S>(key: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        StreamAnnotation {
-            seal: Some(KeySet::from_attrs(key)),
-            rep: false,
-        }
-    }
-
-    /// Mark the stream replicated.
-    #[must_use]
-    pub fn replicated(mut self) -> Self {
-        self.rep = true;
-        self
-    }
 }
 
 impl fmt::Display for StreamAnnotation {
@@ -209,6 +213,10 @@ impl fmt::Display for StreamAnnotation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ks<const N: usize>(attrs: [&str; N]) -> KeySet {
+        KeySet::from_attrs(attrs)
+    }
 
     #[test]
     fn cowr_severity_ordering() {
@@ -249,16 +257,64 @@ mod tests {
     #[test]
     fn stream_annotation_display() {
         assert_eq!(StreamAnnotation::none().to_string(), "-");
-        assert_eq!(
-            StreamAnnotation::sealed(["campaign"]).to_string(),
-            "Seal_{campaign}"
-        );
-        assert_eq!(
-            StreamAnnotation::sealed(["campaign"])
-                .replicated()
-                .to_string(),
-            "Seal_{campaign},Rep"
-        );
+        let sealed = StreamAnnotation {
+            seal: Some(ks(["campaign"])),
+            rep: false,
+        };
+        assert_eq!(sealed.to_string(), "Seal_{campaign}");
+        let replicated = StreamAnnotation {
+            rep: true,
+            ..sealed
+        };
+        assert_eq!(replicated.to_string(), "Seal_{campaign},Rep");
+    }
+
+    #[test]
+    fn identity_seal_is_admitted() {
+        assert!(Gate::keys(["a"]).admits(&ks(["a"])));
+        assert!(Gate::keys(["a", "b"]).admits(&ks(["a", "b"])));
+        assert!(!Gate::keys(["b"]).admits(&ks(["a"])));
+    }
+
+    #[test]
+    fn window_query_compatibility() {
+        // Paper Section IV-A1: WINDOW is OR_{id,window}; a stream sealed on
+        // `id` or on `window` is compatible.
+        let gate = Gate::keys(["id", "window"]);
+        assert!(gate.admits(&ks(["window"])));
+        assert!(gate.admits(&ks(["id"])));
+        assert!(gate.admits(&ks(["id", "window"])));
+        // Sealing on an unrelated attribute is not compatible.
+        assert!(!gate.admits(&ks(["campaign"])));
+    }
+
+    #[test]
+    fn campaign_query_compatibility() {
+        // Seal_{campaign} is compatible only with CAMPAIGN (gate contains
+        // `campaign`), not with POOR (gate = {id}) — Section V-A1.
+        let seal = ks(["campaign"]);
+        assert!(Gate::keys(["campaign", "id"]).admits(&seal));
+        assert!(!Gate::keys(["id"]).admits(&seal));
+    }
+
+    #[test]
+    fn composite_seal_not_projected() {
+        // Seal on {campaign,id} must NOT be compatible with gate {campaign}:
+        // the projection (campaign,id) -> campaign is not injective, so a
+        // campaign partition is never known complete from composite seals.
+        assert!(!Gate::keys(["campaign"]).admits(&ks(["campaign", "id"])));
+    }
+
+    #[test]
+    fn wildcard_gate_is_finest_partitioning() {
+        assert!(Gate::Wildcard.admits(&ks(["anything"])));
+        assert!(!Gate::Wildcard.admits(&KeySet::new()));
+    }
+
+    #[test]
+    fn empty_gate_or_seal_never_compatible() {
+        assert!(!Gate::Keys(KeySet::new()).admits(&ks(["k"])));
+        assert!(!Gate::keys(["g"]).admits(&KeySet::new()));
     }
 
     #[test]

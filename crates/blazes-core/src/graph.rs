@@ -7,12 +7,10 @@
 //!
 //! Components carry one [`ComponentAnnotation`] per internal path from an
 //! input interface to an output interface; streams optionally carry
-//! [`StreamAnnotation`]s. The graph also owns the [`FdStore`] of declared
-//! injective functional dependencies used to decide seal compatibility.
+//! [`StreamAnnotation`]s.
 
 use crate::annotation::{ComponentAnnotation, StreamAnnotation};
 use crate::error::{BlazesError, Result};
-use crate::fd::FdStore;
 use crate::keys::KeySet;
 use std::collections::BTreeMap;
 
@@ -149,7 +147,7 @@ pub struct Stream {
     pub annotation: StreamAnnotation,
 }
 
-/// A logical dataflow graph plus its functional-dependency store.
+/// A logical dataflow graph.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataflowGraph {
     /// Graph name, used in reports.
@@ -158,7 +156,6 @@ pub struct DataflowGraph {
     sources: Vec<Source>,
     sinks: Vec<Sink>,
     streams: Vec<Stream>,
-    fd_store: FdStore,
 }
 
 impl DataflowGraph {
@@ -319,17 +316,6 @@ impl DataflowGraph {
         id
     }
 
-    /// Mutable access to the injective-FD store.
-    pub fn fd_store_mut(&mut self) -> &mut FdStore {
-        &mut self.fd_store
-    }
-
-    /// Shared access to the injective-FD store.
-    #[must_use]
-    pub fn fd_store(&self) -> &FdStore {
-        &self.fd_store
-    }
-
     // ------------------------------------------------------------------
     // Lookup
     // ------------------------------------------------------------------
@@ -374,12 +360,6 @@ impl DataflowGraph {
     #[must_use]
     pub fn sink(&self, id: SinkId) -> &Sink {
         &self.sinks[id.0]
-    }
-
-    /// The stream with the given id.
-    #[must_use]
-    pub fn stream(&self, id: StreamId) -> &Stream {
-        &self.streams[id.0]
     }
 
     /// Find a component by name.

@@ -20,7 +20,6 @@
 //! yielding deterministic-but-unordered output — label `Async`.
 
 use crate::annotation::ComponentAnnotation;
-use crate::fd::FdStore;
 use crate::graph::PathSpec;
 use crate::label::Label;
 use std::fmt;
@@ -70,7 +69,7 @@ impl fmt::Display for Rule {
 /// `Taint` never appear as *input* labels because they are stripped before a
 /// stream label is published (see [`crate::reconcile`]).
 #[must_use]
-pub fn infer_path(input: &Label, path: &PathSpec, fds: &FdStore) -> (Label, Rule) {
+pub fn infer_path(input: &Label, path: &PathSpec) -> (Label, Rule) {
     use ComponentAnnotation as CA;
     match (input, &path.annotation) {
         // Rule 1: {Async, Run} + OR_gate => NDRead_gate.
@@ -84,7 +83,7 @@ pub fn infer_path(input: &Label, path: &PathSpec, fds: &FdStore) -> (Label, Rule
 
         // Rule 4 and the compatible-seal case for OW.
         (Label::Seal(key), CA::OW(gate)) => {
-            if fds.compatible(gate, key) {
+            if gate.admits(key) {
                 (Label::Async, Rule::SealConsume)
             } else {
                 (Label::Taint, Rule::R4)
@@ -95,7 +94,7 @@ pub fn infer_path(input: &Label, path: &PathSpec, fds: &FdStore) -> (Label, Rule
         // are consumed (deterministic once the partition closes); an
         // incompatible seal still allows transient nondeterministic reads.
         (Label::Seal(key), CA::OR(gate)) => {
-            if fds.compatible(gate, key) {
+            if gate.admits(key) {
                 (Label::Async, Rule::SealConsume)
             } else {
                 (Label::NDRead(gate.clone()), Rule::R1)
@@ -128,41 +127,37 @@ mod tests {
         }
     }
 
-    fn fds() -> FdStore {
-        FdStore::new()
-    }
-
     #[test]
     fn rule_1_async_or() {
-        let (l, r) = infer_path(&Label::Async, &path(CA::or(["id"])), &fds());
+        let (l, r) = infer_path(&Label::Async, &path(CA::or(["id"])));
         assert_eq!(l, Label::nd_read(["id"]));
         assert_eq!(r, Rule::R1);
     }
 
     #[test]
     fn rule_1_run_or() {
-        let (l, r) = infer_path(&Label::Run, &path(CA::or(["id"])), &fds());
+        let (l, r) = infer_path(&Label::Run, &path(CA::or(["id"])));
         assert_eq!(l, Label::nd_read(["id"]));
         assert_eq!(r, Rule::R1);
     }
 
     #[test]
     fn rule_2_async_ow() {
-        let (l, r) = infer_path(&Label::Async, &path(CA::ow(["word", "batch"])), &fds());
+        let (l, r) = infer_path(&Label::Async, &path(CA::ow(["word", "batch"])));
         assert_eq!(l, Label::Taint);
         assert_eq!(r, Rule::R2);
     }
 
     #[test]
     fn rule_3_inst_cw() {
-        let (l, r) = infer_path(&Label::Inst, &path(CA::cw()), &fds());
+        let (l, r) = infer_path(&Label::Inst, &path(CA::cw()));
         assert_eq!(l, Label::Taint);
         assert_eq!(r, Rule::R3);
     }
 
     #[test]
     fn rule_3_inst_ow() {
-        let (l, r) = infer_path(&Label::Inst, &path(CA::ow(["x"])), &fds());
+        let (l, r) = infer_path(&Label::Inst, &path(CA::ow(["x"])));
         assert_eq!(l, Label::Taint);
         assert_eq!(r, Rule::R3);
     }
@@ -170,7 +165,7 @@ mod tests {
     #[test]
     fn rule_4_incompatible_seal_ow() {
         // Seal on campaign into OW over {id}: not compatible -> Taint.
-        let (l, r) = infer_path(&Label::seal(["campaign"]), &path(CA::ow(["id"])), &fds());
+        let (l, r) = infer_path(&Label::seal(["campaign"]), &path(CA::ow(["id"])));
         assert_eq!(l, Label::Taint);
         assert_eq!(r, Rule::R4);
     }
@@ -178,29 +173,21 @@ mod tests {
     #[test]
     fn compatible_seal_consumed_by_ow() {
         // The sealed wordcount: Seal_batch + OW_{word,batch} -> Async.
-        let (l, r) = infer_path(
-            &Label::seal(["batch"]),
-            &path(CA::ow(["word", "batch"])),
-            &fds(),
-        );
+        let (l, r) = infer_path(&Label::seal(["batch"]), &path(CA::ow(["word", "batch"])));
         assert_eq!(l, Label::Async);
         assert_eq!(r, Rule::SealConsume);
     }
 
     #[test]
     fn compatible_seal_consumed_by_or() {
-        let (l, r) = infer_path(
-            &Label::seal(["window"]),
-            &path(CA::or(["id", "window"])),
-            &fds(),
-        );
+        let (l, r) = infer_path(&Label::seal(["window"]), &path(CA::or(["id", "window"])));
         assert_eq!(l, Label::Async);
         assert_eq!(r, Rule::SealConsume);
     }
 
     #[test]
     fn incompatible_seal_into_or_gives_ndread() {
-        let (l, r) = infer_path(&Label::seal(["campaign"]), &path(CA::or(["id"])), &fds());
+        let (l, r) = infer_path(&Label::seal(["campaign"]), &path(CA::or(["id"])));
         assert_eq!(l, Label::NDRead(Gate::keys(["id"])));
         assert_eq!(r, Rule::R1);
     }
@@ -208,7 +195,7 @@ mod tests {
     #[test]
     fn seal_preserved_through_confluent_paths() {
         for ann in [CA::cr(), CA::cw()] {
-            let (l, r) = infer_path(&Label::seal(["batch"]), &path(ann), &fds());
+            let (l, r) = infer_path(&Label::seal(["batch"]), &path(ann));
             assert_eq!(l, Label::seal(["batch"]));
             assert_eq!(r, Rule::Preserve);
         }
@@ -224,7 +211,7 @@ mod tests {
             annotation: CA::cr(),
             lineage: Some(lineage),
         };
-        let (l, r) = infer_path(&Label::seal(["batch"]), &p, &fds());
+        let (l, r) = infer_path(&Label::seal(["batch"]), &p);
         assert_eq!(l, Label::seal(["epoch"]));
         assert_eq!(r, Rule::Preserve);
     }
@@ -237,7 +224,7 @@ mod tests {
             annotation: CA::cw(),
             lineage: Some(BTreeMap::new()),
         };
-        let (l, r) = infer_path(&Label::seal(["batch"]), &p, &fds());
+        let (l, r) = infer_path(&Label::seal(["batch"]), &p);
         assert_eq!(l, Label::Async);
         assert_eq!(r, Rule::SealDropped);
     }
@@ -245,22 +232,22 @@ mod tests {
     #[test]
     fn preservation_for_confluent_paths() {
         for input in [Label::Async, Label::Run, Label::Diverge] {
-            let (l, r) = infer_path(&input, &path(CA::cr()), &fds());
+            let (l, r) = infer_path(&input, &path(CA::cr()));
             assert_eq!(l, input);
             assert_eq!(r, Rule::Preserve);
         }
         // Async through CW stays Async (confluence tolerates disorder).
-        let (l, _) = infer_path(&Label::Async, &path(CA::cw()), &fds());
+        let (l, _) = infer_path(&Label::Async, &path(CA::cw()));
         assert_eq!(l, Label::Async);
         // Run through CW stays Run: contents were already nondeterministic.
-        let (l, _) = infer_path(&Label::Run, &path(CA::cw()), &fds());
+        let (l, _) = infer_path(&Label::Run, &path(CA::cw()));
         assert_eq!(l, Label::Run);
     }
 
     #[test]
     fn diverge_propagates_through_everything() {
         for ann in [CA::cr(), CA::cw(), CA::or(["x"]), CA::ow(["x"])] {
-            let (l, _) = infer_path(&Label::Diverge, &path(ann), &fds());
+            let (l, _) = infer_path(&Label::Diverge, &path(ann));
             assert_eq!(l, Label::Diverge);
         }
     }
@@ -268,24 +255,15 @@ mod tests {
     #[test]
     fn inst_preserved_through_read_paths() {
         // Rule 3 only fires for stateful paths; reads propagate Inst.
-        let (l, r) = infer_path(&Label::Inst, &path(CA::cr()), &fds());
+        let (l, r) = infer_path(&Label::Inst, &path(CA::cr()));
         assert_eq!((l, r), (Label::Inst, Rule::Preserve));
-        let (l, r) = infer_path(&Label::Inst, &path(CA::or(["x"])), &fds());
+        let (l, r) = infer_path(&Label::Inst, &path(CA::or(["x"])));
         assert_eq!((l, r), (Label::Inst, Rule::Preserve));
     }
 
     #[test]
     fn wildcard_gate_accepts_any_seal() {
-        let (l, r) = infer_path(&Label::seal(["anything"]), &path(CA::ow_star()), &fds());
-        assert_eq!(l, Label::Async);
-        assert_eq!(r, Rule::SealConsume);
-    }
-
-    #[test]
-    fn declared_fd_enables_seal_consumption() {
-        let mut store = FdStore::new();
-        store.declare(["company"], ["symbol"]);
-        let (l, r) = infer_path(&Label::seal(["company"]), &path(CA::ow(["symbol"])), &store);
+        let (l, r) = infer_path(&Label::seal(["anything"]), &path(CA::ow_star()));
         assert_eq!(l, Label::Async);
         assert_eq!(r, Rule::SealConsume);
     }

@@ -29,13 +29,6 @@ impl KeySet {
         KeySet(attrs.into_iter().map(Into::into).collect())
     }
 
-    /// A singleton key set.
-    pub fn single(attr: impl Into<String>) -> Self {
-        let mut s = BTreeSet::new();
-        s.insert(attr.into());
-        KeySet(s)
-    }
-
     /// Number of attributes.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -81,59 +81,6 @@ impl Label {
         self.severity().is_anomalous()
     }
 
-    /// The anomalies (columns of Fig. 8) the label admits, as a compact set
-    /// of flags.
-    #[must_use]
-    pub fn anomalies(&self) -> AnomalySet {
-        match self {
-            // Fig. 8 rows: NDRead and Taint admit transient replica
-            // disagreement (and divergence, for Taint) pending
-            // reconciliation; we report the post-reconciliation view.
-            Label::NDRead(_) => AnomalySet {
-                nd_order: true,
-                nd_contents: true,
-                transient_divergence: false,
-                persistent_divergence: false,
-            },
-            Label::Taint => AnomalySet {
-                nd_order: false,
-                nd_contents: false,
-                transient_divergence: true,
-                persistent_divergence: true,
-            },
-            Label::Seal(_) => AnomalySet {
-                nd_order: true,
-                nd_contents: false,
-                transient_divergence: false,
-                persistent_divergence: false,
-            },
-            Label::Async => AnomalySet {
-                nd_order: true,
-                nd_contents: false,
-                transient_divergence: false,
-                persistent_divergence: false,
-            },
-            Label::Run => AnomalySet {
-                nd_order: true,
-                nd_contents: true,
-                transient_divergence: false,
-                persistent_divergence: false,
-            },
-            Label::Inst => AnomalySet {
-                nd_order: true,
-                nd_contents: true,
-                transient_divergence: true,
-                persistent_divergence: false,
-            },
-            Label::Diverge => AnomalySet {
-                nd_order: true,
-                nd_contents: true,
-                transient_divergence: true,
-                persistent_divergence: true,
-            },
-        }
-    }
-
     /// Pick the more severe of two labels (ties keep `self`).
     #[must_use]
     pub fn join(self, other: Label) -> Label {
@@ -157,19 +104,6 @@ impl fmt::Display for Label {
             Label::Diverge => write!(f, "Diverge"),
         }
     }
-}
-
-/// Which anomaly columns of the paper's Fig. 8 a label admits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnomalySet {
-    /// Nondeterministic delivery order.
-    pub nd_order: bool,
-    /// Nondeterministic stream contents.
-    pub nd_contents: bool,
-    /// Transient replica divergence.
-    pub transient_divergence: bool,
-    /// Persistent replica divergence.
-    pub persistent_divergence: bool,
 }
 
 #[cfg(test)]
@@ -234,25 +168,6 @@ mod tests {
                 assert!(j.severity() >= b.severity());
             }
         }
-    }
-
-    #[test]
-    fn anomaly_columns_figure_8() {
-        // Async: ND order only.
-        let a = Label::Async.anomalies();
-        assert!(a.nd_order && !a.nd_contents && !a.transient_divergence);
-        // Run adds ND contents.
-        let r = Label::Run.anomalies();
-        assert!(r.nd_order && r.nd_contents && !r.transient_divergence);
-        // Inst adds transient divergence.
-        let i = Label::Inst.anomalies();
-        assert!(i.transient_divergence && !i.persistent_divergence);
-        // Diverge admits everything.
-        let d = Label::Diverge.anomalies();
-        assert!(d.nd_order && d.nd_contents && d.transient_divergence && d.persistent_divergence);
-        // Seal: punctuated partitions still arrive in ND order.
-        let s = Label::seal(["k"]).anomalies();
-        assert!(s.nd_order && !s.nd_contents);
     }
 
     #[test]

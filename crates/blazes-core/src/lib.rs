@@ -22,12 +22,16 @@
 //!    `Async`, `Run`, `Inst` or `Diverge` (Fig. 8).
 //! 4. Where the derived label signals an anomaly, the synthesizer
 //!    ([`strategy`]) picks coordination: a cheap **sealing** protocol when a
-//!    sealed input is [`fd::compatible`] with the component's partitioning,
-//!    otherwise a total-**ordering** service.
+//!    sealed input is compatible with the component's partitioning
+//!    ([`annotation::Gate::admits`]), otherwise a total-**ordering** service.
 //!
-//! Compatibility between seals and partitions is decided by *injective
-//! functional dependencies* chased transitively through the dataflow
-//! ([`fd::FdStore`]).
+//! Compatibility between seals and partitions is a subset test: the seal key
+//! must lie inside the component's gate. This is the paper's
+//! `compatible(partition, seal)` with identity as the injective function.
+//! Renames are the only other injective function a spec or a Bloom module
+//! can express, and they are applied before the test: each path's attribute
+//! lineage carries a seal key to its new names
+//! ([`graph::PathSpec::map_seal_key`]).
 //!
 //! ## Quick example
 //!
@@ -67,7 +71,6 @@ pub mod analysis;
 pub mod annotation;
 pub mod derivation;
 pub mod error;
-pub mod fd;
 pub mod graph;
 pub mod inference;
 pub mod keys;
@@ -85,7 +88,6 @@ pub mod prelude {
     pub use crate::analysis::{AnalysisOutcome, Analyzer};
     pub use crate::annotation::{ComponentAnnotation, Gate, StreamAnnotation};
     pub use crate::error::{BlazesError, Result};
-    pub use crate::fd::FdStore;
     pub use crate::graph::{ComponentId, DataflowGraph, SinkId, SourceId};
     pub use crate::keys::KeySet;
     pub use crate::label::Label;

@@ -25,7 +25,6 @@
 //! `NDRead` contributes the deterministic default `Async`) and the label of
 //! highest severity remains.
 
-use crate::fd::FdStore;
 use crate::keys::KeySet;
 use crate::label::Label;
 
@@ -74,7 +73,7 @@ pub struct Reconciliation {
 /// (Vacuously true when the `NDRead` is the only entry: an order-sensitive
 /// read path with no other inputs reads state no other stream perturbs.)
 #[must_use]
-pub fn protected(nd_read: &Label, entries: &[Derived], fds: &FdStore) -> bool {
+pub fn protected(nd_read: &Label, entries: &[Derived]) -> bool {
     let Label::NDRead(gate) = nd_read else {
         return false;
     };
@@ -87,7 +86,7 @@ pub fn protected(nd_read: &Label, entries: &[Derived], fds: &FdStore) -> bool {
             (None, Label::Seal(k)) => Some(k),
             _ => None,
         };
-        seal.is_some_and(|k| fds.compatible(gate, k))
+        seal.is_some_and(|k| gate.admits(k))
     })
 }
 
@@ -96,7 +95,7 @@ pub fn protected(nd_read: &Label, entries: &[Derived], fds: &FdStore) -> bool {
 ///
 /// `rep` is the component's replication flag (`Rep: true`).
 #[must_use]
-pub fn reconcile(entries: Vec<Derived>, rep: bool, fds: &FdStore) -> Reconciliation {
+pub fn reconcile(entries: Vec<Derived>, rep: bool) -> Reconciliation {
     let derived: Vec<Label> = entries.iter().map(|e| e.label.clone()).collect();
     let mut added = Vec::new();
     let mut protected_labels = Vec::new();
@@ -113,7 +112,7 @@ pub fn reconcile(entries: Vec<Derived>, rep: bool, fds: &FdStore) -> Reconciliat
             continue;
         }
         seen_nd.push(l);
-        if protected(l, &entries, fds) {
+        if protected(l, &entries) {
             protected_labels.push(l.clone());
         } else {
             let escalation = if rep { Label::Inst } else { Label::Run };
@@ -159,30 +158,26 @@ mod tests {
     use crate::annotation::Gate;
     use crate::keys::KeySet;
 
-    fn fds() -> FdStore {
-        FdStore::new()
-    }
-
     fn nd(gate: &[&str]) -> Label {
         Label::NDRead(Gate::Keys(KeySet::from_attrs(gate.iter().copied())))
     }
 
     /// Test helper: reconcile plain labels (input seals inferred from
     /// `Seal` labels via the `From` impl).
-    fn rec(labels: Vec<Label>, rep: bool, fds: &FdStore) -> Reconciliation {
-        reconcile(labels.into_iter().map(Derived::from).collect(), rep, fds)
+    fn rec(labels: Vec<Label>, rep: bool) -> Reconciliation {
+        reconcile(labels.into_iter().map(Derived::from).collect(), rep)
     }
 
     #[test]
     fn taint_escalates_to_run_without_rep() {
-        let r = rec(vec![Label::Taint, Label::Async], false, &fds());
+        let r = rec(vec![Label::Taint, Label::Async], false);
         assert_eq!(r.added, vec![Label::Run]);
         assert_eq!(r.merged, Label::Run);
     }
 
     #[test]
     fn taint_escalates_to_diverge_with_rep() {
-        let r = rec(vec![Label::Taint, Label::Async], true, &fds());
+        let r = rec(vec![Label::Taint, Label::Async], true);
         assert_eq!(r.added, vec![Label::Diverge]);
         assert_eq!(r.merged, Label::Diverge);
     }
@@ -190,14 +185,14 @@ mod tests {
     #[test]
     fn unprotected_ndread_escalates_to_inst_with_rep() {
         // POOR at the replicated Report: {Async (click path), NDRead_id}.
-        let r = rec(vec![Label::Async, nd(&["id"])], true, &fds());
+        let r = rec(vec![Label::Async, nd(&["id"])], true);
         assert_eq!(r.added, vec![Label::Inst]);
         assert_eq!(r.merged, Label::Inst);
     }
 
     #[test]
     fn unprotected_ndread_escalates_to_run_without_rep() {
-        let r = rec(vec![Label::Async, nd(&["id"])], false, &fds());
+        let r = rec(vec![Label::Async, nd(&["id"])], false);
         assert_eq!(r.added, vec![Label::Run]);
         assert_eq!(r.merged, Label::Run);
     }
@@ -206,7 +201,7 @@ mod tests {
     fn protected_ndread_merges_to_async() {
         // CAMPAIGN at Report: {Seal_campaign (click path), NDRead_{campaign,id}}.
         let labels = vec![Label::seal(["campaign"]), nd(&["campaign", "id"])];
-        let r = rec(labels, true, &fds());
+        let r = rec(labels, true);
         assert!(r.added.is_empty());
         assert_eq!(r.protected.len(), 1);
         // Merge: max severity of {Seal(1)} plus protected-NDRead's Async(2).
@@ -215,7 +210,7 @@ mod tests {
 
     #[test]
     fn lone_ndread_is_vacuously_protected() {
-        let r = rec(vec![nd(&["id"])], true, &fds());
+        let r = rec(vec![nd(&["id"])], true);
         assert!(r.added.is_empty());
         assert_eq!(r.merged, Label::Async);
     }
@@ -224,7 +219,7 @@ mod tests {
     fn incompatible_seal_does_not_protect() {
         // Seal on campaign cannot protect NDRead over {id} (POOR).
         let labels = vec![Label::seal(["campaign"]), nd(&["id"])];
-        let r = rec(labels, true, &fds());
+        let r = rec(labels, true);
         assert_eq!(r.added, vec![Label::Inst]);
         assert_eq!(r.merged, Label::Inst);
     }
@@ -232,7 +227,7 @@ mod tests {
     #[test]
     fn two_distinct_ndreads_do_not_protect_each_other() {
         let labels = vec![nd(&["a"]), nd(&["b"])];
-        let r = rec(labels, false, &fds());
+        let r = rec(labels, false);
         assert_eq!(r.added, vec![Label::Run]);
         assert_eq!(r.merged, Label::Run);
     }
@@ -240,20 +235,20 @@ mod tests {
     #[test]
     fn identical_ndreads_protect_each_other() {
         let labels = vec![nd(&["a"]), nd(&["a"])];
-        let r = rec(labels, false, &fds());
+        let r = rec(labels, false);
         assert!(r.added.is_empty());
         assert_eq!(r.merged, Label::Async);
     }
 
     #[test]
     fn seal_only_interface_keeps_seal_label() {
-        let r = rec(vec![Label::seal(["batch"])], false, &fds());
+        let r = rec(vec![Label::seal(["batch"])], false);
         assert_eq!(r.merged, Label::seal(["batch"]));
     }
 
     #[test]
     fn mixed_seal_and_async_merges_to_async() {
-        let r = rec(vec![Label::seal(["batch"]), Label::Async], false, &fds());
+        let r = rec(vec![Label::seal(["batch"]), Label::Async], false);
         assert_eq!(r.merged, Label::Async);
     }
 
@@ -261,30 +256,20 @@ mod tests {
     fn taint_and_protected_ndread_together() {
         // Taint dominates: even a protected read cannot save tainted state.
         let labels = vec![Label::Taint, Label::seal(["k"]), nd(&["k"])];
-        let r = rec(labels, true, &fds());
+        let r = rec(labels, true);
         assert!(r.added.contains(&Label::Diverge));
         assert_eq!(r.merged, Label::Diverge);
     }
 
     #[test]
     fn empty_labels_default_async() {
-        let r = rec(vec![], false, &fds());
+        let r = rec(vec![], false);
         assert_eq!(r.merged, Label::Async);
     }
 
     #[test]
     fn diverge_input_dominates_merge() {
-        let r = rec(vec![Label::Diverge, Label::Async], false, &fds());
+        let r = rec(vec![Label::Diverge, Label::Async], false);
         assert_eq!(r.merged, Label::Diverge);
-    }
-
-    #[test]
-    fn protection_respects_declared_fds() {
-        let mut store = FdStore::new();
-        store.declare(["company"], ["symbol"]);
-        let labels = vec![Label::seal(["company"]), nd(&["symbol"])];
-        let r = rec(labels, true, &store);
-        assert!(r.added.is_empty());
-        assert_eq!(r.merged, Label::Async);
     }
 }

@@ -113,28 +113,6 @@ impl Spec {
         Parser::new(input).parse()
     }
 
-    /// Apply component annotations (and `Rep` flags) to an existing graph by
-    /// component name. Components in the spec that are missing from the
-    /// graph produce an error; extra graph components are left untouched.
-    pub fn annotate(&self, graph: &mut DataflowGraph) -> Result<()> {
-        for comp in &self.components {
-            let id = graph.component_by_name(&comp.name)?;
-            graph.set_rep(id, comp.rep);
-            let paths = comp
-                .annotations
-                .iter()
-                .map(|a| crate::graph::PathSpec {
-                    from: a.from.clone(),
-                    to: a.to.clone(),
-                    annotation: a.annotation.clone(),
-                    lineage: None,
-                })
-                .collect();
-            graph.replace_component_paths(id, paths);
-        }
-        Ok(())
-    }
-
     /// Build a complete dataflow graph (requires `streams:` and `sinks:`
     /// sections).
     pub fn to_graph(&self, name: impl Into<String>) -> Result<DataflowGraph> {
@@ -654,35 +632,6 @@ Report:
     fn missing_required_key_rejected() {
         let err = Spec::parse("C:\n  annotation: { from: a, label: CR }\n").unwrap_err();
         assert!(matches!(err, BlazesError::SpecParse { .. }));
-    }
-
-    #[test]
-    fn annotate_existing_graph() {
-        let mut g = DataflowGraph::new("wc");
-        let src = g.add_source("tweets", &["word", "batch"]);
-        let c = g.add_component("Count");
-        // Placeholder annotation, to be replaced by the spec.
-        g.add_path(c, "words", "counts", ComponentAnnotation::cr());
-        let sink = g.add_sink("store");
-        g.connect_source(src, c, "words");
-        g.connect_sink(c, "counts", sink);
-
-        let spec = Spec::parse(
-            "Count:\n  annotation: { from: words, to: counts, label: OW, subscript: [word, batch] }\n",
-        )
-        .unwrap();
-        spec.annotate(&mut g).unwrap();
-        assert_eq!(
-            g.component(c).paths[0].annotation,
-            ComponentAnnotation::ow(["word", "batch"])
-        );
-    }
-
-    #[test]
-    fn annotate_unknown_component_errors() {
-        let mut g = DataflowGraph::new("g");
-        let spec = Spec::parse("Ghost:\n  annotation: { from: a, to: b, label: CR }\n").unwrap();
-        assert!(spec.annotate(&mut g).is_err());
     }
 
     #[test]

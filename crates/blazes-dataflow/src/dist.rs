@@ -236,12 +236,6 @@ impl Registry {
             .ok_or_else(|| DistError::UnknownTopology(topology.to_string()))?;
         Ok(f(builder, params))
     }
-
-    /// Registered topology names.
-    #[must_use]
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.keys().map(String::as_str).collect()
-    }
 }
 
 /// Everything a distributed run needs to know, parent side.
@@ -431,16 +425,15 @@ pub struct ProbeWire {
 }
 
 /// An [`ExecutorBuilder`] that executes nothing: it records the pure
-/// structure of an assembly — instance count and names, channel configs,
-/// wires in global numbering, injection count. The parent runs the SPMD
-/// assembly through it to learn the routing table; it is also handy for
-/// asserting what a rewrite pass did to a graph without running it.
+/// structure of an assembly — instance count, channel configs and wires
+/// in global numbering. The parent runs the SPMD assembly through it to
+/// learn the routing table; it is also handy for asserting what a rewrite
+/// pass did to a graph without running it.
 #[derive(Debug, Default)]
 pub struct ProbeBuilder {
-    names: Vec<String>,
+    instances: usize,
     channels: Vec<ChannelConfig>,
     wires: Vec<ProbeWire>,
-    injections: usize,
 }
 
 impl ProbeBuilder {
@@ -453,13 +446,7 @@ impl ProbeBuilder {
     /// Number of instances the assembly added.
     #[must_use]
     pub fn instances(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Component names in instance order.
-    #[must_use]
-    pub fn names(&self) -> &[String] {
-        &self.names
+        self.instances
     }
 
     /// Registered channel configurations, by handle.
@@ -473,18 +460,12 @@ impl ProbeBuilder {
     pub fn wires(&self) -> &[ProbeWire] {
         &self.wires
     }
-
-    /// Number of external injections the assembly made.
-    #[must_use]
-    pub fn injections(&self) -> usize {
-        self.injections
-    }
 }
 
 impl ExecutorBuilder for ProbeBuilder {
-    fn add_instance(&mut self, component: Box<dyn Component>) -> InstanceId {
-        self.names.push(component.name().to_string());
-        InstanceId(self.names.len() - 1)
+    fn add_instance(&mut self, _component: Box<dyn Component>) -> InstanceId {
+        self.instances += 1;
+        InstanceId(self.instances - 1)
     }
 
     fn set_service_time(&mut self, _id: InstanceId, _service: Time) {}
@@ -511,9 +492,7 @@ impl ExecutorBuilder for ProbeBuilder {
         });
     }
 
-    fn inject(&mut self, _at: Time, _to: InstanceId, _port: PortId, _msg: Message) {
-        self.injections += 1;
-    }
+    fn inject(&mut self, _at: Time, _to: InstanceId, _port: PortId, _msg: Message) {}
 }
 
 #[cfg(test)]
@@ -656,12 +635,10 @@ mod tests {
     fn registry_dispatches_by_name() {
         let mut reg = Registry::new();
         reg.register("chain", |b, _params| chain(b));
-        assert_eq!(reg.names(), vec!["chain"]);
         let mut probe = ProbeBuilder::new();
         let sinks = reg.assemble("chain", "", &mut probe).unwrap();
         assert_eq!(probe.instances(), 3);
         assert_eq!(probe.wires().len(), 2);
-        assert_eq!(probe.injections(), 50);
         assert_eq!(sinks.len(), 1);
         assert!(matches!(
             reg.assemble("nope", "", &mut ProbeBuilder::new()),
@@ -677,7 +654,7 @@ mod tests {
         let b2 = probe.add_instance(echo());
         let ch = probe.add_channel(ChannelConfig::lan().with_loss(0.25));
         probe.connect(a, PortId(0), b2, PortId(0), ch);
-        assert_eq!(probe.names(), &["echo".to_string(), "echo".to_string()]);
+        assert_eq!(probe.instances(), 2);
         assert_eq!(
             probe.wires(),
             &[ProbeWire {

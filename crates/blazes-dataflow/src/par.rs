@@ -120,8 +120,7 @@
 //! *deferred* until the epoch resolves, which degrades to blocking but
 //! stays correct. The epoch registry is one mutex, but it is off the hot
 //! path: each cell caches the per-epoch status `Arc`, so steady-state
-//! checks are a single atomic load (acquisitions are counted separately
-//! in [`ParStats::speculation_locks`]). CALM pays off mechanically here:
+//! checks are a single atomic load. CALM pays off mechanically here:
 //! confluent topologies get no gates, so they never speculate and never
 //! roll back — `tests/speculation.rs` asserts exactly that.
 //!
@@ -384,15 +383,12 @@ struct EpochEntry {
 /// Shared speculation state (present only in time-warp mode). The
 /// registry mutex is off the hot path: cells cache the per-epoch status
 /// `Arc`, so steady-state epoch checks are one atomic load; the lock is
-/// taken once per new `(instance, epoch)` pair and once per resolution —
-/// counted here, separately from [`ParStats::slow_path_locks`], whose
-/// identity the parking tests pin.
+/// taken once per new `(instance, epoch)` pair and once per resolution.
 struct SpecShared {
     epochs: Mutex<HashMap<u64, EpochEntry>>,
     opened: AtomicU64,
     committed: AtomicU64,
     aborted: AtomicU64,
-    locks: AtomicU64,
 }
 
 impl SpecShared {
@@ -402,7 +398,6 @@ impl SpecShared {
             opened: AtomicU64::new(0),
             committed: AtomicU64::new(0),
             aborted: AtomicU64::new(0),
-            locks: AtomicU64::new(0),
         }
     }
 }
@@ -984,9 +979,6 @@ pub struct ParStats {
     pub epochs_committed: u64,
     /// Epochs that aborted — a late event violated the speculation.
     pub epochs_aborted: u64,
-    /// Speculation-registry lock acquisitions (kept separate from
-    /// `slow_path_locks`, whose identity is pinned to parking events).
-    pub speculation_locks: u64,
     /// Never-sealed-session rescue passes the run needed (0 for any run
     /// whose speculation sessions all resolved on their own; see the
     /// module docs' end-of-run resolution section).
@@ -1308,13 +1300,12 @@ impl RunningPar {
         }
 
         let rescue_passes = shared.rescue_passes.into_inner();
-        let (epochs_opened, epochs_committed, epochs_aborted, speculation_locks) =
-            shared.spec.map_or((0, 0, 0, 0), |s| {
+        let (epochs_opened, epochs_committed, epochs_aborted) =
+            shared.spec.map_or((0, 0, 0), |s| {
                 (
                     s.opened.into_inner(),
                     s.committed.into_inner(),
                     s.aborted.into_inner(),
-                    s.locks.into_inner(),
                 )
             });
 
@@ -1332,7 +1323,6 @@ impl RunningPar {
             epochs_opened,
             epochs_committed,
             epochs_aborted,
-            speculation_locks,
             rescue_passes,
         };
         // One registry pass per run, and only when observability is on —
@@ -1771,7 +1761,6 @@ impl WorkerCtx {
             return Arc::clone(s);
         }
         let spec = shared.spec.as_ref().expect("time-warp mode");
-        spec.locks.fetch_add(1, Ordering::Relaxed);
         let mut table = spec
             .epochs
             .lock()
@@ -1793,7 +1782,6 @@ impl WorkerCtx {
     /// us) or is visible in the returned status.
     fn spec_join(&mut self, shared: &Shared, inst: usize, epoch: u64) -> Arc<AtomicU8> {
         let spec = shared.spec.as_ref().expect("time-warp mode");
-        spec.locks.fetch_add(1, Ordering::Relaxed);
         let mut table = spec
             .epochs
             .lock()
@@ -1823,7 +1811,6 @@ impl WorkerCtx {
             .spec
             .as_ref()
             .expect("resolve_speculation requires ParTuning::with_speculation");
-        spec.locks.fetch_add(1, Ordering::Relaxed);
         let participants = {
             let mut table = spec
                 .epochs
@@ -2070,7 +2057,6 @@ impl WorkerCtx {
             return false;
         };
         let open: Vec<u64> = {
-            spec.locks.fetch_add(1, Ordering::Relaxed);
             let table = spec
                 .epochs
                 .lock()

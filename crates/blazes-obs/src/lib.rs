@@ -209,7 +209,7 @@ impl Obs {
 
     /// Snapshot every local ring: `(tid, events, overwritten)` per ring.
     #[must_use]
-    pub fn lanes(&self) -> Vec<(u32, Vec<Event>, u64)> {
+    fn lanes(&self) -> Vec<(u32, Vec<Event>, u64)> {
         let rings = self.rings.lock().expect("obs ring registry");
         rings
             .iter()

@@ -1089,7 +1089,7 @@ mod tests {
             directives: vec![CoordDirective::Seal {
                 component: "count".to_string(),
                 input: "words".to_string(),
-                key: KeySet::single("campaign"),
+                key: KeySet::from_attrs(["campaign"]),
             }],
         };
         let err = t

@@ -57,24 +57,15 @@ fn is_bloom_module(text: &str) -> bool {
         .is_some_and(|l| l.starts_with("module"))
 }
 
-/// `--flag VALUE`: the value, `None` when the flag is absent. A flag with
-/// nothing after it is an error.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(v) => Ok(Some(v)),
-        None => Err(format!("{flag} expects a value")),
-    }
-}
+const USAGE: &str = "usage: blazes <spec-file> [--static-order] | blazes --demo
+       blazes <module.blz> [--tick-stats] [--ticks N] [--rows N] [--mode naive|semi]
+       (every form also takes --trace FILE)";
 
-/// [`flag_value`] parsed as a non-negative integer, `default` when absent.
-fn int_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
-    flag_value(args, flag)?.map_or(Ok(default), |v| {
-        v.parse()
-            .map_err(|_| format!("{flag} expects a non-negative integer, got {v:?}"))
-    })
+/// `VALUE` of `flag` parsed as a non-negative integer.
+fn parse_int<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} expects a non-negative integer, got {value:?}"))
 }
 
 fn parse_mode(s: &str) -> Result<EvalMode, String> {
@@ -85,21 +76,54 @@ fn parse_mode(s: &str) -> Result<EvalMode, String> {
     }
 }
 
-/// The four value flags, checked before anything is read or run.
-struct Flags {
+/// The command line, checked whole before anything is read or run.
+struct Cli {
+    path: Option<String>,
+    demo: bool,
+    static_order: bool,
+    tick_stats: bool,
     trace: Option<String>,
     mode: EvalMode,
     ticks: u64,
     rows: usize,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    Ok(Flags {
-        trace: flag_value(args, "--trace")?.map(String::from),
-        mode: flag_value(args, "--mode")?.map_or(Ok(EvalMode::SemiNaive), parse_mode)?,
-        ticks: int_flag(args, "--ticks", 1)?,
-        rows: int_flag(args, "--rows", 32)?,
-    })
+/// Parse every argument: an unknown flag, a value flag with nothing after
+/// it, a malformed value or a second path is an error.
+fn parse_cli(args: &[String]) -> Result<Cli, String> {
+    let mut out = Cli {
+        path: None,
+        demo: false,
+        static_order: false,
+        tick_stats: false,
+        trace: None,
+        mode: EvalMode::SemiNaive,
+        ticks: 1,
+        rows: 32,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--demo" => out.demo = true,
+            "--static-order" => out.static_order = true,
+            "--tick-stats" => out.tick_stats = true,
+            flag @ ("--trace" | "--mode" | "--ticks" | "--rows") => {
+                let value = args
+                    .next()
+                    .ok_or_else(|| format!("{flag} expects a value"))?;
+                match flag {
+                    "--trace" => out.trace = Some(value.clone()),
+                    "--mode" => out.mode = parse_mode(value)?,
+                    "--ticks" => out.ticks = parse_int(flag, value)?,
+                    _ => out.rows = parse_int(flag, value)?,
+                }
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
+            path if out.path.is_some() => return Err(format!("unexpected second path {path:?}")),
+            path => out.path = Some(path.to_string()),
+        }
+    }
+    Ok(out)
 }
 
 /// Deterministic synthetic workload: each input interface of arity `k`
@@ -120,7 +144,7 @@ fn synthetic_inputs(m: &blazes_bloom::Module, rows: usize) -> BTreeMap<String, V
         .collect()
 }
 
-fn run_bloom_module(name: &str, text: &str, tick_stats: bool, flags: &Flags) {
+fn run_bloom_module(name: &str, text: &str, cli: &Cli) {
     let module = match parse_module(text) {
         Ok(m) => m,
         Err(e) => {
@@ -141,13 +165,13 @@ fn run_bloom_module(name: &str, text: &str, tick_stats: bool, flags: &Flags) {
         Err(e) => eprintln!("  analysis error: {e}"),
     }
 
-    if !tick_stats {
+    if !cli.tick_stats {
         return;
     }
 
-    let &Flags {
+    let &Cli {
         mode, ticks, rows, ..
-    } = flags;
+    } = cli;
     let mut inst = match ModuleInstance::with_mode(module, mode) {
         Ok(i) => i,
         Err(e) => {
@@ -211,30 +235,18 @@ fn export_trace(path: Option<&String>) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let dynamic = !args.iter().any(|a| a == "--static-order");
-    let flags = match parse_flags(&args) {
-        Ok(f) => f,
+    let cli = match parse_cli(&args) {
+        Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n{USAGE}");
             std::process::exit(2);
         }
     };
-    if flags.trace.is_some() {
+    if cli.trace.is_some() {
         blazes::obs::global().set_enabled(true);
     }
-    let value_flags = ["--mode", "--ticks", "--rows", "--trace"];
-    let path = args.iter().enumerate().find_map(|(i, a)| {
-        if a.starts_with("--") {
-            return None;
-        }
-        // Skip values consumed by flags like `--mode semi`.
-        if i > 0 && value_flags.contains(&args[i - 1].as_str()) {
-            return None;
-        }
-        Some(a)
-    });
 
-    let (name, text) = match (path, args.iter().any(|a| a == "--demo")) {
+    let (name, text) = match (&cli.path, cli.demo) {
         (Some(p), _) => match std::fs::read_to_string(p) {
             Ok(t) => (p.clone(), t),
             Err(e) => {
@@ -244,19 +256,14 @@ fn main() {
         },
         (None, true) => ("wordcount-demo".to_string(), DEMO.to_string()),
         (None, false) => {
-            eprintln!(
-                "usage: blazes <spec-file> [--static-order] | blazes --demo\n       \
-                 blazes <module.blz> [--tick-stats] [--ticks N] [--rows N] \
-                 [--mode naive|semi]"
-            );
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     };
 
     if is_bloom_module(&text) {
-        let tick_stats = args.iter().any(|a| a == "--tick-stats");
-        run_bloom_module(&name, &text, tick_stats, &flags);
-        export_trace(flags.trace.as_ref());
+        run_bloom_module(&name, &text, &cli);
+        export_trace(cli.trace.as_ref());
         return;
     }
 
@@ -284,6 +291,7 @@ fn main() {
     };
     print!("{}", derivation::render(&graph, &outcome));
 
+    let dynamic = !cli.static_order;
     match plan_for(&graph, dynamic) {
         Ok(plan) => {
             println!(
@@ -315,7 +323,7 @@ fn main() {
             println!("  {}", a.render(&graph));
         }
     }
-    export_trace(flags.trace.as_ref());
+    export_trace(cli.trace.as_ref());
 }
 
 #[cfg(test)]

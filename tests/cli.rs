@@ -1,6 +1,6 @@
-//! The `blazes` binary's command line: a malformed flag value is a usage
-//! error (`error: ..`, exit 2), never a panic, and the documented forms
-//! still run.
+//! The `blazes` binary's command line: a malformed flag value, an unknown
+//! flag or a second path is a usage error (`error: ..`, the usage line,
+//! exit 2), never a panic, and the documented forms still run.
 
 use std::process::{Command, Output};
 
@@ -22,11 +22,15 @@ fn malformed_flag_values_are_usage_errors_not_panics() {
         &["--tick-stats", "--ticks", "abc"][..],
         &["--tick-stats", "--rows", "-1"],
         &["--tick-stats", "--mode"],
+        &["--static_order"],
+        &["--tick-stat"],
+        &["--tick-stats", MODULE],
     ] {
         let out = blazes(&[&[MODULE], bad].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{bad:?}: {stderr}");
         assert!(stderr.starts_with("error: "), "{bad:?}: {stderr}");
+        assert!(stderr.contains("\nusage: blazes "), "{bad:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{bad:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{bad:?} ran before failing");
     }

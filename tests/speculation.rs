@@ -152,7 +152,7 @@ fn seal(campaign: i64, producer: i64) -> Message {
 fn violation_run(speculation: bool) -> (CollectorSink, ParStats) {
     let binding = SealBinding::new(ProducerRegistry::all_produce(0..1), vec![1], 3)
         .with_query_partition(Arc::new(|t: &Tuple| t.get(0).cloned()));
-    let rules = AutoCoordRules::new(&spec_seal("Report", KeySet::single("campaign")))
+    let rules = AutoCoordRules::new(&spec_seal("Report", KeySet::from_attrs(["campaign"])))
         .bind_seal("Report", binding)
         .with_speculation(speculation);
     let mut par = ParBuilder::new(7)
@@ -248,7 +248,7 @@ impl Component for NoSnapSink {
 fn never_sealed_run(speculation: bool, checkpointable: bool) -> (CollectorSink, ParStats) {
     let binding = SealBinding::new(ProducerRegistry::all_produce(0..1), vec![1], 3)
         .with_query_partition(Arc::new(|t: &Tuple| t.get(0).cloned()));
-    let rules = AutoCoordRules::new(&spec_seal("Report", KeySet::single("campaign")))
+    let rules = AutoCoordRules::new(&spec_seal("Report", KeySet::from_attrs(["campaign"])))
         .bind_seal("Report", binding)
         .with_speculation(speculation);
     let mut par = ParBuilder::new(13)

@@ -15,12 +15,16 @@
 //!
 //! The same scan also keeps public surface earned: every `pub fn` (free or
 //! method) and `pub const`/`pub static` declared in `crates/*/src` or
-//! `shims/*/src` must be named as an identifier on a non-comment line of
-//! the *non-test* code of some other file under `crates/*/src`,
-//! `shims/*/src`, `src/`, `examples/` or `benchmark/src` — each file cut at
-//! its first `#[cfg(test)]`. Benchmark pins thus count as callers. An
-//! item only tests use stays public only with an [`ALLOWED`] entry giving
-//! the reason, and an entry whose item is gone or has a caller fails too.
+//! `shims/*/src` must be used on a non-comment line of the *non-test* code
+//! of some other file under `crates/*/src`, `shims/*/src`, `src/`,
+//! `examples/` or `benchmark/src` — each file cut at its first
+//! `#[cfg(test)]`. A `fn` is used only where its name is call-shaped
+//! (after `.` or `::`, or before `(` or `::<`), so a local variable or a
+//! word in a string that shares its name is no caller; a constant is read,
+//! not called, so any whole-identifier mention counts for it. Benchmark
+//! pins thus count as callers. An item only tests use stays public only
+//! with an [`ALLOWED`] entry giving the reason, and an entry whose item is
+//! gone or has a caller fails too.
 //!
 //! Last, it guards the dist backend's IO seam: the coordinator core
 //! (`dist/coord.rs`) is a pure state machine the socket shell and the
@@ -47,14 +51,14 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "Figures 12-14 fixture; case_study_adreport pins the calibrated completions on it",
     ),
     (
-        "crates/blazes-core/src/fd.rs",
-        "declare",
-        "paper V-A1 injective FDs; the inference and reconcile tests declare them",
+        "crates/blazes-bloom/src/interp.rs",
+        "table",
+        "reads a table's rows; the Bloom differential and property suites compare them",
     ),
     (
-        "crates/blazes-core/src/graph.rs",
-        "fd_store_mut",
-        "the one way to hand a graph injective FDs (paper V-A1); no bundled spec has one",
+        "crates/blazes-core/src/label.rs",
+        "nd_read",
+        "label constructor prop_analysis's lattice-law test builds NDRead with",
     ),
     (
         "crates/blazes-core/src/strategy.rs",
@@ -98,6 +102,11 @@ const ALLOWED: &[(&str, &str, &str)] = &[
     ),
     (
         "crates/blazes-dataflow/src/dist/recover.rs",
+        "seeded",
+        "fault-injection test knob: dist_differential's seeded crash matrix draws its kills",
+    ),
+    (
+        "crates/blazes-dataflow/src/dist/recover.rs",
         "pending_bytes",
         "outbox probe: prop_recovery asserts a flush leaves nothing pending",
     ),
@@ -135,6 +144,16 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "crates/blazes-storm/src/topology.rs",
         "build_on",
         "uncoordinated entry point; the module doctest and fault_injection build through it",
+    ),
+    (
+        "shims/proptest/src/lib.rs",
+        "vec",
+        "proptest API the property suites call",
+    ),
+    (
+        "shims/proptest/src/lib.rs",
+        "of",
+        "proptest API the property suites call",
     ),
     (
         "shims/proptest/src/lib.rs",
@@ -228,6 +247,29 @@ fn mentions(source: &str, ident: &str) -> bool {
     identifiers(source).contains(ident)
 }
 
+/// The identifiers on the non-comment lines of `source` that are used the
+/// way an item is: right after `.` or `::`, or right before `(` or `::<`.
+/// A local binding or a word in a string that shares an item's name is
+/// not a use of it.
+fn call_shaped(source: &str) -> HashSet<&str> {
+    let mut found = HashSet::new();
+    for line in source.lines().filter(|l| !l.trim_start().starts_with("//")) {
+        for word in line.split(|c| !is_ident(c)).filter(|w| !w.is_empty()) {
+            // `word` is a subslice of `line`: its offset is the pointer gap.
+            let from = word.as_ptr() as usize - line.as_ptr() as usize;
+            let (before, after) = (&line[..from], &line[from + word.len()..]);
+            if before.ends_with('.')
+                || before.ends_with("::")
+                || after.starts_with('(')
+                || after.starts_with("::<")
+            {
+                found.insert(word);
+            }
+        }
+    }
+    found
+}
+
 fn uses(dir: &Path, dep: &str) -> bool {
     let mut sources = Vec::new();
     for sub in ["src", "tests", "benches", "examples"] {
@@ -282,9 +324,10 @@ fn io_names(source: &str) -> Vec<&'static str> {
 }
 
 /// Names of the `pub fn`s (free or method) and `pub const`/`pub static`
-/// items declared on the non-test lines of `source`. Only a bare `pub`
-/// counts: `pub(crate)` items and trait-impl `fn`s cannot leak.
-fn public_items(source: &str) -> Vec<&str> {
+/// items declared on the non-test lines of `source`, each with whether it
+/// is a `fn`. Only a bare `pub` counts: `pub(crate)` items and trait-impl
+/// `fn`s cannot leak.
+fn public_items(source: &str) -> Vec<(&str, bool)> {
     non_test(source)
         .lines()
         .filter_map(|line| {
@@ -293,10 +336,10 @@ fn public_items(source: &str) -> Vec<&str> {
             let mut words = rest.split(|c| !is_ident(c)).filter(|w| !w.is_empty());
             while let Some(word) = words.next() {
                 match word {
-                    "fn" => return words.next(),
+                    "fn" => return words.next().map(|name| (name, true)),
                     "const" | "static" => value_item = true,
                     "unsafe" | "async" | "mut" => {}
-                    _ => return value_item.then_some(word),
+                    _ => return value_item.then_some((word, false)),
                 }
             }
             None
@@ -333,19 +376,18 @@ fn caller_files() -> Vec<(String, String)> {
 }
 
 /// Every public item declared under `crates/` or `shims/` that no *other*
-/// file of `files` names in its non-test code and `allowed` does not
+/// file of `files` uses in its non-test code and `allowed` does not
 /// excuse, then every `allowed` entry that excuses nothing: its item is
 /// gone, or it has a caller after all.
 fn unreached(files: &[(String, String)], allowed: &[(&str, &str, &str)]) -> Vec<String> {
-    let names: Vec<HashSet<&str>> = files
+    let uses: Vec<(HashSet<&str>, HashSet<&str>)> = files
         .iter()
-        .map(|(_, src)| identifiers(non_test(src)))
+        .map(|(_, src)| (call_shaped(non_test(src)), identifiers(non_test(src))))
         .collect();
-    let called = |at: usize, item: &str| {
-        names
-            .iter()
-            .enumerate()
-            .any(|(i, ids)| i != at && ids.contains(item))
+    let called = |at: usize, item: &str, is_fn: bool| {
+        uses.iter().enumerate().any(|(i, (calls, idents))| {
+            i != at && if is_fn { calls } else { idents }.contains(item)
+        })
     };
     let mut findings = Vec::new();
     let mut live = HashSet::new();
@@ -353,11 +395,11 @@ fn unreached(files: &[(String, String)], allowed: &[(&str, &str, &str)]) -> Vec<
         if !(path.starts_with("crates/") || path.starts_with("shims/")) {
             continue;
         }
-        for item in public_items(src) {
+        for (item, is_fn) in public_items(src) {
             let excused = allowed
                 .iter()
                 .any(|&(f, n, _)| (f, n) == (path.as_str(), item));
-            if called(at, item) {
+            if called(at, item, is_fn) {
                 continue;
             } else if excused {
                 live.insert((path.as_str(), item));
@@ -445,6 +487,12 @@ pub fn uncalled() {}
     pub const fn uncalled_const_fn() -> u8 { 0 }
 pub const LIMIT: usize = 1;
 pub static mut COUNTER: u64 = 0;
+pub fn secs() -> f64 { 0.0 }
+pub fn names() {}
+pub fn method(&self) {}
+pub fn by_path() {}
+pub fn generic<T>() {}
+pub const CAP: usize = 2;
 pub(crate) fn internal() {}
 pub struct Shape;
 fn own_use() { uncalled(); }
@@ -461,15 +509,33 @@ mod tests {
     assert_eq!(
         public_items(lib),
         [
-            "called",
-            "uncalled",
-            "uncalled_const_fn",
-            "LIMIT",
-            "COUNTER"
+            ("called", true),
+            ("uncalled", true),
+            ("uncalled_const_fn", true),
+            ("LIMIT", false),
+            ("COUNTER", false),
+            ("secs", true),
+            ("names", true),
+            ("method", true),
+            ("by_path", true),
+            ("generic", true),
+            ("CAP", false)
         ]
     );
+    // `secs` and `names` are only locals and words in a string here: a
+    // name collision, not a call. A constant is used by being read.
     let caller = "\
 fn main() { called(); }
+fn collide(x: Shape) {
+    let secs = 1.0;
+    let mut names = vec![secs];
+    names.sort_by(|a, b| a.total_cmp(b));
+    println!(\"{secs} names\");
+    x.method();
+    let f = a::by_path;
+    generic::<u8>();
+    let cap = CAP;
+}
 // LIMIT is named only in a comment
 #[cfg(test)]
 mod tests { fn t() { uncalled_const_fn(); } }
@@ -485,7 +551,9 @@ mod tests { fn t() { uncalled_const_fn(); } }
             at("uncalled"),
             at("uncalled_const_fn"),
             at("LIMIT"),
-            at("COUNTER")
+            at("COUNTER"),
+            at("secs"),
+            at("names")
         ]
     );
     let allowed = [
@@ -493,6 +561,8 @@ mod tests { fn t() { uncalled_const_fn(); } }
         ("crates/a/src/lib.rs", "uncalled_const_fn", "reason"),
         ("crates/a/src/lib.rs", "LIMIT", "reason"),
         ("crates/a/src/lib.rs", "COUNTER", "reason"),
+        ("crates/a/src/lib.rs", "secs", "reason"),
+        ("crates/a/src/lib.rs", "names", "reason"),
         ("crates/a/src/lib.rs", "deleted", "an item that is gone"),
         ("crates/a/src/lib.rs", "called", "an item with a caller"),
     ];
