@@ -46,7 +46,7 @@ use blazes_dataflow::value::{Tuple, Value};
 use std::collections::BTreeMap;
 
 /// What the coordination analysis is told about a run (see
-/// [`crate::autocoord::ad_network_spec`]); the mechanism is its choice.
+/// `ad_network_spec` in [`crate::autocoord`]); the mechanism is its choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
     /// Nothing: the analysis is skipped and the wiring runs as is — fastest,
@@ -151,7 +151,7 @@ impl Default for AdScenario {
 /// Series *totals* are meaningful everywhere they exist (records
 /// processed); series *times* are virtual microseconds on the simulator
 /// and per-instance event ordinals on the parallel executor. On
-/// [`BackendSpec::Dist`] `series` is empty: those counters live inside the
+/// [`BackendSpec::Dist`](blazes_dataflow::backend::BackendSpec::Dist) `series` is empty: those counters live inside the
 /// worker processes and only the response sinks are streamed back.
 #[derive(Debug)]
 pub struct AdRunResult {

@@ -2,7 +2,7 @@
 //! pipeline, end to end. For the ad report this is the only way it is
 //! coordinated at all.
 //!
-//! * [`ad_network_spec`] derives the coordination spec for the ad network
+//! * `ad_network_spec` derives the coordination spec for the ad network
 //!   from the query's white-box Bloom annotations and from what the
 //!   scenario's [`StrategyKind`] tells the analysis: nothing
 //!   (`Uncoordinated`: empty spec), the dataflow with the campaign
@@ -117,7 +117,7 @@ pub struct AdAutoAssembly {
 
 /// Assemble the ad-network scenario onto any backend builder: wire it
 /// uncoordinated through the rewrite pass, which injects exactly what
-/// [`ad_network_spec`] demands for `sc.query` under `sc.strategy` (nothing
+/// `ad_network_spec` demands for `sc.query` under `sc.strategy` (nothing
 /// at all when that spec is empty). This is the one assembly the
 /// simulator, the parallel executor and every process of a distributed
 /// run share; `speculation` selects the speculative seal-gate variant,

@@ -68,7 +68,7 @@ fn get_f64_bits(map: &BTreeMap<&str, &str>, key: &str) -> f64 {
 }
 
 /// Encode an ad-report scenario into the plan parameter string parsed by
-/// [`parse_ad_params`].
+/// `parse_ad_params`.
 #[must_use]
 pub fn encode_ad_params(sc: &AdScenario) -> String {
     let mut out = String::new();
@@ -183,7 +183,7 @@ fn parse_ad_params(params: &str) -> AdScenario {
 }
 
 /// Encode a wordcount scenario (plus the `sealed` analysis flag) into the
-/// plan parameter string parsed by [`parse_wordcount_params`].
+/// plan parameter string parsed by `parse_wordcount_params`.
 #[must_use]
 pub fn encode_wordcount_params(sc: &WordcountScenario, sealed: bool) -> String {
     let mut out = String::new();

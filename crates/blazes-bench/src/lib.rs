@@ -24,7 +24,7 @@
 //! how many operators the injection pass added.
 //!
 //! The library half holds what the targets and the workspace's tests
-//! share: the calibrated figure scenarios ([`fig11_scenario`],
+//! share: the calibrated figure scenarios (`fig11_scenario`,
 //! [`adreport_scenario`]) and the one small scenario every digest
 //! differential runs ([`differential_scenario`]).
 

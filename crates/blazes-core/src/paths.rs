@@ -1,7 +1,7 @@
 //! Dataflow path machinery: interface-level strongly connected components,
 //! cycle collapse and topological ordering (paper Section V-A).
 //!
-//! > "To rule out infinite paths, [Blazes] reduces each cycle in the graph to
+//! > "To rule out infinite paths, \[Blazes\] reduces each cycle in the graph to
 //! > a single node with a collapsed label by selecting the label of highest
 //! > severity among the cycle members."
 //!

@@ -1,7 +1,7 @@
 //! The strategy→placement API: turning a [`CoordinationPlan`] into a
 //! runtime-facing [`CoordinationSpec`].
 //!
-//! [`crate::strategy`] reasons in graph ids ([`ComponentId`], derivation
+//! [`crate::strategy`] reasons in graph ids ([`ComponentId`](crate::graph::ComponentId), derivation
 //! endpoints); execution engines reason in *names* (topology nodes,
 //! instance labels). A [`CoordinationSpec`] is the bridge: one directive
 //! per coordinated component, keyed by component name, stating which

@@ -12,10 +12,10 @@
 //!   inputs in a total order decided by an ordering service (Zookeeper in
 //!   the paper; the simulated sequencer of `blazes-coord` here).
 //!
-//! [`synthesize`] inspects an [`AnalysisOutcome`] and produces a
+//! `synthesize` inspects an [`AnalysisOutcome`] and produces a
 //! [`CoordinationPlan`]: seal protocols for every compatible sealed input it
 //! recognized, and ordering for every component whose reconciliation still
-//! escalated an anomaly. [`apply_plan`] rewrites the graph as if the plan
+//! escalated an anomaly. `apply_plan` rewrites the graph as if the plan
 //! were deployed so the *residual* label can be verified.
 
 use crate::analysis::{AnalysisOutcome, Analyzer};

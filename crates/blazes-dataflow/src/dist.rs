@@ -15,10 +15,10 @@
 //! coordinator as a pure state machine (inputs and the current time in;
 //! bytes into per-worker [`recover::Outbox`]es and spawn / kill / done
 //! effects out) — routing and fault draws, the ingest filters, chaos kill
-//! points, the respawn budget and backoff, stability and probe rounds,
-//! collection; `worker` is a worker without a socket — plan checks, the
-//! per-wire FIFO check, ingress injection, idle and probe answers, sink
-//! and `Done` frames; `shell` holds the sockets, threads and processes
+//! points, the respawn budget and backoff, stability, collection; `worker`
+//! is a worker without a socket — plan checks, the per-wire FIFO check,
+//! ingress injection, idle reports, the `Collect` check, sink and `Done`
+//! frames; `shell` holds the sockets, threads and processes
 //! around both, and the one event loop that drives the coordinator
 //! through both phases of a run. An in-memory harness drives the same
 //! cores over byte queues and a virtual clock, which is what lets the
@@ -89,28 +89,54 @@
 //! kill points, delivery ordinals, fault draws) counts at *log* time, so
 //! batching moves no schedule. The rule that keeps it live is **flush
 //! before block**: the event loop takes queued inputs without blocking
-//! and flushes every outbox before it waits; a control frame (`Probe`,
-//! `Collect`, `Shutdown`) goes out behind whatever is pending for its
-//! worker, never ahead; and an outbox that reaches a chunk's worth
-//! flushes itself.
+//! and flushes every outbox before it waits; a control frame (`Collect`,
+//! `Shutdown`) goes out behind whatever is pending for its worker, never
+//! ahead; and an outbox that reaches a chunk's worth flushes itself.
 //!
 //! # Termination and collection
 //!
-//! A worker reports `Idle{sent, recv}` whenever its local runtime has
-//! quiesced ([`crate::par::RunningPar::settled`]) and its egress queue
-//! has drained. The parent declares stability when every worker is up and
-//! its latest report matches the parent's own per-worker frame counters —
-//! any frame still in flight in either direction makes some counter pair
-//! disagree. A `Probe`/`ProbeAck` confirmation round then re-validates
-//! before the parent collects: `Collect` makes each worker finish its run
-//! and stream back the contents of every sink it owns — moved out of the
-//! sink, not copied, in `SinkResult` slices of at most 1 MiB of payload
-//! the parent appends in order, so a sink's size is not bounded by
-//! [`wire::MAX_FRAME`]; only an entry too large for a frame of its own
-//! fails the run, with [`wire::WireError::Oversized`] — plus its run
-//! statistics. Workers run their par runtime without time-warp
-//! speculation, so a stable run has nothing left to do after `Collect`:
-//! no frame is produced once the wire has closed for data.
+//! Termination is one wave of counter reports. A worker reports
+//! `Idle{sent, recv}` once its local runtime has quiesced
+//! ([`crate::par::RunningPar::settled`]) and every frame its egress queue
+//! held has been written, and again whenever those counters move. The
+//! parent collects as soon as every worker is up and its latest report
+//! equals the parent's own counters for it: `(recv_from[w], sent_to[w])`,
+//! the data frames it received from and routed to that worker.
+//!
+//! One wave is exact because every connection is FIFO and the parent
+//! routes and counts every data frame:
+//!
+//! * A settled worker becomes active again only by receiving a frame, and
+//!   every such frame first bumps `sent_to[w]` at the parent. A report
+//!   whose `recv` equals `sent_to[w]` therefore leaves nothing in flight
+//!   toward the worker, and its runtime has nothing left to do.
+//! * `Idle` leaves a worker only once its egress is fully written, and it
+//!   travels behind those frames on the same socket. When it arrives,
+//!   `recv_from[w]` has already counted all of them: nothing is in flight
+//!   from the worker.
+//!
+//! So matching counters on every worker mean nothing is in flight and
+//! nobody is busy, and nobody can become busy again (Mattern's counting
+//! argument for termination detection, with the parent as the one place
+//! every message passes). `Collect` carries the counters the decision
+//! was made on, and a worker that is not idle at them fails the run with
+//! a protocol error rather than hand back partial sinks.
+//!
+//! `Collect` makes each worker finish its run and stream back the
+//! contents of every sink it owns — moved out of the sink, not copied, in
+//! `SinkResult` slices of at most 1 MiB of payload the parent appends in
+//! order, so a sink's size is not bounded by [`wire::MAX_FRAME`]; only an
+//! entry too large for a frame of its own fails the run, with
+//! [`wire::WireError::Oversized`] — plus its run statistics. Workers run
+//! their par runtime without time-warp speculation, so a stable run has
+//! nothing left to do after `Collect`: no frame is produced once the wire
+//! has closed for data.
+//!
+//! One window stays open: a worker that dies after sending the report
+//! that completes stability is still sent `Collect`, and its death then
+//! fails the run, as every phase-2 crash does (see below). A confirmation
+//! round would only narrow that window by a round trip; checkpointed
+//! recovery would close it.
 //!
 //! # Fault tolerance
 //!
@@ -118,12 +144,13 @@
 //! SIGKILL'd (or die any other way) at any point of phase 1, and the run
 //! still completes with the same sinks. Three mechanisms compose:
 //!
-//! * **Liveness.** Workers send [`wire::Frame::Heartbeat`] every
-//!   [`DistTuning::heartbeat_every`]; the coordinator keeps per-worker
-//!   deadlines, reaps child exits promptly, and converts every failure
-//!   into a forensic [`DistError::WorkerFailed`] verdict instead of a
-//!   global stall timeout. Heartbeats also double as idle keepalives, so
-//!   a lost `Idle` frame self-heals on the next beat.
+//! * **Liveness.** Workers send a bare [`wire::Frame::Heartbeat`] every
+//!   [`DistTuning::heartbeat_every`], busy or not; the coordinator keeps
+//!   per-worker deadlines, reaps child exits promptly, and converts every
+//!   failure into a forensic [`DistError::WorkerFailed`] verdict instead
+//!   of a global stall timeout. Heartbeats carry no counters: an `Idle`
+//!   report cannot be lost without its connection, and a lost connection
+//!   ends the incarnation.
 //! * **Recovery.** There is one way back: respawn and replay. Any
 //!   connection loss is the end of an incarnation — the coordinator
 //!   SIGKILLs a worker whose socket reads EOF, fails to decode or fails a
@@ -347,7 +374,8 @@ pub struct DistStats {
     pub wire_retransmits: u64,
     /// Duplicates drawn on cross wires by the parent's fault RNGs.
     pub wire_duplicates: u64,
-    /// `Probe`/`ProbeAck` confirmation rounds the parent ran.
+    /// Always 0: termination takes one wave of idle reports and no
+    /// confirmation round. Kept for the benchmark that reads it.
     pub probe_rounds: u64,
     /// Events processed, summed over every worker's runtime.
     pub events_processed: u64,
@@ -381,7 +409,6 @@ impl DistStats {
             .add(self.wire_retransmits);
         reg.counter("dist.frames.duplicates")
             .add(self.wire_duplicates);
-        reg.counter("dist.probe_rounds").add(self.probe_rounds);
         reg.counter("dist.heartbeats").add(self.heartbeats);
         reg.counter("dist.worker_failures")
             .add(self.worker_failures);
@@ -499,7 +526,7 @@ impl ExecutorBuilder for ProbeBuilder {
 mod tests {
     use super::coord::{Coord, Effect, Input, Life, Received, Router};
     use super::harness::Pipe;
-    use super::shell::{read_hello, worker_run, Conn, TempDir, DIR_SEQ};
+    use super::shell::{env_number, read_hello, worker_run, Conn, TempDir, DIR_SEQ};
     use super::worker::{
         sink_result_frames, Control, DistWorkerBuilder, WorkerCore, SINK_SLICE_BYTES,
     };
@@ -510,7 +537,7 @@ mod tests {
     use crate::value::{Tuple, Value};
     use std::io::Write;
     use std::os::unix::net::UnixListener;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
     use wire::{Frame, FrameDecoder};
@@ -704,7 +731,8 @@ mod tests {
         assert_eq!(router.outboxes[1].log().len(), 300);
         assert!(theirs.take().is_empty(), "nothing leaves before a flush");
 
-        router.control(1, &Frame::Probe { nonce: 9 });
+        let collect = Frame::Collect { sent: 0, recv: 300 };
+        router.control(1, &collect);
         assert_eq!(router.outboxes[1].pending_bytes(), 0);
         let logged: Vec<u8> = router.outboxes[1]
             .log()
@@ -712,14 +740,17 @@ mod tests {
             .flatten()
             .copied()
             .collect();
-        let probe = wire::encode(&Frame::Probe { nonce: 9 });
         let got = theirs.take();
         assert_eq!(
             got[..logged.len()],
             logged[..],
             "connection bytes = the log"
         );
-        assert_eq!(got[logged.len()..], probe[..], "the probe came last");
+        assert_eq!(
+            got[logged.len()..],
+            wire::encode(&collect)[..],
+            "the collect came last"
+        );
         // And the log is the routed stream: delivery ordinals from zero.
         let mut decoder = FrameDecoder::new();
         decoder.push(&logged);
@@ -816,16 +847,10 @@ mod tests {
     /// its own connection died: those are a dead incarnation's bytes.
     #[test]
     fn batch_is_handled_whole_unless_its_connection_dies() {
-        let heartbeat = Frame::Heartbeat {
-            epoch: 0,
-            sent: 0,
-            recv: 0,
-            idle: false,
-        };
         let probe = one_cross_wire(1);
         let mut spec = DistSpec::new("", "", vec![String::new()]);
         let (mut coord, _) = test_coordinator(&spec, &probe);
-        let batch = vec![heartbeat.clone(), data(0, 0), data(0, 1)];
+        let batch = vec![Frame::Heartbeat, data(0, 0), data(0, 1)];
         coord
             .step(Duration::ZERO, frames(1, batch.clone()))
             .unwrap();
@@ -986,21 +1011,17 @@ mod tests {
         );
     }
 
-    /// A worker stages a read's data frames and injects them as one
-    /// batch, but never answers ahead of them: a `Probe` read behind three
-    /// data frames counts all three and cannot report idle while its
-    /// consumer has not processed them.
-    #[test]
-    fn a_probe_behind_data_in_one_read_counts_it_and_waits_for_it() {
-        let gate = Arc::new(AtomicBool::new(false));
-        let seen = Arc::new(AtomicU64::new(0));
+    /// Worker 1 of 2 over a topology whose wire 0 enters a consumer that
+    /// counts into `seen` each message it processes, and waits to start
+    /// on one until `seen < allowed`.
+    fn gated_worker(allowed: &Arc<AtomicU64>, seen: &Arc<AtomicU64>) -> WorkerCore {
         let mut registry = Registry::new();
-        let (g, s) = (Arc::clone(&gate), Arc::clone(&seen));
+        let (a, s) = (Arc::clone(allowed), Arc::clone(seen));
         registry.register("gated", move |b, _| {
-            let (g, s) = (Arc::clone(&g), Arc::clone(&s));
+            let (a, s) = (Arc::clone(&a), Arc::clone(&s));
             let src = b.add_instance(echo());
             let consumer = FnComponent::new("gated", move |_, _, _: &mut Context| {
-                while !g.load(Ordering::Acquire) {
+                while s.load(Ordering::SeqCst) >= a.load(Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
                 s.fetch_add(1, Ordering::SeqCst);
@@ -1010,7 +1031,6 @@ mod tests {
             b.connect(src, PortId(0), dst, PortId(0), ch);
             Vec::new()
         });
-        // Worker 1 of 2 owns the consumer; wire 0 enters it.
         let plan = Frame::Plan {
             topology: "gated".to_string(),
             params: String::new(),
@@ -1022,43 +1042,93 @@ mod tests {
             epoch: 0,
             heartbeat_ms: 25,
         };
-        let (mut core, _egress) = WorkerCore::start(&registry, plan, 1, 0).unwrap();
-        let ack = |nonce, recv, idle| Frame::ProbeAck {
-            nonce,
-            sent: 0,
-            recv,
-            idle,
-        };
-        let read = [
-            data(0, 0),
-            data(0, 1),
-            data(0, 2),
-            Frame::Probe { nonce: 7 },
-            data(0, 3),
-        ];
-        let mut replies = Vec::new();
-        for frame in read {
-            if let Some(Control::Reply(reply)) = core.on_frame(frame, 0).unwrap() {
-                replies.push(reply);
-            }
-        }
-        assert_eq!(replies, [ack(7, 3, false)]);
-        assert!(!core.idle(0), "the fourth frame is staged");
-        core.inject_staged();
-        assert!(!core.idle(0), "the consumer has processed nothing");
+        WorkerCore::start(&registry, plan, 1, 0).unwrap().0
+    }
 
-        gate.store(true, Ordering::Release);
+    fn settle(core: &WorkerCore) {
         let deadline = Instant::now() + Duration::from_secs(30);
         while !core.idle(0) {
             assert!(Instant::now() < deadline, "the worker never settled");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// A worker stages a read's data frames and injects them as one
+    /// batch, and its idle report never outruns them: three staged frames
+    /// are counted, and a fourth holds every report back until the
+    /// consumer has processed it.
+    #[test]
+    fn an_idle_report_counts_staged_data_and_waits_until_it_is_processed() {
+        let (allowed, seen) = (Arc::new(AtomicU64::new(3)), Arc::new(AtomicU64::new(0)));
+        let mut core = gated_worker(&allowed, &seen);
+        for seq in 0..3 {
+            assert!(core.on_frame(data(0, seq), 0).unwrap().is_none());
+            assert_eq!(core.idle_report(0), None, "{} frames staged", seq + 1);
+        }
+        core.inject_staged();
+        settle(&core);
+        assert_eq!(core.idle_report(0), Some(Frame::Idle { sent: 0, recv: 3 }));
+
+        assert!(core.on_frame(data(0, 3), 0).unwrap().is_none());
+        assert_eq!(core.idle_report(0), None, "the fourth frame is staged");
+        core.inject_staged();
+        assert_eq!(core.idle_report(0), None, "the consumer has not run it");
+        allowed.store(4, Ordering::SeqCst);
+        settle(&core);
         assert_eq!(seen.load(Ordering::SeqCst), 4);
-        let Ok(Some(Control::Reply(reply))) = core.on_frame(Frame::Probe { nonce: 8 }, 0) else {
-            panic!("a probe is answered");
-        };
-        assert_eq!(reply, ack(8, 4, true));
+        assert_eq!(core.idle_report(0), Some(Frame::Idle { sent: 0, recv: 4 }));
+        assert_eq!(core.idle_report(0), None, "a report is not repeated");
         assert!(core.finish().is_ok());
+    }
+
+    /// `Collect` carries the counters stability was decided on: a worker
+    /// that is still busy, or whose own counters differ, refuses it as a
+    /// protocol violation instead of finishing with partial sinks.
+    #[test]
+    fn a_collect_whose_counters_disagree_is_a_protocol_error() {
+        let (allowed, seen) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let mut core = gated_worker(&allowed, &seen);
+        for seq in 0..3 {
+            core.on_frame(data(0, seq), 0).unwrap();
+        }
+        let collect =
+            |core: &mut WorkerCore, sent, recv| core.on_frame(Frame::Collect { sent, recv }, 0);
+        assert!(
+            matches!(collect(&mut core, 0, 3), Err(DistError::Protocol(_))),
+            "busy"
+        );
+        allowed.store(u64::MAX, Ordering::SeqCst);
+        settle(&core);
+        for (sent, recv) in [(0, 2), (0, 4), (1, 3)] {
+            assert!(matches!(
+                collect(&mut core, sent, recv),
+                Err(DistError::Protocol(_))
+            ));
+        }
+        assert!(matches!(
+            collect(&mut core, 0, 3),
+            Ok(Some(Control::Collect))
+        ));
+        assert!(core.finish().is_ok());
+    }
+
+    /// The spawner always sets a worker's index and epoch; a value that is
+    /// missing or not a decimal number is an error that names the
+    /// variable, never a default (an epoch read as 0 would say hello as a
+    /// stale incarnation and be dropped).
+    #[test]
+    fn a_malformed_worker_index_or_epoch_is_an_error_naming_it() {
+        let os = |s: &str| Some(std::ffi::OsString::from(s));
+        assert_eq!(env_number::<usize>(ENV_INDEX, os("2")), Ok(2));
+        assert_eq!(env_number::<u32>(ENV_EPOCH, os("7")), Ok(7));
+        for value in [None, os(""), os("one"), os("-1"), os(" 1"), os("1.0")] {
+            let index = env_number::<usize>(ENV_INDEX, value.clone()).unwrap_err();
+            let epoch = env_number::<u32>(ENV_EPOCH, value.clone()).unwrap_err();
+            assert!(index.contains(ENV_INDEX), "{value:?}: {index}");
+            assert!(epoch.contains(ENV_EPOCH), "{value:?}: {epoch}");
+        }
+        let too_big = env_number::<u32>(ENV_EPOCH, os("4294967296")).unwrap_err();
+        assert!(too_big.contains(ENV_EPOCH), "{too_big}");
     }
 
     /// A sink's `SinkResult` frames, each checked to stay under the frame

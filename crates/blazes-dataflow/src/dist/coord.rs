@@ -247,9 +247,9 @@ impl<W: Write> Router<W> {
     /// Send a control frame to one worker (bypasses the fault schedule
     /// and the replay log — faults and recovery model the data plane, not
     /// the coordinator's own protocol). It leaves at once, behind any
-    /// data still pending for that worker, so a `Probe` or `Collect`
-    /// never overtakes the frames it vouches for. A down worker is
-    /// skipped; a failed write is flagged for the supervisor.
+    /// data still pending for that worker, so a `Collect` never overtakes
+    /// the frames its counters vouch for. A down worker is skipped; a
+    /// failed write is flagged for the supervisor.
     pub(super) fn control(&mut self, dest: usize, frame: &Frame) {
         self.outboxes[dest].send_unlogged(&wire::encode(frame));
     }
@@ -284,8 +284,8 @@ pub(super) struct Slot {
     last_frame: &'static str,
 }
 
-/// Phase 1 routes until stability is confirmed; phase 2 collects.
-enum Phase {
+/// Phase 1 routes until the fleet is stable; phase 2 collects.
+pub(super) enum Phase {
     Routing,
     /// `done[i]`: worker `i` sent `Done`; collection began at `since`.
     Collecting {
@@ -317,16 +317,12 @@ pub(super) struct Coord<'a, W> {
     /// of each worker's `sent` counter.
     pub(super) recv_from: Vec<u64>,
     chaos_fired: Vec<bool>,
-    probe_nonce: u64,
-    acks: Vec<Option<bool>>,
-    awaiting_probe: bool,
     /// Protocol-progress clock: fresh data, changed idle reports, hellos
-    /// and failures feed it. Heartbeats and probe acks deliberately do
-    /// not — they answer "is the worker alive?", not "is the run
-    /// advancing?" — so a livelock among healthy workers still trips the
-    /// stall verdict.
+    /// and failures feed it. Heartbeats deliberately do not — they answer
+    /// "is the worker alive?", not "is the run advancing?" — so a
+    /// livelock among healthy workers still trips the stall verdict.
     last_progress: Duration,
-    phase: Phase,
+    pub(super) phase: Phase,
     sinks: SinkSet,
     effects: Vec<Effect>,
 }
@@ -364,9 +360,6 @@ impl<'a, W: Write> Coord<'a, W> {
             routed_hashes: HashMap::new(),
             recv_from: vec![0; processes],
             chaos_fired: vec![false; spec.chaos.kills.len()],
-            probe_nonce: 0,
-            acks: vec![None; processes],
-            awaiting_probe: false,
             last_progress: now,
             phase: Phase::Routing,
             sinks,
@@ -542,7 +535,6 @@ impl<'a, W: Write> Coord<'a, W> {
         self.effects.push(Effect::Kill { worker: i });
         self.slots[i].idle = None;
         self.router.outboxes[i].disconnect();
-        self.awaiting_probe = false;
         self.last_progress = now;
         self.router.stats.worker_failures += 1;
         if matches!(cause, FailureCause::Reported(_) | FailureCause::Corrupt(_)) {
@@ -622,8 +614,8 @@ impl<'a, W: Write> Coord<'a, W> {
     }
 
     /// Phase 1: handle every frame of one read of `conn`, also past the
-    /// one that confirms stability — nothing a read decoded is left
-    /// behind when phase 1 ends — but not past the point where the
+    /// idle report that completes stability — nothing a read decoded is
+    /// left behind when phase 1 ends — but not past the point where the
     /// connection itself died.
     fn on_frames(
         &mut self,
@@ -654,12 +646,14 @@ impl<'a, W: Write> Coord<'a, W> {
             self.fire_chaos(now)?;
         }
         // Only leave phase 1 with every worker alive — phase-2 deaths
-        // are fatal by design.
+        // are fatal by design. `Collect` carries the counters stability
+        // was decided on, for each worker to check against its own.
         if stable {
             self.sweep_write_failures(now)?;
-            if self.slots.iter().all(|s| matches!(s.life, Life::Up { .. })) {
+            if self.stable() {
                 for w in 0..self.spec.processes {
-                    self.router.control(w, &Frame::Collect);
+                    let (sent, recv) = (self.recv_from[w], self.router.sent_to[w]);
+                    self.router.control(w, &Frame::Collect { sent, recv });
                 }
                 self.phase = Phase::Collecting {
                     done: vec![false; self.spec.processes],
@@ -693,7 +687,6 @@ impl<'a, W: Write> Coord<'a, W> {
         }
         self.recv_from[i] += 1;
         self.slots[i].idle = None;
-        self.awaiting_probe = false;
         self.last_progress = now;
         let hash = super::recover::fnv1a(message);
         if self.dedup.admit(wire, hash) {
@@ -706,49 +699,13 @@ impl<'a, W: Write> Coord<'a, W> {
     }
 
     /// Handle one other phase-1 frame from live worker `i`. Returns
-    /// `true` once the probe round confirms global quiescence.
+    /// `true` when an idle report completes global stability.
     fn on_frame(&mut self, now: Duration, i: usize, frame: Frame) -> Result<bool, DistError> {
         match frame {
-            Frame::Idle { sent, recv } => {
-                self.on_idle(now, i, sent, recv);
-                Ok(false)
-            }
-            Frame::Heartbeat {
-                epoch,
-                sent,
-                recv,
-                idle,
-            } => {
-                if epoch != self.slots[i].epoch {
-                    return Ok(false);
-                }
+            Frame::Idle { sent, recv } => Ok(self.on_idle(now, i, sent, recv)),
+            Frame::Heartbeat => {
                 self.slots[i].heartbeats += 1;
                 self.router.stats.heartbeats += 1;
-                if idle {
-                    // Idle keepalive: a re-announcement of quiescence,
-                    // healing a lost or raced `Idle` frame.
-                    self.on_idle(now, i, sent, recv);
-                } else {
-                    self.slots[i].idle = None;
-                }
-                Ok(false)
-            }
-            Frame::ProbeAck {
-                nonce,
-                sent,
-                recv,
-                idle,
-            } => {
-                if self.awaiting_probe && nonce == self.probe_nonce {
-                    self.acks[i] =
-                        Some(idle && sent == self.recv_from[i] && recv == self.router.sent_to[i]);
-                    if self.acks.iter().all(|a| *a == Some(true)) {
-                        return Ok(true); // confirmed stable
-                    }
-                    if self.acks.iter().all(Option::is_some) {
-                        self.awaiting_probe = false; // retry on the next idle
-                    }
-                }
                 Ok(false)
             }
             Frame::Error { message } => {
@@ -759,35 +716,23 @@ impl<'a, W: Write> Coord<'a, W> {
         }
     }
 
-    /// Traffic paused at worker `i`: see whether the whole fleet has gone
-    /// quiet, and if so open a probe round.
-    fn on_idle(&mut self, now: Duration, i: usize, sent: u64, recv: u64) {
-        // Only a *changed* idle report counts as progress: idle keepalive
-        // heartbeats re-announce the same counters every interval, and
-        // letting them refresh the stall clock would mask a stability
-        // livelock forever.
+    /// Traffic paused at worker `i`: record its report and say whether
+    /// the whole fleet is now stable (see the module's *Termination*).
+    fn on_idle(&mut self, now: Duration, i: usize, sent: u64, recv: u64) -> bool {
         if self.slots[i].idle != Some((sent, recv)) {
             self.last_progress = now;
         }
         self.slots[i].idle = Some((sent, recv));
-        let stable = (0..self.spec.processes).all(|w| {
+        self.stable()
+    }
+
+    /// Is every worker up, with a latest idle report equal to the frames
+    /// the coordinator received from it and routed to it?
+    fn stable(&self) -> bool {
+        (0..self.spec.processes).all(|w| {
             matches!(self.slots[w].life, Life::Up { .. })
                 && self.slots[w].idle == Some((self.recv_from[w], self.router.sent_to[w]))
-        });
-        if stable && !self.awaiting_probe {
-            self.probe_nonce += 1;
-            self.acks = vec![None; self.spec.processes];
-            self.awaiting_probe = true;
-            self.router.stats.probe_rounds += 1;
-            for w in 0..self.spec.processes {
-                self.router.control(
-                    w,
-                    &Frame::Probe {
-                        nonce: self.probe_nonce,
-                    },
-                );
-            }
-        }
+        })
     }
 
     /// Phase 2: append sink slices, sum statistics, ingest trace lanes;
@@ -883,22 +828,16 @@ impl<'a, W: Write> Coord<'a, W> {
     /// diagnosable interleaving in CI logs.
     fn dump_stall_forensics(&self, now: Duration) {
         eprintln!(
-            "dist coordinator stalled after {}s without protocol progress; awaiting_probe={}",
+            "dist coordinator stalled after {}s without protocol progress",
             STALL_TIMEOUT.as_secs(),
-            self.awaiting_probe,
         );
         for (i, s) in self.slots.iter().enumerate() {
             let idle = s
                 .idle
                 .map_or("<none>".to_string(), |(a, b)| format!("sent={a} recv={b}"));
-            let ack = match self.acks.get(i).copied().flatten() {
-                None => "<pending>",
-                Some(true) => "stable",
-                Some(false) => "unstable",
-            };
             eprintln!(
                 "  worker {i}: epoch={} life={:?} respawns={} heartbeats={} heard={}ms-ago \
-                 routed_to={} recv_from={} last_frame={} idle_report={idle} probe_ack={ack}",
+                 routed_to={} recv_from={} last_frame={} idle_report={idle}",
                 s.epoch,
                 s.life,
                 s.respawns,
@@ -919,14 +858,12 @@ fn frame_name(frame: &Frame) -> &'static str {
         Frame::Plan { .. } => "plan",
         Frame::Data { .. } => "data",
         Frame::Idle { .. } => "idle",
-        Frame::Probe { .. } => "probe",
-        Frame::ProbeAck { .. } => "probe-ack",
-        Frame::Collect => "collect",
+        Frame::Collect { .. } => "collect",
         Frame::SinkResult { .. } => "sink-result",
         Frame::Done { .. } => "done",
         Frame::Shutdown => "shutdown",
         Frame::Error { .. } => "error",
         Frame::Trace { .. } => "trace",
-        Frame::Heartbeat { .. } => "heartbeat",
+        Frame::Heartbeat => "heartbeat",
     }
 }

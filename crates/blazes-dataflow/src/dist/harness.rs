@@ -6,7 +6,7 @@
 //! kill a worker at every routed-frame boundary of a run.
 #![cfg(test)]
 
-use super::coord::{Coord, Effect, Input, Received};
+use super::coord::{Coord, Effect, Input, Phase, Received};
 use super::wire::{self, Frame, FrameDecoder};
 use super::worker::{Control, EgressFrame, WorkerCore};
 use super::{ChaosSpec, DistRun, DistSpec, Kill, KillPoint, ProbeBuilder, Registry, SinkSet};
@@ -96,7 +96,6 @@ impl Incarnation {
                 }
                 Stage::Running(core, _) => match core.on_frame(frame, self.written) {
                     Ok(None) => {}
-                    Ok(Some(Control::Reply(reply))) => send(&reply),
                     Ok(Some(Control::Collect)) => {
                         let Stage::Running(core, _) =
                             std::mem::replace(&mut self.stage, Stage::Finished)
@@ -119,7 +118,7 @@ impl Incarnation {
                 .last_beat
                 .is_none_or(|t| now.saturating_sub(t) >= core.heartbeat_every)
             {
-                send(&core.heartbeat(self.written));
+                send(&Frame::Heartbeat);
                 self.last_beat = Some(now);
             }
             if let Some(idle) = core.idle_report(self.written) {
@@ -139,6 +138,34 @@ impl Incarnation {
         }
     }
 
+    /// At `Collect`, this incarnation has nothing in flight and nothing to
+    /// do: its core is idle with every egress frame written (so none is
+    /// waiting to reach the coordinator, which decodes every write in the
+    /// round it is made), it holds no undecoded coordinator bytes, and
+    /// the coordinator sent it nothing since its last read but the
+    /// `Collect` itself.
+    fn assert_quiescent_at_collect(&mut self) {
+        let w = self.worker;
+        let Stage::Running(core, egress) = &self.stage else {
+            panic!("worker {w} is not running at Collect");
+        };
+        assert!(core.idle(self.written), "worker {w} is busy at Collect");
+        assert!(
+            egress.try_recv().is_err(),
+            "worker {w} has unwritten egress"
+        );
+        assert_eq!(self.decoder.buffered(), 0, "worker {w} has undecoded bytes");
+        let sent = self.inbox.take();
+        let mut frames = FrameDecoder::new();
+        frames.push(&sent);
+        assert!(
+            matches!(frames.next_frame(), Ok(Some(Frame::Collect { .. })))
+                && frames.buffered() == 0,
+            "worker {w} has undelivered coordinator frames at Collect"
+        );
+        self.decoder.push(&sent);
+    }
+
     /// The process dies: its runtime is stopped and discarded.
     fn kill(self) {
         if let Stage::Running(core, _) = self.stage {
@@ -150,7 +177,8 @@ impl Incarnation {
 /// Run `spec` in memory and return what [`super::run_dist`] would.
 ///
 /// # Panics
-/// On any protocol error, and when the run takes a minute of wall time.
+/// On any protocol error, when the run is not quiescent at `Collect`, and
+/// when the run takes a minute of wall time.
 pub(super) fn run(spec: &DistSpec, registry: &Registry) -> DistRun {
     let mut probe = ProbeBuilder::new();
     let sinks = registry
@@ -161,6 +189,7 @@ pub(super) fn run(spec: &DistSpec, registry: &Registry) -> DistRun {
     let mut effects: VecDeque<Effect> = spawns.into();
     let mut workers: Vec<Option<Incarnation>> = (0..spec.processes).map(|_| None).collect();
     let mut conns = 0;
+    let mut collecting = false;
     let started = Instant::now();
     loop {
         while let Some(effect) = effects.pop_front() {
@@ -201,7 +230,7 @@ pub(super) fn run(spec: &DistSpec, registry: &Registry) -> DistRun {
             "the in-memory run stalled"
         );
         coord.flush();
-        let mut moved = false;
+        let (mut moved, mut collect_began) = (false, false);
         for (worker, slot) in workers.iter_mut().enumerate() {
             let Some(incarnation) = slot else { continue };
             let sent = incarnation.poll(registry, now);
@@ -223,8 +252,16 @@ pub(super) fn run(spec: &DistSpec, registry: &Registry) -> DistRun {
                 frames,
             };
             effects.extend(coord.step(now, input).expect("no protocol violation"));
-            if !effects.is_empty() {
-                break; // a kill takes effect before anyone else runs
+            collect_began = !collecting && matches!(coord.phase, Phase::Collecting { .. });
+            if !effects.is_empty() || collect_began {
+                break; // a kill takes effect, and `Collect` is checked, before anyone else runs
+            }
+        }
+        if collect_began {
+            collecting = true;
+            for incarnation in &mut workers {
+                let incarnation = incarnation.as_mut().expect("every worker is up at Collect");
+                incarnation.assert_quiescent_at_collect();
             }
         }
         if moved {

@@ -680,7 +680,7 @@ mod tests {
 
     #[test]
     fn outbox_buffer_is_a_cache_of_the_log_tail() {
-        let control = wire::encode(&wire::Frame::Probe { nonce: 9 });
+        let control = wire::encode(&wire::Frame::Collect { sent: 4, recv: 9 });
         let mut out: Outbox<Vec<u8>> = Outbox::new();
         // Disconnected: frames are logged, nothing is pending.
         let f1 = push(&mut out, 1);

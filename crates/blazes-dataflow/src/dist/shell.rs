@@ -9,6 +9,7 @@ use super::recover::{FailureCause, Transport, FLUSH_BYTES};
 use super::wire::{self, Frame, FrameDecoder};
 use super::worker::{Control, WorkerCore};
 use super::{DistError, DistRun, DistSpec, ProbeBuilder, Registry, ENV_EPOCH, ENV_INDEX};
+use std::ffi::OsString;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -454,18 +455,28 @@ pub fn worker_main(registry: &Registry) -> bool {
         return false;
     };
     let endpoint = endpoint.to_string_lossy().into_owned();
-    let index: usize = std::env::var(ENV_INDEX)
-        .expect("dist worker index")
-        .parse()
-        .expect("numeric dist worker index");
-    let epoch: u32 = std::env::var(ENV_EPOCH)
-        .ok()
-        .and_then(|e| e.parse().ok())
-        .unwrap_or(0);
+    let index: usize = env_number(ENV_INDEX, std::env::var_os(ENV_INDEX))
+        .unwrap_or_else(|e| panic!("dist worker: {e}"));
+    let epoch: u32 = env_number(ENV_EPOCH, std::env::var_os(ENV_EPOCH))
+        .unwrap_or_else(|e| panic!("dist worker {index}: {e}"));
     match worker_run(registry, &endpoint, index, epoch) {
         Ok(()) => true,
         Err(e) => panic!("dist worker {index} failed: {e}"),
     }
+}
+
+/// Parse `value`, the value of the spawner-set environment variable
+/// `name`, as a decimal number. Missing or malformed is an error naming
+/// the variable, never a default.
+pub(super) fn env_number<T: std::str::FromStr>(
+    name: &str,
+    value: Option<OsString>,
+) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{name} is not set"))?;
+    value
+        .to_str()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{name}={value:?} is not a number"))
 }
 
 /// Dial the parent, retrying briefly: the listener is bound before any
@@ -517,7 +528,9 @@ pub(super) fn worker_run(
 
     // Egress pump: encode and write cross-partition frames, a queue's
     // worth per socket write. Shares the socket with the control loop's
-    // replies through a mutex; the pump is the only high-volume writer.
+    // heartbeats and idle reports through a mutex; the pump is the only
+    // high-volume writer. An idle report is written only once `written`
+    // covers every queued frame, so it travels behind them.
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
     let written = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
@@ -577,7 +590,7 @@ pub(super) fn worker_run(
     let mut last_hb: Option<Instant> = None;
     let collect = 'control: loop {
         if last_hb.is_none_or(|t| t.elapsed() >= heartbeat_every) {
-            send_control(&writer, &core.heartbeat(written.load(Ordering::SeqCst)))?;
+            send_control(&writer, &Frame::Heartbeat)?;
             last_hb = Some(Instant::now());
         }
         // Drain frames already buffered *before* blocking on the socket:
@@ -588,7 +601,6 @@ pub(super) fn worker_run(
         while let Some(frame) = decoder.next_frame()? {
             match core.on_frame(frame, written.load(Ordering::SeqCst)) {
                 Ok(None) => {}
-                Ok(Some(Control::Reply(reply))) => send_control(&writer, &reply)?,
                 Ok(Some(Control::Collect)) => break 'control true,
                 Ok(Some(Control::Shutdown)) => break 'control false,
                 Err(e) => return Err(report(&writer, e)),

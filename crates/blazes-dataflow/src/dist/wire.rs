@@ -75,24 +75,15 @@ pub enum Frame {
         /// Data frames this worker has received so far.
         recv: u64,
     },
-    /// Parent → worker: confirm stability (answer with `ProbeAck`).
-    Probe {
-        /// Round identifier, echoed in the ack.
-        nonce: u64,
-    },
-    /// Worker → parent: answer to a `Probe`.
-    ProbeAck {
-        /// Echo of the probe's nonce.
-        nonce: u64,
-        /// Data frames written at answer time.
+    /// Parent → worker: the run is stable; finish it and stream back
+    /// results. Carries the counters stability was decided on, which the
+    /// worker checks against its own.
+    Collect {
+        /// Data frames the parent received from this worker.
         sent: u64,
-        /// Data frames received at answer time.
+        /// Data frames the parent routed to this worker.
         recv: u64,
-        /// Was the local runtime settled with a drained egress queue?
-        idle: bool,
     },
-    /// Parent → worker: finish the run and stream back results.
-    Collect,
     /// Worker → parent: contents of one sink this worker owns.
     SinkResult {
         /// Index into the assembly's sink set.
@@ -131,21 +122,9 @@ pub enum Frame {
         /// Packed events: `[ts_ns, dur_ns, kind, a, b]` each.
         events: Vec<[u64; 5]>,
     },
-    /// Worker → parent: liveness beacon, sent every `heartbeat_ms` even
-    /// while busy. Doubles as an idle keepalive: when `idle` is set the
-    /// counters are also a re-announcement of the worker's quiesced
-    /// state, self-healing a lost `Idle` frame.
-    Heartbeat {
-        /// The worker's incarnation.
-        epoch: u32,
-        /// Data frames written so far.
-        sent: u64,
-        /// Data frames received so far.
-        recv: u64,
-        /// Is the local runtime currently quiesced with a drained egress
-        /// queue?
-        idle: bool,
-    },
+    /// Worker → parent: liveness beacon, sent every `heartbeat_ms`, busy
+    /// or not.
+    Heartbeat,
 }
 
 /// Decode-side failures. Each error consumes the offending bytes, so the
@@ -176,8 +155,8 @@ const TAG_HELLO: u8 = 1;
 const TAG_PLAN: u8 = 2;
 const TAG_DATA: u8 = 3;
 const TAG_IDLE: u8 = 4;
-const TAG_PROBE: u8 = 5;
-const TAG_PROBE_ACK: u8 = 6;
+// Tags 5 and 6 are retired and must not be reused: they decode as
+// `WireError::BadTag`.
 const TAG_COLLECT: u8 = 7;
 const TAG_SINK_RESULT: u8 = 8;
 const TAG_DONE: u8 = 9;
@@ -359,23 +338,11 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
             put_u64(out, *recv);
             TAG_IDLE
         }
-        Frame::Probe { nonce } => {
-            put_u64(out, *nonce);
-            TAG_PROBE
-        }
-        Frame::ProbeAck {
-            nonce,
-            sent,
-            recv,
-            idle,
-        } => {
-            put_u64(out, *nonce);
+        Frame::Collect { sent, recv } => {
             put_u64(out, *sent);
             put_u64(out, *recv);
-            put_bool(out, *idle);
-            TAG_PROBE_ACK
+            TAG_COLLECT
         }
-        Frame::Collect => TAG_COLLECT,
         Frame::SinkResult { sink, entries } => {
             put_u32(out, *sink);
             put_u32(out, entries.len() as u32);
@@ -413,18 +380,7 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
             }
             TAG_TRACE
         }
-        Frame::Heartbeat {
-            epoch,
-            sent,
-            recv,
-            idle,
-        } => {
-            put_u32(out, *epoch);
-            put_u64(out, *sent);
-            put_u64(out, *recv);
-            put_bool(out, *idle);
-            TAG_HEARTBEAT
-        }
+        Frame::Heartbeat => TAG_HEARTBEAT,
     };
     let len = (out.len() - start - 9) as u32;
     out[start + 4] = tag;
@@ -600,14 +556,10 @@ fn decode_payload(tag: u8, mut c: Cursor<'_>) -> Result<Frame, WireError> {
             sent: c.u64()?,
             recv: c.u64()?,
         },
-        TAG_PROBE => Frame::Probe { nonce: c.u64()? },
-        TAG_PROBE_ACK => Frame::ProbeAck {
-            nonce: c.u64()?,
+        TAG_COLLECT => Frame::Collect {
             sent: c.u64()?,
             recv: c.u64()?,
-            idle: c.boolean()?,
         },
-        TAG_COLLECT => Frame::Collect,
         TAG_SINK_RESULT => {
             let sink = c.u32()?;
             let n = c.count()?;
@@ -643,12 +595,7 @@ fn decode_payload(tag: u8, mut c: Cursor<'_>) -> Result<Frame, WireError> {
             }
             Frame::Trace { pid, tid, events }
         }
-        TAG_HEARTBEAT => Frame::Heartbeat {
-            epoch: c.u32()?,
-            sent: c.u64()?,
-            recv: c.u64()?,
-            idle: c.boolean()?,
-        },
+        TAG_HEARTBEAT => Frame::Heartbeat,
         other => return Err(WireError::BadTag(other)),
     };
     c.finish()?;
@@ -837,14 +784,7 @@ mod tests {
                 msg: Message::Eos,
             },
             Frame::Idle { sent: 10, recv: 4 },
-            Frame::Probe { nonce: 99 },
-            Frame::ProbeAck {
-                nonce: 99,
-                sent: 10,
-                recv: 4,
-                idle: true,
-            },
-            Frame::Collect,
+            Frame::Collect { sent: 10, recv: 4 },
             Frame::SinkResult {
                 sink: 1,
                 entries: vec![
@@ -878,18 +818,7 @@ mod tests {
                 tid: 0,
                 events: vec![],
             },
-            Frame::Heartbeat {
-                epoch: 1,
-                sent: 12,
-                recv: 7,
-                idle: false,
-            },
-            Frame::Heartbeat {
-                epoch: 0,
-                sent: 0,
-                recv: 0,
-                idle: true,
-            },
+            Frame::Heartbeat,
         ]
     }
 
@@ -924,26 +853,27 @@ mod tests {
 
     #[test]
     fn truncated_frame_waits_then_completes() {
-        let bytes = encode(&Frame::Probe { nonce: 7 });
+        let idle = Frame::Idle { sent: 7, recv: 3 };
+        let bytes = encode(&idle);
         let mut dec = FrameDecoder::new();
         dec.push(&bytes[..bytes.len() - 3]);
         assert_eq!(dec.next_frame().unwrap(), None);
         dec.push(&bytes[bytes.len() - 3..]);
-        assert_eq!(dec.next_frame().unwrap(), Some(Frame::Probe { nonce: 7 }));
+        assert_eq!(dec.next_frame().unwrap(), Some(idle));
     }
 
     #[test]
     fn oversized_length_is_rejected_and_stream_resyncs() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
-        bytes.push(TAG_PROBE);
+        bytes.push(TAG_IDLE);
         bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
-        bytes.extend_from_slice(&encode(&Frame::Collect));
+        bytes.extend_from_slice(&encode(&Frame::Shutdown));
         let mut dec = FrameDecoder::new();
         dec.push(&bytes);
         assert!(matches!(dec.next_frame(), Err(WireError::Oversized(_))));
         // The stream recovers on the next valid frame.
-        assert_eq!(dec.next_frame().unwrap(), Some(Frame::Collect));
+        assert_eq!(dec.next_frame().unwrap(), Some(Frame::Shutdown));
     }
 
     #[test]
@@ -957,6 +887,31 @@ mod tests {
         dec.push(&bytes);
         assert_eq!(dec.next_frame(), Err(WireError::BadTag(200)));
         assert_eq!(dec.next_frame().unwrap(), Some(Frame::Shutdown));
+    }
+
+    /// Tags 5 and 6 belonged to a retired termination round: both decode
+    /// paths refuse them, whatever payload they carry, and move on.
+    #[test]
+    fn retired_tags_are_rejected_by_both_decoders() {
+        for tag in [5u8, 6] {
+            for payload in [&[][..], &[0; 8], &[1; 25]] {
+                let mut bytes = MAGIC.to_vec();
+                bytes.push(tag);
+                bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(payload);
+                bytes.extend_from_slice(&encode(&Frame::Heartbeat));
+                let (mut full, mut routed) = (FrameDecoder::new(), FrameDecoder::new());
+                full.push(&bytes);
+                routed.push(&bytes);
+                assert_eq!(full.next_frame(), Err(WireError::BadTag(tag)));
+                assert_eq!(routed.next_routed(), Err(WireError::BadTag(tag)));
+                assert_eq!(full.next_frame(), Ok(Some(Frame::Heartbeat)));
+                assert_eq!(
+                    routed.next_routed(),
+                    Ok(Some(Routed::Frame(Frame::Heartbeat)))
+                );
+            }
+        }
     }
 
     #[test]
@@ -974,9 +929,9 @@ mod tests {
     fn trailing_payload_bytes_are_malformed() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
-        bytes.push(TAG_PROBE);
-        bytes.extend_from_slice(&9u32.to_le_bytes());
-        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes.push(TAG_IDLE);
+        bytes.extend_from_slice(&17u32.to_le_bytes());
+        bytes.extend_from_slice(&[7; 16]);
         bytes.push(0xff);
         let mut dec = FrameDecoder::new();
         dec.push(&bytes);
@@ -1054,11 +1009,12 @@ mod tests {
     fn consumed_frames_are_reclaimed_not_rescanned() {
         // Many small frames in one chunk: the cursor walks them without
         // moving the buffer, and the next push reclaims the prefix.
-        let one = encode(&Frame::Probe { nonce: 1 });
+        let idle = Frame::Idle { sent: 1, recv: 0 };
+        let one = encode(&idle);
         let mut dec = FrameDecoder::new();
         dec.push(&one.repeat(100));
         for left in (0..100).rev() {
-            assert_eq!(dec.next_frame().unwrap(), Some(Frame::Probe { nonce: 1 }));
+            assert_eq!(dec.next_frame().unwrap(), Some(idle.clone()));
             assert_eq!(dec.buffered(), left * one.len());
         }
         dec.push(&one[..5]);

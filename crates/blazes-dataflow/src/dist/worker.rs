@@ -199,8 +199,6 @@ impl ExecutorBuilder for DistWorkerBuilder<'_> {
 
 /// What a run-phase frame asks of the code running the worker.
 pub(super) enum Control {
-    /// Send this reply (a `ProbeAck`).
-    Reply(Frame),
     /// Send [`WorkerCore::finish`]'s frames.
     Collect,
     /// Exit without reporting.
@@ -211,7 +209,6 @@ pub(super) enum Control {
 /// plus the frame-level protocol state around it.
 pub(super) struct WorkerCore {
     index: usize,
-    epoch: u32,
     processes: usize,
     trace: bool,
     /// Heartbeat interval the plan asked for.
@@ -288,7 +285,6 @@ impl WorkerCore {
         let core = WorkerCore {
             ingress: builder.ingress,
             index,
-            epoch,
             processes,
             trace,
             heartbeat_every: Duration::from_millis(u64::from(heartbeat_ms.max(1))),
@@ -321,17 +317,6 @@ impl WorkerCore {
         }
     }
 
-    /// The periodic heartbeat, carrying the idle keepalive that heals a
-    /// lost or raced `Idle` frame.
-    pub(super) fn heartbeat(&self, sent: u64) -> Frame {
-        Frame::Heartbeat {
-            epoch: self.epoch,
-            sent,
-            recv: self.recv,
-            idle: self.idle(sent),
-        }
-    }
-
     /// A quiet tick: an `Idle` report when the local runtime has settled,
     /// every egress frame has been written, and the counters moved since
     /// the last report.
@@ -353,8 +338,9 @@ impl WorkerCore {
     ///
     /// # Errors
     /// [`DistError::Protocol`] when a wire breaks FIFO, a frame names a
-    /// wire with no local consumer, or the frame has no place in the run
-    /// phase. The caller reports it to the coordinator as a
+    /// wire with no local consumer, a `Collect` finds this worker busy or
+    /// its counters other than the coordinator's, or the frame has no
+    /// place in the run phase. The caller reports it to the coordinator as a
     /// [`Frame::Error`] before exiting.
     pub(super) fn on_frame(
         &mut self,
@@ -386,13 +372,19 @@ impl WorkerCore {
                 self.last_idle = None;
                 Ok(None)
             }
-            Frame::Probe { nonce } => Ok(Some(Control::Reply(Frame::ProbeAck {
-                nonce,
-                sent,
-                recv: self.recv,
-                idle: self.idle(sent),
-            }))),
-            Frame::Collect => Ok(Some(Control::Collect)),
+            // Stability was decided on these counters; a worker that is
+            // busy or disagrees would hand back partial sinks.
+            Frame::Collect { sent: s, recv: r } => {
+                let idle = self.idle(sent);
+                if !idle || (sent, self.recv) != (s, r) {
+                    return Err(DistError::Protocol(format!(
+                        "collect at sent={s} recv={r}, but this worker is at sent={sent} \
+                         recv={}, idle={idle}",
+                        self.recv
+                    )));
+                }
+                Ok(Some(Control::Collect))
+            }
             Frame::Shutdown => Ok(Some(Control::Shutdown)),
             other => Err(DistError::Protocol(format!(
                 "unexpected frame in run phase: {other:?}"

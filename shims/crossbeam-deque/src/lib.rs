@@ -468,7 +468,7 @@ struct PaddedPos<T>(Position<T>);
 
 /// A shared FIFO queue feeding tasks to any worker (the global run queue).
 ///
-/// Lock-free: a linked list of [`BLOCK_CAP`]-slot blocks; producers claim
+/// Lock-free: a linked list of `BLOCK_CAP`-slot blocks; producers claim
 /// slots by CAS on the tail index, consumers by CAS on the head index, and
 /// blocks free themselves when their last reader leaves.
 pub struct Injector<T> {

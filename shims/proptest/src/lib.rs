@@ -1,6 +1,6 @@
 //! The property-test harness of the `prop_*` suites: code this repository
 //! owns, under the `proptest` name because it implements the subset of
-//! that crate the test suite uses: the [`Strategy`]
+//! that crate the test suite uses: the [`Strategy`](strategy::Strategy)
 //! trait with `prop_map`/`boxed`, `any`, `Just`, range and tuple
 //! strategies, `sample::subsequence`, `collection::vec`, `option::of`, and
 //! the `proptest!` / `prop_assert!` / `prop_assert_eq!` / `prop_oneof!`

@@ -92,16 +92,7 @@ fn frame() -> impl Strategy<Value = Frame> {
             msg
         }),
         (any::<u64>(), any::<u64>()).prop_map(|(sent, recv)| Frame::Idle { sent, recv }),
-        any::<u64>().prop_map(|nonce| Frame::Probe { nonce }),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
-            |(nonce, sent, recv, idle)| Frame::ProbeAck {
-                nonce,
-                sent,
-                recv,
-                idle
-            }
-        ),
-        Just(Frame::Collect),
+        (any::<u64>(), any::<u64>()).prop_map(|(sent, recv)| Frame::Collect { sent, recv }),
         (
             any::<u32>(),
             collection::vec((any::<u64>(), message()), 0..5)
@@ -117,14 +108,7 @@ fn frame() -> impl Strategy<Value = Frame> {
         ),
         Just(Frame::Shutdown),
         small_string().prop_map(|m| Frame::Error { message: m }),
-        (any::<u32>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
-            |(epoch, sent, recv, idle)| Frame::Heartbeat {
-                epoch,
-                sent,
-                recv,
-                idle,
-            }
-        ),
+        Just(Frame::Heartbeat),
         (
             any::<u32>(),
             any::<u32>(),
