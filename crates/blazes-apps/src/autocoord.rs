@@ -34,8 +34,9 @@ use blazes_autocoord::{AutoCoordRules, InjectionSummary, SealBinding};
 use blazes_core::placement::{CoordDirective, CoordinationSpec};
 use blazes_dataflow::backend::{
     build_local, BackendRunStats, BackendSpec, ExecutorBuilder, RewriteStats, RewritingBuilder,
+    Topology,
 };
-use blazes_dataflow::dist::{run_dist, ProbeBuilder};
+use blazes_dataflow::dist::run_dist;
 use blazes_dataflow::message::Message;
 use blazes_dataflow::metrics::TimeSeries;
 use blazes_dataflow::sim::InstanceId;
@@ -155,7 +156,7 @@ pub fn assemble_ad_auto<B: ExecutorBuilder + ?Sized>(
 /// On [`BackendSpec::Dist`] the spec's `topology`/`params` fields are
 /// overwritten with the ad-report registry entry for `sc`; everything
 /// else (process count, wire faults, worker command) is honored as given,
-/// and the returned report is computed parent-side by probing the same
+/// and the returned report is computed parent-side by recording the same
 /// assembly.
 ///
 /// # Panics
@@ -164,7 +165,7 @@ pub fn assemble_ad_auto<B: ExecutorBuilder + ?Sized>(
 #[must_use]
 pub fn run_ad_auto(sc: &AdScenario, backend: &BackendSpec) -> (AdRunResult, AutoCoordReport) {
     let (series, responses, stats, report) = if let BackendSpec::Dist(d) = backend {
-        let report = assemble_ad_auto(sc, false, &mut ProbeBuilder::new()).report;
+        let report = assemble_ad_auto(sc, false, &mut Topology::new()).report;
         let mut spec = d.clone();
         spec.topology = crate::dist::AD_TOPOLOGY.to_string();
         spec.params = crate::dist::encode_ad_params(sc);
@@ -268,6 +269,8 @@ mod tests {
     use super::*;
     use crate::adreport::tests::{checked_run, scenario};
     use crate::workload::{CampaignPlacement, TweetWorkload};
+    use blazes_dataflow::backend::{NoopPass, PortId};
+    use blazes_dataflow::channel::ChannelConfig;
 
     fn sealed(query: ReportQuery) -> AdScenario {
         scenario(query, StrategyKind::Sealed, CampaignPlacement::Spread)
@@ -329,6 +332,98 @@ mod tests {
             let sc = scenario(ReportQuery::Thresh, strategy, CampaignPlacement::Spread);
             let _ = checked_run(&sc, &BackendSpec::Sim, 0);
         }
+    }
+
+    /// `sc`'s ad network as the rewrite pass leaves it, recorded without
+    /// running it.
+    fn recorded(sc: &AdScenario) -> Topology {
+        let mut topology = Topology::new();
+        let _ = assemble_ad_auto(sc, false, &mut topology);
+        topology
+    }
+
+    /// The wires into instance `to` of `t`, as (producer name, output
+    /// port, channel): what stays put when instance ids shift.
+    fn in_wires(t: &Topology, to: InstanceId) -> Vec<(&str, PortId, &ChannelConfig)> {
+        let names: Vec<&str> = t.instance_names().collect();
+        t.wires()
+            .iter()
+            .filter(|w| w.to == to)
+            .map(|w| (names[w.from.0], w.out_port, &t.channels()[w.channel.0]))
+            .collect()
+    }
+
+    /// Sealed CAMPAIGN gets one seal gate per report replica, and each
+    /// gate takes over every wire its replica was fed by before the
+    /// rewrite; the replica is then fed by its gate alone.
+    #[test]
+    fn the_sealed_recording_gates_each_replica_on_its_former_in_wires() {
+        let sc = sealed(ReportQuery::Campaign);
+        let plain = recorded(&AdScenario {
+            strategy: StrategyKind::Uncoordinated,
+            ..sc.clone()
+        });
+        let gated = recorded(&sc);
+        let names: Vec<&str> = gated.instance_names().collect();
+        let gates: Vec<usize> = (0..names.len())
+            .filter(|&i| names[i].starts_with("autocoord-seal"))
+            .collect();
+        assert_eq!(gates.len(), 3, "{names:?}");
+        let plain_id = |name: &str| {
+            let at = plain.instance_names().position(|n| n == name);
+            InstanceId(at.expect("the replica exists before the rewrite"))
+        };
+        for gate in gates {
+            let out: Vec<_> = gated.wires().iter().filter(|w| w.from.0 == gate).collect();
+            assert_eq!(out.len(), 1, "a gate feeds its consumer only");
+            let consumer = out[0].to;
+            assert!(names[consumer.0].starts_with("report["));
+            assert_eq!(
+                in_wires(&gated, InstanceId(gate)),
+                in_wires(&plain, plain_id(names[consumer.0])),
+                "{}",
+                names[gate]
+            );
+            let fed_by: Vec<_> = in_wires(&gated, consumer)
+                .into_iter()
+                .map(|(name, ..)| name)
+                .collect();
+            assert_eq!(fed_by, [names[gate]]);
+        }
+    }
+
+    /// POOR funnels every replica's input through one shared sequencer.
+    #[test]
+    fn the_ordered_recording_has_one_sequencer() {
+        let t = recorded(&sealed(ReportQuery::Poor));
+        assert_eq!(t.instance_names().filter(|&n| n == "sequencer").count(), 1);
+        assert_eq!(
+            t.instance_names()
+                .filter(|n| n.starts_with("autocoord-seal"))
+                .count(),
+            0
+        );
+    }
+
+    /// The confluent (sealed) wordcount comes through analysis-driven
+    /// coordination and the rewrite pass as exactly the topology it
+    /// records without either.
+    #[test]
+    fn the_confluent_wordcount_records_as_if_uncoordinated() {
+        let sc = wc_scenario();
+        let mut plain = Topology::new();
+        let _ = crate::wordcount::wordcount_topology(&sc)
+            .0
+            .assemble(&mut plain);
+
+        let (mut t, _) = crate::wordcount::wordcount_topology(&sc);
+        t.apply_coordination(&wordcount_spec(true), &wordcount_ordering_config(&sc))
+            .expect("spec fits the wordcount topology");
+        let mut coordinated = Topology::new();
+        let mut rb = RewritingBuilder::new(&mut coordinated, NoopPass);
+        let _ = t.assemble(&mut rb);
+        assert!(rb.finish().1.is_untouched());
+        assert_eq!(coordinated, plain);
     }
 
     #[test]

@@ -282,7 +282,7 @@ pub fn dist_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blazes_dataflow::dist::ProbeBuilder;
+    use blazes_dataflow::backend::Topology;
 
     #[test]
     fn ad_params_round_trip_exactly() {
@@ -357,9 +357,12 @@ mod tests {
             ),
         ];
         for (name, params) in plans {
-            let mut probe = ProbeBuilder::new();
-            let sinks = reg.assemble(name, &params, &mut probe).unwrap();
-            assert!(probe.instances() > 0 && !sinks.is_empty(), "{name}");
+            let mut recording = Topology::new();
+            let sinks = reg.assemble(name, &params, &mut recording).unwrap();
+            assert!(
+                recording.instance_names().len() > 0 && !sinks.is_empty(),
+                "{name}"
+            );
         }
     }
 }

@@ -15,9 +15,11 @@
 use crate::autocoord::wordcount_ordering_config;
 use crate::workload::TweetWorkload;
 use blazes_core::placement::CoordinationSpec;
-use blazes_dataflow::backend::{BackendRunStats, BackendSpec, NoopPass, RewritingBuilder};
+use blazes_dataflow::backend::{
+    BackendRunStats, BackendSpec, NoopPass, RewritingBuilder, Topology,
+};
 use blazes_dataflow::channel::ChannelConfig;
-use blazes_dataflow::dist::{run_dist, ProbeBuilder};
+use blazes_dataflow::dist::run_dist;
 use blazes_dataflow::message::Message;
 use blazes_dataflow::sim::Time;
 use blazes_dataflow::sinks::CollectorSink;
@@ -299,7 +301,7 @@ pub fn run_wordcount(sc: &WordcountScenario, backend: &BackendSpec) -> Wordcount
 /// `spec`, assemble on `backend`, run. `sealed` is what the
 /// [`crate::dist::WORDCOUNT_TOPOLOGY`] registry entry re-derives `spec`
 /// from inside the worker processes of a distributed run; the parent then
-/// only probes the coordinated assembly for its outcome.
+/// only records the coordinated assembly for its outcome.
 pub(crate) fn run_coordinated(
     sc: &WordcountScenario,
     spec: &CoordinationSpec,
@@ -312,10 +314,12 @@ pub(crate) fn run_coordinated(
         let mut outcome = t
             .apply_coordination(spec, &ordering)
             .expect("spec fits the wordcount topology");
-        let mut probe = ProbeBuilder::new();
-        let mut rb = RewritingBuilder::new(&mut probe, NoopPass);
-        let _ = t.assemble(&mut rb);
-        outcome.rewrite = rb.finish().1;
+        outcome.rewrite = {
+            let mut recording = Topology::new();
+            let mut rb = RewritingBuilder::new(&mut recording, NoopPass);
+            let _ = t.assemble(&mut rb);
+            rb.finish().1
+        };
         let mut dist = d.clone();
         dist.topology = crate::dist::WORDCOUNT_TOPOLOGY.to_string();
         dist.params = crate::dist::encode_wordcount_params(sc, sealed);

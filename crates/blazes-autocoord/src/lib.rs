@@ -33,8 +33,7 @@
 //! use blazes_core::placement::CoordinationSpec;
 //! use blazes_core::prelude::*;
 //! use blazes_coord::registry::ProducerRegistry;
-//! use blazes_dataflow::backend::{ExecutorBuilder, RewritingBuilder};
-//! use blazes_dataflow::sim::SimBuilder;
+//! use blazes_dataflow::backend::{ExecutorBuilder, RewritingBuilder, Topology};
 //!
 //! // 1. Annotate + analyze (a sealed source feeding an OW component).
 //! let mut g = DataflowGraph::new("demo");
@@ -51,8 +50,8 @@
 //! // 2. Inject: assemble the bare topology through the rewrite pass.
 //! let rules = AutoCoordRules::new(&spec)
 //!     .bind_seal("Report", SealBinding::new(ProducerRegistry::all_produce([0]), vec![1], 2));
-//! let mut sim = SimBuilder::new(0);
-//! let mut b = RewritingBuilder::new(&mut sim, rules);
+//! let mut topology = Topology::new();
+//! let mut b = RewritingBuilder::new(&mut topology, rules);
 //! // ... add instances / connect / inject as if uncoordinated ...
 //! # let _ = &mut b;
 //! ```

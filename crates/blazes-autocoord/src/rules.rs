@@ -455,11 +455,11 @@ fn seal_gate(
 mod tests {
     use super::*;
     use blazes_core::keys::KeySet;
-    use blazes_dataflow::backend::{ExecutorBuilder, RewritingBuilder};
+    use blazes_dataflow::backend::{ExecutorBuilder, RewritingBuilder, Topology};
     use blazes_dataflow::component::{Component, Context, FnComponent};
     use blazes_dataflow::message::SealKey;
     use blazes_dataflow::par::ParBuilder;
-    use blazes_dataflow::sim::SimBuilder;
+    use blazes_dataflow::sim::Simulator;
     use blazes_dataflow::sinks::CollectorSink;
 
     fn spec_seal(component: &str) -> CoordinationSpec {
@@ -540,14 +540,14 @@ mod tests {
     fn seal_directive_gates_the_consumer_on_both_backends() {
         // Simulator.
         let sim_sink = CollectorSink::new();
-        let mut sim = SimBuilder::new(4);
+        let mut sim = Topology::new();
         let mut rb = RewritingBuilder::new(&mut sim, seal_rules());
         seal_topology(&mut rb, sim_sink.clone());
         let (rules, stats) = rb.finish();
         assert_eq!(stats.injected_operators, 1, "one gate for one consumer");
         assert_eq!(stats.rewritten_wires, 2, "both producer wires rerouted");
         assert_eq!(rules.summary().per_directive.len(), 1);
-        sim.build().run();
+        Simulator::new(sim, 4).run();
         assert_eq!(sim_sink.len(), 12, "10 records + both producer votes");
 
         // Only the data payload is schedule-independent: the forwarded
@@ -659,8 +659,9 @@ mod tests {
     fn ordered_multi_input_port_consumers_are_rejected() {
         // The sequencer broadcast cannot preserve port identity; wiring a
         // second distinct input port must fail loudly, not double-deliver.
-        let mut sim = SimBuilder::new(0);
-        let mut rb = RewritingBuilder::new(&mut sim, AutoCoordRules::new(&spec_order("Replica")));
+        let mut topology = Topology::new();
+        let mut rb =
+            RewritingBuilder::new(&mut topology, AutoCoordRules::new(&spec_order("Replica")));
         let rep = rb.add_instance(forwarder("Replica[0]"));
         let p = rb.add_instance(forwarder("producer"));
         rb.connect_with(p, PortId(0), rep, PortId(0), ChannelConfig::instant());
@@ -670,9 +671,11 @@ mod tests {
     #[test]
     fn unflagged_topologies_pass_through_untouched() {
         let sink = CollectorSink::new();
-        let mut sim = SimBuilder::new(0);
-        let mut rb =
-            RewritingBuilder::new(&mut sim, AutoCoordRules::new(&CoordinationSpec::default()));
+        let mut topology = Topology::new();
+        let mut rb = RewritingBuilder::new(
+            &mut topology,
+            AutoCoordRules::new(&CoordinationSpec::default()),
+        );
         seal_topology(&mut rb, sink.clone());
         let (rules, stats) = rb.finish();
         assert!(stats.is_untouched());
@@ -683,8 +686,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs bind_seal")]
     fn missing_seal_binding_panics_at_first_wire() {
-        let mut sim = SimBuilder::new(0);
-        let mut rb = RewritingBuilder::new(&mut sim, AutoCoordRules::new(&spec_seal("Report")));
+        let mut topology = Topology::new();
+        let mut rb =
+            RewritingBuilder::new(&mut topology, AutoCoordRules::new(&spec_seal("Report")));
         let sink = CollectorSink::new();
         seal_topology(&mut rb, sink);
     }

@@ -87,9 +87,9 @@ impl Component for BloomComponent {
 mod tests {
     use super::*;
     use crate::parser::parse_module;
-    use blazes_dataflow::backend::PortId;
+    use blazes_dataflow::backend::{ExecutorBuilder, PortId, Topology};
     use blazes_dataflow::channel::ChannelConfig;
-    use blazes_dataflow::sim::SimBuilder;
+    use blazes_dataflow::sim::Simulator;
     use blazes_dataflow::sinks::CollectorSink;
     use blazes_dataflow::value::{Tuple, Value};
 
@@ -118,7 +118,7 @@ module Counter {
 
     #[test]
     fn runs_in_simulation() {
-        let mut b = SimBuilder::new(1);
+        let mut b = Topology::new();
         let comp = BloomComponent::new(counter_module()).unwrap();
         let bloom = b.add_instance(Box::new(comp));
         let sink = CollectorSink::new();
@@ -132,7 +132,7 @@ module Counter {
                 Message::Data(Tuple(vec![Value::str(id)])),
             );
         }
-        b.build().run();
+        Simulator::new(b, 1).run();
         // Each tick emits the current counts; the final count for 'a' is 1
         // (set semantics collapse duplicate ('a',) tuples in the log).
         let last = sink.messages();
@@ -145,7 +145,7 @@ module Counter {
 
     #[test]
     fn seals_are_forwarded() {
-        let mut b = SimBuilder::new(0);
+        let mut b = Topology::new();
         let comp = BloomComponent::new(counter_module()).unwrap();
         let bloom = b.add_instance(Box::new(comp));
         let sink = CollectorSink::new();
@@ -157,7 +157,7 @@ module Counter {
             PortId(0),
             Message::Seal(blazes_dataflow::message::SealKey::new([("campaign", 1i64)])),
         );
-        b.build().run();
+        Simulator::new(b, 0).run();
         assert!(matches!(sink.messages()[0], Message::Seal(_)));
     }
 }

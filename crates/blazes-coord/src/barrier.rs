@@ -75,11 +75,10 @@ impl Component for CommitCoordinator {
 mod tests {
     use super::*;
     use blazes_dataflow::channel::ChannelConfig;
-    use blazes_dataflow::sim::SimBuilder;
     use blazes_dataflow::sinks::CollectorSink;
 
     fn grants(readiness: Vec<(u64, i64, i64)>, committers: usize) -> Vec<i64> {
-        let mut b = SimBuilder::new(0);
+        let mut b = Topology::new();
         let coord = b.add_instance(Box::new(CommitCoordinator::new(committers, 0)));
         let sink = CollectorSink::new();
         let s = b.add_instance(Box::new(sink.clone()));
@@ -87,7 +86,7 @@ mod tests {
         for (at, batch, committer) in readiness {
             b.inject(at, coord, PortId(0), Message::data([batch, committer]));
         }
-        b.build().run();
+        Simulator::new(b, 0).run();
         sink.messages()
             .iter()
             .filter_map(|m| m.as_data().and_then(|t| t.get(0)).and_then(Value::as_int))

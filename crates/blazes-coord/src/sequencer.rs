@@ -8,7 +8,7 @@
 //! same total delivery order.
 //!
 //! The cost model is the point: give the sequencer instance a non-zero
-//! service time (`SimBuilder::set_service_time`) and every message pays a
+//! service time (`ExecutorBuilder::set_service_time`) and every message pays a
 //! serialization toll — the fundamental reason the paper's "Ordered" runs
 //! fall behind as producers scale (Figures 12–13).
 
@@ -41,14 +41,13 @@ impl Component for Sequencer {
 mod tests {
     use super::*;
     use blazes_dataflow::channel::ChannelConfig;
-    use blazes_dataflow::sim::SimBuilder;
     use blazes_dataflow::sinks::CollectorSink;
 
     /// Two replicas fed through the sequencer over ordered channels see the
     /// same total order, even when client->sequencer channels jitter.
     #[test]
     fn replicas_agree_on_order() {
-        let mut b = SimBuilder::new(99);
+        let mut b = Topology::new();
         let seq = b.add_instance(Box::new(Sequencer::new()));
         let r1 = CollectorSink::new();
         let r2 = CollectorSink::new();
@@ -61,20 +60,20 @@ mod tests {
         for i in 0..100i64 {
             b.inject(i as u64 * 3, seq, PortId(0), Message::data([i]));
         }
-        b.build().run();
+        Simulator::new(b, 99).run();
         assert_eq!(r1.messages(), r2.messages());
         assert_eq!(r1.len(), 100);
     }
 
     #[test]
     fn control_messages_pass_through() {
-        let mut b = SimBuilder::new(0);
+        let mut b = Topology::new();
         let seq = b.add_instance(Box::new(Sequencer::new()));
         let sink = CollectorSink::new();
         let s = b.add_instance(Box::new(sink.clone()));
         b.connect_with(seq, PortId(0), s, PortId(0), ChannelConfig::ordered(0));
         b.inject(0, seq, PortId(0), Message::Eos);
-        b.build().run();
+        Simulator::new(b, 0).run();
         assert_eq!(sink.messages(), vec![Message::Eos]);
     }
 
@@ -84,7 +83,7 @@ mod tests {
     fn sequencer_serializes_throughput() {
         let n: u64 = 200;
         let service: u64 = 500;
-        let mut b = SimBuilder::new(0);
+        let mut b = Topology::new();
         let seq = b.add_instance(Box::new(Sequencer::new()));
         b.set_service_time(seq, service);
         let sink = CollectorSink::new();
@@ -93,7 +92,7 @@ mod tests {
         for i in 0..n {
             b.inject(0, seq, PortId(0), Message::data([i as i64]));
         }
-        let mut sim = b.build();
+        let mut sim = Simulator::new(b, 0);
         let stats = sim.run();
         assert!(
             stats.end_time >= n * service,

@@ -175,7 +175,7 @@ fn seal_votes_release_identically_across_the_wire() {
 fn sequencer_ticks_keep_their_order_across_the_wire() {
     // Run a sequencer over jittered input in the simulator; each tuple
     // leads with its injection index.
-    let mut b = SimBuilder::new(17);
+    let mut b = Topology::new();
     let seq = b.add_instance(Box::new(Sequencer::new()));
     let sink = CollectorSink::new();
     let replica = b.add_instance(Box::new(sink.clone()));
@@ -184,7 +184,7 @@ fn sequencer_ticks_keep_their_order_across_the_wire() {
     for i in 0..50i64 {
         b.inject(i as u64 * 3, seq, PortId(0), Message::data([i, i * i]));
     }
-    b.build().run();
+    Simulator::new(b, 17).run();
     let ticks = sink.entries();
     assert_eq!(ticks.len(), 50);
 

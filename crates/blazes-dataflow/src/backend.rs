@@ -1,12 +1,21 @@
 //! The backend abstraction shared by the execution substrates.
 //!
+//! # One recorder
+//!
 //! Higher layers (the mini Storm engine, the case studies) assemble a
 //! topology by calling the same five operations whatever the backend:
 //! adding instances, registering channels, wiring ports, setting service
-//! times and injecting external inputs. [`ExecutorBuilder`] captures that
-//! surface so a topology can be compiled once and executed either on the
-//! deterministic discrete-event simulator ([`crate::sim::SimBuilder`]) or
-//! on the multi-worker parallel executor ([`crate::par::ParBuilder`]).
+//! times and injecting external inputs. [`ExecutorBuilder`] is that
+//! surface, and [`Topology`] is the one type that records it: the
+//! instances (each a boxed component and its service time), the channel
+//! configs, the wires in registration order with their wire numbers, and
+//! the injections. Every backend is built from that value — the
+//! simulator by [`crate::sim::Simulator::new`], the parallel executor by
+//! [`crate::par::ParBuilder`] (its configuration over a recorded
+//! `Topology`), and the distributed backend by reading routing off the
+//! parent's recording and partitioning each worker's own. A handle the
+//! recording does not know is rejected at the call that names it, so an
+//! assembly fails the same way on every backend.
 //!
 //! # One dispatcher
 //!
@@ -18,23 +27,23 @@
 //!
 //! # The graph-rewrite pass
 //!
-//! [`RewritingBuilder`] wraps any backend builder and threads every
+//! [`RewritingBuilder`] wraps any [`ExecutorBuilder`] and threads every
 //! assembly call through a [`RewritePass`]. The pass may interpose
 //! *gate* operators on wires and redirect external injections — without
 //! the assembling code knowing the topology was transformed. This is the
 //! mechanism `blazes-autocoord` uses to inject the coordination a
 //! [`blazes-core`](../../blazes_core/index.html) analysis proved
 //! necessary: because the pass sits below the shared [`ExecutorBuilder`]
-//! surface, the *same* rewritten graph is what the simulator and the
-//! parallel executor both run. [`RewriteStats`] records exactly what the
-//! pass touched, so callers can verify the minimality claim (a confluent
-//! topology must come through with zero injected operators).
+//! surface, the *same* rewritten [`Topology`] is what every backend runs.
+//! [`RewriteStats`] records exactly what the pass touched, so callers can
+//! verify the minimality claim (a confluent topology must come through
+//! with zero injected operators).
 
 use crate::channel::ChannelConfig;
 use crate::component::Component;
 use crate::message::Message;
 use crate::par::{ParBuilder, ParConfigError, ParExecutor};
-use crate::sim::{InstanceId, SimBuilder, Simulator, Time};
+use crate::sim::{InstanceId, Simulator, Time};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -133,6 +142,154 @@ impl<B: ExecutorBuilder + ?Sized> ExecutorBuilder for &mut B {
 
     fn inject(&mut self, at: Time, to: InstanceId, port: PortId, msg: Message) {
         (**self).inject(at, to, port, msg);
+    }
+}
+
+/// One recorded component instance.
+pub(crate) struct Instance {
+    pub(crate) component: Box<dyn Component>,
+    /// Modeled per-message service time.
+    pub(crate) service: Time,
+}
+
+/// Instances compare by component name and service time: a component's
+/// code and state are opaque.
+impl PartialEq for Instance {
+    fn eq(&self, other: &Self) -> bool {
+        self.component.name() == other.component.name() && self.service == other.service
+    }
+}
+
+impl fmt::Debug for Instance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}@{}", self.component.name(), self.service)
+    }
+}
+
+/// One recorded wire: output `out_port` of `from` to input `in_port` of
+/// `to` over channel `channel`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Wire {
+    /// Producer instance.
+    pub from: InstanceId,
+    /// Producer output port.
+    pub out_port: PortId,
+    /// Consumer instance.
+    pub to: InstanceId,
+    /// Consumer input port.
+    pub in_port: PortId,
+    /// Channel the wire was connected over.
+    pub channel: ChannelId,
+    /// The wire's number, which seeds its fault RNG stream: its
+    /// registration index in an assembly's recording, kept unchanged when
+    /// the distributed backend partitions the recording, so a wire draws
+    /// the same faults whichever process runs it.
+    pub number: u64,
+}
+
+/// An external message recorded for delivery at `at`, to `(instance,
+/// port)`.
+pub(crate) type Injection = (Time, InstanceId, PortId, Message);
+
+/// An assembled topology as a value: what an [`ExecutorBuilder`]
+/// assembly records, and what every backend is built from.
+///
+/// Recording checks every handle at the call: `set_service_time`,
+/// `connect` and `inject` panic, naming the handle, on an instance or
+/// channel the topology does not have.
+///
+/// Two recordings are equal when they hold the same instances (by
+/// component name and service time), channels, wires and injections, in
+/// the same order — so a rewrite can be checked without running anything.
+#[derive(Debug, Default, PartialEq)]
+pub struct Topology {
+    pub(crate) instances: Vec<Instance>,
+    pub(crate) channels: Vec<ChannelConfig>,
+    pub(crate) wires: Vec<Wire>,
+    pub(crate) injections: Vec<Injection>,
+}
+
+impl Topology {
+    /// An empty recording.
+    #[must_use]
+    pub fn new() -> Self {
+        Topology::default()
+    }
+
+    /// Component names of the recorded instances, by id.
+    pub fn instance_names(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.instances.iter().map(|i| i.component.name())
+    }
+
+    /// Registered channel configurations, by handle.
+    #[must_use]
+    pub fn channels(&self) -> &[ChannelConfig] {
+        &self.channels
+    }
+
+    /// Recorded wires, in registration order.
+    #[must_use]
+    pub fn wires(&self) -> &[Wire] {
+        &self.wires
+    }
+
+    /// Panic unless `id` names a recorded instance.
+    fn check(&self, call: &str, id: InstanceId) {
+        assert!(
+            id.0 < self.instances.len(),
+            "{call}: unknown instance {id:?} (the topology has {})",
+            self.instances.len()
+        );
+    }
+}
+
+impl ExecutorBuilder for Topology {
+    fn add_instance(&mut self, component: Box<dyn Component>) -> InstanceId {
+        self.instances.push(Instance {
+            component,
+            service: 0,
+        });
+        InstanceId(self.instances.len() - 1)
+    }
+
+    fn set_service_time(&mut self, id: InstanceId, service: Time) {
+        self.check("set_service_time", id);
+        self.instances[id.0].service = service;
+    }
+
+    fn add_channel(&mut self, cfg: ChannelConfig) -> ChannelId {
+        self.channels.push(cfg);
+        ChannelId(self.channels.len() - 1)
+    }
+
+    fn connect(
+        &mut self,
+        from: InstanceId,
+        out_port: PortId,
+        to: InstanceId,
+        in_port: PortId,
+        channel: ChannelId,
+    ) {
+        self.check("connect", from);
+        self.check("connect", to);
+        assert!(
+            channel.0 < self.channels.len(),
+            "connect: unknown channel {channel} (the topology has {})",
+            self.channels.len()
+        );
+        self.wires.push(Wire {
+            from,
+            out_port,
+            to,
+            in_port,
+            channel,
+            number: self.wires.len() as u64,
+        });
+    }
+
+    fn inject(&mut self, at: Time, to: InstanceId, port: PortId, msg: Message) {
+        self.check("inject", to);
+        self.injections.push((at, to, port, msg));
     }
 }
 
@@ -265,9 +422,9 @@ impl RewriteStats {
 }
 
 /// An [`ExecutorBuilder`] that applies a [`RewritePass`] to every wire and
-/// injection before forwarding to the wrapped backend builder. Works
-/// identically over [`SimBuilder`] and [`crate::par::ParBuilder`] — the
-/// point of doing the rewrite at this layer.
+/// injection before forwarding to the wrapped builder — a [`Topology`] or
+/// a [`crate::par::ParBuilder`] over one — so every backend runs the same
+/// rewritten graph.
 pub struct RewritingBuilder<'a, B: ExecutorBuilder + ?Sized, P: RewritePass> {
     inner: &'a mut B,
     pass: P,
@@ -399,35 +556,6 @@ impl<B: ExecutorBuilder + ?Sized, P: RewritePass> ExecutorBuilder for RewritingB
     }
 }
 
-impl ExecutorBuilder for SimBuilder {
-    fn add_instance(&mut self, component: Box<dyn Component>) -> InstanceId {
-        SimBuilder::add_instance(self, component)
-    }
-
-    fn set_service_time(&mut self, id: InstanceId, service: Time) {
-        SimBuilder::set_service_time(self, id, service);
-    }
-
-    fn add_channel(&mut self, cfg: ChannelConfig) -> ChannelId {
-        SimBuilder::add_channel(self, cfg)
-    }
-
-    fn connect(
-        &mut self,
-        from: InstanceId,
-        out_port: PortId,
-        to: InstanceId,
-        in_port: PortId,
-        channel: ChannelId,
-    ) {
-        SimBuilder::connect(self, from, out_port, to, in_port, channel);
-    }
-
-    fn inject(&mut self, at: Time, to: InstanceId, port: PortId, msg: Message) {
-        SimBuilder::inject(self, at, to, port, msg);
-    }
-}
-
 /// Selects the execution substrate a topology should run on, with the
 /// per-backend knobs.
 ///
@@ -438,7 +566,7 @@ impl ExecutorBuilder for SimBuilder {
 /// [`crate::dist::run_dist`]).
 #[derive(Debug, Clone)]
 pub enum BackendSpec {
-    /// The deterministic discrete-event simulator ([`crate::sim::SimBuilder`]).
+    /// The deterministic discrete-event simulator ([`crate::sim::Simulator`]).
     Sim,
     /// The in-process multi-worker parallel executor
     /// ([`crate::par::ParBuilder`]).
@@ -536,8 +664,8 @@ impl LocalExecutor {
 }
 
 /// Build the in-process executor `backend` selects, seeded with `seed`,
-/// and run `assemble` against its builder. This is the one place a
-/// [`BackendSpec`] is turned into a [`SimBuilder`] or [`ParBuilder`];
+/// from the [`Topology`] `assemble` records. This is the one place a
+/// [`BackendSpec`] is turned into a [`Simulator`] or a [`ParExecutor`];
 /// returns the executor plus whatever the assembly produced (sinks,
 /// instance ids, rewrite accounting).
 ///
@@ -551,9 +679,9 @@ pub fn build_local<T>(
 ) -> Result<(LocalExecutor, T), BackendError> {
     match backend {
         BackendSpec::Sim => {
-            let mut b = SimBuilder::new(seed);
-            let out = assemble(&mut b);
-            Ok((LocalExecutor::Sim(b.build()), out))
+            let mut topology = Topology::new();
+            let out = assemble(&mut topology);
+            Ok((LocalExecutor::Sim(Simulator::new(topology, seed)), out))
         }
         BackendSpec::Par { workers, tuning } => {
             let mut b = ParBuilder::new(seed)
@@ -720,14 +848,14 @@ mod tests {
     #[test]
     fn rewriting_builder_splices_gates_on_wires_and_injections() {
         let sink = CollectorSink::new();
-        let mut sim = SimBuilder::new(0);
-        let mut rb = RewritingBuilder::new(&mut sim, TagTarget::default());
+        let mut topology = Topology::new();
+        let mut rb = RewritingBuilder::new(&mut topology, TagTarget::default());
         assemble(&mut rb, sink.clone());
         let (_, stats) = rb.finish();
         assert_eq!(stats.injected_operators, 1, "one shared gate");
         assert_eq!(stats.rewritten_wires, 1, "src->target rerouted");
         assert_eq!(stats.redirected_injections, 1, "direct injection rerouted");
-        sim.build().run();
+        Simulator::new(topology, 0).run();
         // Both paths into `target` went through the +1000 tagger.
         let vals: std::collections::BTreeSet<i64> = sink
             .messages()
@@ -756,21 +884,58 @@ mod tests {
         assert_eq!(err(&BackendSpec::Dist(dist)), Some(BackendError::Dist));
     }
 
+    /// The identity pass records the same topology, wire for wire, as the
+    /// assembly does on its own — checked on the values before either
+    /// runs — and the two runs deliver the same messages.
     #[test]
     fn noop_pass_is_invisible() {
         let direct = CollectorSink::new();
-        let mut sim = SimBuilder::new(3);
-        assemble(&mut sim, direct.clone());
-        sim.build().run();
+        let mut plain = Topology::new();
+        assemble(&mut plain, direct.clone());
 
         let wrapped = CollectorSink::new();
-        let mut sim2 = SimBuilder::new(3);
-        let mut rb = RewritingBuilder::new(&mut sim2, NoopPass);
+        let mut rewritten = Topology::new();
+        let mut rb = RewritingBuilder::new(&mut rewritten, NoopPass);
         assemble(&mut rb, wrapped.clone());
         let (_, stats) = rb.finish();
         assert!(stats.is_untouched());
-        sim2.build().run();
+        assert_eq!(rewritten.wires().len(), 2);
+        assert_eq!(plain, rewritten);
+
+        Simulator::new(plain, 3).run();
+        Simulator::new(rewritten, 3).run();
         assert_eq!(direct.messages(), wrapped.messages());
+    }
+
+    /// Equality sees every part of a recording: one more injection, a
+    /// different service time or a rewired port tells two topologies
+    /// apart.
+    #[test]
+    fn recordings_differ_where_their_assemblies_do() {
+        let record = |tweak: &dyn Fn(&mut Topology)| {
+            let mut t = Topology::new();
+            assemble(&mut t, CollectorSink::new());
+            tweak(&mut t);
+            t
+        };
+        let base = record(&|_| {});
+        assert_eq!(base, record(&|_| {}));
+        let tweaks: [&dyn Fn(&mut Topology); 3] = [
+            &|t| t.inject(0, InstanceId(0), PortId(0), Message::Eos),
+            &|t| t.set_service_time(InstanceId(1), 5),
+            &|t| {
+                t.connect(
+                    InstanceId(0),
+                    PortId(1),
+                    InstanceId(2),
+                    PortId(0),
+                    ChannelId(0),
+                )
+            },
+        ];
+        for tweak in tweaks {
+            assert_ne!(base, record(tweak));
+        }
     }
 
     #[test]
@@ -817,8 +982,8 @@ mod tests {
         }
 
         let sink = CollectorSink::new();
-        let mut sim = SimBuilder::new(0);
-        let mut rb = RewritingBuilder::new(&mut sim, AbsorbDups::default());
+        let mut topology = Topology::new();
+        let mut rb = RewritingBuilder::new(&mut topology, AbsorbDups::default());
         let target = rb.add_instance(Box::new(FnComponent::new(
             "target",
             |_, msg, ctx: &mut Context| ctx.emit(0, msg),
@@ -831,7 +996,7 @@ mod tests {
         let (_, stats) = rb.finish();
         assert_eq!(stats.redirected_injections, 1);
         assert_eq!(stats.absorbed_injections, 2);
-        sim.build().run();
+        Simulator::new(topology, 0).run();
         assert_eq!(sink.len(), 1, "duplicates collapsed to one delivery");
     }
 }

@@ -33,13 +33,15 @@
 //! function `fn(&mut dyn ExecutorBuilder, params) -> sinks`. The parent
 //! ships each worker a tiny framed plan — name, parameter string, seed,
 //! process count, its own index — and every process (parent included)
-//! runs the *identical* assembly. Because assembly is deterministic, all
-//! processes agree on the global numbering of instances, channels and
-//! wires without ever serializing a component. Instance `i` is *owned* by
-//! process `i % processes`; a worker materializes only its own instances
-//! (through a builder that translates global ids to local
-//! [`crate::par::ParBuilder`] ids), while the parent assembles into a
-//! [`ProbeBuilder`] that records pure structure.
+//! records the *identical* assembly into a [`Topology`]. Because assembly
+//! is deterministic, all recordings agree on the global numbering of
+//! instances, channels and wires without ever serializing a component.
+//! Instance `i` is *owned* by process `i % processes`. The parent reads
+//! the routing table off its recording — which wires cross, with which
+//! channel — and drops the recording, components and injections with it,
+//! before any worker spawns. Each worker partitions its own recording:
+//! the local [`Topology`] keeps the instances it owns, the wires between
+//! them under their global numbers, and the injections addressed to them.
 //!
 //! Coordination injection composes untouched: `blazes-autocoord`'s
 //! rewrite pass runs *inside* the assembly function, below the
@@ -64,8 +66,9 @@
 //! [`wire::FrameDecoder::next_routed`], which leaves a data frame's
 //! message as the bytes it arrived as. The coordinator hashes those bytes
 //! for the replay filter and frames them straight into the destination's
-//! replay log; it never builds a [`Message`]. This is sound because the
-//! codec is canonical: for any message bytes the decoder accepts,
+//! replay log; it never builds a [`Message`](crate::message::Message).
+//! This is sound because the codec is canonical: for any message bytes
+//! the decoder accepts,
 //! [`wire::message_bytes`] of the decoded message gives the same bytes
 //! back, so hashes and the routed stream are what a decode-and-re-encode
 //! router would produce, byte for byte.
@@ -187,11 +190,8 @@ mod shell;
 pub mod wire;
 mod worker;
 
-use crate::backend::{ChannelId, ExecutorBuilder, PortId};
-use crate::channel::ChannelConfig;
-use crate::component::Component;
-use crate::message::Message;
-use crate::sim::{InstanceId, Time};
+use crate::backend::{ExecutorBuilder, Topology};
+use crate::sim::InstanceId;
 use crate::sinks::CollectorSink;
 pub use recover::{ChaosSpec, DistTuning, FailureCause, Kill, KillPoint, Transport};
 // A glob: naming `libtest_worker_command` here would read as a caller to
@@ -432,95 +432,9 @@ pub struct DistRun {
     pub stats: DistStats,
 }
 
-// ---------------------------------------------------------------------
-// Structure probe (parent-side assembly)
-// ---------------------------------------------------------------------
-
-/// One wire recorded by a [`ProbeBuilder`], in global numbering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeWire {
-    /// Producer instance (global id).
-    pub from: usize,
-    /// Producer output port.
-    pub out_port: usize,
-    /// Consumer instance (global id).
-    pub to: usize,
-    /// Consumer input port.
-    pub in_port: usize,
-    /// Channel handle the wire was connected over.
-    pub channel: usize,
-}
-
-/// An [`ExecutorBuilder`] that executes nothing: it records the pure
-/// structure of an assembly — instance count, channel configs and wires
-/// in global numbering. The parent runs the SPMD assembly through it to
-/// learn the routing table; it is also handy for asserting what a rewrite
-/// pass did to a graph without running it.
-#[derive(Debug, Default)]
-pub struct ProbeBuilder {
-    instances: usize,
-    channels: Vec<ChannelConfig>,
-    wires: Vec<ProbeWire>,
-}
-
-impl ProbeBuilder {
-    /// A fresh probe.
-    #[must_use]
-    pub fn new() -> Self {
-        ProbeBuilder::default()
-    }
-
-    /// Number of instances the assembly added.
-    #[must_use]
-    pub fn instances(&self) -> usize {
-        self.instances
-    }
-
-    /// Registered channel configurations, by handle.
-    #[must_use]
-    pub fn channels(&self) -> &[ChannelConfig] {
-        &self.channels
-    }
-
-    /// Recorded wires; a wire's global number is its index here.
-    #[must_use]
-    pub fn wires(&self) -> &[ProbeWire] {
-        &self.wires
-    }
-}
-
-impl ExecutorBuilder for ProbeBuilder {
-    fn add_instance(&mut self, _component: Box<dyn Component>) -> InstanceId {
-        self.instances += 1;
-        InstanceId(self.instances - 1)
-    }
-
-    fn set_service_time(&mut self, _id: InstanceId, _service: Time) {}
-
-    fn add_channel(&mut self, cfg: ChannelConfig) -> ChannelId {
-        self.channels.push(cfg);
-        ChannelId(self.channels.len() - 1)
-    }
-
-    fn connect(
-        &mut self,
-        from: InstanceId,
-        out_port: PortId,
-        to: InstanceId,
-        in_port: PortId,
-        channel: ChannelId,
-    ) {
-        self.wires.push(ProbeWire {
-            from: from.0,
-            out_port: out_port.0,
-            to: to.0,
-            in_port: in_port.0,
-            channel: channel.0,
-        });
-    }
-
-    fn inject(&mut self, _at: Time, _to: InstanceId, _port: PortId, _msg: Message) {}
-}
+/// The name the benchmark package builds assembly recordings under; a
+/// [`Topology`] is the one recording type.
+pub type ProbeBuilder = Topology;
 
 #[cfg(test)]
 mod tests {
@@ -528,12 +442,16 @@ mod tests {
     use super::harness::Pipe;
     use super::shell::{env_number, read_hello, worker_run, Conn, TempDir, DIR_SEQ};
     use super::worker::{
-        sink_result_frames, Control, DistWorkerBuilder, WorkerCore, SINK_SLICE_BYTES,
+        partition, sink_result_frames, Control, Partition, WorkerCore, EGRESS_WIRE_BASE,
+        SINK_SLICE_BYTES,
     };
     use super::*;
-    use crate::channel::WireFaults;
-    use crate::component::{Context, FnComponent};
+    use crate::backend::{ChannelId, PortId, Wire};
+    use crate::channel::{ChannelConfig, WireFaults};
+    use crate::component::{Component, Context, FnComponent};
+    use crate::message::Message;
     use crate::par::ParBuilder;
+    use crate::sim::Time;
     use crate::value::{Tuple, Value};
     use std::io::Write;
     use std::os::unix::net::UnixListener;
@@ -573,20 +491,50 @@ mod tests {
         assert_eq!(owner(5, 4), 1);
     }
 
+    /// A fan-out/fan-in toy: a source feeds three stages, each of which
+    /// feeds both sinks on a port of its own, so at every process count
+    /// wires stay local, cross and enter in every direction.
+    fn fan(b: &mut dyn ExecutorBuilder) -> SinkSet {
+        let src = b.add_instance(echo());
+        let ch = b.add_channel(ChannelConfig::lan().with_duplicates(0.1));
+        let stages: Vec<InstanceId> = (0..3).map(|_| b.add_instance(echo())).collect();
+        let sinks: SinkSet = (0..2)
+            .map(|_| {
+                let sink = CollectorSink::new();
+                (b.add_instance(Box::new(sink.clone())), sink)
+            })
+            .collect();
+        for (port, &stage) in stages.iter().enumerate() {
+            b.connect(src, PortId(0), stage, PortId(0), ch);
+            for (sink, _) in &sinks {
+                b.connect(stage, PortId(0), *sink, PortId(port), ch);
+            }
+        }
+        for i in 0..5i64 {
+            b.inject(i as Time, src, PortId(0), Message::data([i]));
+        }
+        sinks
+    }
+
+    /// Record `assembly` and cut process `index` of `processes` out of
+    /// the recording, as a worker does.
+    fn part(
+        assembly: fn(&mut dyn ExecutorBuilder) -> SinkSet,
+        index: usize,
+        processes: usize,
+    ) -> (SinkSet, Partition) {
+        let mut recording = Topology::new();
+        let sinks = assembly(&mut recording);
+        (sinks, partition(recording, index, processes))
+    }
+
     /// Global numbering must be identical no matter which index runs the
     /// assembly, and cross wiring must mirror: a wire leaving partition A
     /// is in B's ingress table, never in A's.
     #[test]
     fn spmd_numbering_and_cross_wiring_agree() {
-        let mut pb0 = ParBuilder::new(1);
-        let (mut b0, _rx0, _q0) = DistWorkerBuilder::new(&mut pb0, 0, 2);
-        let sinks0 = chain(&mut b0);
-        let in0 = b0.ingress;
-
-        let mut pb1 = ParBuilder::new(1);
-        let (mut b1, _rx1, _q1) = DistWorkerBuilder::new(&mut pb1, 1, 2);
-        let sinks1 = chain(&mut b1);
-        let in1 = b1.ingress;
+        let (sinks0, Partition { ingress: in0, .. }) = part(chain, 0, 2);
+        let (sinks1, Partition { ingress: in1, .. }) = part(chain, 1, 2);
 
         assert_eq!(sinks0[0].0, sinks1[0].0, "global sink ids agree");
         // Instances 0 (a) and 2 (s) are owned by 0; instance 1 (m) by 1.
@@ -613,17 +561,19 @@ mod tests {
         assert_eq!(expected.len(), 50);
 
         // Partitioned: two runtimes, manual router.
-        let mut pb0 = ParBuilder::new(9).with_workers(2);
-        let (mut b0, rx0, q0) = DistWorkerBuilder::new(&mut pb0, 0, 2);
-        let sinks0 = chain(&mut b0);
-        let in0 = b0.ingress;
-        let mut pb1 = ParBuilder::new(9).with_workers(2);
-        let (mut b1, rx1, q1) = DistWorkerBuilder::new(&mut pb1, 1, 2);
-        let _sinks1 = chain(&mut b1);
-        let in1 = b1.ingress;
-
-        let r0 = pb0.build().start();
-        let r1 = pb1.build().start();
+        let start = |partition: Topology| {
+            ParBuilder::new(9)
+                .with_workers(2)
+                .with_topology(partition)
+                .build()
+                .start()
+        };
+        let (sinks0, p0) = part(chain, 0, 2);
+        let (_, p1) = part(chain, 1, 2);
+        let (in0, rx0, q0) = (p0.ingress, p0.egress, p0.queued);
+        let (in1, rx1, q1) = (p1.ingress, p1.egress, p1.queued);
+        let r0 = start(p0.topology);
+        let r1 = start(p1.topology);
         let mut moved = (0u64, 0u64);
         // Shuttle until both partitions quiesce with drained queues.
         loop {
@@ -662,47 +612,140 @@ mod tests {
     fn registry_dispatches_by_name() {
         let mut reg = Registry::new();
         reg.register("chain", |b, _params| chain(b));
-        let mut probe = ProbeBuilder::new();
-        let sinks = reg.assemble("chain", "", &mut probe).unwrap();
-        assert_eq!(probe.instances(), 3);
-        assert_eq!(probe.wires().len(), 2);
+        let mut recording = Topology::new();
+        let sinks = reg.assemble("chain", "", &mut recording).unwrap();
+        assert_eq!(recording.instance_names().len(), 3);
+        assert_eq!(recording.wires().len(), 2);
         assert_eq!(sinks.len(), 1);
         assert!(matches!(
-            reg.assemble("nope", "", &mut ProbeBuilder::new()),
+            reg.assemble("nope", "", &mut Topology::new()),
             Err(DistError::UnknownTopology(_))
         ));
     }
 
-    /// The probe records wires in global numbering with their channels.
+    /// Partitioning loses and doubles nothing, at every process count:
+    /// each instance is owned by exactly one process; each wire is either
+    /// a local wire under its own number or, when it crosses, an egress
+    /// shim on the producer's owner plus an ingress entry on the
+    /// consumer's owner; each injection reaches its instance's owner; and
+    /// the wires each process's shims feed are the cross wires the router
+    /// expects it to produce. No partition runs.
     #[test]
-    fn probe_builder_records_structure() {
+    fn partitions_own_each_instance_once_and_carry_each_wire_once() {
+        for assembly in [chain as fn(&mut dyn ExecutorBuilder) -> SinkSet, fan] {
+            let mut global = Topology::new();
+            assembly(&mut global);
+            let names: Vec<&str> = global.instance_names().collect();
+            for processes in 1..=4 {
+                let (_, origin_wires) = Router::<Pipe>::new(&global, processes, 0);
+                let local_id = |g: InstanceId| InstanceId(g.0 / processes);
+                let mut owned = vec![0; names.len()];
+                // Per global wire: local copies, egress shims, ingress entries.
+                let mut seen = vec![(0, 0, 0); global.wires().len()];
+                let mut injections = 0;
+                for (index, origin) in origin_wires.iter().enumerate() {
+                    let Partition {
+                        topology, ingress, ..
+                    } = part(assembly, index, processes).1;
+                    let local: Vec<&str> = topology.instance_names().collect();
+                    let mine: Vec<usize> = (index..names.len()).step_by(processes).collect();
+                    for (k, &g) in mine.iter().enumerate() {
+                        assert_eq!(local[k], names[g], "owned instances come first, in order");
+                        owned[g] += 1;
+                    }
+                    assert!(local[mine.len()..].iter().all(|&n| n == "dist-egress"));
+                    let mut egress = Vec::new();
+                    for w in topology.wires() {
+                        if let Some(n) = w.number.checked_sub(EGRESS_WIRE_BASE) {
+                            let g = global.wires()[n as usize];
+                            assert_eq!(owner(g.from.0, processes), index);
+                            assert_eq!((w.from, w.out_port), (local_id(g.from), g.out_port));
+                            assert_eq!(local[w.to.0], "dist-egress");
+                            assert_eq!(w.in_port, PortId(0));
+                            seen[n as usize].1 += 1;
+                            egress.push(n);
+                        } else {
+                            let g = global.wires()[w.number as usize];
+                            let expected = Wire {
+                                from: local_id(g.from),
+                                to: local_id(g.to),
+                                ..g
+                            };
+                            assert_eq!(*w, expected);
+                            seen[w.number as usize].0 += 1;
+                        }
+                    }
+                    for (&n, &entry) in &ingress {
+                        let g = global.wires()[n as usize];
+                        assert_eq!(owner(g.to.0, processes), index);
+                        assert_ne!(owner(g.from.0, processes), index);
+                        assert_eq!(entry, (local_id(g.to), g.in_port));
+                        seen[n as usize].2 += 1;
+                    }
+                    assert_eq!(&egress, origin, "P={processes} process {index}");
+                    for (_, to, _, _) in &topology.injections {
+                        assert!(to.0 < mine.len(), "injected into an owned instance");
+                    }
+                    injections += topology.injections.len();
+                }
+                assert!(owned.iter().all(|&n| n == 1), "P={processes}: {owned:?}");
+                assert!(
+                    seen.iter().all(|&s| s == (1, 0, 0) || s == (0, 1, 1)),
+                    "P={processes}: {seen:?}"
+                );
+                assert_eq!(injections, global.injections.len());
+            }
+        }
+    }
+
+    /// A recording refuses a handle it does not know at the call that
+    /// names it, on every backend alike: here, a service time for a
+    /// missing instance.
+    #[test]
+    #[should_panic(expected = "set_service_time: unknown instance InstanceId(1)")]
+    fn a_service_time_for_an_unknown_instance_is_refused_at_the_call() {
+        let mut probe = ProbeBuilder::new();
+        probe.add_instance(echo());
+        probe.set_service_time(InstanceId(1), 5);
+    }
+
+    /// A wire to a missing instance is refused when it is connected, not
+    /// when a message first travels it.
+    #[test]
+    #[should_panic(expected = "connect: unknown instance InstanceId(1)")]
+    fn a_wire_to_an_unknown_instance_is_refused_at_the_call() {
         let mut probe = ProbeBuilder::new();
         let a = probe.add_instance(echo());
-        let b2 = probe.add_instance(echo());
-        let ch = probe.add_channel(ChannelConfig::lan().with_loss(0.25));
-        probe.connect(a, PortId(0), b2, PortId(0), ch);
-        assert_eq!(probe.instances(), 2);
-        assert_eq!(
-            probe.wires(),
-            &[ProbeWire {
-                from: 0,
-                out_port: 0,
-                to: 1,
-                in_port: 0,
-                channel: 0
-            }]
-        );
-        assert!(probe.channels()[0].loss_prob > 0.2);
+        let ch = probe.add_channel(ChannelConfig::instant());
+        probe.connect(a, PortId(0), InstanceId(1), PortId(0), ch);
+    }
+
+    /// A wire over a channel nobody registered is refused.
+    #[test]
+    #[should_panic(expected = "connect: unknown channel ch0")]
+    fn a_wire_over_an_unknown_channel_is_refused_at_the_call() {
+        let mut probe = ProbeBuilder::new();
+        let a = probe.add_instance(echo());
+        let b = probe.add_instance(echo());
+        probe.connect(a, PortId(0), b, PortId(0), ChannelId(0));
+    }
+
+    /// An injection into a missing instance is refused when it is
+    /// recorded, not when the run starts.
+    #[test]
+    #[should_panic(expected = "inject: unknown instance InstanceId(0)")]
+    fn an_injection_to_an_unknown_instance_is_refused_at_the_call() {
+        ProbeBuilder::new().inject(0, InstanceId(0), PortId(0), Message::Eos);
     }
 
     /// Two instances, one fault-free wire (wire 0) from instance `from` to
     /// the other: in a 2-process run it crosses `from` → `1 - from`.
-    fn one_cross_wire(from: usize) -> ProbeBuilder {
-        let mut probe = ProbeBuilder::new();
-        let ids = [probe.add_instance(echo()), probe.add_instance(echo())];
-        let ch = probe.add_channel(ChannelConfig::instant());
-        probe.connect(ids[from], PortId(0), ids[1 - from], PortId(0), ch);
-        probe
+    fn one_cross_wire(from: usize) -> Topology {
+        let mut topology = Topology::new();
+        let ids = [topology.add_instance(echo()), topology.add_instance(echo())];
+        let ch = topology.add_channel(ChannelConfig::instant());
+        topology.connect(ids[from], PortId(0), ids[1 - from], PortId(0), ch);
+        topology
     }
 
     fn data(wire: u64, seq: u64) -> Frame {
@@ -771,11 +814,8 @@ mod tests {
     /// A coordinator over two workers whose first incarnations said hello
     /// on connections 1 and 2, with wire 0 crossing 1 → 0. Returns it with
     /// each worker's connection, the plans already taken off them.
-    fn test_coordinator<'a>(
-        spec: &'a DistSpec,
-        probe: &ProbeBuilder,
-    ) -> (Coord<'a, Pipe>, [Pipe; 2]) {
-        let (mut coord, spawns) = Coord::new(spec, probe, Vec::new(), Duration::ZERO);
+    fn test_coordinator(spec: &DistSpec, topology: Topology) -> (Coord<'_, Pipe>, [Pipe; 2]) {
+        let (mut coord, spawns) = Coord::new(spec, topology, Vec::new(), Duration::ZERO);
         assert_eq!(spawns.len(), 2);
         let pipes = [Pipe::default(), Pipe::default()];
         for (worker, pipe) in pipes.iter().enumerate() {
@@ -822,8 +862,7 @@ mod tests {
                 point: KillPoint::RoutedFrames(2),
             }],
         };
-        let probe = one_cross_wire(1);
-        let (mut coord, [theirs, _]) = test_coordinator(&spec, &probe);
+        let (mut coord, [theirs, _]) = test_coordinator(&spec, one_cross_wire(1));
 
         let batch = (0..5).map(|seq| data(0, seq)).collect();
         let effects = coord.step(Duration::ZERO, frames(1, batch)).unwrap();
@@ -847,9 +886,8 @@ mod tests {
     /// its own connection died: those are a dead incarnation's bytes.
     #[test]
     fn batch_is_handled_whole_unless_its_connection_dies() {
-        let probe = one_cross_wire(1);
         let mut spec = DistSpec::new("", "", vec![String::new()]);
-        let (mut coord, _) = test_coordinator(&spec, &probe);
+        let (mut coord, _) = test_coordinator(&spec, one_cross_wire(1));
         let batch = vec![Frame::Heartbeat, data(0, 0), data(0, 1)];
         coord
             .step(Duration::ZERO, frames(1, batch.clone()))
@@ -870,7 +908,7 @@ mod tests {
                 point: KillPoint::Heartbeats(1),
             }],
         };
-        let (mut coord, _) = test_coordinator(&spec, &probe);
+        let (mut coord, _) = test_coordinator(&spec, one_cross_wire(1));
         coord.step(Duration::ZERO, frames(1, batch)).unwrap();
         assert!(
             matches!(coord.slots[1].life, Life::Down { .. }),
@@ -885,8 +923,7 @@ mod tests {
     #[test]
     fn a_second_hello_from_a_live_incarnation_is_ignored() {
         let spec = DistSpec::new("", "", vec![String::new()]);
-        let probe = one_cross_wire(1);
-        let (mut coord, _) = test_coordinator(&spec, &probe);
+        let (mut coord, _) = test_coordinator(&spec, one_cross_wire(1));
         coord
             .step(Duration::ZERO, frames(1, vec![data(0, 0), data(0, 1)]))
             .unwrap();
@@ -919,8 +956,7 @@ mod tests {
     #[test]
     fn an_out_of_range_hello_writes_nothing_and_changes_no_slot() {
         let spec = DistSpec::new("", "", vec![String::new()]);
-        let probe = one_cross_wire(1);
-        let (mut coord, _) = test_coordinator(&spec, &probe);
+        let (mut coord, _) = test_coordinator(&spec, one_cross_wire(1));
         let lives = |c: &Coord<'_, Pipe>| {
             c.slots
                 .iter()
@@ -946,8 +982,7 @@ mod tests {
     #[test]
     fn a_repeated_sequence_number_is_a_protocol_error() {
         let spec = DistSpec::new("", "", vec![String::new()]);
-        let probe = one_cross_wire(1);
-        let (mut coord, _) = test_coordinator(&spec, &probe);
+        let (mut coord, _) = test_coordinator(&spec, one_cross_wire(1));
         let batch = vec![data(0, 0), data(0, 0)];
         assert!(matches!(
             coord.step(Duration::ZERO, frames(1, batch)),

@@ -9,7 +9,8 @@ use super::recover::{
     backoff_for, FailureCause, KillPoint, Outbox, ReplayDedup, SeqLedger, SeqVerdict,
 };
 use super::wire::{self, Frame, FrameDecoder, Routed, WireError};
-use super::{owner, DistError, DistRun, DistSpec, DistStats, ProbeBuilder, SinkSet};
+use super::{owner, DistError, DistRun, DistSpec, DistStats, SinkSet};
+use crate::backend::Topology;
 use crate::channel::WireFaults;
 use std::collections::HashMap;
 use std::io::Write;
@@ -129,8 +130,8 @@ pub(super) enum Effect {
 struct WireRoute {
     /// Owner of the consumer — where frames of this wire go.
     dest: usize,
-    /// Loss/duplication schedule — the one a local [`crate::par::ParBuilder`]
-    /// wire would draw.
+    /// Loss/duplication schedule — the one the wire would draw on a local
+    /// par runtime.
     faults: Option<WireFaults>,
     /// Delivery ordinal of the next frame routed on the wire.
     next_seq: u64,
@@ -163,26 +164,25 @@ pub(super) struct Router<W> {
 }
 
 impl<W: Write> Router<W> {
-    /// A router for `processes` workers over the cross wires of `probe`,
-    /// with their fault schedules seeded from `seed`. Also returns, per
-    /// worker, the cross wires it produces.
-    pub(super) fn new(probe: &ProbeBuilder, processes: usize, seed: u64) -> (Self, Vec<Vec<u64>>) {
+    /// A router for `processes` workers over the cross wires of
+    /// `topology`, with their fault schedules seeded from `seed`. Also
+    /// returns, per worker, the cross wires it produces.
+    pub(super) fn new(topology: &Topology, processes: usize, seed: u64) -> (Self, Vec<Vec<u64>>) {
         let mut routes = HashMap::new();
         let mut origin_wires = vec![Vec::new(); processes];
-        for (wire_id, w) in probe.wires().iter().enumerate() {
-            let (from, to) = (owner(w.from, processes), owner(w.to, processes));
+        for w in topology.wires() {
+            let (from, to) = (owner(w.from.0, processes), owner(w.to.0, processes));
             if from == to {
                 continue;
             }
-            let wire_id = wire_id as u64;
-            origin_wires[from].push(wire_id);
-            let faults = WireFaults::new(&probe.channels()[w.channel], seed, wire_id);
+            origin_wires[from].push(w.number);
+            let faults = WireFaults::new(&topology.channels()[w.channel.0], seed, w.number);
             let route = WireRoute {
                 dest: to,
                 faults,
                 next_seq: 0,
             };
-            routes.insert(wire_id, route);
+            routes.insert(w.number, route);
         }
         let router = Router {
             routes,
@@ -328,17 +328,20 @@ pub(super) struct Coord<'a, W> {
 }
 
 impl<'a, W: Write> Coord<'a, W> {
-    /// A coordinator for `spec`, whose assembly `probe` recorded and
+    /// A coordinator for `spec`, whose assembly `topology` recorded and
     /// whose sinks collection fills, started at `now`. Returns it with
-    /// the spawns of every worker's first incarnation.
+    /// the spawns of every worker's first incarnation. Only the routing
+    /// table outlives this call: the recording, components and injections
+    /// with it, is dropped before any worker spawns.
     pub(super) fn new(
         spec: &'a DistSpec,
-        probe: &ProbeBuilder,
+        topology: Topology,
         sinks: SinkSet,
         now: Duration,
     ) -> (Self, Vec<Effect>) {
         let processes = spec.processes;
-        let (router, origin_wires) = Router::new(probe, processes, spec.seed);
+        let (router, origin_wires) = Router::new(&topology, processes, spec.seed);
+        drop(topology);
         let slots = (0..processes)
             .map(|_| Slot {
                 life: Life::Awaiting { since: now },

@@ -9,12 +9,12 @@
 use super::coord::{Coord, Effect, Input, Phase, Received};
 use super::wire::{self, Frame, FrameDecoder};
 use super::worker::{Control, EgressFrame, WorkerCore};
-use super::{ChaosSpec, DistRun, DistSpec, Kill, KillPoint, ProbeBuilder, Registry, SinkSet};
-use crate::backend::{ExecutorBuilder, PortId};
+use super::{ChaosSpec, DistRun, DistSpec, Kill, KillPoint, Registry, SinkSet};
+use crate::backend::{ExecutorBuilder, PortId, Topology};
 use crate::channel::ChannelConfig;
 use crate::component::{Component, Context, FnComponent};
 use crate::message::Message;
-use crate::sim::SimBuilder;
+use crate::sim::Simulator;
 use crate::sinks::CollectorSink;
 use crate::value::{Tuple, Value};
 use std::cell::RefCell;
@@ -180,12 +180,12 @@ impl Incarnation {
 /// On any protocol error, when the run is not quiescent at `Collect`, and
 /// when the run takes a minute of wall time.
 pub(super) fn run(spec: &DistSpec, registry: &Registry) -> DistRun {
-    let mut probe = ProbeBuilder::new();
+    let mut topology = Topology::new();
     let sinks = registry
-        .assemble(&spec.topology, &spec.params, &mut probe)
+        .assemble(&spec.topology, &spec.params, &mut topology)
         .expect("registered topology");
     let mut now = Duration::ZERO;
-    let (mut coord, spawns) = Coord::new(spec, &probe, sinks, now);
+    let (mut coord, spawns) = Coord::new(spec, topology, sinks, now);
     let mut effects: VecDeque<Effect> = spawns.into();
     let mut workers: Vec<Option<Incarnation>> = (0..spec.processes).map(|_| None).collect();
     let mut conns = 0;
@@ -370,9 +370,9 @@ fn a_kill_at_every_routed_frame_boundary_ends_on_the_simulator_sinks() {
     registry.register(SWEEP_TOPOLOGY, sweep_assembly);
     let mut kill_points = 0u64;
     for (processes, seed) in [(2, 1), (3, 2), (2, 3), (3, 4)] {
-        let mut sim = SimBuilder::new(seed);
-        let sinks = sweep_assembly(&mut sim, "");
-        let _ = sim.build().run();
+        let mut topology = Topology::new();
+        let sinks = sweep_assembly(&mut topology, "");
+        let _ = Simulator::new(topology, seed).run();
         let reference = multisets(&sinks);
         assert!(reference.iter().all(|m| m.len() == MESSAGES as usize));
         for victim in 0..processes {

@@ -8,7 +8,8 @@ use super::coord::{Coord, Effect, Input, Received, HELLO_TIMEOUT};
 use super::recover::{FailureCause, Transport, FLUSH_BYTES};
 use super::wire::{self, Frame, FrameDecoder};
 use super::worker::{Control, WorkerCore};
-use super::{DistError, DistRun, DistSpec, ProbeBuilder, Registry, ENV_EPOCH, ENV_INDEX};
+use super::{DistError, DistRun, DistSpec, Registry, ENV_EPOCH, ENV_INDEX};
+use crate::backend::Topology;
 use std::ffi::OsString;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -287,7 +288,7 @@ fn reader_loop(worker: usize, conn_id: u64, mut conn: Conn, tx: &mpsc::Sender<In
 
 /// Execute `spec` across real worker processes and collect the sinks.
 ///
-/// The parent probes the assembly for structure, binds a listening
+/// The parent records the assembly for its routing table, binds a listening
 /// socket (Unix by default, loopback TCP via
 /// [`super::DistTuning::with_transport`]), spawns `spec.processes`
 /// workers with `ENV_PARENT`/[`ENV_INDEX`]/[`ENV_EPOCH`] set, ships each
@@ -308,9 +309,10 @@ pub fn run_dist(spec: &DistSpec, registry: &Registry) -> Result<DistRun, DistErr
     assert!(spec.workers_per_process >= 1, "at least one worker thread");
     assert!(!spec.worker_command.is_empty(), "empty worker command");
 
-    // Learn the structure by running the SPMD assembly against a probe.
-    let mut probe = ProbeBuilder::new();
-    let sinks = registry.assemble(&spec.topology, &spec.params, &mut probe)?;
+    // Record the SPMD assembly; the coordinator reads its routing table
+    // off the recording and drops the rest.
+    let mut topology = Topology::new();
+    let sinks = registry.assemble(&spec.topology, &spec.params, &mut topology)?;
 
     // Bind the endpoint. Unix sockets live in a private temp dir that is
     // cleaned up whatever happens; TCP binds an ephemeral loopback port.
@@ -366,7 +368,7 @@ pub fn run_dist(spec: &DistSpec, registry: &Registry) -> Result<DistRun, DistErr
     };
     let mut readers = Vec::new();
     let start = Instant::now();
-    let (mut coord, mut effects) = Coord::new(spec, &probe, sinks, Duration::ZERO);
+    let (mut coord, mut effects) = Coord::new(spec, topology, sinks, Duration::ZERO);
     let mut last_sweep = start;
     let run = 'run: loop {
         for effect in effects.drain(..) {

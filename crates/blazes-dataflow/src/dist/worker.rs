@@ -1,11 +1,11 @@
-//! The worker side of the protocol, without a socket: the partition
-//! builder, and [`WorkerCore`] — a worker once its plan has arrived. The
+//! The worker side of the protocol, without a socket: [`partition`], and
+//! [`WorkerCore`] — a worker once its plan has arrived. The
 //! shell's control loop and the in-memory harness drive it alike, feeding
 //! it frames and the count of egress frames written so far.
 
 use super::wire::{self, Frame, WireError, MAX_FRAME};
 use super::{owner, DistError, Registry, SinkSet};
-use crate::backend::{ChannelId, ExecutorBuilder, PortId};
+use crate::backend::{ChannelId, Instance, PortId, Topology, Wire};
 use crate::channel::ChannelConfig;
 use crate::component::{Component, Context};
 use crate::message::Message;
@@ -19,7 +19,7 @@ use std::time::Duration;
 /// Wire numbers for the local producer→egress hops, far above any global
 /// wire number. Egress hops use [`ChannelConfig::instant`] (no fault
 /// RNG), so the offset only keeps diagnostics unambiguous.
-const EGRESS_WIRE_BASE: u64 = 1 << 48;
+pub(super) const EGRESS_WIRE_BASE: u64 = 1 << 48;
 
 /// Payload bytes a [`Frame::SinkResult`] slice stays within: a sink
 /// travels as a run of slices the coordinator appends in order, so its
@@ -59,141 +59,98 @@ impl Component for Egress {
     }
 }
 
-/// An [`ExecutorBuilder`] over a [`ParBuilder`] that realizes one
-/// process's partition of an SPMD assembly.
-///
-/// Every process runs the identical assembly through one of these; the
-/// builder hands out *global* instance/channel ids (so the assembly sees
-/// the same ids everywhere) while materializing only what process
-/// `index` owns. Wires between two local instances are connected with
-/// their global wire number ([`ParBuilder`]'s fault streams key on it);
-/// wires leaving the partition get an egress shim; wires entering it
-/// are recorded in the ingress table for [`RunningPar::inject`] delivery.
-pub(crate) struct DistWorkerBuilder<'a> {
-    inner: &'a mut ParBuilder,
-    index: usize,
-    processes: usize,
-    /// Global instance id → local par id (`None` = owned elsewhere).
-    local_of: Vec<Option<InstanceId>>,
-    /// Global channel id → local par channel id.
-    local_channel: Vec<ChannelId>,
-    next_wire: u64,
-    egress_channel: Option<ChannelId>,
-    egress_queued: Arc<AtomicU64>,
-    egress_tx: mpsc::Sender<EgressFrame>,
-    /// Filled in as the assembly connects wires.
+/// Process `index`'s share of a recorded topology, ready to run.
+pub(super) struct Partition {
+    /// The instances it owns, in global order, then one egress shim per
+    /// cross wire they produce; the wires between owned instances under
+    /// their global numbers; every channel, plus an instant one for the
+    /// shims; the injections addressed to owned instances.
+    pub(super) topology: Topology,
+    /// Cross wires this process consumes.
     pub(super) ingress: Ingress,
+    /// The egress queue the shims feed.
+    pub(super) egress: mpsc::Receiver<EgressFrame>,
+    /// Egress frames enqueued so far: compare with the frames written to
+    /// decide the queue has drained.
+    pub(super) queued: Arc<AtomicU64>,
 }
 
-impl<'a> DistWorkerBuilder<'a> {
-    /// Wrap `inner` as process `index` of `processes`. Returns the
-    /// builder, the receiving end of its egress queue, and the shared
-    /// egress-enqueue counter (compare against frames actually written to
-    /// decide the queue has drained).
-    ///
-    /// # Panics
-    /// If `processes` is zero or `index` is out of range.
-    pub(super) fn new(
-        inner: &'a mut ParBuilder,
-        index: usize,
-        processes: usize,
-    ) -> (Self, mpsc::Receiver<EgressFrame>, Arc<AtomicU64>) {
-        assert!(processes >= 1, "at least one process");
-        assert!(index < processes, "index within process count");
-        let (tx, rx) = mpsc::channel();
-        let queued = Arc::new(AtomicU64::new(0));
-        (
-            DistWorkerBuilder {
-                inner,
-                index,
-                processes,
-                local_of: Vec::new(),
-                local_channel: Vec::new(),
-                next_wire: 0,
-                egress_channel: None,
-                egress_queued: Arc::clone(&queued),
-                egress_tx: tx,
-                ingress: BTreeMap::new(),
-            },
-            rx,
-            queued,
-        )
-    }
-}
-
-impl ExecutorBuilder for DistWorkerBuilder<'_> {
-    fn add_instance(&mut self, component: Box<dyn Component>) -> InstanceId {
-        let global = self.local_of.len();
-        let local = (owner(global, self.processes) == self.index)
-            .then(|| self.inner.add_instance(component));
-        self.local_of.push(local);
-        InstanceId(global)
-    }
-
-    fn set_service_time(&mut self, id: InstanceId, service: Time) {
-        if let Some(local) = self.local_of[id.0] {
-            self.inner.set_service_time(local, service);
-        }
-    }
-
-    fn add_channel(&mut self, cfg: ChannelConfig) -> ChannelId {
-        let local = self.inner.add_channel(cfg);
-        self.local_channel.push(local);
-        ChannelId(self.local_channel.len() - 1)
-    }
-
-    fn connect(
-        &mut self,
-        from: InstanceId,
-        out_port: PortId,
-        to: InstanceId,
-        in_port: PortId,
-        channel: ChannelId,
-    ) {
-        let wire = self.next_wire;
-        self.next_wire += 1;
-        match (self.local_of[from.0], self.local_of[to.0]) {
-            (Some(f), Some(t)) => {
-                self.inner.connect_numbered(
-                    f,
-                    out_port,
-                    t,
-                    in_port,
-                    self.local_channel[channel.0],
-                    wire,
-                );
+/// Cut process `index`'s partition out of `topology`, every process's
+/// identical recording of the SPMD assembly. A wire between two owned
+/// instances keeps its global number (the par runtime's fault streams key
+/// on it); a wire leaving the partition ends in an egress shim, over a
+/// local wire numbered [`EGRESS_WIRE_BASE`] + its global number; a wire
+/// entering it goes into the ingress table, for
+/// [`RunningPar::inject`] delivery. Everything owned elsewhere is dropped.
+///
+/// # Panics
+/// If `processes` is zero or `index` is out of range.
+pub(super) fn partition(topology: Topology, index: usize, processes: usize) -> Partition {
+    assert!(processes >= 1, "at least one process");
+    assert!(index < processes, "index within process count");
+    let Topology {
+        instances,
+        mut channels,
+        wires,
+        injections,
+    } = topology;
+    let egress_channel = ChannelId(channels.len());
+    channels.push(ChannelConfig::instant());
+    let mut local = Topology {
+        channels,
+        ..Topology::default()
+    };
+    // Global instance id → local id (`None` = owned elsewhere).
+    let local_of: Vec<Option<InstanceId>> = instances
+        .into_iter()
+        .enumerate()
+        .map(|(global, instance)| {
+            (owner(global, processes) == index).then(|| {
+                local.instances.push(instance);
+                InstanceId(local.instances.len() - 1)
+            })
+        })
+        .collect();
+    let (tx, egress) = mpsc::channel();
+    let queued = Arc::new(AtomicU64::new(0));
+    let mut ingress = Ingress::new();
+    for wire in wires {
+        match (local_of[wire.from.0], local_of[wire.to.0]) {
+            (Some(from), Some(to)) => local.wires.push(Wire { from, to, ..wire }),
+            (Some(from), None) => {
+                local.instances.push(Instance {
+                    component: Box::new(Egress {
+                        wire: wire.number,
+                        seq: 0,
+                        queued: Arc::clone(&queued),
+                        tx: tx.clone(),
+                    }),
+                    service: 0,
+                });
+                local.wires.push(Wire {
+                    from,
+                    out_port: wire.out_port,
+                    to: InstanceId(local.instances.len() - 1),
+                    in_port: PortId(0),
+                    channel: egress_channel,
+                    number: EGRESS_WIRE_BASE + wire.number,
+                });
             }
-            (Some(f), None) => {
-                let shim = self.inner.add_instance(Box::new(Egress {
-                    wire,
-                    seq: 0,
-                    queued: Arc::clone(&self.egress_queued),
-                    tx: self.egress_tx.clone(),
-                }));
-                let inner = &mut *self.inner;
-                let ch = *self
-                    .egress_channel
-                    .get_or_insert_with(|| inner.add_channel(ChannelConfig::instant()));
-                self.inner.connect_numbered(
-                    f,
-                    out_port,
-                    shim,
-                    PortId(0),
-                    ch,
-                    EGRESS_WIRE_BASE + wire,
-                );
-            }
-            (None, Some(t)) => {
-                self.ingress.insert(wire, (t, in_port));
+            (None, Some(to)) => {
+                ingress.insert(wire.number, (to, wire.in_port));
             }
             (None, None) => {}
         }
     }
-
-    fn inject(&mut self, at: Time, to: InstanceId, port: PortId, msg: Message) {
-        if let Some(local) = self.local_of[to.0] {
-            self.inner.inject(at, local, port, msg);
-        }
+    local.injections = injections
+        .into_iter()
+        .filter_map(|(at, to, port, msg)| Some((at, local_of[to.0]?, port, msg)))
+        .collect();
+    Partition {
+        topology: local,
+        ingress,
+        egress,
+        queued,
     }
 }
 
@@ -276,19 +233,25 @@ impl WorkerCore {
             obs.set_enabled(true);
         }
         let processes = processes as usize;
-        let mut pb = ParBuilder::new(seed)
+        let config = ParBuilder::new(seed)
             .with_workers(workers as usize)
             .with_tuning(ParTuning::default())
             .map_err(|e| DistError::Protocol(format!("plan carries an invalid par config: {e}")))?;
-        let (mut builder, egress, queued) = DistWorkerBuilder::new(&mut pb, index, processes);
-        let sinks = registry.assemble(&topology, &params, &mut builder)?;
+        let mut recording = Topology::new();
+        let sinks = registry.assemble(&topology, &params, &mut recording)?;
+        let Partition {
+            topology,
+            ingress,
+            egress,
+            queued,
+        } = partition(recording, index, processes);
         let core = WorkerCore {
-            ingress: builder.ingress,
+            ingress,
             index,
             processes,
             trace,
             heartbeat_every: Duration::from_millis(u64::from(heartbeat_ms.max(1))),
-            running: pb.build().start(),
+            running: config.with_topology(topology).build().start(),
             sinks,
             queued,
             recv: 0,

@@ -21,9 +21,10 @@
 //! * **Virtual time.** The clock only advances when events fire; runs are
 //!   instantaneous in wall-clock terms and fully reproducible.
 //!
-//! Components implement the [`component::Component`] trait and are wired
-//! into a [`sim::SimBuilder`]. See `blazes-storm` and `blazes-apps` for the
-//! engines and applications built on top.
+//! Components implement the [`component::Component`] trait; an assembly
+//! wires them into a [`backend::Topology`], which any backend runs — the
+//! simulator is [`sim::Simulator::new`]. See `blazes-storm` and
+//! `blazes-apps` for the engines and applications built on top.
 
 pub mod backend;
 pub mod channel;
@@ -38,14 +39,16 @@ pub mod value;
 
 /// Convenient re-exports.
 pub mod prelude {
-    pub use crate::backend::{BackendRunStats, BackendSpec, ChannelId, ExecutorBuilder, PortId};
+    pub use crate::backend::{
+        BackendRunStats, BackendSpec, ChannelId, ExecutorBuilder, PortId, Topology,
+    };
     pub use crate::channel::ChannelConfig;
     pub use crate::component::{Component, Context};
     pub use crate::dist::{DistSpec, DistStats, Registry};
     pub use crate::message::{Message, SealKey};
     pub use crate::metrics::{RunStats, TimeSeries};
     pub use crate::par::{ParBuilder, ParExecutor, ParStats};
-    pub use crate::sim::{InstanceId, SimBuilder, Simulator, Time};
+    pub use crate::sim::{InstanceId, Simulator, Time};
     pub use crate::sinks::{CollectorSink, CountingSink};
     pub use crate::value::{Tuple, Value};
 }

@@ -128,7 +128,7 @@
 //! virtual microseconds: it orders the events one instance observed but is
 //! not comparable across instances.
 
-use crate::backend::{ChannelId, ExecutorBuilder, PortId};
+use crate::backend::{ChannelId, ExecutorBuilder, Injection, PortId, Topology};
 use crate::channel::{ChannelConfig, WireFaults};
 use crate::component::{Component, Context};
 use crate::message::Message;
@@ -702,22 +702,13 @@ impl Shared {
     }
 }
 
-/// A wire as the builder records it: `(dst, dst_port, channel, wire_id)`.
-type WireSpec = (usize, usize, usize, u64);
-
-/// Builder for a parallel run: add instances, wire ports, inject inputs —
-/// the same assembly surface as [`crate::sim::SimBuilder`].
+/// A parallel run's configuration over the [`Topology`] its assembly
+/// records: the builder holds the recording, forwards every
+/// [`ExecutorBuilder`] call to it, and [`ParBuilder::build`] turns the two
+/// into a [`ParExecutor`].
 pub struct ParBuilder {
-    components: Vec<Box<dyn Component>>,
-    /// Outgoing wires, per instance, per output port.
-    wires: Vec<Vec<Vec<WireSpec>>>,
-    /// Modeled service time per instance (realized only when
-    /// [`ParTuning::virtual_service_ns`] is set).
-    service: Vec<Time>,
-    channels: Vec<ChannelConfig>,
-    injected: Vec<(Time, InstanceId, usize, Message)>,
+    topology: Topology,
     seed: u64,
-    next_wire_id: u64,
     workers: Option<usize>,
     tuning: ParTuning,
 }
@@ -728,13 +719,8 @@ impl ParBuilder {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         ParBuilder {
-            components: Vec::new(),
-            wires: Vec::new(),
-            service: Vec::new(),
-            channels: Vec::new(),
-            injected: Vec::new(),
+            topology: Topology::new(),
             seed,
-            next_wire_id: 0,
             workers: None,
             tuning: ParTuning::default(),
         }
@@ -760,6 +746,14 @@ impl ParBuilder {
         Ok(self)
     }
 
+    /// Run over `topology`, recorded elsewhere, in place of what this
+    /// builder recorded so far. The distributed backend builds a worker's
+    /// runtime from its partition of the assembly this way.
+    pub(crate) fn with_topology(mut self, topology: Topology) -> Self {
+        self.topology = topology;
+        self
+    }
+
     fn validate(&self) -> Result<(), ParConfigError> {
         if self.workers == Some(0) {
             return Err(ParConfigError::ZeroWorkers);
@@ -770,148 +764,71 @@ impl ParBuilder {
         Ok(())
     }
 
-    /// Add a component instance.
-    pub fn add_instance(&mut self, component: Box<dyn Component>) -> InstanceId {
-        let id = InstanceId(self.components.len());
-        self.components.push(component);
-        self.wires.push(Vec::new());
-        self.service.push(0);
-        id
-    }
-
-    /// Record the modeled service time for `id`. Ignored unless
-    /// [`ParTuning::virtual_service_ns`] realizes it as a wall-clock
-    /// spin per processed event.
-    pub fn set_service_time(&mut self, id: InstanceId, service: Time) {
-        self.service[id.0] = service;
-    }
-
-    /// Register a channel configuration and return its handle for reuse.
-    pub fn add_channel(&mut self, cfg: ChannelConfig) -> ChannelId {
-        self.channels.push(cfg);
-        ChannelId(self.channels.len() - 1)
-    }
-
-    /// Wire output `out_port` of `from` to input `in_port` of `to` over the
-    /// channel registered as `channel`. Wires are numbered in registration
-    /// order; the number seeds the wire's fault RNG stream, which is what
-    /// makes fault schedules independent of the worker count.
-    pub fn connect(
-        &mut self,
-        from: InstanceId,
-        out_port: PortId,
-        to: InstanceId,
-        in_port: PortId,
-        channel: ChannelId,
-    ) {
-        let wire_id = self.next_wire_id;
-        self.connect_numbered(from, out_port, to, in_port, channel, wire_id);
-    }
-
-    /// Wire with an explicitly assigned wire number. The distributed
-    /// backend numbers wires from the *topology-global* assembly counter
-    /// (which also counts wires owned by other processes), so a wire's
-    /// fault RNG stream is identical no matter which process ends up
-    /// running it.
-    pub(crate) fn connect_numbered(
-        &mut self,
-        from: InstanceId,
-        out_port: PortId,
-        to: InstanceId,
-        in_port: PortId,
-        channel: ChannelId,
-        wire_id: u64,
-    ) {
-        assert!(channel.0 < self.channels.len(), "unknown channel handle");
-        assert!(to.0 < self.components.len(), "unknown destination instance");
-        let wires = &mut self.wires[from.0];
-        if wires.len() <= out_port.0 {
-            wires.resize_with(out_port.0 + 1, Vec::new);
-        }
-        wires[out_port.0].push((to.0, in_port.0, channel.0, wire_id));
-        self.next_wire_id = self.next_wire_id.max(wire_id + 1);
-    }
-
-    /// Convenience: wire with a fresh channel config.
-    pub fn connect_with(
-        &mut self,
-        from: InstanceId,
-        out_port: PortId,
-        to: InstanceId,
-        in_port: PortId,
-        cfg: ChannelConfig,
-    ) {
-        let ch = self.add_channel(cfg);
-        self.connect(from, out_port, to, in_port, ch);
-    }
-
-    /// Inject an external message. `at` is an ordering key only (the
-    /// parallel backend has no virtual clock): injections are dispatched
-    /// in ascending `at`, ties in insertion order — the same order the
-    /// simulator's event queue would open with.
-    pub fn inject(&mut self, at: Time, to: InstanceId, port: PortId, msg: Message) {
-        self.injected.push((at, to, port.0, msg));
-    }
-
-    /// Finalize into a runnable [`ParExecutor`].
+    /// Finalize into a runnable [`ParExecutor`]. Each output port's wires
+    /// fire in registration order, each seeding its fault RNG stream from
+    /// its wire number — which is what makes fault schedules independent
+    /// of the worker count. Injections are dispatched in ascending `at`
+    /// (an ordering key only: this backend has no virtual clock), ties in
+    /// recording order — the same order the simulator's event queue opens
+    /// with.
     ///
     /// # Panics
     /// Panics on a configuration [`ParBuilder::with_tuning`] would reject
     /// (reachable only by pinning zero workers after, or without, it).
     #[must_use]
-    pub fn build(mut self) -> ParExecutor {
+    pub fn build(self) -> ParExecutor {
         if let Err(e) = self.validate() {
             panic!("invalid parallel configuration: {e}");
         }
+        let Topology {
+            instances,
+            channels,
+            wires,
+            mut injections,
+        } = self.topology;
         // An explicitly pinned count is honored as-is; only the derived
         // default is capped and clamped to the instance count.
         let workers = self
             .workers
-            .unwrap_or_else(|| default_workers().min(self.components.len().max(1)));
-        // Dispatch order: ascending injection time, insertion order on ties
-        // (stable sort), mirroring the simulator's opening event order.
-        self.injected.sort_by_key(|&(at, _, _, _)| at);
+            .unwrap_or_else(|| default_workers().min(instances.len().max(1)));
+        // Stable sort: insertion order on ties.
+        injections.sort_by_key(|&(at, ..)| at);
 
-        let seed = self.seed;
-        let channels = self.channels;
-        let slots: Vec<Slot> = self
-            .components
+        let mut cells: Vec<Cell> = instances
             .into_iter()
-            .zip(self.wires)
-            .zip(self.service)
-            .map(|((component, ports), service)| {
-                let wires = ports
-                    .into_iter()
-                    .map(|port_wires| {
-                        port_wires
-                            .into_iter()
-                            .map(|(dst, dst_port, channel, wire_id)| WireRt {
-                                dst,
-                                dst_port,
-                                faults: WireFaults::new(&channels[channel], seed, wire_id),
-                            })
-                            .collect()
-                    })
-                    .collect();
-                Slot {
-                    cell: InstanceCell::new(Cell {
-                        component,
-                        wires,
-                        processed: 0,
-                        now: 0,
-                        service,
-                        spec: None,
-                        deferred: VecDeque::new(),
-                        epoch_cache: HashMap::new(),
-                    }),
-                    mailbox: Mailbox::new(),
-                }
+            .map(|instance| Cell {
+                component: instance.component,
+                wires: Vec::new(),
+                processed: 0,
+                now: 0,
+                service: instance.service,
+                spec: None,
+                deferred: VecDeque::new(),
+                epoch_cache: HashMap::new(),
+            })
+            .collect();
+        for w in wires {
+            let ports = &mut cells[w.from.0].wires;
+            if ports.len() <= w.out_port.0 {
+                ports.resize_with(w.out_port.0 + 1, Vec::new);
+            }
+            ports[w.out_port.0].push(WireRt {
+                dst: w.to.0,
+                dst_port: w.in_port.0,
+                faults: WireFaults::new(&channels[w.channel.0], self.seed, w.number),
+            });
+        }
+        let slots = cells
+            .into_iter()
+            .map(|cell| Slot {
+                cell: InstanceCell::new(cell),
+                mailbox: Mailbox::new(),
             })
             .collect();
 
         ParExecutor {
             slots,
-            injected: self.injected,
+            injected: injections,
             workers,
             tuning: self.tuning,
         }
@@ -920,15 +837,17 @@ impl ParBuilder {
 
 impl ExecutorBuilder for ParBuilder {
     fn add_instance(&mut self, component: Box<dyn Component>) -> InstanceId {
-        ParBuilder::add_instance(self, component)
+        self.topology.add_instance(component)
     }
 
+    /// Realized only when [`ParTuning::virtual_service_ns`] is set, as a
+    /// wall-clock spin per processed event.
     fn set_service_time(&mut self, id: InstanceId, service: Time) {
-        ParBuilder::set_service_time(self, id, service);
+        self.topology.set_service_time(id, service);
     }
 
     fn add_channel(&mut self, cfg: ChannelConfig) -> ChannelId {
-        ParBuilder::add_channel(self, cfg)
+        self.topology.add_channel(cfg)
     }
 
     fn connect(
@@ -939,11 +858,11 @@ impl ExecutorBuilder for ParBuilder {
         in_port: PortId,
         channel: ChannelId,
     ) {
-        ParBuilder::connect(self, from, out_port, to, in_port, channel);
+        self.topology.connect(from, out_port, to, in_port, channel);
     }
 
     fn inject(&mut self, at: Time, to: InstanceId, port: PortId, msg: Message) {
-        ParBuilder::inject(self, at, to, port, msg);
+        self.topology.inject(at, to, port, msg);
     }
 }
 
@@ -1087,7 +1006,7 @@ impl ParStats {
 /// A runnable parallel execution.
 pub struct ParExecutor {
     slots: Vec<Slot>,
-    injected: Vec<(Time, InstanceId, usize, Message)>,
+    injected: Vec<Injection>,
     workers: usize,
     tuning: ParTuning,
 }
@@ -1171,7 +1090,7 @@ impl ParExecutor {
         // pushing them one at a time lets the workers start on the first
         // while the rest are still being dispatched.
         for (_, to, port, msg) in self.injected {
-            shared.external_push(std::iter::once(external_delivery(to, port, msg)));
+            shared.external_push(std::iter::once(external_delivery(to, port.0, msg)));
         }
 
         RunningPar {

@@ -11,8 +11,13 @@
 //! time*; an instance that is still busy when a delivery fires starts
 //! processing at its `busy_until` watermark. Queueing delay is therefore
 //! modeled without explicit queues.
+//!
+//! A simulation has no builder of its own: an assembly records a
+//! [`Topology`] through the shared [`crate::backend::ExecutorBuilder`]
+//! surface, and [`Simulator::new`] turns that value and a seed into a
+//! runnable simulation.
 
-use crate::backend::{ChannelId, PortId};
+use crate::backend::Topology;
 use crate::channel::ChannelConfig;
 use crate::component::{Component, Context};
 use crate::message::Message;
@@ -73,113 +78,6 @@ struct Instance {
     wires: Vec<Vec<Wire>>,
 }
 
-/// Builder for a simulation: add instances, wire ports, inject inputs.
-pub struct SimBuilder {
-    instances: Vec<Instance>,
-    channels: Vec<ChannelConfig>,
-    injected: Vec<(Time, InstanceId, PortId, Message)>,
-    seed: u64,
-}
-
-impl SimBuilder {
-    /// Start a new simulation with the given RNG seed.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        SimBuilder {
-            instances: Vec::new(),
-            channels: Vec::new(),
-            injected: Vec::new(),
-            seed,
-        }
-    }
-
-    /// Add a component instance with the default (zero) service time.
-    pub fn add_instance(&mut self, component: Box<dyn Component>) -> InstanceId {
-        let id = InstanceId(self.instances.len());
-        self.instances.push(Instance {
-            component,
-            service_time: 0,
-            busy_until: 0,
-            processed: 0,
-            wires: Vec::new(),
-        });
-        id
-    }
-
-    /// Set the per-message service time of an instance.
-    pub fn set_service_time(&mut self, id: InstanceId, service: Time) {
-        self.instances[id.0].service_time = service;
-    }
-
-    /// Register a channel configuration and return its handle for reuse.
-    pub fn add_channel(&mut self, cfg: ChannelConfig) -> ChannelId {
-        self.channels.push(cfg);
-        ChannelId(self.channels.len() - 1)
-    }
-
-    /// Wire output `out_port` of `from` to input `in_port` of `to` over the
-    /// channel registered as `channel`.
-    pub fn connect(
-        &mut self,
-        from: InstanceId,
-        out_port: PortId,
-        to: InstanceId,
-        in_port: PortId,
-        channel: ChannelId,
-    ) {
-        assert!(channel.0 < self.channels.len(), "unknown channel handle");
-        let wires = &mut self.instances[from.0].wires;
-        if wires.len() <= out_port.0 {
-            wires.resize_with(out_port.0 + 1, Vec::new);
-        }
-        wires[out_port.0].push(Wire {
-            dst: to,
-            dst_port: in_port.0,
-            channel: channel.0,
-            last_delivery: 0,
-        });
-    }
-
-    /// Convenience: wire with a fresh channel config.
-    pub fn connect_with(
-        &mut self,
-        from: InstanceId,
-        out_port: PortId,
-        to: InstanceId,
-        in_port: PortId,
-        cfg: ChannelConfig,
-    ) {
-        let ch = self.add_channel(cfg);
-        self.connect(from, out_port, to, in_port, ch);
-    }
-
-    /// Inject an external message (e.g. source input) at virtual time `at`.
-    pub fn inject(&mut self, at: Time, to: InstanceId, port: PortId, msg: Message) {
-        self.injected.push((at, to, port, msg));
-    }
-
-    /// Finalize into a runnable [`Simulator`].
-    #[must_use]
-    pub fn build(self) -> Simulator {
-        let mut sim = Simulator {
-            instances: self.instances,
-            channels: self.channels,
-            queue: BinaryHeap::new(),
-            rng: StdRng::seed_from_u64(self.seed),
-            next_seq: 0,
-            now: 0,
-            events_processed: 0,
-            messages_delivered: 0,
-            duplicates: 0,
-            retransmits: 0,
-        };
-        for (at, to, port, msg) in self.injected {
-            sim.push_event(at, to, port.0, msg);
-        }
-        sim
-    }
-}
-
 /// A runnable simulation.
 pub struct Simulator {
     instances: Vec<Instance>,
@@ -195,6 +93,57 @@ pub struct Simulator {
 }
 
 impl Simulator {
+    /// A simulation of `topology` whose delivery jitter, loss and
+    /// duplication draw from one RNG seeded with `seed`. Each output
+    /// port's wires fire in registration order, and the injections open
+    /// the event queue in the order they were recorded.
+    #[must_use]
+    pub fn new(topology: Topology, seed: u64) -> Self {
+        let Topology {
+            instances,
+            channels,
+            wires,
+            injections,
+        } = topology;
+        let mut sim = Simulator {
+            instances: instances
+                .into_iter()
+                .map(|i| Instance {
+                    component: i.component,
+                    service_time: i.service,
+                    busy_until: 0,
+                    processed: 0,
+                    wires: Vec::new(),
+                })
+                .collect(),
+            channels,
+            queue: BinaryHeap::new(),
+            rng: StdRng::seed_from_u64(seed),
+            next_seq: 0,
+            now: 0,
+            events_processed: 0,
+            messages_delivered: 0,
+            duplicates: 0,
+            retransmits: 0,
+        };
+        for w in wires {
+            let ports = &mut sim.instances[w.from.0].wires;
+            if ports.len() <= w.out_port.0 {
+                ports.resize_with(w.out_port.0 + 1, Vec::new);
+            }
+            ports[w.out_port.0].push(Wire {
+                dst: w.to,
+                dst_port: w.in_port.0,
+                channel: w.channel.0,
+                last_delivery: 0,
+            });
+        }
+        for (at, to, port, msg) in injections {
+            sim.push_event(at, to, port.0, msg);
+        }
+        sim
+    }
+
     fn push_event(&mut self, time: Time, instance: InstanceId, port: usize, msg: Message) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -326,6 +275,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{ExecutorBuilder, PortId};
     use crate::component::FnComponent;
     use crate::sinks::CollectorSink;
     use crate::value::Value;
@@ -338,14 +288,14 @@ mod tests {
 
     #[test]
     fn single_hop_delivery() {
-        let mut b = SimBuilder::new(42);
+        let mut b = Topology::new();
         let e = b.add_instance(echo());
         let sink = CollectorSink::new();
         let s = b.add_instance(Box::new(sink.clone()));
         b.connect_with(e, PortId(0), s, PortId(0), ChannelConfig::instant());
         b.inject(0, e, PortId(0), Message::data([1i64]));
         b.inject(0, e, PortId(0), Message::data([2i64]));
-        let mut sim = b.build();
+        let mut sim = Simulator::new(b, 42);
         let stats = sim.run();
         assert_eq!(sink.len(), 2);
         assert_eq!(stats.messages_delivered, 4); // 2 at echo + 2 at sink
@@ -354,7 +304,7 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_order() {
         let run = |seed: u64| -> Vec<Message> {
-            let mut b = SimBuilder::new(seed);
+            let mut b = Topology::new();
             let e = b.add_instance(echo());
             let sink = CollectorSink::new();
             let s = b.add_instance(Box::new(sink.clone()));
@@ -368,7 +318,7 @@ mod tests {
             for i in 0..50i64 {
                 b.inject(0, e, PortId(0), Message::data([i]));
             }
-            b.build().run();
+            Simulator::new(b, seed).run();
             sink.messages()
         };
         assert_eq!(run(7), run(7));
@@ -379,7 +329,7 @@ mod tests {
         // Two producers race into one sink; the interleaving depends on the
         // seed (per-wire FIFO holds, cross-wire order does not).
         let run = |seed: u64| -> Vec<Message> {
-            let mut b = SimBuilder::new(seed);
+            let mut b = Topology::new();
             let e1 = b.add_instance(echo());
             let e2 = b.add_instance(echo());
             let sink = CollectorSink::new();
@@ -402,7 +352,7 @@ mod tests {
                 b.inject(0, e1, PortId(0), Message::data([i]));
                 b.inject(0, e2, PortId(0), Message::data([100 + i]));
             }
-            b.build().run();
+            Simulator::new(b, seed).run();
             sink.messages()
         };
         assert_ne!(run(1), run(2));
@@ -419,7 +369,7 @@ mod tests {
             )
         });
         for (cfg, seed) in lossless.into_iter().chain(lossy) {
-            let mut b = SimBuilder::new(seed);
+            let mut b = Topology::new();
             let e = b.add_instance(echo());
             let sink = CollectorSink::new();
             let s = b.add_instance(Box::new(sink.clone()));
@@ -427,7 +377,7 @@ mod tests {
             for i in 0..50i64 {
                 b.inject(0, e, PortId(0), Message::data([i]));
             }
-            let stats = b.build().run();
+            let stats = Simulator::new(b, seed).run();
             assert_eq!(stats.retransmits > 0, cfg.loss_prob > 0.0, "seed {seed}");
             let expected: Vec<Message> = (0..50i64).map(|i| Message::data([i])).collect();
             assert_eq!(sink.messages(), expected, "seed {seed}");
@@ -441,7 +391,7 @@ mod tests {
     #[test]
     fn a_duplicate_may_trail_later_sends_on_its_wire() {
         let trailing = (0..8u64).any(|seed| {
-            let mut b = SimBuilder::new(seed);
+            let mut b = Topology::new();
             let e = b.add_instance(echo());
             let sink = CollectorSink::new();
             let s = b.add_instance(Box::new(sink.clone()));
@@ -452,7 +402,7 @@ mod tests {
             for i in 0..20i64 {
                 b.inject(0, e, PortId(0), Message::data([i]));
             }
-            b.build().run();
+            Simulator::new(b, seed).run();
             let sent: Vec<Message> = (0..20i64).map(|i| Message::data([i])).collect();
             let rank = |m: &Message| sent.iter().position(|x| x == m).expect("sent");
             let got: Vec<usize> = sink.messages().iter().map(rank).collect();
@@ -482,7 +432,7 @@ mod tests {
     fn service_time_serializes_processing() {
         // With a 1000 µs service time, 10 messages take >= 10_000 µs to
         // drain through a single instance.
-        let mut b = SimBuilder::new(0);
+        let mut b = Topology::new();
         let e = b.add_instance(echo());
         b.set_service_time(e, 1_000);
         let sink = CollectorSink::new();
@@ -491,14 +441,14 @@ mod tests {
         for i in 0..10i64 {
             b.inject(0, e, PortId(0), Message::data([i]));
         }
-        let mut sim = b.build();
+        let mut sim = Simulator::new(b, 0);
         let stats = sim.run();
         assert!(stats.end_time >= 10_000, "end={}", stats.end_time);
     }
 
     #[test]
     fn duplicates_are_delivered() {
-        let mut b = SimBuilder::new(3);
+        let mut b = Topology::new();
         let e = b.add_instance(echo());
         let sink = CollectorSink::new();
         let s = b.add_instance(Box::new(sink.clone()));
@@ -510,7 +460,7 @@ mod tests {
             ChannelConfig::instant().with_duplicates(1.0),
         );
         b.inject(0, e, PortId(0), Message::data([1i64]));
-        let mut sim = b.build();
+        let mut sim = Simulator::new(b, 3);
         let stats = sim.run();
         assert_eq!(stats.duplicates, 1);
         assert_eq!(sink.len(), 2);
@@ -518,7 +468,7 @@ mod tests {
 
     #[test]
     fn lost_messages_are_retransmitted() {
-        let mut b = SimBuilder::new(5);
+        let mut b = Topology::new();
         let e = b.add_instance(echo());
         let sink = CollectorSink::new();
         let s = b.add_instance(Box::new(sink.clone()));
@@ -530,7 +480,7 @@ mod tests {
             ChannelConfig::lan().with_loss(1.0),
         );
         b.inject(0, e, PortId(0), Message::data([1i64]));
-        let mut sim = b.build();
+        let mut sim = Simulator::new(b, 5);
         let stats = sim.run();
         assert_eq!(stats.retransmits, 1);
         // Still delivered exactly once, just late.
@@ -541,7 +491,7 @@ mod tests {
 
     #[test]
     fn fan_out_delivers_to_all_wires() {
-        let mut b = SimBuilder::new(0);
+        let mut b = Topology::new();
         let e = b.add_instance(echo());
         let s1 = CollectorSink::new();
         let s2 = CollectorSink::new();
@@ -556,7 +506,7 @@ mod tests {
             PortId(0),
             Message::Data(crate::value::Tuple::new([Value::Int(9)])),
         );
-        b.build().run();
+        Simulator::new(b, 0).run();
         assert_eq!(s1.len(), 1);
         assert_eq!(s2.len(), 1);
     }

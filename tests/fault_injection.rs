@@ -3,11 +3,11 @@
 
 use blazes::apps::wordcount::{run_wordcount, WordcountScenario};
 use blazes::apps::workload::TweetWorkload;
-use blazes::dataflow::backend::{BackendSpec, PortId};
+use blazes::dataflow::backend::{BackendSpec, ExecutorBuilder, PortId, Topology};
 use blazes::dataflow::channel::ChannelConfig;
 use blazes::dataflow::component::{Component, Context, FnComponent};
 use blazes::dataflow::message::Message;
-use blazes::dataflow::sim::SimBuilder;
+use blazes::dataflow::sim::Simulator;
 use blazes::dataflow::sinks::CollectorSink;
 use blazes::dataflow::value::Value;
 
@@ -24,7 +24,7 @@ fn echo() -> Box<dyn Component> {
 #[test]
 fn duplication_overcounts_without_coordination() {
     let n = 200usize;
-    let mut b = SimBuilder::new(42);
+    let mut b = Topology::new();
     let e = b.add_instance(echo());
     let sink = CollectorSink::new();
     let s = b.add_instance(Box::new(sink.clone()));
@@ -38,7 +38,7 @@ fn duplication_overcounts_without_coordination() {
     for i in 0..n {
         b.inject(0, e, PortId(0), Message::data([i as i64]));
     }
-    let stats = b.build().run();
+    let stats = Simulator::new(b, 42).run();
     assert!(stats.duplicates > 0, "duplication must have occurred");
     assert!(
         sink.len() > n,
@@ -54,7 +54,7 @@ fn duplication_overcounts_without_coordination() {
 #[test]
 fn loss_is_masked_by_retransmission() {
     let n = 150usize;
-    let mut b = SimBuilder::new(7);
+    let mut b = Topology::new();
     let e = b.add_instance(echo());
     let sink = CollectorSink::new();
     let s = b.add_instance(Box::new(sink.clone()));
@@ -68,7 +68,7 @@ fn loss_is_masked_by_retransmission() {
     for i in 0..n {
         b.inject(0, e, PortId(0), Message::data([i as i64]));
     }
-    let stats = b.build().run();
+    let stats = Simulator::new(b, 7).run();
     assert!(stats.retransmits > 0);
     assert_eq!(sink.len(), n, "every message eventually delivered");
     // FIFO holds even across retransmissions (head-of-line blocking).
@@ -262,7 +262,7 @@ fn sequencer_total_order_survives_faulty_inputs() {
     use blazes::coord::Sequencer;
 
     let n = 120usize;
-    let mut b = SimBuilder::new(31);
+    let mut b = Topology::new();
     let client = b.add_instance(echo());
     let seq = b.add_instance(Box::new(Sequencer::new()));
     let r1 = CollectorSink::new();
@@ -286,7 +286,7 @@ fn sequencer_total_order_survives_faulty_inputs() {
     for i in 0..n {
         b.inject(i as u64 * 100, client, PortId(0), Message::data([i as i64]));
     }
-    let stats = b.build().run();
+    let stats = Simulator::new(b, 31).run();
     assert!(
         stats.duplicates > 0 && stats.retransmits > 0,
         "faults fired"
@@ -343,7 +343,7 @@ fn commit_coordinator_survives_faulty_control_messages() {
 
     let committers = 2usize;
     let batches = 12i64;
-    let mut b = SimBuilder::new(47);
+    let mut b = Topology::new();
     let coord = b.add_instance(Box::new(CommitCoordinator::new(committers, 0)));
     let grants = CollectorSink::new();
     let g = b.add_instance(Box::new(grants.clone()));
@@ -380,7 +380,7 @@ fn commit_coordinator_survives_faulty_control_messages() {
             );
         }
     }
-    let stats = b.build().run();
+    let stats = Simulator::new(b, 47).run();
     assert!(
         stats.duplicates > 0 && stats.retransmits > 0,
         "faults fired"

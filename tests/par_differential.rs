@@ -7,12 +7,12 @@
 
 use blazes::coord::registry::ProducerRegistry;
 use blazes::coord::seal::{SealManager, SealOutcome};
-use blazes::dataflow::backend::{ExecutorBuilder, PortId};
+use blazes::dataflow::backend::{ExecutorBuilder, PortId, Topology};
 use blazes::dataflow::channel::ChannelConfig;
 use blazes::dataflow::component::{Component, Context, FnComponent};
 use blazes::dataflow::message::{Message, SealKey};
 use blazes::dataflow::par::{ParBuilder, ParTuning};
-use blazes::dataflow::sim::SimBuilder;
+use blazes::dataflow::sim::Simulator;
 use blazes::dataflow::sinks::CollectorSink;
 use blazes::dataflow::value::{Tuple, Value};
 use std::collections::BTreeSet;
@@ -239,9 +239,9 @@ fn replicated_sinks<B: ExecutorBuilder>(b: &mut B, sinks: &[CollectorSink]) {
 /// every tuning variant, compare final sink sets.
 fn assert_backends_agree(name: &str, assemble: impl Fn(&mut dyn ExecutorBuilder, CollectorSink)) {
     let sim_sink = CollectorSink::new();
-    let mut sim = SimBuilder::new(42);
+    let mut sim = Topology::new();
     assemble(&mut sim, sim_sink.clone());
-    sim.build().run();
+    Simulator::new(sim, 42).run();
     assert!(!sim_sink.is_empty(), "{name}: simulator produced no output");
 
     for (variant, tuning) in tuning_variants() {
@@ -296,9 +296,9 @@ fn cyclic_topology_matches_simulator() {
 fn replicated_sinks_match_simulator_on_every_replica() {
     const REPLICAS: usize = 3;
     let sim_sinks: Vec<CollectorSink> = (0..REPLICAS).map(|_| CollectorSink::new()).collect();
-    let mut sim = SimBuilder::new(42);
+    let mut sim = Topology::new();
     replicated_sinks(&mut sim, &sim_sinks);
-    sim.build().run();
+    Simulator::new(sim, 42).run();
     let expected: Vec<Message> = (0..80i64).map(|i| Message::data([i])).collect();
     for sink in &sim_sinks {
         assert_eq!(sink.message_set().len(), 80, "simulator replica complete");
@@ -425,9 +425,9 @@ fn assert_sealing_agrees(
     let expected = expected_releases(producers, campaigns, records);
 
     let sim_sink = CollectorSink::new();
-    let mut sim = SimBuilder::new(7);
+    let mut sim = Topology::new();
     sealed_topology(&mut sim, sim_sink.clone(), producers, campaigns, records);
-    sim.build().run();
+    Simulator::new(sim, 7).run();
     assert_eq!(
         sim_sink.message_set(),
         expected,
@@ -496,9 +496,9 @@ fn assert_adversarial_sealing(
     assemble: impl Fn(&mut dyn ExecutorBuilder, CollectorSink),
 ) {
     let sim_sink = CollectorSink::new();
-    let mut sim = SimBuilder::new(17);
+    let mut sim = Topology::new();
     assemble(&mut sim, sim_sink.clone());
-    sim.build().run();
+    Simulator::new(sim, 17).run();
     assert_eq!(&sim_sink.message_set(), expected, "{name}: simulator");
     assert_eq!(sim_sink.len(), campaigns, "{name}: released once (sim)");
 

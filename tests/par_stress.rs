@@ -11,12 +11,12 @@
 //! CI runs this file in release mode, single-threaded, in a repeat loop,
 //! to shake out interleavings one run misses.
 
-use blazes::dataflow::backend::PortId;
+use blazes::dataflow::backend::{ExecutorBuilder, PortId, Topology};
 use blazes::dataflow::channel::ChannelConfig;
 use blazes::dataflow::component::{Component, Context, FnComponent};
 use blazes::dataflow::message::Message;
 use blazes::dataflow::par::{ParBuilder, ParStats, ParTuning};
-use blazes::dataflow::sim::SimBuilder;
+use blazes::dataflow::sim::Simulator;
 use blazes::dataflow::sinks::CollectorSink;
 use blazes::dataflow::value::Value;
 use std::collections::BTreeSet;
@@ -135,9 +135,9 @@ fn digest_identity_across_worker_counts_schedulers_and_sim() {
         sink
     };
 
-    let mut sim = SimBuilder::new(42);
+    let mut sim = Topology::new();
     let sim_sink = assemble(&mut sim);
-    let _ = sim.build().run();
+    let _ = Simulator::new(sim, 42).run();
     let sim_set = sim_sink.message_set();
     let expected: BTreeSet<Message> = (0..3i64)
         .flat_map(|p| (0..200i64).map(move |i| Message::data([p, i])))

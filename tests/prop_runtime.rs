@@ -6,11 +6,11 @@ use blazes::bloom::interp::ModuleInstance;
 use blazes::bloom::parser::parse_module;
 use blazes::coord::registry::ProducerRegistry;
 use blazes::coord::seal::{SealManager, SealOutcome};
-use blazes::dataflow::backend::PortId;
+use blazes::dataflow::backend::{ExecutorBuilder, PortId, Topology};
 use blazes::dataflow::channel::ChannelConfig;
 use blazes::dataflow::component::{Component, Context, FnComponent};
 use blazes::dataflow::message::Message;
-use blazes::dataflow::sim::SimBuilder;
+use blazes::dataflow::sim::Simulator;
 use blazes::dataflow::sinks::CollectorSink;
 use blazes::dataflow::value::{Tuple, Value};
 use proptest::prelude::*;
@@ -33,7 +33,7 @@ proptest! {
         jitter in 0u64..50_000,
         n in 1usize..60,
     ) {
-        let mut b = SimBuilder::new(seed);
+        let mut b = Topology::new();
         let e = b.add_instance(echo());
         let sink = CollectorSink::new();
         let s = b.add_instance(Box::new(sink.clone()));
@@ -41,7 +41,7 @@ proptest! {
         for i in 0..n {
             b.inject(0, e, PortId(0), Message::data([i as i64]));
         }
-        b.build().run();
+        Simulator::new(b, seed).run();
         prop_assert_eq!(sink.len(), n);
         // Order-insensitive contents match exactly.
         let expected: std::collections::BTreeSet<Message> =
@@ -54,7 +54,7 @@ proptest! {
     #[test]
     fn same_seed_same_trace(seed in any::<u64>(), n in 1usize..40) {
         let run = |seed: u64| {
-            let mut b = SimBuilder::new(seed);
+            let mut b = Topology::new();
             let e1 = b.add_instance(echo());
             let e2 = b.add_instance(echo());
             let sink = CollectorSink::new();
@@ -65,7 +65,7 @@ proptest! {
                 b.inject(0, e1, PortId(0), Message::data([i as i64]));
                 b.inject(0, e2, PortId(0), Message::data([1_000 + i as i64]));
             }
-            b.build().run();
+            Simulator::new(b, seed).run();
             sink.messages()
         };
         prop_assert_eq!(run(seed), run(seed));

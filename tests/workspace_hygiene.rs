@@ -26,10 +26,16 @@
 //! with an [`ALLOWED`] entry giving the reason, and an entry whose item is
 //! gone or has a caller fails too.
 //!
-//! Last, it guards the dist backend's IO seam: the coordinator core
+//! It guards the dist backend's IO seam: the coordinator core
 //! (`dist/coord.rs`) is a pure state machine the socket shell and the
 //! in-memory crash sweep both drive, so its non-test code may name no
 //! socket, process, thread, channel or clock.
+//!
+//! Last, it guards the assembly seam: a topology is recorded by one type,
+//! `backend::Topology`, which every backend is built from. The only other
+//! `ExecutorBuilder` implementors under `crates/` are the par builder that
+//! forwards to its `Topology`, the rewrite decorator and the `&mut B`
+//! forwarding impl — so no fifth recorder can come back.
 
 use std::collections::HashSet;
 use std::fs;
@@ -69,6 +75,11 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "crates/blazes-core/src/strategy.rs",
         "needs_sealing",
         "plan predicate the case-study tests assert",
+    ),
+    (
+        "crates/blazes-dataflow/src/backend.rs",
+        "instance_names",
+        "reads a recording's instances; the partition and rewrite tests check them without running",
     ),
     (
         "crates/blazes-dataflow/src/channel.rs",
@@ -598,6 +609,63 @@ mod tests { use std::net::TcpStream; }
 ";
     assert_eq!(io_names(source), ["mpsc", "Instant::now"]);
     assert!(io_names(&format!("#![cfg(test)]\n{source}")).is_empty());
+}
+
+/// The types the non-comment lines of `source` implement `ExecutorBuilder`
+/// for, generics dropped: `Topology`, `RewritingBuilder`, `&mut B`.
+fn executor_builders(source: &str) -> Vec<String> {
+    let code = source
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .flat_map(str::split_whitespace)
+        .collect::<Vec<_>>()
+        .join(" ");
+    code.match_indices("ExecutorBuilder for ")
+        .filter(|&(at, _)| {
+            let head = &code[..at];
+            let item = &head[head.rfind(['{', '}', ';']).map_or(0, |i| i + 1)..];
+            item.trim_start().starts_with("impl")
+        })
+        .map(|(at, m)| {
+            let ty = &code[at + m.len()..];
+            let ty = &ty[..ty.find(['<', '{']).unwrap_or(ty.len())];
+            ty.split(" where ").next().unwrap_or(ty).trim().to_string()
+        })
+        .collect()
+}
+
+#[test]
+fn the_builder_scan_finds_impls_but_not_comments_or_bounds() {
+    let source = "\
+// impl ExecutorBuilder for Commented {}
+/// An [`ExecutorBuilder`] for tests.
+impl ExecutorBuilder for Plain {
+}
+impl<B: ExecutorBuilder + ?Sized> ExecutorBuilder for &mut B {}
+impl<B: ExecutorBuilder, P> ExecutorBuilder
+    for Wrapping<'_, B, P>
+where
+    P: Pass,
+{}
+";
+    assert_eq!(executor_builders(source), ["Plain", "&mut B", "Wrapping"]);
+}
+
+/// Every `impl … ExecutorBuilder for` under `crates/`, tests included.
+#[test]
+fn a_topology_is_recorded_by_one_type() {
+    let mut sources = Vec::new();
+    rust_sources(&Path::new(ROOT).join("crates"), &mut sources);
+    let mut found: Vec<String> = sources
+        .iter()
+        .flat_map(|p| executor_builders(&read(p)))
+        .collect();
+    found.sort();
+    assert_eq!(
+        found,
+        ["&mut B", "ParBuilder", "RewritingBuilder", "Topology"],
+        "record assembly into backend::Topology and build the backend from it"
+    );
 }
 
 #[test]
