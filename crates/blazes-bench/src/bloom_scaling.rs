@@ -36,18 +36,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-const TC_MODULE: &str = r#"
-module TC {
-  input edge(src, dst)
-  output path(src, dst)
-  table e(src, dst)
-  scratch p(src, dst)
-  e <= edge
-  p <= e
-  p <= (p * e) on (p.dst = e.src) -> (p.src, e.dst)
-  path <= p
-}
-"#;
+/// The repository's transitive-closure example: the module the CLI, the
+/// allocation gate and the benchmark's `bloom-tc` workload also run.
+const TC_MODULE: &str = include_str!("../../../examples/blz/transitive_closure.blz");
 
 const TRIANGLE_MODULE: &str = r#"
 module Triangle {

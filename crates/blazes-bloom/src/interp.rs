@@ -13,17 +13,21 @@
 //!    against the final state; deferred/deleted tuples take effect next
 //!    timestep, async tuples are handed to the network.
 //!
-//! Collections hold *sets* of tuples (Bloom's set semantics): hash sets
-//! under one fixed, seedless in-crate hasher (a small multiplicative
-//! hash), so their iteration order — and with it every derivation order
-//! and the error a failing tick raises — is the same on every run. Order
-//! is imposed only where tuples leave the engine: every [`TickOutput`]
-//! vector and every [`ModuleInstance::table`] result is sorted once, on
-//! the way out.
+//! Collections hold *sets* of tuples (Bloom's set semantics), stored as
+//! flat rows: each collection keeps its rows back to back in one buffer of
+//! values, numbered in insertion order, with a table of row numbers under
+//! one fixed, seedless in-crate hasher making them a set. So deriving,
+//! storing and discarding a tuple allocates nothing of its own, and row
+//! order — with it every derivation order and the error a failing tick
+//! raises — is the same on every run. Order is imposed only where tuples
+//! leave the engine: every [`TickOutput`] vector and every
+//! [`ModuleInstance::table`] result is sorted once and materialised as
+//! [`Tuple`]s once, on the way out.
 //!
 //! ## Evaluation engine
 //!
-//! The fixpoint of step 3 runs in one of two [`EvalMode`]s:
+//! The fixpoint of step 3 runs in one of two [`EvalMode`]s, over the same
+//! rows:
 //!
 //! * [`EvalMode::Naive`] — the reference stratified fixpoint: every rule
 //!   re-derives from the whole state every iteration with nested-loop
@@ -33,25 +37,27 @@
 //!   ticks: a tick costs what the tick changed, not what the tables hold.
 //!
 //! **What persists across ticks.** Tables live in the instance and are
-//! mutated in place; each carries a *tick delta* — the tuples this tick
-//! inserted so far (pending `<+`/async merges, lower strata, earlier
-//! rules) and the tuples `<-` removed at this tick's start. Hash indexes
-//! over tables are built on first use, addressed by a slot resolved at
-//! instantiation, and maintained on every insert *and* remove; indexes
-//! over inputs, scratches and outputs are dropped at the end of the tick.
-//! A `group by` over a table keeps per-group aggregate state (count, sum,
-//! and a value multiset so `min`/`max` survive deletions), brought up to
-//! date from the source's tick delta and emitted from the groups — O(|Δ| +
-//! groups), not O(|table|).
+//! mutated in place; each carries a *tick delta* — the rows `<-` removed at
+//! this tick's start, and a watermark: the row count once those removals
+//! ran, so every row past it is one this tick inserted (pending
+//! `<+`/async merges, lower strata, earlier rules). Hash indexes (join key
+//! → row numbers) over tables are built on first use, addressed by a slot
+//! resolved at instantiation, and maintained on every insert *and* remove;
+//! indexes over inputs, scratches and outputs are dropped at the end of
+//! the tick. A `group by` over a table keeps per-group aggregate state
+//! (count, sum, and a value multiset so `min`/`max` survive deletions),
+//! brought up to date from the source's tick delta and emitted from the
+//! groups — O(|Δ| + groups), not O(|table|).
 //!
 //! **What is delta-seeded.** The first pass of a stratum evaluates a
 //! monotone rule (`Select`/`Join`) whose head is a table as Δleft ⋈ right ∪
 //! left ⋈ Δright, where Δ of a table is its tick delta and Δ of any other
 //! collection is its whole content: everything old × old could derive is
 //! already in the head. Later iterations feed only the previous
-//! iteration's new tuples back through the rules, as before, and skip
-//! rules whose read-set (from [`catalog::Schedule`]) gained nothing. A
-//! join or antijoin with an empty side returns without probing.
+//! iteration's new rows back through the rules — the row range each
+//! re-read head grew by, since rows are only appended within a fixpoint —
+//! and skip rules whose read-set (from [`catalog::Schedule`]) gained
+//! nothing. A join or antijoin with an empty side returns without probing.
 //!
 //! **What is left out.** A rule into a scratch that nothing can observe
 //! this tick — every consumer is gated shut by an empty input interface,
@@ -63,15 +69,15 @@
 //! **What is compiled.** A select, join or antijoin body whose every
 //! column resolves statically is compiled at instantiation: predicates,
 //! projection items and join keys become `(side, column)` positions or
-//! literals, so a derivation reads its values in place and builds the head
-//! tuple directly — no row environment, no lookup by name. A one-column
-//! join key probes its index in place, allocating nothing. A derived tuple
-//! moves into its head; it is copied into the iteration delta only when a
-//! rule of the same stratum reads the head, and output collections move
-//! into the [`TickOutput`] rather than being cloned. Bodies that do not
-//! resolve statically, and aggregations the running state cannot serve,
-//! keep the naive oracle's evaluator, which raises its errors exactly as
-//! the oracle does.
+//! literals, so a derivation reads its values in place and writes the head
+//! row directly — no row environment, no lookup by name. A join key on
+//! contiguous columns probes its index in place, allocating nothing. A
+//! rule evaluation stages its rows in one reused buffer that deduplicates
+//! them (a rule's derivations are the distinct rows it stages); the new
+//! ones are then copied into the head once. Bodies that do not resolve
+//! statically, and aggregations the running state cannot serve, keep the
+//! naive oracle's evaluator, which raises its errors exactly as the oracle
+//! does.
 //!
 //! **What is re-derived in full, and why.** Rules into scratches and
 //! outputs (the head starts empty every tick); antijoins and aggregations
@@ -86,8 +92,9 @@
 //! **The tick contract.** [`ModuleInstance::tick`] is all-or-nothing. Input
 //! names, kinds and arities are validated before anything is touched, and
 //! an evaluation error in mid-fixpoint is undone from the tick's own
-//! insert/delete deltas, so tables, indexes, aggregate state, pending
-//! merges, the tick count and the statistics equal their pre-call values.
+//! deltas — each table is truncated to its watermark and its removed rows
+//! are put back — so tables, indexes, aggregate state, pending merges, the
+//! tick count and the statistics equal their pre-call values.
 //!
 //! Every tick records [`TickStats`] (derivations, join probes, fixpoint
 //! iterations, wall time) per stratum, so the cost of re-derivation is a
@@ -96,81 +103,12 @@
 use crate::ast::*;
 use crate::catalog::{self, Schedule};
 use crate::error::{BloomError, Result};
+use crate::rel::{key_of, Rel};
 use blazes_dataflow::value::{Tuple, Value};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::time::Instant;
-
-/// A collection's content.
-type Rel = HashSet<Tuple, FixedHash>;
-
-/// A hash index over one collection: join-key values → matching tuples.
-type Index = HashMap<Vec<Value>, Vec<Tuple>, FixedHash>;
-
-/// One fixpoint iteration's genuinely new tuples, per collection.
-type Delta = BTreeMap<usize, Vec<Tuple>>;
-
-/// The engine's one hasher, for relations and index keys alike: no seed,
-/// so nothing the engine does depends on the run.
-///
-/// Not collision-hardened: whoever knows the hasher can pick tuples that
-/// share bucket bits and drive joins and inserts toward quadratic time.
-/// Meant for trusted and benchmark input only.
-type FixedHash = BuildHasherDefault<MulHasher>;
-
-/// A small multiplicative hasher (rustc's add-multiply "Fx" step with a
-/// final rotation that brings the well-mixed high bits down to where a
-/// hash table takes its bucket index): a tuple of integers hashes in a
-/// handful of instructions. The std `DefaultHasher` (SipHash) in its
-/// place costs the `bloom-tc` benchmark 28 % of its throughput (median of
-/// 10 runs on a 2-core VM).
-#[derive(Debug, Default, Clone, Copy)]
-struct MulHasher(u64);
-
-impl MulHasher {
-    fn mix(&mut self, word: u64) {
-        self.0 = self
-            .0
-            .wrapping_add(word)
-            .wrapping_mul(0xf135_7aea_2e62_a9c5);
-    }
-}
-
-impl Hasher for MulHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.mix(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut last = [0u8; 8];
-            last[..rest.len()].copy_from_slice(rest);
-            self.mix(u64::from_le_bytes(last));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.mix(u64::from(i));
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.mix(u64::from(i));
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.mix(i);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.mix(i as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
 
 /// How the instantaneous-rule fixpoint evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -186,13 +124,16 @@ pub enum EvalMode {
 
 /// Work counters for one timestep (or one stratum of one timestep).
 ///
-/// `derivations` counts every tuple *produced* by a rule body before set
-/// deduplication — the quantity naive evaluation inflates by re-deriving
-/// the same tuples every iteration and semi-naive evaluation keeps near
-/// the number of genuinely new facts.
+/// `derivations` counts, per evaluation of a rule body, the *distinct*
+/// tuples it derives — whether or not its head already holds them. A
+/// projection that collapses two rows into one tuple counts it once; a
+/// tuple re-derived into a table that already has it counts again. So
+/// naive evaluation inflates the number by re-deriving the same tuples
+/// every iteration, and semi-naive evaluation keeps it near the number of
+/// genuinely new facts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickStats {
-    /// Tuples produced by rule-body evaluations (pre-dedup).
+    /// Distinct tuples derived, summed over rule-body evaluations.
     pub derivations: u64,
     /// Rows scanned plus candidate join pairs examined.
     pub join_probes: u64,
@@ -237,6 +178,8 @@ pub struct ModuleInstance {
     plans: Vec<Plan>,
     mode: EvalMode,
     store: Store,
+    /// Where each rule evaluation stages the rows it derives; reused.
+    stage: Rel,
     /// Deferred merges / deletions due at the next tick's start, keyed by
     /// collection id.
     pending_insert: BTreeMap<usize, Rel>,
@@ -264,6 +207,7 @@ impl ModuleInstance {
             plans,
             mode,
             store,
+            stage: Rel::new(0),
             pending_insert: BTreeMap::new(),
             pending_delete: BTreeMap::new(),
             ticks: 0,
@@ -309,7 +253,7 @@ impl ModuleInstance {
     #[must_use]
     pub fn table(&self, name: &str) -> Vec<Tuple> {
         match coll_id(&self.module, name) {
-            Ok(c) if self.store.persistent[c] => sorted(self.store.rels[c].iter().cloned()),
+            Ok(c) if self.store.persistent[c] => self.store.rels[c].sorted_tuples(),
             _ => Vec::new(),
         }
     }
@@ -353,36 +297,35 @@ impl ModuleInstance {
     /// store holds a half-evaluated tick; the caller rolls it back.
     fn run_tick(&mut self, inputs: Vec<(usize, Vec<Tuple>)>) -> Result<TickDone> {
         let (m, sched, plans, mode) = (&self.module, &self.schedule, &self.plans[..], self.mode);
-        let store = &mut self.store;
+        let (store, stage) = (&mut self.store, &mut self.stage);
 
-        // 1. Pending deletions, then pending merges (a tuple both deleted
-        // and merged survives), each recorded in the table's tick delta.
-        // Both stay pending until the tick succeeds.
+        // 1. Pending deletions, then the tables' watermarks, then pending
+        // merges (a tuple both deleted and merged survives): each table's
+        // tick delta. Both stay pending until the tick succeeds.
         for (&c, rel) in &self.pending_delete {
             if store.persistent[c] {
-                for t in rel {
-                    store.delete(c, t);
+                for row in rel.rows() {
+                    store.delete(c, row);
                 }
             }
         }
+        store.mark();
         for (&c, rel) in &self.pending_insert {
-            for t in rel {
-                store.insert(c, t.clone(), None);
-            }
+            store.rels[c].extend_from(rel);
         }
-        // 2. The timestep's inputs.
+        // 2. The timestep's inputs, their values moved into the rows.
         for (c, tuples) in inputs {
             for t in tuples {
-                store.insert(c, t, None);
+                store.rels[c].push_with(|cells| cells.extend(t.0));
             }
         }
 
         // 3. Stratified fixpoint of instantaneous rules.
         let mut stratum_stats = vec![TickStats::default(); sched.max_stratum + 1];
         match mode {
-            EvalMode::Naive => naive_fixpoint(m, sched, plans, store, &mut stratum_stats)?,
+            EvalMode::Naive => naive_fixpoint(m, sched, plans, store, stage, &mut stratum_stats)?,
             EvalMode::SemiNaive => {
-                semi_naive_fixpoint(m, sched, plans, store, &mut stratum_stats)?;
+                semi_naive_fixpoint(m, sched, plans, store, stage, &mut stratum_stats)?;
             }
         }
 
@@ -396,13 +339,21 @@ impl ModuleInstance {
             if rule.op == MergeOp::Instant {
                 continue;
             }
-            let derived = if mode == EvalMode::Naive {
-                eval_body(m, &store.rels, &rule.body, &mut post_stats.join_probes)?
-            } else {
-                eval_rule_once(m, plans, ri, store, &mut post_stats.join_probes)?
-            };
-            post_stats.derivations += derived.len() as u64;
             let head = plans[ri].head;
+            let arity = m.collections[head].arity();
+            stage.reset(arity);
+            if mode == EvalMode::Naive {
+                eval_body(
+                    m,
+                    &store.rels,
+                    &rule.body,
+                    stage,
+                    &mut post_stats.join_probes,
+                )?;
+            } else {
+                eval_rule_once(m, plans, ri, store, stage, &mut post_stats.join_probes)?;
+            }
+            post_stats.derivations += stage.len() as u64;
             let sink = match rule.op {
                 MergeOp::Instant => unreachable!("filtered above"),
                 MergeOp::Delete => &mut pending_delete,
@@ -412,31 +363,31 @@ impl ModuleInstance {
                 // Async into internal state lands next timestep.
                 MergeOp::Deferred | MergeOp::Async => &mut pending_insert,
             };
-            sink.entry(head).or_default().extend(derived);
+            sink.entry(head)
+                .or_insert_with(|| Rel::new(arity))
+                .extend_from(stage);
         }
         post_stats.wall_ns = post_started.elapsed().as_nanos() as u64;
 
-        // Instantly derived output contents are also visible externally;
-        // they move out, since the tick's end empties them anyway.
+        // Instantly derived output contents are also visible externally:
+        // each output interface leaves as one sorted vector of tuples.
+        let mut outputs = BTreeMap::new();
         for (c, decl) in m.collections.iter().enumerate() {
-            if decl.kind == CollectionKind::Output && !store.rels[c].is_empty() {
-                let rel = std::mem::take(&mut store.rels[c]);
-                match out_sets.entry(c) {
-                    Entry::Vacant(e) => {
-                        e.insert(rel);
-                    }
-                    Entry::Occupied(mut e) => e.get_mut().extend(rel),
+            let instant = &store.rels[c];
+            let tuples = match out_sets.get_mut(&c) {
+                Some(emitted) => {
+                    emitted.extend_from(instant);
+                    emitted.sorted_tuples()
                 }
-            }
+                None if decl.kind == CollectionKind::Output && !instant.is_empty() => {
+                    instant.sorted_tuples()
+                }
+                None => continue,
+            };
+            outputs.insert(decl.name.clone(), tuples);
         }
-        let output = TickOutput {
-            outputs: out_sets
-                .into_iter()
-                .map(|(c, s)| (m.collections[c].name.clone(), sorted(s)))
-                .collect(),
-        };
         Ok(TickDone {
-            output,
+            output: TickOutput { outputs },
             pending_insert,
             pending_delete,
             stratum_stats,
@@ -474,7 +425,7 @@ fn check_inputs(
 }
 
 // ---------------------------------------------------------------------
-// The store: relations, tick deltas, indexes, aggregate state
+// The store: relations, tick deltas, aggregate state
 // ---------------------------------------------------------------------
 
 /// Everything a tick reads and writes, index-aligned with
@@ -483,133 +434,51 @@ fn check_inputs(
 /// [`Store::end_tick`].
 #[derive(Debug, Clone)]
 struct Store {
+    /// Every collection's rows, with its indexes.
     rels: Vec<Rel>,
     persistent: Vec<bool>,
-    /// Per table: tuples this tick genuinely added, in insertion order.
-    inserted: Vec<Vec<Tuple>>,
-    /// Per table: tuples `<-` genuinely removed at this tick's start.
-    deleted: Vec<Vec<Tuple>>,
-    /// `(collection, key columns)` of every index slot a plan refers to.
-    index_specs: Vec<(usize, Vec<usize>)>,
-    /// The indexes themselves; `None` until first used. Slots over tables
-    /// stay built across ticks, the rest are reset every tick.
-    indexes: Vec<Option<Index>>,
-    /// Index slots over each collection.
-    indexes_of: Vec<Vec<usize>>,
+    /// Per table: its row count once this tick's `<-` removals ran. The
+    /// rows numbered from here on are the ones this tick inserted.
+    marks: Vec<usize>,
+    /// Per table: rows `<-` genuinely removed at this tick's start.
+    deleted: Vec<Rel>,
     /// Incremental `group by` state, one per eligible rule.
     aggs: Vec<AggState>,
 }
 
 impl Store {
     fn new(m: &Module) -> Self {
-        let n = m.collections.len();
+        let rels = || m.collections.iter().map(|c| Rel::new(c.arity())).collect();
         Store {
-            rels: vec![Rel::default(); n],
+            rels: rels(),
             persistent: m
                 .collections
                 .iter()
                 .map(|c| c.kind.is_persistent())
                 .collect(),
-            inserted: vec![Vec::new(); n],
-            deleted: vec![Vec::new(); n],
-            index_specs: Vec::new(),
-            indexes: Vec::new(),
-            indexes_of: vec![Vec::new(); n],
+            marks: vec![0; m.collections.len()],
+            deleted: rels(),
             aggs: Vec::new(),
         }
     }
 
-    /// The slot of the `(collection, key columns)` index, allocated on
-    /// first request (instantiation time only).
-    fn index_slot(&mut self, coll: usize, cols: &[usize]) -> usize {
-        if let Some(slot) = self
-            .index_specs
-            .iter()
-            .position(|(c, k)| *c == coll && k == cols)
-        {
-            return slot;
-        }
-        self.index_specs.push((coll, cols.to_vec()));
-        self.indexes.push(None);
-        self.indexes_of[coll].push(self.indexes.len() - 1);
-        self.indexes.len() - 1
+    /// The rows this tick has inserted into table `c` so far.
+    fn inserted(&self, c: usize) -> Range<usize> {
+        self.marks[c]..self.rels[c].len()
     }
 
-    /// Build an index from the collection's current content if it is not
-    /// live yet; from then on [`Store::add`]/[`Store::remove`] maintain it.
-    fn ensure_index(&mut self, slot: usize) {
-        if self.indexes[slot].is_some() {
-            return;
+    /// Remove a row from table `c` at tick start, recording a genuine
+    /// removal in the tick delta.
+    fn delete(&mut self, c: usize, row: &[Value]) {
+        if self.rels[c].remove(row) {
+            self.deleted[c].insert(row);
         }
-        let (coll, cols) = &self.index_specs[slot];
-        let mut idx = Index::default();
-        for t in &self.rels[*coll] {
-            index_add(&mut idx, cols, t);
-        }
-        self.indexes[slot] = Some(idx);
     }
 
-    fn index(&self, slot: usize) -> &Index {
-        self.indexes[slot]
-            .as_ref()
-            .expect("index ensured before use")
-    }
-
-    /// Put a tuple that is not in collection `c` into it and its live
-    /// indexes.
-    fn put(&mut self, c: usize, t: Tuple) {
-        for &slot in &self.indexes_of[c] {
-            if let Some(idx) = &mut self.indexes[slot] {
-                index_add(idx, &self.index_specs[slot].1, &t);
-            }
-        }
-        let added = self.rels[c].insert(t);
-        debug_assert!(added, "put of a tuple already present");
-    }
-
-    /// Take a tuple out of a collection and its live indexes; `None` if it
-    /// was not there.
-    fn remove(&mut self, c: usize, t: &Tuple) -> Option<Tuple> {
-        let t = self.rels[c].take(t)?;
-        for &slot in &self.indexes_of[c] {
-            if let Some(idx) = &mut self.indexes[slot] {
-                with_key(&t, &self.index_specs[slot].1, |key| {
-                    if let Some(bucket) = idx.get_mut(key) {
-                        if let Some(i) = bucket.iter().position(|b| *b == t) {
-                            bucket.swap_remove(i);
-                        }
-                        if bucket.is_empty() {
-                            idx.remove(key);
-                        }
-                    }
-                });
-            }
-        }
-        Some(t)
-    }
-
-    /// Put a tuple into a collection and its live indexes, recording a
-    /// genuinely new table tuple in the tick delta and copying it into
-    /// `fresh` if given; `false` (and `t` dropped) if it was already there.
-    fn insert(&mut self, c: usize, t: Tuple, fresh: Option<&mut Vec<Tuple>>) -> bool {
-        if self.rels[c].contains(&t) {
-            return false;
-        }
-        if self.persistent[c] {
-            self.inserted[c].push(t.clone());
-        }
-        if let Some(fresh) = fresh {
-            fresh.push(t.clone());
-        }
-        self.put(c, t);
-        true
-    }
-
-    /// [`Store::remove`] at tick start, recording a genuine removal in the
-    /// tick delta.
-    fn delete(&mut self, c: usize, t: &Tuple) {
-        if let Some(t) = self.remove(c, t) {
-            self.deleted[c].push(t);
+    /// Set every watermark: from here on the tick only inserts.
+    fn mark(&mut self) {
+        for (mark, rel) in self.marks.iter_mut().zip(&self.rels) {
+            *mark = rel.len();
         }
     }
 
@@ -620,33 +489,27 @@ impl Store {
         }
         for c in 0..self.rels.len() {
             if self.persistent[c] {
-                self.inserted[c].clear();
                 self.deleted[c].clear();
             } else {
                 self.rels[c].clear();
-                for &slot in &self.indexes_of[c] {
-                    self.indexes[slot] = None;
-                }
             }
         }
     }
 
     /// Undo a half-evaluated tick from its own deltas: aggregate state
-    /// first (it reads the deltas), then the tables and their indexes.
+    /// first (it reads the deltas), then the tables and their indexes —
+    /// truncated to the watermark, with the removed rows put back.
     fn rollback(&mut self) {
         for agg in &mut self.aggs {
             if agg.synced {
                 let src = agg.source;
-                agg.unsync(&self.deleted[src], &self.inserted[src]);
+                agg.unsync(&self.deleted[src], &self.rels[src], self.marks[src]);
             }
         }
         for c in 0..self.rels.len() {
-            for t in std::mem::take(&mut self.inserted[c]) {
-                self.remove(c, &t);
-            }
-            // Removed at tick start, so absent once this tick's inserts are.
-            for t in std::mem::take(&mut self.deleted[c]) {
-                self.put(c, t);
+            if self.persistent[c] {
+                self.rels[c].truncate(self.marks[c]);
+                self.rels[c].extend_from(&self.deleted[c]);
             }
         }
         self.end_tick();
@@ -671,7 +534,7 @@ struct AggState {
 struct Group {
     /// Some row of the group, for resolving group-by columns in `having`
     /// and projections (the plan guarantees they read nothing else).
-    rep: Tuple,
+    rep: Vec<Value>,
     count: i64,
     sum: i64,
     /// Multiset of the aggregated column, kept for `min`/`max` only.
@@ -679,42 +542,42 @@ struct Group {
 }
 
 impl AggState {
-    /// Bring the groups up to date with the source's tick delta. Fails
-    /// (before changing anything) on a non-integer `sum` operand.
-    fn sync(&mut self, deleted: &[Tuple], inserted: &[Tuple]) -> Result<()> {
+    /// Bring the groups up to date with the source's tick delta: the rows
+    /// in `deleted`, and `src`'s rows from `mark` on. Fails (before
+    /// changing anything) on a non-integer `sum` operand.
+    fn sync(&mut self, deleted: &Rel, src: &Rel, mark: usize) -> Result<()> {
+        let inserted = || src.rows_in(mark..src.len());
         if let (AggFun::Sum, Some(i)) = (self.agg, self.agg_col) {
-            if inserted
-                .iter()
-                .any(|t| t.get(i).and_then(Value::as_int).is_none())
-            {
+            if inserted().any(|row| row.get(i).and_then(Value::as_int).is_none()) {
                 return Err(BloomError::Eval("sum over non-integer".to_string()));
             }
         }
-        deleted.iter().for_each(|t| self.apply(t, false));
-        inserted.iter().for_each(|t| self.apply(t, true));
+        deleted.rows().for_each(|row| self.apply(row, false));
+        inserted().for_each(|row| self.apply(row, true));
         self.synced = true;
         Ok(())
     }
 
     /// The exact inverse of a successful [`AggState::sync`].
-    fn unsync(&mut self, deleted: &[Tuple], inserted: &[Tuple]) {
-        inserted.iter().for_each(|t| self.apply(t, false));
-        deleted.iter().for_each(|t| self.apply(t, true));
+    fn unsync(&mut self, deleted: &Rel, src: &Rel, mark: usize) {
+        src.rows_in(mark..src.len())
+            .for_each(|row| self.apply(row, false));
+        deleted.rows().for_each(|row| self.apply(row, true));
         self.synced = false;
     }
 
-    fn apply(&mut self, t: &Tuple, add: bool) {
-        let operand = self.agg_col.map(|i| t.get(i).expect("schema arity"));
+    fn apply(&mut self, row: &[Value], add: bool) {
+        let operand = self.agg_col.map(|i| &row[i]);
         let int = operand.and_then(Value::as_int).unwrap_or(0);
         let track = matches!(self.agg, AggFun::Min | AggFun::Max);
-        match self.groups.entry(key_of(t, &self.key_cols)) {
+        match self.groups.entry(key_of(row, &self.key_cols).into_owned()) {
             Entry::Vacant(e) if add => {
                 let mut values = BTreeMap::new();
                 if let (true, Some(v)) = (track, operand) {
                     values.insert(v.clone(), 1);
                 }
                 e.insert(Group {
-                    rep: t.clone(),
+                    rep: row.to_vec(),
                     count: 1,
                     sum: int,
                     values,
@@ -782,6 +645,7 @@ fn naive_fixpoint(
     sched: &Schedule,
     plans: &[Plan],
     store: &mut Store,
+    stage: &mut Rel,
     stats: &mut [TickStats],
 ) -> Result<()> {
     for (stratum, st) in stats.iter_mut().enumerate().take(sched.max_stratum + 1) {
@@ -791,11 +655,17 @@ fn naive_fixpoint(
             st.fixpoint_iters += 1;
             let mut changed = false;
             for &ri in &sched.instant_by_stratum[stratum] {
-                let derived = eval_body(m, &store.rels, &m.rules[ri].body, &mut st.join_probes)?;
-                st.derivations += derived.len() as u64;
-                for t in derived {
-                    changed |= store.insert(plans[ri].head, t, None);
-                }
+                let head = plans[ri].head;
+                stage.reset(m.collections[head].arity());
+                eval_body(
+                    m,
+                    &store.rels,
+                    &m.rules[ri].body,
+                    stage,
+                    &mut st.join_probes,
+                )?;
+                st.derivations += stage.len() as u64;
+                changed |= store.rels[head].extend_from(stage);
             }
             if !changed {
                 break;
@@ -816,9 +686,9 @@ fn naive_fixpoint(
 /// Semi-naive fixpoint: the first pass seeds per-collection deltas —
 /// from the tick deltas alone where the head is a table that kept all its
 /// tuples, from the whole state otherwise — then each iteration only joins
-/// the previous iteration's new tuples against hash indexes over the
-/// accumulated sets. Rules whose read-set gained nothing are skipped, and
-/// so are rules whose head nothing can observe this tick (see
+/// the row ranges the previous iteration appended against hash indexes
+/// over the accumulated rows. Rules whose read-set gained nothing are
+/// skipped, and so are rules whose head nothing can observe this tick (see
 /// [`observed_collections`]). Nonmonotonic bodies run exactly once per
 /// stratum (their sources live strictly below and are complete).
 fn semi_naive_fixpoint(
@@ -826,6 +696,7 @@ fn semi_naive_fixpoint(
     sched: &Schedule,
     plans: &[Plan],
     store: &mut Store,
+    stage: &mut Rel,
     stats: &mut [TickStats],
 ) -> Result<()> {
     let observed = observed_collections(m, plans, store);
@@ -840,7 +711,9 @@ fn semi_naive_fixpoint(
         let started = Instant::now();
         let span = blazes_obs::start();
         st.fixpoint_iters += 1;
-        let mut delta = Delta::new();
+        // Every collection's row count as the current pass began: the rows
+        // past it are what the pass appended.
+        let mut since: Vec<usize> = store.rels.iter().map(Rel::len).collect();
         for &ri in rules {
             let plan = &plans[ri];
             if idle(plan) {
@@ -854,33 +727,56 @@ fn semi_naive_fixpoint(
             // tuples out of it that the old state still derives.
             let seeded =
                 plan.monotone && store.persistent[plan.head] && store.deleted[plan.head].is_empty();
-            let derived = if seeded {
-                eval_rule_delta(m, plans, ri, store, None, &mut st.join_probes)?
+            stage.reset(m.collections[plan.head].arity());
+            if seeded {
+                eval_rule_delta(m, plans, ri, store, None, stage, &mut st.join_probes)?;
             } else {
-                eval_rule_once(m, plans, ri, store, &mut st.join_probes)?
-            };
-            st.derivations += derived.len() as u64;
-            insert_new(store, plan, derived, &mut delta);
+                eval_rule_once(m, plans, ri, store, stage, &mut st.join_probes)?;
+            }
+            st.derivations += stage.len() as u64;
+            store.rels[plan.head].extend_from(stage);
         }
+        // Only heads that a rule of this stratum reads feed the next pass.
+        let mut reread: Vec<usize> = rules
+            .iter()
+            .map(|&ri| &plans[ri])
+            .filter_map(|plan| plan.reread.then_some(plan.head))
+            .collect();
+        reread.sort_unstable();
+        reread.dedup();
+        let mut delta = vec![0..0; store.rels.len()];
         loop {
-            delta.retain(|_, r| !r.is_empty());
-            if delta.is_empty() {
+            let mut grew = false;
+            for &c in &reread {
+                let len = store.rels[c].len();
+                delta[c] = since[c]..len;
+                since[c] = len;
+                grew |= !delta[c].is_empty();
+            }
+            if !grew {
                 break;
             }
             st.fixpoint_iters += 1;
-            let cur = std::mem::take(&mut delta);
             for &ri in rules {
                 let plan = &plans[ri];
                 // Aggregations and antijoins saw their (complete, lower-
                 // stratum) sources in the first pass. Read-set skip:
                 // nothing new to feed this rule.
-                if !plan.monotone || idle(plan) || !plan.reads.iter().any(|c| cur.contains_key(c)) {
+                if !plan.monotone || idle(plan) || plan.reads.iter().all(|&c| delta[c].is_empty()) {
                     continue;
                 }
-                let derived =
-                    eval_rule_delta(m, plans, ri, store, Some(&cur), &mut st.join_probes)?;
-                st.derivations += derived.len() as u64;
-                insert_new(store, plan, derived, &mut delta);
+                stage.reset(m.collections[plan.head].arity());
+                eval_rule_delta(
+                    m,
+                    plans,
+                    ri,
+                    store,
+                    Some(&delta),
+                    stage,
+                    &mut st.join_probes,
+                )?;
+                st.derivations += stage.len() as u64;
+                store.rels[plan.head].extend_from(stage);
             }
         }
         st.wall_ns += started.elapsed().as_nanos() as u64;
@@ -926,16 +822,6 @@ fn observed_collections(m: &Module, plans: &[Plan], store: &Store) -> Vec<bool> 
     }
 }
 
-/// Move freshly derived tuples into the rule's head, copying the genuinely
-/// new ones into the iteration delta only if a rule of this stratum reads
-/// the head.
-fn insert_new(store: &mut Store, plan: &Plan, derived: Rel, delta: &mut Delta) {
-    let mut fresh = plan.reread.then(|| delta.entry(plan.head).or_default());
-    for t in derived {
-        store.insert(plan.head, t, fresh.as_deref_mut());
-    }
-}
-
 // ---------------------------------------------------------------------
 // Rule plans
 // ---------------------------------------------------------------------
@@ -952,9 +838,9 @@ struct JoinPlan {
     lkey: Vec<usize>,
     /// Key columns on the right/negated side, aligned with `lkey`.
     rkey: Vec<usize>,
-    /// Same-side equalities on the left tuple.
+    /// Same-side equalities on the left row.
     lfilter: Vec<(usize, usize)>,
-    /// Same-side equalities on the right tuple.
+    /// Same-side equalities on the right row.
     rfilter: Vec<(usize, usize)>,
     /// Slot of the index over `right` on `rkey`.
     rindex: usize,
@@ -970,16 +856,16 @@ enum Term {
 }
 
 impl Term {
-    fn value<'a>(&'a self, rows: &[&'a Tuple]) -> &'a Value {
+    fn value<'a>(&'a self, rows: &[&'a [Value]]) -> &'a Value {
         match self {
-            Term::Col(side, i) => &rows[*side].0[*i],
+            Term::Col(side, i) => &rows[*side][*i],
             Term::Lit(v) => v,
         }
     }
 }
 
 /// A compiled `Select`/`Join`/`AntiJoin` body: it reads its operands in
-/// place and builds the head tuple directly.
+/// place and writes the head row directly.
 #[derive(Debug, Clone)]
 struct Body {
     predicates: Vec<(Term, CmpOp, Term)>,
@@ -988,16 +874,23 @@ struct Body {
 }
 
 impl Body {
-    /// The head tuple `rows` derive, unless a predicate rejects them.
-    fn derive(&self, rows: &[&Tuple]) -> Option<Tuple> {
+    /// Stage the head row `rows` derive, unless a predicate rejects them.
+    fn derive(&self, rows: &[&[Value]], out: &mut Rel) {
         let admitted = self
             .predicates
             .iter()
             .all(|(l, op, r)| op.eval(l.value(rows).cmp(r.value(rows))));
-        admitted.then(|| match &self.projection {
-            Some(items) => Tuple(items.iter().map(|t| t.value(rows).clone()).collect()),
-            None => rows[0].clone(),
-        })
+        if !admitted {
+            return;
+        }
+        match &self.projection {
+            Some(items) => {
+                out.push_with(|cells| cells.extend(items.iter().map(|t| t.value(rows).clone())));
+            }
+            None => {
+                out.insert(rows[0]);
+            }
+        }
     }
 }
 
@@ -1014,7 +907,7 @@ struct Plan {
     /// the state holds.
     gates: Vec<usize>,
     /// Some instantaneous rule of the head's stratum reads the head, so
-    /// the head's new tuples must feed the next fixpoint iteration.
+    /// the head's new rows must feed the next fixpoint iteration.
     reread: bool,
     kind: PlanKind,
 }
@@ -1078,7 +971,7 @@ fn plan_rules(m: &Module, sched: &Schedule) -> Result<(Vec<Plan>, Store)> {
                 .and_then(|body| Some((plan_pairs(m, &mut store, left, right, on)?, body)))
             {
                 Some((join, body)) => PlanKind::HashJoin {
-                    lindex: store.index_slot(join.left, &join.lkey),
+                    lindex: store.rels[join.left].index_slot(&join.lkey),
                     join,
                     body,
                 },
@@ -1164,7 +1057,7 @@ fn plan_pairs(
             _ => return None,
         }
     }
-    plan.rindex = store.index_slot(right, &plan.rkey);
+    plan.rindex = store.rels[right].index_slot(&plan.rkey);
     Some(plan)
 }
 
@@ -1294,125 +1187,93 @@ fn coll_id(m: &Module, name: &str) -> Result<usize> {
         .ok_or_else(|| BloomError::Eval(format!("unknown collection {name:?}")))
 }
 
-fn key_of(t: &Tuple, cols: &[usize]) -> Vec<Value> {
-    cols.iter()
-        .map(|&i| t.get(i).expect("schema arity").clone())
-        .collect()
-}
-
-/// Run `f` on `t`'s key over `cols`; a one-column key is borrowed in
-/// place through `slice::from_ref`, allocating nothing.
-fn with_key<R>(t: &Tuple, cols: &[usize], f: impl FnOnce(&[Value]) -> R) -> R {
-    match cols {
-        [i] => f(std::slice::from_ref(t.get(*i).expect("schema arity"))),
-        _ => f(&key_of(t, cols)),
-    }
-}
-
-/// File a copy of `t` in an index over `cols`.
-fn index_add(idx: &mut Index, cols: &[usize], t: &Tuple) {
-    with_key(t, cols, |key| match idx.get_mut(key) {
-        Some(bucket) => bucket.push(t.clone()),
-        None => {
-            idx.insert(key.to_vec(), vec![t.clone()]);
-        }
-    });
-}
-
-fn passes_filter(t: &Tuple, eqs: &[(usize, usize)]) -> bool {
-    eqs.iter()
-        .all(|&(i, j)| t.get(i).expect("schema arity") == t.get(j).expect("schema arity"))
-}
-
-/// Tuples in sorted order: the one place order is imposed, where tuples
-/// leave the engine.
-fn sorted(tuples: impl IntoIterator<Item = Tuple>) -> Vec<Tuple> {
-    let mut v: Vec<Tuple> = tuples.into_iter().collect();
-    v.sort_unstable();
-    v
+fn passes_filter(row: &[Value], eqs: &[(usize, usize)]) -> bool {
+    eqs.iter().all(|&(i, j)| row[i] == row[j])
 }
 
 // ---------------------------------------------------------------------
 // Planned (semi-naive) rule evaluation
 // ---------------------------------------------------------------------
 
-/// Evaluate a rule body over the full current state (the first pass of a
-/// stratum where the head needs everything, and the post-fixpoint
-/// deferred/async pass).
+/// Evaluate a rule body over the full current state into `out` (the first
+/// pass of a stratum where the head needs everything, and the
+/// post-fixpoint deferred/async pass).
 fn eval_rule_once(
     m: &Module,
     plans: &[Plan],
     ri: usize,
     store: &mut Store,
+    out: &mut Rel,
     probes: &mut u64,
-) -> Result<Rel> {
-    let mut out = Rel::default();
+) -> Result<()> {
     match &plans[ri].kind {
         PlanKind::Select { source, body } => {
-            eval_select(body, &store.rels[*source], probes, &mut out);
+            let rel = &store.rels[*source];
+            eval_select(body, rel, 0..rel.len(), probes, out);
         }
         PlanKind::HashJoin { join, body, .. } => {
             // An empty side joins to nothing: no index, no probes.
             if !store.rels[join.left].is_empty() && !store.rels[join.right].is_empty() {
-                store.ensure_index(join.rindex);
-                let (probe, index) = (&store.rels[join.left], store.index(join.rindex));
-                probe_join(join, body, probe, true, index, probes, &mut out);
+                store.rels[join.right].ensure_index(join.rindex);
+                let (probe, opposite) = (&store.rels[join.left], &store.rels[join.right]);
+                let rows = 0..probe.len();
+                probe_join(
+                    join,
+                    body,
+                    (probe, rows),
+                    true,
+                    (opposite, join.rindex),
+                    probes,
+                    out,
+                );
             }
         }
         PlanKind::HashAnti { join, body } => {
             if !store.rels[join.left].is_empty() {
                 // Nothing negated: every source row survives, unprobed.
-                let index = if store.rels[join.right].is_empty() {
-                    None
-                } else {
-                    store.ensure_index(join.rindex);
-                    Some(store.index(join.rindex))
-                };
-                probe_anti(join, body, &store.rels[join.left], index, probes, &mut out);
+                let negated = !store.rels[join.right].is_empty();
+                if negated {
+                    store.rels[join.right].ensure_index(join.rindex);
+                }
+                let neg = negated.then(|| &store.rels[join.right]);
+                probe_anti(join, body, &store.rels[join.left], neg, probes, out);
             }
         }
         PlanKind::Incremental(slot) => {
-            return eval_incremental(m, &m.rules[ri].body, store, *slot, probes);
+            return eval_incremental(m, &m.rules[ri].body, store, *slot, out, probes);
         }
-        PlanKind::Fallback => return eval_body(m, &store.rels, &m.rules[ri].body, probes),
+        PlanKind::Fallback => return eval_body(m, &store.rels, &m.rules[ri].body, out, probes),
     }
-    Ok(out)
+    Ok(())
 }
 
-/// The delta a monotone rule reads from collection `c`: the previous
-/// iteration's new tuples, or — seeding a stratum's first pass (`cur` is
-/// `None`) — what this tick added to a table so far, and the whole of
-/// anything else.
-fn delta_of<'a>(store: &'a Store, cur: Option<&'a Delta>, c: usize) -> Vec<&'a Tuple> {
+/// The rows a monotone rule reads as collection `c`'s delta: the range
+/// the previous iteration appended, or — seeding a stratum's first pass
+/// (`cur` is `None`) — what this tick added to a table so far, and the
+/// whole of anything else.
+fn delta_of(store: &Store, cur: Option<&[Range<usize>]>, c: usize) -> Range<usize> {
     match cur {
-        Some(cur) => cur.get(&c).map_or_else(Vec::new, |d| d.iter().collect()),
-        None if store.persistent[c] => store.inserted[c].iter().collect(),
-        None => store.rels[c].iter().collect(),
+        Some(cur) => cur[c].clone(),
+        None if store.persistent[c] => store.inserted(c),
+        None => 0..store.rels[c].len(),
     }
 }
 
-fn has_delta(store: &Store, cur: Option<&Delta>, c: usize) -> bool {
-    match cur {
-        Some(cur) => cur.get(&c).is_some_and(|d| !d.is_empty()),
-        None if store.persistent[c] => !store.inserted[c].is_empty(),
-        None => !store.rels[c].is_empty(),
-    }
-}
-
-/// Evaluate a monotone rule against deltas (see [`delta_of`]): Δleft ⋈
-/// right ∪ left ⋈ Δright, probing the maintained indexes.
+/// Evaluate a monotone rule against deltas (see [`delta_of`]) into `out`:
+/// Δleft ⋈ right ∪ left ⋈ Δright, probing the maintained indexes.
 fn eval_rule_delta(
     m: &Module,
     plans: &[Plan],
     ri: usize,
     store: &mut Store,
-    cur: Option<&Delta>,
+    cur: Option<&[Range<usize>]>,
+    out: &mut Rel,
     probes: &mut u64,
-) -> Result<Rel> {
-    let mut out = Rel::default();
+) -> Result<()> {
     match &plans[ri].kind {
         PlanKind::Select { source, body } => {
-            eval_select(body, delta_of(store, cur, *source), probes, &mut out);
+            let rows = delta_of(store, cur, *source);
+            eval_select(body, &store.rels[*source], rows, probes, out);
         }
         PlanKind::HashJoin { join, lindex, body } => {
             // A seed that is a side's whole content already joins to the
@@ -1427,45 +1288,47 @@ fn eval_rule_delta(
                 (from_left, true, join.left, join.right, join.rindex),
                 (from_right, false, join.right, join.left, *lindex),
             ] {
+                let rows = delta_of(store, cur, probed);
                 // An empty side joins to nothing: no index, no probes.
-                if !go || store.rels[opposite].is_empty() || !has_delta(store, cur, probed) {
+                if !go || store.rels[opposite].is_empty() || rows.is_empty() {
                     continue;
                 }
-                store.ensure_index(slot);
-                let (probe, index) = (delta_of(store, cur, probed), store.index(slot));
-                probe_join(join, body, probe, probe_is_left, index, probes, &mut out);
+                store.rels[opposite].ensure_index(slot);
+                let (probe, index) = (&store.rels[probed], (&store.rels[opposite], slot));
+                probe_join(join, body, (probe, rows), probe_is_left, index, probes, out);
             }
         }
         // A body that does not resolve statically: re-derive fully
         // (correct, rare).
-        PlanKind::Fallback => return eval_body(m, &store.rels, &m.rules[ri].body, probes),
+        PlanKind::Fallback => return eval_body(m, &store.rels, &m.rules[ri].body, out, probes),
         // Nonmonotonic bodies never run on deltas.
         PlanKind::HashAnti { .. } | PlanKind::Incremental(_) => {
             debug_assert!(false, "nonmonotonic body in delta evaluation");
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Fold the source table's tick delta into a running aggregate (one probe
 /// per delta row). Runs exactly once per tick, when the rule's stratum
 /// (or the post-fixpoint pass) comes up and the source is complete.
 fn sync_aggregate(store: &mut Store, slot: usize, probes: &mut u64) -> Result<()> {
-    let agg = &mut store.aggs[slot];
-    let (deleted, inserted) = (&store.deleted[agg.source], &store.inserted[agg.source]);
+    let src = store.aggs[slot].source;
+    let (deleted, inserted) = (&store.deleted[src], store.inserted(src));
     *probes += (deleted.len() + inserted.len()) as u64;
-    agg.sync(deleted, inserted)
+    store.aggs[slot].sync(deleted, &store.rels[src], inserted.start)
 }
 
 /// Aggregate over a table from its running per-group state: bring it up to
-/// date, then emit every group.
+/// date, then emit every group into `out`.
 fn eval_incremental(
     m: &Module,
     body: &RuleBody,
     store: &mut Store,
     slot: usize,
+    out: &mut Rel,
     probes: &mut u64,
-) -> Result<Rel> {
+) -> Result<()> {
     let RuleBody::GroupBy {
         source,
         alias,
@@ -1479,7 +1342,6 @@ fn eval_incremental(
     sync_aggregate(store, slot, probes)?;
     let agg = &store.aggs[slot];
     let d = &m.collections[agg.source];
-    let mut out = Rel::default();
     for (key, g) in &agg.groups {
         let group = GroupRow {
             source,
@@ -1488,31 +1350,27 @@ fn eval_incremental(
             key,
             value: agg.value_of(g),
         };
-        out.extend(group.emit(alias, having.as_ref(), projection.as_ref())?);
+        group.emit(alias, having.as_ref(), projection.as_ref(), out)?;
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Stream rows through a compiled select body.
-fn eval_select<'a>(
-    body: &Body,
-    tuples: impl IntoIterator<Item = &'a Tuple>,
-    probes: &mut u64,
-    out: &mut Rel,
-) {
-    for t in tuples {
+/// Stream the rows numbered `rows` through a compiled select body.
+fn eval_select(body: &Body, rel: &Rel, rows: Range<usize>, probes: &mut u64, out: &mut Rel) {
+    for row in rel.rows_in(rows) {
         *probes += 1;
-        out.extend(body.derive(&[t]));
+        body.derive(&[row], out);
     }
 }
 
-/// Probe one side's tuples against a hash index over the other side.
-fn probe_join<'a>(
+/// Probe one side's rows (`probe`: the relation and the row range) against
+/// an index over the other side (`index`: the relation and its slot).
+fn probe_join(
     join: &JoinPlan,
     body: &Body,
-    probe: impl IntoIterator<Item = &'a Tuple>,
+    (probe, rows): (&Rel, Range<usize>),
     probe_is_left: bool,
-    index: &Index,
+    (opposite, slot): (&Rel, usize),
     probes: &mut u64,
     out: &mut Rel,
 ) {
@@ -1521,48 +1379,48 @@ fn probe_join<'a>(
     } else {
         (&join.rkey, &join.rfilter, &join.lfilter)
     };
-    for t in probe {
+    for t in probe.rows_in(rows) {
         *probes += 1;
         if !passes_filter(t, pfilter) {
             continue;
         }
-        let Some(bucket) = with_key(t, pkey, |key| index.get(key)) else {
-            continue;
-        };
-        for o in bucket {
+        for &o in opposite.probe(slot, &key_of(t, pkey)) {
             *probes += 1;
+            let o = opposite.row(o as usize);
             if !passes_filter(o, ofilter) {
                 continue;
             }
             let rows = if probe_is_left { [t, o] } else { [o, t] };
-            out.extend(body.derive(&rows));
+            body.derive(&rows, out);
         }
     }
 }
 
-/// Antijoin via existence probes against an index over the negated side
+/// Antijoin via existence probes against the index over the negated side
 /// (`None`: the negated side is empty, nothing matches).
-fn probe_anti<'a>(
+fn probe_anti(
     join: &JoinPlan,
     body: &Body,
-    probe: impl IntoIterator<Item = &'a Tuple>,
-    index: Option<&Index>,
+    source: &Rel,
+    neg: Option<&Rel>,
     probes: &mut u64,
     out: &mut Rel,
 ) {
-    for t in probe {
+    for t in source.rows() {
         *probes += 1;
         let matched = passes_filter(t, &join.lfilter)
-            && match index.and_then(|idx| with_key(t, &join.lkey, |key| idx.get(key))) {
-                Some(bucket) if join.rfilter.is_empty() => !bucket.is_empty(),
-                Some(bucket) => bucket.iter().any(|nt| {
+            && neg.is_some_and(|neg| {
+                let bucket = neg.probe(join.rindex, &key_of(t, &join.lkey));
+                if join.rfilter.is_empty() {
+                    return !bucket.is_empty();
+                }
+                bucket.iter().any(|&r| {
                     *probes += 1;
-                    passes_filter(nt, &join.rfilter)
-                }),
-                None => false,
-            };
+                    passes_filter(neg.row(r as usize), &join.rfilter)
+                })
+            });
         if !matched {
-            out.extend(body.derive(&[t]));
+            body.derive(&[t], out);
         }
     }
 }
@@ -1582,7 +1440,7 @@ fn lit_value(l: &Literal) -> Value {
 /// A row environment: qualified column lookup across one or two bound
 /// collections plus an optional aggregate alias.
 struct Env<'a> {
-    bindings: Vec<(&'a str, &'a CollectionDecl, &'a Tuple)>,
+    bindings: Vec<(&'a str, &'a CollectionDecl, &'a [Value])>,
     alias: Option<(&'a str, Value)>,
 }
 
@@ -1593,12 +1451,12 @@ impl<'a> Env<'a> {
                 return Ok(v.clone());
             }
         }
-        for (name, decl, tuple) in &self.bindings {
+        for (name, decl, row) in &self.bindings {
             if !col.collection.is_empty() && col.collection != *name {
                 continue;
             }
             if let Some(i) = decl.col_index(&col.column) {
-                return Ok(tuple.get(i).expect("schema arity").clone());
+                return Ok(row.get(i).expect("schema arity").clone());
             }
             if !col.collection.is_empty() {
                 return Err(BloomError::Eval(format!(
@@ -1634,24 +1492,26 @@ impl<'a> Env<'a> {
         Ok(true)
     }
 
-    /// The head tuple a single-row environment derives, unless a
+    /// Stage the head row a single-row environment derives, unless a
     /// predicate rejects it; no projection passes `row` through.
     fn derive(
         &self,
         predicates: &[Predicate],
         projection: Option<&Vec<ProjItem>>,
-        row: &Tuple,
-    ) -> Result<Option<Tuple>> {
+        row: &[Value],
+        out: &mut Rel,
+    ) -> Result<()> {
         if !self.check_all(predicates)? {
-            return Ok(None);
+            return Ok(());
         }
-        Ok(Some(match projection {
-            Some(items) => self.project(items)?,
-            None => row.clone(),
-        }))
+        match projection {
+            Some(items) => out.insert(&self.project(items)?),
+            None => out.insert(row),
+        };
+        Ok(())
     }
 
-    fn project(&self, items: &[ProjItem]) -> Result<Tuple> {
+    fn project(&self, items: &[ProjItem]) -> Result<Vec<Value>> {
         let mut values = Vec::with_capacity(items.len());
         for item in items {
             values.push(match item {
@@ -1659,19 +1519,25 @@ impl<'a> Env<'a> {
                 ProjItem::Lit(l) => lit_value(l),
             });
         }
-        Ok(Tuple(values))
+        Ok(values)
     }
 }
 
-/// A collection's declaration and current content, by name.
+/// A collection's declaration and current rows, by name.
 fn named<'a>(m: &'a Module, rels: &'a [Rel], name: &str) -> Result<(&'a CollectionDecl, &'a Rel)> {
     let c = coll_id(m, name)?;
     Ok((&m.collections[c], &rels[c]))
 }
 
-/// Evaluate a rule body over the whole state, by nested loops and one-pass
-/// aggregation: the reference semantics.
-fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Result<Rel> {
+/// Evaluate a rule body over the whole state into `out`, by nested loops
+/// and one-pass aggregation: the reference semantics.
+fn eval_body(
+    m: &Module,
+    rels: &[Rel],
+    body: &RuleBody,
+    out: &mut Rel,
+    probes: &mut u64,
+) -> Result<()> {
     match body {
         RuleBody::Select {
             source,
@@ -1679,16 +1545,14 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
             predicates,
         } => {
             let (d, rel) = named(m, rels, source)?;
-            let mut out = Rel::default();
-            for t in rel {
+            for t in rel.rows() {
                 *probes += 1;
                 let env = Env {
                     bindings: vec![(source, d, t)],
                     alias: None,
                 };
-                out.extend(env.derive(predicates, projection.as_ref(), t)?);
+                env.derive(predicates, projection.as_ref(), t, out)?;
             }
-            Ok(out)
         }
         RuleBody::Join {
             left,
@@ -1699,9 +1563,8 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
         } => {
             let (dl, lrel) = named(m, rels, left)?;
             let (dr, rrel) = named(m, rels, right)?;
-            let mut out = Rel::default();
-            for lt in lrel {
-                for rt in rrel {
+            for lt in lrel.rows() {
+                for rt in rrel.rows() {
                     *probes += 1;
                     let env = Env {
                         bindings: vec![(left, dl, lt), (right, dr, rt)],
@@ -1715,11 +1578,10 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
                         }
                     }
                     if matched && env.check_all(predicates)? {
-                        out.insert(env.project(projection)?);
+                        out.insert(&env.project(projection)?);
                     }
                 }
             }
-            Ok(out)
         }
         RuleBody::AntiJoin {
             source,
@@ -1730,10 +1592,9 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
         } => {
             let (ds, srel) = named(m, rels, source)?;
             let (dn, nrel) = named(m, rels, neg)?;
-            let mut out = Rel::default();
-            for t in srel {
+            for t in srel.rows() {
                 let mut matched = false;
-                for nt in nrel {
+                for nt in nrel.rows() {
                     *probes += 1;
                     let env = Env {
                         bindings: vec![(source, ds, t), (neg, dn, nt)],
@@ -1758,9 +1619,8 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
                     bindings: vec![(source, ds, t)],
                     alias: None,
                 };
-                out.extend(env.derive(predicates, projection.as_ref(), t)?);
+                env.derive(predicates, projection.as_ref(), t, out)?;
             }
-            Ok(out)
         }
         RuleBody::GroupBy {
             source,
@@ -1773,8 +1633,8 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
         } => {
             let (d, rel) = named(m, rels, source)?;
             // Group rows by the grouping key.
-            let mut groups: BTreeMap<Vec<Value>, Vec<&Tuple>> = BTreeMap::new();
-            for t in rel {
+            let mut groups: BTreeMap<Vec<Value>, Vec<&[Value]>> = BTreeMap::new();
+            for t in rel.rows() {
                 *probes += 1;
                 let env = Env {
                     bindings: vec![(source, d, t)],
@@ -1786,7 +1646,6 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
                 }
                 groups.entry(key).or_default().push(t);
             }
-            let mut out = Rel::default();
             for (key, rows) in groups {
                 let group = GroupRow {
                     source,
@@ -1797,11 +1656,11 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
                     key: &key,
                     value: aggregate(source, d, *agg, agg_col.as_ref(), &rows)?,
                 };
-                out.extend(group.emit(alias, having.as_ref(), projection.as_ref())?);
+                group.emit(alias, having.as_ref(), projection.as_ref(), out)?;
             }
-            Ok(out)
         }
     }
+    Ok(())
 }
 
 /// One aggregated group on its way to the head: shared by the reference
@@ -1810,36 +1669,37 @@ fn eval_body(m: &Module, rels: &[Rel], body: &RuleBody, probes: &mut u64) -> Res
 struct GroupRow<'a> {
     source: &'a str,
     d: &'a CollectionDecl,
-    rep: &'a Tuple,
+    rep: &'a [Value],
     key: &'a [Value],
     value: Value,
 }
 
 impl GroupRow<'_> {
-    /// The head tuple of this group, unless `having` rejects it.
+    /// Stage the head row of this group, unless `having` rejects it.
     fn emit(
         &self,
         alias: &str,
         having: Option<&Predicate>,
         projection: Option<&Vec<ProjItem>>,
-    ) -> Result<Option<Tuple>> {
+        out: &mut Rel,
+    ) -> Result<()> {
         let env = Env {
             bindings: vec![(self.source, self.d, self.rep)],
             alias: Some((alias, self.value.clone())),
         };
         if let Some(h) = having {
             if !env.check(h)? {
-                return Ok(None);
+                return Ok(());
             }
         }
-        Ok(Some(match projection {
-            Some(items) => env.project(items)?,
-            None => {
-                let mut values = self.key.to_vec();
-                values.push(self.value.clone());
-                Tuple(values)
-            }
-        }))
+        match projection {
+            Some(items) => out.insert(&env.project(items)?),
+            None => out.push_with(|cells| {
+                cells.extend_from_slice(self.key);
+                cells.push(self.value.clone());
+            }),
+        };
+        Ok(())
     }
 }
 
@@ -1848,7 +1708,7 @@ fn aggregate(
     d: &CollectionDecl,
     agg: AggFun,
     agg_col: Option<&ColRef>,
-    rows: &[&Tuple],
+    rows: &[&[Value]],
 ) -> Result<Value> {
     let col_index = |c: &ColRef| -> Result<usize> {
         if !c.collection.is_empty() && c.collection != source {
@@ -2080,6 +1940,35 @@ module G {
         assert_eq!(inst.cumulative_stats().derivations, total.derivations);
         inst.tick(inputs(&[])).unwrap();
         assert!(inst.cumulative_stats().fixpoint_iters > total.fixpoint_iters);
+    }
+
+    #[test]
+    fn derivations_count_distinct_tuples_per_rule_evaluation() {
+        for mode in all_modes() {
+            // A projection that collapses two rows derives one tuple per
+            // evaluation. Naive evaluates the rule again in the iteration
+            // that finds nothing new; semi-naive evaluates it once.
+            let m = parse_module("module M { input a(x, y) output o(x) o <= a -> (a.x) }").unwrap();
+            let mut inst = ModuleInstance::with_mode(m, mode).unwrap();
+            let out = inst
+                .tick(inputs(&[("a", vec![t2(1i64, 1i64), t2(1i64, 2i64)])]))
+                .unwrap();
+            assert_eq!(out.on("o"), &[t1(1i64)]);
+            let s = inst.last_tick_stats();
+            let evaluations = if mode == EvalMode::Naive { 2 } else { 1 };
+            assert_eq!(s.fixpoint_iters, evaluations, "{mode:?}");
+            assert_eq!(s.derivations, evaluations, "{mode:?}: one per evaluation");
+
+            // A tuple re-derived into a table that already holds it counts.
+            let m = parse_module("module M { input a(x) table t(x) t <= a }").unwrap();
+            let mut inst = ModuleInstance::with_mode(m, mode).unwrap();
+            inst.tick(inputs(&[("a", vec![t1(1i64)])])).unwrap();
+            assert_eq!(inst.last_tick_stats().derivations, evaluations, "{mode:?}");
+            // Next tick the table has it: one evaluation, in both modes.
+            inst.tick(inputs(&[("a", vec![t1(1i64)])])).unwrap();
+            assert_eq!(inst.last_tick_stats().derivations, 1, "{mode:?}");
+            assert_eq!(inst.table("t"), &[t1(1i64)]);
+        }
     }
 
     #[test]
@@ -2437,12 +2326,31 @@ module F {
 
     #[test]
     fn relations_and_indexes_iterate_in_one_order_every_time() {
-        // Iteration order is derivation order; a seeded hasher would give
-        // two collections holding the same tuples two different orders.
-        let rows = || (0..256i64).map(|i| t2(i, i * 7));
-        let (a, b): (Rel, Rel) = (rows().collect(), rows().collect());
-        assert!(a.iter().eq(b.iter()));
-        let index = || -> Index { rows().map(|t| (t.0.clone(), vec![t])).collect() };
-        assert!(index().keys().eq(index().keys()));
+        // Row order is derivation order. Rows are numbered in insertion
+        // order, so two instances fed the same tuples hold them — and file
+        // them in their indexes — in one order, whatever the run.
+        let edges: Vec<Tuple> = (0..256i64).rev().map(|i| t2(i, i + 1_000)).collect();
+        let run = || {
+            let mut inst = ModuleInstance::new(parse_module(TC).unwrap()).unwrap();
+            inst.tick(inputs(&[("edge", edges.clone())])).unwrap();
+            inst
+        };
+        let (a, b) = (run(), run());
+        let e = coll_id(&a.module, "e").unwrap();
+        let rows = |inst: &ModuleInstance| -> Vec<Vec<Value>> {
+            inst.store.rels[e].rows().map(<[Value]>::to_vec).collect()
+        };
+        let fed: Vec<Vec<Value>> = edges.iter().map(|t| t.0.clone()).collect();
+        assert_eq!(rows(&a), fed, "rows in insertion order");
+        assert_eq!(rows(&a), rows(&b));
+        // `e`'s one index (on `src`, probed by the join) stays live.
+        for src in 0..256i64 {
+            let key = [Value::Int(src)];
+            assert_eq!(a.store.rels[e].probe(0, &key), &[255 - src as u32]);
+            assert_eq!(
+                a.store.rels[e].probe(0, &key),
+                b.store.rels[e].probe(0, &key)
+            );
+        }
     }
 }

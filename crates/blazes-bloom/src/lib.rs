@@ -64,6 +64,7 @@ pub mod error;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
+mod rel;
 
 pub use analyze::{annotate_module, PathAnnotation};
 pub use ast::{CollectionKind, MergeOp, Module, Rule};
