@@ -1,10 +1,11 @@
 //! The injection pass: [`AutoCoordRules`] turns a
-//! [`CoordinationSpec`] into wire/injection rewrites.
+//! [`CoordinationSpec`] into a rewrite of one recorded [`Topology`].
 //!
 //! The pass recognizes flagged components by instance name (a directive
 //! for component `Report` matches instances `Report`, `Report[0]`,
 //! `report[3]`, … — engines suffix the parallelism index in brackets) and
-//! reroutes their inbound traffic:
+//! reroutes their inbound traffic, in one walk over the recording's wires
+//! and then its injections:
 //!
 //! * **Seal** directives get one [`SealGate`] per `(consumer instance,
 //!   input port)`, fed by every producer wire and by redirected external
@@ -12,17 +13,26 @@
 //!   partition, where the key sits in a tuple — comes from a
 //!   [`SealBinding`] the application registers per component.
 //! * **Order** directives get one shared [`Sequencer`] per flagged
-//!   component: every producer wire funnels into it and it fans out over
-//!   ordered channels, so all consumer instances observe the same total
-//!   order. External injections addressed to the component's instances
-//!   collapse to a single sequencer send per distinct `(time, port,
-//!   message)` — the sequencer broadcast delivers to every instance.
+//!   component: each producer port feeds it over one wire, and it fans
+//!   out over one ordered wire per consumer instance, so all instances
+//!   observe the same total order. Identical injections `(time, port,
+//!   message)` addressed to the component's instances become as many
+//!   sequencer sends as the largest number any one instance was sent —
+//!   the broadcast delivers each to every instance.
+//!
+//! Gates are appended to the recording, so the assembly's instance ids
+//! stay valid. The rewritten wires keep the order of the wires they
+//! replace, each gate's delivery wire right after the first wire that
+//! needs it (after all wires when only injections need it), and a wire's
+//! number is its position in that list.
 
 use crate::gate::{SealGate, SpeculativeSealGate};
 use blazes_coord::registry::ProducerRegistry;
 use blazes_coord::sequencer::Sequencer;
 use blazes_core::placement::{CoordDirective, CoordinationSpec};
-use blazes_dataflow::backend::{GateAlloc, InjectAction, PortId, RewritePass, WireAction};
+use blazes_dataflow::backend::{
+    ExecutorBuilder, Injection, PortId, RewritePass, RewriteStats, Topology, Wire,
+};
 use blazes_dataflow::channel::ChannelConfig;
 use blazes_dataflow::component::Component;
 use blazes_dataflow::message::Message;
@@ -87,46 +97,15 @@ enum RuleKind {
     Seal {
         key_attrs: Vec<String>,
         binding: Option<SealBinding>,
-        /// One gate per `(consumer instance, input port)`.
-        gates: BTreeMap<(usize, PortId), InstanceId>,
     },
-    Order {
-        sequencer: Option<InstanceId>,
-        /// Which destinations each distinct injection has covered: the
-        /// first destination routes through the sequencer, further
-        /// destinations are satisfied by its broadcast (Absorb), and a
-        /// repeat of an already-covered destination is a genuinely new
-        /// copy and routes again.
-        routed: BTreeMap<(Time, PortId, Message), BTreeSet<usize>>,
-        /// Producer ports already feeding the sequencer: further wires
-        /// from the same port are replica fan-out and collapse into the
-        /// sequencer's broadcast.
-        routed_ports: BTreeSet<(usize, PortId)>,
-        /// The single input port the ordered component receives on. The
-        /// sequencer broadcast cannot distinguish ports, so a component
-        /// whose instances listen on several ports is rejected loudly
-        /// rather than silently double-delivered.
-        in_port: Option<PortId>,
-    },
+    Order,
 }
 
 struct Rule {
     component: String,
     kind: RuleKind,
-}
-
-/// Enforce the single-input-port restriction of the ordering rewrite.
-fn check_order_port(component: &str, in_port: &mut Option<PortId>, port: PortId) {
-    match in_port {
-        None => *in_port = Some(port),
-        Some(p) if *p == port => {}
-        Some(p) => panic!(
-            "ordering rewrite for {component:?} saw inputs on ports {p} and {port}: \
-             the injected sequencer broadcasts on one port, so multi-input-port \
-             consumers are not supported by the wire-level Order rewrite \
-             (use an engine-native mechanism instead)"
-        ),
-    }
+    /// Gate instances the rewrite added for this directive.
+    injected: usize,
 }
 
 /// What the pass injected, per directive — the human-readable half of the
@@ -159,8 +138,6 @@ impl InjectionSummary {
 /// [`blazes_dataflow::backend::RewritingBuilder`].
 pub struct AutoCoordRules {
     rules: Vec<Rule>,
-    /// Flagged instance → rule index.
-    flagged: BTreeMap<usize, usize>,
     sequencer_service: Time,
     speculation: bool,
 }
@@ -178,29 +155,26 @@ impl AutoCoordRules {
         let rules = spec
             .directives
             .iter()
-            .map(|d| match d {
-                CoordDirective::Seal { component, key, .. } => Rule {
+            .map(|d| {
+                let (component, kind) = match d {
+                    CoordDirective::Seal { component, key, .. } => (
+                        component,
+                        RuleKind::Seal {
+                            key_attrs: key.iter().map(ToString::to_string).collect(),
+                            binding: None,
+                        },
+                    ),
+                    CoordDirective::Order { component, .. } => (component, RuleKind::Order),
+                };
+                Rule {
                     component: component.clone(),
-                    kind: RuleKind::Seal {
-                        key_attrs: key.iter().map(ToString::to_string).collect(),
-                        binding: None,
-                        gates: BTreeMap::new(),
-                    },
-                },
-                CoordDirective::Order { component, .. } => Rule {
-                    component: component.clone(),
-                    kind: RuleKind::Order {
-                        sequencer: None,
-                        routed: BTreeMap::new(),
-                        routed_ports: BTreeSet::new(),
-                        in_port: None,
-                    },
-                },
+                    kind,
+                    injected: 0,
+                }
             })
             .collect();
         AutoCoordRules {
             rules,
-            flagged: BTreeMap::new(),
             sequencer_service: 0,
             speculation: false,
         }
@@ -219,7 +193,7 @@ impl AutoCoordRules {
             .unwrap_or_else(|| panic!("no directive for component {component:?}"));
         match &mut rule.kind {
             RuleKind::Seal { binding: slot, .. } => *slot = Some(binding),
-            RuleKind::Order { .. } => {
+            RuleKind::Order => {
                 panic!("component {component:?} is ordered, not sealed")
             }
         }
@@ -247,20 +221,19 @@ impl AutoCoordRules {
         self
     }
 
-    /// Per-directive injection accounting.
+    /// Per-directive injection accounting of the rewrite.
     #[must_use]
     pub fn summary(&self) -> InjectionSummary {
         InjectionSummary {
             per_directive: self
                 .rules
                 .iter()
-                .map(|r| match &r.kind {
-                    RuleKind::Seal { gates, .. } => (r.component.clone(), "seal-gate", gates.len()),
-                    RuleKind::Order { sequencer, .. } => (
-                        r.component.clone(),
-                        "sequencer",
-                        usize::from(sequencer.is_some()),
-                    ),
+                .map(|r| {
+                    let mechanism = match r.kind {
+                        RuleKind::Seal { .. } => "seal-gate",
+                        RuleKind::Order => "sequencer",
+                    };
+                    (r.component.clone(), mechanism, r.injected)
                 })
                 .collect(),
         }
@@ -279,176 +252,171 @@ impl AutoCoordRules {
 }
 
 impl RewritePass for AutoCoordRules {
-    fn observe_instance(&mut self, id: InstanceId, name: &str) {
-        for (i, rule) in self.rules.iter().enumerate() {
-            if Self::matches(&rule.component, name) {
-                self.flagged.insert(id.0, i);
-                break;
-            }
-        }
-    }
-
-    fn rewrite_wire(
-        &mut self,
-        from: InstanceId,
-        out_port: PortId,
-        to: InstanceId,
-        in_port: PortId,
-        alloc: &mut GateAlloc<'_>,
-    ) -> WireAction {
-        let Some(&ri) = self.flagged.get(&to.0) else {
-            return WireAction::Keep;
+    fn rewrite(&mut self, topology: &mut Topology) -> RewriteStats {
+        let rule_of: Vec<Option<usize>> = topology
+            .instance_names()
+            .map(|name| {
+                self.rules
+                    .iter()
+                    .position(|r| Self::matches(&r.component, name))
+            })
+            .collect();
+        let mut walk = Walk {
+            pass: self,
+            rule_of,
+            seal_gates: BTreeMap::new(),
+            sequencers: BTreeMap::new(),
+            order_ports: BTreeMap::new(),
+            fed: BTreeSet::new(),
+            delivered: BTreeSet::new(),
+            sent: BTreeMap::new(),
+            rewritten_wires: 0,
         };
-        let rule = &mut self.rules[ri];
-        match &mut rule.kind {
-            RuleKind::Seal {
-                key_attrs,
-                binding,
-                gates,
-            } => WireAction::Via {
-                gate: seal_gate(
-                    &rule.component,
-                    key_attrs,
-                    binding,
-                    gates,
-                    to,
-                    in_port,
-                    self.speculation,
-                    alloc,
-                ),
-                gate_in_port: PortId(0),
-                delivery: ChannelConfig::instant(),
-            },
-            RuleKind::Order {
-                sequencer,
-                routed_ports,
-                in_port: order_port,
-                ..
-            } => {
-                check_order_port(&rule.component, order_port, in_port);
-                let gate = *sequencer.get_or_insert_with(|| {
-                    alloc(Box::new(Sequencer::new()), self.sequencer_service)
-                });
-                let delivery = ChannelConfig::ordered(ORDERED_LATENCY);
-                if routed_ports.insert((from.0, out_port)) {
-                    WireAction::Via {
-                        gate,
-                        gate_in_port: PortId(0),
-                        delivery,
-                    }
-                } else {
-                    // Replica fan-out: this producer port already feeds
-                    // the sequencer, whose broadcast reaches every
-                    // instance — wiring it again would duplicate traffic.
-                    WireAction::Absorb { gate, delivery }
-                }
-            }
+        for wire in topology.take_wires() {
+            walk.wire(topology, wire);
         }
-    }
-
-    fn rewrite_injection(
-        &mut self,
-        at: Time,
-        to: InstanceId,
-        port: PortId,
-        msg: &Message,
-        alloc: &mut GateAlloc<'_>,
-    ) -> InjectAction {
-        let Some(&ri) = self.flagged.get(&to.0) else {
-            return InjectAction::Keep;
-        };
-        let rule = &mut self.rules[ri];
-        match &mut rule.kind {
-            RuleKind::Seal {
-                key_attrs,
-                binding,
-                gates,
-            } => InjectAction::Via {
-                gate: seal_gate(
-                    &rule.component,
-                    key_attrs,
-                    binding,
-                    gates,
-                    to,
-                    port,
-                    self.speculation,
-                    alloc,
-                ),
-                gate_in_port: PortId(0),
-                delivery: ChannelConfig::instant(),
-            },
-            RuleKind::Order {
-                sequencer,
-                routed,
-                in_port: order_port,
-                ..
-            } => {
-                check_order_port(&rule.component, order_port, port);
-                let gate = *sequencer.get_or_insert_with(|| {
-                    alloc(Box::new(Sequencer::new()), self.sequencer_service)
-                });
-                let delivery = ChannelConfig::ordered(ORDERED_LATENCY);
-                let covered = routed.entry((at, port, msg.clone())).or_default();
-                if covered.insert(to.0) {
-                    if covered.len() == 1 {
-                        // First destination of this logical message:
-                        // route it through the sequencer once.
-                        InjectAction::Via {
-                            gate,
-                            gate_in_port: PortId(0),
-                            delivery,
-                        }
-                    } else {
-                        // Broadcast collapse: the sequencer already
-                        // carries this message for a sibling instance;
-                        // just make sure it reaches this one too.
-                        InjectAction::Absorb { gate, delivery }
-                    }
-                } else {
-                    // The same destination again: a genuinely new copy of
-                    // an identical payload — deliver it (to everyone, as
-                    // the ordering service broadcasts) rather than
-                    // silently dropping it.
-                    covered.clear();
-                    covered.insert(to.0);
-                    InjectAction::Via {
-                        gate,
-                        gate_in_port: PortId(0),
-                        delivery,
-                    }
-                }
-            }
+        topology.rewrite_injections(|t, injection| walk.injection(t, injection));
+        let rewritten_wires = walk.rewritten_wires;
+        RewriteStats {
+            injected_operators: self.rules.iter().map(|r| r.injected).sum(),
+            rewritten_wires,
         }
     }
 }
 
-/// Materialize (or reuse) the gate for one `(consumer instance, input
-/// port)` — shared by the wire and injection paths so the two can never
-/// disagree on gate identity. `speculative` selects the time-warp variant
-/// over the blocking protocol.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by two rewrite paths
-fn seal_gate(
-    component: &str,
-    key_attrs: &[String],
-    binding: &Option<SealBinding>,
-    gates: &mut BTreeMap<(usize, PortId), InstanceId>,
-    to: InstanceId,
-    in_port: PortId,
-    speculative: bool,
-    alloc: &mut GateAlloc<'_>,
-) -> InstanceId {
-    *gates.entry((to.0, in_port)).or_insert_with(|| {
-        let binding = binding
-            .clone()
-            .unwrap_or_else(|| panic!("seal directive for {component:?} needs bind_seal()"));
-        let name = format!("autocoord-seal({component}@{}:{})", to.0, in_port.0);
-        let gate: Box<dyn Component> = if speculative {
-            Box::new(SpeculativeSealGate::new(key_attrs.to_vec(), binding, name))
-        } else {
-            Box::new(SealGate::new(key_attrs.to_vec(), binding, name))
+/// Where traffic into one flagged `(instance, port)` goes instead.
+#[derive(Clone, Copy)]
+struct Gate {
+    id: InstanceId,
+    ordered: bool,
+}
+
+/// One logical message to an ordered component: `(sequencer, time, port,
+/// message)`.
+type OrderedInjection = (InstanceId, Time, PortId, Message);
+
+/// The state of one rewrite, over one recording.
+struct Walk<'a> {
+    pass: &'a mut AutoCoordRules,
+    /// Rule index per recorded instance (`None` = not flagged).
+    rule_of: Vec<Option<usize>>,
+    /// One seal gate per `(consumer instance, input port)`.
+    seal_gates: BTreeMap<(InstanceId, PortId), InstanceId>,
+    /// One sequencer per ordered rule.
+    sequencers: BTreeMap<usize, InstanceId>,
+    /// The single input port each ordered rule's instances receive on.
+    /// The sequencer broadcast cannot distinguish ports, so a component
+    /// whose instances listen on several ports is rejected loudly rather
+    /// than silently double-delivered.
+    order_ports: BTreeMap<usize, PortId>,
+    /// `(sequencer, producer, output port)` wires already feeding a
+    /// sequencer: further wires from that port are replica fan-out, which
+    /// the broadcast covers.
+    fed: BTreeSet<(InstanceId, InstanceId, PortId)>,
+    /// `(gate, consumer, port)` delivery wires already connected.
+    delivered: BTreeSet<(InstanceId, InstanceId, PortId)>,
+    /// Per ordered injection: the sequencer sends so far, and how many
+    /// copies each instance was sent.
+    sent: BTreeMap<OrderedInjection, (usize, BTreeMap<InstanceId, usize>)>,
+    /// Producer wires now ending at a gate.
+    rewritten_wires: usize,
+}
+
+impl Walk<'_> {
+    /// Reconnect one recorded wire, through its consumer's gate if it has
+    /// one.
+    fn wire(&mut self, t: &mut Topology, w: Wire) {
+        let Some(gate) = self.gate(t, w.to, w.in_port) else {
+            t.connect(w.from, w.out_port, w.to, w.in_port, w.channel);
+            return;
         };
-        alloc(gate, 0)
-    })
+        if !gate.ordered || self.fed.insert((gate.id, w.from, w.out_port)) {
+            t.connect(w.from, w.out_port, gate.id, PortId(0), w.channel);
+            self.rewritten_wires += 1;
+        }
+        self.deliver(t, gate, w.to, w.in_port);
+    }
+
+    /// Redirect one injection into its destination's gate, if it has one;
+    /// returns whether to keep it.
+    fn injection(&mut self, t: &mut Topology, injection: &mut Injection) -> bool {
+        let (at, to, port, msg) = injection;
+        let Some(gate) = self.gate(t, *to, *port) else {
+            return true;
+        };
+        self.deliver(t, gate, *to, *port);
+        if gate.ordered {
+            let (sends, copies) = self
+                .sent
+                .entry((gate.id, *at, *port, msg.clone()))
+                .or_default();
+            let copies = copies.entry(*to).or_default();
+            *copies += 1;
+            if *copies <= *sends {
+                // An earlier send already broadcasts this copy here.
+                return false;
+            }
+            *sends += 1;
+        }
+        (*to, *port) = (gate.id, PortId(0));
+        true
+    }
+
+    /// The gate in front of `(to, port)`, added on first use; `None` when
+    /// `to` is not flagged.
+    fn gate(&mut self, t: &mut Topology, to: InstanceId, port: PortId) -> Option<Gate> {
+        let ri = self.rule_of[to.0]?;
+        let rule = &mut self.pass.rules[ri];
+        let (id, ordered) = match &rule.kind {
+            RuleKind::Seal { key_attrs, binding } => {
+                let id = *self.seal_gates.entry((to, port)).or_insert_with(|| {
+                    let binding = binding.clone().unwrap_or_else(|| {
+                        panic!("seal directive for {:?} needs bind_seal()", rule.component)
+                    });
+                    let name = format!("autocoord-seal({}@{}:{})", rule.component, to.0, port.0);
+                    let gate: Box<dyn Component> = if self.pass.speculation {
+                        Box::new(SpeculativeSealGate::new(key_attrs.clone(), binding, name))
+                    } else {
+                        Box::new(SealGate::new(key_attrs.clone(), binding, name))
+                    };
+                    rule.injected += 1;
+                    t.add_instance(gate)
+                });
+                (id, false)
+            }
+            RuleKind::Order => {
+                let first = *self.order_ports.entry(ri).or_insert(port);
+                assert!(
+                    first == port,
+                    "ordering rewrite for {:?} saw inputs on ports {first} and {port}: \
+                     the injected sequencer broadcasts on one port, so multi-input-port \
+                     consumers are not supported by the wire-level Order rewrite \
+                     (use an engine-native mechanism instead)",
+                    rule.component
+                );
+                let id = *self.sequencers.entry(ri).or_insert_with(|| {
+                    rule.injected += 1;
+                    let id = t.add_instance(Box::new(Sequencer::new()));
+                    t.set_service_time(id, self.pass.sequencer_service);
+                    id
+                });
+                (id, true)
+            }
+        };
+        Some(Gate { id, ordered })
+    }
+
+    /// Wire `gate` output 0 to `(to, port)`, once.
+    fn deliver(&mut self, t: &mut Topology, gate: Gate, to: InstanceId, port: PortId) {
+        if self.delivered.insert((gate.id, to, port)) {
+            let channel = if gate.ordered {
+                ChannelConfig::ordered(ORDERED_LATENCY)
+            } else {
+                ChannelConfig::instant()
+            };
+            t.connect_with(gate.id, PortId(0), to, port, channel);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -613,6 +581,36 @@ mod tests {
             sinks
         }
 
+        // The rewritten recording: the sequencer is appended, fed over one
+        // wire per producer port, and fans out over one ordered wire per
+        // replica.
+        let mut recorded = Topology::new();
+        let mut rb =
+            RewritingBuilder::new(&mut recorded, AutoCoordRules::new(&spec_order("Replica")));
+        let _ = topology(&mut rb);
+        let _ = rb.finish();
+        let names: Vec<&str> = recorded.instance_names().collect();
+        assert_eq!(names.last(), Some(&"sequencer"), "{names:?}");
+        let seq = InstanceId(names.len() - 1);
+        let fed_by: Vec<&str> = recorded
+            .wires()
+            .iter()
+            .filter(|w| w.to == seq)
+            .map(|w| names[w.from.0])
+            .collect();
+        assert_eq!(fed_by, ["producer"; 3]);
+        let fans_to: Vec<_> = recorded
+            .wires()
+            .iter()
+            .filter(|w| w.from == seq)
+            .map(|w| (names[w.to.0], &recorded.channels()[w.channel.0]))
+            .collect();
+        let ordered = ChannelConfig::ordered(ORDERED_LATENCY);
+        assert_eq!(
+            fans_to,
+            [("Replica[0]", &ordered), ("Replica[1]", &ordered)]
+        );
+
         for workers in [1usize, 4] {
             let mut par = ParBuilder::new(9).with_workers(workers);
             let mut rb =
@@ -621,9 +619,6 @@ mod tests {
             let (rules, stats) = rb.finish();
             assert_eq!(stats.injected_operators, 1, "one shared sequencer");
             assert_eq!(stats.rewritten_wires, 3, "one wire per producer port");
-            assert_eq!(stats.absorbed_wires, 3, "replica fan-out collapsed");
-            assert_eq!(stats.redirected_injections, 1);
-            assert_eq!(stats.absorbed_injections, 1);
             assert_eq!(rules.summary().per_directive[0].1, "sequencer");
             let _ = par.build().run();
             assert_eq!(
@@ -635,23 +630,50 @@ mod tests {
         }
     }
 
+    /// How many copies each of two ordered replicas delivers after `sends`
+    /// — `(replica, copies)` runs of one identical injection, in recording
+    /// order — went through the ordering rewrite.
+    fn ordered_copies(sends: &[(usize, usize)]) -> Vec<usize> {
+        let mut topology = Topology::new();
+        let mut rb =
+            RewritingBuilder::new(&mut topology, AutoCoordRules::new(&spec_order("Replica")));
+        let mut replicas = Vec::new();
+        let mut sinks = Vec::new();
+        for r in 0..2 {
+            let rep = rb.add_instance(forwarder(&format!("Replica[{r}]")));
+            let sink = CollectorSink::new();
+            let s = rb.add_instance(Box::new(sink.clone()));
+            rb.connect_with(rep, PortId(0), s, PortId(0), ChannelConfig::instant());
+            replicas.push(rep);
+            sinks.push(sink);
+        }
+        for &(r, copies) in sends {
+            for _ in 0..copies {
+                rb.inject(0, replicas[r], PortId(0), Message::data([7i64]));
+            }
+        }
+        let _ = rb.finish();
+        Simulator::new(topology, 0).run();
+        sinks.iter().map(CollectorSink::len).collect()
+    }
+
     #[test]
     fn duplicate_injections_to_the_same_instance_are_not_dropped() {
         // Two *identical* injections to one flagged replica are genuinely
-        // distinct copies: both must survive the broadcast collapse.
-        let mut par = ParBuilder::new(2).with_workers(2);
-        let mut rb = RewritingBuilder::new(&mut par, AutoCoordRules::new(&spec_order("Replica")));
-        let rep = rb.add_instance(forwarder("Replica[0]"));
-        let sink = CollectorSink::new();
-        let s = rb.add_instance(Box::new(sink.clone()));
-        rb.connect_with(rep, PortId(0), s, PortId(0), ChannelConfig::instant());
-        rb.inject(0, rep, PortId(0), Message::data([7i64]));
-        rb.inject(0, rep, PortId(0), Message::data([7i64]));
-        let (_, stats) = rb.finish();
-        assert_eq!(stats.redirected_injections, 2, "both copies routed");
-        assert_eq!(stats.absorbed_injections, 0);
-        let _ = par.build().run();
-        assert_eq!(sink.len(), 2, "uncoordinated multiplicity preserved");
+        // distinct copies: both must survive the broadcast collapse (and
+        // the sequencer delivers only where the assembly sent something).
+        assert_eq!(ordered_copies(&[(0, 2)]), [2, 0]);
+        // One copy to each replica is one logical message, sent once.
+        assert_eq!(ordered_copies(&[(0, 1), (1, 1)]), [1, 1]);
+    }
+
+    /// Identical injections sent to replicas in the order A, A, B, B are
+    /// two copies per replica uncoordinated, so the sequencer sends two —
+    /// not three, which would deliver a copy nobody sent.
+    #[test]
+    fn ordered_broadcast_keeps_the_largest_per_replica_multiplicity() {
+        assert_eq!(ordered_copies(&[(0, 2), (1, 2)]), [2, 2]);
+        assert_eq!(ordered_copies(&[(0, 1), (1, 3), (0, 1)]), [3, 3]);
     }
 
     #[test]
@@ -666,6 +688,7 @@ mod tests {
         let p = rb.add_instance(forwarder("producer"));
         rb.connect_with(p, PortId(0), rep, PortId(0), ChannelConfig::instant());
         rb.connect_with(p, PortId(1), rep, PortId(1), ChannelConfig::instant());
+        let _ = rb.finish();
     }
 
     #[test]
@@ -685,11 +708,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "needs bind_seal")]
-    fn missing_seal_binding_panics_at_first_wire() {
+    fn missing_seal_binding_panics_at_rewrite() {
         let mut topology = Topology::new();
         let mut rb =
             RewritingBuilder::new(&mut topology, AutoCoordRules::new(&spec_seal("Report")));
         let sink = CollectorSink::new();
         seal_topology(&mut rb, sink);
+        let _ = rb.finish();
     }
 }

@@ -27,24 +27,26 @@
 //!
 //! # The graph-rewrite pass
 //!
-//! [`RewritingBuilder`] wraps any [`ExecutorBuilder`] and threads every
-//! assembly call through a [`RewritePass`]. The pass may interpose
-//! *gate* operators on wires and redirect external injections — without
-//! the assembling code knowing the topology was transformed. This is the
-//! mechanism `blazes-autocoord` uses to inject the coordination a
-//! [`blazes-core`](../../blazes_core/index.html) analysis proved
-//! necessary: because the pass sits below the shared [`ExecutorBuilder`]
-//! surface, the *same* rewritten [`Topology`] is what every backend runs.
-//! [`RewriteStats`] records exactly what the pass touched, so callers can
-//! verify the minimality claim (a confluent topology must come through
-//! with zero injected operators).
+//! [`RewritingBuilder`] wraps any [`ExecutorBuilder`]: it records the
+//! assembly into a [`Topology`] of its own, and its `finish` runs a
+//! [`RewritePass`] once over that whole recording and then hands the
+//! result to the wrapped builder ([`ExecutorBuilder::take_recording`]).
+//! The pass may interpose *gate* operators on wires and redirect external
+//! injections — without the assembling code knowing the topology was
+//! transformed. This is the mechanism `blazes-autocoord` uses to inject
+//! the coordination a [`blazes-core`](../../blazes_core/index.html)
+//! analysis proved necessary: because the pass sits below the shared
+//! [`ExecutorBuilder`] surface, the *same* rewritten [`Topology`] is what
+//! every backend runs, and a rewrite can be checked on the value without
+//! running anything. [`RewriteStats`] records what the pass added, so
+//! callers can verify the minimality claim (a confluent topology must come
+//! through with zero injected operators).
 
 use crate::channel::ChannelConfig;
 use crate::component::Component;
 use crate::message::Message;
 use crate::par::{ParBuilder, ParConfigError, ParExecutor};
 use crate::sim::{InstanceId, Simulator, Time};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Typed handle to a channel configuration registered with a backend
@@ -112,6 +114,38 @@ pub trait ExecutorBuilder {
         let ch = self.add_channel(cfg);
         self.connect(from, out_port, to, in_port, ch);
     }
+
+    /// Take over a whole recording, as if its assembly had been made here
+    /// call by call: how a [`RewritingBuilder`] hands its rewritten
+    /// [`Topology`] on. The default replays the recording through the
+    /// five calls above (instances with their service times, channels,
+    /// wires, injections) and panics unless every instance and channel id
+    /// comes back as recorded, so the ids the assembly handed out stay
+    /// valid. [`Topology`] and [`ParBuilder`] move the recording in
+    /// instead, and must be empty.
+    fn take_recording(&mut self, topology: Topology) {
+        let Topology {
+            instances,
+            channels,
+            wires,
+            injections,
+        } = topology;
+        for (at, instance) in instances.into_iter().enumerate() {
+            let id = self.add_instance(instance.component);
+            assert_eq!(id, InstanceId(at), "take_recording: instance renumbered");
+            self.set_service_time(id, instance.service);
+        }
+        for (at, cfg) in channels.into_iter().enumerate() {
+            let ch = self.add_channel(cfg);
+            assert_eq!(ch, ChannelId(at), "take_recording: channel renumbered");
+        }
+        for w in wires {
+            self.connect(w.from, w.out_port, w.to, w.in_port, w.channel);
+        }
+        for (at, to, port, msg) in injections {
+            self.inject(at, to, port, msg);
+        }
+    }
 }
 
 /// Forward through mutable references so assembly functions generic over
@@ -142,6 +176,10 @@ impl<B: ExecutorBuilder + ?Sized> ExecutorBuilder for &mut B {
 
     fn inject(&mut self, at: Time, to: InstanceId, port: PortId, msg: Message) {
         (**self).inject(at, to, port, msg);
+    }
+
+    fn take_recording(&mut self, topology: Topology) {
+        (**self).take_recording(topology);
     }
 }
 
@@ -189,7 +227,7 @@ pub struct Wire {
 
 /// An external message recorded for delivery at `at`, to `(instance,
 /// port)`.
-pub(crate) type Injection = (Time, InstanceId, PortId, Message);
+pub type Injection = (Time, InstanceId, PortId, Message);
 
 /// An assembled topology as a value: what an [`ExecutorBuilder`]
 /// assembly records, and what every backend is built from.
@@ -231,6 +269,30 @@ impl Topology {
     #[must_use]
     pub fn wires(&self) -> &[Wire] {
         &self.wires
+    }
+
+    /// Move the recorded wires out, leaving none: a [`RewritePass`]
+    /// connects them again, rewritten, so each wire's number is its
+    /// position in the rewritten list.
+    pub fn take_wires(&mut self) -> Vec<Wire> {
+        std::mem::take(&mut self.wires)
+    }
+
+    /// Walk the recorded injections in order, in place: `f` sees the
+    /// topology (to add gates and wires) and one injection, may redirect
+    /// it, and returns whether to keep it. Kept injections are checked
+    /// like a fresh `inject`.
+    pub fn rewrite_injections(&mut self, mut f: impl FnMut(&mut Topology, &mut Injection) -> bool) {
+        let mut injections = std::mem::take(&mut self.injections);
+        injections.retain_mut(|injection| f(self, injection));
+        assert!(
+            self.injections.is_empty(),
+            "rewrite_injections: redirect injections, do not record new ones"
+        );
+        for &(_, to, ..) in &injections {
+            self.check("inject", to);
+        }
+        self.injections = injections;
     }
 
     /// Panic unless `id` names a recorded instance.
@@ -291,102 +353,31 @@ impl ExecutorBuilder for Topology {
         self.check("inject", to);
         self.injections.push((at, to, port, msg));
     }
+
+    /// Moves `topology` in.
+    ///
+    /// # Panics
+    /// Unless this recording is empty: appending would shift the ids the
+    /// handed-over assembly returned.
+    fn take_recording(&mut self, topology: Topology) {
+        assert!(
+            self.instances.is_empty()
+                && self.channels.is_empty()
+                && self.wires.is_empty()
+                && self.injections.is_empty(),
+            "take_recording: the topology already holds a recording"
+        );
+        *self = topology;
+    }
 }
 
-/// What a [`RewritePass`] decides for one wire about to be connected.
-#[derive(Debug, Clone)]
-pub enum WireAction {
-    /// Wire producer → consumer as requested.
-    Keep,
-    /// Route the wire through `gate`: the producer connects to
-    /// `gate`'s input `gate_in_port` over the originally requested
-    /// channel, and `gate` output 0 is wired to the original destination
-    /// over `delivery` (once per distinct `(gate, destination, port)`).
-    Via {
-        /// The interposed operator instance.
-        gate: InstanceId,
-        /// Input port of the gate receiving the redirected traffic.
-        gate_in_port: PortId,
-        /// Channel used from the gate to the original destination.
-        delivery: ChannelConfig,
-    },
-    /// Do not wire the producer again — an earlier wire from the same
-    /// producer port already feeds `gate`, whose broadcast covers this
-    /// destination (the fan-out collapse an ordering service performs).
-    /// The gate → destination wiring is still ensured.
-    Absorb {
-        /// The gate already fed by this producer port.
-        gate: InstanceId,
-        /// Channel used from the gate to the original destination.
-        delivery: ChannelConfig,
-    },
-}
-
-/// What a [`RewritePass`] decides for one external injection.
-#[derive(Debug, Clone)]
-pub enum InjectAction {
-    /// Inject as requested.
-    Keep,
-    /// Redirect the message into `gate` instead, ensuring `gate` output 0
-    /// is wired to the original destination over `delivery`.
-    Via {
-        /// The interposed operator instance.
-        gate: InstanceId,
-        /// Input port of the gate receiving the redirected message.
-        gate_in_port: PortId,
-        /// Channel used from the gate to the original destination.
-        delivery: ChannelConfig,
-    },
-    /// Drop the message — an identical copy was already routed through
-    /// `gate` (an ordering gate broadcasts, so per-destination copies of
-    /// one logical message collapse to a single send). The gate →
-    /// destination wiring is still ensured so the broadcast reaches this
-    /// destination.
-    Absorb {
-        /// The gate that already carries the message.
-        gate: InstanceId,
-        /// Channel used from the gate to the original destination.
-        delivery: ChannelConfig,
-    },
-}
-
-/// Allocator handed to a [`RewritePass`] for creating gate instances on
-/// the underlying backend: `(component, service_time) -> id`.
-pub type GateAlloc<'a> = dyn FnMut(Box<dyn Component>, Time) -> InstanceId + 'a;
-
-/// A topology transformation applied during assembly by
-/// [`RewritingBuilder`]. Implementations decide, per wire and per
-/// injection, whether traffic should flow through an interposed operator.
+/// A topology transformation [`RewritingBuilder`] applies once, to the
+/// whole recording, before the wrapped builder sees it.
 pub trait RewritePass {
-    /// Observe an instance being added (after the backend assigned `id`).
-    /// Passes typically match `name` against the components a
-    /// coordination spec flags.
-    fn observe_instance(&mut self, _id: InstanceId, _name: &str) {}
-
-    /// Decide the fate of one wire. `alloc` creates gate instances on the
-    /// wrapped backend.
-    fn rewrite_wire(
-        &mut self,
-        _from: InstanceId,
-        _out_port: PortId,
-        _to: InstanceId,
-        _in_port: PortId,
-        _alloc: &mut GateAlloc<'_>,
-    ) -> WireAction {
-        WireAction::Keep
-    }
-
-    /// Decide the fate of one external injection.
-    fn rewrite_injection(
-        &mut self,
-        _at: Time,
-        _to: InstanceId,
-        _port: PortId,
-        _msg: &Message,
-        _alloc: &mut GateAlloc<'_>,
-    ) -> InjectAction {
-        InjectAction::Keep
-    }
+    /// Rewrite `topology` in place and account for what was added. Gates
+    /// are new instances appended to the recording, so every id the
+    /// assembly handed out keeps naming what it named.
+    fn rewrite(&mut self, topology: &mut Topology) -> RewriteStats;
 }
 
 /// The identity pass: rewrites nothing. Lets callers run the rewrite
@@ -395,22 +386,20 @@ pub trait RewritePass {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopPass;
 
-impl RewritePass for NoopPass {}
+impl RewritePass for NoopPass {
+    fn rewrite(&mut self, _topology: &mut Topology) -> RewriteStats {
+        RewriteStats::default()
+    }
+}
 
 /// Accounting of what a rewrite pass did to a topology — the overhead
 /// ledger of the "minimal coordination" claim.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RewriteStats {
-    /// Gate operator instances the pass allocated.
+    /// Gate operator instances the pass added.
     pub injected_operators: usize,
-    /// Wires re-routed through a gate.
+    /// Producer wires that end at a gate instead of their consumer.
     pub rewritten_wires: usize,
-    /// Wires absorbed into a gate's broadcast (fan-out collapse).
-    pub absorbed_wires: usize,
-    /// External injections redirected into a gate.
-    pub redirected_injections: usize,
-    /// External injections absorbed as broadcast duplicates.
-    pub absorbed_injections: usize,
 }
 
 impl RewriteStats {
@@ -421,70 +410,49 @@ impl RewriteStats {
     }
 }
 
-/// An [`ExecutorBuilder`] that applies a [`RewritePass`] to every wire and
-/// injection before forwarding to the wrapped builder — a [`Topology`] or
-/// a [`crate::par::ParBuilder`] over one — so every backend runs the same
-/// rewritten graph.
+/// An [`ExecutorBuilder`] that records an assembly, rewrites it with a
+/// [`RewritePass`] and hands the result to the wrapped builder — a
+/// [`Topology`] or a [`crate::par::ParBuilder`] over one — so every
+/// backend runs the same rewritten graph. Nothing reaches the wrapped
+/// builder before [`RewritingBuilder::finish`].
+#[must_use = "nothing reaches the wrapped builder until `finish`"]
 pub struct RewritingBuilder<'a, B: ExecutorBuilder + ?Sized, P: RewritePass> {
     inner: &'a mut B,
     pass: P,
-    stats: RewriteStats,
-    /// `(gate, dst, dst_port)` triples already wired gate→destination.
-    gate_wires: BTreeSet<(InstanceId, InstanceId, PortId)>,
+    recording: Topology,
 }
 
 impl<'a, B: ExecutorBuilder + ?Sized, P: RewritePass> RewritingBuilder<'a, B, P> {
-    /// Wrap `inner`, threading assembly through `pass`.
+    /// Wrap `inner`; `pass` runs at [`RewritingBuilder::finish`].
     pub fn new(inner: &'a mut B, pass: P) -> Self {
         RewritingBuilder {
             inner,
             pass,
-            stats: RewriteStats::default(),
-            gate_wires: BTreeSet::new(),
+            recording: Topology::new(),
         }
     }
 
-    /// Finish assembly: recover the pass and the accounting.
+    /// Finish assembly: run the pass over the recording, hand the result
+    /// to the wrapped builder, and return the pass and its accounting.
     #[must_use]
-    pub fn finish(self) -> (P, RewriteStats) {
-        (self.pass, self.stats)
-    }
-
-    /// Accounting so far.
-    #[must_use]
-    pub fn stats(&self) -> RewriteStats {
-        self.stats
-    }
-
-    /// Wire `gate` output 0 to `(to, in_port)` over `delivery`, once.
-    fn ensure_gate_wire(
-        &mut self,
-        gate: InstanceId,
-        to: InstanceId,
-        in_port: PortId,
-        delivery: &ChannelConfig,
-    ) {
-        if self.gate_wires.insert((gate, to, in_port)) {
-            self.inner
-                .connect_with(gate, PortId(0), to, in_port, delivery.clone());
-        }
+    pub fn finish(mut self) -> (P, RewriteStats) {
+        let stats = self.pass.rewrite(&mut self.recording);
+        self.inner.take_recording(self.recording);
+        (self.pass, stats)
     }
 }
 
 impl<B: ExecutorBuilder + ?Sized, P: RewritePass> ExecutorBuilder for RewritingBuilder<'_, B, P> {
     fn add_instance(&mut self, component: Box<dyn Component>) -> InstanceId {
-        let name = component.name().to_string();
-        let id = self.inner.add_instance(component);
-        self.pass.observe_instance(id, &name);
-        id
+        self.recording.add_instance(component)
     }
 
     fn set_service_time(&mut self, id: InstanceId, service: Time) {
-        self.inner.set_service_time(id, service);
+        self.recording.set_service_time(id, service);
     }
 
     fn add_channel(&mut self, cfg: ChannelConfig) -> ChannelId {
-        self.inner.add_channel(cfg)
+        self.recording.add_channel(cfg)
     }
 
     fn connect(
@@ -495,64 +463,11 @@ impl<B: ExecutorBuilder + ?Sized, P: RewritePass> ExecutorBuilder for RewritingB
         in_port: PortId,
         channel: ChannelId,
     ) {
-        let inner = &mut *self.inner;
-        let mut allocated = 0usize;
-        let mut alloc = |c: Box<dyn Component>, st: Time| {
-            let id = inner.add_instance(c);
-            inner.set_service_time(id, st);
-            allocated += 1;
-            id
-        };
-        let action = self
-            .pass
-            .rewrite_wire(from, out_port, to, in_port, &mut alloc);
-        self.stats.injected_operators += allocated;
-        match action {
-            WireAction::Keep => self.inner.connect(from, out_port, to, in_port, channel),
-            WireAction::Via {
-                gate,
-                gate_in_port,
-                delivery,
-            } => {
-                self.stats.rewritten_wires += 1;
-                self.inner
-                    .connect(from, out_port, gate, gate_in_port, channel);
-                self.ensure_gate_wire(gate, to, in_port, &delivery);
-            }
-            WireAction::Absorb { gate, delivery } => {
-                self.stats.absorbed_wires += 1;
-                self.ensure_gate_wire(gate, to, in_port, &delivery);
-            }
-        }
+        self.recording.connect(from, out_port, to, in_port, channel);
     }
 
     fn inject(&mut self, at: Time, to: InstanceId, port: PortId, msg: Message) {
-        let inner = &mut *self.inner;
-        let mut allocated = 0usize;
-        let mut alloc = |c: Box<dyn Component>, st: Time| {
-            let id = inner.add_instance(c);
-            inner.set_service_time(id, st);
-            allocated += 1;
-            id
-        };
-        let action = self.pass.rewrite_injection(at, to, port, &msg, &mut alloc);
-        self.stats.injected_operators += allocated;
-        match action {
-            InjectAction::Keep => self.inner.inject(at, to, port, msg),
-            InjectAction::Via {
-                gate,
-                gate_in_port,
-                delivery,
-            } => {
-                self.stats.redirected_injections += 1;
-                self.ensure_gate_wire(gate, to, port, &delivery);
-                self.inner.inject(at, gate, gate_in_port, msg);
-            }
-            InjectAction::Absorb { gate, delivery } => {
-                self.stats.absorbed_injections += 1;
-                self.ensure_gate_wire(gate, to, port, &delivery);
-            }
-        }
+        self.recording.inject(at, to, port, msg);
     }
 }
 
@@ -769,63 +684,38 @@ mod tests {
         ))
     }
 
-    /// A pass that interposes a `+1000` tagger on every wire into the
-    /// instance named `"target"`, and redirects injections likewise.
-    #[derive(Default)]
-    struct TagTarget {
-        target: Option<InstanceId>,
-        gate: Option<InstanceId>,
-    }
-
-    impl TagTarget {
-        fn gate(&mut self, alloc: &mut GateAlloc<'_>) -> InstanceId {
-            *self.gate.get_or_insert_with(|| alloc(tagger(1_000), 0))
-        }
-    }
+    /// A pass that interposes one `+1000` tagger in front of the instance
+    /// named `"target"`: every wire into it and every injection addressed
+    /// to it go through the tagger instead.
+    struct TagTarget;
 
     impl RewritePass for TagTarget {
-        fn observe_instance(&mut self, id: InstanceId, name: &str) {
-            if name == "target" {
-                self.target = Some(id);
-            }
-        }
-
-        fn rewrite_wire(
-            &mut self,
-            _from: InstanceId,
-            _out_port: PortId,
-            to: InstanceId,
-            _in_port: PortId,
-            alloc: &mut GateAlloc<'_>,
-        ) -> WireAction {
-            if Some(to) == self.target {
-                WireAction::Via {
-                    gate: self.gate(alloc),
-                    gate_in_port: PortId(0),
-                    delivery: ChannelConfig::instant(),
+        fn rewrite(&mut self, t: &mut Topology) -> RewriteStats {
+            let Some(target) = t.instance_names().position(|n| n == "target") else {
+                return RewriteStats::default();
+            };
+            let target = InstanceId(target);
+            let gate = t.add_instance(tagger(1_000));
+            let mut stats = RewriteStats {
+                injected_operators: 1,
+                rewritten_wires: 0,
+            };
+            for w in t.take_wires() {
+                if w.to == target {
+                    t.connect(w.from, w.out_port, gate, PortId(0), w.channel);
+                    stats.rewritten_wires += 1;
+                } else {
+                    t.connect(w.from, w.out_port, w.to, w.in_port, w.channel);
                 }
-            } else {
-                WireAction::Keep
             }
-        }
-
-        fn rewrite_injection(
-            &mut self,
-            _at: Time,
-            to: InstanceId,
-            _port: PortId,
-            _msg: &Message,
-            alloc: &mut GateAlloc<'_>,
-        ) -> InjectAction {
-            if Some(to) == self.target {
-                InjectAction::Via {
-                    gate: self.gate(alloc),
-                    gate_in_port: PortId(0),
-                    delivery: ChannelConfig::instant(),
+            t.connect_with(gate, PortId(0), target, PortId(0), ChannelConfig::instant());
+            t.rewrite_injections(|_, (_, to, port, _)| {
+                if *to == target {
+                    (*to, *port) = (gate, PortId(0));
                 }
-            } else {
-                InjectAction::Keep
-            }
+                true
+            });
+            stats
         }
     }
 
@@ -849,12 +739,22 @@ mod tests {
     fn rewriting_builder_splices_gates_on_wires_and_injections() {
         let sink = CollectorSink::new();
         let mut topology = Topology::new();
-        let mut rb = RewritingBuilder::new(&mut topology, TagTarget::default());
+        let mut rb = RewritingBuilder::new(&mut topology, TagTarget);
         assemble(&mut rb, sink.clone());
+        assert!(topology_is_empty_until_finish(&rb));
         let (_, stats) = rb.finish();
         assert_eq!(stats.injected_operators, 1, "one shared gate");
         assert_eq!(stats.rewritten_wires, 1, "src->target rerouted");
-        assert_eq!(stats.redirected_injections, 1, "direct injection rerouted");
+        // The gate is appended, so the assembly's ids still hold; the
+        // rerouted wire keeps its number and the delivery wire follows.
+        let names: Vec<&str> = topology.instance_names().collect();
+        assert_eq!(names, ["src", "target", "collector-sink", "tagger[1000]"]);
+        let ends: Vec<_> = topology
+            .wires()
+            .iter()
+            .map(|w| (w.from.0, w.to.0, w.number))
+            .collect();
+        assert_eq!(ends, [(0, 3, 0), (1, 2, 1), (3, 1, 2)]);
         Simulator::new(topology, 0).run();
         // Both paths into `target` went through the +1000 tagger.
         let vals: std::collections::BTreeSet<i64> = sink
@@ -863,6 +763,13 @@ mod tests {
             .filter_map(|m| m.as_data().and_then(|t| t.get(0)).and_then(Value::as_int))
             .collect();
         assert_eq!(vals, [1_001i64, 1_002].into_iter().collect());
+    }
+
+    /// Nothing reaches the wrapped builder before `finish`.
+    fn topology_is_empty_until_finish<P: RewritePass>(
+        rb: &RewritingBuilder<'_, Topology, P>,
+    ) -> bool {
+        rb.inner.instance_names().len() == 0 && rb.inner.wires().is_empty()
     }
 
     #[test]
@@ -884,9 +791,10 @@ mod tests {
         assert_eq!(err(&BackendSpec::Dist(dist)), Some(BackendError::Dist));
     }
 
-    /// The identity pass records the same topology, wire for wire, as the
-    /// assembly does on its own — checked on the values before either
-    /// runs — and the two runs deliver the same messages.
+    /// The identity pass hands over the same topology, wire for wire, as
+    /// the assembly records on its own — checked on the values before
+    /// either runs — and the runs deliver the same messages, whether the
+    /// recording moves into a `Topology` or into a `ParBuilder`.
     #[test]
     fn noop_pass_is_invisible() {
         let direct = CollectorSink::new();
@@ -905,6 +813,33 @@ mod tests {
         Simulator::new(plain, 3).run();
         Simulator::new(rewritten, 3).run();
         assert_eq!(direct.messages(), wrapped.messages());
+
+        let par_run = |through_pass: bool| {
+            let sink = CollectorSink::new();
+            let mut par = ParBuilder::new(3).with_workers(1);
+            if through_pass {
+                let mut rb = RewritingBuilder::new(&mut par, NoopPass);
+                assemble(&mut rb, sink.clone());
+                assert!(rb.finish().1.is_untouched());
+            } else {
+                assemble(&mut par, sink.clone());
+            }
+            let stats = par.build().run();
+            (stats.messages_delivered, sink.message_set())
+        };
+        let (delivered, messages) = par_run(true);
+        assert_eq!((delivered, messages.clone()), par_run(false));
+        assert_eq!(messages, direct.message_set());
+    }
+
+    #[test]
+    #[should_panic(expected = "already holds a recording")]
+    fn a_recording_is_handed_only_to_an_empty_topology() {
+        let mut topology = Topology::new();
+        assemble(&mut topology, CollectorSink::new());
+        let mut rb = RewritingBuilder::new(&mut topology, NoopPass);
+        assemble(&mut rb, CollectorSink::new());
+        let _ = rb.finish();
     }
 
     /// Equality sees every part of a recording: one more injection, a
@@ -936,67 +871,5 @@ mod tests {
         for tweak in tweaks {
             assert_ne!(base, record(tweak));
         }
-    }
-
-    #[test]
-    fn absorb_drops_the_message_but_wires_the_gate() {
-        /// Absorb every injection to `target` after the first.
-        #[derive(Default)]
-        struct AbsorbDups {
-            target: Option<InstanceId>,
-            gate: Option<InstanceId>,
-            seen: usize,
-        }
-        impl RewritePass for AbsorbDups {
-            fn observe_instance(&mut self, id: InstanceId, name: &str) {
-                if name == "target" {
-                    self.target = Some(id);
-                }
-            }
-            fn rewrite_injection(
-                &mut self,
-                _at: Time,
-                to: InstanceId,
-                _port: PortId,
-                _msg: &Message,
-                alloc: &mut GateAlloc<'_>,
-            ) -> InjectAction {
-                if Some(to) != self.target {
-                    return InjectAction::Keep;
-                }
-                let gate = *self.gate.get_or_insert_with(|| alloc(tagger(0), 0));
-                self.seen += 1;
-                if self.seen == 1 {
-                    InjectAction::Via {
-                        gate,
-                        gate_in_port: PortId(0),
-                        delivery: ChannelConfig::instant(),
-                    }
-                } else {
-                    InjectAction::Absorb {
-                        gate,
-                        delivery: ChannelConfig::instant(),
-                    }
-                }
-            }
-        }
-
-        let sink = CollectorSink::new();
-        let mut topology = Topology::new();
-        let mut rb = RewritingBuilder::new(&mut topology, AbsorbDups::default());
-        let target = rb.add_instance(Box::new(FnComponent::new(
-            "target",
-            |_, msg, ctx: &mut Context| ctx.emit(0, msg),
-        )));
-        let s = rb.add_instance(Box::new(sink.clone()));
-        rb.connect_with(target, PortId(0), s, PortId(0), ChannelConfig::instant());
-        for _ in 0..3 {
-            rb.inject(0, target, PortId(0), Message::data([7i64]));
-        }
-        let (_, stats) = rb.finish();
-        assert_eq!(stats.redirected_injections, 1);
-        assert_eq!(stats.absorbed_injections, 2);
-        Simulator::new(topology, 0).run();
-        assert_eq!(sink.len(), 1, "duplicates collapsed to one delivery");
     }
 }

@@ -784,15 +784,23 @@ impl ParBuilder {
             instances,
             channels,
             wires,
-            mut injections,
+            injections,
         } = self.topology;
         // An explicitly pinned count is honored as-is; only the derived
         // default is capped and clamped to the instance count.
         let workers = self
             .workers
             .unwrap_or_else(|| default_workers().min(instances.len().max(1)));
-        // Stable sort: insertion order on ties.
-        injections.sort_by_key(|&(at, ..)| at);
+        // Dispatch order: by time, ties in recording order. Sorting the
+        // injections themselves would allocate a scratch copy of all of
+        // them (megabytes for a large click log, on every build), so only
+        // their positions are sorted.
+        let mut order: Vec<(Time, usize)> = injections
+            .iter()
+            .enumerate()
+            .map(|(i, &(at, ..))| (at, i))
+            .collect();
+        order.sort_by_key(|&(at, _)| at);
 
         let mut cells: Vec<Cell> = instances
             .into_iter()
@@ -829,6 +837,7 @@ impl ParBuilder {
         ParExecutor {
             slots,
             injected: injections,
+            order,
             workers,
             tuning: self.tuning,
         }
@@ -863,6 +872,10 @@ impl ExecutorBuilder for ParBuilder {
 
     fn inject(&mut self, at: Time, to: InstanceId, port: PortId, msg: Message) {
         self.topology.inject(at, to, port, msg);
+    }
+
+    fn take_recording(&mut self, topology: Topology) {
+        self.topology.take_recording(topology);
     }
 }
 
@@ -1007,6 +1020,8 @@ impl ParStats {
 pub struct ParExecutor {
     slots: Vec<Slot>,
     injected: Vec<Injection>,
+    /// `(time, position in injected)`, in dispatch order.
+    order: Vec<(Time, usize)>,
     workers: usize,
     tuning: ParTuning,
 }
@@ -1089,8 +1104,11 @@ impl ParExecutor {
         // the sorted order preserves each instance's injection sequence;
         // pushing them one at a time lets the workers start on the first
         // while the rest are still being dispatched.
-        for (_, to, port, msg) in self.injected {
-            shared.external_push(std::iter::once(external_delivery(to, port.0, msg)));
+        let mut injected = self.injected;
+        for (_, i) in self.order {
+            let (_, to, port, msg) = &mut injected[i];
+            let msg = std::mem::replace(msg, Message::Eos);
+            shared.external_push(std::iter::once(external_delivery(*to, port.0, msg)));
         }
 
         RunningPar {

@@ -10,16 +10,23 @@
 //!   discrete-event simulator;
 //! * the **confluent** wordcount comes through the pass rewrite-free —
 //!   zero injected operators, identical outputs — the "minimal" in
-//!   minimal coordination.
+//!   minimal coordination;
+//! * the rewrite itself is checked on the recorded `Topology`, without
+//!   running anything: one seal gate per replica, or one sequencer.
 
 use blazes::apps::adreport::{AdScenario, StrategyKind};
-use blazes::apps::autocoord::{response_digests, run_ad_auto, run_wordcount_auto, wordcount_spec};
+use blazes::apps::autocoord::{
+    assemble_ad_auto, response_digests, run_ad_auto, run_wordcount_auto, wordcount_spec,
+};
 use blazes::apps::wordcount::{run_wordcount, WordcountScenario};
 use blazes::apps::workload::TweetWorkload;
 use blazes::core::placement::CoordDirective;
-use blazes::dataflow::backend::BackendSpec;
+use blazes::dataflow::backend::{BackendSpec, ChannelId, ExecutorBuilder, PortId, Topology};
+use blazes::dataflow::channel::ChannelConfig;
+use blazes::dataflow::component::Component;
 use blazes::dataflow::message::Message;
 use blazes::dataflow::par::ParTuning;
+use blazes::dataflow::sim::{InstanceId, Time};
 use blazes_bench::differential_scenario;
 
 /// Every worker count the determinism claim must hold across.
@@ -119,6 +126,158 @@ fn autocoord_adreport_answers_from_sealed_partitions() {
         .find_map(|m| m.as_data().cloned())
         .expect("at least one response");
     assert_eq!(any_response.arity(), 2, "(id, n) response shape");
+}
+
+/// The differential scenario's ad network under `strategy`, as the
+/// rewrite pass leaves it: recorded, not run.
+fn recorded(strategy: StrategyKind) -> Topology {
+    let sc = AdScenario {
+        strategy,
+        ..differential_scenario(3)
+    };
+    let mut topology = Topology::new();
+    let _ = assemble_ad_auto(&sc, false, &mut topology);
+    topology
+}
+
+/// The ids of `t`'s instances whose names start with `prefix`.
+fn named(t: &Topology, prefix: &str) -> Vec<InstanceId> {
+    t.instance_names()
+        .enumerate()
+        .filter(|(_, n)| n.starts_with(prefix))
+        .map(|(i, _)| InstanceId(i))
+        .collect()
+}
+
+/// Sealed CAMPAIGN: three seal gates, appended after the assembly's own
+/// instances. Gate *r* takes every click wire into replica *r* and feeds
+/// that replica over one instant wire; no ad server reaches a replica
+/// directly.
+#[test]
+fn the_sealed_rewrite_gives_each_replica_its_own_gate() {
+    let t = recorded(StrategyKind::Sealed);
+    let names: Vec<&str> = t.instance_names().collect();
+    let gates = named(&t, "autocoord-seal(Report@");
+    let replicas = named(&t, "report[");
+    let ad_servers = named(&t, "adserver[");
+    assert_eq!(gates.len(), 3, "{names:?}");
+    assert_eq!(gates[0].0, names.len() - 3, "gates come last: {names:?}");
+    for (&gate, &replica) in gates.iter().zip(&replicas) {
+        assert_eq!(
+            names[gate.0],
+            format!("autocoord-seal(Report@{}:0)", replica.0)
+        );
+        let out: Vec<_> = t.wires().iter().filter(|w| w.from == gate).collect();
+        assert_eq!(out.len(), 1, "{}", names[gate.0]);
+        assert_eq!((out[0].to, out[0].in_port), (replica, PortId(0)));
+        assert_eq!(t.channels()[out[0].channel.0], ChannelConfig::instant());
+        let clicks: Vec<_> = t
+            .wires()
+            .iter()
+            .filter(|w| w.to == gate && ad_servers.contains(&w.from))
+            .map(|w| w.from)
+            .collect();
+        assert_eq!(clicks, ad_servers, "{}", names[gate.0]);
+        let fed_by: Vec<_> = t.wires().iter().filter(|w| w.to == replica).collect();
+        assert_eq!(fed_by.len(), 1, "only the gate feeds {}", names[replica.0]);
+    }
+    let numbers: Vec<u64> = t.wires().iter().map(|w| w.number).collect();
+    assert_eq!(numbers, (0..t.wires().len() as u64).collect::<Vec<_>>());
+}
+
+/// Ordered CAMPAIGN: one sequencer, fed over one wire per producer port
+/// (every ad server and the analyst), fanning out over one ordered wire
+/// per replica.
+#[test]
+fn the_ordered_rewrite_funnels_every_producer_through_one_sequencer() {
+    let t = recorded(StrategyKind::Ordered);
+    let names: Vec<&str> = t.instance_names().collect();
+    assert_eq!(named(&t, "autocoord-seal").len(), 0, "{names:?}");
+    let sequencers = named(&t, "sequencer");
+    assert_eq!(sequencers.len(), 1, "{names:?}");
+    let seq = sequencers[0];
+    assert_eq!(seq.0, names.len() - 1, "the sequencer comes last");
+    let fed_by: Vec<&str> = t
+        .wires()
+        .iter()
+        .filter(|w| w.to == seq)
+        .map(|w| names[w.from.0])
+        .collect();
+    assert_eq!(
+        fed_by,
+        ["adserver[0]", "adserver[1]", "adserver[2]", "analyst"]
+    );
+    let fans_to: Vec<_> = t.wires().iter().filter(|w| w.from == seq).collect();
+    assert_eq!(
+        fans_to.iter().map(|w| w.to).collect::<Vec<_>>(),
+        named(&t, "report[")
+    );
+    for w in fans_to {
+        assert_eq!(t.channels()[w.channel.0], ChannelConfig::ordered(1_000));
+    }
+    for replica in named(&t, "report[") {
+        let into: Vec<_> = t.wires().iter().filter(|w| w.to == replica).collect();
+        assert_eq!(
+            into.len(),
+            1,
+            "only the sequencer feeds {}",
+            names[replica.0]
+        );
+    }
+}
+
+/// A builder that only forwards the five recording calls, so it takes a
+/// recording over by the default replay.
+struct Forwarding(Topology);
+
+impl ExecutorBuilder for Forwarding {
+    fn add_instance(&mut self, component: Box<dyn Component>) -> InstanceId {
+        self.0.add_instance(component)
+    }
+
+    fn set_service_time(&mut self, id: InstanceId, service: Time) {
+        self.0.set_service_time(id, service);
+    }
+
+    fn add_channel(&mut self, cfg: ChannelConfig) -> ChannelId {
+        self.0.add_channel(cfg)
+    }
+
+    fn connect(
+        &mut self,
+        from: InstanceId,
+        out_port: PortId,
+        to: InstanceId,
+        in_port: PortId,
+        channel: ChannelId,
+    ) {
+        self.0.connect(from, out_port, to, in_port, channel);
+    }
+
+    fn inject(&mut self, at: Time, to: InstanceId, port: PortId, msg: Message) {
+        self.0.inject(at, to, port, msg);
+    }
+}
+
+/// Replaying the rewritten recording call by call builds the same
+/// topology as moving it in, for every strategy.
+#[test]
+fn the_default_hand_over_replays_the_rewritten_recording() {
+    for strategy in [
+        StrategyKind::Uncoordinated,
+        StrategyKind::Ordered,
+        StrategyKind::Sealed,
+    ] {
+        let sc = AdScenario {
+            strategy,
+            ..differential_scenario(3)
+        };
+        let mut replayed = Forwarding(Topology::new());
+        let via_replay = assemble_ad_auto(&sc, false, &mut replayed).report;
+        let via_move = assemble_ad_auto(&sc, false, &mut Topology::new()).report;
+        assert_eq!(via_replay.stats, via_move.stats);
+        assert_eq!(replayed.0, recorded(strategy), "{strategy:?}");
+    }
 }
 
 fn wc_scenario() -> WordcountScenario {

@@ -284,12 +284,15 @@ fn seeded_crash_matrix_keeps_coordinated_digests_bit_identical() {
 
 /// Recovery at a size where the replay is megabytes, not a socket
 /// buffer's worth: 4 × 5 000 clicks on 2 single-threaded processes,
-/// worker 1 SIGKILLed once 30 000 frames have been routed to it. The
-/// respawned worker emits while it is still being fed its replay, so the
-/// coordinator must already be draining its socket — this run used to
-/// deadlock (coordinator blocked replaying, worker blocked sending) and
-/// now has to finish with the simulator's digests. CI runs it under a
-/// hard `timeout`.
+/// worker 0 SIGKILLed once 30 000 frames have been routed to it. Worker 0
+/// owns the report replicas, and two of the three injected seal gates
+/// (numbered after the assembly's own instances) live on worker 1, so
+/// most released clicks are routed to worker 0. The respawned worker
+/// re-runs its ad servers' click logs and emits while it is still being
+/// fed its replay, so the coordinator must already be draining its
+/// socket — this run used to deadlock (coordinator blocked replaying,
+/// worker blocked sending) and now has to finish with the simulator's
+/// digests. CI runs it under a hard `timeout`.
 #[test]
 fn large_replay_recovers_to_the_simulator_digest() {
     let sc = AdScenario {
@@ -321,7 +324,7 @@ fn large_replay_recovers_to_the_simulator_digest() {
     spec.seed = sc.seed;
     spec.chaos = ChaosSpec {
         kills: vec![Kill {
-            worker: 1,
+            worker: 0,
             point: KillPoint::RoutedFrames(30_000),
         }],
     };

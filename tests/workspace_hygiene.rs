@@ -77,11 +77,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "plan predicate the case-study tests assert",
     ),
     (
-        "crates/blazes-dataflow/src/backend.rs",
-        "instance_names",
-        "reads a recording's instances; the partition and rewrite tests check them without running",
-    ),
-    (
         "crates/blazes-dataflow/src/channel.rs",
         "with_loss",
         "fault-injection test knob: lossy wires in fault_injection and par_stress",
