@@ -109,8 +109,8 @@ pub struct ScalingPoint {
     pub correct: bool,
 }
 
-/// Tuple-latency summary read out of the `latency.tuple_ns` histogram
-/// after one traced repetition.
+/// Tuple-latency summary of one traced repetition, read from its
+/// `ParStats::latency`.
 struct LatencyProbe {
     samples: u64,
     p50_us: f64,
@@ -118,28 +118,27 @@ struct LatencyProbe {
     p999_us: f64,
 }
 
-/// Serializes traced repetitions: the obs hub is process-wide, so
-/// concurrent sweeps (the test suite) must not interleave each other's
-/// enable/clear/snapshot windows.
+/// Serializes traced repetitions: enabling tracing is process-wide, so
+/// concurrent sweeps (the test suite) must not switch it off under each
+/// other's probes.
 static OBS_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Run one extra repetition with tracing enabled and read the per-tuple
-/// source-to-sink latency histogram the sinks populate. The metrics
-/// registry is cleared first so each point reports its own distribution;
-/// trace rings are left alone so a `--trace` export still sees the whole
-/// bench run. The previous enablement state is restored afterwards, so
-/// the timed repetitions stay untraced unless the caller opted in.
+/// source-to-sink latency histogram its sinks populated; it covers that
+/// repetition alone. Trace rings are left alone so a `--trace` export
+/// still sees the whole bench run. The previous enablement state is
+/// restored afterwards, so the timed repetitions stay untraced unless the
+/// caller opted in.
 fn probe_latency(run: impl FnOnce() -> (BTreeSet<Message>, BackendRunStats)) -> LatencyProbe {
     let _gate = OBS_GATE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let obs = blazes_obs::global();
     let was_enabled = obs.enabled();
-    obs.registry().clear();
     obs.set_enabled(true);
-    let _ = run();
-    let snap = obs.registry().histogram("latency.tuple_ns").snapshot();
+    let (_, stats) = run();
     obs.set_enabled(was_enabled);
+    let snap = stats.as_par().and_then(|p| p.latency).unwrap_or_default();
     LatencyProbe {
         samples: snap.count,
         p50_us: snap.p50 as f64 / 1e3,

@@ -282,14 +282,6 @@ impl ModuleInstance {
         self.last_stats = total;
         self.last_stratum_stats = done.stratum_stats;
         self.total_stats.absorb(total);
-        if blazes_obs::enabled() {
-            let reg = blazes_obs::global().registry();
-            reg.counter("bloom.ticks").inc();
-            reg.counter("bloom.fixpoint_iters")
-                .add(total.fixpoint_iters);
-            reg.counter("bloom.derivations").add(total.derivations);
-            reg.counter("bloom.join_probes").add(total.join_probes);
-        }
         Ok(done.output)
     }
 

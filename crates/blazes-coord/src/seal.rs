@@ -52,12 +52,6 @@ pub struct SealManager {
     /// producer re-running its seal vote produces, so the dist chaos
     /// suite asserts on it.
     revotes: u64,
-    /// Lazily bound `seal.votes` / `seal.releases` / `seal.revotes`
-    /// registry counters — resolved on first use so the disabled path
-    /// never touches the metrics registry.
-    votes_metric: Option<std::sync::Arc<blazes_obs::Counter>>,
-    releases_metric: Option<std::sync::Arc<blazes_obs::Counter>>,
-    revotes_metric: Option<std::sync::Arc<blazes_obs::Counter>>,
 }
 
 impl SealManager {
@@ -68,9 +62,6 @@ impl SealManager {
             registry,
             partitions: BTreeMap::new(),
             revotes: 0,
-            votes_metric: None,
-            releases_metric: None,
-            revotes_metric: None,
         }
     }
 
@@ -98,29 +89,14 @@ impl SealManager {
         }
         if !state.sealed_by.insert(producer) {
             self.revotes += 1;
-            if blazes_obs::enabled() {
-                self.revotes_metric
-                    .get_or_insert_with(|| blazes_obs::global().registry().counter("seal.revotes"))
-                    .inc();
-            }
-        }
-        if blazes_obs::enabled() {
-            self.votes_metric
-                .get_or_insert_with(|| blazes_obs::global().registry().counter("seal.votes"))
-                .inc();
         }
         if !required.is_empty() && required.iter().all(|p| state.sealed_by.contains(p)) {
             state.released = true;
-            if blazes_obs::enabled() {
-                blazes_obs::record(
-                    blazes_obs::EventKind::SealRelease,
-                    state.buffered.len() as u64,
-                    state.sealed_by.len() as u64,
-                );
-                self.releases_metric
-                    .get_or_insert_with(|| blazes_obs::global().registry().counter("seal.releases"))
-                    .inc();
-            }
+            blazes_obs::record(
+                blazes_obs::EventKind::SealRelease,
+                state.buffered.len() as u64,
+                state.sealed_by.len() as u64,
+            );
             SealOutcome::Released(std::mem::take(&mut state.buffered))
         } else {
             SealOutcome::Buffered

@@ -399,28 +399,6 @@ pub struct DistStats {
     pub deduped_frames: u64,
 }
 
-impl DistStats {
-    /// Publish this run's routing ledger into a metrics registry under
-    /// `dist.*` names. Call once per completed run.
-    pub fn export_metrics(&self, reg: &blazes_obs::Registry) {
-        reg.gauge("dist.processes").set(self.processes as i64);
-        reg.counter("dist.frames.sent").add(self.frames_routed);
-        reg.counter("dist.frames.retransmits")
-            .add(self.wire_retransmits);
-        reg.counter("dist.frames.duplicates")
-            .add(self.wire_duplicates);
-        reg.counter("dist.heartbeats").add(self.heartbeats);
-        reg.counter("dist.worker_failures")
-            .add(self.worker_failures);
-        reg.counter("dist.respawns").add(self.respawns);
-        reg.counter("dist.replayed_frames")
-            .add(self.replayed_frames);
-        reg.counter("dist.deduped_frames").add(self.deduped_frames);
-        reg.counter("dist.events").add(self.events_processed);
-        reg.counter("dist.deliveries").add(self.messages_delivered);
-    }
-}
-
 /// Result of [`run_dist`]: the topology's sinks — filled with the entries
 /// streamed back from their owning workers, in each sink's arrival order
 /// — and the run's statistics.

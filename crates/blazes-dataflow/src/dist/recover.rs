@@ -166,8 +166,11 @@ pub enum KillPoint {
     /// After the coordinator has routed this many frames *to* the worker.
     RoutedFrames(u64),
     /// After the coordinator has received this many heartbeats from the
-    /// worker. Guaranteed to fire: the first heartbeat is sent
-    /// immediately after the Plan handshake.
+    /// worker. Only `Heartbeats(1)` is guaranteed to fire: a worker
+    /// writes its first heartbeat right after the Plan handshake, before
+    /// its first idle report, and the coordinator checks kills after
+    /// every frame. A later heartbeat can arrive after the run has
+    /// already stabilised, when no kill fires any more.
     Heartbeats(u64),
 }
 
@@ -197,9 +200,10 @@ impl ChaosSpec {
 
     /// Derive a deterministic schedule of `crashes` kills from `seed`.
     ///
-    /// Kill points alternate between early heartbeats (guaranteed to
-    /// fire even on a run that routes few frames) and routed-frame
-    /// counts within `frame_span` (mid-stream kills).
+    /// Kill points alternate between the first heartbeat (guaranteed to
+    /// fire even on a run that routes few frames; see
+    /// [`KillPoint::Heartbeats`]) and routed-frame counts within
+    /// `frame_span` (mid-stream kills).
     #[must_use]
     pub fn seeded(seed: u64, crashes: u32, processes: u32, frame_span: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc4a5_0000_0000_0000);
@@ -207,7 +211,7 @@ impl ChaosSpec {
         for n in 0..crashes {
             let worker = (rng.next_u64() % u64::from(processes.max(1))) as usize;
             let point = if frame_span == 0 || n % 2 == 0 {
-                KillPoint::Heartbeats(1 + rng.next_u64() % 3)
+                KillPoint::Heartbeats(1)
             } else {
                 KillPoint::RoutedFrames(1 + rng.next_u64() % frame_span)
             };
@@ -592,7 +596,7 @@ mod tests {
         for kill in &a.kills {
             assert!(kill.worker < 4);
             match kill.point {
-                KillPoint::Heartbeats(n) => assert!((1..=3).contains(&n)),
+                KillPoint::Heartbeats(n) => assert_eq!(n, 1),
                 KillPoint::RoutedFrames(n) => assert!((1..=100).contains(&n)),
             }
         }
@@ -600,6 +604,35 @@ mod tests {
         for kill in &ChaosSpec::seeded(9, 3, 1, 0).kills {
             assert!(matches!(kill.point, KillPoint::Heartbeats(_)));
         }
+    }
+
+    /// Only the first heartbeat is written before a worker's first idle
+    /// report, so only `Heartbeats(1)` is sure to land before the run
+    /// stabilises; every heartbeat kill the generator draws must be that
+    /// one, whatever the seed, crash count or process count.
+    #[test]
+    fn seeded_heartbeat_kills_fire_on_the_first_heartbeat() {
+        let mut heartbeat_kills = 0;
+        for seed in 0..200u64 {
+            for crashes in 0..4u32 {
+                for processes in [1u32, 2, 3, 4] {
+                    for frame_span in [0u64, 8] {
+                        let chaos = ChaosSpec::seeded(seed, crashes, processes, frame_span);
+                        for kill in &chaos.kills {
+                            if let KillPoint::Heartbeats(n) = kill.point {
+                                heartbeat_kills += 1;
+                                assert_eq!(
+                                    n, 1,
+                                    "seed {seed}, {crashes} crashes, {processes} processes: \
+                                     heartbeat {n} can land after stability"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(heartbeat_kills > 0);
     }
 
     #[test]

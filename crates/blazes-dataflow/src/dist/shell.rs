@@ -434,9 +434,6 @@ pub fn run_dist(spec: &DistSpec, registry: &Registry) -> Result<DistRun, DistErr
     for mut child in fleet.children.iter_mut().filter_map(Option::take) {
         let _ = child.wait();
     }
-    if blazes_obs::enabled() {
-        run.stats.export_metrics(blazes_obs::global().registry());
-    }
     Ok(run)
 }
 

@@ -6,7 +6,6 @@
 
 use crate::sim::Time;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// Statistics for one instance after a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,8 +14,6 @@ pub struct InstanceStats {
     pub name: String,
     /// Messages processed.
     pub processed: u64,
-    /// Last processing-completion time.
-    pub busy_until: Time,
 }
 
 /// Per-worker scheduling statistics of one parallel run. These expose the
@@ -29,12 +26,8 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Events (deliveries and drain signals) this worker processed.
     pub events: u64,
-    /// Instance activations (mailbox drain sessions) this worker ran.
-    pub activations: u64,
     /// Tasks obtained by stealing from a sibling worker's deque.
     pub steals: u64,
-    /// Tasks obtained from the global injector.
-    pub injector_pops: u64,
     /// Times this worker parked idle on the eventcount (announce →
     /// re-check → park all passed; excludes cancelled announcements).
     pub parks: u64,
@@ -51,8 +44,6 @@ pub struct WorkerStats {
     /// mail). Pushes per event is a machine-independent measure of how
     /// much cross-thread traffic the activations batched away.
     pub mailbox_pushes: u64,
-    /// Total time parked idle, waiting for runnable instances.
-    pub idle_park_time: Duration,
     /// Time-warp speculation sessions entered by instances this worker
     /// activated (one state snapshot each).
     pub speculations: u64,
@@ -100,21 +91,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Publish this snapshot into a metrics registry under `sim.*` names.
-    ///
-    /// Everything is exported as gauges (levels, not increments): the
-    /// registry holds the levels of the latest run, not a sum over runs.
-    pub fn export_metrics(&self, reg: &blazes_obs::Registry) {
-        reg.gauge("sim.end_time_us").set(self.end_time as i64);
-        reg.gauge("sim.events").set(self.events_processed as i64);
-        reg.gauge("sim.deliveries")
-            .set(self.messages_delivered as i64);
-        reg.gauge("sim.duplicates").set(self.duplicates as i64);
-        reg.gauge("sim.retransmits").set(self.retransmits as i64);
-        reg.gauge("sim.instances")
-            .set(self.per_instance.len() as i64);
-    }
-
     /// Throughput in messages per virtual second over the whole run.
     #[must_use]
     pub fn throughput_per_sec(&self) -> f64 {

@@ -134,7 +134,7 @@ use crate::component::{Component, Context};
 use crate::message::Message;
 use crate::metrics::{event_balance, InstanceStats, WorkerStats};
 use crate::sim::{InstanceId, Time};
-use blazes_obs::{EventKind, Histogram};
+use blazes_obs::{EventKind, Histogram, HistogramSnapshot};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker as TaskQueue};
 use mpsc_queue::MpscQueue;
 use std::any::Any;
@@ -143,7 +143,7 @@ use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// An eventcount: the two-phase announce → re-check → park protocol that
@@ -648,6 +648,9 @@ struct Shared {
     done: AtomicBool,
     /// Idle-worker parking: eventcount keeps the Condvar slow-path only.
     idle: EventCount,
+    /// Source-to-sink tuple latencies, created by the first
+    /// latency-stamped sink arrival, so an untraced run never allocates it.
+    latency: OnceLock<Histogram>,
 }
 
 impl Shared {
@@ -655,6 +658,17 @@ impl Shared {
     fn finish(&self) {
         self.done.store(true, Ordering::SeqCst);
         let _ = self.idle.notify();
+    }
+
+    /// A latency-stamped tuple reached a sink: record source-to-sink
+    /// nanoseconds into the run's histogram and the trace. Reached only
+    /// when tracing was enabled at injection, so this is off the
+    /// disabled-mode path entirely.
+    fn note_sink_latency(&self, inst: usize, born: u64) {
+        let obs = blazes_obs::global();
+        let latency = obs.now_ns().saturating_sub(born);
+        self.latency.get_or_init(Histogram::new).record(latency);
+        obs.record(EventKind::SinkArrival, inst as u64, latency);
     }
 
     /// Wake a parked worker if any announced intent to sleep. Returns
@@ -894,7 +908,7 @@ pub struct ParStats {
     pub workers: usize,
     /// Wall-clock duration of the run.
     pub wall_time: Duration,
-    /// Per-instance breakdown (`busy_until` is 0: no virtual clock).
+    /// Per-instance breakdown.
     pub per_instance: Vec<InstanceStats>,
     /// Per-worker scheduling breakdown (steals, parks, skew).
     pub per_worker: Vec<WorkerStats>,
@@ -915,6 +929,10 @@ pub struct ParStats {
     /// whose speculation sessions all resolved on their own; see the
     /// module docs' end-of-run resolution section).
     pub rescue_passes: u64,
+    /// Source-to-sink latency of this run's tuples, in nanoseconds:
+    /// stamped at injection, recorded at wire-less sinks. `None` unless
+    /// tracing was on when tuples were injected.
+    pub latency: Option<HistogramSnapshot>,
 }
 
 impl ParStats {
@@ -984,36 +1002,6 @@ impl ParStats {
     pub fn total_replayed_events(&self) -> u64 {
         self.per_worker.iter().map(|w| w.replayed_events).sum()
     }
-
-    /// Publish this run's totals into a metrics registry under the `par.`
-    /// prefix — the unified export path the scattered stats fields feed.
-    pub fn export_metrics(&self, reg: &blazes_obs::Registry) {
-        reg.counter("par.events").add(self.events_processed);
-        reg.counter("par.deliveries").add(self.messages_delivered);
-        reg.counter("par.duplicates").add(self.duplicates);
-        reg.counter("par.retransmits").add(self.retransmits);
-        reg.counter("par.steals").add(self.total_steals());
-        reg.counter("par.parks").add(self.total_parks());
-        reg.counter("par.wakeups").add(self.total_wakeups());
-        reg.counter("par.push_retries")
-            .add(self.total_push_retries());
-        reg.counter("par.mailbox_pushes")
-            .add(self.total_mailbox_pushes());
-        reg.counter("par.slow_path_locks").add(self.slow_path_locks);
-        reg.counter("par.speculations")
-            .add(self.total_speculations());
-        reg.counter("par.rollbacks").add(self.total_rollbacks());
-        reg.counter("par.replayed_events")
-            .add(self.total_replayed_events());
-        reg.counter("par.epochs.opened").add(self.epochs_opened);
-        reg.counter("par.epochs.committed")
-            .add(self.epochs_committed);
-        reg.counter("par.epochs.aborted").add(self.epochs_aborted);
-        reg.counter("par.rescue_passes").add(self.rescue_passes);
-        reg.gauge("par.workers").set(self.workers as i64);
-        reg.gauge("par.max_mailbox_depth")
-            .set(self.max_mailbox_depth as i64);
-    }
 }
 
 /// A runnable parallel execution.
@@ -1075,6 +1063,7 @@ impl ParExecutor {
             virtual_ns: self.tuning.virtual_service_ns,
             done: AtomicBool::new(false),
             idle: EventCount::new(),
+            latency: OnceLock::new(),
         });
 
         let mut handles = Vec::with_capacity(workers);
@@ -1086,7 +1075,6 @@ impl ParExecutor {
                 local,
                 drain_buf: Vec::new(),
                 emit_buf: Vec::new(),
-                latency: None,
                 ws: WorkerStats {
                     worker: w,
                     ..WorkerStats::default()
@@ -1232,7 +1220,6 @@ impl RunningPar {
             per_instance.push(InstanceStats {
                 name: cell.component.name().to_string(),
                 processed: cell.processed,
-                busy_until: 0,
             });
         }
 
@@ -1246,7 +1233,7 @@ impl RunningPar {
                 )
             });
 
-        let stats = ParStats {
+        ParStats {
             events_processed: per_worker.iter().map(|w| w.events).sum(),
             messages_delivered: per_instance.iter().map(|i| i.processed).sum(),
             duplicates: shared.counters.duplicates.load(Ordering::SeqCst),
@@ -1261,13 +1248,8 @@ impl RunningPar {
             epochs_committed,
             epochs_aborted,
             rescue_passes,
-        };
-        // One registry pass per run, and only when observability is on —
-        // the disabled path never touches the registry mutex.
-        if blazes_obs::enabled() {
-            stats.export_metrics(blazes_obs::global().registry());
+            latency: shared.latency.into_inner().map(|h| h.snapshot()),
         }
-        stats
     }
 }
 
@@ -1340,11 +1322,6 @@ struct WorkerCtx {
     /// Reusable emission buffer: lent to each handler's [`Context`],
     /// drained while staging, then put back.
     emit_buf: Vec<(usize, Message)>,
-    /// Cached handle to the global `latency.tuple_ns` histogram, resolved
-    /// through the registry mutex at most once per worker — and only ever
-    /// when a latency-stamped delivery reaches a sink, which requires
-    /// tracing to have been enabled at injection time.
-    latency: Option<Arc<Histogram>>,
     ws: WorkerStats,
 }
 
@@ -1380,7 +1357,6 @@ impl WorkerCtx {
         if let Some(inst) =
             Self::steal_until_settled(|| shared.injector.steal_batch_and_pop(&self.local))
         {
-            self.ws.injector_pops += 1;
             blazes_obs::record(EventKind::InjectorPop, inst as u64, 0);
             return Some(inst);
         }
@@ -1423,7 +1399,6 @@ impl WorkerCtx {
             return;
         }
         let slot = &shared.slots[inst];
-        self.ws.activations += 1;
         let span = blazes_obs::start();
         // The scheduled flag makes us the exclusive owner of both the
         // mailbox's consumer side and the instance cell.
@@ -1479,7 +1454,6 @@ impl WorkerCtx {
     /// the release protocol.
     fn run_instance_spec(&mut self, shared: &Shared, inst: usize) {
         let slot = &shared.slots[inst];
-        self.ws.activations += 1;
         let span = blazes_obs::start();
         slot.cell.claim();
         let cell = unsafe { &mut *slot.cell.cell.get() };
@@ -1553,19 +1527,6 @@ impl WorkerCtx {
             }
             _ => {}
         }
-    }
-
-    /// A latency-stamped tuple reached a sink: record source-to-sink
-    /// nanoseconds into the global histogram and the trace. Reached only
-    /// when tracing was enabled at injection, so this is off the
-    /// disabled-mode path entirely.
-    fn note_sink_latency(&mut self, inst: usize, born: u64) {
-        let obs = blazes_obs::global();
-        let latency = obs.now_ns().saturating_sub(born);
-        self.latency
-            .get_or_insert_with(|| obs.registry().histogram("latency.tuple_ns"))
-            .record(latency);
-        obs.record(EventKind::SinkArrival, inst as u64, latency);
     }
 
     /// Retry deferred deliveries in arrival order, stopping at the first
@@ -1824,7 +1785,7 @@ impl WorkerCtx {
                     // latency stamp. At a sink (no outgoing wires) the
                     // tuple's journey ends — record source-to-sink latency.
                     if cell.wires.iter().all(Vec::is_empty) {
-                        self.note_sink_latency(inst, stamp);
+                        shared.note_sink_latency(inst, stamp);
                     }
                 }
                 cell.component.on_message(port, msg, &mut ctx);
@@ -2092,9 +2053,7 @@ impl WorkerCtx {
         // after the re-checks).
         self.ws.parks += 1;
         let span = blazes_obs::start();
-        let parked = Instant::now();
         shared.idle.wait(ticket, PARK_TIMEOUT);
-        self.ws.idle_park_time += parked.elapsed();
         blazes_obs::span(span, EventKind::Park, self.idx as u64, 0);
         !shared.done.load(Ordering::SeqCst)
     }

@@ -163,11 +163,7 @@ impl Simulator {
             self.events_processed += 1;
             self.deliver(ev.instance, ev.port, ev.msg, ev.time);
         }
-        let stats = self.stats();
-        if blazes_obs::enabled() {
-            stats.export_metrics(blazes_obs::global().registry());
-        }
-        stats
+        self.stats()
     }
 
     fn deliver(&mut self, instance: InstanceId, port: usize, msg: Message, at: Time) {
@@ -265,7 +261,6 @@ impl Simulator {
                 .map(|i| InstanceStats {
                     name: i.component.name().to_string(),
                     processed: i.processed,
-                    busy_until: i.busy_until,
                 })
                 .collect(),
         }

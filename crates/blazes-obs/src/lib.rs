@@ -1,9 +1,9 @@
 //! # blazes-obs
 //!
 //! The observability layer shared by every Blazes runtime: a lock-free,
-//! per-thread ring-buffer event tracer plus a unified metrics registry
-//! (counters, gauges, HDR-style log-bucketed histograms), exporting to
-//! Chrome `chrome://tracing` JSON.
+//! per-thread ring-buffer event tracer exporting to Chrome
+//! `chrome://tracing` JSON, plus the HDR-style log-bucketed [`Histogram`]
+//! a run keeps its latency distribution in.
 //!
 //! ## Design
 //!
@@ -27,18 +27,19 @@
 //!   timestamps against its own start epoch, so lanes are internally
 //!   ordered but not cross-process aligned.
 //!
-//! ## Metric naming
+//! ## Where the numbers live
 //!
-//! Registry names are dotted paths, `<subsystem>.<noun>[.<detail>]`:
-//! `par.steals`, `par.parks`, `dist.frames.sent`, `seal.votes`,
-//! `bloom.fixpoint_iters`, `latency.tuple_ns`. Counters count, gauges
-//! level, histograms distribute; [`Registry::render`] dumps them all.
+//! The tracer records *what happened, when*; it keeps no totals. A run's
+//! numbers live in that run's own statistics value (`RunStats`,
+//! `ParStats`, `DistStats`, Bloom's `TickStats`), which the runtime
+//! returns when the run ends. A process-wide store could not hold them:
+//! runs that share a process would sum into, or overwrite, each other.
 
 pub mod chrome;
 pub mod metrics;
 pub mod ring;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+pub use metrics::{Histogram, HistogramSnapshot};
 pub use ring::{Event, EventKind, TraceRing};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,8 +61,7 @@ pub struct RemoteLane {
 }
 
 /// The process-wide observability hub: enablement flag, per-thread trace
-/// rings, remote lanes ingested from worker processes, and the metrics
-/// registry.
+/// rings and remote lanes ingested from worker processes.
 pub struct Obs {
     enabled: AtomicBool,
     /// Chrome `pid` lane of this process (0 = coordinator / standalone).
@@ -71,7 +71,6 @@ pub struct Obs {
     epoch: OnceLock<Instant>,
     rings: Mutex<Vec<Arc<TraceRing>>>,
     remote: Mutex<Vec<RemoteLane>>,
-    registry: Registry,
 }
 
 impl Obs {
@@ -84,7 +83,6 @@ impl Obs {
             epoch: OnceLock::new(),
             rings: Mutex::new(Vec::new()),
             remote: Mutex::new(Vec::new()),
-            registry: Registry::new(),
         }
     }
 
@@ -201,12 +199,6 @@ impl Obs {
         self.events.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The unified metrics registry.
-    #[must_use]
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Snapshot every local ring: `(tid, events, overwritten)` per ring.
     #[must_use]
     fn lanes(&self) -> Vec<(u32, Vec<Event>, u64)> {
@@ -262,14 +254,13 @@ impl Obs {
         std::fs::write(path, self.chrome_json())
     }
 
-    /// Discard all recorded events (local and remote) and reset metric
-    /// values. The enablement flag and proof counters are untouched.
+    /// Discard all recorded events (local and remote). The enablement
+    /// flag and proof counters are untouched.
     pub fn clear(&self) {
         for ring in self.rings.lock().expect("obs ring registry").iter() {
             let _ = ring.drain();
         }
         self.remote.lock().expect("obs remote lanes").clear();
-        self.registry.clear();
     }
 }
 

@@ -1,67 +1,9 @@
-//! The unified metrics registry: named counters, gauges and HDR-style
-//! log-bucketed histograms, all atomic and shareable across threads.
-//!
-//! Names are dotted paths (`par.steals`, `latency.tuple_ns`); the first
-//! registration of a name creates the metric, later lookups return the
-//! same `Arc`, so instrumentation sites can cache handles and callers can
-//! read them through the registry without any plumbing between the two.
+//! Run-owned measurement types: an HDR-style log-bucketed histogram,
+//! atomic and shareable across threads, in fixed memory. A run that wants
+//! a distribution owns one and hands its [`HistogramSnapshot`] out with
+//! the run's statistics.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// A monotonically increasing atomic counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-/// An instantaneous atomic level (may go down).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Set the level.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjust the level by `delta`.
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    #[must_use]
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-bucket resolution bits: 2^5 = 32 sub-buckets per power of two,
 /// bounding the relative quantile error at ~3%.
@@ -175,19 +117,11 @@ impl Histogram {
             max: self.max.load(Ordering::Relaxed),
         }
     }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
-/// A point-in-time summary of a [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A point-in-time summary of a [`Histogram`]; the default is an empty
+/// histogram's.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
     pub count: u64,
@@ -205,150 +139,9 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-/// A name-keyed registry of counters, gauges and histograms.
-pub struct Registry {
-    metrics: Mutex<BTreeMap<String, Metric>>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Registry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Registry {
-            metrics: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The counter named `name`, created on first use.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric type.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = self.metrics.lock().expect("metrics registry");
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
-            _ => panic!("metric {name:?} is not a counter"),
-        }
-    }
-
-    /// The gauge named `name`, created on first use.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric type.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.metrics.lock().expect("metrics registry");
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric {name:?} is not a gauge"),
-        }
-    }
-
-    /// The histogram named `name`, created on first use.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric type.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self.metrics.lock().expect("metrics registry");
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric {name:?} is not a histogram"),
-        }
-    }
-
-    /// Render every metric as `name value` lines (histograms as
-    /// `name{count,mean,p50,p99,p999,max}`), sorted by name.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let m = self.metrics.lock().expect("metrics registry");
-        let mut s = String::new();
-        for (name, metric) in m.iter() {
-            match metric {
-                Metric::Counter(c) => {
-                    let _ = writeln!(s, "{name} {}", c.get());
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(s, "{name} {}", g.get());
-                }
-                Metric::Histogram(h) => {
-                    let snap = h.snapshot();
-                    let _ = writeln!(
-                        s,
-                        "{name}{{count={} mean={:.0} p50={} p99={} p999={} max={}}}",
-                        snap.count, snap.mean, snap.p50, snap.p99, snap.p999, snap.max
-                    );
-                }
-            }
-        }
-        s
-    }
-
-    /// Reset every registered metric to zero (registrations survive).
-    pub fn clear(&self) {
-        let m = self.metrics.lock().expect("metrics registry");
-        for metric in m.values() {
-            match metric {
-                Metric::Counter(c) => c.reset(),
-                Metric::Gauge(g) => g.reset(),
-                Metric::Histogram(h) => h.reset(),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_and_gauges() {
-        let r = Registry::new();
-        let c = r.counter("par.steals");
-        c.inc();
-        c.add(4);
-        assert_eq!(r.counter("par.steals").get(), 5);
-        let g = r.gauge("par.queue_depth");
-        g.set(12);
-        g.add(-2);
-        assert_eq!(r.gauge("par.queue_depth").get(), 10);
-        let text = r.render();
-        assert!(text.contains("par.steals 5"));
-        assert!(text.contains("par.queue_depth 10"));
-        r.clear();
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "is not a counter")]
-    fn name_type_conflicts_panic() {
-        let r = Registry::new();
-        let _ = r.gauge("x");
-        let _ = r.counter("x");
-    }
 
     #[test]
     fn histogram_small_values_are_exact() {
@@ -394,8 +187,8 @@ mod tests {
         assert_eq!(snap.max, u64::MAX);
         assert_eq!(h.quantile(0.25), 0);
         assert!(h.quantile(1.0) > u64::MAX / 2);
-        h.reset();
-        assert_eq!(h.snapshot().count, 0);
-        assert_eq!(h.quantile(0.5), 0);
+        let fresh = Histogram::new();
+        assert_eq!(fresh.snapshot().count, 0);
+        assert_eq!(fresh.quantile(0.5), 0);
     }
 }

@@ -20,7 +20,7 @@
 //! * [`bloom`] — the mini Bloom language and its white-box analysis.
 //! * [`apps`] — the paper's two case-study applications.
 //! * [`obs`] — observability: trace rings, Chrome trace export and the
-//!   metrics registry.
+//!   latency histogram.
 //!
 //! See `examples/` for runnable walkthroughs and `README.md` for the
 //! system inventory, the test suites and the benchmark.
