@@ -12,9 +12,17 @@ use rand::{Rng, SeedableRng};
 
 /// A Zipf sampler over ranks `0..n` with exponent `s`, via inverse-CDF
 /// table lookup (we avoid a `rand_distr` dependency).
+///
+/// A draw `u` maps to the first rank whose cumulative mass reaches `u`.
+/// A guide table (one bucket per rank, each holding the first candidate
+/// rank for its slice of `[0, 1)`) starts the search next to the answer,
+/// so a draw compares a few table entries instead of bisecting the whole
+/// table.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[b]`: the first rank whose cumulative mass reaches `b / n`.
+    guide: Vec<usize>,
 }
 
 impl Zipf {
@@ -33,18 +41,40 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Self { cdf }
+        let mut guide = Vec::with_capacity(n);
+        let mut rank = 0;
+        for b in 0..n {
+            let edge = b as f64 / n as f64;
+            while rank < n && cdf[rank] < edge {
+                rank += 1;
+            }
+            guide.push(rank);
+        }
+        Self { cdf, guide }
     }
 
     /// Sample a rank in `0..n`.
     pub fn sample(&self, rng: &mut StdRng) -> usize {
-        let u: f64 = rng.random();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("finite"))
-        {
-            Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
+        self.rank(rng.random())
+    }
+
+    /// The rank a draw of `u` in `[0, 1)` selects: the first whose
+    /// cumulative mass reaches `u`, or the last rank when rounding left
+    /// the total just short of `u`.
+    fn rank(&self, u: f64) -> usize {
+        let n = self.cdf.len();
+        // `u * n` rounds, so the bucket's first candidate may sit one
+        // step past the answer: walk down while the rank below still
+        // reaches `u`, then up while this one falls short of it.
+        let bucket = ((u * n as f64) as usize).min(n - 1);
+        let mut rank = self.guide[bucket];
+        while rank > 0 && self.cdf[rank - 1] >= u {
+            rank -= 1;
         }
+        while rank < n && self.cdf[rank] < u {
+            rank += 1;
+        }
+        rank.min(n - 1)
     }
 }
 
@@ -91,16 +121,24 @@ impl TweetWorkload {
             StdRng::seed_from_u64(self.seed ^ (spout_instance as u64).wrapping_mul(0x9e37_79b9));
         let zipf = Zipf::new(self.vocabulary, self.zipf_exponent);
         let mut out = Vec::with_capacity(self.batches * self.tweets_per_batch);
+        // Room for every word at the vocabulary's widest rank, so each
+        // tweet's text is one allocation.
+        let widest = (self.vocabulary - 1)
+            .checked_ilog10()
+            .map_or(1, |d| d as usize + 1);
+        let text_len = self.words_per_tweet * (2 + widest);
         let mut t: Time = 0;
         for batch in 0..self.batches {
             for _ in 0..self.tweets_per_batch {
-                let words: Vec<String> = (0..self.words_per_tweet)
-                    .map(|_| format!("w{}", zipf.sample(&mut rng)))
-                    .collect();
-                out.push((
-                    t,
-                    Tuple(vec![Value::Str(words.join(" ")), Value::Int(batch as i64)]),
-                ));
+                let mut text = String::with_capacity(text_len);
+                for word in 0..self.words_per_tweet {
+                    if word > 0 {
+                        text.push(' ');
+                    }
+                    text.push('w');
+                    push_decimal(&mut text, zipf.sample(&mut rng));
+                }
+                out.push((t, Tuple(vec![Value::Str(text), Value::Int(batch as i64)])));
                 t += self.tweet_interval;
             }
         }
@@ -112,6 +150,22 @@ impl TweetWorkload {
     pub fn tweets_per_instance(&self) -> usize {
         self.batches * self.tweets_per_batch
     }
+}
+
+/// Append `n` in decimal, as `format!("{n}")` would spell it.
+fn push_decimal(text: &mut String, n: usize) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    text.extend(buf[at..].iter().map(|&d| char::from(d)));
 }
 
 /// How campaigns are placed across ad servers (paper Section VIII-B3).
@@ -283,6 +337,98 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..1000 {
             assert!(z.sample(&mut rng) < 3);
+        }
+    }
+
+    /// The rank the sampler drew before it had a guide table: a binary
+    /// search of the cumulative table.
+    fn bisected_rank(z: &Zipf, u: f64) -> usize {
+        match z
+            .cdf
+            .binary_search_by(|p| p.partial_cmp(&u).expect("finite"))
+        {
+            Ok(i) | Err(i) => i.min(z.cdf.len() - 1),
+        }
+    }
+
+    /// The guide table changes how a rank is found, never which: over a
+    /// million draws per vocabulary, every table entry, every bucket edge
+    /// and their floating-point neighbours, it returns the bisected rank.
+    #[test]
+    fn guided_draws_return_the_bisected_rank() {
+        for n in [1usize, 3, 50, 10_000] {
+            for s in [0.5, 1.0, 1.1, 1.2] {
+                let z = Zipf::new(n, s);
+                let mut edges = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+                edges.extend(z.cdf.iter().copied());
+                edges.extend((0..n).map(|b| b as f64 / n as f64));
+                for u in edges {
+                    for u in [u.next_down(), u, u.next_up()] {
+                        if (0.0..1.0).contains(&u) {
+                            assert_eq!(z.rank(u), bisected_rank(&z, u), "n={n} s={s} u={u}");
+                        }
+                    }
+                }
+                let mut rng = StdRng::seed_from_u64(n as u64 ^ s.to_bits());
+                for _ in 0..250_000 {
+                    let u: f64 = rng.random();
+                    assert_eq!(z.rank(u), bisected_rank(&z, u), "n={n} s={s} u={u}");
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over a tweet schedule: each entry's time, text and batch.
+    fn schedule_digest(schedule: &[(Time, Tuple)]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (t, tweet) in schedule {
+            eat(&t.to_le_bytes());
+            eat(tweet
+                .get(0)
+                .and_then(Value::as_str)
+                .expect("text")
+                .as_bytes());
+            eat(&[0]);
+            eat(&tweet
+                .get(1)
+                .and_then(Value::as_int)
+                .expect("batch")
+                .to_le_bytes());
+        }
+        h
+    }
+
+    /// The generated inputs are pinned bit for bit: the wordcount
+    /// benchmark's shapes (10 000 words under zipf 0.5, 5 words a tweet,
+    /// 50 tweets a batch; 300 and 700 batches) at two seeds, both spouts,
+    /// hash to the digests of the sampler that bisected the table and
+    /// built each tweet from one string per word.
+    #[test]
+    fn tweet_schedules_match_their_pinned_digests() {
+        let pinned: [(u64, usize, [u64; 2]); 4] = [
+            (0, 300, [0x1b05_9f8b_a65f_2e44, 0x83e7_4fe6_576a_1c79]),
+            (0, 700, [0x252d_7cd9_3255_2aa1, 0x3da2_17a7_7a0f_20eb]),
+            (7, 300, [0xf908_4666_ca5b_d5d8, 0xd778_1db8_a620_05ea]),
+            (7, 700, [0x71be_1a54_3edc_a10c, 0x24d7_5ea4_a6fb_5c09]),
+        ];
+        for (seed, batches, digests) in pinned {
+            let w = TweetWorkload {
+                vocabulary: 10_000,
+                zipf_exponent: 0.5,
+                words_per_tweet: 5,
+                tweets_per_batch: 50,
+                batches,
+                seed,
+                ..TweetWorkload::default()
+            };
+            let got = [0, 1].map(|spout| schedule_digest(&w.generate(spout)));
+            assert_eq!(got, digests, "seed {seed}, {batches} batches");
         }
     }
 

@@ -96,12 +96,15 @@ pub struct ScalingPoint {
     /// per event).
     pub pushes_per_event: f64,
     /// Median per-tuple source-to-sink latency, microseconds, from one
-    /// extra traced repetition (the timed reps run untraced).
-    pub lat_p50_us: f64,
-    /// 99th-percentile per-tuple latency, microseconds.
-    pub lat_p99_us: f64,
-    /// 99.9th-percentile per-tuple latency, microseconds.
-    pub lat_p999_us: f64,
+    /// extra traced repetition (the timed reps run untraced). `None`
+    /// (JSON `null`) below two samples: the fan-in consumer emits one
+    /// summary tuple on the last EOS, and that one arrival times
+    /// last-EOS-to-sink, not a distribution of tuple latencies.
+    pub lat_p50_us: Option<f64>,
+    /// 99th-percentile per-tuple latency, microseconds; `None` as above.
+    pub lat_p99_us: Option<f64>,
+    /// 99.9th-percentile per-tuple latency, microseconds; `None` as above.
+    pub lat_p999_us: Option<f64>,
     /// Samples behind the latency percentiles (sink arrivals observed by
     /// the traced repetition; 0 means the probe saw no sinks).
     pub lat_samples: u64,
@@ -113,9 +116,9 @@ pub struct ScalingPoint {
 /// `ParStats::latency`.
 struct LatencyProbe {
     samples: u64,
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
+    /// p50, p99 and p999 in microseconds, when there are at least two
+    /// samples to take percentiles of.
+    percentiles: Option<[f64; 3]>,
 }
 
 /// Serializes traced repetitions: enabling tracing is process-wide, so
@@ -141,9 +144,8 @@ fn probe_latency(run: impl FnOnce() -> (BTreeSet<Message>, BackendRunStats)) -> 
     let snap = stats.as_par().and_then(|p| p.latency).unwrap_or_default();
     LatencyProbe {
         samples: snap.count,
-        p50_us: snap.p50 as f64 / 1e3,
-        p99_us: snap.p99 as f64 / 1e3,
-        p999_us: snap.p999 as f64 / 1e3,
+        percentiles: (snap.count > 1)
+            .then(|| [snap.p50, snap.p99, snap.p999].map(|ns| ns as f64 / 1e3)),
     }
 }
 
@@ -293,8 +295,8 @@ impl ScalingReport {
                  \"millis\": {:.3}, \"speedup_vs_sim\": {:.3}, \"balance\": {:.3}, \
                  \"steals\": {}, \"parks\": {}, \"wakeups\": {}, \
                  \"push_retries\": {}, \"pushes_per_event\": {:.4}, \
-                 \"lat_p50_us\": {:.1}, \"lat_p99_us\": {:.1}, \
-                 \"lat_p999_us\": {:.1}, \"lat_samples\": {}, \"correct\": {}}}",
+                 \"lat_p50_us\": {}, \"lat_p99_us\": {}, \
+                 \"lat_p999_us\": {}, \"lat_samples\": {}, \"correct\": {}}}",
                 p.workload,
                 p.cores,
                 p.workers,
@@ -306,9 +308,9 @@ impl ScalingReport {
                 p.wakeups,
                 p.push_retries,
                 p.pushes_per_event,
-                p.lat_p50_us,
-                p.lat_p99_us,
-                p.lat_p999_us,
+                json_us(p.lat_p50_us),
+                json_us(p.lat_p99_us),
+                json_us(p.lat_p999_us),
                 p.lat_samples,
                 p.correct
             )
@@ -339,7 +341,7 @@ impl ScalingReport {
         for p in &self.points {
             let _ = writeln!(
                 s,
-                "{:9} {:8} {:9.1} {:7.2}x {:8.2} {:7} {:7} {:8} {:13} {:10.4} {:8.1} {:8.1} {:8.1}{}",
+                "{:9} {:8} {:9.1} {:7.2}x {:8.2} {:7} {:7} {:8} {:13} {:10.4} {}{}",
                 p.workload,
                 p.workers,
                 p.millis,
@@ -350,9 +352,14 @@ impl ScalingReport {
                 p.wakeups,
                 p.push_retries,
                 p.pushes_per_event,
-                p.lat_p50_us,
-                p.lat_p99_us,
-                p.lat_p999_us,
+                match (p.lat_p50_us, p.lat_p99_us, p.lat_p999_us) {
+                    (Some(p50), Some(p99), Some(p999)) => format!("{p50:8.1} {p99:8.1} {p999:8.1}"),
+                    _ => format!(
+                        " n/a ({} sample{})",
+                        p.lat_samples,
+                        if p.lat_samples == 1 { "" } else { "s" }
+                    ),
+                },
                 if p.correct { "" } else { "  DIGEST MISMATCH" },
             );
         }
@@ -454,12 +461,17 @@ fn timed_par(
         wakeups,
         push_retries,
         pushes_per_event,
-        lat_p50_us: lat.p50_us,
-        lat_p99_us: lat.p99_us,
-        lat_p999_us: lat.p999_us,
+        lat_p50_us: lat.percentiles.map(|p| p[0]),
+        lat_p99_us: lat.percentiles.map(|p| p[1]),
+        lat_p999_us: lat.percentiles.map(|p| p[2]),
         lat_samples: lat.samples,
         correct,
     }
+}
+
+/// A latency column as JSON: microseconds to one decimal, or `null`.
+fn json_us(us: Option<f64>) -> String {
+    us.map_or_else(|| "null".to_string(), |us| format!("{us:.1}"))
 }
 
 /// The parallel backend every sweep point runs on.
@@ -708,13 +720,19 @@ mod tests {
             report.points.iter().all(|p| p.lat_samples > 0),
             "every point's traced repetition observed sink arrivals"
         );
-        assert!(
-            report
-                .points
-                .iter()
-                .all(|p| p.lat_p50_us <= p.lat_p99_us && p.lat_p99_us <= p.lat_p999_us),
-            "latency percentiles are monotone"
-        );
+        for p in &report.points {
+            let pct = [p.lat_p50_us, p.lat_p99_us, p.lat_p999_us];
+            if p.workload == "fanin" {
+                assert_eq!(p.lat_samples, 1, "one summary tuple reaches the sink");
+                assert_eq!(pct, [None; 3], "one sample has no percentiles");
+            } else {
+                let [p50, p99, p999] = pct.map(|v| v.expect("per-tuple percentiles"));
+                assert!(
+                    p50 <= p99 && p99 <= p999,
+                    "latency percentiles are monotone"
+                );
+            }
+        }
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"par_scaling\""));
         assert!(json.contains("\"workload\": \"skewed\""));

@@ -41,7 +41,14 @@
 //! channel — and drops the recording, components and injections with it,
 //! before any worker spawns. Each worker partitions its own recording:
 //! the local [`Topology`] keeps the instances it owns, the wires between
-//! them under their global numbers, and the injections addressed to them.
+//! them under their global numbers, and the injections addressed to them;
+//! the wires it produces onto other processes become egress wires.
+//!
+//! The price is that every process runs the whole assembly, input
+//! generation included, before it can route or run anything: the parent
+//! before it spawns a worker, each worker before it starts its runtime.
+//! Shipping the parent's recording instead needs components that
+//! serialize.
 //!
 //! Coordination injection composes untouched: `blazes-autocoord`'s
 //! rewrite pass runs *inside* the assembly function, below the
@@ -52,13 +59,18 @@
 //!
 //! Workers connect only to the parent (a star). A wire whose producer and
 //! consumer are owned by the same process stays entirely local — the par
-//! runtime delivers it, fault RNG and all. A *cross* wire is split: the
-//! producer is wired to an egress shim that forwards
-//! `(wire, seq, message)` to the parent, the parent applies the wire's
-//! fault schedule and routes the frame to the consumer's owner, and the
+//! runtime delivers it, fault RNG and all. A *cross* wire is split. On the
+//! producer's side it is an *egress wire* of the par runtime: an emission
+//! on it becomes the wire's next `(wire, seq, message)` frame, with no
+//! mailbox, no fault draw and no activation of its own, and each
+//! activation hands its frames to the worker's egress queue as one batch
+//! before the producer can run again. The parent applies the wire's fault
+//! schedule and routes the frame to the consumer's owner, and the
 //! consumer's owner injects it through [`crate::par::RunningPar::inject`]
 //! — each socket read's data frames as one batch, flushed before the
-//! worker answers any control frame read behind them.
+//! worker answers any control frame read behind them. A process boundary
+//! therefore adds no par events: the workers of a run together process
+//! exactly the component deliveries one par runtime would.
 //!
 //! The parent is a byte switch. Its reader threads check every frame
 //! exactly as [`wire::FrameDecoder::next_frame`] would — tags, UTF-8,
@@ -84,8 +96,9 @@
 //! Every wire delivers in send order.
 //!
 //! The cost of moving a tuple between processes is paid per *chunk*, not
-//! per tuple: a worker's egress pump writes whatever is queued (up to
-//! [`recover::FLUSH_BYTES`]) in one socket write, the parent's readers
+//! per tuple: a worker's egress pump takes the batches queued so far and
+//! writes them (up to [`recover::FLUSH_BYTES`]) in one socket write, the
+//! parent's readers
 //! hand over every frame decoded from one read as one input, and each
 //! worker's [`recover::Outbox`] coalesces routed frames into chunk-sized
 //! writes. Everything that counts frames (`sent_to`, `frames_routed`,
@@ -377,7 +390,11 @@ pub struct DistStats {
     /// Always 0: termination takes one wave of idle reports and no
     /// confirmation round. Kept for the benchmark that reads it.
     pub probe_rounds: u64,
-    /// Events processed, summed over every worker's runtime.
+    /// Events processed, summed over every worker's runtime: component
+    /// deliveries only, since an emission onto a cross wire leaves its
+    /// producer's runtime directly. Equals a par run's count for the same
+    /// topology and seed wherever that count does not depend on delivery
+    /// order.
     pub events_processed: u64,
     /// Messages delivered on *local* wires, summed over workers.
     pub messages_delivered: u64,
@@ -420,21 +437,20 @@ mod tests {
     use super::harness::Pipe;
     use super::shell::{env_number, read_hello, worker_run, Conn, TempDir, DIR_SEQ};
     use super::worker::{
-        partition, sink_result_frames, Control, Partition, WorkerCore, EGRESS_WIRE_BASE,
-        SINK_SLICE_BYTES,
+        partition, sink_result_frames, Control, Ingress, Partition, WorkerCore, SINK_SLICE_BYTES,
     };
     use super::*;
     use crate::backend::{ChannelId, PortId, Wire};
     use crate::channel::{ChannelConfig, WireFaults};
     use crate::component::{Component, Context, FnComponent};
     use crate::message::Message;
-    use crate::par::ParBuilder;
+    use crate::par::{EgressFrame, EgressQueue, ParBuilder, RunningPar};
     use crate::sim::Time;
     use crate::value::{Tuple, Value};
     use std::io::Write;
     use std::os::unix::net::UnixListener;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
     use std::time::{Duration, Instant};
     use wire::{Frame, FrameDecoder};
 
@@ -539,30 +555,42 @@ mod tests {
         assert_eq!(expected.len(), 50);
 
         // Partitioned: two runtimes, manual router.
-        let start = |partition: Topology| {
-            ParBuilder::new(9)
+        type Started = (
+            RunningPar,
+            Ingress,
+            mpsc::Receiver<Vec<EgressFrame>>,
+            Arc<AtomicU64>,
+        );
+        let start = |p: Partition| -> Started {
+            let (tx, rx) = mpsc::channel();
+            let queued = Arc::new(AtomicU64::new(0));
+            let queue = EgressQueue {
+                tx,
+                queued: Arc::clone(&queued),
+            };
+            let running = ParBuilder::new(9)
                 .with_workers(2)
-                .with_topology(partition)
+                .with_topology(p.topology)
+                .with_egress(p.egress, queue)
                 .build()
-                .start()
+                .start();
+            (running, p.ingress, rx, queued)
         };
         let (sinks0, p0) = part(chain, 0, 2);
         let (_, p1) = part(chain, 1, 2);
-        let (in0, rx0, q0) = (p0.ingress, p0.egress, p0.queued);
-        let (in1, rx1, q1) = (p1.ingress, p1.egress, p1.queued);
-        let r0 = start(p0.topology);
-        let r1 = start(p1.topology);
+        let (r0, in0, rx0, q0) = start(p0);
+        let (r1, in1, rx1, q1) = start(p1);
         let mut moved = (0u64, 0u64);
         // Shuttle until both partitions quiesce with drained queues.
         loop {
             let mut progress = false;
-            while let Ok((wire, _seq, msg)) = rx0.try_recv() {
+            for (wire, _seq, msg) in rx0.try_iter().flatten() {
                 let (inst, port) = in1[&wire];
                 r1.inject([(inst, port, msg)]);
                 moved.0 += 1;
                 progress = true;
             }
-            while let Ok((wire, _seq, msg)) = rx1.try_recv() {
+            for (wire, _seq, msg) in rx1.try_iter().flatten() {
                 let (inst, port) = in0[&wire];
                 r0.inject([(inst, port, msg)]);
                 moved.1 += 1;
@@ -578,11 +606,15 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        let _ = r1.finish();
-        let _ = r0.finish();
+        let stats = [r1.finish(), r0.finish()];
         assert_eq!(moved.0, 50, "a->m crossed once per message");
         assert_eq!(moved.1, 50, "m->s crossed once per message");
         assert_eq!(sinks0[0].1.message_set(), expected);
+        let events: u64 = stats.iter().map(|s| s.events_processed).sum();
+        assert_eq!(
+            events, 150,
+            "one event per component delivery, none for egress"
+        );
     }
 
     /// The registry rejects unknown names and dispatches known ones.
@@ -602,12 +634,13 @@ mod tests {
     }
 
     /// Partitioning loses and doubles nothing, at every process count:
-    /// each instance is owned by exactly one process; each wire is either
-    /// a local wire under its own number or, when it crosses, an egress
-    /// shim on the producer's owner plus an ingress entry on the
-    /// consumer's owner; each injection reaches its instance's owner; and
-    /// the wires each process's shims feed are the cross wires the router
-    /// expects it to produce. No partition runs.
+    /// each instance is owned by exactly one process, and a partition
+    /// holds nothing else; each wire is either a local wire under its own
+    /// number or, when it crosses, an egress wire on the producer's owner
+    /// plus an ingress entry on the consumer's owner; each injection
+    /// reaches its instance's owner; and each process's egress wires are
+    /// the cross wires the router expects it to produce. No partition
+    /// runs.
     #[test]
     fn partitions_own_each_instance_once_and_carry_each_wire_once() {
         for assembly in [chain as fn(&mut dyn ExecutorBuilder) -> SinkSet, fan] {
@@ -618,40 +651,38 @@ mod tests {
                 let (_, origin_wires) = Router::<Pipe>::new(&global, processes, 0);
                 let local_id = |g: InstanceId| InstanceId(g.0 / processes);
                 let mut owned = vec![0; names.len()];
-                // Per global wire: local copies, egress shims, ingress entries.
+                // Per global wire: local copies, egress entries, ingress entries.
                 let mut seen = vec![(0, 0, 0); global.wires().len()];
                 let mut injections = 0;
                 for (index, origin) in origin_wires.iter().enumerate() {
                     let Partition {
-                        topology, ingress, ..
+                        topology,
+                        egress,
+                        ingress,
                     } = part(assembly, index, processes).1;
                     let local: Vec<&str> = topology.instance_names().collect();
                     let mine: Vec<usize> = (index..names.len()).step_by(processes).collect();
+                    assert_eq!(local.len(), mine.len(), "owned instances only");
                     for (k, &g) in mine.iter().enumerate() {
-                        assert_eq!(local[k], names[g], "owned instances come first, in order");
+                        assert_eq!(local[k], names[g], "owned instances, in order");
                         owned[g] += 1;
                     }
-                    assert!(local[mine.len()..].iter().all(|&n| n == "dist-egress"));
-                    let mut egress = Vec::new();
                     for w in topology.wires() {
-                        if let Some(n) = w.number.checked_sub(EGRESS_WIRE_BASE) {
-                            let g = global.wires()[n as usize];
-                            assert_eq!(owner(g.from.0, processes), index);
-                            assert_eq!((w.from, w.out_port), (local_id(g.from), g.out_port));
-                            assert_eq!(local[w.to.0], "dist-egress");
-                            assert_eq!(w.in_port, PortId(0));
-                            seen[n as usize].1 += 1;
-                            egress.push(n);
-                        } else {
-                            let g = global.wires()[w.number as usize];
-                            let expected = Wire {
-                                from: local_id(g.from),
-                                to: local_id(g.to),
-                                ..g
-                            };
-                            assert_eq!(*w, expected);
-                            seen[w.number as usize].0 += 1;
-                        }
+                        let g = global.wires()[w.number as usize];
+                        let expected = Wire {
+                            from: local_id(g.from),
+                            to: local_id(g.to),
+                            ..g
+                        };
+                        assert_eq!(*w, expected);
+                        seen[w.number as usize].0 += 1;
+                    }
+                    for e in &egress {
+                        let g = global.wires()[e.number as usize];
+                        assert_eq!(owner(g.from.0, processes), index);
+                        assert_ne!(owner(g.to.0, processes), index);
+                        assert_eq!((e.from, e.out_port), (local_id(g.from), g.out_port));
+                        seen[e.number as usize].1 += 1;
                     }
                     for (&n, &entry) in &ingress {
                         let g = global.wires()[n as usize];
@@ -660,7 +691,8 @@ mod tests {
                         assert_eq!(entry, (local_id(g.to), g.in_port));
                         seen[n as usize].2 += 1;
                     }
-                    assert_eq!(&egress, origin, "P={processes} process {index}");
+                    let produced: Vec<u64> = egress.iter().map(|e| e.number).collect();
+                    assert_eq!(&produced, origin, "P={processes} process {index}");
                     for (_, to, _, _) in &topology.injections {
                         assert!(to.0 < mine.len(), "injected into an owned instance");
                     }

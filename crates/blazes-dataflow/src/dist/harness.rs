@@ -8,12 +8,13 @@
 
 use super::coord::{Coord, Effect, Input, Phase, Received};
 use super::wire::{self, Frame, FrameDecoder};
-use super::worker::{Control, EgressFrame, WorkerCore};
+use super::worker::{Control, WorkerCore};
 use super::{ChaosSpec, DistRun, DistSpec, Kill, KillPoint, Registry, SinkSet};
 use crate::backend::{ExecutorBuilder, PortId, Topology};
 use crate::channel::ChannelConfig;
 use crate::component::{Component, Context, FnComponent};
 use crate::message::Message;
+use crate::par::EgressFrame;
 use crate::sim::Simulator;
 use crate::sinks::CollectorSink;
 use crate::value::{Tuple, Value};
@@ -54,7 +55,7 @@ const QUIET_STEP: Duration = Duration::from_millis(5);
 /// Where a worker incarnation is in its life.
 enum Stage {
     AwaitingPlan,
-    Running(Box<WorkerCore>, mpsc::Receiver<EgressFrame>),
+    Running(Box<WorkerCore>, mpsc::Receiver<Vec<EgressFrame>>),
     Finished,
 }
 
@@ -80,7 +81,7 @@ impl Incarnation {
         let mut out = Vec::new();
         let mut send = |frame: &Frame| wire::encode_into(frame, &mut out);
         if let Stage::Running(_, egress) = &self.stage {
-            while let Ok((wire, seq, msg)) = egress.try_recv() {
+            for (wire, seq, msg) in egress.try_iter().flatten() {
                 send(&Frame::Data { wire, seq, msg });
                 self.written += 1;
             }

@@ -525,11 +525,12 @@ pub(super) fn worker_run(
     let (mut core, egress_rx) = WorkerCore::start(registry, plan, index, epoch)?;
     let heartbeat_every = core.heartbeat_every;
 
-    // Egress pump: encode and write cross-partition frames, a queue's
-    // worth per socket write. Shares the socket with the control loop's
-    // heartbeats and idle reports through a mutex; the pump is the only
-    // high-volume writer. An idle report is written only once `written`
-    // covers every queued frame, so it travels behind them.
+    // Egress pump: encode and write cross-partition frames, the batches
+    // the runtime has queued up to a chunk's worth per socket write.
+    // Shares the socket with the control loop's heartbeats and idle
+    // reports through a mutex; the pump is the only high-volume writer.
+    // An idle report is written only once `written` covers every queued
+    // frame, so it travels behind them.
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
     let written = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
@@ -543,14 +544,16 @@ pub(super) fn worker_run(
             loop {
                 match egress_rx.recv_timeout(WORKER_POLL) {
                     Ok(first) => {
-                        // Block for one frame, then take what else is
+                        // Block for one batch, then take what else is
                         // already queued, up to a chunk's worth.
                         let mut frames = 0u64;
                         let mut next = Some(first);
-                        while let Some((wire, seq, msg)) = next {
-                            blazes_obs::record(blazes_obs::EventKind::FrameSend, wire, seq);
-                            wire::encode_into(&Frame::Data { wire, seq, msg }, &mut chunk);
-                            frames += 1;
+                        while let Some(batch) = next {
+                            for (wire, seq, msg) in batch {
+                                blazes_obs::record(blazes_obs::EventKind::FrameSend, wire, seq);
+                                wire::encode_into(&Frame::Data { wire, seq, msg }, &mut chunk);
+                                frames += 1;
+                            }
                             next = (chunk.len() < FLUSH_BYTES)
                                 .then(|| egress_rx.try_recv().ok())
                                 .flatten();

@@ -1,87 +1,51 @@
 //! The worker side of the protocol, without a socket: [`partition`], and
 //! [`WorkerCore`] — a worker once its plan has arrived. The
 //! shell's control loop and the in-memory harness drive it alike, feeding
-//! it frames and the count of egress frames written so far.
+//! it frames and the count of egress frames written so far. Egress does
+//! not pass through the core: the par runtime sends each activation's
+//! cross-wire frames to the queue [`WorkerCore::start`] returns, and the
+//! caller writes them out.
 
 use super::wire::{self, Frame, WireError, MAX_FRAME};
 use super::{owner, DistError, Registry, SinkSet};
-use crate::backend::{ChannelId, Instance, PortId, Topology, Wire};
-use crate::channel::ChannelConfig;
-use crate::component::{Component, Context};
+use crate::backend::{PortId, Topology, Wire};
 use crate::message::Message;
-use crate::par::{ParBuilder, ParTuning, RunningPar};
+use crate::par::{EgressFrame, EgressQueue, EgressWire, ParBuilder, ParTuning, RunningPar};
 use crate::sim::{InstanceId, Time};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-/// Wire numbers for the local producer→egress hops, far above any global
-/// wire number. Egress hops use [`ChannelConfig::instant`] (no fault
-/// RNG), so the offset only keeps diagnostics unambiguous.
-pub(super) const EGRESS_WIRE_BASE: u64 = 1 << 48;
-
 /// Payload bytes a [`Frame::SinkResult`] slice stays within: a sink
 /// travels as a run of slices the coordinator appends in order, so its
 /// size is not capped by [`MAX_FRAME`] — only a single entry's is.
 pub(super) const SINK_SLICE_BYTES: usize = 1 << 20;
 
-/// One cross-partition emission leaving a worker: `(wire, seq, message)`.
-pub(crate) type EgressFrame = (u64, u64, Message);
-
 /// Cross wires terminating locally: global wire → (local instance of the
 /// consumer, its input port).
 pub(super) type Ingress = BTreeMap<u64, (InstanceId, PortId)>;
 
-/// The egress shim interposed on a cross wire's producer side: forwards
-/// every delivery to the worker's egress queue as `(wire, seq, message)`.
-/// Workers never speculate, so every frame it forwards is committed.
-struct Egress {
-    wire: u64,
-    seq: u64,
-    queued: Arc<AtomicU64>,
-    tx: mpsc::Sender<EgressFrame>,
-}
-
-impl Component for Egress {
-    fn on_message(&mut self, _port: usize, msg: Message, _ctx: &mut Context) {
-        // Count before sending: the idle check compares this counter
-        // against the frames written, and over-counting is the safe
-        // direction (a frame in the channel reads as "not drained").
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        let seq = self.seq;
-        self.seq += 1;
-        let _ = self.tx.send((self.wire, seq, msg));
-    }
-
-    fn name(&self) -> &str {
-        "dist-egress"
-    }
-}
-
 /// Process `index`'s share of a recorded topology, ready to run.
 pub(super) struct Partition {
-    /// The instances it owns, in global order, then one egress shim per
-    /// cross wire they produce; the wires between owned instances under
-    /// their global numbers; every channel, plus an instant one for the
-    /// shims; the injections addressed to owned instances.
+    /// The instances it owns, in global order; the wires between them
+    /// under their global numbers; every channel; the injections
+    /// addressed to owned instances.
     pub(super) topology: Topology,
+    /// Cross wires this process produces, from its local instances, in
+    /// registration order.
+    pub(super) egress: Vec<EgressWire>,
     /// Cross wires this process consumes.
     pub(super) ingress: Ingress,
-    /// The egress queue the shims feed.
-    pub(super) egress: mpsc::Receiver<EgressFrame>,
-    /// Egress frames enqueued so far: compare with the frames written to
-    /// decide the queue has drained.
-    pub(super) queued: Arc<AtomicU64>,
 }
 
 /// Cut process `index`'s partition out of `topology`, every process's
 /// identical recording of the SPMD assembly. A wire between two owned
 /// instances keeps its global number (the par runtime's fault streams key
-/// on it); a wire leaving the partition ends in an egress shim, over a
-/// local wire numbered [`EGRESS_WIRE_BASE`] + its global number; a wire
-/// entering it goes into the ingress table, for
-/// [`RunningPar::inject`] delivery. Everything owned elsewhere is dropped.
+/// on it); a wire leaving the partition becomes an egress wire, whose
+/// emissions the par runtime hands straight to the egress queue; a wire
+/// entering it goes into the ingress table, for [`RunningPar::inject`]
+/// delivery. Everything owned elsewhere is dropped.
 ///
 /// # Panics
 /// If `processes` is zero or `index` is out of range.
@@ -90,12 +54,10 @@ pub(super) fn partition(topology: Topology, index: usize, processes: usize) -> P
     assert!(index < processes, "index within process count");
     let Topology {
         instances,
-        mut channels,
+        channels,
         wires,
         injections,
     } = topology;
-    let egress_channel = ChannelId(channels.len());
-    channels.push(ChannelConfig::instant());
     let mut local = Topology {
         channels,
         ..Topology::default()
@@ -111,31 +73,16 @@ pub(super) fn partition(topology: Topology, index: usize, processes: usize) -> P
             })
         })
         .collect();
-    let (tx, egress) = mpsc::channel();
-    let queued = Arc::new(AtomicU64::new(0));
+    let mut egress = Vec::new();
     let mut ingress = Ingress::new();
     for wire in wires {
         match (local_of[wire.from.0], local_of[wire.to.0]) {
             (Some(from), Some(to)) => local.wires.push(Wire { from, to, ..wire }),
-            (Some(from), None) => {
-                local.instances.push(Instance {
-                    component: Box::new(Egress {
-                        wire: wire.number,
-                        seq: 0,
-                        queued: Arc::clone(&queued),
-                        tx: tx.clone(),
-                    }),
-                    service: 0,
-                });
-                local.wires.push(Wire {
-                    from,
-                    out_port: wire.out_port,
-                    to: InstanceId(local.instances.len() - 1),
-                    in_port: PortId(0),
-                    channel: egress_channel,
-                    number: EGRESS_WIRE_BASE + wire.number,
-                });
-            }
+            (Some(from), None) => egress.push(EgressWire {
+                from,
+                out_port: wire.out_port,
+                number: wire.number,
+            }),
             (None, Some(to)) => {
                 ingress.insert(wire.number, (to, wire.in_port));
             }
@@ -148,9 +95,8 @@ pub(super) fn partition(topology: Topology, index: usize, processes: usize) -> P
         .collect();
     Partition {
         topology: local,
-        ingress,
         egress,
-        queued,
+        ingress,
     }
 }
 
@@ -173,7 +119,8 @@ pub(super) struct WorkerCore {
     running: RunningPar,
     ingress: Ingress,
     sinks: SinkSet,
-    /// Egress frames enqueued by the shims (compare with frames written).
+    /// Egress frames the runtime has enqueued (compare with frames
+    /// written).
     queued: Arc<AtomicU64>,
     /// Data frames received.
     recv: u64,
@@ -189,7 +136,8 @@ pub(super) struct WorkerCore {
 impl WorkerCore {
     /// Check `plan` against this incarnation's identity, assemble the
     /// partition and start its runtime. Returns the core and the egress
-    /// queue its caller must write out (counting what it writes).
+    /// queue its caller must write out, batch by batch (counting the
+    /// frames it writes).
     ///
     /// # Errors
     /// [`DistError::Protocol`] for a plan addressed elsewhere or with an
@@ -199,7 +147,7 @@ impl WorkerCore {
         plan: Frame,
         index: usize,
         epoch: u32,
-    ) -> Result<(WorkerCore, mpsc::Receiver<EgressFrame>), DistError> {
+    ) -> Result<(WorkerCore, mpsc::Receiver<Vec<EgressFrame>>), DistError> {
         let Frame::Plan {
             topology,
             params,
@@ -241,17 +189,23 @@ impl WorkerCore {
         let sinks = registry.assemble(&topology, &params, &mut recording)?;
         let Partition {
             topology,
-            ingress,
             egress,
-            queued,
+            ingress,
         } = partition(recording, index, processes);
+        let (tx, batches) = mpsc::channel();
+        let queued = Arc::new(AtomicU64::new(0));
+        let queue = EgressQueue {
+            tx,
+            queued: Arc::clone(&queued),
+        };
+        let config = config.with_topology(topology).with_egress(egress, queue);
         let core = WorkerCore {
             ingress,
             index,
             processes,
             trace,
             heartbeat_every: Duration::from_millis(u64::from(heartbeat_ms.max(1))),
-            running: config.with_topology(topology).build().start(),
+            running: config.build().start(),
             sinks,
             queued,
             recv: 0,
@@ -259,7 +213,7 @@ impl WorkerCore {
             last_seq: HashMap::new(),
             last_idle: None,
         };
-        Ok((core, egress))
+        Ok((core, batches))
     }
 
     /// Nothing staged, the runtime settled, and every enqueued egress

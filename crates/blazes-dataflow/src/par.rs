@@ -33,6 +33,10 @@
 //! after the handlers and before the batch settles and the flag is
 //! released, so quiescence cannot be declared while the emissions are
 //! uncharged, and the instance's next activation cannot overtake them.
+//! In a distributed worker, a wire whose consumer lives in another
+//! process is an *egress wire*: its emissions are staged as numbered
+//! frames, skip the mailboxes and the in-flight charge, and leave in one
+//! batch per activation, at the same point of the flush.
 //! Event and delivery totals are summed from per-worker and per-instance
 //! stats when the run finishes; no counter every worker bumps is touched
 //! per message. The steady-state path acquires **zero mutexes**:
@@ -143,7 +147,7 @@ use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// An eventcount: the two-phase announce → re-check → park protocol that
@@ -405,9 +409,40 @@ impl SpecShared {
 /// A wire resolved for execution: destination plus the wire's fault
 /// schedule (present only when faults are configured).
 struct WireRt {
-    dst: usize,
-    dst_port: usize,
+    dst: Dst,
     faults: Option<WireFaults>,
+}
+
+/// Where a wire's emissions go.
+enum Dst {
+    /// An input port of an instance of this runtime.
+    Local { inst: usize, port: usize },
+    /// Another process: frames of global wire `wire`, `seq` the sequence
+    /// number of the next. The receiving side draws the wire's faults.
+    Egress { wire: u64, seq: u64 },
+}
+
+/// A wire whose consumer runs in another process: what its producer emits
+/// on `(from, out_port)` leaves the runtime as frames of wire `number`.
+pub(crate) struct EgressWire {
+    pub(crate) from: InstanceId,
+    pub(crate) out_port: PortId,
+    pub(crate) number: u64,
+}
+
+/// One emission leaving the runtime on an egress wire:
+/// `(wire, seq, message)`.
+pub(crate) type EgressFrame = (u64, u64, Message);
+
+/// Where a run's egress wires lead: each activation's frames arrive on
+/// `tx` as one batch, in emission order, and every wire's frames in
+/// sequence order.
+pub(crate) struct EgressQueue {
+    pub(crate) tx: mpsc::Sender<Vec<EgressFrame>>,
+    /// Frames sent so far. Bumped before each batch is sent, so a reader
+    /// that compares it with the frames taken off `tx` over-counts, never
+    /// under-counts, what is still in the queue.
+    pub(crate) queued: Arc<AtomicU64>,
 }
 
 /// Mutable per-instance state, owned by whichever worker holds the
@@ -651,6 +686,8 @@ struct Shared {
     /// Source-to-sink tuple latencies, created by the first
     /// latency-stamped sink arrival, so an untraced run never allocates it.
     latency: OnceLock<Histogram>,
+    /// Where egress wires lead; `Some` only in a run that has them.
+    egress: Option<EgressQueue>,
 }
 
 impl Shared {
@@ -725,6 +762,7 @@ pub struct ParBuilder {
     seed: u64,
     workers: Option<usize>,
     tuning: ParTuning,
+    egress: Option<(Vec<EgressWire>, EgressQueue)>,
 }
 
 impl ParBuilder {
@@ -737,6 +775,7 @@ impl ParBuilder {
             seed,
             workers: None,
             tuning: ParTuning::default(),
+            egress: None,
         }
     }
 
@@ -765,6 +804,14 @@ impl ParBuilder {
     /// runtime from its partition of the assembly this way.
     pub(crate) fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
+        self
+    }
+
+    /// Add `wires`, which leave this runtime: what their producers emit
+    /// on them is sent to `queue`, with no mailbox, fault draw or
+    /// in-flight charge on this side. A distributed worker's cross wires.
+    pub(crate) fn with_egress(mut self, wires: Vec<EgressWire>, queue: EgressQueue) -> Self {
+        self.egress = Some((wires, queue));
         self
     }
 
@@ -829,16 +876,29 @@ impl ParBuilder {
                 epoch_cache: HashMap::new(),
             })
             .collect();
-        for w in wires {
-            let ports = &mut cells[w.from.0].wires;
-            if ports.len() <= w.out_port.0 {
-                ports.resize_with(w.out_port.0 + 1, Vec::new);
+        let seed = self.seed;
+        let local = wires.into_iter().map(|w| {
+            let faults = WireFaults::new(&channels[w.channel.0], seed, w.number);
+            let dst = Dst::Local {
+                inst: w.to.0,
+                port: w.in_port.0,
+            };
+            (w.from, w.out_port, WireRt { dst, faults })
+        });
+        let (egress_wires, egress) = self.egress.unzip();
+        let leaving = egress_wires.into_iter().flatten().map(|w| {
+            let dst = Dst::Egress {
+                wire: w.number,
+                seq: 0,
+            };
+            (w.from, w.out_port, WireRt { dst, faults: None })
+        });
+        for (from, out_port, wire) in local.chain(leaving) {
+            let ports = &mut cells[from.0].wires;
+            if ports.len() <= out_port.0 {
+                ports.resize_with(out_port.0 + 1, Vec::new);
             }
-            ports[w.out_port.0].push(WireRt {
-                dst: w.to.0,
-                dst_port: w.in_port.0,
-                faults: WireFaults::new(&channels[w.channel.0], self.seed, w.number),
-            });
+            ports[out_port.0].push(wire);
         }
         let slots = cells
             .into_iter()
@@ -854,6 +914,7 @@ impl ParBuilder {
             order,
             workers,
             tuning: self.tuning,
+            egress,
         }
     }
 }
@@ -1012,6 +1073,7 @@ pub struct ParExecutor {
     order: Vec<(Time, usize)>,
     workers: usize,
     tuning: ParTuning,
+    egress: Option<EgressQueue>,
 }
 
 impl ParExecutor {
@@ -1064,6 +1126,7 @@ impl ParExecutor {
             done: AtomicBool::new(false),
             idle: EventCount::new(),
             latency: OnceLock::new(),
+            egress: self.egress,
         });
 
         let mut handles = Vec::with_capacity(workers);
@@ -1279,9 +1342,9 @@ enum Admit {
 }
 
 /// One activation's outbound mail, grouped by destination. `process`
-/// stages every emission here instead of sending it; the buffers are
-/// per worker and keep their capacity, so steady-state staging allocates
-/// nothing.
+/// stages every emission here instead of sending it; the mailbox runs
+/// are per worker and keep their capacity, so steady-state staging
+/// allocates nothing but each activation's egress batch.
 struct Outbox {
     /// Staged items per destination instance, each in emission order.
     runs: Vec<Vec<MailItem>>,
@@ -1289,6 +1352,8 @@ struct Outbox {
     dsts: Vec<usize>,
     /// Items staged across all runs.
     len: usize,
+    /// Frames staged on egress wires, in emission order.
+    egress: Vec<EgressFrame>,
 }
 
 impl Outbox {
@@ -1297,6 +1362,7 @@ impl Outbox {
             runs: (0..instances).map(|_| Vec::new()).collect(),
             dsts: Vec::new(),
             len: 0,
+            egress: Vec::new(),
         }
     }
 
@@ -1867,7 +1933,9 @@ impl WorkerCtx {
 
     /// Stage one copy of a message on one wire, drawing the wire's faults
     /// from its schedule: a lost first transmission is counted and
-    /// retried, a duplicate stages a second copy.
+    /// retried, a duplicate stages a second copy. An egress wire stages
+    /// the message as its next frame instead; the receiving side draws
+    /// that wire's faults.
     fn stage_on(
         shared: &Shared,
         wire: &mut WireRt,
@@ -1876,6 +1944,14 @@ impl WorkerCtx {
         born: u64,
         outbox: &mut Outbox,
     ) {
+        let (dst, port) = match &mut wire.dst {
+            Dst::Local { inst, port } => (*inst, *port),
+            Dst::Egress { wire, seq } => {
+                outbox.egress.push((*wire, *seq, msg));
+                *seq += 1;
+                return;
+            }
+        };
         let (retransmitted, duplicate) = wire
             .faults
             .as_mut()
@@ -1884,25 +1960,37 @@ impl WorkerCtx {
             shared.counters.retransmits.fetch_add(1, Ordering::Relaxed);
         }
         let deliver = |msg| MailItem::Deliver {
-            port: wire.dst_port,
+            port,
             msg,
             epoch,
             born,
         };
         if duplicate {
             shared.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            outbox.push(wire.dst, deliver(msg.clone()));
+            outbox.push(dst, deliver(msg.clone()));
         }
-        outbox.push(wire.dst, deliver(msg));
+        outbox.push(dst, deliver(msg));
     }
 
-    /// Send everything the activation staged. The whole outbox is charged
-    /// to this worker's in-flight shard in one RMW *before* any item
-    /// becomes visible — the invariant that keeps the sharded quiescence
-    /// scan from under-counting. Then each destination gets its run in one
-    /// lock-free mailbox push (one tail CAS) and one scheduled-flag
-    /// handoff.
+    /// Send everything the activation staged. Egress frames go first, as
+    /// one batch, after their count is added to the queue's counter; like
+    /// the mailbox runs, they leave before the instance can be activated
+    /// again, which keeps each egress wire in sequence order. The mailbox
+    /// runs are charged to this worker's in-flight shard in one RMW
+    /// *before* any item becomes visible — the invariant that keeps the
+    /// sharded quiescence scan from under-counting. Then each destination
+    /// gets its run in one lock-free mailbox push (one tail CAS) and one
+    /// scheduled-flag handoff.
     fn flush(&mut self, shared: &Shared) {
+        let frames = self.outbox.egress.len();
+        if frames > 0 {
+            let queue = shared.egress.as_ref().expect("egress wires have a queue");
+            queue.queued.fetch_add(frames as u64, Ordering::SeqCst);
+            // The next activation is sized like this one: one allocation
+            // per batch. A closed queue means the process is going down.
+            let batch = std::mem::replace(&mut self.outbox.egress, Vec::with_capacity(frames));
+            let _ = queue.tx.send(batch);
+        }
         if self.outbox.len == 0 {
             return;
         }

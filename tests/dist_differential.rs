@@ -431,11 +431,16 @@ fn a_sink_larger_than_one_slice_reassembles_exactly() {
 
 /// The minimality half, over the wire: the sealed wordcount is CALM-safe,
 /// so the pass injects nothing and the distributed run still commits
-/// exactly the simulator baseline's counts.
+/// exactly the simulator baseline's counts. Crossing a process boundary
+/// costs the workers' runtimes no events: a cross wire's producer hands
+/// its frames straight to the egress queue, so the workers together
+/// process exactly the component deliveries a single par runtime does.
 #[test]
 fn confluent_wordcount_crosses_the_wire_rewrite_free() {
     let sc = wordcount_scenario();
     let baseline = run_wordcount(&sc, &BackendSpec::Sim);
+    let (par_run, _) = run_wordcount_auto(&sc, true, &BackendSpec::par(2));
+    let par_events = par_run.stats.as_par().expect("par stats").events_processed;
 
     for processes in [2usize, 4] {
         let spec = dist_spec(processes, sc.seed);
@@ -446,6 +451,10 @@ fn confluent_wordcount_crosses_the_wire_rewrite_free() {
         assert!(
             stats.frames_routed > 0,
             "the wordcount must actually cross the wire"
+        );
+        assert_eq!(
+            stats.events_processed, par_events,
+            "{processes} processes: the workers' events are the par run's"
         );
         assert_eq!(
             run.counts(),
