@@ -300,10 +300,9 @@ fn build_heavy<B: ExecutorBuilder + ?Sized>(b: &mut B, cfg: &HeavyConfig, sink: 
 /// [`HeavyConfig`] makes each record *cost CPU* (so parallelism shows),
 /// this family makes each record cost almost nothing — the run is bound by
 /// the consumer's mailbox, which every producer hammers concurrently. It
-/// is the microbench for the mailbox implementation itself: under the old
-/// mutex-backed mailboxes every send serialized on the consumer's lock;
-/// the lock-free MPSC path should show up directly in wall time and in
-/// the `push_retries` counter.
+/// is the microbench for the mailbox implementation itself: every
+/// producer's activation appends its run under the consumer mailbox's
+/// lock, so contention there shows up directly in wall time.
 #[derive(Debug, Clone)]
 pub struct FaninConfig {
     /// Light producer (forwarder) instances, all wired to one consumer.

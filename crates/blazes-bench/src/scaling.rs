@@ -87,9 +87,6 @@ pub struct ScalingPoint {
     pub parks: u64,
     /// Total wakeups of parked peers performed by this run's sends.
     pub wakeups: u64,
-    /// Total mailbox tail-CAS retries — the producer-contention signal of
-    /// the lock-free mailboxes (0 when producers never collide).
-    pub push_retries: u64,
     /// Mailbox pushes over processed events: each activation pushes one
     /// run per destination, so this is the machine-independent measure of
     /// how much cross-thread traffic batching saved (1.0 would be a push
@@ -294,7 +291,7 @@ impl ScalingReport {
                 "{{\"workload\": \"{}\", \"cores\": {}, \"workers\": {}, \
                  \"millis\": {:.3}, \"speedup_vs_sim\": {:.3}, \"balance\": {:.3}, \
                  \"steals\": {}, \"parks\": {}, \"wakeups\": {}, \
-                 \"push_retries\": {}, \"pushes_per_event\": {:.4}, \
+                 \"pushes_per_event\": {:.4}, \
                  \"lat_p50_us\": {}, \"lat_p99_us\": {}, \
                  \"lat_p999_us\": {}, \"lat_samples\": {}, \"correct\": {}}}",
                 p.workload,
@@ -306,7 +303,6 @@ impl ScalingReport {
                 p.steals,
                 p.parks,
                 p.wakeups,
-                p.push_retries,
                 p.pushes_per_event,
                 json_us(p.lat_p50_us),
                 json_us(p.lat_p99_us),
@@ -336,12 +332,12 @@ impl ScalingReport {
         );
         let _ = writeln!(
             s,
-            "# workload  workers  ms        vs-sim  balance  steals   parks  wakeups  push-retries  pushes/ev  p50us    p99us   p999us"
+            "# workload  workers  ms        vs-sim  balance  steals   parks  wakeups  pushes/ev  p50us    p99us   p999us"
         );
         for p in &self.points {
             let _ = writeln!(
                 s,
-                "{:9} {:8} {:9.1} {:7.2}x {:8.2} {:7} {:7} {:8} {:13} {:10.4} {}{}",
+                "{:9} {:8} {:9.1} {:7.2}x {:8.2} {:7} {:7} {:8} {:10.4} {}{}",
                 p.workload,
                 p.workers,
                 p.millis,
@@ -350,7 +346,6 @@ impl ScalingReport {
                 p.steals,
                 p.parks,
                 p.wakeups,
-                p.push_retries,
                 p.pushes_per_event,
                 match (p.lat_p50_us, p.lat_p99_us, p.lat_p999_us) {
                     (Some(p50), Some(p99), Some(p999)) => format!("{p50:8.1} {p99:8.1} {p999:8.1}"),
@@ -428,7 +423,6 @@ fn timed_par(
     let mut steals = 0;
     let mut parks = 0;
     let mut wakeups = 0;
-    let mut push_retries = 0;
     let mut pushes_per_event = 0.0;
     let mut correct = true;
     for _ in 0..reps.max(1) {
@@ -442,7 +436,6 @@ fn timed_par(
             steals = stats.total_steals();
             parks = stats.total_parks();
             wakeups = stats.total_wakeups();
-            push_retries = stats.total_push_retries();
             pushes_per_event =
                 stats.total_mailbox_pushes() as f64 / stats.events_processed.max(1) as f64;
         }
@@ -459,7 +452,6 @@ fn timed_par(
         steals,
         parks,
         wakeups,
-        push_retries,
         pushes_per_event,
         lat_p50_us: lat.percentiles.map(|p| p[0]),
         lat_p99_us: lat.percentiles.map(|p| p[1]),
@@ -566,15 +558,15 @@ pub fn run_scaling(cfg: &ScalingConfig) -> ScalingReport {
              summed from per-worker and per-instance stats at run end, so no counter \
              every worker bumps is left on the message hot path"
                 .to_string(),
-            "the message hot path is lock-free end to end and batched per activation: \
-             each activation stages its emissions and pushes one run per destination \
-             mailbox (a Vyukov-style MPSC queue: one tail CAS per run, batched \
-             single-consumer drains), run queues are Chase-Lev deques plus a \
-             block-based injector, instance cells ride the scheduled-flag exclusivity \
-             instead of a mutex, and idle parking is an eventcount (Condvar reachable \
-             only from the empty-queue slow path); pushes_per_event is the \
-             machine-independent batching column, and the fanin workload measures \
-             the remaining consumer-mailbox contention"
+            "the message hot path locks per activation, never per message: each \
+             activation stages its emissions and appends one run per destination \
+             mailbox (a locked list of 64-item rings: one lock per run, one per \
+             batched drain), run queues are one locked FIFO per worker plus a \
+             locked injector queue, instance cells ride the scheduled-flag \
+             exclusivity instead of a mutex, and idle parking is an eventcount \
+             (Condvar reachable only from the empty-queue slow path); \
+             pushes_per_event is the machine-independent batching column, and the \
+             fanin workload measures the remaining consumer-mailbox contention"
                 .to_string(),
         ],
     }

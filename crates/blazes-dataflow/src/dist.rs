@@ -3,7 +3,7 @@
 //!
 //! Where [`crate::par`] runs a topology on threads inside one address
 //! space, this backend forks *worker processes* and ships each one its
-//! partition of the graph. Inside every worker the lock-free parallel
+//! partition of the graph. Inside every worker the parallel
 //! runtime does the actual execution; what this module adds is the
 //! boundary between them — Unix-domain sockets carrying length-prefixed
 //! frames ([`wire`]) — and a coordinator (the *parent*) that routes every

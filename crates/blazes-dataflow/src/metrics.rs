@@ -26,7 +26,7 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Events (deliveries and drain signals) this worker processed.
     pub events: u64,
-    /// Tasks obtained by stealing from a sibling worker's deque.
+    /// Tasks obtained by stealing from a sibling worker's run queue.
     pub steals: u64,
     /// Times this worker parked idle on the eventcount (announce →
     /// re-check → park all passed; excludes cancelled announcements).
@@ -34,11 +34,6 @@ pub struct WorkerStats {
     /// Times one of this worker's sends actually signaled a parked (or
     /// parking) peer — i.e. the eventcount notify took its slow path.
     pub wakeups: u64,
-    /// Mailbox tail-CAS retries across this worker's sends: the honest
-    /// producer-contention signal of the lock-free MPSC mailboxes (0 on
-    /// an uncontended wire; grows as concurrent producers collide on one
-    /// destination).
-    pub push_retries: u64,
     /// Mailbox pushes this worker made: one per destination per
     /// activation (each carries that destination's whole run of staged
     /// mail). Pushes per event is a machine-independent measure of how

@@ -14,15 +14,14 @@
 //! The runtime is an actor-style work-stealing scheduler. Every instance
 //! has a mailbox and an atomic *scheduled* flag. A sender that transitions
 //! the flag makes the instance runnable by pushing its id onto the sending
-//! worker's local deque (or the global injector, for external injections).
-//! Workers pop their own deque first, then the injector, then steal from
-//! siblings (Chase-Lev-style deques via the `crossbeam-deque` shim). A
-//! runnable instance is drained up to [`ParTuning::batch_size`] messages
-//! per activation, then rescheduled if work remains — so a hot instance's
-//! activations migrate to whichever worker is free, and skewed workloads
-//! balance dynamically.
+//! worker's run queue (or the injector queue, for external injections).
+//! Workers pop their own queue first, then the injector, then steal the
+//! front of a sibling's queue. A runnable instance is drained up to
+//! [`ParTuning::batch_size`] messages per activation, then rescheduled if
+//! work remains — so a hot instance's activations migrate to whichever
+//! worker is free, and skewed workloads balance dynamically.
 //!
-//! # The lock-free hot path
+//! # The hot path
 //!
 //! The unit of cross-thread traffic is an *activation*, not a message.
 //! While an instance's handlers run, everything they emit is staged in
@@ -39,42 +38,35 @@
 //! batch per activation, at the same point of the flush.
 //! Event and delivery totals are summed from per-worker and per-instance
 //! stats when the run finishes; no counter every worker bumps is touched
-//! per message. The steady-state path acquires **zero mutexes**:
+//! per message. Locks are taken per activation, never per message:
 //!
-//! * **Mailboxes** are Vyukov-style MPSC queues ([`mpsc_queue`]): a run
-//!   of any length is linked privately and published with one length add
-//!   and one CAS on the queue tail (retries under producer contention are
-//!   counted in [`WorkerStats::push_retries`], runs in
-//!   [`WorkerStats::mailbox_pushes`]); a drain moves up to
-//!   [`ParTuning::batch_size`] messages into a worker-local buffer with
-//!   plain loads/stores and settles the shared length counter with a
-//!   single RMW for the whole batch. The mailbox's single-consumer
-//!   contract is exactly the *scheduled flag* exclusivity the runtime
-//!   already maintains — whichever worker owns the flag is the one
-//!   consumer.
+//! * **Mailboxes** are locked FIFOs (a `Mutex` around a list of
+//!   fixed-size `VecDeque` rings): a sending activation appends its whole
+//!   run for one destination under one lock (runs are counted in
+//!   [`WorkerStats::mailbox_pushes`]), and a drain moves up to
+//!   [`ParTuning::batch_size`] messages into a worker-local buffer under
+//!   one lock. Only the worker that owns the *scheduled flag* drains a
+//!   mailbox, so its order is the order of the runs.
 //! * **Instance state** is an `UnsafeCell` guarded by that same flag,
 //!   checked by a debug-build owner assert. The flag handoff is `SeqCst`,
-//!   and task transfer through the deques carries the release/acquire
-//!   edge, so cell writes publish to the next owner.
-//! * **Run queues** are real Chase–Lev deques and a block-based lock-free
-//!   injector (see the rewritten `crossbeam-deque` shim) — push, pop and
-//!   steal are all atomic-only.
+//!   and task transfer through the run-queue locks carries the
+//!   release/acquire edge, so cell writes publish to the next owner.
+//! * **Run queues** are one locked FIFO of instance ids per worker plus
+//!   one injector queue; a steal locks the victim's queue and pops its
+//!   front.
 //! * **Park/unpark** is an eventcount: a worker *announces* intent to
 //!   sleep (waiter count + sequence ticket), *re-checks* the run queues
 //!   and the quiescence scan, and only then parks on the Condvar; a
 //!   producer bumps the sequence and takes the Condvar lock only when the
-//!   waiter count says somebody is actually parked. The `SeqCst`
-//!   announce/re-check crossover guarantees no work is ever *stranded* by
-//!   a park, without the send path ever touching the idle lock (see
-//!   `idle_park` for the precise argument; a missed *steal opportunity*
-//!   against a sibling's deque costs at most one `PARK_TIMEOUT`, since
-//!   the sibling drains its own deque anyway).
+//!   waiter count says somebody is actually parked. The announce before
+//!   the locked re-check, against the locked push before the waiter load,
+//!   guarantees no work is ever *stranded* by a park, without the send
+//!   path ever touching the idle lock (see `idle_park` for the argument).
 //!
-//! Every remaining `Mutex` acquisition (idle parks and their wakeups) is
-//! counted per run in [`ParStats::slow_path_locks`]; tests assert the
-//! count is fully accounted for by parking events, not by messages.
-//! Deque-side cold-path locks (buffer retirement on growth) are counted
-//! and pinned by that crate's own tests.
+//! The eventcount's `Mutex` acquisitions (idle parks and their wakeups)
+//! are counted per run in [`ParStats::slow_path_locks`]; tests assert the
+//! count is accounted for by parking events and does not grow with the
+//! number of messages.
 //!
 //! Mailboxes are unbounded, so a send — and with it
 //! [`RunningPar::inject`] — never blocks; [`ParStats::max_mailbox_depth`]
@@ -139,16 +131,22 @@ use crate::message::Message;
 use crate::metrics::{event_balance, InstanceStats, WorkerStats};
 use crate::sim::{InstanceId, Time};
 use blazes_obs::{EventKind, Histogram, HistogramSnapshot};
-use crossbeam_deque::{Injector, Steal, Stealer, Worker as TaskQueue};
-use mpsc_queue::MpscQueue;
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Lock `m`, recovering the guard from poison: every update made under
+/// these locks (a queue's extend, pop or drain, an epoch entry's insert
+/// or participant push) leaves the data valid at every step, and the run
+/// re-raises the panic that poisoned it anyway.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// An eventcount: the two-phase announce → re-check → park protocol that
 /// keeps the idle Condvar off the send path.
@@ -201,15 +199,12 @@ impl EventCount {
     /// moved past `ticket`. Consumes the `prepare` registration.
     fn wait(&self, ticket: u64, timeout: Duration) {
         self.locks.fetch_add(1, Ordering::Relaxed);
-        let guard = self
-            .lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let guard = lock(&self.lock);
         if self.seq.load(Ordering::SeqCst) == ticket {
             let _ = self
                 .cv
                 .wait_timeout(guard, timeout)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
         }
         self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
@@ -229,10 +224,7 @@ impl EventCount {
         if self.waiters.load(Ordering::SeqCst) > 0 {
             self.seq.fetch_add(1, Ordering::SeqCst);
             self.locks.fetch_add(1, Ordering::Relaxed);
-            let guard = self
-                .lock
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let guard = lock(&self.lock);
             self.cv.notify_all();
             drop(guard);
             true
@@ -466,8 +458,8 @@ struct Cell {
 
 /// The instance state behind an `UnsafeCell`: the scheduled-flag protocol
 /// makes instance execution exclusive (exactly one worker holds the flag,
-/// and the `SeqCst` flag handoff plus the release/acquire task transfer
-/// through the deques publish cell writes to the next owner), so no lock
+/// and the `SeqCst` flag handoff plus the task transfer through the
+/// run-queue locks publish cell writes to the next owner), so no lock
 /// is needed. Debug builds keep an owner flag that panics if the protocol
 /// is ever violated.
 struct InstanceCell {
@@ -511,12 +503,11 @@ impl InstanceCell {
     }
 }
 
-/// A lock-free, unbounded mailbox: the MPSC queue plus the scheduling
-/// state around it. Sends and drains touch only atomics: a sending
-/// activation pushes its whole run for this mailbox with one tail CAS,
-/// and the owner drains a batch with one length settle.
+/// An unbounded mailbox: a locked FIFO plus the scheduling state around
+/// it. A sending activation appends its whole run for this mailbox under
+/// one lock, and the owner drains a batch under one lock.
 struct Mailbox {
-    queue: MpscQueue<MailItem>,
+    queue: Mutex<Blocks>,
     /// True while the instance is in a run queue or being executed.
     scheduled: AtomicBool,
     /// High-water mark of the queue length (stats).
@@ -532,28 +523,81 @@ struct Mailbox {
 impl Mailbox {
     fn new() -> Self {
         Mailbox {
-            queue: MpscQueue::new(),
+            queue: Mutex::default(),
             scheduled: AtomicBool::new(false),
             depth_max: AtomicUsize::new(0),
             spec_dirty: AtomicBool::new(false),
         }
     }
 
-    /// Lock-free push of one run of items, which the consumer will pop
-    /// contiguously and in order: one tail CAS and one length add for the
-    /// whole run. Returns the tail-CAS retry count (contention signal).
-    fn push_run(&self, items: impl IntoIterator<Item = MailItem>) -> u64 {
-        let retries = self.queue.push_batch(items);
-        // Racy max update: stats only.
-        let len = self.queue.len();
-        if len > self.depth_max.load(Ordering::Relaxed) {
-            self.depth_max.store(len, Ordering::Relaxed);
+    /// Append one run of items, which the consumer will pop contiguously
+    /// and in order.
+    fn push_run(&self, items: impl IntoIterator<Item = MailItem>) {
+        let mut queue = lock(&self.queue);
+        queue.extend(items);
+        // Under the lock, so the high-water mark is exact.
+        if queue.len > self.depth_max.load(Ordering::Relaxed) {
+            self.depth_max.store(queue.len, Ordering::Relaxed);
         }
-        retries
+    }
+
+    /// Move up to `max` items into `buf`, in order; returns how many.
+    fn pop_batch(&self, buf: &mut Vec<MailItem>, max: usize) -> usize {
+        lock(&self.queue).drain_into(buf, max)
     }
 
     fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        lock(&self.queue).len == 0
+    }
+}
+
+/// Messages per mailbox ring ([`Blocks`]).
+const MAILBOX_BLOCK: usize = 64;
+
+/// A mailbox's FIFO as a list of rings of at most [`MAILBOX_BLOCK`]
+/// items, oldest first. Pushes fill the newest ring and start another
+/// when it is full; drains empty the oldest and free it once a newer one
+/// exists. A mailbox so holds memory for the items it holds plus at most
+/// two rings' slack, where one flat ring would keep the doubled capacity
+/// of its deepest burst for the rest of the run (measured: +20–30 % peak
+/// RSS on the wordcount benchmark), and it allocates once per
+/// [`MAILBOX_BLOCK`] items, not once per item like a linked queue.
+#[derive(Default)]
+struct Blocks {
+    rings: VecDeque<VecDeque<MailItem>>,
+    /// Items across all rings.
+    len: usize,
+}
+
+impl Blocks {
+    fn extend(&mut self, items: impl IntoIterator<Item = MailItem>) {
+        for item in items {
+            match self.rings.back_mut() {
+                Some(ring) if ring.len() < MAILBOX_BLOCK => ring.push_back(item),
+                _ => {
+                    let mut ring = VecDeque::with_capacity(MAILBOX_BLOCK);
+                    ring.push_back(item);
+                    self.rings.push_back(ring);
+                }
+            }
+            self.len += 1;
+        }
+    }
+
+    fn drain_into(&mut self, buf: &mut Vec<MailItem>, max: usize) -> usize {
+        let n = self.len.min(max);
+        let mut left = n;
+        while left > 0 {
+            let front = &mut self.rings[0];
+            let take = front.len().min(left);
+            buf.extend(front.drain(..take));
+            left -= take;
+            if front.is_empty() && self.rings.len() > 1 {
+                self.rings.pop_front();
+            }
+        }
+        self.len -= n;
+        n
     }
 }
 
@@ -570,6 +614,26 @@ struct PaddedI64(AtomicI64);
 #[repr(align(64))]
 #[derive(Default)]
 struct PaddedU64(AtomicU64);
+
+/// A FIFO of runnable instance ids, on a cache line of its own so
+/// siblings' queues do not false-share.
+#[repr(align(64))]
+#[derive(Default)]
+struct RunQueue(Mutex<VecDeque<usize>>);
+
+impl RunQueue {
+    fn push(&self, inst: usize) {
+        lock(&self.0).push_back(inst);
+    }
+
+    fn pop(&self) -> Option<usize> {
+        lock(&self.0).pop_front()
+    }
+
+    fn is_empty(&self) -> bool {
+        lock(&self.0).is_empty()
+    }
+}
 
 /// Sharded in-flight accounting, so no cache line is shared by every send
 /// and every processed message. Each worker owns one padded cell (cell
@@ -661,10 +725,9 @@ struct Shared {
     slots: Vec<Slot>,
     workers: usize,
     batch_size: usize,
-    /// Global run queue (external injections land here).
-    injector: Injector<usize>,
-    /// Steal handles to every worker's local deque.
-    stealers: Vec<Stealer<usize>>,
+    /// Run queues: one per worker, then the injector at index `workers`,
+    /// where external injections land.
+    queues: Vec<RunQueue>,
     counters: Counters,
     /// Speculation registry; `Some` only in time-warp mode.
     spec: Option<SpecShared>,
@@ -691,6 +754,11 @@ struct Shared {
 }
 
 impl Shared {
+    /// The run queue external injections land in.
+    fn injector(&self) -> &RunQueue {
+        &self.queues[self.workers]
+    }
+
     /// Mark the run finished and wake every parked thread.
     fn finish(&self) {
         self.done.store(true, Ordering::SeqCst);
@@ -724,13 +792,13 @@ impl Shared {
         while let Some(&(dst, _)) = items.peek() {
             let mb = &self.slots[dst].mailbox;
             let run = std::iter::from_fn(|| items.next_if(|(d, _)| *d == dst).map(|(_, i)| i));
-            let _ = mb.push_run(run);
+            mb.push_run(run);
             if mb
                 .scheduled
                 .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                self.injector.push(dst);
+                self.injector().push(dst);
                 scheduled = true;
             }
         }
@@ -975,10 +1043,10 @@ pub struct ParStats {
     pub per_worker: Vec<WorkerStats>,
     /// High-water mark over all mailbox depths.
     pub max_mailbox_depth: usize,
-    /// Slow-path `Mutex` acquisitions this run performed — idle
-    /// eventcount waits and notifies. The steady-state message path
-    /// contributes zero; tests pin this to parking activity, not message
-    /// volume.
+    /// Idle-park `Mutex` acquisitions this run performed — eventcount
+    /// waits and the notifies that wake them. Mailbox and run-queue
+    /// locks are not counted (they are taken per activation); tests pin
+    /// this count to parking activity, not message volume.
     pub slow_path_locks: u64,
     /// Time-warp speculation epochs opened (0 unless speculation is on).
     pub epochs_opened: u64,
@@ -1032,11 +1100,12 @@ impl ParStats {
         self.per_worker.iter().map(|w| w.wakeups).sum()
     }
 
-    /// Total mailbox tail-CAS retries across workers — the
-    /// producer-contention signal of the lock-free mailboxes.
+    /// Always 0: mailboxes are locked queues, so a push has no CAS to
+    /// retry. Kept because the benchmark still reads it
+    /// (`par.push_retries`).
     #[must_use]
     pub fn total_push_retries(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.push_retries).sum()
+        0
     }
 
     /// Total mailbox pushes across workers: one per destination per
@@ -1099,15 +1168,11 @@ impl ParExecutor {
         let started = Instant::now();
         let workers = self.workers;
 
-        let locals: Vec<TaskQueue<usize>> = (0..workers).map(|_| TaskQueue::new_fifo()).collect();
-        let stealers = locals.iter().map(TaskQueue::stealer).collect();
-
         let shared = Arc::new(Shared {
             slots: self.slots,
             workers,
             batch_size: self.tuning.batch_size,
-            injector: Injector::new(),
-            stealers,
+            queues: (0..=workers).map(|_| RunQueue::default()).collect(),
             counters: Counters {
                 // One shard per worker plus one for the injecting
                 // coordinator thread. The builder's injections are
@@ -1130,12 +1195,11 @@ impl ParExecutor {
         });
 
         let mut handles = Vec::with_capacity(workers);
-        for (w, local) in locals.into_iter().enumerate() {
+        for w in 0..workers {
             let ctx = WorkerCtx {
                 outbox: Outbox::new(shared.slots.len()),
                 shared: Arc::clone(&shared),
                 idx: w,
-                local,
                 drain_buf: Vec::new(),
                 emit_buf: Vec::new(),
                 ws: WorkerStats {
@@ -1379,11 +1443,10 @@ impl Outbox {
 struct WorkerCtx {
     shared: Arc<Shared>,
     idx: usize,
-    local: TaskQueue<usize>,
     /// The current activation's outbound mail, sent by [`WorkerCtx::flush`].
     outbox: Outbox,
-    /// Reusable drain buffer: one activation's mailbox batch, so the
-    /// queue's length counter settles once per batch.
+    /// Reusable drain buffer: one activation's mailbox batch, moved out
+    /// of the mailbox under one lock.
     drain_buf: Vec<MailItem>,
     /// Reusable emission buffer: lent to each handler's [`Context`],
     /// drained while staging, then put back.
@@ -1417,12 +1480,10 @@ impl WorkerCtx {
     }
 
     fn find_task(&mut self, shared: &Shared) -> Option<usize> {
-        if let Some(inst) = self.local.pop() {
+        if let Some(inst) = shared.queues[self.idx].pop() {
             return Some(inst);
         }
-        if let Some(inst) =
-            Self::steal_until_settled(|| shared.injector.steal_batch_and_pop(&self.local))
-        {
+        if let Some(inst) = shared.injector().pop() {
             blazes_obs::record(EventKind::InjectorPop, inst as u64, 0);
             return Some(inst);
         }
@@ -1430,27 +1491,13 @@ impl WorkerCtx {
         // pressure spreads instead of converging on worker 0.
         for i in 1..shared.workers {
             let victim = (self.idx + i) % shared.workers;
-            if let Some(inst) = Self::steal_until_settled(|| shared.stealers[victim].steal()) {
+            if let Some(inst) = shared.queues[victim].pop() {
                 self.ws.steals += 1;
                 blazes_obs::record(EventKind::Steal, victim as u64, inst as u64);
                 return Some(inst);
             }
         }
         None
-    }
-
-    /// Retry a steal operation until it yields success or empty. `Retry`
-    /// usually means a lost CAS race, but can also mean a peer is mid
-    /// block-install in the injector — the spin hint keeps this loop from
-    /// starving that peer of the CPU it needs to finish.
-    fn steal_until_settled(mut op: impl FnMut() -> Steal<usize>) -> Option<usize> {
-        loop {
-            match op() {
-                Steal::Success(t) => return Some(t),
-                Steal::Empty => return None,
-                Steal::Retry => std::hint::spin_loop(),
-            }
-        }
     }
 
     /// Drain up to `batch_size` messages from one instance in one batched
@@ -1472,7 +1519,7 @@ impl WorkerCtx {
         let cell = unsafe { &mut *slot.cell.cell.get() };
         let mut batch = std::mem::take(&mut self.drain_buf);
         batch.clear();
-        let drained = slot.mailbox.queue.pop_batch(&mut batch, shared.batch_size);
+        let drained = slot.mailbox.pop_batch(&mut batch, shared.batch_size);
         for item in batch.drain(..) {
             self.process(shared, inst, item, cell, 0);
         }
@@ -1494,9 +1541,9 @@ impl WorkerCtx {
 
         // Release protocol: keep the scheduled flag while work remains;
         // otherwise clear it and re-check for the racing producer whose
-        // flag CAS failed just before we cleared. `is_empty` is based on
-        // the queue's never-under-reporting length counter, so a push
-        // that is still mid-flight keeps the instance scheduled.
+        // flag CAS failed just before we cleared. A producer appends
+        // under the mailbox lock before its CAS, so either our locked
+        // re-check sees its run or its CAS sees the cleared flag.
         if !slot.mailbox.is_empty() {
             self.enqueue_ready(shared, inst);
         } else {
@@ -1532,7 +1579,7 @@ impl WorkerCtx {
         self.drain_deferred(shared, inst, cell);
         let mut batch = std::mem::take(&mut self.drain_buf);
         batch.clear();
-        let drained = slot.mailbox.queue.pop_batch(&mut batch, shared.batch_size);
+        let drained = slot.mailbox.pop_batch(&mut batch, shared.batch_size);
         for item in batch.drain(..) {
             self.admit(shared, inst, item, cell);
         }
@@ -1725,10 +1772,7 @@ impl WorkerCtx {
             return Arc::clone(s);
         }
         let spec = shared.spec.as_ref().expect("time-warp mode");
-        let mut table = spec
-            .epochs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut table = lock(&spec.epochs);
         let entry = table.entry(epoch).or_insert_with(|| {
             spec.opened.fetch_add(1, Ordering::Relaxed);
             blazes_obs::record(EventKind::EpochOpen, epoch, 0);
@@ -1746,10 +1790,7 @@ impl WorkerCtx {
     /// us) or is visible in the returned status.
     fn spec_join(&mut self, shared: &Shared, inst: usize, epoch: u64) -> Arc<AtomicU8> {
         let spec = shared.spec.as_ref().expect("time-warp mode");
-        let mut table = spec
-            .epochs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut table = lock(&spec.epochs);
         let entry = table.entry(epoch).or_insert_with(|| {
             spec.opened.fetch_add(1, Ordering::Relaxed);
             blazes_obs::record(EventKind::EpochOpen, epoch, 0);
@@ -1776,10 +1817,7 @@ impl WorkerCtx {
             .as_ref()
             .expect("resolve_speculation requires ParTuning::with_speculation");
         let participants = {
-            let mut table = spec
-                .epochs
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut table = lock(&spec.epochs);
             let entry = table.entry(epoch).or_insert_with(|| {
                 spec.opened.fetch_add(1, Ordering::Relaxed);
                 blazes_obs::record(EventKind::EpochOpen, epoch, 0);
@@ -1979,8 +2017,8 @@ impl WorkerCtx {
     /// runs are charged to this worker's in-flight shard in one RMW
     /// *before* any item becomes visible — the invariant that keeps the
     /// sharded quiescence scan from under-counting. Then each destination
-    /// gets its run in one lock-free mailbox push (one tail CAS) and one
-    /// scheduled-flag handoff.
+    /// gets its run in one locked mailbox append and one scheduled-flag
+    /// handoff.
     fn flush(&mut self, shared: &Shared) {
         let frames = self.outbox.egress.len();
         if frames > 0 {
@@ -2002,7 +2040,7 @@ impl WorkerCtx {
         let mut dsts = std::mem::take(&mut self.outbox.dsts);
         for dst in dsts.drain(..) {
             let mb = &shared.slots[dst].mailbox;
-            self.ws.push_retries += mb.push_run(self.outbox.runs[dst].drain(..));
+            mb.push_run(self.outbox.runs[dst].drain(..));
             self.ws.mailbox_pushes += 1;
             if mb
                 .scheduled
@@ -2016,9 +2054,9 @@ impl WorkerCtx {
     }
 
     /// Put a runnable instance where a worker will find it: this worker's
-    /// own deque, from which idle siblings steal.
+    /// own run queue, from which idle siblings steal.
     fn enqueue_ready(&mut self, shared: &Shared, inst: usize) {
-        self.local.push(inst);
+        shared.queues[self.idx].push(inst);
         if shared.wake() {
             self.ws.wakeups += 1;
             blazes_obs::record(EventKind::Wakeup, self.idx as u64, inst as u64);
@@ -2043,10 +2081,7 @@ impl WorkerCtx {
             return false;
         };
         let open: Vec<u64> = {
-            let table = spec
-                .epochs
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let table = lock(&spec.epochs);
             table
                 .iter()
                 .filter(|(_, e)| e.status.load(Ordering::SeqCst) == EPOCH_OPEN)
@@ -2093,24 +2128,22 @@ impl WorkerCtx {
     /// Returns `false` when the run is done.
     fn idle_park(&mut self, shared: &Shared) -> bool {
         // Phase one: announce. From here on, any producer's notify either
-        // sees our waiter registration (and signals the Condvar) or
-        // happens before our re-checks below (and we see its work) — the
-        // SeqCst crossover that replaces holding a lock around the check.
+        // sees our waiter registration (and signals the Condvar) or comes
+        // after a push our re-check below sees.
         let ticket = shared.idle.prepare();
         if shared.done.load(Ordering::SeqCst) {
             shared.idle.cancel();
             return false;
         }
-        // Phase two: re-check the run queues. The no-stranded-work
-        // argument only needs the queue whose work nobody else will
-        // drain: the injector, checked through `SeqCst` loads that pair
-        // with the `SeqCst` announce above. A
-        // sibling's local deque is different — its owner pops it before
-        // ever idling, so work parked past here is at worst *processed by
-        // the owner* instead of stolen, a bounded parallelism loss, never
-        // a liveness one (the stealer re-checks are `SeqCst` too, making
-        // even that window as small as the hardware allows).
-        if !shared.injector.is_empty() || shared.stealers.iter().any(|s| !s.is_empty()) {
+        // Phase two: re-check every run queue, each under its lock. A
+        // producer pushes under that same lock and only then loads the
+        // waiter count in `notify`. For any one queue, the mutex orders
+        // our check and its push: if the push came first, the check sees
+        // it; if the check came first, our `SeqCst` announce above — made
+        // before the check — happens before the producer's waiter load,
+        // which therefore sees us and signals. The ticket covers the
+        // window between here and the wait below.
+        if shared.queues.iter().any(|q| !q.is_empty()) {
             shared.idle.cancel();
             return true;
         }
@@ -2358,6 +2391,86 @@ mod tests {
         assert_eq!(stats.total_mailbox_pushes(), 3 + 15);
     }
 
+    fn deliver(port: usize, i: i64) -> MailItem {
+        MailItem::Deliver {
+            port,
+            msg: Message::data([i]),
+            epoch: 0,
+            born: 0,
+        }
+    }
+
+    /// `(port, value)` of a drained delivery.
+    fn key(item: &MailItem) -> (usize, i64) {
+        match item {
+            MailItem::Deliver { port, msg, .. } => (
+                *port,
+                msg.as_data().and_then(|t| t.get(0)?.as_int()).unwrap(),
+            ),
+            MailItem::Drain => panic!("no drain was pushed"),
+        }
+    }
+
+    #[test]
+    fn mailbox_runs_drain_in_order_and_in_batches_of_at_most_the_max() {
+        // Runs cross ring boundaries, and drains interleave with pushes.
+        let mb = Mailbox::new();
+        mb.push_run((0..100).map(|i| deliver(0, i)));
+        mb.push_run(std::iter::empty());
+        let mut buf = Vec::new();
+        assert_eq!(mb.pop_batch(&mut buf, 30), 30);
+        mb.push_run((100..170).map(|i| deliver(1, i)));
+        assert_eq!(mb.depth_max.load(Ordering::Relaxed), 140);
+        let mut sizes = Vec::new();
+        while !mb.is_empty() {
+            sizes.push(mb.pop_batch(&mut buf, 30));
+            let queue = lock(&mb.queue);
+            assert!(queue.rings.len() <= queue.len / MAILBOX_BLOCK + 2);
+        }
+        assert_eq!(sizes, [30, 30, 30, 30, 20]);
+        assert_eq!(mb.pop_batch(&mut buf, 30), 0);
+        let drained: Vec<i64> = buf.iter().map(|item| key(item).1).collect();
+        assert_eq!(drained, (0..170).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn mailbox_runs_from_many_producers_arrive_whole_and_in_order() {
+        // Producers push runs while one consumer drains: nothing is lost,
+        // each producer's items keep their order, and no run is split by
+        // another producer's.
+        const PRODUCERS: usize = 4;
+        const PER: i64 = 3_500;
+        const RUN: i64 = 7;
+        let mb = Mailbox::new();
+        let mut buf = Vec::new();
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let mb = &mb;
+                s.spawn(move || {
+                    for start in (0..PER).step_by(RUN as usize) {
+                        mb.push_run((start..start + RUN).map(|i| deliver(p, i)));
+                    }
+                });
+            }
+            while buf.len() < PRODUCERS * PER as usize {
+                if mb.pop_batch(&mut buf, 16) == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        assert!(mb.is_empty());
+        let keys: Vec<(usize, i64)> = buf.iter().map(key).collect();
+        for p in 0..PRODUCERS {
+            let mine: Vec<i64> = keys.iter().filter(|k| k.0 == p).map(|k| k.1).collect();
+            assert_eq!(mine, (0..PER).collect::<Vec<_>>(), "producer {p}");
+        }
+        for pair in keys.windows(2) {
+            if pair[1].1 % RUN != 0 {
+                assert_eq!(pair[0], (pair[1].0, pair[1].1 - 1), "a run was split");
+            }
+        }
+    }
+
     #[test]
     fn multi_hop_pipeline_terminates() {
         // A chain long enough to bounce between workers repeatedly.
@@ -2530,15 +2643,14 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_hot_path_acquires_no_locks() {
+    fn idle_locks_do_not_grow_with_messages() {
         // A long single-worker pipeline run: with one worker there is
-        // always local work, so the worker never idle-parks mid-run.
-        // Every message therefore crosses the send/receive path without
-        // any slow-path event — and
-        // the run's own lock counter (per-run state, immune to whatever
-        // concurrent tests do) must not scale with the 40k messages: a
-        // reintroduced hot-path lock would show up as 2+ acquisitions
-        // per message.
+        // always local work, so the worker never idle-parks mid-run. The
+        // run's eventcount lock counter (per-run state, immune to
+        // whatever concurrent tests do) must therefore not scale with the
+        // 40k messages: a send path that took the idle lock would show up
+        // as an acquisition per activation or more. Mailbox and run-queue
+        // locks are not counted here.
         let mut b = ParBuilder::new(77).with_workers(1);
         let sink = CollectorSink::new();
         let mut prev = b.add_instance(echo());
@@ -2560,8 +2672,8 @@ mod tests {
         let messages = stats.messages_delivered;
         assert!(
             locks < messages / 50,
-            "slow-path locks ({locks}) must not scale with messages ({messages}): \
-             the hot path reintroduced a lock"
+            "idle locks ({locks}) must not scale with messages ({messages}): \
+             the send path took the eventcount lock"
         );
     }
 
@@ -2591,14 +2703,12 @@ mod tests {
             "starved workers must park: {:?}",
             stats.per_worker
         );
-        // The parking layer is the only lock user, so the run's lock
-        // count is exactly accounted for by parking events: one per
-        // worker park (eventcount wait), one per worker wakeup (notify
-        // slow path), at most one per coordinator injection (its wake
-        // can also take the notify slow path — not counted in any
-        // worker's stats), plus one for the final `finish` broadcast.
-        // A hot-path lock would break this identity immediately (40k+
-        // uncounted acquisitions).
+        // The run's eventcount lock count is exactly accounted for by
+        // parking events: one per worker park (eventcount wait), one per
+        // worker wakeup (notify slow path), at most one per coordinator
+        // injection (its wake can also take the notify slow path — not
+        // counted in any worker's stats), plus one for the final `finish`
+        // broadcast.
         assert!(
             stats.slow_path_locks > 0,
             "parks imply slow-path lock acquisitions"
@@ -2610,9 +2720,6 @@ mod tests {
             "locks ({}) must be accounted for by parking events (<= {accounted})",
             stats.slow_path_locks,
         );
-        // push_retries is surfaced but can legitimately be 0 on a 1-core
-        // box (producers never physically overlap on the tail CAS).
-        let _ = stats.total_push_retries();
     }
 
     #[test]

@@ -19,11 +19,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Heap allocations per processed event the run may make. A tuple that
-/// is moved hop to hop costs about two (its field vector and its word)
-/// where it is born and nothing where it is only passed on; a copy per
-/// hop reads above 6.
-const MAX_ALLOCS_PER_EVENT: f64 = 2.5;
+/// Heap allocations per processed event the run may make. The run
+/// measures 1.01–1.02: a tuple is allocated where it is born and moved
+/// hop to hop, and a mailbox allocates one ring per 64 messages, not a
+/// node per message. The budget leaves about a fifth of headroom; a
+/// heap node per mailbox message reads 2.00, a tuple copy per hop
+/// above 6.
+const MAX_ALLOCS_PER_EVENT: f64 = 1.25;
 
 /// The system allocator, counting every allocation and reallocation.
 struct Counting;
@@ -95,7 +97,7 @@ fn sequential_counts(sc: &WordcountScenario) -> BTreeMap<(String, i64), i64> {
 }
 
 #[test]
-fn sealed_wordcount_on_par_allocates_at_most_two_and_a_half_per_event() {
+fn sealed_wordcount_on_par_allocates_at_most_one_and_a_quarter_per_event() {
     let sc = scenario();
     let (topology, committed) = wordcount_topology(&sc);
     let (mut exec, outcome) = topology

@@ -1,4 +1,4 @@
-//! Adversarial stress tests for the lock-free mailbox hot path: many
+//! Adversarial stress tests for the mailbox hot path: many
 //! concurrent producers hammering one consumer with the fault RNG active,
 //! on unbounded mailboxes drained in tiny batches so activations migrate
 //! between workers mid-stream. The proof obligations: per-wire FIFO
