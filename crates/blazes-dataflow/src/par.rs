@@ -2411,15 +2411,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mailbox_runs_drain_in_order_and_in_batches_of_at_most_the_max() {
-        // Runs cross ring boundaries, and drains interleave with pushes.
+    /// A mailbox holding runs that cross ring boundaries, after a first
+    /// drain of 30 that interleaves with the pushes: 0..100 on port 0, an
+    /// empty run, then 100..170 on port 1.
+    fn interleaved_mailbox(buf: &mut Vec<MailItem>) -> Mailbox {
         let mb = Mailbox::new();
         mb.push_run((0..100).map(|i| deliver(0, i)));
         mb.push_run(std::iter::empty());
-        let mut buf = Vec::new();
-        assert_eq!(mb.pop_batch(&mut buf, 30), 30);
+        assert_eq!(mb.pop_batch(buf, 30), 30);
         mb.push_run((100..170).map(|i| deliver(1, i)));
+        mb
+    }
+
+    #[test]
+    fn mailbox_runs_drain_contiguously_and_in_order() {
+        let mut buf = Vec::new();
+        let mb = interleaved_mailbox(&mut buf);
+        while mb.pop_batch(&mut buf, 30) > 0 {}
+        let drained: Vec<(usize, i64)> = buf.iter().map(key).collect();
+        let expected: Vec<(usize, i64)> = (0..100)
+            .map(|i| (0, i))
+            .chain((100..170).map(|i| (1, i)))
+            .collect();
+        assert_eq!(drained, expected);
+    }
+
+    #[test]
+    fn mailbox_pop_batch_respects_the_max_and_frees_drained_rings() {
+        let mut buf = Vec::new();
+        let mb = interleaved_mailbox(&mut buf);
         assert_eq!(mb.depth_max.load(Ordering::Relaxed), 140);
         let mut sizes = Vec::new();
         while !mb.is_empty() {
@@ -2428,46 +2448,58 @@ mod tests {
             assert!(queue.rings.len() <= queue.len / MAILBOX_BLOCK + 2);
         }
         assert_eq!(sizes, [30, 30, 30, 30, 20]);
+        assert_eq!(lock(&mb.queue).len, 0);
         assert_eq!(mb.pop_batch(&mut buf, 30), 0);
-        let drained: Vec<i64> = buf.iter().map(|item| key(item).1).collect();
-        assert_eq!(drained, (0..170).collect::<Vec<_>>());
+        assert_eq!(buf.len(), 170);
     }
 
-    #[test]
-    fn mailbox_runs_from_many_producers_arrive_whole_and_in_order() {
-        // Producers push runs while one consumer drains: nothing is lost,
-        // each producer's items keep their order, and no run is split by
-        // another producer's.
-        const PRODUCERS: usize = 4;
-        const PER: i64 = 3_500;
-        const RUN: i64 = 7;
+    /// Runs of this many items, pushed by [`drain_many_producers`].
+    const RUN: i64 = 7;
+
+    /// Producers push runs of [`RUN`] while one consumer drains; returns
+    /// the `(producer, value)` keys in drain order.
+    fn drain_many_producers(producers: usize, per: i64) -> Vec<(usize, i64)> {
         let mb = Mailbox::new();
         let mut buf = Vec::new();
         std::thread::scope(|s| {
-            for p in 0..PRODUCERS {
+            for p in 0..producers {
                 let mb = &mb;
                 s.spawn(move || {
-                    for start in (0..PER).step_by(RUN as usize) {
+                    for start in (0..per).step_by(RUN as usize) {
                         mb.push_run((start..start + RUN).map(|i| deliver(p, i)));
                     }
                 });
             }
-            while buf.len() < PRODUCERS * PER as usize {
+            while buf.len() < producers * per as usize {
                 if mb.pop_batch(&mut buf, 16) == 0 {
                     std::thread::yield_now();
                 }
             }
         });
         assert!(mb.is_empty());
-        let keys: Vec<(usize, i64)> = buf.iter().map(key).collect();
-        for p in 0..PRODUCERS {
-            let mine: Vec<i64> = keys.iter().filter(|k| k.0 == p).map(|k| k.1).collect();
-            assert_eq!(mine, (0..PER).collect::<Vec<_>>(), "producer {p}");
-        }
+        buf.iter().map(key).collect()
+    }
+
+    #[test]
+    fn mailbox_runs_from_many_producers_arrive_whole() {
+        // No run is split by another producer's.
+        let keys = drain_many_producers(4, 3_500);
         for pair in keys.windows(2) {
             if pair[1].1 % RUN != 0 {
                 assert_eq!(pair[0], (pair[1].0, pair[1].1 - 1), "a run was split");
             }
+        }
+    }
+
+    #[test]
+    fn mailbox_concurrent_producers_lose_nothing_and_keep_per_producer_fifo() {
+        const PRODUCERS: usize = 4;
+        const PER: i64 = 3_500;
+        let keys = drain_many_producers(PRODUCERS, PER);
+        assert_eq!(keys.len(), PRODUCERS * PER as usize);
+        for p in 0..PRODUCERS {
+            let mine: Vec<i64> = keys.iter().filter(|k| k.0 == p).map(|k| k.1).collect();
+            assert_eq!(mine, (0..PER).collect::<Vec<_>>(), "producer {p}");
         }
     }
 
