@@ -16,7 +16,7 @@
 //! [`HeavyConfig::zipf_exponent`]` = 0.0` mapper partitions are uniform
 //! (the scaling benchmark); with an exponent ≥ 1 one mapper partition
 //! dominates (the ad-report-join-like skew that only dynamic load
-//! balancing — work stealing — spreads across workers).
+//! balancing — par's shared run queue — spreads across workers).
 
 use crate::workload::Zipf;
 use blazes_dataflow::backend::{
@@ -81,8 +81,8 @@ impl HeavyConfig {
     }
 
     /// The skewed-key workload: keys equal mapper count and follow a steep
-    /// Zipf, so one mapper partition dominates (the load work stealing
-    /// has to rebalance).
+    /// Zipf, so one mapper partition dominates (the load the scheduler
+    /// has to spread).
     #[must_use]
     pub fn skewed(records: usize, hash_rounds: u32) -> Self {
         HeavyConfig {

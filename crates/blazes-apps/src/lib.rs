@@ -29,6 +29,8 @@
 //! * [`dist`] — the registry and plan codecs that re-create those
 //!   assemblies inside the worker processes of a distributed run.
 
+#![forbid(unsafe_code)]
+
 pub mod adreport;
 pub mod autocoord;
 pub mod casestudy;

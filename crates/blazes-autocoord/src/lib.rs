@@ -69,6 +69,8 @@
 //! assert_eq!(names, ["Report", "autocoord-seal(Report@0:0)"]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod gate;
 pub mod rules;
 

@@ -17,6 +17,8 @@
 //! `Run`. `--out` writes the record as JSON (default `BENCH_analysis.json`
 //! when given without a value), stamped with the machine's core count.
 
+#![forbid(unsafe_code)]
+
 use blazes_apps::casestudy::ad_network_graph;
 use blazes_apps::queries::ReportQuery;
 use blazes_bench::{cli, json};

@@ -20,6 +20,8 @@
 //! here is algorithmic (not parallel) speedup, so the floor holds on any
 //! machine, but CI smoke runs keep to the counter gates.
 
+#![forbid(unsafe_code)]
+
 use blazes_bench::bloom_scaling::{run_bloom_scaling, BloomScalingConfig};
 use blazes_bench::cli;
 

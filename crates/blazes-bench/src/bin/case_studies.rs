@@ -6,6 +6,8 @@
 //! cargo run -p blazes-bench --release --bin case_studies
 //! ```
 
+#![forbid(unsafe_code)]
+
 use blazes_apps::casestudy::{ad_network_graph, wordcount_graph};
 use blazes_apps::queries::ReportQuery;
 use blazes_core::analysis::Analyzer;

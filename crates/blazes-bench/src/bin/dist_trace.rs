@@ -28,6 +28,8 @@
 //! and a spawned copy takes the [`worker_main`] early exit — the
 //! standalone-binary spawn path, where the test suites re-exec libtest.
 
+#![forbid(unsafe_code)]
+
 use blazes_apps::autocoord::{response_digests, run_ad_auto};
 use blazes_apps::dist::dist_registry;
 use blazes_bench::{cli, differential_scenario};

@@ -18,6 +18,8 @@
 //! clock (`FIG11_VIRTUAL_NS`): the par curves then land on the
 //! simulator's axis and the magnitudes are directly comparable.
 
+#![forbid(unsafe_code)]
+
 use blazes_bench::{cli, fig11_point, FIG11_VIRTUAL_NS};
 use blazes_dataflow::backend::BackendSpec;
 use blazes_dataflow::par::ParTuning;

@@ -6,6 +6,8 @@
 //! cargo run -p blazes-bench --release --bin fig13
 //! ```
 
+#![forbid(unsafe_code)]
+
 use blazes_apps::adreport::StrategyKind;
 use blazes_apps::workload::CampaignPlacement;
 use blazes_bench::{adreport_line, render_line};

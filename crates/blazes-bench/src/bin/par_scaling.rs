@@ -39,6 +39,8 @@
 //! recorded multi-core run would silently weaken the CI floor). Pass
 //! `--force` to overwrite anyway.
 
+#![forbid(unsafe_code)]
+
 use blazes_bench::cli;
 use blazes_bench::scaling::{effective_floor, run_scaling, run_speculation_race, ScalingConfig};
 

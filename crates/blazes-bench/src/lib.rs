@@ -28,6 +28,8 @@
 //! [`adreport_scenario`]) and the one small scenario every digest
 //! differential runs ([`differential_scenario`]).
 
+#![forbid(unsafe_code)]
+
 use blazes_apps::adreport::{AdScenario, StrategyKind};
 use blazes_apps::autocoord::run_ad_auto;
 use blazes_apps::queries::ReportQuery;

@@ -6,8 +6,8 @@
 //!
 //! * **uniform** — evenly distributed keys; measures how the parallel
 //!   executor scales with workers against the simulator.
-//! * **skewed** — one Zipf-dominated key partition; measures how well work
-//!   stealing rebalances it (steals, per-worker event balance).
+//! * **skewed** — one Zipf-dominated key partition; measures how well the
+//!   shared run queue spreads it (per-worker event balance).
 //! * **fanin** — many light producers into one consumer; measures the
 //!   mailbox hot path rather than compute.
 //!
@@ -81,11 +81,9 @@ pub struct ScalingPoint {
     pub speedup_vs_sim: f64,
     /// Max-over-mean worker event balance (1.0 = even).
     pub balance: f64,
-    /// Total tasks obtained by stealing.
-    pub steals: u64,
-    /// Total idle parks (eventcount slow-path entries) across workers.
+    /// Total idle waits on the run queue's condvar across workers.
     pub parks: u64,
-    /// Total wakeups of parked peers performed by this run's sends.
+    /// Total notifies this run's worker pushes sent to idle peers.
     pub wakeups: u64,
     /// Mailbox pushes over processed events: each activation pushes one
     /// run per destination, so this is the machine-independent measure of
@@ -290,7 +288,7 @@ impl ScalingReport {
             format!(
                 "{{\"workload\": \"{}\", \"cores\": {}, \"workers\": {}, \
                  \"millis\": {:.3}, \"speedup_vs_sim\": {:.3}, \"balance\": {:.3}, \
-                 \"steals\": {}, \"parks\": {}, \"wakeups\": {}, \
+                 \"parks\": {}, \"wakeups\": {}, \
                  \"pushes_per_event\": {:.4}, \
                  \"lat_p50_us\": {}, \"lat_p99_us\": {}, \
                  \"lat_p999_us\": {}, \"lat_samples\": {}, \"correct\": {}}}",
@@ -300,7 +298,6 @@ impl ScalingReport {
                 p.millis,
                 p.speedup_vs_sim,
                 p.balance,
-                p.steals,
                 p.parks,
                 p.wakeups,
                 p.pushes_per_event,
@@ -332,18 +329,17 @@ impl ScalingReport {
         );
         let _ = writeln!(
             s,
-            "# workload  workers  ms        vs-sim  balance  steals   parks  wakeups  pushes/ev  p50us    p99us   p999us"
+            "# workload  workers  ms        vs-sim  balance   parks  wakeups  pushes/ev  p50us    p99us   p999us"
         );
         for p in &self.points {
             let _ = writeln!(
                 s,
-                "{:9} {:8} {:9.1} {:7.2}x {:8.2} {:7} {:7} {:8} {:10.4} {}{}",
+                "{:9} {:8} {:9.1} {:7.2}x {:8.2} {:7} {:8} {:10.4} {}{}",
                 p.workload,
                 p.workers,
                 p.millis,
                 p.speedup_vs_sim,
                 p.balance,
-                p.steals,
                 p.parks,
                 p.wakeups,
                 p.pushes_per_event,
@@ -420,7 +416,6 @@ fn timed_par(
 ) -> ScalingPoint {
     let mut best = f64::INFINITY;
     let mut balance = 0.0;
-    let mut steals = 0;
     let mut parks = 0;
     let mut wakeups = 0;
     let mut pushes_per_event = 0.0;
@@ -433,7 +428,6 @@ fn timed_par(
         if elapsed < best {
             best = elapsed;
             balance = stats.balance();
-            steals = stats.total_steals();
             parks = stats.total_parks();
             wakeups = stats.total_wakeups();
             pushes_per_event =
@@ -449,7 +443,6 @@ fn timed_par(
         millis: best,
         speedup_vs_sim: if best > 0.0 { sim_ms / best } else { 0.0 },
         balance,
-        steals,
         parks,
         wakeups,
         pushes_per_event,
@@ -561,10 +554,10 @@ pub fn run_scaling(cfg: &ScalingConfig) -> ScalingReport {
             "the message hot path locks per activation, never per message: each \
              activation stages its emissions and appends one run per destination \
              mailbox (a locked list of 64-item rings: one lock per run, one per \
-             batched drain), run queues are one locked FIFO per worker plus a \
-             locked injector queue, instance cells ride the scheduled-flag \
-             exclusivity instead of a mutex, and idle parking is an eventcount \
-             (Condvar reachable only from the empty-queue slow path); \
+             batched drain), the run queue is one Mutex over a ready FIFO popped \
+             before an injected FIFO, instance cells are Mutexes the scheduled \
+             flag keeps uncontended (one try_lock per activation), and idle \
+             workers wait on one Condvar with no timeout; \
              pushes_per_event is the machine-independent batching column, and the \
              fanin workload measures the remaining consumer-mailbox contention"
                 .to_string(),

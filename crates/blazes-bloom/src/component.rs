@@ -37,12 +37,6 @@ impl BloomComponent {
             name,
         })
     }
-
-    /// The wrapped instance (e.g. to inspect tables in tests).
-    #[must_use]
-    pub fn instance(&self) -> &ModuleInstance {
-        &self.instance
-    }
 }
 
 impl Component for BloomComponent {

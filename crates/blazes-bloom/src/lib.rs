@@ -56,6 +56,8 @@
 //! assert_eq!(request.annotation.to_string(), "OR_{id}");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod ast;
 pub mod catalog;

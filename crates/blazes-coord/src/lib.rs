@@ -16,6 +16,8 @@
 //! * [`registry::ProducerRegistry`] — who produces which partition (the
 //!   paper's "one call to Zookeeper per campaign" lookup).
 
+#![forbid(unsafe_code)]
+
 pub mod barrier;
 pub mod registry;
 pub mod seal;

@@ -56,11 +56,6 @@ impl ProducerRegistry {
             .get(partition)
             .map_or(&self.default_producers, Vec::as_slice)
     }
-
-    /// Partitions explicitly registered.
-    pub fn partitions(&self) -> impl Iterator<Item = &Value> {
-        self.by_partition.keys()
-    }
 }
 
 #[cfg(test)]
@@ -88,13 +83,5 @@ mod tests {
     fn empty_registry_has_no_producers() {
         let r = ProducerRegistry::new();
         assert!(r.producers_of(&Value::Int(1)).is_empty());
-    }
-
-    #[test]
-    fn partitions_iterates_registered_keys() {
-        let mut r = ProducerRegistry::new();
-        r.register(Value::str("a"), [0]);
-        r.register(Value::str("b"), [1]);
-        assert_eq!(r.partitions().count(), 2);
     }
 }

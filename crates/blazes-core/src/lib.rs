@@ -66,6 +66,8 @@
 //! assert_eq!(outcome.sink_label(sink).unwrap(), &Label::Async);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod advisor;
 pub mod analysis;
 pub mod annotation;

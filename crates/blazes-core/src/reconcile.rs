@@ -73,7 +73,7 @@ pub struct Reconciliation {
 /// (Vacuously true when the `NDRead` is the only entry: an order-sensitive
 /// read path with no other inputs reads state no other stream perturbs.)
 #[must_use]
-pub fn protected(nd_read: &Label, entries: &[Derived]) -> bool {
+fn protected(nd_read: &Label, entries: &[Derived]) -> bool {
     let Label::NDRead(gate) = nd_read else {
         return false;
     };

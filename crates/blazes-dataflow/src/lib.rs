@@ -26,6 +26,8 @@
 //! simulator is [`sim::Simulator::new`]. See `blazes-storm` and
 //! `blazes-apps` for the engines and applications built on top.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod channel;
 pub mod component;

@@ -32,11 +32,6 @@ impl SealKey {
         SealKey { parts }
     }
 
-    /// The sealed attribute names, in sorted order.
-    pub fn attrs(&self) -> impl Iterator<Item = &str> {
-        self.parts.iter().map(|(k, _)| k.as_str())
-    }
-
     /// The value sealed for `attr`, if present.
     #[must_use]
     pub fn value_of(&self, attr: &str) -> Option<&Value> {
@@ -105,7 +100,7 @@ mod tests {
     #[test]
     fn seal_key_sorted_and_queryable() {
         let k = SealKey::new([("window", Value::Int(3)), ("campaign", Value::str("shoes"))]);
-        let attrs: Vec<_> = k.attrs().collect();
+        let attrs: Vec<_> = k.parts.iter().map(|(a, _)| a.as_str()).collect();
         assert_eq!(attrs, vec!["campaign", "window"]);
         assert_eq!(k.value_of("campaign"), Some(&Value::str("shoes")));
         assert_eq!(k.value_of("missing"), None);

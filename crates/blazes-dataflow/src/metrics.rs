@@ -16,9 +16,9 @@ pub struct InstanceStats {
     pub processed: u64,
 }
 
-/// Per-worker scheduling statistics of one parallel run. These expose the
-/// skew-awareness of the work-stealing scheduler: differential tests can
-/// assert not only that backends agree on outputs, but that load actually
+/// Per-worker scheduling statistics of one parallel run. These expose how
+/// the shared run queue spread the load: differential tests can assert
+/// not only that backends agree on outputs, but that load actually
 /// balanced.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerStats {
@@ -26,13 +26,11 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Events (deliveries and drain signals) this worker processed.
     pub events: u64,
-    /// Tasks obtained by stealing from a sibling worker's run queue.
-    pub steals: u64,
-    /// Times this worker parked idle on the eventcount (announce →
-    /// re-check → park all passed; excludes cancelled announcements).
+    /// Times this worker waited idle on the run queue's condvar (both
+    /// queues empty and the in-flight scan not settled).
     pub parks: u64,
-    /// Times one of this worker's sends actually signaled a parked (or
-    /// parking) peer — i.e. the eventcount notify took its slow path.
+    /// Times one of this worker's pushes onto the run queue found an
+    /// idle worker and notified it.
     pub wakeups: u64,
     /// Mailbox pushes this worker made: one per destination per
     /// activation (each carries that destination's whole run of staged
@@ -132,12 +130,6 @@ impl TimeSeries {
         points.push((t, next));
     }
 
-    /// Snapshot of all points.
-    #[must_use]
-    pub fn points(&self) -> Vec<(Time, u64)> {
-        lock(&self.points).clone()
-    }
-
     /// Number of points recorded.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -209,7 +201,7 @@ mod tests {
         ts.increment(20);
         ts.increment(30);
         assert_eq!(ts.total(), 3);
-        assert_eq!(ts.points(), vec![(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(*lock(&ts.points), [(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
@@ -246,7 +238,7 @@ mod tests {
         assert!(ts.points.is_poisoned());
         assert_eq!(ts.total(), 1, "series readable after a panicking holder");
         ts.increment(2);
-        assert_eq!(ts.points(), vec![(1, 1), (2, 2)]);
+        assert_eq!(*lock(&ts.points), [(1, 1), (2, 2)]);
 
         // `extend` pulls from the caller's iterator under the lock, so an
         // iterator that panics does so inside the critical section.

@@ -11,15 +11,31 @@
 //!
 //! # Scheduling
 //!
-//! The runtime is an actor-style work-stealing scheduler. Every instance
-//! has a mailbox and an atomic *scheduled* flag. A sender that transitions
-//! the flag makes the instance runnable by pushing its id onto the sending
-//! worker's run queue (or the injector queue, for external injections).
-//! Workers pop their own queue first, then the injector, then steal the
-//! front of a sibling's queue. A runnable instance is drained up to
-//! [`ParTuning::batch_size`] messages per activation, then rescheduled if
-//! work remains — so a hot instance's activations migrate to whichever
-//! worker is free, and skewed workloads balance dynamically.
+//! Every instance has a mailbox and an atomic *scheduled* flag. A sender
+//! that transitions the flag makes the instance runnable by pushing its
+//! id onto the runtime's one run queue. That queue is a single `Mutex`
+//! over two FIFOs — `ready` (instances a worker's flush or release
+//! re-check made runnable) and `injected` (instances an external push
+//! made runnable) — plus the idle-worker count and the run's `done`
+//! flag, with one `Condvar` beside it. Workers pop `ready` first, then
+//! `injected`, so work already inside the pipeline runs before new input
+//! is admitted. A runnable instance is drained up to
+//! [`ParTuning::batch_size`] messages per activation, then requeued if
+//! work remains — so a hot instance's activations go to whichever worker
+//! is free, and skewed workloads balance without any stealing.
+//!
+//! A worker that finds both queues empty, still under the lock, runs the
+//! validated in-flight scan: if nothing is in flight the run is over (or,
+//! in time-warp mode, wedged on speculation only the rescue ladder can
+//! resolve); otherwise it counts itself idle and waits on the `Condvar`,
+//! with no timeout. A push notifies one waiter when the idle count is
+//! non-zero. Both happen under the same lock, so a push either lands
+//! before the worker's check (which sees it) or after its wait began
+//! (and wakes it): no wakeup can be lost, and a lost one would hang the
+//! run rather than cost a timeout. The in-flight sum reaches its final
+//! value either in a worker's activation — and that worker scans before
+//! it waits — or when [`RunningPar::finish`] releases its source token,
+//! which it follows with a notify under the lock.
 //!
 //! # The hot path
 //!
@@ -47,26 +63,12 @@
 //!   [`ParTuning::batch_size`] messages into a worker-local buffer under
 //!   one lock. Only the worker that owns the *scheduled flag* drains a
 //!   mailbox, so its order is the order of the runs.
-//! * **Instance state** is an `UnsafeCell` guarded by that same flag,
-//!   checked by a debug-build owner assert. The flag handoff is `SeqCst`,
-//!   and task transfer through the run-queue locks carries the
-//!   release/acquire edge, so cell writes publish to the next owner.
-//! * **Run queues** are one locked FIFO of instance ids per worker plus
-//!   one injector queue; a steal locks the victim's queue and pops its
-//!   front.
-//! * **Park/unpark** is an eventcount: a worker *announces* intent to
-//!   sleep (waiter count + sequence ticket), *re-checks* the run queues
-//!   and the quiescence scan, and only then parks on the Condvar; a
-//!   producer bumps the sequence and takes the Condvar lock only when the
-//!   waiter count says somebody is actually parked. The announce before
-//!   the locked re-check, against the locked push before the waiter load,
-//!   guarantees no work is ever *stranded* by a park, without the send
-//!   path ever touching the idle lock (see `idle_park` for the argument).
-//!
-//! The eventcount's `Mutex` acquisitions (idle parks and their wakeups)
-//! are counted per run in [`ParStats::slow_path_locks`]; tests assert the
-//! count is accounted for by parking events and does not grow with the
-//! number of messages.
+//! * **Instance state** sits behind a `Mutex` of its own, taken once per
+//!   activation with `try_lock`. The scheduled flag already makes the
+//!   activation exclusive, so the lock is never contended; a failed
+//!   `try_lock` is a protocol violation and panics, in every build.
+//! * **The run queue** is locked once per push (one per newly scheduled
+//!   destination of a flush) and once per pop.
 //!
 //! Mailboxes are unbounded, so a send — and with it
 //! [`RunningPar::inject`] — never blocks; [`ParStats::max_mailbox_depth`]
@@ -132,7 +134,6 @@ use crate::metrics::{event_balance, InstanceStats, WorkerStats};
 use crate::sim::{InstanceId, Time};
 use blazes_obs::{EventKind, Histogram, HistogramSnapshot};
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -141,105 +142,15 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Lock `m`, recovering the guard from poison: every update made under
-/// these locks (a queue's extend, pop or drain, an epoch entry's insert
-/// or participant push) leaves the data valid at every step, and the run
-/// re-raises the panic that poisoned it anyway.
+/// these locks (a queue's extend, push, pop or drain, the idle count, an
+/// epoch entry's insert or participant push) leaves the data valid at
+/// every step, and the run re-raises the panic that poisoned it anyway.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// An eventcount: the two-phase announce → re-check → park protocol that
-/// keeps the idle Condvar off the send path.
-///
-/// * A would-be sleeper calls [`EventCount::prepare`] (registers as a
-///   waiter and snapshots the sequence), re-checks its wake condition,
-///   and either [`EventCount::cancel`]s or [`EventCount::wait`]s.
-/// * A waker calls [`EventCount::notify`]: one sequence bump plus one
-///   waiter-count load — it takes the lock and signals only when someone
-///   is actually registered.
-///
-/// The `SeqCst` crossover (sleeper: waiters += 1 *then* re-check; waker:
-/// publish work *then* load waiters) guarantees at least one side sees
-/// the other, and the sequence ticket catches the remaining window
-/// between re-check and sleep: `wait` refuses to block if the sequence
-/// moved past the snapshot.
-struct EventCount {
-    seq: AtomicU64,
-    waiters: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-    /// Lock acquisitions this eventcount performed (per-run accounting
-    /// for [`ParStats::slow_path_locks`]).
-    locks: AtomicU64,
-}
-
-impl EventCount {
-    fn new() -> Self {
-        EventCount {
-            seq: AtomicU64::new(0),
-            waiters: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-            locks: AtomicU64::new(0),
-        }
-    }
-
-    /// Announce intent to sleep; returns the ticket to pass to `wait`.
-    fn prepare(&self) -> u64 {
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        self.seq.load(Ordering::SeqCst)
-    }
-
-    /// Withdraw an announced intent (the re-check found work).
-    fn cancel(&self) {
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Park until notified (or `timeout`), unless the sequence already
-    /// moved past `ticket`. Consumes the `prepare` registration.
-    fn wait(&self, ticket: u64, timeout: Duration) {
-        self.locks.fetch_add(1, Ordering::Relaxed);
-        let guard = lock(&self.lock);
-        if self.seq.load(Ordering::SeqCst) == ticket {
-            let _ = self
-                .cv
-                .wait_timeout(guard, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Publish an event. Returns `true` when a parked (or parking) waiter
-    /// was actually signaled — the slow path; with no waiters this is a
-    /// single load, no RMW and no lock.
-    ///
-    /// The sequence bump lives inside the waiter branch: a sleeper
-    /// registers in `waiters` *before* reading its ticket, so a notify
-    /// whose load sees zero waiters is `SeqCst`-ordered before that
-    /// registration — and the sleeper's subsequent re-check is ordered
-    /// after it, guaranteeing the re-check observes the published work.
-    /// Only a registered waiter can be in the ticket-to-sleep window, and
-    /// for that case the bump (plus the locked notify) closes it.
-    fn notify(&self) -> bool {
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            self.seq.fetch_add(1, Ordering::SeqCst);
-            self.locks.fetch_add(1, Ordering::Relaxed);
-            let guard = lock(&self.lock);
-            self.cv.notify_all();
-            drop(guard);
-            true
-        } else {
-            false
-        }
-    }
-}
-
 /// Default number of messages drained per instance activation.
 const DEFAULT_BATCH_SIZE: usize = 64;
-
-/// How long a parked thread sleeps before re-checking its wake condition.
-/// Parks are also woken eagerly; the timeout only bounds lost-wakeup races.
-const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// Cap on the derived (unpinned) worker count.
 const MAX_POOL_WORKERS: usize = 8;
@@ -456,50 +367,29 @@ struct Cell {
     epoch_cache: HashMap<u64, Arc<AtomicU8>>,
 }
 
-/// The instance state behind an `UnsafeCell`: the scheduled-flag protocol
-/// makes instance execution exclusive (exactly one worker holds the flag,
-/// and the `SeqCst` flag handoff plus the task transfer through the
-/// run-queue locks publish cell writes to the next owner), so no lock
-/// is needed. Debug builds keep an owner flag that panics if the protocol
-/// is ever violated.
-struct InstanceCell {
-    cell: UnsafeCell<Cell>,
-    #[cfg(debug_assertions)]
-    held: AtomicBool,
-}
-
-// SAFETY: access is serialized by the mailbox scheduled flag (see type
-// docs); the cell is only touched by the worker that owns the flag.
-unsafe impl Sync for InstanceCell {}
+/// The instance state behind a lock that is never contended: the
+/// scheduled-flag protocol makes instance execution exclusive (exactly
+/// one worker holds the flag), so an activation takes the lock with
+/// `try_lock`, and a failure means the protocol was violated.
+struct InstanceCell(Mutex<Cell>);
 
 impl InstanceCell {
-    fn new(cell: Cell) -> Self {
-        InstanceCell {
-            cell: UnsafeCell::new(cell),
-            #[cfg(debug_assertions)]
-            held: AtomicBool::new(false),
-        }
-    }
-
-    /// Assert exclusive ownership for the duration of an activation
-    /// (debug builds only).
-    fn claim(&self) {
-        #[cfg(debug_assertions)]
-        assert!(
-            self.held
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok(),
-            "scheduled-flag protocol violated: concurrent instance activation"
-        );
-    }
-
-    fn release(&self) {
-        #[cfg(debug_assertions)]
-        self.held.store(false, Ordering::SeqCst);
+    /// Take the cell for one activation.
+    ///
+    /// # Panics
+    /// When another activation of the same instance holds it, or one
+    /// panicked in it: either way the scheduled flag let a second
+    /// activation in.
+    fn claim(&self) -> MutexGuard<'_, Cell> {
+        self.0
+            .try_lock()
+            .unwrap_or_else(|e| panic!("scheduled-flag protocol violated: {e}"))
     }
 
     fn into_inner(self) -> Cell {
-        self.cell.into_inner()
+        self.0
+            .into_inner()
+            .expect("a handler panic is re-raised before the cells are read")
     }
 }
 
@@ -508,7 +398,7 @@ impl InstanceCell {
 /// one lock, and the owner drains a batch under one lock.
 struct Mailbox {
     queue: Mutex<Blocks>,
-    /// True while the instance is in a run queue or being executed.
+    /// True while the instance is in the run queue or being executed.
     scheduled: AtomicBool,
     /// High-water mark of the queue length (stats).
     depth_max: AtomicUsize,
@@ -615,26 +505,6 @@ struct PaddedI64(AtomicI64);
 #[derive(Default)]
 struct PaddedU64(AtomicU64);
 
-/// A FIFO of runnable instance ids, on a cache line of its own so
-/// siblings' queues do not false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct RunQueue(Mutex<VecDeque<usize>>);
-
-impl RunQueue {
-    fn push(&self, inst: usize) {
-        lock(&self.0).push_back(inst);
-    }
-
-    fn pop(&self) -> Option<usize> {
-        lock(&self.0).pop_front()
-    }
-
-    fn is_empty(&self) -> bool {
-        lock(&self.0).is_empty()
-    }
-}
-
 /// Sharded in-flight accounting, so no cache line is shared by every send
 /// and every processed message. Each worker owns one padded cell (cell
 /// `workers` belongs to the injecting coordinator thread) and a monotone
@@ -655,7 +525,8 @@ impl RunQueue {
 /// the increment (through the mailbox push), so the missed increment (and
 /// its epoch bump) must fall inside the scan window, and the epoch
 /// re-read rejects the scan. Sum ≠ 0 or changed epochs simply mean "not
-/// quiescent yet"; the parked worker re-scans on its next timeout.
+/// quiescent yet": a worker's update is followed by that worker's own
+/// scan before it waits, and the source token's release by a notify.
 struct InFlight {
     cells: Vec<PaddedI64>,
     epochs: Vec<PaddedU64>,
@@ -720,14 +591,29 @@ struct Counters {
     retransmits: AtomicU64,
 }
 
+/// The run queue and idle state, all under [`Shared::sched`].
+#[derive(Default)]
+struct Sched {
+    /// Instances a worker's flush or release re-check made runnable.
+    /// Popped before `injected`.
+    ready: VecDeque<usize>,
+    /// Instances an external push made runnable.
+    injected: VecDeque<usize>,
+    /// Workers waiting on [`Shared::wake`].
+    idle: usize,
+    /// The run is over (quiescent, or a worker panicked).
+    done: bool,
+}
+
 /// State shared by all workers and the coordinating thread.
 struct Shared {
     slots: Vec<Slot>,
     workers: usize,
     batch_size: usize,
-    /// Run queues: one per worker, then the injector at index `workers`,
-    /// where external injections land.
-    queues: Vec<RunQueue>,
+    /// The one scheduler lock (see the module docs' scheduling section).
+    sched: Mutex<Sched>,
+    /// Where idle workers wait for a push or the end of the run.
+    wake: Condvar,
     counters: Counters,
     /// Speculation registry; `Some` only in time-warp mode.
     spec: Option<SpecShared>,
@@ -743,9 +629,6 @@ struct Shared {
     rescue_passes: AtomicU64,
     /// Wall-clock scale for modeled service times, if realized.
     virtual_ns: Option<u64>,
-    done: AtomicBool,
-    /// Idle-worker parking: eventcount keeps the Condvar slow-path only.
-    idle: EventCount,
     /// Source-to-sink tuple latencies, created by the first
     /// latency-stamped sink arrival, so an untraced run never allocates it.
     latency: OnceLock<Histogram>,
@@ -754,15 +637,12 @@ struct Shared {
 }
 
 impl Shared {
-    /// The run queue external injections land in.
-    fn injector(&self) -> &RunQueue {
-        &self.queues[self.workers]
-    }
-
-    /// Mark the run finished and wake every parked thread.
+    /// Mark the run finished and wake every waiting worker.
     fn finish(&self) {
-        self.done.store(true, Ordering::SeqCst);
-        let _ = self.idle.notify();
+        let mut sched = lock(&self.sched);
+        sched.done = true;
+        self.wake.notify_all();
+        drop(sched);
     }
 
     /// A latency-stamped tuple reached a sink: record source-to-sink
@@ -776,19 +656,28 @@ impl Shared {
         obs.record(EventKind::SinkArrival, inst as u64, latency);
     }
 
-    /// Wake a parked worker if any announced intent to sleep. Returns
-    /// whether a waiter was actually signaled.
-    fn wake(&self) -> bool {
-        self.idle.notify()
+    /// Queue the runnable instance `inst` — on `ready` from a worker, on
+    /// `injected` from an external push — and notify one waiter if any
+    /// worker is idle. Returns whether one was.
+    fn enqueue(&self, inst: usize, external: bool) -> bool {
+        let mut sched = lock(&self.sched);
+        if external {
+            sched.injected.push_back(inst);
+        } else {
+            sched.ready.push_back(inst);
+        }
+        let idle = sched.idle > 0;
+        if idle {
+            self.wake.notify_one();
+        }
+        idle
     }
 
     /// Push `(destination, item)`s from a coordinating (non-worker)
     /// thread, in order: each stretch of items for one destination lands
-    /// as one mailbox run, and the pool is woken at most once, after the
-    /// last push. The caller has charged them already.
+    /// as one mailbox run. The caller has charged them already.
     fn external_push(&self, items: impl Iterator<Item = (usize, MailItem)>) {
         let mut items = items.peekable();
-        let mut scheduled = false;
         while let Some(&(dst, _)) = items.peek() {
             let mb = &self.slots[dst].mailbox;
             let run = std::iter::from_fn(|| items.next_if(|(d, _)| *d == dst).map(|(_, i)| i));
@@ -798,12 +687,8 @@ impl Shared {
                 .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                self.injector().push(dst);
-                scheduled = true;
+                self.enqueue(dst, true);
             }
-        }
-        if scheduled {
-            self.wake();
         }
     }
 
@@ -971,7 +856,7 @@ impl ParBuilder {
         let slots = cells
             .into_iter()
             .map(|cell| Slot {
-                cell: InstanceCell::new(cell),
+                cell: InstanceCell(Mutex::new(cell)),
                 mailbox: Mailbox::new(),
             })
             .collect();
@@ -1039,15 +924,10 @@ pub struct ParStats {
     pub wall_time: Duration,
     /// Per-instance breakdown.
     pub per_instance: Vec<InstanceStats>,
-    /// Per-worker scheduling breakdown (steals, parks, skew).
+    /// Per-worker scheduling breakdown (events, parks, wakeups, skew).
     pub per_worker: Vec<WorkerStats>,
     /// High-water mark over all mailbox depths.
     pub max_mailbox_depth: usize,
-    /// Idle-park `Mutex` acquisitions this run performed — eventcount
-    /// waits and the notifies that wake them. Mailbox and run-queue
-    /// locks are not counted (they are taken per activation); tests pin
-    /// this count to parking activity, not message volume.
-    pub slow_path_locks: u64,
     /// Time-warp speculation epochs opened (0 unless speculation is on).
     pub epochs_opened: u64,
     /// Epochs that committed — the speculation paid off.
@@ -1082,19 +962,22 @@ impl ParStats {
         event_balance(&self.per_worker)
     }
 
-    /// Total tasks obtained by stealing, across workers.
+    /// Always 0: workers share one run queue, so nothing is stolen. Kept
+    /// because the benchmark still reads it (`par.steals`).
     #[must_use]
     pub fn total_steals(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.steals).sum()
+        0
     }
 
-    /// Total idle parks across workers (eventcount slow-path entries).
+    /// Total idle waits on the run queue's condition variable, across
+    /// workers.
     #[must_use]
     pub fn total_parks(&self) -> u64 {
         self.per_worker.iter().map(|w| w.parks).sum()
     }
 
-    /// Total wakeups of parked peers this run's sends performed.
+    /// Total notifies workers' pushes sent to an idle peer. Pushes from
+    /// outside the pool ([`RunningPar::inject`]) are not counted.
     #[must_use]
     pub fn total_wakeups(&self) -> u64 {
         self.per_worker.iter().map(|w| w.wakeups).sum()
@@ -1172,7 +1055,8 @@ impl ParExecutor {
             slots: self.slots,
             workers,
             batch_size: self.tuning.batch_size,
-            queues: (0..=workers).map(|_| RunQueue::default()).collect(),
+            sched: Mutex::default(),
+            wake: Condvar::new(),
             counters: Counters {
                 // One shard per worker plus one for the injecting
                 // coordinator thread. The builder's injections are
@@ -1188,8 +1072,6 @@ impl ParExecutor {
             rescue: AtomicU8::new(0),
             rescue_passes: AtomicU64::new(0),
             virtual_ns: self.tuning.virtual_service_ns,
-            done: AtomicBool::new(false),
-            idle: EventCount::new(),
             latency: OnceLock::new(),
             egress: self.egress,
         });
@@ -1287,8 +1169,9 @@ impl RunningPar {
     /// [`RunningPar::finish`]'s rescue ladder can resolve) remains in the
     /// in-flight accounting? A concurrent [`RunningPar::inject`] from
     /// another thread invalidates the answer the instant it is produced;
-    /// the distributed backend re-validates through its probe round
-    /// before acting on it.
+    /// a distributed worker acts on it only by sending an idle report,
+    /// which its coordinator checks against every worker's counters
+    /// before it collects.
     #[must_use]
     pub fn settled(&self) -> bool {
         let expected = if self.shared.spec.is_some() {
@@ -1313,11 +1196,14 @@ impl RunningPar {
         } = self;
         let workers = shared.workers;
         // Release the source token: the in-flight sum can now reach
-        // zero, and a parked worker's next scan (bounded by
-        // PARK_TIMEOUT) detects quiescence. Deliberately no notify here:
-        // it would be an unaccounted slow-path lock in the parking
-        // identity the lock-accounting tests pin.
+        // zero. If every worker is already waiting, none of them will
+        // scan again on its own, so wake one under the scheduler lock: a
+        // worker that scanned before the release was waiting before this
+        // notify, and one that scans after it sees the release.
         shared.counters.in_flight.settle(workers, 1);
+        let sched = lock(&shared.sched);
+        shared.wake.notify_one();
+        drop(sched);
 
         let mut per_worker = Vec::with_capacity(workers);
         let mut panic_payload = None;
@@ -1370,7 +1256,6 @@ impl RunningPar {
             per_instance,
             per_worker,
             max_mailbox_depth,
-            slow_path_locks: shared.idle.locks.into_inner(),
             epochs_opened,
             epochs_committed,
             epochs_aborted,
@@ -1462,42 +1347,69 @@ impl WorkerCtx {
         // One Arc clone for the whole worker lifetime; the hot path below
         // passes `&Shared` down instead of touching the refcount per call.
         let shared = Arc::clone(&self.shared);
-        loop {
-            if shared.done.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.find_task(&shared) {
-                Some(inst) => self.run_instance(&shared, inst),
-                None => {
-                    if !self.idle_park(&shared) {
-                        break;
-                    }
-                }
-            }
+        while let Some(inst) = self.next_task(&shared) {
+            self.run_instance(&shared, inst);
         }
         drop(guard);
         self.ws
     }
 
-    fn find_task(&mut self, shared: &Shared) -> Option<usize> {
-        if let Some(inst) = shared.queues[self.idx].pop() {
-            return Some(inst);
-        }
-        if let Some(inst) = shared.injector().pop() {
-            blazes_obs::record(EventKind::InjectorPop, inst as u64, 0);
-            return Some(inst);
-        }
-        // Steal from siblings, starting just past ourselves so the
-        // pressure spreads instead of converging on worker 0.
-        for i in 1..shared.workers {
-            let victim = (self.idx + i) % shared.workers;
-            if let Some(inst) = shared.queues[victim].pop() {
-                self.ws.steals += 1;
-                blazes_obs::record(EventKind::Steal, victim as u64, inst as u64);
+    /// The next instance to activate, or `None` once the run is done.
+    /// Pops `ready`, then `injected`; with both empty, runs the
+    /// validated in-flight scan under the scheduler lock and finishes
+    /// the run, starts a rescue pass, or waits for a push. The scan and
+    /// the wait are under the one lock every push takes, so a push lands
+    /// either before the scan (and is popped) or after the wait began
+    /// (and notifies): there is no timeout to fall back on, and none is
+    /// needed.
+    fn next_task(&mut self, shared: &Shared) -> Option<usize> {
+        let mut sched = lock(&shared.sched);
+        loop {
+            if sched.done {
+                return None;
+            }
+            if let Some(inst) = sched.ready.pop_front() {
                 return Some(inst);
             }
+            if let Some(inst) = sched.injected.pop_front() {
+                return Some(inst);
+            }
+            // With `expected` = the parked-deferral count, a validated
+            // match means nothing is in any mailbox or mid-batch: the run
+            // is either over or wedged on speculation that no message in
+            // flight can resolve.
+            let expected = if shared.spec.is_some() {
+                shared.deferred.load(Ordering::SeqCst)
+            } else {
+                0
+            };
+            if shared.counters.in_flight.settled_at(expected) {
+                if let Some(pass) = claim_rescue(shared) {
+                    // The pass pushes through the scheduler lock.
+                    drop(sched);
+                    self.rescue(shared, pass);
+                    sched = lock(&shared.sched);
+                    continue;
+                }
+                if expected == 0 {
+                    sched.done = true;
+                    shared.wake.notify_all();
+                    return None;
+                }
+                // expected > 0 with no pass to run: the deferrals'
+                // epochs have resolved and their instances are queued or
+                // running; whoever runs them scans again.
+            }
+            sched.idle += 1;
+            self.ws.parks += 1;
+            let span = blazes_obs::start();
+            sched = shared
+                .wake
+                .wait(sched)
+                .unwrap_or_else(PoisonError::into_inner);
+            blazes_obs::span(span, EventKind::Park, self.idx as u64, 0);
+            sched.idle -= 1;
         }
-        None
     }
 
     /// Drain up to `batch_size` messages from one instance in one batched
@@ -1515,13 +1427,12 @@ impl WorkerCtx {
         let span = blazes_obs::start();
         // The scheduled flag makes us the exclusive owner of both the
         // mailbox's consumer side and the instance cell.
-        slot.cell.claim();
-        let cell = unsafe { &mut *slot.cell.cell.get() };
+        let mut cell = slot.cell.claim();
         let mut batch = std::mem::take(&mut self.drain_buf);
         batch.clear();
         let drained = slot.mailbox.pop_batch(&mut batch, shared.batch_size);
         for item in batch.drain(..) {
-            self.process(shared, inst, item, cell, 0);
+            self.process(shared, inst, item, &mut cell, 0);
         }
         self.drain_buf = batch;
         // Send before settling and before releasing the flag: the
@@ -1529,13 +1440,13 @@ impl WorkerCtx {
         // emissions are charged, and the next activation of this
         // instance cannot start until they are in their mailboxes.
         self.flush(shared);
-        slot.cell.release();
+        drop(cell);
         blazes_obs::span(span, EventKind::Activation, inst as u64, drained as u64);
         if drained > 0 {
             // Settle the whole batch against this worker's shard in one
             // RMW. Deferring decrements is safe (the sum only
-            // over-approximates); quiescence is detected by the idle-scan
-            // in `idle_park`.
+            // over-approximates); quiescence is detected by the idle scan
+            // in `next_task`.
             shared.counters.in_flight.settle(self.idx, drained as i64);
         }
 
@@ -1568,8 +1479,8 @@ impl WorkerCtx {
     fn run_instance_spec(&mut self, shared: &Shared, inst: usize) {
         let slot = &shared.slots[inst];
         let span = blazes_obs::start();
-        slot.cell.claim();
-        let cell = unsafe { &mut *slot.cell.cell.get() };
+        let mut guard = slot.cell.claim();
+        let cell = &mut *guard;
         // Clear the wake hint before acting on it: a resolution landing
         // after this store re-sets it, and the release re-check below (or
         // the resolver's own scheduled-flag CAS) guarantees another
@@ -1593,7 +1504,7 @@ impl WorkerCtx {
         // reaches its consumer already aborted and is dropped there — the
         // outcome the consumer would also reach had it arrived first.
         self.flush(shared);
-        slot.cell.release();
+        drop(guard);
         blazes_obs::span(span, EventKind::Activation, inst as u64, drained as u64);
         if drained > 0 {
             shared.counters.in_flight.settle(self.idx, drained as i64);
@@ -2053,63 +1964,23 @@ impl WorkerCtx {
         self.outbox.dsts = dsts;
     }
 
-    /// Put a runnable instance where a worker will find it: this worker's
-    /// own run queue, from which idle siblings steal.
+    /// Put a runnable instance on the `ready` queue, waking an idle
+    /// worker if there is one.
     fn enqueue_ready(&mut self, shared: &Shared, inst: usize) {
-        shared.queues[self.idx].push(inst);
-        if shared.wake() {
+        if shared.enqueue(inst, false) {
             self.ws.wakeups += 1;
             blazes_obs::record(EventKind::Wakeup, self.idx as u64, inst as u64);
         }
     }
 
-    /// The never-sealed-session rescue. Called only behind a validated
-    /// settled scan: every remaining in-flight charge is a parked
-    /// deferral, so an OPEN speculation epoch at this point can never
-    /// resolve on its own — no message exists that could still reach its
-    /// gate. Escalate in two stages: first a *drain pass* delivering
-    /// [`MailItem::Drain`] to every instance, giving gates the chance to
-    /// resolve their open sessions themselves ([`Component::on_drain`] —
-    /// the speculative seal gate aborts, re-emits its voted partitions
-    /// committed, and holds the unsealed ones back, i.e. blocking
-    /// semantics); then, if the run wedges again without any resolution,
-    /// a *hard abort* of every epoch still open. Returns `true` when a
-    /// pass was initiated or is in flight — there is (or will be) new
-    /// work, so the caller must not finish the run.
-    fn try_rescue(&mut self, shared: &Shared) -> bool {
-        let Some(spec) = shared.spec.as_ref() else {
-            return false;
-        };
-        let open: Vec<u64> = {
-            let table = lock(&spec.epochs);
-            table
-                .iter()
-                .filter(|(_, e)| e.status.load(Ordering::SeqCst) == EPOCH_OPEN)
-                .map(|(&epoch, _)| epoch)
-                .collect()
-        };
-        if open.is_empty() {
-            return false;
-        }
-        let stage = shared.rescue.load(Ordering::SeqCst);
-        if stage >= 2 {
-            // Ladder exhausted without a resolution: a component keeps an
-            // epoch open through both passes. Give up rather than spin.
-            return false;
-        }
-        if shared
-            .rescue
-            .compare_exchange(stage, stage + 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            // A sibling won the race; its pass is the progress we need.
-            return true;
-        }
+    /// Run a rescue pass [`claim_rescue`] claimed: stage 0 sends
+    /// [`MailItem::Drain`] to every instance, like any activation's
+    /// emissions, so the settled scan stays honest while the pass is in
+    /// flight; stage 1 aborts every epoch still open.
+    fn rescue(&mut self, shared: &Shared, (stage, open): (u8, Vec<u64>)) {
         shared.rescue_passes.fetch_add(1, Ordering::Relaxed);
         blazes_obs::record(EventKind::Rescue, u64::from(stage), open.len() as u64);
         if stage == 0 {
-            // Drain pass, sent like any activation's emissions, so the
-            // settled scan stays honest while the pass is in flight.
             for inst in 0..shared.slots.len() {
                 self.outbox.push(inst, MailItem::Drain);
             }
@@ -2119,65 +1990,42 @@ impl WorkerCtx {
                 self.resolve_epoch(shared, epoch, false);
             }
         }
-        true
     }
+}
 
-    /// Park until new work may exist, using the eventcount's two-phase
-    /// protocol: announce intent (so concurrent producers see us), then
-    /// re-check every wake condition, and only park if all still hold.
-    /// Returns `false` when the run is done.
-    fn idle_park(&mut self, shared: &Shared) -> bool {
-        // Phase one: announce. From here on, any producer's notify either
-        // sees our waiter registration (and signals the Condvar) or comes
-        // after a push our re-check below sees.
-        let ticket = shared.idle.prepare();
-        if shared.done.load(Ordering::SeqCst) {
-            shared.idle.cancel();
-            return false;
-        }
-        // Phase two: re-check every run queue, each under its lock. A
-        // producer pushes under that same lock and only then loads the
-        // waiter count in `notify`. For any one queue, the mutex orders
-        // our check and its push: if the push came first, the check sees
-        // it; if the check came first, our `SeqCst` announce above — made
-        // before the check — happens before the producer's waiter load,
-        // which therefore sees us and signals. The ticket covers the
-        // window between here and the wait below.
-        if shared.queues.iter().any(|q| !q.is_empty()) {
-            shared.idle.cancel();
-            return true;
-        }
-        // No runnable work anywhere in sight: fold the per-worker
-        // in-flight cells. With `expected` = the parked-deferral count, a
-        // validated match means nothing is in any mailbox or mid-batch:
-        // the run is either over or wedged on speculation that no message
-        // in flight can resolve.
-        let expected = if shared.spec.is_some() {
-            shared.deferred.load(Ordering::SeqCst)
-        } else {
-            0
-        };
-        if shared.counters.in_flight.settled_at(expected) {
-            if self.try_rescue(shared) {
-                shared.idle.cancel();
-                return true;
-            }
-            if expected == 0 {
-                shared.idle.cancel();
-                shared.finish();
-                return false;
-            }
-            // expected > 0 with no open epoch: the deferrals' epochs just
-            // resolved and their instances are rescheduled — park, retry.
-        }
-        // Phase three: park (the ticket catches a notify that raced in
-        // after the re-checks).
-        self.ws.parks += 1;
-        let span = blazes_obs::start();
-        shared.idle.wait(ticket, PARK_TIMEOUT);
-        blazes_obs::span(span, EventKind::Park, self.idx as u64, 0);
-        !shared.done.load(Ordering::SeqCst)
+/// The never-sealed-session rescue, claimed under the scheduler lock and
+/// only behind a validated settled scan: every remaining in-flight charge
+/// is a parked deferral, so an OPEN speculation epoch at this point can
+/// never resolve on its own — no message exists that could still reach
+/// its gate. Escalate in two stages: first a *drain pass* delivering
+/// [`MailItem::Drain`] to every instance, giving gates the chance to
+/// resolve their open sessions themselves ([`Component::on_drain`] — the
+/// speculative seal gate aborts, re-emits its voted partitions committed,
+/// and holds the unsealed ones back, i.e. blocking semantics); then, if
+/// the run wedges again without any resolution, a *hard abort* of every
+/// epoch still open. Returns the claimed stage and the open epochs, or
+/// `None` when there is nothing to rescue or the ladder is exhausted (a
+/// component keeps an epoch open through both passes: give up rather
+/// than spin).
+fn claim_rescue(shared: &Shared) -> Option<(u8, Vec<u64>)> {
+    let spec = shared.spec.as_ref()?;
+    let open: Vec<u64> = lock(&spec.epochs)
+        .iter()
+        .filter(|(_, e)| e.status.load(Ordering::SeqCst) == EPOCH_OPEN)
+        .map(|(&epoch, _)| epoch)
+        .collect();
+    if open.is_empty() {
+        return None;
     }
+    // Claims are serialized by the scheduler lock; only an epoch
+    // resolution's reset to 0 can race this update.
+    let stage = shared
+        .rescue
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |stage| {
+            (stage < 2).then_some(stage + 1)
+        })
+        .ok()?;
+    Some((stage, open))
 }
 
 #[cfg(test)]
@@ -2675,14 +2523,14 @@ mod tests {
     }
 
     #[test]
-    fn idle_locks_do_not_grow_with_messages() {
+    fn idle_waits_do_not_grow_with_messages() {
         // A long single-worker pipeline run: with one worker there is
-        // always local work, so the worker never idle-parks mid-run. The
-        // run's eventcount lock counter (per-run state, immune to
-        // whatever concurrent tests do) must therefore not scale with the
-        // 40k messages: a send path that took the idle lock would show up
-        // as an acquisition per activation or more. Mailbox and run-queue
-        // locks are not counted here.
+        // always local work once the injections are in, so the worker
+        // waits only while the dispatch outpaces it, and no push of its
+        // own finds an idle peer. Its waits and wakeups (per-run state,
+        // immune to whatever concurrent tests do) must therefore not
+        // scale with the 40k messages: a worker that waited or notified
+        // per activation would show up here.
         let mut b = ParBuilder::new(77).with_workers(1);
         let sink = CollectorSink::new();
         let mut prev = b.add_instance(echo());
@@ -2700,12 +2548,12 @@ mod tests {
         let stats = b.build().run();
         assert_eq!(sink.len(), 8_000);
         assert_eq!(stats.messages_delivered, 8_000 * 5);
-        let locks = stats.slow_path_locks;
+        assert_eq!(stats.total_wakeups(), 0, "no peer to wake");
+        let waits = stats.total_parks();
         let messages = stats.messages_delivered;
         assert!(
-            locks < messages / 50,
-            "idle locks ({locks}) must not scale with messages ({messages}): \
-             the send path took the eventcount lock"
+            waits < messages / 50,
+            "idle waits ({waits}) must not scale with messages ({messages})"
         );
     }
 
@@ -2713,9 +2561,11 @@ mod tests {
     fn starved_workers_park_and_the_counters_say_so() {
         // One slow consumer instance, several fast producers, four
         // workers: the producers drain quickly, after which at most one
-        // worker can run the consumer — the others starve and must go
-        // through the eventcount (parks > 0). The consumer burns enough
-        // CPU per message that the starvation phase dominates the run.
+        // worker can run the consumer — the others starve and wait on the
+        // run queue's condvar (parks > 0). The consumer burns enough CPU
+        // per message that the starvation phase dominates the run, and
+        // each of its activations but the last requeues it while the
+        // starved workers wait, so that push wakes one (wakeups > 0).
         let mut b = ParBuilder::new(5).with_workers(4);
         let sink = CollectorSink::new();
         let slow = b.add_instance(heavy_echo());
@@ -2735,22 +2585,10 @@ mod tests {
             "starved workers must park: {:?}",
             stats.per_worker
         );
-        // The run's eventcount lock count is exactly accounted for by
-        // parking events: one per worker park (eventcount wait), one per
-        // worker wakeup (notify slow path), at most one per coordinator
-        // injection (its wake can also take the notify slow path — not
-        // counted in any worker's stats), plus one for the final `finish`
-        // broadcast.
         assert!(
-            stats.slow_path_locks > 0,
-            "parks imply slow-path lock acquisitions"
-        );
-        let injections = 600u64;
-        let accounted = stats.total_parks() + stats.total_wakeups() + injections + 1;
-        assert!(
-            stats.slow_path_locks <= accounted,
-            "locks ({}) must be accounted for by parking events (<= {accounted})",
-            stats.slow_path_locks,
+            stats.total_wakeups() > 0,
+            "the consumer's requeues must wake a starved worker: {:?}",
+            stats.per_worker
         );
     }
 
@@ -2851,10 +2689,11 @@ mod tests {
     }
 
     #[test]
-    fn stealing_balances_a_skewed_workload() {
-        // 8 instances with wildly uneven message counts on 4 workers:
-        // stealing spreads the hot instance's activations, so no worker
-        // sits the run out.
+    fn a_skewed_workload_keeps_every_worker_busy() {
+        // 8 instances with wildly uneven message counts on 4 workers: the
+        // hot instance is requeued after every batch of 4 on the one
+        // shared queue, so its activations go to whichever worker is
+        // free, and no worker sits the run out.
         let mut b = ParBuilder::new(17)
             .with_workers(4)
             .with_tuning(ParTuning {
@@ -2875,11 +2714,6 @@ mod tests {
         }
         let stats = b.build().run();
         assert_eq!(sink.len(), 600 + 7 * 25);
-        assert!(
-            stats.total_steals() > 0,
-            "skew must trigger steals: {:?}",
-            stats.per_worker
-        );
         assert!(
             stats.per_worker.iter().all(|w| w.events > 0),
             "every worker must have processed events: {:?}",

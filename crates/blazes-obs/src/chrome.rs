@@ -107,7 +107,7 @@ mod tests {
                 Event {
                     ts_ns: 4_000,
                     dur_ns: 0,
-                    kind: EventKind::Steal,
+                    kind: EventKind::Wakeup,
                     a: 1,
                     b: 0,
                 },
@@ -131,7 +131,7 @@ mod tests {
         assert!(json.contains("\"ph\": \"X\""));
         assert!(json.contains("\"dur\": 2.000"));
         assert!(json.contains("\"ph\": \"i\""));
-        assert!(json.contains("\"name\": \"steal\""));
+        assert!(json.contains("\"name\": \"wakeup\""));
         assert!(json.contains("\"name\": \"frame_recv\""));
         assert!(json.contains("\"pid\": 2"));
         assert!(json.contains("blazes coordinator"));

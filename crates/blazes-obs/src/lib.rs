@@ -35,6 +35,8 @@
 //! returns when the run ends. A process-wide store could not hold them:
 //! runs that share a process would sum into, or overwrite, each other.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod metrics;
 pub mod ring;
@@ -103,7 +105,7 @@ impl Obs {
 
     /// The Chrome `pid` lane this process records under.
     #[must_use]
-    pub fn pid(&self) -> u32 {
+    fn pid(&self) -> u32 {
         self.pid.load(Ordering::Relaxed) as u32
     }
 

@@ -18,7 +18,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What happened. The discriminant crosses the wire, so variants are
-/// append-only.
+/// append-only, and a deleted variant's number is retired, never reused:
+/// 2 and 3 (a work-stealing scheduler's steal and injector pop) decode
+/// as unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum EventKind {
@@ -28,10 +30,6 @@ pub enum EventKind {
     /// One instance activation — drain + process of its mailbox batch
     /// (`a` = instance, `b` = events processed). Span.
     Activation = 1,
-    /// A task obtained by stealing from a peer deque (`a` = victim worker).
-    Steal = 2,
-    /// A task popped from the global injector.
-    InjectorPop = 3,
     /// A worker parked idle (`a` = worker). Span over the parked period.
     Park = 4,
     /// A parked peer woken by a send (`a` = waker worker).
@@ -85,8 +83,6 @@ impl EventKind {
         match self {
             EventKind::Delivery => "delivery",
             EventKind::Activation => "activation",
-            EventKind::Steal => "steal",
-            EventKind::InjectorPop => "injector_pop",
             EventKind::Park => "park",
             EventKind::Wakeup => "wakeup",
             EventKind::SealVote => "seal_vote",
@@ -114,8 +110,6 @@ impl EventKind {
         Some(match v {
             0 => EventKind::Delivery,
             1 => EventKind::Activation,
-            2 => EventKind::Steal,
-            3 => EventKind::InjectorPop,
             4 => EventKind::Park,
             5 => EventKind::Wakeup,
             6 => EventKind::SealVote,
@@ -381,5 +375,8 @@ mod tests {
         };
         assert_eq!(Event::from_words(e.to_words()), Some(e));
         assert_eq!(Event::from_words([0, 0, 9999, 0, 0]), None);
+        // Retired tags stay unknown.
+        assert_eq!(Event::from_words([0, 0, 2, 0, 0]), None);
+        assert_eq!(Event::from_words([0, 0, 3, 0, 0]), None);
     }
 }

@@ -26,6 +26,8 @@
 //!   and run the Blazes analysis, as the paper's reusable Storm adapter
 //!   does.
 
+#![forbid(unsafe_code)]
+
 pub mod adapter;
 pub mod bolt;
 pub mod grouping;

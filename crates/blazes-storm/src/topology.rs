@@ -410,7 +410,7 @@ impl TopologyBuilder {
         backend: &BackendSpec,
     ) -> Result<(StormExecution, CoordinationOutcome), CoordinationError> {
         let mut outcome = self.apply_coordination(spec, ordering)?;
-        let (exec, ((instances, name), rewrite)) = build_local(backend, self.seed, |b| {
+        let (exec, ((_, name), rewrite)) = build_local(backend, self.seed, |b| {
             let mut rb = RewritingBuilder::new(b, NoopPass);
             let built = self.assemble(&mut rb);
             (built, rb.finish().1)
@@ -419,7 +419,6 @@ impl TopologyBuilder {
         outcome.rewrite = rewrite;
         let exec = StormExecution {
             exec: Some(exec),
-            instances,
             name,
         };
         Ok((exec, outcome))
@@ -687,7 +686,6 @@ impl TopologyBuilder {
 /// ready to run once.
 pub struct StormExecution {
     exec: Option<LocalExecutor>,
-    instances: Vec<Vec<InstanceId>>,
     name: String,
 }
 
@@ -702,12 +700,6 @@ impl StormExecution {
             .take()
             .expect("StormExecution::run may only be called once")
             .run()
-    }
-
-    /// Backend instance ids per topology node.
-    #[must_use]
-    pub fn instances(&self) -> &[Vec<InstanceId>] {
-        &self.instances
     }
 
     /// Topology name.

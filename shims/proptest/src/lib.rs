@@ -14,6 +14,8 @@
 //!   `PROPTEST_SEED`), so failures always reproduce;
 //! * `prop_assert*` panic immediately instead of returning `TestCaseError`.
 
+#![forbid(unsafe_code)]
+
 pub mod strategy;
 pub mod test_runner;
 

@@ -6,6 +6,8 @@
 //! SplitMix64. Deterministic for a given seed, which is all the simulator
 //! requires; it is NOT cryptographically secure.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Bound, RangeBounds};
 
 /// A seedable random number generator.

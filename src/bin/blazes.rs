@@ -21,6 +21,8 @@
 //! run (Bloom stratum fixpoints, scheduler events when a runtime is
 //! involved) and a Chrome-trace JSON is written on exit.
 
+#![forbid(unsafe_code)]
+
 use blazes::core::advisor;
 use blazes::core::analysis::Analyzer;
 use blazes::core::derivation;

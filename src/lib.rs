@@ -12,7 +12,7 @@
 //!   topologies so every flagged edge gets exactly the coordination the
 //!   analysis demands.
 //! * [`dataflow`] — the dataflow runtime and its three executors: the
-//!   discrete-event simulator, the work-stealing parallel executor and the
+//!   discrete-event simulator, the multi-threaded parallel executor and the
 //!   multi-process distributed backend.
 //! * [`coord`] — coordination substrates (sequencer, seal manager,
 //!   barriers).
@@ -24,6 +24,8 @@
 //!
 //! See `examples/` for runnable walkthroughs and `README.md` for the
 //! system inventory, the test suites and the benchmark.
+
+#![forbid(unsafe_code)]
 
 pub use blazes_apps as apps;
 pub use blazes_autocoord as autocoord;

@@ -4,6 +4,10 @@
 //! executable. Each topology is assembled once, generically over
 //! [`ExecutorBuilder`], and run on both backends — and on the parallel
 //! backend under every tuning variant: default and small drain batches.
+//! Every par run goes through [`common::run_within_deadline`], so a lost
+//! wakeup fails the run it hangs, by name.
+
+mod common;
 
 use blazes::coord::registry::ProducerRegistry;
 use blazes::coord::seal::{SealManager, SealOutcome};
@@ -15,6 +19,7 @@ use blazes::dataflow::par::{ParBuilder, ParTuning};
 use blazes::dataflow::sim::Simulator;
 use blazes::dataflow::sinks::CollectorSink;
 use blazes::dataflow::value::{Tuple, Value};
+use common::run_within_deadline;
 use std::collections::BTreeSet;
 
 fn echo() -> Box<dyn Component> {
@@ -252,7 +257,7 @@ fn assert_backends_agree(name: &str, assemble: impl Fn(&mut dyn ExecutorBuilder,
                 .with_tuning(tuning)
                 .expect("valid tuning");
             assemble(&mut par, par_sink.clone());
-            let stats = par.build().run();
+            let stats = run_within_deadline(&format!("{name}/{variant}/{workers}w"), par.build());
             assert!(
                 stats.messages_delivered > 0,
                 "{name}/{variant}: no deliveries under par"
@@ -313,7 +318,10 @@ fn replicated_sinks_match_simulator_on_every_replica() {
                 .with_tuning(tuning)
                 .expect("valid tuning");
             replicated_sinks(&mut par, &par_sinks);
-            let _ = par.build().run();
+            let _ = run_within_deadline(
+                &format!("replicated-sinks/{variant}/{workers}w"),
+                par.build(),
+            );
             for (r, sink) in par_sinks.iter().enumerate() {
                 // Per-wire FIFO: each replica sees the full stream in send
                 // order, not just the same set.
@@ -447,7 +455,7 @@ fn assert_sealing_agrees(
                 .with_tuning(tuning)
                 .expect("valid tuning");
             sealed_topology(&mut par, par_sink.clone(), producers, campaigns, records);
-            let _ = par.build().run();
+            let _ = run_within_deadline(&format!("{name}/{variant}/{workers}w"), par.build());
             assert_eq!(
                 par_sink.message_set(),
                 expected,
@@ -510,7 +518,7 @@ fn assert_adversarial_sealing(
                 .with_tuning(tuning)
                 .expect("valid tuning");
             assemble(&mut par, par_sink.clone());
-            let _ = par.build().run();
+            let _ = run_within_deadline(&format!("{name}/{variant}/{workers}w"), par.build());
             assert_eq!(
                 &par_sink.message_set(),
                 expected,
@@ -696,7 +704,10 @@ fn duplicated_seals_and_records_release_exactly_once() {
                 );
             }
         }
-        let stats = par.build().run();
+        let stats = run_within_deadline(
+            &format!("duplicated-seals/{}/{workers}w", tuning.batch_size),
+            par.build(),
+        );
         (sink.message_set(), sink.len(), stats.duplicates)
     };
 

@@ -9,7 +9,11 @@
 //! streams) against the simulator.
 //!
 //! CI runs this file in release mode, single-threaded, in a repeat loop,
-//! to shake out interleavings one run misses.
+//! to shake out interleavings one run misses. Every par run goes through
+//! [`common::run_within_deadline`], so a lost wakeup fails the run it
+//! hangs, by name.
+
+mod common;
 
 use blazes::dataflow::backend::{ExecutorBuilder, PortId, Topology};
 use blazes::dataflow::channel::ChannelConfig;
@@ -19,6 +23,7 @@ use blazes::dataflow::par::{ParBuilder, ParStats, ParTuning};
 use blazes::dataflow::sim::Simulator;
 use blazes::dataflow::sinks::CollectorSink;
 use blazes::dataflow::value::Value;
+use common::run_within_deadline;
 use std::collections::BTreeSet;
 
 /// CI's speculation matrix dimension: `BLAZES_SPECULATION=1` reruns the
@@ -80,7 +85,7 @@ fn producers_hammer_one_consumer_without_loss_or_reorder() {
             b.inject(0, e, PortId(0), Message::data([p, i]));
         }
     }
-    let stats = b.build().run();
+    let stats = run_within_deadline("producers into one consumer", b.build());
 
     // At-least-once, exactly the injected payloads: every (p, i) arrives,
     // and total arrivals equal sends plus injected duplicates.
@@ -150,7 +155,7 @@ fn digest_identity_across_worker_counts_schedulers_and_sim() {
             .with_tuning(tuning.with_speculation(speculation()))
             .unwrap();
         let sink = assemble(&mut b);
-        let stats = b.build().run();
+        let stats = run_within_deadline(&format!("fan-in at {workers}w"), b.build());
         let mut msgs = sink.messages();
         msgs.sort();
         (msgs, stats)
@@ -211,7 +216,7 @@ fn cycles_quiesce_under_faults() {
         for t in 0..4i64 {
             b.inject(0, hops[0], PortId(0), Message::data([30 + t]));
         }
-        let stats = b.build().run();
+        let stats = run_within_deadline(&format!("ring at {workers}w"), b.build());
         // Termination IS the assertion; sanity-check volume: each token
         // takes at least `value` hops.
         assert!(
