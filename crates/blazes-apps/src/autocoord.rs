@@ -229,7 +229,6 @@ pub fn wordcount_ordering_config(sc: &WordcountScenario) -> TransactionalConfig 
         service_time: sc.coordinator_service,
         channel: blazes_dataflow::channel::ChannelConfig::lan()
             .with_latency(sc.coordinator_latency),
-        first_batch: 0,
         max_pending: sc.max_pending,
     }
 }

@@ -85,6 +85,9 @@ pub struct ScalingPoint {
     pub parks: u64,
     /// Total notifies this run's worker pushes sent to idle peers.
     pub wakeups: u64,
+    /// Worker acquisitions of the one scheduler lock that found it held
+    /// and had to wait: the run queue's contention.
+    pub sched_waits: u64,
     /// Mailbox pushes over processed events: each activation pushes one
     /// run per destination, so this is the machine-independent measure of
     /// how much cross-thread traffic batching saved (1.0 would be a push
@@ -288,7 +291,7 @@ impl ScalingReport {
             format!(
                 "{{\"workload\": \"{}\", \"cores\": {}, \"workers\": {}, \
                  \"millis\": {:.3}, \"speedup_vs_sim\": {:.3}, \"balance\": {:.3}, \
-                 \"parks\": {}, \"wakeups\": {}, \
+                 \"parks\": {}, \"wakeups\": {}, \"sched_waits\": {}, \
                  \"pushes_per_event\": {:.4}, \
                  \"lat_p50_us\": {}, \"lat_p99_us\": {}, \
                  \"lat_p999_us\": {}, \"lat_samples\": {}, \"correct\": {}}}",
@@ -300,6 +303,7 @@ impl ScalingReport {
                 p.balance,
                 p.parks,
                 p.wakeups,
+                p.sched_waits,
                 p.pushes_per_event,
                 json_us(p.lat_p50_us),
                 json_us(p.lat_p99_us),
@@ -329,12 +333,12 @@ impl ScalingReport {
         );
         let _ = writeln!(
             s,
-            "# workload  workers  ms        vs-sim  balance   parks  wakeups  pushes/ev  p50us    p99us   p999us"
+            "# workload  workers  ms        vs-sim  balance   parks  wakeups  sched-waits  pushes/ev  p50us    p99us   p999us"
         );
         for p in &self.points {
             let _ = writeln!(
                 s,
-                "{:9} {:8} {:9.1} {:7.2}x {:8.2} {:7} {:8} {:10.4} {}{}",
+                "{:9} {:8} {:9.1} {:7.2}x {:8.2} {:7} {:8} {:12} {:10.4} {}{}",
                 p.workload,
                 p.workers,
                 p.millis,
@@ -342,6 +346,7 @@ impl ScalingReport {
                 p.balance,
                 p.parks,
                 p.wakeups,
+                p.sched_waits,
                 p.pushes_per_event,
                 match (p.lat_p50_us, p.lat_p99_us, p.lat_p999_us) {
                     (Some(p50), Some(p99), Some(p999)) => format!("{p50:8.1} {p99:8.1} {p999:8.1}"),
@@ -418,6 +423,7 @@ fn timed_par(
     let mut balance = 0.0;
     let mut parks = 0;
     let mut wakeups = 0;
+    let mut sched_waits = 0;
     let mut pushes_per_event = 0.0;
     let mut correct = true;
     for _ in 0..reps.max(1) {
@@ -430,6 +436,7 @@ fn timed_par(
             balance = stats.balance();
             parks = stats.total_parks();
             wakeups = stats.total_wakeups();
+            sched_waits = stats.total_sched_waits();
             pushes_per_event =
                 stats.total_mailbox_pushes() as f64 / stats.events_processed.max(1) as f64;
         }
@@ -445,6 +452,7 @@ fn timed_par(
         balance,
         parks,
         wakeups,
+        sched_waits,
         pushes_per_event,
         lat_p50_us: lat.percentiles.map(|p| p[0]),
         lat_p99_us: lat.percentiles.map(|p| p[1]),
@@ -544,12 +552,15 @@ pub fn run_scaling(cfg: &ScalingConfig) -> ScalingReport {
         // Structural (run-independent) provenance; per-run measurement
         // context belongs to the caller (`par_scaling --note ...`).
         notes: vec![
-            "in-flight accounting is sharded per worker: an activation charges all \
-             its emissions to the worker's private padded cell in one RMW before \
-             publication, batches settle once per activation, and quiescence is \
-             detected by an epoch-validated idle scan; event and delivery totals are \
-             summed from per-worker and per-instance stats at run end, so no counter \
-             every worker bumps is left on the message hot path"
+            "quiescence is one exact count under the scheduler lock: busy, the \
+             activations queued or running plus the source token, raised by each \
+             enqueue and lowered at the worker's next pop; each mailbox's scheduled \
+             flag and wake hint sit under the mailbox lock a push, drain or release \
+             already takes, so an activation makes no atomic read-modify-write \
+             outside its locks; event and delivery totals are summed from \
+             per-worker and per-instance stats at run end, so no counter every \
+             worker bumps is left on the message hot path; sched_waits counts the \
+             worker acquisitions of the scheduler lock that had to wait"
                 .to_string(),
             "the message hot path locks per activation, never per message: each \
              activation stages its emissions and appends one run per destination \

@@ -28,13 +28,13 @@ pub struct CommitCoordinator {
 
 impl CommitCoordinator {
     /// A coordinator expecting `committers` distinct committer ids per
-    /// batch, granting batches starting from `first_batch`.
+    /// batch, granting batches starting from 0.
     #[must_use]
-    pub fn new(committers: usize, first_batch: i64) -> Self {
+    pub fn new(committers: usize) -> Self {
         assert!(committers > 0, "at least one committer required");
         CommitCoordinator {
             committers,
-            next_batch: first_batch,
+            next_batch: 0,
             ready: BTreeMap::new(),
         }
     }
@@ -79,7 +79,7 @@ mod tests {
 
     fn grants(readiness: Vec<(u64, i64, i64)>, committers: usize) -> Vec<i64> {
         let mut b = Topology::new();
-        let coord = b.add_instance(Box::new(CommitCoordinator::new(committers, 0)));
+        let coord = b.add_instance(Box::new(CommitCoordinator::new(committers)));
         let sink = CollectorSink::new();
         let s = b.add_instance(Box::new(sink.clone()));
         b.connect_with(coord, PortId(0), s, PortId(0), ChannelConfig::ordered(0));
@@ -131,6 +131,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one committer")]
     fn zero_committers_rejected() {
-        let _ = CommitCoordinator::new(0, 0);
+        let _ = CommitCoordinator::new(0);
     }
 }

@@ -27,8 +27,11 @@ pub struct WorkerStats {
     /// Events (deliveries and drain signals) this worker processed.
     pub events: u64,
     /// Times this worker waited idle on the run queue's condvar (both
-    /// queues empty and the in-flight scan not settled).
+    /// queues empty and the run not quiescent).
     pub parks: u64,
+    /// Times this worker found the scheduler lock held by another thread
+    /// and had to wait for it: the contention on the one run queue.
+    pub sched_waits: u64,
     /// Times one of this worker's pushes onto the run queue found an
     /// idle worker and notified it.
     pub wakeups: u64,

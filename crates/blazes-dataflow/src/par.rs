@@ -11,64 +11,80 @@
 //!
 //! # Scheduling
 //!
-//! Every instance has a mailbox and an atomic *scheduled* flag. A sender
-//! that transitions the flag makes the instance runnable by pushing its
-//! id onto the runtime's one run queue. That queue is a single `Mutex`
-//! over two FIFOs — `ready` (instances a worker's flush or release
-//! re-check made runnable) and `injected` (instances an external push
-//! made runnable) — plus the idle-worker count and the run's `done`
-//! flag, with one `Condvar` beside it. Workers pop `ready` first, then
-//! `injected`, so work already inside the pipeline runs before new input
-//! is admitted. A runnable instance is drained up to
-//! [`ParTuning::batch_size`] messages per activation, then requeued if
-//! work remains — so a hot instance's activations go to whichever worker
-//! is free, and skewed workloads balance without any stealing.
+//! Every instance has a mailbox, and under the mailbox's lock, beside its
+//! queue, a *scheduled* flag. A push that finds the flag clear sets it and
+//! makes the instance runnable by putting its id on the runtime's one run
+//! queue. That queue is a single `Mutex` over two FIFOs — `ready`
+//! (instances a worker's flush or release made runnable) and `injected`
+//! (instances an external push made runnable) — plus the idle-worker
+//! count, the `busy` count and the run's `done` flag, with one `Condvar`
+//! beside it. Workers pop `ready` first, then `injected`, so work already
+//! inside the pipeline runs before new input is admitted. A runnable
+//! instance is drained up to [`ParTuning::batch_size`] messages per
+//! activation, then requeued if work remains — so a hot instance's
+//! activations go to whichever worker is free, and skewed workloads
+//! balance without any stealing. The release at the end of an activation
+//! is one critical section under the mailbox lock: with the queue empty
+//! (and, in time-warp mode, no wake hint) it clears the flag, otherwise
+//! the instance is requeued. A push lands either before it (and is seen)
+//! or after it (and finds the flag clear), so no run is stranded.
 //!
-//! A worker that finds both queues empty, still under the lock, runs the
-//! validated in-flight scan: if nothing is in flight the run is over (or,
-//! in time-warp mode, wedged on speculation only the rescue ladder can
+//! `busy` counts activations queued or running, plus the source token
+//! [`RunningPar`] holds until [`RunningPar::finish`]: every enqueue adds
+//! one, and a worker takes its activation's one off when it next takes
+//! the scheduler lock, after the activation's flush and release. A late
+//! decrement only over-counts, and every push happens while its pusher
+//! holds a unit, so `busy == 0` means no mailbox holds mail and no
+//! activation or source can add any. A worker that finds both queues
+//! empty reads `busy` under the lock: at zero the run is over (or, in
+//! time-warp mode, wedged on speculation only the rescue ladder can
 //! resolve); otherwise it counts itself idle and waits on the `Condvar`,
 //! with no timeout. A push notifies one waiter when the idle count is
 //! non-zero. Both happen under the same lock, so a push either lands
-//! before the worker's check (which sees it) or after its wait began
-//! (and wakes it): no wakeup can be lost, and a lost one would hang the
-//! run rather than cost a timeout. The in-flight sum reaches its final
-//! value either in a worker's activation — and that worker scans before
-//! it waits — or when [`RunningPar::finish`] releases its source token,
-//! which it follows with a notify under the lock.
+//! before the worker's check (which sees it) or after its wait began (and
+//! wakes it): no wakeup can be lost, and a lost one would hang the run
+//! rather than cost a timeout. `busy` reaches zero either at a worker's
+//! decrement — and that worker checks before it waits — or when
+//! [`RunningPar::finish`] releases the token, which it follows with a
+//! notify under the lock.
 //!
 //! # The hot path
 //!
 //! The unit of cross-thread traffic is an *activation*, not a message.
 //! While an instance's handlers run, everything they emit is staged in
 //! the worker's outbox, grouped by destination and kept in emission
-//! order. When the batch is done, the worker *flushes*: one in-flight
-//! charge for the whole outbox, then per destination one mailbox push of
-//! that destination's run and one scheduled-flag handoff. The flush comes
-//! after the handlers and before the batch settles and the flag is
-//! released, so quiescence cannot be declared while the emissions are
-//! uncharged, and the instance's next activation cannot overtake them.
+//! order. When the batch is done, the worker *flushes*: per destination
+//! one mailbox push of that destination's run, which sets the
+//! destination's flag in the same critical section. The flush comes
+//! after the handlers and before the release, so the instance's next
+//! activation cannot overtake its emissions, and before the activation's
+//! `busy` unit is given back, so quiescence cannot be declared while they
+//! are unsent.
 //! In a distributed worker, a wire whose consumer lives in another
 //! process is an *egress wire*: its emissions are staged as numbered
-//! frames, skip the mailboxes and the in-flight charge, and leave in one
-//! batch per activation, at the same point of the flush.
+//! frames, skip the mailboxes, and leave in one batch per activation, at
+//! the same point of the flush.
 //! Event and delivery totals are summed from per-worker and per-instance
 //! stats when the run finishes; no counter every worker bumps is touched
-//! per message. Locks are taken per activation, never per message:
+//! per message. Locks are taken per activation, never per message, and
+//! nothing outside them is read-modify-written per activation:
 //!
 //! * **Mailboxes** are locked FIFOs (a `Mutex` around a list of
-//!   fixed-size `VecDeque` rings): a sending activation appends its whole
-//!   run for one destination under one lock (runs are counted in
-//!   [`WorkerStats::mailbox_pushes`]), and a drain moves up to
+//!   fixed-size `VecDeque` rings and the flag): a sending activation
+//!   appends its whole run for one destination under one lock (runs are
+//!   counted in [`WorkerStats::mailbox_pushes`]), a drain moves up to
 //!   [`ParTuning::batch_size`] messages into a worker-local buffer under
-//!   one lock. Only the worker that owns the *scheduled flag* drains a
-//!   mailbox, so its order is the order of the runs.
+//!   one lock, and the release takes it once more. Only the worker that
+//!   owns the *scheduled flag* drains a mailbox, so its order is the
+//!   order of the runs.
 //! * **Instance state** sits behind a `Mutex` of its own, taken once per
 //!   activation with `try_lock`. The scheduled flag already makes the
 //!   activation exclusive, so the lock is never contended; a failed
 //!   `try_lock` is a protocol violation and panics, in every build.
 //! * **The run queue** is locked once per push (one per newly scheduled
-//!   destination of a flush) and once per pop.
+//!   destination of a flush, one per requeue) and once per pop, which
+//!   also returns the previous activation's `busy` unit. Acquisitions
+//!   that had to wait are counted in [`WorkerStats::sched_waits`].
 //!
 //! Mailboxes are unbounded, so a send — and with it
 //! [`RunningPar::inject`] — never blocks; [`ParStats::max_mailbox_depth`]
@@ -97,7 +113,7 @@
 //!   fan-in component the interleaving of its inputs still decides which
 //!   record each draw lands on.
 //! * **Quiescence.** `run` returns once every injected and derived message
-//!   has been processed, detected by a global in-flight counter.
+//!   has been processed: `busy`, exact under the scheduler lock, is zero.
 //!
 //! # Time-warp speculation
 //!
@@ -137,12 +153,12 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Lock `m`, recovering the guard from poison: every update made under
-/// these locks (a queue's extend, push, pop or drain, the idle count, an
+/// these locks (a queue's extend, push, pop or drain, a flag, a count, an
 /// epoch entry's insert or participant push) leaves the data valid at
 /// every step, and the run re-raises the panic that poisoned it anyway.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -360,8 +376,8 @@ struct Cell {
     service: Time,
     /// Open speculation, if this instance is currently tainted.
     spec: Option<InstSpec>,
-    /// Speculative deliveries waiting for their epoch to resolve (kept
-    /// charged against the in-flight counter so quiescence waits).
+    /// Speculative deliveries waiting for their epoch to resolve (counted
+    /// in [`Shared::deferred`], which the end-of-run check reads).
     deferred: VecDeque<MailItem>,
     /// Cached epoch-status handles: repeat checks skip the registry lock.
     epoch_cache: HashMap<u64, Arc<AtomicU8>>,
@@ -393,42 +409,32 @@ impl InstanceCell {
     }
 }
 
-/// An unbounded mailbox: a locked FIFO plus the scheduling state around
-/// it. A sending activation appends its whole run for this mailbox under
-/// one lock, and the owner drains a batch under one lock.
+/// An unbounded mailbox: a locked FIFO with the instance's scheduling
+/// state under the same lock. A sending activation appends its whole run
+/// for this mailbox, and sets the scheduled flag, under one lock; the
+/// owner drains a batch under one lock and releases under one more.
+#[derive(Default)]
 struct Mailbox {
     queue: Mutex<Blocks>,
-    /// True while the instance is in the run queue or being executed.
-    scheduled: AtomicBool,
-    /// High-water mark of the queue length (stats).
-    depth_max: AtomicUsize,
-    /// Time-warp wake hint: an epoch this instance participates in has
-    /// resolved. Mirrors the mailbox's own release protocol — the
-    /// resolver sets it *before* its scheduled-flag CAS, the owner clears
-    /// the flag *before* re-checking it — so a resolution can never
-    /// strand a tainted or deferring instance.
-    spec_dirty: AtomicBool,
 }
 
 impl Mailbox {
-    fn new() -> Self {
-        Mailbox {
-            queue: Mutex::default(),
-            scheduled: AtomicBool::new(false),
-            depth_max: AtomicUsize::new(0),
-            spec_dirty: AtomicBool::new(false),
-        }
-    }
-
     /// Append one run of items, which the consumer will pop contiguously
-    /// and in order.
-    fn push_run(&self, items: impl IntoIterator<Item = MailItem>) {
+    /// and in order. Returns whether the push made the instance runnable
+    /// — set its scheduled flag — in which case the caller enqueues it.
+    fn push_run(&self, items: impl IntoIterator<Item = MailItem>) -> bool {
         let mut queue = lock(&self.queue);
         queue.extend(items);
-        // Under the lock, so the high-water mark is exact.
-        if queue.len > self.depth_max.load(Ordering::Relaxed) {
-            self.depth_max.store(queue.len, Ordering::Relaxed);
-        }
+        queue.depth_max = queue.depth_max.max(queue.len);
+        !std::mem::replace(&mut queue.scheduled, true)
+    }
+
+    /// Set the time-warp wake hint; returns whether that made the
+    /// instance runnable, as [`Mailbox::push_run`] does.
+    fn hint(&self) -> bool {
+        let mut queue = lock(&self.queue);
+        queue.spec_dirty = true;
+        !std::mem::replace(&mut queue.scheduled, true)
     }
 
     /// Move up to `max` items into `buf`, in order; returns how many.
@@ -436,8 +442,18 @@ impl Mailbox {
         lock(&self.queue).drain_into(buf, max)
     }
 
-    fn is_empty(&self) -> bool {
-        lock(&self.queue).len == 0
+    /// End the owner's activation: with no mail queued and no wake hint,
+    /// clear the scheduled flag and return `true`; otherwise keep it, and
+    /// the caller requeues the instance. One critical section with every
+    /// push and hint, so each lands either before it (and is seen here)
+    /// or after it (and finds the flag clear).
+    fn release(&self) -> bool {
+        let mut queue = lock(&self.queue);
+        let idle = queue.len == 0 && !queue.spec_dirty;
+        if idle {
+            queue.scheduled = false;
+        }
+        idle
     }
 }
 
@@ -452,11 +468,24 @@ const MAILBOX_BLOCK: usize = 64;
 /// of its deepest burst for the rest of the run (measured: +20–30 % peak
 /// RSS on the wordcount benchmark), and it allocates once per
 /// [`MAILBOX_BLOCK`] items, not once per item like a linked queue.
+///
+/// The instance's scheduling state sits beside the rings, so a push, a
+/// drain or a release reads and writes it in the critical section it
+/// already takes.
 #[derive(Default)]
 struct Blocks {
     rings: VecDeque<VecDeque<MailItem>>,
     /// Items across all rings.
     len: usize,
+    /// High-water mark of `len` (stats).
+    depth_max: usize,
+    /// True while the instance is in the run queue or being executed.
+    scheduled: bool,
+    /// Time-warp wake hint: an epoch this instance participates in has
+    /// resolved since its activation cleared the hint. The release keeps
+    /// the flag while it is set, so a resolution can never strand a
+    /// tainted or deferring instance.
+    spec_dirty: bool,
 }
 
 impl Blocks {
@@ -496,97 +525,12 @@ struct Slot {
     mailbox: Mailbox,
 }
 
-/// A cache-line-isolated atomic, so per-worker counters do not false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedI64(AtomicI64);
-
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// Sharded in-flight accounting, so no cache line is shared by every send
-/// and every processed message. Each worker owns one padded cell (cell
-/// `workers` belongs to the injecting coordinator thread) and a monotone
-/// *send epoch*:
-///
-/// * before any of an activation's emissions become visible, the
-///   processing worker adds their count to **its own** cell and bumps its
-///   epoch — two uncontended RMWs on a private line per activation;
-/// * after draining a batch, it subtracts the number of messages it
-///   consumed from its own cell, once per activation instead of once per
-///   message.
-///
-/// The global sum is exact whenever all updates have landed; a worker
-/// that runs out of work detects quiescence by [`InFlight::quiescent`]:
-/// read all epochs, sum all cells, re-read the epochs. A non-atomic scan
-/// can only be fooled into a false zero by *missing* an increment whose
-/// matching decrement it *saw* — but the decrement happens causally after
-/// the increment (through the mailbox push), so the missed increment (and
-/// its epoch bump) must fall inside the scan window, and the epoch
-/// re-read rejects the scan. Sum ≠ 0 or changed epochs simply mean "not
-/// quiescent yet": a worker's update is followed by that worker's own
-/// scan before it waits, and the source token's release by a notify.
-struct InFlight {
-    cells: Vec<PaddedI64>,
-    epochs: Vec<PaddedU64>,
-}
-
-impl InFlight {
-    fn new(shards: usize, injected: i64) -> Self {
-        let cells: Vec<PaddedI64> = (0..shards).map(|_| PaddedI64::default()).collect();
-        // External injections are pre-charged to the coordinator's cell.
-        cells[shards - 1].0.store(injected, Ordering::SeqCst);
-        InFlight {
-            cells,
-            epochs: (0..shards).map(|_| PaddedU64::default()).collect(),
-        }
-    }
-
-    /// Charge `n` sends to `shard` *before* the messages become visible.
-    fn charge(&self, shard: usize, n: i64) {
-        self.cells[shard].0.fetch_add(n, Ordering::SeqCst);
-        self.epochs[shard].0.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Settle `n` processed messages against `shard`.
-    fn settle(&self, shard: usize, n: i64) {
-        self.cells[shard].0.fetch_sub(n, Ordering::SeqCst);
-    }
-
-    /// Validated scan for `sum == expected` (see type docs for the
-    /// argument; `expected = 0` is quiescence, a nonzero `expected` is
-    /// the stuck-run check — every remaining charge is a parked
-    /// deferral).
-    fn settled_at(&self, expected: i64) -> bool {
-        let read_epochs = |buf: &mut Vec<u64>| {
-            buf.clear();
-            buf.extend(self.epochs.iter().map(|e| e.0.load(Ordering::SeqCst)));
-        };
-        let mut before = Vec::with_capacity(self.epochs.len());
-        let mut after = Vec::with_capacity(self.epochs.len());
-        for _ in 0..2 {
-            read_epochs(&mut before);
-            let sum: i64 = self.cells.iter().map(|c| c.0.load(Ordering::SeqCst)).sum();
-            if sum != expected {
-                return false;
-            }
-            read_epochs(&mut after);
-            if before == after {
-                return true;
-            }
-        }
-        false
-    }
-}
-
 /// Run-wide shared counters. Event and delivery totals are not among
 /// them: they are summed from [`WorkerStats::events`] and
 /// [`InstanceStats::processed`] when the run finishes, so no counter every
 /// worker bumps sits on the message hot path. Faults are rare enough to
 /// count here.
 struct Counters {
-    in_flight: InFlight,
     duplicates: AtomicU64,
     retransmits: AtomicU64,
 }
@@ -594,13 +538,18 @@ struct Counters {
 /// The run queue and idle state, all under [`Shared::sched`].
 #[derive(Default)]
 struct Sched {
-    /// Instances a worker's flush or release re-check made runnable.
-    /// Popped before `injected`.
+    /// Instances a worker's flush, requeue or epoch resolution made
+    /// runnable. Popped before `injected`.
     ready: VecDeque<usize>,
     /// Instances an external push made runnable.
     injected: VecDeque<usize>,
     /// Workers waiting on [`Shared::wake`].
     idle: usize,
+    /// Activations queued or running, plus [`RunningPar`]'s source token
+    /// and a rescue pass in progress (see the module docs' scheduling
+    /// section). Every enqueue adds one; a worker takes its activation's
+    /// one off at its next [`WorkerCtx::next_task`]. Zero is quiescence.
+    busy: usize,
     /// The run is over (quiescent, or a worker panicked).
     done: bool,
 }
@@ -617,9 +566,10 @@ struct Shared {
     counters: Counters,
     /// Speculation registry; `Some` only in time-warp mode.
     spec: Option<SpecShared>,
-    /// Deliveries currently parked in some cell's deferred queue (each
-    /// kept charged in `in_flight`). Maintained only in time-warp mode;
-    /// the stuck-run check compares the in-flight sum against it.
+    /// Deliveries currently parked in some cell's deferred queue.
+    /// Maintained only in time-warp mode, and only inside activations, so
+    /// the end-of-run check, which reads it under the scheduler lock at
+    /// `busy == 0`, sees its final value.
     deferred: AtomicI64,
     /// Never-sealed-session rescue ladder: 0 = untried, 1 = drain pass
     /// sent, 2 = hard abort done. Reset to 0 by any epoch resolution
@@ -656,11 +606,12 @@ impl Shared {
         obs.record(EventKind::SinkArrival, inst as u64, latency);
     }
 
-    /// Queue the runnable instance `inst` — on `ready` from a worker, on
-    /// `injected` from an external push — and notify one waiter if any
-    /// worker is idle. Returns whether one was.
-    fn enqueue(&self, inst: usize, external: bool) -> bool {
-        let mut sched = lock(&self.sched);
+    /// Queue the runnable instance `inst` under `sched`, the scheduler
+    /// lock — on `ready` from a worker, on `injected` from an external
+    /// push — count it busy, and notify one waiter if any worker is idle.
+    /// Returns whether one was.
+    fn enqueue(&self, mut sched: MutexGuard<'_, Sched>, inst: usize, external: bool) -> bool {
+        sched.busy += 1;
         if external {
             sched.injected.push_back(inst);
         } else {
@@ -675,19 +626,14 @@ impl Shared {
 
     /// Push `(destination, item)`s from a coordinating (non-worker)
     /// thread, in order: each stretch of items for one destination lands
-    /// as one mailbox run. The caller has charged them already.
+    /// as one mailbox run. The caller holds the source token, which keeps
+    /// the run from quiescing in between.
     fn external_push(&self, items: impl Iterator<Item = (usize, MailItem)>) {
         let mut items = items.peekable();
         while let Some(&(dst, _)) = items.peek() {
-            let mb = &self.slots[dst].mailbox;
             let run = std::iter::from_fn(|| items.next_if(|(d, _)| *d == dst).map(|(_, i)| i));
-            mb.push_run(run);
-            if mb
-                .scheduled
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                self.enqueue(dst, true);
+            if self.slots[dst].mailbox.push_run(run) {
+                self.enqueue(lock(&self.sched), dst, true);
             }
         }
     }
@@ -761,8 +707,8 @@ impl ParBuilder {
     }
 
     /// Add `wires`, which leave this runtime: what their producers emit
-    /// on them is sent to `queue`, with no mailbox, fault draw or
-    /// in-flight charge on this side. A distributed worker's cross wires.
+    /// on them is sent to `queue`, with no mailbox or fault draw on this
+    /// side. A distributed worker's cross wires.
     pub(crate) fn with_egress(mut self, wires: Vec<EgressWire>, queue: EgressQueue) -> Self {
         self.egress = Some((wires, queue));
         self
@@ -857,7 +803,7 @@ impl ParBuilder {
             .into_iter()
             .map(|cell| Slot {
                 cell: InstanceCell(Mutex::new(cell)),
-                mailbox: Mailbox::new(),
+                mailbox: Mailbox::default(),
             })
             .collect();
 
@@ -991,6 +937,13 @@ impl ParStats {
         0
     }
 
+    /// Total scheduler-lock acquisitions across workers that found the
+    /// lock held and had to wait for it.
+    #[must_use]
+    pub fn total_sched_waits(&self) -> u64 {
+        self.per_worker.iter().map(|w| w.sched_waits).sum()
+    }
+
     /// Total mailbox pushes across workers: one per destination per
     /// activation, however many items the run carried.
     #[must_use]
@@ -1040,11 +993,11 @@ impl ParExecutor {
 
     /// Spawn the workers and dispatch the builder's injections, returning
     /// a handle that accepts further external input while the run is
-    /// live ([`RunningPar::inject`]). The handle holds a *source token*
-    /// in the in-flight accounting: quiescence — and with it run
-    /// completion — is unreachable until [`RunningPar::finish`] releases
-    /// it, so a live handle can inject at any time without racing
-    /// shutdown. This is the ingress the distributed backend feeds
+    /// live ([`RunningPar::inject`]). The handle holds a *source token*,
+    /// one unit of the scheduler's `busy` count: quiescence — and with it
+    /// run completion — is unreachable until [`RunningPar::finish`]
+    /// releases it, so a live handle can inject at any time without
+    /// racing shutdown. This is the ingress the distributed backend feeds
     /// cross-process deliveries through.
     #[must_use]
     pub fn start(self) -> RunningPar {
@@ -1055,15 +1008,15 @@ impl ParExecutor {
             slots: self.slots,
             workers,
             batch_size: self.tuning.batch_size,
-            sched: Mutex::default(),
+            // The source token the RunningPar handle holds until `finish`
+            // — which is also why an empty injection list needs no
+            // special case.
+            sched: Mutex::new(Sched {
+                busy: 1,
+                ..Sched::default()
+            }),
             wake: Condvar::new(),
             counters: Counters {
-                // One shard per worker plus one for the injecting
-                // coordinator thread. The builder's injections are
-                // pre-charged, plus one source token the RunningPar
-                // handle holds until `finish` — which is also why an
-                // empty injection list no longer needs a special case.
-                in_flight: InFlight::new(workers + 1, self.injected.len() as i64 + 1),
                 duplicates: AtomicU64::new(0),
                 retransmits: AtomicU64::new(0),
             },
@@ -1142,44 +1095,32 @@ pub struct RunningPar {
 
 impl RunningPar {
     /// Deliver a run of external (committed) messages, each to its
-    /// `(instance, port)`, in order; never blocks. The run is charged to
-    /// the in-flight accounting once, each stretch of messages for one
-    /// instance lands in its mailbox as one push, and the pool is woken
-    /// at most once. Callable from any thread; concurrent calls race only
-    /// in arrival order, exactly like concurrent producers.
-    pub fn inject<I>(&self, run: I)
-    where
-        I: IntoIterator<Item = (InstanceId, PortId, Message)>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let run = run.into_iter();
-        // Charge the coordinator's shard before any push becomes
-        // visible — the same invariant every worker send upholds.
-        self.shared
-            .counters
-            .in_flight
-            .charge(self.shared.workers, run.len() as i64);
-        self.shared
-            .external_push(run.map(|(to, port, msg)| external_delivery(to, port.0, msg)));
+    /// `(instance, port)`, in order; never blocks. Each stretch of
+    /// messages for one instance lands in its mailbox as one push, and
+    /// each newly runnable instance wakes at most one worker. Callable
+    /// from any thread; concurrent calls race only in arrival order,
+    /// exactly like concurrent producers.
+    pub fn inject(&self, run: impl IntoIterator<Item = (InstanceId, PortId, Message)>) {
+        self.shared.external_push(
+            run.into_iter()
+                .map(|(to, port, msg)| external_delivery(to, port.0, msg)),
+        );
     }
 
     /// Advisory quiescence probe: has every delivery — injected or
     /// internal — been fully processed, so that only this handle's source
-    /// token (plus any speculation deferrals parked behind it, which only
-    /// [`RunningPar::finish`]'s rescue ladder can resolve) remains in the
-    /// in-flight accounting? A concurrent [`RunningPar::inject`] from
+    /// token is busy (speculation deferrals parked behind it, which only
+    /// [`RunningPar::finish`]'s rescue ladder can resolve, do not count)?
+    /// A worker gives its last activation's unit back a moment after the
+    /// activation ends, so the probe can read `false` for that moment,
+    /// never `true` too early. A concurrent [`RunningPar::inject`] from
     /// another thread invalidates the answer the instant it is produced;
     /// a distributed worker acts on it only by sending an idle report,
     /// which its coordinator checks against every worker's counters
     /// before it collects.
     #[must_use]
     pub fn settled(&self) -> bool {
-        let expected = if self.shared.spec.is_some() {
-            self.shared.deferred.load(Ordering::SeqCst)
-        } else {
-            0
-        };
-        self.shared.counters.in_flight.settled_at(1 + expected)
+        lock(&self.shared.sched).busy == 1
     }
 
     /// Release the source token, wait for quiescence, and return the
@@ -1195,13 +1136,13 @@ impl RunningPar {
             started,
         } = self;
         let workers = shared.workers;
-        // Release the source token: the in-flight sum can now reach
-        // zero. If every worker is already waiting, none of them will
-        // scan again on its own, so wake one under the scheduler lock: a
-        // worker that scanned before the release was waiting before this
-        // notify, and one that scans after it sees the release.
-        shared.counters.in_flight.settle(workers, 1);
-        let sched = lock(&shared.sched);
+        // Release the source token under the scheduler lock: `busy` can
+        // now reach zero. If every worker is already waiting, none of
+        // them will read it again on its own, so wake one: a worker that
+        // read it before the release was waiting before this notify, and
+        // one that reads it after sees the release.
+        let mut sched = lock(&shared.sched);
+        sched.busy -= 1;
         shared.wake.notify_one();
         drop(sched);
 
@@ -1228,7 +1169,9 @@ impl RunningPar {
         let mut per_instance = Vec::with_capacity(shared.slots.len());
         let mut max_mailbox_depth = 0;
         for slot in shared.slots {
-            max_mailbox_depth = max_mailbox_depth.max(slot.mailbox.depth_max.into_inner());
+            let queue = slot.mailbox.queue.into_inner();
+            let depth = queue.unwrap_or_else(PoisonError::into_inner).depth_max;
+            max_mailbox_depth = max_mailbox_depth.max(depth);
             let cell = slot.cell.into_inner();
             per_instance.push(InstanceStats {
                 name: cell.component.name().to_string(),
@@ -1299,8 +1242,6 @@ struct Outbox {
     runs: Vec<Vec<MailItem>>,
     /// Destinations with a non-empty run, in first-staged order.
     dsts: Vec<usize>,
-    /// Items staged across all runs.
-    len: usize,
     /// Frames staged on egress wires, in emission order.
     egress: Vec<EgressFrame>,
 }
@@ -1310,7 +1251,6 @@ impl Outbox {
         Outbox {
             runs: (0..instances).map(|_| Vec::new()).collect(),
             dsts: Vec::new(),
-            len: 0,
             egress: Vec::new(),
         }
     }
@@ -1321,7 +1261,6 @@ impl Outbox {
             self.dsts.push(dst);
         }
         run.push(item);
-        self.len += 1;
     }
 }
 
@@ -1347,23 +1286,39 @@ impl WorkerCtx {
         // One Arc clone for the whole worker lifetime; the hot path below
         // passes `&Shared` down instead of touching the refcount per call.
         let shared = Arc::clone(&self.shared);
-        while let Some(inst) = self.next_task(&shared) {
+        let mut ran = false;
+        while let Some(inst) = self.next_task(&shared, ran) {
             self.run_instance(&shared, inst);
+            ran = true;
         }
         drop(guard);
         self.ws
     }
 
+    /// Take the scheduler lock, counting an acquisition that had to wait
+    /// for another thread in [`WorkerStats::sched_waits`].
+    fn lock_sched<'a>(&mut self, shared: &'a Shared) -> MutexGuard<'a, Sched> {
+        shared.sched.try_lock().unwrap_or_else(|e| match e {
+            TryLockError::Poisoned(p) => p.into_inner(),
+            TryLockError::WouldBlock => {
+                self.ws.sched_waits += 1;
+                lock(&shared.sched)
+            }
+        })
+    }
+
     /// The next instance to activate, or `None` once the run is done.
-    /// Pops `ready`, then `injected`; with both empty, runs the
-    /// validated in-flight scan under the scheduler lock and finishes
-    /// the run, starts a rescue pass, or waits for a push. The scan and
-    /// the wait are under the one lock every push takes, so a push lands
-    /// either before the scan (and is popped) or after the wait began
-    /// (and notifies): there is no timeout to fall back on, and none is
+    /// First gives back the `busy` unit of the activation this worker
+    /// just `ran`, whose flush and release are over. Pops `ready`, then
+    /// `injected`; with both empty, reads `busy` and finishes the run,
+    /// starts a rescue pass, or waits for a push. The read and the wait
+    /// are under the one lock every push takes, so a push lands either
+    /// before the read (and is popped) or after the wait began (and
+    /// notifies): there is no timeout to fall back on, and none is
     /// needed.
-    fn next_task(&mut self, shared: &Shared) -> Option<usize> {
-        let mut sched = lock(&shared.sched);
+    fn next_task(&mut self, shared: &Shared, ran: bool) -> Option<usize> {
+        let mut sched = self.lock_sched(shared);
+        sched.busy -= usize::from(ran);
         loop {
             if sched.done {
                 return None;
@@ -1374,31 +1329,27 @@ impl WorkerCtx {
             if let Some(inst) = sched.injected.pop_front() {
                 return Some(inst);
             }
-            // With `expected` = the parked-deferral count, a validated
-            // match means nothing is in any mailbox or mid-batch: the run
-            // is either over or wedged on speculation that no message in
-            // flight can resolve.
-            let expected = if shared.spec.is_some() {
-                shared.deferred.load(Ordering::SeqCst)
-            } else {
-                0
-            };
-            if shared.counters.in_flight.settled_at(expected) {
+            // At zero, nothing is in any mailbox or mid-activation: the
+            // run is either over or wedged on speculation that no message
+            // can resolve.
+            if sched.busy == 0 {
                 if let Some(pass) = claim_rescue(shared) {
-                    // The pass pushes through the scheduler lock.
+                    // The pass pushes through the scheduler lock, holding
+                    // a unit of `busy` as an activation does.
+                    sched.busy += 1;
                     drop(sched);
                     self.rescue(shared, pass);
-                    sched = lock(&shared.sched);
+                    sched = self.lock_sched(shared);
+                    sched.busy -= 1;
                     continue;
                 }
-                if expected == 0 {
+                if shared.deferred.load(Ordering::SeqCst) == 0 {
                     sched.done = true;
                     shared.wake.notify_all();
                     return None;
                 }
-                // expected > 0 with no pass to run: the deferrals'
-                // epochs have resolved and their instances are queued or
-                // running; whoever runs them scans again.
+                // Deferrals remain with no pass to run: the rescue
+                // ladder is exhausted.
             }
             sched.idle += 1;
             self.ws.parks += 1;
@@ -1412,21 +1363,32 @@ impl WorkerCtx {
         }
     }
 
-    /// Drain up to `batch_size` messages from one instance in one batched
-    /// queue operation, send what the handlers emitted, then release or
-    /// reschedule it.
+    /// Activate one instance: drain a batch from its mailbox, run it, send
+    /// what the handlers emitted, then release the instance or requeue it.
     fn run_instance(&mut self, shared: &Shared, inst: usize) {
-        if shared.spec.is_some() {
-            // Time-warp mode takes a separate activation path so the
-            // speculation-free hot path below stays byte-for-byte what
-            // the lock-accounting tests pin.
-            self.run_instance_spec(shared, inst);
-            return;
-        }
-        let slot = &shared.slots[inst];
         let span = blazes_obs::start();
         // The scheduled flag makes us the exclusive owner of both the
         // mailbox's consumer side and the instance cell.
+        let drained = if shared.spec.is_some() {
+            // Time-warp mode takes a separate activation path so the
+            // speculation-free hot path stays byte-for-byte what the
+            // lock-accounting tests pin.
+            self.activate_spec(shared, inst)
+        } else {
+            self.activate(shared, inst)
+        };
+        blazes_obs::span(span, EventKind::Activation, inst as u64, drained as u64);
+        if !shared.slots[inst].mailbox.release() {
+            self.enqueue_ready(shared, inst);
+        }
+    }
+
+    /// The committed activation path: drain up to `batch_size` messages
+    /// in one batched queue operation, process them, and flush before the
+    /// release, so the instance's next activation cannot overtake its
+    /// emissions. Returns how many messages it drained.
+    fn activate(&mut self, shared: &Shared, inst: usize) -> usize {
+        let slot = &shared.slots[inst];
         let mut cell = slot.cell.claim();
         let mut batch = std::mem::take(&mut self.drain_buf);
         batch.clear();
@@ -1435,57 +1397,21 @@ impl WorkerCtx {
             self.process(shared, inst, item, &mut cell, 0);
         }
         self.drain_buf = batch;
-        // Send before settling and before releasing the flag: the
-        // unsettled batch keeps the in-flight sum above zero until the
-        // emissions are charged, and the next activation of this
-        // instance cannot start until they are in their mailboxes.
         self.flush(shared);
-        drop(cell);
-        blazes_obs::span(span, EventKind::Activation, inst as u64, drained as u64);
-        if drained > 0 {
-            // Settle the whole batch against this worker's shard in one
-            // RMW. Deferring decrements is safe (the sum only
-            // over-approximates); quiescence is detected by the idle scan
-            // in `next_task`.
-            shared.counters.in_flight.settle(self.idx, drained as i64);
-        }
-
-        // Release protocol: keep the scheduled flag while work remains;
-        // otherwise clear it and re-check for the racing producer whose
-        // flag CAS failed just before we cleared. A producer appends
-        // under the mailbox lock before its CAS, so either our locked
-        // re-check sees its run or its CAS sees the cleared flag.
-        if !slot.mailbox.is_empty() {
-            self.enqueue_ready(shared, inst);
-        } else {
-            slot.mailbox.scheduled.store(false, Ordering::SeqCst);
-            if !slot.mailbox.is_empty()
-                && slot
-                    .mailbox
-                    .scheduled
-                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                self.enqueue_ready(shared, inst);
-            }
-        }
+        drained
     }
 
     /// The time-warp activation path: resolve any finished epoch first
     /// (commit/rollback), retry deferred deliveries, then admit the
     /// drained batch item by item — run, defer, or drop each according to
-    /// its epoch — and re-check both queues and the `spec_dirty` hint in
-    /// the release protocol.
-    fn run_instance_spec(&mut self, shared: &Shared, inst: usize) {
+    /// its epoch. The release sees a wake hint set after the clear below.
+    fn activate_spec(&mut self, shared: &Shared, inst: usize) -> usize {
         let slot = &shared.slots[inst];
-        let span = blazes_obs::start();
         let mut guard = slot.cell.claim();
         let cell = &mut *guard;
         // Clear the wake hint before acting on it: a resolution landing
-        // after this store re-sets it, and the release re-check below (or
-        // the resolver's own scheduled-flag CAS) guarantees another
-        // activation sees it.
-        slot.mailbox.spec_dirty.store(false, Ordering::SeqCst);
+        // after this re-sets it, and the release then requeues us.
+        lock(&slot.mailbox.queue).spec_dirty = false;
         self.spec_maintain(shared, inst, cell);
         self.drain_deferred(shared, inst, cell);
         let mut batch = std::mem::take(&mut self.drain_buf);
@@ -1504,26 +1430,7 @@ impl WorkerCtx {
         // reaches its consumer already aborted and is dropped there — the
         // outcome the consumer would also reach had it arrived first.
         self.flush(shared);
-        drop(guard);
-        blazes_obs::span(span, EventKind::Activation, inst as u64, drained as u64);
-        if drained > 0 {
-            shared.counters.in_flight.settle(self.idx, drained as i64);
-        }
-
-        if !slot.mailbox.is_empty() {
-            self.enqueue_ready(shared, inst);
-        } else {
-            slot.mailbox.scheduled.store(false, Ordering::SeqCst);
-            if (!slot.mailbox.is_empty() || slot.mailbox.spec_dirty.load(Ordering::SeqCst))
-                && slot
-                    .mailbox
-                    .scheduled
-                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                self.enqueue_ready(shared, inst);
-            }
-        }
+        drained
     }
 
     /// Act on a resolved epoch this instance is tainted by: a commit
@@ -1559,12 +1466,10 @@ impl WorkerCtx {
         while let Some(item) = cell.deferred.pop_front() {
             match self.admit_decision(shared, inst, &item, cell) {
                 Admit::Run => {
-                    shared.counters.in_flight.settle(self.idx, 1);
                     shared.deferred.fetch_sub(1, Ordering::SeqCst);
                     self.process_admitted(shared, inst, item, cell);
                 }
                 Admit::Drop => {
-                    shared.counters.in_flight.settle(self.idx, 1);
                     shared.deferred.fetch_sub(1, Ordering::SeqCst);
                     self.ws.discarded_deliveries += 1;
                 }
@@ -1667,11 +1572,9 @@ impl WorkerCtx {
         self.process(shared, inst, item, cell, taint);
     }
 
-    /// Park a delivery until its epoch resolves. The batch settle counts
-    /// it as consumed, so re-charge to keep the quiescence sum honest
-    /// until it actually runs or is dropped.
+    /// Park a delivery until its epoch resolves, counted in
+    /// [`Shared::deferred`] until it runs or is dropped.
     fn defer(&mut self, shared: &Shared, cell: &mut Cell, item: MailItem) {
-        shared.counters.in_flight.charge(self.idx, 1);
         shared.deferred.fetch_add(1, Ordering::SeqCst);
         cell.deferred.push_back(item);
     }
@@ -1759,16 +1662,7 @@ impl WorkerCtx {
         // ladder, so a later wedge gets the gentle drain pass first.
         shared.rescue.store(0, Ordering::SeqCst);
         for inst in participants {
-            let mb = &shared.slots[inst].mailbox;
-            // Hint first, then try to schedule: mirrors the mailbox
-            // release protocol, so the owner's post-release re-check
-            // catches the case where our CAS loses to a running owner.
-            mb.spec_dirty.store(true, Ordering::SeqCst);
-            if mb
-                .scheduled
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
+            if shared.slots[inst].mailbox.hint() {
                 self.enqueue_ready(shared, inst);
             }
         }
@@ -1924,12 +1818,11 @@ impl WorkerCtx {
     /// Send everything the activation staged. Egress frames go first, as
     /// one batch, after their count is added to the queue's counter; like
     /// the mailbox runs, they leave before the instance can be activated
-    /// again, which keeps each egress wire in sequence order. The mailbox
-    /// runs are charged to this worker's in-flight shard in one RMW
-    /// *before* any item becomes visible — the invariant that keeps the
-    /// sharded quiescence scan from under-counting. Then each destination
-    /// gets its run in one locked mailbox append and one scheduled-flag
-    /// handoff.
+    /// again, which keeps each egress wire in sequence order. Then each
+    /// destination gets its run in one locked mailbox append, which also
+    /// sets its scheduled flag; a destination that append made runnable
+    /// is enqueued. The activation still holds its `busy` unit, so the
+    /// run cannot quiesce in between.
     fn flush(&mut self, shared: &Shared) {
         let frames = self.outbox.egress.len();
         if frames > 0 {
@@ -1940,24 +1833,11 @@ impl WorkerCtx {
             let batch = std::mem::replace(&mut self.outbox.egress, Vec::with_capacity(frames));
             let _ = queue.tx.send(batch);
         }
-        if self.outbox.len == 0 {
-            return;
-        }
-        shared
-            .counters
-            .in_flight
-            .charge(self.idx, self.outbox.len as i64);
-        self.outbox.len = 0;
         let mut dsts = std::mem::take(&mut self.outbox.dsts);
         for dst in dsts.drain(..) {
-            let mb = &shared.slots[dst].mailbox;
-            mb.push_run(self.outbox.runs[dst].drain(..));
             self.ws.mailbox_pushes += 1;
-            if mb
-                .scheduled
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
+            let run = self.outbox.runs[dst].drain(..);
+            if shared.slots[dst].mailbox.push_run(run) {
                 self.enqueue_ready(shared, dst);
             }
         }
@@ -1967,7 +1847,7 @@ impl WorkerCtx {
     /// Put a runnable instance on the `ready` queue, waking an idle
     /// worker if there is one.
     fn enqueue_ready(&mut self, shared: &Shared, inst: usize) {
-        if shared.enqueue(inst, false) {
+        if shared.enqueue(self.lock_sched(shared), inst, false) {
             self.ws.wakeups += 1;
             blazes_obs::record(EventKind::Wakeup, self.idx as u64, inst as u64);
         }
@@ -1975,8 +1855,7 @@ impl WorkerCtx {
 
     /// Run a rescue pass [`claim_rescue`] claimed: stage 0 sends
     /// [`MailItem::Drain`] to every instance, like any activation's
-    /// emissions, so the settled scan stays honest while the pass is in
-    /// flight; stage 1 aborts every epoch still open.
+    /// emissions; stage 1 aborts every epoch still open.
     fn rescue(&mut self, shared: &Shared, (stage, open): (u8, Vec<u64>)) {
         shared.rescue_passes.fetch_add(1, Ordering::Relaxed);
         blazes_obs::record(EventKind::Rescue, u64::from(stage), open.len() as u64);
@@ -1994,10 +1873,10 @@ impl WorkerCtx {
 }
 
 /// The never-sealed-session rescue, claimed under the scheduler lock and
-/// only behind a validated settled scan: every remaining in-flight charge
-/// is a parked deferral, so an OPEN speculation epoch at this point can
-/// never resolve on its own — no message exists that could still reach
-/// its gate. Escalate in two stages: first a *drain pass* delivering
+/// only at `busy == 0`: no instance is queued or running and no mailbox
+/// holds mail, so an OPEN speculation epoch at this point can never
+/// resolve on its own — no message exists that could still reach its
+/// gate. Escalate in two stages: first a *drain pass* delivering
 /// [`MailItem::Drain`] to every instance, giving gates the chance to
 /// resolve their open sessions themselves ([`Component::on_drain`] — the
 /// speculative seal gate aborts, re-emits its voted partitions committed,
@@ -2033,6 +1912,7 @@ mod tests {
     use super::*;
     use crate::component::FnComponent;
     use crate::sinks::CollectorSink;
+    use std::sync::atomic::AtomicBool;
 
     fn echo() -> Box<dyn Component> {
         Box::new(FnComponent::new("echo", |_, msg, ctx: &mut Context| {
@@ -2263,7 +2143,7 @@ mod tests {
     /// drain of 30 that interleaves with the pushes: 0..100 on port 0, an
     /// empty run, then 100..170 on port 1.
     fn interleaved_mailbox(buf: &mut Vec<MailItem>) -> Mailbox {
-        let mb = Mailbox::new();
+        let mb = Mailbox::default();
         mb.push_run((0..100).map(|i| deliver(0, i)));
         mb.push_run(std::iter::empty());
         assert_eq!(mb.pop_batch(buf, 30), 30);
@@ -2288,9 +2168,9 @@ mod tests {
     fn mailbox_pop_batch_respects_the_max_and_frees_drained_rings() {
         let mut buf = Vec::new();
         let mb = interleaved_mailbox(&mut buf);
-        assert_eq!(mb.depth_max.load(Ordering::Relaxed), 140);
+        assert_eq!(lock(&mb.queue).depth_max, 140);
         let mut sizes = Vec::new();
-        while !mb.is_empty() {
+        while lock(&mb.queue).len > 0 {
             sizes.push(mb.pop_batch(&mut buf, 30));
             let queue = lock(&mb.queue);
             assert!(queue.rings.len() <= queue.len / MAILBOX_BLOCK + 2);
@@ -2307,7 +2187,7 @@ mod tests {
     /// Producers push runs of [`RUN`] while one consumer drains; returns
     /// the `(producer, value)` keys in drain order.
     fn drain_many_producers(producers: usize, per: i64) -> Vec<(usize, i64)> {
-        let mb = Mailbox::new();
+        let mb = Mailbox::default();
         let mut buf = Vec::new();
         std::thread::scope(|s| {
             for p in 0..producers {
@@ -2324,7 +2204,7 @@ mod tests {
                 }
             }
         });
-        assert!(mb.is_empty());
+        assert_eq!(lock(&mb.queue).len, 0);
         buf.iter().map(key).collect()
     }
 
@@ -2662,6 +2542,35 @@ mod tests {
             "the stalled mailbox absorbed the injections: depth {}",
             stats.max_mailbox_depth
         );
+    }
+
+    #[test]
+    fn finish_wakes_a_pool_that_is_already_waiting() {
+        // With no injections every worker finds nothing to run and waits,
+        // while the source token keeps `busy` at 1. Once all of them
+        // wait, releasing the token is the last change to `busy`, and no
+        // worker reads it again unless `finish` notifies one.
+        for workers in [2, 4] {
+            let run = ParBuilder::new(0).with_workers(workers).build().start();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while lock(&run.shared.sched).idle < workers {
+                assert!(
+                    Instant::now() < deadline,
+                    "{workers} workers never all waited"
+                );
+                std::thread::yield_now();
+            }
+            let (tx, rx) = mpsc::channel();
+            let finisher = std::thread::spawn(move || {
+                let _ = tx.send(run.finish());
+            });
+            let stats = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("finish on {workers} waiting workers: {e}"));
+            finisher.join().expect("the finisher ends after sending");
+            assert_eq!(stats.events_processed, 0);
+            assert_eq!(stats.workers, workers);
+        }
     }
 
     #[test]

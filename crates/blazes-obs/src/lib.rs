@@ -1,7 +1,7 @@
 //! # blazes-obs
 //!
-//! The observability layer shared by every Blazes runtime: a lock-free,
-//! per-thread ring-buffer event tracer exporting to Chrome
+//! The observability layer shared by every Blazes runtime: a per-thread
+//! ring-buffer event tracer exporting to Chrome
 //! `chrome://tracing` JSON, plus the HDR-style log-bucketed [`Histogram`]
 //! a run keeps its latency distribution in.
 //!
@@ -16,11 +16,11 @@
 //!   allocated, no lock is taken and no event is written; the proof
 //!   counters [`Obs::events_recorded`] and [`Obs::rings_allocated`] stay
 //!   zero and the test suite pins that.
-//! * **Per-thread rings, seqlock slots.** Each recording thread lazily
-//!   registers one [`ring::TraceRing`]; writers never contend in the
-//!   common case, yet the ring itself is safe for concurrent writers and
-//!   for snapshots taken mid-write (the slot protocol detects and skips
-//!   torn entries — see the property tests in `tests/prop_trace_ring.rs`).
+//! * **Per-thread rings, one lock each.** Each recording thread lazily
+//!   registers one [`ring::TraceRing`], a bounded lane behind its own
+//!   `Mutex`: writers never contend in the common case, and a snapshot
+//!   taken while a writer pushes never sees a torn entry (see the
+//!   property tests in `tests/prop_trace_ring.rs`).
 //! * **Multi-process merge.** Distributed workers drain their rings into a
 //!   wire frame; the coordinator ingests them via [`Obs::ingest_remote`]
 //!   so a single Chrome-trace file shows every process lane. Each process
@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default capacity (slots, power of two) of each per-thread trace ring.
+/// Default capacity (events) of each per-thread trace ring.
 const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// Events recorded by one remote thread, as shipped across the wire.

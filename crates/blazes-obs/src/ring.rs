@@ -1,21 +1,18 @@
-//! The lock-free trace ring: a fixed, power-of-two array of seqlock slots
-//! with overwrite-oldest semantics.
+//! The trace ring: one thread lane's bounded event queue, behind one
+//! lock, with overwrite-oldest semantics.
 //!
-//! Writers claim a monotonically increasing slot index with one
-//! `fetch_add` and publish through a per-slot sequence word, so pushes are
-//! wait-free for the common single-writer-per-thread case and lock-free
-//! under concurrent writers. Readers ([`TraceRing::snapshot`]) validate
-//! each slot's sequence before and after copying the payload and skip any
-//! slot caught mid-write — a snapshot never blocks a writer and never
-//! returns a torn event. The payload words are themselves atomics, so the
-//! seqlock carries no undefined-behavior caveat.
+//! Each recording thread pushes into a lane of its own, so the lock is
+//! uncontended while a run records. Readers ([`TraceRing::snapshot`],
+//! [`TraceRing::drain`]) — the Chrome export, and a distributed worker
+//! draining its lanes while its IO threads may still record — take the
+//! same lock, so they never see a half-written event and never block a
+//! writer for longer than one copy of the lane.
 //!
-//! When the ring laps, older events are overwritten and counted
-//! ([`TraceRing::overwritten`]); when two writers collide on the same slot
-//! (one writer stalled a full lap — vanishingly rare at 2^16 slots), the
-//! newcomer drops its event rather than blocking, counted the same way.
+//! When the lane is full, each push evicts the oldest event and counts it
+//! ([`TraceRing::overwritten`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What happened. The discriminant crosses the wire, so variants are
 /// append-only, and a deleted variant's number is retired, never reused:
@@ -133,8 +130,8 @@ impl EventKind {
     }
 }
 
-/// One trace event. `Copy` and word-packable so slots can hold it as plain
-/// atomics.
+/// One trace event. `Copy`, and word-packable for the wire
+/// ([`Event::to_words`], [`Event::from_words`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Nanoseconds since the recording process's tracing epoch.
@@ -150,13 +147,13 @@ pub struct Event {
 }
 
 impl Event {
-    /// Pack into the five slot words.
+    /// Pack into five words.
     #[must_use]
     pub fn to_words(self) -> [u64; 5] {
         [self.ts_ns, self.dur_ns, self.kind as u64, self.a, self.b]
     }
 
-    /// Unpack from slot words; `None` on an unknown kind discriminant.
+    /// Unpack from five words; `None` on an unknown kind discriminant.
     #[must_use]
     pub fn from_words(w: [u64; 5]) -> Option<Self> {
         Some(Event {
@@ -169,50 +166,38 @@ impl Event {
     }
 }
 
-/// Slot sequence protocol: `seq == 0` empty; `seq == 2*claim + 1` write in
-/// progress for `claim`; `seq == 2*claim + 2` holds the completed event of
-/// `claim`. Claims only grow, so readers order surviving events by `seq`.
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; 5],
+/// A lane's events, oldest first, and its counts.
+#[derive(Default)]
+struct Lane {
+    events: VecDeque<Event>,
+    pushed: u64,
+    overwritten: u64,
 }
 
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// A fixed-capacity, overwrite-oldest, lock-free event ring. See the
-/// module docs for the slot protocol.
+/// A fixed-capacity, overwrite-oldest event lane behind one lock. See the
+/// module docs.
 pub struct TraceRing {
-    mask: u64,
+    capacity: usize,
     tid: u32,
-    head: AtomicU64,
-    overwritten: AtomicU64,
-    /// Claims at or below this floor are hidden from snapshots — how
-    /// [`TraceRing::drain`] empties the ring without touching slots.
-    floor: AtomicU64,
-    slots: Box<[Slot]>,
+    lane: Mutex<Lane>,
 }
 
 impl TraceRing {
-    /// Create a ring with `capacity` slots (rounded up to a power of two,
-    /// floored at 8) for thread lane `tid`.
+    /// Create a ring holding up to `capacity` events (floored at 8) for
+    /// thread lane `tid`. Its memory grows with the events it holds.
     #[must_use]
     pub fn new(capacity: usize, tid: u32) -> Self {
-        let cap = capacity.next_power_of_two().max(8);
         TraceRing {
-            mask: (cap - 1) as u64,
+            capacity: capacity.max(8),
             tid,
-            head: AtomicU64::new(0),
-            overwritten: AtomicU64::new(0),
-            floor: AtomicU64::new(0),
-            slots: (0..cap).map(|_| Slot::new()).collect(),
+            lane: Mutex::default(),
         }
+    }
+
+    /// Every update leaves the lane whole, so a poisoned lock's data is
+    /// still valid.
+    fn lane(&self) -> MutexGuard<'_, Lane> {
+        self.lane.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The thread lane this ring records for.
@@ -221,89 +206,40 @@ impl TraceRing {
         self.tid
     }
 
-    /// Total pushes attempted.
+    /// Total pushes.
     #[must_use]
     pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.lane().pushed
     }
 
-    /// Events lost to overwrite-on-lap (plus the rare stalled-writer
-    /// collision drop).
+    /// Events evicted to make room for newer ones.
     #[must_use]
     pub fn overwritten(&self) -> u64 {
-        self.overwritten.load(Ordering::Relaxed)
+        self.lane().overwritten
     }
 
-    /// Push an event. Wait-free for a single writer; lock-free and
-    /// drop-on-collision under concurrent writers.
+    /// Push an event, evicting the oldest when the ring is full.
     pub fn push(&self, ev: Event) {
-        let claim = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(claim & self.mask) as usize];
-        let prev = slot.seq.load(Ordering::Acquire);
-        // A slot is claimable when it holds a strictly older completed
-        // write (or nothing). An in-progress or newer seq means a writer
-        // stalled a full lap — drop rather than block.
-        if prev % 2 == 1 || prev > 2 * claim {
-            self.overwritten.fetch_add(1, Ordering::Relaxed);
-            return;
+        let mut lane = self.lane();
+        lane.pushed += 1;
+        if lane.events.len() == self.capacity {
+            lane.events.pop_front();
+            lane.overwritten += 1;
         }
-        if slot
-            .seq
-            .compare_exchange(prev, 2 * claim + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            self.overwritten.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if prev != 0 {
-            // We just evicted a completed older event.
-            self.overwritten.fetch_add(1, Ordering::Relaxed);
-        }
-        let words = ev.to_words();
-        for (w, v) in slot.words.iter().zip(words) {
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(2 * claim + 2, Ordering::Release);
+        lane.events.push_back(ev);
     }
 
-    /// Copy out every completed event, oldest first. Never blocks writers;
-    /// slots caught mid-write are skipped, so the result may briefly miss
-    /// the very newest events but never contains a torn one.
+    /// Copy out every event held, oldest first.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Event> {
-        let floor = self.floor.load(Ordering::Acquire);
-        let mut out: Vec<(u64, Event)> = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 % 2 == 1 {
-                continue;
-            }
-            let claim = (s1 - 2) / 2;
-            if claim < floor {
-                continue;
-            }
-            let words = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            // Acquire reload: if the seq moved, a writer touched the
-            // payload while we copied it — discard.
-            if slot.seq.load(Ordering::Acquire) != s1 {
-                continue;
-            }
-            if let Some(ev) = Event::from_words(words) {
-                out.push((s1, ev));
-            }
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, ev)| ev).collect()
+        self.lane().events.iter().copied().collect()
     }
 
-    /// Snapshot and logically empty the ring: future snapshots only see
+    /// Take every event held, oldest first: future snapshots only see
     /// events pushed after this call.
     #[must_use]
     pub fn drain(&self) -> Vec<Event> {
-        let events = self.snapshot();
-        self.floor
-            .store(self.head.load(Ordering::Relaxed), Ordering::Release);
-        events
+        self.lane().events.drain(..).collect()
     }
 }
 

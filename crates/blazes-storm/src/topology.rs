@@ -52,8 +52,6 @@ pub struct TransactionalConfig {
     pub service_time: Time,
     /// Channel between committers and the coordinator.
     pub channel: ChannelConfig,
-    /// First batch id the coordinator will grant.
-    pub first_batch: i64,
     /// Maximum batches in flight: spouts hold batch `b + max_pending` until
     /// batch `b` commits (Storm's transactional spout window). `0` disables
     /// spout gating (commits still serialize, but emission is open-loop).
@@ -65,7 +63,6 @@ impl Default for TransactionalConfig {
         TransactionalConfig {
             service_time: 2_000,
             channel: ChannelConfig::lan(),
-            first_batch: 0,
             max_pending: 1,
         }
     }
@@ -647,10 +644,8 @@ impl TopologyBuilder {
         // Transactional coordinator wiring.
         if let Some(cfg) = &self.transactional {
             for (node, coord_port) in &committers {
-                let coord = backend.add_instance(Box::new(CommitCoordinator::new(
-                    instances[*node].len(),
-                    cfg.first_batch,
-                )));
+                let coord =
+                    backend.add_instance(Box::new(CommitCoordinator::new(instances[*node].len())));
                 backend.set_service_time(coord, cfg.service_time);
                 let to_coord = backend.add_channel(cfg.channel.clone());
                 let grants = backend.add_channel(ChannelConfig::ordered(cfg.channel.base_latency));

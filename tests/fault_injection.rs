@@ -344,7 +344,7 @@ fn commit_coordinator_survives_faulty_control_messages() {
     let committers = 2usize;
     let batches = 12i64;
     let mut b = Topology::new();
-    let coord = b.add_instance(Box::new(CommitCoordinator::new(committers, 0)));
+    let coord = b.add_instance(Box::new(CommitCoordinator::new(committers)));
     let grants = CollectorSink::new();
     let g = b.add_instance(Box::new(grants.clone()));
     // The grant stream replays too (at-least-once grant delivery) on the
