@@ -7,9 +7,9 @@
 //! ```
 //!
 //! Nothing in this file coordinates anything. Coordination is synthesized:
-//! [`crate::autocoord::assemble_ad_auto`] derives a spec from the query's
-//! white-box annotations and threads this wiring through the
-//! `blazes-autocoord` rewrite pass, which interposes what the spec demands.
+//! [`crate::autocoord::assemble_ad_auto`] records this wiring, derives a
+//! spec from the recording lowered with the query's white-box annotations,
+//! and rewrites the same recording to interpose what the spec demands.
 //! [`StrategyKind`] only states what the analysis is told:
 //!
 //! * **Uncoordinated** — nothing. Clicks flow straight to every replica
@@ -333,8 +333,8 @@ pub fn seal_registry_for(workload: &ClickWorkload) -> ProducerRegistry {
 }
 
 /// Wire the ad-reporting topology of Fig. 4 onto `b`, with no coordination
-/// of its own: [`crate::autocoord::assemble_ad_auto`] calls this through a
-/// rewriting builder, which is where gates and sequencers come from. Only
+/// of its own: [`crate::autocoord::assemble_ad_auto`] records this and
+/// rewrites the recording, which is where gates and sequencers come from. Only
 /// `sc.strategy == Sealed` makes the ad servers emit their punctuations.
 /// Returns the per-replica processed-records series and response sinks, the
 /// latter paired with their backend instance ids so a distributed run can

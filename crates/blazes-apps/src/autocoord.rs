@@ -2,18 +2,19 @@
 //! pipeline, end to end. For the ad report this is the only way it is
 //! coordinated at all.
 //!
-//! * `ad_network_spec` derives the coordination spec for the ad network
-//!   from the query's white-box Bloom annotations and from what the
-//!   scenario's [`StrategyKind`] tells the analysis: nothing
-//!   (`Uncoordinated`: empty spec), the dataflow with the campaign
-//!   punctuations withheld (`Ordered`), or with them declared (`Sealed`).
-//!   [`assemble_ad_auto`] then threads the uncoordinated wiring of
-//!   [`crate::adreport`] through [`blazes_autocoord::AutoCoordRules`]:
+//! * [`assemble_ad_auto`] records the uncoordinated wiring of
+//!   [`crate::adreport`] once. `ad_network_spec` lowers that recording
+//!   ([`blazes_autocoord::lower()`]) with the query's white-box Bloom
+//!   annotations and with what the scenario's [`StrategyKind`] tells the
+//!   analysis: nothing (`Uncoordinated`: empty spec), the campaign
+//!   punctuations withheld (`Ordered`), or declared (`Sealed`). The same
+//!   recording then goes through [`blazes_autocoord::AutoCoordRules`]:
 //!   sealed CAMPAIGN gets seal gates, POOR and unsealed CAMPAIGN get an
 //!   ordering service, THRESH gets nothing. It is the one ad-report
 //!   assembly and [`run_ad_auto`] the one runner, on every backend.
-//! * [`wordcount_spec`] does the same for the Storm wordcount through the
-//!   grey-box adapter; [`run_wordcount_auto`] threads it through
+//! * [`wordcount_spec`] does the same for the Storm wordcount, lowering
+//!   its recorded topology with grey-box annotations;
+//!   [`run_wordcount_auto`] threads it through
 //!   [`TopologyBuilder::build_coordinated_on`], where sealing maps onto
 //!   the engine-native punctuation protocol (zero injected operators —
 //!   the minimality proof) and ordering onto transactional commits. It
@@ -27,14 +28,13 @@
 //! [`TopologyBuilder::build_coordinated_on`]: blazes_storm::topology::TopologyBuilder::build_coordinated_on
 
 use crate::adreport::{seal_registry_for, AdRunResult, AdScenario, StrategyKind};
-use crate::casestudy::{ad_network_graph, wordcount_graph};
-use crate::queries::ReportQuery;
+use crate::casestudy::{ad_network_annotations, wordcount_graph, CLICK_ATTRS};
 use crate::wordcount::{WordcountResult, WordcountScenario};
-use blazes_autocoord::{AutoCoordRules, InjectionSummary, SealBinding};
+use blazes_autocoord::{lower, AutoCoordRules, InjectionSummary, SealBinding};
+use blazes_core::keys::KeySet;
 use blazes_core::placement::{CoordDirective, CoordinationSpec};
 use blazes_dataflow::backend::{
-    build_local, BackendRunStats, BackendSpec, ExecutorBuilder, RewriteStats, RewritingBuilder,
-    Topology,
+    build_local, BackendRunStats, BackendSpec, ExecutorBuilder, RewritePass, RewriteStats, Topology,
 };
 use blazes_dataflow::dist::run_dist;
 use blazes_dataflow::message::Message;
@@ -57,37 +57,42 @@ pub struct AutoCoordReport {
     pub summary: InjectionSummary,
 }
 
-/// Derive the coordination spec for the ad network running `query` under
-/// `strategy`: empty when uncoordinated, otherwise the analysis's verdict
-/// with the ad servers' campaign punctuations withheld (`Ordered`) or
-/// declared (`Sealed` — whether they *suffice* is the analysis's call).
+/// Derive the coordination spec for `recorded`, the uncoordinated ad
+/// network of `sc`: empty when uncoordinated, otherwise the analysis's
+/// verdict on the lowered recording, with the campaign punctuations
+/// withheld (`Ordered`) or declared (`Sealed` — whether they *suffice* is
+/// the analysis's call).
 ///
 /// # Panics
 /// Panics only if the bundled query modules stop analyzing — a bug.
 #[must_use]
-fn ad_network_spec(query: ReportQuery, strategy: StrategyKind) -> CoordinationSpec {
-    let seal_key: Option<&[&str]> = match strategy {
+fn ad_network_spec(sc: &AdScenario, recorded: &Topology) -> CoordinationSpec {
+    let seal_key: Option<&[&str]> = match sc.strategy {
         StrategyKind::Uncoordinated => return CoordinationSpec::default(),
         StrategyKind::Ordered => None,
         StrategyKind::Sealed => Some(&["campaign"]),
     };
-    let (graph, _) = ad_network_graph(query, seal_key);
+    let table = ad_network_annotations(sc.query, seal_key, !sc.requests_via_analyst);
+    let graph = lower(recorded, &table).expect("the ad network lowers");
     CoordinationSpec::derive(&graph, true).expect("ad network graph analyzes")
 }
 
-/// The runtime binding for the Report component's seal directive: clicks
-/// are `(id, campaign, window)` (campaign in column 1), requests are
-/// `(id)` and read the campaign partition `id / ads_per_campaign`.
+/// The runtime binding for the Report component's seal directive on
+/// `key`: the key's columns and the covered arity come from the click
+/// stream's declared attributes; requests are `(id)` and read the campaign
+/// partition `id / ads_per_campaign`.
 #[must_use]
-fn report_seal_binding(sc: &AdScenario) -> SealBinding {
+fn report_seal_binding(sc: &AdScenario, key: &KeySet) -> SealBinding {
+    let column = |attr| CLICK_ATTRS.iter().position(|&a| a == attr);
+    let columns = key.iter().map(column).collect::<Option<_>>();
+    let columns = columns.expect("the seal key names click attributes");
     let ads = sc.workload.ads_per_campaign as i64;
-    SealBinding::new(seal_registry_for(&sc.workload), vec![1], 3).with_query_partition(Arc::new(
-        move |t| {
+    SealBinding::new(seal_registry_for(&sc.workload), columns, CLICK_ATTRS.len())
+        .with_query_partition(Arc::new(move |t| {
             t.get(0)
                 .and_then(Value::as_int)
                 .map(|id| Value::Int(id / ads))
-        },
-    ))
+        }))
 }
 
 /// The injection rules for `sc`: one seal binding for the Report replicas
@@ -95,14 +100,13 @@ fn report_seal_binding(sc: &AdScenario) -> SealBinding {
 /// ordered them.
 #[must_use]
 fn ad_network_rules(sc: &AdScenario, spec: &CoordinationSpec) -> AutoCoordRules {
-    let mut rules = AutoCoordRules::new(spec).with_sequencer_service(sc.sequencer_service);
-    if matches!(
-        spec.directive_for("Report"),
-        Some(CoordDirective::Seal { .. })
-    ) {
-        rules = rules.bind_seal("Report", report_seal_binding(sc));
+    let rules = AutoCoordRules::new(spec).with_sequencer_service(sc.sequencer_service);
+    match spec.directive_for("Report") {
+        Some(CoordDirective::Seal { key, .. }) => {
+            rules.bind_seal("Report", report_seal_binding(sc, key))
+        }
+        _ => rules,
     }
-    rules
 }
 
 /// Everything one assembly of the ad network produced: the per-replica
@@ -116,24 +120,27 @@ pub struct AdAutoAssembly {
     pub report: AutoCoordReport,
 }
 
-/// Assemble the ad-network scenario onto any backend builder: wire it
-/// uncoordinated through the rewrite pass, which injects exactly what
-/// `ad_network_spec` demands for `sc.query` under `sc.strategy` (nothing
-/// at all when that spec is empty). This is the one assembly the
-/// simulator, the parallel executor and every process of a distributed
-/// run share; `speculation` selects the speculative seal-gate variant,
-/// meaningful on the parallel executor only (dist workers never speculate,
-/// so the dist registry always assembles with `false`).
+/// Assemble the ad-network scenario onto any backend builder: record it
+/// uncoordinated, lower that recording and derive its spec
+/// (`ad_network_spec`), run the rewrite pass over the same recording —
+/// which injects exactly what the spec demands for `sc.query` under
+/// `sc.strategy`, nothing at all when it is empty — and hand the result
+/// to `b`. This is the one assembly the simulator, the parallel executor
+/// and every process of a distributed run share; `speculation` selects
+/// the speculative seal-gate variant, meaningful on the parallel executor
+/// only (dist workers never speculate, so the dist registry always
+/// assembles with `false`).
 pub fn assemble_ad_auto<B: ExecutorBuilder + ?Sized>(
     sc: &AdScenario,
     speculation: bool,
     b: &mut B,
 ) -> AdAutoAssembly {
-    let spec = ad_network_spec(sc.query, sc.strategy);
-    let rules = ad_network_rules(sc, &spec).with_speculation(speculation);
-    let mut rb = RewritingBuilder::new(b, rules);
-    let (series, responses) = crate::adreport::assemble_scenario(sc, &mut rb);
-    let (rules, stats) = rb.finish();
+    let mut recording = Topology::new();
+    let (series, responses) = crate::adreport::assemble_scenario(sc, &mut recording);
+    let spec = ad_network_spec(sc, &recording);
+    let mut rules = ad_network_rules(sc, &spec).with_speculation(speculation);
+    let stats = rules.rewrite(&mut recording);
+    b.take_recording(recording);
     AdAutoAssembly {
         series,
         responses,
@@ -208,9 +215,10 @@ pub fn response_digests(responses: &[CollectorSink]) -> Vec<Vec<Message>> {
         .collect()
 }
 
-/// Derive the coordination spec for the Storm wordcount (grey-box
-/// annotations, Section VI-A): `sealed` states whether the tweet stream's
-/// batch punctuations are declared to the analysis.
+/// Derive the coordination spec for the Storm wordcount (its lowered
+/// recording with grey-box annotations, Section VI-A): `sealed` states
+/// whether the tweet stream's batch punctuations are declared to the
+/// analysis.
 ///
 /// # Panics
 /// Panics only if the bundled wordcount graph stops analyzing — a bug.
@@ -244,7 +252,7 @@ pub fn wordcount_ordering_config(sc: &WordcountScenario) -> TransactionalConfig 
 ///
 /// On [`BackendSpec::Dist`] the spec's `topology`/`params` are overwritten
 /// with the wordcount registry entry and the coordination outcome is
-/// computed parent-side by probing the same coordinated assembly.
+/// computed parent-side by applying the same spec.
 ///
 /// # Panics
 /// Panics when `sc.transactional` is set (coordination comes from the
@@ -267,8 +275,9 @@ pub fn run_wordcount_auto(
 mod tests {
     use super::*;
     use crate::adreport::tests::{checked_run, scenario};
+    use crate::queries::ReportQuery;
     use crate::workload::{CampaignPlacement, TweetWorkload};
-    use blazes_dataflow::backend::{NoopPass, PortId};
+    use blazes_dataflow::backend::{NoopPass, PortId, RewritingBuilder};
     use blazes_dataflow::channel::ChannelConfig;
 
     fn sealed(query: ReportQuery) -> AdScenario {
@@ -278,6 +287,12 @@ mod tests {
     #[test]
     fn analysis_picks_the_mechanism_per_query() {
         use StrategyKind::{Ordered, Sealed, Uncoordinated};
+        let ad_network_spec = |q, s| {
+            let sc = scenario(q, s, CampaignPlacement::Spread);
+            assemble_ad_auto(&sc, false, &mut Topology::new())
+                .report
+                .spec
+        };
         let seals = |q, s| {
             matches!(
                 ad_network_spec(q, s).directive_for("Report"),
@@ -401,6 +416,26 @@ mod tests {
                 .filter(|n| n.starts_with("autocoord-seal"))
                 .count(),
             0
+        );
+    }
+
+    /// POOR orders the Report replicas and also, downstream, the Cache —
+    /// the response sinks, which no `Cache` instance stands for: that
+    /// directive matches nothing and injects nothing.
+    #[test]
+    fn the_downstream_cache_order_injects_nothing() {
+        let sc = sealed(ReportQuery::Poor);
+        let report = assemble_ad_auto(&sc, false, &mut Topology::new()).report;
+        assert!(matches!(
+            report.spec.directive_for("Cache"),
+            Some(CoordDirective::Order { inputs, .. }) if inputs == &["response"]
+        ));
+        assert_eq!(
+            report.summary.per_directive,
+            [
+                ("Cache".to_string(), "sequencer", 0),
+                ("Report".to_string(), "sequencer", 1)
+            ]
         );
     }
 

@@ -1,110 +1,156 @@
-//! Ready-made dataflow graphs of the two case studies for the Blazes
-//! analyzer, reproducing the derivations of the paper's Section VI.
+//! The two case studies' dataflow graphs for the Blazes analyzer,
+//! reproducing the derivations of the paper's Section VI. Each is the
+//! recording of the topology that runs, lowered
+//! ([`blazes_autocoord::lower()`]) with an annotation table:
 //!
-//! * [`wordcount_graph`] uses the grey-box Storm adapter with manual
-//!   annotations (Section VI-A).
-//! * [`ad_network_graph`] uses the **white-box** pipeline: the Report
-//!   component's annotations (including gates and lineage) come from
-//!   [`blazes_bloom::analyze::annotate_module`] applied to the query's
-//!   Bloom source, with the Cache annotated manually as in the paper's
-//!   Section VI-B annotation file.
+//! * [`wordcount_graph`]: the grey-box, manual annotations of Section VI-A.
+//! * [`ad_network_graph`]: the **white-box** Report annotations (gates and
+//!   lineage) [`blazes_bloom::analyze::annotate_module`] derives from the
+//!   query's Bloom source. The executed network has no Cache tier: the
+//!   per-replica response sinks are the paper's replicated Cache (`CW`
+//!   response → response, feeding the analyst), and requests enter the
+//!   Report replicas directly.
 
+use crate::adreport::{assemble_scenario, AdScenario, StrategyKind};
 use crate::queries::ReportQuery;
+use crate::wordcount::{wordcount_topology, WordcountScenario};
+use crate::workload::{ClickWorkload, TweetWorkload};
+use blazes_autocoord::{lower, Annotations, ComponentDecl, Role, StreamDecl};
 use blazes_bloom::analyze::annotate_module;
 use blazes_core::annotation::ComponentAnnotation;
-use blazes_core::graph::{DataflowGraph, SinkId};
-use blazes_dataflow::sinks::CollectorSink;
-use blazes_storm::adapter::{dataflow_graph, TopologyAnnotations};
-use blazes_storm::bolt::IdentityBolt;
-use blazes_storm::grouping::Grouping;
-use blazes_storm::topology::TopologyBuilder;
+use blazes_core::graph::{DataflowGraph, PathSpec, SinkId};
+use blazes_dataflow::backend::Topology;
+
+/// The attributes of the click records the ad servers emit, in column
+/// order.
+pub(crate) const CLICK_ATTRS: [&str; 3] = ["id", "campaign", "window"];
+
+/// The annotation table of the Storm wordcount (Section VI-A1), its tweet
+/// stream optionally sealed on `batch`.
+#[must_use]
+pub(crate) fn wordcount_annotations(sealed: bool) -> Annotations {
+    let seal = sealed.then_some(&["batch"][..]);
+    let tweets = StreamDecl::new("tweets", &["word", "batch"], seal, "in");
+    let bolt = |name, a| Role::Component(ComponentDecl::one_path(name, "in", "out", a));
+    let count = ComponentAnnotation::ow(["word", "batch"]);
+    Annotations::new("wordcount")
+        .with("tweets", Role::Source(tweets))
+        .with("Splitter", bolt("Splitter", ComponentAnnotation::cr()))
+        .with("Count", bolt("Count", count))
+        .with("Commit", bolt("Commit", ComponentAnnotation::cw()))
+        .with("collector-sink", Role::Sink("store".to_string()))
+}
 
 /// The wordcount dataflow with the Section VI-A1 annotations, optionally
-/// sealed on `batch`.
+/// sealed on `batch`: the recording of `wordcount_topology`, built with one
+/// instance per node and no tweets (its shape does not depend on either),
+/// lowered.
+///
+/// # Panics
+/// Panics only if the lowering stops producing a valid graph — a bug.
 #[must_use]
 pub fn wordcount_graph(sealed: bool) -> (DataflowGraph, SinkId) {
-    let mut t = TopologyBuilder::new("wordcount", 0);
-    let spout = t.add_spout("tweets", 3);
-    let splitter = t.add_bolt(
-        "Splitter",
-        3,
-        || Box::new(IdentityBolt),
-        vec![(spout, Grouping::Shuffle)],
-    );
-    let count = t.add_bolt(
-        "Count",
-        3,
-        || Box::new(IdentityBolt),
-        vec![(splitter, Grouping::Fields(vec![0]))],
-    );
-    let commit = t.add_bolt(
-        "Commit",
-        2,
-        || Box::new(IdentityBolt),
-        vec![(count, Grouping::Shuffle)],
-    );
-    t.add_collector_sink("store", CollectorSink::new(), commit);
-
-    let mut ann = TopologyAnnotations::new();
-    ann.spout_attrs("tweets", ["word", "batch"])
-        .annotate_bolt("Splitter", ComponentAnnotation::cr())
-        .annotate_bolt("Count", ComponentAnnotation::ow(["word", "batch"]))
-        .annotate_bolt("Commit", ComponentAnnotation::cw());
-    if sealed {
-        ann.seal_spout("tweets", ["batch"]);
-    }
-    let g = dataflow_graph(&t.describe(), &ann).expect("wordcount graph is well-formed");
+    let sc = WordcountScenario {
+        workers: 1,
+        spouts: 1,
+        committers: 1,
+        workload: TweetWorkload {
+            batches: 0,
+            vocabulary: 1,
+            ..TweetWorkload::default()
+        },
+        ..WordcountScenario::default()
+    };
+    let mut recorded = Topology::new();
+    let _ = wordcount_topology(&sc).0.assemble(&mut recorded);
+    let g = lower(&recorded, &wordcount_annotations(sealed)).expect("wordcount graph lowers");
     let sink = g.sink_by_name("store").expect("sink exists");
     (g, sink)
 }
 
-/// The ad-tracking network dataflow (Fig. 4) for the given query, with the
-/// click stream optionally sealed on `seal_key`.
+/// The annotation table of the ad network running `query`: clicks sealed
+/// on `seal_key` if given; requests relayed by the analyst or, when
+/// `requests_injected`, injected into the Report replicas; the Report's
+/// white-box paths; the response sinks as the replicated Cache.
 ///
-/// The Report component's path annotations are derived by the white-box
-/// Bloom analysis; the Cache follows the paper's manual annotation file
-/// (CR request hit, CW response update, CR request forward), with both
-/// Report and Cache replicated.
+/// # Panics
+/// Panics only if the bundled query modules stop analyzing — a bug.
+#[must_use]
+pub(crate) fn ad_network_annotations(
+    query: ReportQuery,
+    seal_key: Option<&[&str]>,
+    requests_injected: bool,
+) -> Annotations {
+    let paths = annotate_module(&query.module()).expect("query module analyzable");
+    let report = ComponentDecl {
+        name: "Report".to_string(),
+        rep: true,
+        paths: (paths.into_iter())
+            .map(|p| PathSpec {
+                from: p.from,
+                to: p.to,
+                annotation: p.annotation,
+                lineage: Some(p.lineage),
+            })
+            .collect(),
+        input: "click".to_string(),
+        output: "response".to_string(),
+        sink: None,
+    };
+    let cache = ComponentDecl {
+        rep: true,
+        sink: Some("analyst".to_string()),
+        ..ComponentDecl::one_path("Cache", "response", "response", ComponentAnnotation::cw())
+    };
+    let requests = StreamDecl::new("requests", &["id"], None, "request");
+    let table = Annotations::new(format!("ad-report-{}", query.name()))
+        .with(
+            "adserver",
+            Role::Source(StreamDecl::new("clicks", &CLICK_ATTRS, seal_key, "click")),
+        )
+        .with("analyst", Role::Source(requests.clone()))
+        .with("Report", Role::Component(report))
+        .with("collector-sink", Role::Component(cache));
+    if requests_injected {
+        table.inject("Report", requests)
+    } else {
+        table
+    }
+}
+
+/// The ad-tracking network dataflow (Fig. 4) for the given query, with the
+/// click stream optionally sealed on `seal_key`: the recording of the
+/// executed ad network, built with a one-click log (its shape does not
+/// depend on input), lowered.
+///
+/// # Panics
+/// Panics only if the bundled query modules stop analyzing — a bug.
 #[must_use]
 pub fn ad_network_graph(query: ReportQuery, seal_key: Option<&[&str]>) -> (DataflowGraph, SinkId) {
-    let mut g = DataflowGraph::new(format!("ad-report-{}", query.name()));
-    let clicks = g.add_source("clicks", &["id", "campaign", "window"]);
-    if let Some(key) = seal_key {
-        g.seal_source(clicks, key.iter().copied());
-    }
-    let requests = g.add_source("requests", &["id"]);
-
-    // Report: white-box derived annotations.
-    let report = g.add_component("Report");
-    g.set_rep(report, true);
-    let module = query.module();
-    for path in annotate_module(&module).expect("query module analyzable") {
-        g.add_path_with_lineage(
-            report,
-            path.from.clone(),
-            path.to.clone(),
-            path.annotation.clone(),
-            path.lineage.clone(),
-        );
-    }
-
-    // Cache: the paper's manual annotations (Section VI-B1).
-    let cache = g.add_component("Cache");
-    g.set_rep(cache, true);
-    g.add_path(cache, "request", "response", ComponentAnnotation::cr());
-    g.add_path(cache, "response", "response", ComponentAnnotation::cw());
-    g.add_path(cache, "request", "request", ComponentAnnotation::cr());
-
-    let analyst = g.add_sink("analyst");
-    g.connect_source(clicks, report, "click");
-    g.connect_source(requests, cache, "request");
-    g.connect(cache, "request", report, "request");
-    g.connect(report, "response", cache, "response");
-    g.connect(cache, "response", cache, "response"); // cache gossip
-    g.connect_sink(cache, "response", analyst);
-
+    let sc = ad_network_shape(query);
+    let mut recorded = Topology::new();
+    let _ = assemble_scenario(&sc, &mut recorded);
+    let table = ad_network_annotations(query, seal_key, !sc.requests_via_analyst);
+    let g = lower(&recorded, &table).expect("ad network graph lowers");
     let sink = g.sink_by_name("analyst").expect("sink exists");
     (g, sink)
+}
+
+/// The default ad network running `query`, with a one-click log and no
+/// requests.
+fn ad_network_shape(query: ReportQuery) -> AdScenario {
+    AdScenario {
+        workload: ClickWorkload {
+            ad_servers: 1,
+            entries_per_server: 1,
+            campaigns: 1,
+            ..ClickWorkload::default()
+        },
+        strategy: StrategyKind::Uncoordinated,
+        requests: 0,
+        query,
+        ..AdScenario::default()
+    }
 }
 
 #[cfg(test)]
@@ -112,7 +158,111 @@ mod tests {
     use super::*;
     use blazes_core::analysis::Analyzer;
     use blazes_core::label::Label;
+    use blazes_core::placement::CoordDirective;
     use blazes_core::strategy::{plan_for, residual_labels, Strategy};
+
+    /// The default wordcount topology with no tweets, recorded.
+    fn wordcount_recording() -> Topology {
+        let sc = WordcountScenario {
+            workload: TweetWorkload {
+                batches: 0,
+                ..TweetWorkload::default()
+            },
+            ..WordcountScenario::default()
+        };
+        let mut recorded = Topology::new();
+        let _ = wordcount_topology(&sc).0.assemble(&mut recorded);
+        recorded
+    }
+
+    /// A family the table does not list lowers to one `in` → `out` path
+    /// annotated `OW_*`.
+    #[test]
+    fn unannotated_bolts_default_conservative() {
+        let tweets = StreamDecl::new("tweets", &["word", "batch"], None, "in");
+        let table = Annotations::new("wordcount")
+            .with("tweets", Role::Source(tweets))
+            .with("collector-sink", Role::Sink("store".to_string()));
+        let g = lower(&wordcount_recording(), &table).unwrap();
+        let count = g.component_by_name("Count").unwrap();
+        assert_eq!(
+            g.component(count).paths[0].annotation,
+            ComponentAnnotation::ow_star()
+        );
+    }
+
+    /// The logical dataflow has one node per bolt, spout and sink however
+    /// many instances run (paper Section II: logical vs physical dataflow).
+    #[test]
+    fn parallelism_is_erased_in_logical_graph() {
+        let recorded = wordcount_recording();
+        let sc = WordcountScenario::default();
+        let instances = sc.spouts + 2 * sc.workers + sc.committers + 1;
+        assert_eq!(recorded.instance_names().len(), instances);
+        let g = lower(&recorded, &wordcount_annotations(false)).unwrap();
+        assert_eq!(g.components().len(), 3);
+        assert_eq!(g.sources().len(), 1);
+        assert_eq!(g.sinks().len(), 1);
+        assert_eq!(g.streams().len(), 4, "one stream per pair of families");
+    }
+
+    /// Edits to the executed assembly reach the analysis with no graph
+    /// touched by hand: another Report replica changes nothing, while an
+    /// unannotated relay between the ad servers and the Report is an
+    /// `OW_*` component the clicks now cross, and the spec moves.
+    #[test]
+    fn assembly_edits_reach_the_derived_spec() {
+        use blazes_core::placement::CoordinationSpec;
+        use blazes_dataflow::backend::{ExecutorBuilder, PortId};
+        use blazes_dataflow::component::{Context, FnComponent};
+
+        let campaign = &["campaign"][..];
+        let table = ad_network_annotations(ReportQuery::Campaign, Some(campaign), true);
+        let derive = |t: &Topology| CoordinationSpec::derive(&lower(t, &table).unwrap(), true);
+        let recording = |sc: &AdScenario| {
+            let mut recorded = Topology::new();
+            let _ = assemble_scenario(sc, &mut recorded);
+            recorded
+        };
+        let sc = ad_network_shape(ReportQuery::Campaign);
+        let plain = recording(&sc);
+        let spec = derive(&plain).unwrap();
+        assert!(matches!(
+            spec.directive_for("Report"),
+            Some(CoordDirective::Seal { .. })
+        ));
+
+        let four = recording(&AdScenario { replicas: 4, ..sc });
+        assert!(four.instance_names().len() > plain.instance_names().len());
+        assert_eq!(derive(&four).unwrap(), spec);
+
+        let mut relayed = recording(&ad_network_shape(ReportQuery::Campaign));
+        let relay = relayed.add_instance(Box::new(FnComponent::new(
+            "relay",
+            |_, msg, ctx: &mut Context| ctx.emit(0, msg),
+        )));
+        let from_adserver: Vec<bool> = relayed
+            .instance_names()
+            .map(|name| name.starts_with("adserver"))
+            .collect();
+        for w in relayed.take_wires() {
+            if from_adserver[w.from.0] {
+                relayed.connect(w.from, w.out_port, relay, PortId(0), w.channel);
+                relayed.connect(relay, PortId(0), w.to, w.in_port, w.channel);
+            } else {
+                relayed.connect(w.from, w.out_port, w.to, w.in_port, w.channel);
+            }
+        }
+        let g = lower(&relayed, &table).unwrap();
+        let relay = g.component_by_name("relay").unwrap();
+        assert_eq!(
+            g.component(relay).paths[0].annotation,
+            ComponentAnnotation::ow_star()
+        );
+        let moved = CoordinationSpec::derive(&g, true).unwrap();
+        assert_ne!(moved, spec);
+        assert!(moved.directive_for("relay").is_some(), "{moved:?}");
+    }
 
     #[test]
     fn wordcount_unsealed_derives_run() {

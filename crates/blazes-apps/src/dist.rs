@@ -267,14 +267,9 @@ pub fn dist_registry() -> Registry {
         let (mut t, committed) = wordcount_topology(&sc);
         t.apply_coordination(&spec, &wordcount_ordering_config(&sc))
             .expect("spec fits the wordcount topology");
-        let store = t
-            .describe()
-            .nodes
-            .iter()
-            .position(|n| n.name == "store")
-            .expect("wordcount has a store sink");
+        let store = t.node("store").expect("wordcount has a store sink");
         let (instances, _) = t.assemble(b);
-        vec![(instances[store][0], committed)]
+        vec![(instances[store.0][0], committed)]
     });
     reg
 }

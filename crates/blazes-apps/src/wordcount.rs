@@ -15,9 +15,7 @@
 use crate::autocoord::wordcount_ordering_config;
 use crate::workload::TweetWorkload;
 use blazes_core::placement::CoordinationSpec;
-use blazes_dataflow::backend::{
-    BackendRunStats, BackendSpec, NoopPass, RewritingBuilder, Topology,
-};
+use blazes_dataflow::backend::{BackendRunStats, BackendSpec};
 use blazes_dataflow::channel::ChannelConfig;
 use blazes_dataflow::dist::run_dist;
 use blazes_dataflow::message::Message;
@@ -301,7 +299,8 @@ pub fn run_wordcount(sc: &WordcountScenario, backend: &BackendSpec) -> Wordcount
 /// `spec`, assemble on `backend`, run. `sealed` is what the
 /// [`crate::dist::WORDCOUNT_TOPOLOGY`] registry entry re-derives `spec`
 /// from inside the worker processes of a distributed run; the parent then
-/// only records the coordinated assembly for its outcome.
+/// only applies `spec` for its outcome (engine-native coordination
+/// rewrites nothing, so its rewrite accounting reads untouched).
 pub(crate) fn run_coordinated(
     sc: &WordcountScenario,
     spec: &CoordinationSpec,
@@ -311,15 +310,9 @@ pub(crate) fn run_coordinated(
     let (mut t, mut committed) = wordcount_topology(sc);
     let ordering = wordcount_ordering_config(sc);
     let (stats, outcome) = if let BackendSpec::Dist(d) = backend {
-        let mut outcome = t
+        let outcome = t
             .apply_coordination(spec, &ordering)
             .expect("spec fits the wordcount topology");
-        outcome.rewrite = {
-            let mut recording = Topology::new();
-            let mut rb = RewritingBuilder::new(&mut recording, NoopPass);
-            let _ = t.assemble(&mut rb);
-            rb.finish().1
-        };
         let mut dist = d.clone();
         dist.topology = crate::dist::WORDCOUNT_TOPOLOGY.to_string();
         dist.params = crate::dist::encode_wordcount_params(sc, sealed);

@@ -31,6 +31,10 @@
 //! parallel executor and the distributed backend alike, and it can be
 //! inspected as a value before anything runs.
 //!
+//! The analysis reads that same recording: [`lower()`] turns it, plus an
+//! [`Annotations`] table keyed by instance family, into the graph the spec
+//! is derived from, so the analysed graph is the executed graph.
+//!
 //! ```
 //! use blazes_autocoord::{AutoCoordRules, SealBinding};
 //! use blazes_core::placement::CoordinationSpec;
@@ -72,6 +76,7 @@
 #![forbid(unsafe_code)]
 
 pub mod gate;
+pub mod lower;
 pub mod rules;
 
 #[doc(no_inline)]
@@ -81,4 +86,5 @@ pub use blazes_core::placement::{CoordDirective, CoordinationSpec};
 #[doc(no_inline)]
 pub use blazes_dataflow::backend::{RewriteStats, RewritingBuilder};
 pub use gate::{SealGate, SealGateStats, SpecGateStats, SpeculativeSealGate};
+pub use lower::{lower, Annotations, ComponentDecl, Role, StreamDecl};
 pub use rules::{AutoCoordRules, InjectionSummary, QueryPartition, SealBinding};

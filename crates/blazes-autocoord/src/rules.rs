@@ -1,9 +1,9 @@
 //! The injection pass: [`AutoCoordRules`] turns a
 //! [`CoordinationSpec`] into a rewrite of one recorded [`Topology`].
 //!
-//! The pass recognizes flagged components by instance name (a directive
+//! The pass recognizes flagged components by instance family (a directive
 //! for component `Report` matches instances `Report`, `Report[0]`,
-//! `report[3]`, … — engines suffix the parallelism index in brackets) and
+//! `report[3]`, … — see [`crate::lower::family`]) and
 //! reroutes their inbound traffic, in one walk over the recording's wires
 //! and then its injections:
 //!
@@ -27,6 +27,7 @@
 //! number is its position in that list.
 
 use crate::gate::{SealGate, SpeculativeSealGate};
+use crate::lower::family;
 use blazes_coord::registry::ProducerRegistry;
 use blazes_coord::sequencer::Sequencer;
 use blazes_core::placement::{CoordDirective, CoordinationSpec};
@@ -238,17 +239,6 @@ impl AutoCoordRules {
                 .collect(),
         }
     }
-
-    /// Does `name` belong to the component a directive flags? Engines
-    /// label instances `Component[k]`; matching is case-insensitive.
-    fn matches(component: &str, name: &str) -> bool {
-        let n = name.as_bytes();
-        let c = component.as_bytes();
-        if n.len() < c.len() || !n[..c.len()].eq_ignore_ascii_case(c) {
-            return false;
-        }
-        n.len() == c.len() || n[c.len()] == b'['
-    }
 }
 
 impl RewritePass for AutoCoordRules {
@@ -258,7 +248,7 @@ impl RewritePass for AutoCoordRules {
             .map(|name| {
                 self.rules
                     .iter()
-                    .position(|r| Self::matches(&r.component, name))
+                    .position(|r| family(name).eq_ignore_ascii_case(&r.component))
             })
             .collect();
         let mut walk = Walk {
@@ -459,12 +449,13 @@ mod tests {
 
     #[test]
     fn name_matching_covers_parallel_instances() {
-        assert!(AutoCoordRules::matches("Report", "Report"));
-        assert!(AutoCoordRules::matches("Report", "report[3]"));
-        assert!(AutoCoordRules::matches("Report", "REPORT[0]"));
-        assert!(!AutoCoordRules::matches("Report", "Reporter"));
-        assert!(!AutoCoordRules::matches("Report", "Repo"));
-        assert!(!AutoCoordRules::matches("Report", "Reporter[0]"));
+        let in_family = |c: &str, name: &str| family(name).eq_ignore_ascii_case(c);
+        assert!(in_family("Report", "Report"));
+        assert!(in_family("Report", "report[3]"));
+        assert!(in_family("Report", "REPORT[0]"));
+        assert!(!in_family("Report", "Reporter"));
+        assert!(!in_family("Report", "Repo"));
+        assert!(!in_family("Report", "Reporter[0]"));
     }
 
     /// Assemble: two producers feed one flagged consumer, which forwards

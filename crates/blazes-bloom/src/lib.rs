@@ -23,9 +23,11 @@
 //!   syntactic nonmonotonicity detection, persistent-state flow analysis,
 //!   partition-subscript inference from `group by` / `not in` clauses, and
 //!   identity lineage through identity projections — together these derive
-//!   C.O.W.R. annotations automatically;
-//! * a dataflow adapter ([`component`]) so Bloom modules run as components
-//!   on the `blazes-dataflow` simulator.
+//!   C.O.W.R. annotations automatically.
+//!
+//! A Bloom module runs on a dataflow backend inside the component that
+//! hosts it: the ad report's replicas each drive one
+//! [`interp::ModuleInstance`].
 //!
 //! ## Example
 //!
@@ -61,7 +63,6 @@
 pub mod analyze;
 pub mod ast;
 pub mod catalog;
-pub mod component;
 pub mod error;
 pub mod interp;
 pub mod lexer;
@@ -70,7 +71,6 @@ mod rel;
 
 pub use analyze::{annotate_module, PathAnnotation};
 pub use ast::{CollectionKind, MergeOp, Module, Rule};
-pub use component::BloomComponent;
 pub use error::{BloomError, Result};
 pub use interp::{EvalMode, ModuleInstance, TickOutput, TickStats};
 pub use parser::parse_module;

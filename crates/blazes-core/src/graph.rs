@@ -199,24 +199,6 @@ impl DataflowGraph {
         });
     }
 
-    /// Like [`add_path`](Self::add_path) with an explicit injective attribute
-    /// lineage (input attribute → output attribute).
-    pub fn add_path_with_lineage(
-        &mut self,
-        component: ComponentId,
-        from: impl Into<String>,
-        to: impl Into<String>,
-        annotation: ComponentAnnotation,
-        lineage: BTreeMap<String, String>,
-    ) {
-        self.components[component.0].paths.push(PathSpec {
-            from: from.into(),
-            to: to.into(),
-            annotation,
-            lineage: Some(lineage),
-        });
-    }
-
     /// Mark a component replicated (`Rep: true`).
     pub fn set_rep(&mut self, component: ComponentId, rep: bool) {
         self.components[component.0].rep = rep;

@@ -21,20 +21,20 @@
 //!   route batch-completion through a [`blazes_coord::CommitCoordinator`],
 //!   which grants commits in strict batch order — Storm's coordinated
 //!   baseline in Figure 11.
-//! * **Grey-box adapter** ([`adapter`]): extract the topology's logical
-//!   dataflow as a `blazes_core::DataflowGraph`, apply C.O.W.R. annotations
-//!   and run the Blazes analysis, as the paper's reusable Storm adapter
-//!   does.
+//! * **The analysed graph** is the executed one: assembling a topology
+//!   into a `blazes_dataflow::backend::Topology` records what runs, and
+//!   `blazes_autocoord::lower` turns that recording plus C.O.W.R.
+//!   annotations into the logical dataflow the Blazes analysis reads — the
+//!   paper's reusable Storm adapter. Bolt instances are named
+//!   `Name[k]`, so each bolt lowers to one logical component.
 
 #![forbid(unsafe_code)]
 
-pub mod adapter;
 pub mod bolt;
 pub mod grouping;
 pub mod runtime;
 pub mod topology;
 
-pub use adapter::TopologyAnnotations;
 pub use bolt::{Bolt, BoltContext};
 pub use grouping::Grouping;
 pub use runtime::{BatchHandling, BoltAdapter};

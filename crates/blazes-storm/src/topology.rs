@@ -89,28 +89,6 @@ struct NodeSpec {
     service_time: Time,
 }
 
-/// A description of the topology structure, used by the grey-box adapter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopologyDescription {
-    /// Topology name.
-    pub name: String,
-    /// One entry per node.
-    pub nodes: Vec<NodeDescription>,
-}
-
-/// Structure of one node for the grey-box adapter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeDescription {
-    /// Node name.
-    pub name: String,
-    /// Parallelism (instance count).
-    pub parallelism: usize,
-    /// `"spout"`, `"bolt"` or `"sink"`.
-    pub kind: &'static str,
-    /// Indices of subscribed source nodes.
-    pub sources: Vec<usize>,
-}
-
 /// Why a [`CoordinationSpec`] could not be applied to this topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoordinationError {
@@ -300,6 +278,15 @@ impl TopologyBuilder {
         self.add_sink(name, Box::new(sink), source)
     }
 
+    /// The node named `name`, if the topology has one.
+    #[must_use]
+    pub fn node(&self, name: &str) -> Option<NodeHandle> {
+        self.nodes
+            .iter()
+            .position(|n| n.name == name)
+            .map(NodeHandle)
+    }
+
     /// Set the per-message service time of every instance of a node.
     pub fn set_service_time(&mut self, node: NodeHandle, service: Time) {
         self.nodes[node.0].service_time = service;
@@ -347,10 +334,8 @@ impl TopologyBuilder {
         let mut resolved: Vec<(usize, &CoordDirective)> = Vec::with_capacity(spec.directives.len());
         for directive in &spec.directives {
             let name = directive.component();
-            let node = self
-                .nodes
-                .iter()
-                .position(|n| n.name == name)
+            let NodeHandle(node) = self
+                .node(name)
                 .ok_or_else(|| CoordinationError::UnknownComponent(name.to_string()))?;
             if !matches!(self.nodes[node].kind, NodeKind::Bolt { .. }) {
                 return Err(CoordinationError::NotABolt(name.to_string()));
@@ -434,28 +419,6 @@ impl TopologyBuilder {
         match self.build_coordinated_on(&uncoordinated, &TransactionalConfig::default(), backend) {
             Ok((exec, _)) => exec,
             Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Structure description for the grey-box Blazes adapter.
-    #[must_use]
-    pub fn describe(&self) -> TopologyDescription {
-        TopologyDescription {
-            name: self.name.clone(),
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| NodeDescription {
-                    name: n.name.clone(),
-                    parallelism: n.parallelism,
-                    kind: match n.kind {
-                        NodeKind::Spout { .. } => "spout",
-                        NodeKind::Bolt { .. } => "bolt",
-                        NodeKind::Sink { .. } => "sink",
-                    },
-                    sources: n.subs.iter().map(|(s, _, _)| *s).collect(),
-                })
-                .collect(),
         }
     }
 
@@ -972,19 +935,26 @@ mod tests {
         }
     }
 
-    /// Derive the coordination spec for the test wordcount through the
-    /// grey-box adapter — the front half of annotate→analyze→inject.
+    /// Derive the coordination spec for the test wordcount from its
+    /// lowered recording — the front half of annotate→analyze→inject.
     fn wordcount_spec(sealed: bool) -> CoordinationSpec {
-        use crate::adapter::{dataflow_graph, TopologyAnnotations};
+        use blazes_autocoord::{lower, Annotations, ComponentDecl, Role, StreamDecl};
         use blazes_core::annotation::ComponentAnnotation;
-        let (t, _) = wordcount_topology(0, false);
-        let mut ann = TopologyAnnotations::new();
-        ann.spout_attrs("tweets", ["word", "batch"])
-            .annotate_bolt("count", ComponentAnnotation::ow(["word", "batch"]));
-        if sealed {
-            ann.seal_spout("tweets", ["batch"]);
-        }
-        let g = dataflow_graph(&t.describe(), &ann).expect("well-formed");
+        let mut recorded = blazes_dataflow::backend::Topology::new();
+        let _ = wordcount_topology(0, false).0.assemble(&mut recorded);
+        let tweets = StreamDecl::new(
+            "tweets",
+            &["word", "batch"],
+            sealed.then_some(&["batch"]),
+            "in",
+        );
+        let count = ComponentAnnotation::ow(["word", "batch"]);
+        let count = ComponentDecl::one_path("count", "in", "out", count);
+        let ann = Annotations::new("wc")
+            .with("tweets", Role::Source(tweets))
+            .with("count", Role::Component(count))
+            .with("collector-sink", Role::Sink("store".to_string()));
+        let g = lower(&recorded, &ann).expect("well-formed");
         CoordinationSpec::derive(&g, false).expect("analyzable")
     }
 
@@ -1111,7 +1081,7 @@ mod tests {
     }
 
     #[test]
-    fn describe_reports_structure() {
+    fn nodes_are_found_by_name() {
         let mut t = TopologyBuilder::new("wc", 0);
         let spout = t.add_spout("tweets", 3);
         let bolt = t.add_bolt(
@@ -1120,11 +1090,10 @@ mod tests {
             || Box::new(IdentityBolt),
             vec![(spout, Grouping::Shuffle)],
         );
-        t.add_collector_sink("store", CollectorSink::new(), bolt);
-        let d = t.describe();
-        assert_eq!(d.nodes.len(), 3);
-        assert_eq!(d.nodes[0].kind, "spout");
-        assert_eq!(d.nodes[1].sources, vec![0]);
-        assert_eq!(d.nodes[2].kind, "sink");
+        let sink = t.add_collector_sink("store", CollectorSink::new(), bolt);
+        assert_eq!(t.node("tweets"), Some(spout));
+        assert_eq!(t.node("count"), Some(bolt));
+        assert_eq!(t.node("store"), Some(sink));
+        assert_eq!(t.node("Count"), None, "names match exactly");
     }
 }

@@ -8,15 +8,15 @@
 //!
 //! * [`core`] — the Blazes analysis: annotations, labels, inference,
 //!   reconciliation, coordination synthesis.
-//! * [`autocoord`] — analysis-driven coordination injection: rewrites
-//!   topologies so every flagged edge gets exactly the coordination the
-//!   analysis demands.
+//! * [`autocoord`] — analysis-driven coordination injection: lowers a
+//!   recorded topology to the graph the analysis reads, and rewrites it so
+//!   every flagged edge gets exactly the coordination it demands.
 //! * [`dataflow`] — the dataflow runtime and its three executors: the
 //!   discrete-event simulator, the multi-threaded parallel executor and the
 //!   multi-process distributed backend.
 //! * [`coord`] — coordination substrates (sequencer, seal manager,
 //!   barriers).
-//! * [`storm`] — the mini Storm engine and its grey-box adapter.
+//! * [`storm`] — the mini Storm engine.
 //! * [`bloom`] — the mini Bloom language and its white-box analysis.
 //! * [`apps`] — the paper's two case-study applications.
 //! * [`obs`] — observability: trace rings, Chrome trace export and the

@@ -441,11 +441,7 @@ fn transactional_wordcount_survives_duplicating_channels() {
     use blazes::apps::wordcount::wordcount_topology;
     let (mut t, committed) = wordcount_topology(&sc);
     let commit = t
-        .describe()
-        .nodes
-        .iter()
-        .position(|n| n.name == "Commit")
-        .map(blazes::storm::topology::NodeHandle)
+        .node("Commit")
         .expect("wordcount topology has a Commit bolt");
     t.make_transactional(
         commit,

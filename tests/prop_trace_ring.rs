@@ -1,4 +1,4 @@
-//! Property tests for the lock-free trace ring ([`blazes::obs::TraceRing`]):
+//! Property tests for the locked trace ring ([`blazes::obs::TraceRing`]):
 //! concurrent-writer wraparound accounting, overflow drop-counting, and
 //! tear-free snapshots taken while writers are mid-push.
 //!
@@ -106,7 +106,7 @@ proptest! {
                 // pass after the writers quiesce.
                 loop {
                     for e in ring.snapshot() {
-                        assert!(is_consistent(&e), "torn event escaped the seqlock");
+                        assert!(is_consistent(&e), "torn event escaped the lane lock");
                     }
                     snaps += 1;
                     if done.load(std::sync::atomic::Ordering::Relaxed) {
