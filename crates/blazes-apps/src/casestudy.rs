@@ -191,6 +191,26 @@ mod tests {
         );
     }
 
+    /// The unsealed wordcount reaches its store as `Run` when the recording
+    /// runs every node in parallel, as it does with one instance per node.
+    #[test]
+    fn unsealed_wordcount_analyzes_to_run() {
+        let g = lower(&wordcount_recording(), &wordcount_annotations(false)).unwrap();
+        let out = Analyzer::new(&g).run().unwrap();
+        let sink = g.sink_by_name("store").unwrap();
+        assert_eq!(out.sink_label(sink), Some(&Label::Run));
+    }
+
+    /// Sealing the tweets on `batch` makes the parallel recording's store
+    /// `Async`.
+    #[test]
+    fn sealed_wordcount_analyzes_to_async() {
+        let g = lower(&wordcount_recording(), &wordcount_annotations(true)).unwrap();
+        let out = Analyzer::new(&g).run().unwrap();
+        let sink = g.sink_by_name("store").unwrap();
+        assert_eq!(out.sink_label(sink), Some(&Label::Async));
+    }
+
     /// The logical dataflow has one node per bolt, spout and sink however
     /// many instances run (paper Section II: logical vs physical dataflow).
     #[test]
