@@ -29,6 +29,7 @@
 
 use crate::adreport::{seal_registry_for, AdRunResult, AdScenario, StrategyKind};
 use crate::casestudy::{ad_network_annotations, wordcount_graph, CLICK_ATTRS};
+use crate::dist::{dist_registry, plan_spec};
 use crate::wordcount::{WordcountResult, WordcountScenario};
 use blazes_autocoord::{lower, AutoCoordRules, InjectionSummary, SealBinding};
 use blazes_core::keys::KeySet;
@@ -155,16 +156,15 @@ pub fn assemble_ad_auto<B: ExecutorBuilder + ?Sized>(
 /// Run `sc` to quiescence on the backend selected by `backend`, coordinated
 /// as the analysis decides ([`assemble_ad_auto`]). Injected gates and
 /// sequencers are ordinary components, so every strategy runs on the
-/// simulator, the parallel executor, or (via [`crate::dist::dist_registry`])
+/// simulator, the parallel executor, or (via [`dist_registry`])
 /// a fleet of worker processes; modeled service times apply on the
 /// simulator only. When the backend enables time-warp speculation (par
 /// only), the injected seal gates are the speculative variant.
 ///
-/// On [`BackendSpec::Dist`] the spec's `topology`/`params` fields are
-/// overwritten with the ad-report registry entry for `sc`; everything
-/// else (process count, wire faults, worker command) is honored as given,
-/// and the returned report is computed parent-side by recording the same
-/// assembly.
+/// On [`BackendSpec::Dist`] the spec runs `sc` as its ad-report plan
+/// ([`plan_spec`]); everything else (process count, wire faults, worker
+/// command) is honored as given, and the returned report is computed
+/// parent-side by recording the same assembly.
 ///
 /// # Panics
 /// Panics when a `Par` spec is invalid, and on any distributed transport
@@ -173,11 +173,7 @@ pub fn assemble_ad_auto<B: ExecutorBuilder + ?Sized>(
 pub fn run_ad_auto(sc: &AdScenario, backend: &BackendSpec) -> (AdRunResult, AutoCoordReport) {
     let (series, responses, stats, report) = if let BackendSpec::Dist(d) = backend {
         let report = assemble_ad_auto(sc, false, &mut Topology::new()).report;
-        let mut spec = d.clone();
-        spec.topology = crate::dist::AD_TOPOLOGY.to_string();
-        spec.params = crate::dist::encode_ad_params(sc);
-        let run =
-            run_dist(&spec, &crate::dist::dist_registry()).expect("distributed ad-report run");
+        let run = run_dist(&plan_spec(d, sc), &dist_registry()).expect("distributed ad-report run");
         (
             Vec::new(),
             run.sinks,

@@ -13,6 +13,7 @@
 //! Figure 11 plots the throughput of both as the cluster grows.
 
 use crate::autocoord::wordcount_ordering_config;
+use crate::dist::{dist_registry, plan_spec};
 use crate::workload::TweetWorkload;
 use blazes_core::placement::CoordinationSpec;
 use blazes_dataflow::backend::{BackendRunStats, BackendSpec};
@@ -296,11 +297,11 @@ pub fn run_wordcount(sc: &WordcountScenario, backend: &BackendSpec) -> Wordcount
 
 /// Shared body of [`run_wordcount`] and
 /// [`crate::autocoord::run_wordcount_auto`]: build the topology, apply
-/// `spec`, assemble on `backend`, run. `sealed` is what the
-/// [`crate::dist::WORDCOUNT_TOPOLOGY`] registry entry re-derives `spec`
-/// from inside the worker processes of a distributed run; the parent then
-/// only applies `spec` for its outcome (engine-native coordination
-/// rewrites nothing, so its rewrite accounting reads untouched).
+/// `spec`, assemble on `backend`, run. `sealed` is what the wordcount
+/// [`crate::dist::DistPlan`] re-derives `spec` from inside the worker
+/// processes of a distributed run; the parent then only applies `spec`
+/// for its outcome (engine-native coordination rewrites nothing, so its
+/// rewrite accounting reads untouched).
 pub(crate) fn run_coordinated(
     sc: &WordcountScenario,
     spec: &CoordinationSpec,
@@ -313,18 +314,16 @@ pub(crate) fn run_coordinated(
         let outcome = t
             .apply_coordination(spec, &ordering)
             .expect("spec fits the wordcount topology");
-        let mut dist = d.clone();
-        dist.topology = crate::dist::WORDCOUNT_TOPOLOGY.to_string();
-        dist.params = crate::dist::encode_wordcount_params(sc, sealed);
+        let plan = (sc.clone(), sealed);
         let mut run =
-            run_dist(&dist, &crate::dist::dist_registry()).expect("distributed wordcount run");
+            run_dist(&plan_spec(d, &plan), &dist_registry()).expect("distributed wordcount run");
         committed = run
             .sinks
             .pop()
             .map_or_else(CollectorSink::new, |(_, sink)| sink);
         (BackendRunStats::Dist(run.stats), outcome)
     } else {
-        let (mut exec, outcome) = t
+        let (exec, outcome) = t
             .build_coordinated_on(spec, &ordering, backend)
             .unwrap_or_else(|e| panic!("{e}"));
         (exec.run(), outcome)

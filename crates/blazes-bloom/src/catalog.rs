@@ -171,18 +171,16 @@ pub fn stratify(m: &Module) -> Result<BTreeMap<String, usize>> {
     ))
 }
 
-/// A precomputed evaluation schedule derived from the catalog: the stratum
-/// assignment, the instantaneous rules grouped per stratum (program order
-/// preserved within a stratum), and the per-rule **read-set** — exactly the
-/// collections each rule's body scans.
+/// A precomputed evaluation schedule derived from the catalog: the
+/// instantaneous rules grouped per stratum (program order preserved within
+/// a stratum), and the per-rule **read-set** — exactly the collections each
+/// rule's body scans.
 ///
 /// The interpreter's semi-naive loop consults read-sets to skip rules none
 /// of whose sources gained tuples in the previous fixpoint iteration, so
 /// an unaffected rule costs a set lookup instead of a re-derivation.
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    /// Stratum of every collection.
-    pub strata: BTreeMap<String, usize>,
     /// Highest assigned stratum.
     pub max_stratum: usize,
     /// Indices into `module.rules` of the instantaneous rules evaluated in
@@ -209,7 +207,6 @@ pub fn schedule(m: &Module) -> Result<Schedule> {
         reads.push(r.body.sources().into_iter().map(str::to_string).collect());
     }
     Ok(Schedule {
-        strata,
         max_stratum,
         instant_by_stratum,
         reads,

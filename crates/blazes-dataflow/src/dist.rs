@@ -33,7 +33,11 @@
 //! function `fn(&mut dyn ExecutorBuilder, params) -> sinks`. The parent
 //! ships each worker a tiny framed plan — name, parameter string, seed,
 //! process count, its own index — and every process (parent included)
-//! records the *identical* assembly into a [`Topology`]. Because assembly
+//! records the *identical* assembly into a [`Topology`]. What the
+//! parameter string says is the assembly's business: the case studies
+//! (`blazes_apps::dist`) write a scenario as `key=value` lines from one
+//! field list per plan type, parse it back from the same list, and reject
+//! a string that list would not have written. Because assembly
 //! is deterministic, all recordings agree on the global numbering of
 //! instances, channels and wires without ever serializing a component.
 //! Instance `i` is *owned* by process `i % processes`. The parent reads
@@ -383,10 +387,6 @@ pub struct DistStats {
     /// Cross-partition data frames the parent routed (duplicates
     /// included).
     pub frames_routed: u64,
-    /// Retransmits drawn on cross wires by the parent's fault RNGs.
-    pub wire_retransmits: u64,
-    /// Duplicates drawn on cross wires by the parent's fault RNGs.
-    pub wire_duplicates: u64,
     /// Always 0: termination takes one wave of idle reports and no
     /// confirmation round. Kept for the benchmark that reads it.
     pub probe_rounds: u64,
@@ -396,11 +396,16 @@ pub struct DistStats {
     /// topology and seed wherever that count does not depend on delivery
     /// order.
     pub events_processed: u64,
-    /// Messages delivered on *local* wires, summed over workers.
+    /// Messages delivered, summed over workers: a frame routed across a
+    /// cross wire counts where its consumer's runtime delivers it, so this
+    /// equals a par run's count for the same topology and seed.
     pub messages_delivered: u64,
-    /// Duplicates drawn on local wires, summed over workers.
+    /// Duplicates drawn on every wire: on local wires by the workers'
+    /// runtimes, on cross wires by the parent's fault RNGs. Equals a par
+    /// run's count for the same topology and seed.
     pub duplicates: u64,
-    /// Retransmits drawn on local wires, summed over workers.
+    /// Retransmits drawn on every wire, counted as
+    /// [`DistStats::duplicates`] is.
     pub retransmits: u64,
     /// Heartbeat frames the coordinator received.
     pub heartbeats: u64,
@@ -487,10 +492,11 @@ mod tests {
 
     /// A fan-out/fan-in toy: a source feeds three stages, each of which
     /// feeds both sinks on a port of its own, so at every process count
-    /// wires stay local, cross and enter in every direction.
+    /// wires stay local, cross and enter in every direction. Every wire
+    /// loses and duplicates.
     fn fan(b: &mut dyn ExecutorBuilder) -> SinkSet {
         let src = b.add_instance(echo());
-        let ch = b.add_channel(ChannelConfig::lan().with_duplicates(0.1));
+        let ch = b.add_channel(ChannelConfig::lan().with_loss(0.2).with_duplicates(0.1));
         let stages: Vec<InstanceId> = (0..3).map(|_| b.add_instance(echo())).collect();
         let sinks: SinkSet = (0..2)
             .map(|_| {
@@ -1240,6 +1246,33 @@ mod tests {
             sink_result_frames(2, big(wire::MAX_FRAME)).err(),
             Some(DistError::Wire(wire::WireError::Oversized(len))) if len > wire::MAX_FRAME
         ));
+    }
+
+    /// Wire counters mean the same on dist as on par: `duplicates` and
+    /// `retransmits` count the draws on every wire, the parent's draws on
+    /// cross wires included, and `messages_delivered` every delivery, so
+    /// all three equal a par run's.
+    #[test]
+    fn wire_counters_count_every_wire_as_par_does() {
+        let seed = 5;
+        let mut par = ParBuilder::new(seed).with_workers(1);
+        fan(&mut par);
+        let par = par.build().run();
+        let mut registry = Registry::new();
+        registry.register("fan", |b, _| fan(b));
+        let spec = DistSpec {
+            processes: 2,
+            workers_per_process: 1,
+            seed,
+            ..DistSpec::new("fan", "", Vec::new())
+        };
+        let dist = harness::run(&spec, &registry).stats;
+        assert!(par.duplicates > 0 && par.retransmits > 0, "{par:?}");
+        assert!(dist.frames_routed > 0, "some wires cross");
+        assert_eq!(
+            (dist.duplicates, dist.retransmits, dist.messages_delivered),
+            (par.duplicates, par.retransmits, par.messages_delivered)
+        );
     }
 
     /// The router's fault draws replicate the par wire schedule: same

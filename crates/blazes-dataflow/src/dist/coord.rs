@@ -210,11 +210,9 @@ impl<W: Write> Router<W> {
             .faults
             .as_mut()
             .map_or((false, false), WireFaults::draw);
-        if retransmitted {
-            self.stats.wire_retransmits += 1;
-        }
+        self.stats.retransmits += u64::from(retransmitted);
         if duplicate {
-            self.stats.wire_duplicates += 1;
+            self.stats.duplicates += 1;
             self.write(dest, wire, seq, message);
         }
         self.write(dest, wire, seq, message);

@@ -39,4 +39,4 @@ pub use bolt::{Bolt, BoltContext};
 pub use grouping::Grouping;
 pub use runtime::{BatchHandling, BoltAdapter};
 pub use topology::prelude_for_tests;
-pub use topology::{NodeHandle, StormExecution, TopologyBuilder, TransactionalConfig};
+pub use topology::{NodeHandle, TopologyBuilder, TransactionalConfig};

@@ -15,8 +15,7 @@
 //! let sink = CollectorSink::new();
 //! let bolt = t.add_bolt("echo", 1, || Box::new(IdentityBolt), vec![(spout, Grouping::Shuffle)]);
 //! t.add_collector_sink("out", sink.clone(), bolt);
-//! let mut run = t.build_on(&BackendSpec::Sim);
-//! run.run();
+//! let _stats = t.build_on(&BackendSpec::Sim).run();
 //! assert_eq!(sink.messages().iter().filter(|m| m.as_data().is_some()).count(), 1);
 //! ```
 
@@ -30,8 +29,7 @@ use blazes_coord::registry::ProducerId;
 use blazes_coord::CommitCoordinator;
 use blazes_core::placement::{CoordDirective, CoordinationSpec};
 use blazes_dataflow::backend::{
-    build_local, BackendError, BackendRunStats, BackendSpec, ExecutorBuilder, LocalExecutor,
-    NoopPass, PortId, RewriteStats, RewritingBuilder,
+    build_local, BackendError, BackendSpec, ExecutorBuilder, LocalExecutor, PortId, RewriteStats,
 };
 use blazes_dataflow::channel::ChannelConfig;
 use blazes_dataflow::component::Component;
@@ -145,8 +143,11 @@ pub struct CoordinationOutcome {
     /// the punctuation protocol every [`BoltAdapter`] already runs — no
     /// operator injected, which is the "minimal" in minimal coordination.
     pub seal_native: Vec<(String, String)>,
-    /// Accounting of the graph-rewrite pass the build ran through. For
-    /// engine-native coordination this must read untouched.
+    /// Graph-rewrite accounting. Untouched by construction here: Storm
+    /// coordination is engine-native, so nothing is injected and
+    /// [`TopologyBuilder::build_coordinated_on`] assembles without a
+    /// rewrite pass. A caller that does assemble through one (the
+    /// benchmark's traced build) records its accounting here.
     pub rewrite: RewriteStats,
 }
 
@@ -315,9 +316,8 @@ impl TopologyBuilder {
     ///   so nothing is injected (the directive's key must be the engine's
     ///   `batch` attribute).
     ///
-    /// Use [`TopologyBuilder::build_coordinated_on`] to also run the
-    /// assembly through the graph-rewrite pass and obtain the full
-    /// [`CoordinationOutcome`].
+    /// [`TopologyBuilder::build_coordinated_on`] applies a spec and
+    /// builds an executor in one call.
     ///
     /// # Errors
     /// When a directive names an unknown node, targets a non-bolt, or
@@ -372,14 +372,14 @@ impl TopologyBuilder {
     }
 
     /// Apply `spec` and instantiate onto the backend selected by
-    /// `backend`, assembling through the graph-rewrite pass so the
-    /// outcome carries the pass accounting (zero injected operators for
-    /// engine-native coordination — the proof obligation of the "minimal"
-    /// claim). On the parallel executor spout schedule times become
-    /// dispatch ordering keys and modeled service times do not apply
-    /// (real processing costs are paid for real); only confluent or
-    /// coordinated topologies are guaranteed to reproduce the simulator's
-    /// final state there.
+    /// `backend`. Coordination is engine-native, so the assembly goes
+    /// straight onto the backend with zero injected operators — the
+    /// proof obligation of the "minimal" claim — and the outcome's
+    /// `rewrite` reads untouched. On the parallel executor spout schedule
+    /// times become dispatch ordering keys and modeled service times do
+    /// not apply (real processing costs are paid for real); only confluent
+    /// or coordinated topologies are guaranteed to reproduce the
+    /// simulator's final state there.
     ///
     /// # Errors
     /// See [`TopologyBuilder::apply_coordination`]; additionally
@@ -390,19 +390,10 @@ impl TopologyBuilder {
         spec: &CoordinationSpec,
         ordering: &TransactionalConfig,
         backend: &BackendSpec,
-    ) -> Result<(StormExecution, CoordinationOutcome), CoordinationError> {
-        let mut outcome = self.apply_coordination(spec, ordering)?;
-        let (exec, ((_, name), rewrite)) = build_local(backend, self.seed, |b| {
-            let mut rb = RewritingBuilder::new(b, NoopPass);
-            let built = self.assemble(&mut rb);
-            (built, rb.finish().1)
-        })
-        .map_err(CoordinationError::Backend)?;
-        outcome.rewrite = rewrite;
-        let exec = StormExecution {
-            exec: Some(exec),
-            name,
-        };
+    ) -> Result<(LocalExecutor, CoordinationOutcome), CoordinationError> {
+        let outcome = self.apply_coordination(spec, ordering)?;
+        let (exec, _) = build_local(backend, self.seed, |b| self.assemble(b))
+            .map_err(CoordinationError::Backend)?;
         Ok((exec, outcome))
     }
 
@@ -414,7 +405,7 @@ impl TopologyBuilder {
     /// Panics when `backend` is an invalid `Par` spec or a `Dist` spec
     /// (see [`CoordinationError::Backend`]).
     #[must_use]
-    pub fn build_on(self, backend: &BackendSpec) -> StormExecution {
+    pub fn build_on(self, backend: &BackendSpec) -> LocalExecutor {
         let uncoordinated = CoordinationSpec::default();
         match self.build_coordinated_on(&uncoordinated, &TransactionalConfig::default(), backend) {
             Ok((exec, _)) => exec,
@@ -639,34 +630,6 @@ impl TopologyBuilder {
     }
 }
 
-/// A topology instantiated onto one of the in-process backends by
-/// [`TopologyBuilder::build_on`] / [`TopologyBuilder::build_coordinated_on`],
-/// ready to run once.
-pub struct StormExecution {
-    exec: Option<LocalExecutor>,
-    name: String,
-}
-
-impl StormExecution {
-    /// Execute to quiescence on whichever backend this was built for and
-    /// return the backend-tagged statistics.
-    ///
-    /// # Panics
-    /// Panics when called a second time, and re-raises component panics.
-    pub fn run(&mut self) -> BackendRunStats {
-        self.exec
-            .take()
-            .expect("StormExecution::run may only be called once")
-            .run()
-    }
-
-    /// Topology name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 /// Re-exports used by the module doctest.
 pub mod prelude_for_tests {
     pub use crate::bolt::IdentityBolt;
@@ -772,11 +735,11 @@ mod tests {
     /// and the collected outputs.
     fn wordcount_run(seed: u64, transactional: bool) -> (RunStats, CollectorSink) {
         let (t, sink) = wordcount_topology(seed, transactional);
-        (sim_stats(&mut t.build_on(&BackendSpec::Sim)), sink)
+        (sim_stats(t.build_on(&BackendSpec::Sim)), sink)
     }
 
-    fn sim_stats(run: &mut StormExecution) -> RunStats {
-        run.run().as_sim().expect("sim run").clone()
+    fn sim_stats(exec: LocalExecutor) -> RunStats {
+        exec.run().as_sim().expect("sim run").clone()
     }
 
     fn counts_from(sink: &CollectorSink) -> std::collections::BTreeMap<(String, i64), i64> {
@@ -874,7 +837,7 @@ mod tests {
         );
         let sink = CollectorSink::new();
         t.add_collector_sink("out", sink.clone(), double);
-        t.build_on(&BackendSpec::Sim).run();
+        let _ = t.build_on(&BackendSpec::Sim).run();
         let vals: std::collections::BTreeSet<i64> = sink
             .messages()
             .iter()
@@ -901,7 +864,7 @@ mod tests {
         // Every batch's seal must release exactly the words of that batch,
         // under the threaded executor as in the simulator.
         let (t, sink) = wordcount_topology(33, false);
-        t.build_on(&BackendSpec::par(4)).run();
+        let _ = t.build_on(&BackendSpec::par(4)).run();
         let counts = counts_from(&sink);
         assert_eq!(
             counts.len(),
@@ -925,8 +888,7 @@ mod tests {
         ];
         for tuning in tunings {
             let (t, par_sink) = wordcount_topology(44, false);
-            let mut run = t.build_on(&BackendSpec::Par { workers: 3, tuning });
-            let _ = run.run();
+            let _ = t.build_on(&BackendSpec::Par { workers: 3, tuning }).run();
             assert_eq!(
                 counts_from(&par_sink),
                 counts_from(&sim_sink),
@@ -964,13 +926,13 @@ mod tests {
         assert_eq!(spec.len(), 1, "one seal directive: {spec:?}");
         let (_, base_sink) = wordcount_run(31, false);
         let (t, sink) = wordcount_topology(31, false);
-        let (mut run, outcome) = t
+        let (run, outcome) = t
             .build_coordinated_on(&spec, &TransactionalConfig::default(), &BackendSpec::Sim)
             .expect("spec applies");
         assert!(outcome.is_rewrite_free(), "{outcome:?}");
         assert_eq!(outcome.seal_native.len(), 1);
         assert_eq!(outcome.rewrite.injected_operators, 0);
-        run.run();
+        let _ = run.run();
         assert_eq!(counts_from(&sink), counts_from(&base_sink));
     }
 
@@ -981,12 +943,12 @@ mod tests {
         let (p, plain_sink) = wordcount_run(13, false);
 
         let (t, sink) = wordcount_topology(13, false);
-        let (mut run, outcome) = t
+        let (run, outcome) = t
             .build_coordinated_on(&spec, &TransactionalConfig::default(), &BackendSpec::Sim)
             .expect("spec applies");
         assert_eq!(outcome.ordered, vec!["count".to_string()]);
         assert!(!outcome.is_rewrite_free());
-        let stats = sim_stats(&mut run);
+        let stats = sim_stats(run);
         // Same answers, paid for with coordination latency.
         assert_eq!(counts_from(&sink), counts_from(&plain_sink));
         assert!(
@@ -1001,13 +963,13 @@ mod tests {
     fn coordinated_parallel_build_matches_simulator() {
         let spec = wordcount_spec(false);
         let (t, sim_sink) = wordcount_topology(23, false);
-        let (mut sim_run, _) = t
+        let (sim_run, _) = t
             .build_coordinated_on(&spec, &TransactionalConfig::default(), &BackendSpec::Sim)
             .unwrap();
-        sim_run.run();
+        let _ = sim_run.run();
         for workers in [1usize, 4] {
             let (t, par_sink) = wordcount_topology(23, false);
-            let (mut par_run, outcome) = t
+            let (par_run, outcome) = t
                 .build_coordinated_on(
                     &spec,
                     &TransactionalConfig::default(),

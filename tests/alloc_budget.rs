@@ -100,7 +100,7 @@ fn sequential_counts(sc: &WordcountScenario) -> BTreeMap<(String, i64), i64> {
 fn sealed_wordcount_on_par_allocates_at_most_one_and_a_quarter_per_event() {
     let sc = scenario();
     let (topology, committed) = wordcount_topology(&sc);
-    let (mut exec, outcome) = topology
+    let (exec, outcome) = topology
         .build_coordinated_on(
             &wordcount_spec(true),
             &wordcount_ordering_config(&sc),

@@ -26,7 +26,7 @@
 
 use blazes::apps::adreport::{AdScenario, StrategyKind};
 use blazes::apps::autocoord::{response_digests, run_ad_auto, run_wordcount_auto};
-use blazes::apps::dist::{dist_registry, encode_ad_params, AD_TOPOLOGY};
+use blazes::apps::dist::{dist_registry, plan_spec};
 use blazes::apps::queries::ReportQuery;
 use blazes::apps::wordcount::{run_wordcount, WordcountScenario};
 use blazes::apps::workload::{CampaignPlacement, ClickWorkload, TweetWorkload};
@@ -373,9 +373,7 @@ fn exhausted_respawn_budget_fails_with_a_worker_verdict() {
         strategy: StrategyKind::Uncoordinated,
         ..differential_scenario(1)
     };
-    let mut spec = dist_spec(2, sc.seed);
-    spec.topology = AD_TOPOLOGY.to_string();
-    spec.params = encode_ad_params(&sc);
+    let mut spec = plan_spec(&dist_spec(2, sc.seed), &sc);
     spec.tuning = DistTuning::default().with_respawn_budget(0);
     spec.chaos = ChaosSpec {
         kills: vec![Kill {

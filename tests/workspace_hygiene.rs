@@ -27,6 +27,15 @@
 //! with an [`ALLOWED`] entry giving the reason, and an entry whose item is
 //! gone or has a caller fails too.
 //!
+//! It keeps public *fields* earned too: every `pub` field of a struct
+//! declared in `crates/*/src` or `shims/*/src` must be read somewhere —
+//! in non-test code, tests or `benchmark/src` alike. A read is a
+//! `.field` occurrence on a non-comment line that is neither the left
+//! side of an assignment or compound assignment nor a method call, so a
+//! counter only ever bumped, or a field only ever set, is unread. A
+//! field only a deferred decision keeps has an [`ALLOWED`] row named
+//! `Type::field`, under the same stale-row rule.
+//!
 //! It guards the dist backend's IO seam: the coordinator core
 //! (`dist/coord.rs`) is a pure state machine the socket shell and the
 //! in-memory crash sweep both drive, so its non-test code may name no
@@ -44,8 +53,9 @@ use std::path::{Path, PathBuf};
 
 const ROOT: &str = env!("CARGO_MANIFEST_DIR");
 
-/// Public items with no caller outside their own file and its tests, each
-/// with the reason it stays public: (file, name, reason).
+/// Public items with no caller outside their own file and its tests, and
+/// public fields nothing reads (named `Type::field`), each with the reason
+/// it stays: (file, name, reason).
 const ALLOWED: &[(&str, &str, &str)] = &[
     (
         "crates/blazes-apps/src/autocoord.rs",
@@ -96,6 +106,11 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "crates/blazes-dataflow/src/component.rs",
         "resolutions",
         "speculation test hook: SpeculativeSealGate's unit tests read epoch verdicts",
+    ),
+    (
+        "crates/blazes-dataflow/src/metrics.rs",
+        "WorkerStats::discarded_deliveries",
+        "speculation stat; speculation's fields stay until its trial decides whether it goes",
     ),
     (
         "crates/blazes-dataflow/src/dist/recover.rs",
@@ -399,6 +414,10 @@ fn caller_files() -> Vec<(String, String)> {
 /// excuse, then every `allowed` entry that excuses nothing: its item is
 /// gone, or it has a caller after all.
 fn unreached(files: &[(String, String)], allowed: &[(&str, &str, &str)]) -> Vec<String> {
+    let allowed: Vec<_> = allowed
+        .iter()
+        .filter(|(_, n, _)| !n.contains("::"))
+        .collect();
     let uses: Vec<(HashSet<&str>, HashSet<&str>)> = files
         .iter()
         .map(|(_, src)| (call_shaped(non_test(src)), identifiers(non_test(src))))
@@ -417,7 +436,7 @@ fn unreached(files: &[(String, String)], allowed: &[(&str, &str, &str)]) -> Vec<
         for (item, is_fn) in public_items(src) {
             let excused = allowed
                 .iter()
-                .any(|&(f, n, _)| (f, n) == (path.as_str(), item));
+                .any(|&&(f, n, _)| (f, n) == (path.as_str(), item));
             if called(at, item, is_fn) {
                 continue;
             } else if excused {
@@ -427,12 +446,135 @@ fn unreached(files: &[(String, String)], allowed: &[(&str, &str, &str)]) -> Vec<
             }
         }
     }
-    for &(file, name, _) in allowed {
+    for &&(file, name, _) in &allowed {
         if !live.contains(&(file, name)) {
             findings.push(format!("stale allowlist entry {file}: {name}"));
         }
     }
     findings
+}
+
+/// `(struct, field)` for every `pub` field on the non-test, non-comment
+/// lines of `source`: a `pub name: Type` line, owned by the last
+/// `struct` named above it. Only a bare `pub` counts, as for items.
+fn public_fields(source: &str) -> Vec<(&str, &str)> {
+    let mut owner = None;
+    let mut fields = Vec::new();
+    for line in non_test(source).lines().map(str::trim_start) {
+        if line.starts_with("//") {
+            continue;
+        }
+        let mut words = line.split(|c| !is_ident(c)).filter(|w| !w.is_empty());
+        if words.by_ref().take(3).any(|w| w == "struct") {
+            owner = words.next();
+        }
+        let Some(rest) = line.strip_prefix("pub ") else {
+            continue;
+        };
+        let (name, after) = rest.split_at(rest.find(|c| !is_ident(c)).unwrap_or(rest.len()));
+        if let (Some(owner), false) = (owner, name.is_empty()) {
+            if after.starts_with(':') && !after.starts_with("::") {
+                fields.push((owner, name));
+            }
+        }
+    }
+    fields
+}
+
+/// The names read as fields on the non-comment lines of `source`: `.name`
+/// that is not the tail of a range (`..name`), not a method call (`(` or
+/// `::<` follows) and not the left side of `=` or a compound assignment.
+fn field_reads(source: &str) -> HashSet<&str> {
+    const ASSIGN: &[&str] = &[
+        "=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>=",
+    ];
+    let mut found = HashSet::new();
+    for line in source.lines().filter(|l| !l.trim_start().starts_with("//")) {
+        for word in line.split(|c| !is_ident(c)).filter(|w| !w.is_empty()) {
+            // `word` is a subslice of `line`: its offset is the pointer gap.
+            let from = word.as_ptr() as usize - line.as_ptr() as usize;
+            let (before, after) = (&line[..from], &line[from + word.len()..]);
+            let rhs = after.trim_start();
+            let assigned = ASSIGN.iter().any(|op| rhs.starts_with(op))
+                && !rhs.starts_with("==")
+                && !rhs.starts_with("=>");
+            if before.ends_with('.')
+                && !before.ends_with("..")
+                && !after.starts_with('(')
+                && !after.starts_with("::<")
+                && !assigned
+            {
+                found.insert(word);
+            }
+        }
+    }
+    found
+}
+
+/// Every public field declared in a `crates/*/src` or `shims/*/src` file
+/// of `files` that no file of `files` reads and `allowed` does not excuse,
+/// then every `Type::field` row of `allowed` that excuses nothing: its
+/// field is gone, or it is read after all.
+fn unread_fields(files: &[(String, String)], allowed: &[(&str, &str, &str)]) -> Vec<String> {
+    let reads: HashSet<&str> = files.iter().flat_map(|(_, src)| field_reads(src)).collect();
+    let rows: Vec<_> = allowed
+        .iter()
+        .filter(|(_, n, _)| n.contains("::"))
+        .collect();
+    let mut findings = Vec::new();
+    let mut live = HashSet::new();
+    for (path, src) in files {
+        let parts: Vec<&str> = path.split('/').collect();
+        if !(matches!(parts[0], "crates" | "shims") && parts.get(2) == Some(&"src")) {
+            continue;
+        }
+        for (owner, field) in public_fields(src) {
+            let name = format!("{owner}::{field}");
+            if reads.contains(field) {
+                continue;
+            } else if rows
+                .iter()
+                .any(|&&(f, n, _)| (f, n) == (path.as_str(), &name))
+            {
+                live.insert((path.as_str(), name));
+            } else {
+                findings.push(format!("{path}: {name}"));
+            }
+        }
+    }
+    for &&(file, name, _) in &rows {
+        if !live.contains(&(file, name.to_string())) {
+            findings.push(format!("stale allowlist entry {file}: {name}"));
+        }
+    }
+    findings
+}
+
+/// Every `.rs` file that may read a field, as (repo-relative path,
+/// source): all code and tests of the workspace plus `benchmark/src`, but
+/// not this file, whose fixtures would read as uses.
+fn reader_files() -> Vec<(String, String)> {
+    let root = Path::new(ROOT);
+    let mut sources = Vec::new();
+    for dir in [
+        "crates",
+        "shims",
+        "src",
+        "tests",
+        "examples",
+        "benchmark/src",
+    ] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    sources.sort();
+    sources
+        .iter()
+        .map(|p| {
+            let rel = p.strip_prefix(root).expect("under the root");
+            (rel.to_string_lossy().replace('\\', "/"), read(p))
+        })
+        .filter(|(rel, _)| rel != "tests/workspace_hygiene.rs")
+        .collect()
 }
 
 #[test]
@@ -607,6 +749,99 @@ fn every_public_item_has_a_caller_or_an_allowlist_reason() {
         findings.is_empty(),
         "{} public items nothing else names (delete them, make them \
          private, or add an ALLOWED entry with a reason):\n{}",
+        findings.len(),
+        findings.join("\n")
+    );
+}
+
+#[test]
+fn the_field_scan_finds_fields_nothing_reads_and_stale_allowlist_entries() {
+    let lib = "\
+/// pub doc: u8,
+pub struct Stats {
+    pub compared: u64,
+    pub matched: u64,
+    pub bumped: u64,
+    pub set_only: u64,
+    pub ranged: usize,
+    pub called: u64,
+    pub destination: u64,
+    crate_only: u64,
+    pub(crate) narrow: u64,
+}
+pub struct Pair(pub u64);
+pub const LIMIT: usize = 1;
+#[cfg(test)]
+mod tests {
+    pub struct Fixture { pub in_tests: u8 }
+}
+";
+    assert_eq!(
+        public_fields(lib),
+        [
+            ("Stats", "compared"),
+            ("Stats", "matched"),
+            ("Stats", "bumped"),
+            ("Stats", "set_only"),
+            ("Stats", "ranged"),
+            ("Stats", "called"),
+            ("Stats", "destination")
+        ]
+    );
+    let user = "\
+fn use_them(s: &mut Stats, t: &Stats) {
+    if s.compared == t.compared {}
+    let m = match s.matched { _ => 0 };
+    s.bumped += 1;
+    s.set_only = 2;
+    let r = 0..ranged;
+    s.called();
+    let d = &mut s.destination;
+}
+// t.bumped in a comment
+";
+    let files = [
+        ("crates/a/src/lib.rs".to_string(), lib.to_string()),
+        ("tests/t.rs".to_string(), user.to_string()),
+    ];
+    let at = |field: &str| format!("crates/a/src/lib.rs: Stats::{field}");
+    assert_eq!(
+        unread_fields(&files, &[]),
+        [at("bumped"), at("set_only"), at("ranged"), at("called")]
+    );
+    let allowed = [
+        ("crates/a/src/lib.rs", "Stats::bumped", "reason"),
+        ("crates/a/src/lib.rs", "Stats::set_only", "reason"),
+        ("crates/a/src/lib.rs", "Stats::ranged", "reason"),
+        ("crates/a/src/lib.rs", "Stats::called", "reason"),
+        ("crates/a/src/lib.rs", "Stats::gone", "a field that is gone"),
+        (
+            "crates/a/src/lib.rs",
+            "Stats::compared",
+            "a field that is read",
+        ),
+        (
+            "crates/a/src/lib.rs",
+            "LIMIT",
+            "an item row, not a field row",
+        ),
+    ];
+    assert_eq!(
+        unread_fields(&files, &allowed),
+        [
+            "stale allowlist entry crates/a/src/lib.rs: Stats::gone",
+            "stale allowlist entry crates/a/src/lib.rs: Stats::compared"
+        ]
+    );
+}
+
+#[test]
+fn every_public_field_is_read_or_has_an_allowlist_reason() {
+    let findings = unread_fields(&reader_files(), ALLOWED);
+    assert!(
+        findings.is_empty(),
+        "{} public fields nothing reads (delete them, make them private, \
+         or add an ALLOWED `Type::field` entry with a reason):\n{}",
         findings.len(),
         findings.join("\n")
     );
