@@ -158,8 +158,8 @@ mod tests {
     use super::*;
     use blazes_core::analysis::Analyzer;
     use blazes_core::label::Label;
-    use blazes_core::placement::CoordDirective;
-    use blazes_core::strategy::{plan_for, residual_labels, Strategy};
+    use blazes_core::placement::{CoordDirective, CoordinationSpec};
+    use blazes_core::strategy::residual_labels;
 
     /// The default wordcount topology with no tweets, recorded.
     fn wordcount_recording() -> Topology {
@@ -232,7 +232,6 @@ mod tests {
     /// `OW_*` component the clicks now cross, and the spec moves.
     #[test]
     fn assembly_edits_reach_the_derived_spec() {
-        use blazes_core::placement::CoordinationSpec;
         use blazes_dataflow::backend::{ExecutorBuilder, PortId};
         use blazes_dataflow::component::{Context, FnComponent};
 
@@ -344,20 +343,22 @@ mod tests {
     #[test]
     fn campaign_unsealed_plan_orders_report() {
         let (g, _) = ad_network_graph(ReportQuery::Campaign, None);
-        let plan = plan_for(&g, true).unwrap();
-        let report = g.component_by_name("Report").unwrap();
-        assert!(plan
-            .strategies
-            .iter()
-            .any(|s| matches!(s, Strategy::Ordering { component, .. } if *component == report)));
+        let plan = CoordinationSpec::derive(&g, true).unwrap();
+        assert!(matches!(
+            plan.directive_for("Report"),
+            Some(CoordDirective::Order { .. })
+        ));
     }
 
     #[test]
     fn campaign_sealed_plan_uses_seal_protocol_only() {
         let (g, _) = ad_network_graph(ReportQuery::Campaign, Some(&["campaign"]));
-        let plan = plan_for(&g, true).unwrap();
-        assert!(plan.needs_sealing());
-        assert!(!plan.needs_ordering());
+        let plan = CoordinationSpec::derive(&g, true).unwrap();
+        assert!(!plan.is_empty());
+        assert!(
+            (plan.directives.iter()).all(|d| matches!(d, CoordDirective::Seal { .. })),
+            "{plan:?}"
+        );
         let residual = residual_labels(&g, &plan).unwrap();
         assert!(residual.iter().all(|(_, l)| !l.is_anomalous()));
     }
@@ -365,7 +366,50 @@ mod tests {
     #[test]
     fn thresh_needs_no_coordination_at_all() {
         let (g, _) = ad_network_graph(ReportQuery::Thresh, None);
-        let plan = plan_for(&g, true).unwrap();
-        assert!(plan.strategies.is_empty());
+        assert!(CoordinationSpec::derive(&g, true).unwrap().is_empty());
+    }
+
+    /// The exact plan `CoordinationSpec::derive` synthesizes for every case
+    /// study: the ad network for each query × seal key under dynamic
+    /// ordering, and the wordcount unsealed and sealed under static
+    /// ordering. Each ordered Report also orders the Cache, which needs no
+    /// order of its own (ROADMAP, "the residue").
+    #[test]
+    fn derive_pins_every_case_study_plan() {
+        const NONE: &str = "confluent: no coordination to inject\n";
+        const ORDER: &str = "inject dynamic ordering service before Cache on [response]\n\
+                             inject dynamic ordering service before Report on [click, request]\n";
+        const SEAL_ID: &str = "inject seal-gate at Report.click keyed {id}\n";
+        const SEAL_WINDOW: &str = "inject seal-gate at Report.click keyed {window}\n";
+        const SEAL_CAMPAIGN: &str = "inject seal-gate at Report.click keyed {campaign}\n";
+        let keys: [Option<&[&str]>; 4] =
+            [None, Some(&["campaign"]), Some(&["window"]), Some(&["id"])];
+        let table = [
+            (ReportQuery::Thresh, [NONE, NONE, NONE, NONE]),
+            (ReportQuery::Poor, [ORDER, ORDER, ORDER, SEAL_ID]),
+            (ReportQuery::Window, [ORDER, ORDER, SEAL_WINDOW, SEAL_ID]),
+            (
+                ReportQuery::Campaign,
+                [ORDER, SEAL_CAMPAIGN, ORDER, SEAL_ID],
+            ),
+        ];
+        for (query, plans) in table {
+            for (key, plan) in keys.into_iter().zip(plans) {
+                let (g, _) = ad_network_graph(query, key);
+                let spec = CoordinationSpec::derive(&g, true).unwrap();
+                assert_eq!(spec.render(), plan, "{} sealed on {key:?}", query.name());
+            }
+        }
+        for (sealed, plan) in [
+            (
+                false,
+                "inject static ordering service before Count on [in]\n",
+            ),
+            (true, "inject seal-gate at Count.in keyed {batch}\n"),
+        ] {
+            let (g, _) = wordcount_graph(sealed);
+            let spec = CoordinationSpec::derive(&g, false).unwrap();
+            assert_eq!(spec.render(), plan, "wordcount sealed={sealed}");
+        }
     }
 }

@@ -7,15 +7,20 @@
 //!     [--smoke] [--out [FILE]] [--check]
 //! ```
 //!
-//! Five subjects: label analysis of synthetic chains of 10, 100 and 500
+//! Eight subjects: label analysis of synthetic chains of 10, 100 and 500
 //! components, the white-box extraction for the CAMPAIGN Bloom module, and
-//! full plan synthesis on the ad network. Each records the median wall
-//! time of 101 calls (`--smoke`: 11), which is never gated. The chains also
-//! record what the analysis did, and that is machine-independent: `--check`
-//! exits nonzero unless every chain of *n* components analysed in exactly
-//! *n* inference steps and *n* reconciliations with its sink labelled
-//! `Run`. `--out` writes the record as JSON (default `BENCH_analysis.json`
-//! when given without a value), stamped with the machine's core count.
+//! full plan synthesis (`CoordinationSpec::derive`, dynamic ordering) on the
+//! ad network of each of the four queries with clicks sealed on
+//! `campaign`. Each records the median wall time of 101 calls (`--smoke`:
+//! 11), which is never gated. The rest of the record is what the analysis
+//! did, which is machine-independent, and `--check` exits nonzero unless
+//! every chain of *n* components analysed in exactly *n* inference steps and
+//! *n* reconciliations with its sink labelled `Run`, and the Report got the
+//! mechanism of its query: none for THRESH, a seal for CAMPAIGN, an order
+//! for WINDOW and POOR. Each query's directive count is recorded but not
+//! gated: a plan that orders the Report also orders the Cache. `--out`
+//! writes the record as JSON (default `BENCH_analysis.json` when given
+//! without a value), stamped with the machine's core count.
 
 #![forbid(unsafe_code)]
 
@@ -26,11 +31,20 @@ use blazes_bloom::analyze::annotate_module;
 use blazes_core::analysis::Analyzer;
 use blazes_core::annotation::ComponentAnnotation;
 use blazes_core::graph::DataflowGraph;
-use blazes_core::strategy::plan_for;
+use blazes_core::placement::{CoordDirective, CoordinationSpec};
 use std::hint::black_box;
 use std::time::Instant;
 
 const USAGE: &str = "usage: analysis_scaling [--smoke] [--out [FILE]] [--check]";
+
+/// The mechanism each query's Report must get with clicks sealed on
+/// `campaign`.
+const REPORT_MECHANISMS: [(ReportQuery, &str); 4] = [
+    (ReportQuery::Thresh, "none"),
+    (ReportQuery::Poor, "order"),
+    (ReportQuery::Window, "order"),
+    (ReportQuery::Campaign, "seal"),
+];
 
 /// A chain of `n` alternating CW / OW components fed by a sealed source.
 fn chain_graph(n: usize) -> DataflowGraph {
@@ -105,20 +119,37 @@ fn main() {
         ));
     }
     let m = ReportQuery::Campaign.module();
-    let (g, _) = ad_network_graph(ReportQuery::Campaign, Some(&["campaign"]));
     let white_box = median_us(iters, || annotate_module(&m).expect("analyzable"));
-    let plan = median_us(iters, || plan_for(&g, true).expect("plannable"));
-    for (subject, us) in [("white_box_campaign", white_box), ("plan_ad_network", plan)] {
-        println!("{subject}: {us:.1} us");
+    println!("white_box_campaign: {white_box:.1} us");
+    rows.push(format!(
+        "{{\"subject\": \"white_box_campaign\", \"median_us\": {white_box:.1}}}"
+    ));
+    let mut report_mechanisms_hold = true;
+    for (query, expected) in REPORT_MECHANISMS {
+        let (g, _) = ad_network_graph(query, Some(&["campaign"]));
+        let derive = || CoordinationSpec::derive(&g, true).expect("derivable");
+        let spec = derive();
+        let mechanism = match spec.directive_for("Report") {
+            None => "none",
+            Some(CoordDirective::Seal { .. }) => "seal",
+            Some(CoordDirective::Order { .. }) => "order",
+        };
+        report_mechanisms_hold &= mechanism == expected;
+        let directives = spec.len();
+        let us = median_us(iters, derive);
+        let subject = format!("derive_{}", query.name().to_lowercase());
+        println!("{subject}: {us:.1} us, {directives} directive(s), Report {mechanism}");
         rows.push(format!(
-            "{{\"subject\": \"{subject}\", \"median_us\": {us:.1}}}"
+            "{{\"subject\": \"{subject}\", \"median_us\": {us:.1}, \
+             \"directives\": {directives}, \"report_mechanism\": \"{mechanism}\"}}"
         ));
     }
 
     if let Some(path) = out {
         let mut s = format!(
             "{{\n  \"bench\": \"analysis_scaling\",\n  \"cores\": {cores},\n  \"iters\": {iters},\n  \
-             \"chains_cost_one_step_per_component\": {one_step_per_component},\n"
+             \"chains_cost_one_step_per_component\": {one_step_per_component},\n  \
+             \"report_mechanisms_hold\": {report_mechanisms_hold},\n"
         );
         json::array(&mut s, "points", rows, true);
         s.push_str("}\n");
@@ -126,11 +157,18 @@ fn main() {
         println!("# wrote {path}");
     }
     if check {
-        if one_step_per_component {
-            println!("# counter gate passed: n derivations, n reports, sink Run on every chain-n");
-        } else {
+        if !one_step_per_component {
             eprintln!("FAIL: a chain's analysis did not take one step per component");
+        }
+        if !report_mechanisms_hold {
+            eprintln!("FAIL: a query's Report did not get its mechanism");
+        }
+        if !(one_step_per_component && report_mechanisms_hold) {
             std::process::exit(1);
         }
+        println!(
+            "# counter gate passed: n derivations, n reports, sink Run on every chain-n; \
+             Report none/order/order/seal for THRESH/POOR/WINDOW/CAMPAIGN"
+        );
     }
 }

@@ -12,17 +12,17 @@ use blazes_apps::casestudy::{ad_network_graph, wordcount_graph};
 use blazes_apps::queries::ReportQuery;
 use blazes_core::analysis::Analyzer;
 use blazes_core::derivation;
-use blazes_core::strategy::plan_for;
+use blazes_core::placement::CoordinationSpec;
 
 fn show(name: &str, graph: &blazes_core::graph::DataflowGraph) {
     println!("==================== {name} ====================");
     match Analyzer::new(graph).run() {
         Ok(outcome) => {
             print!("{}", derivation::render(graph, &outcome));
-            match plan_for(graph, true) {
+            match CoordinationSpec::derive(graph, true) {
                 Ok(plan) => {
                     println!("-- synthesized coordination --");
-                    print!("{}", plan.render(graph));
+                    print!("{}", plan.render());
                 }
                 Err(e) => println!("plan error: {e}"),
             }

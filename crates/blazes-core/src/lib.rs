@@ -20,10 +20,13 @@
 //!    Fig. 9 ([`inference`]) and the **reconciliation procedure** of Fig. 10
 //!    ([`reconcile`]), producing an output [`label::Label`] per stream:
 //!    `Async`, `Run`, `Inst` or `Diverge` (Fig. 8).
-//! 4. Where the derived label signals an anomaly, the synthesizer
-//!    ([`strategy`]) picks coordination: a cheap **sealing** protocol when a
-//!    sealed input is compatible with the component's partitioning
-//!    ([`annotation::Gate::admits`]), otherwise a total-**ordering** service.
+//! 4. Where the derived label signals an anomaly, synthesis
+//!    ([`placement::CoordinationSpec::derive`], rules in [`strategy`]) picks
+//!    coordination per component: a cheap **sealing** protocol when a sealed
+//!    input is compatible with the component's partitioning
+//!    ([`annotation::Gate::admits`]), otherwise a total-**ordering**
+//!    service. The resulting [`placement::CoordinationSpec`] names each
+//!    component and its mechanism; the execution crates inject exactly that.
 //!
 //! Compatibility between seals and partitions is a subset test: the seal key
 //! must lie inside the component's gate. This is the paper's
@@ -96,7 +99,6 @@ pub mod prelude {
     pub use crate::placement::{CoordDirective, CoordinationSpec};
     pub use crate::severity::Severity;
     pub use crate::spec::Spec;
-    pub use crate::strategy::{CoordinationPlan, Strategy};
 }
 
 pub use prelude::*;

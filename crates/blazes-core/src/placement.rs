@@ -1,20 +1,19 @@
-//! The strategy→placement API: turning a [`CoordinationPlan`] into a
-//! runtime-facing [`CoordinationSpec`].
+//! The coordination plan: what the analysis decided, per component, in
+//! the names execution engines use.
 //!
-//! [`crate::strategy`] reasons in graph ids ([`ComponentId`](crate::graph::ComponentId), derivation
-//! endpoints); execution engines reason in *names* (topology nodes,
-//! instance labels). A [`CoordinationSpec`] is the bridge: one directive
-//! per coordinated component, keyed by component name, stating which
-//! mechanism the analysis selected and where it must sit. It is pure data
-//! — `blazes-autocoord` (and the Storm topology builder) consume it to
-//! rewrite a running dataflow, injecting seal gates or an ordering service
-//! exactly where the analysis demands and nothing anywhere else.
+//! A [`CoordinationSpec`] holds one [`CoordDirective`] per coordinated
+//! component, keyed by component name, stating which mechanism the
+//! analysis selected and where it must sit. [`CoordinationSpec::derive`]
+//! synthesizes it ([`crate::strategy`] holds the synthesis rules). It is
+//! pure data — `blazes-autocoord` (and the Storm topology builder) consume
+//! it to rewrite a running dataflow, injecting seal gates or an ordering
+//! service exactly where the analysis demands and nothing anywhere else.
 
+use crate::analysis::Analyzer;
 use crate::error::Result;
 use crate::graph::DataflowGraph;
 use crate::keys::KeySet;
-use crate::strategy::{plan_for, CoordinationPlan, Strategy};
-use std::collections::BTreeMap;
+use crate::strategy::{apply_plan, synthesize, Plan};
 
 /// One coordination requirement, resolved to component/interface names.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -65,59 +64,30 @@ pub struct CoordinationSpec {
 }
 
 impl CoordinationSpec {
-    /// Resolve a [`CoordinationPlan`] against the graph it was synthesized
-    /// for. When a component draws both an ordering and seal strategies,
-    /// ordering subsumes sealing (the total order already serializes the
-    /// sealed input), so only the `Order` directive is kept.
-    #[must_use]
-    fn from_plan(graph: &DataflowGraph, plan: &CoordinationPlan) -> Self {
-        let mut by_component: BTreeMap<String, CoordDirective> = BTreeMap::new();
-        // Seals first so a later Order directive overwrites them.
-        for strat in &plan.strategies {
-            if let Strategy::SealProtocol {
-                component,
-                input,
-                key,
-            } = strat
-            {
-                let name = graph.component(*component).name.clone();
-                by_component
-                    .entry(name.clone())
-                    .or_insert(CoordDirective::Seal {
-                        component: name,
-                        input: input.clone(),
-                        key: key.clone(),
-                    });
-            }
-        }
-        for strat in &plan.strategies {
-            if let Strategy::Ordering {
-                component,
-                inputs,
-                dynamic,
-            } = strat
-            {
-                let name = graph.component(*component).name.clone();
-                by_component.insert(
-                    name.clone(),
-                    CoordDirective::Order {
-                        component: name,
-                        inputs: inputs.clone(),
-                        dynamic: *dynamic,
-                    },
-                );
-            }
-        }
-        CoordinationSpec {
-            directives: by_component.into_values().collect(),
-        }
-    }
-
-    /// Analyze `graph`, synthesize the minimal plan and resolve it —
-    /// the full annotate→analyze→inject front half in one call.
+    /// Analyze `graph` and synthesize its plan — the full
+    /// annotate→analyze→inject front half in one call. `dynamic_ordering`
+    /// selects the ordering flavor where sealing is unavailable (see
+    /// [`CoordDirective::Order`]).
+    ///
+    /// A single pass can under-approximate: an already-`Diverge` input masks
+    /// a downstream component's own order-sensitivity (the Fig. 9 rules fire
+    /// on `Async`/`Run`/`Inst`, and `Diverge` merely propagates). So the
+    /// plan is deployed on the graph, the result re-analyzed, and this
+    /// repeated until a round changes no directive (a seal upgraded to an
+    /// order counts as a change) — bounded by the component count.
     pub fn derive(graph: &DataflowGraph, dynamic_ordering: bool) -> Result<Self> {
-        let plan = plan_for(graph, dynamic_ordering)?;
-        Ok(CoordinationSpec::from_plan(graph, &plan))
+        let mut plan = Plan::new();
+        let mut current = graph.clone();
+        for _ in 0..=graph.components().len() {
+            let outcome = Analyzer::new(&current).run()?;
+            if !synthesize(&current, &outcome, dynamic_ordering, &mut plan) {
+                break;
+            }
+            current = apply_plan(graph, plan.values())?;
+        }
+        Ok(CoordinationSpec {
+            directives: plan.into_values().collect(),
+        })
     }
 
     /// No coordination required anywhere?
@@ -177,6 +147,7 @@ impl CoordinationSpec {
 mod tests {
     use super::*;
     use crate::annotation::ComponentAnnotation as CA;
+    use crate::inference::Rule;
 
     fn wordcount(sealed: bool) -> DataflowGraph {
         let mut g = DataflowGraph::new("wordcount");
@@ -242,30 +213,37 @@ mod tests {
         assert!(spec.render().contains("confluent"));
     }
 
+    /// X reads `in1` sealed on its gate and `in2` unsealed: the analysis
+    /// draws a seal for `in1` and an order for X, and the order subsumes
+    /// the seal.
     #[test]
     fn ordering_subsumes_sealing_on_the_same_component() {
-        let g = wordcount(true);
-        let count = g.component_by_name("Count").unwrap();
-        let plan = CoordinationPlan {
-            strategies: vec![
-                Strategy::SealProtocol {
-                    component: count,
-                    input: "words".to_string(),
-                    key: KeySet::from_attrs(["batch"]),
-                },
-                Strategy::Ordering {
-                    component: count,
-                    inputs: vec!["words".to_string()],
-                    dynamic: false,
-                },
-            ],
-        };
-        let spec = CoordinationSpec::from_plan(&g, &plan);
-        assert_eq!(spec.len(), 1);
-        assert!(matches!(
-            spec.directive_for("Count"),
-            Some(CoordDirective::Order { .. })
-        ));
+        let mut g = DataflowGraph::new("subsume");
+        let sealed = g.add_source("sealed", &["a", "b"]);
+        g.seal_source(sealed, ["a"]);
+        let unsealed = g.add_source("unsealed", &["a", "b"]);
+        let x = g.add_component("X");
+        g.add_path(x, "in1", "out", CA::ow(["a"]));
+        g.add_path(x, "in2", "out", CA::ow(["b"]));
+        let k = g.add_sink("k");
+        g.connect_source(sealed, x, "in1");
+        g.connect_source(unsealed, x, "in2");
+        g.connect_sink(x, "out", k);
+
+        let outcome = Analyzer::new(&g).run().unwrap();
+        assert!(outcome
+            .derivations()
+            .iter()
+            .any(|d| d.rule == Rule::SealConsume && d.from.iface == "in1"));
+        let spec = CoordinationSpec::derive(&g, false).unwrap();
+        assert_eq!(
+            spec.directives,
+            [CoordDirective::Order {
+                component: "X".to_string(),
+                inputs: vec!["in1".to_string(), "in2".to_string()],
+                dynamic: false,
+            }]
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Coordination selection and synthesis — the paper's Section V-B.
+//! Coordination synthesis — the paper's Section V-B.
 //!
 //! Blazes repairs dataflows that are not confluent by constraining message
 //! delivery:
@@ -12,217 +12,93 @@
 //!   inputs in a total order decided by an ordering service (Zookeeper in
 //!   the paper; the simulated sequencer of `blazes-coord` here).
 //!
-//! `synthesize` inspects an [`AnalysisOutcome`] and produces a
-//! [`CoordinationPlan`]: seal protocols for every compatible sealed input it
-//! recognized, and ordering for every component whose reconciliation still
-//! escalated an anomaly. `apply_plan` rewrites the graph as if the plan
-//! were deployed so the *residual* label can be verified.
+//! [`CoordinationSpec::derive`] runs the synthesis to a fixpoint. Each
+//! round, `synthesize` adds what one [`AnalysisOutcome`] calls for to the
+//! plan — a seal [`CoordDirective`] for every compatible sealed input the
+//! analysis recognized, an order for every component whose reconciliation
+//! still escalated an anomaly — and `apply_plan` rewrites the graph as if
+//! the plan were deployed. [`residual_labels`] verifies a plan on that
+//! rewritten graph.
 
 use crate::analysis::{AnalysisOutcome, Analyzer};
 use crate::annotation::ComponentAnnotation;
 use crate::error::Result;
 use crate::graph::{ComponentId, DataflowGraph, Endpoint};
 use crate::inference::Rule;
-use crate::keys::KeySet;
 use crate::label::Label;
-use std::collections::BTreeSet;
+use crate::placement::{CoordDirective, CoordinationSpec};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// One synthesized coordination mechanism.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Strategy {
-    /// Delay processing of each partition of `input` until its seal is
-    /// known: the consumer buffers per-partition input, collects the
-    /// producers' seal punctuations (a unanimous vote when a partition has
-    /// several producers) and only then releases the partition (paper
-    /// Section V-B1).
-    SealProtocol {
-        /// The consuming component.
-        component: ComponentId,
-        /// The sealed input interface.
-        input: String,
-        /// The seal key.
-        key: KeySet,
-    },
-    /// Deliver all listed inputs of `component` in a single total order
-    /// decided by an ordering service (paper Section V-B2).
-    Ordering {
-        /// The component whose inputs must be ordered.
-        component: ComponentId,
-        /// The input interfaces to order (all of them: the order must cover
-        /// every rendezvous).
-        inputs: Vec<String>,
-        /// `true` for a *dynamic* ordering service (Paxos/Zookeeper): the
-        /// order is agreed per run, preventing `Inst`/`Diverge` but not
-        /// `Run`. `false` for a *static* sequence (e.g. Storm transactional
-        /// batch ids), which also prevents cross-run nondeterminism.
-        dynamic: bool,
-    },
+/// A plan under construction: one directive per component, by name.
+pub(crate) type Plan = BTreeMap<String, CoordDirective>;
+
+/// Add `directive` to `plan`, keeping one directive per component: an order
+/// subsumes a seal (the total order already serializes the sealed input),
+/// and of two seals the smaller is kept. Returns whether `plan` changed.
+fn add(plan: &mut Plan, directive: CoordDirective) -> bool {
+    let changes = match (plan.get(directive.component()), &directive) {
+        (None, _) | (Some(CoordDirective::Seal { .. }), CoordDirective::Order { .. }) => true,
+        (Some(old @ CoordDirective::Seal { .. }), CoordDirective::Seal { .. }) => directive < *old,
+        (Some(CoordDirective::Order { .. }), _) => false,
+    };
+    if changes {
+        plan.insert(directive.component().to_string(), directive);
+    }
+    changes
 }
 
-/// A full coordination plan for a dataflow.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CoordinationPlan {
-    /// The synthesized strategies, deduplicated and sorted.
-    pub strategies: Vec<Strategy>,
-}
-
-impl CoordinationPlan {
-    /// Does the plan involve any global ordering?
-    #[must_use]
-    pub fn needs_ordering(&self) -> bool {
-        self.strategies
-            .iter()
-            .any(|s| matches!(s, Strategy::Ordering { .. }))
-    }
-
-    /// Does the plan involve any seal protocol?
-    #[must_use]
-    pub fn needs_sealing(&self) -> bool {
-        self.strategies
-            .iter()
-            .any(|s| matches!(s, Strategy::SealProtocol { .. }))
-    }
-
-    /// Render the plan as human-readable text.
-    #[must_use]
-    pub fn render(&self, graph: &DataflowGraph) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        if self.strategies.is_empty() {
-            let _ = writeln!(s, "no coordination required");
-            return s;
-        }
-        for strat in &self.strategies {
-            match strat {
-                Strategy::SealProtocol {
-                    component,
-                    input,
-                    key,
-                } => {
-                    let _ = writeln!(
-                        s,
-                        "seal-protocol at {}.{}: buffer partitions keyed {{{key}}}, release on seal + unanimous producer vote",
-                        graph.component(*component).name,
-                        input
-                    );
-                }
-                Strategy::Ordering {
-                    component,
-                    inputs,
-                    dynamic,
-                } => {
-                    let _ = writeln!(
-                        s,
-                        "{} ordering at {}: totally order delivery on [{}]",
-                        if *dynamic { "dynamic" } else { "static" },
-                        graph.component(*component).name,
-                        inputs.join(", ")
-                    );
-                }
-            }
-        }
-        s
-    }
-}
-
-/// Synthesize a coordination plan from an analysis outcome.
-///
-/// `dynamic_ordering` selects the flavor of ordering service to synthesize
-/// where sealing is unavailable (see [`Strategy::Ordering::dynamic`]).
-#[must_use]
-fn synthesize(
+/// Add the coordination `outcome` calls for on `graph` to `plan`;
+/// `dynamic_ordering` selects the ordering flavor where sealing is
+/// unavailable. Returns whether `plan` changed.
+pub(crate) fn synthesize(
     graph: &DataflowGraph,
     outcome: &AnalysisOutcome,
     dynamic_ordering: bool,
-) -> CoordinationPlan {
-    let mut strategies: BTreeSet<Strategy> = BTreeSet::new();
-
+    plan: &mut Plan,
+) -> bool {
     // Seal protocols: every compatible seal consumption recognized by
-    // inference, plus every seal that protected an NDRead.
-    for d in outcome.derivations() {
-        if d.rule == Rule::SealConsume {
-            if let Label::Seal(key) = &d.input {
-                strategies.insert(Strategy::SealProtocol {
-                    component: d.from.component,
-                    input: d.from.iface.clone(),
-                    key: key.clone(),
-                });
-            }
-        }
-    }
-    for r in outcome.reports() {
-        if r.reconciliation.protected.is_empty() {
-            continue;
-        }
-        // The seals that protected reads arrived on sibling paths into the
-        // same output interface; the consumer must still run the seal
-        // protocol on those inputs (delay reads until the referenced
-        // partition is sealed). The *input* label carries the seal even
-        // when the path's projection drops the key from its output.
-        for d in outcome.derivations() {
-            if d.to == r.iface {
-                if let Label::Seal(key) = &d.input {
-                    strategies.insert(Strategy::SealProtocol {
-                        component: d.from.component,
-                        input: d.from.iface.clone(),
-                        key: key.clone(),
-                    });
-                }
-            }
-        }
-    }
+    // inference, plus every seal that protected an NDRead. The seals that
+    // protected reads arrived on sibling paths into the same output
+    // interface; the consumer must still run the seal protocol on those
+    // inputs (delay reads until the referenced partition is sealed). The
+    // *input* label carries the seal even when the path's projection drops
+    // the key from its output.
+    let derivations = outcome.derivations();
+    let consumed = derivations.iter().filter(|d| d.rule == Rule::SealConsume);
+    let protecting = (outcome.reports().iter())
+        .filter(|r| !r.reconciliation.protected.is_empty())
+        .flat_map(|r| derivations.iter().filter(move |d| d.to == r.iface));
+    let seals = consumed.chain(protecting).filter_map(|d| match &d.input {
+        Label::Seal(key) => Some(CoordDirective::Seal {
+            component: graph.component(d.from.component).name.clone(),
+            input: d.from.iface.clone(),
+            key: key.clone(),
+        }),
+        _ => None,
+    });
 
     // Ordering: any output interface whose reconciliation escalated an
     // anomaly means seals were absent or incompatible for some path.
-    for r in outcome.reports() {
-        if r.reconciliation.added.is_empty() {
-            continue;
-        }
-        let component = r.iface.component;
-        let inputs: Vec<String> = graph
-            .component(component)
-            .input_interfaces()
-            .into_iter()
-            .map(str::to_string)
-            .collect();
-        strategies.insert(Strategy::Ordering {
-            component,
-            inputs,
-            dynamic: dynamic_ordering,
+    let orders = (outcome.reports().iter())
+        .filter(|r| !r.reconciliation.added.is_empty())
+        .map(|r| {
+            let c = graph.component(r.iface.component);
+            CoordDirective::Order {
+                component: c.name.clone(),
+                inputs: c
+                    .input_interfaces()
+                    .into_iter()
+                    .map(str::to_string)
+                    .collect(),
+                dynamic: dynamic_ordering,
+            }
         });
-    }
 
-    CoordinationPlan {
-        strategies: strategies.into_iter().collect(),
+    let mut changed = false;
+    for directive in seals.chain(orders) {
+        changed |= add(plan, directive);
     }
-}
-
-/// Analyze `graph` and synthesize a plan, iterating to a fixpoint.
-///
-/// A single pass can under-approximate: an already-`Diverge` input masks a
-/// downstream component's own order-sensitivity (the Fig. 9 rules fire on
-/// `Async`/`Run`/`Inst`, and `Diverge` merely propagates). We therefore
-/// repair, re-analyze the repaired graph, and repeat until no new
-/// strategies appear — bounded by the component count.
-pub fn plan_for(graph: &DataflowGraph, dynamic_ordering: bool) -> Result<CoordinationPlan> {
-    let mut strategies: BTreeSet<Strategy> = BTreeSet::new();
-    let mut current = graph.clone();
-    for _ in 0..=graph.components().len() {
-        let outcome = Analyzer::new(&current).run()?;
-        let increment = synthesize(&current, &outcome, dynamic_ordering);
-        let before = strategies.len();
-        strategies.extend(increment.strategies);
-        if strategies.len() == before {
-            break;
-        }
-        let plan = CoordinationPlan {
-            strategies: strategies.iter().cloned().collect(),
-        };
-        current = apply_plan(graph, &plan);
-    }
-    Ok(CoordinationPlan {
-        strategies: strategies.into_iter().collect(),
-    })
+    changed
 }
 
 /// Rewrite `graph` as if `plan` were deployed:
@@ -232,60 +108,52 @@ pub fn plan_for(graph: &DataflowGraph, dynamic_ordering: bool) -> Result<Coordin
 /// * sealed inputs stay as they are (the analysis already recognizes
 ///   compatible seals).
 ///
-/// Returns the transformed graph. Use [`residual_labels`] to obtain the
-/// post-plan sink labels (which accounts for the `Run` floor of *dynamic*
-/// ordering).
-#[must_use]
-fn apply_plan(graph: &DataflowGraph, plan: &CoordinationPlan) -> DataflowGraph {
+/// Fails if a directive names no component of `graph`.
+pub(crate) fn apply_plan<'a>(
+    graph: &DataflowGraph,
+    plan: impl IntoIterator<Item = &'a CoordDirective>,
+) -> Result<DataflowGraph> {
     let mut g = graph.clone();
-    for strat in &plan.strategies {
-        if let Strategy::Ordering { component, .. } = strat {
-            let comp_name = graph.component(*component).name.clone();
-            let id = g
-                .component_by_name(&comp_name)
-                .expect("component preserved by clone");
-            // Convert order-sensitive annotations to their confluent
-            // counterparts in place.
-            let paths: Vec<_> = g.component(id).paths.clone();
-            let mut rewritten = Vec::with_capacity(paths.len());
-            for mut p in paths {
-                p.annotation = match p.annotation {
-                    ComponentAnnotation::OR(_) => ComponentAnnotation::CR,
-                    ComponentAnnotation::OW(_) => ComponentAnnotation::CW,
-                    other => other,
-                };
-                rewritten.push(p);
+    for directive in plan {
+        if let CoordDirective::Order { component, .. } = directive {
+            let id = g.component_by_name(component)?;
+            let mut paths = g.component(id).paths.clone();
+            for p in &mut paths {
+                match p.annotation {
+                    ComponentAnnotation::OR(_) => p.annotation = ComponentAnnotation::CR,
+                    ComponentAnnotation::OW(_) => p.annotation = ComponentAnnotation::CW,
+                    ComponentAnnotation::CR | ComponentAnnotation::CW => {}
+                }
             }
-            replace_paths(&mut g, id, rewritten);
+            g.replace_component_paths(id, paths);
         }
     }
-    g
+    Ok(g)
 }
 
-/// Compute the sink labels of `graph` after deploying `plan`.
+/// Compute the sink labels of `graph` after deploying `spec`.
 ///
 /// Dynamic ordering still admits cross-run nondeterminism, so sinks
 /// downstream of a dynamically ordered component are floored at `Run`.
+/// Fails if a directive names no component of `graph`.
 pub fn residual_labels(
     graph: &DataflowGraph,
-    plan: &CoordinationPlan,
+    spec: &CoordinationSpec,
 ) -> Result<Vec<(String, Label)>> {
-    let transformed = apply_plan(graph, plan);
+    let transformed = apply_plan(graph, &spec.directives)?;
     let outcome = Analyzer::new(&transformed).run()?;
 
     // Sinks reachable from dynamically ordered components get the Run floor.
-    let dynamic_roots: Vec<ComponentId> = plan
-        .strategies
-        .iter()
-        .filter_map(|s| match s {
-            Strategy::Ordering {
+    let dynamic_roots = (spec.directives.iter())
+        .filter_map(|d| match d {
+            CoordDirective::Order {
                 component,
                 dynamic: true,
                 ..
-            } => Some(*component),
+            } => Some(transformed.component_by_name(component)),
             _ => None,
         })
-        .collect();
+        .collect::<Result<Vec<ComponentId>>>()?;
     let tainted_sinks = reachable_sinks(&transformed, &dynamic_roots);
 
     let mut out = Vec::new();
@@ -298,13 +166,6 @@ pub fn residual_labels(
         out.push((sink.name.clone(), label));
     }
     Ok(out)
-}
-
-fn replace_paths(g: &mut DataflowGraph, id: ComponentId, paths: Vec<crate::graph::PathSpec>) {
-    // DataflowGraph has no direct path-replacement API (paths are append
-    // only); rebuild the component's paths through a small local rebuild.
-    // We rely on `Component` being reachable mutably via internal access.
-    g.replace_component_paths(id, paths);
 }
 
 fn reachable_sinks(g: &DataflowGraph, roots: &[ComponentId]) -> BTreeSet<crate::graph::SinkId> {
@@ -338,6 +199,7 @@ fn reachable_sinks(g: &DataflowGraph, roots: &[ComponentId]) -> BTreeSet<crate::
 mod tests {
     use super::*;
     use crate::annotation::ComponentAnnotation as CA;
+    use crate::keys::KeySet;
 
     fn wordcount(sealed: bool) -> DataflowGraph {
         let mut g = DataflowGraph::new("wordcount");
@@ -361,53 +223,52 @@ mod tests {
 
     #[test]
     fn unsealed_wordcount_needs_ordering() {
-        let g = wordcount(false);
-        let plan = plan_for(&g, false).unwrap();
-        assert!(plan.needs_ordering());
-        assert!(!plan.needs_sealing());
-        let count = g.component_by_name("Count").unwrap();
-        assert!(plan
-            .strategies
-            .iter()
-            .any(|s| matches!(s, Strategy::Ordering { component, .. } if *component == count)));
+        let spec = CoordinationSpec::derive(&wordcount(false), false).unwrap();
+        assert_eq!(
+            spec.directives,
+            [CoordDirective::Order {
+                component: "Count".to_string(),
+                inputs: vec!["words".to_string()],
+                dynamic: false,
+            }]
+        );
     }
 
     #[test]
     fn sealed_wordcount_needs_only_seal_protocol() {
-        let g = wordcount(true);
-        let plan = plan_for(&g, false).unwrap();
-        assert!(!plan.needs_ordering());
-        assert!(plan.needs_sealing());
-        let count = g.component_by_name("Count").unwrap();
-        assert!(plan.strategies.iter().any(|s| matches!(
-            s,
-            Strategy::SealProtocol { component, input, key }
-                if *component == count && input == "words" && key == &KeySet::from_attrs(["batch"])
-        )));
+        let spec = CoordinationSpec::derive(&wordcount(true), false).unwrap();
+        assert_eq!(
+            spec.directives,
+            [CoordDirective::Seal {
+                component: "Count".to_string(),
+                input: "words".to_string(),
+                key: KeySet::from_attrs(["batch"]),
+            }]
+        );
     }
 
     #[test]
     fn ordering_plan_restores_consistency() {
         let g = wordcount(false);
         // Static ordering (Storm transactional topologies): Async residual.
-        let plan = plan_for(&g, false).unwrap();
-        let residual = residual_labels(&g, &plan).unwrap();
+        let spec = CoordinationSpec::derive(&g, false).unwrap();
+        let residual = residual_labels(&g, &spec).unwrap();
         assert_eq!(residual, vec![("store".to_string(), Label::Async)]);
     }
 
     #[test]
     fn dynamic_ordering_leaves_run_floor() {
         let g = wordcount(false);
-        let plan = plan_for(&g, true).unwrap();
-        let residual = residual_labels(&g, &plan).unwrap();
+        let spec = CoordinationSpec::derive(&g, true).unwrap();
+        let residual = residual_labels(&g, &spec).unwrap();
         assert_eq!(residual, vec![("store".to_string(), Label::Run)]);
     }
 
     #[test]
     fn sealed_plan_residual_is_async() {
         let g = wordcount(true);
-        let plan = plan_for(&g, true).unwrap();
-        let residual = residual_labels(&g, &plan).unwrap();
+        let spec = CoordinationSpec::derive(&g, true).unwrap();
+        let residual = residual_labels(&g, &spec).unwrap();
         assert_eq!(residual, vec![("store".to_string(), Label::Async)]);
     }
 
@@ -420,30 +281,86 @@ mod tests {
         let k = g.add_sink("k");
         g.connect_source(s, c, "in");
         g.connect_sink(c, "out", k);
-        let plan = plan_for(&g, true).unwrap();
-        assert!(plan.strategies.is_empty());
-        assert!(plan.render(&g).contains("no coordination required"));
-    }
-
-    #[test]
-    fn plan_renders_human_readable() {
-        let g = wordcount(true);
-        let plan = plan_for(&g, false).unwrap();
-        let text = plan.render(&g);
-        assert!(text.contains("seal-protocol at Count.words"), "{text}");
-        assert!(text.contains("{batch}"), "{text}");
+        assert!(CoordinationSpec::derive(&g, true).unwrap().is_empty());
     }
 
     #[test]
     fn apply_plan_converts_annotations() {
         let g = wordcount(false);
-        let plan = plan_for(&g, false).unwrap();
-        let t = apply_plan(&g, &plan);
+        let spec = CoordinationSpec::derive(&g, false).unwrap();
+        let t = apply_plan(&g, &spec.directives).unwrap();
         let count = t.component_by_name("Count").unwrap();
         assert!(t
             .component(count)
             .paths
             .iter()
             .all(|p| p.annotation == CA::cw()));
+    }
+
+    #[test]
+    fn a_directive_naming_no_component_is_an_error() {
+        let spec = CoordinationSpec {
+            directives: vec![CoordDirective::Order {
+                component: "Nowhere".to_string(),
+                inputs: vec!["in".to_string()],
+                dynamic: true,
+            }],
+        };
+        assert!(residual_labels(&wordcount(false), &spec).is_err());
+    }
+
+    /// Round one seals X's `in1` while the replicated, unordered U still
+    /// masks X's unsealed `in2`; once U is ordered, round two upgrades X's
+    /// seal to an order, leaving the plan's length as it was. Only a third
+    /// round, on the graph with X ordered, finds that Y downstream needs an
+    /// order too, so the fixpoint must take the upgrade as progress.
+    #[test]
+    fn a_seal_upgraded_to_an_order_is_progress() {
+        let mut g = DataflowGraph::new("upgrade");
+        let sealed = g.add_source("sealed", &["a", "b"]);
+        g.seal_source(sealed, ["a"]);
+        let unsealed = g.add_source("unsealed", &["a", "b"]);
+        let u = g.add_component("U");
+        g.set_rep(u, true);
+        g.add_path(u, "in", "out", CA::ow_star());
+        let x = g.add_component("X");
+        g.set_rep(x, true);
+        g.add_path(x, "in1", "out", CA::ow(["a"]));
+        g.add_path(x, "in2", "out", CA::ow(["b"]));
+        let y = g.add_component("Y");
+        g.add_path(y, "in", "out", CA::ow_star());
+        let k = g.add_sink("k");
+        g.connect_source(sealed, x, "in1");
+        g.connect_source(unsealed, u, "in");
+        g.connect(u, "out", x, "in2");
+        g.connect(x, "out", y, "in");
+        g.connect_sink(y, "out", k);
+
+        let order = |component: &str, inputs: &[&str]| CoordDirective::Order {
+            component: component.to_string(),
+            inputs: inputs.iter().map(|i| (*i).to_string()).collect(),
+            dynamic: false,
+        };
+        let mut round_one = Plan::new();
+        let outcome = Analyzer::new(&g).run().unwrap();
+        assert!(synthesize(&g, &outcome, false, &mut round_one));
+        let seal_x = CoordDirective::Seal {
+            component: "X".to_string(),
+            input: "in1".to_string(),
+            key: KeySet::from_attrs(["a"]),
+        };
+        assert_eq!(
+            round_one.into_values().collect::<Vec<_>>(),
+            [order("U", &["in"]), seal_x]
+        );
+        let spec = CoordinationSpec::derive(&g, false).unwrap();
+        assert_eq!(
+            spec.directives,
+            [
+                order("U", &["in"]),
+                order("X", &["in1", "in2"]),
+                order("Y", &["in"])
+            ]
+        );
     }
 }

@@ -9,7 +9,8 @@ use blazes::core::analysis::Analyzer;
 use blazes::core::annotation::ComponentAnnotation;
 use blazes::core::derivation;
 use blazes::core::graph::DataflowGraph;
-use blazes::core::strategy::{plan_for, residual_labels};
+use blazes::core::placement::CoordinationSpec;
+use blazes::core::strategy::residual_labels;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The Storm wordcount of the paper's Section VI-A: a confluent
@@ -38,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = Analyzer::new(&g).run()?;
     println!("--- unsealed ---");
     print!("{}", derivation::render(&g, &outcome));
-    let plan = plan_for(&g, false)?;
-    println!("plan:\n{}", plan.render(&g));
+    let plan = CoordinationSpec::derive(&g, false)?;
+    println!("plan:\n{}", plan.render());
     println!("residual after plan: {:?}\n", residual_labels(&g, &plan)?);
 
     // 2. Sealed on batch: Blazes recognizes the compatibility between the
@@ -49,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = Analyzer::new(&g).run()?;
     println!("--- sealed on batch ---");
     print!("{}", derivation::render(&g, &outcome));
-    let plan = plan_for(&g, false)?;
-    println!("plan:\n{}", plan.render(&g));
+    let plan = CoordinationSpec::derive(&g, false)?;
+    println!("plan:\n{}", plan.render());
     Ok(())
 }

@@ -26,8 +26,9 @@
 use blazes::core::advisor;
 use blazes::core::analysis::Analyzer;
 use blazes::core::derivation;
+use blazes::core::placement::CoordinationSpec;
 use blazes::core::spec::Spec;
-use blazes::core::strategy::{plan_for, residual_labels};
+use blazes::core::strategy::residual_labels;
 use blazes_bloom::interp::{EvalMode, ModuleInstance};
 use blazes_bloom::{annotate_module, parse_module};
 use blazes_dataflow::value::{Tuple, Value};
@@ -294,7 +295,7 @@ fn main() {
     print!("{}", derivation::render(&graph, &outcome));
 
     let dynamic = !cli.static_order;
-    match plan_for(&graph, dynamic) {
+    match CoordinationSpec::derive(&graph, dynamic) {
         Ok(plan) => {
             println!(
                 "\n-- synthesized coordination ({}) --",
@@ -304,7 +305,7 @@ fn main() {
                     "static ordering"
                 }
             );
-            print!("{}", plan.render(&graph));
+            print!("{}", plan.render());
             match residual_labels(&graph, &plan) {
                 Ok(residual) => {
                     println!("-- residual labels after deployment --");

@@ -7,8 +7,9 @@ use blazes::apps::wordcount::{WordcountResult, WordcountScenario};
 use blazes::apps::workload::TweetWorkload;
 use blazes::core::analysis::Analyzer;
 use blazes::core::label::Label;
+use blazes::core::placement::{CoordDirective, CoordinationSpec};
 use blazes::core::spec::Spec;
-use blazes::core::strategy::{plan_for, residual_labels, Strategy};
+use blazes::core::strategy::residual_labels;
 use blazes::dataflow::backend::BackendSpec;
 
 fn run_wordcount(sc: &WordcountScenario) -> WordcountResult {
@@ -79,12 +80,11 @@ fn sealed_spec_derives_async() {
 #[test]
 fn synthesis_targets_the_count_bolt() {
     let (g, _) = wordcount_graph(false);
-    let plan = plan_for(&g, false).unwrap();
-    let count = g.component_by_name("Count").unwrap();
-    assert!(plan
-        .strategies
-        .iter()
-        .any(|s| matches!(s, Strategy::Ordering { component, .. } if *component == count)));
+    let plan = CoordinationSpec::derive(&g, false).unwrap();
+    assert!(matches!(
+        plan.directive_for("Count"),
+        Some(CoordDirective::Order { .. })
+    ));
     // Deploying the plan restores a consistent program.
     let residual = residual_labels(&g, &plan).unwrap();
     assert!(residual.iter().all(|(_, l)| !l.is_anomalous()));
@@ -93,9 +93,12 @@ fn synthesis_targets_the_count_bolt() {
 #[test]
 fn sealed_plan_avoids_global_coordination() {
     let (g, _) = wordcount_graph(true);
-    let plan = plan_for(&g, false).unwrap();
-    assert!(plan.needs_sealing());
-    assert!(!plan.needs_ordering(), "sealing replaces ordering entirely");
+    let plan = CoordinationSpec::derive(&g, false).unwrap();
+    assert!(
+        (plan.directives.iter()).all(|d| matches!(d, CoordDirective::Seal { .. })),
+        "sealing replaces ordering entirely: {plan:?}"
+    );
+    assert!(!plan.is_empty());
 }
 
 fn scenario(transactional: bool, seed: u64) -> WordcountScenario {

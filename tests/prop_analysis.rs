@@ -5,8 +5,9 @@ use blazes::core::analysis::Analyzer;
 use blazes::core::annotation::{ComponentAnnotation, Gate};
 use blazes::core::graph::DataflowGraph;
 use blazes::core::label::Label;
+use blazes::core::placement::{CoordDirective, CoordinationSpec};
 use blazes::core::severity::Severity;
-use blazes::core::strategy::{plan_for, residual_labels};
+use blazes::core::strategy::residual_labels;
 use proptest::prelude::*;
 
 const ATTRS: [&str; 4] = ["a", "b", "c", "d"];
@@ -136,10 +137,25 @@ proptest! {
     #[test]
     fn plans_restore_consistency(chain in arb_chain()) {
         let g = build(&chain, true);
-        let plan = plan_for(&g, false).unwrap();
+        let plan = CoordinationSpec::derive(&g, false).unwrap();
         let residual = residual_labels(&g, &plan).unwrap();
         for (name, label) in residual {
             prop_assert!(!label.is_anomalous(), "sink {name} still {label} after plan");
+        }
+    }
+
+    /// Plan soundness under *dynamic* ordering: the per-run order leaves at
+    /// most cross-run nondeterminism, so no sink is above `Run`.
+    #[test]
+    fn dynamic_plans_leave_at_most_run(chain in arb_chain()) {
+        let g = build(&chain, true);
+        let plan = CoordinationSpec::derive(&g, true).unwrap();
+        let residual = residual_labels(&g, &plan).unwrap();
+        for (name, label) in residual {
+            prop_assert!(
+                label.severity() <= Severity::RUN,
+                "sink {name} still {label} after a dynamic plan"
+            );
         }
     }
 
@@ -148,10 +164,10 @@ proptest! {
     fn clean_graphs_get_empty_plans(chain in arb_chain()) {
         let g = build(&chain, true);
         let out = Analyzer::new(&g).run().unwrap();
-        let plan = plan_for(&g, false).unwrap();
+        let plan = CoordinationSpec::derive(&g, false).unwrap();
         if !out.program_label().is_anomalous() {
             prop_assert!(
-                !plan.needs_ordering(),
+                !plan.directives.iter().any(|d| matches!(d, CoordDirective::Order { .. })),
                 "consistent graph must not be ordered"
             );
         }

@@ -78,16 +78,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "label constructor prop_analysis's lattice-law test builds NDRead with",
     ),
     (
-        "crates/blazes-core/src/strategy.rs",
-        "needs_ordering",
-        "plan predicate the case-study and property tests assert",
-    ),
-    (
-        "crates/blazes-core/src/strategy.rs",
-        "needs_sealing",
-        "plan predicate the case-study tests assert",
-    ),
-    (
         "crates/blazes-dataflow/src/backend.rs",
         "messages_delivered",
         "backend-agnostic delivery count the heavy, storm and backend unit tests compare",
